@@ -22,6 +22,14 @@ cargo test -q --offline
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace --offline
 
+echo "== benchmark: frozen surface + smoke ledger =="
+# benchmark/ is a workspace of its own with path dependencies on crates/*:
+# building it is what checks the entry points its README lists as frozen
+# (parse_frame, TtlStore, Value, ServerCounters, ...), and its smoke-scale
+# end-to-end test runs all four workloads with the wire checker verifying
+# every reply. ~20 s. Nothing under benchmark/ is edited by this gate.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
+
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --offline -- -D warnings \
     --force-warn clippy::unwrap-used --force-warn clippy::expect-used

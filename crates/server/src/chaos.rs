@@ -141,6 +141,15 @@ fn slow_readers_are_dropped_without_harming_others() {
         handle.counters().slow_reader_drops.load(std::sync::atomic::Ordering::Relaxed) > 0,
         "a reader lagging past the outbuf cap must be disconnected"
     );
+    // The cap holds while the replies are produced, not only afterwards:
+    // no connection ever held more than the cap plus the reply that
+    // overran it (~3.5 MB each when the cap was checked once per sweep).
+    let one_reply = big.len() + "VALUE hot 0 16384\r\n\r\nEND\r\n".len();
+    let high_water = handle.counters().outbuf_high_water.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(
+        high_water as usize <= 2048 + one_reply,
+        "outbuf grew to {high_water} bytes against a 2048-byte cap"
+    );
     // A well-behaved client is unaffected.
     assert!(probe_healthy(addr), "healthy clients keep working");
     drop(slow);
@@ -447,8 +456,10 @@ fn stats_and_metrics_are_well_formed() {
     assert!(text.contains("STAT cmd_get 1"));
     assert!(text.contains("STAT shed_level normal"));
     assert!(text.contains("STAT flash_state none"));
+    assert!(text.contains("STAT outbuf_high_water "));
     // Prometheus lines: `# TYPE name kind` headers then `name value`.
     assert!(text.contains("# TYPE"));
     assert!(text.contains("cache_server_frontend_requests"));
+    assert!(text.contains("cache_server_frontend_outbuf_high_water"));
     assert!(handle.shutdown().drained);
 }

@@ -22,6 +22,8 @@
 //! ([`Limits::max_line_len`] for a command line, [`Limits::max_value_len`]
 //! for a value block).
 
+use std::borrow::Cow;
+
 /// Maximum key length, as in memcached.
 pub const MAX_KEY_LEN: usize = 250;
 
@@ -121,15 +123,147 @@ pub enum ParseOutcome {
     },
 }
 
-fn client_error(msg: &str) -> String {
-    format!("CLIENT_ERROR {msg}\r\n")
+/// A request frame borrowed from the buffer it was parsed from: the server
+/// executes from this view, so a request's bytes are never copied between
+/// the connection buffer and the store.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request<'a> {
+    /// `get k1 [k2 ...]` — multi-key lookup.
+    Get {
+        /// Keys, in request order; every one already validated.
+        keys: Keys<'a>,
+    },
+    /// `set key flags exptime bytes [noreply]` + value block.
+    Set {
+        /// Item key.
+        key: &'a str,
+        /// Opaque client flags, stored verbatim.
+        flags: u32,
+        /// TTL in seconds; 0 = never expires.
+        exptime: u64,
+        /// The value block.
+        value: &'a [u8],
+        /// When set, a successful store sends no reply.
+        noreply: bool,
+    },
+    /// `delete key [noreply]`.
+    Delete {
+        /// Item key.
+        key: &'a str,
+        /// When set, the reply is suppressed.
+        noreply: bool,
+    },
+    /// `stats` — human-readable STAT lines.
+    Stats,
+    /// `metrics` — Prometheus exposition dump (extension).
+    Metrics,
+    /// `version`.
+    Version,
+    /// `quit` — close the connection.
+    Quit,
 }
+
+impl Request<'_> {
+    /// True for mutating commands (the shedder rejects these first).
+    pub(crate) fn is_write(&self) -> bool {
+        matches!(self, Request::Set { .. } | Request::Delete { .. })
+    }
+
+    /// Copies the borrowed frame into an owned [`Command`].
+    fn to_command(&self) -> Command {
+        match *self {
+            Request::Get { ref keys } => Command::Get {
+                keys: keys.clone().map(str::to_owned).collect(),
+            },
+            Request::Set {
+                key,
+                flags,
+                exptime,
+                value,
+                noreply,
+            } => Command::Set {
+                key: key.to_owned(),
+                flags,
+                exptime,
+                value: value.to_vec(),
+                noreply,
+            },
+            Request::Delete { key, noreply } => Command::Delete {
+                key: key.to_owned(),
+                noreply,
+            },
+            Request::Stats => Command::Stats,
+            Request::Metrics => Command::Metrics,
+            Request::Version => Command::Version,
+            Request::Quit => Command::Quit,
+        }
+    }
+}
+
+/// The keys of a `get`, in request order: 1..=[`Limits::max_get_keys`] of
+/// them, each one a valid key.
+#[derive(Debug, Clone)]
+pub struct Keys<'a>(std::str::SplitAsciiWhitespace<'a>);
+
+impl<'a> Iterator for Keys<'a> {
+    type Item = &'a str;
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next()
+    }
+}
+
+impl PartialEq for Keys<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.clone().eq(other.clone())
+    }
+}
+
+impl Eq for Keys<'_> {}
+
+/// Result of trying to parse one frame off the front of a buffer, borrowing
+/// from it. [`ParseOutcome`] is the same thing, owned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Parsed<'a> {
+    /// The buffer holds no complete frame yet; read more bytes.
+    Incomplete {
+        /// Bytes the frame is known to need, from the front of the buffer:
+        /// the whole frame once a `set` line gave the value length, one
+        /// more than the buffer holds while the line itself is unfinished.
+        needed: usize,
+    },
+    /// A complete frame; `consumed` bytes belong to it.
+    Frame {
+        /// The parsed request.
+        req: Request<'a>,
+        /// Bytes to drop from the front of the buffer.
+        consumed: usize,
+    },
+    /// A malformed but recoverable frame (see [`ParseOutcome::Error`]).
+    Error {
+        /// The full reply line (terminator included).
+        reply: Cow<'static, str>,
+        /// Bytes to drop from the front of the buffer.
+        consumed: usize,
+    },
+    /// An unrecoverable framing violation (see [`ParseOutcome::Fatal`]).
+    Fatal {
+        /// The full reply line (terminator included).
+        reply: Cow<'static, str>,
+    },
+}
+
+/// A full `CLIENT_ERROR` reply line.
+macro_rules! client_error {
+    ($msg:literal) => {
+        Cow::Borrowed(concat!("CLIENT_ERROR ", $msg, "\r\n"))
+    };
+}
+
+const UNKNOWN_COMMAND: Cow<'static, str> = Cow::Borrowed("ERROR\r\n");
 
 /// A key is 1..=250 bytes of printable non-space ASCII.
 fn key_ok(k: &str) -> bool {
-    !k.is_empty()
-        && k.len() <= MAX_KEY_LEN
-        && k.bytes().all(|b| (0x21..=0x7e).contains(&b))
+    !k.is_empty() && k.len() <= MAX_KEY_LEN && k.bytes().all(|b| b.is_ascii_graphic())
 }
 
 /// Finds the first line terminator (`\r\n` or bare `\n`, both accepted on
@@ -144,220 +278,206 @@ fn find_line(buf: &[u8], limit: usize) -> Option<(usize, usize)> {
     }
 }
 
-/// Tries to parse one frame from the front of `buf`.
+/// Tries to parse one frame from the front of `buf`, copying it out.
 ///
 /// Stateless: callers keep the buffer and drop `consumed` bytes on
-/// [`ParseOutcome::Frame`] / [`ParseOutcome::Error`].
+/// [`ParseOutcome::Frame`] / [`ParseOutcome::Error`]. This is
+/// [`parse_request`] with its result made owned.
 pub fn parse_frame(buf: &[u8], limits: &Limits) -> ParseOutcome {
+    match parse_request(buf, limits) {
+        Parsed::Incomplete { .. } => ParseOutcome::Incomplete,
+        Parsed::Frame { req, consumed } => ParseOutcome::Frame {
+            cmd: req.to_command(),
+            consumed,
+        },
+        Parsed::Error { reply, consumed } => ParseOutcome::Error {
+            reply: reply.into_owned(),
+            consumed,
+        },
+        Parsed::Fatal { reply } => ParseOutcome::Fatal {
+            reply: reply.into_owned(),
+        },
+    }
+}
+
+/// Tries to parse one frame from the front of `buf`, borrowing keys and
+/// value from it. The one grammar: the line is checked for UTF-8 once, and
+/// nothing is allocated for a well-formed frame.
+pub fn parse_request<'a>(buf: &'a [u8], limits: &Limits) -> Parsed<'a> {
     let Some((line_end, term)) = find_line(buf, limits.max_line_len) else {
         if buf.len() >= limits.max_line_len {
             // No terminator within the limit: a hostile or broken client;
             // resynchronization is impossible without unbounded buffering.
-            return ParseOutcome::Fatal {
-                reply: client_error("line too long"),
+            return Parsed::Fatal {
+                reply: client_error!("line too long"),
             };
         }
-        return ParseOutcome::Incomplete;
+        return Parsed::Incomplete { needed: buf.len() + 1 };
     };
-    let line_consumed = line_end + term;
+    let consumed = line_end + term;
+    let error = |reply| Parsed::Error { reply, consumed };
+    let frame = |req| Parsed::Frame { req, consumed };
     let Ok(line) = std::str::from_utf8(&buf[..line_end]) else {
-        return ParseOutcome::Error {
-            reply: client_error("invalid utf-8 in command line"),
-            consumed: line_consumed,
-        };
+        return error(client_error!("invalid utf-8 in command line"));
     };
     let mut tokens = line.split_ascii_whitespace();
     let Some(verb) = tokens.next() else {
         // Blank line: memcached answers ERROR and keeps going.
-        return ParseOutcome::Error {
-            reply: "ERROR\r\n".into(),
-            consumed: line_consumed,
-        };
+        return error(UNKNOWN_COMMAND);
     };
     match verb {
         "get" | "gets" => {
-            let keys: Vec<&str> = tokens.collect();
-            if keys.is_empty() {
-                return ParseOutcome::Error {
-                    reply: client_error("get requires at least one key"),
-                    consumed: line_consumed,
-                };
+            let keys = Keys(tokens);
+            let mut count = 0usize;
+            let mut bad = None;
+            for key in keys.clone() {
+                count += 1;
+                if bad.is_none() && !key_ok(key) {
+                    bad = Some(key.len());
+                }
             }
-            if keys.len() > limits.max_get_keys {
-                return ParseOutcome::Error {
-                    reply: client_error("too many keys in one get"),
-                    consumed: line_consumed,
-                };
+            if count == 0 {
+                return error(client_error!("get requires at least one key"));
             }
-            if let Some(bad) = keys.iter().find(|k| !key_ok(k)) {
-                return ParseOutcome::Error {
-                    reply: client_error(&format!(
-                        "bad key (len {} > {MAX_KEY_LEN} or non-printable)",
-                        bad.len()
-                    )),
-                    consumed: line_consumed,
-                };
+            if count > limits.max_get_keys {
+                return error(client_error!("too many keys in one get"));
             }
-            ParseOutcome::Frame {
-                cmd: Command::Get {
-                    keys: keys.into_iter().map(str::to_owned).collect(),
-                },
-                consumed: line_consumed,
+            if let Some(len) = bad {
+                return error(Cow::Owned(format!(
+                    "CLIENT_ERROR bad key (len {len} > {MAX_KEY_LEN} or non-printable)\r\n"
+                )));
             }
+            frame(Request::Get { keys })
         }
-        "set" => parse_set(buf, line_consumed, &mut tokens, limits),
+        "set" => parse_set(buf, consumed, &mut tokens, limits),
         "delete" => {
             let Some(key) = tokens.next() else {
-                return ParseOutcome::Error {
-                    reply: client_error("delete requires a key"),
-                    consumed: line_consumed,
-                };
+                return error(client_error!("delete requires a key"));
             };
             if !key_ok(key) {
-                return ParseOutcome::Error {
-                    reply: client_error("bad key"),
-                    consumed: line_consumed,
-                };
+                return error(client_error!("bad key"));
             }
             let noreply = matches!(tokens.next(), Some("noreply"));
-            ParseOutcome::Frame {
-                cmd: Command::Delete {
-                    key: key.to_owned(),
-                    noreply,
-                },
-                consumed: line_consumed,
-            }
+            frame(Request::Delete { key, noreply })
         }
-        "stats" => ParseOutcome::Frame {
-            cmd: Command::Stats,
-            consumed: line_consumed,
-        },
-        "metrics" => ParseOutcome::Frame {
-            cmd: Command::Metrics,
-            consumed: line_consumed,
-        },
-        "version" => ParseOutcome::Frame {
-            cmd: Command::Version,
-            consumed: line_consumed,
-        },
-        "quit" => ParseOutcome::Frame {
-            cmd: Command::Quit,
-            consumed: line_consumed,
-        },
-        _ => ParseOutcome::Error {
-            reply: "ERROR\r\n".into(),
-            consumed: line_consumed,
-        },
+        "stats" => frame(Request::Stats),
+        "metrics" => frame(Request::Metrics),
+        "version" => frame(Request::Version),
+        "quit" => frame(Request::Quit),
+        _ => error(UNKNOWN_COMMAND),
     }
 }
 
 /// Parses `set`'s argument line plus its value block.
 fn parse_set<'a>(
-    buf: &[u8],
+    buf: &'a [u8],
     line_consumed: usize,
     tokens: &mut impl Iterator<Item = &'a str>,
     limits: &Limits,
-) -> ParseOutcome {
+) -> Parsed<'a> {
     let (Some(key), Some(flags), Some(exptime), Some(bytes)) =
         (tokens.next(), tokens.next(), tokens.next(), tokens.next())
     else {
-        return ParseOutcome::Error {
-            reply: client_error("set requires <key> <flags> <exptime> <bytes>"),
+        return Parsed::Error {
+            reply: client_error!("set requires <key> <flags> <exptime> <bytes>"),
             consumed: line_consumed,
         };
     };
     let noreply = matches!(tokens.next(), Some("noreply"));
     if !key_ok(key) {
-        // The length field may still parse; if it does the value block can
-        // be skipped and the connection survives.
-        if let Ok(n) = bytes.parse::<usize>() {
-            if n <= limits.max_value_len {
-                let total = line_consumed + n + 2;
-                if buf.len() < total {
-                    return ParseOutcome::Incomplete;
-                }
-                return ParseOutcome::Error {
-                    reply: client_error("bad key"),
-                    consumed: total,
-                };
-            }
-        }
-        return ParseOutcome::Fatal {
-            reply: client_error("bad key"),
-        };
+        return bad_set_field(buf, line_consumed, bytes, limits, client_error!("bad key"));
     }
     let Ok(flags) = flags.parse::<u32>() else {
-        return bad_set_field(buf, line_consumed, bytes, limits, "bad flags");
+        return bad_set_field(buf, line_consumed, bytes, limits, client_error!("bad flags"));
     };
     let Ok(exptime) = exptime.parse::<u64>() else {
-        return bad_set_field(buf, line_consumed, bytes, limits, "bad exptime");
+        return bad_set_field(buf, line_consumed, bytes, limits, client_error!("bad exptime"));
     };
     let Ok(n) = bytes.parse::<usize>() else {
         // The value block boundary is unknowable: closing is the only safe
         // resynchronization.
-        return ParseOutcome::Fatal {
-            reply: client_error("bad byte count"),
+        return Parsed::Fatal {
+            reply: client_error!("bad byte count"),
         };
     };
     if n > limits.max_value_len {
         // Refusing to buffer the block means the stream cannot be resynced.
-        return ParseOutcome::Fatal {
-            reply: client_error("object too large"),
+        return Parsed::Fatal {
+            reply: client_error!("object too large"),
         };
     }
     let total = line_consumed + n + 2;
     if buf.len() < total {
-        return ParseOutcome::Incomplete;
+        return Parsed::Incomplete { needed: total };
     }
     if &buf[line_consumed + n..total] != b"\r\n" {
         // memcached's "bad data chunk": the client's framing is off; the
         // stream position cannot be trusted.
-        return ParseOutcome::Fatal {
-            reply: client_error("bad data chunk"),
+        return Parsed::Fatal {
+            reply: client_error!("bad data chunk"),
         };
     }
-    ParseOutcome::Frame {
-        cmd: Command::Set {
-            key: key.to_owned(),
+    Parsed::Frame {
+        req: Request::Set {
+            key,
             flags,
             exptime,
-            value: buf[line_consumed..line_consumed + n].to_vec(),
+            value: &buf[line_consumed..line_consumed + n],
             noreply,
         },
         consumed: total,
     }
 }
 
-/// A set line with one bad numeric field but a parseable byte count: skip
-/// the value block and keep the connection.
-fn bad_set_field(
+/// A set line with one bad field: when the byte count still parses, the
+/// value block is skipped and the connection survives.
+fn bad_set_field<'a>(
     buf: &[u8],
     line_consumed: usize,
     bytes: &str,
     limits: &Limits,
-    msg: &str,
-) -> ParseOutcome {
+    reply: Cow<'static, str>,
+) -> Parsed<'a> {
     match bytes.parse::<usize>() {
         Ok(n) if n <= limits.max_value_len => {
             let total = line_consumed + n + 2;
             if buf.len() < total {
-                ParseOutcome::Incomplete
+                Parsed::Incomplete { needed: total }
             } else {
-                ParseOutcome::Error {
-                    reply: client_error(msg),
+                Parsed::Error {
+                    reply,
                     consumed: total,
                 }
             }
         }
-        _ => ParseOutcome::Fatal {
-            reply: client_error(msg),
-        },
+        _ => Parsed::Fatal { reply },
     }
 }
 
-/// Encodes one `VALUE` response item.
+/// Appends `v` in decimal.
+fn put_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Encodes one `VALUE` response item, header and data, straight into `out`.
 pub fn encode_value(out: &mut Vec<u8>, key: &str, flags: u32, data: &[u8]) {
-    out.extend_from_slice(format!("VALUE {key} {flags} {}\r\n", data.len()).as_bytes());
+    out.extend_from_slice(b"VALUE ");
+    out.extend_from_slice(key.as_bytes());
+    out.push(b' ');
+    put_decimal(out, u64::from(flags));
+    out.push(b' ');
+    put_decimal(out, data.len() as u64);
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(data);
     out.extend_from_slice(b"\r\n");
 }
@@ -547,5 +667,50 @@ mod tests {
         let mut out = Vec::new();
         encode_value(&mut out, "k", 9, b"abc");
         assert_eq!(out, b"VALUE k 9 3\r\nabc\r\n");
+        out.clear();
+        encode_value(&mut out, "k", u32::MAX, b"");
+        assert_eq!(out, b"VALUE k 4294967295 0\r\n\r\n");
+    }
+
+    #[test]
+    fn borrowed_frames_point_into_the_buffer() {
+        let buf = b"set k 7 60 5 noreply\r\nhello\r\nget a b\r\n";
+        let Parsed::Frame { req, consumed } = parse_request(buf, &Limits::default()) else {
+            panic!("set must parse");
+        };
+        assert_eq!(
+            req,
+            Request::Set {
+                key: "k",
+                flags: 7,
+                exptime: 60,
+                value: b"hello",
+                noreply: true
+            }
+        );
+        let Request::Set { value, .. } = req else { unreachable!() };
+        assert!(std::ptr::eq(value, &buf[22..27]), "the value is a view, not a copy");
+        match parse_request(&buf[consumed..], &Limits::default()) {
+            Parsed::Frame {
+                req: Request::Get { keys },
+                ..
+            } => assert_eq!(keys.collect::<Vec<_>>(), ["a", "b"]),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn incomplete_says_how_much_the_frame_needs() {
+        let limits = Limits::default();
+        assert_eq!(parse_request(b"get fo", &limits), Parsed::Incomplete { needed: 7 });
+        // Line (14) + value (10) + terminator (2), known from the line alone.
+        assert_eq!(
+            parse_request(b"set k 0 0 10\r\nhel", &limits),
+            Parsed::Incomplete { needed: 26 }
+        );
+        assert_eq!(
+            parse_request(b"set k nope 0 10\r\nhel", &limits),
+            Parsed::Incomplete { needed: 29 }
+        );
     }
 }

@@ -20,7 +20,7 @@
 //! shed-write` / `shed-read` before they touch the store.
 
 use crate::drain::DrainGate;
-use crate::proto::{self, Command, Limits, ParseOutcome};
+use crate::proto::{self, Limits, Parsed, Request};
 use crate::shed::{Admission, LoadShedder, ShedConfig};
 use crate::store::{self, StoreConfig, TtlStore};
 use cache_faults::{FaultPlan, OpClass};
@@ -98,6 +98,9 @@ pub struct ServerCounters {
     pub slow_reader_drops: AtomicU64,
     /// Microseconds of injected (fault-plan) delay actually slept.
     pub injected_delay_us: AtomicU64,
+    /// Most unsent reply bytes any one connection has held (high-water
+    /// mark); bounded by `max_outbuf` plus one reply.
+    pub outbuf_high_water: AtomicU64,
 }
 
 /// Shared state visible to the acceptor and every shard.
@@ -112,6 +115,21 @@ struct Shared {
     conns_open: AtomicU64,
     cfg: ServerConfig,
     started: Instant,
+}
+
+impl Shared {
+    fn new(cfg: ServerConfig) -> Self {
+        Shared {
+            store: TtlStore::new(cfg.store, cfg.fault_plan.clone()),
+            shed: LoadShedder::new(cfg.shed),
+            gate: DrainGate::new(),
+            stop: AtomicBool::new(false),
+            counters: ServerCounters::default(),
+            conns_open: AtomicU64::new(0),
+            cfg,
+            started: Instant::now(),
+        }
+    }
 }
 
 /// Marker type: construct a running server with [`Server::start`].
@@ -153,16 +171,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shards = cfg.shards.max(1);
-        let shared = Arc::new(Shared {
-            store: TtlStore::new(cfg.store, cfg.fault_plan.clone()),
-            shed: LoadShedder::new(cfg.shed),
-            gate: DrainGate::new(),
-            stop: AtomicBool::new(false),
-            counters: ServerCounters::default(),
-            conns_open: AtomicU64::new(0),
-            cfg: cfg.clone(),
-            started: Instant::now(),
-        });
+        let shared = Arc::new(Shared::new(cfg.clone()));
 
         let mut senders: Vec<SyncSender<TcpStream>> = Vec::with_capacity(shards);
         let mut shard_handles = Vec::with_capacity(shards);
@@ -277,6 +286,7 @@ fn collect_registry(shared: &Shared) -> MetricsRegistry {
     s.counter("fatal_closes").add(c.fatal_closes.load(Ordering::Relaxed));
     s.counter("slow_reader_drops").add(c.slow_reader_drops.load(Ordering::Relaxed));
     s.counter("injected_delay_us").add(c.injected_delay_us.load(Ordering::Relaxed));
+    s.gauge("outbuf_high_water").set(c.outbuf_high_water.load(Ordering::Relaxed) as i64);
     s.gauge("conns_open").set(shared.conns_open.load(Ordering::Relaxed) as i64);
     let shed = scope.scope("shed");
     let (level, sw, sr, dm, of, pr, wt, wrec, rt, rrec) = shared.shed.snapshot();
@@ -365,25 +375,152 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[SyncSender<Tc
     }
 }
 
+/// Size a connection buffer starts at, and shrinks back to.
+const BUF_BASELINE: usize = 16 * 1024;
+/// A buffer that drained empty gives back any capacity beyond this.
+const BUF_SHRINK_ABOVE: usize = 64 * 1024;
+
+/// A connection's input. `buf` is initialised to its whole length so the
+/// socket reads straight into `buf[tail..]`; `buf[head..tail]` is unparsed.
+/// Frames are consumed by advancing `head`; bytes move only when the
+/// partial frame left at the end of a sweep is brought to the front, once,
+/// before the next read.
+struct InBuf {
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+    /// What the parser said the frame at `head` needs (0: nothing pending).
+    needed: usize,
+}
+
+impl InBuf {
+    fn new() -> Self {
+        InBuf {
+            buf: vec![0; BUF_BASELINE],
+            head: 0,
+            tail: 0,
+            needed: 0,
+        }
+    }
+
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.head..self.tail]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.head += n;
+    }
+
+    fn clear(&mut self) {
+        self.head = 0;
+        self.tail = 0;
+    }
+
+    /// Reads once from `stream` into the free space, after making some:
+    /// the partial frame moves to the front, an empty oversized buffer
+    /// shrinks, and the buffer grows only to what one frame needs.
+    fn read_from(&mut self, stream: &mut impl Read) -> std::io::Result<usize> {
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.tail == 0 && self.buf.len() > BUF_SHRINK_ABOVE {
+            self.buf.truncate(BUF_BASELINE);
+            self.buf.shrink_to_fit();
+        }
+        // The parser bounds `needed` by its line and value limits.
+        let needed = std::mem::take(&mut self.needed).max(self.tail + 1);
+        if needed > self.buf.len() {
+            self.buf.resize(needed.next_multiple_of(BUF_BASELINE), 0);
+        }
+        let n = stream.read(&mut self.buf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
+    }
+}
+
+/// A connection's output. Replies are appended to `buf`; `buf[head..]` is
+/// unsent. A flush only advances `head`, so an index taken before a reply
+/// was appended stays valid for truncating it; sent bytes are forgotten
+/// between frames, by [`OutBuf::reclaim`].
+#[derive(Default)]
+struct OutBuf {
+    buf: Vec<u8>,
+    head: usize,
+}
+
+impl OutBuf {
+    fn pending(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    /// Takes back the reply appended since `mark`. Returns false, and
+    /// leaves the buffer alone, when a flush already sent part of it: the
+    /// peer then holds half a reply that nothing written after it can make
+    /// whole, and the connection has to go.
+    #[must_use]
+    fn take_back(&mut self, mark: usize) -> bool {
+        let unsent = self.head <= mark;
+        if unsent {
+            self.buf.truncate(mark);
+        }
+        unsent
+    }
+
+    /// Writes as much as the socket accepts. Returns false when the
+    /// connection is dead.
+    fn write_some(&mut self, stream: &mut impl Write) -> bool {
+        while self.head < self.buf.len() {
+            match stream.write(&self.buf[self.head..]) {
+                Ok(0) => return false,
+                Ok(n) => self.head += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        true
+    }
+
+    /// Forgets the sent bytes: a drained buffer restarts at 0 (and shrinks
+    /// if it had grown large); unsent bytes move to the front only once
+    /// the sent part is at least as long, so a byte moves at most once per
+    /// byte written.
+    fn reclaim(&mut self) {
+        let pending = self.pending();
+        if pending == 0 {
+            self.buf.clear();
+            if self.buf.capacity() > BUF_SHRINK_ABOVE {
+                self.buf.shrink_to(BUF_BASELINE);
+            }
+        } else if self.head >= pending {
+            self.buf.copy_within(self.head.., 0);
+            self.buf.truncate(pending);
+        } else {
+            return;
+        }
+        self.head = 0;
+    }
+}
+
 /// One connection owned by a shard.
-struct Conn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
+struct Conn<S> {
+    stream: S,
+    inbuf: InBuf,
+    outbuf: OutBuf,
     /// Write out what is buffered, then close.
     closing: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        Ok(Conn {
+impl<S> Conn<S> {
+    fn over(stream: S) -> Self {
+        Conn {
             stream,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
+            inbuf: InBuf::new(),
+            outbuf: OutBuf::default(),
             closing: false,
-        })
+        }
     }
 }
 
@@ -391,8 +528,7 @@ impl Conn {
 /// (read → parse/execute → write), sleep briefly when idle.
 // ORDERING: SeqCst load of `stop` — pairs with shutdown's SeqCst store.
 fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut read_buf = vec![0u8; 16 * 1024];
+    let mut conns: Vec<Conn<TcpStream>> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
         let mut progressed = false;
         // Adopt pending connections, bouncing past the per-shard cap.
@@ -404,19 +540,16 @@ fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
                 bounce(stream, b"SERVER_ERROR busy\r\n");
                 continue;
             }
-            match Conn::new(stream) {
-                Ok(c) => {
-                    shared.conns_open.fetch_add(1, Ordering::Relaxed);
-                    conns.push(c);
-                }
-                Err(_) => {
-                    // Socket died before setup; nothing to clean up.
-                }
+            // A socket that died before setup leaves nothing to clean up.
+            if stream.set_nonblocking(true).is_ok() {
+                let _ = stream.set_nodelay(true);
+                shared.conns_open.fetch_add(1, Ordering::Relaxed);
+                conns.push(Conn::over(stream));
             }
         }
         let mut i = 0;
         while i < conns.len() {
-            let alive = sweep_conn(shared, &mut conns[i], &mut read_buf, &mut progressed);
+            let alive = sweep_conn(shared, &mut conns[i], &mut progressed);
             if alive {
                 i += 1;
             } else {
@@ -431,11 +564,11 @@ fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
     // Stop: best-effort final flush so drained replies reach clients.
     let flush_deadline = Instant::now() + Duration::from_millis(100);
     for conn in &mut conns {
-        while !conn.outbuf.is_empty() && Instant::now() < flush_deadline {
-            if !flush_outbuf(conn) {
-                break;
-            }
-            if !conn.outbuf.is_empty() {
+        while conn.outbuf.pending() > 0
+            && Instant::now() < flush_deadline
+            && conn.outbuf.write_some(&mut conn.stream)
+        {
+            if conn.outbuf.pending() > 0 {
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
@@ -444,169 +577,188 @@ fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
     shared.conns_open.fetch_sub(n, Ordering::Relaxed);
 }
 
-/// Writes as much buffered output as the socket accepts. Returns false when
-/// the connection is dead.
-fn flush_outbuf(conn: &mut Conn) -> bool {
-    while !conn.outbuf.is_empty() {
-        match conn.stream.write(&conn.outbuf) {
-            Ok(0) => return false,
-            Ok(n) => {
-                conn.outbuf.drain(..n);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    true
+/// What a request leaves its connection to do.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Next {
+    /// Go on to the next frame.
+    Continue,
+    /// Flush what is buffered, then close (quit, fatal frame, shutdown).
+    Close,
+    /// Drop the connection now.
+    Drop,
 }
 
 /// Services one connection once. Returns false when the connection should
 /// be dropped.
 // ORDERING: Relaxed counter bumps only — statistics, not synchronization;
 // request admission ordering lives in DrainGate/LoadShedder.
-fn sweep_conn(shared: &Shared, conn: &mut Conn, read_buf: &mut [u8], progressed: &mut bool) -> bool {
-    // 1. Read whatever is available.
+fn sweep_conn<S: Read + Write>(shared: &Shared, conn: &mut Conn<S>, progressed: &mut bool) -> bool {
+    // 1. Read what is available, once; a full buffer is served first.
     if !conn.closing {
-        loop {
-            match conn.stream.read(read_buf) {
-                Ok(0) => {
-                    // Peer half-closed; process what we have, then close.
-                    conn.closing = true;
-                    *progressed = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&read_buf[..n]);
-                    *progressed = true;
-                    if n < read_buf.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return false,
+        match conn.inbuf.read_from(&mut conn.stream) {
+            Ok(0) => {
+                // Peer half-closed; process what we have, then close.
+                conn.closing = true;
+                *progressed = true;
             }
+            Ok(_) => *progressed = true,
+            Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted) => {}
+            Err(_) => return false,
         }
     }
-    // 2. Parse and execute complete frames.
-    let mut quit = false;
-    while !quit {
-        match proto::parse_frame(&conn.inbuf, &shared.cfg.limits) {
-            ParseOutcome::Incomplete => break,
-            ParseOutcome::Frame { cmd, consumed } => {
-                conn.inbuf.drain(..consumed);
-                *progressed = true;
-                quit = handle_command(shared, conn, cmd);
+    // 2. Parse and execute complete frames where they lie.
+    let mut next = Next::Continue;
+    while next == Next::Continue {
+        match proto::parse_request(conn.inbuf.pending(), &shared.cfg.limits) {
+            Parsed::Incomplete { needed } => {
+                conn.inbuf.needed = needed;
+                break;
             }
-            ParseOutcome::Error { reply, consumed } => {
-                conn.inbuf.drain(..consumed);
-                *progressed = true;
+            Parsed::Frame { req, consumed } => {
+                next = handle_request(shared, &mut conn.stream, &mut conn.outbuf, req);
+                conn.inbuf.consume(consumed);
+            }
+            Parsed::Error { reply, consumed } => {
                 shared.counters.parse_errors.fetch_add(1, Ordering::Relaxed);
-                conn.outbuf.extend_from_slice(reply.as_bytes());
+                conn.outbuf.buf.extend_from_slice(reply.as_bytes());
+                conn.inbuf.consume(consumed);
             }
-            ParseOutcome::Fatal { reply } => {
-                *progressed = true;
+            Parsed::Fatal { reply } => {
                 shared.counters.fatal_closes.fetch_add(1, Ordering::Relaxed);
-                conn.outbuf.extend_from_slice(reply.as_bytes());
+                conn.outbuf.buf.extend_from_slice(reply.as_bytes());
                 conn.inbuf.clear();
-                quit = true;
+                next = Next::Close;
             }
         }
+        *progressed = true;
+        if next != Next::Drop && !within_outbuf_cap(shared, &mut conn.stream, &mut conn.outbuf) {
+            next = Next::Drop;
+        }
+        conn.outbuf.reclaim();
     }
-    if quit {
-        conn.closing = true;
+    match next {
+        Next::Continue => {}
+        Next::Close => conn.closing = true,
+        Next::Drop => return false,
     }
-    // 3. Flush; enforce the slow-reader cap.
-    if !flush_outbuf(conn) {
+    // 3. Flush.
+    if !conn.outbuf.write_some(&mut conn.stream) {
         return false;
     }
-    if conn.outbuf.len() > shared.cfg.max_outbuf {
+    conn.outbuf.reclaim();
+    // A closing connection lingers until its outbuf is flushed.
+    !(conn.closing && conn.outbuf.pending() == 0)
+}
+
+/// The slow-reader cap, checked after every reply (and every value of a
+/// multi-get) so that one connection's unsent output never exceeds
+/// `max_outbuf` by more than one reply. A backlog past the cap is offered
+/// to the socket; returns false when the connection must be dropped,
+/// because it is dead or still over the cap.
+// ORDERING: Relaxed — statistics.
+fn within_outbuf_cap(shared: &Shared, stream: &mut impl Write, out: &mut OutBuf) -> bool {
+    let pending = out.pending();
+    let high_water = &shared.counters.outbuf_high_water;
+    if pending as u64 > high_water.load(Ordering::Relaxed) {
+        high_water.fetch_max(pending as u64, Ordering::Relaxed);
+    }
+    if pending <= shared.cfg.max_outbuf {
+        return true;
+    }
+    if !out.write_some(stream) {
+        return false;
+    }
+    if out.pending() > shared.cfg.max_outbuf {
         shared.counters.slow_reader_drops.fetch_add(1, Ordering::Relaxed);
         return false;
     }
-    // A closing connection lingers until its outbuf is flushed.
-    !(conn.closing && conn.outbuf.is_empty())
+    true
 }
 
-/// Executes one parsed command against the store, the shedder, and the
-/// drain gate. Returns true when the connection should close (quit/fatal).
+/// Executes one parsed request against the store, the shedder, and the
+/// drain gate, appending its reply to `out`.
 // ORDERING: Relaxed counter bumps — advisory stats; admission and drain
 // correctness live in LoadShedder and DrainGate respectively.
-fn handle_command(shared: &Shared, conn: &mut Conn, cmd: Command) -> bool {
+fn handle_request(shared: &Shared, stream: &mut impl Write, out: &mut OutBuf, req: Request<'_>) -> Next {
     // Commands that bypass admission entirely.
-    match &cmd {
-        Command::Quit => return true,
-        Command::Version => {
-            conn.outbuf.extend_from_slice(b"VERSION s3fifo-cache 0.1\r\n");
-            return false;
+    match req {
+        Request::Quit => return Next::Close,
+        Request::Version => {
+            out.buf.extend_from_slice(b"VERSION s3fifo-cache 0.1\r\n");
+            return Next::Continue;
         }
-        Command::Stats => {
-            write_stats(shared, &mut conn.outbuf);
-            return false;
+        Request::Stats => {
+            write_stats(shared, &mut out.buf);
+            return Next::Continue;
         }
-        Command::Metrics => {
+        Request::Metrics => {
             let registry = collect_registry(shared);
             let text = registry_to_prometheus(&registry);
-            conn.outbuf.extend_from_slice(text.as_bytes());
-            conn.outbuf.extend_from_slice(b"END\r\n");
-            return false;
+            out.buf.extend_from_slice(text.as_bytes());
+            out.buf.extend_from_slice(b"END\r\n");
+            return Next::Continue;
         }
         _ => {}
     }
-    let noreply = match &cmd {
-        Command::Set { noreply, .. } | Command::Delete { noreply, .. } => *noreply,
-        _ => false,
-    };
+    let noreply = matches!(
+        req,
+        Request::Set { noreply: true, .. } | Request::Delete { noreply: true, .. }
+    );
     // Drain gate: no new work once shutdown began.
     let Some(_in_flight) = shared.gate.try_enter() else {
         if !noreply {
-            conn.outbuf.extend_from_slice(b"SERVER_ERROR shutting-down\r\n");
+            out.buf.extend_from_slice(b"SERVER_ERROR shutting-down\r\n");
         }
-        return true;
+        return Next::Close;
     };
     // Load shedder: bounce before touching the store.
-    let is_write = cmd.is_write();
+    let is_write = req.is_write();
     let admission = shared.shed.admit(is_write);
     if admission == Admission::Shed {
         shared.counters.shed_replies.fetch_add(1, Ordering::Relaxed);
         if !noreply {
-            conn.outbuf.extend_from_slice(if is_write {
+            out.buf.extend_from_slice(if is_write {
                 b"SERVER_ERROR shed-write\r\n".as_slice()
             } else {
                 b"SERVER_ERROR shed-read\r\n".as_slice()
             });
         }
-        return false;
+        return Next::Continue;
     }
     shared.counters.requests.fetch_add(1, Ordering::Relaxed);
     // Deadline clock starts at admission; injected (fault-plan) delays are
-    // slept against it so a delay fault can push a request over.
+    // slept against it so a delay fault can push a request over. The clock
+    // is read again only after something took time: a delay, the store.
     let start = Instant::now();
     let deadline = shared.cfg.deadline;
     let class = if is_write { OpClass::Write } else { OpClass::Read };
     let delay_us = shared.store.next_delay_us(class);
+    let mut timed_out = false;
     if delay_us > 0 {
-        let remaining = deadline.saturating_sub(start.elapsed());
-        let sleep = Duration::from_micros(delay_us).min(remaining + Duration::from_millis(1));
+        let sleep = Duration::from_micros(delay_us).min(deadline + Duration::from_millis(1));
         std::thread::sleep(sleep);
         shared
             .counters
             .injected_delay_us
             .fetch_add(sleep.as_micros() as u64, Ordering::Relaxed);
+        // When the injected delay alone blew the budget, never touch the
+        // store.
+        timed_out = start.elapsed() >= deadline;
     }
-    let mut reply = Vec::new();
-    let timed_out = if start.elapsed() >= deadline {
-        // The injected delay alone blew the budget; never touch the store.
-        true
-    } else {
-        execute(shared, cmd, &mut reply);
-        start.elapsed() >= deadline
-    };
+    // The reply is written in place and taken back if it must not be sent.
+    let mark = out.buf.len();
+    let mut next = Next::Continue;
+    if !timed_out {
+        next = execute(shared, stream, out, req);
+        timed_out = start.elapsed() >= deadline;
+    }
     if timed_out {
         shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-        reply.clear();
-        reply.extend_from_slice(b"SERVER_ERROR timeout\r\n");
+        if out.take_back(mark) {
+            out.buf.extend_from_slice(b"SERVER_ERROR timeout\r\n");
+        } else {
+            next = Next::Drop;
+        }
     }
     let met = !timed_out;
     match admission {
@@ -615,50 +767,59 @@ fn handle_command(shared: &Shared, conn: &mut Conn, cmd: Command) -> bool {
     }
     // noreply suppresses success replies AND errors (memcached semantics);
     // timeouts on noreply ops are visible only to stats.
-    if !noreply {
-        conn.outbuf.extend_from_slice(&reply);
+    if noreply {
+        // A set or delete: nothing is flushed while its one line is written.
+        let _ = out.take_back(mark);
     }
-    false
+    next
 }
 
-/// Runs the store operation and formats the success/typed-error reply.
-fn execute(shared: &Shared, cmd: Command, reply: &mut Vec<u8>) {
-    match cmd {
-        Command::Get { keys } => {
-            for key in &keys {
-                match shared.store.get(key) {
-                    Ok(Some(v)) => proto::encode_value(reply, key, v.flags, &v.data),
-                    Ok(None) => {}
-                    Err(e) => {
-                        // Typed degradation error replaces the whole reply.
-                        reply.clear();
-                        reply.extend_from_slice(&store::error_reply(&e));
-                        return;
+/// Runs the store operation and appends the success/typed-error reply.
+/// Returns `Drop` when a multi-get's values overran the slow-reader cap, or
+/// when a reply that must be replaced is already partly on the wire.
+fn execute(shared: &Shared, stream: &mut impl Write, out: &mut OutBuf, req: Request<'_>) -> Next {
+    match req {
+        Request::Get { keys } => {
+            let mark = out.buf.len();
+            for key in keys {
+                let hit = shared
+                    .store
+                    .get_with(key, |flags, data| proto::encode_value(&mut out.buf, key, flags, data));
+                if let Err(e) = hit {
+                    // Typed degradation error replaces the whole reply.
+                    if !out.take_back(mark) {
+                        return Next::Drop;
                     }
+                    store::error_reply(&mut out.buf, &e);
+                    return Next::Continue;
+                }
+                if !within_outbuf_cap(shared, stream, out) {
+                    return Next::Drop;
                 }
             }
-            reply.extend_from_slice(b"END\r\n");
+            out.buf.extend_from_slice(b"END\r\n");
         }
-        Command::Set {
+        Request::Set {
             key,
             flags,
             exptime,
             value,
             ..
-        } => match shared.store.set(&key, flags, exptime, &value) {
-            Ok(()) => reply.extend_from_slice(b"STORED\r\n"),
-            Err(e) => reply.extend_from_slice(&store::error_reply(&e)),
+        } => match shared.store.set(key, flags, exptime, value) {
+            Ok(()) => out.buf.extend_from_slice(b"STORED\r\n"),
+            Err(e) => store::error_reply(&mut out.buf, &e),
         },
-        Command::Delete { key, .. } => {
-            if shared.store.delete(&key) {
-                reply.extend_from_slice(b"DELETED\r\n");
+        Request::Delete { key, .. } => {
+            out.buf.extend_from_slice(if shared.store.delete(key) {
+                b"DELETED\r\n".as_slice()
             } else {
-                reply.extend_from_slice(b"NOT_FOUND\r\n");
-            }
+                b"NOT_FOUND\r\n".as_slice()
+            });
         }
         // Handled before admission; unreachable here but total anyway.
-        Command::Stats | Command::Metrics | Command::Version | Command::Quit => {}
+        Request::Stats | Request::Metrics | Request::Version | Request::Quit => {}
     }
+    Next::Continue
 }
 
 /// Formats the STATS reply.
@@ -700,6 +861,7 @@ fn write_stats(shared: &Shared, out: &mut Vec<u8>) {
     stat("fatal_closes", c.fatal_closes.load(Ordering::Relaxed).to_string());
     stat("slow_reader_drops", c.slow_reader_drops.load(Ordering::Relaxed).to_string());
     stat("injected_delay_us", c.injected_delay_us.load(Ordering::Relaxed).to_string());
+    stat("outbuf_high_water", c.outbuf_high_water.load(Ordering::Relaxed).to_string());
     stat("shed_level", level.label().to_string());
     stat("shed_writes", sw.to_string());
     stat("shed_reads", sr.to_string());
@@ -717,4 +879,190 @@ fn write_stats(shared: &Shared, out: &mut Vec<u8>) {
     stat("degraded", sc.degraded.load(Ordering::Relaxed).to_string());
     out.extend_from_slice(text.as_bytes());
     out.extend_from_slice(b"END\r\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// A scripted peer in place of the socket: reads hand out the queued
+    /// input at most `chunk` bytes at a time, writes take at most `accept`
+    /// bytes in all (then would block).
+    struct Pipe {
+        input: VecDeque<u8>,
+        chunk: usize,
+        output: Vec<u8>,
+        accept: usize,
+    }
+
+    impl Pipe {
+        fn new() -> Self {
+            Pipe {
+                input: VecDeque::new(),
+                chunk: usize::MAX,
+                output: Vec::new(),
+                accept: usize::MAX,
+            }
+        }
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.input.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.chunk.min(buf.len()).min(self.input.len());
+            for (dst, src) in buf.iter_mut().zip(self.input.drain(..n)) {
+                *dst = src;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.accept == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.accept.min(buf.len());
+            self.output.extend_from_slice(&buf[..n]);
+            self.accept -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn shared(mutate: impl FnOnce(&mut ServerConfig)) -> Shared {
+        let mut cfg = ServerConfig {
+            deadline: Duration::from_secs(5),
+            ..ServerConfig::default()
+        };
+        mutate(&mut cfg);
+        Shared::new(cfg)
+    }
+
+    /// Sweeps until the peer's input is used up and a sweep makes no
+    /// progress; false when the connection was dropped or closed.
+    fn serve(shared: &Shared, conn: &mut Conn<Pipe>) -> bool {
+        loop {
+            let mut progressed = false;
+            if !sweep_conn(shared, conn, &mut progressed) {
+                return false;
+            }
+            if !progressed {
+                return true;
+            }
+        }
+    }
+
+    fn set_frame(key: &str, value: &[u8]) -> Vec<u8> {
+        let mut f = format!("set {key} 0 0 {}\r\n", value.len()).into_bytes();
+        f.extend_from_slice(value);
+        f.extend_from_slice(b"\r\n");
+        f
+    }
+
+    #[test]
+    fn a_slow_writer_gets_every_byte_in_order() {
+        let shared = shared(|_| {});
+        let mut conn = Conn::over(Pipe::new());
+        conn.stream.input.extend(set_frame("k", &[b'v'; 5000]));
+        conn.stream.input.extend(b"get k\r\n".repeat(20));
+        let mut expect = b"STORED\r\n".to_vec();
+        for _ in 0..20 {
+            proto::encode_value(&mut expect, "k", 0, &[b'v'; 5000]);
+            expect.extend_from_slice(b"END\r\n");
+        }
+        // The peer takes 777 bytes a sweep: the cursor, the move to the
+        // front and the reset all happen many times over.
+        conn.stream.accept = 0;
+        while conn.stream.output.len() < expect.len() {
+            conn.stream.accept = 777;
+            let mut progressed = false;
+            assert!(sweep_conn(&shared, &mut conn, &mut progressed));
+            assert!(conn.outbuf.buf.len() <= expect.len(), "sent bytes are forgotten");
+        }
+        assert_eq!(conn.stream.output, expect);
+        assert_eq!(conn.outbuf.pending(), 0);
+    }
+
+    #[test]
+    fn buffers_give_memory_back_once_drained() {
+        let shared = shared(|_| {});
+        let mut conn = Conn::over(Pipe::new());
+        let big = vec![b'x'; 1 << 20];
+        conn.stream.chunk = 100_000;
+        conn.stream.input.extend(set_frame("big", &big));
+        conn.stream.input.extend(b"get big\r\n");
+        assert!(serve(&shared, &mut conn));
+        assert!(conn.stream.output.ends_with(b"x\r\nEND\r\n"));
+        assert_eq!(conn.stream.output.len(), b"STORED\r\nVALUE big 0 1048576\r\n\r\nEND\r\n".len() + big.len());
+        // Small requests afterwards run in baseline-sized buffers again.
+        conn.stream.input.extend(b"get nothing\r\n");
+        assert!(serve(&shared, &mut conn));
+        assert_eq!(conn.inbuf.buf.capacity(), BUF_BASELINE);
+        assert!(conn.outbuf.buf.capacity() <= BUF_SHRINK_ABOVE, "{}", conn.outbuf.buf.capacity());
+    }
+
+    #[test]
+    // ORDERING: Relaxed counter reads — single-threaded test assertions.
+    fn the_outbuf_cap_holds_inside_a_sweep() {
+        let shared = shared(|c| c.max_outbuf = 2048);
+        let mut conn = Conn::over(Pipe::new());
+        let value = vec![b'x'; 16 * 1024];
+        conn.stream.input.extend(set_frame("hot", &value));
+        assert!(serve(&shared, &mut conn));
+        // A peer that never reads: the first reply overruns the cap, the
+        // connection is dropped there and the other 223 gets never run.
+        conn.stream.accept = 0;
+        conn.stream.input.extend(b"get hot\r\n".repeat(224));
+        assert!(!serve(&shared, &mut conn));
+        let c = &shared.counters;
+        assert_eq!(c.slow_reader_drops.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.store.counters.gets.load(Ordering::Relaxed), 1);
+        let one_reply = value.len() + "VALUE hot 0 16384\r\n\r\nEND\r\n".len();
+        assert!(c.outbuf_high_water.load(Ordering::Relaxed) as usize <= 2048 + one_reply);
+        // Likewise per value of a multi-get.
+        let mut conn = Conn::over(Pipe::new());
+        conn.stream.accept = 0;
+        conn.stream.input.extend(b"get hot hot hot hot hot hot hot hot\r\n");
+        assert!(!serve(&shared, &mut conn));
+        assert_eq!(shared.store.counters.gets.load(Ordering::Relaxed), 2);
+        assert!(c.outbuf_high_water.load(Ordering::Relaxed) as usize <= 2048 + one_reply);
+    }
+
+    #[test]
+    // ORDERING: Relaxed counter reads — single-threaded test assertions.
+    fn a_reply_partly_sent_is_never_patched_with_an_error() {
+        // Every request overruns a 1 ns deadline after its reply is built.
+        let shared = shared(|c| {
+            c.deadline = Duration::from_nanos(1);
+            c.max_outbuf = 20_000;
+        });
+        let value = vec![b'x'; 16 * 1024];
+        shared.store.set("hot", 0, 0, &value).expect("set");
+        let mut one = Vec::new();
+        proto::encode_value(&mut one, "hot", 0, &value);
+        // Nothing sent yet: the error replaces the whole reply.
+        let mut conn = Conn::over(Pipe::new());
+        conn.stream.input.extend(b"get hot\r\n");
+        assert!(serve(&shared, &mut conn));
+        assert_eq!(conn.stream.output, b"SERVER_ERROR timeout\r\n");
+        // The second value overruns the cap and the peer takes both; the
+        // third is buffered when the deadline is found missed. The error
+        // cannot follow two values of a reply that has no END: the
+        // connection goes, and what the peer got is a prefix of the reply.
+        let mut conn = Conn::over(Pipe::new());
+        conn.stream.accept = 40_000;
+        conn.stream.input.extend(b"get hot hot hot\r\nget hot\r\n");
+        assert!(!serve(&shared, &mut conn));
+        assert_eq!(conn.stream.output, [one.as_slice(), one.as_slice()].concat());
+        assert_eq!(shared.counters.timeouts.load(Ordering::Relaxed), 2);
+        assert_eq!(shared.counters.slow_reader_drops.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.store.counters.gets.load(Ordering::Relaxed), 4, "the frame after it never ran");
+    }
 }

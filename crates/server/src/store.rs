@@ -140,21 +140,23 @@ pub fn encode_payload(expiry_ms: u64, flags: u32, key: &str, data: &[u8]) -> Vec
     v
 }
 
+/// Splits a payload into `(expiry_ms, flags, key bytes, data)`; `None` on a
+/// buffer too short for what its header declares.
+fn split_payload(buf: &[u8]) -> Option<(u64, u32, &[u8], &[u8])> {
+    let (header, rest) = buf.split_at_checked(HEADER_LEN)?;
+    let expiry_ms = u64::from_le_bytes(header[..8].try_into().ok()?);
+    let flags = u32::from_le_bytes(header[8..12].try_into().ok()?);
+    let klen = u16::from_le_bytes(header[12..].try_into().ok()?) as usize;
+    let (key, data) = rest.split_at_checked(klen)?;
+    Some((expiry_ms, flags, key, data))
+}
+
 /// Decodes a payload; returns `(expiry_ms, flags, key, data)` or `None` on
 /// a malformed buffer (never stored by this server, but a decode failure
 /// must read as a miss, not a panic).
 pub fn decode_payload(buf: &[u8]) -> Option<(u64, u32, &str, &[u8])> {
-    if buf.len() < HEADER_LEN {
-        return None;
-    }
-    let expiry_ms = u64::from_le_bytes(buf[..8].try_into().ok()?);
-    let flags = u32::from_le_bytes(buf[8..12].try_into().ok()?);
-    let klen = u16::from_le_bytes(buf[12..14].try_into().ok()?) as usize;
-    if buf.len() < HEADER_LEN + klen {
-        return None;
-    }
-    let key = std::str::from_utf8(&buf[HEADER_LEN..HEADER_LEN + klen]).ok()?;
-    Some((expiry_ms, flags, key, &buf[HEADER_LEN + klen..]))
+    let (expiry_ms, flags, key, data) = split_payload(buf)?;
+    Some((expiry_ms, flags, std::str::from_utf8(key).ok()?, data))
 }
 
 impl TtlStore {
@@ -268,23 +270,34 @@ impl TtlStore {
 
     /// Looks up `key`. `Ok(None)` is a clean miss; `Err` is a flash-tier
     /// fault on the miss path (the DRAM lookup itself cannot fail).
-    // ORDERING: Relaxed counter bumps — advisory stats.
     pub fn get(&self, key: &str) -> Result<Option<Value>, CacheError> {
+        self.get_with(key, |flags, data| Value {
+            flags,
+            data: data.to_vec(),
+        })
+    }
+
+    /// The hit path: looks up `key` and, on a hit, hands `on_hit` the flags
+    /// and the data bytes where they are stored. Nothing is copied or
+    /// allocated here; [`TtlStore::get`] is this with a copying `on_hit`.
+    // ORDERING: Relaxed counter bumps — advisory stats.
+    pub(crate) fn get_with<R>(
+        &self,
+        key: &str,
+        on_hit: impl FnOnce(u32, &[u8]) -> R,
+    ) -> Result<Option<R>, CacheError> {
         self.counters.gets.fetch_add(1, Ordering::Relaxed);
         let id = hash_key(key);
         if let Some(payload) = self.cache.get(id) {
-            match decode_payload(&payload) {
-                Some((expiry_ms, flags, stored_key, data)) if stored_key == key => {
+            match split_payload(&payload) {
+                Some((expiry_ms, flags, stored_key, data)) if stored_key == key.as_bytes() => {
                     if expiry_ms != 0 && self.now_ms() >= expiry_ms {
                         // Lazy expiry: the hit is stale, drop it.
                         self.counters.expired.fetch_add(1, Ordering::Relaxed);
                         self.cache.remove(id);
                     } else {
                         self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Some(Value {
-                            flags,
-                            data: data.to_vec(),
-                        }));
+                        return Ok(Some(on_hit(flags, data)));
                     }
                 }
                 Some(_) => {
@@ -367,27 +380,22 @@ impl TtlStore {
     }
 }
 
-/// Maps a store error to its typed `SERVER_ERROR` reply line.
-pub fn error_reply(e: &CacheError) -> Vec<u8> {
+/// Appends a store error's typed `SERVER_ERROR` reply line to `out`.
+pub fn error_reply(out: &mut Vec<u8>, e: &CacheError) {
     let (tag, msg) = match e {
         CacheError::DeviceFailure(m) => ("device-failure", m.as_str()),
         CacheError::Corruption(m) => ("corruption", m.as_str()),
         CacheError::Degraded(m) => ("degraded", m.as_str()),
-        other => ("internal", {
-            // The remaining variants cannot come out of the request path;
-            // format defensively rather than panic.
-            let _ = other;
-            "unexpected error"
-        }),
+        // The remaining variants cannot come out of the request path;
+        // format defensively rather than panic.
+        _ => ("internal", "unexpected error"),
     };
-    let mut out = Vec::with_capacity(16 + tag.len() + msg.len());
     out.extend_from_slice(b"SERVER_ERROR ");
     out.extend_from_slice(tag.as_bytes());
     out.extend_from_slice(b": ");
     // Strip CR/LF so an error message cannot forge protocol framing.
     out.extend(msg.bytes().filter(|b| *b != b'\r' && *b != b'\n'));
     out.extend_from_slice(b"\r\n");
-    out
 }
 
 #[cfg(test)]
@@ -496,12 +504,14 @@ mod tests {
 
     #[test]
     fn error_reply_is_typed_and_frame_safe() {
-        let r = error_reply(&CacheError::DeviceFailure("io\r\nboom".into()));
+        let mut r = Vec::new();
+        error_reply(&mut r, &CacheError::DeviceFailure("io\r\nboom".into()));
         let text = String::from_utf8(r).expect("ascii");
         assert!(text.starts_with("SERVER_ERROR device-failure: "));
         assert!(text.ends_with("\r\n"));
         assert_eq!(text.matches('\n').count(), 1, "no injected framing");
-        let r = error_reply(&CacheError::Degraded("dram-only".into()));
+        let mut r = Vec::new();
+        error_reply(&mut r, &CacheError::Degraded("dram-only".into()));
         assert!(String::from_utf8(r).expect("ascii").contains("degraded"));
     }
 
