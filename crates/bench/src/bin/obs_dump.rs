@@ -3,9 +3,9 @@
 //!
 //! Four stages, all feeding one [`MetricsRegistry`] and one [`EventTracer`]:
 //!
-//! 1. **Windowed simulation** — `simulate_named_windowed` over a Zipf trace
+//! 1. **Windowed simulation** — a windowed `Replay` over a Zipf trace
 //!    (dense fast path) producing a per-window miss-ratio timeseries whose
-//!    sums are asserted against the run totals, plus a profiled replay.
+//!    sums are asserted against the run totals.
 //! 2. **Flash degradation ladder** — a faulty device bursts write errors,
 //!    trips the error budget, then heals; retries, trips, recoveries and
 //!    per-retry latency land in `flash.ladder.*` and the tracer.
@@ -24,12 +24,11 @@
 //! `--overhead` instead measures the windowed dense replay against the
 //! plain dense replay (the <3 % acceptance number in EXPERIMENTS.md) and
 //! skips the dump.
-//! `--mrc` instead computes FIFO-family miss-ratio curves through the
-//! instrumented front door (`simulate_mrc_recorded`) and dumps them as
-//! JSON lines — one `{"type":"mrc",...}` object per curve point, a
-//! `MissRatioSeries` view per policy, and the `mrc.*` counters/timing
-//! histogram — to `--out` (default `target/OBS_mrc.jsonl`, Prometheus
-//! text next to it).
+//! `--mrc` instead computes FIFO-family miss-ratio curves (`simulate_mrc`),
+//! records each in the `mrc.*` metrics, and dumps them as JSON lines — one
+//! `{"type":"mrc",...}` object per curve point, a `MissRatioSeries` view
+//! per policy, and the `mrc.*` counters/timing histogram — to `--out`
+//! (default `target/OBS_mrc.jsonl`, Prometheus text next to it).
 
 use cache_concurrent::{s3fifo::ConcurrentS3Fifo, ConcurrentCache};
 use cache_faults::{
@@ -39,8 +38,9 @@ use cache_obs::{
     events_to_json_lines, registry_to_json_lines, registry_to_prometheus, series_to_json_lines,
     EventTracer, MetricsRegistry,
 };
-use cache_sim::{simulate_named_windowed, SimConfig};
+use cache_sim::{Replay, SimConfig, SimResult};
 use cache_trace::gen::WorkloadSpec;
+use cache_trace::Trace;
 use std::io::Write as _;
 
 fn out_path(default: &str) -> std::path::PathBuf {
@@ -55,10 +55,26 @@ fn out_path(default: &str) -> std::path::PathBuf {
     std::path::PathBuf::from(default)
 }
 
+/// `name` on `trace` under `cfg` with a series of `window` reads per window.
+fn windowed(
+    name: &str,
+    trace: &Trace,
+    cfg: &SimConfig,
+    window: u64,
+) -> (SimResult, cache_obs::MissRatioSeries) {
+    let replay = Replay::on_trace(&[name], trace, cfg.capacity_for(trace)).expect("known policy");
+    let (result, series) = replay
+        .ignore_size(cfg.ignore_size)
+        .window(window)
+        .run(trace)
+        .remove(0);
+    (result, series.expect("windowed replay keeps a series"))
+}
+
 /// `--mrc`: one instrumented single-pass curve per FIFO-family policy on a
 /// fixed Zipf trace, dumped as JSON lines plus the `mrc.*` metrics.
 fn dump_mrc() {
-    use cache_sim::{simulate_mrc_recorded, MrcConfig};
+    use cache_sim::{simulate_mrc, MrcConfig};
     let registry = MetricsRegistry::new();
     let scope = registry.scope("mrc");
     let trace = WorkloadSpec::zipf("obs-mrc", 200_000, 20_000, 1.0, 21).generate();
@@ -75,10 +91,16 @@ fn dump_mrc() {
     let mut dump = String::new();
     let mut curves = 0usize;
     for algo in ["FIFO", "CLOCK", "SIEVE", "S3-FIFO"] {
-        let r = simulate_mrc_recorded(algo, &trace, &grid, &cfg, &scope)
-            .expect("known policy and valid grid");
         // Invariant: the algorithm list and grid above are valid by
         // construction.
+        let start = std::time::Instant::now();
+        let r = simulate_mrc(algo, &trace, &grid, &cfg).expect("known policy and valid grid");
+        let per_point_us = start.elapsed().as_micros() as u64 / r.points.len().max(1) as u64;
+        scope.counter("curves").inc();
+        scope.counter("points").add(r.points.len() as u64);
+        scope.counter("requests").add(r.points.first().map_or(0, |s| s.requests));
+        scope.counter("misses").add(r.points.iter().map(|s| s.misses).sum());
+        scope.histogram("point_micros").record(per_point_us);
         for p in &r.points {
             dump.push_str(&format!(
                 "{{\"type\":\"mrc\",\"algorithm\":\"{}\",\"trace\":\"{}\",\
@@ -141,10 +163,8 @@ fn measure_overhead() {
         let plain = simulate_named(name, &trace, &cfg)
             .expect("known policy")
             .expect("no size filter");
-        let (windowed, series) = simulate_named_windowed(name, &trace, &cfg, window)
-            .expect("known policy")
-            .expect("no size filter");
-        assert_eq!(plain.miss_ratio.to_bits(), windowed.miss_ratio.to_bits());
+        let (with_series, series) = windowed(name, &trace, &cfg, window);
+        assert_eq!(plain.miss_ratio.to_bits(), with_series.miss_ratio.to_bits());
         assert_eq!(series.total_misses(), plain.misses);
 
         let mut plain_secs = f64::INFINITY;
@@ -156,9 +176,7 @@ fn measure_overhead() {
             std::hint::black_box(r.misses);
 
             let t0 = std::time::Instant::now();
-            let (r, s) = simulate_named_windowed(name, &trace, &cfg, window)
-                .unwrap()
-                .unwrap();
+            let (r, s) = windowed(name, &trace, &cfg, window);
             windowed_secs = windowed_secs.min(t0.elapsed().as_secs_f64());
             std::hint::black_box((r.misses, s.total_misses()));
         }
@@ -186,9 +204,7 @@ fn main() {
     // 1. Windowed dense simulation + miss-ratio timeseries.
     let trace = WorkloadSpec::zipf("obs-zipf", 60_000, 8_000, 1.0, 42).generate();
     let cfg = SimConfig::large();
-    let (result, series) = simulate_named_windowed("S3-FIFO", &trace, &cfg, 5_000)
-        .expect("known policy")
-        .expect("no size filter");
+    let (result, series) = windowed("S3-FIFO", &trace, &cfg, 5_000);
     assert_eq!(
         series.total_misses(),
         result.misses,

@@ -27,12 +27,10 @@
 //!      `OO_REPEATS`, `OO_SEED`.
 
 use cache_bench::{banner, f2, f4, print_table};
-use cache_sim::{
-    replay_ctr_path, simulate_named_windowed, CacheSizeSpec, SimConfig, StreamReplay,
-    DEFAULT_CHUNK_RECORDS,
-};
+use cache_sim::{replay_ctr_path, Replay, Replayed, StreamReplay, DEFAULT_CHUNK_RECORDS};
 use cache_trace::ctr::read_trace;
 use cache_trace::stream_gen::StreamSpec;
+use cache_trace::Trace;
 use cache_types::Request;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -115,12 +113,15 @@ struct CalRow {
     miss_ratio: f64,
 }
 
-fn assert_identical(name: &str, streamed: &StreamReplay, path: &Path, cfg: &SimConfig, window: u64) {
-    let file = File::open(path).expect("open calibration trace");
-    let (decoded, _) = read_trace("oo-cal", file).expect("decode calibration trace");
-    let (mem, mem_series) = simulate_named_windowed(name, &decoded, cfg, window)
-        .expect("known policy")
-        .expect("no size filter");
+/// The dense in-memory replay the streamed one is calibrated against.
+fn in_memory(name: &str, decoded: &Trace, capacity: u64, window: u64) -> Replayed {
+    let replay = Replay::on_trace(&[name], decoded, capacity).expect("known policy");
+    replay.ignore_size(true).window(window).run(decoded).remove(0)
+}
+
+fn assert_identical(name: &str, streamed: &StreamReplay, decoded: &Trace, capacity: u64, window: u64) {
+    let (mem, mem_series) = in_memory(name, decoded, capacity, window);
+    let mem_series = mem_series.expect("windowed replay keeps a series");
     let s = &streamed.result;
     assert_eq!(s.requests, mem.requests, "{name}: request counts diverged");
     assert_eq!(s.misses, mem.misses, "{name}: miss counts diverged");
@@ -152,26 +153,19 @@ fn assert_identical(name: &str, streamed: &StreamReplay, path: &Path, cfg: &SimC
 }
 
 fn calibrate(name: &str, path: &Path, capacity: u64, window: u64, repeats: u32) -> CalRow {
-    let cfg = SimConfig {
-        size: CacheSizeSpec::Bytes(capacity),
-        ignore_size: true,
-        min_objects: 0,
-        floor_objects: 0,
-    };
+    // The in-memory side gets its trace materialized and interned up front
+    // (that is the cost the streamed path exists to avoid); the streamed
+    // side pays file open + read + decode every run.
+    let file = File::open(path).expect("open calibration trace");
+    let (decoded, _) = read_trace("oo-cal", file).expect("decode calibration trace");
+    let n = decoded.len() as f64;
+    decoded.dense();
 
     // Correctness gate first: one streamed run diffed bit-for-bit against
     // the in-memory windowed replay of the decoded trace.
     let streamed = replay_ctr_path(name, path, "oo-cal", capacity, true, window, DEFAULT_CHUNK_RECORDS)
         .expect("streamed replay");
-    assert_identical(name, &streamed, path, &cfg, window);
-
-    // Timed runs. The in-memory side gets its trace materialized and
-    // interned up front (that is the cost the streamed path exists to
-    // avoid); the streamed side pays file open + read + decode every run.
-    let file = File::open(path).expect("open calibration trace");
-    let (decoded, _) = read_trace("oo-cal", file).expect("decode calibration trace");
-    let n = decoded.len() as f64;
-    decoded.dense();
+    assert_identical(name, &streamed, &decoded, capacity, window);
 
     let mut streamed_secs = f64::INFINITY;
     let mut mem_secs = f64::INFINITY;
@@ -183,9 +177,7 @@ fn calibrate(name: &str, path: &Path, capacity: u64, window: u64, repeats: u32) 
         std::hint::black_box(r.result.misses);
 
         let t0 = Instant::now();
-        let (r, _) = simulate_named_windowed(name, &decoded, &cfg, window)
-            .expect("known policy")
-            .expect("no size filter");
+        let (r, _) = in_memory(name, &decoded, capacity, window);
         mem_secs = mem_secs.min(t0.elapsed().as_secs_f64());
         std::hint::black_box(r.misses);
     }

@@ -10,8 +10,8 @@
 //! 2. **Sweep aggregate** — the acceptance metric: every policy × every
 //!    standard cache size, i.e. what `run_sweep` feeds each worker. The
 //!    pre-PR engine ran those jobs one at a time; the dense engine gangs
-//!    all same-trace jobs into a single pass (`simulate_named_many`), so
-//!    one traversal drives eight independent policies' memory streams at
+//!    same-trace jobs into a single pass (a multi-policy `Replay`), so one
+//!    traversal drives several independent policies' memory streams at
 //!    once instead of stalling on each job's misses in sequence.
 //!
 //! Both paths are asserted bit-identical on miss ratio and evictions before
@@ -24,10 +24,7 @@
 //! Env: `SIM_TP_REQUESTS`, `SIM_TP_OBJECTS`, `SIM_TP_REPEATS`.
 
 use cache_bench::{banner, f2, f4, print_table};
-use cache_sim::{
-    simulate, simulate_named, simulate_named_keyed, simulate_named_many, CacheSizeSpec, SimConfig,
-    SimResult,
-};
+use cache_sim::{simulate_named, CacheSizeSpec, Replay, SimConfig, SimResult};
 use cache_trace::gen::WorkloadSpec;
 use cache_trace::Trace;
 use cache_types::Request;
@@ -63,17 +60,23 @@ struct Row {
     dense_secs: f64,
 }
 
-/// The pre-PR engine, verbatim: materialize a unit-size copy of the trace,
-/// hand it to the keyed registry, replay through HashMap-keyed state.
+/// The registry's keyed policy for `name`, driven by the same `Replay`.
+fn run_keyed(name: &str, trace: &Trace, cfg: &SimConfig, requests: &[Request]) -> SimResult {
+    let policy = cache_policies::registry::build(name, cfg.capacity_for(trace), Some(requests))
+        .expect("known policy");
+    let replay = Replay::keyed(policy).ignore_size(cfg.ignore_size);
+    replay.run(trace).remove(0).0
+}
+
+/// The pre-PR engine: materialize a unit-size copy of the trace, hand it to
+/// the keyed registry, replay through HashMap-keyed state.
 fn run_legacy(name: &str, trace: &Trace, cfg: &SimConfig) -> SimResult {
     let unit_reqs: Vec<Request> = trace
         .requests
         .iter()
         .map(|r| Request { size: 1, ..*r })
         .collect();
-    let mut policy = cache_policies::registry::build(name, cfg.capacity_for(trace), Some(&unit_reqs))
-        .expect("known policy");
-    simulate(policy.as_mut(), trace, cfg.ignore_size)
+    run_keyed(name, trace, cfg, &unit_reqs)
 }
 
 fn measure(name: &str, trace: &Trace, cfg: &SimConfig, repeats: u32) -> Row {
@@ -84,9 +87,7 @@ fn measure(name: &str, trace: &Trace, cfg: &SimConfig, repeats: u32) -> Row {
     let dense_result = simulate_named(name, trace, cfg)
         .expect("known policy")
         .expect("no size filter");
-    let keyed_result = simulate_named_keyed(name, trace, cfg)
-        .expect("known policy")
-        .expect("no size filter");
+    let keyed_result = run_keyed(name, trace, cfg, &trace.requests);
     let legacy_result = run_legacy(name, trace, cfg);
     for (label, r) in [("keyed", &keyed_result), ("legacy", &legacy_result)] {
         assert_eq!(
@@ -164,13 +165,13 @@ fn legacy_sweep(trace: &Trace) -> Vec<u64> {
 /// Runs the same grid through the ganged dense engine: one trace pass per
 /// cache size drives all policies simultaneously.
 fn dense_sweep(trace: &Trace) -> Vec<u64> {
-    // Gang width defaults to the sweep engine's tuned value; SIM_TP_GANG
-    // overrides it for experiments (see `cache_sim::MAX_GANG` for why more
-    // is not better).
+    // Gang width defaults to the sweep engine's (`cache_sim::sweep`, which
+    // says why more is not better); SIM_TP_GANG overrides it for
+    // experiments.
     let gang: usize = std::env::var("SIM_TP_GANG")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(cache_sim::MAX_GANG)
+        .unwrap_or(2)
         .max(1);
     FRACTIONS
         .iter()
@@ -178,10 +179,13 @@ fn dense_sweep(trace: &Trace) -> Vec<u64> {
             POLICIES
                 .chunks(gang)
                 .flat_map(|chunk| {
-                    simulate_named_many(chunk, trace, &sweep_config(f))
+                    let cfg = sweep_config(f);
+                    Replay::on_trace(chunk, trace, cfg.capacity_for(trace))
                         .expect("known policies")
+                        .ignore_size(cfg.ignore_size)
+                        .run(trace)
                         .into_iter()
-                        .map(|r| r.expect("no size filter").miss_ratio.to_bits())
+                        .map(|(r, _)| r.miss_ratio.to_bits())
                         .collect::<Vec<u64>>()
                 })
                 .collect::<Vec<u64>>()

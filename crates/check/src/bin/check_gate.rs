@@ -35,7 +35,7 @@ use cache_check::{
 use cache_concurrent::oplog::{run_logged_torture, LoggedTortureConfig};
 use cache_concurrent::ConcurrentCache;
 use cache_policies::registry;
-use cache_sim::simulate_observed;
+use cache_sim::Replay;
 use cache_trace::Trace;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -122,10 +122,14 @@ fn phase_observer() -> Result<(), String> {
     let mut cells = 0usize;
     for name in registry::ALL_ALGORITHMS {
         for ignore_size in [true, false] {
-            let mut policy = registry::build(name, 64, Some(&trace.requests))
+            let policy = registry::build(name, 64, Some(&trace.requests))
                 .map_err(|e| format!("build {name}: {e}"))?;
             let mut obs = InvariantObserver::new();
-            simulate_observed(policy.as_mut(), &trace, ignore_size, &mut obs);
+            Replay::keyed(policy)
+                .ignore_size(ignore_size)
+                .observer(&mut obs)
+                .map_err(|e| format!("observe {name}: {e}"))?
+                .run(&trace);
             if let Some((i, msg)) = obs.violation() {
                 return Err(format!(
                     "{name} (ignore_size={ignore_size}) violated an invariant at request {i}: {msg}"

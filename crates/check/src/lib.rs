@@ -19,7 +19,7 @@
 //!   against a per-capacity reference replay, with ddmin shrinking on
 //!   mismatch;
 //! - [`observer`] — an invariant observer pluggable into
-//!   [`cache_sim::simulate_observed`] that shadow-checks residency,
+//!   [`cache_sim::Replay`] that shadow-checks residency,
 //!   accounting, and structural invariants after every request of any
 //!   simulation;
 //! - [`linear`] — a linearizability-lite checker over the timed operation

@@ -24,7 +24,7 @@ use cache_sim::RequestObserver;
 use cache_types::{Eviction, ObjId, Op, Outcome, Policy, Request};
 use std::collections::HashMap;
 
-/// Invariant-checking observer for [`cache_sim::simulate_observed`].
+/// Invariant-checking observer for [`cache_sim::Replay::observer`].
 ///
 /// Expects to observe a policy from its very first request (the shadow map
 /// starts empty).
@@ -241,7 +241,7 @@ impl RequestObserver for InvariantObserver {
 mod tests {
     use super::*;
     use cache_policies::registry;
-    use cache_sim::simulate_observed;
+    use cache_sim::Replay;
     use cache_trace::Trace;
     use cache_types::PolicyStats;
 
@@ -262,10 +262,14 @@ mod tests {
         let trace = skewed_trace(5_000);
         for name in registry::ALL_ALGORITHMS {
             for ignore_size in [false, true] {
-                let mut policy = registry::build(name, 64, Some(&trace.requests))
+                let policy = registry::build(name, 64, Some(&trace.requests))
                     .unwrap_or_else(|e| panic!("build {name}: {e}"));
                 let mut obs = InvariantObserver::new();
-                simulate_observed(policy.as_mut(), &trace, ignore_size, &mut obs);
+                Replay::keyed(policy)
+                    .ignore_size(ignore_size)
+                    .observer(&mut obs)
+                    .expect("one keyed policy")
+                    .run(&trace);
                 if let Some((i, msg)) = obs.violation() {
                     panic!("{name} (ignore_size={ignore_size}) violated at request {i}: {msg}");
                 }
@@ -311,9 +315,12 @@ mod tests {
     fn accounting_lies_are_caught() {
         let trace = skewed_trace(50);
         let inner = registry::build("LRU", 16, None).expect("LRU builds");
-        let mut policy = LyingPolicy { inner };
         let mut obs = InvariantObserver::new();
-        simulate_observed(&mut policy, &trace, true, &mut obs);
+        Replay::keyed(Box::new(LyingPolicy { inner }))
+            .ignore_size(true)
+            .observer(&mut obs)
+            .expect("one keyed policy")
+            .run(&trace);
         let (i, msg) = obs.violation().expect("phantom byte must be flagged");
         assert_eq!(*i, 0, "flagged on the very first request");
         assert!(msg.contains("used()"), "unexpected message: {msg}");

@@ -1,21 +1,21 @@
 //! Differential checking for the out-of-core streamed replayer.
 //!
-//! [`cache_sim::replay_ctr_windowed`] promises that replaying a `.ctr`
-//! stream in bounded chunks is *bit-identical* to materializing the trace
-//! and replaying it in memory — same counters, same f64 bits, same
+//! [`cache_sim::Replay`] promises that feeding it a `.ctr` stream in
+//! bounded chunks ([`Replay::feed_ctr`]) is *bit-identical* to materializing
+//! the trace and feeding it whole — same counters, same f64 bits, same
 //! per-window miss-ratio series. This module enforces the promise on any
 //! trace small enough to run both ways: encode a generated trace to the
 //! binary format, replay it streamed at several chunk sizes, replay the
-//! decoded trace through [`cache_sim::simulate_named_windowed`], and
-//! compare everything — with ddmin shrinking of the request sequence when
-//! they disagree (each shrink candidate is re-encoded, so the reproduction
-//! is always a self-contained trace).
+//! decoded trace in one piece, and compare everything — with ddmin
+//! shrinking of the request sequence when they disagree (each shrink
+//! candidate is re-encoded, so the reproduction is always a self-contained
+//! trace).
 
 use crate::fuzz::{generate_trace, shrink_with, FuzzConfig};
-use cache_sim::{replay_ctr_windowed, simulate_named_windowed, CacheSizeSpec, SimConfig};
+use cache_sim::{Replay, Replayed};
 use cache_trace::ctr::{read_trace, write_trace, CtrReader};
 use cache_trace::Trace;
-use cache_types::Request;
+use cache_types::{CacheError, Request};
 use std::io::Cursor;
 
 /// A minimal reproduction of a streamed-vs-in-memory disagreement.
@@ -57,6 +57,35 @@ impl std::fmt::Display for StreamDivergence {
     }
 }
 
+/// The decoded trace through the registry's engine for `name`, in one piece.
+fn in_memory(
+    name: &str,
+    decoded: &Trace,
+    capacity: u64,
+    window: u64,
+    ignore_size: bool,
+) -> Result<Replayed, CacheError> {
+    let replay = Replay::on_trace(&[name], decoded, capacity)?;
+    Ok(replay.ignore_size(ignore_size).window(window).run(decoded).remove(0))
+}
+
+/// The `.ctr` bytes through the same engine, `chunk` records at a time.
+fn streamed(
+    name: &str,
+    bytes: &[u8],
+    capacity: u64,
+    window: u64,
+    chunk: usize,
+    ignore_size: bool,
+) -> Result<Replayed, CacheError> {
+    let mut reader = CtrReader::open(Cursor::new(bytes))?;
+    let mut replay = Replay::on_dense_ids(&[name], reader.info().id_space, capacity)?
+        .ignore_size(ignore_size)
+        .window(window);
+    replay.feed_ctr(&mut reader, chunk)?;
+    Ok(replay.finish("stream-diff").remove(0))
+}
+
 /// Encodes `requests` as a `.ctr` stream, replays it both ways, and
 /// compares final counters, every f64 bit for bit, and the per-window
 /// series point by point. Returns a description of the first disagreement,
@@ -82,34 +111,14 @@ pub fn stream_diff(
         Ok(t) => t,
         Err(e) => return Some(format!("decoding failed: {e}")),
     };
-    let cfg = SimConfig {
-        size: CacheSizeSpec::Bytes(capacity),
-        ignore_size,
-        min_objects: 0,
-        floor_objects: 0,
-    };
-    let (mem_result, mem_series) = match simulate_named_windowed(name, &decoded, &cfg, window) {
-        Ok(Some(pair)) => pair,
-        Ok(None) => return Some("in-memory replay was filtered out".into()),
+    let (mem_result, mem_series) = match in_memory(name, &decoded, capacity, window, ignore_size) {
+        Ok(pair) => pair,
         Err(e) => return Some(format!("in-memory replay failed: {e}")),
     };
-    let mut reader = match CtrReader::open(Cursor::new(&bytes)) {
-        Ok(r) => r,
-        Err(e) => return Some(format!("reader open failed: {e}")),
-    };
-    let streamed = match replay_ctr_windowed(
-        name,
-        &mut reader,
-        "stream-diff",
-        capacity,
-        ignore_size,
-        window,
-        chunk,
-    ) {
-        Ok(s) => s,
+    let (s, streamed_series) = match streamed(name, &bytes, capacity, window, chunk, ignore_size) {
+        Ok(pair) => pair,
         Err(e) => return Some(format!("streamed replay failed: {e}")),
     };
-    let s = &streamed.result;
     if s.requests != mem_result.requests
         || s.misses != mem_result.misses
         || s.evictions != mem_result.evictions
@@ -141,14 +150,19 @@ pub fn stream_diff(
             return Some(format!("{label} {a} != in-memory {b}"));
         }
     }
-    if streamed.series.points().len() != mem_series.points().len() {
+    // Invariant: both replays set a window, so both keep a series.
+    let (streamed_series, mem_series) = (
+        streamed_series.expect("windowed"),
+        mem_series.expect("windowed"),
+    );
+    if streamed_series.points().len() != mem_series.points().len() {
         return Some(format!(
             "{} series windows != in-memory {}",
-            streamed.series.points().len(),
+            streamed_series.points().len(),
             mem_series.points().len()
         ));
     }
-    for (sp, mp) in streamed.series.points().iter().zip(mem_series.points()) {
+    for (sp, mp) in streamed_series.points().iter().zip(mem_series.points()) {
         if sp.requests != mp.requests || sp.misses != mp.misses || sp.start_index != mp.start_index
         {
             return Some(format!(
@@ -286,29 +300,15 @@ mod tests {
                 Ok((c, _)) => c.into_inner(),
                 Err(_) => return false,
             };
-            let mut reader = match CtrReader::open(Cursor::new(&bytes)) {
-                Ok(r) => r,
-                Err(_) => return false,
+            let Ok((s3, _)) = streamed("S3-FIFO", &bytes, 8, 50, 100, true) else {
+                return false;
             };
-            let streamed =
-                match replay_ctr_windowed("S3-FIFO", &mut reader, "m", 8, true, 50, 100) {
-                    Ok(s) => s,
-                    Err(_) => return false,
-                };
             let (decoded, _) = match read_trace("m", Cursor::new(&bytes)) {
                 Ok(t) => t,
                 Err(_) => return false,
             };
-            let cfg = SimConfig {
-                size: CacheSizeSpec::Bytes(8),
-                ignore_size: true,
-                min_objects: 0,
-                floor_objects: 0,
-            };
-            let (lru, _) = simulate_named_windowed("LRU", &decoded, &cfg, 50)
-                .expect("LRU is a known policy")
-                .expect("no filter configured");
-            streamed.result.misses != lru.misses
+            let (lru, _) = in_memory("LRU", &decoded, 8, 50, true).expect("LRU is a known policy");
+            s3.misses != lru.misses
         };
         assert!(fails(&requests), "S3-FIFO and LRU must differ somewhere");
         let shrunk = shrink_with(&mut fails, requests);

@@ -16,12 +16,11 @@
 //!   timestamps, drainable without stopping the workload. Full-ring events
 //!   are dropped and *counted*, never blocked on.
 //! - [`series`] — fixed-window miss-ratio timeseries ([`MissRatioSeries`])
-//!   whose per-window sums must equal end-of-run totals, plus per-stage
-//!   replay profiles ([`ReplayProfile`]).
+//!   whose per-window sums must equal end-of-run totals.
 //! - [`export`] — JSON-lines and Prometheus text renderers for all of the
 //!   above.
 //!
-//! Consumers: `cache-sim` (windowed observer + replay profiling),
+//! Consumers: `cache-sim` (windowed replay),
 //! `cache-concurrent` (per-shard aggregation), `cache-flash` (degradation
 //! ladder telemetry), `cache-trace` (lossy-read skip accounting), and the
 //! `obs_dump` bench binary that exercises the whole pipeline in CI.
@@ -40,4 +39,4 @@ pub use export::{
     registry_to_prometheus, series_to_json_lines,
 };
 pub use metrics::{Counter, Gauge, MetricSample, MetricsRegistry, SampleValue, Scope, SharedHistogram};
-pub use series::{MissRatioSeries, ReplayProfile, StageProfile, WindowPoint};
+pub use series::{MissRatioSeries, WindowPoint};

@@ -1,4 +1,4 @@
-//! Windowed miss-ratio timeseries and replay-stage profiles.
+//! Windowed miss-ratio timeseries.
 //!
 //! The paper's Fig. 6 reports *per-window* miss ratios, not just end-of-run
 //! totals — that is what exposes phase changes (a scan arriving, a working
@@ -6,12 +6,6 @@
 //! accumulates exactly that: fixed-size request windows, each with its own
 //! request and miss count, whose sums are required (and tested) to equal
 //! the end-of-run totals.
-//!
-//! [`ReplayProfile`] is the replay loop's side of the story: per-stage
-//! operation counts and wall time (intern, replay, aggregate) so a slow
-//! simulation can be attributed to a stage instead of guessed at.
-
-use std::time::Duration;
 
 /// One window of a [`MissRatioSeries`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,60 +137,6 @@ impl MissRatioSeries {
     }
 }
 
-/// One profiled stage of a replay (e.g. `intern`, `replay`, `aggregate`).
-#[derive(Debug, Clone)]
-pub struct StageProfile {
-    /// Stage name.
-    pub stage: &'static str,
-    /// Operations the stage processed (requests, evictions, …).
-    pub ops: u64,
-    /// Wall time spent in the stage, microseconds.
-    pub micros: u64,
-}
-
-impl StageProfile {
-    /// Millions of ops per second (0 for instantaneous stages).
-    pub fn mops(&self) -> f64 {
-        if self.micros == 0 {
-            0.0
-        } else {
-            self.ops as f64 / self.micros as f64
-        }
-    }
-}
-
-/// Per-stage op counts and timing for one replay run.
-#[derive(Debug, Clone, Default)]
-pub struct ReplayProfile {
-    stages: Vec<StageProfile>,
-}
-
-impl ReplayProfile {
-    /// Creates an empty profile.
-    pub fn new() -> Self {
-        ReplayProfile::default()
-    }
-
-    /// Appends a stage measurement.
-    pub fn push(&mut self, stage: &'static str, ops: u64, elapsed: Duration) {
-        self.stages.push(StageProfile {
-            stage,
-            ops,
-            micros: elapsed.as_micros() as u64,
-        });
-    }
-
-    /// The recorded stages, in insertion order.
-    pub fn stages(&self) -> &[StageProfile] {
-        &self.stages
-    }
-
-    /// Total wall micros across stages.
-    pub fn total_micros(&self) -> u64 {
-        self.stages.iter().map(|s| s.micros).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,15 +232,5 @@ mod tests {
             misses: 0,
         };
         assert_eq!(empty.miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn profile_accumulates_stages() {
-        let mut p = ReplayProfile::new();
-        p.push("intern", 1000, Duration::from_micros(50));
-        p.push("replay", 1000, Duration::from_micros(150));
-        assert_eq!(p.stages().len(), 2);
-        assert_eq!(p.total_micros(), 200);
-        assert!(p.stages()[1].mops() > 0.0);
     }
 }

@@ -10,10 +10,11 @@
 //! Both are computed from the policies' probationary-eviction records plus
 //! the [`NextAccessOracle`].
 
+use crate::engine::{Replay, RequestObserver};
 use crate::oracle::NextAccessOracle;
 use cache_policies::registry;
 use cache_trace::Trace;
-use cache_types::{CacheError, Eviction, Request};
+use cache_types::{CacheError, Eviction, Outcome, Policy, Request};
 
 /// The Fig. 10 metrics for one (algorithm, trace, size) combination.
 #[derive(Debug, Clone, Copy)]
@@ -34,6 +35,32 @@ pub struct DemotionMetrics {
     pub miss_ratio: f64,
 }
 
+/// Collects, for every eviction out of a probationary structure, how long
+/// the object stayed there and how far away its next request is (`None`:
+/// never), which is judged after the run when the miss ratio is known.
+struct DemotionObserver<'a> {
+    oracle: &'a NextAccessOracle,
+    probation_time_sum: u64,
+    reuse: Vec<Option<u64>>,
+}
+
+impl RequestObserver for DemotionObserver<'_> {
+    fn after_request(
+        &mut self,
+        index: usize,
+        _req: &Request,
+        _outcome: Outcome,
+        evicted: &[Eviction],
+        _policy: &dyn Policy,
+    ) {
+        let now = index as u64;
+        for e in evicted.iter().filter(|e| e.from_probationary) {
+            self.probation_time_sum += e.age(now);
+            self.reuse.push(self.oracle.reuse_distance(e.id, now));
+        }
+    }
+}
+
 /// Runs `name` on `trace` at `capacity` (unit sizes) and computes demotion
 /// speed and precision. `lru_eviction_age` is the precomputed LRU baseline
 /// (see [`lru_mean_eviction_age`]).
@@ -48,29 +75,18 @@ pub fn demotion_metrics(
     lru_eviction_age: f64,
     oracle: &NextAccessOracle,
 ) -> Result<DemotionMetrics, CacheError> {
-    let mut policy = registry::build(name, capacity, Some(&trace.requests))?;
-    let mut evs: Vec<Eviction> = Vec::new();
-    let mut probation_time_sum = 0u64;
-    let mut demotions = 0u64;
-    // (eviction time, reuse distance or None) for precision, judged after
-    // the run when the final miss ratio is known.
-    let mut reuse: Vec<Option<u64>> = Vec::new();
-    for (i, r) in trace.requests.iter().enumerate() {
-        let req = Request { size: 1, ..*r };
-        evs.clear();
-        policy.request(&req, &mut evs);
-        let now = i as u64;
-        for e in &evs {
-            if e.from_probationary {
-                demotions += 1;
-                probation_time_sum += now.saturating_sub(e.insert_time);
-                reuse.push(oracle.reuse_distance(e.id, now));
-            }
-        }
-    }
-    let stats = policy.stats();
-    let miss_ratio = stats.miss_ratio().max(1e-6);
-    let threshold = capacity as f64 / miss_ratio;
+    // The keyed policy reports the original ids the oracle indexes.
+    let policy = registry::build(name, capacity, Some(&trace.requests))?;
+    let mut seen = DemotionObserver {
+        oracle,
+        probation_time_sum: 0,
+        reuse: Vec::new(),
+    };
+    let replay = Replay::keyed(policy).ignore_size(true);
+    let (result, _) = replay.observer(&mut seen)?.run(trace).remove(0);
+    let (probation_time_sum, reuse) = (seen.probation_time_sum, seen.reuse);
+    let demotions = reuse.len() as u64;
+    let threshold = capacity as f64 / result.miss_ratio.max(1e-6);
     let correct = reuse
         .iter()
         .filter(|d| match d {
@@ -98,30 +114,20 @@ pub fn demotion_metrics(
         },
         precision,
         demotions,
-        miss_ratio: stats.miss_ratio(),
+        miss_ratio: result.miss_ratio,
     })
 }
 
 /// LRU's mean eviction age on `trace` at `capacity` — the speed baseline.
+///
+/// # Panics
+///
+/// Panics when `capacity` is 0.
 pub fn lru_mean_eviction_age(trace: &Trace, capacity: u64) -> f64 {
-    let mut lru = cache_policies::Lru::new(capacity).expect("capacity > 0");
-    let mut evs: Vec<Eviction> = Vec::new();
-    let mut sum = 0u64;
-    let mut n = 0u64;
-    for (i, r) in trace.requests.iter().enumerate() {
-        let req = Request { size: 1, ..*r };
-        evs.clear();
-        cache_types::Policy::request(&mut lru, &req, &mut evs);
-        for e in &evs {
-            sum += (i as u64).saturating_sub(e.insert_time);
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum as f64 / n as f64
-    }
+    // Invariant: "LRU" is a registry name, so only a zero capacity fails.
+    let replay = Replay::on_trace(&["LRU"], trace, capacity).expect("capacity > 0");
+    let (result, _) = replay.ignore_size(true).run(trace).remove(0);
+    result.eviction_age.mean()
 }
 
 #[cfg(test)]
@@ -131,6 +137,42 @@ mod tests {
 
     fn trace() -> Trace {
         WorkloadSpec::zipf("t", 30_000, 3000, 1.0, 13).generate()
+    }
+
+    /// The values the hand-written loops produced before these functions
+    /// moved onto `Replay` (PR 13), bit for bit.
+    #[test]
+    fn metrics_are_pinned_to_the_pre_replay_values() {
+        let t = trace();
+        assert_eq!(
+            lru_mean_eviction_age(&t, 200).to_bits(),
+            0x407c_0733_d0d7_da14
+        );
+        let lru = lru_mean_eviction_age(&t, 300);
+        assert_eq!(lru.to_bits(), 0x4088_4995_b7c8_0d52);
+        let oracle = NextAccessOracle::new(&t.requests);
+        for (name, time, speed, precision, demotions) in [
+            (
+                "S3-FIFO",
+                0x4065_17aa_30d0_cfc0u64,
+                0x4012_6c72_2d1b_a9b4u64,
+                0x3fea_953c_89bf_1c98u64,
+                7709,
+            ),
+            (
+                "ARC",
+                0x4053_2a11_5f0d_c748,
+                0x4024_46f7_16fe_9a50,
+                0x3fea_c8fd_a9b3_9bae,
+                7339,
+            ),
+        ] {
+            let m = demotion_metrics(name, &t, 300, lru, &oracle).unwrap();
+            assert_eq!(m.mean_time_in_probation.to_bits(), time, "{name}");
+            assert_eq!(m.speed.to_bits(), speed, "{name}");
+            assert_eq!(m.precision.to_bits(), precision, "{name}");
+            assert_eq!(m.demotions, demotions, "{name}");
+        }
     }
 
     #[test]

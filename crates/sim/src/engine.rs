@@ -1,9 +1,27 @@
-//! Single-trace simulation engine.
+//! The replay driver: every way of running requests through a policy.
+//!
+//! [`Replay`] is the one place a request reaches a policy. It is built over
+//! registry names or explicit policies, takes its settings (`ignore_size`,
+//! a series window, a [`RequestObserver`]) and is then fed chunks of a
+//! request stream: an in-memory [`Trace`] is one chunk, a `.ctr` file one
+//! chunk per read (`crate::stream`). DESIGN.md, "The replay surface", has
+//! the table of which call serves which combination.
+//!
+//! Two paths exist inside, and only two. A lone dense policy goes through
+//! its own monomorphised [`DensePolicy::replay`] — one virtual call per
+//! chunk, because dispatching per request is what made the keyed engine
+//! slow. Everything else — keyed policies, observed runs, several policies
+//! sharing a pass (a *gang*) — goes through one per-request loop. A gang
+//! pays the dispatch and still wins on one core: while one policy's slot
+//! load stalls on memory the others issue theirs (ROADMAP item 3 has the
+//! measurement). Every policy keeps private state and sees the same
+//! requests, so a gang's results equal the solo runs bit for bit.
 
 use cache_ds::Histogram;
+use cache_obs::MissRatioSeries;
 use cache_policies::registry;
 use cache_trace::Trace;
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, Policy, Request};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, Policy, PolicyStats, Request};
 
 /// How the cache capacity is derived for a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,6 +89,13 @@ impl SimConfig {
             }
         }
     }
+
+    /// [`capacity_for`](Self::capacity_for), or `None` when the paper's
+    /// `min_objects` rule excludes this trace at this size.
+    pub fn admitted_capacity(&self, trace: &Trace) -> Option<u64> {
+        let capacity = self.capacity_for(trace);
+        (self.min_objects == 0 || capacity >= self.min_objects).then_some(capacity)
+    }
 }
 
 /// The outcome of one simulation run.
@@ -101,45 +126,9 @@ pub struct SimResult {
     pub eviction_age: Histogram,
 }
 
-/// Replays `trace` through `policy`, collecting eviction-time metrics.
-///
-/// Size override happens here and only here: with `ignore_size` every
-/// request is replayed at size 1 without materializing a unit-size copy of
-/// the trace.
-pub fn simulate(policy: &mut dyn Policy, trace: &Trace, ignore_size: bool) -> SimResult {
-    // A single eviction batch is small (one insert evicts a handful of
-    // objects at most); preallocate once so the inner loop never grows it.
-    let mut evs: Vec<Eviction> = Vec::with_capacity(64);
-    let mut freq_at_eviction = Histogram::new();
-    let mut eviction_age = Histogram::new();
-    for (i, r) in trace.requests.iter().enumerate() {
-        let req = if ignore_size {
-            Request { size: 1, ..(*r) }
-        } else {
-            *r
-        };
-        evs.clear();
-        policy.request(&req, &mut evs);
-        for e in &evs {
-            freq_at_eviction.record(u64::from(e.freq));
-            eviction_age.record(e.age(i as u64));
-        }
-    }
-    let stats = policy.stats();
-    SimResult {
-        algorithm: policy.name(),
-        trace: trace.name.clone(),
-        capacity: policy.capacity(),
-        requests: stats.gets,
-        misses: stats.misses,
-        miss_ratio: stats.miss_ratio(),
-        byte_miss_ratio: stats.byte_miss_ratio(),
-        evictions: stats.evictions,
-        one_hit_eviction_fraction: freq_at_eviction.zero_fraction(),
-        freq_at_eviction,
-        eviction_age,
-    }
-}
+/// What one policy of a [`Replay`] produced: its result, and its
+/// per-window miss-ratio series when [`Replay::window`] was set.
+pub type Replayed = (SimResult, Option<MissRatioSeries>);
 
 /// Per-request hook into the replay loop.
 ///
@@ -163,193 +152,301 @@ pub trait RequestObserver {
     );
 }
 
-/// [`simulate`] with a [`RequestObserver`] attached to every request.
-///
-/// Kept separate from [`simulate`] so the unobserved replay loop stays free
-/// of the extra dispatch; results are identical because observers cannot
-/// mutate the policy.
-pub fn simulate_observed(
-    policy: &mut dyn Policy,
-    trace: &Trace,
-    ignore_size: bool,
-    observer: &mut dyn RequestObserver,
-) -> SimResult {
-    let mut evs: Vec<Eviction> = Vec::with_capacity(64);
-    let mut freq_at_eviction = Histogram::new();
-    let mut eviction_age = Histogram::new();
-    for (i, r) in trace.requests.iter().enumerate() {
-        let req = if ignore_size {
-            Request { size: 1, ..(*r) }
-        } else {
-            *r
-        };
-        evs.clear();
-        let outcome = policy.request(&req, &mut evs);
-        for e in &evs {
-            freq_at_eviction.record(u64::from(e.freq));
-            eviction_age.record(e.age(i as u64));
-        }
-        observer.after_request(i, &req, outcome, &evs, policy);
-    }
-    let stats = policy.stats();
-    SimResult {
-        algorithm: policy.name(),
-        trace: trace.name.clone(),
-        capacity: policy.capacity(),
-        requests: stats.gets,
-        misses: stats.misses,
-        miss_ratio: stats.miss_ratio(),
-        byte_miss_ratio: stats.byte_miss_ratio(),
-        evictions: stats.evictions,
-        one_hit_eviction_fraction: freq_at_eviction.zero_fraction(),
-        freq_at_eviction,
-        eviction_age,
-    }
+enum Engine<'p> {
+    Keyed(Box<dyn Policy + 'p>),
+    Dense(Box<dyn DensePolicy + 'p>),
 }
 
-/// Replays `trace` through a dense-ID policy using the trace's interned slot
-/// sequence ([`Trace::dense`]). Identical observable results to [`simulate`]
-/// on the matching keyed policy — only faster.
-pub fn simulate_dense(policy: &mut dyn DensePolicy, trace: &Trace, ignore_size: bool) -> SimResult {
-    let dense = trace.dense();
-    let mut freq_at_eviction = Histogram::new();
-    let mut eviction_age = Histogram::new();
-    // `replay` is overridden by every dense policy with a monomorphized
-    // loop, so the per-request path inlines; this closure only runs per
-    // eviction.
-    policy.replay(&dense.slots, &trace.requests, ignore_size, &mut |i, e| {
-        freq_at_eviction.record(u64::from(e.freq));
-        eviction_age.record(e.age(i as u64));
-    });
-    let stats = policy.stats();
-    SimResult {
-        algorithm: policy.name(),
-        trace: trace.name.clone(),
-        capacity: policy.capacity(),
-        requests: stats.gets,
-        misses: stats.misses,
-        miss_ratio: stats.miss_ratio(),
-        byte_miss_ratio: stats.byte_miss_ratio(),
-        evictions: stats.evictions,
-        one_hit_eviction_fraction: freq_at_eviction.zero_fraction(),
-        freq_at_eviction,
-        eviction_age,
-    }
+/// One policy and what the driver accumulates for it while it replays.
+struct Lane<'p> {
+    engine: Engine<'p>,
+    freq_at_eviction: Histogram,
+    eviction_age: Histogram,
+    series: Option<MissRatioSeries>,
+    /// Stats after the previous bulk call; a window's counts are the delta.
+    prev: PolicyStats,
 }
 
-/// How many requests ahead the ganged replay warms each policy's slot state;
-/// matches the lookahead of the single-policy monomorphized loops.
-const GANG_LOOKAHEAD: usize = 12;
+/// How many requests ahead the per-request loop warms each dense policy's
+/// slot state; matches the lookahead of the monomorphised loops.
+const LOOKAHEAD: usize = 12;
 
-/// Replays **one pass** of `trace` through several dense policies at once.
+/// Incremental replay of one request stream through one or more policies.
 ///
-/// Sweep jobs that share a trace are independent, so a single trace
-/// traversal can drive all of them: while one policy's slot load stalls on
-/// memory, the others issue theirs, converting the per-job serial cache
-/// misses of one-job-at-a-time replay into gang-wide memory-level
-/// parallelism. On a single core this is where sweep throughput comes from;
-/// results are bit-identical to running each policy alone because every
-/// policy sees exactly the same request sequence and keeps private state.
-pub fn simulate_dense_many(
-    policies: &mut [Box<dyn DensePolicy>],
-    trace: &Trace,
+/// Build it ([`on_trace`](Replay::on_trace), [`on_dense_ids`](Replay::on_dense_ids),
+/// [`keyed`](Replay::keyed), [`dense`](Replay::dense)), apply settings,
+/// [`feed`](Replay::feed) chunks in stream order, [`finish`](Replay::finish).
+/// Results never depend on how the stream was cut into chunks.
+pub struct Replay<'p> {
+    lanes: Vec<Lane<'p>>,
     ignore_size: bool,
-) -> Vec<SimResult> {
-    let dense = trace.dense();
-    let slots = &dense.slots;
-    let mut obs: Vec<(Histogram, Histogram)> = policies
-        .iter()
-        .map(|_| (Histogram::new(), Histogram::new()))
-        .collect();
-    let mut evs: Vec<Eviction> = Vec::with_capacity(64);
-    for (i, (&slot, r)) in slots.iter().zip(trace.requests.iter()).enumerate() {
-        if let Some(&ahead) = slots.get(i + GANG_LOOKAHEAD) {
-            for p in policies.iter() {
-                p.prefetch(ahead);
-            }
-        }
-        let req = if ignore_size {
-            Request { size: 1, ..(*r) }
-        } else {
-            *r
+    observer: Option<&'p mut dyn RequestObserver>,
+    /// Requests fed so far: the stream index of the next chunk's first.
+    fed: u64,
+    evs: Vec<Eviction>,
+}
+
+impl<'p> Replay<'p> {
+    fn new(engines: Vec<Engine<'p>>) -> Self {
+        let lane = |engine| Lane {
+            engine,
+            freq_at_eviction: Histogram::new(),
+            eviction_age: Histogram::new(),
+            series: None,
+            prev: PolicyStats::default(),
         };
-        for (p, (freq_hist, age_hist)) in policies.iter_mut().zip(obs.iter_mut()) {
-            evs.clear();
-            p.request_dense(slot, &req, &mut evs);
-            for e in &evs {
-                freq_hist.record(u64::from(e.freq));
-                age_hist.record(e.age(i as u64));
+        Replay {
+            lanes: engines.into_iter().map(lane).collect(),
+            ignore_size: false,
+            observer: None,
+            fed: 0,
+            // One request evicts a handful of objects at most; sized once
+            // so the loop never grows it.
+            evs: Vec::with_capacity(64),
+        }
+    }
+
+    /// One policy per registry name: the dense twin `dense` builds where the
+    /// registry has one, the keyed policy otherwise.
+    fn named(
+        names: &[&str],
+        capacity: u64,
+        trace: Option<&[Request]>,
+        dense: impl Fn(&str) -> Result<Option<Box<dyn DensePolicy>>, CacheError>,
+    ) -> Result<Self, CacheError> {
+        let mut engines = Vec::with_capacity(names.len());
+        for name in names {
+            engines.push(match dense(name)? {
+                Some(policy) => Engine::Dense(policy),
+                None => Engine::Keyed(registry::build(name, capacity, trace)?),
+            });
+        }
+        Ok(Self::new(engines))
+    }
+
+    /// A replay of `trace` at `capacity` through the named policies, dense
+    /// where the registry has a dense twin. Results come back in the order
+    /// of `names`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CacheError`] from the registry (unknown name, bad
+    /// parameter).
+    pub fn on_trace(names: &[&str], trace: &Trace, capacity: u64) -> Result<Self, CacheError> {
+        let ids = &trace.dense().ids;
+        Self::named(names, capacity, Some(&trace.requests), |name| {
+            registry::build_dense(name, capacity, ids)
+        })
+    }
+
+    /// [`on_trace`](Self::on_trace) for a stream whose ids are already the
+    /// dense slots `0..id_space` (the `.ctr` invariant): dense policies are
+    /// sized from the id space, with no interning table and no trace, so
+    /// `Belady`, which needs the whole trace, is refused by the registry.
+    ///
+    /// # Errors
+    ///
+    /// As [`on_trace`](Self::on_trace).
+    pub fn on_dense_ids(names: &[&str], id_space: u64, capacity: u64) -> Result<Self, CacheError> {
+        // The `.ctr` header bounds id_space by 2^32, so this never clamps.
+        let domain = usize::try_from(id_space).unwrap_or(usize::MAX);
+        Self::named(names, capacity, None, |name| {
+            registry::build_dense_domain(name, capacity, domain)
+        })
+    }
+
+    /// A replay through the caller's keyed policy, which must be fresh.
+    pub fn keyed(policy: Box<dyn Policy + 'p>) -> Self {
+        Self::new(vec![Engine::Keyed(policy)])
+    }
+
+    /// A replay through the caller's dense policy, which must be fresh.
+    pub fn dense(policy: Box<dyn DensePolicy + 'p>) -> Self {
+        Self::new(vec![Engine::Dense(policy)])
+    }
+
+    /// Replays every request at size 1 (capacities are then object counts)
+    /// without materialising a unit-size copy of the stream.
+    pub fn ignore_size(mut self, ignore_size: bool) -> Self {
+        self.ignore_size = ignore_size;
+        self
+    }
+
+    /// Keeps a miss-ratio series of `window` reads per window for every
+    /// policy. Windows count reads only, so the totals equal the end-of-run
+    /// stats; `u64::MAX` is one window spanning the run.
+    pub fn window(mut self, window: u64) -> Self {
+        for lane in &mut self.lanes {
+            lane.series = Some(MissRatioSeries::new(window));
+        }
+        self
+    }
+
+    /// Calls `observer` after every request.
+    ///
+    /// # Errors
+    ///
+    /// Observers inspect a `&dyn Policy`, so this is refused unless the
+    /// replay drives exactly one keyed policy.
+    pub fn observer(mut self, observer: &'p mut dyn RequestObserver) -> Result<Self, CacheError> {
+        if self.lanes.len() != 1 || self.has_dense() {
+            return Err(CacheError::InvalidParameter(
+                "an observer needs exactly one keyed policy".into(),
+            ));
+        }
+        self.observer = Some(observer);
+        Ok(self)
+    }
+
+    pub(crate) fn has_dense(&self) -> bool {
+        self.lanes
+            .iter()
+            .any(|l| matches!(l.engine, Engine::Dense(_)))
+    }
+
+    /// Replays the next chunk of the stream. `slots` is parallel to `reqs`
+    /// and names each request's dense slot; it is read only when a dense
+    /// policy is driven and may be empty otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a dense policy is driven and the lengths differ.
+    pub fn feed(&mut self, slots: &[u32], reqs: &[Request]) {
+        let dense = self.has_dense();
+        assert!(
+            !dense || slots.len() == reqs.len(),
+            "slots must parallel reqs"
+        );
+        let slots = if dense { slots } else { &[] };
+        if !self.feed_bulk(slots, reqs) {
+            self.feed_each(slots, reqs);
+        }
+        self.fed += reqs.len() as u64;
+    }
+
+    /// The bulk path, taken (and `true`) when the replay drives a lone dense
+    /// policy: one `DensePolicy::replay` per chunk, or per series window
+    /// when one is kept. A window's counts are stats deltas, so each call
+    /// must end exactly where the open window's read budget does; finding
+    /// that point scans the chunk, which is skipped when there is no window
+    /// to close before the stream ends.
+    fn feed_bulk(&mut self, slots: &[u32], reqs: &[Request]) -> bool {
+        let [lane] = self.lanes.as_mut_slice() else {
+            return false;
+        };
+        let Engine::Dense(policy) = &mut lane.engine else {
+            return false;
+        };
+        let mut base = 0;
+        while base < reqs.len() {
+            let end = match &lane.series {
+                Some(s) if s.window_size() != u64::MAX => {
+                    let mut budget = s.window_size() - s.total_requests() % s.window_size();
+                    let cut = reqs[base..].iter().position(|r| {
+                        budget -= u64::from(r.is_read());
+                        budget == 0
+                    });
+                    cut.map_or(reqs.len(), |i| base + i + 1)
+                }
+                _ => reqs.len(),
+            };
+            // `replay` reports chunk-relative indices; rebase them so
+            // eviction ages do not depend on the chunking.
+            let first = self.fed + base as u64;
+            let (freq, age) = (&mut lane.freq_at_eviction, &mut lane.eviction_age);
+            policy.replay(
+                &slots[base..end],
+                &reqs[base..end],
+                self.ignore_size,
+                &mut |i, e| {
+                    freq.record(u64::from(e.freq));
+                    age.record(e.age(first + i as u64));
+                },
+            );
+            if let Some(series) = &mut lane.series {
+                let cur = policy.stats();
+                series.record_window(cur.gets - lane.prev.gets, cur.misses - lane.prev.misses);
+                lane.prev = cur;
+            }
+            base = end;
+        }
+        true
+    }
+
+    /// The per-request loop, for everything else: every policy sees request
+    /// `i` before any sees `i + 1`.
+    fn feed_each(&mut self, slots: &[u32], reqs: &[Request]) {
+        for (i, r) in reqs.iter().enumerate() {
+            if let Some(&ahead) = slots.get(i + LOOKAHEAD) {
+                for lane in &self.lanes {
+                    if let Engine::Dense(policy) = &lane.engine {
+                        policy.prefetch(ahead);
+                    }
+                }
+            }
+            let req = if self.ignore_size {
+                Request { size: 1, ..*r }
+            } else {
+                *r
+            };
+            let now = self.fed + i as u64;
+            for lane in &mut self.lanes {
+                self.evs.clear();
+                let outcome = match &mut lane.engine {
+                    Engine::Keyed(policy) => policy.request(&req, &mut self.evs),
+                    Engine::Dense(policy) => policy.request_dense(slots[i], &req, &mut self.evs),
+                };
+                for e in &self.evs {
+                    lane.freq_at_eviction.record(u64::from(e.freq));
+                    lane.eviction_age.record(e.age(now));
+                }
+                if let Some(series) = &mut lane.series {
+                    if outcome != Outcome::NotRead {
+                        series.record(outcome.is_miss());
+                    }
+                }
+                if let (Some(observer), Engine::Keyed(policy)) = (&mut self.observer, &lane.engine)
+                {
+                    observer.after_request(now as usize, &req, outcome, &self.evs, &**policy);
+                }
             }
         }
     }
-    policies
-        .iter()
-        .zip(obs)
-        .map(|(p, (freq_at_eviction, eviction_age))| {
-            let stats = p.stats();
-            SimResult {
-                algorithm: p.name(),
-                trace: trace.name.clone(),
-                capacity: p.capacity(),
+
+    /// Closes every series and returns one [`Replayed`] per policy, in the
+    /// order the replay was built over them, labelled with `trace`.
+    pub fn finish(self, trace: &str) -> Vec<Replayed> {
+        let assemble = |mut lane: Lane<'_>| {
+            let (algorithm, capacity, stats) = match &lane.engine {
+                Engine::Keyed(p) => (p.name(), p.capacity(), p.stats()),
+                Engine::Dense(p) => (p.name(), p.capacity(), p.stats()),
+            };
+            if let Some(series) = &mut lane.series {
+                series.finish();
+            }
+            let result = SimResult {
+                algorithm,
+                trace: trace.to_string(),
+                capacity,
                 requests: stats.gets,
                 misses: stats.misses,
                 miss_ratio: stats.miss_ratio(),
                 byte_miss_ratio: stats.byte_miss_ratio(),
                 evictions: stats.evictions,
-                one_hit_eviction_fraction: freq_at_eviction.zero_fraction(),
-                freq_at_eviction,
-                eviction_age,
-            }
-        })
-        .collect()
-}
+                one_hit_eviction_fraction: lane.freq_at_eviction.zero_fraction(),
+                freq_at_eviction: lane.freq_at_eviction,
+                eviction_age: lane.eviction_age,
+            };
+            (result, lane.series)
+        };
+        self.lanes.into_iter().map(assemble).collect()
+    }
 
-/// Simulates several named algorithms against the same trace and config,
-/// ganging all dense-capable ones into a single trace pass
-/// ([`simulate_dense_many`]) and running the rest through the keyed engine
-/// individually. Results come back in input order; each entry is exactly
-/// what [`simulate_named`] would have produced for that name.
-///
-/// # Errors
-///
-/// Propagates the first [`CacheError`] from the registry (unknown name, bad
-/// parameter).
-pub fn simulate_named_many(
-    names: &[&str],
-    trace: &Trace,
-    cfg: &SimConfig,
-) -> Result<Vec<Option<SimResult>>, CacheError> {
-    let capacity = cfg.capacity_for(trace);
-    if cfg.min_objects > 0 && capacity < cfg.min_objects {
-        return Ok(names.iter().map(|_| None).collect());
+    /// Feeds the whole of `trace` as one chunk and finishes.
+    pub fn run(mut self, trace: &Trace) -> Vec<Replayed> {
+        self.feed(&trace.dense().slots, &trace.requests);
+        self.finish(&trace.name)
     }
-    let mut results: Vec<Option<SimResult>> = names.iter().map(|_| None).collect();
-    let mut gang: Vec<Box<dyn DensePolicy>> = Vec::new();
-    let mut gang_idx: Vec<usize> = Vec::new();
-    for (i, name) in names.iter().enumerate() {
-        match registry::build_dense(name, capacity, &trace.dense().ids)? {
-            Some(p) => {
-                gang.push(p);
-                gang_idx.push(i);
-            }
-            None => {
-                let mut policy = registry::build(name, capacity, Some(&trace.requests))?;
-                results[i] = Some(simulate(policy.as_mut(), trace, cfg.ignore_size));
-            }
-        }
-    }
-    if gang.len() == 1 {
-        // A gang of one gains nothing over the monomorphized single loop.
-        results[gang_idx[0]] = Some(simulate_dense(gang[0].as_mut(), trace, cfg.ignore_size));
-    } else if !gang.is_empty() {
-        for (i, r) in gang_idx
-            .into_iter()
-            .zip(simulate_dense_many(&mut gang, trace, cfg.ignore_size))
-        {
-            results[i] = Some(r);
-        }
-    }
-    Ok(results)
 }
 
 /// Builds the named algorithm for `trace` under `cfg` and simulates it.
@@ -382,37 +479,11 @@ pub fn simulate_named(
     trace: &Trace,
     cfg: &SimConfig,
 ) -> Result<Option<SimResult>, CacheError> {
-    let capacity = cfg.capacity_for(trace);
-    if cfg.min_objects > 0 && capacity < cfg.min_objects {
+    let Some(capacity) = cfg.admitted_capacity(trace) else {
         return Ok(None);
-    }
-    if let Some(mut dense) = registry::build_dense(name, capacity, &trace.dense().ids)? {
-        return Ok(Some(simulate_dense(dense.as_mut(), trace, cfg.ignore_size)));
-    }
-    let mut policy = registry::build(name, capacity, Some(&trace.requests))?;
-    Ok(Some(simulate(policy.as_mut(), trace, cfg.ignore_size)))
-}
-
-/// [`simulate_named`] forced onto the keyed (HashMap) policy path, never the
-/// dense one. The equivalence tests and the throughput benchmark use this as
-/// the reference implementation; everything else should call
-/// [`simulate_named`].
-///
-/// # Errors
-///
-/// Propagates [`CacheError`] from the registry (unknown name, bad
-/// parameter).
-pub fn simulate_named_keyed(
-    name: &str,
-    trace: &Trace,
-    cfg: &SimConfig,
-) -> Result<Option<SimResult>, CacheError> {
-    let capacity = cfg.capacity_for(trace);
-    if cfg.min_objects > 0 && capacity < cfg.min_objects {
-        return Ok(None);
-    }
-    let mut policy = registry::build(name, capacity, Some(&trace.requests))?;
-    Ok(Some(simulate(policy.as_mut(), trace, cfg.ignore_size)))
+    };
+    let replay = Replay::on_trace(&[name], trace, capacity)?.ignore_size(cfg.ignore_size);
+    Ok(Some(replay.run(trace).remove(0).0))
 }
 
 #[cfg(test)]
@@ -427,8 +498,9 @@ mod tests {
     #[test]
     fn simulate_counts_match_policy_stats() {
         let trace = small_trace();
-        let mut p = cache_policies::Lru::new(100).unwrap();
-        let r = simulate(&mut p, &trace, true);
+        let p = Box::new(cache_policies::Lru::new(100).unwrap());
+        let (r, series) = Replay::keyed(p).ignore_size(true).run(&trace).remove(0);
+        assert!(series.is_none(), "no window asked for, no series kept");
         assert_eq!(r.requests, 20_000);
         assert!(r.miss_ratio > 0.0 && r.miss_ratio < 1.0);
         assert_eq!(r.algorithm, "LRU");
@@ -512,45 +584,37 @@ mod tests {
         }
     }
 
+    /// Combinations the driver cannot serve are refused when it is built,
+    /// not mis-counted: an observer needs one keyed policy to look at.
     #[test]
-    fn ganged_replay_matches_individual_runs() {
-        let trace = small_trace();
-        let cfg = SimConfig::large();
-        // A mixed batch: dense-capable names ganged into one pass, keyed-only
-        // names (ARC) simulated individually, all in input order.
-        let names = ["S3-FIFO", "FIFO", "ARC", "LRU", "SIEVE"];
-        let many = simulate_named_many(&names, &trace, &cfg).unwrap();
-        assert_eq!(many.len(), names.len());
-        for (name, got) in names.iter().zip(many) {
-            let got = got.unwrap();
-            let solo = simulate_named(name, &trace, &cfg).unwrap().unwrap();
-            assert_eq!(got.algorithm, solo.algorithm);
-            assert_eq!(got.misses, solo.misses, "{name}");
-            assert_eq!(got.evictions, solo.evictions, "{name}");
-            assert_eq!(
-                got.miss_ratio.to_bits(),
-                solo.miss_ratio.to_bits(),
-                "{name}"
-            );
-            assert_eq!(
-                got.one_hit_eviction_fraction.to_bits(),
-                solo.one_hit_eviction_fraction.to_bits(),
-                "{name}"
-            );
+    fn observer_is_refused_off_a_single_keyed_policy() {
+        struct Nop;
+        impl RequestObserver for Nop {
+            fn after_request(
+                &mut self,
+                _: usize,
+                _: &Request,
+                _: Outcome,
+                _: &[Eviction],
+                _: &dyn Policy,
+            ) {
+            }
         }
-    }
-
-    #[test]
-    fn ganged_replay_respects_min_objects() {
-        let trace = WorkloadSpec::zipf("t", 2000, 100, 1.0, 9).generate();
-        let cfg = SimConfig {
-            size: CacheSizeSpec::FractionOfObjects(0.001),
-            ignore_size: true,
-            min_objects: 1000,
-            floor_objects: 0,
-        };
-        let many = simulate_named_many(&["LRU", "FIFO"], &trace, &cfg).unwrap();
-        assert!(many.iter().all(Option::is_none));
+        let trace = small_trace();
+        let (mut a, mut b) = (Nop, Nop);
+        assert!(Replay::on_trace(&["S3-FIFO"], &trace, 100)
+            .unwrap()
+            .observer(&mut a)
+            .is_err());
+        assert!(Replay::on_trace(&["ARC", "LIRS"], &trace, 100)
+            .unwrap()
+            .observer(&mut b)
+            .is_err());
+        let mut nop = Nop;
+        let keyed = Replay::on_trace(&["ARC"], &trace, 100)
+            .unwrap()
+            .observer(&mut nop);
+        assert_eq!(keyed.unwrap().run(&trace)[0].0.requests, 20_000);
     }
 
     #[test]

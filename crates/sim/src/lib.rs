@@ -1,16 +1,19 @@
 //! Cache simulator and parameter-sweep engine (the workspace's libCacheSim
 //! substitute).
 //!
-//! - [`engine`] replays a trace through one policy and collects the
-//!   eviction-time metrics the paper's figures need (miss ratio, byte miss
-//!   ratio, frequency at eviction for Fig. 4, eviction ages).
+//! - [`engine`] is the replay driver: [`Replay`] feeds a request stream to
+//!   one or more policies and collects the eviction-time metrics the
+//!   paper's figures need (miss ratio, byte miss ratio, frequency at
+//!   eviction for Fig. 4, eviction ages, a per-window miss-ratio series).
+//!   Everything else here that runs a policy is a few lines over it:
+//!   [`simulate_named`] (in memory), [`replay_ctr_path`] ([`stream`]: a
+//!   `.ctr` file in bounded memory), [`run_sweep`], and the per-capacity
+//!   fallback of [`simulate_mrc`]. DESIGN.md, "The replay surface".
 //! - [`demotion`] computes the quick-demotion *speed* and *precision*
 //!   metrics of §6.1 / Fig. 10 using an exact next-access oracle.
-//! - [`sweep`] fans (trace × algorithm × cache size) combinations across a
+//! - [`sweep`] fans (trace × algorithm × size) combinations across a
 //!   scoped-thread worker pool and aggregates the paper's
 //!   miss-ratio-reduction percentiles (Figs. 6, 7, 11).
-//! - [`observers`] attaches `cache-obs` instrumentation to both replay
-//!   engines: per-window miss-ratio timeseries and replay-stage profiles.
 //! - [`mrc`] computes miss-ratio curves; [`simulate_mrc`] runs the whole
 //!   capacity grid in ~one trace pass for the FIFO family (exact
 //!   insertion-index FIFO, interleaved ganged lanes for the rest),
@@ -22,28 +25,21 @@
 pub mod demotion;
 pub mod engine;
 pub mod mrc;
-pub mod observers;
 pub mod oracle;
 pub mod stream;
 pub mod sweep;
 
 pub use demotion::{demotion_metrics, DemotionMetrics};
 pub use engine::{
-    simulate, simulate_dense, simulate_dense_many, simulate_named, simulate_named_keyed,
-    simulate_named_many, simulate_observed, CacheSizeSpec, RequestObserver, SimConfig,
-    SimResult,
+    simulate_named, CacheSizeSpec, Replay, Replayed, RequestObserver, SimConfig, SimResult,
 };
 pub use mrc::{
-    miss_ratio_curve, simulate_mrc, simulate_mrc_many, simulate_mrc_recorded, MissRatioCurve,
-    MrcConfig, MrcEngine, MrcPoint, MrcResult, MrcSample,
-};
-pub use observers::{
-    simulate_dense_profiled, simulate_dense_windowed, simulate_named_windowed, simulate_windowed,
-    DenseWindowed, TimeseriesObserver,
+    miss_ratio_curve, simulate_mrc, MissRatioCurve, MrcConfig, MrcEngine, MrcPoint, MrcResult,
+    MrcSample,
 };
 pub use oracle::NextAccessOracle;
-pub use stream::{replay_ctr_path, replay_ctr_windowed, StreamReplay, DEFAULT_CHUNK_RECORDS};
+pub use stream::{replay_ctr_path, StreamReplay, DEFAULT_CHUNK_RECORDS};
 pub use sweep::{
-    miss_ratio_reduction, per_dataset_means, run_sweep, run_sweep_with_abort,
-    summarize_reductions, JobReport, JobStatus, SweepOutcome, SweepRecord, SweepSpec, MAX_GANG,
+    miss_ratio_reduction, per_dataset_means, run_sweep, summarize_reductions, SweepRecord,
+    SweepSpec,
 };

@@ -3,31 +3,30 @@
 //! §6.2.3 argues that adaptive algorithms implicitly assume the miss-ratio
 //! curve is convex ("following the gradient direction leads to the global
 //! optimum"), but "the miss ratio curves of scan-heavy workloads are often
-//! not convex". This module computes MRCs two ways:
+//! not convex". This module computes MRCs through one front door:
 //!
-//! - [`miss_ratio_curve`]: direct simulation at a grid of cache sizes
-//!   (optionally on a SHARDS miniature for speed) — one full trace replay
-//!   per grid point, works for every registry algorithm.
-//! - [`simulate_mrc`]: the single-pass multi-capacity engines
-//!   (`cache_policies::dense::mrc`) for the FIFO family — the whole grid in
-//!   ~one trace pass, bit-identical to the per-capacity sweep. On
-//!   pure-`Get` unit-size traces, FIFO routes to the exact insertion-index
-//!   engine ([`MrcEngine::ExactFifo`]) and CLOCK / CLOCK-2bit / SIEVE /
+//! - [`simulate_mrc`]: works for every registry algorithm, and uses the
+//!   single-pass multi-capacity engines (`cache_policies::dense::mrc`) for
+//!   the FIFO family — the whole grid in ~one trace pass, bit-identical to
+//!   the per-capacity sweep. On pure-`Get` unit-size traces, FIFO routes
+//!   to the exact insertion-index engine ([`MrcEngine::ExactFifo`]) and
+//!   CLOCK / CLOCK-2bit / SIEVE /
 //!   S3-FIFO (grids of ≤ 64 points) to the turbo lanes — bitmap residency
 //!   plus timestamp-derived reference state ([`MrcEngine::Ganged`]).
 //!   Streams with writes or honored sizes use the general interleaved
 //!   linked-list lanes (also [`MrcEngine::Ganged`]); everything else falls
 //!   back to the per-capacity sweep ([`MrcEngine::PerCapacity`]).
+//! - [`miss_ratio_curve`]: the same, optionally on a SHARDS miniature of
+//!   the trace with the grid scaled to match, returned as a sorted curve.
 //!
 //! Also provides the convexity check the §6.2.3 argument rests on.
 
-use crate::engine::{simulate_named, CacheSizeSpec, SimConfig};
-use cache_obs::{MissRatioSeries, Scope};
+use crate::engine::Replay;
+use cache_obs::MissRatioSeries;
 use cache_policies::registry;
 use cache_trace::sampling::spatial_sample;
 use cache_trace::Trace;
 use cache_types::CacheError;
-use std::time::Instant;
 
 /// One point of a miss-ratio curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,27 +59,30 @@ impl MissRatioCurve {
     /// non-negative, using capacity as the x-axis). Scan-heavy workloads
     /// produce non-convex curves (§6.2.3).
     pub fn is_convex(&self) -> bool {
-        self.points.windows(3).all(|w| {
+        // A grid may name a capacity more than once. Repeats carry no shape
+        // and would make zero-width chords (`0/0`), so the test runs over
+        // the distinct capacities: convex means every middle point lies on
+        // or below the chord between its neighbours.
+        let mut distinct = self.points.clone();
+        distinct.dedup_by_key(|p| p.capacity);
+        distinct.windows(3).all(|w| {
             let (x0, y0) = (w[0].capacity as f64, w[0].miss_ratio);
             let (x1, y1) = (w[1].capacity as f64, w[1].miss_ratio);
             let (x2, y2) = (w[2].capacity as f64, w[2].miss_ratio);
-            // Chord test: y1 at or below the x0-x2 chord means concave
-            // there; convexity wants y1 >= ... actually a convex decreasing
-            // MRC has y1 <= chord. We test convexity in the standard sense:
-            // the point lies on or below the chord.
-            let chord = y0 + (y2 - y0) * (x1 - x0) / (x2 - x0);
-            y1 <= chord + 1e-9
+            y1 <= y0 + (y2 - y0) * (x1 - x0) / (x2 - x0) + 1e-9
         })
     }
 }
 
 /// Computes the MRC of `algorithm` on `trace` at the given capacities
 /// (objects; unit-size simulation). When `sample_rate < 1`, the curve is
-/// computed on a SHARDS miniature with capacities scaled accordingly.
+/// computed on a SHARDS miniature with capacities scaled accordingly and
+/// reported against the capacities asked for.
 ///
 /// # Errors
 ///
-/// Propagates registry errors (unknown algorithm).
+/// Everything [`simulate_mrc`] rejects: an unknown algorithm or an empty
+/// grid.
 pub fn miss_ratio_curve(
     algorithm: &str,
     trace: &Trace,
@@ -94,27 +96,16 @@ pub fn miss_ratio_curve(
     } else {
         (trace, 1.0)
     };
-    let mut points = Vec::with_capacity(capacities.len());
-    for &cap in capacities {
-        let scaled = ((cap as f64 * scale).round() as u64).max(1);
-        let cfg = SimConfig {
-            size: CacheSizeSpec::Bytes(scaled),
-            ignore_size: true,
-            min_objects: 0,
-            floor_objects: 0,
-        };
-        // Invariant: min_objects is 0 above, so the filter never drops the run.
-        let r = simulate_named(algorithm, sim_trace, &cfg)?.expect("no min_objects filter");
-        points.push(MrcPoint {
-            capacity: cap,
-            miss_ratio: r.miss_ratio,
-        });
+    let scaled: Vec<u64> = capacities
+        .iter()
+        .map(|&cap| ((cap as f64 * scale).round() as u64).max(1))
+        .collect();
+    let mut result = simulate_mrc(algorithm, sim_trace, &scaled, &MrcConfig::default())?;
+    for (point, &cap) in result.points.iter_mut().zip(capacities) {
+        point.capacity = cap;
     }
-    points.sort_by_key(|p| p.capacity);
-    Ok(MissRatioCurve {
-        algorithm: algorithm.to_string(),
-        points,
-    })
+    result.algorithm = algorithm.to_string();
+    Ok(result.curve())
 }
 
 /// Options for [`simulate_mrc`].
@@ -296,18 +287,12 @@ pub fn simulate_mrc(
     if let Some(engine) = registry::build_mrc(algorithm, capacities, &dense.ids)? {
         return Ok(run(engine, MrcEngine::Ganged));
     }
-    // Fallback: one full replay per grid point, same configs the sweep uses.
+    // Fallback: one full replay per grid point.
     let mut points = Vec::with_capacity(capacities.len());
     let mut name = algorithm.to_string();
     for &cap in capacities {
-        let sim_cfg = SimConfig {
-            size: CacheSizeSpec::Bytes(cap),
-            ignore_size: cfg.ignore_size,
-            min_objects: 0,
-            floor_objects: 0,
-        };
-        // Invariant: min_objects is 0 above, so the filter never drops the run.
-        let r = simulate_named(algorithm, trace, &sim_cfg)?.expect("no min_objects filter");
+        let replay = Replay::on_trace(&[algorithm], trace, cap)?.ignore_size(cfg.ignore_size);
+        let (r, _) = replay.run(trace).remove(0);
         name = r.algorithm;
         points.push(MrcSample {
             capacity: cap,
@@ -326,57 +311,10 @@ pub fn simulate_mrc(
     })
 }
 
-/// Computes one curve per algorithm over the same grid — the multi-policy
-/// front door mirroring [`crate::engine::simulate_named_many`].
-///
-/// # Errors
-///
-/// Fails on the first algorithm [`simulate_mrc`] rejects.
-pub fn simulate_mrc_many(
-    algorithms: &[&str],
-    trace: &Trace,
-    capacities: &[u64],
-    cfg: &MrcConfig,
-) -> Result<Vec<MrcResult>, CacheError> {
-    algorithms
-        .iter()
-        .map(|name| simulate_mrc(name, trace, capacities, cfg))
-        .collect()
-}
-
-/// [`simulate_mrc`] instrumented through the observability layer: bumps
-/// `<scope>.curves` / `.points` / `.requests` / `.misses` counters and
-/// records the amortized per-point wall time (µs) into the
-/// `<scope>.point_micros` histogram.
-///
-/// # Errors
-///
-/// Same as [`simulate_mrc`]; nothing is recorded on error.
-pub fn simulate_mrc_recorded(
-    algorithm: &str,
-    trace: &Trace,
-    capacities: &[u64],
-    cfg: &MrcConfig,
-    scope: &Scope,
-) -> Result<MrcResult, CacheError> {
-    let start = Instant::now();
-    let result = simulate_mrc(algorithm, trace, capacities, cfg)?;
-    let elapsed = start.elapsed();
-    scope.counter("curves").inc();
-    scope.counter("points").add(result.points.len() as u64);
-    let requests = result.points.first().map_or(0, |s| s.requests);
-    scope.counter("requests").add(requests);
-    scope
-        .counter("misses")
-        .add(result.points.iter().map(|s| s.misses).sum());
-    let per_point_us = elapsed.as_micros() as u64 / result.points.len().max(1) as u64;
-    scope.histogram("point_micros").record(per_point_us);
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{simulate_named, CacheSizeSpec, SimConfig};
     use cache_trace::gen::{loop_trace, WorkloadSpec};
 
     #[test]
@@ -407,6 +345,20 @@ mod tests {
             "the LRU loop cliff must be non-convex: {:?}",
             c.points
         );
+    }
+
+    /// A grid may repeat a capacity (`mrc_result_views`); three equal
+    /// capacities used to make a `0/0` chord and report a flat curve as
+    /// non-convex.
+    #[test]
+    fn repeated_capacities_do_not_break_convexity() {
+        let t = WorkloadSpec::zipf("dup", 10_000, 1000, 0.9, 17).generate();
+        let flat = simulate_mrc("FIFO", &t, &[400, 400, 400], &MrcConfig::default()).unwrap();
+        assert!(flat.curve().is_convex(), "{:?}", flat.curve().points);
+        // Duplicates inside a longer grid neither hide nor invent a cliff.
+        let lp = loop_trace("loop", 1000, 30);
+        let cliff = miss_ratio_curve("LRU", &lp, &[500, 900, 900, 900, 1100], 1.0).unwrap();
+        assert!(!cliff.is_convex(), "{:?}", cliff.points);
     }
 
     #[test]
@@ -499,23 +451,6 @@ mod tests {
         for (w, p) in series.points().iter().zip(r.points.iter()) {
             assert_eq!(w.requests, p.requests);
             assert_eq!(w.misses, p.misses);
-        }
-        let many = simulate_mrc_many(&["FIFO", "SIEVE"], &t, &caps, &MrcConfig::default()).unwrap();
-        assert_eq!(many.len(), 2);
-    }
-
-    #[test]
-    fn recorded_mrc_bumps_metrics() {
-        let registry = cache_obs::MetricsRegistry::new();
-        let scope = registry.scope("mrc");
-        let t = WorkloadSpec::zipf("obs", 5000, 500, 1.0, 19).generate();
-        let caps = [20, 80, 320];
-        let r = simulate_mrc_recorded("S3-FIFO", &t, &caps, &MrcConfig::default(), &scope).unwrap();
-        assert_eq!(r.points.len(), caps.len());
-        let dump = cache_obs::registry_to_json_lines(&registry);
-        for metric in ["mrc.curves", "mrc.points", "mrc.requests", "mrc.misses", "mrc.point_micros"]
-        {
-            assert!(dump.contains(metric), "missing {metric} in {dump}");
         }
     }
 }

@@ -1,35 +1,23 @@
 //! Out-of-core streamed replay of `.ctr` traces.
 //!
-//! [`replay_ctr_windowed`] drives a policy straight from a
-//! [`CtrReader`] in fixed-size record chunks, so a trace is **never**
-//! materialized in memory: peak trace-buffer footprint is bounded by the
-//! chunk size regardless of trace length (1B+ requests replay in a few MB
-//! of buffers). Results — final counters, eviction histograms, and the
-//! per-window miss-ratio series — are bit-identical to the in-memory
-//! windowed paths on any trace small enough to run both
-//! (`cache-check`'s streamed differential enforces this across the
-//! registry).
+//! [`Replay::feed_ctr`] drives a [`Replay`] straight from a [`CtrReader`]
+//! in fixed-size record chunks, so a trace is **never** materialized in
+//! memory: peak trace-buffer footprint is bounded by the chunk size
+//! regardless of trace length (1B+ requests replay in a few MB of buffers).
+//! Results — final counters, eviction histograms, and the per-window
+//! miss-ratio series — are bit-identical to the in-memory run on any trace
+//! small enough for both (`cache-check`'s streamed differential enforces
+//! this across the registry).
 //!
-//! Two engine paths, mirroring [`simulate_named_windowed`]:
-//!
-//! - **Dense** — `.ctr` record ids are already dense (that is the format's
-//!   core invariant), so each record's id *is* its slot: the policy is
-//!   built over the header's id space via
-//!   [`registry::build_dense_domain`] with no interning table at all, and
-//!   chunks feed the shared [`DenseWindowed`] accumulator.
-//! - **Keyed fallback** — policies without a dense variant replay request
-//!   by request exactly like
-//!   [`simulate_observed`](crate::simulate_observed) with a
-//!   [`TimeseriesObserver`](crate::TimeseriesObserver); `Belady` cannot
-//!   stream (it needs the future) and surfaces the registry's error.
+//! `.ctr` record ids are already dense (the format's core invariant), so a
+//! record's id *is* its slot and [`Replay::on_dense_ids`] needs no interning
+//! table. `Belady` cannot stream (it needs the future) and surfaces the
+//! registry's error.
 
-use crate::engine::SimResult;
-use crate::observers::DenseWindowed;
-use cache_ds::Histogram;
+use crate::engine::{Replay, SimResult};
 use cache_obs::MissRatioSeries;
-use cache_policies::registry;
 use cache_trace::ctr::CtrReader;
-use cache_types::{CacheError, Eviction, Outcome, Request};
+use cache_types::{CacheError, Request};
 use std::io::{Read, Seek};
 use std::path::Path;
 
@@ -56,133 +44,55 @@ pub struct StreamReplay {
     pub peak_buffer_bytes: u64,
 }
 
-/// Replays an open `.ctr` reader through the named policy with a windowed
-/// miss-ratio series, never holding more than `chunk_records` requests in
-/// memory.
+impl Replay<'_> {
+    /// Feeds every record of `reader`, `chunk_records` at a time, and
+    /// returns the peak bytes held in trace buffers.
+    ///
+    /// The reader is rewound to the first record first, so one that was
+    /// partially consumed (e.g. for inspection) still replays the full
+    /// trace.
+    ///
+    /// # Errors
+    ///
+    /// `.ctr` read errors ([`CacheError::TraceFormat`] / [`CacheError::Io`]).
+    pub fn feed_ctr<R: Read + Seek>(
+        &mut self,
+        reader: &mut CtrReader<R>,
+        chunk_records: usize,
+    ) -> Result<u64, CacheError> {
+        reader.seek_record(0)?;
+        let mut reqs: Vec<Request> = Vec::new();
+        let mut slots: Vec<u32> = Vec::new();
+        while reader.read_chunk(&mut reqs, chunk_records.max(1))? > 0 {
+            // Ids are checked against the header's id space (≤ 2^32) on
+            // read, so the narrowing cast is lossless.
+            slots.clear();
+            if self.has_dense() {
+                slots.extend(reqs.iter().map(|r| r.id as u32));
+            }
+            self.feed(&slots, &reqs);
+        }
+        Ok(reader.buffer_capacity() as u64
+            + (reqs.capacity() * std::mem::size_of::<Request>()) as u64
+            + (slots.capacity() * std::mem::size_of::<u32>()) as u64)
+    }
+}
+
+/// Replays the `.ctr` file at `path` through the named policy with a
+/// miss-ratio series of `window` reads per window, never holding more than
+/// `chunk_records` requests in memory.
 ///
-/// The reader is rewound to the first record before replay, so a reader
-/// that was partially consumed (e.g. for inspection) replays the full
-/// trace. `capacity` is absolute — deriving it from a footprint would
-/// require a trace scan, which out-of-core callers do once at generation
-/// or conversion time (the `.ctr` header's id space *is* the object
-/// footprint for dense traces).
+/// `capacity` is absolute — deriving it from a footprint would require a
+/// trace scan, which out-of-core callers do once at generation or
+/// conversion time (the `.ctr` header's id space *is* the object footprint
+/// for dense traces). Reads are large sequential `read_exact`s into the
+/// reader's chunk buffer, so the file handle is used unbuffered.
 ///
 /// # Errors
 ///
 /// Propagates [`CacheError`] from the registry (unknown name, bad
-/// parameter, `Belady` without a materialized trace) and `.ctr` read
-/// errors ([`CacheError::TraceFormat`] / [`CacheError::Io`]).
-pub fn replay_ctr_windowed<R: Read + Seek>(
-    name: &str,
-    reader: &mut CtrReader<R>,
-    trace_name: &str,
-    capacity: u64,
-    ignore_size: bool,
-    window: u64,
-    chunk_records: usize,
-) -> Result<StreamReplay, CacheError> {
-    let info = *reader.info();
-    let chunk_records = chunk_records.max(1);
-    reader.seek_record(0)?;
-    let mut reqs: Vec<Request> = Vec::new();
-
-    // id_space ≤ 2^32 is a header invariant, so the cast cannot truncate.
-    let domain = usize::try_from(info.id_space).unwrap_or(usize::MAX);
-    if let Some(mut dense) = registry::build_dense_domain(name, capacity, domain)? {
-        let mut w = DenseWindowed::new(window);
-        let mut slots: Vec<u32> = Vec::new();
-        loop {
-            let n = reader.read_chunk(&mut reqs, chunk_records)?;
-            if n == 0 {
-                break;
-            }
-            slots.clear();
-            // Dense ids are validated against the header's id space on
-            // read, so the narrowing cast is lossless.
-            slots.extend(reqs.iter().map(|r| r.id as u32));
-            w.feed(dense.as_mut(), &slots, &reqs, ignore_size);
-        }
-        let (result, series) = w.finish(dense.as_ref(), trace_name);
-        let peak_buffer_bytes = reader.buffer_capacity() as u64
-            + (reqs.capacity() * std::mem::size_of::<Request>()) as u64
-            + (slots.capacity() * std::mem::size_of::<u32>()) as u64;
-        return Ok(StreamReplay {
-            result,
-            series,
-            records: info.records,
-            chunk_records,
-            peak_buffer_bytes,
-        });
-    }
-
-    // Keyed fallback: per-request loop identical to `simulate_observed`
-    // with a `TimeseriesObserver`, indices rebased to the global record
-    // position.
-    let mut policy = registry::build(name, capacity, None)?;
-    let mut series = MissRatioSeries::new(window);
-    let mut freq_at_eviction = Histogram::new();
-    let mut eviction_age = Histogram::new();
-    let mut evs: Vec<Eviction> = Vec::with_capacity(64);
-    let mut index: u64 = 0;
-    loop {
-        let n = reader.read_chunk(&mut reqs, chunk_records)?;
-        if n == 0 {
-            break;
-        }
-        for r in &reqs {
-            let req = if ignore_size {
-                Request { size: 1, ..(*r) }
-            } else {
-                *r
-            };
-            evs.clear();
-            let outcome = policy.request(&req, &mut evs);
-            for e in &evs {
-                freq_at_eviction.record(u64::from(e.freq));
-                eviction_age.record(e.age(index));
-            }
-            if outcome != Outcome::NotRead {
-                series.record(outcome.is_miss());
-            }
-            index += 1;
-        }
-    }
-    series.finish();
-    let stats = policy.stats();
-    let result = SimResult {
-        algorithm: policy.name(),
-        trace: trace_name.to_string(),
-        capacity: policy.capacity(),
-        requests: stats.gets,
-        misses: stats.misses,
-        miss_ratio: stats.miss_ratio(),
-        byte_miss_ratio: stats.byte_miss_ratio(),
-        evictions: stats.evictions,
-        one_hit_eviction_fraction: freq_at_eviction.zero_fraction(),
-        freq_at_eviction,
-        eviction_age,
-    };
-    let peak_buffer_bytes = reader.buffer_capacity() as u64
-        + (reqs.capacity() * std::mem::size_of::<Request>()) as u64;
-    Ok(StreamReplay {
-        result,
-        series,
-        records: info.records,
-        chunk_records,
-        peak_buffer_bytes,
-    })
-}
-
-/// [`replay_ctr_windowed`] against a `.ctr` file on disk.
-///
-/// Reads are large sequential `read_exact`s into the reader's chunk
-/// buffer, so the file handle is used unbuffered — an extra
-/// `BufReader` copy would only slow the hot path down.
-///
-/// # Errors
-///
-/// Everything [`replay_ctr_windowed`] returns, plus open/validate errors
-/// from [`CtrReader::open`].
+/// parameter, `Belady` without a materialized trace), open/validate errors
+/// from [`CtrReader::open`] and `.ctr` read errors.
 pub fn replay_ctr_path(
     name: &str,
     path: &Path,
@@ -192,244 +102,19 @@ pub fn replay_ctr_path(
     window: u64,
     chunk_records: usize,
 ) -> Result<StreamReplay, CacheError> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = CtrReader::open(file)?;
-    replay_ctr_windowed(
-        name,
-        &mut reader,
-        trace_name,
-        capacity,
-        ignore_size,
-        window,
-        chunk_records,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::observers::simulate_named_windowed;
-    use crate::SimConfig;
-    use cache_ds::SplitMix64;
-    use cache_trace::ctr::{read_trace, write_trace};
-    use cache_trace::gen::WorkloadSpec;
-    use cache_trace::Trace;
-    use cache_types::Op;
-    use crate::CacheSizeSpec;
-    use std::io::Cursor;
-
-    /// Mixed-op trace (get/set/delete) — the shape that exposed the
-    /// window-boundary bug.
-    fn mixed_trace(requests: usize, universe: u64, seed: u64) -> Trace {
-        let mut rng = SplitMix64::new(seed);
-        let reqs: Vec<Request> = (0..requests)
-            .map(|_| {
-                let id = rng.next_below(universe);
-                let op = match rng.next_below(10) {
-                    0 => Op::Set,
-                    1 => Op::Delete,
-                    _ => Op::Get,
-                };
-                Request {
-                    id,
-                    size: 1 + (rng.next_below(100) as u32),
-                    op,
-                    time: 0,
-                }
-            })
-            .collect();
-        Trace::new("mixed", reqs)
-    }
-
-    fn encode(trace: &Trace) -> Vec<u8> {
-        let (cursor, _info) = write_trace(trace, Cursor::new(Vec::new())).expect("encode");
-        cursor.into_inner()
-    }
-
-    fn cfg() -> SimConfig {
-        SimConfig {
-            size: CacheSizeSpec::Bytes(200),
-            ignore_size: true,
-            min_objects: 0,
-            floor_objects: 0,
-        }
-    }
-
-    fn assert_replay_matches(
-        streamed: &StreamReplay,
-        result: &SimResult,
-        series: &MissRatioSeries,
-        ctx: &str,
-    ) {
-        assert_eq!(streamed.result.misses, result.misses, "{ctx}: misses");
-        assert_eq!(streamed.result.requests, result.requests, "{ctx}: requests");
-        assert_eq!(streamed.result.evictions, result.evictions, "{ctx}: evictions");
-        assert_eq!(
-            streamed.result.miss_ratio.to_bits(),
-            result.miss_ratio.to_bits(),
-            "{ctx}: miss ratio"
-        );
-        assert_eq!(
-            streamed.result.byte_miss_ratio.to_bits(),
-            result.byte_miss_ratio.to_bits(),
-            "{ctx}: byte miss ratio"
-        );
-        assert_eq!(
-            streamed.result.one_hit_eviction_fraction.to_bits(),
-            result.one_hit_eviction_fraction.to_bits(),
-            "{ctx}: one-hit fraction"
-        );
-        assert_eq!(
-            streamed.series.points().len(),
-            series.points().len(),
-            "{ctx}: window count"
-        );
-        for (s, m) in streamed.series.points().iter().zip(series.points()) {
-            assert_eq!(s.requests, m.requests, "{ctx}: window {} requests", s.window);
-            assert_eq!(s.misses, m.misses, "{ctx}: window {} misses", s.window);
-            assert_eq!(s.start_index, m.start_index, "{ctx}: window {}", s.window);
-        }
-    }
-
-    #[test]
-    fn streamed_matches_in_memory_dense() {
-        let trace = WorkloadSpec::zipf("stream-t", 20_000, 2000, 1.0, 5).generate();
-        let bytes = encode(&trace);
-        let cfg = SimConfig::large();
-        let capacity = cfg.capacity_for(&trace);
-        for name in ["FIFO", "LRU", "S3-FIFO", "SIEVE", "2Q"] {
-            let (result, series) = simulate_named_windowed(name, &trace, &cfg, 1000)
-                .unwrap()
-                .unwrap();
-            let mut reader = CtrReader::open(Cursor::new(&bytes)).unwrap();
-            let streamed = replay_ctr_windowed(
-                name,
-                &mut reader,
-                "stream-t",
-                capacity,
-                cfg.ignore_size,
-                1000,
-                4096,
-            )
-            .unwrap();
-            assert_replay_matches(&streamed, &result, &series, name);
-        }
-    }
-
-    #[test]
-    fn streamed_matches_in_memory_mixed_ops_and_sizes() {
-        let trace = mixed_trace(15_000, 1500, 42);
-        let bytes = encode(&trace);
-        // `.ctr` stores dense ids; replay the re-read trace in memory so
-        // both sides see the identical request stream.
-        let (dense_view, _info) = read_trace("mixed", Cursor::new(&bytes)).unwrap();
-        let cfg = cfg();
-        for ignore_size in [true, false] {
-            let cfg = SimConfig {
-                ignore_size,
-                ..cfg
-            };
-            for name in ["S3-FIFO", "LRU", "CLOCK"] {
-                let (result, series) = simulate_named_windowed(name, &dense_view, &cfg, 700)
-                    .unwrap()
-                    .unwrap();
-                let mut reader = CtrReader::open(Cursor::new(&bytes)).unwrap();
-                let streamed =
-                    replay_ctr_windowed(name, &mut reader, "mixed", 200, ignore_size, 700, 1000)
-                        .unwrap();
-                assert_replay_matches(
-                    &streamed,
-                    &result,
-                    &series,
-                    &format!("{name} ignore_size={ignore_size}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_keyed_fallback_matches_in_memory() {
-        let trace = WorkloadSpec::zipf("keyed-t", 8_000, 800, 1.0, 7).generate();
-        let bytes = encode(&trace);
-        let cfg = SimConfig::large();
-        let capacity = cfg.capacity_for(&trace);
-        // ARC has no dense variant → keyed streaming path.
-        let (result, series) = simulate_named_windowed("ARC", &trace, &cfg, 500)
-            .unwrap()
-            .unwrap();
-        let mut reader = CtrReader::open(Cursor::new(&bytes)).unwrap();
-        let streamed = replay_ctr_windowed(
-            "ARC",
-            &mut reader,
-            "keyed-t",
-            capacity,
-            cfg.ignore_size,
-            500,
-            777,
-        )
-        .unwrap();
-        assert_replay_matches(&streamed, &result, &series, "ARC");
-    }
-
-    #[test]
-    fn chunk_size_never_changes_results() {
-        let trace = mixed_trace(6_000, 700, 9);
-        let bytes = encode(&trace);
-        let mut reader = CtrReader::open(Cursor::new(&bytes)).unwrap();
-        let reference =
-            replay_ctr_windowed("S3-FIFO", &mut reader, "mixed", 100, true, 512, 6_000).unwrap();
-        for chunk in [1usize, 7, 100, 513, 4096] {
-            let mut reader = CtrReader::open(Cursor::new(&bytes)).unwrap();
-            let streamed =
-                replay_ctr_windowed("S3-FIFO", &mut reader, "mixed", 100, true, 512, chunk)
-                    .unwrap();
-            assert_replay_matches(
-                &streamed,
-                &reference.result,
-                &reference.series,
-                &format!("chunk={chunk}"),
-            );
-        }
-    }
-
-    #[test]
-    fn buffers_stay_bounded_by_chunk_size() {
-        let trace = WorkloadSpec::zipf("bounded-t", 30_000, 3000, 1.0, 3).generate();
-        let bytes = encode(&trace);
-        let mut reader = CtrReader::open(Cursor::new(&bytes)).unwrap();
-        let chunk = 256usize;
-        let streamed =
-            replay_ctr_windowed("S3-FIFO", &mut reader, "bounded-t", 300, true, 1000, chunk)
-                .unwrap();
-        assert_eq!(streamed.records, 30_000);
-        // Raw bytes + decoded requests + slots for one chunk, with slack for
-        // Vec growth policy — nowhere near the 30k-request trace itself.
-        let bound = (chunk * (16 + std::mem::size_of::<Request>() + 4) * 2) as u64;
-        assert!(
-            streamed.peak_buffer_bytes <= bound,
-            "peak {} exceeds chunk-proportional bound {}",
-            streamed.peak_buffer_bytes,
-            bound
-        );
-    }
-
-    #[test]
-    fn belady_cannot_stream() {
-        let trace = WorkloadSpec::zipf("b-t", 1_000, 100, 1.0, 1).generate();
-        let bytes = encode(&trace);
-        let mut reader = CtrReader::open(Cursor::new(&bytes)).unwrap();
-        assert!(replay_ctr_windowed("Belady", &mut reader, "b-t", 50, true, 100, 100).is_err());
-    }
-
-    #[test]
-    fn partially_consumed_reader_replays_from_start() {
-        let trace = WorkloadSpec::zipf("rw-t", 5_000, 500, 1.0, 11).generate();
-        let bytes = encode(&trace);
-        let mut reader = CtrReader::open(Cursor::new(&bytes)).unwrap();
-        let mut scratch = Vec::new();
-        reader.read_chunk(&mut scratch, 123).unwrap();
-        let streamed =
-            replay_ctr_windowed("FIFO", &mut reader, "rw-t", 50, true, 500, 1000).unwrap();
-        assert_eq!(streamed.result.requests, 5_000);
-    }
+    let mut reader = CtrReader::open(std::fs::File::open(path)?)?;
+    let info = *reader.info();
+    let mut replay = Replay::on_dense_ids(&[name], info.id_space, capacity)?
+        .ignore_size(ignore_size)
+        .window(window);
+    let peak_buffer_bytes = replay.feed_ctr(&mut reader, chunk_records)?;
+    let (result, series) = replay.finish(trace_name).remove(0);
+    Ok(StreamReplay {
+        result,
+        // Invariant: `window` was set above, so every lane keeps a series.
+        series: series.expect("windowed replay keeps a series"),
+        records: info.records,
+        chunk_records: chunk_records.max(1),
+        peak_buffer_bytes,
+    })
 }

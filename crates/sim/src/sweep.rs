@@ -5,7 +5,7 @@
 //! algorithm relative to FIFO, `(MR_fifo − MR_algo) / MR_fifo`, with the
 //! negated inverse when the algorithm is worse so values stay in `[-1, 1]`.
 
-use crate::engine::{simulate_named_many, SimConfig};
+use crate::engine::{Replay, SimConfig};
 use cache_ds::hist::{summarize, Summary};
 use cache_trace::Trace;
 use cache_types::CacheError;
@@ -28,8 +28,8 @@ pub struct SweepRecord {
     /// Fraction of evicted objects that were one-hit wonders.
     pub one_hit_eviction_fraction: f64,
     /// Wall-clock time this job's simulation took, in microseconds. Jobs
-    /// replayed inside a shared gang ([`simulate_named_many`]) report the
-    /// gang's wall time divided evenly across its records.
+    /// replayed inside a shared gang report the gang's wall time divided
+    /// evenly across its records.
     pub sim_micros: u64,
 }
 
@@ -47,232 +47,115 @@ pub struct SweepSpec<'a> {
 }
 
 /// How many same-trace jobs one worker replays in a single ganged trace pass
-/// (see [`simulate_named_many`]). Ganging amortizes trace streaming and
-/// decode across policies, but each ganged policy adds an independent random
+/// (a multi-policy [`Replay`]). Ganging amortizes trace streaming and decode
+/// across policies, but each ganged policy adds an independent random
 /// stream into its own multi-MB slot slab plus its share of prefetch
 /// traffic; measured on the dev box (one core, small L3), throughput peaks
 /// at a gang of 2 and *degrades* past 4 as the line-fill buffers and TLB
 /// saturate. Keep this small.
-pub const MAX_GANG: usize = 2;
+const MAX_GANG: usize = 2;
 
-/// Why a sweep job did or did not contribute records.
+/// Runs the sweep on a scoped worker pool.
 ///
-/// A sweep that stops early used to be indistinguishable from one that ran
-/// everything — a caller averaging the records could silently compute
-/// statistics over a partial sweep. Every job now reports its fate so
-/// "missing because skipped/aborted" is distinguishable from "ran and
-/// produced nothing".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// The job ran and its records (if any) are in the output.
-    Completed,
-    /// The job ran but the `min_objects` rule excluded the configuration,
-    /// mirroring the paper's exclusions; no records by design.
-    SkippedMinObjects,
-    /// The job was never claimed because the sweep aborted first; its
-    /// records are *missing*, not zero.
-    NotRun,
-}
-
-/// Per-job outcome of a sweep: which trace/algorithm chunk it covered and
-/// what happened to it.
-#[derive(Debug, Clone)]
-pub struct JobReport {
-    /// Trace name the job replayed.
-    pub trace: String,
-    /// Algorithm names the job covered (one gang chunk).
-    pub algorithms: Vec<String>,
-    /// What happened.
-    pub status: JobStatus,
-}
-
-/// The full result of a sweep: records plus a per-job accounting that makes
-/// partial sweeps explicit.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// Measurements from completed jobs, deterministically ordered.
-    pub records: Vec<SweepRecord>,
-    /// One report per work unit, in job order.
-    pub jobs: Vec<JobReport>,
-    /// True when at least one job was [`JobStatus::NotRun`] — the records
-    /// cover only part of the requested grid.
-    pub aborted: bool,
-}
-
-impl SweepOutcome {
-    /// True when every job ran (completed or was excluded by design).
-    pub fn is_complete(&self) -> bool {
-        !self.aborted
-    }
-
-    /// The jobs that never ran, for error messages and retry lists.
-    pub fn not_run(&self) -> impl Iterator<Item = &JobReport> {
-        self.jobs
-            .iter()
-            .filter(|j| j.status == JobStatus::NotRun)
-    }
-}
-
-/// Runs the sweep on a scoped worker pool, returning only the records.
-///
-/// Thin wrapper over [`run_sweep_with_abort`] with no external abort; when
-/// it returns `Ok`, every job ran, so the records are never silently
-/// partial. Callers that cancel sweeps mid-flight must use
-/// [`run_sweep_with_abort`] and inspect [`SweepOutcome::aborted`].
-///
-/// # Errors
-///
-/// Returns the first simulation error (unknown algorithm, bad parameter).
-pub fn run_sweep(spec: &SweepSpec<'_>) -> Result<Vec<SweepRecord>, CacheError> {
-    let outcome = run_sweep_with_abort(spec, &|| false)?;
-    debug_assert!(
-        outcome.is_complete(),
-        "no external abort, so every job must have run"
-    );
-    Ok(outcome.records)
-}
-
-/// Runs the sweep on a scoped worker pool with a caller-supplied abort
-/// check, polled by every worker before claiming the next job (a deadline,
-/// a ctrl-C flag, a test hook).
-///
-/// Work units are chunks of up to [`MAX_GANG`] algorithms against one trace;
-/// each chunk replays the trace once, driving every dense-capable algorithm
-/// in the chunk simultaneously ([`simulate_named_many`]).
+/// Work units are chunks of up to `MAX_GANG` algorithms against one trace;
+/// each chunk replays the trace once through a ganged [`Replay`].
 ///
 /// The first failing job raises a shared abort flag; every worker checks it
 /// before claiming the next job, so one bad algorithm name cancels the whole
 /// sweep instead of letting the remaining workers grind through their
 /// queues. In-flight jobs still finish — abort is a claim barrier, not a
-/// cancellation of running work.
+/// cancellation of running work. When this returns `Ok`, every job ran, so
+/// the records are never silently partial.
 ///
 /// # Errors
 ///
 /// Returns the first simulation error (unknown algorithm, bad parameter).
-/// An external abort is not an error: the partial results come back with
-/// the unclaimed jobs marked [`JobStatus::NotRun`] and
-/// [`SweepOutcome::aborted`] set.
 // ORDERING: Relaxed throughout — `next` needs only RMW atomicity to hand
 // out unique job indices and `abort` is an advisory stop flag; all result
-// hand-off is ordered by the mutexes and the scope join.
-// LOCK-ORDER: disjoint; results, statuses, and first_error are each taken
-// in non-overlapping scopes (the results guard is explicitly dropped before
-// statuses is locked); no two are ever held at once, so no cycle can form.
-pub fn run_sweep_with_abort(
-    spec: &SweepSpec<'_>,
-    should_abort: &(dyn Fn() -> bool + Sync),
-) -> Result<SweepOutcome, CacheError> {
+// hand-off is ordered by the mutex and the scope join.
+pub fn run_sweep(spec: &SweepSpec<'_>) -> Result<Vec<SweepRecord>, CacheError> {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    let jobs: Vec<(usize, std::ops::Range<usize>)> = (0..spec.traces.len())
+    use std::sync::Mutex;
+    let jobs: Vec<(usize, &[String])> = (0..spec.traces.len())
         .flat_map(|t| {
-            (0..spec.algorithms.len())
-                .step_by(MAX_GANG.max(1))
-                .map(move |s| (t, s..(s + MAX_GANG).min(spec.algorithms.len())))
+            spec.algorithms
+                .chunks(MAX_GANG)
+                .map(move |names| (t, names))
         })
         .collect();
-    let threads = if spec.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        spec.threads
+    let threads = match spec.threads {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        n => n,
     };
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let results: std::sync::Mutex<Vec<SweepRecord>> = std::sync::Mutex::new(Vec::new());
-    let statuses: std::sync::Mutex<Vec<JobStatus>> =
-        std::sync::Mutex::new(vec![JobStatus::NotRun; jobs.len()]);
-    let first_error: std::sync::Mutex<Option<CacheError>> = std::sync::Mutex::new(None);
+    // Every record so far, or the first error.
+    let outcome: Mutex<Result<Vec<SweepRecord>, CacheError>> = Mutex::new(Ok(Vec::new()));
 
     std::thread::scope(|scope| {
         for _ in 0..threads.min(jobs.len().max(1)) {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) || should_abort() {
-                    abort.store(true, Ordering::Relaxed);
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((t, algos)) = jobs.get(i) else { break };
-                let (dataset, trace) = &spec.traces[*t];
-                let names: Vec<&str> = spec.algorithms[algos.clone()]
-                    .iter()
-                    .map(String::as_str)
-                    .collect();
-                let start = std::time::Instant::now();
-                match simulate_named_many(&names, trace, &spec.config) {
-                    Ok(batch) => {
-                        // Records carry the registry name they were requested
-                        // under, not the policy's display name.
-                        let produced: Vec<(usize, crate::engine::SimResult)> = batch
-                            .into_iter()
-                            .enumerate()
-                            .filter_map(|(j, r)| r.map(|r| (j, r)))
-                            .collect();
-                        let status = if produced.is_empty() {
-                            JobStatus::SkippedMinObjects
-                        } else {
-                            JobStatus::Completed
-                        };
-                        let sim_micros = start.elapsed().as_micros() as u64
-                            / produced.len().max(1) as u64;
-                        let mut guard = results.lock().unwrap_or_else(|e| e.into_inner());
-                        for (j, r) in produced {
-                            guard.push(SweepRecord {
-                                dataset: dataset.clone(),
-                                trace: trace.name.clone(),
-                                algorithm: names[j].to_string(),
-                                capacity: r.capacity,
-                                miss_ratio: r.miss_ratio,
-                                byte_miss_ratio: r.byte_miss_ratio,
-                                one_hit_eviction_fraction: r.one_hit_eviction_fraction,
-                                sim_micros,
-                            });
-                        }
-                        drop(guard);
-                        statuses.lock().unwrap_or_else(|e| e.into_inner())[i] = status;
-                    }
-                    Err(e) => {
-                        first_error
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .get_or_insert(e);
-                        abort.store(true, Ordering::Relaxed);
+            scope.spawn(|| {
+                while !abort.load(Ordering::Relaxed) {
+                    let Some(&(t, names)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) else {
                         break;
+                    };
+                    let (dataset, trace) = &spec.traces[t];
+                    let job = run_job(dataset, trace, names, &spec.config);
+                    let mut outcome = outcome.lock().unwrap_or_else(|e| e.into_inner());
+                    match (&mut *outcome, job) {
+                        (Ok(records), Ok(more)) => records.extend(more),
+                        (Ok(_), Err(e)) => {
+                            *outcome = Err(e);
+                            abort.store(true, Ordering::Relaxed);
+                        }
+                        (Err(_), _) => {}
                     }
                 }
             });
         }
     });
 
-    if let Some(e) = first_error
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-    {
-        return Err(e);
-    }
-    let mut out = results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
+    let mut out = outcome.into_inner().unwrap_or_else(|e| e.into_inner())?;
     // Deterministic order regardless of worker interleaving.
     out.sort_by(|x, y| {
         (&x.dataset, &x.trace, &x.algorithm).cmp(&(&y.dataset, &y.trace, &y.algorithm))
     });
-    let statuses = statuses.into_inner().unwrap_or_else(|e| e.into_inner());
-    let reports: Vec<JobReport> = jobs
+    Ok(out)
+}
+
+/// One work unit: `names` ganged over `trace` in a single pass. Empty when
+/// the `min_objects` rule excludes the configuration.
+fn run_job(
+    dataset: &str,
+    trace: &Trace,
+    names: &[String],
+    cfg: &SimConfig,
+) -> Result<Vec<SweepRecord>, CacheError> {
+    let Some(capacity) = cfg.admitted_capacity(trace) else {
+        return Ok(Vec::new());
+    };
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let start = std::time::Instant::now();
+    let replayed = Replay::on_trace(&names, trace, capacity)?
+        .ignore_size(cfg.ignore_size)
+        .run(trace);
+    let sim_micros = start.elapsed().as_micros() as u64 / replayed.len().max(1) as u64;
+    // Records carry the registry name they were requested under, not the
+    // policy's display name.
+    Ok(names
         .iter()
-        .zip(&statuses)
-        .map(|((t, algos), status)| JobReport {
-            trace: spec.traces[*t].1.name.clone(),
-            algorithms: spec.algorithms[algos.clone()].to_vec(),
-            status: *status,
+        .zip(replayed)
+        .map(|(name, (r, _))| SweepRecord {
+            dataset: dataset.to_string(),
+            trace: trace.name.clone(),
+            algorithm: name.to_string(),
+            capacity: r.capacity,
+            miss_ratio: r.miss_ratio,
+            byte_miss_ratio: r.byte_miss_ratio,
+            one_hit_eviction_fraction: r.one_hit_eviction_fraction,
+            sim_micros,
         })
-        .collect();
-    let aborted = statuses.contains(&JobStatus::NotRun);
-    Ok(SweepOutcome {
-        records: out,
-        jobs: reports,
-        aborted,
-    })
+        .collect())
 }
 
 /// The paper's bounded miss-ratio-reduction metric (§5.1.2).
@@ -454,78 +337,13 @@ mod tests {
         assert!(format!("{err}").contains("NOT-AN-ALGORITHM"), "{err}");
     }
 
-    /// Satellite regression: an externally aborted sweep must say so —
-    /// unclaimed jobs come back `NotRun`, `aborted` is set, and the caller
-    /// can tell partial coverage from a clean (possibly empty) run.
+    /// The paper's `min_objects` exclusion yields no records and no error.
     #[test]
-    // ORDERING: Relaxed — the abort flag is advisory; no data is published
-    // through it, and the outcome is read after run_sweep_with_abort returns.
-    fn aborted_sweep_is_marked_not_silently_partial() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let traces: Vec<Trace> = (0..4)
-            .map(|i| WorkloadSpec::zipf(format!("t{i}"), 2000, 200, 1.0, i as u64).generate())
-            .collect();
-        let spec = SweepSpec {
-            traces: traces.iter().map(|t| ("d".to_string(), t)).collect(),
-            algorithms: vec!["FIFO".into(), "LRU".into()],
-            config: SimConfig::large(),
-            threads: 1,
-        };
-        // 4 traces × 1 gang chunk = 4 jobs. Single worker; the abort check
-        // runs once before each claim, so returning true from the third
-        // check lets exactly two jobs through.
-        let checks = AtomicUsize::new(0);
-        let outcome = run_sweep_with_abort(&spec, &|| {
-            checks.fetch_add(1, Ordering::Relaxed) >= 2
-        })
-        .unwrap();
-
-        assert!(outcome.aborted, "partial sweep must be flagged");
-        assert!(!outcome.is_complete());
-        assert_eq!(outcome.jobs.len(), 4);
-        let completed = outcome
-            .jobs
-            .iter()
-            .filter(|j| j.status == JobStatus::Completed)
-            .count();
-        let not_run: Vec<&JobReport> = outcome.not_run().collect();
-        assert_eq!(completed, 2, "{:?}", outcome.jobs);
-        assert_eq!(not_run.len(), 2);
-        // Records exist only for completed jobs: missing != zero.
-        assert_eq!(outcome.records.len(), completed * 2);
-        for j in &not_run {
-            assert!(
-                !outcome.records.iter().any(|r| r.trace == j.trace),
-                "NotRun job {j:?} must not have records"
-            );
-        }
-    }
-
-    #[test]
-    fn unaborted_sweep_reports_all_jobs_run() {
-        let t1 = WorkloadSpec::zipf("t1", 2000, 200, 1.0, 1).generate();
-        let spec = SweepSpec {
-            traces: vec![("d1".into(), &t1)],
-            algorithms: vec!["FIFO".into(), "LRU".into(), "S3-FIFO".into()],
-            config: SimConfig::large(),
-            threads: 2,
-        };
-        let outcome = run_sweep_with_abort(&spec, &|| false).unwrap();
-        assert!(outcome.is_complete());
-        assert_eq!(outcome.not_run().count(), 0);
-        assert!(outcome
-            .jobs
-            .iter()
-            .all(|j| j.status == JobStatus::Completed));
-        assert_eq!(outcome.records.len(), 3);
-    }
-
-    #[test]
-    fn min_objects_skip_is_distinguished_from_abort() {
+    fn min_objects_skip_yields_no_records() {
         let t1 = WorkloadSpec::zipf("tiny", 2000, 100, 1.0, 9).generate();
         let spec = SweepSpec {
             traces: vec![("d1".into(), &t1)],
-            algorithms: vec!["FIFO".into()],
+            algorithms: vec!["FIFO".into(), "LRU".into()],
             config: SimConfig {
                 size: crate::engine::CacheSizeSpec::FractionOfObjects(0.001),
                 ignore_size: true,
@@ -534,13 +352,7 @@ mod tests {
             },
             threads: 1,
         };
-        let outcome = run_sweep_with_abort(&spec, &|| false).unwrap();
-        // The job *ran*; the paper's exclusion rule dropped it. That is not
-        // an abort and not a missing job.
-        assert!(outcome.is_complete());
-        assert_eq!(outcome.jobs.len(), 1);
-        assert_eq!(outcome.jobs[0].status, JobStatus::SkippedMinObjects);
-        assert!(outcome.records.is_empty());
+        assert!(run_sweep(&spec).unwrap().is_empty());
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! The dense-ID policies (`cache_policies::dense`) must be *decision
 //! identical* to their keyed siblings: same misses, same evictions, same
 //! miss ratios, bit for bit. Every registry algorithm is replayed through
-//! both `simulate_named` (auto-dense with keyed fallback) and
-//! `simulate_named_keyed` (forced keyed) across three workload shapes.
+//! both `simulate_named` (auto-dense with keyed fallback) and a [`Replay`]
+//! over the registry's keyed policy (forced keyed) across three workload
+//! shapes.
 
 use cache_policies::registry::ALL_ALGORITHMS;
-use cache_sim::{simulate_named, simulate_named_keyed, CacheSizeSpec, SimConfig};
+use cache_sim::{simulate_named, CacheSizeSpec, Replay, SimConfig};
 use cache_trace::gen::{SizeModel, WorkloadSpec};
 use cache_trace::Trace;
 
@@ -46,9 +47,13 @@ fn assert_equivalent(name: &str, trace: &Trace, cfg: &SimConfig) {
     let fast = simulate_named(name, trace, cfg)
         .unwrap_or_else(|e| panic!("{name} on {}: {e}", trace.name))
         .expect("no min_objects filter configured");
-    let reference = simulate_named_keyed(name, trace, cfg)
-        .unwrap_or_else(|e| panic!("{name} on {}: {e}", trace.name))
-        .expect("no min_objects filter configured");
+    let keyed =
+        cache_policies::registry::build(name, cfg.capacity_for(trace), Some(&trace.requests))
+            .unwrap_or_else(|e| panic!("{name} on {}: {e}", trace.name));
+    let (reference, _) = Replay::keyed(keyed)
+        .ignore_size(cfg.ignore_size)
+        .run(trace)
+        .remove(0);
 
     let ctx = format!(
         "{name} on {} (capacity {:?}, ignore_size={})",

@@ -1,0 +1,334 @@
+//! The replay matrix: one stream, every way `Replay` can be driven, one
+//! answer.
+//!
+//! Source {in memory, `.ctr` in chunks of 1 / 4096 / more than the trace}
+//! × engine {dense, the keyed policy of the same name, keyed-only `ARC`}
+//! × window {none, 777, `u64::MAX`} × trace {pure-get unit-size, mixed
+//! get/set/delete with sizes honoured and ignored}. Every cell must equal
+//! the in-memory unwindowed cell of its trace and name bit for bit, and
+//! every cell's series must equal the in-memory series of its window.
+
+use cache_ds::SplitMix64;
+use cache_policies::registry;
+use cache_sim::{Replay, Replayed};
+use cache_trace::ctr::{read_trace, write_trace, CtrReader};
+use cache_trace::gen::WorkloadSpec;
+use cache_trace::Trace;
+use cache_types::{Op, Request};
+use std::io::Cursor;
+
+const CAPACITY: u64 = 200;
+
+/// A trace as both sources see it: the `.ctr` bytes and their decoding
+/// (`.ctr` stores dense ids, so the in-memory side replays the decoded
+/// trace and both see the identical request stream).
+struct Fixture {
+    bytes: Vec<u8>,
+    decoded: Trace,
+    /// The header's id space: what a streamed dense policy is sized from.
+    id_space: u64,
+    ignore_size: bool,
+}
+
+fn fixture(trace: &Trace, ignore_size: bool) -> Fixture {
+    let (cursor, info) = write_trace(trace, Cursor::new(Vec::new())).expect("encode");
+    let bytes = cursor.into_inner();
+    let (decoded, _) = read_trace(&trace.name, Cursor::new(&bytes)).expect("decode");
+    Fixture {
+        bytes,
+        decoded,
+        id_space: info.id_space,
+        ignore_size,
+    }
+}
+
+/// Mixed get/set/delete with sizes 1..=100 — the shape that once exposed
+/// the window-boundary accounting bug of the dense path.
+fn mixed_trace(requests: usize, universe: u64, seed: u64) -> Trace {
+    let mut rng = SplitMix64::new(seed);
+    let reqs = (0..requests)
+        .map(|_| {
+            let id = rng.next_below(universe);
+            let op = match rng.next_below(10) {
+                0 => Op::Set,
+                1 => Op::Delete,
+                _ => Op::Get,
+            };
+            Request {
+                id,
+                size: 1 + rng.next_below(100) as u32,
+                op,
+                time: 0,
+            }
+        })
+        .collect();
+    Trace::new("mixed", reqs)
+}
+
+fn fixtures() -> Vec<Fixture> {
+    let pure = WorkloadSpec::zipf("pure", 9_000, 1_500, 1.0, 5).generate();
+    let mixed = mixed_trace(9_000, 1_500, 42);
+    vec![
+        fixture(&pure, true),
+        fixture(&mixed, true),
+        fixture(&mixed, false),
+    ]
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    Memory,
+    /// `.ctr` bytes, this many records per chunk.
+    Ctr(usize),
+}
+
+const SOURCES: [Source; 4] = [
+    Source::Memory,
+    Source::Ctr(1),
+    Source::Ctr(4096),
+    Source::Ctr(1 << 20),
+];
+
+/// Runs `replay` over the fixture from `source`.
+fn drive(mut replay: Replay<'_>, f: &Fixture, source: Source) -> Vec<Replayed> {
+    match source {
+        Source::Memory => replay.run(&f.decoded),
+        Source::Ctr(chunk) => {
+            let mut reader = CtrReader::open(Cursor::new(&f.bytes)).expect("open");
+            replay.feed_ctr(&mut reader, chunk).expect("stream");
+            replay.finish(&f.decoded.name)
+        }
+    }
+}
+
+fn settings<'p>(replay: Replay<'p>, f: &Fixture, window: Option<u64>) -> Replay<'p> {
+    let replay = replay.ignore_size(f.ignore_size);
+    match window {
+        Some(w) => replay.window(w),
+        None => replay,
+    }
+}
+
+/// The registry's choice for `names` (dense where it has one).
+fn by_name(names: &[&str], f: &Fixture, source: Source, window: Option<u64>) -> Vec<Replayed> {
+    let replay = match source {
+        Source::Memory => Replay::on_trace(names, &f.decoded, CAPACITY),
+        Source::Ctr(_) => Replay::on_dense_ids(names, f.id_space, CAPACITY),
+    };
+    drive(settings(replay.expect("known names"), f, window), f, source)
+}
+
+/// A dense policy the caller built, rather than the registry's choice.
+fn own_dense(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Replayed {
+    let policy = registry::build_dense_domain(name, CAPACITY, f.id_space as usize)
+        .expect("known name")
+        .expect("dense-capable");
+    drive(settings(Replay::dense(policy), f, window), f, source).remove(0)
+}
+
+/// The keyed policy of `name`, whether or not a dense twin exists.
+fn forced_keyed(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Replayed {
+    let policy = registry::build(name, CAPACITY, None).expect("known name");
+    drive(settings(Replay::keyed(policy), f, window), f, source).remove(0)
+}
+
+fn assert_same_result(got: &Replayed, want: &Replayed, ctx: &str) {
+    let (g, w) = (&got.0, &want.0);
+    assert_eq!(g.algorithm, w.algorithm, "{ctx}: algorithm");
+    assert_eq!(g.capacity, w.capacity, "{ctx}: capacity");
+    assert_eq!(g.requests, w.requests, "{ctx}: requests");
+    assert_eq!(g.misses, w.misses, "{ctx}: misses");
+    assert_eq!(g.evictions, w.evictions, "{ctx}: evictions");
+    assert_eq!(
+        g.miss_ratio.to_bits(),
+        w.miss_ratio.to_bits(),
+        "{ctx}: miss ratio"
+    );
+    assert_eq!(
+        g.byte_miss_ratio.to_bits(),
+        w.byte_miss_ratio.to_bits(),
+        "{ctx}: byte miss ratio"
+    );
+    assert_eq!(
+        g.one_hit_eviction_fraction.to_bits(),
+        w.one_hit_eviction_fraction.to_bits(),
+        "{ctx}: one-hit fraction"
+    );
+    // Buckets, count, exact sum, min and max: eviction ages only survive
+    // chunking if indices are rebased to the stream.
+    assert_eq!(
+        format!("{:?}", g.freq_at_eviction),
+        format!("{:?}", w.freq_at_eviction),
+        "{ctx}: frequency histogram"
+    );
+    assert_eq!(
+        format!("{:?}", g.eviction_age),
+        format!("{:?}", w.eviction_age),
+        "{ctx}: eviction-age histogram"
+    );
+}
+
+/// [`assert_same_result`], and the same series window for window.
+fn assert_same(got: &Replayed, want: &Replayed, ctx: &str) {
+    assert_same_result(got, want, ctx);
+    match (&got.1, &want.1) {
+        (Some(g), Some(w)) => assert_eq!(g.points(), w.points(), "{ctx}: series"),
+        (None, None) => {}
+        _ => panic!("{ctx}: one side kept a series and the other did not"),
+    }
+}
+
+#[test]
+fn every_cell_equals_the_in_memory_unwindowed_cell() {
+    for f in fixtures() {
+        for name in ["S3-FIFO", "LRU", "ARC"] {
+            let trace = format!("{} ignore_size={} {name}", f.decoded.name, f.ignore_size);
+            let reference = by_name(&[name], &f, Source::Memory, None).remove(0);
+            assert!(
+                reference.0.evictions > 0 && reference.0.misses > 0,
+                "{trace}: vacuous"
+            );
+            for window in [None, Some(777), Some(u64::MAX)] {
+                // The series every cell of this window must reproduce: the
+                // keyed policy in memory records it read by read.
+                let series = forced_keyed(name, &f, Source::Memory, window);
+                for source in SOURCES {
+                    let ctx = format!("{trace} {source:?} window={window:?}");
+                    let mut cells = vec![
+                        ("registry", by_name(&[name], &f, source, window).remove(0)),
+                        ("forced keyed", forced_keyed(name, &f, source, window)),
+                    ];
+                    if name != "ARC" {
+                        cells.push(("own dense", own_dense(name, &f, source, window)));
+                    }
+                    for (engine, cell) in &cells {
+                        assert_same_result(cell, &reference, &format!("{ctx} {engine}"));
+                        assert_same(cell, &series, &format!("{ctx} {engine}"));
+                    }
+                }
+                if let Some(s) = &series.1 {
+                    assert_eq!(
+                        s.total_requests(),
+                        reference.0.requests,
+                        "{trace}: window sums"
+                    );
+                    assert_eq!(s.total_misses(), reference.0.misses, "{trace}: window sums");
+                    let windows = if window == Some(777) {
+                        reference.0.requests.div_ceil(777)
+                    } else {
+                        1
+                    };
+                    assert_eq!(s.points().len() as u64, windows, "{trace}: window count");
+                }
+            }
+        }
+    }
+}
+
+/// Windows count reads, so on a mixed trace they end at different requests
+/// than chunks do; every residue of length against window against chunk,
+/// including the degenerate window and chunk of 1.
+#[test]
+fn window_and_chunk_boundaries_never_meet_by_luck() {
+    for len in [1usize, 99, 100, 101, 1000, 1024] {
+        let f = fixture(&mixed_trace(len, 200, len as u64), true);
+        for window in [1u64, 7, 100, 128] {
+            let want = forced_keyed("S3-FIFO", &f, Source::Memory, Some(window));
+            for source in [
+                Source::Memory,
+                Source::Ctr(1),
+                Source::Ctr(13),
+                Source::Ctr(100),
+            ] {
+                let got = by_name(&["S3-FIFO"], &f, source, Some(window)).remove(0);
+                assert_same(
+                    &got,
+                    &want,
+                    &format!("len={len} window={window} {source:?}"),
+                );
+            }
+        }
+    }
+}
+
+/// A gang is its solo runs, in input order, whatever mix of dense and keyed
+/// policies shares the per-request loop. Windowed gangs are legal and
+/// counted the same.
+#[test]
+fn a_gang_equals_its_solo_runs() {
+    for f in fixtures() {
+        for names in [
+            &["S3-FIFO", "FIFO", "ARC", "LRU"][..],
+            &["ARC", "S3-FIFO", "LIRS"],
+        ] {
+            for window in [None, Some(777)] {
+                for source in [Source::Memory, Source::Ctr(4096)] {
+                    let gang = by_name(names, &f, source, window);
+                    assert_eq!(gang.len(), names.len());
+                    for (name, got) in names.iter().zip(&gang) {
+                        let solo = by_name(&[name], &f, Source::Memory, window).remove(0);
+                        let ctx = format!(
+                            "{names:?} {name} {source:?} window={window:?} ignore_size={}",
+                            f.ignore_size
+                        );
+                        assert_same(got, &solo, &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_partially_consumed_reader_replays_from_record_zero() {
+    let f = &fixtures()[1];
+    let want = by_name(&["S3-FIFO"], f, Source::Memory, Some(777)).remove(0);
+    let mut reader = CtrReader::open(Cursor::new(&f.bytes)).expect("open");
+    let mut scratch = Vec::new();
+    reader.read_chunk(&mut scratch, 123).expect("read");
+    let mut replay = Replay::on_dense_ids(&["S3-FIFO"], f.id_space, CAPACITY)
+        .expect("known name")
+        .ignore_size(true)
+        .window(777);
+    replay.feed_ctr(&mut reader, 1000).expect("stream");
+    assert_same(&replay.finish("mixed").remove(0), &want, "rewound reader");
+}
+
+/// The file front door is the same replay: `replay_ctr_path` over the
+/// bytes on disk equals the in-memory windowed cell.
+#[test]
+fn the_path_front_door_equals_the_in_memory_cell() {
+    let f = &fixtures()[2];
+    let path = std::env::temp_dir().join(format!("replay_matrix_{}.ctr", std::process::id()));
+    std::fs::write(&path, &f.bytes).expect("write");
+    let got = cache_sim::replay_ctr_path("LRU", &path, "mixed", CAPACITY, false, 777, 1000);
+    std::fs::remove_file(&path).expect("remove");
+    let got = got.expect("replay");
+    assert_eq!((got.records, got.chunk_records), (9_000, 1000));
+    let want = by_name(&["LRU"], f, Source::Memory, Some(777)).remove(0);
+    assert_same(&(got.result, Some(got.series)), &want, "replay_ctr_path");
+}
+
+/// Trace buffers are bounded by the chunk, not the trace.
+#[test]
+fn buffers_stay_bounded_by_chunk_size() {
+    let trace = WorkloadSpec::zipf("bounded", 30_000, 3000, 1.0, 3).generate();
+    let f = fixture(&trace, true);
+    let chunk = 256usize;
+    let mut reader = CtrReader::open(Cursor::new(&f.bytes)).expect("open");
+    let mut replay = Replay::on_dense_ids(&["S3-FIFO"], f.id_space, 300).expect("known name");
+    let peak = replay.feed_ctr(&mut reader, chunk).expect("stream");
+    assert_eq!(replay.finish("bounded")[0].0.requests, 30_000);
+    // Raw bytes + decoded requests + slots for one chunk, with slack for
+    // Vec growth — nowhere near the 30k-request trace itself.
+    let bound = (chunk * (16 + std::mem::size_of::<Request>() + 4) * 2) as u64;
+    assert!(
+        peak <= bound,
+        "peak {peak} exceeds chunk-proportional bound {bound}"
+    );
+}
+
+#[test]
+fn belady_cannot_stream() {
+    assert!(Replay::on_dense_ids(&["Belady"], 100, 50).is_err());
+}
