@@ -16,10 +16,9 @@ echo "== cargo build --release --workspace =="
 # cache_loadgen) this script runs below.
 cargo build --release --offline --workspace
 
-echo "== cargo test -q =="
-cargo test -q --offline
-
 echo "== cargo test -q --workspace =="
+# The root manifest is a member of its own workspace, so this runs the root
+# package's tests too.
 cargo test -q --workspace --offline
 
 echo "== benchmark: frozen surface + smoke ledger =="

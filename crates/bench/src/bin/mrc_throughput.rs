@@ -5,9 +5,9 @@
 //! FIFO-family policy. For each policy the *baseline* replays the trace
 //! once per grid point through `simulate_named` (what `miss_ratio_curve`
 //! does today); the *mrc* path computes the whole grid in ~one pass via
-//! `simulate_mrc` (exact insertion-index engine for FIFO, interleaved
-//! ganged lanes for the rest). Every grid point is asserted bit-identical
-//! across the two paths before any number is timed.
+//! `simulate_mrc` (exact insertion-index engine for FIFO, turbo lanes —
+//! label `ganged` — for the rest). Every grid point is asserted
+//! bit-identical across the two paths before any number is timed.
 //!
 //! Results go to stdout as a table and to a JSON file (repo root
 //! `BENCH_mrc.json` by default). The acceptance numbers live in
@@ -30,7 +30,7 @@ use std::time::Instant;
 
 /// The FIFO-family policies with a multi-capacity engine. FIFO routes to
 /// the exact insertion-index engine on this pure-`Get` unit-size trace;
-/// the rest go through the ganged lanes.
+/// the rest go through the turbo lanes.
 const POLICIES: &[&str] = &["FIFO", "CLOCK", "CLOCK-2bit", "SIEVE", "S3-FIFO"];
 
 fn env_u64(key: &str, default: u64) -> u64 {

@@ -6,8 +6,9 @@
 //!    capacities {1, 2, 3, 7, 50} × {unit-size, sized}, ≥ 10 000 generated
 //!    requests per algorithm/mode pair, reference vs keyed vs dense
 //!    compared after every request. Divergences are shrunk before printing.
-//! 2. **MRC differential** — every FIFO-family multi-capacity engine ×
-//!    degenerate and regular grids × {pure-Get unit, mixed unit, sized},
+//! 2. **MRC differential** — `simulate_mrc` for every FIFO-family
+//!    algorithm × degenerate and regular grids × {pure-Get unit (the
+//!    single-pass engines), mixed unit, sized (the per-capacity route)},
 //!    each grid point diffed bit-for-bit against a per-capacity reference
 //!    replay, with ddmin shrinking on mismatch.
 //! 3. **Invariant observer sweep** — every registry algorithm replayed over
@@ -74,8 +75,10 @@ fn phase_differential() -> Result<(), String> {
 
 fn phase_mrc() -> Result<(), String> {
     // Three stream shapes: pure-Get unit sizes (drives FIFO through the
-    // exact insertion-index engine), unit sizes with writes, and sized with
-    // writes (both drive the ganged lanes).
+    // exact insertion-index engine and the rest through the turbo lanes),
+    // unit sizes with writes, and sized with writes (no single-pass engine
+    // takes those: both pin `simulate_mrc`'s per-capacity route against the
+    // reference interpreters).
     let modes = [
         ("pure-get-unit", 1u32, 0u64, true),
         ("mixed-unit", 1, 10, true),

@@ -1,13 +1,15 @@
-//! Differential checking for the single-pass MRC engines.
+//! Differential checking for miss-ratio curves.
 //!
 //! [`cache_sim::simulate_mrc`] promises that every grid point of a
 //! multi-capacity run is *bit-identical* to replaying a single-capacity
-//! cache at that point. This module enforces the promise against the
-//! obviously-correct reference interpreters ([`crate::reference`]): one
-//! MRC run per generated trace, one reference replay per grid point, full
-//! counter comparison — and ddmin shrinking of the whole trace when any
-//! point disagrees (the failing unit is a *grid point*, not a request
-//! index, so the shrinker re-judges whole candidate traces).
+//! cache at that point, whichever route — single-pass engine or one replay
+//! per capacity — the stream takes. This module enforces the promise
+//! against the obviously-correct reference interpreters
+//! ([`crate::reference`]): one MRC run per generated trace, one reference
+//! replay per grid point, full counter comparison — and ddmin shrinking of
+//! the whole trace when any point disagrees (the failing unit is a *grid
+//! point*, not a request index, so the shrinker re-judges whole candidate
+//! traces).
 
 use crate::fuzz::{generate_trace, shrink_with, FuzzConfig};
 use crate::reference::reference_for;
@@ -206,14 +208,15 @@ mod tests {
 
     /// Every MRC algorithm × degenerate grid × {pure-Get unit, mixed unit,
     /// sized} agrees with the reference at every grid point. The pure-Get
-    /// unit mode drives FIFO through the exact insertion-index engine; the
-    /// mixed modes drive the ganged lanes.
+    /// unit mode drives FIFO through the exact insertion-index engine and
+    /// the rest through the turbo lanes; the mixed modes pin the
+    /// per-capacity route every other stream takes.
     #[test]
     fn mrc_engines_agree_with_reference() {
         let modes = [
-            (1u32, 0u64, true),  // unit sizes, pure Get → exact FIFO path
-            (1, 10, true),       // unit sizes with writes → ganged
-            (6, 10, false),      // sized with writes → ganged
+            (1u32, 0u64, true),  // unit sizes, pure Get → exact FIFO / turbo lanes
+            (1, 10, true),       // unit sizes with writes → per-capacity
+            (6, 10, false),      // sized with writes → per-capacity
         ];
         for name in MRC_ALGORITHMS {
             for grid in MRC_GRIDS {

@@ -21,10 +21,7 @@ mod s3fifo;
 mod simple;
 mod slab;
 
-pub use mrc::{
-    MrcClock, MrcExactFifo, MrcFifo, MrcS3Fifo, MrcSieve, MrcTurboClock, MrcTurboS3Fifo,
-    MrcTurboSieve, MultiCapacityPolicy, MAX_TURBO_LANES,
-};
+pub use mrc::{MrcExactFifo, MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve, MultiCapacityPolicy};
 pub use multi::{DenseSlru, DenseTwoQ};
 pub use s3fifo::DenseS3Fifo;
 pub use simple::{DenseClock, DenseFifo, DenseLru, DenseSieve};

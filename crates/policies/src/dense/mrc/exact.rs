@@ -11,12 +11,11 @@
 //!
 //! This is the place where CIPARSim's cache-intersection property is exact
 //! rather than approximate, which is why `simulate_mrc` routes eligible
-//! FIFO curves here and everything else to the ganged lanes in
-//! [`super::gang`].
+//! FIFO curves here whatever the width of the grid.
 
-use super::{impl_mrc_replay_pure_get, validate_grid, MultiCapacityPolicy};
+use super::{impl_slot_replay, validate_grid, MultiCapacityPolicy};
 use cache_ds::DenseIds;
-use cache_types::{CacheError, Op, PolicyStats, Request};
+use cache_types::{CacheError, PolicyStats};
 use std::sync::Arc;
 
 /// Exact multi-capacity FIFO over pure-`Get` unit-size streams.
@@ -26,8 +25,8 @@ use std::sync::Arc;
 /// property test in `crates/sim/tests/mrc_equivalence.rs` and the MRC
 /// differential in `cache-check` pin this.
 ///
-/// Preconditions (checked with `debug_assert!` here, enforced by the
-/// `simulate_mrc` routing): every request is a `Get` of size 1, and the
+/// Preconditions (enforced by the `simulate_mrc` routing, which is why
+/// `replay` takes slots alone): every request is a `Get` of size 1, and the
 /// trace has fewer than `u32::MAX` requests (insertion indices are stored
 /// as `u32` per `(slot, lane)` to keep the hit path row one cache line
 /// wide for typical grids).
@@ -69,7 +68,7 @@ impl MrcExactFifo {
     }
 
     /// One request's worth of work — the slot is all a pure-`Get`
-    /// unit-size request carries (see `impl_mrc_replay_pure_get`).
+    /// unit-size request carries.
     #[inline]
     fn step(&mut self, slot: u32) {
         self.gets += 1;
@@ -98,23 +97,9 @@ impl MrcExactFifo {
             self.thresh[lane] = n.saturating_sub(self.caps[lane]) as u32;
         }
     }
-}
 
-impl MultiCapacityPolicy for MrcExactFifo {
-    fn name(&self) -> String {
-        "FIFO".into()
-    }
-
-    fn capacities(&self) -> &[u64] {
-        &self.caps
-    }
-
-    fn request_mrc(&mut self, slot: u32, req: &Request) {
-        debug_assert_eq!(req.op, Op::Get, "exact FIFO MRC requires pure-Get traces");
-        debug_assert_eq!(req.size, 1, "exact FIFO MRC requires unit sizes");
-        self.step(slot);
-    }
-
+    /// Warms the slot's row for a request arriving shortly.
+    #[inline]
     fn prefetch(&self, slot: u32) {
         // A k-lane row spans ceil(k/16) cache lines (u32 indices); warm
         // them all, not just the first.
@@ -124,6 +109,12 @@ impl MultiCapacityPolicy for MrcExactFifo {
             cache_ds::prefetch_read(&self.ins, base + off);
             off += 16;
         }
+    }
+}
+
+impl MultiCapacityPolicy for MrcExactFifo {
+    fn name(&self) -> String {
+        "FIFO".into()
     }
 
     fn lane_stats(&self) -> Vec<PolicyStats> {
@@ -166,14 +157,14 @@ impl MultiCapacityPolicy for MrcExactFifo {
         Ok(())
     }
 
-    impl_mrc_replay_pure_get!();
+    impl_slot_replay!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::super::DenseFifo;
     use super::*;
-    use cache_types::DensePolicy;
+    use cache_types::{DensePolicy, Op, Request};
 
     fn get(id: u64, time: u64) -> Request {
         Request {
@@ -209,7 +200,7 @@ mod tests {
         let caps = [1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89, 96, 200];
         let mut exact = MrcExactFifo::new(&caps, &ids).expect("valid grid");
         // Invariant: caps is non-empty and zero-free, so `new` cannot fail.
-        exact.replay(&slots, &reqs, true);
+        exact.replay(&slots);
         exact.validate().expect("exact FIFO invariants hold");
         // Invariant: validate only fails on an engine bug this test exists
         // to catch.
@@ -229,15 +220,14 @@ mod tests {
 
     #[test]
     fn duplicate_and_unsorted_grid_entries_are_independent_lanes() {
-        let (reqs, slots, ids) = workload(1500, 48);
+        let (_, slots, ids) = workload(1500, 48);
         let caps = [9u64, 3, 9, 1];
         let mut exact = MrcExactFifo::new(&caps, &ids).expect("valid grid");
         // Invariant: caps is non-empty and zero-free, so `new` cannot fail.
-        exact.replay(&slots, &reqs, true);
+        exact.replay(&slots);
         let lanes = exact.lane_stats();
         assert_eq!(lanes[0], lanes[2], "duplicate capacities agree");
         assert!(lanes[3].misses >= lanes[1].misses);
-        assert_eq!(exact.capacities(), &caps);
         assert_eq!(MultiCapacityPolicy::name(&exact), "FIFO");
     }
 

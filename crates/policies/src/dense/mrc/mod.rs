@@ -18,36 +18,32 @@
 //!   reference/visited state is *derived* at scan time, and array-backed
 //!   queues — hits touch one cache line for the whole grid (the `turbo`
 //!   module docs carry the derivation argument).
-//! - [`MrcFifo`], [`MrcClock`], [`MrcSieve`], and [`MrcS3Fifo`] gang one
-//!   *lane* per capacity through an interleaved state layout: all per-object
-//!   bytes for the whole capacity grid sit contiguously (`state[slot*k+lane]`),
-//!   so a `Get` that hits in every lane touches one or two cache lines total
-//!   instead of one resident [`super::slab::Slot`] line per capacity. Links
-//!   and sizes live in separate interleaved arrays touched only on the miss
-//!   and eviction paths. Each lane makes byte-for-byte the decisions of the
-//!   corresponding single-capacity dense policy ([`super::DenseFifo`], …);
-//!   `crates/sim/tests/mrc_equivalence.rs` and `cache-check`'s MRC
-//!   differential hold them bit-identical.
 //!
-//! The simulator front door is `cache_sim::mrc::simulate_mrc`, which picks
-//! the exact engine when its preconditions hold (FIFO, pure `Get`, unit
-//! sizes) and the ganged engines otherwise.
+//! Both are specialisations to a restricted stream, and that is where their
+//! speed comes from: a request carries nothing but its slot, so
+//! [`MultiCapacityPolicy::replay`] takes the `u32` slot sequence alone.
+//! There is no general single-pass engine for streams with writes, deletes
+//! or honoured sizes — one was measured and did not beat the per-capacity
+//! sweep once its per-(slot, lane) state fell out of cache (EXPERIMENTS.md,
+//! "what the linked lanes earned").
+//!
+//! The simulator front door is `cache_sim::mrc::simulate_mrc`, the one
+//! place that decides whether a stream qualifies (pure `Get`, unit sizes,
+//! fewer than `u32::MAX` requests); it asks [`crate::registry::build_mrc`]
+//! for the engine and replays everything else once per capacity.
 
 mod exact;
-mod gang;
-mod s3fifo;
 mod turbo;
 
 pub use exact::MrcExactFifo;
-pub use gang::{MrcClock, MrcFifo, MrcSieve};
-pub use s3fifo::MrcS3Fifo;
-pub use turbo::{MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve, MAX_TURBO_LANES};
+pub use turbo::{MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve};
 
-pub(crate) use gang::{LaneQueue, Lanes};
+pub(crate) use turbo::MAX_TURBO_LANES;
 
-use cache_types::{CacheError, PolicyStats, Request};
+use cache_types::{CacheError, PolicyStats};
 
-/// A policy simulated at many capacities simultaneously.
+/// A policy simulated at many capacities simultaneously, over a pure-`Get`
+/// unit-size stream.
 ///
 /// One instance owns a *lane* per entry of its capacity grid; every request
 /// is applied to all lanes, and each lane must make exactly the decisions
@@ -58,18 +54,13 @@ pub trait MultiCapacityPolicy {
     /// Human-readable algorithm name — matches the keyed/dense variant.
     fn name(&self) -> String;
 
-    /// The capacity grid, in construction order (one lane per entry).
-    fn capacities(&self) -> &[u64];
+    /// Replays a whole interned stream, given as its slot sequence, through
+    /// every lane. The caller guarantees what the engines cannot see from
+    /// slots alone: every request is a `Get` replayed at size 1, and there
+    /// are fewer than `u32::MAX` of them (per-slot counters are `u32`).
+    fn replay(&mut self, slots: &[u32]);
 
-    /// Processes one request whose object was interned at `slot`, updating
-    /// every lane.
-    fn request_mrc(&mut self, slot: u32, req: &Request);
-
-    /// Warms the per-slot state row for a request arriving shortly (pure
-    /// prefetch hint, like [`cache_types::DensePolicy::prefetch`]).
-    fn prefetch(&self, _slot: u32) {}
-
-    /// Per-lane statistics, parallel to [`MultiCapacityPolicy::capacities`].
+    /// Per-lane statistics, in grid order.
     fn lane_stats(&self) -> Vec<PolicyStats>;
 
     /// Checks structural invariants across all lanes (test/verification
@@ -80,29 +71,6 @@ pub trait MultiCapacityPolicy {
     /// Returns a human-readable description of the violated invariant.
     fn validate(&self) -> Result<(), String> {
         Ok(())
-    }
-
-    /// Replays a whole interned request stream through every lane.
-    ///
-    /// The default loops through [`MultiCapacityPolicy::request_mrc`] behind
-    /// dynamic dispatch; concrete engines override it with a monomorphized
-    /// [`mrc_replay_loop`] so the per-request path inlines. With
-    /// `ignore_size`, requests are replayed at size 1 without materializing
-    /// a copy of the trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `slots` and `requests` have different lengths.
-    fn replay(&mut self, slots: &[u32], requests: &[Request], ignore_size: bool) {
-        assert_eq!(slots.len(), requests.len(), "slot/request length mismatch");
-        for (&slot, r) in slots.iter().zip(requests.iter()) {
-            let req = if ignore_size {
-                Request { size: 1, ..(*r) }
-            } else {
-                *r
-            };
-            self.request_mrc(slot, &req);
-        }
     }
 }
 
@@ -121,73 +89,12 @@ pub(crate) fn validate_grid(capacities: &[u64]) -> Result<(), CacheError> {
     Ok(())
 }
 
-/// The monomorphized replay loop every engine's
-/// [`MultiCapacityPolicy::replay`] override delegates to — same shape and
-/// lookahead as [`super::replay_loop`], minus eviction records (curve
-/// points need only the per-lane counters).
-#[inline]
-pub(crate) fn mrc_replay_loop<P: MultiCapacityPolicy>(
-    policy: &mut P,
-    slots: &[u32],
-    requests: &[Request],
-    ignore_size: bool,
-) {
-    assert_eq!(slots.len(), requests.len(), "slot/request length mismatch");
-    for (i, (&slot, r)) in slots.iter().zip(requests.iter()).enumerate() {
-        if let Some(&ahead) = slots.get(i + super::LOOKAHEAD) {
-            policy.prefetch(ahead);
-        }
-        let req = if ignore_size {
-            Request { size: 1, ..(*r) }
-        } else {
-            *r
-        };
-        policy.request_mrc(slot, &req);
-    }
-}
-
-/// Implements [`MultiCapacityPolicy::replay`] as a monomorphized
-/// [`mrc_replay_loop`] call; used inside each engine's trait impl.
-macro_rules! impl_mrc_replay {
+/// Implements [`MultiCapacityPolicy::replay`] over the engine's inherent
+/// `step(slot)` and `prefetch(slot)`, so the per-request path inlines and
+/// the hot loop streams `u32`s only.
+macro_rules! impl_slot_replay {
     () => {
-        fn replay(
-            &mut self,
-            slots: &[u32],
-            requests: &[cache_types::Request],
-            ignore_size: bool,
-        ) {
-            crate::dense::mrc::mrc_replay_loop(self, slots, requests, ignore_size);
-        }
-    };
-}
-pub(crate) use impl_mrc_replay;
-
-/// Implements [`MultiCapacityPolicy::replay`] for the pure-`Get` engines
-/// (exact FIFO and the turbo lanes): on the streams they accept, a request
-/// carries no information beyond its slot, so the hot loop streams the
-/// `u32` slot sequence only — no per-request `Request` copy, no op/size
-/// dispatch. The stream preconditions (every request a `Get`, unit sizes
-/// unless `ignore_size`) are enforced by the `simulate_mrc` routing and
-/// debug-checked wholesale here; the engine's inherent `step(slot)` must
-/// match its `request_mrc` body.
-macro_rules! impl_mrc_replay_pure_get {
-    () => {
-        fn replay(
-            &mut self,
-            slots: &[u32],
-            requests: &[cache_types::Request],
-            ignore_size: bool,
-        ) {
-            assert_eq!(slots.len(), requests.len(), "slot/request length mismatch");
-            debug_assert!(
-                requests.iter().all(|r| r.op == cache_types::Op::Get),
-                "pure-Get MRC engine replayed with writes"
-            );
-            debug_assert!(
-                ignore_size || requests.iter().all(|r| r.size == 1),
-                "pure-Get MRC engine replayed with honored non-unit sizes"
-            );
-            let _ = ignore_size;
+        fn replay(&mut self, slots: &[u32]) {
             for (i, &slot) in slots.iter().enumerate() {
                 if let Some(&ahead) = slots.get(i + crate::dense::mrc::PURE_GET_LOOKAHEAD) {
                     self.prefetch(ahead);
@@ -197,7 +104,7 @@ macro_rules! impl_mrc_replay_pure_get {
         }
     };
 }
-pub(crate) use impl_mrc_replay_pure_get;
+pub(crate) use impl_slot_replay;
 
 /// Prefetch distance for the pure-`Get` replay loop. Deeper than the
 /// general [`super::LOOKAHEAD`]: these engines' per-request work is a

@@ -57,10 +57,7 @@ pub(crate) mod util;
 pub use arc::Arc;
 pub use belady::Belady;
 pub use dense::{DenseClock, DenseFifo, DenseLru, DenseS3Fifo, DenseSieve, DenseSlru, DenseTwoQ};
-pub use dense::{
-    MrcClock, MrcExactFifo, MrcFifo, MrcS3Fifo, MrcSieve, MrcTurboClock, MrcTurboS3Fifo,
-    MrcTurboSieve, MultiCapacityPolicy, MAX_TURBO_LANES,
-};
+pub use dense::{MrcExactFifo, MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve, MultiCapacityPolicy};
 pub use blru::BloomLru;
 pub use cacheus::Cacheus;
 pub use clock::Clock;

@@ -234,18 +234,20 @@ pub fn build_dense_domain(
     })
 }
 
-/// Builds the multi-capacity MRC engine for the named policy over a whole
-/// capacity grid, or `None` when the algorithm has no multi-capacity
-/// implementation (callers then fall back to a per-capacity sweep).
+/// Builds the single-pass multi-capacity MRC engine for the named policy
+/// over a whole capacity grid (see `cache_policies::dense::mrc`): the exact
+/// insertion-index engine for FIFO, the turbo lanes — bitmap residency and
+/// timestamp-derived reference state — for CLOCK, CLOCK-2bit, SIEVE, S3-FIFO
+/// and `"S3-FIFO(r)"`. `None` when the algorithm has no such engine or a
+/// turbo grid exceeds the 64 lanes one residency word holds; callers then
+/// replay once per capacity.
 ///
-/// Multi-capacity engines exist for the FIFO family: FIFO, CLOCK,
-/// CLOCK-2bit, SIEVE, S3-FIFO, and `"S3-FIFO(r)"`. Every lane is
-/// decision-identical to the single-capacity dense policy at that grid
-/// point (enforced by `crates/sim/tests/mrc_equivalence.rs` and the
-/// `cache-check` MRC differential). FIFO builds [`crate::MrcFifo`] here —
-/// the exact insertion-index engine ([`crate::MrcExactFifo`]) has stream
-/// preconditions only the simulator can check, so `simulate_mrc` constructs
-/// it directly.
+/// Every lane is decision-identical to the single-capacity dense policy at
+/// that grid point (enforced by `crates/sim/tests/mrc_equivalence.rs` and
+/// the `cache-check` MRC differential) — on the streams these engines take.
+/// The caller is responsible for that precondition (every request a `Get`
+/// replayed at size 1, fewer than `u32::MAX` requests): the engines replay
+/// slot sequences and cannot see it.
 ///
 /// # Errors
 ///
@@ -256,47 +258,11 @@ pub fn build_mrc(
     capacities: &[u64],
     ids: &std::sync::Arc<cache_ds::DenseIds>,
 ) -> Result<Option<Box<dyn crate::MultiCapacityPolicy>>, CacheError> {
-    use crate::dense::{MrcClock, MrcFifo, MrcS3Fifo, MrcSieve};
-    if let Some(ratio) = parse_param(name, "S3-FIFO") {
-        let cfg = S3FifoConfig {
-            small_ratio: ratio?,
-            ..Default::default()
-        };
-        return Ok(Some(Box::new(MrcS3Fifo::with_config(capacities, cfg, ids)?)));
+    use crate::dense::mrc::MAX_TURBO_LANES;
+    use crate::dense::{MrcExactFifo, MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve};
+    if name == "FIFO" {
+        return Ok(Some(Box::new(MrcExactFifo::new(capacities, ids)?)));
     }
-    Ok(match name {
-        "FIFO" => Some(Box::new(MrcFifo::new(capacities, ids)?)),
-        "CLOCK" => Some(Box::new(MrcClock::new(capacities, 1, ids)?)),
-        "CLOCK-2bit" => Some(Box::new(MrcClock::new(capacities, 2, ids)?)),
-        "SIEVE" => Some(Box::new(MrcSieve::new(capacities, ids)?)),
-        "S3-FIFO" => Some(Box::new(MrcS3Fifo::new(capacities, ids)?)),
-        _ => None,
-    })
-}
-
-/// Builds the *turbo* multi-capacity MRC engine for the named policy — the
-/// pure-`Get` unit-size specialisation with bitmap residency and
-/// timestamp-derived reference state (see `cache_policies::dense::mrc`'s
-/// turbo module). `None` when the algorithm has no turbo lane or the grid
-/// exceeds [`crate::MAX_TURBO_LANES`] points; callers then fall back to
-/// [`build_mrc`]. FIFO is also `None`: under the same stream preconditions
-/// `simulate_mrc` routes it to the exact insertion-index engine, which is
-/// strictly cheaper.
-///
-/// The caller is responsible for the stream preconditions (every request a
-/// `Get`, sizes ignored, fewer than `u32::MAX` requests); the engines
-/// `debug_assert!` them per request.
-///
-/// # Errors
-///
-/// Returns [`CacheError`] for an invalid grid or embedded parameter. An
-/// *unknown* name is `Ok(None)`, mirroring [`build_dense`].
-pub fn build_mrc_turbo(
-    name: &str,
-    capacities: &[u64],
-    ids: &std::sync::Arc<cache_ds::DenseIds>,
-) -> Result<Option<Box<dyn crate::MultiCapacityPolicy>>, CacheError> {
-    use crate::dense::{MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve, MAX_TURBO_LANES};
     if capacities.len() > MAX_TURBO_LANES {
         return Ok(None);
     }

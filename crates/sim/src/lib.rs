@@ -15,9 +15,9 @@
 //!   scoped-thread worker pool and aggregates the paper's
 //!   miss-ratio-reduction percentiles (Figs. 6, 7, 11).
 //! - [`mrc`] computes miss-ratio curves; [`simulate_mrc`] runs the whole
-//!   capacity grid in ~one trace pass for the FIFO family (exact
-//!   insertion-index FIFO, interleaved ganged lanes for the rest),
-//!   bit-identical to the per-capacity sweep.
+//!   capacity grid in ~one trace pass for the FIFO family on pure-`Get`
+//!   unit-size streams (exact insertion-index FIFO, turbo lanes for the
+//!   rest), bit-identical to the per-capacity sweep it uses otherwise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

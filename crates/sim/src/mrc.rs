@@ -5,17 +5,17 @@
 //! optimum"), but "the miss ratio curves of scan-heavy workloads are often
 //! not convex". This module computes MRCs through one front door:
 //!
-//! - [`simulate_mrc`]: works for every registry algorithm, and uses the
-//!   single-pass multi-capacity engines (`cache_policies::dense::mrc`) for
-//!   the FIFO family — the whole grid in ~one trace pass, bit-identical to
-//!   the per-capacity sweep. On pure-`Get` unit-size traces, FIFO routes
-//!   to the exact insertion-index engine ([`MrcEngine::ExactFifo`]) and
-//!   CLOCK / CLOCK-2bit / SIEVE /
-//!   S3-FIFO (grids of ≤ 64 points) to the turbo lanes — bitmap residency
-//!   plus timestamp-derived reference state ([`MrcEngine::Ganged`]).
-//!   Streams with writes or honored sizes use the general interleaved
-//!   linked-list lanes (also [`MrcEngine::Ganged`]); everything else falls
-//!   back to the per-capacity sweep ([`MrcEngine::PerCapacity`]).
+//! - [`simulate_mrc`]: works for every registry algorithm, two ways. A
+//!   pure-`Get` unit-size stream (every size ignored, or every size
+//!   already 1) goes to the single-pass multi-capacity engines
+//!   (`cache_policies::dense::mrc`) — the whole grid in ~one trace pass,
+//!   bit-identical to the per-capacity sweep: FIFO to the exact
+//!   insertion-index engine ([`MrcEngine::ExactFifo`]), CLOCK / CLOCK-2bit /
+//!   SIEVE / S3-FIFO on grids of ≤ 64 points to the turbo lanes — bitmap
+//!   residency plus timestamp-derived reference state
+//!   ([`MrcEngine::Ganged`]). Everything else — writes, deletes, honoured
+//!   non-unit sizes, a wider grid, any other algorithm — is one replay per
+//!   grid point ([`MrcEngine::PerCapacity`]).
 //! - [`miss_ratio_curve`]: the same, optionally on a SHARDS miniature of
 //!   the trace with the grid scaled to match, returned as a sorted curve.
 //!
@@ -81,14 +81,19 @@ impl MissRatioCurve {
 ///
 /// # Errors
 ///
-/// Everything [`simulate_mrc`] rejects: an unknown algorithm or an empty
-/// grid.
+/// A `sample_rate` outside `(0, 1]` (NaN included), and everything
+/// [`simulate_mrc`] rejects: an unknown algorithm or an empty grid.
 pub fn miss_ratio_curve(
     algorithm: &str,
     trace: &Trace,
     capacities: &[u64],
     sample_rate: f64,
 ) -> Result<MissRatioCurve, CacheError> {
+    if !(sample_rate > 0.0 && sample_rate <= 1.0) {
+        return Err(CacheError::InvalidParameter(format!(
+            "sample_rate must be in (0, 1], got {sample_rate}"
+        )));
+    }
     let sampled;
     let (sim_trace, scale) = if sample_rate < 1.0 {
         sampled = spatial_sample(trace, sample_rate, 0x5A17);
@@ -128,7 +133,7 @@ impl Default for MrcConfig {
 pub enum MrcEngine {
     /// Exact single-pass FIFO via per-capacity insertion indices.
     ExactFifo,
-    /// Interleaved ganged lanes, one per grid point, in one trace pass.
+    /// Turbo lanes, one per grid point, ganged through one trace pass.
     Ganged,
     /// Per-capacity sweep fallback (one full replay per grid point).
     PerCapacity,
@@ -211,13 +216,15 @@ impl MrcResult {
     }
 }
 
-/// True when the specialised pure-`Get` engines' stream preconditions hold
-/// for this run: the exact-FIFO arithmetic and the turbo lanes' derived
-/// reference state both require pure-`Get` unit-size streams, and both
-/// store per-slot counters as `u32`. The op scan is cached on the trace
+/// True when the single-pass engines' stream preconditions hold for this
+/// run — the one place they are checked: the exact-FIFO arithmetic and the
+/// turbo lanes' derived reference state both require a pure-`Get` stream
+/// replayed at size 1 (sizes ignored, or every size already 1), and both
+/// store per-slot counters as `u32`. The scan is cached on the trace
 /// ([`Trace::shape`]), so repeated curves pay it once.
 fn pure_get_stream(trace: &Trace, cfg: &MrcConfig) -> bool {
-    cfg.ignore_size && trace.len() < u32::MAX as usize && trace.shape().pure_get
+    let shape = trace.shape();
+    shape.pure_get && (cfg.ignore_size || shape.unit_size) && trace.len() < u32::MAX as usize
 }
 
 /// Computes the miss-ratio curve of `algorithm` on `trace` at every grid
@@ -248,46 +255,39 @@ pub fn simulate_mrc(
             "every grid capacity must be > 0".into(),
         ));
     }
-    let dense = trace.dense();
-    let run = |mut engine: Box<dyn cache_policies::MultiCapacityPolicy>, kind: MrcEngine| {
-        engine.replay(&dense.slots, &trace.requests, cfg.ignore_size);
-        debug_assert_eq!(engine.validate(), Ok(()), "MRC engine invariants");
-        let points = engine
-            .lane_stats()
-            .iter()
-            .zip(capacities.iter())
-            .map(|(st, &cap)| MrcSample {
-                capacity: cap,
-                requests: st.gets,
-                misses: st.misses,
-                evictions: st.evictions,
-                miss_ratio: st.miss_ratio(),
-                byte_miss_ratio: st.byte_miss_ratio(),
-            })
-            .collect();
-        MrcResult {
-            algorithm: engine.name(),
-            trace: trace.name.clone(),
-            engine: kind,
-            points,
-        }
-    };
     if pure_get_stream(trace, cfg) {
-        if algorithm == "FIFO" {
-            let engine = cache_policies::MrcExactFifo::new(capacities, &dense.ids)?;
-            return Ok(run(Box::new(engine), MrcEngine::ExactFifo));
-        }
-        // The turbo lanes cover CLOCK / CLOCK-2bit / SIEVE / S3-FIFO(r) for
-        // grids of up to 64 points; they are still "ganged" engines, just
-        // specialised to the stream shape.
-        if let Some(engine) = registry::build_mrc_turbo(algorithm, capacities, &dense.ids)? {
-            return Ok(run(engine, MrcEngine::Ganged));
+        let dense = trace.dense();
+        if let Some(mut engine) = registry::build_mrc(algorithm, capacities, &dense.ids)? {
+            engine.replay(&dense.slots);
+            debug_assert_eq!(engine.validate(), Ok(()), "MRC engine invariants");
+            let points = engine
+                .lane_stats()
+                .iter()
+                .zip(capacities.iter())
+                .map(|(st, &cap)| MrcSample {
+                    capacity: cap,
+                    requests: st.gets,
+                    misses: st.misses,
+                    evictions: st.evictions,
+                    miss_ratio: st.miss_ratio(),
+                    byte_miss_ratio: st.byte_miss_ratio(),
+                })
+                .collect();
+            return Ok(MrcResult {
+                algorithm: engine.name(),
+                trace: trace.name.clone(),
+                // `build_mrc` has one engine per name: exact for FIFO, turbo
+                // lanes for the rest.
+                engine: if algorithm == "FIFO" {
+                    MrcEngine::ExactFifo
+                } else {
+                    MrcEngine::Ganged
+                },
+                points,
+            });
         }
     }
-    if let Some(engine) = registry::build_mrc(algorithm, capacities, &dense.ids)? {
-        return Ok(run(engine, MrcEngine::Ganged));
-    }
-    // Fallback: one full replay per grid point.
+    // Everything else: one full replay per grid point.
     let mut points = Vec::with_capacity(capacities.len());
     let mut name = algorithm.to_string();
     for &cap in capacities {
@@ -315,7 +315,7 @@ pub fn simulate_mrc(
 mod tests {
     use super::*;
     use crate::engine::{simulate_named, CacheSizeSpec, SimConfig};
-    use cache_trace::gen::{loop_trace, WorkloadSpec};
+    use cache_trace::gen::{loop_trace, SizeModel, WorkloadSpec};
 
     #[test]
     fn mrc_decreases_with_size_on_zipf() {
@@ -392,10 +392,34 @@ mod tests {
         assert_eq!(sieve.engine, MrcEngine::Ganged);
         let lru = simulate_mrc("LRU", &t, &caps, &cfg).unwrap();
         assert_eq!(lru.engine, MrcEngine::PerCapacity);
-        // FIFO honoring sizes loses the exact engine but stays single-pass.
+        // Honoured sizes that are all 1 change nothing the engines see.
         let sized = MrcConfig { ignore_size: false };
-        let fifo_sized = simulate_mrc("FIFO", &t, &caps, &sized).unwrap();
-        assert_eq!(fifo_sized.engine, MrcEngine::Ganged);
+        let fifo_unit = simulate_mrc("FIFO", &t, &caps, &sized).unwrap();
+        assert_eq!(fifo_unit.engine, MrcEngine::ExactFifo);
+        // FIFO honouring real sizes has no single-pass engine.
+        let mut spec = WorkloadSpec::zipf("route-sized", 20_000, 2000, 0.9, 7);
+        spec.size_model = SizeModel::Uniform { min: 10, max: 1000 };
+        let fifo_sized = simulate_mrc("FIFO", &spec.generate(), &[5_000, 50_000], &sized).unwrap();
+        assert_eq!(fifo_sized.engine, MrcEngine::PerCapacity);
+    }
+
+    /// `spatial_sample` asserts its rate; a fallible front door must turn a
+    /// bad one into an error instead (and NaN is not "no sampling").
+    #[test]
+    fn miss_ratio_curve_rejects_rates_outside_zero_one() {
+        let t = WorkloadSpec::zipf("rate", 5_000, 500, 1.0, 19).generate();
+        for bad in [0.0, -0.5, f64::NAN, 1.5] {
+            assert!(
+                matches!(
+                    miss_ratio_curve("FIFO", &t, &[50], bad),
+                    Err(CacheError::InvalidParameter(_))
+                ),
+                "sample_rate {bad} must be rejected"
+            );
+        }
+        for good in [1.0, 0.25] {
+            assert!(miss_ratio_curve("FIFO", &t, &[50], good).is_ok());
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! The multi-capacity engines (`cache_policies::dense::mrc`) must be
 //! *decision identical*, per grid point, to replaying the single-capacity
 //! dense policy at that capacity: same misses, same evictions, same miss
-//! ratios, bit for bit. The exact-FIFO insertion-index engine is
+//! ratios, bit for bit — and `simulate_mrc` must send them only the streams
+//! they can take (pure `Get`, unit sizes, ≤ 64 points for the turbo lanes),
+//! replaying everything else per capacity. The expected route is part of
+//! every case below. The exact-FIFO insertion-index engine is
 //! additionally pinned with a property test over seeded Zipf traces (the
 //! ISSUE's eviction-age cross-check: FIFO residency from insertion-index
 //! distances must reproduce every per-capacity curve exactly).
@@ -82,10 +85,21 @@ fn ganged_engines_match_sweep_unit_sizes() {
     }
 }
 
-/// With sizes honored, every FIFO-family curve (FIFO included — the exact
-/// engine does not apply) goes through the ganged lanes and still matches.
+/// Honoured sizes that are all 1 are still a unit-size stream: the route is
+/// taken from the trace, not from `ignore_size`.
 #[test]
-fn ganged_engines_match_sweep_sized() {
+fn unit_size_trace_with_sizes_honoured_stays_single_pass() {
+    let trace = WorkloadSpec::zipf("unit-honoured", 20_000, 2_000, 1.0, 23).generate();
+    let grid = [1u64, 40, 40, 700, 160];
+    let cfg = MrcConfig { ignore_size: false };
+    assert_mrc_matches_sweep("FIFO", &trace, &grid, &cfg, MrcEngine::ExactFifo);
+    assert_mrc_matches_sweep("S3-FIFO", &trace, &grid, &cfg, MrcEngine::Ganged);
+}
+
+/// With real sizes honoured no single-pass engine applies: every
+/// FIFO-family curve is replayed per capacity and still matches.
+#[test]
+fn sized_streams_fall_back_and_match() {
     let mut sized_spec = WorkloadSpec::zipf("sized", 15_000, 1_500, 1.0, 11);
     sized_spec.size_model = SizeModel::Uniform { min: 10, max: 1000 };
     let sized = sized_spec.generate();
@@ -93,21 +107,36 @@ fn ganged_engines_match_sweep_sized() {
     let grid = [500u64, 5_000, 50_000, 300_000];
     let cfg = MrcConfig { ignore_size: false };
     for algo in ["FIFO", "CLOCK", "CLOCK-2bit", "SIEVE", "S3-FIFO"] {
-        assert_mrc_matches_sweep(algo, &sized, &grid, &cfg, MrcEngine::Ganged);
+        assert_mrc_matches_sweep(algo, &sized, &grid, &cfg, MrcEngine::PerCapacity);
     }
 }
 
-/// Deletes force FIFO off the exact engine; the ganged FIFO lanes must
-/// still match the sweep decision for decision.
+/// Deletes force FIFO off the exact engine and SIEVE off the turbo lanes;
+/// the per-capacity route must match the sweep decision for decision.
 #[test]
-fn fifo_with_deletes_routes_to_ganged_and_matches() {
+fn streams_with_deletes_fall_back_and_match() {
     let mut spec = WorkloadSpec::zipf("deletes", 20_000, 2_000, 1.0, 13);
     spec.delete_fraction = 0.05;
     let trace = spec.generate();
     let grid = [1u64, 25, 100, 400, 1_600];
     let cfg = MrcConfig::default();
-    assert_mrc_matches_sweep("FIFO", &trace, &grid, &cfg, MrcEngine::Ganged);
-    assert_mrc_matches_sweep("SIEVE", &trace, &grid, &cfg, MrcEngine::Ganged);
+    assert_mrc_matches_sweep("FIFO", &trace, &grid, &cfg, MrcEngine::PerCapacity);
+    assert_mrc_matches_sweep("SIEVE", &trace, &grid, &cfg, MrcEngine::PerCapacity);
+}
+
+/// The turbo lanes hold residency in one 64-bit word per object; a 65-point
+/// grid leaves them for the per-capacity route, while exact FIFO — one
+/// index per (object, point) — has no such ceiling.
+#[test]
+fn a_grid_wider_than_the_turbo_lanes_falls_back_and_matches() {
+    let trace = WorkloadSpec::zipf("wide", 6_000, 600, 1.0, 29).generate();
+    let grid: Vec<u64> = (1..=65).map(|i| i * 4).collect();
+    let cfg = MrcConfig::default();
+    assert_mrc_matches_sweep("FIFO", &trace, &grid, &cfg, MrcEngine::ExactFifo);
+    assert_mrc_matches_sweep("S3-FIFO", &trace, &grid, &cfg, MrcEngine::PerCapacity);
+    assert_mrc_matches_sweep("SIEVE", &trace, &grid, &cfg, MrcEngine::PerCapacity);
+    // One point fewer and the lanes apply again.
+    assert_mrc_matches_sweep("SIEVE", &trace, &grid[..64], &cfg, MrcEngine::Ganged);
 }
 
 /// Single-point grids are the degenerate base case: the MRC engines reduce
