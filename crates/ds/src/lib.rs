@@ -13,8 +13,11 @@
 //! - [`ring::MpmcRing`] — a bounded lock-free MPMC queue (Vyukov sequence
 //!   counters).
 //! - [`prefetch::prefetch_read`] — bounds-checked software prefetch hint for
-//!   the dense replay loops. Together with the ring, the only `unsafe` code
-//!   in the workspace.
+//!   the dense replay loops.
+//! - [`poll::poll`] (Unix) — `poll(2)` behind a `&mut [PollFd]`, so that
+//!   `cache-server`'s loops block on readiness while the crate itself
+//!   forbids `unsafe`. The ring, the prefetch hint and this call are the
+//!   three sites of `unsafe` code in the workspace.
 //! - [`rng::SplitMix64`] — a tiny deterministic RNG for sampled policies.
 //! - [`hist::Histogram`] — streaming histogram with percentile queries.
 //! - [`fx::FxHasher`] — FxHash-style multiplicative hasher backing the hot
@@ -31,6 +34,8 @@ pub mod dlist;
 pub mod fx;
 pub mod ghost;
 pub mod hist;
+#[cfg(unix)]
+pub mod poll;
 pub mod prefetch;
 pub mod ring;
 pub mod rng;

@@ -26,6 +26,9 @@
 //! storms, injected device faults, kill-mid-load — and asserts the ladder
 //! holds: no panics, no lost updates or resurrections (oplog +
 //! `cache-check`), bounded p99 while shedding.
+//!
+//! Unix only: the server's threads block in `poll(2)` ([`cache_ds::poll`])
+//! and wake each other over `std::os::unix::net::UnixStream` pairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

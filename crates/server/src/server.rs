@@ -10,7 +10,18 @@
 //! Each shard owns its connections outright — reads, parses, executes, and
 //! writes happen on the shard thread, so the only cross-thread state is the
 //! store, the shedder, and the drain gate. Sockets are nonblocking; a shard
-//! sweep services every connection once and sleeps briefly when idle.
+//! sweep services every connection once.
+//!
+//! Nothing here runs on a timer (DESIGN.md §9, "How a thread waits", has
+//! the reasons). A sweep that made no progress has found that every read and
+//! every pending write would block, so the shard blocks on exactly that in
+//! [`cache_ds::poll`]: each connection for input (unless it is closing) and,
+//! only while it holds unsent output, for room to write, plus the read end
+//! of a wake channel. The acceptor blocks likewise on the listener and a
+//! wake channel of its own. A wake channel is a nonblocking `UnixStream`
+//! pair, written for the two events no socket of the waiter's reports: a
+//! connection queued for a shard, and `stop`. The sweep does not consult
+//! `revents`, so a shard with work never reaches the wait.
 //!
 //! Overload behavior, outermost first: a full shard queue bounces the
 //! connection with `SERVER_ERROR busy` (counted as shedder overflow); a
@@ -23,10 +34,13 @@ use crate::drain::DrainGate;
 use crate::proto::{self, Limits, Parsed, Request};
 use crate::shed::{Admission, LoadShedder, ShedConfig};
 use crate::store::{self, StoreConfig, TtlStore};
+use cache_ds::poll::{poll, PollFd, POLLIN, POLLOUT};
 use cache_faults::{FaultPlan, OpClass};
 use cache_obs::{registry_to_json_lines, registry_to_prometheus, MetricsRegistry};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -84,6 +98,9 @@ pub struct ServerCounters {
     pub conns_rejected: AtomicU64,
     /// Connections bounced because shutdown had begun.
     pub conns_draining: AtomicU64,
+    /// `accept` failures that leave the connection pending (descriptor
+    /// limits); each one is followed by a back-off.
+    pub accept_errors: AtomicU64,
     /// Requests executed (admitted past the shedder).
     pub requests: AtomicU64,
     /// Requests answered `SERVER_ERROR timeout`.
@@ -141,8 +158,10 @@ pub struct Server;
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    shards: Vec<JoinHandle<()>>,
+    /// The shards and the acceptor.
+    threads: Vec<JoinHandle<()>>,
+    /// The write end of each thread's wake channel.
+    wakers: Vec<UnixStream>,
 }
 
 /// What a graceful shutdown observed.
@@ -165,38 +184,46 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error when the address is unusable.
+    /// Returns the bind error when the address is unusable, or what kept a
+    /// wake channel or a thread from being created; the threads already
+    /// started are stopped and joined first.
     pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shards = cfg.shards.max(1);
-        let shared = Arc::new(Shared::new(cfg.clone()));
-
-        let mut senders: Vec<SyncSender<TcpStream>> = Vec::with_capacity(shards);
-        let mut shard_handles = Vec::with_capacity(shards);
-        for i in 0..shards {
+        // Threads and wakers go into the handle as they are made: dropping
+        // it on an early return stops what was started.
+        let mut handle = ServerHandle {
+            addr: listener.local_addr()?,
+            shared: Arc::new(Shared::new(cfg.clone())),
+            threads: Vec::new(),
+            wakers: Vec::new(),
+        };
+        let mut ports = Vec::new();
+        for i in 0..cfg.shards.max(1) {
             let (tx, rx) = sync_channel::<TcpStream>(cfg.queue_depth.max(1));
-            senders.push(tx);
-            let shared = Arc::clone(&shared);
-            shard_handles.push(
+            let (waker, wake_rx) = wake_channel()?;
+            ports.push(ShardPort {
+                queue: tx,
+                waker: waker.try_clone()?,
+            });
+            handle.wakers.push(waker);
+            let shared = Arc::clone(&handle.shared);
+            handle.threads.push(
                 std::thread::Builder::new()
                     .name(format!("cache-shard-{i}"))
-                    .spawn(move || shard_loop(&shared, &rx))?,
+                    .spawn(move || shard_loop(&shared, &rx, &wake_rx))?,
             );
         }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cache-accept".to_string())
-                .spawn(move || accept_loop(&shared, &listener, &senders))?
-        };
-        Ok(ServerHandle {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            shards: shard_handles,
-        })
+        let (waker, wake_rx) = wake_channel()?;
+        handle.wakers.push(waker);
+        let shared = Arc::clone(&handle.shared);
+        handle
+            .threads
+            .push(std::thread::Builder::new().name("cache-accept".to_string()).spawn(move || {
+                let accept = || listener.accept().map(|(conn, _)| conn);
+                accept_loop(&shared, listener.as_raw_fd(), accept, &ports, &wake_rx);
+            })?);
+        Ok(handle)
     }
 }
 
@@ -227,22 +254,31 @@ impl ServerHandle {
         collect_registry(&self.shared)
     }
 
-    /// Graceful shutdown: close the accept gate, drain in-flight requests,
-    /// stop the loops, join every thread, and return a final snapshot.
+    /// Sets `stop`, wakes every thread out of its readiness wait, and joins
+    /// them. The gate is closed by the caller first. Joins nothing the
+    /// second time (`Drop` after `shutdown`).
     // ORDERING: SeqCst store on `stop` pairs with the loops' SeqCst loads —
     // the stop flag must be ordered after the drain-gate close in the single
     // total order so no loop observes stop without also observing closed.
+    // The wake byte is written after the store: a thread that read `stop`
+    // as false before it blocked finds the byte and reads `stop` again.
+    fn stop_and_join(&mut self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.wakers.iter().for_each(wake);
+        for h in self.threads.drain(..) {
+            let _ = h.join();
+        }
+    }
+
+    /// Graceful shutdown: close the accept gate, drain in-flight requests,
+    /// stop the loops, join every thread, and return a final snapshot.
+    // ORDERING: Relaxed load of the request counter — a statistic, read
+    // after every thread that bumps it was joined.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shared.gate.close();
         let drained = self.shared.gate.await_drained(Duration::from_secs(5));
         let leaked = self.shared.gate.in_flight();
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for h in self.shards.drain(..) {
-            let _ = h.join();
-        }
+        self.stop_and_join();
         let registry = collect_registry(&self.shared);
         ShutdownReport {
             drained,
@@ -255,16 +291,9 @@ impl ServerHandle {
 }
 
 impl Drop for ServerHandle {
-    // ORDERING: SeqCst, same rationale as `shutdown`.
     fn drop(&mut self) {
         self.shared.gate.close();
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for h in self.shards.drain(..) {
-            let _ = h.join();
-        }
+        self.stop_and_join();
     }
 }
 
@@ -279,6 +308,7 @@ fn collect_registry(shared: &Shared) -> MetricsRegistry {
     s.counter("conns_accepted").add(c.conns_accepted.load(Ordering::Relaxed));
     s.counter("conns_rejected").add(c.conns_rejected.load(Ordering::Relaxed));
     s.counter("conns_draining").add(c.conns_draining.load(Ordering::Relaxed));
+    s.counter("accept_errors").add(c.accept_errors.load(Ordering::Relaxed));
     s.counter("requests").add(c.requests.load(Ordering::Relaxed));
     s.counter("timeouts").add(c.timeouts.load(Ordering::Relaxed));
     s.counter("shed_replies").add(c.shed_replies.load(Ordering::Relaxed));
@@ -318,14 +348,76 @@ fn bounce(mut conn: TcpStream, reply: &[u8]) {
     // Dropping conn closes it; a lingering RST on unread input is fine.
 }
 
-/// The acceptor: nonblocking accept + round-robin handoff to shard queues.
+/// A wake channel: a nonblocking socket pair, `(write end, read end)`. A
+/// thread that blocks in [`poll`] includes the read end in its wait set;
+/// [`wake`] on the write end makes it return.
+fn wake_channel() -> std::io::Result<(UnixStream, UnixStream)> {
+    let (waker, wake) = UnixStream::pair()?;
+    waker.set_nonblocking(true)?;
+    wake.set_nonblocking(true)?;
+    Ok((waker, wake))
+}
+
+/// Makes the thread that holds the other end return from its wait, now or
+/// the next time it enters it. A full channel already holds a wake-up and a
+/// closed one has nobody to wake, so a failed write is not an error.
+fn wake(mut waker: &UnixStream) {
+    let _ = waker.write(&[1]);
+}
+
+/// Forgets the wake-ups received so far. Call before looking at what they
+/// announce (the queue, `stop`): one sent after that look leaves its byte
+/// for the next wait.
+fn drain_wakes(mut wake: &UnixStream) {
+    let mut sink = [0u8; 64];
+    while matches!(wake.read(&mut sink), Ok(n) if n == sink.len()) {}
+}
+
+/// What the acceptor holds of one shard.
+struct ShardPort {
+    queue: SyncSender<TcpStream>,
+    waker: UnixStream,
+}
+
+/// How long a thread pauses after a system call failed for want of a
+/// resource. Out of descriptors (`EMFILE`/`ENFILE`) the pending connection
+/// stays pending and the listener stays readable, and a `poll` the kernel
+/// has no memory for fails again at once: waiting on readiness would spin,
+/// and nothing reports that the resource was freed, so this one wait is on
+/// a clock.
+const ERROR_BACKOFF: Duration = Duration::from_millis(1);
+
+/// The one wait on a clock in either loop.
+fn back_off() {
+    std::thread::sleep(ERROR_BACKOFF);
+}
+
+/// Blocks until a descriptor in `fds` is ready. A signal is a spurious
+/// wake-up: the caller finds nothing to do and comes back. Any other failure
+/// backs off, so that a wait that cannot be made does not become a spin.
+fn block_on(fds: &mut [PollFd]) {
+    if matches!(poll(fds, None), Err(e) if e.kind() != std::io::ErrorKind::Interrupted) {
+        back_off();
+    }
+}
+
+/// The acceptor: nonblocking accept + round-robin handoff to shard queues,
+/// blocked on the listener (`listener_fd`, which `accept` accepts from) and
+/// its wake channel when no connection is pending.
 // ORDERING: SeqCst load of `stop` — pairs with shutdown's SeqCst store (see
-// ServerHandle::shutdown).
-fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[SyncSender<TcpStream>]) {
+// ServerHandle::stop_and_join). Relaxed counter bumps — statistics.
+fn accept_loop(
+    shared: &Shared,
+    listener_fd: RawFd,
+    mut accept: impl FnMut() -> std::io::Result<TcpStream>,
+    ports: &[ShardPort],
+    wake_rx: &UnixStream,
+) {
     let mut next = 0usize;
+    let mut fds = [PollFd::new(listener_fd, POLLIN), PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
     while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((conn, _)) => {
+        match accept() {
+            Ok(conn) => {
                 if shared.gate.is_closed() {
                     shared.counters.conns_draining.fetch_add(1, Ordering::Relaxed);
                     bounce(conn, b"SERVER_ERROR shutting-down\r\n");
@@ -335,17 +427,21 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[SyncSender<Tc
                 // the first shard with room, or bounces when all are full.
                 let mut handed = false;
                 let mut conn = Some(conn);
-                for probe in 0..senders.len() {
-                    let idx = (next + probe) % senders.len();
+                for probe in 0..ports.len() {
+                    let idx = (next + probe) % ports.len();
                     // Invariant: conn is Some until the loop hands it off or
                     // breaks; try_send returns it on failure.
                     #[allow(clippy::expect_used)]
                     let c = conn.take().expect("connection consumed twice");
-                    match senders[idx].try_send(c) {
+                    match ports[idx].queue.try_send(c) {
                         Ok(()) => {
-                            handed = true;
-                            next = (idx + 1) % senders.len();
+                            // Queued and counted first, woken second: the
+                            // shard that finds the byte finds the connection,
+                            // and a client it answers has been counted.
                             shared.counters.conns_accepted.fetch_add(1, Ordering::Relaxed);
+                            wake(&ports[idx].waker);
+                            handed = true;
+                            next = (idx + 1) % ports.len();
                             break;
                         }
                         Err(TrySendError::Full(c)) | Err(TrySendError::Disconnected(c)) => {
@@ -364,12 +460,16 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[SyncSender<Tc
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(500));
+                // The wake byte is left unread: it is only ever sent with
+                // `stop`.
+                block_on(&mut fds);
             }
+            // A signal, or a handshake the peer gave up on: nothing is left
+            // stuck, so there is nothing to wait for.
+            Err(e) if matches!(e.kind(), std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted) => {}
             Err(_) => {
-                // Transient accept errors (e.g. aborted handshake): brief
-                // pause, keep serving.
-                std::thread::sleep(Duration::from_micros(500));
+                shared.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
+                back_off();
             }
         }
     }
@@ -524,11 +624,35 @@ impl<S> Conn<S> {
     }
 }
 
+/// Blocks until a connection can make progress or a wake-up arrives, then
+/// forgets the wake-ups. Call only after a sweep found nothing to do: what
+/// is waited for is what that sweep found would block.
+fn wait_ready(fds: &mut Vec<PollFd>, wake_rx: &UnixStream, conns: &[Conn<TcpStream>]) {
+    fds.clear();
+    fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
+    fds.extend(conns.iter().map(|conn| {
+        let input = if conn.closing { 0 } else { POLLIN };
+        let output = if conn.outbuf.pending() > 0 { POLLOUT } else { 0 };
+        PollFd::new(conn.stream.as_raw_fd(), input | output)
+    }));
+    block_on(fds);
+    if fds[0].revents() != 0 {
+        drain_wakes(wake_rx);
+    }
+}
+
+/// How long a stopping shard keeps trying to hand its connections the
+/// replies they are still owed.
+const FINAL_FLUSH_DEADLINE: Duration = Duration::from_millis(100);
+
 /// The shard event loop: adopt queued connections, sweep each connection
-/// (read → parse/execute → write), sleep briefly when idle.
+/// (read → parse/execute → write), block until one is ready when idle.
 // ORDERING: SeqCst load of `stop` — pairs with shutdown's SeqCst store.
-fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
+// Relaxed counter and gauge updates — statistics.
+fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>, wake_rx: &UnixStream) {
     let mut conns: Vec<Conn<TcpStream>> = Vec::new();
+    // The wait set, rebuilt for each wait in storage kept between them.
+    let mut fds: Vec<PollFd> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
         let mut progressed = false;
         // Adopt pending connections, bouncing past the per-shard cap.
@@ -558,23 +682,26 @@ fn shard_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
             }
         }
         if !progressed {
-            std::thread::sleep(Duration::from_micros(200));
+            wait_ready(&mut fds, wake_rx, &conns);
         }
     }
-    // Stop: best-effort final flush so drained replies reach clients.
-    let flush_deadline = Instant::now() + Duration::from_millis(100);
-    for conn in &mut conns {
-        while conn.outbuf.pending() > 0
-            && Instant::now() < flush_deadline
-            && conn.outbuf.write_some(&mut conn.stream)
-        {
-            if conn.outbuf.pending() > 0 {
-                std::thread::sleep(Duration::from_micros(200));
-            }
+    // Stop: best-effort final flush so drained replies reach clients. Each
+    // round writes what the sockets take and keeps the connections that are
+    // alive and still owed output, then waits for room on those.
+    shared.conns_open.fetch_sub(conns.len() as u64, Ordering::Relaxed);
+    let flush_deadline = Instant::now() + FINAL_FLUSH_DEADLINE;
+    loop {
+        conns.retain_mut(|conn| conn.outbuf.write_some(&mut conn.stream) && conn.outbuf.pending() > 0);
+        let left = flush_deadline.saturating_duration_since(Instant::now());
+        if conns.is_empty() || left.is_zero() {
+            break;
+        }
+        fds.clear();
+        fds.extend(conns.iter().map(|conn| PollFd::new(conn.stream.as_raw_fd(), POLLOUT)));
+        if matches!(poll(&mut fds, Some(left)), Err(e) if e.kind() != std::io::ErrorKind::Interrupted) {
+            break;
         }
     }
-    let n = conns.len() as u64;
-    shared.conns_open.fetch_sub(n, Ordering::Relaxed);
 }
 
 /// What a request leaves its connection to do.
@@ -839,6 +966,7 @@ fn write_stats(shared: &Shared, out: &mut Vec<u8>) {
     stat("curr_connections", shared.conns_open.load(Ordering::Relaxed).to_string());
     stat("total_connections", c.conns_accepted.load(Ordering::Relaxed).to_string());
     stat("rejected_connections", c.conns_rejected.load(Ordering::Relaxed).to_string());
+    stat("accept_errors", c.accept_errors.load(Ordering::Relaxed).to_string());
     stat("cmd_get", sc.gets.load(Ordering::Relaxed).to_string());
     stat("cmd_set", sc.sets.load(Ordering::Relaxed).to_string());
     stat("get_hits", sc.hits.load(Ordering::Relaxed).to_string());
@@ -964,6 +1092,71 @@ mod tests {
         f.extend_from_slice(value);
         f.extend_from_slice(b"\r\n");
         f
+    }
+
+    #[test]
+    // ORDERING: SeqCst store of `stop`, as in `stop_and_join`; Relaxed
+    // counters — `calls` publishes nothing, and the final reads come after
+    // the acceptor thread was joined.
+    fn accept_errors_are_counted_and_back_off_instead_of_spinning() {
+        let shared = shared(|_| {});
+        // A connection that is never accepted keeps the listener readable,
+        // as it stays when `accept` fails for want of a descriptor.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _pending = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (waker, wake_rx) = wake_channel().expect("wake channel");
+        let calls = AtomicU64::new(0);
+        let out_of_descriptors = || {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Err(std::io::Error::from_raw_os_error(24)) // EMFILE
+        };
+        let began = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| accept_loop(&shared, listener.as_raw_fd(), out_of_descriptors, &[], &wake_rx));
+            while calls.load(Ordering::Relaxed) < 20 {
+                std::thread::yield_now();
+            }
+            shared.stop.store(true, Ordering::SeqCst);
+            wake(&waker);
+        });
+        // Every failure is followed by one back-off; waiting on the readable
+        // listener instead would make 20 calls in microseconds.
+        let calls = calls.load(Ordering::Relaxed);
+        let most = began.elapsed().as_nanos() / ERROR_BACKOFF.as_nanos() + 1;
+        assert!(u128::from(calls) <= most, "{calls} accepts, at most {most} expected");
+        assert_eq!(shared.counters.accept_errors.load(Ordering::Relaxed), calls);
+        let mut stats = Vec::new();
+        write_stats(&shared, &mut stats);
+        assert!(String::from_utf8_lossy(&stats).contains(&format!("STAT accept_errors {calls}\r\n")));
+    }
+
+    #[test]
+    // ORDERING: SeqCst store of `stop`, as in `stop_and_join`; Relaxed
+    // counters — `calls` publishes nothing, and `accept_errors` is read
+    // after the acceptor thread was joined.
+    fn accept_errors_that_leave_nothing_pending_are_retried_uncounted() {
+        use std::io::ErrorKind::{ConnectionAborted, Interrupted, WouldBlock};
+        let shared = shared(|_| {});
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (waker, wake_rx) = wake_channel().expect("wake channel");
+        let calls = AtomicU64::new(0);
+        let passing = || {
+            Err(match calls.fetch_add(1, Ordering::Relaxed) {
+                n if n >= 100 => WouldBlock,
+                n if n % 2 == 0 => Interrupted,
+                _ => ConnectionAborted,
+            }
+            .into())
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| accept_loop(&shared, listener.as_raw_fd(), passing, &[], &wake_rx));
+            while calls.load(Ordering::Relaxed) <= 100 {
+                std::thread::yield_now();
+            }
+            shared.stop.store(true, Ordering::SeqCst);
+            wake(&waker);
+        });
+        assert_eq!(shared.counters.accept_errors.load(Ordering::Relaxed), 0);
     }
 
     #[test]
