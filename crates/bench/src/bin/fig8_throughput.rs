@@ -5,6 +5,14 @@
 //! Run: `cargo run --release -p cache-bench --bin fig8_throughput`
 //! Env: `FIG8_REQUESTS` (per thread, default 2M), `FIG8_OBJECTS`
 //! (default 1M), `FIG8_MAX_THREADS` (default: all cores, capped at 16).
+//!
+//! Real threads on the cores this host has: the header states the core
+//! count and a column with more threads than cores is labelled
+//! `oversubscribed`, not scaling. Every run is checked before its number
+//! is printed: request and hit counts, then the quiescent audit, which must
+//! be exactly clean after a one-thread run. Racing threads of the lock-free
+//! designs legally leave artifacts (`AuditReport::is_clean`), so what
+//! multi-thread runs left is counted and printed, not asserted.
 
 use cache_bench::{banner, f2, print_table};
 use cache_concurrent::clock::ConcurrentClock;
@@ -35,7 +43,13 @@ fn build(name: &str, capacity: usize) -> Arc<dyn ConcurrentCache> {
     }
 }
 
-fn run(label: &str, capacity: usize, cfg: &ThroughputConfig, thread_counts: &[usize]) {
+fn run(
+    label: &str,
+    capacity: usize,
+    cfg: &ThroughputConfig,
+    thread_counts: &[usize],
+    cores: usize,
+) {
     banner(&format!("Fig. 8 ({label}), cache = {capacity} objects"));
     let names = [
         "S3-FIFO",
@@ -46,13 +60,22 @@ fn run(label: &str, capacity: usize, cfg: &ThroughputConfig, thread_counts: &[us
         "Segcache",
     ];
     let mut rows = Vec::new();
+    let mut race_artifacts = 0;
     for name in names {
         let mut row = vec![name.to_string()];
         let mut hit_ratio = 0.0;
         for &threads in thread_counts {
             let keys = generate_keys(cfg, threads);
             let cache = build(name, capacity);
-            let r = run_throughput(cache, &keys, cfg.value_size);
+            let r = run_throughput(cache.clone(), &keys, cfg.value_size);
+            let issued: u64 = keys.iter().map(|k| k.len() as u64).sum();
+            assert_eq!(r.requests, issued, "{name} at {threads} threads");
+            assert!(r.hits <= r.requests, "{name} at {threads} threads: {r:?}");
+            let audit = cache.audit_quiescent();
+            if threads == 1 {
+                assert_eq!(audit.violations(), 0, "{name} at 1 thread: {audit:?}");
+            }
+            race_artifacts += audit.violations();
             hit_ratio = r.hit_ratio();
             row.push(f2(r.mops));
         }
@@ -60,16 +83,26 @@ fn run(label: &str, capacity: usize, cfg: &ThroughputConfig, thread_counts: &[us
         rows.push(row);
     }
     let mut headers = vec!["cache".to_string()];
-    headers.extend(thread_counts.iter().map(|t| format!("{t}thr Mops")));
+    headers.extend(thread_counts.iter().map(|&t| {
+        if t > cores {
+            format!("{t}thr oversubscribed")
+        } else {
+            format!("{t}thr Mops")
+        }
+    }));
     headers.push("miss ratio".into());
     let h: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
     print_table(&h, &rows);
+    println!(
+        "quiescent audits: exact after every 1-thread run; \
+         {race_artifacts} race artifacts after the others"
+    );
 }
 
 fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(8);
+        .unwrap_or(1);
     let max_threads = env_usize("FIG8_MAX_THREADS", cores.min(16));
     let mut thread_counts = vec![1usize, 2, 4, 8, 16];
     thread_counts.retain(|&t| t <= max_threads);
@@ -81,7 +114,8 @@ fn main() {
         seed: 0xF18,
     };
     println!(
-        "workload: zipf(1.0), {} objects, {} requests/thread, 4KB values",
+        "workload: zipf(1.0), {} objects, {} requests/thread, 4KB values; \
+         available_parallelism = {cores}",
         cfg.objects, cfg.requests_per_thread
     );
     // Large cache: ~40% of objects (paper's large setting has MR 0.02 with
@@ -91,6 +125,7 @@ fn main() {
         (cfg.objects as usize) * 2 / 5,
         &cfg,
         &thread_counts,
+        cores,
     );
     // Small cache: ~1% of objects (paper MR 0.21).
     run(
@@ -98,6 +133,7 @@ fn main() {
         (cfg.objects as usize) / 100,
         &cfg,
         &thread_counts,
+        cores,
     );
     println!("(paper: S3-FIFO >6x optimized LRU at 16 threads; strict LRU flat;");
     println!(" optimized LRU stops scaling at 2 cores; Segcache scales but has");

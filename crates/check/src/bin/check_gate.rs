@@ -149,12 +149,10 @@ fn phase_observer() -> Result<(), String> {
     Ok(())
 }
 
-/// Every concurrent variant at `capacity` — the same roster the thread-sweep
-/// benchmark measures, batched and direct S3-FIFO included.
+/// Every concurrent variant at `capacity`.
 fn concurrent_caches(capacity: usize) -> Vec<Arc<dyn ConcurrentCache>> {
     vec![
         Arc::new(cache_concurrent::s3fifo::ConcurrentS3Fifo::new(capacity)),
-        Arc::new(cache_concurrent::s3fifo::ConcurrentS3Fifo::direct(capacity)),
         Arc::new(cache_concurrent::lru::MutexLru::strict(capacity)),
         Arc::new(cache_concurrent::lru::MutexLru::optimized(capacity)),
         Arc::new(cache_concurrent::clock::ConcurrentClock::new(capacity)),

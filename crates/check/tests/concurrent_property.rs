@@ -30,9 +30,6 @@ type Builder = (&'static str, fn() -> Arc<dyn ConcurrentCache>);
 fn builders() -> Vec<Builder> {
     vec![
         ("S3-FIFO", || Arc::new(ConcurrentS3Fifo::new(CAPACITY))),
-        ("S3-FIFO-direct", || {
-            Arc::new(ConcurrentS3Fifo::direct(CAPACITY))
-        }),
         ("LRU-strict", || {
             Arc::new(cache_concurrent::lru::MutexLru::strict(CAPACITY))
         }),

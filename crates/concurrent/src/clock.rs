@@ -5,7 +5,6 @@
 //! bit, and eviction sweeps a shared hand over the slot array. Reads take
 //! only a sharded index read lock; the hand is a single `fetch_add`.
 
-use crate::profile::SyncProfile;
 use crate::{shard_of, AuditReport, ConcurrentCache, SHARDS};
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -22,7 +21,6 @@ struct Slot {
 pub struct ConcurrentClock {
     slots: Vec<Slot>,
     index: Vec<RwLock<IdMap<usize>>>,
-    profile: SyncProfile,
     hand: AtomicUsize,
     len: AtomicUsize,
 }
@@ -43,7 +41,6 @@ impl ConcurrentClock {
                 })
                 .collect(),
             index: (0..SHARDS).map(|_| RwLock::new(IdMap::default())).collect(),
-            profile: SyncProfile::new(),
             hand: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
         }
@@ -60,26 +57,21 @@ impl ConcurrentClock {
     fn claim_slot(&self) -> usize {
         loop {
             // The hand is the one line every evicting thread RMWs.
-            self.profile.shared_write(1);
             let i = self.hand.fetch_add(1, Ordering::Relaxed) % self.slots.len();
             let slot = &self.slots[i];
             // Second chance: clear the reference bit and move on.
-            self.profile.entry_write(1);
             if slot.referenced.swap(false, Ordering::Relaxed) {
                 continue;
             }
             let Some(mut occ) = slot.occupant.try_write() else {
                 continue;
             };
-            self.profile.entry_write(2); // slot lock word
             if let Some((old_key, _)) = occ.take() {
-                self.profile.entry_write(2); // index shard lock word
                 let mut idx = self.index[shard_of(old_key)].write();
                 // Only unmap if the mapping still points at this slot.
                 if idx.get(&old_key) == Some(&i) {
                     idx.remove(&old_key);
                 }
-                self.profile.shared_write(1); // global len
                 self.len.fetch_sub(1, Ordering::Relaxed);
             }
             // Hold nothing: the slot is now empty and we own it by virtue of
@@ -102,15 +94,12 @@ impl ConcurrentCache for ConcurrentClock {
     // temporary (dropped at the end of the `let ... ?` statement) before
     // the occupant lock is taken.
     fn get(&self, key: u64) -> Option<Bytes> {
-        // Index lock word (2) + slot lock word (2).
-        self.profile.entry_write(4);
         let slot_idx = *self.index[shard_of(key)].read().get(&key)?;
         let slot = &self.slots[slot_idx];
         let occ = slot.occupant.read();
         match occ.as_ref() {
             Some((k, v)) if *k == key => {
                 slot.referenced.store(true, Ordering::Relaxed);
-                self.profile.entry_write(1);
                 Some(v.clone())
             }
             _ => None,
@@ -129,7 +118,6 @@ impl ConcurrentCache for ConcurrentClock {
     // Regression test: `overwrite_vs_eviction_does_not_deadlock`.
     fn insert(&self, key: u64, value: Bytes) {
         // Overwrite in place when present.
-        self.profile.entry_write(2); // index shard lock word
         let mapped = self.index[shard_of(key)].read().get(&key).copied();
         if let Some(slot_idx) = mapped {
             let slot = &self.slots[slot_idx];
@@ -137,7 +125,6 @@ impl ConcurrentCache for ConcurrentClock {
             if matches!(occ.as_ref(), Some((k, _)) if *k == key) {
                 *occ = Some((key, value));
                 slot.referenced.store(true, Ordering::Relaxed);
-                self.profile.entry_write(3); // slot lock word + ref bit
                 return;
             }
         }
@@ -146,11 +133,8 @@ impl ConcurrentCache for ConcurrentClock {
             let mut occ = self.slots[i].occupant.write();
             *occ = Some((key, value));
         }
-        // Slot lock word (2) + ref bit (1) + index shard lock word (2).
-        self.profile.entry_write(5);
         self.slots[i].referenced.store(false, Ordering::Relaxed);
         self.index[shard_of(key)].write().insert(key, i);
-        self.profile.shared_write(1); // global len
         self.len.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -160,18 +144,14 @@ impl ConcurrentCache for ConcurrentClock {
     // at the end of the `let ... else` statement, so the occupant lock is
     // taken alone.
     fn remove(&self, key: u64) -> bool {
-        self.profile.entry_write(2); // index shard lock word
         let Some(slot_idx) = self.index[shard_of(key)].write().remove(&key) else {
             return false;
         };
         let slot = &self.slots[slot_idx];
         let mut occ = slot.occupant.write();
-        self.profile.entry_write(2); // slot lock word
         if matches!(occ.as_ref(), Some((k, _)) if *k == key) {
             *occ = None;
             slot.referenced.store(false, Ordering::Relaxed);
-            self.profile.entry_write(1);
-            self.profile.shared_write(1); // global len
             self.len.fetch_sub(1, Ordering::Relaxed);
             true
         } else {
@@ -187,10 +167,6 @@ impl ConcurrentCache for ConcurrentClock {
 
     fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    fn sync_profile(&self) -> &SyncProfile {
-        &self.profile
     }
 
     // LOCK-ORDER: occupant -> index, index -> occupant; the first walk

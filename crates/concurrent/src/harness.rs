@@ -104,8 +104,12 @@ pub(crate) fn sample_zipf(cdf: &[f64], rng: &mut SplitMix64) -> u64 {
 
 /// Runs a closed-loop throughput measurement with `threads` threads.
 ///
-/// Threads spin on a barrier, then replay their key slice: `get`, and on a
-/// miss, `insert` a clone of the pre-generated payload.
+/// Threads meet at a barrier, then replay their key slice: `get`, and on a
+/// miss, `insert` a clone of the pre-generated payload. Each worker reads
+/// the clock itself, after the barrier and after its last request; the run
+/// lasts from the earliest start to the latest end. (A start read by the
+/// spawning thread is late by however long that thread waits for a core
+/// once the workers hold them all — the whole run, when it is short.)
 // ORDERING: Relaxed hit counter — aggregated after `join`, which already
 // orders every worker's adds before the final load.
 pub fn run_throughput(
@@ -115,7 +119,7 @@ pub fn run_throughput(
 ) -> ThroughputResult {
     let threads = keys.len();
     let payload = Bytes::from(vec![0xABu8; value_size]);
-    let barrier = Arc::new(Barrier::new(threads + 1));
+    let barrier = Arc::new(Barrier::new(threads));
     let hits = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::new();
     for thread_keys in keys {
@@ -126,6 +130,7 @@ pub fn run_throughput(
         let thread_keys = thread_keys.clone();
         handles.push(std::thread::spawn(move || {
             barrier.wait();
+            let start = Instant::now();
             let mut local_hits = 0u64;
             for &k in &thread_keys {
                 match cache.get(k) {
@@ -134,17 +139,19 @@ pub fn run_throughput(
                 }
             }
             hits.fetch_add(local_hits, Ordering::Relaxed);
+            (start, Instant::now())
         }));
     }
-    barrier.wait();
-    let start = Instant::now();
-    for h in handles {
-        // Invariant: worker closures contain no panicking operations of
-        // their own; a panic here means the cache under test is broken,
-        // which must abort the measurement loudly.
-        h.join().expect("worker panicked");
-    }
-    let seconds = start.elapsed().as_secs_f64();
+    // Invariant: worker closures contain no panicking operations of their
+    // own; a panic here means the cache under test is broken, which must
+    // abort the measurement loudly.
+    let spans: Vec<(Instant, Instant)> = handles
+        .into_iter()
+        .map(|h| h.join().expect("worker panicked"))
+        .collect();
+    let start = spans.iter().map(|s| s.0).min();
+    let end = spans.iter().map(|s| s.1).max();
+    let seconds = start.zip(end).map_or(0.0, |(s, e)| (e - s).as_secs_f64());
     let requests: u64 = keys.iter().map(|k| k.len() as u64).sum();
     ThroughputResult {
         threads,

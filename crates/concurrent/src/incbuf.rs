@@ -1,7 +1,7 @@
 //! Batched hit-path bookkeeping for the concurrent S3-FIFO.
 //!
-//! The direct hit path of a CLOCK-family cache performs two contended
-//! writes per hit besides the shard lock word: the per-shard hit counter
+//! The paper-literal hit path of a CLOCK-family cache performs two
+//! contended writes per hit besides the shard lock word: the per-shard hit counter
 //! RMW and (until the two-bit counter saturates) the entry frequency
 //! store. Under multicore contention each is a potential cache-line ping,
 //! so the paper's "lock-free hit path" can still bottleneck on coherence
@@ -16,9 +16,9 @@
 //!   [`MAX_FREQ`](crate::s3fifo) accumulate per-key in the slot's pair
 //!   table and are applied — one shard-lock lookup plus one store per
 //!   distinct key — when a slot crosses [`FLUSH_THRESHOLD`] pending hits.
-//!   Hits on already-saturated entries skip recording entirely: the
-//!   direct path's `if f < MAX_FREQ` check would skip the store at the
-//!   same moment, so eviction quality is unchanged.
+//!   Hits on already-saturated entries skip recording entirely: an
+//!   immediate `if f < MAX_FREQ` store would be skipped at the same
+//!   moment, so eviction quality is unchanged.
 //!
 //! Design constraints:
 //!

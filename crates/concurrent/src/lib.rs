@@ -19,9 +19,7 @@
 //!   eviction and an atomic-only hit path;
 //! - [`harness`] — the closed-loop multi-threaded replay harness;
 //! - [`oplog`] — a logged variant of the torture harness whose timed
-//!   histories feed `cache-check`'s linearizability-lite checker;
-//! - [`profile`] — measured-cost synchronization counters feeding the
-//!   thread-sweep contention model in `bench` (see DESIGN.md §11).
+//!   histories feed `cache-check`'s linearizability-lite checker.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +32,6 @@ mod incbuf;
 pub mod locked;
 pub mod lru;
 pub mod oplog;
-pub mod profile;
 pub mod s3fifo;
 pub mod segcache;
 
@@ -102,14 +99,6 @@ pub trait ConcurrentCache: Send + Sync {
     }
     /// Maximum number of entries.
     fn capacity(&self) -> usize;
-    /// The instance's synchronization-cost profile (see [`profile`]).
-    /// Implementations that have instrumented their hot paths return their
-    /// own profile; the default is a shared always-disabled stub so
-    /// callers can profile any cache without downcasting.
-    fn sync_profile(&self) -> &profile::SyncProfile {
-        static DISABLED: profile::SyncProfile = profile::SyncProfile::new();
-        &DISABLED
-    }
     /// Full-table consistency audit. Only meaningful at quiescence (no
     /// concurrent mutators). The default reports everything clean;
     /// implementations override it with a real walk of their storage.
@@ -133,7 +122,6 @@ pub(crate) fn test_caches(capacity: usize) -> Vec<std::sync::Arc<dyn ConcurrentC
     use std::sync::Arc;
     vec![
         Arc::new(crate::s3fifo::ConcurrentS3Fifo::new(capacity)),
-        Arc::new(crate::s3fifo::ConcurrentS3Fifo::direct(capacity)),
         Arc::new(crate::lru::MutexLru::strict(capacity)),
         Arc::new(crate::lru::MutexLru::optimized(capacity)),
         Arc::new(crate::clock::ConcurrentClock::new(capacity)),

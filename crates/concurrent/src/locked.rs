@@ -6,7 +6,6 @@
 //! the single-threaded implementation behind one mutex and the scalability
 //! ceiling follows.
 
-use crate::profile::SyncProfile;
 use crate::{AuditReport, ConcurrentCache};
 use bytes::Bytes;
 use cache_types::{Eviction, Policy, Request};
@@ -24,7 +23,6 @@ struct Core<P: Policy> {
 pub struct GlobalLock<P: Policy> {
     core: Mutex<Core<P>>,
     name: String,
-    profile: SyncProfile,
     clock: AtomicU64,
     capacity: usize,
 }
@@ -41,7 +39,6 @@ impl<P: Policy> GlobalLock<P> {
                 scratch: Vec::new(),
             }),
             name: format!("{name}-locked"),
-            profile: SyncProfile::new(),
             clock: AtomicU64::new(0),
             capacity,
         }
@@ -56,11 +53,9 @@ impl<P: Policy + Send> ConcurrentCache for GlobalLock<P> {
     // ORDERING: Relaxed logical-clock tick — the policy only needs a
     // unique monotonic-ish timestamp; real ordering comes from the lock.
     fn get(&self, key: u64) -> Option<Bytes> {
-        self.profile.shared_write(1); // global clock line
         let t = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut core = self.core.lock();
-        let t0 = self.profile.section_start();
-        let out = if let Some(v) = core.store.get(&key).cloned() {
+        if let Some(v) = core.store.get(&key).cloned() {
             // Drive the policy's hit path (metadata update under the lock).
             let mut evs = std::mem::take(&mut core.scratch);
             evs.clear();
@@ -69,18 +64,14 @@ impl<P: Policy + Send> ConcurrentCache for GlobalLock<P> {
             Some(v)
         } else {
             None
-        };
-        self.profile.section_end(t0);
-        out
+        }
     }
 
     // ORDERING: Relaxed clock tick, as in `get` — the global lock below
     // serializes all policy and store mutation.
     fn insert(&self, key: u64, value: Bytes) {
-        self.profile.shared_write(1); // global clock line
         let t = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut core = self.core.lock();
-        let t0 = self.profile.section_start();
         let mut evs = std::mem::take(&mut core.scratch);
         evs.clear();
         core.policy.request(&Request::get(key, t), &mut evs);
@@ -89,15 +80,12 @@ impl<P: Policy + Send> ConcurrentCache for GlobalLock<P> {
             core.store.remove(&e.id);
         }
         core.scratch = evs;
-        self.profile.section_end(t0);
     }
 
     // ORDERING: Relaxed clock tick, as in `get`.
     fn remove(&self, key: u64) -> bool {
-        self.profile.shared_write(1); // global clock line
         let t = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut core = self.core.lock();
-        let t0 = self.profile.section_start();
         let existed = core.store.remove(&key).is_some();
         if existed {
             let mut evs = std::mem::take(&mut core.scratch);
@@ -105,7 +93,6 @@ impl<P: Policy + Send> ConcurrentCache for GlobalLock<P> {
             core.policy.request(&Request::delete(key, t), &mut evs);
             core.scratch = evs;
         }
-        self.profile.section_end(t0);
         existed
     }
 
@@ -115,10 +102,6 @@ impl<P: Policy + Send> ConcurrentCache for GlobalLock<P> {
 
     fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    fn sync_profile(&self) -> &SyncProfile {
-        &self.profile
     }
 
     // The policy's own `validate()` is the deep structural check here; on

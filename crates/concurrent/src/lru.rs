@@ -12,7 +12,6 @@
 //!   better scalability [than strict LRU]. However, it cannot scale beyond
 //!   two cores."
 
-use crate::profile::SyncProfile;
 use crate::{shard_of, AuditReport, ConcurrentCache, SHARDS};
 use bytes::Bytes;
 use cache_ds::{DList, Handle};
@@ -38,7 +37,6 @@ struct ListCore {
 pub struct MutexLru {
     shards: Vec<RwLock<IdMap<Arc<Entry>>>>,
     core: Mutex<ListCore>,
-    profile: SyncProfile,
     capacity: usize,
     strict: bool,
     promote_every: u32,
@@ -65,7 +63,6 @@ impl MutexLru {
                 list: DList::with_capacity(capacity + 1),
                 handles: IdMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             }),
-            profile: SyncProfile::new(),
             capacity,
             strict,
             promote_every,
@@ -102,7 +99,6 @@ impl ConcurrentCache for MutexLru {
     // is the try-lock'd core held across a shard read. Shard guards are
     // never held while acquiring core, so no cycle exists.
     fn get(&self, key: u64) -> Option<Bytes> {
-        self.profile.entry_write(3); // shard lock word (2) + promotion tick
         let value = {
             let guard = self.shards[shard_of(key)].read();
             let entry = guard.get(&key)?;
@@ -113,13 +109,10 @@ impl ConcurrentCache for MutexLru {
             // Every hit promotes, under a blocking lock — *the* global
             // section the paper blames for LRU's flat scaling curve.
             let mut core = self.core.lock();
-            let t0 = self.profile.section_start();
             Self::promote(&mut core, key);
-            self.profile.section_end(t0);
         } else {
             // Rate-limited, try-lock promotion.
             let due = {
-                self.profile.entry_write(2); // shard lock word
                 let guard = self.shards[shard_of(key)].read();
                 match guard.get(&key) {
                     Some(e) => e.since_promotion.load(Ordering::Relaxed) >= self.promote_every,
@@ -128,14 +121,11 @@ impl ConcurrentCache for MutexLru {
             };
             if due {
                 if let Some(mut core) = self.core.try_lock() {
-                    let t0 = self.profile.section_start();
                     Self::promote(&mut core, key);
-                    self.profile.entry_write(3); // shard lock word + reset
                     let guard = self.shards[shard_of(key)].read();
                     if let Some(e) = guard.get(&key) {
                         e.since_promotion.store(0, Ordering::Relaxed);
                     }
-                    self.profile.section_end(t0);
                 }
             }
         }
@@ -156,15 +146,12 @@ impl ConcurrentCache for MutexLru {
         });
         let _ = entry.key;
         let mut core = self.core.lock();
-        let t0 = self.profile.section_start();
-        self.profile.entry_write(2); // shard lock word
         let replaced = {
             let mut guard = self.shards[shard_of(key)].write();
             guard.insert(key, entry).is_some()
         };
         if replaced {
             Self::promote(&mut core, key);
-            self.profile.section_end(t0);
             return;
         }
         while core.handles.len() >= self.capacity {
@@ -172,7 +159,6 @@ impl ConcurrentCache for MutexLru {
         }
         let h = core.list.push_front(key);
         core.handles.insert(key, h);
-        self.profile.section_end(t0);
     }
 
     // LOCK-ORDER: core -> shards; the shard write is a statement
@@ -180,15 +166,12 @@ impl ConcurrentCache for MutexLru {
     // (membership changes stay in the core section).
     fn remove(&self, key: u64) -> bool {
         let mut core = self.core.lock();
-        let t0 = self.profile.section_start();
-        self.profile.entry_write(2); // shard lock word
         let existed = self.shards[shard_of(key)].write().remove(&key).is_some();
         if existed {
             if let Some(h) = core.handles.remove(&key) {
                 core.list.remove(h);
             }
         }
-        self.profile.section_end(t0);
         existed
     }
 
@@ -198,10 +181,6 @@ impl ConcurrentCache for MutexLru {
 
     fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    fn sync_profile(&self) -> &SyncProfile {
-        &self.profile
     }
 
     // LOCK-ORDER: core -> shards; shard read locks are taken one at a

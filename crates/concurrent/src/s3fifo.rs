@@ -1,19 +1,17 @@
 //! Lock-free-read concurrent S3-FIFO.
 //!
 //! The hit path performs one sharded read-lock acquisition (uncontended in
-//! the common case because reads never mutate the shard) and — in the
-//! default *batched* mode — defers all remaining bookkeeping into a
-//! thread-sticky slot of [`crate::incbuf`] instead of writing contended
-//! lines directly: the per-shard hit counter is credited once per
-//! [`crate::incbuf::STATS_FLUSH_THRESHOLD`] hits, and an unsaturated
-//! entry's freq line is written once per
+//! the common case because reads never mutate the shard) and defers all
+//! remaining bookkeeping into a thread-sticky slot of [`crate::incbuf`]
+//! instead of writing contended lines directly: the per-shard hit counter
+//! is credited once per [`crate::incbuf::STATS_FLUSH_THRESHOLD`] hits, and
+//! an unsaturated entry's freq line is written once per
 //! [`crate::incbuf::FLUSH_THRESHOLD`] hits rather than on every hit
-//! (saturated entries skip frequency work entirely, exactly as the direct
-//! path's `f < MAX_FREQ` check would). This amortizes the coherence
-//! traffic §5.3 identifies as the residual cost of the otherwise
-//! lock-free hit path. [`ConcurrentS3Fifo::direct`] builds the
-//! pre-batching baseline (one relaxed freq store plus one hit-counter RMW
-//! per hit) the thread-sweep benchmark compares against.
+//! (saturated entries skip frequency work entirely). This amortizes the
+//! coherence traffic §5.3 identifies as the residual cost of the otherwise
+//! lock-free hit path. The paper-literal alternative — one relaxed freq
+//! store plus one hit-counter RMW per hit — was measured against this one
+//! on real threads and lost; EXPERIMENTS.md, "Fig. 8", has every run.
 //!
 //! Misses push into the small FIFO ring and evict via lock-free pops, with
 //! the same structure as Algorithm 1: evictions start only when the whole
@@ -28,13 +26,11 @@
 //! [`ConcurrentCache::audit_quiescent`] verifies this (plus ghost-table
 //! consistency) by walking the rings and the index at quiescence.
 //!
-//! Shard count is an instance parameter: [`ConcurrentS3Fifo::new`] picks a
-//! contention-aware default of `8 x` the machine's available parallelism
-//! (power of two, clamped to `[16, 256]`) so that with `shards >> threads`
-//! two threads rarely contend on one shard lock word.
+//! Shard count is `8 x` the machine's available parallelism (power of
+//! two, clamped to `[16, 256]`) so that with `shards >> threads` two
+//! threads rarely contend on one shard lock word.
 
 use crate::incbuf::{self, IncBuffers};
-use crate::profile::SyncProfile;
 use crate::{AuditReport, ConcurrentCache};
 use bytes::Bytes;
 use cache_ds::rng::mix64;
@@ -90,27 +86,6 @@ impl ShardStatsSnapshot {
     }
 }
 
-/// Construction options for [`ConcurrentS3Fifo::with_options`].
-#[derive(Debug, Clone, Copy)]
-pub struct S3FifoOptions {
-    /// Number of index shards (rounded up to a power of two, minimum 1).
-    /// `None` picks the contention-aware default
-    /// ([`ConcurrentS3Fifo::contention_shards`]).
-    pub shards: Option<usize>,
-    /// Batch frequency increments through the per-thread slot pool
-    /// (default). `false` restores the pre-batching direct-store hit path.
-    pub batched: bool,
-}
-
-impl Default for S3FifoOptions {
-    fn default() -> Self {
-        S3FifoOptions {
-            shards: None,
-            batched: true,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Entry {
     key: u64,
@@ -126,9 +101,7 @@ pub struct ConcurrentS3Fifo {
     main: MpmcRing<Arc<Entry>>,
     ghosts: Vec<Mutex<GhostTable>>,
     counters: Vec<ShardCounters>,
-    /// Present in batched mode only; `None` is the direct baseline.
-    incs: Option<IncBuffers>,
-    profile: SyncProfile,
+    incs: IncBuffers,
     s_count: AtomicUsize,
     m_count: AtomicUsize,
     capacity: usize,
@@ -136,31 +109,7 @@ pub struct ConcurrentS3Fifo {
 }
 
 impl ConcurrentS3Fifo {
-    /// Creates a cache holding up to `capacity` entries, 10 % of which are
-    /// the small queue's target share. Uses batched frequency increments
-    /// and the contention-aware shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity < 10`.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_options(capacity, S3FifoOptions::default())
-    }
-
-    /// The pre-batching baseline: identical structure, but every hit
-    /// stores the entry frequency and bumps the shard hit counter
-    /// directly. The thread-sweep benchmark measures batched vs. direct.
-    pub fn direct(capacity: usize) -> Self {
-        Self::with_options(
-            capacity,
-            S3FifoOptions {
-                batched: false,
-                ..S3FifoOptions::default()
-            },
-        )
-    }
-
-    /// Contention-aware shard default: `8 x` available parallelism,
+    /// Contention-aware shard count: `8 x` available parallelism,
     /// rounded to a power of two and clamped to `[16, 256]`. With eight
     /// shards per thread, the probability that two concurrent operations
     /// touch the same shard lock word stays low even on skewed key
@@ -172,18 +121,15 @@ impl ConcurrentS3Fifo {
         (cores * 8).next_power_of_two().clamp(16, 256)
     }
 
-    /// Creates a cache with explicit [`S3FifoOptions`].
+    /// Creates a cache holding up to `capacity` entries, 10 % of which are
+    /// the small queue's target share.
     ///
     /// # Panics
     ///
     /// Panics when `capacity < 10`.
-    pub fn with_options(capacity: usize, opts: S3FifoOptions) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 10, "capacity must be at least 10 entries");
-        let shards = opts
-            .shards
-            .unwrap_or_else(Self::contention_shards)
-            .next_power_of_two()
-            .max(1);
+        let shards = Self::contention_shards();
         let s_capacity = (capacity / 10).max(1);
         let m_capacity = capacity - s_capacity;
         ConcurrentS3Fifo {
@@ -198,8 +144,7 @@ impl ConcurrentS3Fifo {
                 .map(|_| Mutex::new(GhostTable::new((m_capacity / shards).max(8))))
                 .collect(),
             counters: (0..shards).map(|_| ShardCounters::default()).collect(),
-            incs: opts.batched.then(|| IncBuffers::new(shards)),
-            profile: SyncProfile::new(),
+            incs: IncBuffers::new(shards),
             s_count: AtomicUsize::new(0),
             m_count: AtomicUsize::new(0),
             capacity,
@@ -212,11 +157,6 @@ impl ConcurrentS3Fifo {
         self.shard_mask + 1
     }
 
-    /// Whether this instance batches frequency increments.
-    pub fn is_batched(&self) -> bool {
-        self.incs.is_some()
-    }
-
     #[inline]
     fn shard_idx(&self, key: u64) -> usize {
         (mix64(key) as usize) & self.shard_mask
@@ -227,20 +167,16 @@ impl ConcurrentS3Fifo {
     /// hits were recorded silently loses its bump — deferral affects
     /// eviction quality only, never get/set results.
     // ORDERING: Relaxed freq load/store — the two-bit counter is a lossy
-    // promotion heuristic exactly as on the direct path; the shard read
-    // lock orders the entry lookup.
+    // promotion heuristic (§3.3); the shard read lock orders the entry
+    // lookup.
     fn apply_freq(&self, key: u64, count: u32) {
         let idx = self.shard_idx(key);
-        // Lock word (2): entry-class writes for the contention model; the
-        // freq store below adds one more when taken.
-        self.profile.entry_write(2);
         let guard = self.shards[idx].read();
         if let Some(entry) = guard.get(&key) {
             let f = entry.freq.load(Ordering::Relaxed);
             let bumped = (u32::from(f) + count).min(u32::from(MAX_FREQ)) as u8;
             if bumped != f {
                 entry.freq.store(bumped, Ordering::Relaxed);
-                self.profile.entry_write(1);
             }
         }
     }
@@ -253,19 +189,15 @@ impl ConcurrentS3Fifo {
         self.counters[shard]
             .hits
             .fetch_add(u64::from(count), Ordering::Relaxed);
-        self.profile.entry_write(1);
     }
 
     /// Flushes every pending batched increment (frequency bumps and stat
-    /// credits). Cheap no-op in direct mode. Called before stats
-    /// snapshots and audits so counters and frequency state are exact at
-    /// quiescence.
+    /// credits). Called before stats snapshots and audits so counters and
+    /// frequency state are exact at quiescence.
     pub fn drain_pending(&self) {
-        if let Some(incs) = &self.incs {
-            let mut apply_freq = |k: u64, c: u32| self.apply_freq(k, c);
-            let mut apply_stat = |s: usize, c: u32| self.credit_hits(s, c);
-            incs.drain(&mut apply_freq, &mut apply_stat);
-        }
+        let mut apply_freq = |k: u64, c: u32| self.apply_freq(k, c);
+        let mut apply_stat = |s: usize, c: u32| self.credit_hits(s, c);
+        self.incs.drain(&mut apply_freq, &mut apply_stat);
     }
 
     /// Point-in-time counters of one shard.
@@ -354,7 +286,6 @@ impl ConcurrentS3Fifo {
     }
 
     fn is_current(&self, entry: &Arc<Entry>) -> bool {
-        self.profile.entry_write(2); // shard lock word acquire/release
         let shard = &self.shards[self.shard_idx(entry.key)];
         shard
             .read()
@@ -364,7 +295,6 @@ impl ConcurrentS3Fifo {
     }
 
     fn remove_if_current(&self, entry: &Arc<Entry>) -> bool {
-        self.profile.entry_write(2); // shard lock word acquire/release
         let shard = &self.shards[self.shard_idx(entry.key)];
         let mut guard = shard.write();
         if let Some(cur) = guard.get(&entry.key) {
@@ -377,12 +307,10 @@ impl ConcurrentS3Fifo {
     }
 
     fn ghost_insert(&self, key: u64) {
-        self.profile.entry_write(2); // sharded ghost mutex word
         self.ghosts[self.shard_idx(key)].lock().insert(key);
     }
 
     fn ghost_take(&self, key: u64) -> bool {
-        self.profile.entry_write(2); // sharded ghost mutex word
         self.ghosts[self.shard_idx(key)].lock().remove(key)
     }
 
@@ -391,9 +319,6 @@ impl ConcurrentS3Fifo {
     // ORDERING: Relaxed m_count add/undo — the count is advisory (see
     // total); the ring itself synchronizes entry handoff.
     fn push_main(&self, entry: Arc<Entry>) {
-        // m_count (1) + ring head claim and cell publish (2): shared-line
-        // writes every thread pays on this path.
-        self.profile.shared_write(3);
         self.m_count.fetch_add(1, Ordering::Relaxed);
         if let Err(back) = self.main.push(entry) {
             self.m_count.fetch_sub(1, Ordering::Relaxed);
@@ -411,8 +336,6 @@ impl ConcurrentS3Fifo {
         // Bounded walk: promotions and stale handles keep the loop going;
         // one ghost eviction ends it.
         for _ in 0..self.capacity * 2 + 64 {
-            // Ring tail claim + cell consume (2) + s_count (1).
-            self.profile.shared_write(3);
             let Some(entry) = self.small.pop() else {
                 return progress;
             };
@@ -425,7 +348,6 @@ impl ConcurrentS3Fifo {
             if entry.freq.load(Ordering::Relaxed) > 1 {
                 // Accessed more than once: promote to M with cleared bits.
                 entry.freq.store(0, Ordering::Relaxed);
-                self.profile.entry_write(1);
                 self.push_main(entry);
                 continue;
             }
@@ -445,14 +367,12 @@ impl ConcurrentS3Fifo {
                 // key whose churn just stopped. Re-checking residency keeps
                 // the serial invariant (live ∩ ghost = ∅) up to inserts
                 // that are still in flight at the moment of the check.
-                self.profile.entry_write(2); // shard lock word
                 if self.shards[self.shard_idx(entry.key)]
                     .read()
                     .contains_key(&entry.key)
                 {
                     self.ghost_take(entry.key);
                 }
-                self.profile.entry_write(1);
                 self.counters[self.shard_idx(entry.key)]
                     .evictions
                     .fetch_add(1, Ordering::Relaxed);
@@ -468,8 +388,6 @@ impl ConcurrentS3Fifo {
     fn evict_main(&self) -> bool {
         let mut progress = false;
         for _ in 0..self.capacity * 2 + 64 {
-            // Ring tail claim + cell consume (2) + m_count (1).
-            self.profile.shared_write(3);
             let Some(entry) = self.main.pop() else {
                 return progress;
             };
@@ -482,8 +400,6 @@ impl ConcurrentS3Fifo {
             if f > 0 {
                 // Reinsert with decremented frequency.
                 entry.freq.store(f - 1, Ordering::Relaxed);
-                self.profile.entry_write(1);
-                self.profile.shared_write(3);
                 self.m_count.fetch_add(1, Ordering::Relaxed);
                 if let Err(back) = self.main.push(entry) {
                     self.m_count.fetch_sub(1, Ordering::Relaxed);
@@ -493,7 +409,6 @@ impl ConcurrentS3Fifo {
                 continue;
             }
             if self.remove_if_current(&entry) {
-                self.profile.entry_write(1);
                 self.counters[self.shard_idx(entry.key)]
                     .evictions
                     .fetch_add(1, Ordering::Relaxed);
@@ -530,45 +445,20 @@ impl ConcurrentS3Fifo {
 
 impl ConcurrentCache for ConcurrentS3Fifo {
     fn name(&self) -> String {
-        if self.is_batched() {
-            "S3-FIFO".into()
-        } else {
-            "S3-FIFO-direct".into()
-        }
+        "S3-FIFO".into()
     }
 
-    // ORDERING: Relaxed freq load/store (lazy promotion is lossy by
-    // design, §3.3 — the two-bit counter tolerates racing updates) and
-    // Relaxed stat counters; the shard read lock orders the value read.
-    // Batched mode records the hit into the slot pool *after* dropping
-    // the shard guard: the freq-flush callback re-acquires shard read
-    // locks for the flushed keys, and parking_lot read locks are not
-    // recursion-safe when a writer is queued.
-    // LOCK-ORDER: disjoint; one shard read lock at a time — the direct
-    // and batched branches each take exactly one block-scoped guard, and
-    // the batched flush only re-acquires after its guard dropped.
+    // ORDERING: Relaxed freq load (lazy promotion is lossy by design,
+    // §3.3 — the two-bit counter tolerates racing updates) and Relaxed
+    // stat counters; the shard read lock orders the value read. The hit
+    // is recorded into the slot pool *after* dropping the shard guard:
+    // the freq-flush callback re-acquires shard read locks for the
+    // flushed keys, and parking_lot read locks are not recursion-safe
+    // when a writer is queued.
+    // LOCK-ORDER: disjoint; one shard read lock at a time — one
+    // block-scoped guard, and the flush only re-acquires after it dropped.
     fn get(&self, key: u64) -> Option<Bytes> {
         let idx = self.shard_idx(key);
-        self.profile.entry_write(2); // shard lock word acquire/release
-        let Some(incs) = &self.incs else {
-            // Direct baseline: freq store + hit counter under the guard,
-            // exactly the pre-batching hit path.
-            let guard = self.shards[idx].read();
-            let Some(entry) = guard.get(&key) else {
-                self.counters[idx].misses.fetch_add(1, Ordering::Relaxed);
-                self.profile.entry_write(1);
-                return None;
-            };
-            // Lazy promotion: a hit is one relaxed atomic bump, nothing else.
-            let f = entry.freq.load(Ordering::Relaxed);
-            if f < MAX_FREQ {
-                entry.freq.store(f + 1, Ordering::Relaxed);
-                self.profile.entry_write(1);
-            }
-            self.counters[idx].hits.fetch_add(1, Ordering::Relaxed);
-            self.profile.entry_write(1);
-            return Some(entry.value.clone());
-        };
         let hit = {
             let guard = self.shards[idx].read();
             guard
@@ -577,19 +467,14 @@ impl ConcurrentCache for ConcurrentS3Fifo {
         };
         let Some((value, f)) = hit else {
             self.counters[idx].misses.fetch_add(1, Ordering::Relaxed);
-            self.profile.entry_write(1);
             return None;
         };
-        // A saturated entry needs no frequency work at all — the direct
-        // path's `f < MAX_FREQ` check would skip the store at the same
-        // moment — so only unsaturated hits enter the pair table.
-        // Slot-pool writes are thread-sticky (hints partition the pool),
-        // so they are not counted as contended lines; only the amortized
-        // flushes report entry-class writes through the callbacks.
+        // A saturated entry needs no frequency work at all, so only
+        // unsaturated hits enter the pair table.
         let bump_freq = f < MAX_FREQ;
         let mut apply_freq = |k: u64, c: u32| self.apply_freq(k, c);
         let mut apply_stat = |s: usize, c: u32| self.credit_hits(s, c);
-        if !incs.record(
+        if !self.incs.record(
             incbuf::slot_hint(),
             key,
             idx,
@@ -597,8 +482,8 @@ impl ConcurrentCache for ConcurrentS3Fifo {
             &mut apply_freq,
             &mut apply_stat,
         ) {
-            // All probed slots claimed (rare): fall back to direct
-            // bookkeeping so the hit is never dropped.
+            // All probed slots claimed (rare): apply the bookkeeping now
+            // so the hit is never dropped.
             self.credit_hits(idx, 1);
             if bump_freq {
                 self.apply_freq(key, 1);
@@ -621,11 +506,9 @@ impl ConcurrentCache for ConcurrentS3Fifo {
         self.counters[self.shard_idx(key)]
             .inserts
             .fetch_add(1, Ordering::Relaxed);
-        self.profile.entry_write(1);
         let ghost_hit = self.ghost_take(key);
         self.make_room();
         {
-            self.profile.entry_write(2); // shard lock word acquire/release
             let shard = &self.shards[self.shard_idx(key)];
             let mut guard = shard.write();
             // An overwrite leaves the old Arc in its ring as a stale handle.
@@ -634,8 +517,6 @@ impl ConcurrentCache for ConcurrentS3Fifo {
         if ghost_hit {
             self.push_main(entry);
         } else {
-            // s_count (1) + ring head claim and cell publish (2).
-            self.profile.shared_write(3);
             self.s_count.fetch_add(1, Ordering::Relaxed);
             if let Err(back) = self.small.push(entry) {
                 self.s_count.fetch_sub(1, Ordering::Relaxed);
@@ -648,7 +529,6 @@ impl ConcurrentCache for ConcurrentS3Fifo {
         // The ring slot becomes a stale handle; its logical space is
         // reclaimed when an eviction pops it (sooner in the small queue —
         // exactly the §4.2 deletion argument).
-        self.profile.entry_write(2); // shard lock word acquire/release
         self.shards[self.shard_idx(key)]
             .write()
             .remove(&key)
@@ -661,10 +541,6 @@ impl ConcurrentCache for ConcurrentS3Fifo {
 
     fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    fn sync_profile(&self) -> &SyncProfile {
-        &self.profile
     }
 
     // LOCK-ORDER: shards -> ghosts; the ghost-liveness probe reads each
@@ -725,30 +601,12 @@ mod tests {
         Bytes::from_static(b"value")
     }
 
-    /// Both increment modes, so every behavioral test pins batched and
-    /// direct alike.
-    fn both_modes(capacity: usize) -> Vec<ConcurrentS3Fifo> {
-        vec![
-            ConcurrentS3Fifo::new(capacity),
-            ConcurrentS3Fifo::direct(capacity),
-        ]
-    }
-
     #[test]
     fn get_after_insert() {
-        for c in both_modes(100) {
-            c.insert(1, payload());
-            assert_eq!(c.get(1), Some(payload()), "{}", c.name());
-            assert_eq!(c.get(2), None, "{}", c.name());
-        }
-    }
-
-    #[test]
-    fn mode_constructors_report_names() {
-        assert_eq!(ConcurrentS3Fifo::new(100).name(), "S3-FIFO");
-        assert_eq!(ConcurrentS3Fifo::direct(100).name(), "S3-FIFO-direct");
-        assert!(ConcurrentS3Fifo::new(100).is_batched());
-        assert!(!ConcurrentS3Fifo::direct(100).is_batched());
+        let c = ConcurrentS3Fifo::new(100);
+        c.insert(1, payload());
+        assert_eq!(c.get(1), Some(payload()));
+        assert_eq!(c.get(2), None);
     }
 
     #[test]
@@ -757,136 +615,112 @@ mod tests {
         assert!(n.is_power_of_two());
         assert!((16..=256).contains(&n));
         assert_eq!(ConcurrentS3Fifo::new(100).num_shards(), n);
-        let c = ConcurrentS3Fifo::with_options(
-            100,
-            S3FifoOptions {
-                shards: Some(5),
-                batched: true,
-            },
-        );
-        assert_eq!(c.num_shards(), 8, "shard count rounds up to a power of two");
     }
 
     #[test]
     fn scan_fills_and_bounds_the_cache() {
-        for c in both_modes(100) {
-            for k in 0..10_000u64 {
-                c.insert(k, payload());
-            }
-            assert!(c.len() <= 108, "{}: len {} exceeds cap+slack", c.name(), c.len());
-            assert!(c.len() >= 90, "{}: cache underfilled: {}", c.name(), c.len());
+        let c = ConcurrentS3Fifo::new(100);
+        for k in 0..10_000u64 {
+            c.insert(k, payload());
         }
+        assert!(c.len() <= 108, "len {} exceeds cap+slack", c.len());
+        assert!(c.len() >= 90, "cache underfilled: {}", c.len());
     }
 
     #[test]
     fn hot_keys_survive_scan() {
-        for c in both_modes(100) {
-            for k in 0..5u64 {
-                c.insert(k, payload());
-            }
-            for _ in 0..3 {
-                for k in 0..5u64 {
-                    c.get(k);
-                }
-            }
-            // Batched mode defers freq bumps; settle them so the scan
-            // below exercises the same promoted state as direct mode.
-            c.drain_pending();
-            for k in 1000..2000u64 {
-                c.insert(k, payload());
-            }
-            let survivors = (0..5u64).filter(|&k| c.get(k).is_some()).count();
-            assert!(survivors >= 4, "{}: hot keys lost: {survivors}/5", c.name());
+        let c = ConcurrentS3Fifo::new(100);
+        for k in 0..5u64 {
+            c.insert(k, payload());
         }
+        for _ in 0..3 {
+            for k in 0..5u64 {
+                c.get(k);
+            }
+        }
+        // Freq bumps are deferred; settle them so the scan below sees the
+        // promoted state.
+        c.drain_pending();
+        for k in 1000..2000u64 {
+            c.insert(k, payload());
+        }
+        let survivors = (0..5u64).filter(|&k| c.get(k).is_some()).count();
+        assert!(survivors >= 4, "hot keys lost: {survivors}/5");
     }
 
     #[test]
     fn overwrite_returns_new_value() {
-        for c in both_modes(100) {
-            c.insert(1, Bytes::from_static(b"a"));
-            c.insert(1, Bytes::from_static(b"b"));
-            assert_eq!(c.get(1), Some(Bytes::from_static(b"b")), "{}", c.name());
-            assert_eq!(c.len(), 1, "{}", c.name());
-        }
+        let c = ConcurrentS3Fifo::new(100);
+        c.insert(1, Bytes::from_static(b"a"));
+        c.insert(1, Bytes::from_static(b"b"));
+        assert_eq!(c.get(1), Some(Bytes::from_static(b"b")));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn ghost_readmission_goes_to_main() {
-        for c in both_modes(50) {
-            for k in 0..100u64 {
-                c.insert(k, payload());
-            }
-            let evicted = (0..100u64).rev().find(|&k| c.get(k).is_none()).unwrap();
-            let m_before = c.debug_counts().2;
-            c.insert(evicted, payload());
-            assert!(
-                c.debug_counts().2 >= m_before,
-                "{}: ghost hit should feed M",
-                c.name()
-            );
-            assert!(c.get(evicted).is_some(), "{}", c.name());
+        let c = ConcurrentS3Fifo::new(50);
+        for k in 0..100u64 {
+            c.insert(k, payload());
         }
+        let evicted = (0..100u64).rev().find(|&k| c.get(k).is_none()).unwrap();
+        let m_before = c.debug_counts().2;
+        c.insert(evicted, payload());
+        assert!(c.debug_counts().2 >= m_before, "ghost hit should feed M");
+        assert!(c.get(evicted).is_some());
     }
 
     // ORDERING: Relaxed hit counter — joined before the final asserts.
     #[test]
     fn concurrent_mixed_workload_is_safe_and_bounded() {
-        for batched in [true, false] {
-            let c = Arc::new(ConcurrentS3Fifo::with_options(
-                1000,
-                S3FifoOptions {
-                    shards: None,
-                    batched,
-                },
-            ));
-            let hits = Arc::new(AtomicU64::new(0));
-            let mut handles = Vec::new();
-            for t in 0..8u64 {
-                let c = c.clone();
-                let hits = hits.clone();
-                handles.push(std::thread::spawn(move || {
-                    let mut state = t + 1;
-                    for _ in 0..50_000 {
-                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        let r = state >> 33;
-                        // `r` even implies `r % 100` even, so derive the hot id
-                        // from the shifted value to cover all 100 hot keys.
-                        let key = if r % 2 == 0 {
-                            (r >> 1) % 100
-                        } else {
-                            r % 50_000
-                        };
-                        match c.get(key) {
-                            Some(_) => {
-                                hits.fetch_add(1, Ordering::Relaxed);
-                            }
-                            None => c.insert(key, Bytes::from_static(b"v")),
+        let c = Arc::new(ConcurrentS3Fifo::new(1000));
+        let hits = Arc::new(AtomicU64::new(0));
+        let mut handles = Vec::new();
+        for t in 0..8u64 {
+            let c = c.clone();
+            let hits = hits.clone();
+            handles.push(std::thread::spawn(move || {
+                let mut state = t + 1;
+                for _ in 0..50_000 {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let r = state >> 33;
+                    // `r` even implies `r % 100` even, so derive the hot id
+                    // from the shifted value to cover all 100 hot keys.
+                    let key = if r % 2 == 0 {
+                        (r >> 1) % 100
+                    } else {
+                        r % 50_000
+                    };
+                    match c.get(key) {
+                        Some(_) => {
+                            hits.fetch_add(1, Ordering::Relaxed);
                         }
+                        None => c.insert(key, Bytes::from_static(b"v")),
                     }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert!(hits.load(Ordering::Relaxed) > 0);
-            let (len, s, m, s_ring, m_ring) = c.debug_counts();
-            assert!(
-                len <= 1064,
-                "len {len} exceeded capacity with slack (s={s} m={m} rings={s_ring}/{m_ring})"
-            );
-            // Every current entry must be reachable: quiescent ring contents
-            // cover the index (rings may also hold stale handles).
-            assert!(
-                s_ring + m_ring >= len,
-                "index ({len}) exceeds ring contents ({s_ring}+{m_ring}): leaked entries"
-            );
-            let hot_hits = (0..100u64).filter(|&k| c.get(k).is_some()).count();
-            assert!(hot_hits > 50, "hot set not retained: {hot_hits}/100");
-            // Full-table audit: no duplicates, no unreachable entries, and
-            // at most one legally ghosted live key per thread.
-            let audit = c.audit_quiescent();
-            assert!(audit.is_clean(8), "audit failed: {audit:?}");
+                }
+            }));
         }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(hits.load(Ordering::Relaxed) > 0);
+        let (len, s, m, s_ring, m_ring) = c.debug_counts();
+        assert!(
+            len <= 1064,
+            "len {len} exceeded capacity with slack (s={s} m={m} rings={s_ring}/{m_ring})"
+        );
+        // Every current entry must be reachable: quiescent ring contents
+        // cover the index (rings may also hold stale handles).
+        assert!(
+            s_ring + m_ring >= len,
+            "index ({len}) exceeds ring contents ({s_ring}+{m_ring}): leaked entries"
+        );
+        let hot_hits = (0..100u64).filter(|&k| c.get(k).is_some()).count();
+        assert!(hot_hits > 50, "hot set not retained: {hot_hits}/100");
+        // Full-table audit: no duplicates, no unreachable entries, and
+        // at most one legally ghosted live key per thread.
+        let audit = c.audit_quiescent();
+        assert!(audit.is_clean(8), "audit failed: {audit:?}");
     }
 
     #[test]
@@ -987,39 +821,31 @@ mod tests {
 
     #[test]
     fn shard_stats_survive_concurrent_load() {
-        for batched in [true, false] {
-            let c = Arc::new(ConcurrentS3Fifo::with_options(
-                1000,
-                S3FifoOptions {
-                    shards: None,
-                    batched,
-                },
-            ));
-            let mut handles = Vec::new();
-            for t in 0..4u64 {
-                let c = c.clone();
-                handles.push(std::thread::spawn(move || {
-                    let mut state = t + 1;
-                    for _ in 0..20_000 {
-                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        let key = (state >> 33) % 5000;
-                        if c.get(key).is_none() {
-                            c.insert(key, Bytes::from_static(b"v"));
-                        }
+        let c = Arc::new(ConcurrentS3Fifo::new(1000));
+        let mut handles = Vec::new();
+        for t in 0..4u64 {
+            let c = c.clone();
+            handles.push(std::thread::spawn(move || {
+                let mut state = t + 1;
+                for _ in 0..20_000 {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let key = (state >> 33) % 5000;
+                    if c.get(key).is_none() {
+                        c.insert(key, Bytes::from_static(b"v"));
                     }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            let total = c.aggregate_stats();
-            // Every loop iteration was one get; inserts follow misses 1:1.
-            // Batched hits are exact here because aggregate_stats drains
-            // the pending increments first.
-            assert_eq!(total.hits + total.misses, 4 * 20_000, "batched={batched}");
-            assert_eq!(total.inserts, total.misses, "batched={batched}");
-            assert!(total.hit_ratio() > 0.0 && total.hit_ratio() < 1.0);
+                }
+            }));
         }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let total = c.aggregate_stats();
+        // Every loop iteration was one get; inserts follow misses 1:1.
+        // Batched hits are exact here because aggregate_stats drains
+        // the pending increments first.
+        assert_eq!(total.hits + total.misses, 4 * 20_000);
+        assert_eq!(total.inserts, total.misses);
+        assert!(total.hit_ratio() > 0.0 && total.hit_ratio() < 1.0);
     }
 
     #[test]
@@ -1069,36 +895,18 @@ mod tests {
 
     #[test]
     fn audit_reports_clean_on_quiet_cache() {
-        for c in both_modes(100) {
-            for k in 0..500u64 {
-                c.insert(k, payload());
-                c.get(k / 2);
-            }
-            let audit = c.audit_quiescent();
-            assert_eq!(audit.resident, c.len(), "{}", c.name());
-            assert!(audit.is_clean(0), "{}: {audit:?}", c.name());
-            // The audit's ring walk must not perturb the cache.
-            let before = c.debug_counts();
-            let again = c.audit_quiescent();
-            assert_eq!(before, c.debug_counts(), "{}: audit mutated state", c.name());
-            assert_eq!(audit, again, "{}: audit not idempotent", c.name());
+        let c = ConcurrentS3Fifo::new(100);
+        for k in 0..500u64 {
+            c.insert(k, payload());
+            c.get(k / 2);
         }
-    }
-
-    #[test]
-    fn profile_counts_hit_path_writes() {
-        let c = ConcurrentS3Fifo::direct(100);
-        c.insert(1, payload());
-        c.sync_profile().set_enabled(true);
-        c.sync_profile().reset();
-        for _ in 0..10 {
-            c.get(1);
-        }
-        let snap = c.sync_profile().snapshot();
-        // Direct hit: 2 lock-word + 1 hit counter, + freq store while
-        // below MAX_FREQ (first 3 hits).
-        assert_eq!(snap.entry_writes, 10 * 3 + 3);
-        assert_eq!(snap.shared_writes, 0, "hit path must stay ring-free");
-        assert_eq!(snap.lock_sections, 0, "hit path takes no global lock");
+        let audit = c.audit_quiescent();
+        assert_eq!(audit.resident, c.len());
+        assert!(audit.is_clean(0), "{audit:?}");
+        // The audit's ring walk must not perturb the cache.
+        let before = c.debug_counts();
+        let again = c.audit_quiescent();
+        assert_eq!(before, c.debug_counts(), "audit mutated state");
+        assert_eq!(audit, again, "audit not idempotent");
     }
 }

@@ -8,7 +8,6 @@
 //! that copies surviving objects, which costs it single-thread throughput
 //! relative to S3-FIFO.
 
-use crate::profile::SyncProfile;
 use crate::{shard_of, AuditReport, ConcurrentCache, SHARDS};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -34,7 +33,6 @@ pub struct SegcacheLike {
     index: Vec<RwLock<IdMap<Arc<Entry>>>>,
     /// Sealed segments, oldest first, plus the active segment at the back.
     segments: Mutex<VecDeque<Segment>>,
-    profile: SyncProfile,
     next_seg: AtomicUsize,
     len: AtomicUsize,
     capacity: usize,
@@ -58,7 +56,6 @@ impl SegcacheLike {
         SegcacheLike {
             index: (0..SHARDS).map(|_| RwLock::new(IdMap::default())).collect(),
             segments: Mutex::new(segments),
-            profile: SyncProfile::new(),
             next_seg: AtomicUsize::new(1),
             len: AtomicUsize::new(0),
             capacity,
@@ -132,8 +129,6 @@ impl ConcurrentCache for SegcacheLike {
     // ORDERING: Relaxed freq bump — the atomic-only hit path is the whole
     // point (§5.3); losing increments under contention is acceptable.
     fn get(&self, key: u64) -> Option<Bytes> {
-        // Index lock word (2) + freq bump (1).
-        self.profile.entry_write(3);
         let guard = self.index[shard_of(key)].read();
         let e = guard.get(&key)?;
         e.freq.fetch_add(1, Ordering::Relaxed);
@@ -147,7 +142,6 @@ impl ConcurrentCache for SegcacheLike {
     // below happens after the segment guard is dropped.
     fn insert(&self, key: u64, value: Bytes) {
         let mut segments = self.segments.lock();
-        let t0 = self.profile.section_start();
         if self.len.load(Ordering::Relaxed) >= self.capacity {
             self.merge_evict(&mut segments);
         }
@@ -169,28 +163,22 @@ impl ConcurrentCache for SegcacheLike {
             active.keys.push(key);
             active.id
         };
-        self.profile.section_end(t0);
         drop(segments);
         let entry = Arc::new(Entry {
             value,
             freq: AtomicU32::new(0),
             seg: AtomicUsize::new(seg_id),
         });
-        // Index lock word (2); len is one globally shared line.
-        self.profile.entry_write(2);
         let mut guard = self.index[shard_of(key)].write();
         if guard.insert(key, entry).is_none() {
-            self.profile.shared_write(1);
             self.len.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     // ORDERING: Relaxed len — advisory occupancy, see `insert`.
     fn remove(&self, key: u64) -> bool {
-        self.profile.entry_write(2); // index lock word
         let existed = self.index[shard_of(key)].write().remove(&key).is_some();
         if existed {
-            self.profile.shared_write(1); // global len
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
         existed
@@ -203,10 +191,6 @@ impl ConcurrentCache for SegcacheLike {
 
     fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    fn sync_profile(&self) -> &SyncProfile {
-        &self.profile
     }
 
     // LOCK-ORDER: segments -> index; index shard read locks under the

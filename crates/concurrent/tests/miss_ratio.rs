@@ -4,8 +4,8 @@
 //! `FLUSH_THRESHOLD` per buffer slot), so an entry's capped counter can lag
 //! the serial algorithm at the moment an eviction scan reads it. The claim
 //! backing that design is that the lag is behaviorally negligible: on the
-//! same Zipf trace the concurrent cache — batched or direct — must stay
-//! within 1 % *absolute* miss ratio of the simulation-grade serial S3-FIFO.
+//! same Zipf trace the concurrent cache must stay within 1 % *absolute*
+//! miss ratio of the simulation-grade serial S3-FIFO.
 //!
 //! The replay is single-threaded so both sides see the identical request
 //! order; that isolates the *algorithmic* delta (sharded ghosts, ring
@@ -71,7 +71,7 @@ fn concurrent_miss_ratio(cache: &dyn ConcurrentCache, trace: &[u64]) -> f64 {
 }
 
 #[test]
-fn batched_and_direct_track_serial_within_one_percent() {
+fn concurrent_tracks_serial_within_one_percent() {
     let trace = zipf_trace();
     let serial = serial_miss_ratio(&trace);
     // Sanity: Zipf(1.0) at 10% capacity must land in a plausible band, or
@@ -80,19 +80,13 @@ fn batched_and_direct_track_serial_within_one_percent() {
         (0.05..0.60).contains(&serial),
         "serial miss ratio {serial:.4} implausible"
     );
-    for cache in [
-        ConcurrentS3Fifo::new(CAPACITY),
-        ConcurrentS3Fifo::direct(CAPACITY),
-    ] {
-        let name = cache.name();
-        let concurrent = concurrent_miss_ratio(&cache, &trace);
-        let delta = (concurrent - serial).abs();
-        assert!(
-            delta < 0.01,
-            "{name}: miss ratio {concurrent:.4} vs serial {serial:.4} \
-             (delta {delta:.4} >= 1% absolute)"
-        );
-    }
+    let concurrent = concurrent_miss_ratio(&ConcurrentS3Fifo::new(CAPACITY), &trace);
+    let delta = (concurrent - serial).abs();
+    assert!(
+        delta < 0.01,
+        "miss ratio {concurrent:.4} vs serial {serial:.4} \
+         (delta {delta:.4} >= 1% absolute)"
+    );
 }
 
 #[test]
