@@ -1,22 +1,22 @@
-//! Simulator throughput: dense-ID fast path vs the legacy keyed engine.
+//! Simulator throughput of the dense (pre-interned) replay path.
 //!
 //! Two measurements on the same Zipf trace:
 //!
-//! 1. **Per-policy replay** — each policy alone: *legacy* is what
-//!    `simulate_named` did before the dense fast path (clone the trace into
-//!    unit-size requests, build the HashMap-keyed policy, replay); *dense*
-//!    is the current auto path (one-time interned u32 slots, slab-indexed
-//!    policy state).
-//! 2. **Sweep aggregate** — the acceptance metric: every policy × every
-//!    standard cache size, i.e. what `run_sweep` feeds each worker. The
-//!    pre-PR engine ran those jobs one at a time; the dense engine gangs
-//!    same-trace jobs into a single pass (a multi-policy `Replay`), so one
-//!    traversal drives several independent policies' memory streams at
-//!    once instead of stalling on each job's misses in sequence.
+//! 1. **Per-policy replay** — each FIFO-family policy alone through
+//!    `simulate_named` (one-time interned u32 slots, slab-indexed policy
+//!    state).
+//! 2. **Sweep aggregate** — every policy × every standard cache size, i.e.
+//!    what `run_sweep` feeds each worker: same-trace jobs ganged into a
+//!    single pass (a multi-policy `Replay`), so one traversal drives several
+//!    independent policies' memory streams at once.
 //!
-//! Both paths are asserted bit-identical on miss ratio and evictions before
-//! any number is reported. Results go to stdout as tables and to a JSON
-//! file (repo root `BENCH_sim.json` by default).
+//! Before any number is reported each policy's dense replay is asserted
+//! bit-identical (miss ratio, evictions) to the same policy behind the keyed
+//! adapter, and the ganged sweep to one-policy-at-a-time replay. Results go
+//! to stdout as tables and to a JSON file (repo root `BENCH_sim.json` by
+//! default) whose numbers the binary checks before writing. The comparison
+//! against the hand-written keyed engine this path replaced (1.95×, PR 2)
+//! is recorded in EXPERIMENTS.md; that engine no longer exists.
 //!
 //! Run: `cargo run --release -p cache-bench --bin sim_throughput`
 //! Flags: `--smoke` (small trace, write to `target/BENCH_sim.json`),
@@ -27,11 +27,9 @@ use cache_bench::{banner, f2, f4, print_table};
 use cache_sim::{simulate_named, CacheSizeSpec, Replay, SimConfig, SimResult};
 use cache_trace::gen::WorkloadSpec;
 use cache_trace::Trace;
-use cache_types::Request;
 use std::time::Instant;
 
-/// The policies with a dense fast path (plus the keyed machinery both
-/// engines share). This is the set the ≥3× acceptance gate is measured on.
+/// The policies written over the dense slab.
 const POLICIES: &[&str] = &[
     "FIFO",
     "LRU",
@@ -53,77 +51,55 @@ fn env_u64(key: &str, default: u64) -> u64 {
 /// One measured policy row.
 struct Row {
     name: String,
-    legacy_mreqs: f64,
     dense_mreqs: f64,
     miss_ratio: f64,
-    legacy_secs: f64,
     dense_secs: f64,
 }
 
+fn run_dense(name: &str, trace: &Trace, cfg: &SimConfig) -> SimResult {
+    simulate_named(name, trace, cfg)
+        .expect("known policy")
+        .expect("no size filter")
+}
+
 /// The registry's keyed policy for `name`, driven by the same `Replay`.
-fn run_keyed(name: &str, trace: &Trace, cfg: &SimConfig, requests: &[Request]) -> SimResult {
-    let policy = cache_policies::registry::build(name, cfg.capacity_for(trace), Some(requests))
+fn run_keyed(name: &str, trace: &Trace, cfg: &SimConfig) -> SimResult {
+    let policy = cache_policies::registry::build(name, cfg.capacity_for(trace), None)
         .expect("known policy");
     let replay = Replay::keyed(policy).ignore_size(cfg.ignore_size);
     replay.run(trace).remove(0).0
 }
 
-/// The pre-PR engine: materialize a unit-size copy of the trace, hand it to
-/// the keyed registry, replay through HashMap-keyed state.
-fn run_legacy(name: &str, trace: &Trace, cfg: &SimConfig) -> SimResult {
-    let unit_reqs: Vec<Request> = trace
-        .requests
-        .iter()
-        .map(|r| Request { size: 1, ..*r })
-        .collect();
-    run_keyed(name, trace, cfg, &unit_reqs)
-}
-
 fn measure(name: &str, trace: &Trace, cfg: &SimConfig, repeats: u32) -> Row {
     let n = trace.requests.len() as f64;
 
-    // Correctness gate first: the fast path must agree with both the forced
-    // keyed path and the legacy-emulation path bit for bit.
-    let dense_result = simulate_named(name, trace, cfg)
-        .expect("known policy")
-        .expect("no size filter");
-    let keyed_result = run_keyed(name, trace, cfg, &trace.requests);
-    let legacy_result = run_legacy(name, trace, cfg);
-    for (label, r) in [("keyed", &keyed_result), ("legacy", &legacy_result)] {
-        assert_eq!(
-            dense_result.miss_ratio.to_bits(),
-            r.miss_ratio.to_bits(),
-            "{name}: dense vs {label} miss ratio diverged"
-        );
-        assert_eq!(
-            dense_result.evictions, r.evictions,
-            "{name}: dense vs {label} evictions diverged"
-        );
-    }
+    // Correctness gate first: pre-interned replay must agree bit for bit
+    // with the same policy behind the interning, slot-recycling adapter.
+    let dense_result = run_dense(name, trace, cfg);
+    let keyed_result = run_keyed(name, trace, cfg);
+    assert_eq!(
+        dense_result.miss_ratio.to_bits(),
+        keyed_result.miss_ratio.to_bits(),
+        "{name}: dense vs keyed miss ratio diverged"
+    );
+    assert_eq!(
+        dense_result.evictions, keyed_result.evictions,
+        "{name}: dense vs keyed evictions diverged"
+    );
 
-    // Timed runs: best of `repeats` for each engine.
-    let mut legacy_secs = f64::INFINITY;
+    // Timed runs: best of `repeats`.
     let mut dense_secs = f64::INFINITY;
     for _ in 0..repeats {
         let t0 = Instant::now();
-        let r = run_legacy(name, trace, cfg);
-        legacy_secs = legacy_secs.min(t0.elapsed().as_secs_f64());
-        std::hint::black_box(r.misses);
-
-        let t0 = Instant::now();
-        let r = simulate_named(name, trace, cfg)
-            .expect("known policy")
-            .expect("no size filter");
+        let r = run_dense(name, trace, cfg);
         dense_secs = dense_secs.min(t0.elapsed().as_secs_f64());
         std::hint::black_box(r.misses);
     }
 
     Row {
         name: name.to_string(),
-        legacy_mreqs: n / legacy_secs / 1e6,
         dense_mreqs: n / dense_secs / 1e6,
         miss_ratio: dense_result.miss_ratio,
-        legacy_secs,
         dense_secs,
     }
 }
@@ -135,7 +111,6 @@ const FRACTIONS: &[f64] = &[0.001, 0.01, 0.1];
 /// The sweep-aggregate measurement: all (policy × size) jobs for one trace.
 struct SweepNums {
     jobs: usize,
-    legacy_secs: f64,
     dense_secs: f64,
 }
 
@@ -146,17 +121,16 @@ fn sweep_config(frac: f64) -> SimConfig {
     }
 }
 
-/// Runs the full (policy × size) job grid the pre-PR way — one job at a
-/// time through the keyed engine, cloning the trace per job — and returns
-/// each job's miss-ratio bits for the equivalence check.
-fn legacy_sweep(trace: &Trace) -> Vec<u64> {
+/// Runs the full (policy × size) job grid one job at a time and returns
+/// each job's miss-ratio bits, for the equivalence check on the ganged run.
+fn single_sweep(trace: &Trace) -> Vec<u64> {
     FRACTIONS
         .iter()
         .flat_map(|&f| {
             let cfg = sweep_config(f);
             POLICIES
                 .iter()
-                .map(move |name| run_legacy(name, trace, &cfg).miss_ratio.to_bits())
+                .map(move |name| run_dense(name, trace, &cfg).miss_ratio.to_bits())
                 .collect::<Vec<u64>>()
         })
         .collect()
@@ -194,27 +168,21 @@ fn dense_sweep(trace: &Trace) -> Vec<u64> {
 }
 
 fn measure_sweep(trace: &Trace, repeats: u32) -> SweepNums {
-    let legacy_ratios = legacy_sweep(trace);
     let dense_ratios = dense_sweep(trace);
     assert_eq!(
-        legacy_ratios, dense_ratios,
-        "sweep: ganged dense vs legacy miss ratios diverged"
+        single_sweep(trace),
+        dense_ratios,
+        "sweep: ganged vs one-at-a-time miss ratios diverged"
     );
 
-    let mut legacy_secs = f64::INFINITY;
     let mut dense_secs = f64::INFINITY;
     for _ in 0..repeats {
-        let t0 = Instant::now();
-        std::hint::black_box(legacy_sweep(trace));
-        legacy_secs = legacy_secs.min(t0.elapsed().as_secs_f64());
-
         let t0 = Instant::now();
         std::hint::black_box(dense_sweep(trace));
         dense_secs = dense_secs.min(t0.elapsed().as_secs_f64());
     }
     SweepNums {
-        jobs: legacy_ratios.len(),
-        legacy_secs,
+        jobs: dense_ratios.len(),
         dense_secs,
     }
 }
@@ -232,6 +200,16 @@ fn write_json(
     rows: &[Row],
     sweep: &SweepNums,
 ) -> std::io::Result<()> {
+    // The artifact's shape, checked where it is made: a row per policy with
+    // a positive rate and a miss ratio in [0, 1], and a non-empty job grid.
+    assert_eq!(rows.len(), POLICIES.len(), "one row per policy");
+    for r in rows {
+        assert!(r.dense_mreqs.is_finite() && r.dense_mreqs > 0.0, "{}: rate", r.name);
+        assert!((0.0..=1.0).contains(&r.miss_ratio), "{}: miss ratio", r.name);
+    }
+    assert_eq!(sweep.jobs, POLICIES.len() * FRACTIONS.len(), "sweep job grid");
+    assert!(sweep.dense_secs.is_finite() && sweep.dense_secs > 0.0, "sweep time");
+
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"sim_throughput\",\n");
@@ -242,37 +220,27 @@ fn write_json(
     out.push_str("  \"policies\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"legacy_mreqs\": {:.4}, \"dense_mreqs\": {:.4}, \
-             \"speedup\": {:.4}, \"miss_ratio\": {:.6}, \"identical\": true}}{}\n",
+            "    {{\"name\": \"{}\", \"dense_mreqs\": {:.4}, \"miss_ratio\": {:.6}, \
+             \"identical\": true}}{}\n",
             json_escape(&r.name),
-            r.legacy_mreqs,
             r.dense_mreqs,
-            r.dense_mreqs / r.legacy_mreqs,
             r.miss_ratio,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
-    let legacy_total: f64 = rows.iter().map(|r| r.legacy_secs).sum();
     let dense_total: f64 = rows.iter().map(|r| r.dense_secs).sum();
     let total_reqs = requests as f64 * rows.len() as f64;
     out.push_str(&format!(
-        "  \"serial_aggregate\": {{\"legacy_mreqs\": {:.4}, \"dense_mreqs\": {:.4}, \
-         \"speedup\": {:.4}}},\n",
-        total_reqs / legacy_total / 1e6,
-        total_reqs / dense_total / 1e6,
-        legacy_total / dense_total
+        "  \"serial_aggregate\": {{\"dense_mreqs\": {:.4}}},\n",
+        total_reqs / dense_total / 1e6
     ));
-    // The acceptance metric: aggregate Mreq/s over the full sweep job grid,
-    // pre-PR one-job-at-a-time engine vs the ganged dense engine.
+    // Aggregate Mreq/s over the full sweep job grid, ganged.
     let sweep_reqs = requests as f64 * sweep.jobs as f64;
     out.push_str(&format!(
-        "  \"aggregate\": {{\"metric\": \"sweep\", \"jobs\": {}, \"legacy_mreqs\": {:.4}, \
-         \"dense_mreqs\": {:.4}, \"speedup\": {:.4}}}\n",
+        "  \"aggregate\": {{\"metric\": \"sweep\", \"jobs\": {}, \"dense_mreqs\": {:.4}}}\n",
         sweep.jobs,
-        sweep_reqs / sweep.legacy_secs / 1e6,
-        sweep_reqs / sweep.dense_secs / 1e6,
-        sweep.legacy_secs / sweep.dense_secs
+        sweep_reqs / sweep.dense_secs / 1e6
     ));
     out.push_str("}\n");
     std::fs::write(path, out)
@@ -342,26 +310,16 @@ fn main() {
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            vec![
-                r.name.clone(),
-                f2(r.legacy_mreqs),
-                f2(r.dense_mreqs),
-                f2(r.dense_mreqs / r.legacy_mreqs),
-                f4(r.miss_ratio),
-            ]
+            vec![r.name.clone(), f2(r.dense_mreqs), f4(r.miss_ratio)]
         })
         .collect();
-    print_table(
-        &["policy", "legacy Mreq/s", "dense Mreq/s", "speedup", "miss ratio"],
-        &table,
-    );
+    print_table(&["policy", "dense Mreq/s", "miss ratio"], &table);
 
-    let legacy_total: f64 = rows.iter().map(|r| r.legacy_secs).sum();
     let dense_total: f64 = rows.iter().map(|r| r.dense_secs).sum();
     println!();
     println!(
-        "serial aggregate speedup: {:.2}x ({} policies, miss ratios bit-identical)",
-        legacy_total / dense_total,
+        "serial aggregate: {:.2} Mreq/s ({} policies, dense and keyed bit-identical)",
+        requests as f64 * rows.len() as f64 / dense_total / 1e6,
         rows.len()
     );
 
@@ -369,14 +327,11 @@ fn main() {
     let sweep_reqs = requests as f64 * sweep.jobs as f64;
     println!();
     println!(
-        "sweep aggregate ({} jobs = {} policies x {} sizes): \
-         legacy {:.2} Mreq/s, dense {:.2} Mreq/s, speedup {:.2}x",
+        "sweep aggregate ({} jobs = {} policies x {} sizes): {:.2} Mreq/s",
         sweep.jobs,
         POLICIES.len(),
         FRACTIONS.len(),
-        sweep_reqs / sweep.legacy_secs / 1e6,
-        sweep_reqs / sweep.dense_secs / 1e6,
-        sweep.legacy_secs / sweep.dense_secs
+        sweep_reqs / sweep.dense_secs / 1e6
     );
 
     if let Some(dir) = std::path::Path::new(&out_path).parent() {

@@ -2,9 +2,11 @@
 //!
 //! For every policy that has a reference interpreter
 //! ([`crate::reference::reference_for`]) the fuzzer replays a generated
-//! request stream simultaneously through the reference, the keyed registry
-//! implementation, and (when one exists) the dense fast-path implementation,
-//! comparing after **every** request:
+//! request stream simultaneously through the reference, the registry's
+//! keyed policy (the slab policy behind the interning, slot-recycling
+//! `Keyed` adapter — the universe is far larger than the capacities, so
+//! slots do get reused) and the same slab policy driven with pre-interned
+//! slots (never recycling), comparing after **every** request:
 //!
 //! - the [`Outcome`],
 //! - the exact sequence of [`Eviction`] records (ids, sizes, timestamps,
@@ -22,7 +24,6 @@ use crate::reference::reference_for;
 use cache_ds::{DenseIds, SplitMix64};
 use cache_policies::registry;
 use cache_types::{DensePolicy, Eviction, Op, Policy, Request};
-use std::sync::Arc;
 
 /// Parameters of one generated workload.
 #[derive(Debug, Clone, Copy)]
@@ -244,8 +245,7 @@ fn run_fresh(name: &str, capacity: u64, requests: &[Request]) -> Option<(usize, 
     let mut keyed = registry::build(name, capacity, Some(requests))
         .unwrap_or_else(|e| panic!("cannot build keyed {name}: {e}"));
     let (ids, slots) = DenseIds::intern(requests.iter().map(|r| r.id));
-    let ids = Arc::new(ids);
-    let mut dense = registry::build_dense(name, capacity, &ids)
+    let mut dense = registry::build_dense_domain(name, capacity, ids.len())
         .unwrap_or_else(|e| panic!("cannot build dense {name}: {e}"));
     diff_run(
         &mut reference,
@@ -422,8 +422,7 @@ mod tests {
         let mut fails = |reqs: &[Request]| -> bool {
             let mut reference = reference_for("LRU", capacity).expect("LRU reference exists");
             let (ids, slots) = DenseIds::intern(reqs.iter().map(|r| r.id));
-            let ids = Arc::new(ids);
-            let inner = registry::build_dense("LRU", capacity, &ids)
+            let inner = registry::build_dense_domain("LRU", capacity, ids.len())
                 .expect("dense LRU builds")
                 .expect("dense LRU exists");
             let mut mutant = MutantDense { inner };

@@ -1,19 +1,21 @@
 //! Differential correctness harness for the cache-eviction workspace.
 //!
-//! Production policies here exist in up to three shapes — a keyed
-//! implementation (`HashMap` + intrusive lists), a dense slot-slab fast
-//! path, and sometimes a concurrent variant — all required to make
-//! *identical decisions*. This crate holds the machinery that enforces
-//! that:
+//! A FIFO-family policy is written once, over the dense slab, and reached
+//! through two doors — keyed (`Keyed`: ids interned on the fly, slots
+//! recycled) and pre-interned — with single-pass MRC lanes and a
+//! concurrent variant beside it, all required to make *identical
+//! decisions*. This crate holds the machinery that enforces that:
 //!
 //! - [`reference`] — tiny, obviously-correct `Vec`-based interpreters for
 //!   FIFO, LRU, CLOCK, SIEVE, 2Q, SLRU, and S3-FIFO, written for
-//!   readability, not speed: the ground truth the fast implementations are
-//!   diffed against;
+//!   readability, not speed: the one second opinion the production
+//!   policies are diffed against;
 //! - [`fuzz`] — a seeded differential fuzzer replaying generated traces
 //!   through reference vs keyed vs dense simultaneously, comparing
 //!   outcomes, eviction records, accounting, and self-validation after
-//!   every request, and shrinking any divergence to a minimal reproduction;
+//!   every request, and shrinking any divergence to a minimal reproduction.
+//!   The reference catches a wrong decision; keyed vs dense catches a slot
+//!   the adapter recycled too early or never;
 //! - [`mrc`] — a differential for the single-pass multi-capacity MRC
 //!   engines: every grid point of [`cache_sim::simulate_mrc`] is diffed
 //!   against a per-capacity reference replay, with ddmin shrinking on

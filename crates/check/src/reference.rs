@@ -4,8 +4,9 @@
 //! eviction algorithm: no handles, no intrusive links, no incremental byte
 //! accounting — every quantity is recomputed by scanning. They exist to be
 //! *read and believed*, then used as the ground truth the differential
-//! fuzzer ([`crate::fuzz`]) compares the optimized keyed and dense
-//! implementations against, decision for decision.
+//! fuzzer ([`crate::fuzz`]) compares the slab policies against, decision
+//! for decision — through both their keyed and their pre-interned door.
+//! They are the only second implementation of these algorithms.
 //!
 //! Conventions shared with the production policies:
 //!
@@ -19,7 +20,7 @@
 //!   `Delete` removes. Hits never update the stored size.
 //! - Ghost queues charge every FIFO slot — including tombstones left by
 //!   `remove` — until the slot ages out, exactly like the production
-//!   `GhostList`/`GhostFifo`/`SlotGhost` trio.
+//!   `SlotGhost` (and the id-keyed `GhostFifo` / `GhostList`).
 
 use cache_types::{Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
 use std::collections::{HashSet, VecDeque};

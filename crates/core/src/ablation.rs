@@ -268,7 +268,7 @@ impl Qdlp {
     }
 
     fn insert(&mut self, req: &Request, evicted: &mut Vec<Eviction>) {
-        // Ghost membership snapshot precedes eviction (see `S3Fifo::insert`).
+        // Ghost membership snapshot precedes eviction (see `DenseS3Fifo::insert`).
         let in_ghost = self.ghost.contains(req.id);
         self.make_room(req.size, req.time, evicted);
         let (handle, loc) = if in_ghost {

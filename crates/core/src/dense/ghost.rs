@@ -1,0 +1,236 @@
+//! Slot-indexed, byte-bounded ghost FIFO: S3-FIFO's `G` and 2Q's `A1out`.
+//!
+//! `insert` pushes a FIFO entry only when the slot was not already *marked*
+//! present, then trims oldest entries while over byte capacity; `remove`
+//! only clears the mark, leaving the FIFO entry behind as a tombstone that
+//! stays charged against capacity until it reaches the front. A tombstoned
+//! slot can be re-inserted (a second FIFO entry appears), and when the stale
+//! entry later pops it clears the mark of the *newer* entry too. The quirk
+//! is deliberate: `cache_check::reference` and the id-keyed `GhostFifo`
+//! (S3-FIFO-D's monitors, QDLP) do the same, and it is why a recycling slab
+//! counts tombstones as references ([`DenseSlab::release`]).
+
+use super::DenseSlab;
+use std::collections::VecDeque;
+
+/// A byte-bounded FIFO ghost over dense slots.
+#[derive(Debug)]
+pub struct SlotGhost {
+    fifo: VecDeque<(u32, u32)>,
+    /// Per-slot presence mark. Sized to the domain up front on the
+    /// pre-interned path; under a recycling slab it grows to the highest
+    /// slot ever inserted, and slots beyond it read as unmarked.
+    present: Vec<bool>,
+    used: u64,
+    capacity: u64,
+}
+
+impl SlotGhost {
+    /// A ghost over `slots` slots holding up to `capacity` bytes of entries.
+    pub fn new(slots: usize, capacity: u64) -> Self {
+        SlotGhost {
+            fifo: VecDeque::new(),
+            present: vec![false; slots],
+            used: 0,
+            capacity,
+        }
+    }
+
+    /// True when `slot` is marked (a ghost hit would find it).
+    #[inline]
+    pub fn contains(&self, slot: u32) -> bool {
+        self.present.get(slot as usize).copied().unwrap_or(false)
+    }
+
+    /// Warms the presence mark for `slot` ahead of its request — every miss
+    /// consults [`SlotGhost::contains`], and the mark array is large enough
+    /// to fall out of cache between touches. Observable-state-free, like
+    /// [`cache_types::DensePolicy::prefetch`].
+    #[inline]
+    pub fn warm(&self, slot: u32) {
+        cache_ds::prefetch_read(&self.present, slot as usize);
+    }
+
+    /// Inserts `slot`, whose residency tag the caller has already cleared;
+    /// evicts oldest entries beyond capacity. `slab` learns of every FIFO
+    /// entry pushed and popped so that a recycling slab can tell when a slot
+    /// falls idle.
+    pub fn insert(&mut self, slab: &mut DenseSlab, slot: u32, size: u32) {
+        if self.capacity == 0 {
+            slab.release(slot);
+            return;
+        }
+        let i = slot as usize;
+        if i >= self.present.len() {
+            self.present.resize(i + 1, false);
+        }
+        if !self.present[i] {
+            self.present[i] = true;
+            self.fifo.push_back((slot, size));
+            self.used += u64::from(size);
+            slab.ghost_ref(slot);
+        }
+        while self.used > self.capacity {
+            if let Some((old, sz)) = self.fifo.pop_front() {
+                // `used` charges every FIFO entry, including tombstones left
+                // by `remove`, so the subtraction is unconditional.
+                self.used -= u64::from(sz);
+                self.present[old as usize] = false;
+                slab.ghost_unref(old);
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// Removes the mark (ghost hit); the FIFO slot becomes a tombstone.
+    pub fn remove(&mut self, slot: u32) -> bool {
+        self.present
+            .get_mut(slot as usize)
+            .is_some_and(|mark| std::mem::replace(mark, false))
+    }
+
+    /// Number of marked slots. O(slots): a diagnostic, not a hot path.
+    pub fn marked(&self) -> usize {
+        self.present.iter().filter(|&&p| p).count()
+    }
+
+    /// Adjusts the window size; existing entries expire against the new
+    /// capacity on the next insertion.
+    pub fn set_capacity(&mut self, capacity: u64) {
+        self.capacity = capacity;
+    }
+
+    /// Structural self-check: the byte charge matches the FIFO entries
+    /// (tombstones included), the window bound holds, every marked slot owns
+    /// a FIFO entry, and — under a recycling slab — each slot's reference
+    /// count is the number of FIFO entries naming it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated invariant.
+    pub fn validate(&self, slab: &DenseSlab) -> Result<(), String> {
+        if self.used > self.capacity {
+            return Err(format!(
+                "ghost used {} > capacity {}",
+                self.used, self.capacity
+            ));
+        }
+        let bytes: u64 = self.fifo.iter().map(|&(_, s)| u64::from(s)).sum();
+        if bytes != self.used {
+            return Err(format!("ghost slot bytes {bytes} != accounted {}", self.used));
+        }
+        let live = self
+            .fifo
+            .iter()
+            .filter(|&&(s, _)| self.present[s as usize])
+            .count();
+        let marked = self.marked();
+        if live < marked {
+            return Err(format!(
+                "ghost marks {marked} slots but only {live} own FIFO entries"
+            ));
+        }
+        if slab.recycles() {
+            let mut entries = vec![0u32; slab.domain()];
+            for &(s, _) in &self.fifo {
+                entries[s as usize] += 1;
+            }
+            for (s, &n) in entries.iter().enumerate() {
+                if slab.ghost_refs(s as u32) != n {
+                    return Err(format!(
+                        "slot {s} counts {} ghost references but {n} FIFO entries name it",
+                        slab.ghost_refs(s as u32)
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::GhostFifo;
+
+    #[test]
+    fn matches_keyed_ghost_semantics() {
+        // Differential check against the id-keyed GhostFifo on a random-ish
+        // op stream: contains/remove results must agree at every step.
+        let mut slab = DenseSlab::with_domain(64);
+        let mut dense = SlotGhost::new(64, 10);
+        let mut keyed = GhostFifo::new(10);
+        let mut state = 0x9E37_79B9u64;
+        for step in 0..5000u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let slot = ((state >> 33) % 64) as u32;
+            let id = u64::from(slot) + 1000; // slot↔id bijection
+            match (state >> 20) % 3 {
+                0 => {
+                    dense.insert(&mut slab, slot, 1 + (slot % 3));
+                    keyed.insert(id, 1 + (slot % 3));
+                }
+                1 => {
+                    assert_eq!(dense.remove(slot), keyed.remove(id), "step {step}");
+                }
+                _ => {
+                    assert_eq!(dense.contains(slot), keyed.contains(id), "step {step}");
+                }
+            }
+        }
+        for slot in 0..64u32 {
+            assert_eq!(
+                dense.contains(slot),
+                keyed.contains(u64::from(slot) + 1000),
+                "final state diverged at slot {slot}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_capacity_never_stores() {
+        let mut slab = DenseSlab::with_domain(8);
+        let mut g = SlotGhost::new(8, 0);
+        g.insert(&mut slab, 3, 1);
+        assert!(!g.contains(3));
+    }
+
+    #[test]
+    fn tombstone_stays_charged() {
+        let mut slab = DenseSlab::with_domain(8);
+        let mut g = SlotGhost::new(8, 3);
+        g.insert(&mut slab, 0, 1);
+        g.insert(&mut slab, 1, 1);
+        g.insert(&mut slab, 2, 1);
+        assert!(g.remove(1));
+        // The tombstone still occupies a byte: inserting one more evicts the
+        // oldest live entry (slot 0) rather than fitting for free.
+        g.insert(&mut slab, 3, 1);
+        assert!(!g.contains(0));
+        assert!(g.contains(2) && g.contains(3));
+    }
+
+    #[test]
+    fn a_recycling_slab_hears_when_the_last_entry_naming_a_slot_pops() {
+        let mut slab = DenseSlab::with_domain(0);
+        slab.start_recycling();
+        for _ in 0..4 {
+            slab.grow();
+        }
+        let mut g = SlotGhost::new(0, 2);
+        g.insert(&mut slab, 0, 1);
+        assert!(g.remove(0)); // ghost hit: slot 0's entry is now a tombstone
+        slab.release(0);
+        assert_eq!(slab.pop_idle(), None, "a tombstone still names slot 0");
+        g.insert(&mut slab, 0, 1); // evicted again: second entry, mark set
+        g.insert(&mut slab, 1, 1); // over capacity: the tombstone pops...
+        assert!(!g.contains(0), "...and clears the newer entry's mark");
+        assert_eq!(slab.pop_idle(), None, "the newer entry still names slot 0");
+        g.insert(&mut slab, 2, 1); // pops slot 0's second entry
+        assert_eq!(slab.pop_idle(), Some(0));
+        g.validate(&slab).unwrap();
+    }
+}

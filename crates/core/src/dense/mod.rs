@@ -1,0 +1,126 @@
+//! The dense slab: the one place the FIFO-family policies keep their state.
+//!
+//! A dense policy ([`cache_types::DensePolicy`]) stores everything it knows
+//! about an object in one [`Slot`] of a [`DenseSlab`], indexed by a `u32`
+//! slot, and threads its queues through the slots ([`PackedQueue`]); 2Q and
+//! S3-FIFO add a [`SlotGhost`]. This module holds that shared plumbing and
+//! the two ways a request finds its slot:
+//!
+//! - **pre-interned** — the simulator interns a whole trace once (or reads
+//!   a `.ctr` file whose ids are already dense) and drives
+//!   [`DensePolicy::request_dense`] through [`replay_loop`]; a request costs
+//!   a couple of array loads;
+//! - **keyed** — [`Keyed`] interns `ObjId → slot` on the fly, recycles slots
+//!   the policy reports idle, and is the [`cache_types::Policy`] behind the
+//!   public names (`S3Fifo` here; `Fifo`, `Lru`, `Clock`, `Sieve`, `Slru`,
+//!   `TwoQ` in `cache-policies`).
+//!
+//! There is one implementation of each algorithm; the two doors differ only
+//! in who hands out slots. `cache_check`'s fuzzer drives both against its
+//! reference interpreters.
+//!
+//! The plumbing lives in this crate, not in `cache-ds`, because
+//! [`DenseS3Fifo`](crate::DenseS3Fifo) must sit below `cache-policies` (whose
+//! registry builds `S3FifoD` and `Qdlp`) and a `cache-ds → cache-types` edge
+//! would rewrite the frozen `benchmark/Cargo.lock`.
+
+mod ghost;
+mod keyed;
+mod slab;
+
+pub use ghost::SlotGhost;
+pub use keyed::{Keyed, SlabPolicy};
+pub use slab::{validate_packed_queue, DenseSlab, PackedQueue, Slot};
+
+use cache_types::{DensePolicy, Eviction, Request};
+
+/// How many requests ahead the replay loop warms slot state. Far enough to
+/// overlap a DRAM round-trip with useful work, near enough that the warmed
+/// line is still cached when its request executes.
+const LOOKAHEAD: usize = 12;
+
+/// The replay loop every dense policy's [`DensePolicy::replay`] override
+/// delegates to. Because `P` is a concrete type here, `request_dense`
+/// resolves statically and the whole per-request path inlines into one loop
+/// body — the trait's default `replay` runs the same loop but pays a virtual
+/// call per request.
+///
+/// # Panics
+///
+/// Panics when `slots` and `requests` have different lengths.
+#[inline]
+pub fn replay_loop<P: DensePolicy>(
+    policy: &mut P,
+    slots: &[u32],
+    requests: &[Request],
+    ignore_size: bool,
+    on_eviction: &mut dyn FnMut(usize, &Eviction),
+) {
+    assert_eq!(slots.len(), requests.len(), "slot/request length mismatch");
+    let mut evs: Vec<Eviction> = Vec::with_capacity(16);
+    for (i, (&slot, r)) in slots.iter().zip(requests.iter()).enumerate() {
+        if let Some(&ahead) = slots.get(i + LOOKAHEAD) {
+            policy.prefetch(ahead);
+        }
+        let req = if ignore_size {
+            Request { size: 1, ..(*r) }
+        } else {
+            *r
+        };
+        evs.clear();
+        policy.request_dense(slot, &req, &mut evs);
+        for e in &evs {
+            on_eviction(i, e);
+        }
+    }
+}
+
+/// Implements [`DensePolicy::replay`] as a monomorphized [`replay_loop`]
+/// call and [`DensePolicy::prefetch`] as a slot-state warming read; used
+/// inside each dense policy's `impl DensePolicy` block (they all store
+/// their per-slot state in a `slab` field and warm their eviction cursors
+/// in an inherent `prefetch_extra`). Policies with a ghost list name it as
+/// the macro argument so its presence mark is warmed too.
+#[macro_export]
+macro_rules! impl_dense_replay {
+    ($($ghost:ident),*) => {
+        fn prefetch(&self, slot: u32) {
+            // Non-retiring hardware hints; see `cache_ds::prefetch_read`.
+            self.slab.warm_slot(slot);
+            self.prefetch_extra();
+            $(self.$ghost.warm(slot);)*
+        }
+
+        fn replay(
+            &mut self,
+            slots: &[u32],
+            requests: &[cache_types::Request],
+            ignore_size: bool,
+            on_eviction: &mut dyn FnMut(usize, &cache_types::Eviction),
+        ) {
+            $crate::dense::replay_loop(self, slots, requests, ignore_size, on_eviction);
+        }
+    };
+}
+
+/// Implements [`SlabPolicy`] for a dense policy that keeps its slab in a
+/// `slab` field; `$with_capacity` is its default-parameter constructor over
+/// the empty domain (`|capacity| Dense…::with_domain(capacity, 0)`).
+#[macro_export]
+macro_rules! impl_slab_policy {
+    ($policy:ty, $with_capacity:expr) => {
+        impl $crate::dense::SlabPolicy for $policy {
+            fn with_capacity(capacity: u64) -> Result<Self, cache_types::CacheError> {
+                $with_capacity(capacity)
+            }
+
+            fn slab(&self) -> &$crate::dense::DenseSlab {
+                &self.slab
+            }
+
+            fn slab_mut(&mut self) -> &mut $crate::dense::DenseSlab {
+                &mut self.slab
+            }
+        }
+    };
+}

@@ -1,15 +1,17 @@
 //! Packed per-slot storage for the dense policies.
 //!
-//! The first dense layout kept parallel `Vec`s (residency, links, sizes,
-//! access times, counters), so one cache hit touched five or six scattered
-//! cache lines — no better than the keyed `HashMap` node it replaced. Here
-//! everything a request needs lives in a single 40-byte [`Slot`], so the hot
-//! path costs one line for the slot plus one per queue neighbour.
+//! Everything a request needs lives in a single [`Slot`] (48 bytes, aligned
+//! to a 64-byte line), so the hot path costs one line for the slot plus one
+//! per queue neighbour. [`PackedQueue`] threads intrusive queues through the
+//! `prev`/`next` fields with [`cache_ds::DList`]'s orientation (head =
+//! newest, tail = next eviction); a differential test below holds the two in
+//! lockstep.
 //!
-//! [`PackedQueue`] is [`cache_ds::DenseQueue`] re-targeted at the intrusive
-//! `prev`/`next` fields inside `[Slot]`, with identical semantics and
-//! orientation (head = newest, tail = next eviction); a differential test
-//! below holds the two in lockstep.
+//! A slab either covers a pre-interned domain (`with_domain`, the replay
+//! path: slots are never given back) or *recycles* (`start_recycling`, under
+//! [`super::Keyed`]): the policy then reports every slot that falls idle —
+//! not resident and named by no ghost FIFO entry — through
+//! [`DenseSlab::release`], and the adapter reuses it for the next new id.
 
 use cache_ds::NIL;
 use cache_types::{Eviction, Request};
@@ -21,7 +23,7 @@ use cache_types::{Eviction, Request};
 /// shared convention is `tag == 0` ⇒ not resident.
 #[derive(Debug, Clone, Copy)]
 #[repr(align(64))]
-pub(crate) struct Slot {
+pub struct Slot {
     /// Neighbour toward the tail-to-head direction (`NIL` at the tail).
     pub prev: u32,
     /// Neighbour toward the head-to-tail direction (`NIL` at the head).
@@ -42,6 +44,10 @@ pub(crate) struct Slot {
     pub tag: u8,
     /// Policy-defined counter or flag.
     pub freq: u8,
+    /// Ghost FIFO entries, live or tombstoned, that name this slot. Kept only
+    /// by a recycling slab (it is what [`DenseSlab::release`] consults); the
+    /// pre-interned path never touches it.
+    ghost_refs: u32,
 }
 
 impl Slot {
@@ -55,10 +61,10 @@ impl Slot {
         orig: 0,
         tag: 0,
         freq: 0,
+        ghost_refs: 0,
     };
 
-    /// Resets the bookkeeping fields on (re)insertion, matching
-    /// `crate::util::Meta` / the keyed entries.
+    /// Resets the bookkeeping fields on (re)insertion.
     #[inline]
     pub fn on_insert(&mut self, req: &Request) {
         self.orig = req.id;
@@ -74,6 +80,15 @@ impl Slot {
         self.hits += 1;
         self.last_access = now;
     }
+
+    /// Not resident, and no ghost FIFO entry — live **or tombstoned** —
+    /// names the slot. A tombstone counts because when it reaches the
+    /// ghost's front it clears whatever mark the slot carries *then*; a slot
+    /// recycled under one would lose its next occupant's ghost entry.
+    #[inline]
+    fn is_idle(&self) -> bool {
+        self.tag == 0 && self.ghost_refs == 0
+    }
 }
 
 /// The slot array every dense policy stores its per-object state in.
@@ -81,39 +96,111 @@ impl Slot {
 /// Original ids travel inside each [`Slot`] (written on insertion, when the
 /// id is already in a register), so no slot → id table is consulted on the
 /// replay path.
-pub(crate) struct DenseSlab {
+#[derive(Debug)]
+pub struct DenseSlab {
     /// One [`Slot`] per interned id.
     pub slots: Vec<Slot>,
+    /// Slots that fell idle since [`Keyed`](super::Keyed) last drained them;
+    /// `None` over a pre-interned domain, where nothing is ever given back.
+    idle: Option<Vec<u32>>,
 }
 
 impl DenseSlab {
     /// A slab over a pre-sized dense domain `0..domain`, with no interning
-    /// table behind it. Interned construction passes `ids.len()`; the
-    /// out-of-core streaming replayer passes the `.ctr` header's id space —
-    /// `.ctr` records arrive with already-dense ids, so no table ever
-    /// exists. Constructors only consume the table's *length*, and the hot
+    /// table behind it: in-memory replay passes the trace's footprint, the
+    /// out-of-core streaming replayer the `.ctr` header's id space. The hot
     /// path reads original ids out of the slots themselves.
-    pub(crate) fn with_domain(domain: usize) -> Self {
+    pub fn with_domain(domain: usize) -> Self {
         DenseSlab {
             slots: vec![Slot::EMPTY; domain],
+            idle: None,
         }
     }
 
     /// Number of slots in the dense domain.
     #[inline]
-    pub(crate) fn len(&self) -> usize {
+    pub fn domain(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Switches an empty slab to recycling: from here on the slab grows a
+    /// slot at a time and collects the slots its policy releases.
+    pub(super) fn start_recycling(&mut self) {
+        assert!(self.slots.is_empty(), "only a slab over the empty domain can recycle");
+        self.idle = Some(Vec::new());
+    }
+
+    /// True under [`Keyed`](super::Keyed).
+    #[inline]
+    pub(super) fn recycles(&self) -> bool {
+        self.idle.is_some()
+    }
+
+    /// Appends one empty slot and returns its index.
+    pub(super) fn grow(&mut self) -> u32 {
+        let slot = u32::try_from(self.slots.len()).unwrap_or(NIL);
+        assert!(slot < NIL, "dense-id domain exhausted");
+        self.slots.push(Slot::EMPTY);
+        slot
+    }
+
+    /// True when `slot` holds nothing its policy could still look at.
+    #[inline]
+    pub(super) fn is_idle(&self, slot: u32) -> bool {
+        self.slots[slot as usize].is_idle()
+    }
+
+    /// Tells the adapter that `slot` may have fallen idle. Every dense policy
+    /// calls this where an object leaves the cache without entering a ghost
+    /// (eviction from a ghostless queue, delete), after clearing its tag;
+    /// [`SlotGhost`](super::SlotGhost) calls it when a FIFO entry pops. Over
+    /// a pre-interned domain it is one never-taken branch.
+    #[inline]
+    pub fn release(&mut self, slot: u32) {
+        if let Some(idle) = &mut self.idle {
+            if self.slots[slot as usize].is_idle() {
+                idle.push(slot);
+            }
+        }
+    }
+
+    /// The next slot reported idle and not yet drained.
+    pub(super) fn pop_idle(&mut self) -> Option<u32> {
+        self.idle.as_mut()?.pop()
+    }
+
+    /// Records a new ghost FIFO entry naming `slot` (recycling slabs only).
+    #[inline]
+    pub(super) fn ghost_ref(&mut self, slot: u32) {
+        if self.recycles() {
+            self.slots[slot as usize].ghost_refs += 1;
+        }
+    }
+
+    /// Records that a ghost FIFO entry naming `slot` popped, releasing the
+    /// slot if that was the last thing holding it (recycling slabs only).
+    #[inline]
+    pub(super) fn ghost_unref(&mut self, slot: u32) {
+        if self.recycles() {
+            self.slots[slot as usize].ghost_refs -= 1;
+            self.release(slot);
+        }
+    }
+
+    /// Ghost FIFO entries naming `slot`, for [`SlotGhost::validate`](super::SlotGhost::validate).
+    pub(super) fn ghost_refs(&self, slot: u32) -> u32 {
+        self.slots[slot as usize].ghost_refs
     }
 
     /// Object size recorded at `slot`'s insertion.
     #[inline]
-    pub(crate) fn size(&self, slot: u32) -> u32 {
+    pub fn size(&self, slot: u32) -> u32 {
         self.slots[slot as usize].size
     }
 
     /// Warms one slot's cache line (pure prefetch hint, no state change).
     #[inline]
-    pub(crate) fn warm_slot(&self, s: u32) {
+    pub fn warm_slot(&self, s: u32) {
         cache_ds::prefetch_read(&self.slots, s as usize);
     }
 
@@ -121,7 +208,7 @@ impl DenseSlab {
     /// tails, untouched since insertion and therefore cold; warming them on
     /// every request keeps the eviction scan off the demand-miss path.
     #[inline]
-    pub(crate) fn warm_tail(&self, q: &PackedQueue) {
+    pub fn warm_tail(&self, q: &PackedQueue) {
         if let Some(t) = q.tail() {
             self.warm_slot(t);
         }
@@ -129,7 +216,7 @@ impl DenseSlab {
 
     /// Builds the [`Eviction`] record for `slot` (cold path).
     #[inline]
-    pub(crate) fn eviction(&self, slot: u32, from_probationary: bool) -> Eviction {
+    pub fn eviction(&self, slot: u32, from_probationary: bool) -> Eviction {
         let s = &self.slots[slot as usize];
         Eviction {
             id: s.orig,
@@ -144,10 +231,11 @@ impl DenseSlab {
 
 /// Head/tail/len view of one queue threaded through `[Slot]` links.
 ///
-/// Same contract as [`cache_ds::DenseQueue`]: all O(1), `push_front` only
-/// detached slots, `remove`/`move_to_front` only members of *this* queue.
+/// All operations are O(1). Callers uphold the membership contract:
+/// `push_front` only detached slots, `remove`/`move_to_front` only members
+/// of *this* queue (policies track membership in the slot's `tag`).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PackedQueue {
+pub struct PackedQueue {
     head: u32,
     tail: u32,
     len: u32,
@@ -161,7 +249,7 @@ impl Default for PackedQueue {
 
 impl PackedQueue {
     /// An empty queue.
-    pub(crate) const fn new() -> Self {
+    pub const fn new() -> Self {
         PackedQueue {
             head: NIL,
             tail: NIL,
@@ -171,19 +259,19 @@ impl PackedQueue {
 
     /// Number of queued slots.
     #[inline]
-    pub(crate) fn len(&self) -> u32 {
+    pub fn len(&self) -> u32 {
         self.len
     }
 
     /// True when no slots are queued.
     #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The tail (oldest) slot, or `None` when empty.
     #[inline]
-    pub(crate) fn tail(&self) -> Option<u32> {
+    pub fn tail(&self) -> Option<u32> {
         if self.tail == NIL {
             None
         } else {
@@ -193,7 +281,7 @@ impl PackedQueue {
 
     /// The neighbour of `s` toward the head, or `None` when `s` is the head.
     #[inline]
-    pub(crate) fn toward_head(&self, slots: &[Slot], s: u32) -> Option<u32> {
+    pub fn toward_head(&self, slots: &[Slot], s: u32) -> Option<u32> {
         let p = slots[s as usize].prev;
         if p == NIL {
             None
@@ -204,7 +292,7 @@ impl PackedQueue {
 
     /// Inserts detached slot `s` at the head.
     #[inline]
-    pub(crate) fn push_front(&mut self, slots: &mut [Slot], s: u32) {
+    pub fn push_front(&mut self, slots: &mut [Slot], s: u32) {
         debug_assert!(slots[s as usize].prev == NIL && slots[s as usize].next == NIL);
         let old_head = self.head;
         slots[s as usize].next = old_head;
@@ -235,7 +323,7 @@ impl PackedQueue {
 
     /// Removes and returns the tail slot.
     #[inline]
-    pub(crate) fn pop_back(&mut self, slots: &mut [Slot]) -> Option<u32> {
+    pub fn pop_back(&mut self, slots: &mut [Slot]) -> Option<u32> {
         if self.tail == NIL {
             return None;
         }
@@ -249,7 +337,7 @@ impl PackedQueue {
 
     /// Detaches slot `s`, which must be in this queue.
     #[inline]
-    pub(crate) fn remove(&mut self, slots: &mut [Slot], s: u32) {
+    pub fn remove(&mut self, slots: &mut [Slot], s: u32) {
         self.unlink(slots, s);
         slots[s as usize].prev = NIL;
         slots[s as usize].next = NIL;
@@ -258,7 +346,7 @@ impl PackedQueue {
 
     /// Moves slot `s`, which must be in this queue, to the head.
     #[inline]
-    pub(crate) fn move_to_front(&mut self, slots: &mut [Slot], s: u32) {
+    pub fn move_to_front(&mut self, slots: &mut [Slot], s: u32) {
         if self.head == s {
             return;
         }
@@ -276,7 +364,7 @@ impl PackedQueue {
 
     /// Iterates slots head → tail (validation and differential tests only;
     /// not a hot path).
-    pub(crate) fn iter<'a>(&'a self, slots: &'a [Slot]) -> impl Iterator<Item = u32> + 'a {
+    pub fn iter<'a>(&'a self, slots: &'a [Slot]) -> impl Iterator<Item = u32> + 'a {
         let mut cur = self.head;
         std::iter::from_fn(move || {
             if cur == NIL {
@@ -293,8 +381,8 @@ impl PackedQueue {
 /// intrusive links walk exactly `queue.len()` slots, every walked slot
 /// carries `resident_tag` (and respects `max_freq` when given), byte
 /// accounting matches, no slot outside the queue is tagged resident, and the
-/// capacity bound holds. Mirrors `crate::util::validate_single_queue`.
-pub(crate) fn validate_packed_queue(
+/// capacity bound holds.
+pub fn validate_packed_queue(
     name: &str,
     capacity: u64,
     used: u64,
@@ -348,7 +436,7 @@ pub(crate) fn validate_packed_queue(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_ds::{DenseLinks, DenseQueue, SplitMix64};
+    use cache_ds::{DList, SplitMix64};
 
     #[test]
     fn slot_is_at_most_one_cache_line() {
@@ -356,53 +444,44 @@ mod tests {
     }
 
     #[test]
-    fn differential_against_dense_queue() {
-        // Random push/pop/promote/remove interleavings must match the
-        // reference DenseQueue (itself differentially tested against DList).
+    fn differential_against_dlist() {
+        // Random push/pop/promote/remove interleavings must match DList.
         let n = 64usize;
         let mut rng = SplitMix64::new(0x51AB);
         let mut slots = vec![Slot::EMPTY; n];
         let mut pq = PackedQueue::new();
-        let mut links = DenseLinks::new(n);
-        let mut dq = DenseQueue::new();
-        let mut queued = vec![false; n];
+        let mut dl: DList<u32> = DList::new();
+        let mut handles = vec![None; n];
         for _ in 0..10_000 {
             let s = rng.next_below(n as u64) as u32;
-            match rng.next_below(4) {
-                0 => {
-                    if !queued[s as usize] {
-                        pq.push_front(&mut slots, s);
-                        dq.push_front(&mut links, s);
-                        queued[s as usize] = true;
+            match (rng.next_below(4), handles[s as usize]) {
+                (0, None) => {
+                    pq.push_front(&mut slots, s);
+                    handles[s as usize] = Some(dl.push_front(s));
+                }
+                (1, _) => {
+                    let popped = pq.pop_back(&mut slots);
+                    assert_eq!(popped, dl.pop_back());
+                    if let Some(x) = popped {
+                        handles[x as usize] = None;
                     }
                 }
-                1 => {
-                    let a = pq.pop_back(&mut slots);
-                    let b = dq.pop_back(&mut links);
-                    assert_eq!(a, b);
-                    if let Some(x) = a {
-                        queued[x as usize] = false;
-                    }
+                (2, Some(h)) => {
+                    pq.move_to_front(&mut slots, s);
+                    dl.move_to_front(h);
                 }
-                2 => {
-                    if queued[s as usize] {
-                        pq.move_to_front(&mut slots, s);
-                        dq.move_to_front(&mut links, s);
-                    }
+                (3, Some(h)) => {
+                    pq.remove(&mut slots, s);
+                    dl.remove(h);
+                    handles[s as usize] = None;
                 }
-                _ => {
-                    if queued[s as usize] {
-                        pq.remove(&mut slots, s);
-                        dq.remove(&mut links, s);
-                        queued[s as usize] = false;
-                    }
-                }
+                _ => {}
             }
-            assert_eq!(pq.len(), dq.len());
-            assert_eq!(pq.tail(), dq.tail());
+            assert_eq!(pq.len() as usize, dl.len());
+            assert_eq!(pq.tail(), dl.back().copied());
         }
         let got: Vec<u32> = pq.iter(&slots).collect();
-        let want: Vec<u32> = dq.iter(&links).collect();
+        let want: Vec<u32> = dl.iter().copied().collect();
         assert_eq!(got, want);
     }
 

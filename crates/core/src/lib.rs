@@ -17,8 +17,12 @@
 //!
 //! This crate provides:
 //!
-//! - [`S3Fifo`] — the simulation-grade policy implementing Algorithm 1
-//!   exactly (exact id-based ghost queue, byte-weighted capacities);
+//! - [`DenseS3Fifo`] — the simulation-grade policy implementing Algorithm 1
+//!   exactly (exact ghost queue, byte-weighted capacities) over dense slots,
+//!   and [`S3Fifo`], the same policy keyed by object id;
+//! - [`dense`] — the slab, queues and ghost the FIFO-family policies (here
+//!   and in `cache-policies`) are built from, and the [`Keyed`] adapter that
+//!   turns any of them into a [`cache_types::Policy`];
 //! - [`S3FifoD`] — the adaptive-queue-size variant of §6.2.2;
 //! - [`ablation::Qdlp`] — the §6.3 queue-type ablation (LRU vs FIFO for `S`
 //!   and `M`, promotion on hit vs at eviction);
@@ -45,9 +49,11 @@
 pub mod ablation;
 pub mod adaptive;
 pub mod cache;
+pub mod dense;
 pub mod policy;
 
 pub use ablation::{Qdlp, QdlpConfig, QueueKind};
 pub use adaptive::S3FifoD;
 pub use cache::S3FifoCache;
-pub use policy::{S3Fifo, S3FifoConfig};
+pub use dense::Keyed;
+pub use policy::{DenseS3Fifo, S3Fifo, S3FifoConfig};

@@ -1,62 +1,49 @@
 //! The S3-FIFO eviction policy (Algorithm 1 of the paper).
 //!
-//! This is the simulation-grade implementation: the ghost queue is an exact
-//! id-based FIFO (no fingerprint collisions) so that miss ratios are
-//! bit-reproducible; the production-style fingerprint ghost lives in
+//! [`DenseS3Fifo`] is the one simulation-grade implementation: three queues
+//! threaded through a [`DenseSlab`], with an exact slot-indexed ghost (no
+//! fingerprint collisions) so that miss ratios are bit-reproducible. The
+//! simulator drives it with pre-interned slots; [`S3Fifo`] is the same
+//! policy behind the keyed [`cache_types::Policy`] interface
+//! ([`Keyed`]). The production-style fingerprint ghost lives in
 //! [`crate::cache`].
+//!
+//! Slot-state conventions (see [`crate::dense::Slot`]): `tag` is the queue
+//! tag (`ABSENT`/`SMALL`/`MAIN`), `freq` the two-bit access counter.
 
-use cache_ds::{DList, Handle, IdMap, IdSet};
-use cache_types::{CacheError, Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
+use crate::dense::{DenseSlab, Keyed, PackedQueue, SlotGhost};
+use crate::impl_dense_replay;
+use cache_ds::IdSet;
+use cache_types::{
+    CacheError, DensePolicy, Eviction, ObjId, Op, Outcome, PolicyStats, Request,
+};
 use std::collections::VecDeque;
 
-/// Which data queue an entry currently lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Queue {
-    Small,
-    Main,
-}
+/// Cap of the two-bit access counter (§4.1: "similar to a capped counter
+/// with frequency up to 3").
+pub const MAX_FREQ: u8 = 3;
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    handle: Handle,
-    queue: Queue,
-    size: u32,
-    /// Two-bit access counter, capped at 3 (§4.1 "similar to a capped
-    /// counter with frequency up to 3").
-    freq: u8,
-    /// Total hits since insertion, for eviction reporting (not used by the
-    /// algorithm itself, which only sees the capped `freq`).
-    hits: u32,
-    insert_time: u64,
-    last_access: u64,
-}
+/// The `S` tail moves to `M` iff its capped frequency exceeds this
+/// (Algorithm 1 line 18: `t.freq > 1`), and falls into the ghost otherwise.
+pub const PROMOTE_THRESHOLD: u8 = 1;
 
-/// Configuration for [`S3Fifo`].
+/// Configuration for [`S3Fifo`] / [`DenseS3Fifo`]. The ghost is not
+/// configurable: it holds as many bytes of entries as `M` does (§4.1).
 #[derive(Debug, Clone, Copy)]
 pub struct S3FifoConfig {
     /// Fraction of the cache devoted to the small queue `S` (paper default
     /// 0.1; Fig. 11 sweeps 0.01–0.40).
     pub small_ratio: f64,
-    /// Ghost capacity as a multiple of the main queue's byte capacity
-    /// (paper: "the same number of ghost entries as M", i.e. 1.0).
-    pub ghost_ratio: f64,
-    /// Minimum capped frequency (exclusive) for the small-queue tail to be
-    /// promoted to `M` instead of falling into the ghost (Algorithm 1 line
-    /// 18: `t.freq > 1`).
-    pub promote_threshold: u8,
 }
 
 impl Default for S3FifoConfig {
     fn default() -> Self {
-        S3FifoConfig {
-            small_ratio: 0.1,
-            ghost_ratio: 1.0,
-            promote_threshold: 1,
-        }
+        S3FifoConfig { small_ratio: 0.1 }
     }
 }
 
-/// Exact id-based ghost FIFO used by the simulation policies.
+/// Exact id-keyed ghost FIFO: S3-FIFO-D's monitors and QDLP's ghost. Same
+/// semantics, tombstones included, as the slot-indexed [`SlotGhost`].
 ///
 /// Holds up to `capacity` bytes worth of ghost entries (each entry charged
 /// its object size, so with unit-size objects this is "as many entries as fit
@@ -112,67 +99,58 @@ impl GhostFifo {
     pub(crate) fn remove(&mut self, id: ObjId) -> bool {
         self.set.remove(&id)
     }
-
-    pub(crate) fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Bytes currently charged to the FIFO window (tombstones included).
-    pub(crate) fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Byte capacity of the window.
-    pub(crate) fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Adjusts the window size; existing entries expire against the new
-    /// capacity on the next insertion.
-    pub(crate) fn set_capacity(&mut self, capacity: u64) {
-        self.capacity = capacity;
-    }
 }
 
-/// The S3-FIFO eviction policy.
+/// Which data queue a slot currently lives in.
+const ABSENT: u8 = 0;
+const SMALL: u8 = 1;
+const MAIN: u8 = 2;
+
+/// The S3-FIFO eviction policy over dense slots.
 #[derive(Debug)]
-pub struct S3Fifo {
+pub struct DenseS3Fifo {
     capacity: u64,
     s_capacity: u64,
     m_capacity: u64,
     cfg: S3FifoConfig,
 
-    table: IdMap<Entry>,
+    slab: DenseSlab,
     /// Small queue; head = most recent insert, tail = next eviction.
-    small: DList<ObjId>,
+    small: PackedQueue,
     /// Main queue, same orientation.
-    main: DList<ObjId>,
-    ghost: GhostFifo,
+    main: PackedQueue,
+    ghost: SlotGhost,
 
     s_used: u64,
     m_used: u64,
     stats: PolicyStats,
-    /// Objects inserted into `M` directly due to a ghost hit.
     ghost_hits: u64,
 }
 
-impl S3Fifo {
-    /// Creates an S3-FIFO cache with default parameters (S = 10 %).
+impl DenseS3Fifo {
+    /// Creates an S3-FIFO cache with default parameters (S = 10 %) over the
+    /// dense domain `0..domain`.
     ///
     /// # Errors
     ///
     /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
-    pub fn new(capacity: u64) -> Result<Self, CacheError> {
-        Self::with_config(capacity, S3FifoConfig::default())
+    pub fn with_domain(capacity: u64, domain: usize) -> Result<Self, CacheError> {
+        Self::with_config_domain(capacity, S3FifoConfig::default(), domain)
     }
 
-    /// Creates an S3-FIFO cache with an explicit configuration.
+    /// Creates an S3-FIFO cache with an explicit configuration over the
+    /// dense domain `0..domain` (the trace's footprint, or a `.ctr` header's
+    /// id space — those ids are already dense).
     ///
     /// # Errors
     ///
     /// Returns [`CacheError`] when the capacity is zero or the small-queue
     /// ratio is outside `(0, 1)`.
-    pub fn with_config(capacity: u64, cfg: S3FifoConfig) -> Result<Self, CacheError> {
+    pub fn with_config_domain(
+        capacity: u64,
+        cfg: S3FifoConfig,
+        domain: usize,
+    ) -> Result<Self, CacheError> {
         if capacity == 0 {
             return Err(CacheError::InvalidCapacity("capacity must be > 0".into()));
         }
@@ -182,23 +160,18 @@ impl S3Fifo {
                 cfg.small_ratio
             )));
         }
-        if cfg.ghost_ratio < 0.0 {
-            return Err(CacheError::InvalidParameter(
-                "ghost_ratio must be >= 0".into(),
-            ));
-        }
         let s_capacity = ((capacity as f64 * cfg.small_ratio).round() as u64).max(1);
         let m_capacity = capacity.saturating_sub(s_capacity).max(1);
-        let ghost_cap = (m_capacity as f64 * cfg.ghost_ratio).round() as u64;
-        Ok(S3Fifo {
+        Ok(DenseS3Fifo {
             capacity,
             s_capacity,
             m_capacity,
             cfg,
-            table: IdMap::default(),
-            small: DList::new(),
-            main: DList::new(),
-            ghost: GhostFifo::new(ghost_cap),
+            // "The same number of ghost entries as M" (§4.1), in bytes.
+            ghost: SlotGhost::new(domain, m_capacity),
+            slab: DenseSlab::with_domain(domain),
+            small: PackedQueue::new(),
+            main: PackedQueue::new(),
             s_used: 0,
             m_used: 0,
             stats: PolicyStats::default(),
@@ -216,9 +189,9 @@ impl S3Fifo {
         self.m_capacity
     }
 
-    /// Number of ghost entries currently tracked.
+    /// Number of ghost entries currently tracked (O(slots): a diagnostic).
     pub fn ghost_len(&self) -> usize {
-        self.ghost.len()
+        self.ghost.marked()
     }
 
     /// Number of misses that hit in the ghost queue (inserted directly to M).
@@ -235,89 +208,74 @@ impl S3Fifo {
         let s = s_capacity.clamp(1, self.capacity.saturating_sub(1).max(1));
         self.s_capacity = s;
         self.m_capacity = self.capacity.saturating_sub(s).max(1);
-        self.ghost
-            .set_capacity((self.m_capacity as f64 * self.cfg.ghost_ratio).round() as u64);
+        self.ghost.set_capacity(self.m_capacity);
+    }
+
+    /// Warms both queues' next eviction candidates (pure prefetch hint).
+    #[inline]
+    fn prefetch_extra(&self) {
+        self.slab.warm_tail(&self.small);
+        self.slab.warm_tail(&self.main);
     }
 
     fn used_total(&self) -> u64 {
         self.s_used + self.m_used
     }
 
+    fn len_total(&self) -> usize {
+        (self.small.len() + self.main.len()) as usize
+    }
+
     /// Evicts one object from `S`: the tail moves to `M` when its capped
-    /// frequency exceeds the promote threshold, otherwise it becomes a ghost
+    /// frequency exceeds [`PROMOTE_THRESHOLD`], otherwise it becomes a ghost
     /// (Algorithm 1, `EVICTS`).
-    fn evict_small(&mut self, now: u64, evicted: &mut Vec<Eviction>) {
-        while let Some(&tail_id) = self.small.back() {
-            // Invariant: every id on queue S has a table entry; both are
-            // updated together under the same &mut self.
-            let entry = *self.table.get(&tail_id).expect("small tail in table");
-            debug_assert_eq!(entry.queue, Queue::Small);
-            if entry.freq > self.cfg.promote_threshold {
+    fn evict_small(&mut self, evicted: &mut Vec<Eviction>) {
+        while let Some(tail) = self.small.tail() {
+            let t = tail as usize;
+            let size = self.slab.size(tail);
+            if self.slab.slots[t].freq > PROMOTE_THRESHOLD {
                 // Move to M; access bits are cleared during the move (§4.1).
-                self.small.remove(entry.handle);
-                self.s_used -= u64::from(entry.size);
-                let h = self.main.push_front(tail_id);
-                // Invariant: tail_id's entry was just read above; nothing
-                // between removed it.
-                let e = self.table.get_mut(&tail_id).expect("entry exists");
-                e.handle = h;
-                e.queue = Queue::Main;
-                e.freq = 0;
-                self.m_used += u64::from(entry.size);
+                self.small.remove(&mut self.slab.slots, tail);
+                self.s_used -= u64::from(size);
+                self.main.push_front(&mut self.slab.slots, tail);
+                self.slab.slots[t].tag = MAIN;
+                self.slab.slots[t].freq = 0;
+                self.m_used += u64::from(size);
                 if self.m_used > self.m_capacity {
-                    self.evict_main(now, evicted);
+                    self.evict_main(evicted);
                 }
             } else {
-                self.small.remove(entry.handle);
-                self.s_used -= u64::from(entry.size);
-                self.table.remove(&tail_id);
-                self.ghost.insert(tail_id, entry.size);
+                self.small.remove(&mut self.slab.slots, tail);
+                self.s_used -= u64::from(size);
+                self.slab.slots[t].tag = ABSENT;
+                self.ghost.insert(&mut self.slab, tail, size);
                 self.stats.evictions += 1;
-                evicted.push(Eviction {
-                    id: tail_id,
-                    size: entry.size,
-                    insert_time: entry.insert_time,
-                    last_access_time: entry.last_access,
-                    freq: entry.hits,
-                    from_probationary: true,
-                });
+                evicted.push(self.slab.eviction(tail, true));
                 return;
             }
         }
         // S drained without evicting anything: fall back to M.
         if !self.main.is_empty() {
-            self.evict_main(now, evicted);
+            self.evict_main(evicted);
         }
     }
 
     /// Evicts one object from `M` with two-bit FIFO-reinsertion
     /// (Algorithm 1, `EVICTM`).
-    fn evict_main(&mut self, _now: u64, evicted: &mut Vec<Eviction>) {
-        while let Some(&tail_id) = self.main.back() {
-            // Invariant: every id on queue M has a table entry; both are
-            // updated together under the same &mut self.
-            let entry = *self.table.get(&tail_id).expect("main tail in table");
-            debug_assert_eq!(entry.queue, Queue::Main);
-            if entry.freq > 0 {
+    fn evict_main(&mut self, evicted: &mut Vec<Eviction>) {
+        while let Some(tail) = self.main.tail() {
+            let t = tail as usize;
+            if self.slab.slots[t].freq > 0 {
                 // Reinsert at the head with frequency decreased by one.
-                self.main.move_to_front(entry.handle);
-                // Invariant: tail_id's entry was just read above; nothing
-                // between removed it.
-                let e = self.table.get_mut(&tail_id).expect("entry exists");
-                e.freq -= 1;
+                self.main.move_to_front(&mut self.slab.slots, tail);
+                self.slab.slots[t].freq -= 1;
             } else {
-                self.main.remove(entry.handle);
-                self.m_used -= u64::from(entry.size);
-                self.table.remove(&tail_id);
+                self.main.remove(&mut self.slab.slots, tail);
+                self.m_used -= u64::from(self.slab.size(tail));
+                self.slab.slots[t].tag = ABSENT;
                 self.stats.evictions += 1;
-                evicted.push(Eviction {
-                    id: tail_id,
-                    size: entry.size,
-                    insert_time: entry.insert_time,
-                    last_access_time: entry.last_access,
-                    freq: entry.hits,
-                    from_probationary: false,
-                });
+                evicted.push(self.slab.eviction(tail, false));
+                self.slab.release(tail);
                 return;
             }
         }
@@ -326,83 +284,90 @@ impl S3Fifo {
     /// Frees space until `need` more bytes fit (Algorithm 1, `INSERT`'s
     /// eviction loop): evict from `S` when it is at or over target (or `M` is
     /// empty), otherwise from `M`.
-    fn make_room(&mut self, need: u32, now: u64, evicted: &mut Vec<Eviction>) {
+    fn make_room(&mut self, need: u32, evicted: &mut Vec<Eviction>) {
         while self.used_total() + u64::from(need) > self.capacity {
             if self.s_used >= self.s_capacity || self.main.is_empty() {
-                self.evict_small(now, evicted);
+                self.evict_small(evicted);
             } else {
-                self.evict_main(now, evicted);
+                self.evict_main(evicted);
             }
-            if self.table.is_empty() {
+            if self.len_total() == 0 {
                 break;
             }
         }
     }
 
-    fn insert(&mut self, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         // Ghost membership is decided before making room: the eviction loop
         // below inserts into the ghost itself and could otherwise displace
         // exactly the entry being looked up.
-        let in_ghost = self.ghost.contains(req.id);
-        self.make_room(req.size, req.time, evicted);
-        let (handle, queue) = if in_ghost {
-            self.ghost.remove(req.id);
+        let in_ghost = self.ghost.contains(slot);
+        self.make_room(req.size, evicted);
+        let queue = if in_ghost {
+            self.ghost.remove(slot);
             self.ghost_hits += 1;
             self.m_used += u64::from(req.size);
-            (self.main.push_front(req.id), Queue::Main)
+            self.main.push_front(&mut self.slab.slots, slot);
+            MAIN
         } else {
             self.s_used += u64::from(req.size);
-            (self.small.push_front(req.id), Queue::Small)
+            self.small.push_front(&mut self.slab.slots, slot);
+            SMALL
         };
-        self.table.insert(
-            req.id,
-            Entry {
-                handle,
-                queue,
-                size: req.size,
-                freq: 0,
-                hits: 0,
-                insert_time: req.time,
-                last_access: req.time,
-            },
-        );
+        let s = &mut self.slab.slots[slot as usize];
+        s.tag = queue;
+        s.freq = 0;
+        s.on_insert(req);
         // A ghost-hit insert into M can overflow M; trim one object now.
         // With unit sizes this restores `m_used <= m_capacity` exactly; with
         // sized objects a single-object trim can leave M transiently over
         // budget (still bounded by `used() <= capacity`). The small queue is
         // allowed to exceed its *target* transiently by design.
-        if queue == Queue::Main && self.m_used > self.m_capacity {
-            self.evict_main(req.time, evicted);
+        if queue == MAIN && self.m_used > self.m_capacity {
+            self.evict_main(evicted);
         }
     }
 
-    fn delete(&mut self, id: ObjId) -> bool {
-        if let Some(entry) = self.table.remove(&id) {
-            match entry.queue {
-                Queue::Small => {
-                    self.small.remove(entry.handle);
-                    self.s_used -= u64::from(entry.size);
-                }
-                Queue::Main => {
-                    self.main.remove(entry.handle);
-                    self.m_used -= u64::from(entry.size);
-                }
+    fn delete(&mut self, slot: u32) {
+        match std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) {
+            SMALL => {
+                self.small.remove(&mut self.slab.slots, slot);
+                self.s_used -= u64::from(self.slab.size(slot));
             }
-            true
-        } else {
-            false
+            MAIN => {
+                self.main.remove(&mut self.slab.slots, slot);
+                self.m_used -= u64::from(self.slab.size(slot));
+            }
+            _ => return,
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn check_invariants(&self) {
-        if let Err(e) = Policy::validate(self) {
-            panic!("S3-FIFO invariant violated: {e}");
-        }
+        self.slab.release(slot);
     }
 }
 
-impl Policy for S3Fifo {
+crate::impl_slab_policy!(DenseS3Fifo, |capacity| DenseS3Fifo::with_domain(capacity, 0));
+
+/// The S3-FIFO eviction policy behind the keyed [`cache_types::Policy`]
+/// interface: [`DenseS3Fifo`] with ids interned on the fly.
+pub type S3Fifo = Keyed<DenseS3Fifo>;
+
+impl Keyed<DenseS3Fifo> {
+    /// Creates an S3-FIFO cache with an explicit configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError`] when the capacity is zero or the small-queue
+    /// ratio is outside `(0, 1)`.
+    pub fn with_config(capacity: u64, cfg: S3FifoConfig) -> Result<Self, CacheError> {
+        DenseS3Fifo::with_config_domain(capacity, cfg, 0).map(Self::over)
+    }
+
+    /// See [`DenseS3Fifo::set_small_capacity`].
+    pub(crate) fn set_small_capacity(&mut self, s_capacity: u64) {
+        self.inner_mut().set_small_capacity(s_capacity);
+    }
+}
+
+impl DensePolicy for DenseS3Fifo {
     fn name(&self) -> String {
         format!("S3-FIFO({:.2})", self.cfg.small_ratio)
     }
@@ -416,21 +381,17 @@ impl Policy for S3Fifo {
     }
 
     fn len(&self) -> usize {
-        self.table.len()
+        self.len_total()
     }
 
-    fn contains(&self, id: ObjId) -> bool {
-        self.table.contains_key(&id)
-    }
-
-    fn request(&mut self, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         match req.op {
             Op::Get => {
-                if let Some(e) = self.table.get_mut(&req.id) {
+                if self.slab.slots[slot as usize].tag != ABSENT {
                     // Cache hit: atomically bump the capped counter (§4.1).
-                    e.freq = (e.freq + 1).min(3);
-                    e.hits += 1;
-                    e.last_access = req.time;
+                    let s = &mut self.slab.slots[slot as usize];
+                    s.freq = (s.freq + 1).min(MAX_FREQ);
+                    s.touch(req.time);
                     self.stats.record_get(req.size, false);
                     Outcome::Hit
                 } else if u64::from(req.size) > self.capacity {
@@ -438,89 +399,88 @@ impl Policy for S3Fifo {
                     Outcome::Uncacheable
                 } else {
                     self.stats.record_get(req.size, true);
-                    self.insert(req, evicted);
+                    self.insert(slot, req, evicted);
                     Outcome::Miss
                 }
             }
             Op::Set => {
                 // Overwrite: drop any existing entry, then insert fresh.
-                self.delete(req.id);
+                self.delete(slot);
                 if u64::from(req.size) <= self.capacity {
-                    self.insert(req, evicted);
+                    self.insert(slot, req, evicted);
                 }
                 Outcome::NotRead
             }
             Op::Delete => {
-                self.delete(req.id);
+                self.delete(slot);
                 Outcome::NotRead
             }
         }
     }
 
-    /// Structural invariants of Algorithm 1, checked between requests:
-    /// resident bytes within capacity, queue/table agreement (which also
-    /// rules out duplicate residency), capped frequencies, and the ghost
-    /// window bound with ghost/resident disjointness.
+    impl_dense_replay!(ghost);
+
     fn validate(&self) -> Result<(), String> {
         if self.used_total() > self.capacity {
             return Err(format!(
-                "resident bytes {} exceed capacity {}",
+                "used {} > capacity {}",
                 self.used_total(),
                 self.capacity
             ));
         }
-        if self.small.len() + self.main.len() != self.table.len() {
+        // No `m_used <= m_capacity` assertion: promotions and ghost-hit
+        // inserts trim M by one object, which with sized objects can leave M
+        // over budget until the next trim (found by cache-check's
+        // differential fuzzer; the reference interpreter agrees).
+        let mut queued = 0usize;
+        for (queue, tag, used, name) in [
+            (&self.small, SMALL, self.s_used, "small"),
+            (&self.main, MAIN, self.m_used, "main"),
+        ] {
+            let mut bytes = 0u64;
+            let mut count = 0u32;
+            for slot in queue.iter(&self.slab.slots) {
+                let s = &self.slab.slots[slot as usize];
+                if s.tag != tag {
+                    return Err(format!(
+                        "slot {slot} sits in {name} but is tagged {}",
+                        s.tag
+                    ));
+                }
+                if s.freq > MAX_FREQ {
+                    return Err(format!("slot {slot} freq {} exceeds 2-bit cap", s.freq));
+                }
+                if self.ghost.contains(slot) {
+                    return Err(format!("slot {slot} is both resident and in the ghost"));
+                }
+                bytes += u64::from(s.size);
+                count += 1;
+                queued += 1;
+            }
+            if count != queue.len() {
+                return Err(format!(
+                    "{name} links walk {count} slots but len says {}",
+                    queue.len()
+                ));
+            }
+            if bytes != used {
+                return Err(format!("{name} bytes {bytes} != accounted {used}"));
+            }
+        }
+        let tagged = self
+            .slab
+            .slots
+            .iter()
+            .filter(|s| s.tag != ABSENT)
+            .count();
+        if tagged != queued {
             return Err(format!(
-                "queue lengths {}+{} disagree with table len {} (duplicate or orphaned residency)",
-                self.small.len(),
-                self.main.len(),
-                self.table.len()
+                "{tagged} slots carry a residency tag but {queued} are queued"
             ));
         }
-        let mut s_bytes = 0u64;
-        for id in self.small.iter() {
-            let e = self
-                .table
-                .get(id)
-                .ok_or_else(|| format!("small-queue id {id} missing from table"))?;
-            if e.queue != Queue::Small {
-                return Err(format!("id {id} on S but tagged {:?}", e.queue));
-            }
-            s_bytes += u64::from(e.size);
-        }
-        let mut m_bytes = 0u64;
-        for id in self.main.iter() {
-            let e = self
-                .table
-                .get(id)
-                .ok_or_else(|| format!("main-queue id {id} missing from table"))?;
-            if e.queue != Queue::Main {
-                return Err(format!("id {id} on M but tagged {:?}", e.queue));
-            }
-            m_bytes += u64::from(e.size);
-        }
-        if s_bytes != self.s_used {
-            return Err(format!("s_used {} != S queue bytes {s_bytes}", self.s_used));
-        }
-        if m_bytes != self.m_used {
-            return Err(format!("m_used {} != M queue bytes {m_bytes}", self.m_used));
-        }
-        for (id, e) in self.table.iter() {
-            if e.freq > 3 {
-                return Err(format!("id {id} freq {} above the 2-bit cap", e.freq));
-            }
-            if self.ghost.contains(*id) {
-                return Err(format!("id {id} is both resident and a ghost"));
-            }
-        }
-        if self.ghost.used() > self.ghost.capacity() {
-            return Err(format!(
-                "ghost window charged {} bytes over its {} capacity",
-                self.ghost.used(),
-                self.ghost.capacity()
-            ));
-        }
-        Ok(())
+        self.ghost
+            .validate(&self.slab)
+            .map_err(|e| format!("ghost: {e}"))
     }
 
     fn stats(&self) -> PolicyStats {
@@ -531,11 +491,18 @@ impl Policy for S3Fifo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::Slot;
+    use cache_types::Policy;
     use proptest::prelude::*;
 
     fn get(p: &mut S3Fifo, id: ObjId, t: u64) -> Outcome {
         let mut evs = Vec::new();
         p.request(&Request::get(id, t), &mut evs)
+    }
+
+    /// The slot state of a resident (or ghosted) `id`.
+    fn slot(p: &S3Fifo, id: ObjId) -> &Slot {
+        &p.slab.slots[p.slot_of(id).expect("id is interned") as usize]
     }
 
     #[test]
@@ -545,23 +512,77 @@ mod tests {
 
     #[test]
     fn rejects_bad_ratio() {
-        let cfg = S3FifoConfig {
-            small_ratio: 0.0,
-            ..Default::default()
-        };
-        assert!(S3Fifo::with_config(10, cfg).is_err());
-        let cfg = S3FifoConfig {
-            small_ratio: 1.5,
-            ..Default::default()
-        };
-        assert!(S3Fifo::with_config(10, cfg).is_err());
+        assert!(S3Fifo::with_config(10, S3FifoConfig { small_ratio: 0.0 }).is_err());
+        assert!(S3Fifo::with_config(10, S3FifoConfig { small_ratio: 1.5 }).is_err());
     }
 
+    /// Pins every constant of this implementation to the paper's text
+    /// (Algorithm 1 and §4.1), walking objects through a whole life cycle.
+    ///
+    /// SNIPPETS.md's `OrderedDict` S3-FIFO is the same size as
+    /// `cache_check::reference` and differs from the paper, and so from us,
+    /// in three places: its frequency counter caps at 10, not 3; its small
+    /// queue is an absolute `fifo_length=500000` entries unless `use_ratio`
+    /// is set; and it *carries* the counter into `M` on promotion
+    /// (`main_cache[item[0]] = item[1]`) where the paper clears it. It
+    /// agrees on the ghost size (as many entries as `M`) and on the `> 1`
+    /// promotion threshold.
     #[test]
-    fn queue_split_is_ten_ninety() {
-        let p = S3Fifo::new(100).unwrap();
-        assert_eq!(p.small_capacity(), 10);
-        assert_eq!(p.main_capacity(), 90);
+    fn algorithm_1_constants_are_the_papers() {
+        // §4.1: "S uses 10 % of the cache space", M the rest, and G holds
+        // "the same number of ghost entries as M".
+        assert_eq!(S3FifoConfig::default().small_ratio, 0.1);
+        let mut p = S3Fifo::new(100).unwrap();
+        assert_eq!((p.small_capacity(), p.main_capacity()), (10, 90));
+        for i in 1_000..101_000u64 {
+            get(&mut p, i, i);
+        }
+        assert_eq!(p.ghost_len(), 90, "a long scan fills G to exactly |M|");
+
+        // §4.1: two bits per object, "a capped counter with frequency up to
+        // 3". Object 1 is hit nine times, object 2 once.
+        let mut p = S3Fifo::new(100).unwrap();
+        for t in 0..10 {
+            get(&mut p, 1, t);
+        }
+        assert_eq!((slot(&p, 1).freq, slot(&p, 1).hits), (MAX_FREQ, 9));
+        assert_eq!(MAX_FREQ, 3);
+        get(&mut p, 2, 10);
+        get(&mut p, 2, 11);
+        assert_eq!(slot(&p, 2).freq, 1);
+
+        // Algorithm 1 line 18: the S tail moves to M iff `t.freq > 1`, and
+        // §4.1 clears the access bits on the move; otherwise it falls into G.
+        assert_eq!(PROMOTE_THRESHOLD, 1);
+        for i in 100..198 {
+            get(&mut p, i, i); // the cache is now full, 1 and 2 at the S tail
+        }
+        get(&mut p, 198, 198);
+        assert_eq!((slot(&p, 1).tag, slot(&p, 1).freq), (MAIN, 0));
+        assert!(!p.contains(2), "freq 1 is not > 1: object 2 fell into G");
+
+        // Algorithm 1 line 8: a miss on an id in G inserts straight into M.
+        assert_eq!(get(&mut p, 2, 199), Outcome::Miss);
+        assert_eq!((slot(&p, 2).tag, p.ghost_hits()), (MAIN, 1));
+
+        // Algorithm 1 lines 27–29: the M tail is reinserted with `freq - 1`
+        // while `freq > 0`, evicted once it reaches 0. Capacity 10 gives
+        // |M| = 9: nine ghost hits fill M, a tenth overflows it.
+        let mut p = S3Fifo::new(10).unwrap();
+        for i in 0..20 {
+            get(&mut p, i, i); // ids 1..=9 end up in G
+        }
+        for i in 1..=9 {
+            get(&mut p, i, 100 + i);
+        }
+        assert_eq!(p.main.len(), 9);
+        get(&mut p, 1, 200);
+        get(&mut p, 1, 201); // M's tail, freq 2
+        let ghosted = (10..20).find(|&i| p.slot_of(i).is_some_and(|s| p.ghost.contains(s)));
+        get(&mut p, ghosted.expect("a scan id is still in G"), 300);
+        assert!(p.contains(1) && slot(&p, 1).freq == 1, "reinserted with freq - 1");
+        assert!(!p.contains(2), "the next tail had freq 0 and was evicted");
+        p.validate().unwrap();
     }
 
     #[test]
@@ -608,7 +629,7 @@ mod tests {
         assert!(p.contains(0));
         assert_eq!(p.ghost_hits(), 1);
         assert_eq!(p.main.len(), 1);
-        p.check_invariants();
+        p.validate().unwrap();
     }
 
     #[test]
@@ -621,8 +642,8 @@ mod tests {
             get(&mut p, i, i); // fill the cache, then push 1 to the S tail
         }
         assert!(p.contains(1), "hot object must survive via promotion to M");
-        assert_eq!(p.table[&1].queue, Queue::Main);
-        p.check_invariants();
+        assert_eq!(slot(&p, 1).tag, MAIN);
+        p.validate().unwrap();
     }
 
     #[test]
@@ -637,17 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn frequency_caps_at_three() {
-        let mut p = S3Fifo::new(10).unwrap();
-        get(&mut p, 1, 0);
-        for t in 1..10 {
-            get(&mut p, 1, t);
-        }
-        assert_eq!(p.table[&1].freq, 3);
-        assert_eq!(p.table[&1].hits, 9);
-    }
-
-    #[test]
     fn main_reinsertion_keeps_accessed_objects() {
         let mut p = S3Fifo::new(20).unwrap();
         // Drive object 1 into M: two hits, then fill the cache so the
@@ -658,7 +668,7 @@ mod tests {
         for i in 10..40 {
             get(&mut p, i, i);
         }
-        assert_eq!(p.table[&1].queue, Queue::Main);
+        assert_eq!(slot(&p, 1).tag, MAIN);
         // Access it in M, then keep scanning: FIFO-reinsertion must keep the
         // accessed M resident alive through further evictions.
         get(&mut p, 1, 50);
@@ -666,7 +676,7 @@ mod tests {
             get(&mut p, i, i);
         }
         assert!(p.contains(1), "accessed M object must be reinserted");
-        p.check_invariants();
+        p.validate().unwrap();
     }
 
     #[test]
@@ -676,7 +686,7 @@ mod tests {
             get(&mut p, i % 97, i);
             assert!(p.used() <= 50, "used {} at step {}", p.used(), i);
         }
-        p.check_invariants();
+        p.validate().unwrap();
     }
 
     #[test]
@@ -742,17 +752,7 @@ mod tests {
             p.request(&Request::get_sized(i, 25, i), &mut evs);
             assert!(p.used() <= 100);
         }
-        p.check_invariants();
-    }
-
-    #[test]
-    fn ghost_is_bounded() {
-        let mut p = S3Fifo::new(100).unwrap();
-        for i in 0..100_000u64 {
-            get(&mut p, i, i);
-        }
-        // Ghost capacity is m_capacity = 90 bytes of unit-size entries.
-        assert!(p.ghost_len() <= 90, "ghost has {} entries", p.ghost_len());
+        p.validate().unwrap();
     }
 
     #[test]
@@ -768,7 +768,7 @@ mod tests {
             evs.clear();
             p.request(&Request::get(id, t), &mut evs);
         }
-        p.check_invariants();
+        p.validate().unwrap();
         assert!(p.used() <= 64);
         let s = p.stats();
         assert_eq!(s.gets, 20_000);
@@ -777,14 +777,7 @@ mod tests {
 
     #[test]
     fn name_reflects_ratio() {
-        let p = S3Fifo::with_config(
-            100,
-            S3FifoConfig {
-                small_ratio: 0.25,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let p = S3Fifo::with_config(100, S3FifoConfig { small_ratio: 0.25 }).unwrap();
         assert_eq!(p.name(), "S3-FIFO(0.25)");
     }
 
@@ -805,7 +798,7 @@ mod tests {
                 p.request(&Request::get(*id, t as u64), &mut evs);
                 prop_assert!(p.used() <= cap);
             }
-            p.check_invariants();
+            p.validate().unwrap();
         }
 
         /// With sized objects the cache stays within capacity and the
@@ -824,7 +817,7 @@ mod tests {
                 p.request(&Request::get_sized(*id, size, t as u64), &mut evs);
                 prop_assert!(p.used() <= 100);
             }
-            p.check_invariants();
+            p.validate().unwrap();
         }
 
         /// Hits never evict: processing a request for a cached object leaves

@@ -1,17 +1,11 @@
-//! Dense-id interning and intrusive array queues — the libCacheSim layout.
+//! Dense-id interning — the libCacheSim layout.
 //!
 //! The simulator replays the same trace through many policies. Paying a hash
 //! lookup per request per policy is the dominant cost of a sweep, so the
 //! fast path interns each trace's 64-bit object ids into contiguous `u32`
 //! *slots* once ([`DenseIds`]), and dense policies store per-object state in
-//! plain `Vec`s indexed by slot. Queue membership uses intrusive prev/next
-//! links stored in one [`DenseLinks`] array per policy ([`DenseQueue`] is a
-//! head/tail/len view over it), so a hit or an eviction touches a handful of
-//! cache lines and zero hash buckets.
-//!
-//! Orientation matches [`crate::dlist::DList`]: head = newest insert, `next`
-//! links walk head → tail, `prev` links walk tail → head, and FIFO eviction
-//! pops the tail.
+//! a slab indexed by slot (`s3fifo::dense`), so a hit or an eviction touches
+//! a handful of cache lines and zero hash buckets.
 
 use crate::fx::FxBuildHasher;
 use std::collections::HashMap;
@@ -86,185 +80,6 @@ impl DenseIds {
     }
 }
 
-/// Per-slot intrusive prev/next links shared by all queues of one policy.
-///
-/// A slot belongs to at most one queue at a time (policies move objects
-/// *between* queues, never into two at once), so a single pair of link
-/// arrays serves every queue of a policy.
-#[derive(Debug, Clone)]
-pub struct DenseLinks {
-    prev: Vec<u32>,
-    next: Vec<u32>,
-}
-
-impl DenseLinks {
-    /// Links for a domain of `n` slots, all initially detached.
-    pub fn new(n: usize) -> Self {
-        DenseLinks {
-            prev: vec![NIL; n],
-            next: vec![NIL; n],
-        }
-    }
-}
-
-/// Head/tail/len view of one queue whose nodes live in a [`DenseLinks`].
-///
-/// All operations are O(1). Callers must uphold the membership contract:
-/// `push_front` only detached slots, `remove`/`move_to_front` only slots
-/// currently in *this* queue (policies track membership in their own state
-/// arrays).
-#[derive(Debug, Clone, Copy)]
-pub struct DenseQueue {
-    head: u32,
-    tail: u32,
-    len: u32,
-}
-
-impl Default for DenseQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DenseQueue {
-    /// An empty queue.
-    pub const fn new() -> Self {
-        DenseQueue {
-            head: NIL,
-            tail: NIL,
-            len: 0,
-        }
-    }
-
-    /// Number of queued slots.
-    #[inline]
-    pub fn len(&self) -> u32 {
-        self.len
-    }
-
-    /// True when no slots are queued.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The head (newest) slot, or `None` when empty.
-    #[inline]
-    pub fn head(&self) -> Option<u32> {
-        if self.head == NIL {
-            None
-        } else {
-            Some(self.head)
-        }
-    }
-
-    /// The tail (oldest) slot, or `None` when empty.
-    #[inline]
-    pub fn tail(&self) -> Option<u32> {
-        if self.tail == NIL {
-            None
-        } else {
-            Some(self.tail)
-        }
-    }
-
-    /// The neighbour of `s` toward the head, or `None` when `s` is the head.
-    #[inline]
-    pub fn toward_head(&self, l: &DenseLinks, s: u32) -> Option<u32> {
-        let p = l.prev[s as usize];
-        if p == NIL {
-            None
-        } else {
-            Some(p)
-        }
-    }
-
-    /// Inserts detached slot `s` at the head.
-    #[inline]
-    pub fn push_front(&mut self, l: &mut DenseLinks, s: u32) {
-        debug_assert!(l.prev[s as usize] == NIL && l.next[s as usize] == NIL);
-        let old_head = self.head;
-        l.next[s as usize] = old_head;
-        l.prev[s as usize] = NIL;
-        if old_head != NIL {
-            l.prev[old_head as usize] = s;
-        } else {
-            self.tail = s;
-        }
-        self.head = s;
-        self.len += 1;
-    }
-
-    #[inline]
-    fn unlink(&mut self, l: &mut DenseLinks, s: u32) {
-        let (p, n) = (l.prev[s as usize], l.next[s as usize]);
-        if p != NIL {
-            l.next[p as usize] = n;
-        } else {
-            self.head = n;
-        }
-        if n != NIL {
-            l.prev[n as usize] = p;
-        } else {
-            self.tail = p;
-        }
-    }
-
-    /// Removes and returns the tail slot.
-    #[inline]
-    pub fn pop_back(&mut self, l: &mut DenseLinks) -> Option<u32> {
-        if self.tail == NIL {
-            return None;
-        }
-        let s = self.tail;
-        self.unlink(l, s);
-        l.prev[s as usize] = NIL;
-        l.next[s as usize] = NIL;
-        self.len -= 1;
-        Some(s)
-    }
-
-    /// Detaches slot `s`, which must be in this queue.
-    #[inline]
-    pub fn remove(&mut self, l: &mut DenseLinks, s: u32) {
-        self.unlink(l, s);
-        l.prev[s as usize] = NIL;
-        l.next[s as usize] = NIL;
-        self.len -= 1;
-    }
-
-    /// Moves slot `s`, which must be in this queue, to the head.
-    #[inline]
-    pub fn move_to_front(&mut self, l: &mut DenseLinks, s: u32) {
-        if self.head == s {
-            return;
-        }
-        self.unlink(l, s);
-        let old_head = self.head;
-        l.prev[s as usize] = NIL;
-        l.next[s as usize] = old_head;
-        if old_head != NIL {
-            l.prev[old_head as usize] = s;
-        } else {
-            self.tail = s;
-        }
-        self.head = s;
-    }
-
-    /// Iterates slots head → tail (diagnostics and tests; not a hot path).
-    pub fn iter<'a>(&'a self, l: &'a DenseLinks) -> impl Iterator<Item = u32> + 'a {
-        let mut cur = self.head;
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let s = cur;
-            cur = l.next[s as usize];
-            Some(s)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,126 +101,5 @@ mod tests {
         let (t, slots) = DenseIds::intern(std::iter::empty());
         assert!(t.is_empty());
         assert!(slots.is_empty());
-    }
-
-    #[test]
-    fn queue_fifo_order_matches_dlist_orientation() {
-        let mut l = DenseLinks::new(8);
-        let mut q = DenseQueue::new();
-        q.push_front(&mut l, 0);
-        q.push_front(&mut l, 1);
-        q.push_front(&mut l, 2);
-        // Head-insert, tail-evict: FIFO order.
-        assert_eq!(q.pop_back(&mut l), Some(0));
-        assert_eq!(q.pop_back(&mut l), Some(1));
-        assert_eq!(q.pop_back(&mut l), Some(2));
-        assert_eq!(q.pop_back(&mut l), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn move_to_front_promotes() {
-        let mut l = DenseLinks::new(8);
-        let mut q = DenseQueue::new();
-        for s in [1u32, 2, 3] {
-            q.push_front(&mut l, s);
-        }
-        q.move_to_front(&mut l, 2); // list was 3,2,1 → 2,3,1
-        let v: Vec<u32> = q.iter(&l).collect();
-        assert_eq!(v, vec![2, 3, 1]);
-        assert_eq!(q.pop_back(&mut l), Some(1));
-    }
-
-    #[test]
-    fn remove_middle_and_reuse() {
-        let mut l = DenseLinks::new(8);
-        let mut q = DenseQueue::new();
-        for s in [1u32, 2, 3] {
-            q.push_front(&mut l, s);
-        }
-        q.remove(&mut l, 2);
-        assert_eq!(q.iter(&l).collect::<Vec<_>>(), vec![3, 1]);
-        assert_eq!(q.len(), 2);
-        // A removed slot is detached and can be pushed again.
-        q.push_front(&mut l, 2);
-        assert_eq!(q.iter(&l).collect::<Vec<_>>(), vec![2, 3, 1]);
-    }
-
-    #[test]
-    fn toward_head_walks_and_stops() {
-        let mut l = DenseLinks::new(8);
-        let mut q = DenseQueue::new();
-        for s in [1u32, 2, 3] {
-            q.push_front(&mut l, s); // 3,2,1
-        }
-        assert_eq!(q.toward_head(&l, 1), Some(2));
-        assert_eq!(q.toward_head(&l, 2), Some(3));
-        assert_eq!(q.toward_head(&l, 3), None);
-    }
-
-    #[test]
-    fn two_queues_share_one_links_array() {
-        let mut l = DenseLinks::new(8);
-        let mut small = DenseQueue::new();
-        let mut main = DenseQueue::new();
-        small.push_front(&mut l, 0);
-        small.push_front(&mut l, 1);
-        main.push_front(&mut l, 2);
-        // Migrate 0 from small to main (S3-FIFO promotion).
-        small.remove(&mut l, 0);
-        main.push_front(&mut l, 0);
-        assert_eq!(small.iter(&l).collect::<Vec<_>>(), vec![1]);
-        assert_eq!(main.iter(&l).collect::<Vec<_>>(), vec![0, 2]);
-    }
-
-    #[test]
-    fn differential_against_dlist() {
-        // Random interleaving of push/pop/promote/remove must match DList.
-        use crate::dlist::DList;
-        use crate::rng::SplitMix64;
-        let mut rng = SplitMix64::new(0xD15E);
-        let n = 64usize;
-        let mut l = DenseLinks::new(n);
-        let mut q = DenseQueue::new();
-        let mut dl: DList<u32> = DList::new();
-        let mut handles = vec![None; n];
-        let mut queued = vec![false; n];
-        for _ in 0..10_000 {
-            let slot = rng.next_below(n as u64) as u32;
-            match rng.next_below(4) {
-                0 => {
-                    if !queued[slot as usize] {
-                        q.push_front(&mut l, slot);
-                        handles[slot as usize] = Some(dl.push_front(slot));
-                        queued[slot as usize] = true;
-                    }
-                }
-                1 => {
-                    let a = q.pop_back(&mut l);
-                    let b = dl.pop_back();
-                    assert_eq!(a, b);
-                    if let Some(s) = a {
-                        queued[s as usize] = false;
-                    }
-                }
-                2 => {
-                    if queued[slot as usize] {
-                        q.move_to_front(&mut l, slot);
-                        dl.move_to_front(handles[slot as usize].unwrap());
-                    }
-                }
-                _ => {
-                    if queued[slot as usize] {
-                        q.remove(&mut l, slot);
-                        dl.remove(handles[slot as usize].unwrap());
-                        queued[slot as usize] = false;
-                    }
-                }
-            }
-            assert_eq!(q.len() as usize, dl.len());
-        }
-        let got: Vec<u32> = q.iter(&l).collect();
-        let want: Vec<u32> = dl.iter().copied().collect();
-        assert_eq!(got, want);
     }
 }

@@ -22,8 +22,8 @@
 //! - [`hist::Histogram`] — streaming histogram with percentile queries.
 //! - [`fx::FxHasher`] — FxHash-style multiplicative hasher backing the hot
 //!   [`rng::IdMap`]/[`rng::IdSet`] aliases.
-//! - [`dense::DenseIds`] / [`dense::DenseQueue`] — per-trace id interning and
-//!   intrusive array queues for the dense-ID simulation fast path.
+//! - [`dense::DenseIds`] — per-trace id interning for the dense-ID simulation
+//!   fast path.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -42,7 +42,7 @@ pub mod rng;
 pub mod sketch;
 
 pub use bloom::BloomFilter;
-pub use dense::{DenseIds, DenseLinks, DenseQueue, NIL};
+pub use dense::{DenseIds, NIL};
 pub use dlist::{DList, Handle};
 pub use fx::{FxBuildHasher, FxHasher, FxMap, FxSet};
 pub use ghost::GhostTable;

@@ -347,7 +347,7 @@ mod tests {
             trace.push(Request::get(1_000_000 + i, base + i));
         }
         let mut arc = Arc::new(64).unwrap();
-        let mut lru = crate::lru::Lru::new(64).unwrap();
+        let mut lru = crate::Lru::new(64).unwrap();
         let mr_arc = miss_ratio_of(&mut arc, &trace);
         let mr_lru = miss_ratio_of(&mut lru, &trace);
         assert!(

@@ -208,9 +208,9 @@ mod tests {
         let cap = 64u64;
         let mut opt = Belady::new(cap, &trace).unwrap();
         let mr_opt = miss_ratio_of(&mut opt, &trace);
-        let mut lru = crate::lru::Lru::new(cap).unwrap();
+        let mut lru = crate::Lru::new(cap).unwrap();
         let mr_lru = miss_ratio_of(&mut lru, &trace);
-        let mut fifo = crate::fifo::Fifo::new(cap).unwrap();
+        let mut fifo = crate::Fifo::new(cap).unwrap();
         let mr_fifo = miss_ratio_of(&mut fifo, &trace);
         let mut arc = crate::arc::Arc::new(cap).unwrap();
         let mr_arc = miss_ratio_of(&mut arc, &trace);

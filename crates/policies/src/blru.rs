@@ -10,7 +10,7 @@
 //! it becomes the previous filter and a fresh one takes over; membership is
 //! the union of both.
 
-use crate::lru::Lru;
+use crate::Lru;
 use cache_ds::BloomFilter;
 use cache_types::{CacheError, Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
 
@@ -172,7 +172,7 @@ mod tests {
             reqs.push(Request::get(i, 2 * i + 1));
         }
         let mut b = BloomLru::new(64).unwrap();
-        let mut l = crate::lru::Lru::new(64).unwrap();
+        let mut l = crate::Lru::new(64).unwrap();
         let mr_b = miss_ratio_of(&mut b, &reqs);
         let mr_l = miss_ratio_of(&mut l, &reqs);
         assert!((mr_l - 0.5).abs() < 0.01, "LRU should hit ~half: {mr_l}");

@@ -401,7 +401,7 @@ mod tests {
     fn competitive_with_lru() {
         let trace = test_trace(30_000, 2000, 89);
         let mut c = Cacheus::new(64).unwrap();
-        let mut l = crate::lru::Lru::new(64).unwrap();
+        let mut l = crate::Lru::new(64).unwrap();
         let mr_c = miss_ratio_of(&mut c, &trace);
         let mr_l = miss_ratio_of(&mut l, &trace);
         assert!(mr_c <= mr_l + 0.03, "CACHEUS {mr_c:.4} vs LRU {mr_l:.4}");

@@ -206,7 +206,7 @@ mod tests {
         // to catch.
         let lanes = exact.lane_stats();
         for (lane, &cap) in caps.iter().enumerate() {
-            let mut dense = DenseFifo::new(cap, &ids).expect("capacity > 0");
+            let mut dense = DenseFifo::with_domain(cap, ids.len()).expect("capacity > 0");
             // Invariant: every grid capacity above is positive.
             dense.replay(&slots, &reqs, true, &mut |_, _| {});
             assert_eq!(lanes[lane], dense.stats(), "capacity {cap}");

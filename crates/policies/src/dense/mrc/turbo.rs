@@ -36,6 +36,7 @@
 
 use super::{impl_slot_replay, validate_grid, MultiCapacityPolicy};
 use cache_ds::{prefetch_read, DenseIds};
+use s3fifo::policy::{MAX_FREQ, PROMOTE_THRESHOLD};
 use s3fifo::S3FifoConfig;
 use cache_types::{CacheError, PolicyStats};
 use std::collections::VecDeque;
@@ -623,7 +624,7 @@ impl S3Lane {
     fn evict_main(&mut self, hdr: &mut [S3SlotHdr], bit: u64) {
         while let Some(&e) = self.main.front() {
             let ea = hdr[e.slot as usize].acc;
-            let freq = derived_freq(e.f0, ea, e.mark, 3);
+            let freq = derived_freq(e.f0, ea, e.mark, MAX_FREQ);
             if freq > 0 {
                 // Reinsert at the head with frequency decreased by one.
                 self.main.pop_front();
@@ -641,11 +642,11 @@ impl S3Lane {
         }
     }
 
-    fn evict_small(&mut self, hdr: &mut [S3SlotHdr], bit: u64, promote_threshold: u8) {
+    fn evict_small(&mut self, hdr: &mut [S3SlotHdr], bit: u64) {
         while let Some(&e) = self.small.front() {
             let ea = hdr[e.slot as usize].acc;
-            let freq = derived_freq(e.f0, ea, e.mark, 3);
-            if freq > promote_threshold {
+            let freq = derived_freq(e.f0, ea, e.mark, MAX_FREQ);
+            if freq > PROMOTE_THRESHOLD {
                 // Promote to M; access counts are cleared during the move.
                 self.small.pop_front();
                 self.main.push_back(S3Entry {
@@ -670,10 +671,10 @@ impl S3Lane {
         }
     }
 
-    fn make_room(&mut self, hdr: &mut [S3SlotHdr], bit: u64, promote_threshold: u8) {
+    fn make_room(&mut self, hdr: &mut [S3SlotHdr], bit: u64) {
         while (self.small.len() + self.main.len()) as u64 + 1 > self.capacity {
             if self.small.len() as u64 >= self.s_capacity || self.main.is_empty() {
-                self.evict_small(hdr, bit, promote_threshold);
+                self.evict_small(hdr, bit);
             } else {
                 self.evict_main(hdr, bit);
             }
@@ -683,13 +684,13 @@ impl S3Lane {
         }
     }
 
-    fn insert(&mut self, hdr: &mut [S3SlotHdr], bit: u64, slot: u32, a: u32, promote: u8) {
+    fn insert(&mut self, hdr: &mut [S3SlotHdr], bit: u64, slot: u32, a: u32) {
         self.misses += 1;
         // Ghost membership is decided before making room: the eviction loop
         // inserts into the ghost itself and could otherwise displace exactly
         // the entry being looked up.
         let in_ghost = hdr[slot as usize].ghost & bit != 0;
-        self.make_room(hdr, bit, promote);
+        self.make_room(hdr, bit);
         if in_ghost {
             hdr[slot as usize].ghost &= !bit;
             self.ghost_hits += 1;
@@ -739,7 +740,7 @@ impl MrcTurboS3Fifo {
     /// # Errors
     ///
     /// Returns [`CacheError`] for an invalid grid (see [`Self::new`]) or a
-    /// `small_ratio` outside `(0, 1)` / negative `ghost_ratio`.
+    /// `small_ratio` outside `(0, 1)`.
     pub fn with_config(
         capacities: &[u64],
         cfg: S3FifoConfig,
@@ -752,11 +753,6 @@ impl MrcTurboS3Fifo {
                 cfg.small_ratio
             )));
         }
-        if cfg.ghost_ratio < 0.0 {
-            return Err(CacheError::InvalidParameter(
-                "ghost_ratio must be >= 0".into(),
-            ));
-        }
         Ok(MrcTurboS3Fifo {
             mask: lane_mask(capacities.len()),
             hdr: vec![S3SlotHdr::default(); ids.len()],
@@ -766,12 +762,12 @@ impl MrcTurboS3Fifo {
                     let s_capacity =
                         ((capacity as f64 * cfg.small_ratio).round() as u64).max(1);
                     let m_capacity = capacity.saturating_sub(s_capacity).max(1);
-                    let ghost_cap = (m_capacity as f64 * cfg.ghost_ratio).round() as u64;
                     S3Lane {
                         capacity,
                         s_capacity,
                         m_capacity,
-                        ghost_cap,
+                        // As many ghost entries as M holds (§4.1).
+                        ghost_cap: m_capacity,
                         small: VecDeque::new(),
                         main: VecDeque::new(),
                         ghost_fifo: VecDeque::new(),
@@ -804,12 +800,11 @@ impl MrcTurboS3Fifo {
         h.acc += 1;
         let a = h.acc;
         let mut miss = !h.res & self.mask;
-        let promote = self.cfg.promote_threshold;
         let (hdr, lanes) = (&mut self.hdr, &mut self.lanes);
         while miss != 0 {
             let lane = miss.trailing_zeros() as usize;
             miss &= miss - 1;
-            lanes[lane].insert(hdr, 1u64 << lane, slot, a, promote);
+            lanes[lane].insert(hdr, 1u64 << lane, slot, a);
         }
     }
 }
@@ -966,7 +961,7 @@ mod tests {
             let mut turbo = MrcTurboClock::new(&GRID, bits, &ids).expect("valid grid");
             // Invariant: GRID is non-empty, zero-free, and under 64 points.
             assert_matches_dense(&mut turbo, |cap| {
-                DenseClock::new(cap, bits, &ids).expect("capacity > 0")
+                DenseClock::with_domain(cap, bits, ids.len()).expect("capacity > 0")
                 // Invariant: every GRID capacity is positive.
             });
         }
@@ -978,7 +973,7 @@ mod tests {
         let mut turbo = MrcTurboSieve::new(&GRID, &ids).expect("valid grid");
         // Invariant: GRID is non-empty, zero-free, and under 64 points.
         assert_matches_dense(&mut turbo, |cap| {
-            DenseSieve::new(cap, &ids).expect("capacity > 0")
+            DenseSieve::with_domain(cap, ids.len()).expect("capacity > 0")
             // Invariant: every GRID capacity is positive.
         });
     }
@@ -986,16 +981,13 @@ mod tests {
     #[test]
     fn turbo_s3fifo_matches_per_capacity_dense() {
         for ratio in [0.1f64, 0.25] {
-            let cfg = S3FifoConfig {
-                small_ratio: ratio,
-                ..Default::default()
-            };
+            let cfg = S3FifoConfig { small_ratio: ratio };
             let (_, _, ids) = workload(6_000, 120);
             let mut turbo =
                 MrcTurboS3Fifo::with_config(&GRID, cfg, &ids).expect("valid grid");
             // Invariant: GRID is non-empty, zero-free, and under 64 points.
             assert_matches_dense(&mut turbo, |cap| {
-                DenseS3Fifo::with_config(cap, cfg, &ids).expect("capacity > 0")
+                DenseS3Fifo::with_config_domain(cap, cfg, ids.len()).expect("capacity > 0")
                 // Invariant: every GRID capacity is positive.
             });
         }
@@ -1008,24 +1000,9 @@ mod tests {
         assert!(MrcTurboClock::new(&[4, 0], 1, &ids).is_err());
         assert!(MrcTurboClock::new(&[4], 0, &ids).is_err());
         assert!(MrcTurboSieve::new(&vec![1u64; 65], &ids).is_err());
-        assert!(MrcTurboS3Fifo::with_config(
-            &[4],
-            S3FifoConfig {
-                small_ratio: 1.5,
-                ..Default::default()
-            },
-            &ids
-        )
-        .is_err());
-        assert!(MrcTurboS3Fifo::with_config(
-            &[4],
-            S3FifoConfig {
-                ghost_ratio: -0.5,
-                ..Default::default()
-            },
-            &ids
-        )
-        .is_err());
+        assert!(
+            MrcTurboS3Fifo::with_config(&[4], S3FifoConfig { small_ratio: 1.5 }, &ids).is_err()
+        );
     }
 
     /// Duplicate and unsorted grid entries stay independent lanes.

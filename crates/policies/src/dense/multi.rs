@@ -1,20 +1,30 @@
-//! Dense mirrors of the multi-queue policies: 2Q and SLRU.
+//! The multi-queue policies: 2Q and SLRU.
 //!
-//! Slot-state conventions (see [`super::slab::Slot`]): 2Q keeps its queue
+//! Each is written once, over dense slots ([`DenseTwoQ`], [`DenseSlru`]);
+//! the keyed names ([`TwoQ`], [`Slru`]) are the same policy behind
+//! [`Keyed`].
+//!
+//! Slot-state conventions (see [`s3fifo::dense::Slot`]): 2Q keeps its queue
 //! tag (`ABSENT`/`A1IN`/`AM`) in `tag`; SLRU stores `segment + 1` in `tag`
 //! so that 0 keeps meaning "absent".
 
-use super::{impl_dense_replay, DenseSlab, PackedQueue, SlotGhost};
-use cache_ds::DenseIds;
 use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use std::sync::Arc;
+use s3fifo::dense::{DenseSlab, Keyed, PackedQueue, SlotGhost};
+use s3fifo::impl_dense_replay;
 
 /// Where a 2Q slot currently lives.
 const ABSENT: u8 = 0;
 const A1IN: u8 = 1;
 const AM: u8 = 2;
 
-/// Dense mirror of [`crate::twoq::TwoQ`] (Kin = 25 %, Kout = 50 %).
+/// 2Q (Johnson & Shasha, VLDB '94) over dense slots.
+///
+/// §5.2: "2Q has the most similar design to S3-FIFO. It uses 25 % cache
+/// space for a FIFO queue [A1in], the rest for an LRU queue [Am], and also
+/// has a ghost queue [A1out]. Besides the difference in queue size and type,
+/// objects evicted from the small queue are not inserted into the LRU queue"
+/// — only a later request for an A1out (ghost) id promotes into Am.
+#[derive(Debug)]
 pub struct DenseTwoQ {
     capacity: u64,
     a1in_capacity: u64,
@@ -28,17 +38,8 @@ pub struct DenseTwoQ {
 }
 
 impl DenseTwoQ {
-    /// Creates a 2Q cache with the classic 25 %/50 % parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
-    pub fn new(capacity: u64, ids: &Arc<DenseIds>) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, ids.len())
-    }
-
-    /// [`DenseTwoQ::new`] over a pre-sized dense domain `0..domain` with no
-    /// interning table. Decision-identical to [`DenseTwoQ::new`].
+    /// Creates a 2Q cache with the classic parameters (Kin = 25 % of the
+    /// cache, Kout = 50 % of its bytes) over the dense domain `0..domain`.
     ///
     /// # Errors
     ///
@@ -47,13 +48,12 @@ impl DenseTwoQ {
         if capacity == 0 {
             return Err(CacheError::InvalidCapacity("capacity must be > 0".into()));
         }
-        let slab = DenseSlab::with_domain(domain);
         let a1in_capacity = ((capacity as f64 * 0.25).round() as u64).max(1);
         Ok(DenseTwoQ {
             capacity,
             a1in_capacity,
-            a1out: SlotGhost::new(slab.len(), (capacity as f64 * 0.5).round() as u64),
-            slab,
+            a1out: SlotGhost::new(domain, (capacity as f64 * 0.5).round() as u64),
+            slab: DenseSlab::with_domain(domain),
             a1in: PackedQueue::new(),
             am: PackedQueue::new(),
             a1in_used: 0,
@@ -73,13 +73,16 @@ impl DenseTwoQ {
         self.slab.warm_tail(&self.am);
     }
 
+    /// The RECLAIM step of the 2Q paper: when A1in holds at least its share
+    /// (or Am is empty) its tail is dropped and remembered in A1out;
+    /// otherwise the LRU tail of Am is evicted.
     fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
         if self.a1in_used >= self.a1in_capacity || self.am.is_empty() {
             if let Some(s) = self.a1in.pop_back(&mut self.slab.slots) {
                 self.slab.slots[s as usize].tag = ABSENT;
                 let size = self.slab.size(s);
                 self.a1in_used -= u64::from(size);
-                self.a1out.insert(s, size);
+                self.a1out.insert(&mut self.slab, s, size);
                 self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(s, true));
                 return;
@@ -90,6 +93,7 @@ impl DenseTwoQ {
             self.am_used -= u64::from(self.slab.size(s));
             self.stats.evictions += 1;
             evicted.push(self.slab.eviction(s, false));
+            self.slab.release(s);
         }
     }
 
@@ -125,8 +129,9 @@ impl DenseTwoQ {
                 self.am.remove(&mut self.slab.slots, slot);
                 self.am_used -= u64::from(self.slab.size(slot));
             }
-            _ => {}
+            _ => return,
         }
+        self.slab.release(slot);
     }
 }
 
@@ -230,7 +235,9 @@ impl DensePolicy for DenseTwoQ {
                 "2Q: {tagged} slots carry a residency tag but {queued} are queued"
             ));
         }
-        self.a1out.validate().map_err(|e| format!("2Q A1out: {e}"))
+        self.a1out
+            .validate(&self.slab)
+            .map_err(|e| format!("2Q A1out: {e}"))
     }
 
     fn stats(&self) -> PolicyStats {
@@ -240,8 +247,9 @@ impl DensePolicy for DenseTwoQ {
 
 const SEGMENTS: usize = 4;
 
-/// Dense mirror of [`crate::slru::Slru`] (four equal segments). `tag` holds
-/// `segment + 1`; 0 means absent.
+/// Segmented LRU with four equal segments (§5.2), over dense slots. `tag`
+/// holds `segment + 1`; 0 means absent.
+#[derive(Debug)]
 pub struct DenseSlru {
     capacity: u64,
     seg_capacity: u64,
@@ -253,17 +261,8 @@ pub struct DenseSlru {
 }
 
 impl DenseSlru {
-    /// Creates a 4-segment SLRU of `capacity` bytes over the interned domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
-    pub fn new(capacity: u64, ids: &Arc<DenseIds>) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, ids.len())
-    }
-
-    /// [`DenseSlru::new`] over a pre-sized dense domain `0..domain` with no
-    /// interning table. Decision-identical to [`DenseSlru::new`].
+    /// Creates a 4-segment SLRU of `capacity` bytes over the dense domain
+    /// `0..domain`.
     ///
     /// # Errors
     ///
@@ -332,6 +331,7 @@ impl DenseSlru {
                 self.seg_used[s] -= u64::from(self.slab.size(slot));
                 self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(slot, s == 0));
+                self.slab.release(slot);
                 return;
             }
         }
@@ -372,6 +372,7 @@ impl DenseSlru {
             let seg = tag as usize - 1;
             self.segs[seg].remove(&mut self.slab.slots, slot);
             self.seg_used[seg] -= u64::from(self.slab.size(slot));
+            self.slab.release(slot);
         }
     }
 }
@@ -479,5 +480,217 @@ impl DensePolicy for DenseSlru {
 
     fn stats(&self) -> PolicyStats {
         self.stats
+    }
+}
+
+s3fifo::impl_slab_policy!(DenseTwoQ, |capacity| DenseTwoQ::with_domain(capacity, 0));
+s3fifo::impl_slab_policy!(DenseSlru, |capacity| DenseSlru::with_domain(capacity, 0));
+
+/// 2Q keyed by object id, with the paper's parameters (Kin = 25 % of the
+/// cache, Kout = 50 % of the cache's bytes).
+pub type TwoQ = Keyed<DenseTwoQ>;
+
+/// Segmented LRU (four segments) keyed by object id.
+pub type Slru = Keyed<DenseSlru>;
+
+#[cfg(test)]
+mod tests {
+    mod twoq {
+        use super::super::*;
+        use crate::util::{check_policy_basics, miss_ratio_of, test_trace};
+        use crate::Fifo;
+        use cache_types::Policy;
+
+        /// The queue tag of `id`'s slot, if 2Q still remembers the id.
+        fn tag_of(p: &TwoQ, id: u64) -> Option<u8> {
+            p.slot_of(id).map(|s| p.slab.slots[s as usize].tag)
+        }
+
+        #[test]
+        fn one_hit_wonders_fall_out_of_a1in() {
+            let mut p = TwoQ::new(20).unwrap();
+            let mut evs = Vec::new();
+            for id in 0..40u64 {
+                p.request(&Request::get(id, id), &mut evs);
+            }
+            // A scan never populates Am.
+            assert_eq!(p.am.len(), 0);
+            assert!(p.a1out.marked() > 0);
+        }
+
+        #[test]
+        fn ghost_hit_promotes_to_am() {
+            let mut p = TwoQ::new(20).unwrap();
+            let mut evs = Vec::new();
+            for id in 0..40u64 {
+                p.request(&Request::get(id, id), &mut evs);
+            }
+            let ghosted = (0..40u64).rev().find(|&id| !p.contains(id)).unwrap();
+            evs.clear();
+            let out = p.request(&Request::get(ghosted, 100), &mut evs);
+            assert!(out.is_miss());
+            assert_eq!(tag_of(&p, ghosted), Some(AM));
+        }
+
+        #[test]
+        fn a1in_hits_do_not_promote() {
+            let mut p = TwoQ::new(100).unwrap();
+            let mut evs = Vec::new();
+            p.request(&Request::get(1, 0), &mut evs);
+            p.request(&Request::get(1, 1), &mut evs);
+            p.request(&Request::get(1, 2), &mut evs);
+            // 2Q leaves repeat hits in A1in alone — promotion happens only via
+            // the ghost.
+            assert_eq!(tag_of(&p, 1), Some(A1IN));
+        }
+
+        #[test]
+        fn scan_resistant() {
+            let mut p = TwoQ::new(40).unwrap();
+            let mut evs = Vec::new();
+            let mut t = 0u64;
+            // A genuinely hot set (ids 0..10) interleaved with a cold stream:
+            // hot ids cycle through A1in into the ghost once, then their next
+            // request promotes them into Am where LRU retains them.
+            for _round in 0..4 {
+                for j in 0..60u64 {
+                    evs.clear();
+                    p.request(&Request::get(1000 + t % 999_983, t), &mut evs);
+                    t += 1;
+                    if j % 4 == 0 {
+                        evs.clear();
+                        p.request(&Request::get((j / 4) % 10, t), &mut evs);
+                        t += 1;
+                    }
+                }
+            }
+            let in_am = (0..10u64).filter(|&id| tag_of(&p, id) == Some(AM)).count();
+            assert!(in_am >= 5, "hot set should be in Am, got {in_am}");
+            // Long scan: evictions must come from A1in, leaving Am untouched.
+            let before: Vec<u64> = (0..10u64)
+                .filter(|&id| tag_of(&p, id) == Some(AM))
+                .collect();
+            for id in 5000..5200u64 {
+                evs.clear();
+                p.request(&Request::get(id, t), &mut evs);
+                t += 1;
+            }
+            for id in &before {
+                assert!(p.contains(*id), "scan evicted Am resident {id}");
+            }
+        }
+
+        #[test]
+        fn better_than_fifo_on_skew() {
+            let trace = test_trace(30_000, 2000, 21);
+            let mut q = TwoQ::new(64).unwrap();
+            let mut f = Fifo::new(64).unwrap();
+            assert!(miss_ratio_of(&mut q, &trace) < miss_ratio_of(&mut f, &trace));
+        }
+
+        #[test]
+        fn basics() {
+            let mut p = TwoQ::new(100).unwrap();
+            check_policy_basics(&mut p, 100);
+        }
+
+        #[test]
+        fn rejects_zero_capacity() {
+            assert!(TwoQ::new(0).is_err());
+        }
+    }
+
+    mod slru {
+        use super::super::*;
+        use crate::util::{check_policy_basics, miss_ratio_of, test_trace};
+        use crate::Fifo;
+        use cache_types::Policy;
+
+        /// The segment `id` currently sits in.
+        fn seg_of(p: &Slru, id: u64) -> usize {
+            let slot = p.slot_of(id).expect("id is resident");
+            p.slab.slots[slot as usize].tag as usize - 1
+        }
+
+        #[test]
+        fn new_objects_evicted_before_promoted_ones() {
+            let mut p = Slru::new(8).unwrap();
+            let mut evs = Vec::new();
+            // Promote 1 and 2 out of the probationary segment.
+            for id in [1u64, 2] {
+                p.request(&Request::get(id, 0), &mut evs);
+                p.request(&Request::get(id, 1), &mut evs);
+            }
+            // Fill with one-hit objects, overflowing the cache.
+            for id in 10..30u64 {
+                evs.clear();
+                p.request(&Request::get(id, id), &mut evs);
+            }
+            assert!(p.contains(1) && p.contains(2), "promoted objects survive");
+        }
+
+        #[test]
+        fn probationary_evictions_flagged() {
+            let mut p = Slru::new(4).unwrap();
+            let mut evs = Vec::new();
+            for id in 0..20u64 {
+                p.request(&Request::get(id, id), &mut evs);
+            }
+            assert!(!evs.is_empty());
+            assert!(evs.iter().all(|e| e.from_probationary));
+        }
+
+        #[test]
+        fn hits_climb_segments() {
+            let mut p = Slru::new(40).unwrap();
+            let mut evs = Vec::new();
+            p.request(&Request::get(1, 0), &mut evs);
+            assert_eq!(seg_of(&p, 1), 0);
+            p.request(&Request::get(1, 1), &mut evs);
+            assert_eq!(seg_of(&p, 1), 1);
+            p.request(&Request::get(1, 2), &mut evs);
+            assert_eq!(seg_of(&p, 1), 2);
+            p.request(&Request::get(1, 3), &mut evs);
+            assert_eq!(seg_of(&p, 1), 3);
+            p.request(&Request::get(1, 4), &mut evs);
+            assert_eq!(seg_of(&p, 1), 3, "top segment is terminal");
+        }
+
+        #[test]
+        fn segment_overflow_demotes() {
+            let mut p = Slru::new(8).unwrap(); // seg capacity = 2
+            let mut evs = Vec::new();
+            // Promote three objects into segment 1 (capacity 2).
+            for id in [1u64, 2, 3] {
+                p.request(&Request::get(id, id * 2), &mut evs);
+                p.request(&Request::get(id, id * 2 + 1), &mut evs);
+            }
+            // One of them must have been demoted back to segment 0.
+            let seg0_count = [1u64, 2, 3]
+                .iter()
+                .filter(|&&id| seg_of(&p, id) == 0)
+                .count();
+            assert_eq!(seg0_count, 1);
+            assert!(p.seg_used[1] <= p.seg_capacity);
+        }
+
+        #[test]
+        fn better_than_fifo_on_skew() {
+            let trace = test_trace(30_000, 2000, 3);
+            let mut slru = Slru::new(64).unwrap();
+            let mut fifo = Fifo::new(64).unwrap();
+            assert!(miss_ratio_of(&mut slru, &trace) < miss_ratio_of(&mut fifo, &trace));
+        }
+
+        #[test]
+        fn basics() {
+            let mut p = Slru::new(100).unwrap();
+            check_policy_basics(&mut p, 100);
+        }
+
+        #[test]
+        fn rejects_zero_capacity() {
+            assert!(Slru::new(0).is_err());
+        }
     }
 }

@@ -1,18 +1,22 @@
-//! Dense mirrors of the single-queue policies: FIFO, LRU, CLOCK, SIEVE.
+//! The single-queue policies: FIFO, LRU, CLOCK, SIEVE.
 //!
-//! Slot-state conventions (see [`super::slab::Slot`]): `tag` is the
+//! Each is written once, over dense slots ([`DenseFifo`], …); the keyed
+//! names ([`Fifo`], …) are the same policy behind [`Keyed`].
+//!
+//! Slot-state conventions (see [`s3fifo::dense::Slot`]): `tag` is the
 //! residency flag (0 = absent, 1 = resident); `freq` holds the CLOCK
 //! reference counter and the SIEVE visited bit.
 
-use super::{impl_dense_replay, DenseSlab, PackedQueue};
-use cache_ds::{DenseIds, NIL};
+use cache_ds::NIL;
 use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use std::sync::Arc;
+use s3fifo::dense::{validate_packed_queue, DenseSlab, Keyed, PackedQueue};
+use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;
 const RESIDENT: u8 = 1;
 
-/// Dense mirror of [`crate::fifo::Fifo`].
+/// First-in first-out eviction over dense slots.
+#[derive(Debug)]
 pub struct DenseFifo {
     capacity: u64,
     used: u64,
@@ -23,18 +27,9 @@ pub struct DenseFifo {
 }
 
 impl DenseFifo {
-    /// Creates a FIFO cache of `capacity` bytes over the interned domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
-    pub fn new(capacity: u64, ids: &Arc<DenseIds>) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, ids.len())
-    }
-
-    /// [`DenseFifo::new`] over a pre-sized dense domain `0..domain` with no
-    /// interning table (the streaming replayer's entry point — `.ctr` ids
-    /// are already dense). Decision-identical to [`DenseFifo::new`].
+    /// Creates a FIFO cache of `capacity` bytes over the dense domain
+    /// `0..domain` (the trace's footprint, or a `.ctr` header's id space —
+    /// those ids are already dense).
     ///
     /// # Errors
     ///
@@ -64,6 +59,7 @@ impl DenseFifo {
             self.used -= u64::from(self.slab.size(s));
             self.stats.evictions += 1;
             evicted.push(self.slab.eviction(s, false));
+            self.slab.release(s);
         }
     }
 
@@ -82,6 +78,7 @@ impl DenseFifo {
         if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
+            self.slab.release(slot);
         }
     }
 }
@@ -134,7 +131,7 @@ impl DensePolicy for DenseFifo {
     }
 
     fn validate(&self) -> Result<(), String> {
-        super::slab::validate_packed_queue(
+        validate_packed_queue(
             "FIFO",
             self.capacity,
             self.used,
@@ -152,7 +149,8 @@ impl DensePolicy for DenseFifo {
     }
 }
 
-/// Dense mirror of [`crate::lru::Lru`].
+/// Least-recently-used eviction over dense slots.
+#[derive(Debug)]
 pub struct DenseLru {
     capacity: u64,
     used: u64,
@@ -163,17 +161,8 @@ pub struct DenseLru {
 }
 
 impl DenseLru {
-    /// Creates an LRU cache of `capacity` bytes over the interned domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
-    pub fn new(capacity: u64, ids: &Arc<DenseIds>) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, ids.len())
-    }
-
-    /// [`DenseLru::new`] over a pre-sized dense domain `0..domain` with no
-    /// interning table. Decision-identical to [`DenseLru::new`].
+    /// Creates an LRU cache of `capacity` bytes over the dense domain
+    /// `0..domain`.
     ///
     /// # Errors
     ///
@@ -203,6 +192,7 @@ impl DenseLru {
             self.used -= u64::from(self.slab.size(s));
             self.stats.evictions += 1;
             evicted.push(self.slab.eviction(s, false));
+            self.slab.release(s);
         }
     }
 
@@ -221,6 +211,7 @@ impl DenseLru {
         if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
+            self.slab.release(slot);
         }
     }
 }
@@ -274,7 +265,7 @@ impl DensePolicy for DenseLru {
     }
 
     fn validate(&self) -> Result<(), String> {
-        super::slab::validate_packed_queue(
+        validate_packed_queue(
             "LRU",
             self.capacity,
             self.used,
@@ -292,7 +283,8 @@ impl DensePolicy for DenseLru {
     }
 }
 
-/// Dense mirror of [`crate::clock::Clock`].
+/// CLOCK with an n-bit reference counter, over dense slots.
+#[derive(Debug)]
 pub struct DenseClock {
     capacity: u64,
     used: u64,
@@ -303,17 +295,8 @@ pub struct DenseClock {
 }
 
 impl DenseClock {
-    /// Creates a CLOCK cache with a reference counter of `bits` bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError`] when `capacity == 0` or `bits` is 0 or > 7.
-    pub fn new(capacity: u64, bits: u8, ids: &Arc<DenseIds>) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, bits, ids.len())
-    }
-
-    /// [`DenseClock::new`] over a pre-sized dense domain `0..domain` with no
-    /// interning table. Decision-identical to [`DenseClock::new`].
+    /// Creates a CLOCK cache with a reference counter of `bits` bits over
+    /// the dense domain `0..domain`.
     ///
     /// # Errors
     ///
@@ -355,6 +338,7 @@ impl DenseClock {
                 self.used -= u64::from(self.slab.size(tail));
                 self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(tail, false));
+                self.slab.release(tail);
                 return;
             }
         }
@@ -376,6 +360,7 @@ impl DenseClock {
         if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
+            self.slab.release(slot);
         }
     }
 }
@@ -434,7 +419,7 @@ impl DensePolicy for DenseClock {
     }
 
     fn validate(&self) -> Result<(), String> {
-        super::slab::validate_packed_queue(
+        validate_packed_queue(
             &DensePolicy::name(self),
             self.capacity,
             self.used,
@@ -452,8 +437,9 @@ impl DensePolicy for DenseClock {
     }
 }
 
-/// Dense mirror of [`crate::sieve::Sieve`]. The visited bit lives in the
-/// slot's `freq` field.
+/// The SIEVE eviction algorithm over dense slots. The visited bit lives in
+/// the slot's `freq` field.
+#[derive(Debug)]
 pub struct DenseSieve {
     capacity: u64,
     used: u64,
@@ -462,24 +448,14 @@ pub struct DenseSieve {
     queue: PackedQueue,
     /// The hand: next eviction candidate. `NIL` means "start at the tail".
     /// Invariant: when not `NIL`, points at a slot currently in the queue
-    /// (eviction and delete both step it off a node before removal — the
-    /// dense equivalent of the keyed version's stale-handle filter).
+    /// (eviction and delete both step it off a node before removal).
     hand: u32,
     stats: PolicyStats,
 }
 
 impl DenseSieve {
-    /// Creates a SIEVE cache of `capacity` bytes over the interned domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
-    pub fn new(capacity: u64, ids: &Arc<DenseIds>) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, ids.len())
-    }
-
-    /// [`DenseSieve::new`] over a pre-sized dense domain `0..domain` with no
-    /// interning table. Decision-identical to [`DenseSieve::new`].
+    /// Creates a SIEVE cache of `capacity` bytes over the dense domain
+    /// `0..domain`.
     ///
     /// # Errors
     ///
@@ -535,6 +511,7 @@ impl DenseSieve {
                 self.used -= u64::from(self.slab.size(s));
                 self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(s, false));
+                self.slab.release(s);
                 return;
             }
         }
@@ -562,6 +539,7 @@ impl DenseSieve {
             }
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
+            self.slab.release(slot);
         }
     }
 }
@@ -616,7 +594,7 @@ impl DensePolicy for DenseSieve {
     }
 
     fn validate(&self) -> Result<(), String> {
-        super::slab::validate_packed_queue(
+        validate_packed_queue(
             "SIEVE",
             self.capacity,
             self.used,
@@ -635,5 +613,404 @@ impl DensePolicy for DenseSieve {
 
     fn stats(&self) -> PolicyStats {
         self.stats
+    }
+}
+
+s3fifo::impl_slab_policy!(DenseFifo, |capacity| DenseFifo::with_domain(capacity, 0));
+s3fifo::impl_slab_policy!(DenseLru, |capacity| DenseLru::with_domain(capacity, 0));
+s3fifo::impl_slab_policy!(DenseClock, |capacity| DenseClock::with_domain(capacity, 1, 0));
+s3fifo::impl_slab_policy!(DenseSieve, |capacity| DenseSieve::with_domain(capacity, 0));
+
+/// FIFO eviction keyed by object id: evict in insertion order, no metadata
+/// updates on hits.
+///
+/// FIFO is the baseline every result in the paper is expressed against
+/// (§5.1.2's miss-ratio reduction). It needs no per-hit work at all, which is
+/// why flash caches and scalable in-memory caches favour it (§2.1).
+pub type Fifo = Keyed<DenseFifo>;
+
+/// LRU eviction keyed by object id: every hit promotes to the head of the
+/// queue. The incumbent the paper argues against (§2.2).
+pub type Lru = Keyed<DenseLru>;
+
+/// CLOCK / FIFO-Reinsertion / Second Chance keyed by object id —
+/// "different implementations of the same algorithm" (§3). [`Keyed::new`]
+/// builds the one-bit CLOCK; wider counters come from
+/// [`DenseClock::with_domain`] under [`Keyed::over`].
+pub type Clock = Keyed<DenseClock>;
+
+/// SIEVE keyed by object id: one FIFO queue, a visited bit, and a hand that
+/// evicts in place.
+pub type Sieve = Keyed<DenseSieve>;
+
+#[cfg(test)]
+mod tests {
+    mod fifo {
+        use super::super::*;
+        use crate::util::check_policy_basics;
+        use cache_types::Policy;
+
+        #[test]
+        fn evicts_in_insertion_order() {
+            let mut p = Fifo::new(3).unwrap();
+            let mut evs = Vec::new();
+            for id in 1..=3 {
+                p.request(&Request::get(id, id), &mut evs);
+            }
+            // Hit object 1; FIFO must still evict it first.
+            p.request(&Request::get(1, 10), &mut evs);
+            evs.clear();
+            p.request(&Request::get(4, 11), &mut evs);
+            assert_eq!(evs.len(), 1);
+            assert_eq!(evs[0].id, 1);
+            assert_eq!(evs[0].freq, 1, "object 1 had one post-insert access");
+        }
+
+        #[test]
+        fn hits_do_not_reorder() {
+            let mut p = Fifo::new(2).unwrap();
+            let mut evs = Vec::new();
+            p.request(&Request::get(1, 0), &mut evs);
+            p.request(&Request::get(2, 1), &mut evs);
+            for t in 2..10 {
+                p.request(&Request::get(1, t), &mut evs); // many hits on 1
+            }
+            evs.clear();
+            p.request(&Request::get(3, 10), &mut evs);
+            assert_eq!(evs[0].id, 1, "FIFO ignores recency");
+        }
+
+        #[test]
+        fn basics() {
+            let mut p = Fifo::new(100).unwrap();
+            check_policy_basics(&mut p, 100);
+        }
+
+        #[test]
+        fn rejects_zero_capacity() {
+            assert!(Fifo::new(0).is_err());
+        }
+
+        #[test]
+        fn delete_and_set() {
+            let mut p = Fifo::new(10).unwrap();
+            let mut evs = Vec::new();
+            p.request(&Request::get(1, 0), &mut evs);
+            p.request(&Request::delete(1, 1), &mut evs);
+            assert!(!p.contains(1));
+            p.request(
+                &Request {
+                    id: 2,
+                    size: 4,
+                    time: 2,
+                    op: Op::Set,
+                },
+                &mut evs,
+            );
+            assert!(p.contains(2));
+            assert_eq!(p.used(), 4);
+        }
+
+        #[test]
+        fn sized_objects() {
+            let mut p = Fifo::new(10).unwrap();
+            let mut evs = Vec::new();
+            p.request(&Request::get_sized(1, 6, 0), &mut evs);
+            p.request(&Request::get_sized(2, 6, 1), &mut evs);
+            // 1 must have been evicted to fit 2.
+            assert!(!p.contains(1));
+            assert!(p.contains(2));
+            assert_eq!(p.used(), 6);
+        }
+    }
+
+    mod lru {
+        use super::super::*;
+        use crate::util::{check_policy_basics, miss_ratio_of, test_trace};
+        use cache_types::Policy;
+
+        #[test]
+        fn promotes_on_hit() {
+            let mut p = Lru::new(2).unwrap();
+            let mut evs = Vec::new();
+            p.request(&Request::get(1, 0), &mut evs);
+            p.request(&Request::get(2, 1), &mut evs);
+            p.request(&Request::get(1, 2), &mut evs); // 1 becomes MRU
+            evs.clear();
+            p.request(&Request::get(3, 3), &mut evs);
+            assert_eq!(evs[0].id, 2, "LRU must evict the least recently used");
+            assert!(p.contains(1));
+        }
+
+        #[test]
+        fn matches_reference_model() {
+            // Differential test against a naive Vec-based LRU model.
+            let trace = test_trace(5000, 100, 42);
+            let cap = 32usize;
+            let mut p = Lru::new(cap as u64).unwrap();
+            let mut model: Vec<u64> = Vec::new(); // front = MRU
+            let mut evs = Vec::new();
+            for r in &trace {
+                evs.clear();
+                let out = p.request(r, &mut evs);
+                let model_hit = if let Some(pos) = model.iter().position(|&x| x == r.id) {
+                    model.remove(pos);
+                    model.insert(0, r.id);
+                    true
+                } else {
+                    model.insert(0, r.id);
+                    if model.len() > cap {
+                        model.pop();
+                    }
+                    false
+                };
+                assert_eq!(out.is_hit(), model_hit, "diverged at t={}", r.time);
+            }
+        }
+
+        #[test]
+        fn loop_workload_thrashes() {
+            // Classic LRU pathology: a loop one object larger than the cache
+            // yields zero hits after the first pass.
+            let mut p = Lru::new(10).unwrap();
+            let mut evs = Vec::new();
+            let mut hits = 0;
+            for pass in 0..5u64 {
+                for id in 0..11u64 {
+                    evs.clear();
+                    if p.request(&Request::get(id, pass * 11 + id), &mut evs)
+                        .is_hit()
+                    {
+                        hits += 1;
+                    }
+                }
+            }
+            assert_eq!(hits, 0);
+        }
+
+        #[test]
+        fn beats_fifo_on_skewed_trace() {
+            let trace = test_trace(30_000, 3000, 7);
+            let mut lru = Lru::new(64).unwrap();
+            let mut fifo = Fifo::new(64).unwrap();
+            let mr_lru = miss_ratio_of(&mut lru, &trace);
+            let mr_fifo = miss_ratio_of(&mut fifo, &trace);
+            assert!(
+                mr_lru <= mr_fifo + 0.01,
+                "LRU {mr_lru:.4} should be no worse than FIFO {mr_fifo:.4} here"
+            );
+        }
+
+        #[test]
+        fn basics() {
+            let mut p = Lru::new(100).unwrap();
+            check_policy_basics(&mut p, 100);
+        }
+
+        #[test]
+        fn rejects_zero_capacity() {
+            assert!(Lru::new(0).is_err());
+        }
+    }
+
+    mod clock {
+        use super::super::*;
+        use crate::util::{check_policy_basics, miss_ratio_of, test_trace};
+        use cache_types::Policy;
+
+        /// A keyed CLOCK with a `bits`-bit counter, as the registry builds it.
+        fn clock(capacity: u64, bits: u8) -> Result<Clock, CacheError> {
+            DenseClock::with_domain(capacity, bits, 0).map(Keyed::over)
+        }
+
+        #[test]
+        fn new_is_the_one_bit_clock() {
+            assert_eq!(Clock::new(10).unwrap().name(), "CLOCK");
+        }
+
+        #[test]
+        fn referenced_objects_get_second_chance() {
+            let mut p = clock(2, 1).unwrap();
+            let mut evs = Vec::new();
+            p.request(&Request::get(1, 0), &mut evs);
+            p.request(&Request::get(2, 1), &mut evs);
+            p.request(&Request::get(1, 2), &mut evs); // ref bit set on 1
+            evs.clear();
+            p.request(&Request::get(3, 3), &mut evs);
+            // 1 is at the tail but referenced: it is reinserted and 2 evicted.
+            assert_eq!(evs[0].id, 2);
+            assert!(p.contains(1));
+        }
+
+        #[test]
+        fn unreferenced_objects_evicted_fifo() {
+            let mut p = clock(3, 1).unwrap();
+            let mut evs = Vec::new();
+            for id in 1..=3 {
+                p.request(&Request::get(id, id), &mut evs);
+            }
+            evs.clear();
+            p.request(&Request::get(4, 10), &mut evs);
+            assert_eq!(evs[0].id, 1);
+        }
+
+        #[test]
+        fn two_bit_counter_survives_two_rounds() {
+            let mut p = clock(2, 2).unwrap();
+            let mut evs = Vec::new();
+            p.request(&Request::get(1, 0), &mut evs);
+            // Three hits saturate freq at 3.
+            for t in 1..4 {
+                p.request(&Request::get(1, t), &mut evs);
+            }
+            // Each new insertion decrements 1's counter once; it survives three
+            // eviction scans.
+            for (i, id) in (10..13u64).enumerate() {
+                evs.clear();
+                p.request(&Request::get(id, 4 + i as u64), &mut evs);
+            }
+            assert!(p.contains(1), "freq-3 object must survive 3 scans");
+        }
+
+        #[test]
+        fn beats_fifo_on_skew() {
+            let trace = test_trace(30_000, 2000, 9);
+            let mut clock = clock(64, 1).unwrap();
+            let mut fifo = Fifo::new(64).unwrap();
+            let mr_c = miss_ratio_of(&mut clock, &trace);
+            let mr_f = miss_ratio_of(&mut fifo, &trace);
+            assert!(mr_c <= mr_f, "CLOCK {mr_c:.4} vs FIFO {mr_f:.4}");
+        }
+
+        #[test]
+        fn basics() {
+            let mut p = clock(100, 1).unwrap();
+            check_policy_basics(&mut p, 100);
+            let mut p = clock(100, 2).unwrap();
+            check_policy_basics(&mut p, 100);
+        }
+
+        #[test]
+        fn rejects_bad_params() {
+            assert!(clock(0, 1).is_err());
+            assert!(clock(10, 0).is_err());
+            assert!(clock(10, 8).is_err());
+        }
+
+        #[test]
+        fn name_reflects_bits() {
+            assert_eq!(clock(10, 1).unwrap().name(), "CLOCK");
+            assert_eq!(clock(10, 2).unwrap().name(), "CLOCK-2bit");
+        }
+    }
+
+    mod sieve {
+        use super::super::*;
+        use crate::util::{check_policy_basics, miss_ratio_of, test_trace};
+        use cache_types::Policy;
+
+        #[test]
+        fn visited_objects_survive_in_place() {
+            let mut p = Sieve::new(3).unwrap();
+            let mut evs = Vec::new();
+            for id in 1..=3u64 {
+                p.request(&Request::get(id, id), &mut evs);
+            }
+            p.request(&Request::get(1, 10), &mut evs); // visit tail object 1
+            evs.clear();
+            p.request(&Request::get(4, 11), &mut evs);
+            // Hand starts at tail (1), clears its bit, moves to 2, evicts 2.
+            assert_eq!(evs[0].id, 2);
+            assert!(p.contains(1));
+        }
+
+        #[test]
+        fn hand_persists_across_evictions() {
+            let mut p = Sieve::new(3).unwrap();
+            let mut evs = Vec::new();
+            for id in 1..=3u64 {
+                p.request(&Request::get(id, id), &mut evs);
+            }
+            // Visit everything once.
+            for (t, id) in (1..=3u64).enumerate() {
+                p.request(&Request::get(id, 10 + t as u64), &mut evs);
+            }
+            evs.clear();
+            p.request(&Request::get(4, 20), &mut evs);
+            // All were visited; the hand sweeps 1,2,3 clearing bits, wraps, and
+            // evicts object 1 (oldest, bit now clear).
+            assert_eq!(evs[0].id, 1);
+            evs.clear();
+            p.request(&Request::get(5, 21), &mut evs);
+            // Hand continues from where it stopped: evicts 2 next (bit cleared
+            // in the previous sweep).
+            assert_eq!(evs[0].id, 2);
+        }
+
+        #[test]
+        fn scan_does_not_displace_visited_working_set() {
+            let mut p = Sieve::new(10).unwrap();
+            let mut evs = Vec::new();
+            let mut t = 0u64;
+            for id in 1..=5u64 {
+                p.request(&Request::get(id, t), &mut evs);
+                t += 1;
+            }
+            for _ in 0..3 {
+                for id in 1..=5u64 {
+                    p.request(&Request::get(id, t), &mut evs);
+                    t += 1;
+                }
+            }
+            // Scan of one-time objects.
+            for id in 100..150u64 {
+                evs.clear();
+                p.request(&Request::get(id, t), &mut evs);
+                t += 1;
+            }
+            let survivors = (1..=5u64).filter(|&id| p.contains(id)).count();
+            assert!(survivors >= 4, "only {survivors}/5 hot objects survived");
+        }
+
+        #[test]
+        fn delete_on_hand_position_is_safe() {
+            let mut p = Sieve::new(3).unwrap();
+            let mut evs = Vec::new();
+            for id in 1..=3u64 {
+                p.request(&Request::get(id, id), &mut evs);
+            }
+            p.request(&Request::get(1, 5), &mut evs);
+            p.request(&Request::get(4, 6), &mut evs); // hand now points near 1
+            p.request(&Request::delete(1, 7), &mut evs);
+            // Further inserts must not panic.
+            for id in 10..20u64 {
+                p.request(&Request::get(id, 10 + id), &mut evs);
+            }
+            assert!(p.used() <= 3);
+        }
+
+        #[test]
+        fn competitive_with_lru_on_skew() {
+            let trace = test_trace(30_000, 2000, 5);
+            let mut sieve = Sieve::new(64).unwrap();
+            let mut lru = Lru::new(64).unwrap();
+            let mr_s = miss_ratio_of(&mut sieve, &trace);
+            let mr_l = miss_ratio_of(&mut lru, &trace);
+            assert!(
+                mr_s <= mr_l + 0.02,
+                "SIEVE {mr_s:.4} should be close to or better than LRU {mr_l:.4}"
+            );
+        }
+
+        #[test]
+        fn basics() {
+            let mut p = Sieve::new(100).unwrap();
+            check_policy_basics(&mut p, 100);
+        }
+
+        #[test]
+        fn rejects_zero_capacity() {
+            assert!(Sieve::new(0).is_err());
+        }
     }
 }

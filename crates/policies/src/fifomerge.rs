@@ -307,7 +307,7 @@ mod tests {
     fn better_than_fifo_on_skew() {
         let trace = test_trace(30_000, 2000, 127);
         let mut fm = FifoMerge::new(64).unwrap();
-        let mut f = crate::fifo::Fifo::new(64).unwrap();
+        let mut f = crate::Fifo::new(64).unwrap();
         let mr_m = miss_ratio_of(&mut fm, &trace);
         let mr_f = miss_ratio_of(&mut f, &trace);
         assert!(mr_m < mr_f + 0.01, "FIFO-Merge {mr_m:.4} vs FIFO {mr_f:.4}");

@@ -334,7 +334,7 @@ mod tests {
     fn competitive_with_lru() {
         let trace = test_trace(30_000, 2000, 71);
         let mut lc = LeCar::new(64).unwrap();
-        let mut lru = crate::lru::Lru::new(64).unwrap();
+        let mut lru = crate::Lru::new(64).unwrap();
         let mr_lc = miss_ratio_of(&mut lc, &trace);
         let mr_lru = miss_ratio_of(&mut lru, &trace);
         assert!(

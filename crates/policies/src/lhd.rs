@@ -292,7 +292,7 @@ mod tests {
     fn beats_fifo_on_skew() {
         let trace = test_trace(30_000, 2000, 101);
         let mut lhd = Lhd::new(64).unwrap();
-        let mut f = crate::fifo::Fifo::new(64).unwrap();
+        let mut f = crate::Fifo::new(64).unwrap();
         let mr_l = miss_ratio_of(&mut lhd, &trace);
         let mr_f = miss_ratio_of(&mut f, &trace);
         assert!(mr_l < mr_f, "LHD {mr_l:.4} vs FIFO {mr_f:.4}");

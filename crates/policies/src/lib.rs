@@ -7,12 +7,12 @@
 //!
 //! | Module | Algorithm | Paper's role |
 //! |---|---|---|
-//! | [`fifo`] | FIFO | the baseline all reductions are relative to |
-//! | [`lru`] | LRU | the incumbent (§2.2) |
-//! | [`clock`] | CLOCK / FIFO-Reinsertion / Second Chance | "different implementations of the same algorithm" (§3) |
-//! | [`sieve`] | SIEVE | related work, simpler-than-LRU eviction |
-//! | [`slru`] | Segmented LRU (4 segments) | §5.2 |
-//! | [`twoq`] | 2Q | "most similar design to S3-FIFO" |
+//! | [`dense`] | FIFO | the baseline all reductions are relative to |
+//! | [`dense`] | LRU | the incumbent (§2.2) |
+//! | [`dense`] | CLOCK / FIFO-Reinsertion / Second Chance | "different implementations of the same algorithm" (§3) |
+//! | [`dense`] | SIEVE | related work, simpler-than-LRU eviction |
+//! | [`dense`] | Segmented LRU (4 segments) | §5.2 |
+//! | [`dense`] | 2Q | "most similar design to S3-FIFO" |
 //! | [`arc`] | ARC | adaptive state of the art |
 //! | [`lirs`] | LIRS | inter-reference recency competitor |
 //! | [`tinylfu`] | W-TinyLFU (1 % and 10 % windows) | "the closest competitor" |
@@ -24,12 +24,14 @@
 //! | [`fifomerge`] | FIFO-Merge | Segcache's eviction |
 //! | [`belady`] | Belady / OPT | offline optimal (Fig. 4) |
 //!
-//! [`registry`] builds policies by name for the sweep engine. [`dense`]
-//! holds slot-indexed mirrors of the core policies (FIFO, LRU, CLOCK, SIEVE,
-//! SLRU, 2Q, S3-FIFO) for the simulator's dense-ID fast path;
-//! [`registry::build_dense`] selects them. [`dense::mrc`] holds the
-//! multi-capacity engines that compute a whole miss-ratio curve in one trace
-//! pass ([`MultiCapacityPolicy`]); [`registry::build_mrc`] selects those.
+//! [`registry`] builds policies by name for the sweep engine. The six
+//! FIFO-family baselines in [`dense`] (and S3-FIFO in the `s3fifo` crate)
+//! exist once, over a slot-indexed slab: [`registry::build_dense_domain`]
+//! hands the simulator the policy itself, to be driven with pre-interned
+//! slots, and [`registry::build`] the same policy behind the interning
+//! [`s3fifo::Keyed`] adapter. [`dense::mrc`] holds the multi-capacity
+//! engines that compute a whole miss-ratio curve in one trace pass
+//! ([`MultiCapacityPolicy`]); [`registry::build_mrc`] selects those.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,37 +40,26 @@ pub mod arc;
 pub mod belady;
 pub mod blru;
 pub mod cacheus;
-pub mod clock;
 pub mod dense;
-pub mod fifo;
 pub mod fifomerge;
 pub mod lecar;
 pub mod lhd;
 pub mod lirs;
-pub mod lru;
 pub mod lruk;
 pub mod registry;
-pub mod sieve;
-pub mod slru;
 pub mod tinylfu;
-pub mod twoq;
 pub(crate) mod util;
 
 pub use arc::Arc;
 pub use belady::Belady;
+pub use dense::{Clock, Fifo, Lru, Sieve, Slru, TwoQ};
 pub use dense::{DenseClock, DenseFifo, DenseLru, DenseS3Fifo, DenseSieve, DenseSlru, DenseTwoQ};
 pub use dense::{MrcExactFifo, MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve, MultiCapacityPolicy};
 pub use blru::BloomLru;
 pub use cacheus::Cacheus;
-pub use clock::Clock;
-pub use fifo::Fifo;
 pub use fifomerge::FifoMerge;
 pub use lecar::LeCar;
 pub use lhd::Lhd;
 pub use lirs::Lirs;
-pub use lru::Lru;
 pub use lruk::LruK;
-pub use sieve::Sieve;
-pub use slru::Slru;
 pub use tinylfu::TinyLfu;
-pub use twoq::TwoQ;

@@ -570,7 +570,7 @@ mod tests {
             }
         }
         let mut lirs = Lirs::new(20).unwrap();
-        let mut lru = crate::lru::Lru::new(20).unwrap();
+        let mut lru = crate::Lru::new(20).unwrap();
         let mr_lirs = miss_ratio_of(&mut lirs, &reqs);
         let mr_lru = miss_ratio_of(&mut lru, &reqs);
         assert!(
@@ -583,7 +583,7 @@ mod tests {
     fn skewed_workload_reasonable() {
         let trace = test_trace(30_000, 2000, 37);
         let mut lirs = Lirs::new(64).unwrap();
-        let mut fifo = crate::fifo::Fifo::new(64).unwrap();
+        let mut fifo = crate::Fifo::new(64).unwrap();
         let mr_lirs = miss_ratio_of(&mut lirs, &trace);
         let mr_fifo = miss_ratio_of(&mut fifo, &trace);
         assert!(

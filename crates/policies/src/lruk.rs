@@ -250,7 +250,7 @@ mod tests {
     fn beats_fifo_on_skew() {
         let trace = test_trace(30_000, 2000, 51);
         let mut k = LruK::new(64).unwrap();
-        let mut f = crate::fifo::Fifo::new(64).unwrap();
+        let mut f = crate::Fifo::new(64).unwrap();
         assert!(miss_ratio_of(&mut k, &trace) < miss_ratio_of(&mut f, &trace));
     }
 

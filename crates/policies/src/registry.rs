@@ -1,12 +1,13 @@
 //! Build policies by name — the factory the sweep engine and benchmark
 //! binaries use.
 
-use crate::{
-    Arc, Belady, BloomLru, Cacheus, Clock, Fifo, FifoMerge, LeCar, Lhd, Lirs, Lru, LruK, Sieve,
-    Slru, TinyLfu, TwoQ,
+use crate::dense::{
+    DenseClock, DenseFifo, DenseLru, DenseS3Fifo, DenseSieve, DenseSlru, DenseTwoQ,
 };
-use cache_types::{CacheError, Policy, Request};
-use s3fifo::{Qdlp, QdlpConfig, QueueKind, S3Fifo, S3FifoConfig, S3FifoD};
+use crate::{Arc, Belady, BloomLru, Cacheus, FifoMerge, LeCar, Lhd, Lirs, LruK, TinyLfu};
+use cache_types::{CacheError, DensePolicy, Policy, Request};
+use s3fifo::dense::{Keyed, SlabPolicy};
+use s3fifo::{Qdlp, QdlpConfig, QueueKind, S3FifoConfig, S3FifoD};
 
 /// Names of the algorithms compared in Fig. 6 (S3-FIFO plus the twelve
 /// state-of-the-art baselines and FIFO itself).
@@ -55,6 +56,32 @@ pub const ALL_ALGORITHMS: &[&str] = &[
     "Belady",
 ];
 
+/// The one name → dense policy table, expanded once per door. `$wrap` is
+/// [`boxed`] (the policy itself, for pre-interned slots) or [`keyed`] (the
+/// policy behind [`Keyed`]); it is a generic function rather than a closure
+/// because each arm hands it a different concrete type. Evaluates to
+/// `Option<_>` and uses `?` on the enclosing function.
+macro_rules! dense_by_name {
+    ($name:expr, $capacity:expr, $domain:expr, $wrap:path) => {
+        if let Some(ratio) = parse_param($name, "S3-FIFO") {
+            let cfg = S3FifoConfig { small_ratio: ratio? };
+            Some($wrap(DenseS3Fifo::with_config_domain($capacity, cfg, $domain)?))
+        } else {
+            match $name {
+                "FIFO" => Some($wrap(DenseFifo::with_domain($capacity, $domain)?)),
+                "LRU" => Some($wrap(DenseLru::with_domain($capacity, $domain)?)),
+                "CLOCK" => Some($wrap(DenseClock::with_domain($capacity, 1, $domain)?)),
+                "CLOCK-2bit" => Some($wrap(DenseClock::with_domain($capacity, 2, $domain)?)),
+                "SIEVE" => Some($wrap(DenseSieve::with_domain($capacity, $domain)?)),
+                "SLRU" => Some($wrap(DenseSlru::with_domain($capacity, $domain)?)),
+                "2Q" => Some($wrap(DenseTwoQ::with_domain($capacity, $domain)?)),
+                "S3-FIFO" => Some($wrap(DenseS3Fifo::with_domain($capacity, $domain)?)),
+                _ => None,
+            }
+        }
+    };
+}
+
 /// Builds the named policy at the given byte capacity.
 ///
 /// `trace` is required only by `"Belady"` (the offline-optimal policy needs
@@ -72,25 +99,15 @@ pub fn build(
     capacity: u64,
     trace: Option<&[Request]>,
 ) -> Result<Box<dyn Policy>, CacheError> {
-    // Parameterized forms: NAME(float).
-    if let Some(ratio) = parse_param(name, "S3-FIFO") {
-        let cfg = S3FifoConfig {
-            small_ratio: ratio?,
-            ..Default::default()
-        };
-        return Ok(Box::new(S3Fifo::with_config(capacity, cfg)?));
+    // The FIFO family exists once, over the dense slab: keyed is that policy
+    // over the empty domain, interning as it goes.
+    if let Some(policy) = dense_by_name!(name, capacity, 0, keyed) {
+        return Ok(policy);
     }
     if let Some(ratio) = parse_param(name, "TinyLFU") {
         return Ok(Box::new(TinyLfu::with_window(capacity, ratio?)?));
     }
     Ok(match name {
-        "FIFO" => Box::new(Fifo::new(capacity)?),
-        "LRU" => Box::new(Lru::new(capacity)?),
-        "CLOCK" => Box::new(Clock::new(capacity, 1)?),
-        "CLOCK-2bit" => Box::new(Clock::new(capacity, 2)?),
-        "SIEVE" => Box::new(Sieve::new(capacity)?),
-        "SLRU" => Box::new(Slru::new(capacity)?),
-        "2Q" => Box::new(TwoQ::new(capacity)?),
         "ARC" => Box::new(Arc::new(capacity)?),
         "LIRS" => Box::new(Lirs::new(capacity)?),
         "TinyLFU" => Box::new(TinyLfu::new(capacity)?),
@@ -101,7 +118,6 @@ pub fn build(
         "LHD" => Box::new(Lhd::new(capacity)?),
         "B-LRU" => Box::new(BloomLru::new(capacity)?),
         "FIFO-Merge" => Box::new(FifoMerge::new(capacity)?),
-        "S3-FIFO" => Box::new(S3Fifo::new(capacity)?),
         "S3-FIFO-D" => Box::new(S3FifoD::new(capacity)?),
         "QDLP-LRU-LRU" => Box::new(Qdlp::new(
             capacity,
@@ -149,89 +165,35 @@ pub fn build(
     })
 }
 
-/// Builds the dense-ID fast-path variant of the named policy, or `None`
-/// when the algorithm has no dense implementation (the simulator then falls
-/// back to the keyed path).
+/// Builds the named FIFO-family policy over the dense domain `0..domain`, to
+/// be driven with pre-interned slots — a trace's footprint, or the id space
+/// of a `.ctr` header (those ids are already dense). `None` when the
+/// algorithm is not written over the dense slab (the simulator then replays
+/// [`build`]'s keyed policy).
 ///
-/// Dense variants exist for the core queue policies: FIFO, LRU, CLOCK,
-/// CLOCK-2bit, SIEVE, SLRU, 2Q, S3-FIFO, and `"S3-FIFO(r)"`. Each is
-/// decision-identical to its keyed sibling (enforced by the simulator's
-/// equivalence test).
-///
-/// # Errors
-///
-/// Returns [`CacheError`] for an invalid capacity or embedded parameter.
-/// An *unknown* name is `Ok(None)` here, not an error: the keyed
-/// [`build`] is the authority on name validity.
-pub fn build_dense(
-    name: &str,
-    capacity: u64,
-    ids: &std::sync::Arc<cache_ds::DenseIds>,
-) -> Result<Option<Box<dyn cache_types::DensePolicy>>, CacheError> {
-    use crate::dense::{
-        DenseClock, DenseFifo, DenseLru, DenseS3Fifo, DenseSieve, DenseSlru, DenseTwoQ,
-    };
-    if let Some(ratio) = parse_param(name, "S3-FIFO") {
-        let cfg = S3FifoConfig {
-            small_ratio: ratio?,
-            ..Default::default()
-        };
-        return Ok(Some(Box::new(DenseS3Fifo::with_config(capacity, cfg, ids)?)));
-    }
-    Ok(match name {
-        "FIFO" => Some(Box::new(DenseFifo::new(capacity, ids)?)),
-        "LRU" => Some(Box::new(DenseLru::new(capacity, ids)?)),
-        "CLOCK" => Some(Box::new(DenseClock::new(capacity, 1, ids)?)),
-        "CLOCK-2bit" => Some(Box::new(DenseClock::new(capacity, 2, ids)?)),
-        "SIEVE" => Some(Box::new(DenseSieve::new(capacity, ids)?)),
-        "SLRU" => Some(Box::new(DenseSlru::new(capacity, ids)?)),
-        "2Q" => Some(Box::new(DenseTwoQ::new(capacity, ids)?)),
-        "S3-FIFO" => Some(Box::new(DenseS3Fifo::new(capacity, ids)?)),
-        _ => None,
-    })
-}
-
-/// [`build_dense`] over a pre-sized dense id domain `0..domain` with no
-/// interning table — the entry point for streamed `.ctr` replay, where ids
-/// arrive already dense and the domain comes from the trace header.
-/// Decision-identical to [`build_dense`] for the same domain size.
+/// Dense policies: FIFO, LRU, CLOCK, CLOCK-2bit, SIEVE, SLRU, 2Q, S3-FIFO,
+/// and `"S3-FIFO(r)"`. For these [`build`] returns the same policy behind
+/// [`Keyed`].
 ///
 /// # Errors
 ///
 /// Returns [`CacheError`] for an invalid capacity or embedded parameter.
-/// An *unknown* name is `Ok(None)`, mirroring [`build_dense`].
+/// An *unknown* name is `Ok(None)` here, not an error: [`build`] is the
+/// authority on name validity.
 pub fn build_dense_domain(
     name: &str,
     capacity: u64,
     domain: usize,
-) -> Result<Option<Box<dyn cache_types::DensePolicy>>, CacheError> {
-    use crate::dense::{
-        DenseClock, DenseFifo, DenseLru, DenseS3Fifo, DenseSieve, DenseSlru, DenseTwoQ,
-    };
-    if let Some(ratio) = parse_param(name, "S3-FIFO") {
-        let cfg = S3FifoConfig {
-            small_ratio: ratio?,
-            ..Default::default()
-        };
-        return Ok(Some(Box::new(DenseS3Fifo::with_config_domain(
-            capacity, cfg, domain,
-        )?)));
-    }
-    Ok(match name {
-        "FIFO" => Some(Box::new(DenseFifo::with_domain(capacity, domain)?)),
-        "LRU" => Some(Box::new(DenseLru::with_domain(capacity, domain)?)),
-        "CLOCK" => Some(Box::new(DenseClock::with_domain(capacity, 1, domain)?)),
-        "CLOCK-2bit" => Some(Box::new(DenseClock::with_domain(capacity, 2, domain)?)),
-        "SIEVE" => Some(Box::new(DenseSieve::with_domain(capacity, domain)?)),
-        "SLRU" => Some(Box::new(DenseSlru::with_domain(capacity, domain)?)),
-        "2Q" => Some(Box::new(DenseTwoQ::with_domain(capacity, domain)?)),
-        "S3-FIFO" => Some(Box::new(DenseS3Fifo::with_config_domain(
-            capacity,
-            S3FifoConfig::default(),
-            domain,
-        )?)),
-        _ => None,
-    })
+) -> Result<Option<Box<dyn DensePolicy>>, CacheError> {
+    Ok(dense_by_name!(name, capacity, domain, boxed))
+}
+
+fn boxed<P: DensePolicy + 'static>(policy: P) -> Box<dyn DensePolicy> {
+    Box::new(policy)
+}
+
+fn keyed<P: SlabPolicy + Send + 'static>(policy: P) -> Box<dyn Policy> {
+    Box::new(Keyed::over(policy))
 }
 
 /// Builds the single-pass multi-capacity MRC engine for the named policy
@@ -252,7 +214,7 @@ pub fn build_dense_domain(
 /// # Errors
 ///
 /// Returns [`CacheError`] for an invalid grid or embedded parameter. An
-/// *unknown* name is `Ok(None)`, mirroring [`build_dense`].
+/// *unknown* name is `Ok(None)`, mirroring [`build_dense_domain`].
 pub fn build_mrc(
     name: &str,
     capacities: &[u64],
@@ -267,10 +229,7 @@ pub fn build_mrc(
         return Ok(None);
     }
     if let Some(ratio) = parse_param(name, "S3-FIFO") {
-        let cfg = S3FifoConfig {
-            small_ratio: ratio?,
-            ..Default::default()
-        };
+        let cfg = S3FifoConfig { small_ratio: ratio? };
         return Ok(Some(Box::new(MrcTurboS3Fifo::with_config(
             capacities, cfg, ids,
         )?)));

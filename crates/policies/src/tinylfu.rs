@@ -366,7 +366,7 @@ mod tests {
     fn beats_fifo_on_skew() {
         let trace = test_trace(30_000, 2000, 43);
         let mut tl = TinyLfu::with_window(64, 0.1).unwrap();
-        let mut f = crate::fifo::Fifo::new(64).unwrap();
+        let mut f = crate::Fifo::new(64).unwrap();
         let mr_t = miss_ratio_of(&mut tl, &trace);
         let mr_f = miss_ratio_of(&mut f, &trace);
         assert!(mr_t < mr_f, "TinyLFU {mr_t:.4} vs FIFO {mr_f:.4}");

@@ -42,8 +42,8 @@ impl Meta {
     }
 }
 
-/// A byte-bounded FIFO ghost list of object ids (2Q's A1out, ARC's B1/B2,
-/// LeCaR's history lists).
+/// A byte-bounded FIFO ghost list of object ids (ARC's B1/B2, LeCaR's
+/// history lists).
 #[derive(Debug, Default)]
 pub(crate) struct GhostList {
     fifo: VecDeque<(ObjId, u32)>,
@@ -102,70 +102,6 @@ impl GhostList {
     pub(crate) fn used(&self) -> u64 {
         self.used
     }
-
-    /// Structural self-check: byte accounting matches the FIFO slots
-    /// (tombstones included — `remove` clears the set but keeps the slot
-    /// charged until it ages out), every live id owns a slot, and the byte
-    /// bound holds.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if self.used > self.capacity {
-            return Err(format!(
-                "ghost used {} > capacity {}",
-                self.used, self.capacity
-            ));
-        }
-        let bytes: u64 = self.fifo.iter().map(|&(_, s)| u64::from(s)).sum();
-        if bytes != self.used {
-            return Err(format!("ghost slot bytes {bytes} != accounted {}", self.used));
-        }
-        let live = self
-            .fifo
-            .iter()
-            .filter(|(id, _)| self.set.contains(id))
-            .count();
-        if live < self.set.len() {
-            return Err(format!(
-                "ghost set holds {} live ids but only {live} own FIFO slots",
-                self.set.len()
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Structural validation shared by the single-queue policies (FIFO, LRU,
-/// CLOCK, SIEVE): byte accounting matches the queue contents, the queue and
-/// the table agree entry-for-entry (ruling out duplicate residency), and the
-/// capacity bound holds.
-pub(crate) fn validate_single_queue<'a>(
-    name: &str,
-    capacity: u64,
-    used: u64,
-    table_len: usize,
-    queue: impl Iterator<Item = &'a ObjId>,
-    size_of: impl Fn(ObjId) -> Option<u32>,
-) -> Result<(), String> {
-    if used > capacity {
-        return Err(format!("{name}: used {used} > capacity {capacity}"));
-    }
-    let mut bytes = 0u64;
-    let mut count = 0usize;
-    for &id in queue {
-        let Some(size) = size_of(id) else {
-            return Err(format!("{name}: queued id {id} missing from table"));
-        };
-        bytes += u64::from(size);
-        count += 1;
-    }
-    if count != table_len {
-        return Err(format!(
-            "{name}: queue holds {count} ids but table holds {table_len}"
-        ));
-    }
-    if bytes != used {
-        return Err(format!("{name}: queued bytes {bytes} != accounted {used}"));
-    }
-    Ok(())
 }
 
 /// Returns a stable per-test skewed trace for differential tests.

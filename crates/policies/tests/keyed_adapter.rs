@@ -1,0 +1,76 @@
+//! What the `Keyed` adapter owes its long-lived callers (the flash DRAM
+//! tier, `LockedCache`): a table bounded by what the policy can still look
+//! at, and requests that cannot admit anything leaving nothing behind.
+
+use cache_policies::{DenseFifo, DenseS3Fifo, DenseTwoQ};
+use cache_types::{Op, Outcome, Policy, Request};
+use s3fifo::dense::{Keyed, SlabPolicy};
+
+/// (interned ids, free slots, slab slots).
+fn footprint<P: SlabPolicy>(p: &Keyed<P>) -> (usize, usize, usize) {
+    (p.interned(), p.free_slots(), p.slab().domain())
+}
+
+/// A million distinct keys through a cache of 1 000 leave at most
+/// `capacity + ghost` ids interned, plus two slots: the scratch slot and the
+/// one the request in flight holds while it evicts.
+fn table_stays_bounded<P: SlabPolicy + Send>(ghost_entries: usize) {
+    const CAPACITY: usize = 1_000;
+    let mut p = Keyed::<P>::new(CAPACITY as u64).expect("capacity > 0");
+    let mut evs = Vec::new();
+    for id in 0..1_000_000u64 {
+        evs.clear();
+        p.request(&Request::get(id, id), &mut evs);
+    }
+    let (interned, free, slots) = footprint(&p);
+    let bound = CAPACITY + ghost_entries;
+    assert!(interned <= bound, "{}: {interned} ids interned", p.name());
+    assert!(slots <= bound + 2, "{}: slab grew to {slots} slots", p.name());
+    assert_eq!(interned + free + 1, slots);
+    p.validate().unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+}
+
+#[test]
+fn a_million_distinct_keys_leave_a_bounded_table() {
+    table_stays_bounded::<DenseS3Fifo>(900); // G holds as many entries as M
+    table_stays_bounded::<DenseTwoQ>(500); // A1out: half the cache
+    table_stays_bounded::<DenseFifo>(0);
+}
+
+/// A `Delete` of a never-seen id, an uncacheable `Get` and a `Set` larger
+/// than the cache change neither the map, the free list nor the slab — on a
+/// fresh cache (empty free list) and on a warm one.
+fn noops_leave_nothing_behind<P: SlabPolicy + Send>() {
+    let mut p = Keyed::<P>::new(10).expect("capacity > 0");
+    let mut evs = Vec::new();
+    for warm in [false, true] {
+        if warm {
+            for id in 0..50u64 {
+                p.request(&Request::get(id, id), &mut evs);
+            }
+        }
+        let before = footprint(&p);
+        let stats = p.stats();
+        let oversized = |op| Request {
+            id: 7_777,
+            size: 11,
+            time: 100,
+            op,
+        };
+        assert_eq!(p.request(&Request::delete(7_777, 100), &mut evs), Outcome::NotRead);
+        assert_eq!(p.request(&oversized(Op::Get), &mut evs), Outcome::Uncacheable);
+        assert_eq!(p.request(&oversized(Op::Set), &mut evs), Outcome::NotRead);
+        assert_eq!(footprint(&p), before, "{} (warm: {warm})", p.name());
+        assert!(!p.contains(7_777));
+        // The uncacheable read is still a counted miss.
+        assert_eq!(p.stats().misses, stats.misses + 1);
+        p.validate().unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+    }
+}
+
+#[test]
+fn requests_that_admit_nothing_leave_nothing_behind() {
+    noops_leave_nothing_behind::<DenseS3Fifo>();
+    noops_leave_nothing_behind::<DenseTwoQ>();
+    noops_leave_nothing_behind::<DenseFifo>();
+}

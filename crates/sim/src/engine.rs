@@ -206,17 +206,17 @@ impl<'p> Replay<'p> {
         }
     }
 
-    /// One policy per registry name: the dense twin `dense` builds where the
-    /// registry has one, the keyed policy otherwise.
+    /// One policy per registry name: the dense policy over `0..domain` where
+    /// the algorithm is written over the slab, the keyed policy otherwise.
     fn named(
         names: &[&str],
         capacity: u64,
         trace: Option<&[Request]>,
-        dense: impl Fn(&str) -> Result<Option<Box<dyn DensePolicy>>, CacheError>,
+        domain: usize,
     ) -> Result<Self, CacheError> {
         let mut engines = Vec::with_capacity(names.len());
         for name in names {
-            engines.push(match dense(name)? {
+            engines.push(match registry::build_dense_domain(name, capacity, domain)? {
                 Some(policy) => Engine::Dense(policy),
                 None => Engine::Keyed(registry::build(name, capacity, trace)?),
             });
@@ -225,7 +225,7 @@ impl<'p> Replay<'p> {
     }
 
     /// A replay of `trace` at `capacity` through the named policies, dense
-    /// where the registry has a dense twin. Results come back in the order
+    /// where the registry has a dense policy. Results come back in the order
     /// of `names`.
     ///
     /// # Errors
@@ -233,10 +233,8 @@ impl<'p> Replay<'p> {
     /// Propagates [`CacheError`] from the registry (unknown name, bad
     /// parameter).
     pub fn on_trace(names: &[&str], trace: &Trace, capacity: u64) -> Result<Self, CacheError> {
-        let ids = &trace.dense().ids;
-        Self::named(names, capacity, Some(&trace.requests), |name| {
-            registry::build_dense(name, capacity, ids)
-        })
+        let domain = trace.dense().ids.len();
+        Self::named(names, capacity, Some(&trace.requests), domain)
     }
 
     /// [`on_trace`](Self::on_trace) for a stream whose ids are already the
@@ -250,9 +248,7 @@ impl<'p> Replay<'p> {
     pub fn on_dense_ids(names: &[&str], id_space: u64, capacity: u64) -> Result<Self, CacheError> {
         // The `.ctr` header bounds id_space by 2^32, so this never clamps.
         let domain = usize::try_from(id_space).unwrap_or(usize::MAX);
-        Self::named(names, capacity, None, |name| {
-            registry::build_dense_domain(name, capacity, domain)
-        })
+        Self::named(names, capacity, None, domain)
     }
 
     /// A replay through the caller's keyed policy, which must be fresh.

@@ -1,11 +1,12 @@
-//! Dense fast path ⇔ keyed reference equivalence.
+//! Pre-interned ⇔ keyed equivalence.
 //!
-//! The dense-ID policies (`cache_policies::dense`) must be *decision
-//! identical* to their keyed siblings: same misses, same evictions, same
-//! miss ratios, bit for bit. Every registry algorithm is replayed through
-//! both `simulate_named` (auto-dense with keyed fallback) and a [`Replay`]
-//! over the registry's keyed policy (forced keyed) across three workload
-//! shapes.
+//! A FIFO-family policy driven with pre-interned slots and the same policy
+//! behind the interning `Keyed` adapter (which recycles slots) must be
+//! *decision identical*: same misses, same evictions, same miss ratios, bit
+//! for bit. Every registry algorithm is replayed through both
+//! `simulate_named` (dense where the registry has one, keyed otherwise) and
+//! a [`Replay`] over the registry's keyed policy (forced keyed) across three
+//! workload shapes.
 
 use cache_policies::registry::ALL_ALGORITHMS;
 use cache_sim::{simulate_named, CacheSizeSpec, Replay, SimConfig};
@@ -128,7 +129,7 @@ fn dense_and_keyed_agree_at_degenerate_capacities() {
 #[test]
 fn dense_variants_exist_for_core_policies() {
     let trace = WorkloadSpec::zipf("probe", 100, 50, 1.0, 1).generate();
-    let ids = trace.dense().ids.clone();
+    let domain = trace.dense().ids.len();
     for name in [
         "FIFO",
         "LRU",
@@ -141,13 +142,35 @@ fn dense_variants_exist_for_core_policies() {
         "S3-FIFO(0.25)",
     ] {
         assert!(
-            cache_policies::registry::build_dense(name, 16, &ids)
+            cache_policies::registry::build_dense_domain(name, 16, domain)
                 .unwrap()
                 .is_some(),
             "{name} must have a dense fast path"
         );
     }
-    assert!(cache_policies::registry::build_dense("LIRS", 16, &ids)
+    assert!(cache_policies::registry::build_dense_domain("LIRS", 16, domain)
         .unwrap()
         .is_none());
+}
+
+/// `S3-FIFO-D` and `B-LRU` wrap a keyed `S3Fifo` / `Lru` and have no
+/// reference interpreter, so when those inner policies became the `Keyed`
+/// adapter the wrappers' results were pinned: `(misses, evictions)` on the
+/// three workloads above, captured at the last commit with hand-written
+/// keyed policies (3ab2410).
+#[test]
+fn wrappers_over_the_keyed_adapter_are_unchanged() {
+    let golden = [
+        ("S3-FIFO-D", [(9520, 9254), (17689, 17118), (6583, 6400)]),
+        ("B-LRU", [(10917, 6603), (18113, 4088), (7643, 5696)]),
+    ];
+    let workloads = workloads();
+    for (name, want) in golden {
+        for ((trace, cfg), want) in workloads.iter().zip(want) {
+            let r = simulate_named(name, trace, cfg)
+                .unwrap_or_else(|e| panic!("{name} on {}: {e}", trace.name))
+                .expect("no min_objects filter configured");
+            assert_eq!((r.misses, r.evictions), want, "{name} on {}", trace.name);
+        }
+    }
 }

@@ -176,20 +176,17 @@ pub trait Policy: Send {
     fn stats(&self) -> PolicyStats;
 }
 
-/// A cache eviction policy driven by the dense-ID simulation fast path.
+/// A cache eviction policy that keeps its state per dense *slot*.
 ///
-/// Dense policies receive each request together with its pre-interned dense
-/// *slot* — a contiguous `u32` index assigned per trace (first-appearance
-/// order) — and store all per-object state in `Vec`s indexed by slot instead
-/// of per-key hash-map nodes. The request still carries the original
-/// [`ObjId`], so [`Eviction`] records are identical to the keyed path and
-/// miss ratios are bit-for-bit comparable.
-///
-/// Implementations must make *exactly* the same caching decisions as their
-/// keyed [`Policy`] counterpart; the simulator's equivalence test enforces
-/// this for every registry policy with a dense variant.
+/// Dense policies receive each request together with a `u32` slot standing
+/// for the object — assigned per trace by the simulator (first-appearance
+/// order), or on the fly by `s3fifo::Keyed`, which turns any slab-backed
+/// dense policy into a keyed [`Policy`] — and store all per-object state in
+/// `Vec`s indexed by slot instead of per-key hash-map nodes. The request
+/// still carries the original [`ObjId`], so [`Eviction`] records name real
+/// ids whichever way the slot was found.
 pub trait DensePolicy {
-    /// Human-readable algorithm name — must match the keyed variant exactly.
+    /// Human-readable algorithm name, as the registry spells it.
     fn name(&self) -> String;
 
     /// Total capacity in bytes (or objects, when sizes are all 1).
@@ -237,7 +234,7 @@ pub trait DensePolicy {
     ///
     /// This default loops through [`DensePolicy::request_dense`] behind
     /// dynamic dispatch; concrete policies override it with a monomorphized
-    /// copy of the same loop (see `cache_policies::dense::replay_loop`) so
+    /// copy of the same loop (see `s3fifo::dense::replay_loop`) so
     /// the per-request path inlines. With `ignore_size`, requests are
     /// replayed at size 1 without materializing a copy of the trace.
     ///
