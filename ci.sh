@@ -56,9 +56,10 @@ echo "== cache-lint: workspace lint + loom-lite interleaving exploration =="
 #  - loom: bounded-preemption (CHESS, bound 2) exploration of the Vyukov
 #    ring, S3-FIFO shard, server drain-handshake, and increment-buffer
 #    slot-handoff models with a vector-clock race detector — >= 10k
-#    distinct interleavings must pass, and seven planted mutants (wrong
-#    orderings, ghost-before-remove, drain check-before-join, relaxed
-#    drain completion, relaxed incbuf claim/release) must be *caught*,
+#    distinct interleavings must pass, and nine planted mutants (wrong
+#    orderings, a second handle per slot, a tombstone released twice,
+#    ghost-before-settle, drain check-before-join, relaxed drain
+#    completion, relaxed incbuf claim/release) must be *caught*,
 #    so a green run proves the detector still has teeth.
 # Budget: the whole pass must stay under 20 s in release (the binary
 # prints per-phase timing so a blown budget names its phase).

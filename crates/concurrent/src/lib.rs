@@ -47,8 +47,9 @@ use bytes::Bytes;
 pub struct AuditReport {
     /// Entries found resident during the walk (informational).
     pub resident: usize,
-    /// Index entries whose backing storage no longer holds the key
-    /// (stale handles / dangling slots).
+    /// Index entries that eviction can no longer reach or account for: no
+    /// queue handle, a handle in the wrong queue, a slot whose storage no
+    /// longer holds the key — and queue handles with no index entry.
     pub stale_handles: usize,
     /// Keys that are simultaneously live in the cache and present in a
     /// ghost table. Bounded races can legally leave a few (an evictor can
@@ -87,9 +88,12 @@ pub trait ConcurrentCache: Send + Sync {
     /// Inserts `key → value`, evicting as needed.
     fn insert(&self, key: u64, value: Bytes);
     /// Deletes `key`, returning true when it was cached. §4.2 notes that in
-    /// a ring-buffer implementation the space of deleted objects is only
-    /// reclaimed when their queue slot is consumed — and that S3-FIFO's
-    /// small queue recycles such slots sooner than a single large queue.
+    /// a ring-buffer implementation a deleted object's queue slot is only
+    /// reclaimed when eviction reaches it — and that S3-FIFO's small queue
+    /// recycles such slots sooner than a single large queue. That is the
+    /// slot's *storage*; in [`s3fifo::ConcurrentS3Fifo`] the object's
+    /// logical space (its share of `capacity`, and its value) is given
+    /// back by this call.
     fn remove(&self, key: u64) -> bool;
     /// Approximate number of cached entries.
     fn len(&self) -> usize;

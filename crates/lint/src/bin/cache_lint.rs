@@ -21,7 +21,9 @@ use cache_lint::loomlite::{Config, Report};
 use cache_lint::models::drain::{drain_race_scenario, drain_two_workers_scenario, DrainVariant};
 use cache_lint::models::incbuf::{incbuf_contention_scenario, incbuf_handoff_scenario, IncVariant};
 use cache_lint::models::ring::{ring_scenario, RingOrderings};
-use cache_lint::models::shard::{ghost_overwrite_scenario, promote_insert_scenario, GhostOrder};
+use cache_lint::models::shard::{
+    evict_delete_revive_scenario, evict_overwrite_scenario, promote_delete_scenario, Mutant,
+};
 use cache_lint::walk::lint_workspace;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -198,13 +200,19 @@ fn run_loom() -> bool {
     );
     expect_clean(
         "shard evict-vs-overwrite",
-        &cfg().explore(ghost_overwrite_scenario(GhostOrder::AfterRemove)),
+        &cfg().explore(evict_overwrite_scenario(Mutant::None)),
         &mut schedules,
         &mut ok,
     );
     expect_clean(
-        "shard promote-vs-insert",
-        &cfg().explore(promote_insert_scenario(GhostOrder::AfterRemove)),
+        "shard evict-vs-delete-and-revive",
+        &cfg().explore(evict_delete_revive_scenario(Mutant::None)),
+        &mut schedules,
+        &mut ok,
+    );
+    expect_clean(
+        "shard promote-vs-delete",
+        &cfg().explore(promote_delete_scenario(Mutant::None)),
         &mut schedules,
         &mut ok,
     );
@@ -246,8 +254,18 @@ fn run_loom() -> bool {
         &mut ok,
     );
     expect_caught(
-        "shard mutant (ghost before remove)",
-        &cfg().explore(ghost_overwrite_scenario(GhostOrder::BeforeRemove)),
+        "shard mutant (overwrite pushes a second handle)",
+        &cfg().explore(evict_overwrite_scenario(Mutant::OverwritePushes)),
+        &mut ok,
+    );
+    expect_caught(
+        "shard mutant (tombstone released twice)",
+        &cfg().explore(evict_delete_revive_scenario(Mutant::TombstoneReleasesTwice)),
+        &mut ok,
+    );
+    expect_caught(
+        "shard mutant (ghost before settle)",
+        &cfg().explore(evict_delete_revive_scenario(Mutant::GhostBeforeSettle)),
         &mut ok,
     );
     expect_caught(

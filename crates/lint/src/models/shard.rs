@@ -1,159 +1,241 @@
 //! A loom-lite model of the concurrent S3-FIFO shard
-//! (`crates/concurrent/src/s3fifo.rs`): the insert / `evict_small` /
-//! `remove_if_current` / promotion path.
+//! (`crates/concurrent/src/s3fifo.rs`): insert (fresh, overwrite, revive),
+//! `remove`, the hit path's frequency bump, and `pop_one`.
+//!
+//! The protocol under test: the index slot owns an object's state, the
+//! rings carry its bare key, and **every slot has exactly one handle, in
+//! the ring its `in_main` names**. Overwrite, delete and revive are each
+//! one critical section on the slot and touch no ring; a pop takes a
+//! handle off a ring and settles its slot in one critical section; only
+//! that pop removes a slot.
 //!
 //! Down-scaling choices (documented so the model stays honest):
-//! - entries are `u64` ids encoding `key * 10 + version`; an overwrite
-//!   installs a new id for the key, making the old ring handle *stale*,
-//!   exactly like a new `Arc<Entry>` replacing the old one in the `IdMap`;
-//! - the per-shard `RwLock<IdMap>` becomes an [`MMutex`] over a tiny array
-//!   (read/write distinction collapsed — it only widens the schedule space
-//!   the real code already survives via mutual exclusion);
+//! - handles are `key + 1` (the model ring reads `0` as "uninitialised");
+//! - one shard: the per-shard `RwLock<IdMap<Slot>>`, that shard's ghost
+//!   `Mutex` and the occupancy counters become one [`MMutex`] over a tiny
+//!   struct. Read/write distinction collapsed, and the counters — in the
+//!   real code Relaxed atomics shared by all shards, but only ever changed
+//!   inside the critical section that changes the slot they count — are
+//!   plain fields changed in the same closure. Ghost operations the real
+//!   code makes outside a shard lock (`ghost_take`) are their own critical
+//!   section here, so they interleave as they do there;
 //! - the small/main queues are [`ModelRing`]s with the real orderings;
-//! - `s_count`/`m_count`/`evictions`/ghost-insert counters use the real
-//!   code's `Relaxed` RMW orderings.
+//! - the two frequency bits become one (`hot`: promote from `S`);
+//! - `make_room`'s loop is the scenario's business: it calls
+//!   [`ModelShard::pop_one`] itself.
 //!
-//! [`GhostOrder`] captures the one genuinely order-sensitive step:
-//! whether `evict_small` inserts the victim's key into the ghost table
-//! before or after `remove_if_current` confirms the handle is still
-//! current. `BeforeRemove` mirrors the bug this PR fixes in the real
-//! shard: a racing overwrite lets a *live* key leak into the ghost, so a
-//! later re-insert is mis-classified as a ghost hit. The pairing invariant
-//! `ghost_inserts == successful evictions` catches it.
+//! [`Mutant`] plants the three mistakes a refactor of this file is most
+//! likely to make; each must be caught.
 
 use super::ring::{ModelRing, RingOrderings};
-use crate::loomlite::sync::{MAtomic, MMutex, Ord};
+use crate::loomlite::sync::MMutex;
 use crate::loomlite::{self, check};
 use std::sync::Arc;
 
-/// Where `evict_small` performs the ghost insert relative to
-/// `remove_if_current`.
+/// Which planted bug, if any, the model runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GhostOrder {
-    /// Buggy: ghost-insert first, then try to remove. A concurrent
-    /// overwrite makes the removal fail, leaving a live key ghosted.
-    BeforeRemove,
-    /// Fixed: ghost-insert only after the entry was confirmed current and
-    /// removed.
-    AfterRemove,
+pub enum Mutant {
+    /// The protocol as shipped.
+    None,
+    /// An overwrite queues a second handle for its key: what the code did
+    /// when every insert made a fresh `Arc<Entry>` and left the old one in
+    /// its ring.
+    OverwritePushes,
+    /// A popped tombstone gives back its queue's live count, which the
+    /// delete that made it a tombstone had already given back.
+    TombstoneReleasesTwice,
+    /// `pop_one` ghosts the key it popped before the critical section that
+    /// finds out what the slot is, so a racing delete or hit leaves a key
+    /// ghosted that was never evicted.
+    GhostBeforeSettle,
 }
 
-/// Keys the model uses (`index` is an array, not a map).
+/// Keys the model uses (`slots` is an array, not a map).
 const KEYS: usize = 2;
 
-struct Ghost {
-    /// Bitmask of ghosted keys.
-    keys: u8,
-    /// Total ghost inserts ever performed.
-    inserts: u64,
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// `false`: a tombstone.
+    live: bool,
+    hot: bool,
+    in_main: bool,
 }
 
-/// Model of one `ConcurrentS3Fifo` shard plus its two queues.
+#[derive(Debug, Default)]
+struct State {
+    slots: [Option<Slot>; KEYS],
+    /// Bitmask of ghosted keys.
+    ghost: u8,
+    /// Ghost inserts ever made, and evictions from `S` ever made.
+    ghost_inserts: u64,
+    small_evictions: u64,
+    /// Signed, so that a planted double release reads as -1, not as a panic.
+    s_count: i64,
+    m_count: i64,
+    dead: i64,
+}
+
+impl State {
+    fn count(&mut self, in_main: bool) -> &mut i64 {
+        if in_main {
+            &mut self.m_count
+        } else {
+            &mut self.s_count
+        }
+    }
+
+    fn ghost_insert(&mut self, key: usize) {
+        self.ghost |= 1 << key;
+        self.ghost_inserts += 1;
+    }
+}
+
+/// What `pop_one`'s critical section did with the slot.
+enum Settled {
+    /// Removed (tombstone reclaimed, or evicted).
+    Gone,
+    /// Still there; its handle goes to this ring.
+    Requeue { to_main: bool },
+    /// The handle had no slot.
+    Orphan,
+}
+
+/// Model of one `ConcurrentS3Fifo` shard plus the two queues.
 pub struct ModelShard {
-    /// key -> currently-resident entry id (`None` = absent).
-    index: MMutex<[Option<u64>; KEYS]>,
+    state: MMutex<State>,
     small: ModelRing,
     main: ModelRing,
-    ghost: MMutex<Ghost>,
-    /// Per-key frequency bit (the real two-bit counter, down-scaled).
-    freq: [MAtomic; KEYS],
-    s_count: MAtomic,
-    m_count: MAtomic,
-    evictions: MAtomic,
-    order: GhostOrder,
+    mutant: Mutant,
 }
 
 impl ModelShard {
     /// Builds an empty shard model; queues use the real ring orderings.
-    pub fn new(order: GhostOrder) -> Self {
+    pub fn new(mutant: Mutant) -> Self {
         ModelShard {
-            index: MMutex::new("index", [None; KEYS]),
+            state: MMutex::new("shard", State::default()),
             small: ModelRing::new(4, RingOrderings::correct()),
             main: ModelRing::new(4, RingOrderings::correct()),
-            ghost: MMutex::new("ghost", Ghost { keys: 0, inserts: 0 }),
-            freq: [MAtomic::new("freq0", 0), MAtomic::new("freq1", 0)],
-            s_count: MAtomic::new("s_count", 0),
-            m_count: MAtomic::new("m_count", 0),
-            evictions: MAtomic::new("evictions", 0),
-            order,
+            mutant,
         }
     }
 
-    fn key_of(id: u64) -> usize {
-        (id / 10) as usize
+    fn push(&self, to_main: bool, key: usize) {
+        let ring = if to_main { &self.main } else { &self.small };
+        check(ring.push(key as u64 + 1).is_ok(), "model ring overflow");
     }
 
-    /// Mirrors `ConcurrentS3Fifo::insert`: install into the index (possibly
-    /// overwriting), enqueue on small, bump `s_count`.
-    // ORDERING: Relaxed counter RMW, as in the real shard — counts are
-    // advisory; residency truth lives in the index and queues.
-    pub fn insert(&self, key: usize, version: u64) {
-        let id = key as u64 * 10 + version;
-        self.index.with(|m| m[key] = Some(id));
-        let _ = self.small.push(id);
-        self.s_count.fetch_add(1, Ord::Relaxed);
-    }
-
-    /// Mirrors a read hit: mark the key's frequency bit (real code:
-    /// `Relaxed` on the entry's freq counter).
-    // ORDERING: Relaxed — frequency is a heuristic, losing a mark is benign.
-    pub fn touch(&self, key: usize) {
-        self.freq[key].store(1, Ord::Relaxed);
-    }
-
-    /// Mirrors `remove_if_current`: under the shard lock, remove the
-    /// mapping only if `id` is still the current entry for its key.
-    fn remove_if_current(&self, id: u64) -> bool {
-        let key = Self::key_of(id);
-        self.index.with(|m| {
-            if m[key] == Some(id) {
-                m[key] = None;
-                true
-            } else {
+    /// Mirrors `ConcurrentS3Fifo::insert` without its `make_room`: take the
+    /// ghost entry, then one critical section that overwrites, revives or
+    /// creates the slot; only a created slot gets a handle.
+    pub fn insert(&self, key: usize) {
+        let ghost_hit = self.state.with(|s| {
+            let hit = s.ghost & (1 << key) != 0;
+            s.ghost &= !(1 << key);
+            hit
+        });
+        let created = self.state.with(|s| match &mut s.slots[key] {
+            Some(slot) => {
+                if !slot.live {
+                    *slot = Slot {
+                        live: true,
+                        hot: false,
+                        ..*slot
+                    };
+                    let in_main = slot.in_main;
+                    s.dead -= 1;
+                    *s.count(in_main) += 1;
+                }
                 false
             }
+            vacant => {
+                *vacant = Some(Slot {
+                    live: true,
+                    hot: false,
+                    in_main: ghost_hit,
+                });
+                *s.count(ghost_hit) += 1;
+                true
+            }
+        });
+        if created || self.mutant == Mutant::OverwritePushes {
+            self.push(ghost_hit, key);
+        }
+    }
+
+    /// Mirrors `ConcurrentS3Fifo::remove`: the slot becomes a tombstone and
+    /// stops counting at once; its handle stays where it is.
+    pub fn remove(&self, key: usize) -> bool {
+        self.state.with(|s| match &mut s.slots[key] {
+            Some(slot) if slot.live => {
+                slot.live = false;
+                let in_main = slot.in_main;
+                *s.count(in_main) -= 1;
+                s.dead += 1;
+                true
+            }
+            _ => false,
         })
     }
 
-    fn ghost_insert(&self, key: usize) {
-        self.ghost.with(|g| {
-            g.keys |= 1 << key;
-            g.inserts += 1;
+    /// Mirrors a read hit's frequency bump (`apply_freq`): live slots only.
+    pub fn touch(&self, key: usize) {
+        self.state.with(|s| {
+            if let Some(slot) = s.slots[key].as_mut().filter(|slot| slot.live) {
+                slot.hot = true;
+            }
         });
     }
 
-    /// Mirrors `evict_small`: pop a victim from the small queue; promote it
-    /// to main when its frequency bit is set, otherwise evict it (ghost +
-    /// remove-if-current, in the order under test).
-    // ORDERING: Relaxed counters, as in the real shard; correctness hangs
-    // on the index mutex and the ghost/remove order, which is what the
-    // scenarios interrogate.
-    pub fn evict_small(&self) -> bool {
-        let Some(id) = self.small.pop() else {
+    /// Mirrors `ConcurrentS3Fifo::pop_one` with the cache full: pop a
+    /// handle, settle its slot in one critical section, requeue the handle
+    /// if the slot stayed.
+    pub fn pop_one(&self, from_small: bool) -> bool {
+        let ring = if from_small { &self.small } else { &self.main };
+        let Some(handle) = ring.pop() else {
             return false;
         };
-        self.s_count.fetch_sub(1, Ord::Relaxed);
-        let key = Self::key_of(id);
-        if self.freq[key].load(Ord::Relaxed) > 0 {
-            let _ = self.main.push(id);
-            self.m_count.fetch_add(1, Ord::Relaxed);
-            return true;
+        let key = (handle - 1) as usize;
+        let mutant = self.mutant;
+        if mutant == Mutant::GhostBeforeSettle && from_small {
+            self.state.with(|s| s.ghost_insert(key));
         }
-        match self.order {
-            GhostOrder::BeforeRemove => {
-                // BUG (mirrors the pre-fix real code): the key is ghosted
-                // before we know the handle is still current.
-                self.ghost_insert(key);
-                if self.remove_if_current(id) {
-                    self.evictions.fetch_add(1, Ord::Relaxed);
+        let settled = self.state.with(|s| {
+            let Some(slot) = s.slots[key].as_mut() else {
+                return Settled::Orphan;
+            };
+            if !slot.live {
+                s.slots[key] = None;
+                s.dead -= 1;
+                if mutant == Mutant::TombstoneReleasesTwice {
+                    *s.count(!from_small) -= 1;
+                }
+                return Settled::Gone;
+            }
+            if from_small && slot.hot {
+                slot.hot = false;
+                slot.in_main = true;
+                s.s_count -= 1;
+                s.m_count += 1;
+                return Settled::Requeue { to_main: true };
+            }
+            if !from_small && slot.hot {
+                slot.hot = false;
+                return Settled::Requeue { to_main: true };
+            }
+            s.slots[key] = None;
+            *s.count(!from_small) -= 1;
+            if from_small {
+                s.small_evictions += 1;
+                if mutant != Mutant::GhostBeforeSettle {
+                    s.ghost_insert(key);
                 }
             }
-            GhostOrder::AfterRemove => {
-                if self.remove_if_current(id) {
-                    self.ghost_insert(key);
-                    self.evictions.fetch_add(1, Ord::Relaxed);
-                }
-            }
+            Settled::Gone
+        });
+        match settled {
+            Settled::Gone => {}
+            Settled::Requeue { to_main } => self.push(to_main, key),
+            Settled::Orphan => check(false, &format!("handle for key {key} has no slot")),
         }
         true
     }
@@ -161,95 +243,105 @@ impl ModelShard {
 
 /// Quiescent-state checks shared by the scenarios. Must run after all
 /// model threads joined.
-// ORDERING: Relaxed loads suffice — joins already ordered every thread's
-// writes before this single-threaded epilogue.
 fn check_quiescent(sh: &ModelShard) {
-    // Ghost/eviction pairing: a key enters the ghost iff its entry was
-    // confirmed current and removed. Under `BeforeRemove`, a racing
-    // overwrite breaks this (ghost insert lands, removal fails).
-    let inserts = sh.ghost.with(|g| g.inserts);
-    let evictions = sh.evictions.load(Ord::Relaxed);
-    check(
-        inserts == evictions,
-        &format!(
-            "ghost inserts ({inserts}) != successful evictions ({evictions}): \
-             a live key leaked into the ghost table"
-        ),
-    );
-
-    // Accounting: the queue counters must match actual queue contents.
-    let s_count = sh.s_count.load(Ord::Relaxed);
-    let m_count = sh.m_count.load(Ord::Relaxed);
-    let mut small = Vec::new();
-    while let Some(id) = sh.small.pop() {
-        small.push(id);
+    // handles[ring][key], from draining both rings.
+    let mut handles = [[0usize; KEYS]; 2];
+    for (in_main, ring) in [&sh.small, &sh.main].into_iter().enumerate() {
+        while let Some(handle) = ring.pop() {
+            handles[in_main][(handle - 1) as usize] += 1;
+        }
     }
-    let mut main = Vec::new();
-    while let Some(id) = sh.main.pop() {
-        main.push(id);
-    }
-    check(
-        s_count == small.len() as u64 && m_count == main.len() as u64,
-        &format!(
-            "queue accounting drift: s_count={s_count} (ring {}), \
-             m_count={m_count} (ring {})",
-            small.len(),
-            main.len()
-        ),
-    );
-
-    // No duplicate residency: an entry id sits in at most one queue, once.
-    let mut all: Vec<u64> = small.iter().chain(main.iter()).copied().collect();
-    let n = all.len();
-    all.sort_unstable();
-    all.dedup();
-    check(n == all.len(), "duplicate residency: an entry id appears twice");
-
-    // No lost elements: every current (in-index) entry is resident in a
-    // queue. Stale ids in queues are fine (dead handles); current ids
-    // missing from every queue are not.
-    let current = sh.index.with(|m| *m);
-    for id in current.iter().flatten() {
+    sh.state.with(|s| {
+        // The whole invariant: one handle per slot, in the ring it names;
+        // none without a slot.
+        let (mut live, mut dead) = ([0i64; 2], 0i64);
+        for (key, slot) in s.slots.iter().enumerate() {
+            let found = [handles[0][key], handles[1][key]];
+            let expected = match slot {
+                Some(slot) if slot.in_main => [0, 1],
+                Some(_) => [1, 0],
+                None => [0, 0],
+            };
+            check(
+                found == expected,
+                &format!("one-handle invariant: key {key} is {slot:?} with handles [S, M] = {found:?}"),
+            );
+            match slot {
+                Some(slot) if slot.live => live[usize::from(slot.in_main)] += 1,
+                Some(_) => dead += 1,
+                None => {}
+            }
+        }
+        // Accounting: the counters count exactly what is there.
         check(
-            all.binary_search(id).is_ok(),
-            &format!("lost element: current entry {id} resident in no queue"),
+            [s.s_count, s.m_count] == live && s.dead == dead,
+            &format!(
+                "accounting drift: s_count={} m_count={} dead={} but live [S, M] = {live:?}, tombstones {dead}",
+                s.s_count, s.m_count, s.dead
+            ),
         );
-    }
+        // A key enters the ghost iff a pop found it live and cold in `S`
+        // and removed it.
+        check(
+            s.ghost_inserts == s.small_evictions,
+            &format!(
+                "ghost inserts ({}) != evictions from S ({}): a key that was not evicted is ghosted",
+                s.ghost_inserts, s.small_evictions
+            ),
+        );
+    });
 }
 
-/// Scenario A — eviction racing an overwrite of the same key:
-/// a concurrent `insert(k0)` overwrites while `evict_small` processes the
-/// old entry of `k0`. With [`GhostOrder::BeforeRemove`] some schedule
-/// ghost-inserts a key whose (new) entry stays live.
-pub fn ghost_overwrite_scenario(order: GhostOrder) -> impl Fn() + Send + Sync + 'static {
+/// Scenario A — eviction racing a set of the same key: `k0` is resident in
+/// `S`; one thread pops it while the other sets it again (an overwrite in
+/// place, or a fresh insert if the pop got there first).
+pub fn evict_overwrite_scenario(mutant: Mutant) -> impl Fn() + Send + Sync + 'static {
     move || {
-        let sh = Arc::new(ModelShard::new(order));
-        sh.insert(0, 1); // single-threaded setup: k0/v1 resident in small
+        let sh = Arc::new(ModelShard::new(mutant));
+        sh.insert(0);
         let s2 = Arc::clone(&sh);
         let h = loomlite::spawn(move || {
-            s2.evict_small();
+            s2.pop_one(true);
         });
-        sh.insert(0, 2); // racing overwrite of k0
+        sh.insert(0);
         h.join();
         check_quiescent(&sh);
     }
 }
 
-/// Scenario B — promotion racing an insert:
-/// `k0` is hot (frequency bit set) so the evictor promotes it to main
-/// while another thread inserts `k1`. Exercises duplicate-residency,
-/// accounting, and lost-element invariants across both queues.
-pub fn promote_insert_scenario(order: GhostOrder) -> impl Fn() + Send + Sync + 'static {
+/// Scenario B — eviction racing a delete and a re-set of the same key: the
+/// pop finds `k0` live, tombstoned or revived, or misses it altogether.
+pub fn evict_delete_revive_scenario(mutant: Mutant) -> impl Fn() + Send + Sync + 'static {
     move || {
-        let sh = Arc::new(ModelShard::new(order));
-        sh.insert(0, 1);
-        sh.touch(0); // k0 is hot: eviction will promote it
+        let sh = Arc::new(ModelShard::new(mutant));
+        sh.insert(0);
         let s2 = Arc::clone(&sh);
         let h = loomlite::spawn(move || {
-            s2.evict_small();
-            s2.evict_small();
+            s2.pop_one(true);
         });
-        sh.insert(1, 1);
+        sh.remove(0);
+        sh.insert(0);
+        h.join();
+        check_quiescent(&sh);
+    }
+}
+
+/// Scenario C — promotion racing a delete and an insert: `k0` is hot, so
+/// the first pop moves it to `M` (its handle in flight between the rings)
+/// while the other thread deletes it and inserts `k1`; the second pop takes
+/// whatever is next in `S`.
+pub fn promote_delete_scenario(mutant: Mutant) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let sh = Arc::new(ModelShard::new(mutant));
+        sh.insert(0);
+        sh.touch(0);
+        let s2 = Arc::clone(&sh);
+        let h = loomlite::spawn(move || {
+            s2.pop_one(true);
+            s2.pop_one(true);
+        });
+        sh.remove(0);
+        sh.insert(1);
         h.join();
         check_quiescent(&sh);
     }
@@ -258,38 +350,56 @@ pub fn promote_insert_scenario(order: GhostOrder) -> impl Fn() + Send + Sync + '
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loomlite::Config;
+    use crate::loomlite::{Config, Report};
 
-    fn cfg() -> Config {
+    fn explore(scenario: impl Fn() + Send + Sync + 'static) -> Report {
         Config {
             preemption_bound: 2,
             max_schedules: 50_000,
             stop_on_failure: true,
         }
+        .explore(scenario)
     }
 
     #[test]
-    fn fixed_shard_survives_overwrite_race() {
-        let r = cfg().explore(ghost_overwrite_scenario(GhostOrder::AfterRemove));
-        assert!(r.failures.is_empty(), "{:#?}", r.failures[0]);
-        assert!(r.exhausted, "schedule cap hit at {}", r.schedules);
+    fn the_shipped_protocol_survives_every_scenario() {
+        for r in [
+            explore(evict_overwrite_scenario(Mutant::None)),
+            explore(evict_delete_revive_scenario(Mutant::None)),
+            explore(promote_delete_scenario(Mutant::None)),
+        ] {
+            assert!(r.failures.is_empty(), "{:#?}", r.failures[0]);
+            assert!(r.exhausted, "schedule cap hit at {}", r.schedules);
+        }
     }
 
-    #[test]
-    fn ghost_before_remove_mutant_is_caught() {
-        let r = cfg().explore(ghost_overwrite_scenario(GhostOrder::BeforeRemove));
-        assert!(!r.failures.is_empty(), "planted ghost-order bug not caught");
+    fn caught(r: Report, by: &str) {
+        assert!(!r.failures.is_empty(), "planted bug not caught");
         let msg = r.failures[0].messages.join("; ");
-        assert!(
-            msg.contains("ghost"),
-            "expected the ghost pairing invariant, got: {msg}"
+        assert!(msg.contains(by), "expected the {by} invariant, got: {msg}");
+    }
+
+    #[test]
+    fn a_second_handle_per_slot_is_caught() {
+        caught(
+            explore(evict_overwrite_scenario(Mutant::OverwritePushes)),
+            "one-handle",
         );
     }
 
     #[test]
-    fn promotion_race_is_clean() {
-        let r = cfg().explore(promote_insert_scenario(GhostOrder::AfterRemove));
-        assert!(r.failures.is_empty(), "{:#?}", r.failures[0]);
-        assert!(r.exhausted, "schedule cap hit at {}", r.schedules);
+    fn a_tombstone_released_twice_is_caught() {
+        caught(
+            explore(evict_delete_revive_scenario(Mutant::TombstoneReleasesTwice)),
+            "accounting",
+        );
+    }
+
+    #[test]
+    fn ghost_before_settle_is_caught() {
+        caught(
+            explore(evict_delete_revive_scenario(Mutant::GhostBeforeSettle)),
+            "ghost",
+        );
     }
 }

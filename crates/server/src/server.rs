@@ -475,10 +475,10 @@ fn accept_loop(
     }
 }
 
-/// Size a connection buffer starts at, and shrinks back to.
-const BUF_BASELINE: usize = 16 * 1024;
-/// A buffer that drained empty gives back any capacity beyond this.
-const BUF_SHRINK_ABOVE: usize = 64 * 1024;
+/// Size a connection buffer starts at, and shrinks back to once it has
+/// drained empty. Also the most one sweep reads from a connection
+/// (DESIGN.md §9, "Read size").
+const BUF_BASELINE: usize = 64 * 1024;
 
 /// A connection's input. `buf` is initialised to its whole length so the
 /// socket reads straight into `buf[tail..]`; `buf[head..tail]` is unparsed.
@@ -525,7 +525,7 @@ impl InBuf {
             self.tail -= self.head;
             self.head = 0;
         }
-        if self.tail == 0 && self.buf.len() > BUF_SHRINK_ABOVE {
+        if self.tail == 0 && self.buf.len() > BUF_BASELINE {
             self.buf.truncate(BUF_BASELINE);
             self.buf.shrink_to_fit();
         }
@@ -591,7 +591,7 @@ impl OutBuf {
         let pending = self.pending();
         if pending == 0 {
             self.buf.clear();
-            if self.buf.capacity() > BUF_SHRINK_ABOVE {
+            if self.buf.capacity() > BUF_BASELINE {
                 self.buf.shrink_to(BUF_BASELINE);
             }
         } else if self.head >= pending {
@@ -1198,7 +1198,7 @@ mod tests {
         conn.stream.input.extend(b"get nothing\r\n");
         assert!(serve(&shared, &mut conn));
         assert_eq!(conn.inbuf.buf.capacity(), BUF_BASELINE);
-        assert!(conn.outbuf.buf.capacity() <= BUF_SHRINK_ABOVE, "{}", conn.outbuf.buf.capacity());
+        assert!(conn.outbuf.buf.capacity() <= BUF_BASELINE, "{}", conn.outbuf.buf.capacity());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The request path does not allocate: once a connection's buffers have
 //! reached their working size, a get hit performs no heap allocation at all
-//! and a set performs three: the payload `Vec` (`encode_payload`), the
-//! `Arc<[u8]>` that `Bytes::from` copies it into, and the node the cache
-//! keeps it in (`ConcurrentS3Fifo::insert`). The request path around them
-//! (buffers, parser, reply) adds none.
+//! and a set performs two: the payload `Vec` (`encode_payload`) and the
+//! `Arc<[u8]>` that `Bytes::from` copies it into. The cache keeps that
+//! `Bytes` in the index slot the key already has (an overwrite swaps it in
+//! place), and the request path around them (buffers, parser, reply) adds
+//! none.
 //!
 //! "Working size" is a burst whose replies fit in 64 KiB: an output buffer
 //! that grew past that gives the memory back once drained, and grows again
@@ -160,8 +161,8 @@ fn get_hits_allocate_nothing_and_sets_only_what_is_stored() {
     );
     assert_eq!(
         ALLOCS.load(Ordering::Relaxed) - before,
-        3 * n,
-        "a set allocates its payload, the `Bytes` and the cache's node, nothing more"
+        2 * n,
+        "a set allocates its payload and the `Bytes`, nothing more"
     );
     assert_eq!(server.counters().requests.load(Ordering::Relaxed), (4 * ROUNDS * KEYS) as u64);
     drop(conn);
