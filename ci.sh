@@ -35,11 +35,12 @@ cargo clippy --workspace --offline -- -D warnings \
 
 echo "== check: differential fuzz + invariant observers + linearizability-lite =="
 # Fixed-seed correctness battery (crates/check): >= 10k generated requests
-# per policy/mode pair through reference vs keyed vs dense, an invariant
-# observer sweep over every registry algorithm, and logged concurrent
-# torture runs per cache checked for stale/forged reads plus, in per-key
-# monotonic-version mode, cross-get version regressions. ~1 s in release;
-# failures print a shrunk reproduction (see TESTING.md).
+# per policy/mode pair through reference vs keyed vs dense on 13 names (the
+# FIFO family, S3-FIFO's four §6.3/§7 queue-type variants included), an
+# invariant observer sweep over every registry algorithm, and logged
+# concurrent torture runs per cache checked for stale/forged reads plus, in
+# per-key monotonic-version mode, cross-get version regressions. ~1 s in
+# release; failures print a shrunk reproduction (see TESTING.md).
 ./target/release/check_gate
 
 echo "== cache-lint: workspace lint + loom-lite interleaving exploration =="

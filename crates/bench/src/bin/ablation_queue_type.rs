@@ -1,6 +1,6 @@
-//! §6.3 "LRU or FIFO?": replace S3-FIFO's queues with LRU queues (and try
-//! promotion-on-hit) — with quick demotion in place, the queue type should
-//! not matter.
+//! §6.3 "LRU or FIFO?": replace S3-FIFO's queues with LRU queues — with
+//! quick demotion in place, the queue type should not matter — and, after
+//! §7, its main queue with SIEVE.
 //!
 //! Run: `cargo run --release -p cache-bench --bin ablation_queue_type`
 
@@ -25,6 +25,7 @@ fn main() {
             "QDLP-LRU-FIFO".into(), // S=LRU
             "QDLP-FIFO-LRU".into(), // M=LRU
             "QDLP-LRU-LRU".into(),  // both LRU (ARC-like data queues)
+            "S3-FIFO-Sieve".into(), // M=SIEVE (§7)
             "ARC".into(),
         ],
         config: SimConfig::large(),

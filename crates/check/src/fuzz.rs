@@ -327,6 +327,10 @@ pub const FUZZED_ALGORITHMS: &[&str] = &[
     "2Q",
     "S3-FIFO",
     "S3-FIFO(0.25)",
+    "QDLP-LRU-LRU",
+    "QDLP-LRU-FIFO",
+    "QDLP-FIFO-LRU",
+    "S3-FIFO-Sieve",
 ];
 
 #[cfg(test)]
@@ -451,6 +455,50 @@ mod tests {
             shrunk.iter().any(|r| r.op == Op::Delete),
             "reproduction should exercise the broken Delete path: {shrunk:?}"
         );
+    }
+
+    /// The §6.3 queue-type variants on a mixed Get/Set/Delete stream (sizes
+    /// 1..=4): `(misses, evictions, FNV-1a of the evicted-id sequence)` at
+    /// capacities 7 and 50, captured at d05e39d — the last commit where they
+    /// were a hand-written policy of their own — so the reference arm above
+    /// is not the only thing the one remaining implementation answers to.
+    #[test]
+    fn queue_type_variants_are_unchanged_on_mixed_ops() {
+        let requests = generate_trace(&FuzzConfig::default());
+        let golden: [(&str, [(u64, u64, u64); 2]); 4] = [
+            (
+                "QDLP-LRU-LRU",
+                [(1764, 1936, 11911349466827973222), (965, 935, 13239709866924516975)],
+            ),
+            (
+                "QDLP-LRU-FIFO",
+                [(1710, 1879, 12368122694651702711), (939, 907, 152751969315893349)],
+            ),
+            (
+                "QDLP-FIFO-LRU",
+                [(1770, 1944, 15607860707829878029), (952, 926, 5216951874830800254)],
+            ),
+            (
+                "S3-FIFO-Sieve",
+                [(1755, 1931, 15853978434883642756), (960, 928, 688565915900236452)],
+            ),
+        ];
+        for (name, want) in golden {
+            let got = [7u64, 50].map(|capacity| {
+                let mut policy = registry::build(name, capacity, None).expect("registry name");
+                let mut evicted = Vec::new();
+                let mut hash = 0xcbf2_9ce4_8422_2325u64;
+                for r in &requests {
+                    evicted.clear();
+                    policy.request(r, &mut evicted);
+                    for byte in evicted.iter().flat_map(|e| e.id.to_le_bytes()) {
+                        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+                (policy.stats().misses, policy.stats().evictions, hash)
+            });
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     /// The shrinker itself: removing any request from its output must make

@@ -20,7 +20,7 @@
 //!   `Delete` removes. Hits never update the stored size.
 //! - Ghost queues charge every FIFO slot — including tombstones left by
 //!   `remove` — until the slot ages out, exactly like the production
-//!   `SlotGhost` (and the id-keyed `GhostFifo` / `GhostList`).
+//!   `SlotGhost` (and the id-keyed `cache_ds::GhostFifo`).
 
 use cache_types::{Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
 use std::collections::{HashSet, VecDeque};
@@ -127,6 +127,15 @@ fn find(q: &[Node], id: ObjId) -> Option<usize> {
     q.iter().position(|n| n.id == id)
 }
 
+/// How one of S3-FIFO's two queues orders its entries: the paper's FIFO
+/// (with two-bit reinsertion in `M`), §6.3's LRU, or §7's SIEVE (`M` only).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Queue {
+    Fifo,
+    Lru,
+    Sieve,
+}
+
 /// Which of the seven reference algorithms an interpreter runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Algo {
@@ -137,8 +146,42 @@ enum Algo {
     Sieve,
     Slru,
     TwoQ,
-    /// S3-FIFO with the given small-queue ratio.
-    S3Fifo(f64),
+    /// S3-FIFO with the given small-queue ratio and queue disciplines.
+    S3Fifo { ratio: f64, small: Queue, main: Queue },
+}
+
+/// An LRU queue's hit: the entry at `p` moves to the head (MRU).
+fn move_to_head(q: &mut Vec<Node>, p: usize) {
+    let n = q.remove(p);
+    q.push(n);
+}
+
+/// One FIFO-reinsertion eviction from `q` (CLOCK; S3-FIFO's `EVICTM`): the
+/// tail goes back to the head with `freq - 1` while its `freq > 0`; the
+/// first tail with `freq == 0` is removed and returned.
+fn reinsertion_evict(q: &mut Vec<Node>) -> Node {
+    while q[0].freq > 0 {
+        let mut n = q.remove(0);
+        n.freq -= 1;
+        q.push(n);
+    }
+    q.remove(0)
+}
+
+/// One SIEVE eviction from `q`: resume from the hand when it still points at
+/// a live node, otherwise from the tail; unmark in place toward the head,
+/// wrapping past the newest entry; remove and return the first unmarked
+/// node, leaving the hand on its neighbour toward the head (which then sits
+/// at the same index), or cleared when the head was evicted.
+fn sieve_evict(q: &mut Vec<Node>, hand: &mut Option<ObjId>) -> Node {
+    let mut i = hand.and_then(|h| find(q, h)).unwrap_or(0);
+    while q[i].freq != 0 {
+        q[i].freq = 0;
+        i = if i + 1 < q.len() { i + 1 } else { 0 };
+    }
+    let n = q.remove(i);
+    *hand = q.get(i).map(|m| m.id);
+    n
 }
 
 /// A naive executable specification of one queue policy.
@@ -159,7 +202,8 @@ pub struct ReferencePolicy {
     /// SLRU's four segments (index 0 probationary).
     segs: [Vec<Node>; 4],
     ghost: RefGhost,
-    /// SIEVE's hand, stored as the id it points at (`None` = start at tail).
+    /// The hand of a SIEVE queue (`q0`, or S3-FIFO-Sieve's `q1`), stored as
+    /// the id it points at (`None` = start at tail).
     hand: Option<ObjId>,
     stats: PolicyStats,
 }
@@ -168,7 +212,7 @@ impl ReferencePolicy {
     fn new(algo: Algo, capacity: u64) -> Self {
         let ghost = match algo {
             Algo::TwoQ => RefGhost::new((capacity as f64 * 0.5).round() as u64),
-            Algo::S3Fifo(ratio) => {
+            Algo::S3Fifo { ratio, .. } => {
                 let s_cap = ((capacity as f64 * ratio).round() as u64).max(1);
                 let m_cap = capacity.saturating_sub(s_cap).max(1);
                 RefGhost::new(m_cap) // ghost_ratio 1.0 of main capacity
@@ -211,7 +255,7 @@ impl ReferencePolicy {
     // ---- S3-FIFO (mirrors s3fifo::S3Fifo / Algorithm 1) ----------------
 
     fn s3_small_capacity(&self) -> u64 {
-        let Algo::S3Fifo(ratio) = self.algo else {
+        let Algo::S3Fifo { ratio, .. } = self.algo else {
             unreachable!("s3 helper on non-S3 reference");
         };
         ((self.capacity as f64 * ratio).round() as u64).max(1)
@@ -245,20 +289,22 @@ impl ReferencePolicy {
         }
     }
 
-    /// `EVICTM`: two-bit FIFO-reinsertion.
+    /// `EVICTM`: two-bit FIFO-reinsertion; an LRU `M` evicts its tail
+    /// outright, a SIEVE `M` wherever its hand stops.
     fn s3_evict_main(&mut self, evicted: &mut Vec<Eviction>) {
-        while !self.q1.is_empty() {
-            if self.q1[0].freq > 0 {
-                let mut n = self.q1.remove(0);
-                n.freq -= 1;
-                self.q1.push(n);
-            } else {
-                let n = self.q1.remove(0);
-                self.stats.evictions += 1;
-                evicted.push(n.meta.eviction(n.id, false));
-                return;
-            }
+        let Algo::S3Fifo { main, .. } = self.algo else {
+            unreachable!("s3 helper on non-S3 reference");
+        };
+        if self.q1.is_empty() {
+            return;
         }
+        let n = match main {
+            Queue::Fifo => reinsertion_evict(&mut self.q1),
+            Queue::Lru => self.q1.remove(0),
+            Queue::Sieve => sieve_evict(&mut self.q1, &mut self.hand),
+        };
+        self.stats.evictions += 1;
+        evicted.push(n.meta.eviction(n.id, false));
     }
 
     fn s3_insert(&mut self, req: &Request, evicted: &mut Vec<Eviction>) {
@@ -389,61 +435,18 @@ impl ReferencePolicy {
         }
     }
 
-    // ---- SIEVE (mirrors cache_policies::Sieve) -------------------------
-
-    fn sieve_evict_one(&mut self, evicted: &mut Vec<Eviction>) {
-        if self.q0.is_empty() {
-            return;
-        }
-        // Resume from the hand when it still points at a live node,
-        // otherwise from the tail.
-        let mut i = self
-            .hand
-            .and_then(|h| find(&self.q0, h))
-            .unwrap_or(0);
-        loop {
-            if self.q0[i].freq != 0 {
-                self.q0[i].freq = 0;
-                // Toward the head; wrap to the tail past the newest entry.
-                i = if i + 1 < self.q0.len() { i + 1 } else { 0 };
-            } else {
-                let n = self.q0.remove(i);
-                // The hand moves to the neighbour toward the head (which
-                // now sits at index `i`), or clears when the head was
-                // evicted.
-                self.hand = self.q0.get(i).map(|m| m.id);
-                self.stats.evictions += 1;
-                evicted.push(n.meta.eviction(n.id, false));
-                return;
-            }
-        }
-    }
-
     // ---- single-queue shared insert/delete -----------------------------
 
     fn single_insert(&mut self, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used_bytes() + u64::from(req.size) > self.capacity && !self.q0.is_empty() {
-            match self.algo {
-                Algo::Fifo | Algo::Lru => {
-                    let n = self.q0.remove(0);
-                    self.stats.evictions += 1;
-                    evicted.push(n.meta.eviction(n.id, false));
-                }
-                Algo::Clock(_) => loop {
-                    if self.q0[0].freq > 0 {
-                        let mut n = self.q0.remove(0);
-                        n.freq -= 1;
-                        self.q0.push(n);
-                    } else {
-                        let n = self.q0.remove(0);
-                        self.stats.evictions += 1;
-                        evicted.push(n.meta.eviction(n.id, false));
-                        break;
-                    }
-                },
-                Algo::Sieve => self.sieve_evict_one(evicted),
+            let n = match self.algo {
+                Algo::Fifo | Algo::Lru => self.q0.remove(0),
+                Algo::Clock(_) => reinsertion_evict(&mut self.q0),
+                Algo::Sieve => sieve_evict(&mut self.q0, &mut self.hand),
                 _ => unreachable!("single-queue insert on multi-queue algo"),
-            }
+            };
+            self.stats.evictions += 1;
+            evicted.push(n.meta.eviction(n.id, false));
         }
         self.q0.push(Node {
             id: req.id,
@@ -453,11 +456,12 @@ impl ReferencePolicy {
     }
 
     fn delete(&mut self, id: ObjId) {
-        if self.algo == Algo::Sieve && self.hand == Some(id) {
+        if self.hand == Some(id) {
             // The hand steps to the neighbour toward the head, like the
-            // production policy re-pointing `prev_handle`.
-            let p = find(&self.q0, id).expect("hand id resident");
-            self.hand = self.q0.get(p + 1).map(|n| n.id);
+            // production policies' `toward_head`.
+            let q = if self.algo == Algo::Sieve { &self.q0 } else { &self.q1 };
+            let p = find(q, id).expect("hand id resident");
+            self.hand = q.get(p + 1).map(|n| n.id);
         }
         if let Some(p) = find(&self.q0, id) {
             self.q0.remove(p);
@@ -483,11 +487,11 @@ impl ReferencePolicy {
             Algo::Lru => {
                 // Invariant: on_hit is only called for resident ids.
                 let p = find(&self.q0, req.id).expect("hit id resident");
-                let mut n = self.q0.remove(p);
-                n.meta.touch(req.time);
-                self.q0.push(n); // move to head (MRU)
+                self.q0[p].meta.touch(req.time);
+                move_to_head(&mut self.q0, p);
             }
             Algo::Clock(max_freq) => {
+                // Invariant: on_hit is only called for resident ids.
                 let p = find(&self.q0, req.id).expect("hit id resident");
                 self.q0[p].freq = (self.q0[p].freq + 1).min(max_freq);
                 self.q0[p].meta.touch(req.time);
@@ -510,16 +514,19 @@ impl ReferencePolicy {
                     self.q1.push(n);
                 }
             }
-            Algo::S3Fifo(_) => {
-                let q = if find(&self.q0, req.id).is_some() {
-                    &mut self.q0
+            Algo::S3Fifo { small, main, .. } => {
+                let (q, kind) = if find(&self.q0, req.id).is_some() {
+                    (&mut self.q0, small)
                 } else {
-                    &mut self.q1
+                    (&mut self.q1, main)
                 };
                 // Invariant: on_hit is only called for resident ids.
                 let p = find(q, req.id).expect("hit id resident");
                 q[p].freq = (q[p].freq + 1).min(3);
                 q[p].meta.touch(req.time);
+                if kind == Queue::Lru {
+                    move_to_head(q, p);
+                }
             }
         }
     }
@@ -531,7 +538,7 @@ impl ReferencePolicy {
             }
             Algo::Slru => self.slru_insert(req, evicted),
             Algo::TwoQ => self.twoq_insert(req, evicted),
-            Algo::S3Fifo(_) => self.s3_insert(req, evicted),
+            Algo::S3Fifo { .. } => self.s3_insert(req, evicted),
         }
     }
 }
@@ -545,7 +552,9 @@ impl Policy for ReferencePolicy {
             Algo::Sieve => "Ref<SIEVE>".into(),
             Algo::Slru => "Ref<SLRU>".into(),
             Algo::TwoQ => "Ref<2Q>".into(),
-            Algo::S3Fifo(r) => format!("Ref<S3-FIFO({r:.2})>"),
+            Algo::S3Fifo { ratio, small, main } => {
+                format!("Ref<S3-FIFO({ratio:.2}) S={small:?} M={main:?}>")
+            }
         }
     }
 
@@ -623,13 +632,7 @@ impl Policy for ReferencePolicy {
 /// the name). Accepts the same `"S3-FIFO(r)"` parameterized form as the
 /// registry.
 pub fn reference_for(name: &str, capacity: u64) -> Option<ReferencePolicy> {
-    if let Some(inner) = name
-        .strip_prefix("S3-FIFO(")
-        .and_then(|rest| rest.strip_suffix(')'))
-    {
-        let ratio: f64 = inner.parse().ok()?;
-        return Some(ReferencePolicy::new(Algo::S3Fifo(ratio), capacity));
-    }
+    let s3fifo = |ratio, small, main| Algo::S3Fifo { ratio, small, main };
     let algo = match name {
         "FIFO" => Algo::Fifo,
         "LRU" => Algo::Lru,
@@ -638,8 +641,15 @@ pub fn reference_for(name: &str, capacity: u64) -> Option<ReferencePolicy> {
         "SIEVE" => Algo::Sieve,
         "SLRU" => Algo::Slru,
         "2Q" => Algo::TwoQ,
-        "S3-FIFO" => Algo::S3Fifo(0.1),
-        _ => return None,
+        "S3-FIFO" => s3fifo(0.1, Queue::Fifo, Queue::Fifo),
+        "QDLP-LRU-LRU" => s3fifo(0.1, Queue::Lru, Queue::Lru),
+        "QDLP-LRU-FIFO" => s3fifo(0.1, Queue::Lru, Queue::Fifo),
+        "QDLP-FIFO-LRU" => s3fifo(0.1, Queue::Fifo, Queue::Lru),
+        "S3-FIFO-Sieve" => s3fifo(0.1, Queue::Fifo, Queue::Sieve),
+        _ => {
+            let ratio = name.strip_prefix("S3-FIFO(")?.strip_suffix(')')?;
+            s3fifo(ratio.parse().ok()?, Queue::Fifo, Queue::Fifo)
+        }
     };
     Some(ReferencePolicy::new(algo, capacity))
 }
@@ -734,6 +744,66 @@ mod tests {
             get(&mut p, 1, t);
         }
         assert!(find(&p.segs[3], 1).is_some(), "caps at the top segment");
+    }
+
+    /// A dense "implementation" of QDLP-FIFO-LRU that forgot one of the
+    /// three places the discipline is read: hits see an LRU `M`, `EVICTM`
+    /// still reinserts. (Its engine is this module's interpreter with the
+    /// discipline switched per request — evictions never happen on a hit.)
+    struct LruMainThatStillReinserts(ReferencePolicy);
+
+    impl cache_types::DensePolicy for LruMainThatStillReinserts {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn capacity(&self) -> u64 {
+            self.0.capacity
+        }
+        fn used(&self) -> u64 {
+            self.0.used_bytes()
+        }
+        fn len(&self) -> usize {
+            self.0.count()
+        }
+        fn request_dense(&mut self, _: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+            let hit = req.op == Op::Get && self.0.resident(req.id);
+            let main = if hit { Queue::Lru } else { Queue::Fifo }; // BUG: not Lru throughout
+            self.0.algo = Algo::S3Fifo { ratio: 0.1, small: Queue::Fifo, main };
+            self.0.request(req, evicted)
+        }
+        fn validate(&self) -> Result<(), String> {
+            Policy::validate(&self.0)
+        }
+        fn stats(&self) -> PolicyStats {
+            self.0.stats
+        }
+    }
+
+    /// The oracle for the queue-type variants has teeth: the mutant above is
+    /// caught by the differential run and shrunk to a handful of requests
+    /// (same shape as `fuzz::tests::mutant_dense_is_caught_and_shrunk`).
+    #[test]
+    fn lru_main_that_still_reinserts_is_caught_and_shrunk() {
+        use crate::fuzz::{diff_run, generate_trace, shrink_with, FuzzConfig};
+        let capacity = 3u64;
+        let mut fails = |reqs: &[Request]| -> bool {
+            let mut reference = reference_for("QDLP-FIFO-LRU", capacity).unwrap();
+            let mut keyed = cache_policies::registry::build("QDLP-FIFO-LRU", capacity, None).unwrap();
+            let mut mutant =
+                LruMainThatStillReinserts(reference_for("QDLP-FIFO-LRU", capacity).unwrap());
+            let slots = vec![0; reqs.len()]; // the mutant ignores them
+            diff_run(&mut reference, keyed.as_mut(), Some(&mut mutant), &slots, reqs).is_some()
+        };
+        let requests = generate_trace(&FuzzConfig {
+            max_size: 1,
+            write_percent: 0,
+            ..FuzzConfig::default()
+        });
+        assert!(fails(&requests), "the mutant must diverge somewhere");
+        let shrunk = shrink_with(&mut fails, requests);
+        assert!(fails(&shrunk), "shrunk trace must still reproduce");
+        // Fill S and G, get two objects into M, hit the older one, overflow M.
+        assert!(shrunk.len() <= 12, "expected a minimal reproduction, got {shrunk:?}");
     }
 
     #[test]

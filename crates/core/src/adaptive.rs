@@ -12,45 +12,29 @@
 //! adversarial workloads. The `ablation_adaptive` bench reproduces that
 //! comparison.
 
-use crate::policy::{GhostFifo, S3Fifo, S3FifoConfig};
+use crate::policy::S3Fifo;
+use cache_ds::GhostFifo;
 use cache_types::{CacheError, Eviction, ObjId, Outcome, Policy, PolicyStats, Request};
 
-/// Tuning knobs of the adaptation loop, with the paper's values as defaults.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveConfig {
-    /// Monitor ghost size as a fraction of cache capacity (paper: 5 %).
-    pub monitor_ratio: f64,
-    /// Combined monitor hits that trigger an adaptation check (paper: 100).
-    pub hits_per_decision: u64,
-    /// Imbalance factor required to act (paper: one side has 2× more hits).
-    pub imbalance: f64,
-    /// Fraction of cache capacity moved per decision (paper: 0.1 %).
-    pub step_ratio: f64,
-    /// Lower bound on the small queue as a fraction of capacity.
-    pub min_small_ratio: f64,
-    /// Upper bound on the small queue as a fraction of capacity.
-    pub max_small_ratio: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            monitor_ratio: 0.05,
-            hits_per_decision: 100,
-            imbalance: 2.0,
-            step_ratio: 0.001,
-            min_small_ratio: 0.005,
-            max_small_ratio: 0.5,
-        }
-    }
-}
+/// §6.2.2: each monitor ghost holds 5 % of the cache.
+pub const MONITOR_RATIO: f64 = 0.05;
+/// §6.2.2: combined monitor hits between two adaptation decisions.
+pub const HITS_PER_DECISION: u64 = 100;
+/// §6.2.2: a decision acts only when one monitor has at least 2× the
+/// other's hits.
+pub const IMBALANCE: f64 = 2.0;
+/// §6.2.2: a decision moves 0.1 % of the cache between `S` and `M`.
+pub const STEP_RATIO: f64 = 0.001;
+/// Clamps on `S`'s share, so that neither queue can be adapted away.
+pub const MIN_SMALL_RATIO: f64 = 0.005;
+/// See [`MIN_SMALL_RATIO`].
+pub const MAX_SMALL_RATIO: f64 = 0.5;
 
 /// S3-FIFO with adaptive queue sizing.
 #[derive(Debug)]
 pub struct S3FifoD {
     inner: S3Fifo,
     capacity: u64,
-    cfg: AdaptiveConfig,
     /// Monitor ghost for objects evicted from `S`.
     mon_small: GhostFifo,
     /// Monitor ghost for objects evicted from `M`.
@@ -70,33 +54,12 @@ impl S3FifoD {
     ///
     /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
     pub fn new(capacity: u64) -> Result<Self, CacheError> {
-        Self::with_configs(capacity, S3FifoConfig::default(), AdaptiveConfig::default())
-    }
-
-    /// Creates an adaptive S3-FIFO with explicit base and adaptation
-    /// configurations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CacheError`] from the inner [`S3Fifo`] constructor and
-    /// rejects non-positive adaptation parameters.
-    pub fn with_configs(
-        capacity: u64,
-        base: S3FifoConfig,
-        cfg: AdaptiveConfig,
-    ) -> Result<Self, CacheError> {
-        if cfg.step_ratio <= 0.0 || cfg.monitor_ratio <= 0.0 || cfg.imbalance < 1.0 {
-            return Err(CacheError::InvalidParameter(
-                "adaptive parameters must be positive (imbalance >= 1)".into(),
-            ));
-        }
-        let inner = S3Fifo::with_config(capacity, base)?;
+        let inner = S3Fifo::new(capacity)?;
         let s_target = inner.small_capacity();
-        let mon_cap = ((capacity as f64 * cfg.monitor_ratio).round() as u64).max(1);
+        let mon_cap = ((capacity as f64 * MONITOR_RATIO).round() as u64).max(1);
         Ok(S3FifoD {
             inner,
             capacity,
-            cfg,
             mon_small: GhostFifo::new(mon_cap),
             mon_main: GhostFifo::new(mon_cap),
             hits_small: 0,
@@ -117,22 +80,22 @@ impl S3FifoD {
     }
 
     fn step_bytes(&self) -> u64 {
-        ((self.capacity as f64 * self.cfg.step_ratio).round() as u64).max(1)
+        ((self.capacity as f64 * STEP_RATIO).round() as u64).max(1)
     }
 
     fn maybe_adapt(&mut self) {
-        if self.hits_small + self.hits_main < self.cfg.hits_per_decision {
+        if self.hits_small + self.hits_main < HITS_PER_DECISION {
             return;
         }
         let (hs, hm) = (self.hits_small as f64, self.hits_main as f64);
-        let min_s = ((self.capacity as f64 * self.cfg.min_small_ratio).round() as u64).max(1);
-        let max_s = ((self.capacity as f64 * self.cfg.max_small_ratio).round() as u64).max(min_s);
-        if hs >= hm * self.cfg.imbalance {
+        let min_s = ((self.capacity as f64 * MIN_SMALL_RATIO).round() as u64).max(1);
+        let max_s = ((self.capacity as f64 * MAX_SMALL_RATIO).round() as u64).max(min_s);
+        if hs >= hm * IMBALANCE {
             // Objects evicted from S keep getting requested: S is too small.
             self.s_target = (self.s_target + self.step_bytes()).min(max_s);
             self.inner.set_small_capacity(self.s_target);
             self.adaptations.0 += 1;
-        } else if hm >= hs * self.cfg.imbalance {
+        } else if hm >= hs * IMBALANCE {
             // Objects evicted from M are re-requested: M is too small.
             self.s_target = self.s_target.saturating_sub(self.step_bytes()).max(min_s);
             self.inner.set_small_capacity(self.s_target);
@@ -217,15 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_adaptive_params() {
-        let cfg = AdaptiveConfig {
-            step_ratio: 0.0,
-            ..Default::default()
-        };
-        assert!(S3FifoD::with_configs(100, S3FifoConfig::default(), cfg).is_err());
-    }
-
-    #[test]
     fn behaves_like_cache() {
         let mut p = S3FifoD::new(100).unwrap();
         assert_eq!(get(&mut p, 1, 0), Outcome::Miss);
@@ -247,38 +201,26 @@ mod tests {
 
     #[test]
     fn grows_small_queue_when_s_evictions_get_hits() {
-        // Workload: objects are re-requested shortly after being evicted
-        // from S (the "second request falls out of S" adversarial pattern,
-        // §5.2). The monitor should detect hits on S-evicted objects and
-        // grow S.
-        // A generous monitor and a low decision threshold make the test
-        // deterministic; the mechanism under test is the adaptation loop,
-        // not the paper's exact constants.
-        let cfg = AdaptiveConfig {
-            monitor_ratio: 2.0,
-            hits_per_decision: 20,
-            step_ratio: 0.01,
-            ..Default::default()
-        };
-        let mut p = S3FifoD::with_configs(200, S3FifoConfig::default(), cfg).unwrap();
+        // §5.2's adversarial pattern under §6.2.2's own constants: every
+        // object's second (and last) request arrives just after it fell out
+        // of S, so it hits the S monitor — 5 % of the cache — and nothing
+        // ever hits the M monitor. Each 100 such hits move 0.1 % of the
+        // cache, one object here, from M to S.
+        let mut p = S3FifoD::new(1000).unwrap();
         let start = p.small_target();
-        let mut next_id = 0u64;
+        let (mut next_id, mut oldest) = (0u64, 0u64);
         for t in 0..8000u64 {
-            if t % 2 == 0 || next_id < 300 {
+            if oldest < next_id && !p.contains(oldest) {
+                get(&mut p, oldest, t);
+                oldest += 1;
+            } else {
                 get(&mut p, next_id, t);
                 next_id += 1;
-            } else {
-                // Second request arrives well after the object left S.
-                get(&mut p, next_id - 300, t);
             }
         }
-        assert!(
-            p.adaptations().0 > 0 && p.small_target() > start,
-            "expected S to grow: target {} -> {}, adaptations {:?}",
-            start,
-            p.small_target(),
-            p.adaptations()
-        );
+        let (grown, shrunk) = p.adaptations();
+        assert!(grown >= 10 && shrunk == 0, "adaptations {:?}", p.adaptations());
+        assert_eq!(p.small_target(), start + grown);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! stays charged against capacity until it reaches the front. A tombstoned
 //! slot can be re-inserted (a second FIFO entry appears), and when the stale
 //! entry later pops it clears the mark of the *newer* entry too. The quirk
-//! is deliberate: `cache_check::reference` and the id-keyed `GhostFifo`
-//! (S3-FIFO-D's monitors, QDLP) do the same, and it is why a recycling slab
-//! counts tombstones as references ([`DenseSlab::release`]).
+//! is deliberate: `cache_check::reference` and the id-keyed
+//! `cache_ds::GhostFifo` (S3-FIFO-D's monitors, ARC) do the same, and it is
+//! why a recycling slab counts tombstones as references
+//! ([`DenseSlab::release`]).
 
 use super::DenseSlab;
 use std::collections::VecDeque;
@@ -152,7 +153,7 @@ impl SlotGhost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::GhostFifo;
+    use cache_ds::GhostFifo;
 
     #[test]
     fn matches_keyed_ghost_semantics() {

@@ -21,8 +21,8 @@
 //!
 //! The plumbing lives in this crate, not in `cache-ds`, because
 //! [`DenseS3Fifo`](crate::DenseS3Fifo) must sit below `cache-policies` (whose
-//! registry builds `S3FifoD` and `Qdlp`) and a `cache-ds → cache-types` edge
-//! would rewrite the frozen `benchmark/Cargo.lock`.
+//! registry builds `S3FifoD`) and a `cache-ds → cache-types` edge would
+//! rewrite the frozen `benchmark/Cargo.lock`.
 
 mod ghost;
 mod keyed;

@@ -24,8 +24,8 @@
 //!   and in `cache-policies`) are built from, and the [`Keyed`] adapter that
 //!   turns any of them into a [`cache_types::Policy`];
 //! - [`S3FifoD`] — the adaptive-queue-size variant of §6.2.2;
-//! - [`ablation::Qdlp`] — the §6.3 queue-type ablation (LRU vs FIFO for `S`
-//!   and `M`, promotion on hit vs at eviction);
+//! - [`policy::Queues`] — the §6.3 queue-type ablation (LRU vs FIFO for `S`
+//!   and `M`) and §7's SIEVE `M`, as marker types on [`DenseS3Fifo`];
 //! - [`S3FifoCache`] — a standalone `K → V` cache for applications, using
 //!   the paper's §4.2 bucketed-fingerprint ghost table.
 //!
@@ -46,13 +46,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablation;
 pub mod adaptive;
 pub mod cache;
 pub mod dense;
 pub mod policy;
 
-pub use ablation::{Qdlp, QdlpConfig, QueueKind};
 pub use adaptive::S3FifoD;
 pub use cache::S3FifoCache;
 pub use dense::Keyed;

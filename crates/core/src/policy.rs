@@ -8,16 +8,21 @@
 //! ([`Keyed`]). The production-style fingerprint ghost lives in
 //! [`crate::cache`].
 //!
+//! The §6.3 ablation ("LRU or FIFO?") and §7's SIEVE-in-`M` are the same
+//! code: a [`Queues`] marker type says how `S` and `M` order and evict, and
+//! is read at three places — the hit, `evict_main` and `delete`. The
+//! default, [`FifoFifo`], is the paper's design.
+//!
 //! Slot-state conventions (see [`crate::dense::Slot`]): `tag` is the queue
 //! tag (`ABSENT`/`SMALL`/`MAIN`), `freq` the two-bit access counter.
 
-use crate::dense::{DenseSlab, Keyed, PackedQueue, SlotGhost};
+use crate::dense::{DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
 use crate::impl_dense_replay;
-use cache_ds::IdSet;
+use cache_ds::NIL;
 use cache_types::{
-    CacheError, DensePolicy, Eviction, ObjId, Op, Outcome, PolicyStats, Request,
+    CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request,
 };
-use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 /// Cap of the two-bit access counter (§4.1: "similar to a capped counter
 /// with frequency up to 3").
@@ -42,63 +47,56 @@ impl Default for S3FifoConfig {
     }
 }
 
-/// Exact id-keyed ghost FIFO: S3-FIFO-D's monitors and QDLP's ghost. Same
-/// semantics, tombstones included, as the slot-indexed [`SlotGhost`].
-///
-/// Holds up to `capacity` bytes worth of ghost entries (each entry charged
-/// its object size, so with unit-size objects this is "as many entries as fit
-/// in M", matching §4.1).
-#[derive(Debug, Default)]
-pub(crate) struct GhostFifo {
-    fifo: VecDeque<(ObjId, u32)>,
-    set: IdSet,
-    used: u64,
-    capacity: u64,
+/// How `M` orders and evicts its objects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MainQueue {
+    /// Insertion order; the tail is reinserted with `freq - 1` while
+    /// `freq > 0` (Algorithm 1, `EVICTM`).
+    Fifo,
+    /// Hits move to the head; the tail is evicted outright.
+    Lru,
+    /// Insertion order; a hand sweeps tail to head, clearing `freq` in place
+    /// and evicting the first unmarked object (§7).
+    Sieve,
 }
 
-impl GhostFifo {
-    pub(crate) fn new(capacity: u64) -> Self {
-        GhostFifo {
-            fifo: VecDeque::new(),
-            set: IdSet::default(),
-            used: 0,
-            capacity,
-        }
-    }
+/// The queue disciplines of one S3-FIFO instantiation: a zero-sized marker,
+/// so that the paper's instantiation pays nothing for the others.
+pub trait Queues: std::fmt::Debug + Send + 'static {
+    /// Whether a hit in `S` moves the object to `S`'s head.
+    const SMALL_LRU: bool;
+    /// The discipline of `M`.
+    const MAIN: MainQueue;
+    /// Display name; `None` for the paper's own design, which prints its
+    /// small-queue ratio instead.
+    const NAME: Option<&'static str>;
+}
 
-    pub(crate) fn contains(&self, id: ObjId) -> bool {
-        self.set.contains(&id)
-    }
+macro_rules! queues {
+    ($(#[$doc:meta] $marker:ident = ($small_lru:expr, $main:ident, $name:expr);)*) => {$(
+        #[$doc]
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct $marker;
 
-    /// Inserts `id`; evicts oldest entries beyond capacity.
-    ///
-    /// Re-inserting an id already in the ghost does not refresh its FIFO
-    /// position (a FIFO queue has no promotion).
-    pub(crate) fn insert(&mut self, id: ObjId, size: u32) {
-        if self.capacity == 0 {
-            return;
+        impl Queues for $marker {
+            const SMALL_LRU: bool = $small_lru;
+            const MAIN: MainQueue = MainQueue::$main;
+            const NAME: Option<&'static str> = $name;
         }
-        if self.set.insert(id) {
-            self.fifo.push_back((id, size));
-            self.used += u64::from(size);
-        }
-        while self.used > self.capacity {
-            if let Some((old, sz)) = self.fifo.pop_front() {
-                // `used` charges every FIFO entry, including tombstones left
-                // by `remove`, so the subtraction is unconditional.
-                self.used -= u64::from(sz);
-                self.set.remove(&old);
-            } else {
-                break;
-            }
-        }
-    }
+    )*};
+}
 
-    /// Removes `id` if present (resurrection into `M`). The FIFO slot stays
-    /// behind as a tombstone and is reclaimed when it reaches the front.
-    pub(crate) fn remove(&mut self, id: ObjId) -> bool {
-        self.set.remove(&id)
-    }
+queues! {
+    /// The paper's design: both queues FIFO.
+    FifoFifo = (false, Fifo, None);
+    /// §6.3: `S` is an LRU queue.
+    LruFifo = (true, Fifo, Some("QDLP(S=LRU,M=FIFO)"));
+    /// §6.3: `M` is an LRU queue.
+    FifoLru = (false, Lru, Some("QDLP(S=FIFO,M=LRU)"));
+    /// §6.3: both queues LRU (ARC-like data queues).
+    LruLru = (true, Lru, Some("QDLP(S=LRU,M=LRU)"));
+    /// §7: SIEVE replaces the main FIFO queue.
+    FifoSieve = (false, Sieve, Some("QDLP(S=FIFO,M=SIEVE)"));
 }
 
 /// Which data queue a slot currently lives in.
@@ -106,9 +104,9 @@ const ABSENT: u8 = 0;
 const SMALL: u8 = 1;
 const MAIN: u8 = 2;
 
-/// The S3-FIFO eviction policy over dense slots.
+/// The S3-FIFO eviction policy over dense slots, with queue disciplines `Q`.
 #[derive(Debug)]
-pub struct DenseS3Fifo {
+pub struct DenseS3Fifo<Q = FifoFifo> {
     capacity: u64,
     s_capacity: u64,
     m_capacity: u64,
@@ -119,14 +117,22 @@ pub struct DenseS3Fifo {
     small: PackedQueue,
     /// Main queue, same orientation.
     main: PackedQueue,
+    /// A SIEVE `M`'s next eviction candidate; `NIL` (always, for the other
+    /// disciplines) means "start at the tail". When not `NIL` it points at a
+    /// slot in `M`: eviction and delete both step it off a slot first.
+    hand: u32,
     ghost: SlotGhost,
 
     s_used: u64,
     m_used: u64,
     stats: PolicyStats,
     ghost_hits: u64,
+    queues: PhantomData<Q>,
 }
 
+/// The paper's design. Constructors that do not name a [`Queues`] marker
+/// live here, not in the generic `impl`, so that `DenseS3Fifo::with_domain`
+/// resolves in expression position (as `HashMap::new` does).
 impl DenseS3Fifo {
     /// Creates an S3-FIFO cache with default parameters (S = 10 %) over the
     /// dense domain `0..domain`.
@@ -151,6 +157,22 @@ impl DenseS3Fifo {
         cfg: S3FifoConfig,
         domain: usize,
     ) -> Result<Self, CacheError> {
+        Self::build(capacity, cfg, domain)
+    }
+}
+
+impl<Q: Queues> DenseS3Fifo<Q> {
+    /// Creates the S3-FIFO variant with queue disciplines `queues` (S = 10 %)
+    /// over the dense domain `0..domain`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
+    pub fn with_queues(capacity: u64, _queues: Q, domain: usize) -> Result<Self, CacheError> {
+        Self::build(capacity, S3FifoConfig::default(), domain)
+    }
+
+    fn build(capacity: u64, cfg: S3FifoConfig, domain: usize) -> Result<Self, CacheError> {
         if capacity == 0 {
             return Err(CacheError::InvalidCapacity("capacity must be > 0".into()));
         }
@@ -172,10 +194,12 @@ impl DenseS3Fifo {
             slab: DenseSlab::with_domain(domain),
             small: PackedQueue::new(),
             main: PackedQueue::new(),
+            hand: NIL,
             s_used: 0,
             m_used: 0,
             stats: PolicyStats::default(),
             ghost_hits: 0,
+            queues: PhantomData,
         })
     }
 
@@ -260,22 +284,39 @@ impl DenseS3Fifo {
         }
     }
 
-    /// Evicts one object from `M` with two-bit FIFO-reinsertion
-    /// (Algorithm 1, `EVICTM`).
+    /// Evicts one object from `M`: two-bit FIFO-reinsertion (Algorithm 1,
+    /// `EVICTM`), the LRU tail, or wherever a SIEVE hand stops.
     fn evict_main(&mut self, evicted: &mut Vec<Eviction>) {
-        while let Some(tail) = self.main.tail() {
-            let t = tail as usize;
-            if self.slab.slots[t].freq > 0 {
-                // Reinsert at the head with frequency decreased by one.
-                self.main.move_to_front(&mut self.slab.slots, tail);
-                self.slab.slots[t].freq -= 1;
+        let mut candidate = if Q::MAIN == MainQueue::Sieve && self.hand != NIL {
+            Some(self.hand)
+        } else {
+            self.main.tail()
+        };
+        while let Some(slot) = candidate {
+            let t = slot as usize;
+            if Q::MAIN != MainQueue::Lru && self.slab.slots[t].freq > 0 {
+                candidate = if Q::MAIN == MainQueue::Sieve {
+                    // Unmark in place and step toward the head, wrapping.
+                    self.slab.slots[t].freq = 0;
+                    self.main
+                        .toward_head(&self.slab.slots, slot)
+                        .or_else(|| self.main.tail())
+                } else {
+                    // Reinsert at the head with frequency decreased by one.
+                    self.main.move_to_front(&mut self.slab.slots, slot);
+                    self.slab.slots[t].freq -= 1;
+                    self.main.tail()
+                };
             } else {
-                self.main.remove(&mut self.slab.slots, tail);
-                self.m_used -= u64::from(self.slab.size(tail));
+                if Q::MAIN == MainQueue::Sieve {
+                    self.hand = self.main.toward_head(&self.slab.slots, slot).unwrap_or(NIL);
+                }
+                self.main.remove(&mut self.slab.slots, slot);
+                self.m_used -= u64::from(self.slab.size(slot));
                 self.slab.slots[t].tag = ABSENT;
                 self.stats.evictions += 1;
-                evicted.push(self.slab.eviction(tail, false));
-                self.slab.release(tail);
+                evicted.push(self.slab.eviction(slot, false));
+                self.slab.release(slot);
                 return;
             }
         }
@@ -335,6 +376,9 @@ impl DenseS3Fifo {
                 self.s_used -= u64::from(self.slab.size(slot));
             }
             MAIN => {
+                if Q::MAIN == MainQueue::Sieve && self.hand == slot {
+                    self.hand = self.main.toward_head(&self.slab.slots, slot).unwrap_or(NIL);
+                }
                 self.main.remove(&mut self.slab.slots, slot);
                 self.m_used -= u64::from(self.slab.size(slot));
             }
@@ -344,7 +388,19 @@ impl DenseS3Fifo {
     }
 }
 
-crate::impl_slab_policy!(DenseS3Fifo, |capacity| DenseS3Fifo::with_domain(capacity, 0));
+impl<Q: Queues> SlabPolicy for DenseS3Fifo<Q> {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::build(capacity, S3FifoConfig::default(), 0)
+    }
+
+    fn slab(&self) -> &DenseSlab {
+        &self.slab
+    }
+
+    fn slab_mut(&mut self) -> &mut DenseSlab {
+        &mut self.slab
+    }
+}
 
 /// The S3-FIFO eviction policy behind the keyed [`cache_types::Policy`]
 /// interface: [`DenseS3Fifo`] with ids interned on the fly.
@@ -367,9 +423,12 @@ impl Keyed<DenseS3Fifo> {
     }
 }
 
-impl DensePolicy for DenseS3Fifo {
+impl<Q: Queues> DensePolicy for DenseS3Fifo<Q> {
     fn name(&self) -> String {
-        format!("S3-FIFO({:.2})", self.cfg.small_ratio)
+        match Q::NAME {
+            Some(name) => name.into(),
+            None => format!("S3-FIFO({:.2})", self.cfg.small_ratio),
+        }
     }
 
     fn capacity(&self) -> u64 {
@@ -392,6 +451,16 @@ impl DensePolicy for DenseS3Fifo {
                     let s = &mut self.slab.slots[slot as usize];
                     s.freq = (s.freq + 1).min(MAX_FREQ);
                     s.touch(req.time);
+                    // §6.3: an LRU queue also moves the object to its head.
+                    match s.tag {
+                        SMALL if Q::SMALL_LRU => {
+                            self.small.move_to_front(&mut self.slab.slots, slot);
+                        }
+                        MAIN if Q::MAIN == MainQueue::Lru => {
+                            self.main.move_to_front(&mut self.slab.slots, slot);
+                        }
+                        _ => {}
+                    }
                     self.stats.record_get(req.size, false);
                     Outcome::Hit
                 } else if u64::from(req.size) > self.capacity {
@@ -478,6 +547,9 @@ impl DensePolicy for DenseS3Fifo {
                 "{tagged} slots carry a residency tag but {queued} are queued"
             ));
         }
+        if self.hand != NIL && self.slab.slots[self.hand as usize].tag != MAIN {
+            return Err(format!("hand points at slot {}, which is not in main", self.hand));
+        }
         self.ghost
             .validate(&self.slab)
             .map_err(|e| format!("ghost: {e}"))
@@ -492,17 +564,27 @@ impl DensePolicy for DenseS3Fifo {
 mod tests {
     use super::*;
     use crate::dense::Slot;
-    use cache_types::Policy;
+    use cache_types::{ObjId, Policy};
     use proptest::prelude::*;
 
-    fn get(p: &mut S3Fifo, id: ObjId, t: u64) -> Outcome {
+    fn get(p: &mut impl Policy, id: ObjId, t: u64) -> Outcome {
         let mut evs = Vec::new();
         p.request(&Request::get(id, t), &mut evs)
     }
 
     /// The slot state of a resident (or ghosted) `id`.
-    fn slot(p: &S3Fifo, id: ObjId) -> &Slot {
+    fn slot<Q: Queues>(p: &Keyed<DenseS3Fifo<Q>>, id: ObjId) -> &Slot {
         &p.slab.slots[p.slot_of(id).expect("id is interned") as usize]
+    }
+
+    /// The ids in `queue`, tail (next eviction) first.
+    fn tail_first<Q: Queues>(p: &Keyed<DenseS3Fifo<Q>>, queue: &PackedQueue) -> Vec<ObjId> {
+        let mut ids: Vec<ObjId> = queue
+            .iter(&p.slab.slots)
+            .map(|s| p.slab.slots[s as usize].orig)
+            .collect();
+        ids.reverse();
+        ids
     }
 
     #[test]
@@ -583,6 +665,83 @@ mod tests {
         assert!(p.contains(1) && slot(&p, 1).freq == 1, "reinserted with freq - 1");
         assert!(!p.contains(2), "the next tail had freq 0 and was evicted");
         p.validate().unwrap();
+    }
+
+    /// §6.3: a hit in an LRU `S` moves the object to the head; in the
+    /// paper's FIFO `S` it stays where it was inserted.
+    #[test]
+    fn lru_small_queue_reorders_on_hit() {
+        let mut lru = Keyed::<DenseS3Fifo<LruFifo>>::new(100).unwrap();
+        let mut fifo = S3Fifo::new(100).unwrap();
+        for (t, id) in [1, 2, 1].into_iter().enumerate() {
+            get(&mut lru, id, t as u64);
+            get(&mut fifo, id, t as u64);
+        }
+        assert_eq!(tail_first(&lru, &lru.small), [2, 1]);
+        assert_eq!(tail_first(&fifo, &fifo.small), [1, 2]);
+    }
+
+    /// §7: a SIEVE `M` unmarks hit objects *in place* — FIFO-reinsertion
+    /// would move them to the head — and its hand steps off a slot that is
+    /// deleted under it rather than falling back to the tail.
+    #[test]
+    fn sieve_main_unmarks_in_place_and_its_hand_survives_a_delete() {
+        let mut p = Keyed::<DenseS3Fifo<FifoSieve>>::new(10).unwrap();
+        for i in 0..20 {
+            get(&mut p, i, i); // ids 1..=9 end up in G
+        }
+        for i in 1..=9 {
+            get(&mut p, i, 100 + i); // ...and from there in M, 1 at the tail
+        }
+        // One more ghost hit overflows M and evicts from it.
+        let overflow_main = |p: &mut Keyed<DenseS3Fifo<FifoSieve>>, t: u64| {
+            let ghosted = (10..40).find(|&i| p.slot_of(i).is_some_and(|s| p.ghost.contains(s)));
+            get(p, ghosted.expect("a scan id is still in G"), t);
+        };
+        get(&mut p, 1, 200);
+        get(&mut p, 2, 201);
+        overflow_main(&mut p, 300);
+        assert_eq!(tail_first(&p, &p.main)[..3], [1, 2, 4], "3 evicted, 1 and 2 in place");
+        assert_eq!((slot(&p, 1).freq, slot(&p, 2).freq), (0, 0));
+        assert_eq!(p.slot_of(4), Some(p.hand), "the hand rests past the victim");
+
+        let mut evs = Vec::new();
+        p.request(&Request::delete(4, 301), &mut evs);
+        assert_eq!(p.slot_of(5), Some(p.hand));
+        p.validate().unwrap();
+        overflow_main(&mut p, 400); // only refills the space the delete freed
+        overflow_main(&mut p, 401);
+        assert!(!p.contains(5), "the sweep resumed at the hand");
+        assert!(p.contains(1) && p.contains(2), "a hand reset to the tail would take 1");
+        p.validate().unwrap();
+    }
+
+    fn variant_holds_capacity<Q: Queues>(name: &str) {
+        let mut p = Keyed::<DenseS3Fifo<Q>>::new(64).unwrap();
+        assert_eq!(p.name(), name);
+        let mut state = 3u64;
+        let mut evs = Vec::new();
+        for t in 0..10_000u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = state >> 33;
+            let id = if r % 3 == 0 { r % 8 } else { r % 500 };
+            evs.clear();
+            p.request(&Request::get(id, t), &mut evs);
+            assert!(p.used() <= 64, "{name} over capacity at step {t}");
+        }
+        assert!(p.stats().misses > 0);
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn every_queue_type_variant_holds_capacity_under_its_name() {
+        variant_holds_capacity::<FifoFifo>("S3-FIFO(0.10)");
+        variant_holds_capacity::<LruFifo>("QDLP(S=LRU,M=FIFO)");
+        variant_holds_capacity::<FifoLru>("QDLP(S=FIFO,M=LRU)");
+        variant_holds_capacity::<LruLru>("QDLP(S=LRU,M=LRU)");
+        variant_holds_capacity::<FifoSieve>("QDLP(S=FIFO,M=SIEVE)");
     }
 
     #[test]

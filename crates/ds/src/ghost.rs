@@ -1,4 +1,5 @@
-//! The paper's bucketed fingerprint ghost table (§4.2).
+//! Ghost queues keyed by object id: the paper's bucketed fingerprint table
+//! ([`GhostTable`], §4.2) and an exact byte-bounded FIFO ([`GhostFifo`]).
 //!
 //! S3-FIFO's ghost queue G stores object *identities* (no data) of objects
 //! recently evicted from the small queue. §4.2 describes the production
@@ -9,11 +10,17 @@
 //! are *not* eagerly removed — they are overwritten lazily when their slot is
 //! needed (hash collision), exactly as the paper specifies.
 //!
-//! The simulation policies in `s3fifo` use an exact id-based ghost for
-//! bit-exact metrics; this table is the compact production variant and is
-//! exercised by `s3fifo::cache::S3FifoCache` and the concurrent prototype.
+//! The simulation policies in `s3fifo` use an exact ghost for bit-exact
+//! metrics; this table is the compact production variant and is exercised
+//! by `s3fifo::cache::S3FifoCache` and the concurrent prototype.
+//!
+//! [`GhostFifo`] is that exact ghost for policies that keep their objects by
+//! id: S3-FIFO-D's monitors, ARC's B1/B2, LeCaR's and CACHEUS's histories.
+//! The dense policies' slot-indexed `SlotGhost` has the same semantics,
+//! tombstones included, and is differentially tested against it.
 
-use crate::rng::mix64;
+use crate::rng::{mix64, IdSet};
+use std::collections::VecDeque;
 
 /// Entries per bucket. Eight 12-byte entries keep a bucket within two cache
 /// lines.
@@ -168,10 +175,99 @@ impl GhostTable {
     }
 }
 
+/// Exact, byte-bounded FIFO ghost of object ids.
+///
+/// Every entry is charged its object's size, so with unit-size objects a
+/// ghost of capacity `n` remembers the last `n` insertions. `remove` only
+/// clears the membership mark: the FIFO entry stays behind as a tombstone,
+/// charged until it reaches the front.
+#[derive(Debug, Default)]
+pub struct GhostFifo {
+    fifo: VecDeque<(u64, u32)>,
+    set: IdSet,
+    used: u64,
+    capacity: u64,
+}
+
+impl GhostFifo {
+    /// A ghost holding up to `capacity` bytes of entries.
+    pub fn new(capacity: u64) -> Self {
+        GhostFifo {
+            capacity,
+            ..GhostFifo::default()
+        }
+    }
+
+    /// True when `id` is a member.
+    pub fn contains(&self, id: u64) -> bool {
+        self.set.contains(&id)
+    }
+
+    /// Inserts `id`, then drops oldest entries beyond capacity. An id that is
+    /// already a member keeps its FIFO position (a FIFO has no promotion).
+    pub fn insert(&mut self, id: u64, size: u32) {
+        if self.capacity == 0 {
+            return;
+        }
+        if self.set.insert(id) {
+            self.fifo.push_back((id, size));
+            self.used += u64::from(size);
+        }
+        self.trim_to(self.capacity);
+    }
+
+    /// Removes `id` if present (a ghost hit), leaving a tombstone.
+    pub fn remove(&mut self, id: u64) -> bool {
+        self.set.remove(&id)
+    }
+
+    /// Drops oldest entries until at most `cap` bytes are charged.
+    pub fn trim_to(&mut self, cap: u64) {
+        while self.used > cap {
+            let Some((old, size)) = self.fifo.pop_front() else {
+                break;
+            };
+            // `used` charges tombstones too, so this is unconditional.
+            self.used -= u64::from(size);
+            self.set.remove(&old);
+        }
+    }
+
+    /// Number of member ids (tombstones excluded).
+    pub fn len(&self) -> usize {
+        self.set.len()
+    }
+
+    /// True when no id is a member.
+    pub fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
+
+    /// Bytes charged, tombstones included.
+    pub fn used(&self) -> u64 {
+        self.used
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn fifo_charges_tombstones_until_they_age_out() {
+        let mut g = GhostFifo::new(3);
+        for id in 0..3 {
+            g.insert(id, 1);
+        }
+        assert!(g.remove(1) && !g.contains(1));
+        assert_eq!((g.len(), g.used()), (2, 3), "the tombstone is still charged");
+        g.insert(3, 1); // over capacity: the oldest live entry goes, not the tombstone
+        assert!(!g.contains(0) && g.contains(2) && g.contains(3));
+        g.trim_to(1);
+        assert_eq!((g.len(), g.used()), (1, 1));
+        assert!(g.contains(3));
+    }
 
     #[test]
     fn insert_then_contains() {

@@ -9,7 +9,9 @@
 //!   estimator TinyLFU uses.
 //! - [`bloom::BloomFilter`] — used by the B-LRU baseline and flash admission.
 //! - [`ghost::GhostTable`] — the paper's bucketed fingerprint ghost queue
-//!   (§4.2): fingerprints plus insertion sequence numbers with lazy expiry.
+//!   (§4.2): fingerprints plus insertion sequence numbers with lazy expiry;
+//!   [`ghost::GhostFifo`] — the exact byte-bounded ghost FIFO of ids that
+//!   S3-FIFO-D, ARC, LeCaR and CACHEUS share.
 //! - [`ring::MpmcRing`] — a bounded lock-free MPMC queue (Vyukov sequence
 //!   counters).
 //! - [`prefetch::prefetch_read`] — bounds-checked software prefetch hint for
@@ -45,7 +47,7 @@ pub use bloom::BloomFilter;
 pub use dense::{DenseIds, NIL};
 pub use dlist::{DList, Handle};
 pub use fx::{FxBuildHasher, FxHasher, FxMap, FxSet};
-pub use ghost::GhostTable;
+pub use ghost::{GhostFifo, GhostTable};
 pub use hist::Histogram;
 pub use prefetch::prefetch_read;
 pub use ring::MpmcRing;

@@ -10,8 +10,8 @@
 //! generalizes to byte-weighted capacities (object counts are the special
 //! case where every size is 1).
 
-use crate::util::{GhostList, Meta};
-use cache_ds::{DList, Handle, IdMap};
+use crate::util::Meta;
+use cache_ds::{DList, GhostFifo, Handle, IdMap};
 use cache_types::{CacheError, Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,8 +33,8 @@ pub struct Arc {
     p: u64,
     t1: DList<ObjId>,
     t2: DList<ObjId>,
-    b1: GhostList,
-    b2: GhostList,
+    b1: GhostFifo,
+    b2: GhostFifo,
     t1_used: u64,
     t2_used: u64,
     table: IdMap<Entry>,
@@ -58,8 +58,8 @@ impl Arc {
             t2: DList::new(),
             // Each ghost holds up to c bytes of entries; combined directory
             // is bounded by 2c as in the paper.
-            b1: GhostList::new(capacity),
-            b2: GhostList::new(capacity),
+            b1: GhostFifo::new(capacity),
+            b2: GhostFifo::new(capacity),
             t1_used: 0,
             t2_used: 0,
             table: IdMap::default(),

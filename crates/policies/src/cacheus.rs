@@ -18,8 +18,8 @@
 //! - The adaptive learning rate follows CACHEUS's scheme: the rate is
 //!   bumped when the hit rate over a window degrades and decayed otherwise.
 
-use crate::util::{GhostList, Meta};
-use cache_ds::{DList, Handle, IdMap, SplitMix64};
+use crate::util::Meta;
+use cache_ds::{DList, GhostFifo, Handle, IdMap, SplitMix64};
 use cache_types::{CacheError, Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
 use std::collections::BTreeSet;
 
@@ -57,8 +57,8 @@ pub struct Cacheus {
     w_srlru: f64,
     w_crlfu: f64,
     learning_rate: f64,
-    h_srlru: GhostList,
-    h_crlfu: GhostList,
+    h_srlru: GhostFifo,
+    h_crlfu: GhostFifo,
     /// Hit tracking for learning-rate adaptation.
     window_hits: u64,
     window_reqs: u64,
@@ -91,8 +91,8 @@ impl Cacheus {
             w_srlru: 0.5,
             w_crlfu: 0.5,
             learning_rate: 0.45,
-            h_srlru: GhostList::new(capacity / 2),
-            h_crlfu: GhostList::new(capacity / 2),
+            h_srlru: GhostFifo::new(capacity / 2),
+            h_crlfu: GhostFifo::new(capacity / 2),
             window_hits: 0,
             window_reqs: 0,
             prev_hit_rate: 0.0,

@@ -7,8 +7,8 @@
 //! and the *other* expert's weight is multiplicatively increased (regret
 //! minimization with discounted rewards).
 
-use crate::util::{GhostList, Meta};
-use cache_ds::{DList, Handle, IdMap, SplitMix64};
+use crate::util::Meta;
+use cache_ds::{DList, GhostFifo, Handle, IdMap, SplitMix64};
 use cache_types::{CacheError, Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
 use std::collections::BTreeSet;
 
@@ -39,8 +39,8 @@ pub struct LeCar {
     learning_rate: f64,
     discount: f64,
     /// Eviction histories.
-    h_lru: GhostList,
-    h_lfu: GhostList,
+    h_lru: GhostFifo,
+    h_lfu: GhostFifo,
     /// Eviction time of ghosts, for discounted regret.
     ghost_time: IdMap<u64>,
     now: u64,
@@ -70,8 +70,8 @@ impl LeCar {
             w_lfu: 0.5,
             learning_rate: 0.45,
             discount: 0.005f64.powf(1.0 / capacity as f64),
-            h_lru: GhostList::new(capacity),
-            h_lfu: GhostList::new(capacity),
+            h_lru: GhostFifo::new(capacity),
+            h_lfu: GhostFifo::new(capacity),
             ghost_time: IdMap::default(),
             now: 0,
             rng: SplitMix64::new(0x1eca2),

@@ -7,7 +7,8 @@ use crate::dense::{
 use crate::{Arc, Belady, BloomLru, Cacheus, FifoMerge, LeCar, Lhd, Lirs, LruK, TinyLfu};
 use cache_types::{CacheError, DensePolicy, Policy, Request};
 use s3fifo::dense::{Keyed, SlabPolicy};
-use s3fifo::{Qdlp, QdlpConfig, QueueKind, S3FifoConfig, S3FifoD};
+use s3fifo::policy::{FifoLru, FifoSieve, LruFifo, LruLru};
+use s3fifo::{S3FifoConfig, S3FifoD};
 
 /// Names of the algorithms compared in Fig. 6 (S3-FIFO plus the twelve
 /// state-of-the-art baselines and FIFO itself).
@@ -76,6 +77,11 @@ macro_rules! dense_by_name {
                 "SLRU" => Some($wrap(DenseSlru::with_domain($capacity, $domain)?)),
                 "2Q" => Some($wrap(DenseTwoQ::with_domain($capacity, $domain)?)),
                 "S3-FIFO" => Some($wrap(DenseS3Fifo::with_domain($capacity, $domain)?)),
+                // §6.3's queue-type ablation and §7's SIEVE in place of `M`.
+                "QDLP-LRU-LRU" => Some($wrap(DenseS3Fifo::with_queues($capacity, LruLru, $domain)?)),
+                "QDLP-LRU-FIFO" => Some($wrap(DenseS3Fifo::with_queues($capacity, LruFifo, $domain)?)),
+                "QDLP-FIFO-LRU" => Some($wrap(DenseS3Fifo::with_queues($capacity, FifoLru, $domain)?)),
+                "S3-FIFO-Sieve" => Some($wrap(DenseS3Fifo::with_queues($capacity, FifoSieve, $domain)?)),
                 _ => None,
             }
         }
@@ -119,39 +125,6 @@ pub fn build(
         "B-LRU" => Box::new(BloomLru::new(capacity)?),
         "FIFO-Merge" => Box::new(FifoMerge::new(capacity)?),
         "S3-FIFO-D" => Box::new(S3FifoD::new(capacity)?),
-        "QDLP-LRU-LRU" => Box::new(Qdlp::new(
-            capacity,
-            QdlpConfig {
-                small: QueueKind::Lru,
-                main: QueueKind::Lru,
-                ..Default::default()
-            },
-        )?),
-        "QDLP-LRU-FIFO" => Box::new(Qdlp::new(
-            capacity,
-            QdlpConfig {
-                small: QueueKind::Lru,
-                main: QueueKind::Fifo,
-                ..Default::default()
-            },
-        )?),
-        "QDLP-FIFO-LRU" => Box::new(Qdlp::new(
-            capacity,
-            QdlpConfig {
-                small: QueueKind::Fifo,
-                main: QueueKind::Lru,
-                ..Default::default()
-            },
-        )?),
-        // §7's suggested extension: SIEVE replaces the main FIFO queue.
-        "S3-FIFO-Sieve" => Box::new(Qdlp::new(
-            capacity,
-            QdlpConfig {
-                small: QueueKind::Fifo,
-                main: QueueKind::Sieve,
-                ..Default::default()
-            },
-        )?),
         "Belady" => {
             let trace = trace
                 .ok_or_else(|| CacheError::InvalidParameter("Belady requires the trace".into()))?;
@@ -172,8 +145,8 @@ pub fn build(
 /// [`build`]'s keyed policy).
 ///
 /// Dense policies: FIFO, LRU, CLOCK, CLOCK-2bit, SIEVE, SLRU, 2Q, S3-FIFO,
-/// and `"S3-FIFO(r)"`. For these [`build`] returns the same policy behind
-/// [`Keyed`].
+/// `"S3-FIFO(r)"`, the three QDLP names and S3-FIFO-Sieve. For these
+/// [`build`] returns the same policy behind [`Keyed`].
 ///
 /// # Errors
 ///

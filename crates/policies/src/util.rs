@@ -1,8 +1,6 @@
 //! Shared helpers for the policy implementations.
 
-use cache_ds::IdSet;
 use cache_types::{Eviction, ObjId};
-use std::collections::VecDeque;
 
 /// Per-object bookkeeping common to every policy: size and the timestamps
 /// and counters that eviction records report.
@@ -39,68 +37,6 @@ impl Meta {
             freq: self.hits,
             from_probationary,
         }
-    }
-}
-
-/// A byte-bounded FIFO ghost list of object ids (ARC's B1/B2, LeCaR's
-/// history lists).
-#[derive(Debug, Default)]
-pub(crate) struct GhostList {
-    fifo: VecDeque<(ObjId, u32)>,
-    set: IdSet,
-    used: u64,
-    capacity: u64,
-}
-
-impl GhostList {
-    pub(crate) fn new(capacity: u64) -> Self {
-        GhostList {
-            fifo: VecDeque::new(),
-            set: IdSet::default(),
-            used: 0,
-            capacity,
-        }
-    }
-
-    pub(crate) fn contains(&self, id: ObjId) -> bool {
-        self.set.contains(&id)
-    }
-
-    pub(crate) fn insert(&mut self, id: ObjId, size: u32) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.set.insert(id) {
-            self.fifo.push_back((id, size));
-            self.used += u64::from(size);
-        }
-        self.trim_to(self.capacity);
-    }
-
-    /// Removes the id (ghost hit); the FIFO slot becomes a tombstone.
-    pub(crate) fn remove(&mut self, id: ObjId) -> bool {
-        self.set.remove(&id)
-    }
-
-    /// Drops oldest entries until at most `cap` bytes are charged.
-    pub(crate) fn trim_to(&mut self, cap: u64) {
-        while self.used > cap {
-            match self.fifo.pop_front() {
-                Some((old, sz)) => {
-                    self.used -= u64::from(sz);
-                    self.set.remove(&old);
-                }
-                None => break,
-            }
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    pub(crate) fn used(&self) -> u64 {
-        self.used
     }
 }
 

@@ -140,6 +140,10 @@ fn dense_variants_exist_for_core_policies() {
         "2Q",
         "S3-FIFO",
         "S3-FIFO(0.25)",
+        "QDLP-LRU-LRU",
+        "QDLP-LRU-FIFO",
+        "QDLP-FIFO-LRU",
+        "S3-FIFO-Sieve",
     ] {
         assert!(
             cache_policies::registry::build_dense_domain(name, 16, domain)
@@ -172,5 +176,79 @@ fn wrappers_over_the_keyed_adapter_are_unchanged() {
                 .expect("no min_objects filter configured");
             assert_eq!((r.misses, r.evictions), want, "{name} on {}", trace.name);
         }
+    }
+}
+
+/// `(misses, evictions, FNV-1a of the evicted-id sequence)` of the registry's
+/// keyed `name` at `capacity` over `requests`.
+fn fingerprint(
+    name: &str,
+    capacity: u64,
+    requests: &[cache_types::Request],
+    ignore_size: bool,
+) -> (u64, u64, u64) {
+    let mut policy = cache_policies::registry::build(name, capacity, Some(requests))
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let mut evicted = Vec::new();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for r in requests {
+        let size = if ignore_size { 1 } else { r.size };
+        evicted.clear();
+        policy.request(&cache_types::Request { size, ..*r }, &mut evicted);
+        for byte in evicted.iter().flat_map(|e| e.id.to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let stats = policy.stats();
+    (stats.misses, stats.evictions, hash)
+}
+
+/// The §6.3 queue-type variants have no second implementation to diff
+/// against once they are instantiations of `DenseS3Fifo`, so their decisions
+/// are pinned: captured at d05e39d, the last commit where they were the
+/// hand-written `DList` + `IdMap` policy, on the three workloads above.
+#[test]
+fn queue_type_variants_are_unchanged() {
+    let golden: [(&str, [(u64, u64, u64); 3]); 4] = [
+        (
+            "QDLP-LRU-LRU",
+            [
+                (9787, 9521, 17897870575619996390),
+                (18066, 17495, 16344758004422326996),
+                (6761, 6583, 11241911159955605779),
+            ],
+        ),
+        (
+            "QDLP-LRU-FIFO",
+            [
+                (9499, 9233, 8702734791466165267),
+                (17654, 17083, 969657484197843872),
+                (6559, 6377, 4144432515148363135),
+            ],
+        ),
+        (
+            "QDLP-FIFO-LRU",
+            [
+                (9804, 9538, 10287838984144853737),
+                (18097, 17526, 1841891766930250978),
+                (6775, 6597, 2650689317984420485),
+            ],
+        ),
+        (
+            "S3-FIFO-Sieve",
+            [
+                (9458, 9192, 3728090928277959579),
+                (17607, 17036, 14686925153265095578),
+                (6497, 6311, 7786721512292661646),
+            ],
+        ),
+    ];
+    let workloads = workloads();
+    for (name, want) in golden {
+        let got: Vec<_> = workloads
+            .iter()
+            .map(|(t, cfg)| fingerprint(name, cfg.capacity_for(t), &t.requests, cfg.ignore_size))
+            .collect();
+        assert_eq!(got, want, "{name}");
     }
 }

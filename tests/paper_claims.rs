@@ -102,6 +102,14 @@ fn queue_type_ablation_is_flat() {
         max - min < 0.03,
         "queue-type variants should be close: {ratios:?}"
     );
+    // §7: SIEVE in place of M's FIFO-reinsertion matches or improves on it.
+    let sieve = simulate_named("S3-FIFO-Sieve", &trace, &cfg).unwrap().unwrap();
+    let (_, fifo_main) = ratios[0];
+    assert!(
+        sieve.miss_ratio <= fifo_main + 0.02,
+        "SIEVE main {:.4} vs FIFO main {fifo_main:.4}",
+        sieve.miss_ratio
+    );
 }
 
 /// §6.2.2: the static 10% S3-FIFO is at least as good as the adaptive
