@@ -4,19 +4,12 @@
 //!
 //! Run: `cargo run --release -p cache-bench --bin ablation_adaptive`
 
-use cache_bench::{banner, corpus_config_from_env, f3, f4, print_table, threads_from_env};
+use cache_bench::{banner, corpus_traces, f3, f4, print_table, threads_from_env};
 use cache_sim::{run_sweep, simulate_named, summarize_reductions, SimConfig, SweepSpec};
-use cache_trace::corpus::datasets;
 use cache_trace::gen::two_request_adversarial_mixed;
 
 fn main() {
-    let corpus_cfg = corpus_config_from_env();
-    let mut traces = Vec::new();
-    for ds in datasets() {
-        for t in ds.traces(&corpus_cfg) {
-            traces.push((ds.name.to_string(), t));
-        }
-    }
+    let traces = corpus_traces();
     banner("S3-FIFO vs S3-FIFO-D across the corpus (large cache)");
     let spec = SweepSpec {
         traces: traces.iter().map(|(d, t)| (d.clone(), t)).collect(),

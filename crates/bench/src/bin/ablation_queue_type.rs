@@ -4,18 +4,11 @@
 //!
 //! Run: `cargo run --release -p cache-bench --bin ablation_queue_type`
 
-use cache_bench::{banner, corpus_config_from_env, f3, print_table, threads_from_env};
+use cache_bench::{banner, corpus_traces, f3, print_table, threads_from_env};
 use cache_sim::{run_sweep, summarize_reductions, SimConfig, SweepSpec};
-use cache_trace::corpus::datasets;
 
 fn main() {
-    let corpus_cfg = corpus_config_from_env();
-    let mut traces = Vec::new();
-    for ds in datasets() {
-        for t in ds.traces(&corpus_cfg) {
-            traces.push((ds.name.to_string(), t));
-        }
-    }
+    let traces = corpus_traces();
     banner("Queue-type ablation (large cache, 10% of footprint)");
     let spec = SweepSpec {
         traces: traces.iter().map(|(d, t)| (d.clone(), t)).collect(),

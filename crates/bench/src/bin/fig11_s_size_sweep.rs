@@ -3,20 +3,13 @@
 //!
 //! Run: `cargo run --release -p cache-bench --bin fig11_s_size_sweep`
 
-use cache_bench::{banner, corpus_config_from_env, f3, print_table, threads_from_env};
+use cache_bench::{banner, corpus_traces, f3, print_table, threads_from_env};
 use cache_sim::{run_sweep, summarize_reductions, SimConfig, SweepSpec};
-use cache_trace::corpus::datasets;
 
 const S_SIZES: &[f64] = &[0.01, 0.02, 0.05, 0.10, 0.20, 0.30, 0.40];
 
 fn run(label: &str, cfg: SimConfig) {
-    let corpus_cfg = corpus_config_from_env();
-    let mut traces = Vec::new();
-    for ds in datasets() {
-        for t in ds.traces(&corpus_cfg) {
-            traces.push((ds.name.to_string(), t));
-        }
-    }
+    let traces = corpus_traces();
     banner(&format!("Fig. 11 ({label}): reduction vs small-queue size"));
     let mut algorithms = vec!["FIFO".to_string()];
     for s in S_SIZES {

@@ -3,25 +3,21 @@
 //!
 //! Run: `cargo run --release -p cache-bench --bin fig3_corpus_one_hit`
 
-use cache_bench::{banner, corpus_config_from_env, f3, print_table};
+use cache_bench::{banner, corpus_traces, f3, print_table};
 use cache_ds::hist::summarize;
 use cache_trace::analysis::{one_hit_wonder_ratio, sampled_window_ohw};
-use cache_trace::corpus::datasets;
 
 fn main() {
-    let cfg = corpus_config_from_env();
     banner("Fig. 3: one-hit-wonder ratio across all traces");
     let mut full = Vec::new();
     let mut p50 = Vec::new();
     let mut p10 = Vec::new();
     let mut p01 = Vec::new();
-    for ds in datasets() {
-        for t in ds.traces(&cfg) {
-            full.push(one_hit_wonder_ratio(&t.requests));
-            p50.push(sampled_window_ohw(&t.requests, 0.5, 15, 1));
-            p10.push(sampled_window_ohw(&t.requests, 0.1, 15, 2));
-            p01.push(sampled_window_ohw(&t.requests, 0.01, 15, 3));
-        }
+    for (_, t) in corpus_traces() {
+        full.push(one_hit_wonder_ratio(&t.requests));
+        p50.push(sampled_window_ohw(&t.requests, 0.5, 15, 1));
+        p10.push(sampled_window_ohw(&t.requests, 0.1, 15, 2));
+        p01.push(sampled_window_ohw(&t.requests, 0.01, 15, 3));
     }
     let mut rows = Vec::new();
     for (label, vals, paper_median) in [

@@ -4,10 +4,9 @@
 //!
 //! Run: `cargo run --release -p cache-bench --bin fig6_miss_ratio_percentiles`
 
-use cache_bench::{banner, corpus_config_from_env, f3, print_table, threads_from_env};
+use cache_bench::{banner, corpus_traces, f3, print_table, threads_from_env};
 use cache_policies::registry::FIG6_ALGORITHMS;
 use cache_sim::{run_sweep, summarize_reductions, SimConfig, SweepSpec};
-use cache_trace::corpus::datasets;
 use cache_trace::Trace;
 
 fn algorithms() -> Vec<String> {
@@ -48,13 +47,7 @@ fn run(label: &str, cfg: SimConfig, traces: &[(String, Trace)]) {
 }
 
 fn main() {
-    let cfg = corpus_config_from_env();
-    let mut traces = Vec::new();
-    for ds in datasets() {
-        for t in ds.traces(&cfg) {
-            traces.push((ds.name.to_string(), t));
-        }
-    }
+    let traces = corpus_traces();
     println!("corpus: {} traces", traces.len());
     run("large cache, 10% of footprint", SimConfig::large(), &traces);
     println!("(paper: S3-FIFO has the largest reductions at almost all percentiles;");

@@ -4,10 +4,9 @@
 //!
 //! Run: `cargo run --release -p cache-bench --bin fig7_per_dataset`
 
-use cache_bench::{banner, corpus_config_from_env, f3, print_table, threads_from_env};
+use cache_bench::{banner, corpus_traces, f3, print_table, threads_from_env};
 use cache_sim::sweep::per_dataset_means;
 use cache_sim::{run_sweep, SimConfig, SweepSpec};
-use cache_trace::corpus::datasets;
 use std::collections::BTreeMap;
 
 const ALGOS: &[&str] = &[
@@ -23,13 +22,7 @@ const ALGOS: &[&str] = &[
 ];
 
 fn run(label: &str, cfg: SimConfig) {
-    let corpus_cfg = corpus_config_from_env();
-    let mut traces = Vec::new();
-    for ds in datasets() {
-        for t in ds.traces(&corpus_cfg) {
-            traces.push((ds.name.to_string(), t));
-        }
-    }
+    let traces = corpus_traces();
     banner(&format!(
         "Fig. 7 ({label}): mean miss-ratio reduction per dataset"
     ));

@@ -16,7 +16,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cache_trace::corpus::CorpusConfig;
+use cache_trace::corpus::{datasets, CorpusConfig};
+use cache_trace::Trace;
 
 /// Reads the corpus scale from the environment (see crate docs).
 pub fn corpus_config_from_env() -> CorpusConfig {
@@ -33,6 +34,20 @@ pub fn corpus_config_from_env() -> CorpusConfig {
         requests_per_trace: requests,
         seed: 0xC0FFEE,
     }
+}
+
+/// Every trace of the corpus at the scale the environment asks for, each
+/// with its dataset's name, in dataset order.
+pub fn corpus_traces() -> Vec<(String, Trace)> {
+    let cfg = corpus_config_from_env();
+    datasets()
+        .iter()
+        .flat_map(|ds| {
+            ds.traces(&cfg)
+                .into_iter()
+                .map(|t| (ds.name.to_string(), t))
+        })
+        .collect()
 }
 
 /// Sweep worker threads from the environment (0 = all cores).

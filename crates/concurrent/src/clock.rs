@@ -22,6 +22,10 @@ pub struct ConcurrentClock {
     slots: Vec<Slot>,
     index: Vec<RwLock<IdMap<usize>>>,
     hand: AtomicUsize,
+    /// Keys the index maps, moved only where an index entry is made or
+    /// unmade and under that shard's guard. (Counting filled slots
+    /// instead drifts up for good: two inserters that claim the same
+    /// empty slot both fill it, and one eviction gives one back.)
     len: AtomicUsize,
 }
 
@@ -68,11 +72,12 @@ impl ConcurrentClock {
             };
             if let Some((old_key, _)) = occ.take() {
                 let mut idx = self.index[shard_of(old_key)].write();
-                // Only unmap if the mapping still points at this slot.
+                // Only unmap if the mapping still points at this slot;
+                // otherwise the occupant was an orphan `len` never counted.
                 if idx.get(&old_key) == Some(&i) {
                     idx.remove(&old_key);
+                    self.len.fetch_sub(1, Ordering::Relaxed);
                 }
-                self.len.fetch_sub(1, Ordering::Relaxed);
             }
             // Hold nothing: the slot is now empty and we own it by virtue of
             // having emptied it; mark reference so a racing claimer skips it
@@ -134,25 +139,33 @@ impl ConcurrentCache for ConcurrentClock {
             *occ = Some((key, value));
         }
         self.slots[i].referenced.store(false, Ordering::Relaxed);
-        self.index[shard_of(key)].write().insert(key, i);
-        self.len.fetch_add(1, Ordering::Relaxed);
+        // A racing insert of the same key may have mapped it already: the
+        // mapping moves here, its slot keeps an orphan, the key counts once.
+        let mut idx = self.index[shard_of(key)].write();
+        if idx.insert(key, i).is_none() {
+            self.len.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     // ORDERING: Relaxed bit/len updates — the occupant lock is the point
     // of synchronization for the removal itself.
-    // LOCK-ORDER: disjoint; the index write guard is a temporary dropped
-    // at the end of the `let ... else` statement, so the occupant lock is
-    // taken alone.
+    // LOCK-ORDER: disjoint; the index write guard is dropped at the end
+    // of the block that unmaps the key, so the occupant lock is taken
+    // alone.
     fn remove(&self, key: u64) -> bool {
-        let Some(slot_idx) = self.index[shard_of(key)].write().remove(&key) else {
-            return false;
+        let slot_idx = {
+            let mut idx = self.index[shard_of(key)].write();
+            let Some(slot_idx) = idx.remove(&key) else {
+                return false;
+            };
+            self.len.fetch_sub(1, Ordering::Relaxed);
+            slot_idx
         };
         let slot = &self.slots[slot_idx];
         let mut occ = slot.occupant.write();
         if matches!(occ.as_ref(), Some((k, _)) if *k == key) {
             *occ = None;
             slot.referenced.store(false, Ordering::Relaxed);
-            self.len.fetch_sub(1, Ordering::Relaxed);
             true
         } else {
             // The slot was reclaimed by a racing eviction.
@@ -326,8 +339,11 @@ mod tests {
         // insert races leave stale index entries that persist until that
         // key's next touch, so `len` can exceed capacity + one-per-thread
         // (13 observed on a loaded box). The deterministic bound is the
-        // key universe: the index holds at most one entry per key.
+        // key universe: the index holds at most one entry per key, and
+        // `len` counts index entries.
         assert!(c.len() <= 16, "len {} exceeds key universe", c.len());
+        let mapped: usize = c.index.iter().map(|shard| shard.read().len()).sum();
+        assert_eq!(c.len(), mapped, "len drifted from the index");
     }
 
     #[test]

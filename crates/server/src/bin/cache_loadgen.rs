@@ -1,33 +1,19 @@
-//! Closed-loop load generator and scenario bench driver.
+//! Closed-loop load generator: the CLI client for a running `cache_server`.
 //!
-//! Two modes:
-//!
-//! - `--addr HOST:PORT` drives an already-running server with the nominal
-//!   Zipf mix and prints a latency/throughput summary.
-//! - `--self-host` (the CI / EXPERIMENTS mode) starts an in-process server
-//!   on an ephemeral port per scenario and runs the three standard loads:
-//!   `nominal` (smooth Zipf), `burst-storm` (pipelined burst trains over
-//!   many clients against a small accept queue), and `degraded`
-//!   (write-classed injected delays + a faulty flash tier under a tight
-//!   deadline, exercising the shed ladder). Every self-hosted scenario must
-//!   drain cleanly on shutdown.
+//! Drives the server at `--addr` with the nominal Zipf mix and prints a
+//! latency/throughput summary. Throughput numbers that are tracked come from
+//! the ledger in `benchmark/`; the scenarios that assert server health
+//! (nominal, burst, degraded, clean drain) are the chaos suite in
+//! `cache_server`'s tests.
 //!
 //! ```text
-//! cache_loadgen --self-host [--smoke] [--seed N] [--out BENCH.json]
-//!               [--prom-out METRICS.prom]
 //! cache_loadgen --addr HOST:PORT [--clients N] [--requests N] [--seed N]
 //! ```
 //!
-//! Exit codes: 0 ok; 1 usage/connect error; 2 a self-hosted scenario
-//! failed an invariant (unclean drain, protocol errors, or zero
-//! completed ops).
+//! Exit codes: 0 ok; 1 usage error, or no request completed.
 
-use cache_faults::{DelaySpec, ErrorBudgetConfig, FaultKind, FaultPlan, OpClass, Schedule};
-use cache_server::loadgen::{self, BurstSpec, LoadgenConfig, LoadgenReport};
-use cache_server::server::{Server, ServerConfig, ShutdownReport};
-use cache_server::shed::ShedConfig;
+use cache_server::loadgen::{self, LoadgenConfig};
 use std::net::SocketAddr;
-use std::time::Duration;
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     args.iter()
@@ -36,311 +22,49 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
         .and_then(|v| v.parse().ok())
 }
 
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// One scenario's merged numbers, JSON-serialised by hand (no deps).
-struct ScenarioResult {
-    name: &'static str,
-    report: LoadgenReport,
-    shutdown: Option<ShutdownReport>,
-    shed_level: String,
-}
-
-impl ScenarioResult {
-    fn to_json(&self) -> String {
-        let r = &self.report;
-        let q = |p: f64| r.latencies_us.quantile(p).unwrap_or(0);
-        let e = &r.errors;
-        format!(
-            concat!(
-                "{{\"scenario\":\"{}\",\"ops\":{},\"elapsed_s\":{:.3},",
-                "\"throughput_ops_s\":{:.1},\"p50_us\":{},\"p90_us\":{},",
-                "\"p99_us\":{},\"p999_us\":{},\"hits\":{},\"misses\":{},",
-                "\"stored\":{},\"errors\":{{\"timeouts\":{},\"shed\":{},",
-                "\"busy\":{},\"shutting_down\":{},\"degradation\":{},",
-                "\"client_errors\":{},\"io_errors\":{}}},",
-                "\"shed_level\":\"{}\",\"drained\":{}}}"
-            ),
-            self.name,
-            r.ops,
-            r.elapsed.as_secs_f64(),
-            r.throughput(),
-            q(0.50),
-            q(0.90),
-            q(0.99),
-            q(0.999),
-            r.hits,
-            r.misses,
-            r.stored,
-            e.timeouts,
-            e.shed,
-            e.busy,
-            e.shutting_down,
-            e.degradation,
-            e.client_errors,
-            e.io_errors,
-            self.shed_level,
-            self.shutdown.as_ref().is_none_or(|s| s.drained),
-        )
-    }
-
-    /// Human-readable one-liner for stderr progress.
-    fn summary(&self) -> String {
-        let r = &self.report;
-        let q = |p: f64| r.latencies_us.quantile(p).unwrap_or(0);
-        format!(
-            "{:<12} ops={:<6} thr={:>8.0}/s p50={:>6}us p99={:>7}us p999={:>7}us \
-             timeouts={} shed={} busy={} degr={} cerr={} io={} level={} drained={}",
-            self.name,
-            r.ops,
-            r.throughput(),
-            q(0.50),
-            q(0.99),
-            q(0.999),
-            r.errors.timeouts,
-            r.errors.shed,
-            r.errors.busy,
-            r.errors.degradation,
-            r.errors.client_errors,
-            r.errors.io_errors,
-            self.shed_level,
-            self.shutdown.as_ref().is_none_or(|s| s.drained),
-        )
-    }
-
-    /// True when the scenario satisfied the smoke invariants.
-    fn healthy(&self) -> bool {
-        self.report.ops > 0
-            && self.report.errors.client_errors == 0
-            && self.shutdown.as_ref().is_none_or(|s| s.drained)
-    }
-}
-
-/// The `nominal` scenario: plain server, smooth Zipf closed loop.
-fn run_nominal(seed: u64, clients: usize, requests: usize) -> Option<ScenarioResult> {
-    let handle = match Server::start(ServerConfig::default()) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("cache_loadgen: nominal bind failed: {e}");
-            return None;
-        }
-    };
-    let cfg = LoadgenConfig::zipf(handle.addr(), clients, requests, seed);
-    let report = loadgen::run(&cfg);
-    let shed_level = handle.shedder().snapshot().0.label().to_string();
-    let shutdown = handle.shutdown();
-    Some(ScenarioResult {
-        name: "nominal",
-        report,
-        shutdown: Some(shutdown),
-        shed_level,
-    })
-}
-
-/// The `burst-storm` scenario: burst-train clients against a server with a
-/// small accept queue and connection cap, so backpressure (busy bounces)
-/// engages while the server keeps serving.
-fn run_burst_storm(seed: u64, clients: usize, requests: usize) -> Option<ScenarioResult> {
-    let scfg = ServerConfig {
-        shards: 2,
-        queue_depth: 8,
-        max_conns_per_shard: 64,
-        ..ServerConfig::default()
-    };
-    let handle = match Server::start(scfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("cache_loadgen: burst-storm bind failed: {e}");
-            return None;
-        }
-    };
-    let mut cfg = LoadgenConfig::zipf(handle.addr(), clients, requests, seed ^ 0xB0_0575);
-    cfg.burst = Some(BurstSpec {
-        burst_len: 32,
-        idle: Duration::from_millis(2),
-    });
-    let report = loadgen::run(&cfg);
-    let shed_level = handle.shedder().snapshot().0.label().to_string();
-    let shutdown = handle.shutdown();
-    Some(ScenarioResult {
-        name: "burst-storm",
-        report,
-        shutdown: Some(shutdown),
-        shed_level,
-    })
-}
-
-/// The `degraded` scenario: write-classed injected delays past a tight
-/// deadline plus a bursty-faulty flash tier, so the shed ladder trips on
-/// writes and degradation errors surface as typed replies.
-fn run_degraded(seed: u64, clients: usize, requests: usize) -> Option<ScenarioResult> {
-    let mut scfg = ServerConfig {
-        deadline: Duration::from_millis(5),
-        ..ServerConfig::default()
-    };
-    scfg.store.flash_total_bytes = 64 * 1024;
-    scfg.store.fault_seed = seed | 1;
-    scfg.fault_plan = FaultPlan::new(seed | 1)
-        .with(
-            FaultKind::TransientWrite,
-            Schedule::Burst {
-                period: 400,
-                burst_len: 80,
-                inside: 0.8,
-                outside: 0.0,
-            },
-        )
-        .with(
-            FaultKind::ReadError,
-            Schedule::Burst {
-                period: 400,
-                burst_len: 80,
-                inside: 0.4,
-                outside: 0.0,
-            },
-        )
-        .with_delay(DelaySpec::constant(Some(OpClass::Write), 0.5, 6_000, 9_000));
-    scfg.shed = ShedConfig {
-        write: ErrorBudgetConfig {
-            window_ops: 64,
-            max_errors: 4,
-            probe_interval: 64,
-            recovery_probes: 3,
-        },
-        read: ErrorBudgetConfig {
-            window_ops: 256,
-            max_errors: 64,
-            probe_interval: 64,
-            recovery_probes: 3,
-        },
-    };
-    let handle = match Server::start(scfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("cache_loadgen: degraded bind failed: {e}");
-            return None;
-        }
-    };
-    let mut cfg = LoadgenConfig::zipf(handle.addr(), clients, requests, seed ^ 0xDE_64AD);
-    cfg.write_fraction = 0.4;
-    let report = loadgen::run(&cfg);
-    let shed_level = handle.shedder().snapshot().0.label().to_string();
-    let shutdown = handle.shutdown();
-    Some(ScenarioResult {
-        name: "degraded",
-        report,
-        shutdown: Some(shutdown),
-        shed_level,
-    })
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if has_flag(&args, "--help") || has_flag(&args, "-h") {
-        eprintln!(
-            "usage: cache_loadgen --self-host [--smoke] [--seed N] [--clients N] \
-             [--requests N] [--out BENCH.json] [--prom-out METRICS.prom]\n\
-             \x20      cache_loadgen --addr HOST:PORT [--clients N] [--requests N] [--seed N]"
-        );
+    let usage = "usage: cache_loadgen --addr HOST:PORT [--clients N] [--requests N] [--seed N]";
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("{usage}");
         return;
     }
-    let seed = parse_flag::<u64>(&args, "--seed").unwrap_or(0x5EED_CAFE);
-    let smoke = has_flag(&args, "--smoke");
-    let clients = parse_flag::<usize>(&args, "--clients").unwrap_or(if smoke { 3 } else { 4 });
-    let requests =
-        parse_flag::<usize>(&args, "--requests").unwrap_or(if smoke { 600 } else { 4_000 });
-
-    if let Some(addr) = parse_flag::<String>(&args, "--addr") {
-        // External mode: nominal mix against a running server.
-        let addr: SocketAddr = match addr.parse() {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("cache_loadgen: bad --addr: {e}");
-                std::process::exit(1);
-            }
-        };
-        let cfg = LoadgenConfig::zipf(addr, clients, requests, seed);
-        let report = loadgen::run(&cfg);
-        let result = ScenarioResult {
-            name: "external",
-            report,
-            shutdown: None,
-            shed_level: "unknown".to_string(),
-        };
-        eprintln!("{}", result.summary());
-        println!("[{}]", result.to_json());
-        if result.report.ops == 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if !has_flag(&args, "--self-host") {
-        eprintln!("cache_loadgen: need --addr or --self-host (see --help)");
+    let Some(addr) = parse_flag::<String>(&args, "--addr") else {
+        eprintln!("{usage}");
         std::process::exit(1);
-    }
-
-    // Self-host mode: the three standard scenarios, sequentially, each on
-    // its own ephemeral-port server.
-    let mut results: Vec<ScenarioResult> = Vec::new();
-    for (name, runner) in [
-        ("nominal", run_nominal as fn(u64, usize, usize) -> Option<ScenarioResult>),
-        ("burst-storm", run_burst_storm),
-        ("degraded", run_degraded),
-    ] {
-        eprintln!("cache_loadgen: running scenario {name}");
-        match runner(seed, clients, requests) {
-            Some(r) => {
-                eprintln!("{}", r.summary());
-                results.push(r);
-            }
-            None => std::process::exit(1),
-        }
-    }
-
-    let json = format!(
-        "{{\"bench\":\"cache_server\",\"seed\":{},\"clients\":{},\"requests_per_client\":{},\"scenarios\":[{}]}}",
-        seed,
-        clients,
-        requests,
-        results
-            .iter()
-            .map(ScenarioResult::to_json)
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    match parse_flag::<String>(&args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("cache_loadgen: writing {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("cache_loadgen: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-    if let Some(path) = parse_flag::<String>(&args, "--prom-out") {
-        // The nominal scenario's final snapshot stands in for "a healthy
-        // server's metrics page" in CI validation.
-        let prom = results
-            .iter()
-            .find_map(|r| r.shutdown.as_ref().map(|s| s.prometheus.clone()))
-            .unwrap_or_default();
-        if let Err(e) = std::fs::write(&path, prom) {
-            eprintln!("cache_loadgen: writing {path}: {e}");
+    };
+    let addr: SocketAddr = match addr.parse() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("cache_loadgen: bad --addr: {e}");
             std::process::exit(1);
         }
-        eprintln!("cache_loadgen: wrote {path}");
-    }
+    };
+    let seed = parse_flag::<u64>(&args, "--seed").unwrap_or(0x5EED_CAFE);
+    let clients = parse_flag::<usize>(&args, "--clients").unwrap_or(4);
+    let requests = parse_flag::<usize>(&args, "--requests").unwrap_or(4_000);
 
-    let unhealthy: Vec<&str> = results
-        .iter()
-        .filter(|r| !r.healthy())
-        .map(|r| r.name)
-        .collect();
-    if !unhealthy.is_empty() {
-        eprintln!("cache_loadgen: scenario invariants failed: {unhealthy:?}");
-        std::process::exit(2);
+    let r = loadgen::run(&LoadgenConfig::zipf(addr, clients, requests, seed));
+    let q = |p: f64| r.latencies_us.quantile(p).unwrap_or(0);
+    println!(
+        "ops={} thr={:.0}/s p50={}us p99={}us p999={}us hits={} misses={} stored={} \
+         timeouts={} shed={} busy={} degr={} cerr={} io={}",
+        r.ops,
+        r.throughput(),
+        q(0.50),
+        q(0.99),
+        q(0.999),
+        r.hits,
+        r.misses,
+        r.stored,
+        r.errors.timeouts,
+        r.errors.shed,
+        r.errors.busy,
+        r.errors.degradation,
+        r.errors.client_errors,
+        r.errors.io_errors,
+    );
+    if r.ops == 0 {
+        std::process::exit(1);
     }
 }

@@ -75,26 +75,34 @@ fn probe_healthy(addr: SocketAddr) -> bool {
 
 #[test]
 fn nominal_load_is_linearizable_and_drains_clean() {
-    let handle = Server::start(small_server(|_| {})).expect("bind");
-    let addr = handle.addr();
-    let mut cfg = LoadgenConfig::zipf(addr, 3, 400, CHAOS_SEED);
-    cfg.record_ops = true;
-    cfg.keys = 64;
-    let report = loadgen::run(&cfg);
-    assert_eq!(report.errors.client_errors, 0, "generator speaks the protocol");
-    assert_eq!(report.errors.io_errors, 0, "nominal load loses no connections");
-    assert!(report.hits > 0, "zipf reuse must produce hits");
-    assert!(report.stored > 0);
-    let violations = check_history(&report.history);
-    assert!(
-        violations.is_empty(),
-        "acked history must linearize, got {violations:?}"
-    );
-    assert!(probe_healthy(addr));
-    let shutdown = handle.shutdown();
-    assert!(shutdown.drained, "graceful shutdown drains in-flight work");
-    assert_eq!(shutdown.leaked_in_flight, 0);
-    assert!(shutdown.prometheus.contains("cache_server"));
+    // One request in flight per client, then pipelined trains of 32.
+    let trains = BurstSpec {
+        burst_len: 32,
+        idle: Duration::from_millis(2),
+    };
+    for burst in [None, Some(trains)] {
+        let handle = Server::start(small_server(|_| {})).expect("bind");
+        let addr = handle.addr();
+        let mut cfg = LoadgenConfig::zipf(addr, 3, 400, CHAOS_SEED);
+        cfg.record_ops = true;
+        cfg.keys = 64;
+        cfg.burst = burst;
+        let report = loadgen::run(&cfg);
+        assert_eq!(report.errors.client_errors, 0, "generator speaks the protocol");
+        assert_eq!(report.errors.io_errors, 0, "nominal load loses no connections");
+        assert!(report.hits > 0, "zipf reuse must produce hits");
+        assert!(report.stored > 0);
+        let violations = check_history(&report.history);
+        assert!(
+            violations.is_empty(),
+            "acked history must linearize, got {violations:?}"
+        );
+        assert!(probe_healthy(addr));
+        let shutdown = handle.shutdown();
+        assert!(shutdown.drained, "graceful shutdown drains in-flight work");
+        assert_eq!(shutdown.leaked_in_flight, 0);
+        assert!(shutdown.prometheus.contains("cache_server"));
+    }
 }
 
 #[test]
@@ -371,6 +379,7 @@ fn overload_sheds_writes_first_with_bounded_tail() {
     let report = loadgen::run(&cfg);
     assert!(report.errors.timeouts > 0, "delay faults must cause timeouts");
     assert!(report.errors.shed > 0, "the tripped budget must shed load");
+    assert_eq!(report.errors.client_errors, 0, "shedding is not a protocol error");
     let level = handle.shedder().level();
     assert_ne!(level, ShedLevel::ShedAll, "reads stay up under write-led shed");
     // Bounded tail: even during shedding every round trip (including
@@ -461,5 +470,20 @@ fn stats_and_metrics_are_well_formed() {
     assert!(text.contains("# TYPE"));
     assert!(text.contains("cache_server_frontend_requests"));
     assert!(text.contains("cache_server_frontend_outbuf_high_water"));
-    assert!(handle.shutdown().drained);
+    let shutdown = handle.shutdown();
+    assert!(shutdown.drained);
+    // The final metrics page, line by line: a header, or `name value` with
+    // a value that parses.
+    let page = &shutdown.prometheus;
+    assert!(page.lines().any(|l| l.starts_with("# TYPE cache_server_")));
+    let samples: Vec<&str> = page
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    assert!(!samples.is_empty(), "no samples in the Prometheus page");
+    for line in samples {
+        let (name, value) = line.rsplit_once(' ').expect("sample line is `name value`");
+        assert!(name.starts_with("cache_server_"), "{line}");
+        assert!(value.parse::<f64>().is_ok(), "{line}");
+    }
 }

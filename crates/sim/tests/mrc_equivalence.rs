@@ -60,6 +60,27 @@ fn assert_mrc_matches_sweep(
             reference.byte_miss_ratio.to_bits(),
             "{ctx}: byte miss ratio bits"
         );
+        assert!(
+            (0.0..=1.0).contains(&point.miss_ratio),
+            "{ctx}: ratio range"
+        );
+    }
+    // A curve, not only a set of points: along the grid in capacity order
+    // the miss ratio never rises (the slack is for FIFO's Belady wobble).
+    let mut curve: Vec<(u64, f64)> = mrc
+        .points
+        .iter()
+        .map(|p| (p.capacity, p.miss_ratio))
+        .collect();
+    curve.sort_by_key(|&(capacity, _)| capacity);
+    for pair in curve.windows(2) {
+        assert!(
+            pair[1].1 <= pair[0].1 + 1e-6,
+            "{algorithm} on {}: miss ratio rises from capacity {} to {}",
+            trace.name,
+            pair[0].0,
+            pair[1].0
+        );
     }
 }
 

@@ -260,6 +260,8 @@ fn a_gang_equals_its_solo_runs() {
         for names in [
             &["S3-FIFO", "FIFO", "ARC", "LRU"][..],
             &["ARC", "S3-FIFO", "LIRS"],
+            // The rest of the dense slab policies, which sweeps also gang.
+            &["CLOCK", "CLOCK-2bit", "SIEVE", "SLRU", "2Q"],
         ] {
             for window in [None, Some(777)] {
                 for source in [Source::Memory, Source::Ctr(4096)] {

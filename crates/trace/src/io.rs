@@ -1,37 +1,13 @@
-//! Trace serialization: a human-readable CSV format and a compact binary
-//! format.
+//! Trace serialization as human-readable CSV.
 //!
 //! CSV lines are `id,size,op[,ttl]` (op ∈ {get,set,del}); lines starting
 //! with `#` are comments. Missing or empty size defaults to 1; the optional
-//! TTL field is validated but not retained. The binary format is a 16-byte
-//! header (`S3FT` magic, version, record count) followed by 13-byte
-//! little-endian records; the chunk-addressable out-of-core format lives in
+//! TTL field is validated but not retained. The binary format is
 //! [`crate::ctr`].
 
 use crate::Trace;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cache_types::{CacheError, Op, Request};
 use std::io::{BufRead, BufReader, Read, Write};
-
-const MAGIC: &[u8; 4] = b"S3FT";
-const VERSION: u32 = 1;
-
-fn op_code(op: Op) -> u8 {
-    match op {
-        Op::Get => 0,
-        Op::Set => 1,
-        Op::Delete => 2,
-    }
-}
-
-fn code_op(code: u8) -> Result<Op, CacheError> {
-    match code {
-        0 => Ok(Op::Get),
-        1 => Ok(Op::Set),
-        2 => Ok(Op::Delete),
-        other => Err(CacheError::TraceFormat(format!("bad op code {other}"))),
-    }
-}
 
 /// Writes a trace as CSV.
 ///
@@ -227,66 +203,6 @@ pub fn read_csv_lossy_observed<R: Read>(
     Ok((trace, report))
 }
 
-/// Encodes a trace into the compact binary format.
-pub fn to_binary(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + trace.len() * 13);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(trace.len() as u64);
-    for r in &trace.requests {
-        buf.put_u64_le(r.id);
-        buf.put_u32_le(r.size);
-        buf.put_u8(op_code(r.op));
-    }
-    buf.freeze()
-}
-
-/// Decodes a trace from the compact binary format.
-///
-/// # Errors
-///
-/// Returns [`CacheError::TraceFormat`] on bad magic, version, or truncation.
-pub fn from_binary(name: impl Into<String>, mut data: &[u8]) -> Result<Trace, CacheError> {
-    if data.len() < 16 {
-        return Err(CacheError::TraceFormat("truncated header".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(CacheError::TraceFormat("bad magic".into()));
-    }
-    let version = data.get_u32_le();
-    if version != VERSION {
-        return Err(CacheError::TraceFormat(format!("bad version {version}")));
-    }
-    let n = data.get_u64_le() as usize;
-    // checked_mul: a corrupted count must not overflow into a bogus small
-    // byte requirement (or panic in debug builds).
-    let body = n.checked_mul(13).ok_or_else(|| {
-        CacheError::TraceFormat(format!("record count {n} overflows the body size"))
-    })?;
-    if data.remaining() < body {
-        return Err(CacheError::TraceFormat(format!(
-            "truncated body: {} bytes for {} records",
-            data.remaining(),
-            n
-        )));
-    }
-    let mut reqs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = data.get_u64_le();
-        let size = data.get_u32_le();
-        let op = code_op(data.get_u8())?;
-        reqs.push(Request {
-            id,
-            size,
-            time: 0,
-            op,
-        });
-    }
-    Ok(Trace::new(name, reqs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,51 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let t = WorkloadSpec::zipf("z", 5000, 300, 0.9, 2).generate();
-        let bytes = to_binary(&t);
-        let back = from_binary("z", &bytes).unwrap();
-        assert_eq!(t.requests, back.requests);
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let t = WorkloadSpec::zipf("z", 10, 5, 1.0, 3).generate();
-        let bytes = to_binary(&t);
-        assert!(from_binary("z", &bytes[..10]).is_err()); // truncated header
-        let mut bad = bytes.to_vec();
-        bad[0] = b'X';
-        assert!(from_binary("z", &bad).is_err()); // bad magic
-        let short = &bytes[..bytes.len() - 5];
-        assert!(from_binary("z", short).is_err()); // truncated body
-    }
-
-    #[test]
-    fn binary_rejects_bad_version() {
-        let t = WorkloadSpec::zipf("z", 10, 5, 1.0, 3).generate();
-        let mut bytes = to_binary(&t).to_vec();
-        bytes[4] = 99;
-        assert!(from_binary("z", &bytes).is_err());
-    }
-
-    #[test]
-    fn empty_trace_roundtrips() {
-        let t = Trace::new("empty", vec![]);
-        let bytes = to_binary(&t);
-        let back = from_binary("empty", &bytes).unwrap();
-        assert!(back.is_empty());
-    }
-
-    #[test]
-    fn binary_rejects_overflowing_record_count() {
-        let mut bytes = to_binary(&Trace::new("empty", vec![])).to_vec();
-        // Header: magic(4) version(4) count(8). Claim u64::MAX records.
-        bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = from_binary("evil", &bytes).expect_err("must reject");
-        assert!(err.to_string().contains("overflow"), "{err}");
-    }
-
-    #[test]
     fn lossy_csv_skips_and_counts() {
         let csv = "# header\n1,100,get\ngarbage line\n2,oops,set\n3,50,del\n,,,\n";
         let (t, report) = read_csv_lossy("t", csv.as_bytes()).unwrap();
@@ -542,9 +413,9 @@ mod prop_tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64 })]
 
-        // Round-trip: any generated workload survives CSV and binary I/O.
+        // Round-trip: any generated workload survives CSV I/O.
         #[test]
-        fn roundtrip_both_formats(
+        fn csv_roundtrips_any_workload(
             objects in 1u64..200,
             requests in 1usize..400,
             seed in 0u64..u64::MAX,
@@ -554,38 +425,6 @@ mod prop_tests {
             write_csv(&t, &mut csv).map_err(|e| TestCaseError::fail(e.to_string()))?;
             let back = read_csv("p", &csv[..]).map_err(|e| TestCaseError::fail(e.to_string()))?;
             prop_assert_eq!(&t.requests, &back.requests);
-            let bin = to_binary(&t);
-            let back = from_binary("p", &bin).map_err(|e| TestCaseError::fail(e.to_string()))?;
-            prop_assert_eq!(&t.requests, &back.requests);
-        }
-
-        // Corrupting one byte of the binary encoding must never panic: the
-        // decoder either errors or returns some (possibly different) trace,
-        // but stays memory-safe and terminates.
-        #[test]
-        fn single_byte_corruption_never_panics(
-            seed in 0u64..u64::MAX,
-            pos_pick in 0usize..10_000,
-            flip in 1u8..=255,
-        ) {
-            let t = WorkloadSpec::zipf("c", 50, 20, 1.0, seed).generate();
-            let mut bytes = to_binary(&t).to_vec();
-            let pos = pos_pick % bytes.len();
-            bytes[pos] ^= flip;
-            // Must not panic; both outcomes are acceptable.
-            let _ = from_binary("c", &bytes);
-        }
-
-        // Truncation at any point must never panic either.
-        #[test]
-        fn truncation_never_panics(
-            seed in 0u64..u64::MAX,
-            cut_pick in 0usize..10_000,
-        ) {
-            let t = WorkloadSpec::zipf("c", 50, 20, 1.0, seed).generate();
-            let bytes = to_binary(&t);
-            let cut = cut_pick % (bytes.len() + 1);
-            let _ = from_binary("c", &bytes[..cut]);
         }
 
         // Corrupted CSV bytes: strict mode errors or succeeds (never

@@ -1,5 +1,6 @@
 //! Trace serialization round-trips through real files.
 
+use cache_trace::ctr;
 use cache_trace::gen::{SizeModel, WorkloadSpec};
 use cache_trace::io;
 
@@ -23,10 +24,14 @@ fn csv_file_roundtrip() {
 fn binary_file_roundtrip() {
     let trace = WorkloadSpec::zipf("io-bin", 20_000, 2000, 0.9, 10).generate();
     let dir = std::env::temp_dir();
-    let path = dir.join("s3fifo_repro_io_test.bin");
-    std::fs::write(&path, io::to_binary(&trace)).expect("write");
-    let bytes = std::fs::read(&path).expect("read");
-    let back = io::from_binary("io-bin", &bytes).expect("decode");
+    let path = dir.join("s3fifo_repro_io_test.ctr");
+    ctr::write_trace(
+        &trace,
+        std::fs::File::create(&path).expect("create temp file"),
+    )
+    .expect("write");
+    let file = std::fs::File::open(&path).expect("open");
+    let (back, _) = ctr::read_trace_original_ids("io-bin", file).expect("decode");
     assert_eq!(trace.requests, back.requests);
     std::fs::remove_file(&path).ok();
 }
@@ -35,7 +40,10 @@ fn binary_file_roundtrip() {
 fn miss_ratio_identical_after_roundtrip() {
     use cache_sim::{simulate_named, SimConfig};
     let trace = WorkloadSpec::zipf("io-sim", 20_000, 2000, 1.0, 11).generate();
-    let back = io::from_binary("io-sim", &io::to_binary(&trace)).expect("decode");
+    let (encoded, _) = ctr::write_trace(&trace, std::io::Cursor::new(Vec::new())).expect("encode");
+    // Dense ids, not the originals: a replay counts the same either way.
+    let (back, _) =
+        ctr::read_trace("io-sim", std::io::Cursor::new(encoded.into_inner())).expect("decode");
     let cfg = SimConfig::large();
     let a = simulate_named("S3-FIFO", &trace, &cfg).unwrap().unwrap();
     let b = simulate_named("S3-FIFO", &back, &cfg).unwrap().unwrap();
