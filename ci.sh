@@ -55,12 +55,11 @@ echo "== cache-lint: workspace lint + loom-lite interleaving exploration =="
 #    fixture self-check (a fixtured rule whose diagnostic count drops to 0
 #    has been silently disabled and fails the gate);
 #  - loom: bounded-preemption (CHESS, bound 2) exploration of the Vyukov
-#    ring, S3-FIFO shard, server drain-handshake, and increment-buffer
-#    slot-handoff models with a vector-clock race detector — >= 10k
-#    distinct interleavings must pass, and nine planted mutants (wrong
-#    orderings, a second handle per slot, a tombstone released twice,
-#    ghost-before-settle, drain check-before-join, relaxed drain
-#    completion, relaxed incbuf claim/release) must be *caught*,
+#    ring, S3-FIFO shard, ShardLocks lane/flag/gate lock, server
+#    drain-handshake, and increment-buffer slot-handoff models with a
+#    vector-clock race detector — >= 10k distinct interleavings must
+#    pass, and fourteen planted mutants (TESTING.md names them) must be
+#    *caught*,
 #    so a green run proves the detector still has teeth.
 # Budget: the whole pass must stay under 20 s in release (the binary
 # prints per-phase timing so a blown budget names its phase).

@@ -8,7 +8,7 @@
 use crate::{shard_of, AuditReport, ConcurrentCache, SHARDS};
 use bytes::Bytes;
 use parking_lot::RwLock;
-use cache_ds::IdMap;
+use cache_ds::{IdMap, ShardLocks};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 struct Slot {
@@ -20,7 +20,7 @@ struct Slot {
 /// A CLOCK cache with per-slot locks and an atomic hand.
 pub struct ConcurrentClock {
     slots: Vec<Slot>,
-    index: Vec<RwLock<IdMap<usize>>>,
+    index: ShardLocks<IdMap<usize>>,
     hand: AtomicUsize,
     /// Keys the index maps, moved only where an index entry is made or
     /// unmade and under that shard's guard. (Counting filled slots
@@ -44,7 +44,7 @@ impl ConcurrentClock {
                     referenced: AtomicBool::new(false),
                 })
                 .collect(),
-            index: (0..SHARDS).map(|_| RwLock::new(IdMap::default())).collect(),
+            index: (0..SHARDS).map(|_| IdMap::default()).collect(),
             hand: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
         }
@@ -210,7 +210,7 @@ impl ConcurrentCache for ConcurrentClock {
         // Same key occupying two slots is the same race seen from the
         // other side; report it distinctly.
         report.duplicates = occupants.values().filter(|&&n| n > 1).count();
-        for shard in &self.index {
+        for shard in self.index.iter() {
             for (key, &slot_idx) in shard.read().iter() {
                 let holds = matches!(
                     // lint:allow(L-DEADLOCK): quiescent-only audit — no concurrent writer exists to run `claim_slot`'s inverse order against this read.

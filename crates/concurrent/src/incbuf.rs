@@ -1,9 +1,9 @@
 //! Batched hit-path bookkeeping for the concurrent S3-FIFO.
 //!
 //! The paper-literal hit path of a CLOCK-family cache performs two
-//! contended writes per hit besides the shard lock word: the per-shard hit counter
-//! RMW and (until the two-bit counter saturates) the entry frequency
-//! store. Under multicore contention each is a potential cache-line ping,
+//! contended writes per hit besides the value's reference count: the
+//! per-shard hit counter RMW and (until the two-bit counter saturates) the
+//! entry frequency store. Under multicore contention each is a potential cache-line ping,
 //! so the paper's "lock-free hit path" can still bottleneck on coherence
 //! traffic. This module amortizes both through a pool of claimable,
 //! thread-sticky slots:

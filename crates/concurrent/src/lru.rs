@@ -14,9 +14,8 @@
 
 use crate::{shard_of, AuditReport, ConcurrentCache, SHARDS};
 use bytes::Bytes;
-use cache_ds::{DList, Handle};
-use parking_lot::{Mutex, RwLock};
-use cache_ds::IdMap;
+use cache_ds::{DList, Handle, IdMap, ShardLocks};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -35,7 +34,7 @@ struct ListCore {
 
 /// A concurrent LRU cache, strict or Cachelib-style optimized.
 pub struct MutexLru {
-    shards: Vec<RwLock<IdMap<Arc<Entry>>>>,
+    shards: ShardLocks<IdMap<Arc<Entry>>>,
     core: Mutex<ListCore>,
     capacity: usize,
     strict: bool,
@@ -58,7 +57,7 @@ impl MutexLru {
     fn build(capacity: usize, strict: bool, promote_every: u32) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         MutexLru {
-            shards: (0..SHARDS).map(|_| RwLock::new(IdMap::default())).collect(),
+            shards: (0..SHARDS).map(|_| IdMap::default()).collect(),
             core: Mutex::new(ListCore {
                 list: DList::with_capacity(capacity + 1),
                 handles: IdMap::with_capacity_and_hasher(capacity + 1, Default::default()),
@@ -205,7 +204,7 @@ impl ConcurrentCache for MutexLru {
                 report.stale_handles += 1;
             }
         }
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let guard = shard.read();
             report.resident += guard.len();
             for key in guard.keys() {

@@ -1,7 +1,8 @@
-//! Lock-free-read concurrent S3-FIFO.
+//! Concurrent S3-FIFO whose hit writes no lock word.
 //!
-//! The hit path performs one sharded read-lock acquisition (uncontended in
-//! the common case because reads never mutate the shard) and defers all
+//! The hit path takes its shard's read side of [`cache_ds::ShardLocks`] —
+//! one compare-exchange and one store on a lane line only this thread
+//! touches, plus a load of a flag only writers write — and defers all
 //! remaining bookkeeping into a thread-sticky slot of [`crate::incbuf`]
 //! instead of writing contended lines directly: the per-shard hit counter
 //! is credited once per [`crate::incbuf::STATS_FLUSH_THRESHOLD`] hits, and
@@ -11,7 +12,9 @@
 //! coherence traffic §5.3 identifies as the residual cost of the otherwise
 //! lock-free hit path. The paper-literal alternative — one relaxed freq
 //! store plus one hit-counter RMW per hit — was measured against this one
-//! on real threads and lost; EXPERIMENTS.md, "Fig. 8", has every run.
+//! on real threads and lost; EXPERIMENTS.md, "Fig. 8", has every run. What a
+//! hit still writes that another thread writes is the value's reference
+//! count, twice: `get` returns `Bytes`, and a hot key's count is one line.
 //!
 //! Misses push into the small FIFO ring and evict via lock-free pops, with
 //! the same structure as Algorithm 1: evictions start only when the whole
@@ -25,7 +28,7 @@
 //! overwrite swaps the value where it stands; a delete empties the slot to
 //! a *tombstone* that stops counting toward `S`/`M` at once and counts as
 //! `dead` instead; a set of a tombstoned key revives it in place; and
-//! whoever pops a handle decides what it was under one shard write lock.
+//! whoever pops a handle decides what it was in one shard write section.
 //! Only that pop removes a slot, which is why a key needs no identity
 //! token: while a handle is in flight its slot can change state but cannot
 //! go away and come back. §4.2's observation survives in this form: a
@@ -34,18 +37,22 @@
 //! [`ConcurrentCache::audit_quiescent`] verifies the invariant (plus
 //! ghost-table consistency) by walking the rings and the index.
 //!
-//! Shard count is `8 x` the machine's available parallelism (power of
-//! two, clamped to `[16, 256]`) so that with `shards >> threads` two
-//! threads rarely contend on one shard lock word.
+//! A shard is an index map and its slice of the ghost table behind one lock,
+//! so Algorithm 1's `while full: evict(); if x in G` is what `insert` does:
+//! room first, then ghost lookup and slot insert in one write section, and an
+//! eviction ghosts its victim in the section that removes it. Shard count is
+//! `8 x` the machine's available parallelism (power of two, clamped to
+//! `[16, 256]`). Shards do not keep readers off each other's lines — a reader
+//! writes only its own lane, whatever the count — they set how much a writer
+//! excludes: one shard's readers and writers, and a ghost slice of
+//! `1 / shards` of the main queue's size.
 
 use crate::incbuf::{self, IncBuffers};
 use crate::{AuditReport, ConcurrentCache};
 use bytes::Bytes;
 use cache_ds::rng::mix64;
-use cache_ds::IdMap;
-use cache_ds::{GhostTable, MpmcRing};
+use cache_ds::{GhostTable, IdMap, MpmcRing, ShardLocks};
 use cache_obs::Scope;
-use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
@@ -53,7 +60,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 const MAX_FREQ: u8 = 3;
 
 /// Per-shard operation counters, bumped with relaxed atomics so the hit
-/// path stays a read-lock plus (at most) two relaxed stores. Padded to two
+/// path stays a read section plus (at most) two relaxed stores. Padded to two
 /// cache lines: without the alignment, eight shards' counters share lines
 /// and every stat bump false-shares with seven neighbors.
 #[derive(Debug, Default)]
@@ -104,6 +111,15 @@ struct Slot {
     in_main: bool,
 }
 
+/// One shard of the index with the ghost entries of the keys it is home to:
+/// one lock covers both, so "evicted from `S`" and "remembered in `G`" change
+/// together.
+#[derive(Debug)]
+struct Shard {
+    map: IdMap<Slot>,
+    ghost: GhostTable,
+}
+
 /// How many slots each queue holds live, and how many tombstones both hold.
 /// Every insert, delete and eviction writes these, so they sit on lines of
 /// their own: `get` reads `shards`, `shard_mask` and `incs` and must not
@@ -118,11 +134,10 @@ struct Occupancy {
 
 /// Concurrent S3-FIFO cache.
 pub struct ConcurrentS3Fifo {
-    shards: Vec<RwLock<IdMap<Slot>>>,
+    shards: ShardLocks<Shard>,
     shard_mask: usize,
     small: MpmcRing<u64>,
     main: MpmcRing<u64>,
-    ghosts: Vec<Mutex<GhostTable>>,
     counters: Vec<ShardCounters>,
     incs: IncBuffers,
     occ: Occupancy,
@@ -131,11 +146,12 @@ pub struct ConcurrentS3Fifo {
 }
 
 impl ConcurrentS3Fifo {
-    /// Contention-aware shard count: `8 x` available parallelism,
-    /// rounded to a power of two and clamped to `[16, 256]`. With eight
-    /// shards per thread, the probability that two concurrent operations
-    /// touch the same shard lock word stays low even on skewed key
-    /// distributions (the hot key pins one shard; the rest spread).
+    /// Shard count: `8 x` available parallelism, rounded to a power of two
+    /// and clamped to `[16, 256]`. A writer excludes one shard's readers and
+    /// writers for the length of a map operation, so with eight shards per
+    /// thread an insert or eviction rarely waits for another and a hit
+    /// rarely takes the gate behind one (a hot key pins one shard; the rest
+    /// spread); each shard's ghost remembers `1 / shards` of `M`'s size.
     pub fn contention_shards() -> usize {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -155,7 +171,12 @@ impl ConcurrentS3Fifo {
         let s_capacity = (capacity / 10).max(1);
         let m_capacity = capacity - s_capacity;
         ConcurrentS3Fifo {
-            shards: (0..shards).map(|_| RwLock::new(IdMap::default())).collect(),
+            shards: (0..shards)
+                .map(|_| Shard {
+                    map: IdMap::default(),
+                    ghost: GhostTable::new((m_capacity / shards).max(8)),
+                })
+                .collect(),
             shard_mask: shards - 1,
             // Either queue can transiently hold the whole cache (S does on
             // pure-scan workloads, exactly as in the single-threaded
@@ -163,9 +184,6 @@ impl ConcurrentS3Fifo {
             // `dead` at or under `capacity`), so both rings are sized for it.
             small: MpmcRing::new(capacity * 2 + 64),
             main: MpmcRing::new(capacity * 2 + 64),
-            ghosts: (0..shards)
-                .map(|_| Mutex::new(GhostTable::new((m_capacity / shards).max(8))))
-                .collect(),
             counters: (0..shards).map(|_| ShardCounters::default()).collect(),
             incs: IncBuffers::new(shards),
             occ: Occupancy::default(),
@@ -189,12 +207,12 @@ impl ConcurrentS3Fifo {
     /// were recorded silently loses its bump — deferral affects eviction
     /// quality only, never get/set results.
     // ORDERING: Relaxed freq load/store — the two-bit counter is a lossy
-    // promotion heuristic (§3.3); the shard read lock orders the slot
+    // promotion heuristic (§3.3); the shard read guard orders the slot
     // lookup.
     fn apply_freq(&self, key: u64, count: u32) {
         let idx = self.shard_idx(key);
         let guard = self.shards[idx].read();
-        if let Some(slot) = guard.get(&key).filter(|slot| slot.value.is_some()) {
+        if let Some(slot) = guard.map.get(&key).filter(|slot| slot.value.is_some()) {
             let f = slot.freq.load(Ordering::Relaxed);
             let bumped = (u32::from(f) + count).min(u32::from(MAX_FREQ)) as u8;
             if bumped != f {
@@ -313,11 +331,11 @@ impl ConcurrentS3Fifo {
     /// only when more threads are mid-insert than the 64 spare handles
     /// cover; the slot then goes rather than stay where no pop can reach it.
     // ORDERING: Relaxed occupancy counters, changed under the shard write
-    // lock together with the slot they count.
+    // guard together with the slot they count.
     fn push(&self, to_main: bool, key: u64) {
         let ring = if to_main { &self.main } else { &self.small };
         if ring.push(key).is_err() {
-            if let Some(slot) = self.shards[self.shard_idx(key)].write().remove(&key) {
+            if let Some(slot) = self.shards[self.shard_idx(key)].write().map.remove(&key) {
                 let counted_in = if slot.value.is_some() {
                     self.count(slot.in_main)
                 } else {
@@ -328,7 +346,7 @@ impl ConcurrentS3Fifo {
         }
     }
 
-    /// Pops one handle and settles its slot under the shard write lock: a
+    /// Pops one handle and settles its slot in one shard write section: a
     /// tombstone is dropped (no ghost: a deleted key was not evicted); a
     /// live slot follows Algorithm 1 when the cache is `full` — from `S`,
     /// promoted if accessed more than once, else evicted into the ghost;
@@ -337,17 +355,16 @@ impl ConcurrentS3Fifo {
     /// goes back to the head of its ring untouched. Returns false when the
     /// ring was empty.
     ///
-    /// The ghost insert happens inside the critical section that removes
-    /// the slot. Ghosting before the slot is known to be live and cold
-    /// lets a racing delete or overwrite leave a key ghosted that was
-    /// never evicted; ghosting after the lock is dropped lets a racing
+    /// The ghost insert happens inside the section that removes the slot,
+    /// through the same guard. Ghosting before the slot is known to be live
+    /// and cold lets a racing delete or overwrite leave a key ghosted that
+    /// was never evicted; ghosting after the guard is dropped lets a racing
     /// insert land in between, live and ghosted. The loom-lite shard model
     /// (crates/lint/src/models/shard.rs, `Mutant::GhostBeforeSettle`) pins
     /// the first.
     // ORDERING: Relaxed occupancy and stat counters, changed under the
-    // shard write lock together with the slot they count; freq is read
+    // shard write guard together with the slot they count; freq is read
     // through the exclusive guard.
-    // LOCK-ORDER: shards -> ghosts; ghost mutexes are leaves.
     fn pop_one(&self, from_small: bool, full: bool) -> bool {
         let ring = if from_small { &self.small } else { &self.main };
         let Some(key) = ring.pop() else {
@@ -355,7 +372,8 @@ impl ConcurrentS3Fifo {
         };
         let idx = self.shard_idx(key);
         let mut guard = self.shards[idx].write();
-        let Entry::Occupied(mut occupied) = guard.entry(key) else {
+        let Shard { map, ghost } = &mut *guard;
+        let Entry::Occupied(mut occupied) = map.entry(key) else {
             return true; // not reachable while every handle has its slot
         };
         let slot = occupied.get_mut();
@@ -379,7 +397,7 @@ impl ConcurrentS3Fifo {
             _ => {
                 occupied.remove();
                 if from_small {
-                    self.ghosts[idx].lock().insert(key);
+                    ghost.insert(key);
                 }
                 self.count(!from_small).fetch_sub(1, Ordering::Relaxed);
                 self.counters[idx].evictions.fetch_add(1, Ordering::Relaxed);
@@ -429,18 +447,18 @@ impl ConcurrentCache for ConcurrentS3Fifo {
 
     // ORDERING: Relaxed freq load (lazy promotion is lossy by design,
     // §3.3 — the two-bit counter tolerates racing updates) and Relaxed
-    // stat counters; the shard read lock orders the value read. The hit
+    // stat counters; the shard read guard orders the value read. The hit
     // is recorded into the slot pool *after* dropping the shard guard:
-    // the freq-flush callback re-acquires shard read locks for the
-    // flushed keys, and parking_lot read locks are not recursion-safe
-    // when a writer is queued.
-    // LOCK-ORDER: disjoint; one shard read lock at a time — one
+    // the freq-flush callback re-acquires shard read guards for the
+    // flushed keys, and a read is not reentrant on one shard while a
+    // writer waits for it.
+    // LOCK-ORDER: disjoint; one shard read guard at a time — one
     // block-scoped guard, and the flush only re-acquires after it dropped.
     fn get(&self, key: u64) -> Option<Bytes> {
         let idx = self.shard_idx(key);
         let hit = {
             let guard = self.shards[idx].read();
-            guard.get(&key).and_then(|slot| {
+            guard.map.get(&key).and_then(|slot| {
                 let value = slot.value.as_ref()?;
                 Some((value.clone(), slot.freq.load(Ordering::Relaxed)))
             })
@@ -473,18 +491,18 @@ impl ConcurrentCache for ConcurrentS3Fifo {
     }
 
     // ORDERING: Relaxed occupancy and stat counters — advisory occupancy
-    // (see make_room), changed under the shard write lock together with the
+    // (see make_room), changed under the shard write guard together with the
     // slot they count; the ring push hands the key to future evictors.
-    // LOCK-ORDER: disjoint; the ghost guard is a temporary that is gone
-    // before `make_room`, and the shard guard before `push`.
+    // LOCK-ORDER: disjoint; `make_room` runs before the guard is taken and
+    // `push`, which takes this shard's write side itself when the ring is
+    // full, after it is dropped.
     fn insert(&self, key: u64, value: Bytes) {
         let idx = self.shard_idx(key);
         self.counters[idx].inserts.fetch_add(1, Ordering::Relaxed);
-        // Ghost membership is decided before eviction runs (the eviction
-        // inserts into the ghost itself).
-        let ghost_hit = self.ghosts[idx].lock().remove(key);
         self.make_room();
-        match self.shards[idx].write().entry(key) {
+        let mut guard = self.shards[idx].write();
+        let Shard { map, ghost } = &mut *guard;
+        let to_main = match map.entry(key) {
             Entry::Occupied(occupied) => {
                 let slot = occupied.into_mut();
                 if slot.value.replace(value).is_none() {
@@ -496,22 +514,25 @@ impl ConcurrentCache for ConcurrentS3Fifo {
                 return;
             }
             Entry::Vacant(vacant) => {
+                let ghost_hit = ghost.remove(key);
                 vacant.insert(Slot {
                     value: Some(value),
                     freq: AtomicU8::new(0),
                     in_main: ghost_hit,
                 });
                 self.count(ghost_hit).fetch_add(1, Ordering::Relaxed);
+                ghost_hit
             }
-        }
-        self.push(ghost_hit, key);
+        };
+        drop(guard);
+        self.push(to_main, key);
     }
 
     // ORDERING: Relaxed occupancy counters, changed under the shard write
-    // lock together with the slot they count.
+    // guard together with the slot they count.
     fn remove(&self, key: u64) -> bool {
         let mut guard = self.shards[self.shard_idx(key)].write();
-        let Some(slot) = guard.get_mut(&key).filter(|slot| slot.value.is_some()) else {
+        let Some(slot) = guard.map.get_mut(&key).filter(|slot| slot.value.is_some()) else {
             return false;
         };
         slot.value = None;
@@ -530,10 +551,6 @@ impl ConcurrentCache for ConcurrentS3Fifo {
         self.capacity
     }
 
-    // LOCK-ORDER: shards -> ghosts; the ghost-liveness probe reads each
-    // ghost mutex under the shard read guard. Ghost mutexes are leaves —
-    // no path acquires a shard lock while holding one — and the ring walk
-    // holds no lock at all.
     // ORDERING: Relaxed ring-length reads via pop/push — the audit
     // contract requires quiescence, so no handle is in flight.
     fn audit_quiescent(&self) -> AuditReport {
@@ -554,9 +571,9 @@ impl ConcurrentCache for ConcurrentS3Fifo {
                 let _ = ring.push(key);
             }
         }
-        for (s, shard) in self.shards.iter().enumerate() {
+        for shard in self.shards.iter() {
             let guard = shard.read();
-            for (key, slot) in guard.iter() {
+            for (key, slot) in guard.map.iter() {
                 let found = handles.remove(key).unwrap_or_default();
                 if found[0] + found[1] > 1 {
                     report.duplicates += 1;
@@ -567,7 +584,7 @@ impl ConcurrentCache for ConcurrentS3Fifo {
                 }
                 if slot.value.is_some() {
                     report.resident += 1;
-                    if self.ghosts[s].lock().contains(*key) {
+                    if guard.ghost.contains(*key) {
                         report.live_ghosted += 1;
                     }
                 }
@@ -838,7 +855,7 @@ mod tests {
         assert_eq!(c.len(), 1, "len counts live slots only");
         c.drain_pending();
         let freq_of = |k: u64| {
-            c.shards[c.shard_idx(k)].read()[&k]
+            c.shards[c.shard_idx(k)].read().map[&k]
                 .freq
                 .load(Ordering::Relaxed)
         };
@@ -849,6 +866,38 @@ mod tests {
         assert_eq!(c.get(1), Some(Bytes::from_static(b"again")));
         assert_eq!(c.debug_counts(), (2, 2, 0, 2, 0, 0));
         assert!(c.audit_quiescent().is_clean(0));
+    }
+
+    /// `push` takes the shard's write side itself when its ring is full, so
+    /// `insert` must have let go of that shard by then. Rings are sized so
+    /// that only more than 64 threads mid-insert fill one; this one holds two.
+    #[test]
+    fn a_full_ring_costs_the_insert_and_nothing_else() {
+        let c = Arc::new(ConcurrentS3Fifo {
+            small: MpmcRing::new(2),
+            ..ConcurrentS3Fifo::new(100)
+        });
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = {
+            let c = c.clone();
+            std::thread::spawn(move || {
+                for k in 0..3u64 {
+                    c.insert(k, payload());
+                }
+                let _ = done.send(());
+            })
+        };
+        finished
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("insert deadlocked: it held its shard guard across push");
+        worker.join().unwrap();
+        // The third key found no room for its handle: its slot is gone, and
+        // uncounted, rather than left where no pop could reach it.
+        assert!(c.get(0).is_some() && c.get(1).is_some());
+        assert_eq!(c.get(2), None);
+        assert_eq!(c.debug_counts(), (2, 2, 0, 2, 0, 0));
+        let audit = c.audit_quiescent();
+        assert!(audit.is_clean(0), "{audit:?}");
     }
 
     #[test]

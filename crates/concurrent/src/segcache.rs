@@ -10,8 +10,8 @@
 
 use crate::{shard_of, AuditReport, ConcurrentCache, SHARDS};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
-use cache_ds::IdMap;
+use parking_lot::Mutex;
+use cache_ds::{IdMap, ShardLocks};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,7 +30,7 @@ struct Segment {
 
 /// Simplified Segcache (log-structured, FIFO-merge eviction).
 pub struct SegcacheLike {
-    index: Vec<RwLock<IdMap<Arc<Entry>>>>,
+    index: ShardLocks<IdMap<Arc<Entry>>>,
     /// Sealed segments, oldest first, plus the active segment at the back.
     segments: Mutex<VecDeque<Segment>>,
     next_seg: AtomicUsize,
@@ -54,7 +54,7 @@ impl SegcacheLike {
             keys: Vec::with_capacity(seg_size),
         });
         SegcacheLike {
-            index: (0..SHARDS).map(|_| RwLock::new(IdMap::default())).collect(),
+            index: (0..SHARDS).map(|_| IdMap::default()).collect(),
             segments: Mutex::new(segments),
             next_seg: AtomicUsize::new(1),
             len: AtomicUsize::new(0),
@@ -218,7 +218,7 @@ impl ConcurrentCache for SegcacheLike {
                 }
             }
         }
-        for shard in &self.index {
+        for shard in self.index.iter() {
             let guard = shard.read();
             report.resident += guard.len();
             for key in guard.keys() {

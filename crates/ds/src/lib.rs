@@ -18,8 +18,12 @@
 //!   the dense replay loops.
 //! - [`poll::poll`] (Unix) — `poll(2)` behind a `&mut [PollFd]`, so that
 //!   `cache-server`'s loops block on readiness while the crate itself
-//!   forbids `unsafe`. The ring, the prefetch hint and this call are the
-//!   three sites of `unsafe` code in the workspace.
+//!   forbids `unsafe`.
+//! - [`shardlock::ShardLocks`] — sharded reader-writer locks whose readers
+//!   announce themselves on a line of their own instead of writing the shard's
+//!   lock word; the index lock of every cache in `cache-concurrent`. The ring,
+//!   the prefetch hint, the `poll(2)` call and this lock are the four sites of
+//!   `unsafe` code in the workspace.
 //! - [`rng::SplitMix64`] — a tiny deterministic RNG for sampled policies.
 //! - [`hist::Histogram`] — streaming histogram with percentile queries.
 //! - [`fx::FxHasher`] — FxHash-style multiplicative hasher backing the hot
@@ -41,6 +45,7 @@ pub mod poll;
 pub mod prefetch;
 pub mod ring;
 pub mod rng;
+pub mod shardlock;
 pub mod sketch;
 
 pub use bloom::BloomFilter;
@@ -52,4 +57,5 @@ pub use hist::Histogram;
 pub use prefetch::prefetch_read;
 pub use ring::MpmcRing;
 pub use rng::{IdHashBuilder, IdHasher, IdMap, IdSet, SplitMix64};
+pub use shardlock::ShardLocks;
 pub use sketch::{CountMinSketch, Doorkeeper};

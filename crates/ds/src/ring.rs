@@ -8,7 +8,8 @@
 //! prototype (`cache-concurrent`) builds its small and main queues from this
 //! ring.
 //!
-//! This is the only `unsafe` code in the workspace.
+//! One of the workspace's four sites of `unsafe` code (the crate doc names
+//! them).
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

@@ -24,6 +24,10 @@ use cache_lint::models::ring::{ring_scenario, RingOrderings};
 use cache_lint::models::shard::{
     evict_delete_revive_scenario, evict_overwrite_scenario, promote_delete_scenario, Mutant,
 };
+use cache_lint::models::shardlock::{
+    reader_meets_flag_scenario, reader_writer_scenario, two_readers_writer_scenario,
+    writers_gated_reader_scenario, LockVariant,
+};
 use cache_lint::walk::lint_workspace;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -217,6 +221,30 @@ fn run_loom() -> bool {
         &mut ok,
     );
     expect_clean(
+        "shardlock reader-vs-writer",
+        &cfg().explore(reader_writer_scenario(LockVariant::Correct)),
+        &mut schedules,
+        &mut ok,
+    );
+    expect_clean(
+        "shardlock 2-readers-vs-writer",
+        &cfg().explore(two_readers_writer_scenario(LockVariant::Correct)),
+        &mut schedules,
+        &mut ok,
+    );
+    expect_clean(
+        "shardlock 2-writers-vs-gated-reader",
+        &cfg().explore(writers_gated_reader_scenario(LockVariant::Correct)),
+        &mut schedules,
+        &mut ok,
+    );
+    expect_clean(
+        "shardlock reader-meets-flag",
+        &cfg().explore(reader_meets_flag_scenario(LockVariant::Correct)),
+        &mut schedules,
+        &mut ok,
+    );
+    expect_clean(
         "drain shutdown-vs-request",
         &cfg().explore(drain_race_scenario(DrainVariant::Correct)),
         &mut schedules,
@@ -266,6 +294,31 @@ fn run_loom() -> bool {
     expect_caught(
         "shard mutant (ghost before settle)",
         &cfg().explore(evict_delete_revive_scenario(Mutant::GhostBeforeSettle)),
+        &mut ok,
+    );
+    expect_caught(
+        "shardlock mutant (flag read before lane published)",
+        &cfg().explore(reader_writer_scenario(LockVariant::FlagBeforeLane)),
+        &mut ok,
+    );
+    expect_caught(
+        "shardlock mutant (sweep before flag)",
+        &cfg().explore(reader_writer_scenario(LockVariant::SweepBeforeFlag)),
+        &mut ok,
+    );
+    expect_caught(
+        "shardlock mutant (relaxed lane clear)",
+        &cfg().explore(two_readers_writer_scenario(LockVariant::RelaxedLaneClear)),
+        &mut ok,
+    );
+    expect_caught(
+        "shardlock mutant (relaxed flag clear)",
+        &cfg().explore(reader_writer_scenario(LockVariant::RelaxedFlagClear)),
+        &mut ok,
+    );
+    expect_caught(
+        "shardlock mutant (backed-out reader keeps its lane)",
+        &cfg().explore(reader_meets_flag_scenario(LockVariant::BackoutKeepsLane)),
         &mut ok,
     );
     expect_caught(

@@ -13,7 +13,8 @@
 //!   vector-clock happens-before detector, so weakening an ordering (say,
 //!   the Vyukov ring's `Acquire` sequence load to `Relaxed`) is caught even
 //!   though a serialized interleaving search alone would never see it;
-//! - deadlocks (no runnable thread) and model-thread panics.
+//! - deadlocks (no runnable thread: every live one is joining or in a
+//!   [`spin_wait`] nobody can end) and model-thread panics.
 //!
 //! ```
 //! use cache_lint::loomlite::{self, sync::{MAtomic, Ord}};
@@ -56,6 +57,16 @@ impl JoinHandle {
         let tid = sched::with_ctx(|_, t| t);
         self.sched.join_thread(self.child, tid);
     }
+}
+
+/// One turn of a spin-wait loop, called after the loop's condition was found
+/// false: `while !ready.load(..) { if !spin_wait() { break } }`. The thread
+/// runs again only after another thread has written an atomic; threads that
+/// all wait this way (or in a join) are reported as a deadlock. Returns false
+/// when the run is aborting, and the loop must then end.
+pub fn spin_wait() -> bool {
+    let (sched, tid) = sched::with_ctx(|s, t| (s.clone(), t));
+    sched.spin_wait(tid)
 }
 
 /// Records a model invariant violation (and aborts the schedule) when

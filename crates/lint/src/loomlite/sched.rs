@@ -38,6 +38,8 @@ pub(crate) fn with_ctx<R>(f: impl FnOnce(&Arc<Scheduler>, usize) -> R) -> R {
 enum Status {
     Runnable,
     BlockedJoin(usize),
+    /// In a spin-wait: not runnable until another thread writes an atomic.
+    Spinning,
     Finished,
 }
 
@@ -86,6 +88,17 @@ struct SchedState {
     cells: Vec<CellMeta>,
     mutexes: Vec<MutexMeta>,
     real_handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl SchedState {
+    /// An atomic changed: every spin-waiting thread may look again.
+    fn wake_spinners(&mut self) {
+        for t in &mut self.threads {
+            if t.status == Status::Spinning {
+                t.status = Status::Runnable;
+            }
+        }
+    }
 }
 
 /// The per-run deterministic scheduler. See the module docs.
@@ -251,6 +264,25 @@ impl Scheduler {
         }
     }
 
+    /// One turn of a spin-wait loop whose condition the caller has just found
+    /// false: the thread is not scheduled again until another thread has
+    /// written an atomic (nothing else can change what it is waiting for),
+    /// and leaving it is not a preemption. If every unfinished thread ends up
+    /// here, or blocked in a join, the run fails as a deadlock. Returns false
+    /// when the run is aborting: the caller must stop waiting.
+    pub(crate) fn spin_wait(&self, tid: usize) -> bool {
+        let mut st = self.lock();
+        if st.aborting {
+            return false;
+        }
+        st.threads[tid].status = Status::Spinning;
+        self.schedule(&mut st, tid);
+        drop(st);
+        self.cv.notify_all();
+        self.wait_for_turn(tid);
+        !self.lock().aborting
+    }
+
     fn finish_thread(&self, tid: usize) {
         let mut st = self.lock();
         st.threads[tid].status = Status::Finished;
@@ -315,7 +347,7 @@ impl Scheduler {
                 .threads
                 .iter()
                 .enumerate()
-                .filter(|(_, t)| matches!(t.status, Status::BlockedJoin(_)))
+                .filter(|(_, t)| t.status != Status::Finished)
                 .map(|(i, t)| format!("thread {i} {:?}", t.status))
                 .collect();
             st.failures
@@ -417,6 +449,7 @@ impl Scheduler {
             st.atomics[id].sync = VClock::default();
         }
         st.atomics[id].value = value;
+        st.wake_spinners();
     }
 
     pub(crate) fn atomic_rmw(
@@ -434,6 +467,7 @@ impl Scheduler {
         }
         let prev = st.atomics[id].value;
         st.atomics[id].value = f(prev);
+        st.wake_spinners();
         if ord.releases() {
             // An RMW continues the release sequence: join rather than reset.
             let clock = st.threads[tid].clock.clone();
@@ -460,6 +494,7 @@ impl Scheduler {
                 st.threads[tid].clock.join(&sync);
             }
             st.atomics[id].value = new;
+            st.wake_spinners();
             if success.releases() {
                 let clock = st.threads[tid].clock.clone();
                 st.atomics[id].sync.join(&clock);

@@ -126,6 +126,13 @@ impl MAtomic {
             .atomic_rmw(self.id, tid, ord, &mut |v| v.wrapping_sub(delta))
     }
 
+    /// Atomic fetch-max, returns the previous value.
+    pub fn fetch_max(&self, value: u64, ord: Ord) -> u64 {
+        let tid = with_ctx(|_, t| t);
+        self.sched
+            .atomic_rmw(self.id, tid, ord, &mut |v| v.max(value))
+    }
+
     /// Compare-exchange; returns `Ok(current)` on success, `Err(actual)`
     /// otherwise. Spurious failures (`compare_exchange_weak`) are not
     /// modeled — they only add schedules equivalent to a retry.

@@ -9,6 +9,8 @@
 //!   (`crates/ds/src/ring.rs`);
 //! - [`shard`]: the concurrent S3-FIFO shard insert/evict/remove path
 //!   (`crates/concurrent/src/s3fifo.rs`);
+//! - [`shardlock`]: the lane/flag/gate reader-writer lock every concurrent
+//!   cache's index sits behind (`crates/ds/src/shardlock.rs`);
 //! - [`drain`]: the server's shutdown/drain handshake
 //!   (`crates/server/src/drain.rs`);
 //! - [`incbuf`]: the batched frequency-increment buffer's slot
@@ -23,3 +25,4 @@ pub mod drain;
 pub mod incbuf;
 pub mod ring;
 pub mod shard;
+pub mod shardlock;

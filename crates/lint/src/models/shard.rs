@@ -11,14 +11,16 @@
 //!
 //! Down-scaling choices (documented so the model stays honest):
 //! - handles are `key + 1` (the model ring reads `0` as "uninitialised");
-//! - one shard: the per-shard `RwLock<IdMap<Slot>>`, that shard's ghost
-//!   `Mutex` and the occupancy counters become one [`MMutex`] over a tiny
-//!   struct. Read/write distinction collapsed, and the counters — in the
-//!   real code Relaxed atomics shared by all shards, but only ever changed
-//!   inside the critical section that changes the slot they count — are
-//!   plain fields changed in the same closure. Ghost operations the real
-//!   code makes outside a shard lock (`ghost_take`) are their own critical
-//!   section here, so they interleave as they do there;
+//! - one shard: the shard's `ShardLocks` cell (index map and ghost slice
+//!   behind one lock; the lock itself is modeled in `shardlock.rs`) and the
+//!   occupancy counters become one [`MMutex`] over a tiny struct. Read/write
+//!   distinction collapsed, and the counters — in the real code Relaxed
+//!   atomics shared by all shards, but only ever changed inside the critical
+//!   section that changes the slot they count — are plain fields changed in
+//!   the same closure. The real code makes no ghost operation outside a
+//!   shard's write section, so neither does the model: an insert takes the
+//!   ghost entry in the section that creates the slot, a pop leaves one in
+//!   the section that removes it;
 //! - the small/main queues are [`ModelRing`]s with the real orderings;
 //! - the two frequency bits become one (`hot`: promote from `S`);
 //! - `make_room`'s loop is the scenario's business: it calls
@@ -124,41 +126,38 @@ impl ModelShard {
         check(ring.push(key as u64 + 1).is_ok(), "model ring overflow");
     }
 
-    /// Mirrors `ConcurrentS3Fifo::insert` without its `make_room`: take the
-    /// ghost entry, then one critical section that overwrites, revives or
-    /// creates the slot; only a created slot gets a handle.
+    /// Mirrors `ConcurrentS3Fifo::insert` without its `make_room`: one
+    /// critical section that overwrites or revives the slot, or takes the
+    /// key's ghost entry and creates it; only a created slot gets a handle.
     pub fn insert(&self, key: usize) {
-        let ghost_hit = self.state.with(|s| {
-            let hit = s.ghost & (1 << key) != 0;
-            s.ghost &= !(1 << key);
-            hit
-        });
-        let created = self.state.with(|s| match &mut s.slots[key] {
+        let (created, to_main) = self.state.with(|s| match &mut s.slots[key] {
             Some(slot) => {
+                let in_main = slot.in_main;
                 if !slot.live {
                     *slot = Slot {
                         live: true,
                         hot: false,
-                        ..*slot
+                        in_main,
                     };
-                    let in_main = slot.in_main;
                     s.dead -= 1;
                     *s.count(in_main) += 1;
                 }
-                false
+                (false, in_main)
             }
             vacant => {
+                let ghost_hit = s.ghost & (1 << key) != 0;
+                s.ghost &= !(1 << key);
                 *vacant = Some(Slot {
                     live: true,
                     hot: false,
                     in_main: ghost_hit,
                 });
                 *s.count(ghost_hit) += 1;
-                true
+                (true, ghost_hit)
             }
         });
         if created || self.mutant == Mutant::OverwritePushes {
-            self.push(ghost_hit, key);
+            self.push(to_main, key);
         }
     }
 
