@@ -193,13 +193,12 @@ pub fn build_mrc(
     capacities: &[u64],
     ids: &std::sync::Arc<cache_ds::DenseIds>,
 ) -> Result<Option<Box<dyn crate::MultiCapacityPolicy>>, CacheError> {
-    use crate::dense::mrc::MAX_TURBO_LANES;
     use crate::dense::{MrcExactFifo, MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve};
+    if !mrc_grid_fits(name, capacities.len()) {
+        return Ok(None);
+    }
     if name == "FIFO" {
         return Ok(Some(Box::new(MrcExactFifo::new(capacities, ids)?)));
-    }
-    if capacities.len() > MAX_TURBO_LANES {
-        return Ok(None);
     }
     if let Some(ratio) = parse_param(name, "S3-FIFO") {
         let cfg = S3FifoConfig { small_ratio: ratio? };
@@ -214,6 +213,16 @@ pub fn build_mrc(
         "S3-FIFO" => Some(Box::new(MrcTurboS3Fifo::new(capacities, ids)?)),
         _ => None,
     })
+}
+
+/// True when a grid of `points` capacities is narrow enough for `name`'s
+/// single-pass engine, if it has one: any width for FIFO's insertion-index
+/// rows, the 64 lanes one residency word holds for the turbo engines.
+/// [`build_mrc`] answers `None` past it. A caller that deals one grid to
+/// several engines asks about the whole grid first, or whether a 65-point
+/// curve is drawn in one pass would depend on how many ways it was dealt.
+pub fn mrc_grid_fits(name: &str, points: usize) -> bool {
+    name == "FIFO" || points <= crate::dense::mrc::MAX_TURBO_LANES
 }
 
 /// Parses `"<prefix>(<float>)"`, returning `Some(Ok(float))` on a match,

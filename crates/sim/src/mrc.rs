@@ -19,13 +19,25 @@
 //! - [`miss_ratio_curve`]: the same, optionally on a SHARDS miniature of
 //!   the trace with the grid scaled to match, returned as a sorted curve.
 //!
+//! # Workers
+//!
+//! Grid points do not interact (which is what lets one pass answer many of
+//! them), so once the route is chosen — on the whole grid — its indices are
+//! dealt round-robin to `min(available_parallelism, points)` workers, each
+//! of which draws its share on that route over the shared trace, and the
+//! samples go back in grid order. Every point is the one a single worker
+//! draws. What a worker owns is the cost of adding one: a turbo engine's
+//! per-slot header array (16 B × ids, 24 B for S3-FIFO — the lanes, and
+//! exact FIFO's index rows, only divide), or one policy slab at a time on
+//! the per-capacity route.
+//!
 //! Also provides the convexity check the §6.2.3 argument rests on.
 
 use crate::engine::Replay;
 use cache_obs::MissRatioSeries;
 use cache_policies::registry;
 use cache_trace::sampling::spatial_sample;
-use cache_trace::Trace;
+use cache_trace::{DenseTrace, Trace};
 use cache_types::CacheError;
 
 /// One point of a miss-ratio curve.
@@ -229,7 +241,8 @@ fn pure_get_stream(trace: &Trace, cfg: &MrcConfig) -> bool {
 
 /// Computes the miss-ratio curve of `algorithm` on `trace` at every grid
 /// capacity, in one trace pass where the FIFO-family engines apply (see the
-/// module docs for routing). Results are bit-identical to running
+/// module docs for routing), the grid dealt to one worker per core (see
+/// "Workers" there). Results are bit-identical to running
 /// [`crate::engine::simulate_named`] once per capacity.
 ///
 /// Unlike [`miss_ratio_curve`], grid order is preserved in
@@ -245,6 +258,20 @@ pub fn simulate_mrc(
     capacities: &[u64],
     cfg: &MrcConfig,
 ) -> Result<MrcResult, CacheError> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    simulate_mrc_on(cores, algorithm, trace, capacities, cfg)
+}
+
+/// [`simulate_mrc`] drawn by `workers` workers (at least one, at most one
+/// per grid point). The count is an argument only so that tests can sweep
+/// it: no field of the result depends on it.
+fn simulate_mrc_on(
+    workers: usize,
+    algorithm: &str,
+    trace: &Trace,
+    capacities: &[u64],
+    cfg: &MrcConfig,
+) -> Result<MrcResult, CacheError> {
     if capacities.is_empty() {
         return Err(CacheError::InvalidParameter(
             "capacity grid must not be empty".into(),
@@ -255,8 +282,68 @@ pub fn simulate_mrc(
             "every grid capacity must be > 0".into(),
         ));
     }
-    if pure_get_stream(trace, cfg) {
-        let dense = trace.dense();
+    // The route is chosen here, on the whole grid: a share of a 65-point
+    // grid would fit the turbo lanes, and the engine a curve reports must
+    // not depend on how many cores drew it.
+    let dense = (pure_get_stream(trace, cfg)
+        && registry::mrc_grid_fits(algorithm, capacities.len()))
+    .then(|| trace.dense());
+    // Round-robin, not contiguous runs: a lane's work is its miss count,
+    // and a sorted grid puts the lanes that miss most at one end.
+    let workers = workers.clamp(1, capacities.len());
+    let shares: Vec<Vec<u64>> = (0..workers)
+        .map(|w| {
+            capacities
+                .iter()
+                .skip(w)
+                .step_by(workers)
+                .copied()
+                .collect()
+        })
+        .collect();
+    let draw = |share: &[u64]| draw_share(algorithm, trace, dense.as_deref(), share, cfg);
+    // The calling thread is the first worker, so one worker spawns nothing.
+    let drawn: Vec<Result<MrcResult, CacheError>> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = shares[1..]
+            .iter()
+            .map(|share| scope.spawn(|| draw(share)))
+            .collect();
+        let first = draw(&shares[0]);
+        let rest = spawned.into_iter().map(|worker| {
+            worker
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p))
+        });
+        std::iter::once(first).chain(rest).collect()
+    });
+    // No route's error depends on a capacity (zero is refused above; what is
+    // left names the algorithm or its parameter), so a share that fails does
+    // so at its first point and worker order is grid order: this is the
+    // error one worker walking the grid would have met first.
+    let mut shares = drawn.into_iter().collect::<Result<Vec<_>, _>>()?;
+    // Every share agrees on the name and the engine; the points go back
+    // where the grid had them.
+    let points = (0..capacities.len())
+        .map(|i| shares[i % workers].points[i / workers])
+        .collect();
+    Ok(MrcResult {
+        points,
+        ..shares.swap_remove(0)
+    })
+}
+
+/// The curve at `capacities` — one worker's share of a grid, or all of it —
+/// on the route `simulate_mrc_on` chose: through a single-pass engine of the
+/// worker's own when `dense` is given and the registry has one for the
+/// algorithm, one replay per point otherwise.
+fn draw_share(
+    algorithm: &str,
+    trace: &Trace,
+    dense: Option<&DenseTrace>,
+    capacities: &[u64],
+    cfg: &MrcConfig,
+) -> Result<MrcResult, CacheError> {
+    if let Some(dense) = dense {
         if let Some(mut engine) = registry::build_mrc(algorithm, capacities, &dense.ids)? {
             engine.replay(&dense.slots);
             debug_assert_eq!(engine.validate(), Ok(()), "MRC engine invariants");
@@ -450,6 +537,94 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Everything a caller can read off a curve, ratios by their bits.
+    type Drawn = (String, String, MrcEngine, Vec<[u64; 6]>);
+
+    fn drawn(
+        workers: usize,
+        algo: &str,
+        t: &Trace,
+        grid: &[u64],
+        cfg: &MrcConfig,
+    ) -> Result<Drawn, CacheError> {
+        let r = simulate_mrc_on(workers, algo, t, grid, cfg)?;
+        let bits = |p: &MrcSample| {
+            let (miss, byte_miss) = (p.miss_ratio.to_bits(), p.byte_miss_ratio.to_bits());
+            [
+                p.capacity,
+                p.requests,
+                p.misses,
+                p.evictions,
+                miss,
+                byte_miss,
+            ]
+        };
+        let points = r.points.iter().map(bits).collect();
+        Ok((r.algorithm, r.trace, r.engine, points))
+    }
+
+    /// A curve does not depend on how many workers drew it: on every route,
+    /// every field equals what one worker returns, errors included.
+    #[test]
+    fn worker_count_changes_nothing() {
+        let spec = |name: &str| WorkloadSpec::zipf(name, 1_200, 150, 0.9, 31);
+        let (mut sized, mut deletes) = (spec("sized"), spec("deletes"));
+        sized.size_model = SizeModel::Uniform { min: 10, max: 1000 };
+        deletes.delete_fraction = 0.05;
+        // Honoured sizes make capacities bytes: scale the grids to match.
+        let streams = [
+            (spec("unit").generate(), MrcConfig::default(), 1),
+            (sized.generate(), MrcConfig { ignore_size: false }, 500),
+            (deletes.generate(), MrcConfig::default(), 1),
+        ];
+        let grids: [Vec<u64>; 6] = [
+            vec![2, 5, 11, 40, 90],
+            vec![40, 2, 90, 11, 5],
+            vec![11, 40, 11, 2, 40, 11],
+            vec![17],
+            (1..=64).map(|i| i * 2).collect(),
+            (1..=65).map(|i| i * 2).collect(),
+        ];
+        let names = [
+            "FIFO",
+            "CLOCK",
+            "CLOCK-2bit",
+            "SIEVE",
+            "S3-FIFO",
+            "S3-FIFO(0.25)",
+            "LRU",
+            "ARC",
+            "Nope",
+            "S3-FIFO(x)",
+        ];
+        let mut engines = std::collections::BTreeSet::new();
+        for (t, cfg, scale) in &streams {
+            for grid in &grids {
+                let grid: Vec<u64> = grid.iter().map(|c| c * scale).collect();
+                for algo in names {
+                    let one = drawn(1, algo, t, &grid, cfg);
+                    assert_eq!(one.is_err(), algo == "Nope" || algo == "S3-FIFO(x)");
+                    if let Ok(one) = &one {
+                        let caps: Vec<u64> = one.3.iter().map(|p| p[0]).collect();
+                        assert_eq!(caps, grid, "grid order");
+                        engines.insert(one.2.as_str());
+                    }
+                    for workers in [2, 3, 5, grid.len(), grid.len() + 3] {
+                        assert_eq!(
+                            drawn(workers, algo, t, &grid, cfg),
+                            one,
+                            "{algo} on {}, {} points, {workers} workers",
+                            t.name,
+                            grid.len()
+                        );
+                    }
+                }
+            }
+        }
+        // All three routes were swept.
+        assert_eq!(engines.len(), 3, "{engines:?}");
     }
 
     #[test]

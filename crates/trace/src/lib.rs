@@ -69,6 +69,8 @@ pub struct Trace {
     dense: OnceLock<Arc<DenseTrace>>,
     /// Lazily computed stream shape; see [`Trace::shape`].
     shape: OnceLock<StreamShape>,
+    /// Lazily computed byte footprint; see [`Trace::footprint_bytes`].
+    footprint_bytes: OnceLock<u64>,
 }
 
 impl Trace {
@@ -82,6 +84,7 @@ impl Trace {
             requests,
             dense: OnceLock::new(),
             shape: OnceLock::new(),
+            footprint_bytes: OnceLock::new(),
         }
     }
 
@@ -127,26 +130,27 @@ impl Trace {
         self.requests.is_empty()
     }
 
-    /// Number of distinct objects (the paper's "trace footprint").
+    /// Number of distinct objects (the paper's "trace footprint"): the size
+    /// of the interning table, so it interns on first call like
+    /// [`Trace::dense`], with the same caveat.
     pub fn footprint(&self) -> usize {
-        let mut seen = cache_ds::IdSet::default();
-        for r in &self.requests {
-            seen.insert(r.id);
-        }
-        seen.len()
+        self.dense().ids.len()
     }
 
     /// Footprint in bytes: the sum of distinct objects' sizes (used for byte
-    /// miss ratio cache sizing, §5.2.3).
+    /// miss ratio cache sizing, §5.2.3). Scanned on first call and cached,
+    /// with the same caveat as [`Trace::dense`].
     pub fn footprint_bytes(&self) -> u64 {
-        let mut seen = cache_ds::IdSet::default();
-        let mut bytes = 0u64;
-        for r in &self.requests {
-            if seen.insert(r.id) {
-                bytes += u64::from(r.size);
+        *self.footprint_bytes.get_or_init(|| {
+            let mut seen = cache_ds::IdSet::default();
+            let mut bytes = 0u64;
+            for r in &self.requests {
+                if seen.insert(r.id) {
+                    bytes += u64::from(r.size);
+                }
             }
-        }
-        bytes
+            bytes
+        })
     }
 
     /// Total requested bytes.
