@@ -13,17 +13,14 @@
 //!
 //! Knobs: `CORPUS_REQUESTS` (default 150 000) scales the trace length.
 
-use cache_bench::{banner, f3, print_table};
+use cache_bench::{banner, f3, print_table, requests_from_env};
 use cache_faults::{FaultKind, FaultPlan, Schedule};
 use cache_flash::{AdmissionKind, FlashCache, FlashCacheConfig, ResilienceConfig};
 use cache_trace::corpus::{datasets, CorpusConfig};
 use cache_trace::Trace;
 
 fn corpus_trace(seed: u64) -> Trace {
-    let requests = std::env::var("CORPUS_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150_000);
+    let requests = requests_from_env();
     let ds = datasets()
         .into_iter()
         .find(|d| d.name == "cdn1")

@@ -11,7 +11,11 @@
 //!
 //! - `CORPUS_TRACES` — traces per dataset (default 3);
 //! - `CORPUS_REQUESTS` — requests per trace (default 150 000);
-//! - `BENCH_THREADS` — sweep worker threads (default: all cores).
+//! - `BENCH_THREADS` — sweep worker threads (default 0: all cores).
+//!
+//! A value that is not a whole number, or a zero count of traces or
+//! requests, ends the binary with exit status 2 and a message naming the
+//! variable, rather than running a scale nobody asked for.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,19 +23,47 @@
 use cache_trace::corpus::{datasets, CorpusConfig};
 use cache_trace::Trace;
 
+/// Parses knob `name`'s `value` (`None`: unset, giving `default`); a value
+/// must be a whole number no smaller than `min`.
+///
+/// # Errors
+///
+/// A message naming the variable and the value it holds.
+fn parse_knob(
+    name: &str,
+    value: Option<&str>,
+    default: usize,
+    min: usize,
+) -> Result<usize, String> {
+    let Some(value) = value else {
+        return Ok(default);
+    };
+    match value.parse::<usize>() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(_) => Err(format!("{name}={value:?}: must be at least {min}")),
+        Err(_) => Err(format!("{name}={value:?}: not a whole number")),
+    }
+}
+
+/// [`parse_knob`] over the environment; exits with status 2 on a bad value.
+fn knob(name: &str, default: usize, min: usize) -> usize {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, value.as_deref(), default, min).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// Requests per corpus trace, `CORPUS_REQUESTS` (default 150 000).
+pub fn requests_from_env() -> usize {
+    knob("CORPUS_REQUESTS", 150_000, 1)
+}
+
 /// Reads the corpus scale from the environment (see crate docs).
 pub fn corpus_config_from_env() -> CorpusConfig {
-    let traces = std::env::var("CORPUS_TRACES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let requests = std::env::var("CORPUS_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150_000);
     CorpusConfig {
-        traces_per_dataset: traces,
-        requests_per_trace: requests,
+        traces_per_dataset: knob("CORPUS_TRACES", 3, 1),
+        requests_per_trace: requests_from_env(),
         seed: 0xC0FFEE,
     }
 }
@@ -52,10 +84,7 @@ pub fn corpus_traces() -> Vec<(String, Trace)> {
 
 /// Sweep worker threads from the environment (0 = all cores).
 pub fn threads_from_env() -> usize {
-    std::env::var("BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+    knob("BENCH_THREADS", 0, 0)
 }
 
 /// Prints an ASCII table with aligned columns.
@@ -119,6 +148,28 @@ mod tests {
         let cfg = corpus_config_from_env();
         assert!(cfg.traces_per_dataset >= 1);
         assert!(cfg.requests_per_trace >= 1000);
+    }
+
+    #[test]
+    fn knobs_reject_garbage_and_zero_counts_by_name() {
+        assert_eq!(parse_knob("CORPUS_REQUESTS", None, 150_000, 1), Ok(150_000));
+        assert_eq!(
+            parse_knob("CORPUS_REQUESTS", Some("30000"), 150_000, 1),
+            Ok(30_000)
+        );
+        assert_eq!(parse_knob("BENCH_THREADS", Some("0"), 0, 0), Ok(0));
+        for (name, value, min, why) in [
+            ("CORPUS_REQUESTS", "0", 1, "at least 1"),
+            ("CORPUS_TRACES", "0", 1, "at least 1"),
+            ("CORPUS_REQUESTS", "30k", 1, "whole number"),
+            ("CORPUS_TRACES", "", 1, "whole number"),
+            ("BENCH_THREADS", "-1", 0, "whole number"),
+            ("BENCH_THREADS", "2.5", 0, "whole number"),
+        ] {
+            let err = parse_knob(name, Some(value), 3, min).expect_err(value);
+            assert!(err.starts_with(&format!("{name}={value:?}")), "{err}");
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl SlotGhost {
     pub fn new(slots: usize, capacity: u64) -> Self {
         SlotGhost {
             fifo: VecDeque::new(),
-            present: vec![false; slots],
+            present: cache_ds::huge::filled(slots, false),
             used: 0,
             capacity,
         }

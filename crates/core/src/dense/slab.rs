@@ -109,10 +109,12 @@ impl DenseSlab {
     /// A slab over a pre-sized dense domain `0..domain`, with no interning
     /// table behind it: in-memory replay passes the trace's footprint, the
     /// out-of-core streaming replayer the `.ctr` header's id space. The hot
-    /// path reads original ids out of the slots themselves.
+    /// path reads original ids out of the slots themselves. The slots sit on
+    /// huge pages where the host grants them (`cache_ds::huge`): a request's
+    /// slot line is then seldom a TLB miss.
     pub fn with_domain(domain: usize) -> Self {
         DenseSlab {
-            slots: vec![Slot::EMPTY; domain],
+            slots: cache_ds::huge::filled(domain, Slot::EMPTY),
             idle: None,
         }
     }

@@ -38,7 +38,7 @@ impl DenseIds {
             slot_of: HashMap::with_capacity_and_hasher(lo / 4 + 16, FxBuildHasher::default()),
             orig: Vec::new(),
         };
-        let mut slots = Vec::with_capacity(lo);
+        let mut slots = crate::huge::with_capacity(lo);
         for id in ids {
             let next = table.orig.len() as u32;
             let slot = *table.slot_of.entry(id).or_insert(next);

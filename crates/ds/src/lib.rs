@@ -21,15 +21,20 @@
 //!   forbids `unsafe`.
 //! - [`shardlock::ShardLocks`] — sharded reader-writer locks whose readers
 //!   announce themselves on a line of their own instead of writing the shard's
-//!   lock word; the index lock of every cache in `cache-concurrent`. The ring,
-//!   the prefetch hint, the `poll(2)` call and this lock are the four sites of
-//!   `unsafe` code in the workspace.
+//!   lock word; the index lock of every cache in `cache-concurrent`.
+//! - [`huge::with_capacity`] / [`huge::filled`] — `Vec`s advised onto 2 MiB
+//!   transparent huge pages before first touch, for the simulator's arrays
+//!   sized to the id domain or the trace.
 //! - [`rng::SplitMix64`] — a tiny deterministic RNG for sampled policies.
 //! - [`hist::Histogram`] — streaming histogram with percentile queries.
 //! - [`fx::FxHasher`] — FxHash-style multiplicative hasher backing the hot
 //!   [`rng::IdMap`]/[`rng::IdSet`] aliases.
 //! - [`dense::DenseIds`] — per-trace id interning for the dense-ID simulation
 //!   fast path.
+//!
+//! The ring, the prefetch hint, the `poll(2)` call, the lock and the
+//! `madvise(2)` call are the five sites of `unsafe` code in the workspace
+//! (`tests/unsafe_inventory.rs` at the root holds the list).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -40,6 +45,7 @@ pub mod dlist;
 pub mod fx;
 pub mod ghost;
 pub mod hist;
+pub mod huge;
 #[cfg(unix)]
 pub mod poll;
 pub mod prefetch;

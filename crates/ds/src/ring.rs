@@ -8,7 +8,7 @@
 //! prototype (`cache-concurrent`) builds its small and main queues from this
 //! ring.
 //!
-//! One of the workspace's four sites of `unsafe` code (the crate doc names
+//! One of the workspace's five sites of `unsafe` code (the crate doc names
 //! them).
 
 use std::cell::UnsafeCell;

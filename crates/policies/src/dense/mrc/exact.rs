@@ -57,22 +57,11 @@ impl MrcExactFifo {
     /// Returns [`CacheError`] when the grid is empty or contains a zero.
     pub fn new(capacities: &[u64], ids: &Arc<DenseIds>) -> Result<Self, CacheError> {
         validate_grid(capacities)?;
-        // `vec![0; n]` is `calloc`: an untouched page reads as the shared
-        // zero page, and `step` screens a row before it writes it, so every
-        // page would fault twice — and the second fault, a copy-on-write,
-        // flushes the TLB of every core the process is running on, which
-        // `simulate_mrc` makes all of them. One store per page faults it in
-        // writable, once. On the ledger's trace (0.69 M ids), 16 lanes,
-        // build + replay: 0.115 → 0.087 s alone, 0.245 → 0.10 s beside a
-        // second engine on the other core.
-        let mut ins = vec![0u32; ids.len() * capacities.len()];
-        for page in ins.chunks_mut(4096 / std::mem::size_of::<u32>()) {
-            page[0] = std::hint::black_box(0);
-        }
         Ok(MrcExactFifo {
             caps: capacities.to_vec(),
             k: capacities.len(),
-            ins,
+            // Written, not `calloc`ed: see DESIGN.md §10, "Workers".
+            ins: cache_ds::huge::filled(ids.len() * capacities.len(), 0),
             n: vec![0; capacities.len()],
             thresh: vec![0; capacities.len()],
             gets: 0,

@@ -155,7 +155,7 @@ impl MrcTurboClock {
         Ok(MrcTurboClock {
             max_freq: (1u8 << bits) - 1,
             mask: lane_mask(capacities.len()),
-            hdr: vec![SlotHdr::default(); ids.len()],
+            hdr: cache_ds::huge::filled(ids.len(), SlotHdr::default()),
             lanes: capacities
                 .iter()
                 .map(|&capacity| ClockLane {
@@ -384,7 +384,7 @@ impl MrcTurboSieve {
         validate_turbo_grid(capacities)?;
         Ok(MrcTurboSieve {
             mask: lane_mask(capacities.len()),
-            hdr: vec![SlotHdr::default(); ids.len()],
+            hdr: cache_ds::huge::filled(ids.len(), SlotHdr::default()),
             lanes: capacities
                 .iter()
                 .map(|&capacity| SieveLane {
@@ -755,7 +755,7 @@ impl MrcTurboS3Fifo {
         }
         Ok(MrcTurboS3Fifo {
             mask: lane_mask(capacities.len()),
-            hdr: vec![S3SlotHdr::default(); ids.len()],
+            hdr: cache_ds::huge::filled(ids.len(), S3SlotHdr::default()),
             lanes: capacities
                 .iter()
                 .map(|&capacity| {

@@ -595,7 +595,7 @@ pub fn read_trace<R: Read + Seek>(
 ) -> Result<(Trace, CtrInfo), CacheError> {
     let mut reader = CtrReader::open(r)?;
     let info = *reader.info();
-    let mut requests = Vec::with_capacity(info.records.min(1 << 24) as usize);
+    let mut requests = cache_ds::huge::with_capacity(info.records.min(1 << 24) as usize);
     let mut chunk = Vec::new();
     while reader.read_chunk(&mut chunk, 1 << 16)? > 0 {
         requests.extend_from_slice(&chunk);
