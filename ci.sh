@@ -6,8 +6,38 @@
 # in Cargo.toml), so they are re-demoted to warnings after -D so they surface
 # in review without blocking the build. Internal-invariant `expect`s carry a
 # comment naming the invariant (robustness policy, PR 1).
+#
+# `./ci.sh stress [N]` runs none of that: it runs cache-concurrent's tests N
+# times (default 20) and prints how often each test failed, so that a flake
+# has a rate rather than an anecdote. It exits non-zero on any failure.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+if [ "${1:-}" = "stress" ]; then
+    runs="${2:-20}"
+    case "${runs}" in
+        '' | *[!0-9]* | 0) echo "usage: ./ci.sh stress [N], N a positive integer" >&2; exit 2 ;;
+    esac
+    cargo test -q --release --offline -p cache-concurrent --no-run
+    failures=$(mktemp)
+    trap 'rm -f "${failures}"' EXIT
+    bad_runs=0
+    for run in $(seq 1 "${runs}"); do
+        if out=$(cargo test -q --release --offline -p cache-concurrent 2>&1); then
+            continue
+        fi
+        bad_runs=$((bad_runs + 1))
+        names=$(printf '%s\n' "${out}" | sed -n 's/^---- \(.*\) stdout ----$/\1/p')
+        echo "run ${run}: FAILED ${names:-outside any test}"
+        printf '%s\n' "${names:-run ${run}: failed outside any test}" >> "${failures}"
+    done
+    echo "stress: ${bad_runs} of ${runs} runs failed"
+    sort "${failures}" | uniq -c | while read -r count name; do
+        echo "  ${name}: ${count} of ${runs}"
+    done
+    [ "${bad_runs}" -eq 0 ]
+    exit
+fi
 
 echo "== cargo build --release --workspace =="
 # --workspace is load-bearing: the root manifest is both a workspace and a

@@ -130,8 +130,8 @@ fn fmt_evictions(evs: &[Eviction]) -> String {
         .iter()
         .map(|e| {
             format!(
-                "(id={} size={} ins={} acc={} freq={} prob={})",
-                e.id, e.size, e.insert_time, e.last_access_time, e.freq, e.from_probationary
+                "(id={} size={} ins={} freq={} prob={})",
+                e.id, e.size, e.insert_time, e.freq, e.from_probationary
             )
         })
         .collect();

@@ -31,7 +31,6 @@ use std::collections::{HashSet, VecDeque};
 struct RefMeta {
     size: u32,
     insert_time: u64,
-    last_access: u64,
     hits: u32,
 }
 
@@ -40,14 +39,12 @@ impl RefMeta {
         RefMeta {
             size,
             insert_time: now,
-            last_access: now,
             hits: 0,
         }
     }
 
-    fn touch(&mut self, now: u64) {
+    fn touch(&mut self) {
         self.hits += 1;
-        self.last_access = now;
     }
 
     fn eviction(&self, id: ObjId, from_probationary: bool) -> Eviction {
@@ -55,7 +52,6 @@ impl RefMeta {
             id,
             size: self.size,
             insert_time: self.insert_time,
-            last_access_time: self.last_access,
             freq: self.hits,
             from_probationary,
         }
@@ -420,7 +416,7 @@ impl ReferencePolicy {
         });
     }
 
-    fn slru_on_hit(&mut self, id: ObjId, now: u64) {
+    fn slru_on_hit(&mut self, id: ObjId) {
         // Invariant: on_hit is only called for resident ids.
         let seg = (0..4)
             .find(|&s| find(&self.segs[s], id).is_some())
@@ -428,7 +424,7 @@ impl ReferencePolicy {
         let pos = find(&self.segs[seg], id).expect("position exists");
         let target = (seg + 1).min(3);
         let mut n = self.segs[seg].remove(pos);
-        n.meta.touch(now);
+        n.meta.touch();
         self.segs[target].push(n);
         if target != seg {
             self.slru_rebalance_from(target);
@@ -482,35 +478,35 @@ impl ReferencePolicy {
             Algo::Fifo => {
                 // Invariant: on_hit is only called for resident ids.
                 let p = find(&self.q0, req.id).expect("hit id resident");
-                self.q0[p].meta.touch(req.time);
+                self.q0[p].meta.touch();
             }
             Algo::Lru => {
                 // Invariant: on_hit is only called for resident ids.
                 let p = find(&self.q0, req.id).expect("hit id resident");
-                self.q0[p].meta.touch(req.time);
+                self.q0[p].meta.touch();
                 move_to_head(&mut self.q0, p);
             }
             Algo::Clock(max_freq) => {
                 // Invariant: on_hit is only called for resident ids.
                 let p = find(&self.q0, req.id).expect("hit id resident");
                 self.q0[p].freq = (self.q0[p].freq + 1).min(max_freq);
-                self.q0[p].meta.touch(req.time);
+                self.q0[p].meta.touch();
             }
             Algo::Sieve => {
                 // Invariant: on_hit is only called for resident ids.
                 let p = find(&self.q0, req.id).expect("hit id resident");
                 self.q0[p].freq = 1; // visited bit
-                self.q0[p].meta.touch(req.time);
+                self.q0[p].meta.touch();
             }
-            Algo::Slru => self.slru_on_hit(req.id, req.time),
+            Algo::Slru => self.slru_on_hit(req.id),
             Algo::TwoQ => {
                 // A1in hits touch only (FIFO); Am hits promote to MRU.
                 if let Some(p) = find(&self.q0, req.id) {
-                    self.q0[p].meta.touch(req.time);
+                    self.q0[p].meta.touch();
                 } else {
                     let p = find(&self.q1, req.id).expect("hit id resident");
                     let mut n = self.q1.remove(p);
-                    n.meta.touch(req.time);
+                    n.meta.touch();
                     self.q1.push(n);
                 }
             }
@@ -523,7 +519,7 @@ impl ReferencePolicy {
                 // Invariant: on_hit is only called for resident ids.
                 let p = find(q, req.id).expect("hit id resident");
                 q[p].freq = (q[p].freq + 1).min(3);
-                q[p].meta.touch(req.time);
+                q[p].meta.touch();
                 if kind == Queue::Lru {
                     move_to_head(q, p);
                 }

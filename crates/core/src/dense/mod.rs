@@ -6,8 +6,9 @@
 //! S3-FIFO add a [`SlotGhost`]. This module holds that shared plumbing and
 //! the two ways a request finds its slot:
 //!
-//! - **pre-interned** — the simulator interns a whole trace once (or reads
-//!   a `.ctr` file whose ids are already dense) and drives
+//! - **pre-interned** — the simulator interns a whole trace once (or a
+//!   `.ctr` stream chunk by chunk, growing the slab with
+//!   [`DensePolicy::grow_domain`]) and drives
 //!   [`DensePolicy::request_dense`] through [`replay_loop`]; a request costs
 //!   a couple of array loads;
 //! - **keyed** — [`Keyed`] interns `ObjId → slot` on the fly, recycles slots
@@ -76,14 +77,25 @@ pub fn replay_loop<P: DensePolicy>(
 }
 
 /// Implements [`DensePolicy::replay`] as a monomorphized [`replay_loop`]
-/// call and [`DensePolicy::prefetch`] as a slot-state warming read; used
-/// inside each dense policy's `impl DensePolicy` block (they all store
-/// their per-slot state in a `slab` field and warm their eviction cursors
-/// in an inherent `prefetch_extra`). Policies with a ghost list name it as
-/// the macro argument so its presence mark is warmed too.
+/// call, [`DensePolicy::prefetch`] as a slot-state warming read and
+/// [`DensePolicy::grow_domain`] as [`DenseSlab::grow_to`]; used inside each
+/// dense policy's `impl DensePolicy` block (they all store their per-slot
+/// state in a `slab` field and warm their eviction cursors in an inherent
+/// `prefetch_extra`). Policies with a ghost list name it as the macro
+/// argument so its presence mark is warmed too; the marks need no growing,
+/// since [`SlotGhost::insert`] extends them.
 #[macro_export]
 macro_rules! impl_dense_replay {
     ($($ghost:ident),*) => {
+        fn grow_domain(
+            &mut self,
+            domain: usize,
+            reserve: usize,
+        ) -> Result<(), cache_types::CacheError> {
+            self.slab.grow_to(domain, reserve);
+            Ok(())
+        }
+
         fn prefetch(&self, slot: u32) {
             // Non-retiring hardware hints; see `cache_ds::prefetch_read`.
             self.slab.warm_slot(slot);

@@ -1,6 +1,6 @@
 //! Packed per-slot storage for the dense policies.
 //!
-//! Everything a request needs lives in a single [`Slot`] (48 bytes, aligned
+//! Everything a request needs lives in a single [`Slot`] (40 bytes, aligned
 //! to a 64-byte line), so the hot path costs one line for the slot plus one
 //! per queue neighbour. [`PackedQueue`] threads intrusive queues through the
 //! `prev`/`next` fields with [`cache_ds::DList`]'s orientation (head =
@@ -8,7 +8,8 @@
 //! lockstep.
 //!
 //! A slab either covers a pre-interned domain (`with_domain`, the replay
-//! path: slots are never given back) or *recycles* (`start_recycling`, under
+//! path: slots are never given back, and `grow_to` adds the ones a stream
+//! names next) or *recycles* (`start_recycling`, under
 //! [`super::Keyed`]): the policy then reports every slot that falls idle —
 //! not resident and named by no ghost FIFO entry — through
 //! [`DenseSlab::release`], and the adapter reuses it for the next new id.
@@ -34,8 +35,6 @@ pub struct Slot {
     pub hits: u32,
     /// Logical insertion time.
     pub insert_time: u64,
-    /// Logical time of the most recent access.
-    pub last_access: u64,
     /// Original object id, recorded at insertion so evictions can emit a
     /// real [`Eviction::id`] without a random read into the interning
     /// table's slot → id array (a guaranteed cache miss per eviction).
@@ -57,7 +56,6 @@ impl Slot {
         size: 0,
         hits: 0,
         insert_time: 0,
-        last_access: 0,
         orig: 0,
         tag: 0,
         freq: 0,
@@ -70,15 +68,13 @@ impl Slot {
         self.orig = req.id;
         self.size = req.size;
         self.insert_time = req.time;
-        self.last_access = req.time;
         self.hits = 0;
     }
 
-    /// Records a hit at logical time `now`.
+    /// Records a hit.
     #[inline]
-    pub fn touch(&mut self, now: u64) {
+    pub fn touch(&mut self) {
         self.hits += 1;
-        self.last_access = now;
     }
 
     /// Not resident, and no ghost FIFO entry — live **or tombstoned** —
@@ -108,14 +104,38 @@ pub struct DenseSlab {
 impl DenseSlab {
     /// A slab over a pre-sized dense domain `0..domain`, with no interning
     /// table behind it: in-memory replay passes the trace's footprint, the
-    /// out-of-core streaming replayer the `.ctr` header's id space. The hot
-    /// path reads original ids out of the slots themselves. The slots sit on
-    /// huge pages where the host grants them (`cache_ds::huge`): a request's
-    /// slot line is then seldom a TLB miss.
+    /// out-of-core streaming replayer 0 and then [`DenseSlab::grow_to`] as
+    /// the stream names ids. The hot path reads original ids out of the
+    /// slots themselves. The slots sit on huge pages where the host grants
+    /// them (`cache_ds::huge`): a request's slot line is then seldom a TLB
+    /// miss.
     pub fn with_domain(domain: usize) -> Self {
         DenseSlab {
             slots: cache_ds::huge::filled(domain, Slot::EMPTY),
             idle: None,
+        }
+    }
+
+    /// Extends a pre-interned domain to `0..domain`; never shrinks it. The
+    /// first growth makes room on huge pages for `reserve` slots (or
+    /// `domain`, if more), so growth inside that room never moves the slab,
+    /// and only the slots it adds are written. Past the room the slab at
+    /// least doubles, as a `Vec` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a recycling slab, which grows slot by slot under its
+    /// adapter.
+    pub fn grow_to(&mut self, domain: usize, reserve: usize) {
+        assert!(!self.recycles(), "a recycling slab grows under its adapter");
+        let room = domain.max(reserve);
+        if room > self.slots.capacity() {
+            let mut slots = cache_ds::huge::with_capacity(room.max(2 * self.slots.capacity()));
+            slots.extend_from_slice(&self.slots);
+            self.slots = slots;
+        }
+        if domain > self.slots.len() {
+            self.slots.resize(domain, Slot::EMPTY);
         }
     }
 
@@ -224,7 +244,6 @@ impl DenseSlab {
             id: s.orig,
             size: s.size,
             insert_time: s.insert_time,
-            last_access_time: s.last_access,
             freq: s.hits,
             from_probationary,
         }

@@ -145,8 +145,8 @@ impl DenseS3Fifo {
     }
 
     /// Creates an S3-FIFO cache with an explicit configuration over the
-    /// dense domain `0..domain` (the trace's footprint, or a `.ctr` header's
-    /// id space — those ids are already dense).
+    /// dense domain `0..domain` (the trace's footprint, or 0 for a stream
+    /// that grows it with [`DensePolicy::grow_domain`]).
     ///
     /// # Errors
     ///
@@ -450,7 +450,7 @@ impl<Q: Queues> DensePolicy for DenseS3Fifo<Q> {
                     // Cache hit: atomically bump the capped counter (§4.1).
                     let s = &mut self.slab.slots[slot as usize];
                     s.freq = (s.freq + 1).min(MAX_FREQ);
-                    s.touch(req.time);
+                    s.touch();
                     // §6.3: an LRU queue also moves the object to its head.
                     match s.tag {
                         SMALL if Q::SMALL_LRU => {

@@ -157,7 +157,7 @@ impl DensePolicy for DenseTwoQ {
             Op::Get => {
                 let tag = self.slab.slots[slot as usize].tag;
                 if tag != ABSENT {
-                    self.slab.slots[slot as usize].touch(req.time);
+                    self.slab.slots[slot as usize].touch();
                     // A1in hits do nothing (FIFO); Am hits promote.
                     if tag == AM {
                         self.am.move_to_front(&mut self.slab.slots, slot);
@@ -348,8 +348,8 @@ impl DenseSlru {
         self.seg_used[0] += u64::from(req.size);
     }
 
-    fn on_hit(&mut self, slot: u32, now: u64) {
-        self.slab.slots[slot as usize].touch(now);
+    fn on_hit(&mut self, slot: u32) {
+        self.slab.slots[slot as usize].touch();
         // Invariant: a hit slot is owned by exactly one segment.
         let seg = self.seg_of(slot).expect("hit on resident slot");
         let size = u64::from(self.slab.size(slot));
@@ -398,7 +398,7 @@ impl DensePolicy for DenseSlru {
         match req.op {
             Op::Get => {
                 if self.slab.slots[slot as usize].tag != 0 {
-                    self.on_hit(slot, req.time);
+                    self.on_hit(slot);
                     self.stats.record_get(req.size, false);
                     Outcome::Hit
                 } else if u64::from(req.size) > self.capacity {

@@ -28,8 +28,8 @@ pub struct DenseFifo {
 
 impl DenseFifo {
     /// Creates a FIFO cache of `capacity` bytes over the dense domain
-    /// `0..domain` (the trace's footprint, or a `.ctr` header's id space —
-    /// those ids are already dense).
+    /// `0..domain` (the trace's footprint, or 0 for a stream that grows it
+    /// with [`DensePolicy::grow_domain`]).
     ///
     /// # Errors
     ///
@@ -104,7 +104,7 @@ impl DensePolicy for DenseFifo {
         match req.op {
             Op::Get => {
                 if self.slab.slots[slot as usize].tag == RESIDENT {
-                    self.slab.slots[slot as usize].touch(req.time);
+                    self.slab.slots[slot as usize].touch();
                     self.stats.record_get(req.size, false);
                     Outcome::Hit
                 } else if u64::from(req.size) > self.capacity {
@@ -237,7 +237,7 @@ impl DensePolicy for DenseLru {
         match req.op {
             Op::Get => {
                 if self.slab.slots[slot as usize].tag == RESIDENT {
-                    self.slab.slots[slot as usize].touch(req.time);
+                    self.slab.slots[slot as usize].touch();
                     self.queue.move_to_front(&mut self.slab.slots, slot);
                     self.stats.record_get(req.size, false);
                     Outcome::Hit
@@ -392,7 +392,7 @@ impl DensePolicy for DenseClock {
                 if self.slab.slots[slot as usize].tag == RESIDENT {
                     let s = &mut self.slab.slots[slot as usize];
                     s.freq = (s.freq + 1).min(self.max_freq);
-                    s.touch(req.time);
+                    s.touch();
                     self.stats.record_get(req.size, false);
                     Outcome::Hit
                 } else if u64::from(req.size) > self.capacity {
@@ -567,7 +567,7 @@ impl DensePolicy for DenseSieve {
                 if self.slab.slots[slot as usize].tag == RESIDENT {
                     let s = &mut self.slab.slots[slot as usize];
                     s.freq = 1;
-                    s.touch(req.time);
+                    s.touch();
                     self.stats.record_get(req.size, false);
                     Outcome::Hit
                 } else if u64::from(req.size) > self.capacity {

@@ -139,10 +139,11 @@ pub fn build(
 }
 
 /// Builds the named FIFO-family policy over the dense domain `0..domain`, to
-/// be driven with pre-interned slots — a trace's footprint, or the id space
-/// of a `.ctr` header (those ids are already dense). `None` when the
-/// algorithm is not written over the dense slab (the simulator then replays
-/// [`build`]'s keyed policy).
+/// be driven with pre-interned slots — a trace's footprint, or 0 for a
+/// stream that grows the policy as it names ids
+/// ([`DensePolicy::grow_domain`]). `None` when the algorithm is not written
+/// over the dense slab (the simulator then replays [`build`]'s keyed
+/// policy).
 ///
 /// Dense policies: FIFO, LRU, CLOCK, CLOCK-2bit, SIEVE, SLRU, 2Q, S3-FIFO,
 /// `"S3-FIFO(r)"`, the three QDLP names and S3-FIFO-Sieve. For these
@@ -242,7 +243,7 @@ fn parse_param(name: &str, prefix: &str) -> Option<Result<f64, CacheError>> {
 mod tests {
     use super::*;
     use cache_types::policy::run_trace;
-    use cache_types::Request;
+    use cache_types::{Op, Request};
 
     #[test]
     fn builds_every_listed_algorithm() {
@@ -282,5 +283,59 @@ mod tests {
     fn belady_needs_trace() {
         assert!(build("Belady", 100, None).is_err());
         assert!(build("Belady", 100, Some(&[])).is_ok());
+    }
+
+    /// A dense policy grown chunk by chunk as a stream names ids — with the
+    /// room reserved up front or not — decides exactly as one built over
+    /// the whole footprint, for every dense name.
+    #[test]
+    fn a_slab_grown_in_steps_replays_as_a_presized_one() {
+        let mut rng = cache_ds::SplitMix64::new(0x6E0C);
+        let reqs: Vec<Request> = (0..6_000u64)
+            .map(|time| Request {
+                id: rng.next_below(700),
+                size: 1 + rng.next_below(8) as u32,
+                time,
+                op: match rng.next_below(10) {
+                    0 => Op::Set,
+                    1 => Op::Delete,
+                    _ => Op::Get,
+                },
+            })
+            .collect();
+        let (ids, slots) = cache_ds::DenseIds::intern(reqs.iter().map(|r| r.id));
+        let replay = |policy: &mut dyn DensePolicy, grow: Option<usize>| {
+            let mut evictions = Vec::new();
+            for (s, r) in slots.chunks(97).zip(reqs.chunks(97)) {
+                if let Some(reserve) = grow {
+                    let named = s.iter().max().map_or(0, |&m| m as usize + 1);
+                    policy
+                        .grow_domain(named, reserve)
+                        .expect("slab policies grow");
+                }
+                policy.replay(s, r, false, &mut |i, e| evictions.push((i, *e)));
+            }
+            policy.validate().expect("invariants hold");
+            (policy.stats(), policy.used(), policy.len(), evictions)
+        };
+        let mut checked = 0;
+        for name in ALL_ALGORITHMS.iter().copied().chain(["S3-FIFO(0.25)"]) {
+            let Some(mut presized) = build_dense_domain(name, 60, ids.len()).expect("builds")
+            else {
+                continue;
+            };
+            let want = replay(presized.as_mut(), None);
+            for reserve in [0, ids.len()] {
+                let mut grown = build_dense_domain(name, 60, 0)
+                    .expect("builds")
+                    .expect("dense");
+                assert!(
+                    replay(grown.as_mut(), Some(reserve)) == want,
+                    "{name} reserve {reserve}"
+                );
+            }
+            checked += 1;
+        }
+        assert_eq!(checked, 13, "every dense name");
     }
 }

@@ -2,8 +2,9 @@
 
 use cache_types::{Eviction, ObjId};
 
-/// Per-object bookkeeping common to every policy: size and the timestamps
-/// and counters that eviction records report.
+/// Per-object bookkeeping common to every policy: size and the timestamp
+/// and counter that eviction records report, plus the last access LHD
+/// decides on.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Meta {
     pub size: u32,
@@ -33,7 +34,6 @@ impl Meta {
             id,
             size: self.size,
             insert_time: self.insert_time,
-            last_access_time: self.last_access,
             freq: self.hits,
             from_probationary,
         }

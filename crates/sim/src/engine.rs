@@ -183,11 +183,14 @@ pub struct Replay<'p> {
     observer: Option<&'p mut dyn RequestObserver>,
     /// Requests fed so far: the stream index of the next chunk's first.
     fed: u64,
+    /// Every dense lane covers slots `0..domain`: the trace's footprint in
+    /// memory, the distinct ids named so far on a stream.
+    pub(crate) domain: usize,
     evs: Vec<Eviction>,
 }
 
 impl<'p> Replay<'p> {
-    fn new(engines: Vec<Engine<'p>>) -> Self {
+    fn new(engines: Vec<Engine<'p>>, domain: usize) -> Self {
         let lane = |engine| Lane {
             engine,
             freq_at_eviction: Histogram::new(),
@@ -200,6 +203,7 @@ impl<'p> Replay<'p> {
             ignore_size: false,
             observer: None,
             fed: 0,
+            domain,
             // One request evicts a handful of objects at most; sized once
             // so the loop never grows it.
             evs: Vec::with_capacity(64),
@@ -221,7 +225,7 @@ impl<'p> Replay<'p> {
                 None => Engine::Keyed(registry::build(name, capacity, trace)?),
             });
         }
-        Ok(Self::new(engines))
+        Ok(Self::new(engines, domain))
     }
 
     /// A replay of `trace` at `capacity` through the named policies, dense
@@ -237,28 +241,44 @@ impl<'p> Replay<'p> {
         Self::named(names, capacity, Some(&trace.requests), domain)
     }
 
-    /// [`on_trace`](Self::on_trace) for a stream whose ids are already the
-    /// dense slots `0..id_space` (the `.ctr` invariant): dense policies are
-    /// sized from the id space, with no interning table and no trace, so
-    /// `Belady`, which needs the whole trace, is refused by the registry.
+    /// [`on_trace`](Self::on_trace) for a stream whose ids all lie below
+    /// `id_space` (a `.ctr` header's): dense policies start over the empty
+    /// domain with room reserved for `id_space` slots, and grow as the
+    /// stream names ids ([`feed_ctr`](Self::feed_ctr) numbers them in
+    /// first-appearance order). There is no trace, so `Belady`, which needs
+    /// the whole of it, is refused by the registry.
     ///
     /// # Errors
     ///
     /// As [`on_trace`](Self::on_trace).
     pub fn on_dense_ids(names: &[&str], id_space: u64, capacity: u64) -> Result<Self, CacheError> {
+        let mut replay = Self::named(names, capacity, None, 0)?;
         // The `.ctr` header bounds id_space by 2^32, so this never clamps.
-        let domain = usize::try_from(id_space).unwrap_or(usize::MAX);
-        Self::named(names, capacity, None, domain)
+        replay.grow(0, usize::try_from(id_space).unwrap_or(usize::MAX))?;
+        Ok(replay)
     }
 
     /// A replay through the caller's keyed policy, which must be fresh.
     pub fn keyed(policy: Box<dyn Policy + 'p>) -> Self {
-        Self::new(vec![Engine::Keyed(policy)])
+        Self::new(vec![Engine::Keyed(policy)], 0)
     }
 
-    /// A replay through the caller's dense policy, which must be fresh.
+    /// A replay through the caller's dense policy, which must be fresh. It
+    /// is grown ([`DensePolicy::grow_domain`]) to cover the slots it is fed.
     pub fn dense(policy: Box<dyn DensePolicy + 'p>) -> Self {
-        Self::new(vec![Engine::Dense(policy)])
+        Self::new(vec![Engine::Dense(policy)], 0)
+    }
+
+    /// Grows every dense lane to cover slots `0..domain`, with room for
+    /// `reserve` ([`DensePolicy::grow_domain`]).
+    pub(crate) fn grow(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
+        for lane in &mut self.lanes {
+            if let Engine::Dense(policy) = &mut lane.engine {
+                policy.grow_domain(domain, reserve)?;
+            }
+        }
+        self.domain = self.domain.max(domain);
+        Ok(())
     }
 
     /// Replays every request at size 1 (capacities are then object counts)
@@ -302,12 +322,29 @@ impl<'p> Replay<'p> {
 
     /// Replays the next chunk of the stream. `slots` is parallel to `reqs`
     /// and names each request's dense slot; it is read only when a dense
-    /// policy is driven and may be empty otherwise.
+    /// policy is driven and may be empty otherwise. Dense policies are first
+    /// grown to cover every slot named.
+    ///
+    /// # Errors
+    ///
+    /// [`DensePolicy::grow_domain`]'s, when a dense policy cannot grow to
+    /// the chunk's slots; nothing is replayed then.
     ///
     /// # Panics
     ///
     /// Panics when a dense policy is driven and the lengths differ.
-    pub fn feed(&mut self, slots: &[u32], reqs: &[Request]) {
+    pub fn feed(&mut self, slots: &[u32], reqs: &[Request]) -> Result<(), CacheError> {
+        if self.has_dense() {
+            let named = slots.iter().max().map_or(0, |&s| s as usize + 1);
+            self.grow(named, 0)?;
+        }
+        self.feed_covered(slots, reqs);
+        Ok(())
+    }
+
+    /// [`feed`](Self::feed) for a chunk whose slots every dense lane
+    /// already covers.
+    pub(crate) fn feed_covered(&mut self, slots: &[u32], reqs: &[Request]) {
         let dense = self.has_dense();
         assert!(
             !dense || slots.len() == reqs.len(),
@@ -439,8 +476,17 @@ impl<'p> Replay<'p> {
     }
 
     /// Feeds the whole of `trace` as one chunk and finishes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a dense policy the caller built cannot grow to the
+    /// trace's footprint; the registry's all can.
     pub fn run(mut self, trace: &Trace) -> Vec<Replayed> {
-        self.feed(&trace.dense().slots, &trace.requests);
+        let dense = trace.dense();
+        if let Err(e) = self.grow(dense.ids.len(), 0) {
+            panic!("replaying {}: {e}", trace.name);
+        }
+        self.feed_covered(&dense.slots, &trace.requests);
         self.finish(&trace.name)
     }
 }
@@ -611,6 +657,48 @@ mod tests {
             .unwrap()
             .observer(&mut nop);
         assert_eq!(keyed.unwrap().run(&trace)[0].0.requests, 20_000);
+    }
+
+    /// A chunk of explicit slots grows a dense policy to cover them; a
+    /// policy that cannot grow is refused before anything is replayed.
+    #[test]
+    fn feed_grows_the_slab_or_refuses() {
+        let reqs: Vec<Request> = [7u64, 9, 7, 3]
+            .iter()
+            .zip(0..)
+            .map(|(&id, t)| Request::get(id, t))
+            .collect();
+        let slots = [0u32, 5, 0, 2];
+        let policy = s3fifo::DenseS3Fifo::with_domain(2, 0).expect("capacity > 0");
+        let mut replay = Replay::dense(Box::new(policy));
+        replay.feed(&slots, &reqs).expect("a slab policy grows");
+        assert_eq!(replay.domain, 6);
+        let (r, _) = replay.finish("t").remove(0);
+        assert_eq!((r.requests, r.misses), (4, 3));
+
+        struct Fixed;
+        impl DensePolicy for Fixed {
+            fn name(&self) -> String {
+                "fixed".into()
+            }
+            fn capacity(&self) -> u64 {
+                1
+            }
+            fn used(&self) -> u64 {
+                0
+            }
+            fn len(&self) -> usize {
+                0
+            }
+            fn request_dense(&mut self, _: u32, _: &Request, _: &mut Vec<Eviction>) -> Outcome {
+                panic!("a policy that cannot grow must not be fed");
+            }
+            fn stats(&self) -> PolicyStats {
+                PolicyStats::default()
+            }
+        }
+        let mut replay = Replay::dense(Box::new(Fixed));
+        assert!(replay.feed(&slots, &reqs).is_err());
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! - **Fixed-width little-endian records** — record `i` lives at byte
 //!   `32 + i * record_bytes`, so the file is chunk-addressable (and
 //!   mmap-friendly) without an index.
-//! - **Dense `u32` ids** — ids are pre-interned (first-appearance order when
-//!   converted from a keyed trace), which is exactly what the simulator's
-//!   dense fast path consumes; the streaming replayer sizes its slot slab
-//!   from the header's `id_space` and skips interning entirely.
+//! - **`u32` ids below the header's `id_space`** — a trace converted from a
+//!   keyed one numbers them in first-appearance order; a generated one lays
+//!   them out in disjoint ranges (`stream_gen`) and may name only a fraction
+//!   of the space. Readers turn them into the simulator's dense slots through
+//!   a direct table of `id_space` entries (`cache_ds::DenseIds::bounded`):
+//!   the header bounds that table, so no id is hashed, and the slot slab
+//!   grows only to the ids the trace names.
 //! - **Optional lanes** — a 1-byte op lane (get/set/delete) and a 4-byte TTL
 //!   lane are enabled by header flags; pure-Get unit traces pay 8 bytes per
 //!   request.
@@ -39,6 +42,7 @@
 //! never an out-of-bounds slot downstream.
 
 use crate::Trace;
+use cache_ds::DenseIds;
 use cache_types::{CacheError, Op, Request};
 use std::io::{Read, Seek, SeekFrom, Write};
 
@@ -92,7 +96,7 @@ pub struct CtrInfo {
     /// Number of records in the file.
     pub records: u64,
     /// Exclusive upper bound on record ids (`max id + 1`; 0 when empty).
-    /// The streaming replayer sizes its dense slot domain from this.
+    /// Readers size their direct id → slot table from this.
     pub id_space: u64,
     /// Record lanes present.
     pub lanes: CtrLanes,
@@ -582,9 +586,14 @@ pub fn write_trace<W: Write + Seek>(trace: &Trace, w: W) -> Result<(W, CtrInfo),
     writer.finish_with_id_table(&originals)
 }
 
-/// Materializes a `.ctr` stream as an in-memory [`Trace`] with its **dense**
+/// Materializes a `.ctr` stream as an in-memory [`Trace`] with its record
 /// ids — request for request what the streaming replayer would consume, so
 /// in-memory and streamed replays of the same file are bit-identical.
+///
+/// The trace's dense view ([`Trace::dense`]) is interned while it loads,
+/// through the direct table the header's id space allows
+/// ([`cache_ds::DenseIds::bounded`]): the slots are the ones the streaming
+/// replayer assigns, and no hash is paid per request.
 ///
 /// # Errors
 ///
@@ -595,12 +604,17 @@ pub fn read_trace<R: Read + Seek>(
 ) -> Result<(Trace, CtrInfo), CacheError> {
     let mut reader = CtrReader::open(r)?;
     let info = *reader.info();
-    let mut requests = cache_ds::huge::with_capacity(info.records.min(1 << 24) as usize);
+    let records = info.records.min(1 << 24) as usize;
+    let mut requests = cache_ds::huge::with_capacity(records);
+    let mut slots = cache_ds::huge::with_capacity(records);
+    // `open` bounds the id space by 2^32, so this never clamps.
+    let mut ids = DenseIds::bounded(usize::try_from(info.id_space).unwrap_or(usize::MAX));
     let mut chunk = Vec::new();
     while reader.read_chunk(&mut chunk, 1 << 16)? > 0 {
         requests.extend_from_slice(&chunk);
+        ids.extend(&chunk, |r| r.id, &mut slots);
     }
-    Ok((Trace::new(name, requests), info))
+    Ok((Trace::with_dense(name, requests, ids, slots), info))
 }
 
 /// [`read_trace`] with the id-table mapping applied, restoring the original

@@ -88,6 +88,26 @@ impl Trace {
         }
     }
 
+    /// A trace whose dense-ID view its loader already interned: `slots`
+    /// parallels `requests` and numbers ids in first-appearance order, as
+    /// [`Trace::dense`] would.
+    pub(crate) fn with_dense(
+        name: impl Into<String>,
+        requests: Vec<Request>,
+        ids: DenseIds,
+        slots: Vec<u32>,
+    ) -> Self {
+        debug_assert_eq!(requests.len(), slots.len());
+        let trace = Trace::new(name, requests);
+        let dense = Arc::new(DenseTrace {
+            ids: Arc::new(ids),
+            slots,
+        });
+        // A fresh `OnceLock` is empty, so the set cannot fail.
+        let _ = trace.dense.set(dense);
+        trace
+    }
+
     /// The dense-ID view of this trace, interned on first call and cached.
     ///
     /// Thread-safe: concurrent sweep workers hitting a cold trace race to

@@ -12,9 +12,11 @@
 //! intervals, the workload shift that per-window miss-ratio series exist to
 //! expose.
 //!
-//! Ids are laid out in disjoint dense `u32` ranges so the `.ctr` id space
-//! (which sizes the streaming replayer's slot slab) stays proportional to
-//! the configured footprint, not the request count:
+//! Ids are laid out in disjoint `u32` ranges so the `.ctr` id space (which
+//! sizes a reader's direct id → slot table, 4 B an id) stays proportional
+//! to the configured footprint, not the request count. A trace need not
+//! name every id of its space; the replayer's slot slab grows only to the
+//! ids it does name:
 //!
 //! ```text
 //! [0, objects)                         Zipf core (popularity rotates per phase)

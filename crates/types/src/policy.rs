@@ -6,6 +6,7 @@
 //! simulator can compute the paper's eviction-time metrics: frequency of
 //! objects at eviction (Fig. 4) and quick-demotion speed/precision (Fig. 10).
 
+use crate::error::CacheError;
 use crate::request::{ObjId, Request};
 
 /// The result of processing a read request.
@@ -49,9 +50,6 @@ pub struct Eviction {
     pub size: u32,
     /// Logical time at which the object was (last) inserted.
     pub insert_time: u64,
-    /// Logical time of the last access (equal to `insert_time` when the
-    /// object was never hit after insertion — a one-hit wonder).
-    pub last_access_time: u64,
     /// Number of accesses *after* insertion (0 for a one-hit wonder).
     pub freq: u32,
     /// True when the object was evicted from a probationary structure
@@ -219,6 +217,24 @@ pub trait DensePolicy {
         Ok(())
     }
 
+    /// Extends the dense domain to at least `0..domain`, so that
+    /// [`DensePolicy::request_dense`] may be handed any slot below it; never
+    /// shrinks. `reserve` is the most slots the caller will ever ask for (0
+    /// when it cannot say): the first growth makes room for that many, so
+    /// later growth never moves the per-slot state.
+    ///
+    /// # Errors
+    ///
+    /// The default has no per-slot state to grow and refuses with
+    /// [`CacheError::InvalidParameter`]; the slab policies implement it.
+    fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
+        let _ = (domain, reserve);
+        Err(CacheError::InvalidParameter(format!(
+            "{} cannot grow its dense domain",
+            self.name()
+        )))
+    }
+
     /// Warms the per-slot state for a request that will arrive shortly.
     ///
     /// The replay loop knows the whole slot sequence up front, so it calls
@@ -298,7 +314,6 @@ mod tests {
             id: 1,
             size: 1,
             insert_time: 10,
-            last_access_time: 10,
             freq: 0,
             from_probationary: true,
         };
@@ -331,7 +346,6 @@ mod tests {
             id: 1,
             size: 1,
             insert_time: 10,
-            last_access_time: 10,
             freq: 0,
             from_probationary: false,
         };
