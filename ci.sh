@@ -7,9 +7,10 @@
 # in review without blocking the build. Internal-invariant `expect`s carry a
 # comment naming the invariant (robustness policy, PR 1).
 #
-# `./ci.sh stress [N]` runs none of that: it runs cache-concurrent's tests N
-# times (default 20) and prints how often each test failed, so that a flake
-# has a rate rather than an anecdote. It exits non-zero on any failure.
+# `./ci.sh stress [N]` runs none of that: it runs the tests of the two crates
+# that start threads of their own, cache-concurrent and cache-sim, N times
+# (default 20) and prints how often each test failed, so that a flake has a
+# rate rather than an anecdote. It exits non-zero on any failure.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -18,12 +19,12 @@ if [ "${1:-}" = "stress" ]; then
     case "${runs}" in
         '' | *[!0-9]* | 0) echo "usage: ./ci.sh stress [N], N a positive integer" >&2; exit 2 ;;
     esac
-    cargo test -q --release --offline -p cache-concurrent --no-run
+    cargo test -q --release --offline -p cache-concurrent -p cache-sim --no-run
     failures=$(mktemp)
     trap 'rm -f "${failures}"' EXIT
     bad_runs=0
     for run in $(seq 1 "${runs}"); do
-        if out=$(cargo test -q --release --offline -p cache-concurrent 2>&1); then
+        if out=$(cargo test -q --release --offline -p cache-concurrent -p cache-sim 2>&1); then
             continue
         fi
         bad_runs=$((bad_runs + 1))
@@ -50,6 +51,14 @@ echo "== cargo test -q --workspace =="
 # The root manifest is a member of its own workspace, so this runs the root
 # package's tests too.
 cargo test -q --workspace --offline
+
+if command -v taskset > /dev/null; then
+    echo "== cargo test -q -p cache-sim on one core =="
+    # The streamed replay hands chunks between a reader thread and the
+    # caller (DESIGN.md §12); on one core a hand-off that needs both threads
+    # running at once to make progress hangs here instead of passing.
+    taskset -c 0 cargo test -q --offline -p cache-sim
+fi
 
 echo "== benchmark: frozen surface + smoke ledger =="
 # benchmark/ is a workspace of its own with path dependencies on crates/*:

@@ -311,23 +311,22 @@ fn the_path_front_door_equals_the_in_memory_cell() {
     assert_same(&(got.result, Some(got.series)), &want, "replay_ctr_path");
 }
 
-/// Trace buffers are bounded by the chunk, not the trace.
+/// Trace buffers are bounded by the chunk, not the trace: the reader's raw
+/// bytes for one chunk, and two buffer sets of decoded requests and slots,
+/// one filled while the other is replayed — nowhere near the 30k-request
+/// trace itself.
 #[test]
 fn buffers_stay_bounded_by_chunk_size() {
     let trace = WorkloadSpec::zipf("bounded", 30_000, 3000, 1.0, 3).generate();
     let f = fixture(&trace, true);
     let chunk = 256usize;
     let mut reader = CtrReader::open(Cursor::new(&f.bytes)).expect("open");
+    let raw = chunk * reader.info().record_bytes as usize;
     let mut replay = Replay::on_dense_ids(&["S3-FIFO"], f.id_space, 300).expect("known name");
     let peak = replay.feed_ctr(&mut reader, chunk).expect("stream");
     assert_eq!(replay.finish("bounded")[0].0.requests, 30_000);
-    // Raw bytes + decoded requests + slots for one chunk, with slack for
-    // Vec growth — nowhere near the 30k-request trace itself.
-    let bound = (chunk * (16 + std::mem::size_of::<Request>() + 4) * 2) as u64;
-    assert!(
-        peak <= bound,
-        "peak {peak} exceeds chunk-proportional bound {bound}"
-    );
+    let set = chunk * (std::mem::size_of::<Request>() + std::mem::size_of::<u32>());
+    assert_eq!(peak, (raw + 2 * set) as u64, "raw {raw} + 2 sets of {set}");
 }
 
 #[test]
