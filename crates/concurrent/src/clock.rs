@@ -54,10 +54,8 @@ impl ConcurrentClock {
     // ORDERING: all Relaxed — the hand is a mere round-robin cursor and
     // the reference bit a heuristic; slot contents are guarded by the
     // occupant RwLock, which carries the needed synchronization.
-    // LOCK-ORDER: occupant -> index; the occupant guard is a try_write
-    // (non-blocking), and `insert`/`remove` never hold the index lock
-    // while taking an occupant lock, so the order cannot invert into a
-    // deadlock.
+    // Locks nest occupant -> index here; no path holds an index guard
+    // while taking an occupant lock, so the order never inverts.
     fn claim_slot(&self) -> usize {
         loop {
             // The hand is the one line every evicting thread RMWs.
@@ -95,9 +93,6 @@ impl ConcurrentCache for ConcurrentClock {
 
     // ORDERING: Relaxed reference-bit store — it is a hint for the sweep,
     // value visibility comes from the occupant lock.
-    // LOCK-ORDER: disjoint; the index shard read guard is a statement
-    // temporary (dropped at the end of the `let ... ?` statement) before
-    // the occupant lock is taken.
     fn get(&self, key: u64) -> Option<Bytes> {
         let slot_idx = *self.index[shard_of(key)].read().get(&key)?;
         let slot = &self.slots[slot_idx];
@@ -113,9 +108,8 @@ impl ConcurrentCache for ConcurrentClock {
 
     // ORDERING: Relaxed bit/len updates — see `claim_slot`; the occupant
     // lock orders the payload.
-    // LOCK-ORDER: disjoint; the occupant lock and the index lock are never
-    // held at the same time here. The overwrite probe below *must* copy the slot index out
-    // of a plain `let` so the index read guard drops before the occupant
+    // The overwrite probe below *must* copy the slot index out of a plain
+    // `let` so the index read guard drops before the occupant
     // write lock is taken: as an `if let` scrutinee temporary (edition
     // 2021 lifetime rules) the guard survived the whole block, and a
     // racing `claim_slot` — which holds an occupant write lock while
@@ -149,9 +143,6 @@ impl ConcurrentCache for ConcurrentClock {
 
     // ORDERING: Relaxed bit/len updates — the occupant lock is the point
     // of synchronization for the removal itself.
-    // LOCK-ORDER: disjoint; the index write guard is dropped at the end
-    // of the block that unmaps the key, so the occupant lock is taken
-    // alone.
     fn remove(&self, key: u64) -> bool {
         let slot_idx = {
             let mut idx = self.index[shard_of(key)].write();
@@ -182,11 +173,8 @@ impl ConcurrentCache for ConcurrentClock {
         self.slots.len()
     }
 
-    // LOCK-ORDER: occupant -> index, index -> occupant; the first walk
-    // nests occupant read -> index read, the second walk the reverse.
-    // Read locks alone cannot deadlock each other, and the audit contract
-    // requires quiescence, so no writer exists to invert the order against
-    // (the inverting read below carries the reasoned waiver).
+    // Both walks keep `claim_slot`'s order: an index guard is never held
+    // while an occupant lock is taken.
     fn audit_quiescent(&self) -> AuditReport {
         let mut report = AuditReport::default();
         let mut occupants: IdMap<usize> = IdMap::default();
@@ -211,11 +199,13 @@ impl ConcurrentCache for ConcurrentClock {
         // other side; report it distinctly.
         report.duplicates = occupants.values().filter(|&&n| n > 1).count();
         for shard in self.index.iter() {
-            for (key, &slot_idx) in shard.read().iter() {
+            // Copy the shard's mappings out so its guard drops before any
+            // occupant is read.
+            let mapped: Vec<(u64, usize)> = shard.read().iter().map(|(&k, &i)| (k, i)).collect();
+            for (key, slot_idx) in mapped {
                 let holds = matches!(
-                    // lint:allow(L-DEADLOCK): quiescent-only audit — no concurrent writer exists to run `claim_slot`'s inverse order against this read.
                     self.slots[slot_idx].occupant.read().as_ref(),
-                    Some((k, _)) if k == key
+                    Some((k, _)) if *k == key
                 );
                 if !holds {
                     // Index points at a slot that was reclaimed before the

@@ -566,5 +566,26 @@ mod tests {
         assert!(r.mops > 0.0);
         assert!(r.hit_ratio() > 0.3, "hit ratio {}", r.hit_ratio());
         assert!(r.seconds > 0.0);
+        // Every cache, at a large (40 % of the objects) and a small (1 %)
+        // capacity, on one thread and on two: every issued request is
+        // counted, hits never exceed requests, and a one-thread run leaves
+        // an exactly clean audit. Racing threads may legally leave
+        // artifacts, which the torture tests bound.
+        for capacity in [400, 10] {
+            for threads in [1, 2] {
+                let keys = generate_keys(&cfg, threads);
+                let issued: u64 = keys.iter().map(|k| k.len() as u64).sum();
+                for cache in crate::test_caches(capacity) {
+                    let name = format!("{} at {capacity} x {threads} threads", cache.name());
+                    let r = run_throughput(Arc::clone(&cache), &keys, cfg.value_size);
+                    assert_eq!(r.requests, issued, "{name}");
+                    assert!(r.hits <= r.requests, "{name}: {r:?}");
+                    if threads == 1 {
+                        let audit = cache.audit_quiescent();
+                        assert_eq!(audit.violations(), 0, "{name}: {audit:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -93,10 +93,9 @@ impl ConcurrentCache for MutexLru {
 
     // ORDERING: Relaxed promotion counter — a pure rate-limit heuristic;
     // losing or double-counting a tick only shifts when promotion happens.
-    // LOCK-ORDER: core -> shards; the standalone shard read guards are
+    // Locks nest core -> shards only: the standalone shard read guards are
     // block-scoped and dropped before core is taken, and the only nesting
-    // is the try-lock'd core held across a shard read. Shard guards are
-    // never held while acquiring core, so no cycle exists.
+    // is the try-lock'd core held across a shard read.
     fn get(&self, key: u64) -> Option<Bytes> {
         let value = {
             let guard = self.shards[shard_of(key)].read();
@@ -131,9 +130,6 @@ impl ConcurrentCache for MutexLru {
         Some(value)
     }
 
-    // LOCK-ORDER: core -> shards; the same core-then-shard nesting as
-    // `get`'s try-lock path and `evict_one`. No path holds a shard guard
-    // while acquiring core, so no cycle.
     // Membership changes (insert/remove/evict) all happen inside the core
     // section so the sharded value store and the LRU list can never
     // disagree at quiescence; `audit_quiescent` asserts exactly that.
@@ -160,9 +156,7 @@ impl ConcurrentCache for MutexLru {
         core.handles.insert(key, h);
     }
 
-    // LOCK-ORDER: core -> shards; the shard write is a statement
-    // temporary taken under the core mutex — same discipline as `insert`
-    // (membership changes stay in the core section).
+    // Membership changes stay in the core section, as in `insert`.
     fn remove(&self, key: u64) -> bool {
         let mut core = self.core.lock();
         let existed = self.shards[shard_of(key)].write().remove(&key).is_some();
@@ -182,9 +176,6 @@ impl ConcurrentCache for MutexLru {
         self.capacity
     }
 
-    // LOCK-ORDER: core -> shards; shard read locks are taken one at a
-    // time under core — the same nesting `get`'s try-lock path uses, and
-    // the only nesting in this audit.
     fn audit_quiescent(&self) -> AuditReport {
         let mut report = AuditReport::default();
         let core = self.core.lock();

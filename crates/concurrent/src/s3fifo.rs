@@ -452,8 +452,6 @@ impl ConcurrentCache for ConcurrentS3Fifo {
     // the freq-flush callback re-acquires shard read guards for the
     // flushed keys, and a read is not reentrant on one shard while a
     // writer waits for it.
-    // LOCK-ORDER: disjoint; one shard read guard at a time — one
-    // block-scoped guard, and the flush only re-acquires after it dropped.
     fn get(&self, key: u64) -> Option<Bytes> {
         let idx = self.shard_idx(key);
         let hit = {
@@ -493,9 +491,9 @@ impl ConcurrentCache for ConcurrentS3Fifo {
     // ORDERING: Relaxed occupancy and stat counters — advisory occupancy
     // (see make_room), changed under the shard write guard together with the
     // slot they count; the ring push hands the key to future evictors.
-    // LOCK-ORDER: disjoint; `make_room` runs before the guard is taken and
-    // `push`, which takes this shard's write side itself when the ring is
-    // full, after it is dropped.
+    // `make_room` runs before the guard is taken, and `push` — which takes
+    // this shard's write side itself when the ring is full — after it is
+    // dropped.
     fn insert(&self, key: u64, value: Bytes) {
         let idx = self.shard_idx(key);
         self.counters[idx].inserts.fetch_add(1, Ordering::Relaxed);

@@ -343,7 +343,6 @@ mod tests {
     /// with a writer sees them differ. `OPS` operations per thread, each
     /// thread on the shard its turn names.
     // ORDERING: Relaxed — the tally is read after the scope joined.
-    // LOCK-ORDER: disjoint; one guard at a time, dropped at the end of its arm.
     fn hammer(shards: usize) {
         const THREADS: u64 = 4;
         const OPS: u64 = 100_000;
@@ -405,8 +404,6 @@ mod tests {
     }
 
     // ORDERING: Relaxed — lane words read by the thread that wrote them.
-    // LOCK-ORDER: disjoint; one lock family, and the writer that overlaps the
-    // read guard runs on a thread of its own.
     #[test]
     fn shard_zero_is_announced_as_one() {
         let locks = pairs(2);
@@ -436,8 +433,6 @@ mod tests {
     }
 
     // ORDERING: Relaxed — lane words read by the thread that wrote them.
-    // LOCK-ORDER: disjoint; one lock family — the nesting under test is two
-    // reads of different shards, with no writer anywhere.
     #[test]
     fn a_nested_read_takes_the_next_lane_and_both_release() {
         let locks = pairs(2);
@@ -460,8 +455,6 @@ mod tests {
     /// More readers inside than a read probes lanes for: the fifth and later
     /// take the gate, and a writer is still kept out until all have left.
     // ORDERING: Relaxed — lane words and the flag are only polled.
-    // LOCK-ORDER: disjoint; one lock family. The reads nest on one shard while
-    // no writer waits; the writer runs on a thread of its own.
     #[test]
     fn more_readers_than_probes_read_under_the_gate() {
         let locks = pairs(1);
@@ -490,7 +483,6 @@ mod tests {
         assert_eq!(locks[0].read().a, 5);
     }
 
-    // LOCK-ORDER: disjoint; one guard at a time.
     #[test]
     fn a_panic_in_either_section_leaves_the_shard_usable() {
         let locks = pairs(1);
@@ -528,8 +520,6 @@ mod tests {
     /// that must be kept out by the flag alone.
     // ORDERING: SeqCst where the test plays a writer's part by hand (flag
     // store, mark load), as `write` does; Relaxed for polling.
-    // LOCK-ORDER: disjoint; one lock family, and whatever overlaps the write
-    // guard runs on a thread of its own.
     #[test]
     fn a_lane_first_used_after_the_flag_went_up_is_still_excluded() {
         let locks = pairs(1);

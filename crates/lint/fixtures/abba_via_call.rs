@@ -6,8 +6,7 @@
 // pinned by tests/fixtures.rs. Never compiled.
 
 impl Store {
-    // LOCK-ORDER: meta -> data; reload pulls fresh data while the meta
-    // guard pins the epoch.
+    // reload pulls fresh data while the meta guard pins the epoch.
     fn refresh(&self) {
         let m = self.meta.lock();
         self.reload();
@@ -19,8 +18,8 @@ impl Store {
         d.repopulate();
     }
 
-    // LOCK-ORDER: data -> meta; writeback stamps metadata under the data
-    // guard (inverted relative to refresh, hence the cycle).
+    // writeback stamps metadata under the data guard (inverted relative
+    // to refresh, hence the cycle).
     fn writeback(&self) {
         let d = self.data.lock();
         let m = self.meta.lock();

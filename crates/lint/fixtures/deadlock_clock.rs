@@ -10,8 +10,7 @@
 // compiled.
 
 impl ConcurrentClock {
-    // LOCK-ORDER: occupant -> index; a claimed slot is published in the
-    // index under its occupant guard.
+    // A claimed slot is published in the index under its occupant guard.
     fn claim_slot(&self, key: u64) -> usize {
         let idx = self.advance_hand();
         if let Some(mut occ) = self.slots[idx].occupant.try_write() {
@@ -21,8 +20,7 @@ impl ConcurrentClock {
         idx
     }
 
-    // LOCK-ORDER: index -> occupant; the buggy inversion, exactly as
-    // shipped before the fix.
+    // The buggy inversion, exactly as shipped before the fix.
     fn insert(&self, key: u64, val: u64) {
         if let Some(&slot_idx) = self.index[shard_of(key)].read().get(&key) {
             let mut occ = self.slots[slot_idx].occupant.write();

@@ -1,15 +1,20 @@
 // Fixture: correct guard discipline is NOT flagged. `handoff` takes two
 // locks, but the first guard is explicitly dropped before the second
-// acquisition, so the `disjoint` declaration is machine-verified and the
-// file produces zero diagnostics. tests/fixtures.rs pins the empty set.
+// acquisition, so it never holds `a` while taking `b`. `refill` takes b
+// then a; had the `drop` been missed, the two would close a cycle. The
+// file produces zero diagnostics; tests/fixtures.rs pins the empty set.
 // Never compiled.
 
-// LOCK-ORDER: disjoint; `a` is dropped before `b` is taken — the guards
-// never overlap.
 pub fn handoff(s: &Shared) {
     let ga = s.a.lock();
     let item = ga.pop();
     drop(ga);
     let gb = s.b.lock();
     gb.push(item);
+}
+
+pub fn refill(s: &Shared) {
+    let gb = s.b.lock();
+    let ga = s.a.lock();
+    ga.extend(gb.drain());
 }

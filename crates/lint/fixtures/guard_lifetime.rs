@@ -8,15 +8,15 @@
 // tests/fixtures.rs. Never compiled.
 
 impl Table {
-    // LOCK-ORDER: map -> stats; the scrutinee guard overlaps the stats
-    // acquisition (that is the bug this fixture pins).
+    // The scrutinee guard overlaps the stats acquisition (that is the bug
+    // this fixture pins).
     fn bump(&self) {
         if let Some(v) = self.map.read().get(&1) {
             self.stats.lock().push(*v);
         }
     }
 
-    // LOCK-ORDER: map -> stats; same shape through a match scrutinee.
+    // Same shape through a match scrutinee.
     fn tally(&self) {
         match self.map.read().get(&1) {
             Some(v) => self.stats.lock().push(*v),
@@ -24,8 +24,8 @@ impl Table {
         }
     }
 
-    // LOCK-ORDER: disjoint; the plain `let` binding is dropped at the
-    // explicit `drop` before stats is touched.
+    // The plain `let` binding is dropped at the explicit `drop` before
+    // stats is touched.
     fn copied_out(&self) {
         let g = self.map.read();
         let v = g.get(&1).copied();

@@ -5,10 +5,9 @@
 //! ```
 //!
 //! - `lint`: run the workspace lint pass (per-file rules plus the
-//!   interprocedural lock analysis), then the fixture self-check: every
-//!   fixtured rule must still fire on its fixture — a rule whose count
-//!   drops to 0 has been silently disabled, which is a gate failure.
-//!   Nonzero exit on any surviving diagnostic.
+//!   interprocedural lock analysis). Nonzero exit on any diagnostic.
+//!   That every rule still fires is `tests/fixtures.rs`'s job: it pins
+//!   each fixture's exact `(rule, line)` set.
 //! - `loom`: exhaustively explore the loom-lite models (correct variants
 //!   must be clean, planted mutants must be caught) and enforce the
 //!   interleaving-coverage floor.
@@ -57,78 +56,6 @@ fn run_lint(root: &Path) -> bool {
         true
     } else {
         println!("cache-lint: FAIL");
-        false
-    }
-}
-
-/// Every rule exercised by a file under `crates/lint/fixtures/`. If the
-/// whole fixture battery produces zero diagnostics for one of these, the
-/// rule has stopped firing and the lint gate is no longer guarding it.
-const FIXTURED_RULES: [&str; 9] = [
-    "L-SAFETY",
-    "L-ORDERING",
-    "L-SEQCST",
-    "L-PANIC",
-    "L-WAIVER",
-    "L-LOCK-ORDER",
-    "L-LOCK-DECL",
-    "L-GUARD-LIFETIME",
-    "L-DEADLOCK",
-];
-
-/// Self-check: lints every fixture (per-file rules + the lock analysis,
-/// inline waivers applied, no allowlist — the same path `tests/fixtures.rs`
-/// pins line-exactly) and fails if any fixtured rule's count is 0.
-fn run_fixture_check(root: &Path) -> bool {
-    use std::collections::BTreeMap;
-    let dir = root.join("crates/lint/fixtures");
-    let mut counts: BTreeMap<&str, usize> = FIXTURED_RULES.iter().map(|r| (*r, 0)).collect();
-    let mut files = 0usize;
-    let entries = match std::fs::read_dir(&dir) {
-        Ok(e) => e,
-        Err(e) => {
-            println!("cache-lint: FAIL — cannot read {}: {e}", dir.display());
-            return false;
-        }
-    };
-    for entry in entries.flatten() {
-        let p = entry.path();
-        if p.extension().is_none_or(|e| e != "rs") {
-            continue;
-        }
-        let name = p.file_name().unwrap_or_default().to_string_lossy().to_string();
-        let text = match std::fs::read_to_string(&p) {
-            Ok(t) => t,
-            Err(e) => {
-                println!("cache-lint: FAIL — cannot read {}: {e}", p.display());
-                return false;
-            }
-        };
-        files += 1;
-        let s = cache_lint::lexer::scan(&text);
-        let mut raw = cache_lint::rules::lint_file(&name, &s, false);
-        let fileset = vec![(name.clone(), s)];
-        raw.extend(cache_lint::locks::analyze(&fileset));
-        for d in cache_lint::allow::filter(raw, &fileset, &[], "lint.allow") {
-            if let Some(c) = counts.get_mut(d.rule) {
-                *c += 1;
-            }
-        }
-    }
-    let summary = counts
-        .iter()
-        .map(|(r, c)| format!("{r}={c}"))
-        .collect::<Vec<_>>()
-        .join(" ");
-    println!("cache-lint: fixture self-check over {files} fixtures: {summary}");
-    let dead: Vec<&str> = counts.iter().filter(|(_, c)| **c == 0).map(|(r, _)| *r).collect();
-    if dead.is_empty() {
-        true
-    } else {
-        println!(
-            "cache-lint: FAIL — fixtured rule(s) no longer fire: {} (rule disabled or fixture drifted)",
-            dead.join(", ")
-        );
         false
     }
 }
@@ -381,7 +308,6 @@ fn main() -> ExitCode {
     };
     if mode == "lint" || mode == "all" {
         timed("lint", &mut || run_lint(&root), &mut ok);
-        timed("fixtures", &mut || run_fixture_check(&root), &mut ok);
     }
     if mode == "loom" || mode == "all" {
         timed("loom", &mut || run_loom(), &mut ok);

@@ -3,7 +3,7 @@
 //! The lint rules in this crate need four things from a source file: the
 //! code text with comments and string literals stripped (so tokens inside
 //! strings never trigger rules), the comment text per line (so rules can
-//! look for `SAFETY:` / `ORDERING:` markers), the ranges of test-only code
+//! look for `ORDERING:` markers), the ranges of test-only code
 //! (`#[cfg(test)]` modules and `#[test]` functions are exempt from the
 //! panic rule), and function spans (the ordering and lock-order rules are
 //! function-granular). A full parser (`syn`) would be overkill and is not

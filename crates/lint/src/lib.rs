@@ -9,17 +9,14 @@
 //!
 //! 1. **Workspace lint pass** ([`walk::lint_workspace`]): a hand-rolled
 //!    Rust scanner (no `syn`, same offline-shim philosophy as
-//!    `crates/shims`) that walks `crates/*/src/**/*.rs` and enforces the
-//!    annotation contract — `SAFETY:` on every `unsafe`, `ORDERING:` on
-//!    every function doing atomics (with SeqCst called out by name), and a
-//!    real gate on `unwrap`/`expect` in non-test code. See [`rules`] for
-//!    the catalog and [`allow`] for the waiver syntax. On top of the
-//!    per-file rules, [`locks`] runs a whole-workspace *interprocedural*
-//!    lock-order analysis: guard live ranges from Rust 2021
-//!    temporary-lifetime rules, a call graph composing acquisition
-//!    sequences across functions, machine-checked `LOCK-ORDER:`
-//!    declarations, and global deadlock-cycle detection (`L-DEADLOCK`,
-//!    `L-GUARD-LIFETIME`, `L-LOCK-ORDER`, `L-LOCK-DECL`).
+//!    `crates/shims`) that walks `crates/*/src/**/*.rs` and enforces what
+//!    clippy does not: `ORDERING:` on every function doing atomics (with
+//!    SeqCst called out by name) and a real gate on `unwrap`/`expect` in
+//!    non-test code ([`rules`]). On top of the per-file rules, [`locks`]
+//!    runs a whole-workspace *interprocedural* lock-order analysis: guard
+//!    live ranges from Rust 2021 temporary-lifetime rules, a call graph
+//!    composing acquisition sequences across functions, and global
+//!    deadlock-cycle detection (`L-DEADLOCK`, `L-GUARD-LIFETIME`).
 //!
 //! 2. **loom-lite** ([`loomlite`]): a minimal deterministic-scheduler model
 //!    of threads + atomics + mutexes that exhaustively explores
@@ -34,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allow;
 pub mod lexer;
 pub mod locks;
 pub mod loomlite;

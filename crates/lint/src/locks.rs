@@ -13,8 +13,6 @@
 //! |--------------------|-------------|
 //! | `L-DEADLOCK`       | the global lock-order graph must be acyclic; a cycle reports both witness paths |
 //! | `L-GUARD-LIFETIME` | a guard acquired in an `if let`/`while let`/`match` scrutinee must not be live at a second acquisition (the PR 8 `ConcurrentClock` bug shape) |
-//! | `L-LOCK-ORDER`     | every function that acquires two or more locks (directly or via calls) carries a machine-checkable `// LOCK-ORDER:` declaration |
-//! | `L-LOCK-DECL`      | every `LOCK-ORDER:` declaration parses, matches the observed acquisition order, and names no stale pairs |
 //!
 //! # Lock identity
 //!
@@ -53,28 +51,10 @@
 //! resolve by type name; free `f(..)` resolves within the same file, then
 //! the same crate. Everything else is *unresolved and assumed to acquire
 //! nothing*. That default is deliberate: the workspace has no callbacks
-//! that take locks, std/shim calls dominate the unresolved set, and the
-//! complementary `L-LOCK-ORDER` rule forces every multi-lock function to
-//! carry a declaration — so a lock-taking callee that escapes resolution
-//! still surfaces at its own definition site. Assuming the opposite
-//! (unknown calls acquire everything) would drown the graph in false
-//! cycles and teach people to waive diagnostics unread. Recursion is cut
-//! off by memoized DFS with an on-stack check.
-//!
-//! # Declarations
-//!
-//! A comment whose first token is `LOCK-ORDER:` is a checked declaration:
-//!
-//! ```text
-//! // LOCK-ORDER: segments -> index; prose explaining why.
-//! // LOCK-ORDER: core -> shards, core -> ghosts
-//! // LOCK-ORDER: disjoint; guards are statement temporaries.
-//! ```
-//!
-//! `a -> b -> c` declares the chain (transitively `a` before `c`);
-//! `disjoint` declares the function never holds two locks at once. The
-//! declaration sits in the comment block above the `fn` (or inside its
-//! body). Names match the final field/local segment of the lock key.
+//! that take locks, and std/shim calls dominate the unresolved set.
+//! Assuming the opposite (unknown calls acquire everything) would drown
+//! the graph in false cycles. Recursion is cut off by memoized DFS with an
+//! on-stack check.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -134,7 +114,6 @@ struct Guard {
 struct Site {
     key: String,
     short: String,
-    line: usize,
     op: String,
 }
 
@@ -152,9 +131,6 @@ struct Edge {
     blocking: bool,
     /// Present for composed edges: the callee whose body acquires `to`.
     via: Option<String>,
-    /// Inline `lint:allow(L-DEADLOCK)` reason found at the edge site
-    /// (`Some("")` = reasonless waiver).
-    waiver: Option<String>,
 }
 
 /// A call site with the guards held across it.
@@ -163,7 +139,6 @@ struct Call {
     callee: Callee,
     line: usize,
     held: Vec<Guard>,
-    waiver: Option<String>,
 }
 
 #[derive(Debug, Clone)]
@@ -187,8 +162,6 @@ struct FnFacts {
     name: String,
     /// Enclosing impl type, if a method.
     impl_ty: Option<String>,
-    decl_line: usize,
-    body_end: usize,
     sites: Vec<Site>,
     edges: Vec<Edge>,
     calls: Vec<Call>,
@@ -206,7 +179,7 @@ pub fn analyze(files: &[(String, Scanned)]) -> Vec<Diagnostic> {
     for (path, s) in files {
         extract_file(path, s, &mut fns);
     }
-    let mut out = check(files, &fns);
+    let mut out = check(&fns);
     out.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule))
     });
@@ -227,24 +200,6 @@ fn crate_key(path: &str) -> String {
         Some("crates") => format!("crates/{}", it.next().unwrap_or("")),
         _ => "src".to_string(),
     }
-}
-
-/// Inline `lint:allow(L-DEADLOCK)` lookup on `line` or the line above.
-/// Returns `Some(reason)` (possibly empty) when a waiver is present.
-fn deadlock_waiver(s: &Scanned, line: usize) -> Option<String> {
-    for ln in [line, line.saturating_sub(1)] {
-        if ln == 0 || ln > s.lines.len() {
-            continue;
-        }
-        let c = &s.lines[ln - 1].comment;
-        if let Some(i) = c.find("lint:allow(L-DEADLOCK)") {
-            let rest = c[i + "lint:allow(L-DEADLOCK)".len()..]
-                .trim_start_matches([':', '-', ' '])
-                .trim();
-            return Some(rest.to_string());
-        }
-    }
-    None
 }
 
 /// Tokenizes the body of one fn span: identifier/number runs and single
@@ -313,7 +268,6 @@ struct Parser<'a> {
     toks: Vec<LTok>,
     pos: usize,
     path: &'a str,
-    scanned: &'a Scanned,
     fn_name: String,
     /// Lock qualifier: impl type for methods, file stem for free fns.
     qual: String,
@@ -334,7 +288,6 @@ fn extract_file(path: &str, s: &Scanned, out: &mut Vec<FnFacts>) {
             toks: tokenize_fn(s, f),
             pos: 0,
             path,
-            scanned: s,
             fn_name: f.name.clone(),
             qual: qual.clone(),
             live: Vec::new(),
@@ -362,8 +315,6 @@ fn extract_file(path: &str, s: &Scanned, out: &mut Vec<FnFacts>) {
             qual_name,
             name: f.name.clone(),
             impl_ty: f.impl_ty.clone(),
-            decl_line: f.decl_line,
-            body_end: f.body_end,
             sites: p.sites,
             edges: p.edges,
             calls: p.calls,
@@ -642,7 +593,6 @@ impl<'a> Parser<'a> {
         };
         let (key, short) = self.receiver_key(line);
         let blocking = !op.starts_with("try_");
-        let waiver = deadlock_waiver(self.scanned, line);
         for g in &self.live {
             if let GKind::Scrut(_) = g.kind {
                 self.hits.push((g.clone(), short.clone(), line));
@@ -656,14 +606,12 @@ impl<'a> Parser<'a> {
                     line,
                     blocking,
                     via: None,
-                    waiver: waiver.clone(),
                 });
             }
         }
         self.sites.push(Site {
             key: key.clone(),
             short: short.clone(),
-            line,
             op: op.clone(),
         });
         self.live.push(Guard {
@@ -746,7 +694,6 @@ impl<'a> Parser<'a> {
             callee,
             line,
             held: self.live.clone(),
-            waiver: deadlock_waiver(self.scanned, line),
         });
     }
 
@@ -1192,95 +1139,8 @@ impl<'a> Parser<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Second pass: declarations, call graph, composed edges, cycle detection.
+// Second pass: call graph, composed edges, cycle detection.
 // ---------------------------------------------------------------------------
-
-/// A parsed `LOCK-ORDER:` declaration.
-#[derive(Debug)]
-struct Decl {
-    line: usize,
-    disjoint: bool,
-    /// Adjacent declared pairs (`a -> b -> c` gives `(a,b)` and `(b,c)`).
-    adj: Vec<(String, String)>,
-    /// Transitive closure of declared chains (adds `(a,c)`).
-    trans: BTreeSet<(String, String)>,
-}
-
-/// Returns the declaration payload when the comment's *first token* is
-/// `LOCK-ORDER:` (only comment sigils and whitespace may precede it) —
-/// prose that merely mentions the marker never parses as a declaration.
-fn decl_payload(comment: &str) -> Option<&str> {
-    comment
-        .trim_start_matches(['/', '!', '*', ' ', '\t'])
-        .strip_prefix("LOCK-ORDER:")
-}
-
-/// Parses the text after `LOCK-ORDER:`. Grammar:
-/// `a -> b [-> c][, d -> e][; prose]` or `disjoint[; prose]`.
-fn parse_decl(payload: &str, line: usize) -> Result<Decl, String> {
-    let spec = payload.split(';').next().unwrap_or("").trim();
-    if spec == "disjoint" {
-        return Ok(Decl { line, disjoint: true, adj: Vec::new(), trans: BTreeSet::new() });
-    }
-    if spec.is_empty() {
-        return Err("empty specification".to_string());
-    }
-    let mut adj = Vec::new();
-    let mut trans = BTreeSet::new();
-    for chain in spec.split(',') {
-        let names: Vec<&str> = chain.split("->").map(str::trim).collect();
-        if names.len() < 2 {
-            return Err(format!(
-                "`{}` has no `->`; expected `a -> b [-> c]` or `disjoint`",
-                chain.trim()
-            ));
-        }
-        for n in &names {
-            if n.is_empty() || !n.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                return Err(format!("`{}` is not a lock name", n));
-            }
-        }
-        for w in names.windows(2) {
-            adj.push((w[0].to_string(), w[1].to_string()));
-        }
-        for i in 0..names.len() {
-            for j in (i + 1)..names.len() {
-                trans.insert((names[i].to_string(), names[j].to_string()));
-            }
-        }
-    }
-    Ok(Decl { line, disjoint: false, adj, trans })
-}
-
-/// The fn that owns a declaration at `ln`: the fn declared directly
-/// below the comment block, else the innermost fn whose body contains
-/// the line.
-fn owning_fn(fns: &[FnFacts], path: &str, s: &Scanned, ln: usize) -> Option<usize> {
-    let mut i = ln; // 0-based index of the line *after* ln
-    while i < s.lines.len() {
-        let l = &s.lines[i];
-        let code = l.code.trim();
-        if code.is_empty() && l.comment.is_empty() {
-            break; // blank line detaches the comment block
-        }
-        if code.is_empty() || code.starts_with('#') {
-            i += 1;
-            continue;
-        }
-        if let Some(fi) = fns
-            .iter()
-            .position(|f| f.path == path && f.decl_line == i + 1)
-        {
-            return Some(fi);
-        }
-        break;
-    }
-    fns.iter()
-        .enumerate()
-        .filter(|(_, f)| f.path == path && f.decl_line <= ln && ln <= f.body_end)
-        .max_by_key(|(_, f)| f.decl_line)
-        .map(|(i, _)| i)
-}
 
 /// A lock set acquired (transitively) by a fn: key -> (short, blocking).
 type LockSet = BTreeMap<String, (String, bool)>;
@@ -1336,33 +1196,8 @@ fn diag(rule: &'static str, path: &str, line: usize, msg: String, hint: &str) ->
 }
 
 /// The global pass over all extracted fn facts.
-fn check(files: &[(String, Scanned)], fns: &[FnFacts]) -> Vec<Diagnostic> {
+fn check(fns: &[FnFacts]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-
-    // --- Declarations: find, parse, and attribute every LOCK-ORDER comment.
-    let mut decls: BTreeMap<usize, Vec<Decl>> = BTreeMap::new();
-    for (path, s) in files {
-        for (i, l) in s.lines.iter().enumerate() {
-            let ln = i + 1;
-            let Some(payload) = decl_payload(&l.comment) else { continue };
-            match parse_decl(payload, ln) {
-                Err(why) => out.push(diag(
-                    "L-LOCK-DECL",
-                    path,
-                    ln,
-                    format!("unparseable `LOCK-ORDER:` declaration: {}", why),
-                    "use `LOCK-ORDER: a -> b [-> c][, d -> e][; prose]` or `LOCK-ORDER: disjoint[; prose]`",
-                )),
-                Ok(d) => {
-                    if let Some(fi) = owning_fn(fns, path, s, ln) {
-                        decls.entry(fi).or_default().push(d);
-                    }
-                    // A parseable declaration owned by no fn is module
-                    // prose (e.g. a doc example) — nothing to check.
-                }
-            }
-        }
-    }
 
     // --- Call-graph resolution maps.
     let mut by_type: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
@@ -1449,7 +1284,6 @@ fn check(files: &[(String, Scanned)], fns: &[FnFacts]) -> Vec<Diagnostic> {
                             line: call.line,
                             blocking,
                             via: Some(callee_name.clone()),
-                            waiver: call.waiver.clone(),
                         });
                     }
                 }
@@ -1483,135 +1317,14 @@ fn check(files: &[(String, Scanned)], fns: &[FnFacts]) -> Vec<Diagnostic> {
         }
     }
 
-    // --- Per-fn declaration checks + L-LOCK-ORDER.
-    for (i, f) in fns.iter().enumerate() {
-        // Pair -> earliest witnessing edge line, so every declaration
-        // mismatch below can anchor at a real acquisition site.
-        let mut pairs: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for e in &fn_edges[i] {
-            let ln = pairs
-                .entry((e.from_short.clone(), e.to_short.clone()))
-                .or_insert(e.line);
-            *ln = (*ln).min(e.line);
-        }
-        let multi = f.sites.len() >= 2 || !pairs.is_empty();
-        match decls.get(&i) {
-            None if multi => {
-                let n_locks = {
-                    let mut s: BTreeSet<&str> =
-                        f.sites.iter().map(|x| x.short.as_str()).collect();
-                    for e in &fn_edges[i] {
-                        s.insert(e.from_short.as_str());
-                        s.insert(e.to_short.as_str());
-                    }
-                    s.len().max(2)
-                };
-                out.push(diag(
-                    "L-LOCK-ORDER",
-                    &f.path,
-                    f.sites.first().map(|s| s.line).unwrap_or(f.decl_line),
-                    format!(
-                        "function `{}` acquires {} locks with no machine-checkable `LOCK-ORDER:` declaration",
-                        f.name, n_locks
-                    ),
-                    "declare the order in a comment above the fn: `// LOCK-ORDER: a -> b` (or `// LOCK-ORDER: disjoint` when no two guards overlap)",
-                ));
-            }
-            None => {}
-            Some(ds) => {
-                let disjoint = ds.iter().any(|d| d.disjoint);
-                let has_pairs = ds.iter().any(|d| !d.disjoint);
-                if disjoint && has_pairs {
-                    out.push(diag(
-                        "L-LOCK-DECL",
-                        &f.path,
-                        ds[0].line,
-                        format!(
-                            "`{}` declares both `disjoint` and ordered pairs — pick one",
-                            f.name
-                        ),
-                        "a fn either never overlaps two guards (`disjoint`) or has an order to declare",
-                    ));
-                }
-                if disjoint {
-                    if let Some(e) = fn_edges[i].iter().min_by_key(|e| e.line) {
-                        out.push(diag(
-                            "L-LOCK-DECL",
-                            &f.path,
-                            e.line,
-                            format!(
-                                "`{}` declares `LOCK-ORDER: disjoint` but `{}` is held while acquiring `{}`",
-                                f.name, e.from_short, e.to_short
-                            ),
-                            "drop the first guard before the second acquisition, or declare the real order",
-                        ));
-                    }
-                }
-                if !disjoint {
-                    let trans: BTreeSet<(String, String)> = ds
-                        .iter()
-                        .flat_map(|d| d.trans.iter().cloned())
-                        .collect();
-                    for ((a, b), ln) in &pairs {
-                        if !trans.contains(&(a.clone(), b.clone())) {
-                            out.push(diag(
-                                "L-LOCK-DECL",
-                                &f.path,
-                                *ln,
-                                format!(
-                                    "observed acquisition order `{} -> {}` in `{}` is not covered by its `LOCK-ORDER:` declaration",
-                                    a, b, f.name
-                                ),
-                                "extend the declaration to match reality, or restructure so the declared order holds",
-                            ));
-                        }
-                    }
-                    for d in ds {
-                        for (a, b) in &d.adj {
-                            if !pairs.contains_key(&(a.clone(), b.clone())) {
-                                out.push(diag(
-                                    "L-LOCK-DECL",
-                                    &f.path,
-                                    d.line,
-                                    format!(
-                                        "declared pair `{} -> {}` is never observed in `{}` (stale declaration)",
-                                        a, b, f.name
-                                    ),
-                                    "delete the stale pair, or re-check why the analysis no longer sees it",
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // --- Global cycle detection over blocking, non-waived edges.
+    // --- Global cycle detection over blocking edges.
     let mut graph: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let mut witness: BTreeMap<(String, String), Vec<Witness>> = BTreeMap::new();
-    let mut waiver_seen: BTreeSet<(String, usize)> = BTreeSet::new();
     for (i, f) in fns.iter().enumerate() {
         for e in &fn_edges[i] {
-            match &e.waiver {
-                Some(r) if r.is_empty() => {
-                    if waiver_seen.insert((f.path.clone(), e.line)) {
-                        out.push(diag(
-                            "L-WAIVER",
-                            &f.path,
-                            e.line,
-                            "`lint:allow(L-DEADLOCK)` waiver has no reason".to_string(),
-                            "state the invariant that makes the inversion safe: `lint:allow(L-DEADLOCK): <why>`",
-                        ));
-                    }
-                    continue;
-                }
-                Some(_) => continue, // reasoned waiver: edge excluded
-                None => {}
-            }
             if !e.blocking {
                 // A `try_*` target cannot block, so it cannot close a
-                // deadlock cycle (it is still an observed pair above).
+                // deadlock cycle.
                 continue;
             }
             graph.entry(e.from.clone()).or_default().insert(e.to.clone());
@@ -1701,7 +1414,7 @@ fn check(files: &[(String, Scanned)], fns: &[FnFacts]) -> Vec<Diagnostic> {
                 chain.join(" -> "),
                 wit_lines.join("\n      witness: ")
             ),
-            "pick one global acquisition order and restructure, or — if a protocol invariant makes the inversion safe — waive the inverting acquisition with `lint:allow(L-DEADLOCK): <invariant>`",
+            "pick one global acquisition order: copy what you need out of the first guard and drop it before taking the second lock",
         ));
     }
     out
@@ -1722,17 +1435,18 @@ mod tests {
 
     #[test]
     fn unresolved_callee_acquires_nothing() {
-        // `f` holds a lock across a call the workspace cannot resolve.
-        // The analysis deliberately assumes the callee acquires NOTHING:
-        // assuming it could acquire anything would wipe out the analysis
-        // with false cycles, and the gap is closed from the other side —
-        // every multi-lock fn *wherever it actually lives* must carry its
-        // own machine-checked `LOCK-ORDER:` declaration (L-LOCK-ORDER),
-        // so an unresolved callee cannot hide an undeclared order.
+        // `f` holds `a` across a call the workspace cannot resolve, and `g`
+        // takes `b` then `a`. Were the callee assumed to acquire anything,
+        // `a -> b` would close a cycle with `g`; the analysis deliberately
+        // assumes it acquires NOTHING, so the file is clean.
         let d = run(
             "fn f(s: &S) {\n\
              \x20   let g = s.a.lock();\n\
              \x20   some_external_crate_helper(&g);\n\
+             }\n\
+             fn g(s: &S) {\n\
+             \x20   let x = s.b.lock();\n\
+             \x20   let y = s.a.lock();\n\
              }\n",
         );
         assert!(d.is_empty(), "{d:#?}");
@@ -1745,12 +1459,10 @@ mod tests {
         // still composing each fn's direct acquisition into the other's
         // held set — which here closes a real ABBA cycle.
         let d = run(
-            "// LOCK-ORDER: la -> lb; fixture.\n\
-             fn ping(s: &S) {\n\
+            "fn ping(s: &S) {\n\
              \x20   let g = s.la.lock();\n\
              \x20   pong(s);\n\
              }\n\
-             // LOCK-ORDER: lb -> la; fixture.\n\
              fn pong(s: &S) {\n\
              \x20   let g = s.lb.lock();\n\
              \x20   ping(s);\n\
@@ -1765,17 +1477,20 @@ mod tests {
         // Two impl blocks of `W` both define `flush` (inherent vs trait —
         // the scanner cannot tell which one a call binds to), so
         // `self.flush()` composes the UNION of both bodies: holding `a`
-        // across the call observes both a -> b and a -> c, and a
-        // declaration covering only a -> b must be rejected.
+        // across the call observes a -> c through the second impl, which
+        // closes a cycle with `back`'s c -> a.
         let d = run(
             "impl W {\n\
-             \x20   // LOCK-ORDER: a -> b; misses the second flush impl.\n\
              \x20   fn go(&self) {\n\
              \x20       let g = self.a.lock();\n\
              \x20       self.flush();\n\
              \x20   }\n\
              \x20   fn flush(&self) {\n\
              \x20       let g = self.b.lock();\n\
+             \x20   }\n\
+             \x20   fn back(&self) {\n\
+             \x20       let g = self.c.lock();\n\
+             \x20       let h = self.a.lock();\n\
              \x20   }\n\
              }\n\
              impl Flushable for W {\n\
@@ -1784,26 +1499,26 @@ mod tests {
              \x20   }\n\
              }\n",
         );
-        assert_eq!(rules(&d), vec!["L-LOCK-DECL"], "{d:#?}");
-        assert!(
-            d[0].msg.contains("`a -> c`") && d[0].msg.contains("not covered"),
-            "{}",
-            d[0].msg
-        );
+        assert_eq!(rules(&d), vec!["L-DEADLOCK"], "{d:#?}");
+        assert!(d[0].msg.contains("a -> c -> a"), "{}", d[0].msg);
+        assert!(d[0].msg.contains("via call to `self.flush`"), "{}", d[0].msg);
     }
 
     #[test]
     fn plain_if_condition_temp_drops_before_the_body() {
         // Unlike an `if let` scrutinee, a plain `if` condition temporary
-        // is dropped before the body runs (Rust 2021), so the second
-        // acquisition does not overlap and `disjoint` verifies.
+        // is dropped before the body runs (Rust 2021), so `f` never holds
+        // `a` while taking `b`, and `g`'s b -> a closes no cycle.
         let d = run(
-            "// LOCK-ORDER: disjoint; condition temp drops pre-body.\n\
-             fn f(s: &S) {\n\
+            "fn f(s: &S) {\n\
              \x20   if s.a.lock().is_empty() {\n\
              \x20       let g = s.b.lock();\n\
              \x20       g.refill();\n\
              \x20   }\n\
+             }\n\
+             fn g(s: &S) {\n\
+             \x20   let x = s.b.lock();\n\
+             \x20   let y = s.a.lock();\n\
              }\n",
         );
         assert!(d.is_empty(), "{d:#?}");
@@ -1812,16 +1527,13 @@ mod tests {
     #[test]
     fn try_lock_target_cannot_close_a_cycle() {
         // Both orders exist, but `g2`'s inverted second acquisition is a
-        // `try_lock` — it cannot block, so no deadlock; the observed pair
-        // is still declared (and checked) like any other.
+        // `try_lock` — it cannot block, so no deadlock.
         let d = run(
-            "// LOCK-ORDER: a -> b; fixture.\n\
-             fn g1(s: &S) {\n\
+            "fn g1(s: &S) {\n\
              \x20   let x = s.a.lock();\n\
              \x20   let y = s.b.lock();\n\
              \x20   x.touch(y);\n\
              }\n\
-             // LOCK-ORDER: b -> a; safe: the a leg is try_lock.\n\
              fn g2(s: &S) {\n\
              \x20   let x = s.b.lock();\n\
              \x20   let y = s.a.try_lock();\n\

@@ -164,9 +164,6 @@ impl Scheduler {
     }
 
     /// Waits for every model thread to terminate and returns the outcome.
-    // LOCK-ORDER: disjoint; only the single scheduler state mutex —
-    // `self.lock()` is a method call the analysis composes, acquired and
-    // released sequentially (never while already held, never nested).
     pub(crate) fn wait(self: &Arc<Self>) -> RunOutcome {
         loop {
             let h = {
@@ -207,9 +204,6 @@ impl Scheduler {
     /// Spawns a model thread; returns its tid. The child inherits the
     /// parent's clock (spawn is a happens-before edge) and becomes runnable
     /// at the next branch point (spawn itself yields).
-    // LOCK-ORDER: disjoint; only the single scheduler state mutex, taken
-    // twice in sequence (registration, then handle bookkeeping) — never
-    // nested.
     pub(crate) fn spawn_thread(
         self: &Arc<Self>,
         parent: usize,

@@ -111,10 +111,9 @@ impl ModelIncBuf {
     }
 
     /// Applies and clears the pending pair. Caller holds the claim.
-    // LOCK-ORDER: count -> key; the pair cells are MCells whose `read()`
-    // value-snapshots the analysis treats as acquisitions, exclusive here
-    // via the claim flag. The `applied` mutex is a leaf reached through
-    // `with(..)` — nothing is acquired while it is held.
+    // The pair cells are exclusive here via the claim flag. The `applied`
+    // mutex is a leaf reached through `with(..)` — nothing is acquired
+    // while it is held.
     fn flush_claimed(&self) {
         let c = self.count.read();
         if c > 0 {
@@ -127,11 +126,9 @@ impl ModelIncBuf {
     /// Mirrors `IncBuffers::record` for one increment of `k`: claim the
     /// slot (falling back to a direct apply when contended), dedup against
     /// the pending pair, flush on key conflict or threshold, release.
-    // LOCK-ORDER: count -> key; the claim flag serializes holders, then the
-    // pair-cell reads nest count before key (directly and via
-    // `flush_claimed`), then at most one of the leaf sink mutexes
-    // (`applied` via flush, or `direct` without the claim) — never both,
-    // and nothing is acquired while a sink mutex is held.
+    // The claim flag serializes holders; at most one of the leaf sink
+    // mutexes is taken (`applied` via flush, or `direct` without the
+    // claim) — never both, and nothing is acquired while one is held.
     pub fn record(&self, k: u64) {
         if !self.claim() {
             // Real code: apply_increment(key, 1) straight to the shard.

@@ -166,9 +166,8 @@ impl ModelRing {
 /// - nothing is duplicated;
 /// - per-producer FIFO: one producer's values come out in push order;
 /// - popped values were actually pushed (no torn/uninitialized reads).
-// LOCK-ORDER: disjoint; the std mutexes here are result-collection
-// bookkeeping only (invisible to the model); each is locked alone, never
-// nested with another.
+// The std mutexes here are result-collection bookkeeping only (invisible
+// to the model).
 pub fn ring_scenario(
     cap: usize,
     producers: usize,

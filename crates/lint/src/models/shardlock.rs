@@ -113,8 +113,6 @@ impl ModelShardLock {
     // claim (Relaxed on failure), SeqCst flag load, Release lane clear on
     // both the back-out and the drop. The mutants move the flag load, weaken
     // the drop's clear, or omit the back-out's.
-    // LOCK-ORDER: disjoint; the cell's `read()` is the only thing the
-    // analysis sees, once per path.
     pub fn read(&self, hint: usize, probes: usize) -> u64 {
         for probe in 0..probes {
             let at = (hint + probe) % LANES;
@@ -173,7 +171,6 @@ impl ModelShardLock {
     }
 
     /// The mutation a write guard allows: one more write recorded.
-    // LOCK-ORDER: disjoint; the cell's `read()` is all the analysis sees.
     pub fn bump(&self) {
         let v = self.data.read();
         self.data.write(v + 1);
@@ -201,7 +198,6 @@ impl ModelShardLock {
 /// Quiescent-state checks. Must run after all model threads joined.
 // ORDERING: Relaxed loads — joins already ordered every thread's writes
 // before this single-threaded epilogue.
-// LOCK-ORDER: disjoint; the cell's `read()` is all the analysis sees.
 fn check_quiescent(l: &ModelShardLock, writes: u64, busy_elsewhere: Option<usize>) {
     let data = l.data.read();
     check(
@@ -259,8 +255,6 @@ pub fn two_readers_writer_scenario(variant: LockVariant) -> impl Fn() + Send + S
 /// three apart.
 // ORDERING: SeqCst set-up stores, as a reader of the other shard would have
 // made them; nothing runs beside them.
-// LOCK-ORDER: disjoint; the model lock's `write()` is a whole section, entered
-// and left inside the call, on two threads.
 pub fn writers_gated_reader_scenario(variant: LockVariant) -> impl Fn() + Send + Sync + 'static {
     move || {
         let l = Arc::new(ModelShardLock::new(variant));

@@ -1,22 +1,17 @@
-//! The workspace lint rules.
+//! The per-file lint rules.
 //!
-//! Every rule reports `file:line`, a message, and a fix hint, and every rule
-//! can be waived inline with
-//! `// lint:allow(RULE-ID): reason` on the flagged line or the line above,
-//! or centrally via entries in `crates/lint/lint.allow` (see [`crate::allow`]).
-//!
-//! Rule catalog (also documented in DESIGN.md):
+//! Every rule reports `file:line`, a message, and a fix hint. There are no
+//! waivers: a diagnostic is fixed in the code.
 //!
 //! | id           | requirement                                                       |
 //! |--------------|-------------------------------------------------------------------|
-//! | `L-SAFETY`   | every `unsafe` keyword carries a `SAFETY:` comment directly above |
 //! | `L-ORDERING` | every fn doing atomic ops names `Ordering::*` explicitly and has an `ORDERING:` comment |
 //! | `L-SEQCST`   | `Ordering::SeqCst` needs an `ORDERING:` comment that says "SeqCst" |
 //! | `L-PANIC`    | non-test `.unwrap()` is banned; `.expect(` needs an invariant comment |
 //!
-//! The lock-related rules (`L-LOCK-ORDER`, `L-LOCK-DECL`, `L-DEADLOCK`,
-//! `L-GUARD-LIFETIME`) are workspace-granular — they need the call graph —
-//! and live in [`crate::locks`].
+//! The lock rules (`L-DEADLOCK`, `L-GUARD-LIFETIME`) are workspace-granular
+//! — they need the call graph — and live in [`crate::locks`]. `// SAFETY:`
+//! on `unsafe` is clippy's `undocumented_unsafe_blocks`, denied workspace-wide.
 //!
 //! Test code (`#[cfg(test)]` modules, `#[test]` fns) is exempt from
 //! `L-PANIC` but NOT from the concurrency rules — a racy test is still a
@@ -28,7 +23,7 @@ use crate::lexer::{FnSpan, Scanned};
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id, e.g. `L-SAFETY`.
+    /// Rule id, e.g. `L-PANIC`.
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub path: String,
@@ -74,7 +69,6 @@ const ATOMIC_OPS: &[&str] = &[
 /// (see [`crate::locks::analyze`]); `walk::lint_workspace` combines both.
 pub fn lint_file(path: &str, scanned: &Scanned, is_bin: bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    rule_safety(path, scanned, &mut out);
     rule_ordering(path, scanned, &mut out);
     if !is_bin {
         rule_panic(path, scanned, &mut out);
@@ -95,51 +89,6 @@ fn diag(
         line,
         msg,
         hint: hint.to_string(),
-    }
-}
-
-/// True when `code` contains `word` delimited by non-identifier characters.
-fn has_word(code: &str, word: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(word) {
-        let at = start + pos;
-        let before_ok = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = at + word.len();
-        let after_ok = after >= code.len()
-            || !code[after..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + word.len();
-    }
-    false
-}
-
-/// L-SAFETY: each `unsafe` keyword needs a `SAFETY:` comment on the same
-/// line or in the contiguous comment block directly above.
-fn rule_safety(path: &str, s: &Scanned, out: &mut Vec<Diagnostic>) {
-    for (i, line) in s.lines.iter().enumerate() {
-        let ln = i + 1;
-        if !has_word(&line.code, "unsafe") {
-            continue;
-        }
-        let block = s.comment_block_above(ln);
-        if !block.contains("SAFETY:") {
-            out.push(diag(
-                "L-SAFETY",
-                path,
-                ln,
-                "`unsafe` without a `// SAFETY:` comment naming the invariant".into(),
-                "add `// SAFETY: <why this cannot violate memory safety>` directly above",
-            ));
-        }
     }
 }
 
@@ -285,20 +234,6 @@ mod tests {
 
     fn run(src: &str) -> Vec<Diagnostic> {
         lint_file("mem.rs", &scan(src), false)
-    }
-
-    #[test]
-    fn unsafe_without_safety_flags() {
-        let d = run("fn f() {\n    unsafe { g() }\n}\n");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "L-SAFETY");
-        assert_eq!(d[0].line, 2);
-    }
-
-    #[test]
-    fn unsafe_with_safety_passes() {
-        let d = run("fn f() {\n    // SAFETY: g is sound here.\n    unsafe { g() }\n}\n");
-        assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Workspace file discovery and the top-level lint driver.
 
-use crate::allow;
 use crate::lexer::{scan, Scanned};
 use crate::rules::{lint_file, Diagnostic};
 use std::fs;
@@ -52,16 +51,15 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 pub struct LintReport {
     /// Files scanned, in path order.
     pub files_scanned: usize,
-    /// Diagnostics that survived waivers and the allowlist.
+    /// Every diagnostic, sorted by path and line.
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// Lints the whole workspace rooted at `root`, applying the allowlist at
-/// `crates/lint/lint.allow` when present.
+/// Lints the whole workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     let paths = lintable_files(root)?;
     let mut scanned_files: Vec<(String, Scanned)> = Vec::new();
-    let mut raw: Vec<Diagnostic> = Vec::new();
+    let mut diags: Vec<Diagnostic> = Vec::new();
     for p in &paths {
         let rel = p
             .strip_prefix(root)
@@ -71,19 +69,11 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
         let text = fs::read_to_string(p)?;
         let s = scan(&text);
         let is_bin = rel.contains("/src/bin/");
-        raw.extend(lint_file(&rel, &s, is_bin));
+        diags.extend(lint_file(&rel, &s, is_bin));
         scanned_files.push((rel, s));
     }
     // The interprocedural lock analysis needs every file at once.
-    raw.extend(crate::locks::analyze(&scanned_files));
-    let allow_path = root.join("crates/lint/lint.allow");
-    let allow_origin = "crates/lint/lint.allow";
-    let (entries, mut diags) = match fs::read_to_string(&allow_path) {
-        Ok(content) => allow::parse_allowlist(&content, allow_origin),
-        Err(_) => (Vec::new(), Vec::new()),
-    };
-    let mut filtered = allow::filter(raw, &scanned_files, &entries, allow_origin);
-    diags.append(&mut filtered);
+    diags.extend(crate::locks::analyze(&scanned_files));
     diags.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(LintReport {
         files_scanned: paths.len(),
