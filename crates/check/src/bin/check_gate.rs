@@ -149,16 +149,11 @@ fn phase_observer() -> Result<(), String> {
     Ok(())
 }
 
-/// Every concurrent variant at `capacity`.
+/// Both concurrent caches at `capacity`.
 fn concurrent_caches(capacity: usize) -> Vec<Arc<dyn ConcurrentCache>> {
     vec![
         Arc::new(cache_concurrent::s3fifo::ConcurrentS3Fifo::new(capacity)),
         Arc::new(cache_concurrent::lru::MutexLru::strict(capacity)),
-        Arc::new(cache_concurrent::lru::MutexLru::optimized(capacity)),
-        Arc::new(cache_concurrent::clock::ConcurrentClock::new(capacity)),
-        Arc::new(cache_concurrent::locked::locked_tinylfu(capacity)),
-        Arc::new(cache_concurrent::locked::locked_twoq(capacity)),
-        Arc::new(cache_concurrent::segcache::SegcacheLike::new(capacity)),
     ]
 }
 

@@ -1,170 +1,12 @@
-//! Closed-loop multi-threaded replay harness (Fig. 8's methodology).
-//!
-//! §5.3: "The Zipf workload contains 100·n_thread million requests for
-//! n_thread million 4 KB objects" (scaled down here), replayed in a closed
-//! loop; misses are filled on demand with pre-generated data. Each thread
-//! replays its own slice of a pre-generated key sequence; throughput is
-//! total requests divided by wall time.
+//! Seeded multi-threaded torture harness: concurrent gets, inserts and
+//! removes over shared and thread-owned keys, with invariant counters on
+//! every hit and a quiescent full-table audit at the end.
 
 use crate::ConcurrentCache;
 use bytes::Bytes;
 use cache_ds::SplitMix64;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Instant;
-
-/// Workload parameters for one throughput measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputConfig {
-    /// Requests per thread.
-    pub requests_per_thread: usize,
-    /// Distinct objects.
-    pub objects: u64,
-    /// Zipf skew (paper: 1.0).
-    pub alpha: f64,
-    /// Payload size in bytes (paper: 4 KB).
-    pub value_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ThroughputConfig {
-    fn default() -> Self {
-        ThroughputConfig {
-            requests_per_thread: 1_000_000,
-            objects: 1_000_000,
-            alpha: 1.0,
-            value_size: 4096,
-            seed: 0xF168,
-        }
-    }
-}
-
-/// Result of one throughput run.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputResult {
-    /// Threads used.
-    pub threads: usize,
-    /// Total requests completed.
-    pub requests: u64,
-    /// Cache hits observed.
-    pub hits: u64,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-    /// Million operations per second.
-    pub mops: f64,
-}
-
-impl ThroughputResult {
-    /// Hit ratio of the run.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.requests as f64
-        }
-    }
-}
-
-/// Pre-generates per-thread Zipf key sequences (kept out of the timed
-/// region).
-pub fn generate_keys(cfg: &ThroughputConfig, threads: usize) -> Vec<Vec<u64>> {
-    let zipf = cache_trace_zipf(cfg.objects, cfg.alpha);
-    (0..threads)
-        .map(|t| {
-            let mut rng = SplitMix64::new(cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-            (0..cfg.requests_per_thread)
-                .map(|_| sample_zipf(&zipf, &mut rng))
-                .collect()
-        })
-        .collect()
-}
-
-// A minimal local Zipf CDF (cache-trace is not a dependency of this crate
-// to keep the prototype layer freestanding). Shared with `oplog` so logged
-// histories can use the same skew as the throughput harness.
-pub(crate) fn cache_trace_zipf(n: u64, alpha: f64) -> Vec<f64> {
-    let mut cdf = Vec::with_capacity(n as usize);
-    let mut acc = 0.0;
-    for i in 1..=n {
-        acc += 1.0 / (i as f64).powf(alpha);
-        cdf.push(acc);
-    }
-    for c in &mut cdf {
-        *c /= acc;
-    }
-    cdf
-}
-
-pub(crate) fn sample_zipf(cdf: &[f64], rng: &mut SplitMix64) -> u64 {
-    let u = rng.next_f64();
-    let idx = cdf.partition_point(|&c| c < u);
-    (idx.min(cdf.len() - 1) + 1) as u64
-}
-
-/// Runs a closed-loop throughput measurement with `threads` threads.
-///
-/// Threads meet at a barrier, then replay their key slice: `get`, and on a
-/// miss, `insert` a clone of the pre-generated payload. Each worker reads
-/// the clock itself, after the barrier and after its last request; the run
-/// lasts from the earliest start to the latest end. (A start read by the
-/// spawning thread is late by however long that thread waits for a core
-/// once the workers hold them all — the whole run, when it is short.)
-// ORDERING: Relaxed hit counter — aggregated after `join`, which already
-// orders every worker's adds before the final load.
-pub fn run_throughput(
-    cache: Arc<dyn ConcurrentCache>,
-    keys: &[Vec<u64>],
-    value_size: usize,
-) -> ThroughputResult {
-    let threads = keys.len();
-    let payload = Bytes::from(vec![0xABu8; value_size]);
-    let barrier = Arc::new(Barrier::new(threads));
-    let hits = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for thread_keys in keys {
-        let cache = cache.clone();
-        let barrier = barrier.clone();
-        let hits = hits.clone();
-        let payload = payload.clone();
-        let thread_keys = thread_keys.clone();
-        handles.push(std::thread::spawn(move || {
-            barrier.wait();
-            let start = Instant::now();
-            let mut local_hits = 0u64;
-            for &k in &thread_keys {
-                match cache.get(k) {
-                    Some(_) => local_hits += 1,
-                    None => cache.insert(k, payload.clone()),
-                }
-            }
-            hits.fetch_add(local_hits, Ordering::Relaxed);
-            (start, Instant::now())
-        }));
-    }
-    // Invariant: worker closures contain no panicking operations of their
-    // own; a panic here means the cache under test is broken, which must
-    // abort the measurement loudly.
-    let spans: Vec<(Instant, Instant)> = handles
-        .into_iter()
-        .map(|h| h.join().expect("worker panicked"))
-        .collect();
-    let start = spans.iter().map(|s| s.0).min();
-    let end = spans.iter().map(|s| s.1).max();
-    let seconds = start.zip(end).map_or(0.0, |(s, e)| (e - s).as_secs_f64());
-    let requests: u64 = keys.iter().map(|k| k.len() as u64).sum();
-    ThroughputResult {
-        threads,
-        requests,
-        hits: hits.load(Ordering::Relaxed),
-        seconds,
-        mops: requests as f64 / seconds / 1e6,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Seeded multi-threaded torture harness
-// ---------------------------------------------------------------------------
+use std::sync::Arc;
 
 /// Parameters of a torture run.
 ///
@@ -175,7 +17,7 @@ pub fn run_throughput(
 /// modelling a tier that refused the write — correctness must be unaffected.
 #[derive(Debug, Clone)]
 pub struct TortureConfig {
-    /// Worker threads (the acceptance bar is >= 4).
+    /// Worker threads (>= 4 for a concurrent run; 1 for an exact audit).
     pub threads: usize,
     /// Operations per thread.
     pub ops_per_thread: usize,
@@ -231,7 +73,7 @@ pub struct TortureReport {
     /// them.
     pub resurrection_violations: u64,
     /// Keys the quiescent audit found both live and ghosted (informational;
-    /// bounded races legally leave a few — see [`crate::AuditReport`]).
+    /// see [`crate::AuditReport::live_ghosted`]).
     pub live_ghosted: u64,
     /// Set when the quiescent full-table audit run after joining the
     /// workers found more violations than the per-thread race budget
@@ -406,10 +248,10 @@ pub fn run_torture(cache: Arc<dyn ConcurrentCache>, cfg: &TortureConfig) -> Tort
     });
     let mut report = report.snapshot();
     // Quiescent full-table audit: the scope join above guarantees no
-    // mutator is live, so every structure can be walked exactly. Lock-free
-    // designs legally leave a bounded number of transient artifacts per
-    // racing thread (orphaned CLOCK slots, ghosted re-inserts); the budget
-    // is per-thread, never proportional to the op count.
+    // mutator is live, so every structure can be walked exactly. The
+    // budget for what a lock-free design may legally leave
+    // ([`AuditReport::is_clean`](crate::AuditReport::is_clean)) is
+    // per-thread, never proportional to the op count.
     let audit = cache.audit_quiescent();
     report.live_ghosted = audit.live_ghosted as u64;
     let slack = cfg.threads * 8;
@@ -461,25 +303,6 @@ mod tests {
     use crate::s3fifo::ConcurrentS3Fifo;
 
     #[test]
-    fn keys_follow_zipf_shape() {
-        let cfg = ThroughputConfig {
-            requests_per_thread: 50_000,
-            objects: 10_000,
-            alpha: 1.0,
-            value_size: 8,
-            seed: 1,
-        };
-        let keys = generate_keys(&cfg, 2);
-        assert_eq!(keys.len(), 2);
-        assert_eq!(keys[0].len(), 50_000);
-        // Rank 1 must be the most frequent key.
-        let count = |ks: &Vec<u64>, k| ks.iter().filter(|&&x| x == k).count();
-        assert!(count(&keys[0], 1) > count(&keys[0], 100));
-        // Per-thread streams differ.
-        assert_ne!(keys[0], keys[1]);
-    }
-
-    #[test]
     fn payload_roundtrip() {
         let p = encode_payload(0xDEAD_BEEF, 42, 32);
         assert_eq!(p.len(), 32);
@@ -489,14 +312,31 @@ mod tests {
 
     #[test]
     fn torture_all_caches_fault_free() {
-        // 4 threads x 25k ops = 100k ops per implementation.
-        let cfg = TortureConfig::default();
-        for cache in crate::test_caches(1024) {
-            let name = cache.name();
-            let r = run_torture(cache, &cfg);
-            assert_eq!(r.ops, 100_000, "{name}");
-            assert!(r.hits > 0, "{name}: no hits in torture run");
-            r.assert_clean();
+        // 4 threads x 25k ops = 100k ops per implementation. Then one
+        // thread, at a capacity of half the key set and at a tiny one:
+        // with no race to excuse an artifact, the audit must be exactly
+        // clean.
+        let one_thread = TortureConfig {
+            threads: 1,
+            ..TortureConfig::default()
+        };
+        for (capacity, cfg) in [
+            (1024, TortureConfig::default()),
+            (400, one_thread.clone()),
+            (10, one_thread),
+        ] {
+            for cache in crate::test_caches(capacity) {
+                let name = format!("{} at {capacity} x {}", cache.name(), cfg.threads);
+                let r = run_torture(Arc::clone(&cache), &cfg);
+                assert_eq!(r.ops, (cfg.threads * cfg.ops_per_thread) as u64, "{name}");
+                assert!(r.hits > 0, "{name}: no hits in torture run");
+                assert!(r.hits <= r.gets, "{name}: {r:?}");
+                r.assert_clean();
+                if cfg.threads == 1 {
+                    let audit = cache.audit_quiescent();
+                    assert_eq!(audit.violations(), 0, "{name}: {audit:?}");
+                }
+            }
         }
     }
 
@@ -548,44 +388,5 @@ mod tests {
         assert_eq!(a.dropped_inserts, b.dropped_inserts);
         assert_eq!(a.removes, b.removes);
         assert_eq!(a.gets, b.gets);
-    }
-
-    #[test]
-    fn throughput_run_reports_sane_numbers() {
-        let cfg = ThroughputConfig {
-            requests_per_thread: 20_000,
-            objects: 1000,
-            alpha: 1.0,
-            value_size: 64,
-            seed: 2,
-        };
-        let keys = generate_keys(&cfg, 2);
-        let cache: Arc<dyn ConcurrentCache> = Arc::new(ConcurrentS3Fifo::new(500));
-        let r = run_throughput(cache, &keys, cfg.value_size);
-        assert_eq!(r.requests, 40_000);
-        assert!(r.mops > 0.0);
-        assert!(r.hit_ratio() > 0.3, "hit ratio {}", r.hit_ratio());
-        assert!(r.seconds > 0.0);
-        // Every cache, at a large (40 % of the objects) and a small (1 %)
-        // capacity, on one thread and on two: every issued request is
-        // counted, hits never exceed requests, and a one-thread run leaves
-        // an exactly clean audit. Racing threads may legally leave
-        // artifacts, which the torture tests bound.
-        for capacity in [400, 10] {
-            for threads in [1, 2] {
-                let keys = generate_keys(&cfg, threads);
-                let issued: u64 = keys.iter().map(|k| k.len() as u64).sum();
-                for cache in crate::test_caches(capacity) {
-                    let name = format!("{} at {capacity} x {threads} threads", cache.name());
-                    let r = run_throughput(Arc::clone(&cache), &keys, cfg.value_size);
-                    assert_eq!(r.requests, issued, "{name}");
-                    assert!(r.hits <= r.requests, "{name}: {r:?}");
-                    if threads == 1 {
-                        let audit = cache.audit_quiescent();
-                        assert_eq!(audit.violations(), 0, "{name}: {audit:?}");
-                    }
-                }
-            }
-        }
     }
 }

@@ -1,30 +1,12 @@
-//! Strict and "optimized" concurrent LRU.
-//!
-//! §5.3's comparison points:
-//!
-//! - **Strict LRU** takes a global lock on *every* operation — hits promote
-//!   under the lock, so throughput flattens immediately with threads.
-//! - **Optimized LRU** reproduces Cachelib's tricks: the value lookup uses a
-//!   sharded read-mostly index, and promotion is (a) rate-limited — an entry
-//!   is only promoted again after `promote_every` further hits — and (b)
-//!   performed under `try_lock`, skipping the promotion entirely when the
-//!   list lock is busy. §5.3: optimized LRU "has both higher throughput and
-//!   better scalability [than strict LRU]. However, it cannot scale beyond
-//!   two cores."
+//! Strict concurrent LRU, §5.3's comparison point: every operation takes
+//! the global list lock, and every *hit* promotes under it, so throughput
+//! flattens as soon as a second thread arrives. The values live in a
+//! sharded map, so only the list splice is serialized.
 
 use crate::{shard_of, AuditReport, ConcurrentCache, SHARDS};
 use bytes::Bytes;
 use cache_ds::{DList, Handle, IdMap, ShardLocks};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-
-struct Entry {
-    key: u64,
-    value: Bytes,
-    /// Hits since the last promotion (for rate limiting).
-    since_promotion: AtomicU32,
-}
 
 /// The LRU list and handle map, guarded by one mutex.
 struct ListCore {
@@ -32,29 +14,16 @@ struct ListCore {
     handles: IdMap<Handle>,
 }
 
-/// A concurrent LRU cache, strict or Cachelib-style optimized.
+/// A strict concurrent LRU cache.
 pub struct MutexLru {
-    shards: ShardLocks<IdMap<Arc<Entry>>>,
+    shards: ShardLocks<IdMap<Bytes>>,
     core: Mutex<ListCore>,
     capacity: usize,
-    strict: bool,
-    promote_every: u32,
 }
 
 impl MutexLru {
-    /// Strict LRU: promotion on every hit, blocking lock.
+    /// Strict LRU: promotion on every hit, under a blocking lock.
     pub fn strict(capacity: usize) -> Self {
-        Self::build(capacity, true, 1)
-    }
-
-    /// Optimized LRU: try-lock promotion, at most one promotion per
-    /// `promote_every` hits per object (Cachelib uses a time window; a hit
-    /// count is equivalent under closed-loop replay).
-    pub fn optimized(capacity: usize) -> Self {
-        Self::build(capacity, false, 8)
-    }
-
-    fn build(capacity: usize, strict: bool, promote_every: u32) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         MutexLru {
             shards: (0..SHARDS).map(|_| IdMap::default()).collect(),
@@ -63,8 +32,6 @@ impl MutexLru {
                 handles: IdMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             }),
             capacity,
-            strict,
-            promote_every,
         }
     }
 
@@ -84,49 +51,17 @@ impl MutexLru {
 
 impl ConcurrentCache for MutexLru {
     fn name(&self) -> String {
-        if self.strict {
-            "LRU-strict".into()
-        } else {
-            "LRU-optimized".into()
-        }
+        "LRU-strict".into()
     }
 
-    // ORDERING: Relaxed promotion counter — a pure rate-limit heuristic;
-    // losing or double-counting a tick only shifts when promotion happens.
-    // Locks nest core -> shards only: the standalone shard read guards are
-    // block-scoped and dropped before core is taken, and the only nesting
-    // is the try-lock'd core held across a shard read.
+    // Locks nest core -> shards only: the shard read guard is a statement
+    // temporary, dropped before core is taken.
     fn get(&self, key: u64) -> Option<Bytes> {
-        let value = {
-            let guard = self.shards[shard_of(key)].read();
-            let entry = guard.get(&key)?;
-            entry.since_promotion.fetch_add(1, Ordering::Relaxed);
-            entry.value.clone()
-        };
-        if self.strict {
-            // Every hit promotes, under a blocking lock — *the* global
-            // section the paper blames for LRU's flat scaling curve.
-            let mut core = self.core.lock();
-            Self::promote(&mut core, key);
-        } else {
-            // Rate-limited, try-lock promotion.
-            let due = {
-                let guard = self.shards[shard_of(key)].read();
-                match guard.get(&key) {
-                    Some(e) => e.since_promotion.load(Ordering::Relaxed) >= self.promote_every,
-                    None => false,
-                }
-            };
-            if due {
-                if let Some(mut core) = self.core.try_lock() {
-                    Self::promote(&mut core, key);
-                    let guard = self.shards[shard_of(key)].read();
-                    if let Some(e) = guard.get(&key) {
-                        e.since_promotion.store(0, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
+        let value = self.shards[shard_of(key)].read().get(&key)?.clone();
+        // Every hit promotes, under a blocking lock — *the* global section
+        // the paper blames for LRU's flat scaling curve.
+        let mut core = self.core.lock();
+        Self::promote(&mut core, key);
         Some(value)
     }
 
@@ -134,17 +69,11 @@ impl ConcurrentCache for MutexLru {
     // section so the sharded value store and the LRU list can never
     // disagree at quiescence; `audit_quiescent` asserts exactly that.
     fn insert(&self, key: u64, value: Bytes) {
-        let entry = Arc::new(Entry {
-            key,
-            value,
-            since_promotion: AtomicU32::new(0),
-        });
-        let _ = entry.key;
         let mut core = self.core.lock();
-        let replaced = {
-            let mut guard = self.shards[shard_of(key)].write();
-            guard.insert(key, entry).is_some()
-        };
+        let replaced = self.shards[shard_of(key)]
+            .write()
+            .insert(key, value)
+            .is_some();
         if replaced {
             Self::promote(&mut core, key);
             return;
@@ -211,6 +140,7 @@ impl ConcurrentCache for MutexLru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn v() -> Bytes {
         Bytes::from_static(b"x")
@@ -229,8 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn optimized_capacity_bounded() {
-        let c = MutexLru::optimized(64);
+    fn capacity_bounded() {
+        let c = MutexLru::strict(64);
         for k in 0..10_000u64 {
             c.insert(k, v());
         }
@@ -238,24 +168,8 @@ mod tests {
     }
 
     #[test]
-    fn optimized_still_roughly_lru() {
-        let c = MutexLru::optimized(100);
-        for k in 0..100u64 {
-            c.insert(k, v());
-        }
-        // Hammer a hot key so its promotion becomes due and fires.
-        for _ in 0..100 {
-            c.get(0);
-        }
-        for k in 1000..1099u64 {
-            c.insert(k, v());
-        }
-        assert!(c.get(0).is_some(), "hot key evicted despite promotions");
-    }
-
-    #[test]
     fn concurrent_access_is_safe() {
-        let c = Arc::new(MutexLru::optimized(500));
+        let c = Arc::new(MutexLru::strict(500));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let c = c.clone();
@@ -313,8 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn names() {
+    fn name() {
         assert_eq!(MutexLru::strict(10).name(), "LRU-strict");
-        assert_eq!(MutexLru::optimized(10).name(), "LRU-optimized");
     }
 }

@@ -64,10 +64,10 @@ pub struct LoggedTortureConfig {
     pub value_size: usize,
     /// Seed for the per-thread op streams.
     pub seed: u64,
-    /// Zipf skew of the key popularity (0.0 = uniform). The thread-sweep
-    /// benchmark replays skewed workloads, so the checker gate exercises
-    /// the same shape: hot keys maximize cross-thread interleaving on one
-    /// key, which is where stale reads would surface.
+    /// Zipf skew of the key popularity (0.0 = uniform). The ledger's
+    /// `lib-mt-zipf` workload replays a skewed key stream, so the checker
+    /// gate exercises the same shape: hot keys maximize cross-thread
+    /// interleaving on one key, which is where stale reads would surface.
     pub alpha: f64,
     /// When set, insert values are per-key *versions* drawn from shared
     /// atomic counters (1, 2, 3, … per key, across all threads) instead of
@@ -111,6 +111,27 @@ fn decode(b: &Bytes) -> Option<(u64, u64)> {
     Some((key, value))
 }
 
+/// The CDF of Zipf(`alpha`) over ranks `1..=n` (cache-trace is not a
+/// dependency of this crate, which keeps the prototype layer freestanding).
+fn zipf_cdf(n: u64, alpha: f64) -> Vec<f64> {
+    let mut cdf = Vec::with_capacity(n as usize);
+    let mut acc = 0.0;
+    for i in 1..=n {
+        acc += 1.0 / (i as f64).powf(alpha);
+        cdf.push(acc);
+    }
+    for c in &mut cdf {
+        *c /= acc;
+    }
+    cdf
+}
+
+fn sample_zipf(cdf: &[f64], rng: &mut SplitMix64) -> u64 {
+    let u = rng.next_f64();
+    let idx = cdf.partition_point(|&c| c < u);
+    (idx.min(cdf.len() - 1) + 1) as u64
+}
+
 /// Runs a logged torture interleaving and returns the merged history,
 /// sorted by `start` time.
 ///
@@ -133,7 +154,7 @@ pub fn run_logged_torture(
 ) -> Vec<OpRecord> {
     let clock = AtomicU64::new(0);
     // Zipf CDF over ranks 1..=keys; alpha 0.0 degenerates to uniform.
-    let zipf = crate::harness::cache_trace_zipf(cfg.keys.max(1), cfg.alpha);
+    let zipf = zipf_cdf(cfg.keys.max(1), cfg.alpha);
     // Per-key version counters for monotonic mode (allocated either way;
     // `keys` is small by design — the witness search is super-linear).
     let versions: Vec<AtomicU64> = (0..cfg.keys.max(1) as usize + 1)
@@ -159,7 +180,7 @@ pub fn run_logged_torture(
                 // versions from the shared counters instead.)
                 let mut next_value = (t as u64) << 48;
                 for _ in 0..cfg.ops_per_thread {
-                    let key = crate::harness::sample_zipf(zipf, &mut rng);
+                    let key = sample_zipf(zipf, &mut rng);
                     let roll = rng.next_below(10);
                     let start = clock.fetch_add(1, Ordering::SeqCst);
                     let kind = match roll {

@@ -12,15 +12,15 @@
 //! | id                 | requirement |
 //! |--------------------|-------------|
 //! | `L-DEADLOCK`       | the global lock-order graph must be acyclic; a cycle reports both witness paths |
-//! | `L-GUARD-LIFETIME` | a guard acquired in an `if let`/`while let`/`match` scrutinee must not be live at a second acquisition (the PR 8 `ConcurrentClock` bug shape) |
+//! | `L-GUARD-LIFETIME` | a guard acquired in an `if let`/`while let`/`match` scrutinee must not be live at a second acquisition (the deadlock shape `fixtures/deadlock_clock.rs` pins) |
 //!
 //! # Lock identity
 //!
 //! A lock is named by where it lives, not by which guard variable holds
-//! it: `self.index.write()` inside `impl ConcurrentClock` is the lock
-//! `ConcurrentClock.index`, whether reached directly, through an alias
-//! (`let shards = &self.index; shards[i].read()`), or through an indexing
-//! chain. Free-standing locals (`let m = Mutex::new(..)`) get a
+//! it: `self.core.lock()` inside `impl MutexLru` is the lock
+//! `MutexLru.core`, whether reached directly, through an alias
+//! (`let core = &self.core; core.lock()`), or through an indexing chain
+//! (`self.shards[i].write()` is the lock `MutexLru.shards`). Free-standing locals (`let m = Mutex::new(..)`) get a
 //! per-function key and therefore never alias across functions. Two
 //! acquisitions of the *same* key never form a graph edge — name-based
 //! identity cannot distinguish distinct shard instances, so `a[i]` vs
@@ -98,9 +98,9 @@ enum GKind {
 /// A currently-live guard during the body walk.
 #[derive(Debug, Clone)]
 struct Guard {
-    /// Full lock key, e.g. `ConcurrentClock.index`.
+    /// Full lock key, e.g. `MutexLru.core`.
     key: String,
-    /// Short name (final segment), e.g. `index`.
+    /// Short name (final segment), e.g. `core`.
     short: String,
     /// Acquisition line.
     line: usize,
@@ -186,7 +186,7 @@ pub fn analyze(files: &[(String, Scanned)]) -> Vec<Diagnostic> {
     out
 }
 
-/// File stem (`clock` from `crates/concurrent/src/clock.rs`) — the
+/// File stem (`lru` from `crates/concurrent/src/lru.rs`) — the
 /// qualifier for locks in free functions.
 fn file_stem(path: &str) -> String {
     let base = path.rsplit('/').next().unwrap_or(path);

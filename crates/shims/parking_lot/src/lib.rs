@@ -1,12 +1,12 @@
 //! Offline stand-in for `parking_lot`.
 //!
-//! Wraps `std::sync` primitives behind `parking_lot`'s non-poisoning API
-//! (guards are returned directly, not inside a `Result`). A thread that
-//! panics while holding a lock poisons the std primitive; the shim recovers
-//! the inner guard, matching `parking_lot`'s behavior of simply releasing
-//! the lock. Performance differs from the real crate (std mutexes are
-//! heavier under contention) but semantics for correctness testing are the
-//! same.
+//! Wraps `std::sync::Mutex` behind `parking_lot`'s non-poisoning API (the
+//! guard is returned directly, not inside a `Result`), with only the items
+//! the workspace calls. A thread that panics while holding a lock poisons
+//! the std primitive; the shim recovers the inner guard, matching
+//! `parking_lot`'s behavior of simply releasing the lock. Performance
+//! differs from the real crate (std mutexes are heavier under contention)
+//! but semantics for correctness testing are the same.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,10 +15,6 @@ use std::sync;
 
 /// Guard for [`Mutex::lock`].
 pub type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
-/// Guard for [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// Guard for [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
 
 /// A mutual-exclusion lock that does not poison.
 #[derive(Debug, Default)]
@@ -29,73 +25,12 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires the lock only if it is free right now.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A reader-writer lock that does not poison.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires the write guard only if no other guard is held.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.0.try_write() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -109,18 +44,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(vec![1]);
-        assert_eq!(l.read().len(), 1);
-        l.write().push(2);
-        assert_eq!(*l.read(), vec![1, 2]);
     }
 
     #[test]

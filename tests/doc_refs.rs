@@ -1,7 +1,8 @@
 //! The four long docs may only name things that exist: every `--bin <name>`
-//! is a binary of some workspace crate, every checked-in `BENCH_*.json` is
-//! at the root (a `target/BENCH_*.json` is a build artifact and exempt),
-//! and every `crates/**/*.rs` path is a file. `benchmark/`, ROADMAP.md and
+//! is a binary of some workspace crate, every `--example <name>` a file
+//! under `examples/`, every checked-in `BENCH_*.json` is at the root (a
+//! `target/BENCH_*.json` is a build artifact and exempt), and every
+//! `crates/**/*.rs` path is a file. `benchmark/`, ROADMAP.md and
 //! CHANGES.md are history and are not scanned.
 
 use std::path::Path;
@@ -44,6 +45,11 @@ fn docs_name_only_things_that_exist() {
             for (_, name) in after(line, "--bin ", "") {
                 if !name.is_empty() && !has_bin(root, name) {
                     stale_here(format!("--bin {name}"));
+                }
+            }
+            for (_, name) in after(line, "--example ", "") {
+                if !name.is_empty() && !root.join("examples").join(format!("{name}.rs")).is_file() {
+                    stale_here(format!("--example {name}"));
                 }
             }
             for (before, tail) in after(line, "BENCH_", ".") {
