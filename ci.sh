@@ -9,6 +9,9 @@
 # The same table denies clippy::undocumented_unsafe_blocks: every `unsafe`
 # block carries a `// SAFETY:` comment.
 #
+# Each step prints its wall time at the end of the run, so a slow gate
+# names itself.
+#
 # `./ci.sh stress [N]` runs none of that: it runs the tests of the two crates
 # that start threads of their own, cache-concurrent and cache-sim, N times
 # (default 20) and prints how often each test failed, so that a flake has a
@@ -42,27 +45,48 @@ if [ "${1:-}" = "stress" ]; then
     exit
 fi
 
-echo "== cargo build --release --workspace =="
+step_names=()
+step_tenths=()
+step_t0=""
+# `step NAME` ends the step before it, records its wall time, and announces
+# NAME; `step done` only ends the last one.
+step() {
+    local now=${EPOCHREALTIME/./}
+    if [ -n "${step_t0}" ]; then
+        step_tenths+=($(( (now - step_t0) / 100000 )))
+    fi
+    step_t0=${now}
+    [ "$1" = done ] && return
+    step_names+=("$1")
+    echo "== $1 =="
+}
+
+step "cargo build --release --workspace"
 # --workspace is load-bearing: the root manifest is both a workspace and a
 # package, so a bare `cargo build` would only build the root package and
-# skip the gate binaries (check_gate, cache_lint, trace_gen, trace_convert,
-# obs_dump) this script runs below.
+# skip the gate binaries (check_gate, trace_gen, trace_convert, obs_dump)
+# this script runs below.
 cargo build --release --offline --workspace
 
-echo "== cargo test -q --workspace =="
+step "cargo test -q --workspace"
 # The root manifest is a member of its own workspace, so this runs the root
 # package's tests too.
 cargo test -q --workspace --offline
 
 if command -v taskset > /dev/null; then
-    echo "== cargo test -q -p cache-sim on one core =="
+    step "feed_ctr hand-off tests on one core"
     # The streamed replay hands chunks between a reader thread and the
     # caller (DESIGN.md §12); on one core a hand-off that needs both threads
-    # running at once to make progress hangs here instead of passing.
-    taskset -c 0 cargo test -q --offline -p cache-sim
+    # running at once to make progress hangs here instead of passing. Only
+    # the tests that stream are run: stream.rs's own, and the replay_matrix
+    # tests that stream a small trace, chunks of one record included. The
+    # matrix's two large sweeps stream too, and run on both cores above.
+    taskset -c 0 cargo test -q --offline -p cache-sim --lib --test replay_matrix -- \
+        stream:: window_and_chunk_boundaries a_partially_consumed_reader \
+        the_path_front_door buffers_stay_bounded
 fi
 
-echo "== benchmark: frozen surface + smoke ledger =="
+step "benchmark: frozen surface + smoke ledger"
 # benchmark/ is a workspace of its own with path dependencies on crates/*:
 # building it is what checks the entry points its README lists as frozen
 # (parse_frame, TtlStore, Value, ServerCounters, ...), and its smoke-scale
@@ -70,48 +94,23 @@ echo "== benchmark: frozen surface + smoke ledger =="
 # every reply. ~20 s. Nothing under benchmark/ is edited by this gate.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
-echo "== cargo clippy --workspace -- -D warnings =="
+step "cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --offline -- -D warnings \
     --force-warn clippy::unwrap-used --force-warn clippy::expect-used
 
-echo "== check: differential fuzz + invariant observers + linearizability-lite =="
+step "check_gate: differential fuzz, observers, linearizability-lite, loom-lite"
 # Fixed-seed correctness battery (crates/check): >= 10k generated requests
 # per policy/mode pair through reference vs keyed vs dense on 13 names (the
 # FIFO family, S3-FIFO's four §6.3/§7 queue-type variants included), an
-# invariant observer sweep over every registry algorithm, and logged
-# concurrent torture runs per cache checked for stale/forged reads plus, in
-# per-key monotonic-version mode, cross-get version regressions. ~1 s in
-# release; failures print a shrunk reproduction (see TESTING.md).
+# invariant observer sweep over every registry algorithm, logged concurrent
+# torture runs per cache checked for stale/forged reads plus, in per-key
+# monotonic-version mode, cross-get version regressions, and loom-lite:
+# >= 10k bounded-preemption interleavings of the concurrent models must
+# pass and all 15 planted mutants must be caught (TESTING.md names them).
+# ~3 s in release; failures print a reproduction (see TESTING.md).
 ./target/release/check_gate
 
-echo "== cache-lint: workspace lint + loom-lite interleaving exploration =="
-# Two hard gates from crates/lint (see DESIGN.md §8 and TESTING.md):
-#  - lint: what clippy does not check, over every crates/*/src/**/*.rs
-#    file — an ORDERING: comment and explicit Ordering::* wherever atomics
-#    are used (L-ORDERING/L-SEQCST), no non-test unwrap or comment-less
-#    expect (L-PANIC), and the interprocedural lock analysis: guard live
-#    ranges and a workspace call graph feeding global deadlock-cycle
-#    detection (L-GUARD-LIFETIME/L-DEADLOCK). No waivers: fix the code.
-#    The fixtures that prove each rule still fires are pinned by
-#    crates/lint/tests/fixtures.rs, which the test step above runs;
-#  - loom: bounded-preemption (CHESS, bound 2) exploration of the Vyukov
-#    ring, S3-FIFO shard, ShardLocks lane/flag/gate lock, server
-#    drain-handshake, and increment-buffer slot-handoff models with a
-#    vector-clock race detector — >= 10k distinct interleavings must
-#    pass, and fourteen planted mutants (TESTING.md names them) must be
-#    *caught*,
-#    so a green run proves the detector still has teeth.
-# Budget: the whole pass must stay under 20 s in release (the binary
-# prints per-phase timing so a blown budget names its phase).
-cache_lint_start=$(date +%s)
-./target/release/cache_lint --root . all
-cache_lint_elapsed=$(( $(date +%s) - cache_lint_start ))
-if [ "${cache_lint_elapsed}" -gt 20 ]; then
-    echo "cache_lint exceeded its 20 s budget (${cache_lint_elapsed}s)" >&2
-    exit 1
-fi
-
-echo "== trace round trip: trace_gen + trace_convert =="
+step "trace round trip: trace_gen + trace_convert"
 # Generate a small seeded .ctr trace to disk (DESIGN.md §12), take it through
 # CSV and back, and verify the two encodings describe the identical trace.
 ./target/release/trace_gen --smoke --out target/ci_oo.ctr
@@ -119,7 +118,7 @@ echo "== trace round trip: trace_gen + trace_convert =="
 ./target/release/trace_convert to-ctr target/ci_oo.csv target/ci_oo_rt.ctr
 ./target/release/trace_convert verify target/ci_oo.csv target/ci_oo_rt.ctr
 
-echo "== obs smoke: obs_dump =="
+step "obs smoke: obs_dump"
 # Exercises the full observability pipeline (windowed simulation, flash
 # degradation ladder, concurrent per-shard export, lossy CSV ingest) and
 # validates the JSON-lines dump: every line parses standalone, the expected
@@ -171,4 +170,12 @@ assert "mrc.FIFO" in series, series
 print(f"obs mrc ok: {len(points)} curve points across {len(algos)} policies")
 PY
 
+step done
+total=0
+for i in "${!step_names[@]}"; do
+    t=${step_tenths[$i]}
+    total=$((total + t))
+    printf '%6d.%d s  %s\n' $((t / 10)) $((t % 10)) "${step_names[$i]}"
+done
+printf '%6d.%d s  total\n' $((total / 10)) $((total % 10))
 echo "ci: all gates passed"

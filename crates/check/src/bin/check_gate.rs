@@ -1,6 +1,7 @@
 //! CI gate: the full correctness battery on fixed seeds.
 //!
-//! Five phases, each fatal on failure (exit code 1 with a reproduction):
+//! Seven phases, each fatal on failure (exit code 1 with a reproduction),
+//! each printing its wall time:
 //!
 //! 1. **Differential fuzz** — every reference-covered algorithm ×
 //!    capacities {1, 2, 3, 7, 50} × {unit-size, sized}, ≥ 10 000 generated
@@ -24,10 +25,29 @@
 //!    out-of-core `.ctr` replay diffed bit-for-bit (counters, f64 bits,
 //!    per-window series) against the in-memory windowed replay, with
 //!    ddmin shrinking on mismatch.
+//! 7. **loom-lite** — every bounded-preemption (bound 2) interleaving of
+//!    each [`cache_check::models`] scenario: the shipped protocols must hold
+//!    their invariants with no data race or deadlock across at least
+//!    [`MIN_SCHEDULES`] schedules in all, and every planted mutant must be
+//!    caught, so a green run shows the explorer still has teeth.
 //!
-//! Budget: a couple of seconds in release mode. Everything is seeded; a
-//! failing run reproduces bit-for-bit (see TESTING.md).
+//! Budget: a few seconds in release mode. Everything is seeded; a failing
+//! run reproduces bit-for-bit (see TESTING.md).
 
+use cache_check::loomlite::Config;
+use cache_check::models::drain::{drain_race_scenario, drain_two_workers_scenario, DrainVariant};
+use cache_check::models::incbuf::{
+    incbuf_contention_scenario, incbuf_handoff_scenario, IncVariant,
+};
+use cache_check::models::lru::{lru_lock_order_scenario, LruVariant};
+use cache_check::models::ring::{ring_scenario, RingOrderings};
+use cache_check::models::shard::{
+    evict_delete_revive_scenario, evict_overwrite_scenario, promote_delete_scenario, Mutant,
+};
+use cache_check::models::shardlock::{
+    reader_meets_flag_scenario, reader_writer_scenario, two_readers_writer_scenario,
+    writers_gated_reader_scenario, LockVariant,
+};
 use cache_check::{
     check_history, check_monotonic, fuzz_mrc, fuzz_policy, fuzz_stream, FuzzConfig,
     InvariantObserver, FUZZED_ALGORITHMS, MRC_ALGORITHMS, MRC_GRIDS, STREAM_ALGORITHMS,
@@ -40,6 +60,7 @@ use cache_sim::Replay;
 use cache_trace::Trace;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn phase_differential() -> Result<(), String> {
     let mut total = 0usize;
@@ -244,23 +265,178 @@ fn phase_stream() -> Result<(), String> {
     Ok(())
 }
 
+/// Distinct schedules the clean loom-lite models must explore in all.
+const MIN_SCHEDULES: usize = 10_000;
+
+type Scenario = Box<dyn Fn() + Send + Sync>;
+
+fn phase_loom() -> Result<(), String> {
+    let clean: [(&str, Scenario); 14] = [
+        ("ring 2p/1c", Box::new(ring_scenario(2, 2, 2, 3, RingOrderings::correct()))),
+        ("ring 1p/2-pop", Box::new(ring_scenario(2, 1, 3, 2, RingOrderings::correct()))),
+        ("shard evict-vs-overwrite", Box::new(evict_overwrite_scenario(Mutant::None))),
+        (
+            "shard evict-vs-delete-and-revive",
+            Box::new(evict_delete_revive_scenario(Mutant::None)),
+        ),
+        ("shard promote-vs-delete", Box::new(promote_delete_scenario(Mutant::None))),
+        (
+            "shardlock reader-vs-writer",
+            Box::new(reader_writer_scenario(LockVariant::Correct)),
+        ),
+        (
+            "shardlock 2-readers-vs-writer",
+            Box::new(two_readers_writer_scenario(LockVariant::Correct)),
+        ),
+        (
+            "shardlock 2-writers-vs-gated-reader",
+            Box::new(writers_gated_reader_scenario(LockVariant::Correct)),
+        ),
+        (
+            "shardlock reader-meets-flag",
+            Box::new(reader_meets_flag_scenario(LockVariant::Correct)),
+        ),
+        ("lru lock order", Box::new(lru_lock_order_scenario(LruVariant::Correct))),
+        (
+            "drain shutdown-vs-request",
+            Box::new(drain_race_scenario(DrainVariant::Correct)),
+        ),
+        (
+            "drain shutdown-vs-2-workers",
+            Box::new(drain_two_workers_scenario(DrainVariant::Correct)),
+        ),
+        ("incbuf slot handoff", Box::new(incbuf_handoff_scenario(IncVariant::Correct))),
+        (
+            "incbuf claim contention",
+            Box::new(incbuf_contention_scenario(IncVariant::Correct)),
+        ),
+    ];
+    let mutants: [(&str, Scenario); 15] = [
+        (
+            "ring (relaxed pop seq load)",
+            Box::new(ring_scenario(2, 1, 1, 2, RingOrderings::broken_pop_seq_load())),
+        ),
+        (
+            "ring (relaxed publish)",
+            Box::new(ring_scenario(2, 1, 1, 2, RingOrderings::broken_push_publish())),
+        ),
+        (
+            "shard (overwrite pushes a second handle)",
+            Box::new(evict_overwrite_scenario(Mutant::OverwritePushes)),
+        ),
+        (
+            "shard (tombstone released twice)",
+            Box::new(evict_delete_revive_scenario(Mutant::TombstoneReleasesTwice)),
+        ),
+        (
+            "shard (ghost before settle)",
+            Box::new(evict_delete_revive_scenario(Mutant::GhostBeforeSettle)),
+        ),
+        (
+            "shardlock (flag read before lane published)",
+            Box::new(reader_writer_scenario(LockVariant::FlagBeforeLane)),
+        ),
+        (
+            "shardlock (sweep before flag)",
+            Box::new(reader_writer_scenario(LockVariant::SweepBeforeFlag)),
+        ),
+        (
+            "shardlock (relaxed lane clear)",
+            Box::new(two_readers_writer_scenario(LockVariant::RelaxedLaneClear)),
+        ),
+        (
+            "shardlock (relaxed flag clear)",
+            Box::new(reader_writer_scenario(LockVariant::RelaxedFlagClear)),
+        ),
+        (
+            "shardlock (backed-out reader keeps its lane)",
+            Box::new(reader_meets_flag_scenario(LockVariant::BackoutKeepsLane)),
+        ),
+        (
+            "lru (get holds its shard across core)",
+            Box::new(lru_lock_order_scenario(LruVariant::GetHoldsShard)),
+        ),
+        (
+            "drain (check before join)",
+            Box::new(drain_race_scenario(DrainVariant::CheckThenJoin)),
+        ),
+        (
+            "drain (relaxed completion)",
+            Box::new(drain_race_scenario(DrainVariant::RelaxedComplete)),
+        ),
+        (
+            "incbuf (relaxed claim)",
+            Box::new(incbuf_handoff_scenario(IncVariant::RelaxedClaim)),
+        ),
+        (
+            "incbuf (relaxed release)",
+            Box::new(incbuf_handoff_scenario(IncVariant::RelaxedRelease)),
+        ),
+    ];
+    let cfg = Config {
+        preemption_bound: 2,
+        max_schedules: 200_000,
+        stop_on_failure: true,
+    };
+    let mut bad = Vec::new();
+    let mut schedules = 0usize;
+    for (name, scenario) in clean {
+        let r = cfg.explore(scenario);
+        schedules += r.schedules;
+        if let Some(f) = r.failures.first() {
+            let msg = f.messages.join("; ");
+            bad.push(format!("{name}: {msg}\n  schedule: {:?}", f.schedule));
+        } else if !r.exhausted {
+            bad.push(format!("{name}: schedule cap hit at {} without exhausting", r.schedules));
+        } else {
+            println!("  {name}: ok ({} schedules, exhaustive at bound 2)", r.schedules);
+        }
+    }
+    println!("  {schedules} distinct schedules across clean models (floor {MIN_SCHEDULES})");
+    if schedules < MIN_SCHEDULES {
+        bad.push(format!("{schedules} clean schedules, below the floor of {MIN_SCHEDULES}"));
+    }
+    for (name, scenario) in mutants {
+        let r = cfg.explore(scenario);
+        match r.failures.first() {
+            Some(f) => println!(
+                "  mutant {name}: caught after {} schedules ({})",
+                r.schedules,
+                f.messages.first().map_or("", String::as_str)
+            ),
+            None => bad.push(format!(
+                "mutant {name}: planted bug NOT caught in {} schedules",
+                r.schedules
+            )),
+        }
+    }
+    if bad.is_empty() {
+        Ok(())
+    } else {
+        Err(bad.join("\n"))
+    }
+}
+
 type Phase = fn() -> Result<(), String>;
 
 fn main() -> ExitCode {
-    let phases: [(&str, Phase); 6] = [
+    let phases: [(&str, Phase); 7] = [
         ("differential fuzz (reference vs keyed vs dense)", phase_differential),
         ("MRC differential (multi-capacity engines vs per-capacity reference)", phase_mrc),
         ("invariant observer sweep", phase_observer),
         ("linearizability-lite on logged torture histories", phase_linearizability),
         ("monotonic-version regression rules on logged histories", phase_monotonic),
         ("streamed .ctr replay differential (out-of-core vs in-memory)", phase_stream),
+        ("loom-lite interleaving exploration (clean models + planted mutants)", phase_loom),
     ];
     for (title, run) in phases {
         println!("check_gate: {title}");
+        let started = Instant::now();
         if let Err(msg) = run() {
             eprintln!("check_gate FAILED in {title}:\n{msg}");
             return ExitCode::FAILURE;
         }
+        println!("  ({:.2} s)", started.elapsed().as_secs_f64());
     }
     println!("check_gate: all phases passed");
     ExitCode::SUCCESS

@@ -26,7 +26,13 @@
 //!   simulation;
 //! - [`linear`] — a linearizability-lite checker over the timed operation
 //!   logs produced by [`cache_concurrent::oplog`], plus a brute-force
-//!   sequential-witness search used to validate the checker itself.
+//!   sequential-witness search used to validate the checker itself;
+//! - [`loomlite`] — a deterministic-scheduler model checker that explores
+//!   every bounded-preemption interleaving of a small model, with a
+//!   vector-clock race detector and deadlock detection, and [`models`] —
+//!   down-scaled transcriptions of the ring, the S3-FIFO shard, the shard
+//!   lock, the increment buffer, `MutexLru`'s lock order and the server's
+//!   drain handshake, each with planted mutants the explorer must catch.
 //!
 //! The `check_gate` binary runs the whole battery on a fixed seed as a CI
 //! step; `TESTING.md` at the workspace root explains how to reproduce and
@@ -37,6 +43,8 @@
 
 pub mod fuzz;
 pub mod linear;
+pub mod loomlite;
+pub mod models;
 pub mod mrc;
 pub mod observer;
 pub mod reference;

@@ -30,7 +30,7 @@
 //!   `Release`. This is a *quality* edge, not a safety edge — everything
 //!   is atomic — but without it the next claimer may observe a stale
 //!   payload snapshot and attribute pending counts to the wrong keys or
-//!   shards. The loom-lite model in `cache-lint` (`models/incbuf.rs`)
+//!   shards. The loom-lite model (`crates/check/src/models/incbuf.rs`)
 //!   plants exactly those two weakenings as mutants the gate must catch.
 //! - Deferred bookkeeping changes *eviction quality and stat freshness
 //!   only*: gets/inserts still see fully linearizable values, and because

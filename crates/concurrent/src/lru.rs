@@ -55,7 +55,8 @@ impl ConcurrentCache for MutexLru {
     }
 
     // Locks nest core -> shards only: the shard read guard is a statement
-    // temporary, dropped before core is taken.
+    // temporary, dropped before core is taken. The loom-lite model
+    // (crates/check/src/models/lru.rs) deadlocks if it is kept.
     fn get(&self, key: u64) -> Option<Bytes> {
         let value = self.shards[shard_of(key)].read().get(&key)?.clone();
         // Every hit promotes, under a blocking lock — *the* global section

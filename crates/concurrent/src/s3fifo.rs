@@ -360,7 +360,7 @@ impl ConcurrentS3Fifo {
     /// and cold lets a racing delete or overwrite leave a key ghosted that
     /// was never evicted; ghosting after the guard is dropped lets a racing
     /// insert land in between, live and ghosted. The loom-lite shard model
-    /// (crates/lint/src/models/shard.rs, `Mutant::GhostBeforeSettle`) pins
+    /// (crates/check/src/models/shard.rs, `Mutant::GhostBeforeSettle`) pins
     /// the first.
     // ORDERING: Relaxed occupancy and stat counters, changed under the
     // shard write guard together with the slot they count; freq is read

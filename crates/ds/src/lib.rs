@@ -34,7 +34,7 @@
 //!
 //! The ring, the prefetch hint, the `poll(2)` call, the lock and the
 //! `madvise(2)` call are the five sites of `unsafe` code in the workspace
-//! (`tests/unsafe_inventory.rs` at the root holds the list).
+//! (`tests/source_rules.rs` at the root holds the list).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -101,7 +101,7 @@ impl<T> MpmcRing<T> {
     // Release `seq` store publishes the payload to the dequeuer's Acquire
     // load. Cursor CASes/loads are Relaxed: they only arbitrate ownership,
     // the seq protocol carries all payload ordering. Verified exhaustively
-    // by the loom-lite model (crates/lint/src/models/ring.rs).
+    // by the loom-lite model (crates/check/src/models/ring.rs).
     pub fn push(&self, val: T) -> Result<(), T> {
         let mut pos = self.enqueue_pos.0.load(Ordering::Relaxed);
         loop {

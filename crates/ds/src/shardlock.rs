@@ -48,7 +48,7 @@
 //! raised the flag, waits on the gate for a writer that waits on the first.
 //! Reads of *different* shards nest freely (the second takes the next lane).
 //!
-//! The loom-lite model (`crates/lint/src/models/shardlock.rs`) explores the
+//! The loom-lite model (`crates/check/src/models/shardlock.rs`) explores the
 //! interleavings with the protected data as a race-checked cell and catches
 //! five planted weakenings; it models `SeqCst` as `AcqRel`, so the
 //! store-buffer case rests on the argument above and on the real-thread

@@ -2,7 +2,7 @@
 //! request counter.
 //!
 //! Protocol (mirrored, ordering for ordering, by the loom-lite model in
-//! `crates/lint/src/models/drain.rs`, whose planted mutants pin both the
+//! `crates/check/src/models/drain.rs`, whose planted mutants pin both the
 //! step order and the memory orderings):
 //!
 //! - a worker *joins* ([`DrainGate::try_enter`]) by incrementing the

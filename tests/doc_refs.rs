@@ -1,11 +1,13 @@
 //! The four long docs may only name things that exist: every `--bin <name>`
-//! is a binary of some workspace crate, every `--example <name>` a file
-//! under `examples/`, every checked-in `BENCH_*.json` is at the root (a
-//! `target/BENCH_*.json` is a build artifact and exempt), and every
-//! `crates/**/*.rs` path is a file. `benchmark/`, ROADMAP.md and
-//! CHANGES.md are history and are not scanned.
+//! is a binary of some workspace crate, every `-p <package>` a workspace
+//! package, every `--example <name>` a file under `examples/`, every
+//! checked-in `BENCH_*.json` is at the root (a `target/BENCH_*.json` is a
+//! build artifact and exempt), and every `crates/**/*.rs` path is a file.
+//! The same holds for every `crates/**/*.rs` path in a comment of the
+//! workspace's own Rust sources. `benchmark/`, ROADMAP.md and CHANGES.md
+//! are history and are not scanned.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 4] = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md"];
 
@@ -34,9 +36,49 @@ fn has_bin(root: &Path, name: &str) -> bool {
     })
 }
 
+/// The `[package]` name of every workspace member: the root package, each
+/// `crates/<name>` and each `crates/shims/<name>`.
+fn packages(root: &Path) -> Vec<String> {
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for dir in [root.join("crates"), root.join("crates/shims")] {
+        let entries = std::fs::read_dir(dir).expect("crate dir is readable");
+        manifests.extend(entries.flatten().map(|e| e.path().join("Cargo.toml")));
+    }
+    manifests
+        .iter()
+        .filter_map(|m| std::fs::read_to_string(m).ok())
+        .filter_map(|text| {
+            let line = text.lines().find(|l| l.starts_with("name = \""))?;
+            Some(line["name = \"".len()..].trim_end_matches('"').to_string())
+        })
+        .collect()
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.flatten().map(|e| e.path()) {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Each `crates/**/*.rs` path in `text` that is not a file.
+fn missing_sources<'a>(root: &'a Path, text: &'a str) -> impl Iterator<Item = String> + 'a {
+    after(text, "crates/", "./")
+        .map(|(_, tail)| format!("crates/{tail}"))
+        .filter(move |file| file.ends_with(".rs") && !root.join(file).is_file())
+}
+
 #[test]
 fn docs_name_only_things_that_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let packages = packages(root);
     let mut stale = Vec::new();
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).expect("doc is readable");
@@ -45,6 +87,11 @@ fn docs_name_only_things_that_exist() {
             for (_, name) in after(line, "--bin ", "") {
                 if !name.is_empty() && !has_bin(root, name) {
                     stale_here(format!("--bin {name}"));
+                }
+            }
+            for (_, name) in after(line, "-p ", "") {
+                if !name.is_empty() && !packages.iter().any(|p| p == name) {
+                    stale_here(format!("-p {name}"));
                 }
             }
             for (_, name) in after(line, "--example ", "") {
@@ -61,13 +108,34 @@ fn docs_name_only_things_that_exist() {
                     stale_here(file);
                 }
             }
-            for (_, tail) in after(line, "crates/", "./") {
-                let file = format!("crates/{tail}");
-                if file.ends_with(".rs") && !root.join(&file).is_file() {
-                    stale_here(file);
-                }
+            for file in missing_sources(root, line) {
+                stale_here(file);
             }
         }
     }
     assert!(stale.is_empty(), "stale references:\n{}", stale.join("\n"));
+}
+
+#[test]
+fn source_comments_name_only_files_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 50, "found only {} Rust files", files.len());
+    let mut stale = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("source file is readable");
+        for (n, line) in text.lines().enumerate() {
+            let Some(at) = line.find("//") else {
+                continue;
+            };
+            for missing in missing_sources(root, &line[at..]) {
+                let rel = file.strip_prefix(root).unwrap_or(file);
+                stale.push(format!("{}:{}: {missing}", rel.display(), n + 1));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "stale paths in comments:\n{}", stale.join("\n"));
 }
