@@ -316,7 +316,8 @@ pub fn fuzz_policy(name: &str, capacity: u64, cfg: &FuzzConfig) -> Result<usize,
 }
 
 /// The registry algorithms the differential fuzzer covers: every name with
-/// both a reference interpreter and (where implemented) a dense variant.
+/// a reference interpreter, diffed against its keyed policy and, where it
+/// has one, its dense policy.
 pub const FUZZED_ALGORITHMS: &[&str] = &[
     "FIFO",
     "LRU",
@@ -331,6 +332,9 @@ pub const FUZZED_ALGORITHMS: &[&str] = &[
     "QDLP-LRU-FIFO",
     "QDLP-FIFO-LRU",
     "S3-FIFO-Sieve",
+    "ARC",
+    "LRU-2",
+    "B-LRU",
 ];
 
 #[cfg(test)]

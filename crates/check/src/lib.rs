@@ -7,7 +7,8 @@
 //! decisions*. This crate holds the machinery that enforces that:
 //!
 //! - [`reference`] — tiny, obviously-correct `Vec`-based interpreters for
-//!   FIFO, LRU, CLOCK, SIEVE, 2Q, SLRU, and S3-FIFO, written for
+//!   FIFO, LRU, CLOCK, SIEVE, 2Q, SLRU, S3-FIFO, ARC, LRU-2 and B-LRU,
+//!   written for
 //!   readability, not speed: the one second opinion the production
 //!   policies are diffed against;
 //! - [`fuzz`] — a seeded differential fuzzer replaying generated traces

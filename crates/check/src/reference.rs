@@ -4,9 +4,10 @@
 //! eviction algorithm: no handles, no intrusive links, no incremental byte
 //! accounting — every quantity is recomputed by scanning. They exist to be
 //! *read and believed*, then used as the ground truth the differential
-//! fuzzer ([`crate::fuzz`]) compares the slab policies against, decision
-//! for decision — through both their keyed and their pre-interned door.
-//! They are the only second implementation of these algorithms.
+//! fuzzer ([`crate::fuzz`]) compares the production policies against,
+//! decision for decision — through both their keyed and, where they have
+//! one, their pre-interned door. They are the only second implementation
+//! of these algorithms.
 //!
 //! Conventions shared with the production policies:
 //!
@@ -15,12 +16,16 @@
 //!   orientation where `push_front` inserts the newest entry.
 //! - A `Get` of a resident object touches metadata only; a `Get` of an
 //!   absent object larger than the whole cache is `Uncacheable`, otherwise
-//!   it is a read-through `Miss` that inserts after making room. A `Set`
-//!   deletes any existing entry and re-inserts when the object fits; a
-//!   `Delete` removes. Hits never update the stored size.
+//!   it is a read-through `Miss` that inserts after making room (B-LRU only
+//!   once its filter has seen the object before). A `Set` deletes any
+//!   existing entry and re-inserts when the object fits; a `Delete`
+//!   removes. Hits never update the stored size.
 //! - Ghost queues charge every FIFO slot — including tombstones left by
 //!   `remove` — until the slot ages out, exactly like the production
 //!   `SlotGhost` (and the id-keyed `cache_ds::GhostFifo`).
+//! - B-LRU's admission filter is exact ([`RefFilter`]) where production
+//!   keeps Bloom filters sized for at least 1 024 ids at 1 % false
+//!   positives; the fuzzer's universes are far too small to meet one.
 
 use cache_types::{Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
 use std::collections::{HashSet, VecDeque};
@@ -90,7 +95,13 @@ impl RefGhost {
         if self.set.insert(id) {
             self.fifo.push_back((id, size));
         }
-        while self.used() > self.capacity {
+        self.trim_to(self.capacity);
+    }
+
+    /// Drops the oldest FIFO slots, tombstones included, until at most
+    /// `cap` bytes are charged.
+    fn trim_to(&mut self, cap: u64) {
+        while self.used() > cap {
             match self.fifo.pop_front() {
                 Some((old, _)) => {
                     self.set.remove(&old);
@@ -105,14 +116,64 @@ impl RefGhost {
     }
 }
 
+/// B-LRU's admission filter, exact: the ids recorded in the current
+/// generation of `rotate_at` records and in the one before it.
+#[derive(Debug)]
+struct RefFilter {
+    active: HashSet<ObjId>,
+    previous: HashSet<ObjId>,
+    records: u64,
+    rotate_at: u64,
+}
+
+impl RefFilter {
+    fn new(capacity: u64) -> Self {
+        RefFilter {
+            active: HashSet::new(),
+            previous: HashSet::new(),
+            records: 0,
+            rotate_at: capacity.clamp(1024, 1 << 24),
+        }
+    }
+
+    fn seen(&self, id: ObjId) -> bool {
+        self.active.contains(&id) || self.previous.contains(&id)
+    }
+
+    fn record(&mut self, id: ObjId) {
+        self.active.insert(id);
+        self.records += 1;
+        if self.records >= self.rotate_at {
+            self.previous = std::mem::take(&mut self.active);
+            self.records = 0;
+        }
+    }
+}
+
 /// One entry of a reference queue: id, per-policy counter/flag, metadata.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     id: ObjId,
     /// CLOCK/S3-FIFO capped frequency, SIEVE visited bit (0/1). Unused by
-    /// FIFO/LRU/SLRU/2Q.
+    /// the other algorithms.
     freq: u8,
+    /// LRU-2's last access and, from the second access on, the one before.
+    last: u64,
+    penult: Option<u64>,
     meta: RefMeta,
+}
+
+impl Node {
+    /// `req`'s object, just inserted.
+    fn new(req: &Request) -> Self {
+        Node {
+            id: req.id,
+            freq: 0,
+            last: req.time,
+            penult: None,
+            meta: RefMeta::new(req.size, req.time),
+        }
+    }
 }
 
 fn bytes_of(q: &[Node]) -> u64 {
@@ -132,7 +193,7 @@ enum Queue {
     Sieve,
 }
 
-/// Which of the seven reference algorithms an interpreter runs.
+/// Which of the ten reference algorithms an interpreter runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Algo {
     Fifo,
@@ -144,6 +205,12 @@ enum Algo {
     TwoQ,
     /// S3-FIFO with the given small-queue ratio and queue disciplines.
     S3Fifo { ratio: f64, small: Queue, main: Queue },
+    /// ARC: `q0` is T1, `q1` T2, `ghost` B1 and `ghost2` B2.
+    Arc,
+    /// LRU-2 over `q0`, kept in insertion order.
+    LruK,
+    /// LRU over `q0` behind B-LRU's admission filter.
+    BloomLru,
 }
 
 /// An LRU queue's hit: the entry at `p` moves to the head (MRU).
@@ -180,9 +247,24 @@ fn sieve_evict(q: &mut Vec<Node>, hand: &mut Option<ObjId>) -> Node {
     n
 }
 
+/// One LRU-2 eviction from `q` (in insertion order): the oldest page seen
+/// only once, whose backward 2-distance is infinite, else the page whose
+/// penultimate access is oldest, ties to the smaller id. The flag says
+/// which kind went.
+fn lruk_evict(q: &mut Vec<Node>) -> (Node, bool) {
+    if let Some(p) = q.iter().position(|n| n.penult.is_none()) {
+        return (q.remove(p), true);
+    }
+    // Invariant: callers evict only from a non-empty queue.
+    let p = (0..q.len())
+        .min_by_key(|&i| (q[i].penult, q[i].id))
+        .expect("a page to evict");
+    (q.remove(p), false)
+}
+
 /// A naive executable specification of one queue policy.
 ///
-/// All seven algorithms share this struct; unused queues stay empty. The
+/// All ten algorithms share this struct; unused queues stay empty. The
 /// per-request logic lives in small per-algorithm methods written to follow
 /// the production implementations statement for statement, but over plain
 /// `Vec`s so each step is obviously what the algorithm prescribes.
@@ -190,14 +272,21 @@ fn sieve_evict(q: &mut Vec<Node>, hand: &mut Option<ObjId>) -> Node {
 pub struct ReferencePolicy {
     algo: Algo,
     capacity: u64,
-    /// FIFO/LRU/CLOCK/SIEVE: the only queue. S3-FIFO: the small queue.
-    /// 2Q: A1in.
+    /// FIFO/LRU/CLOCK/SIEVE/LRU-2/B-LRU: the only queue. S3-FIFO: the small
+    /// queue. 2Q: A1in. ARC: T1.
     q0: Vec<Node>,
-    /// S3-FIFO: the main queue. 2Q: Am.
+    /// S3-FIFO: the main queue. 2Q: Am. ARC: T2.
     q1: Vec<Node>,
     /// SLRU's four segments (index 0 probationary).
     segs: [Vec<Node>; 4],
+    /// S3-FIFO's G, 2Q's A1out, ARC's B1.
     ghost: RefGhost,
+    /// ARC's B2.
+    ghost2: RefGhost,
+    /// ARC's target size for T1, in bytes.
+    p: u64,
+    /// B-LRU's admission filter.
+    filter: Option<RefFilter>,
     /// The hand of a SIEVE queue (`q0`, or S3-FIFO-Sieve's `q1`), stored as
     /// the id it points at (`None` = start at tail).
     hand: Option<ObjId>,
@@ -213,6 +302,7 @@ impl ReferencePolicy {
                 let m_cap = capacity.saturating_sub(s_cap).max(1);
                 RefGhost::new(m_cap) // ghost_ratio 1.0 of main capacity
             }
+            Algo::Arc => RefGhost::new(capacity),
             _ => RefGhost::new(0),
         };
         ReferencePolicy {
@@ -222,6 +312,9 @@ impl ReferencePolicy {
             q1: Vec::new(),
             segs: std::array::from_fn(|_| Vec::new()),
             ghost,
+            ghost2: RefGhost::new(if algo == Algo::Arc { capacity } else { 0 }),
+            p: 0,
+            filter: (algo == Algo::BloomLru).then(|| RefFilter::new(capacity)),
             hand: None,
             stats: PolicyStats::default(),
         }
@@ -246,6 +339,18 @@ impl ReferencePolicy {
 
     fn count(&self) -> usize {
         self.all_queues().count()
+    }
+
+    /// B-LRU's admission: a first sighting is recorded and refused. Every
+    /// other policy admits what it misses on.
+    fn admit(&mut self, id: ObjId) -> bool {
+        match &mut self.filter {
+            Some(f) if !f.seen(id) => {
+                f.record(id);
+                false
+            }
+            _ => true,
+        }
     }
 
     // ---- S3-FIFO (mirrors s3fifo::S3Fifo / Algorithm 1) ----------------
@@ -317,19 +422,14 @@ impl ReferencePolicy {
                 break;
             }
         }
-        let node = Node {
-            id: req.id,
-            freq: 0,
-            meta: RefMeta::new(req.size, req.time),
-        };
         if in_ghost {
             self.ghost.remove(req.id);
-            self.q1.push(node);
+            self.q1.push(Node::new(req));
             if bytes_of(&self.q1) > self.s3_main_capacity() {
                 self.s3_evict_main(evicted);
             }
         } else {
-            self.q0.push(node);
+            self.q0.push(Node::new(req));
         }
     }
 
@@ -362,15 +462,10 @@ impl ReferencePolicy {
         while self.used_bytes() + u64::from(req.size) > self.capacity && self.count() > 0 {
             self.twoq_evict_one(evicted);
         }
-        let node = Node {
-            id: req.id,
-            freq: 0,
-            meta: RefMeta::new(req.size, req.time),
-        };
         if in_a1out {
-            self.q1.push(node);
+            self.q1.push(Node::new(req));
         } else {
-            self.q0.push(node);
+            self.q0.push(Node::new(req));
         }
     }
 
@@ -409,11 +504,7 @@ impl ReferencePolicy {
         while self.used_bytes() + u64::from(req.size) > self.capacity && self.count() > 0 {
             self.slru_evict_one(evicted);
         }
-        self.segs[0].push(Node {
-            id: req.id,
-            freq: 0,
-            meta: RefMeta::new(req.size, req.time),
-        });
+        self.segs[0].push(Node::new(req));
     }
 
     fn slru_on_hit(&mut self, id: ObjId) {
@@ -431,24 +522,76 @@ impl ReferencePolicy {
         }
     }
 
+    // ---- ARC (mirrors cache_policies::Arc) -----------------------------
+
+    /// REPLACE: T1's LRU tail drops into B1 when T1 is over the target `p`
+    /// (or at it on a B2 hit, or T2 is empty); otherwise T2's into B2.
+    fn arc_replace(&mut self, in_b2: bool, evicted: &mut Vec<Eviction>) {
+        let t1 = bytes_of(&self.q0);
+        let from_t1 = t1 > 0 && (t1 > self.p || (in_b2 && t1 == self.p) || self.q1.is_empty());
+        let (q, ghost) = if from_t1 {
+            (&mut self.q0, &mut self.ghost)
+        } else {
+            (&mut self.q1, &mut self.ghost2)
+        };
+        if !q.is_empty() {
+            let n = q.remove(0);
+            ghost.insert(n.id, n.meta.size);
+            self.stats.evictions += 1;
+            evicted.push(n.meta.eviction(n.id, from_t1));
+        }
+    }
+
+    fn arc_insert(&mut self, req: &Request, evicted: &mut Vec<Eviction>) {
+        let (size, c) = (u64::from(req.size), self.capacity);
+        let (in_b1, in_b2) = (self.ghost.contains(req.id), self.ghost2.contains(req.id));
+        let (b1, b2) = (self.ghost.used(), self.ghost2.used());
+        if in_b1 {
+            // B1 hit: T1 was too small; p grows by max(1, |B2| / |B1|) sizes.
+            self.p = (self.p + (b2 / b1.max(1)).max(1) * size).min(c);
+            self.ghost.remove(req.id);
+        } else if in_b2 {
+            // B2 hit: T2 was too small; p shrinks by max(1, |B1| / |B2|) sizes.
+            self.p = self.p.saturating_sub((b1 / b2.max(1)).max(1) * size);
+            self.ghost2.remove(req.id);
+        } else {
+            // Case IV: T1 and B1 together stay under c bytes, the whole
+            // directory under 2c.
+            let (t1, used) = (bytes_of(&self.q0), self.used_bytes());
+            if t1 + b1 >= c {
+                if t1 < c {
+                    self.ghost.trim_to(c.saturating_sub(t1 + size));
+                }
+            } else if used + b1 + b2 >= 2 * c {
+                self.ghost2.trim_to((2 * c).saturating_sub(used + b1 + size));
+            }
+        }
+        while self.used_bytes() + size > c && self.count() > 0 {
+            self.arc_replace(in_b2, evicted);
+        }
+        // Ghost hits come back into T2, new objects into T1.
+        if in_b1 || in_b2 {
+            self.q1.push(Node::new(req));
+        } else {
+            self.q0.push(Node::new(req));
+        }
+    }
+
     // ---- single-queue shared insert/delete -----------------------------
 
     fn single_insert(&mut self, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used_bytes() + u64::from(req.size) > self.capacity && !self.q0.is_empty() {
-            let n = match self.algo {
-                Algo::Fifo | Algo::Lru => self.q0.remove(0),
-                Algo::Clock(_) => reinsertion_evict(&mut self.q0),
-                Algo::Sieve => sieve_evict(&mut self.q0, &mut self.hand),
+            let (n, probationary) = match self.algo {
+                Algo::Fifo | Algo::Lru | Algo::BloomLru => (self.q0.remove(0), false),
+                Algo::Clock(_) => (reinsertion_evict(&mut self.q0), false),
+                Algo::Sieve => (sieve_evict(&mut self.q0, &mut self.hand), false),
+                Algo::LruK => lruk_evict(&mut self.q0),
                 _ => unreachable!("single-queue insert on multi-queue algo"),
             };
             self.stats.evictions += 1;
-            evicted.push(n.meta.eviction(n.id, false));
+            evicted.push(n.meta.eviction(n.id, probationary));
         }
-        self.q0.push(Node {
-            id: req.id,
-            freq: 0,
-            meta: RefMeta::new(req.size, req.time),
-        });
+        self.q0.push(Node::new(req));
     }
 
     fn delete(&mut self, id: ObjId) {
@@ -480,7 +623,7 @@ impl ReferencePolicy {
                 let p = find(&self.q0, req.id).expect("hit id resident");
                 self.q0[p].meta.touch();
             }
-            Algo::Lru => {
+            Algo::Lru | Algo::BloomLru => {
                 // Invariant: on_hit is only called for resident ids.
                 let p = find(&self.q0, req.id).expect("hit id resident");
                 self.q0[p].meta.touch();
@@ -524,17 +667,41 @@ impl ReferencePolicy {
                     move_to_head(q, p);
                 }
             }
+            Algo::Arc => {
+                // A T1 hit moves to T2's MRU end, and so does a T2 hit.
+                let mut n = match find(&self.q0, req.id) {
+                    Some(p) => self.q0.remove(p),
+                    // Invariant: on_hit is only called for resident ids.
+                    None => self.q1.remove(find(&self.q1, req.id).expect("hit id resident")),
+                };
+                n.meta.touch();
+                self.q1.push(n);
+            }
+            Algo::LruK => {
+                // Invariant: on_hit is only called for resident ids.
+                let p = find(&self.q0, req.id).expect("hit id resident");
+                let n = &mut self.q0[p];
+                n.meta.touch();
+                n.penult = Some(n.last);
+                n.last = req.time;
+            }
         }
     }
 
     fn insert(&mut self, req: &Request, evicted: &mut Vec<Eviction>) {
         match self.algo {
-            Algo::Fifo | Algo::Lru | Algo::Clock(_) | Algo::Sieve => {
+            Algo::Fifo
+            | Algo::Lru
+            | Algo::Clock(_)
+            | Algo::Sieve
+            | Algo::LruK
+            | Algo::BloomLru => {
                 self.single_insert(req, evicted);
             }
             Algo::Slru => self.slru_insert(req, evicted),
             Algo::TwoQ => self.twoq_insert(req, evicted),
             Algo::S3Fifo { .. } => self.s3_insert(req, evicted),
+            Algo::Arc => self.arc_insert(req, evicted),
         }
     }
 }
@@ -551,6 +718,9 @@ impl Policy for ReferencePolicy {
             Algo::S3Fifo { ratio, small, main } => {
                 format!("Ref<S3-FIFO({ratio:.2}) S={small:?} M={main:?}>")
             }
+            Algo::Arc => "Ref<ARC>".into(),
+            Algo::LruK => "Ref<LRU-2>".into(),
+            Algo::BloomLru => "Ref<B-LRU>".into(),
         }
     }
 
@@ -577,13 +747,17 @@ impl Policy for ReferencePolicy {
                     self.on_hit(req);
                     self.stats.record_get(req.size, false);
                     Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
                 } else {
                     self.stats.record_get(req.size, true);
-                    self.insert(req, evicted);
-                    Outcome::Miss
+                    let admitted = self.admit(req.id);
+                    if u64::from(req.size) > self.capacity {
+                        Outcome::Uncacheable
+                    } else {
+                        if admitted {
+                            self.insert(req, evicted);
+                        }
+                        Outcome::Miss
+                    }
                 }
             }
             Op::Set => {
@@ -642,6 +816,9 @@ pub fn reference_for(name: &str, capacity: u64) -> Option<ReferencePolicy> {
         "QDLP-LRU-FIFO" => s3fifo(0.1, Queue::Lru, Queue::Fifo),
         "QDLP-FIFO-LRU" => s3fifo(0.1, Queue::Fifo, Queue::Lru),
         "S3-FIFO-Sieve" => s3fifo(0.1, Queue::Fifo, Queue::Sieve),
+        "ARC" => Algo::Arc,
+        "LRU-2" => Algo::LruK,
+        "B-LRU" => Algo::BloomLru,
         _ => {
             let ratio = name.strip_prefix("S3-FIFO(")?.strip_suffix(')')?;
             s3fifo(ratio.parse().ok()?, Queue::Fifo, Queue::Fifo)
@@ -742,13 +919,62 @@ mod tests {
         assert!(find(&p.segs[3], 1).is_some(), "caps at the top segment");
     }
 
-    /// A dense "implementation" of QDLP-FIFO-LRU that forgot one of the
-    /// three places the discipline is read: hits see an LRU `M`, `EVICTM`
-    /// still reinserts. (Its engine is this module's interpreter with the
-    /// discipline switched per request — evictions never happen on a hit.)
-    struct LruMainThatStillReinserts(ReferencePolicy);
+    #[test]
+    fn arc_b1_hit_grows_p_and_lands_in_t2() {
+        let mut p = reference_for("ARC", 10).unwrap();
+        for id in 0..20 {
+            get(&mut p, id, id);
+        }
+        let ghosted = (0..20).rev().find(|&i| p.ghost.contains(i)).unwrap();
+        get(&mut p, ghosted, 100);
+        assert!(p.p > 0, "a B1 hit grows p");
+        assert!(find(&p.q1, ghosted).is_some());
+    }
 
-    impl cache_types::DensePolicy for LruMainThatStillReinserts {
+    #[test]
+    fn lru2_evicts_the_oldest_penultimate_access() {
+        let mut p = reference_for("LRU-2", 2).unwrap();
+        for (id, t) in [(1, 0), (2, 1), (2, 2), (1, 10)] {
+            get(&mut p, id, t);
+        }
+        let mut evs = Vec::new();
+        p.request(&Request::get(3, 11), &mut evs);
+        assert_eq!(evs[0].id, 1, "page 1's penultimate access (0) is the oldest");
+    }
+
+    #[test]
+    fn blru_admits_on_the_second_sighting() {
+        let mut p = reference_for("B-LRU", 10).unwrap();
+        assert_eq!(get(&mut p, 1, 0), Outcome::Miss);
+        assert!(!p.contains(1));
+        assert_eq!(get(&mut p, 1, 1), Outcome::Miss);
+        assert_eq!(get(&mut p, 1, 2), Outcome::Hit);
+    }
+
+    /// A bug planted in a copy of the reference, to show that the
+    /// differential run against the correct one has teeth.
+    #[derive(Debug, Clone, Copy)]
+    enum Plant {
+        /// A QDLP-FIFO-LRU that forgot one of the three places the
+        /// discipline is read: hits see an LRU `M`, `EVICTM` still
+        /// reinserts. (Its engine is this module's interpreter with the
+        /// discipline switched per request — evictions never happen on a
+        /// hit.)
+        LruMainStillReinserts,
+        /// An ARC whose `p` does not keep what a B1 hit adds to it.
+        ArcB1HitLeavesP,
+        /// An LRU-2 that ranks warm pages by their last access, not their
+        /// penultimate one.
+        LruKRanksByLast,
+        /// A B-LRU that admits an object on its first sighting.
+        BLruAdmitsFirstSighting,
+    }
+
+    /// The reference with a [`Plant`] in it, driven as the dense side of a
+    /// differential run.
+    struct Planted(ReferencePolicy, Plant);
+
+    impl cache_types::DensePolicy for Planted {
         fn name(&self) -> String {
             self.0.name()
         }
@@ -762,10 +988,32 @@ mod tests {
             self.0.count()
         }
         fn request_dense(&mut self, _: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-            let hit = req.op == Op::Get && self.0.resident(req.id);
-            let main = if hit { Queue::Lru } else { Queue::Fifo }; // BUG: not Lru throughout
-            self.0.algo = Algo::S3Fifo { ratio: 0.1, small: Queue::Fifo, main };
-            self.0.request(req, evicted)
+            let r = &mut self.0;
+            let (p, b1_hit) = (r.p, r.ghost.contains(req.id) && !r.resident(req.id));
+            match self.1 {
+                Plant::LruMainStillReinserts => {
+                    let hit = req.op == Op::Get && r.resident(req.id);
+                    let main = if hit { Queue::Lru } else { Queue::Fifo }; // BUG: not Lru throughout
+                    r.algo = Algo::S3Fifo { ratio: 0.1, small: Queue::Fifo, main };
+                }
+                Plant::BLruAdmitsFirstSighting => {
+                    if let Some(f) = r.filter.as_mut().filter(|f| !f.seen(req.id)) {
+                        f.record(req.id); // BUG: the first sighting counts as a second
+                    }
+                }
+                Plant::ArcB1HitLeavesP | Plant::LruKRanksByLast => {}
+            }
+            let out = r.request(req, evicted);
+            match self.1 {
+                Plant::ArcB1HitLeavesP if b1_hit => r.p = p, // BUG: the B1 hit's growth is lost
+                Plant::LruKRanksByLast => {
+                    for n in r.q0.iter_mut().filter(|n| n.penult.is_some()) {
+                        n.penult = Some(n.last); // BUG: ranks by the last access
+                    }
+                }
+                _ => {}
+            }
+            out
         }
         fn validate(&self) -> Result<(), String> {
             Policy::validate(&self.0)
@@ -775,31 +1023,53 @@ mod tests {
         }
     }
 
-    /// The oracle for the queue-type variants has teeth: the mutant above is
-    /// caught by the differential run and shrunk to a handful of requests
-    /// (same shape as `fuzz::tests::mutant_dense_is_caught_and_shrunk`).
-    #[test]
-    fn lru_main_that_still_reinserts_is_caught_and_shrunk() {
+    /// `plant` in `name`'s reference is caught by the differential run
+    /// against the correct reference and the registry's keyed policy, and
+    /// the reproduction shrinks to at most `max_len` requests (same shape as
+    /// `fuzz::tests::mutant_dense_is_caught_and_shrunk`).
+    fn plant_is_caught_and_shrunk(name: &str, plant: Plant, capacity: u64, max_len: usize) {
         use crate::fuzz::{diff_run, generate_trace, shrink_with, FuzzConfig};
-        let capacity = 3u64;
         let mut fails = |reqs: &[Request]| -> bool {
-            let mut reference = reference_for("QDLP-FIFO-LRU", capacity).unwrap();
-            let mut keyed = cache_policies::registry::build("QDLP-FIFO-LRU", capacity, None).unwrap();
-            let mut mutant =
-                LruMainThatStillReinserts(reference_for("QDLP-FIFO-LRU", capacity).unwrap());
-            let slots = vec![0; reqs.len()]; // the mutant ignores them
-            diff_run(&mut reference, keyed.as_mut(), Some(&mut mutant), &slots, reqs).is_some()
+            let mut reference = reference_for(name, capacity).unwrap();
+            let mut keyed = cache_policies::registry::build(name, capacity, None).unwrap();
+            let mut planted = Planted(reference_for(name, capacity).unwrap(), plant);
+            let slots = vec![0; reqs.len()]; // the plant ignores them
+            diff_run(&mut reference, keyed.as_mut(), Some(&mut planted), &slots, reqs).is_some()
         };
         let requests = generate_trace(&FuzzConfig {
             max_size: 1,
             write_percent: 0,
             ..FuzzConfig::default()
         });
-        assert!(fails(&requests), "the mutant must diverge somewhere");
+        assert!(fails(&requests), "{plant:?}: the plant must diverge somewhere");
         let shrunk = shrink_with(&mut fails, requests);
-        assert!(fails(&shrunk), "shrunk trace must still reproduce");
+        assert!(fails(&shrunk), "{plant:?}: the shrunk trace must still reproduce");
+        assert!(
+            shrunk.len() <= max_len,
+            "{plant:?}: expected a minimal reproduction, got {shrunk:?}"
+        );
+    }
+
+    /// The oracle for the queue-type variants has teeth.
+    #[test]
+    fn lru_main_that_still_reinserts_is_caught_and_shrunk() {
         // Fill S and G, get two objects into M, hit the older one, overflow M.
-        assert!(shrunk.len() <= 12, "expected a minimal reproduction, got {shrunk:?}");
+        plant_is_caught_and_shrunk("QDLP-FIFO-LRU", Plant::LruMainStillReinserts, 3, 12);
+    }
+
+    #[test]
+    fn arc_b1_hit_that_leaves_p_is_caught_and_shrunk() {
+        plant_is_caught_and_shrunk("ARC", Plant::ArcB1HitLeavesP, 4, 40);
+    }
+
+    #[test]
+    fn lru2_ranking_by_last_access_is_caught_and_shrunk() {
+        plant_is_caught_and_shrunk("LRU-2", Plant::LruKRanksByLast, 3, 40);
+    }
+
+    #[test]
+    fn blru_admitting_a_first_sighting_is_caught_and_shrunk() {
+        plant_is_caught_and_shrunk("B-LRU", Plant::BLruAdmitsFirstSighting, 3, 1);
     }
 
     #[test]

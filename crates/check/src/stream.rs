@@ -228,9 +228,9 @@ pub fn fuzz_stream(
 /// byte accounting). Each is `(max_size, write_percent, ignore_size)`.
 pub const STREAM_SHAPES: &[(u32, u64, bool)] = &[(1, 0, true), (1, 12, true), (9, 12, false)];
 
-/// The algorithms the streamed differential covers: the whole dense FIFO
-/// family (including parameterized S3-FIFO) plus keyed-only fallbacks.
-/// `Belady` is deliberately absent — it cannot stream.
+/// The algorithms the streamed differential covers: the slab policies
+/// (including parameterized S3-FIFO) plus keyed-only fallbacks. `Belady` is
+/// deliberately absent — it cannot stream.
 pub const STREAM_ALGORITHMS: &[&str] = &[
     "FIFO",
     "LRU",
@@ -242,7 +242,12 @@ pub const STREAM_ALGORITHMS: &[&str] = &[
     "S3-FIFO",
     "S3-FIFO(0.25)",
     "ARC",
+    "LIRS",
     "TinyLFU",
+    "LRU-2",
+    "B-LRU",
+    "LHD",
+    "FIFO-Merge",
 ];
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //!
 //! §6.2.2 concludes that S3-FIFO with a static 10 % small queue beats the
 //! adaptive variant on most traces — the adaptation only pays off on
-//! adversarial workloads. The `ablation_adaptive` bench reproduces that
+//! adversarial workloads. `repro ablation_adaptive` reproduces that
 //! comparison.
 
 use crate::policy::S3Fifo;

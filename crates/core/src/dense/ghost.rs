@@ -1,4 +1,5 @@
-//! Slot-indexed, byte-bounded ghost FIFO: S3-FIFO's `G` and 2Q's `A1out`.
+//! Slot-indexed, byte-bounded ghost FIFO: S3-FIFO's `G`, 2Q's `A1out` and
+//! ARC's `B1`/`B2`.
 //!
 //! `insert` pushes a FIFO entry only when the slot was not already *marked*
 //! present, then trims oldest entries while over byte capacity; `remove`
@@ -7,8 +8,8 @@
 //! slot can be re-inserted (a second FIFO entry appears), and when the stale
 //! entry later pops it clears the mark of the *newer* entry too. The quirk
 //! is deliberate: `cache_check::reference` and the id-keyed
-//! `cache_ds::GhostFifo` (S3-FIFO-D's monitors, ARC) do the same, and it is
-//! why a recycling slab counts tombstones as references
+//! `cache_ds::GhostFifo` (S3-FIFO-D's monitors) do the same, and it is why
+//! a recycling slab counts tombstones as references
 //! ([`DenseSlab::release`]).
 
 use super::DenseSlab;
@@ -71,16 +72,21 @@ impl SlotGhost {
             self.used += u64::from(size);
             slab.ghost_ref(slot);
         }
-        while self.used > self.capacity {
-            if let Some((old, sz)) = self.fifo.pop_front() {
-                // `used` charges every FIFO entry, including tombstones left
-                // by `remove`, so the subtraction is unconditional.
-                self.used -= u64::from(sz);
-                self.present[old as usize] = false;
-                slab.ghost_unref(old);
-            } else {
+        self.trim_to(slab, self.capacity);
+    }
+
+    /// Drops oldest entries until at most `cap` bytes are charged (ARC
+    /// bounds its directory this way below the ghost's own capacity).
+    pub fn trim_to(&mut self, slab: &mut DenseSlab, cap: u64) {
+        while self.used > cap {
+            let Some((old, sz)) = self.fifo.pop_front() else {
                 break;
-            }
+            };
+            // `used` charges every FIFO entry, including tombstones left by
+            // `remove`, so the subtraction is unconditional.
+            self.used -= u64::from(sz);
+            self.present[old as usize] = false;
+            slab.ghost_unref(old);
         }
     }
 
@@ -89,6 +95,11 @@ impl SlotGhost {
         self.present
             .get_mut(slot as usize)
             .is_some_and(|mark| std::mem::replace(mark, false))
+    }
+
+    /// Bytes charged, tombstones included.
+    pub fn used(&self) -> u64 {
+        self.used
     }
 
     /// Number of marked slots. O(slots): a diagnostic, not a hot path.
@@ -111,6 +122,39 @@ impl SlotGhost {
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self, slab: &DenseSlab) -> Result<(), String> {
+        Self::validate_all(slab, &[self])
+    }
+
+    /// [`SlotGhost::validate`] for several ghosts over one slab (ARC's B1
+    /// and B2): each ghost's own invariants, then a recycling slab's
+    /// reference counts against the FIFO entries of all of them together.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated invariant.
+    pub fn validate_all(slab: &DenseSlab, ghosts: &[&SlotGhost]) -> Result<(), String> {
+        for ghost in ghosts {
+            ghost.validate_own()?;
+        }
+        if slab.recycles() {
+            let mut entries = vec![0u32; slab.domain()];
+            for &(s, _) in ghosts.iter().flat_map(|g| &g.fifo) {
+                entries[s as usize] += 1;
+            }
+            for (s, &n) in entries.iter().enumerate() {
+                if slab.ghost_refs(s as u32) != n {
+                    return Err(format!(
+                        "slot {s} counts {} ghost references but {n} FIFO entries name it",
+                        slab.ghost_refs(s as u32)
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The byte charge, the window bound and the marks of this ghost alone.
+    fn validate_own(&self) -> Result<(), String> {
         if self.used > self.capacity {
             return Err(format!(
                 "ghost used {} > capacity {}",
@@ -131,20 +175,6 @@ impl SlotGhost {
             return Err(format!(
                 "ghost marks {marked} slots but only {live} own FIFO entries"
             ));
-        }
-        if slab.recycles() {
-            let mut entries = vec![0u32; slab.domain()];
-            for &(s, _) in &self.fifo {
-                entries[s as usize] += 1;
-            }
-            for (s, &n) in entries.iter().enumerate() {
-                if slab.ghost_refs(s as u32) != n {
-                    return Err(format!(
-                        "slot {s} counts {} ghost references but {n} FIFO entries name it",
-                        slab.ghost_refs(s as u32)
-                    ));
-                }
-            }
         }
         Ok(())
     }
@@ -169,13 +199,20 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let slot = ((state >> 33) % 64) as u32;
             let id = u64::from(slot) + 1000; // slot↔id bijection
-            match (state >> 20) % 3 {
+            match (state >> 20) % 4 {
                 0 => {
                     dense.insert(&mut slab, slot, 1 + (slot % 3));
                     keyed.insert(id, 1 + (slot % 3));
                 }
                 1 => {
                     assert_eq!(dense.remove(slot), keyed.remove(id), "step {step}");
+                }
+                2 if step % 7 == 0 => {
+                    // ARC's directory bound.
+                    let cap = (state >> 40) % 11;
+                    dense.trim_to(&mut slab, cap);
+                    keyed.trim_to(cap);
+                    assert_eq!(dense.used(), keyed.used(), "step {step}");
                 }
                 _ => {
                     assert_eq!(dense.contains(slot), keyed.contains(id), "step {step}");

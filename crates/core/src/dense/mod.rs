@@ -14,7 +14,8 @@
 //! - **keyed** — [`Keyed`] interns `ObjId → slot` on the fly, recycles slots
 //!   the policy reports idle, and is the [`cache_types::Policy`] behind the
 //!   public names (`S3Fifo` here; `Fifo`, `Lru`, `Clock`, `Sieve`, `Slru`,
-//!   `TwoQ` in `cache-policies`).
+//!   `TwoQ`, `Arc`, `Lirs`, `TinyLfu`, `LruK`, `BloomLru` in
+//!   `cache-policies`).
 //!
 //! There is one implementation of each algorithm; the two doors differ only
 //! in who hands out slots. `cache_check`'s fuzzer drives both against its

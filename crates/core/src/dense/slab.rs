@@ -191,18 +191,21 @@ impl DenseSlab {
         self.idle.as_mut()?.pop()
     }
 
-    /// Records a new ghost FIFO entry naming `slot` (recycling slabs only).
+    /// Records a new ghost reference to `slot`: a ghost FIFO entry naming
+    /// it, or a structure that remembers a non-resident object, such as
+    /// LIRS's stack (recycling slabs only). While one remains,
+    /// [`Keyed`](super::Keyed) keeps the slot's id.
     #[inline]
-    pub(super) fn ghost_ref(&mut self, slot: u32) {
+    pub fn ghost_ref(&mut self, slot: u32) {
         if self.recycles() {
             self.slots[slot as usize].ghost_refs += 1;
         }
     }
 
-    /// Records that a ghost FIFO entry naming `slot` popped, releasing the
-    /// slot if that was the last thing holding it (recycling slabs only).
+    /// Drops a ghost reference to `slot`, releasing the slot if that was the
+    /// last thing holding it (recycling slabs only).
     #[inline]
-    pub(super) fn ghost_unref(&mut self, slot: u32) {
+    pub fn ghost_unref(&mut self, slot: u32) {
         if self.recycles() {
             self.slots[slot as usize].ghost_refs -= 1;
             self.release(slot);

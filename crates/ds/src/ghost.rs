@@ -15,7 +15,7 @@
 //! by `s3fifo::cache::S3FifoCache` and the concurrent prototype.
 //!
 //! [`GhostFifo`] is that exact ghost for policies that keep their objects by
-//! id: S3-FIFO-D's monitors, ARC's B1/B2, LeCaR's and CACHEUS's histories.
+//! id: S3-FIFO-D's monitors, LeCaR's and CACHEUS's histories.
 //! The dense policies' slot-indexed `SlotGhost` has the same semantics,
 //! tombstones included, and is differentially tested against it.
 

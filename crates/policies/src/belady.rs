@@ -212,7 +212,7 @@ mod tests {
         let mr_lru = miss_ratio_of(&mut lru, &trace);
         let mut fifo = crate::Fifo::new(cap).unwrap();
         let mr_fifo = miss_ratio_of(&mut fifo, &trace);
-        let mut arc = crate::arc::Arc::new(cap).unwrap();
+        let mut arc = crate::Arc::new(cap).unwrap();
         let mr_arc = miss_ratio_of(&mut arc, &trace);
         assert!(mr_opt <= mr_lru + 1e-12, "OPT {mr_opt} vs LRU {mr_lru}");
         assert!(mr_opt <= mr_fifo + 1e-12, "OPT {mr_opt} vs FIFO {mr_fifo}");

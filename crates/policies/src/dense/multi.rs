@@ -8,6 +8,7 @@
 //! tag (`ABSENT`/`A1IN`/`AM`) in `tag`; SLRU stores `segment + 1` in `tag`
 //! so that 0 keeps meaning "absent".
 
+use super::validate_queues;
 use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
 use s3fifo::dense::{DenseSlab, Keyed, PackedQueue, SlotGhost};
 use s3fifo::impl_dense_replay;
@@ -190,50 +191,18 @@ impl DensePolicy for DenseTwoQ {
     impl_dense_replay!(a1out);
 
     fn validate(&self) -> Result<(), String> {
-        if self.used_total() > self.capacity {
-            return Err(format!(
-                "2Q: used {} > capacity {}",
-                self.used_total(),
-                self.capacity
-            ));
-        }
-        let mut queued = 0usize;
-        for (queue, tag, used, name) in [
-            (&self.a1in, A1IN, self.a1in_used, "A1in"),
-            (&self.am, AM, self.am_used, "Am"),
-        ] {
-            let mut bytes = 0u64;
-            let mut count = 0u32;
-            for slot in queue.iter(&self.slab.slots) {
-                let s = &self.slab.slots[slot as usize];
-                if s.tag != tag {
-                    return Err(format!(
-                        "2Q: slot {slot} sits in {name} but is tagged {}",
-                        s.tag
-                    ));
-                }
-                if self.a1out.contains(slot) {
-                    return Err(format!("2Q: slot {slot} is both resident and in A1out"));
-                }
-                bytes += u64::from(s.size);
-                count += 1;
-                queued += 1;
-            }
-            if count != queue.len() {
-                return Err(format!(
-                    "2Q: {name} links walk {count} slots but len says {}",
-                    queue.len()
-                ));
-            }
-            if bytes != used {
-                return Err(format!("2Q: {name} bytes {bytes} != accounted {used}"));
-            }
-        }
-        let tagged = self.slab.slots.iter().filter(|s| s.tag != ABSENT).count();
-        if tagged != queued {
-            return Err(format!(
-                "2Q: {tagged} slots carry a residency tag but {queued} are queued"
-            ));
+        validate_queues(
+            "2Q",
+            self.capacity,
+            &self.slab,
+            &[
+                (&self.a1in, A1IN, self.a1in_used, "A1in"),
+                (&self.am, AM, self.am_used, "Am"),
+            ],
+        )?;
+        let mut resident = self.a1in.iter(&self.slab.slots).chain(self.am.iter(&self.slab.slots));
+        if let Some(slot) = resident.find(|&s| self.a1out.contains(s)) {
+            return Err(format!("2Q: slot {slot} is both resident and in A1out"));
         }
         self.a1out
             .validate(&self.slab)
@@ -427,55 +396,18 @@ impl DensePolicy for DenseSlru {
     impl_dense_replay!();
 
     fn validate(&self) -> Result<(), String> {
-        if self.used_total() > self.capacity {
-            return Err(format!(
-                "SLRU: used {} > capacity {}",
-                self.used_total(),
-                self.capacity
-            ));
+        const LABELS: [&str; SEGMENTS] = ["segment 0", "segment 1", "segment 2", "segment 3"];
+        let queues: Vec<_> = (0..SEGMENTS)
+            .map(|seg| (&self.segs[seg], (seg + 1) as u8, self.seg_used[seg], LABELS[seg]))
+            .collect();
+        validate_queues("SLRU", self.capacity, &self.slab, &queues)?;
+        match (1..SEGMENTS).find(|&seg| self.seg_used[seg] > self.seg_capacity) {
+            Some(seg) => Err(format!(
+                "SLRU: segment {seg} holds {} > share {}",
+                self.seg_used[seg], self.seg_capacity
+            )),
+            None => Ok(()),
         }
-        let mut queued = 0usize;
-        for (seg, queue) in self.segs.iter().enumerate() {
-            let mut bytes = 0u64;
-            let mut count = 0u32;
-            for slot in queue.iter(&self.slab.slots) {
-                let s = &self.slab.slots[slot as usize];
-                if s.tag != (seg + 1) as u8 {
-                    return Err(format!(
-                        "SLRU: slot {slot} sits in segment {seg} but is tagged {}",
-                        s.tag
-                    ));
-                }
-                bytes += u64::from(s.size);
-                count += 1;
-                queued += 1;
-            }
-            if count != queue.len() {
-                return Err(format!(
-                    "SLRU: segment {seg} links walk {count} slots but len says {}",
-                    queue.len()
-                ));
-            }
-            if bytes != self.seg_used[seg] {
-                return Err(format!(
-                    "SLRU: segment {seg} bytes {bytes} != accounted {}",
-                    self.seg_used[seg]
-                ));
-            }
-            if seg > 0 && self.seg_used[seg] > self.seg_capacity {
-                return Err(format!(
-                    "SLRU: segment {seg} holds {} > share {}",
-                    self.seg_used[seg], self.seg_capacity
-                ));
-            }
-        }
-        let tagged = self.slab.slots.iter().filter(|s| s.tag != 0).count();
-        if tagged != queued {
-            return Err(format!(
-                "SLRU: {tagged} slots carry a residency tag but {queued} are queued"
-            ));
-        }
-        Ok(())
     }
 
     fn stats(&self) -> PolicyStats {

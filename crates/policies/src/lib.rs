@@ -2,8 +2,7 @@
 //!
 //! §5.2 compares S3-FIFO against the state-of-the-art algorithms of the past
 //! three decades. Every algorithm named in the paper's evaluation is
-//! implemented here, each in its own module, all behind the shared
-//! [`cache_types::Policy`] trait:
+//! implemented here, all behind the shared [`cache_types::Policy`] trait:
 //!
 //! | Module | Algorithm | Paper's role |
 //! |---|---|---|
@@ -13,53 +12,47 @@
 //! | [`dense`] | SIEVE | related work, simpler-than-LRU eviction |
 //! | [`dense`] | Segmented LRU (4 segments) | §5.2 |
 //! | [`dense`] | 2Q | "most similar design to S3-FIFO" |
-//! | [`arc`] | ARC | adaptive state of the art |
-//! | [`lirs`] | LIRS | inter-reference recency competitor |
-//! | [`tinylfu`] | W-TinyLFU (1 % and 10 % windows) | "the closest competitor" |
-//! | [`lruk`] | LRU-K (K=2) | §2 related work |
+//! | [`dense`] | ARC | adaptive state of the art |
+//! | [`dense`] | LIRS | inter-reference recency competitor |
+//! | [`dense`] | W-TinyLFU (1 % and 10 % windows) | "the closest competitor" |
+//! | [`dense`] | LRU-K (K=2) | §2 related work |
+//! | [`dense`] | Bloom-filter LRU | CDN admission baseline |
 //! | [`lecar`] | LeCaR | ML-based expert mixing |
 //! | [`cacheus`] | CACHEUS | LeCaR successor |
 //! | [`lhd`] | LHD | hit-density sampling |
-//! | [`blru`] | Bloom-filter LRU | CDN admission baseline |
 //! | [`fifomerge`] | FIFO-Merge | Segcache's eviction |
 //! | [`belady`] | Belady / OPT | offline optimal (Fig. 4) |
 //!
-//! [`registry`] builds policies by name for the sweep engine. The six
-//! FIFO-family baselines in [`dense`] (and S3-FIFO in the `s3fifo` crate)
-//! exist once, over a slot-indexed slab: [`registry::build_dense_domain`]
-//! hands the simulator the policy itself, to be driven with pre-interned
-//! slots, and [`registry::build`] the same policy behind the interning
-//! [`s3fifo::Keyed`] adapter. [`dense::mrc`] holds the multi-capacity
-//! engines that compute a whole miss-ratio curve in one trace pass
-//! ([`MultiCapacityPolicy`]); [`registry::build_mrc`] selects those.
+//! [`registry`] builds policies by name for the sweep engine. The baselines
+//! in [`dense`] (and S3-FIFO in the `s3fifo` crate) exist once, over a
+//! slot-indexed slab: [`registry::build_dense_domain`] hands the simulator
+//! the policy itself, to be driven with pre-interned slots, and
+//! [`registry::build`] the same policy behind the interning
+//! [`s3fifo::Keyed`] adapter. The other modules keep their objects by id.
+//! [`dense::mrc`] holds the multi-capacity engines that compute a whole
+//! miss-ratio curve in one trace pass ([`MultiCapacityPolicy`]);
+//! [`registry::build_mrc`] selects those.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arc;
 pub mod belady;
-pub mod blru;
 pub mod cacheus;
 pub mod dense;
 pub mod fifomerge;
 pub mod lecar;
 pub mod lhd;
-pub mod lirs;
-pub mod lruk;
 pub mod registry;
-pub mod tinylfu;
 pub(crate) mod util;
 
-pub use arc::Arc;
 pub use belady::Belady;
-pub use dense::{Clock, Fifo, Lru, Sieve, Slru, TwoQ};
-pub use dense::{DenseClock, DenseFifo, DenseLru, DenseS3Fifo, DenseSieve, DenseSlru, DenseTwoQ};
-pub use dense::{MrcExactFifo, MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve, MultiCapacityPolicy};
-pub use blru::BloomLru;
 pub use cacheus::Cacheus;
+pub use dense::{Arc, BloomLru, Clock, Fifo, Lirs, Lru, LruK, Sieve, Slru, TinyLfu, TwoQ};
+pub use dense::{
+    DenseArc, DenseBloomLru, DenseClock, DenseFifo, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo,
+    DenseSieve, DenseSlru, DenseTinyLfu, DenseTwoQ,
+};
+pub use dense::{MrcExactFifo, MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve, MultiCapacityPolicy};
 pub use fifomerge::FifoMerge;
 pub use lecar::LeCar;
 pub use lhd::Lhd;
-pub use lirs::Lirs;
-pub use lruk::LruK;
-pub use tinylfu::TinyLfu;

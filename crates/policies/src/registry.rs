@@ -2,9 +2,10 @@
 //! binaries use.
 
 use crate::dense::{
-    DenseClock, DenseFifo, DenseLru, DenseS3Fifo, DenseSieve, DenseSlru, DenseTwoQ,
+    DenseArc, DenseBloomLru, DenseClock, DenseFifo, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo,
+    DenseSieve, DenseSlru, DenseTinyLfu, DenseTwoQ,
 };
-use crate::{Arc, Belady, BloomLru, Cacheus, FifoMerge, LeCar, Lhd, Lirs, LruK, TinyLfu};
+use crate::{Belady, Cacheus, FifoMerge, LeCar, Lhd};
 use cache_types::{CacheError, DensePolicy, Policy, Request};
 use s3fifo::dense::{Keyed, SlabPolicy};
 use s3fifo::policy::{FifoLru, FifoSieve, LruFifo, LruLru};
@@ -68,6 +69,8 @@ macro_rules! dense_by_name {
         if let Some(ratio) = parse_param($name, "S3-FIFO") {
             let cfg = S3FifoConfig { small_ratio: ratio? };
             Some($wrap(DenseS3Fifo::with_config_domain($capacity, cfg, $domain)?))
+        } else if let Some(ratio) = parse_param($name, "TinyLFU") {
+            Some($wrap(DenseTinyLfu::with_window($capacity, ratio?, $domain)?))
         } else {
             match $name {
                 "FIFO" => Some($wrap(DenseFifo::with_domain($capacity, $domain)?)),
@@ -83,6 +86,12 @@ macro_rules! dense_by_name {
                 "QDLP-LRU-FIFO" => Some($wrap(DenseS3Fifo::with_queues($capacity, LruFifo, $domain)?)),
                 "QDLP-FIFO-LRU" => Some($wrap(DenseS3Fifo::with_queues($capacity, FifoLru, $domain)?)),
                 "S3-FIFO-Sieve" => Some($wrap(DenseS3Fifo::with_queues($capacity, FifoSieve, $domain)?)),
+                "ARC" => Some($wrap(DenseArc::with_domain($capacity, $domain)?)),
+                "LIRS" => Some($wrap(DenseLirs::with_domain($capacity, $domain)?)),
+                "TinyLFU" => Some($wrap(DenseTinyLfu::with_window($capacity, 0.01, $domain)?)),
+                "TinyLFU-0.1" => Some($wrap(DenseTinyLfu::with_window($capacity, 0.1, $domain)?)),
+                "LRU-2" => Some($wrap(DenseLruK::with_domain($capacity, $domain)?)),
+                "B-LRU" => Some($wrap(DenseBloomLru::with_domain($capacity, $domain)?)),
                 _ => None,
             }
         }
@@ -106,24 +115,15 @@ pub fn build(
     capacity: u64,
     trace: Option<&[Request]>,
 ) -> Result<Box<dyn Policy>, CacheError> {
-    // The FIFO family exists once, over the dense slab: keyed is that policy
-    // over the empty domain, interning as it goes.
+    // A slab policy exists once: keyed is that policy over the empty domain,
+    // interning as it goes.
     if let Some(policy) = dense_by_name!(name, capacity, 0, keyed) {
         return Ok(policy);
     }
-    if let Some(ratio) = parse_param(name, "TinyLFU") {
-        return Ok(Box::new(TinyLfu::with_window(capacity, ratio?)?));
-    }
     Ok(match name {
-        "ARC" => Box::new(Arc::new(capacity)?),
-        "LIRS" => Box::new(Lirs::new(capacity)?),
-        "TinyLFU" => Box::new(TinyLfu::new(capacity)?),
-        "TinyLFU-0.1" => Box::new(TinyLfu::with_window(capacity, 0.1)?),
-        "LRU-2" => Box::new(LruK::new(capacity)?),
         "LeCaR" => Box::new(LeCar::new(capacity)?),
         "CACHEUS" => Box::new(Cacheus::new(capacity)?),
         "LHD" => Box::new(Lhd::new(capacity)?),
-        "B-LRU" => Box::new(BloomLru::new(capacity)?),
         "FIFO-Merge" => Box::new(FifoMerge::new(capacity)?),
         "S3-FIFO-D" => Box::new(S3FifoD::new(capacity)?),
         "Belady" => {
@@ -139,16 +139,17 @@ pub fn build(
     })
 }
 
-/// Builds the named FIFO-family policy over the dense domain `0..domain`, to
-/// be driven with pre-interned slots — a trace's footprint, or 0 for a
-/// stream that grows the policy as it names ids
-/// ([`DensePolicy::grow_domain`]). `None` when the algorithm is not written
-/// over the dense slab (the simulator then replays [`build`]'s keyed
-/// policy).
+/// Builds the named slab policy over the dense domain `0..domain`, to be
+/// driven with pre-interned slots — a trace's footprint, or 0 for a stream
+/// that grows the policy as it names ids ([`DensePolicy::grow_domain`]).
+/// `None` for the six keyed-only algorithms — CACHEUS, LeCaR, LHD,
+/// FIFO-Merge, S3-FIFO-D and Belady — which the simulator replays as
+/// [`build`]'s keyed policy.
 ///
 /// Dense policies: FIFO, LRU, CLOCK, CLOCK-2bit, SIEVE, SLRU, 2Q, S3-FIFO,
-/// `"S3-FIFO(r)"`, the three QDLP names and S3-FIFO-Sieve. For these
-/// [`build`] returns the same policy behind [`Keyed`].
+/// `"S3-FIFO(r)"`, the three QDLP names, S3-FIFO-Sieve, ARC, LIRS, TinyLFU,
+/// TinyLFU-0.1, `"TinyLFU(r)"`, LRU-2 and B-LRU. For these [`build`] returns
+/// the same policy behind [`Keyed`].
 ///
 /// # Errors
 ///
@@ -337,6 +338,6 @@ mod tests {
             }
             checked += 1;
         }
-        assert_eq!(checked, 13, "every dense name");
+        assert_eq!(checked, 19, "every dense name");
     }
 }

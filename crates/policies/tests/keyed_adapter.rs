@@ -2,7 +2,9 @@
 //! tier, `LockedCache`): a table bounded by what the policy can still look
 //! at, and requests that cannot admit anything leaving nothing behind.
 
-use cache_policies::{DenseFifo, DenseS3Fifo, DenseTwoQ};
+use cache_policies::{
+    DenseArc, DenseBloomLru, DenseFifo, DenseLirs, DenseLruK, DenseS3Fifo, DenseTinyLfu, DenseTwoQ,
+};
 use cache_types::{Op, Outcome, Policy, Request};
 use s3fifo::dense::{Keyed, SlabPolicy};
 
@@ -35,6 +37,11 @@ fn a_million_distinct_keys_leave_a_bounded_table() {
     table_stays_bounded::<DenseS3Fifo>(900); // G holds as many entries as M
     table_stays_bounded::<DenseTwoQ>(500); // A1out: half the cache
     table_stays_bounded::<DenseFifo>(0);
+    table_stays_bounded::<DenseArc>(2_000); // B1 and B2: the cache's bytes each
+    table_stays_bounded::<DenseLirs>(3_000); // S's non-resident blocks: 3× the cache
+    table_stays_bounded::<DenseTinyLfu>(0);
+    table_stays_bounded::<DenseLruK>(0);
+    table_stays_bounded::<DenseBloomLru>(0);
 }
 
 /// A `Delete` of a never-seen id, an uncacheable `Get` and a `Set` larger
@@ -73,4 +80,9 @@ fn requests_that_admit_nothing_leave_nothing_behind() {
     noops_leave_nothing_behind::<DenseS3Fifo>();
     noops_leave_nothing_behind::<DenseTwoQ>();
     noops_leave_nothing_behind::<DenseFifo>();
+    noops_leave_nothing_behind::<DenseArc>();
+    noops_leave_nothing_behind::<DenseLirs>();
+    noops_leave_nothing_behind::<DenseTinyLfu>();
+    noops_leave_nothing_behind::<DenseLruK>();
+    noops_leave_nothing_behind::<DenseBloomLru>();
 }

@@ -648,12 +648,12 @@ mod tests {
             .unwrap()
             .observer(&mut a)
             .is_err());
-        assert!(Replay::on_trace(&["ARC", "LIRS"], &trace, 100)
+        assert!(Replay::on_trace(&["LHD", "LeCaR"], &trace, 100)
             .unwrap()
             .observer(&mut b)
             .is_err());
         let mut nop = Nop;
-        let keyed = Replay::on_trace(&["ARC"], &trace, 100)
+        let keyed = Replay::on_trace(&["LHD"], &trace, 100)
             .unwrap()
             .observer(&mut nop);
         assert_eq!(keyed.unwrap().run(&trace)[0].0.requests, 20_000);

@@ -144,6 +144,13 @@ fn dense_variants_exist_for_core_policies() {
         "QDLP-LRU-FIFO",
         "QDLP-FIFO-LRU",
         "S3-FIFO-Sieve",
+        "ARC",
+        "LIRS",
+        "TinyLFU",
+        "TinyLFU-0.1",
+        "TinyLFU(0.2)",
+        "LRU-2",
+        "B-LRU",
     ] {
         assert!(
             cache_policies::registry::build_dense_domain(name, 16, domain)
@@ -152,22 +159,19 @@ fn dense_variants_exist_for_core_policies() {
             "{name} must have a dense fast path"
         );
     }
-    assert!(cache_policies::registry::build_dense_domain("LIRS", 16, domain)
+    assert!(cache_policies::registry::build_dense_domain("LHD", 16, domain)
         .unwrap()
         .is_none());
 }
 
-/// `S3-FIFO-D` and `B-LRU` wrap a keyed `S3Fifo` / `Lru` and have no
-/// reference interpreter, so when those inner policies became the `Keyed`
-/// adapter the wrappers' results were pinned: `(misses, evictions)` on the
-/// three workloads above, captured at the last commit with hand-written
-/// keyed policies (3ab2410).
+/// `S3-FIFO-D` wraps a keyed `S3Fifo` and has no reference interpreter, so
+/// when the inner policy became the `Keyed` adapter the wrapper's results
+/// were pinned: `(misses, evictions)` on the three workloads above, captured
+/// at the last commit with hand-written keyed policies (3ab2410). B-LRU's
+/// row, pinned the same way, is part of `slab_ports_are_unchanged`.
 #[test]
 fn wrappers_over_the_keyed_adapter_are_unchanged() {
-    let golden = [
-        ("S3-FIFO-D", [(9520, 9254), (17689, 17118), (6583, 6400)]),
-        ("B-LRU", [(10917, 6603), (18113, 4088), (7643, 5696)]),
-    ];
+    let golden = [("S3-FIFO-D", [(9520, 9254), (17689, 17118), (6583, 6400)])];
     let workloads = workloads();
     for (name, want) in golden {
         for ((trace, cfg), want) in workloads.iter().zip(want) {
@@ -243,8 +247,73 @@ fn queue_type_variants_are_unchanged() {
             ],
         ),
     ];
+    assert_fingerprints(&golden);
+}
+
+/// ARC, LIRS, W-TinyLFU (both windows), LRU-2 and B-LRU were hand-written
+/// keyed policies until they moved onto the slab, so their decisions were
+/// pinned first: captured at 3d0ea33, the last commit with the keyed
+/// policies, on the three workloads above. (B-LRU's misses and evictions
+/// are the ones pinned at 3ab2410.)
+#[test]
+fn slab_ports_are_unchanged() {
+    let golden: [(&str, [(u64, u64, u64); 3]); 6] = [
+        (
+            "ARC",
+            [
+                (9651, 9385, 15247545602836218234),
+                (17882, 17311, 875223858556696013),
+                (6722, 6542, 2444986771375088883),
+            ],
+        ),
+        (
+            "LIRS",
+            [
+                (9862, 9596, 11353592703256009273),
+                (17998, 17427, 5321503824969114698),
+                (6780, 6572, 15206595031019735001),
+            ],
+        ),
+        (
+            "TinyLFU",
+            [
+                (9529, 9263, 10163957694752960275),
+                (17575, 17004, 1030312401245755459),
+                (6522, 6342, 17215375221513529714),
+            ],
+        ),
+        (
+            "TinyLFU-0.1",
+            [
+                (9646, 9380, 8374922579892024418),
+                (17725, 17154, 10841661264568527366),
+                (6606, 6431, 2836118440775698115),
+            ],
+        ),
+        (
+            "LRU-2",
+            [
+                (9695, 9429, 12314589501571894630),
+                (17555, 16984, 10224285392514549576),
+                (6579, 6394, 10889712987628035822),
+            ],
+        ),
+        (
+            "B-LRU",
+            [
+                (10917, 6603, 10230045627545361359),
+                (18113, 4088, 4472994687148049171),
+                (7643, 5696, 11027154481098453909),
+            ],
+        ),
+    ];
+    assert_fingerprints(&golden);
+}
+
+/// Each name's [`fingerprint`] on the three workloads equals its golden row.
+fn assert_fingerprints(golden: &[(&str, [(u64, u64, u64); 3])]) {
     let workloads = workloads();
-    for (name, want) in golden {
+    for &(name, want) in golden {
         let got: Vec<_> = workloads
             .iter()
             .map(|(t, cfg)| fingerprint(name, cfg.capacity_for(t), &t.requests, cfg.ignore_size))

@@ -2,7 +2,7 @@
 //! answer.
 //!
 //! Source {in memory, `.ctr` in chunks of 1 / 4096 / more than the trace}
-//! × engine {dense, the keyed policy of the same name, keyed-only `ARC`}
+//! × engine {dense, the keyed policy of the same name, keyed-only `LHD`}
 //! × window {none, 777, `u64::MAX`} × trace {pure-get unit-size, mixed
 //! get/set/delete with sizes honoured and ignored}. Every cell must equal
 //! the in-memory unwindowed cell of its trace and name bit for bit, and
@@ -181,7 +181,7 @@ fn assert_same(got: &Replayed, want: &Replayed, ctx: &str) {
 #[test]
 fn every_cell_equals_the_in_memory_unwindowed_cell() {
     for f in fixtures() {
-        for name in ["S3-FIFO", "LRU", "ARC"] {
+        for name in ["S3-FIFO", "LRU", "ARC", "LHD"] {
             let trace = format!("{} ignore_size={} {name}", f.decoded.name, f.ignore_size);
             let reference = by_name(&[name], &f, Source::Memory, None).remove(0);
             assert!(
@@ -198,7 +198,7 @@ fn every_cell_equals_the_in_memory_unwindowed_cell() {
                         ("registry", by_name(&[name], &f, source, window).remove(0)),
                         ("forced keyed", forced_keyed(name, &f, source, window)),
                     ];
-                    if name != "ARC" {
+                    if name != "LHD" {
                         cells.push(("own dense", own_dense(name, &f, source, window)));
                     }
                     for (engine, cell) in &cells {
@@ -258,10 +258,11 @@ fn window_and_chunk_boundaries_never_meet_by_luck() {
 fn a_gang_equals_its_solo_runs() {
     for f in fixtures() {
         for names in [
-            &["S3-FIFO", "FIFO", "ARC", "LRU"][..],
-            &["ARC", "S3-FIFO", "LIRS"],
+            &["S3-FIFO", "FIFO", "LHD", "LRU"][..],
+            &["LHD", "S3-FIFO", "LeCaR"],
             // The rest of the dense slab policies, which sweeps also gang.
             &["CLOCK", "CLOCK-2bit", "SIEVE", "SLRU", "2Q"],
+            &["ARC", "LIRS", "TinyLFU", "LRU-2", "B-LRU"],
         ] {
             for window in [None, Some(777)] {
                 for source in [Source::Memory, Source::Ctr(4096)] {
