@@ -186,9 +186,31 @@ pub fn fuzz_mrc(
 }
 
 /// The degenerate and regular capacity grids the MRC differential sweeps:
-/// a single point, capacity 1, duplicates, and an unsorted multi-point
-/// grid. Shared by the in-tree test and the `check_gate` CI phase.
-pub const MRC_GRIDS: &[&[u64]] = &[&[1], &[7], &[5, 5, 9], &[21, 1, 8, 3, 13, 2, 5]];
+/// a single point, capacity 1, duplicates, an unsorted multi-point grid,
+/// and two at the turbo engines' 32-lane boundary: 32 points fill one
+/// engine's residency word where one core draws them, and 40 are split
+/// across engines whatever the core count. Shared by the in-tree test and
+/// the `check_gate` CI phase.
+pub const MRC_GRIDS: &[&[u64]] = &[
+    &[1],
+    &[7],
+    &[5, 5, 9],
+    &[21, 1, 8, 3, 13, 2, 5],
+    &spread::<32>(),
+    &spread::<40>(),
+];
+
+/// `N` capacities from 1 up to the fuzzed universe's 64 ids, in a scrambled
+/// order (37 is coprime to both `N` used).
+const fn spread<const N: usize>() -> [u64; N] {
+    let mut grid = [0; N];
+    let mut i = 0;
+    while i < N {
+        grid[i] = 1 + ((i * 37) % N * 61 / N) as u64;
+        i += 1;
+    }
+    grid
+}
 
 /// The algorithms the MRC differential covers: every FIFO-family name with
 /// a multi-capacity engine, plus parameterized S3-FIFO.

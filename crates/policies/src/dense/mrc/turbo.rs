@@ -6,7 +6,8 @@
 //! resident, and a `Get` that hits still pays one state write per lane.
 //! The engines here specialise to the restricted streams `simulate_mrc`
 //! sees in practice (pure `Get`, size 1, fewer than `u32::MAX` requests,
-//! ≤ 64 grid points) and collapse the per-request cost to near the
+//! ≤ 32 lanes per engine; `simulate_mrc` deals a grid of up to 64 points to
+//! several engines) and collapse the per-request cost to near the
 //! exact-FIFO engine's:
 //!
 //! - **Residency is one bitmap word.** `hdr[slot].res` holds one bit per
@@ -14,11 +15,11 @@
 //!   load, and a hit writes nothing per lane.
 //! - **Reference state is derived, not stored.** `hdr[slot].acc` counts the
 //!   slot's accesses; each queue entry remembers the counter value `mark`
-//!   (and a folded base frequency `f0`) from when the policy last touched
-//!   it. Under pure `Get`s an object's residency in a lane is one
-//!   continuous interval, every access inside it is a hit, and CLOCK /
-//!   S3-FIFO frequencies only *increase* between policy touch-points — so
-//!   the capped counter at scan time is exactly
+//!   (and, where it can be non-zero, a folded base frequency `f0`) from
+//!   when the policy last touched it. Under pure `Get`s an object's
+//!   residency in a lane is one continuous interval, every access inside it
+//!   is a hit, and CLOCK / S3-FIFO frequencies only *increase* between
+//!   policy touch-points — so the capped counter at scan time is exactly
 //!   `min(f0 + (acc - mark), max)`, and SIEVE's visited bit is exactly
 //!   `acc > mark`. Hits never touch per-lane state; scans re-fold.
 //! - **Queues are arrays, not linked lists.** CLOCK's move-to-front cycle
@@ -27,6 +28,11 @@
 //!   hand index, and amortised compaction; S3-FIFO's queues are
 //!   `VecDeque`s (every operation is a tail pop or head push). Eviction
 //!   scans walk sequential memory.
+//!
+//! Per object, an engine keeps one 8 B [`SlotHdr`] shared by all its lanes
+//! (one cache line covers eight slots), and an S3-FIFO engine one ghost bit
+//! per lane besides, in a bitset the lane owns: ghost marks are read only
+//! on that lane's misses, so they stay out of the header every hit loads.
 //!
 //! Each lane still makes byte-for-byte the decisions of the single-capacity
 //! dense policy of the same name; `crates/sim/tests/mrc_equivalence.rs` and
@@ -42,37 +48,23 @@ use cache_types::{CacheError, PolicyStats};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Lane-count ceiling: residency and ghost marks are one `u64` per slot.
-pub(crate) const MAX_TURBO_LANES: usize = 64;
+/// Lane-count ceiling: residency is one `u32` per slot.
+pub(crate) const MAX_TURBO_LANES: usize = 32;
 
-/// Per-slot header shared by all lanes: residency bitmap + access counter.
-/// One cache line covers four slots, so the all-hit path for a 64-point
-/// grid touches a single line.
+/// Per-slot header shared by all lanes: residency bitmap + access counter,
+/// 8 B, so one cache line covers eight slots.
 #[derive(Clone, Copy, Default)]
 struct SlotHdr {
     /// Bit `lane` set ⇔ the slot is resident in that lane.
-    res: u64,
+    res: u32,
     /// Accesses to this slot so far (monotone; the trace-length gate keeps
     /// it below `u32::MAX`).
     acc: u32,
 }
 
-/// Per-slot header for S3-FIFO lanes: adds the ghost-membership bitmap.
-#[derive(Clone, Copy, Default)]
-struct S3SlotHdr {
-    res: u64,
-    /// Bit `lane` set ⇔ the slot is ghost-marked in that lane.
-    ghost: u64,
-    acc: u32,
-}
-
-/// Bitmask selecting all `k` lanes.
-fn lane_mask(k: usize) -> u64 {
-    if k == MAX_TURBO_LANES {
-        u64::MAX
-    } else {
-        (1u64 << k) - 1
-    }
+/// Bitmask selecting all `k` lanes, `1 ≤ k ≤ 32` (no shift by 32).
+fn lane_mask(k: usize) -> u32 {
+    u32::MAX >> (MAX_TURBO_LANES - k)
 }
 
 /// The capped reference counter an entry would hold had every access been
@@ -90,7 +82,7 @@ fn validate_turbo_grid(capacities: &[u64]) -> Result<(), CacheError> {
     validate_grid(capacities)?;
     if capacities.len() > MAX_TURBO_LANES {
         return Err(CacheError::InvalidParameter(format!(
-            "turbo MRC lanes hold residency in one u64: grid has {} points, max {}",
+            "turbo MRC lanes hold residency in one u32: grid has {} points, max {}",
             capacities.len(),
             MAX_TURBO_LANES
         )));
@@ -132,7 +124,7 @@ struct ClockLane {
 /// order the linked form produces.
 pub struct MrcTurboClock {
     max_freq: u8,
-    mask: u64,
+    mask: u32,
     hdr: Vec<SlotHdr>,
     lanes: Vec<ClockLane>,
     gets: u64,
@@ -144,7 +136,7 @@ impl MrcTurboClock {
     /// # Errors
     ///
     /// Returns [`CacheError`] when the grid is empty, contains a zero, has
-    /// more than 64 points, or `bits` is outside `1..=7`.
+    /// more than 32 points, or `bits` is outside `1..=7`.
     pub fn new(capacities: &[u64], bits: u8, ids: &Arc<DenseIds>) -> Result<Self, CacheError> {
         validate_turbo_grid(capacities)?;
         if !(1..=7).contains(&bits) {
@@ -199,7 +191,7 @@ impl MrcTurboClock {
         let max_freq = self.max_freq;
         let hdr = &mut self.hdr;
         let l = &mut self.lanes[lane];
-        let bit = 1u64 << lane;
+        let bit = 1u32 << lane;
         l.misses += 1;
         if (l.ring.len() as u64) < l.capacity {
             l.ring.push(ClockEntry { slot, mark: a, f0: 0 });
@@ -263,7 +255,7 @@ impl MultiCapacityPolicy for MrcTurboClock {
 
     fn validate(&self) -> Result<(), String> {
         for (lane, l) in self.lanes.iter().enumerate() {
-            let bit = 1u64 << lane;
+            let bit = 1u32 << lane;
             if l.ring.len() as u64 > l.capacity {
                 return Err(format!(
                     "turbo CLOCK lane {lane}: ring {} exceeds capacity {}",
@@ -367,7 +359,7 @@ impl SieveLane {
 /// evictions tombstone at the hand, and the scan is a forward walk over
 /// contiguous entries instead of a pointer chase.
 pub struct MrcTurboSieve {
-    mask: u64,
+    mask: u32,
     hdr: Vec<SlotHdr>,
     lanes: Vec<SieveLane>,
     gets: u64,
@@ -379,7 +371,7 @@ impl MrcTurboSieve {
     /// # Errors
     ///
     /// Returns [`CacheError`] when the grid is empty, contains a zero, or
-    /// has more than 64 points.
+    /// has more than 32 points.
     pub fn new(capacities: &[u64], ids: &Arc<DenseIds>) -> Result<Self, CacheError> {
         validate_turbo_grid(capacities)?;
         Ok(MrcTurboSieve {
@@ -406,7 +398,7 @@ impl MrcTurboSieve {
     fn evict(&mut self, lane: usize) {
         let hdr = &mut self.hdr;
         let l = &mut self.lanes[lane];
-        let bit = 1u64 << lane;
+        let bit = 1u32 << lane;
         let mut cur = match l.hand {
             Some(h) => h,
             None => l.tail_idx(),
@@ -469,7 +461,7 @@ impl MrcTurboSieve {
         l.misses += 1;
         l.buf.push(SieveEntry { slot, mark: a });
         l.live += 1;
-        self.hdr[slot as usize].res |= 1u64 << lane;
+        self.hdr[slot as usize].res |= 1u32 << lane;
         if l.buf.len() >= 64 && l.buf.len() as u64 >= 2 * l.live {
             // Squeeze out tombstones in place, remapping the hand.
             let mut new_hand = None;
@@ -511,7 +503,7 @@ impl MultiCapacityPolicy for MrcTurboSieve {
 
     fn validate(&self) -> Result<(), String> {
         for (lane, l) in self.lanes.iter().enumerate() {
-            let bit = 1u64 << lane;
+            let bit = 1u32 << lane;
             if l.live > l.capacity {
                 return Err(format!(
                     "turbo SIEVE lane {lane}: {} live entries exceed capacity {}",
@@ -568,10 +560,19 @@ impl MultiCapacityPolicy for MrcTurboSieve {
 // S3-FIFO
 // ---------------------------------------------------------------------------
 
-/// One S3-FIFO queue entry (small or main); frequency derives exactly like
-/// CLOCK's, capped at 3.
+/// One small-queue entry. Nothing that enters S carries folded frequency
+/// (every insert starts at 0, and S is never scanned in place), so its
+/// frequency is just `min(acc - mark, 3)`.
 #[derive(Clone, Copy)]
-struct S3Entry {
+struct SmallEntry {
+    slot: u32,
+    mark: u32,
+}
+
+/// One main-queue entry; frequency derives exactly like CLOCK's, capped at
+/// 3, with `f0` folding what a reinsertion left.
+#[derive(Clone, Copy)]
+struct MainEntry {
     slot: u32,
     mark: u32,
     f0: u8,
@@ -585,12 +586,14 @@ struct S3Lane {
     /// Small and main FIFO queues: tail at the front, head at the back, so
     /// every queue operation — including main's lazy-promotion
     /// move-to-front — is a `pop_front`/`push_back` pair.
-    small: VecDeque<S3Entry>,
-    main: VecDeque<S3Entry>,
-    /// Ghost entry order; membership lives in the per-slot `ghost` bitmap,
-    /// and stale entries whose mark was re-cleared stay charged, exactly
-    /// like the keyed [`cache_core`] ghost and the dense policy's
-    /// `SlotGhost` replica.
+    small: VecDeque<SmallEntry>,
+    main: VecDeque<MainEntry>,
+    /// This lane's ghost marks, one bit per slot: bit `slot % 64` of word
+    /// `slot / 64` set ⇔ the slot is ghost-marked here.
+    ghost: Vec<u64>,
+    /// Ghost entry order; membership lives in `ghost`, and stale entries
+    /// whose mark was re-cleared stay charged, exactly like the keyed
+    /// [`cache_core`] ghost and the dense policy's `SlotGhost` replica.
     ghost_fifo: VecDeque<u32>,
     ghost_used: u64,
     ghost_hits: u64,
@@ -599,13 +602,20 @@ struct S3Lane {
 }
 
 impl S3Lane {
-    fn ghost_insert(&mut self, hdr: &mut [S3SlotHdr], bit: u64, slot: u32) {
+    fn ghost_marked(&self, slot: u32) -> bool {
+        self.ghost[slot as usize / 64] & (1 << (slot % 64)) != 0
+    }
+
+    fn ghost_unmark(&mut self, slot: u32) {
+        self.ghost[slot as usize / 64] &= !(1 << (slot % 64));
+    }
+
+    fn ghost_insert(&mut self, slot: u32) {
         if self.ghost_cap == 0 {
             return;
         }
-        let h = &mut hdr[slot as usize];
-        if h.ghost & bit == 0 {
-            h.ghost |= bit;
+        if !self.ghost_marked(slot) {
+            self.ghost[slot as usize / 64] |= 1 << (slot % 64);
             self.ghost_fifo.push_back(slot);
             self.ghost_used += 1;
         }
@@ -614,21 +624,21 @@ impl S3Lane {
                 // Tombstones stay charged; popping one clears the mark of a
                 // re-inserted slot's newer entry — the keyed ghost's quirk.
                 self.ghost_used -= 1;
-                hdr[old as usize].ghost &= !bit;
+                self.ghost_unmark(old);
             } else {
                 break;
             }
         }
     }
 
-    fn evict_main(&mut self, hdr: &mut [S3SlotHdr], bit: u64) {
+    fn evict_main(&mut self, hdr: &mut [SlotHdr], bit: u32) {
         while let Some(&e) = self.main.front() {
             let ea = hdr[e.slot as usize].acc;
             let freq = derived_freq(e.f0, ea, e.mark, MAX_FREQ);
             if freq > 0 {
                 // Reinsert at the head with frequency decreased by one.
                 self.main.pop_front();
-                self.main.push_back(S3Entry {
+                self.main.push_back(MainEntry {
                     slot: e.slot,
                     mark: ea,
                     f0: freq - 1,
@@ -642,14 +652,14 @@ impl S3Lane {
         }
     }
 
-    fn evict_small(&mut self, hdr: &mut [S3SlotHdr], bit: u64) {
+    fn evict_small(&mut self, hdr: &mut [SlotHdr], bit: u32) {
         while let Some(&e) = self.small.front() {
             let ea = hdr[e.slot as usize].acc;
-            let freq = derived_freq(e.f0, ea, e.mark, MAX_FREQ);
+            let freq = derived_freq(0, ea, e.mark, MAX_FREQ);
             if freq > PROMOTE_THRESHOLD {
                 // Promote to M; access counts are cleared during the move.
                 self.small.pop_front();
-                self.main.push_back(S3Entry {
+                self.main.push_back(MainEntry {
                     slot: e.slot,
                     mark: ea,
                     f0: 0,
@@ -660,7 +670,7 @@ impl S3Lane {
             } else {
                 self.small.pop_front();
                 hdr[e.slot as usize].res &= !bit;
-                self.ghost_insert(hdr, bit, e.slot);
+                self.ghost_insert(e.slot);
                 self.evictions += 1;
                 return;
             }
@@ -671,7 +681,7 @@ impl S3Lane {
         }
     }
 
-    fn make_room(&mut self, hdr: &mut [S3SlotHdr], bit: u64) {
+    fn make_room(&mut self, hdr: &mut [SlotHdr], bit: u32) {
         while (self.small.len() + self.main.len()) as u64 + 1 > self.capacity {
             if self.small.len() as u64 >= self.s_capacity || self.main.is_empty() {
                 self.evict_small(hdr, bit);
@@ -684,17 +694,17 @@ impl S3Lane {
         }
     }
 
-    fn insert(&mut self, hdr: &mut [S3SlotHdr], bit: u64, slot: u32, a: u32) {
+    fn insert(&mut self, hdr: &mut [SlotHdr], bit: u32, slot: u32, a: u32) {
         self.misses += 1;
         // Ghost membership is decided before making room: the eviction loop
         // inserts into the ghost itself and could otherwise displace exactly
         // the entry being looked up.
-        let in_ghost = hdr[slot as usize].ghost & bit != 0;
+        let in_ghost = self.ghost_marked(slot);
         self.make_room(hdr, bit);
         if in_ghost {
-            hdr[slot as usize].ghost &= !bit;
+            self.ghost_unmark(slot);
             self.ghost_hits += 1;
-            self.main.push_back(S3Entry { slot, mark: a, f0: 0 });
+            self.main.push_back(MainEntry { slot, mark: a, f0: 0 });
             hdr[slot as usize].res |= bit;
             // A ghost-hit insert into M can overflow M; trim one object now,
             // exactly like `DenseS3Fifo::insert`.
@@ -702,7 +712,7 @@ impl S3Lane {
                 self.evict_main(hdr, bit);
             }
         } else {
-            self.small.push_back(S3Entry { slot, mark: a, f0: 0 });
+            self.small.push_back(SmallEntry { slot, mark: a });
             hdr[slot as usize].res |= bit;
         }
         // Warm the likely victim of this lane's next miss.
@@ -716,8 +726,8 @@ impl S3Lane {
 /// decision-identical to [`crate::dense::DenseS3Fifo`].
 pub struct MrcTurboS3Fifo {
     cfg: S3FifoConfig,
-    mask: u64,
-    hdr: Vec<S3SlotHdr>,
+    mask: u32,
+    hdr: Vec<SlotHdr>,
     lanes: Vec<S3Lane>,
     gets: u64,
 }
@@ -728,7 +738,7 @@ impl MrcTurboS3Fifo {
     /// # Errors
     ///
     /// Returns [`CacheError`] when the grid is empty, contains a zero, or
-    /// has more than 64 points.
+    /// has more than 32 points.
     pub fn new(capacities: &[u64], ids: &Arc<DenseIds>) -> Result<Self, CacheError> {
         Self::with_config(capacities, S3FifoConfig::default(), ids)
     }
@@ -755,7 +765,7 @@ impl MrcTurboS3Fifo {
         }
         Ok(MrcTurboS3Fifo {
             mask: lane_mask(capacities.len()),
-            hdr: cache_ds::huge::filled(ids.len(), S3SlotHdr::default()),
+            hdr: cache_ds::huge::filled(ids.len(), SlotHdr::default()),
             lanes: capacities
                 .iter()
                 .map(|&capacity| {
@@ -770,6 +780,7 @@ impl MrcTurboS3Fifo {
                         ghost_cap: m_capacity,
                         small: VecDeque::new(),
                         main: VecDeque::new(),
+                        ghost: cache_ds::huge::filled(ids.len().div_ceil(64), 0),
                         ghost_fifo: VecDeque::new(),
                         ghost_used: 0,
                         ghost_hits: 0,
@@ -804,7 +815,7 @@ impl MrcTurboS3Fifo {
         while miss != 0 {
             let lane = miss.trailing_zeros() as usize;
             miss &= miss - 1;
-            lanes[lane].insert(hdr, 1u64 << lane, slot, a);
+            lanes[lane].insert(hdr, 1u32 << lane, slot, a);
         }
     }
 }
@@ -829,7 +840,7 @@ impl MultiCapacityPolicy for MrcTurboS3Fifo {
 
     fn validate(&self) -> Result<(), String> {
         for (lane, l) in self.lanes.iter().enumerate() {
-            let bit = 1u64 << lane;
+            let bit = 1u32 << lane;
             // No small/main-capacity assertions — single-object trims can
             // overshoot transiently, matching the dense policy.
             if (l.small.len() + l.main.len()) as u64 > l.capacity {
@@ -840,8 +851,10 @@ impl MultiCapacityPolicy for MrcTurboS3Fifo {
                 ));
             }
             let mut seen = vec![false; self.hdr.len()];
-            for e in l.small.iter().chain(l.main.iter()) {
-                let s = e.slot as usize;
+            let small = l.small.iter().map(|e| (e.slot, e.mark, 0));
+            let main = l.main.iter().map(|e| (e.slot, e.mark, e.f0));
+            for (slot, mark, f0) in small.chain(main) {
+                let s = slot as usize;
                 if seen[s] {
                     return Err(format!("turbo S3-FIFO lane {lane}: slot {s} queued twice"));
                 }
@@ -851,18 +864,17 @@ impl MultiCapacityPolicy for MrcTurboS3Fifo {
                         "turbo S3-FIFO lane {lane}: slot {s} queued but not marked resident"
                     ));
                 }
-                if self.hdr[s].ghost & bit != 0 {
+                if l.ghost_marked(slot) {
                     return Err(format!(
                         "turbo S3-FIFO lane {lane}: slot {s} both resident and ghost-marked"
                     ));
                 }
-                if e.mark > self.hdr[s].acc {
+                if mark > self.hdr[s].acc {
                     return Err(format!("turbo S3-FIFO lane {lane}: mark ahead of counter"));
                 }
-                if e.f0 > 3 {
+                if f0 > MAX_FREQ {
                     return Err(format!(
-                        "turbo S3-FIFO lane {lane}: folded freq {} exceeds cap 3",
-                        e.f0
+                        "turbo S3-FIFO lane {lane}: folded freq {f0} exceeds cap {MAX_FREQ}"
                     ));
                 }
             }
@@ -886,8 +898,8 @@ impl MultiCapacityPolicy for MrcTurboS3Fifo {
                     l.ghost_used, l.ghost_cap
                 ));
             }
-            let ghost_marked = self.hdr.iter().filter(|h| h.ghost & bit != 0).count();
-            if ghost_marked > l.ghost_fifo.len() {
+            let ghost_marked: u32 = l.ghost.iter().map(|w| w.count_ones()).sum();
+            if ghost_marked as usize > l.ghost_fifo.len() {
                 return Err(format!(
                     "turbo S3-FIFO lane {lane}: {ghost_marked} ghost marks vs {} entries",
                     l.ghost_fifo.len()
@@ -935,7 +947,7 @@ mod tests {
 
     /// Replays `turbo` and, per grid point, a fresh single-capacity dense
     /// policy, asserting identical statistics and the same name.
-    fn assert_matches_dense<P, F>(turbo: &mut dyn MultiCapacityPolicy, build: F)
+    fn assert_matches_dense<P, F>(turbo: &mut dyn MultiCapacityPolicy, grid: &[u64], build: F)
     where
         P: DensePolicy,
         F: Fn(u64) -> P,
@@ -946,7 +958,7 @@ mod tests {
         // Invariant: validate only fails on an engine bug this test exists
         // to catch.
         let lanes = turbo.lane_stats();
-        for (lane, &cap) in GRID.iter().enumerate() {
+        for (lane, &cap) in grid.iter().enumerate() {
             let mut dense = build(cap);
             dense.replay(&slots, &reqs, true, &mut |_, _| {});
             assert_eq!(lanes[lane], dense.stats(), "capacity {cap}");
@@ -959,8 +971,8 @@ mod tests {
         for bits in [1u8, 2] {
             let (_, _, ids) = workload(6_000, 120);
             let mut turbo = MrcTurboClock::new(&GRID, bits, &ids).expect("valid grid");
-            // Invariant: GRID is non-empty, zero-free, and under 64 points.
-            assert_matches_dense(&mut turbo, |cap| {
+            // Invariant: GRID is non-empty, zero-free, and at most 32 points.
+            assert_matches_dense(&mut turbo, &GRID, |cap| {
                 DenseClock::with_domain(cap, bits, ids.len()).expect("capacity > 0")
                 // Invariant: every GRID capacity is positive.
             });
@@ -971,8 +983,8 @@ mod tests {
     fn turbo_sieve_matches_per_capacity_dense() {
         let (_, _, ids) = workload(6_000, 120);
         let mut turbo = MrcTurboSieve::new(&GRID, &ids).expect("valid grid");
-        // Invariant: GRID is non-empty, zero-free, and under 64 points.
-        assert_matches_dense(&mut turbo, |cap| {
+        // Invariant: GRID is non-empty, zero-free, and at most 32 points.
+        assert_matches_dense(&mut turbo, &GRID, |cap| {
             DenseSieve::with_domain(cap, ids.len()).expect("capacity > 0")
             // Invariant: every GRID capacity is positive.
         });
@@ -985,12 +997,94 @@ mod tests {
             let (_, _, ids) = workload(6_000, 120);
             let mut turbo =
                 MrcTurboS3Fifo::with_config(&GRID, cfg, &ids).expect("valid grid");
-            // Invariant: GRID is non-empty, zero-free, and under 64 points.
-            assert_matches_dense(&mut turbo, |cap| {
+            // Invariant: GRID is non-empty, zero-free, and at most 32 points.
+            assert_matches_dense(&mut turbo, &GRID, |cap| {
                 DenseS3Fifo::with_config_domain(cap, cfg, ids.len()).expect("capacity > 0")
                 // Invariant: every GRID capacity is positive.
             });
         }
+    }
+
+    /// A full grid sets every bit of the residency word: no lane's mask is
+    /// computed as `1 << 32`, and the top lane is as exact as the bottom.
+    #[test]
+    fn a_full_word_of_lanes_matches_per_capacity_dense() {
+        let grid: Vec<u64> = (1..=MAX_TURBO_LANES as u64).map(|i| i * 3).collect();
+        let (_, _, ids) = workload(6_000, 120);
+        // Invariant (all six): the grid is 32 positive points.
+        let mut clock = MrcTurboClock::new(&grid, 2, &ids).expect("valid grid");
+        assert_matches_dense(&mut clock, &grid, |cap| {
+            DenseClock::with_domain(cap, 2, ids.len()).expect("capacity > 0")
+        });
+        let mut sieve = MrcTurboSieve::new(&grid, &ids).expect("valid grid");
+        assert_matches_dense(&mut sieve, &grid, |cap| {
+            DenseSieve::with_domain(cap, ids.len()).expect("capacity > 0")
+        });
+        let mut s3 = MrcTurboS3Fifo::new(&grid, &ids).expect("valid grid");
+        assert_matches_dense(&mut s3, &grid, |cap| {
+            DenseS3Fifo::with_domain(cap, ids.len()).expect("capacity > 0")
+        });
+    }
+
+    /// The ghost's quirk, pinned by hand at capacity 4 (S 1, M 3, ghost 3):
+    /// a ghost hit leaves its entry charged, and when that stale entry is
+    /// popped it clears the mark of the slot's newer entry, so the slot's
+    /// next miss goes to S, not M — as in `DenseS3Fifo`.
+    #[test]
+    fn a_stale_ghost_entry_clears_the_newer_mark() {
+        const X: u32 = 0;
+        let ids: Vec<u64> = "x a b c d x b b c c d d e x f g x h i x"
+            .split(' ')
+            .map(|n| u64::from(n.as_bytes()[0]))
+            .collect();
+        let reqs: Vec<Request> = (0..).zip(&ids).map(|(t, &id)| Request::get(id, t)).collect();
+        let (dense_ids, slots) = DenseIds::intern(ids.iter().copied());
+        let dense_ids = Arc::new(dense_ids);
+        let mut turbo = MrcTurboS3Fifo::new(&[4], &dense_ids).expect("valid grid");
+        // Invariant: a one-point grid of a positive capacity is valid.
+        let run = |turbo: &mut MrcTurboS3Fifo, from: usize, to: usize| {
+            turbo.replay(&slots[from..to]);
+            turbo.validate().expect("turbo invariants hold");
+            // Invariant: validate only fails on an engine bug.
+        };
+        let in_small = |t: &MrcTurboS3Fifo| t.lanes[0].small.iter().any(|e| e.slot == X);
+        let in_main = |t: &MrcTurboS3Fifo| t.lanes[0].main.iter().any(|e| e.slot == X);
+        let entries = |t: &MrcTurboS3Fifo| {
+            t.lanes[0].ghost_fifo.iter().filter(|&&s| s == X).count()
+        };
+
+        // x a b c d: x is evicted from S into the ghost.
+        run(&mut turbo, 0, 5);
+        assert!(turbo.lanes[0].ghost_marked(X) && !in_small(&turbo));
+        // x: a ghost hit takes it to M; its ghost entry stays charged.
+        run(&mut turbo, 5, 6);
+        assert!(in_main(&turbo) && !turbo.lanes[0].ghost_marked(X));
+        assert_eq!((entries(&turbo), turbo.lanes[0].ghost_hits), (1, 1));
+        // b b c c d d e: three promotions overflow M, and x leaves it.
+        run(&mut turbo, 6, 13);
+        assert!(!in_main(&turbo) && !in_small(&turbo));
+        // x: unmarked, so it re-enters S.
+        run(&mut turbo, 13, 14);
+        assert!(in_small(&turbo));
+        // f g: x is evicted from S again; the newer entry pushes the stale
+        // one out, and popping it clears the newer entry's mark.
+        run(&mut turbo, 14, 16);
+        assert_eq!(entries(&turbo), 1);
+        assert!(!turbo.lanes[0].ghost_marked(X));
+        // x: no ghost hit, so its next miss goes to S...
+        run(&mut turbo, 16, 17);
+        assert!(in_small(&turbo) && !in_main(&turbo));
+        assert_eq!(turbo.lanes[0].ghost_hits, 1);
+        // h i x: ...where two misses evict it, so x misses once more (in M
+        // it would have hit), and the counters below tell the two apart.
+        run(&mut turbo, 17, 20);
+        assert!(in_small(&turbo));
+        assert_eq!(turbo.lane_stats()[0].misses, 14);
+
+        let mut dense = DenseS3Fifo::with_domain(4, dense_ids.len()).expect("capacity > 0");
+        // Invariant: capacity 4 is positive.
+        dense.replay(&slots, &reqs, true, &mut |_, _| {});
+        assert_eq!(turbo.lane_stats()[0], dense.stats());
     }
 
     #[test]
@@ -1000,6 +1094,7 @@ mod tests {
         assert!(MrcTurboClock::new(&[4, 0], 1, &ids).is_err());
         assert!(MrcTurboClock::new(&[4], 0, &ids).is_err());
         assert!(MrcTurboSieve::new(&vec![1u64; 65], &ids).is_err());
+        assert!(MrcTurboS3Fifo::new(&vec![1u64; 33], &ids).is_err());
         assert!(
             MrcTurboS3Fifo::with_config(&[4], S3FifoConfig { small_ratio: 1.5 }, &ids).is_err()
         );

@@ -176,9 +176,10 @@ fn keyed<P: SlabPolicy + Send + 'static>(policy: P) -> Box<dyn Policy> {
 /// over a whole capacity grid (see `cache_policies::dense::mrc`): the exact
 /// insertion-index engine for FIFO, the turbo lanes — bitmap residency and
 /// timestamp-derived reference state — for CLOCK, CLOCK-2bit, SIEVE, S3-FIFO
-/// and `"S3-FIFO(r)"`. `None` when the algorithm has no such engine or a
-/// turbo grid exceeds the 64 lanes one residency word holds; callers then
-/// replay once per capacity.
+/// and `"S3-FIFO(r)"`. `None` when the algorithm has no such engine or the
+/// grid does not fit it ([`mrc_grid_fits`]); callers then replay once per
+/// capacity. A grid wider than [`mrc_engine_lanes`] that fits is the
+/// caller's to deal to several engines; handed here whole it is an error.
 ///
 /// Every lane is decision-identical to the single-capacity dense policy at
 /// that grid point (enforced by `crates/sim/tests/mrc_equivalence.rs` and
@@ -220,12 +221,24 @@ pub fn build_mrc(
 
 /// True when a grid of `points` capacities is narrow enough for `name`'s
 /// single-pass engine, if it has one: any width for FIFO's insertion-index
-/// rows, the 64 lanes one residency word holds for the turbo engines.
-/// [`build_mrc`] answers `None` past it. A caller that deals one grid to
-/// several engines asks about the whole grid first, or whether a 65-point
-/// curve is drawn in one pass would depend on how many ways it was dealt.
+/// rows, 64 points (two engines' worth) for the turbo lanes. [`build_mrc`]
+/// answers `None` past it. A caller that deals one grid to several engines
+/// asks about the whole grid first, or whether a 65-point curve is drawn in
+/// one pass would depend on how many ways it was dealt.
 pub fn mrc_grid_fits(name: &str, points: usize) -> bool {
-    name == "FIFO" || points <= crate::dense::mrc::MAX_TURBO_LANES
+    name == "FIFO" || points <= 64
+}
+
+/// The most grid points one of `name`'s single-pass engines holds: any
+/// number in FIFO's insertion-index rows, 32 in a turbo engine, whose
+/// residency word is a `u32`. A grid that [`mrc_grid_fits`] but is wider
+/// goes to several engines, each built by [`build_mrc`] over its share.
+pub fn mrc_engine_lanes(name: &str) -> usize {
+    if name == "FIFO" {
+        usize::MAX
+    } else {
+        crate::dense::mrc::MAX_TURBO_LANES
+    }
 }
 
 /// Parses `"<prefix>(<float>)"`, returning `Some(Ok(float))` on a match,

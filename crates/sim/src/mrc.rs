@@ -25,11 +25,13 @@
 //! them), so once the route is chosen — on the whole grid — its indices are
 //! dealt round-robin to `min(available_parallelism, points)` workers, each
 //! of which draws its share on that route over the shared trace, and the
-//! samples go back in grid order. Every point is the one a single worker
-//! draws. What a worker owns is the cost of adding one: a turbo engine's
-//! per-slot header array (16 B × ids, 24 B for S3-FIFO — the lanes, and
-//! exact FIFO's index rows, only divide), or one policy slab at a time on
-//! the per-capacity route.
+//! samples go back in grid order; on the turbo route there are at least
+//! `⌈points / 32⌉`, as one turbo engine holds 32 lanes. Every point is the
+//! one a single worker draws. What a worker owns is the cost of adding one:
+//! a turbo engine's per-slot header array, 8 B × ids (S3-FIFO's lanes add
+//! one ghost bit per id each; the lanes, and exact FIFO's index rows,
+//! otherwise only divide), or one policy slab at a time on the
+//! per-capacity route.
 //!
 //! Also provides the convexity check the §6.2.3 argument rests on.
 
@@ -263,8 +265,9 @@ pub fn simulate_mrc(
 }
 
 /// [`simulate_mrc`] drawn by `workers` workers (at least one, at most one
-/// per grid point). The count is an argument only so that tests can sweep
-/// it: no field of the result depends on it.
+/// per grid point, and at least one per 32 points on the turbo route).
+/// The count is an argument only so that tests can sweep it: no field of
+/// the result depends on it.
 fn simulate_mrc_on(
     workers: usize,
     algorithm: &str,
@@ -289,8 +292,13 @@ fn simulate_mrc_on(
         && registry::mrc_grid_fits(algorithm, capacities.len()))
     .then(|| trace.dense());
     // Round-robin, not contiguous runs: a lane's work is its miss count,
-    // and a sorted grid puts the lanes that miss most at one end.
-    let workers = workers.clamp(1, capacities.len());
+    // and a sorted grid puts the lanes that miss most at one end. No share
+    // is wider than one engine.
+    let floor = match dense {
+        Some(_) => capacities.len().div_ceil(registry::mrc_engine_lanes(algorithm)),
+        None => 1,
+    };
+    let workers = workers.clamp(1, capacities.len()).max(floor);
     let shares: Vec<Vec<u64>> = (0..workers)
         .map(|w| {
             capacities

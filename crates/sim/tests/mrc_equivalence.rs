@@ -4,8 +4,9 @@
 //! *decision identical*, per grid point, to replaying the single-capacity
 //! dense policy at that capacity: same misses, same evictions, same miss
 //! ratios, bit for bit — and `simulate_mrc` must send them only the streams
-//! they can take (pure `Get`, unit sizes, ≤ 64 points for the turbo lanes),
-//! replaying everything else per capacity. The expected route is part of
+//! they can take (pure `Get`, unit sizes, ≤ 64 points for the turbo lanes,
+//! dealt to engines of at most 32 lanes each), replaying everything else
+//! per capacity. The expected route is part of
 //! every case below. The exact-FIFO insertion-index engine is
 //! additionally pinned with a property test over seeded Zipf traces (the
 //! ISSUE's eviction-age cross-check: FIFO residency from insertion-index
@@ -145,9 +146,10 @@ fn streams_with_deletes_fall_back_and_match() {
     assert_mrc_matches_sweep("SIEVE", &trace, &grid, &cfg, MrcEngine::PerCapacity);
 }
 
-/// The turbo lanes hold residency in one 64-bit word per object; a 65-point
-/// grid leaves them for the per-capacity route, while exact FIFO — one
-/// index per (object, point) — has no such ceiling.
+/// A turbo engine holds residency in one 32-bit word per object, and a grid
+/// goes to at most two engines' worth; a 65-point grid leaves them for the
+/// per-capacity route, while exact FIFO — one index per (object, point) —
+/// has no such ceiling.
 #[test]
 fn a_grid_wider_than_the_turbo_lanes_falls_back_and_matches() {
     let trace = WorkloadSpec::zipf("wide", 6_000, 600, 1.0, 29).generate();

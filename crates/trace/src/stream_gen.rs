@@ -6,8 +6,8 @@
 //! at a few hundred million requests; the paper's evaluation runs to
 //! hundreds of billions. [`StreamSpec`] emits the same workload *shape*
 //! knobs (Zipf skew, one-hit wonders, scan bursts, deletes) record by record
-//! into a [`crate::ctr::CtrWriter`], so memory stays at the Zipf CDF
-//! (8 bytes per core object) regardless of trace length, and adds phase
+//! into a [`crate::ctr::CtrWriter`], so memory stays at the Zipf sampler
+//! (at most 12 bytes per core object) regardless of trace length, and adds phase
 //! changes — the popularity ranking rotates through the id space at fixed
 //! intervals, the workload shift that per-window miss-ratio series exist to
 //! expose.
@@ -164,8 +164,9 @@ impl StreamSpec {
     }
 
     /// Streams the trace into `w` as `.ctr`, one record at a time. Memory
-    /// footprint is the Zipf CDF (`8 * objects` bytes) plus fixed-size
-    /// state; nothing scales with `requests`. Wrap files in a `BufWriter`.
+    /// footprint is the Zipf sampler (`8 * objects` bytes of CDF, at most
+    /// `4 * objects` of guide table) plus fixed-size state; nothing scales
+    /// with `requests`. Wrap files in a `BufWriter`.
     ///
     /// # Errors
     ///
@@ -190,32 +191,45 @@ impl StreamSpec {
         } else {
             0.0
         };
+        // Phase `p` covers requests from `p * phase_len` on, the last one to
+        // the end; its rank→id rotation is `p * phase_stride < objects`.
         let phase_len = (self.requests / u64::from(self.phases)).max(1);
         let phase_stride = self.objects / u64::from(self.phases);
+        let mut phase = 0u32;
+        let mut next_phase_at = phase_len;
+        let mut rotation = 0u64;
 
         let mut scan_remaining = 0u64;
+        // Both cursors wrap in place, over `scan_space` / `fresh_ring` ids.
         let mut scan_cursor = 0u64;
         let mut fresh_cursor = 0u64;
+        let advance = |cursor: &mut u64, len: u64| {
+            let at = *cursor;
+            *cursor = if at + 1 == len { 0 } else { at + 1 };
+            at
+        };
         // Recent core ids, for deletes of plausibly-resident objects.
         let mut recent = [0u32; 64];
         let mut recent_len = 0usize;
 
         for t in 0..self.requests {
+            if t == next_phase_at && phase + 1 < self.phases {
+                phase += 1;
+                next_phase_at += phase_len;
+                rotation += phase_stride;
+            }
             let (id, op) = if scan_remaining > 0 {
                 scan_remaining -= 1;
-                let id = scan_base + scan_cursor;
-                scan_cursor = (scan_cursor + 1) % self.scan_space;
+                let id = scan_base + advance(&mut scan_cursor, self.scan_space);
                 (id as u32, Op::Get)
             } else {
                 let u = rng.next_f64();
                 if u < scan_start_p {
                     scan_remaining = self.scan_len - 1;
-                    let id = scan_base + scan_cursor;
-                    scan_cursor = (scan_cursor + 1) % self.scan_space;
+                    let id = scan_base + advance(&mut scan_cursor, self.scan_space);
                     (id as u32, Op::Get)
                 } else if u < scan_start_p + self.one_hit_fraction {
-                    let id = fresh_base + (fresh_cursor % self.fresh_ring);
-                    fresh_cursor += 1;
+                    let id = fresh_base + advance(&mut fresh_cursor, self.fresh_ring);
                     (id as u32, Op::Get)
                 } else if u < scan_start_p + self.one_hit_fraction + self.delete_fraction
                     && recent_len > 0
@@ -224,8 +238,12 @@ impl StreamSpec {
                     (recent[pick], Op::Delete)
                 } else {
                     let rank = zipf.sample(&mut rng);
-                    let phase = (t / phase_len).min(u64::from(self.phases) - 1);
-                    let id = ((rank - 1) + phase * phase_stride) % self.objects;
+                    // Both terms are below `objects`, so one subtraction
+                    // wraps the sum.
+                    let mut id = (rank - 1) + rotation;
+                    if id >= self.objects {
+                        id -= self.objects;
+                    }
                     let id = id as u32;
                     recent[t as usize % recent.len()] = id;
                     recent_len = (recent_len + 1).min(recent.len());
@@ -409,6 +427,37 @@ mod tests {
             total += buf.len();
         }
         assert_eq!(total, 2000);
+    }
+
+    /// FNV-1a over a generated file's bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// Pins the bytes across generator rewrites, not just run to run:
+    /// `paper_mix` as the ledger draws it, and a spec whose scan, fresh and
+    /// phase counters all wrap or clamp (7 phases over a length they do not
+    /// divide), with deletes and sizes on.
+    #[test]
+    fn generated_bytes_are_pinned() {
+        let wrapping = StreamSpec {
+            one_hit_fraction: 0.2,
+            fresh_ring: 97,
+            scan_fraction: 0.1,
+            scan_len: 40,
+            scan_space: 333,
+            phases: 7,
+            delete_fraction: 0.05,
+            max_size: 9,
+            ..StreamSpec::zipf(100_003, 1_000, 0.8, 5)
+        };
+        let got = [
+            fnv1a(&generate(&StreamSpec::paper_mix(200_000, 100_000, 1)).0),
+            fnv1a(&generate(&wrapping).0),
+        ];
+        assert_eq!(got, [0xC06D_B515_84BF_157F, 0x8656_B0B5_2A66_718F]);
     }
 
     #[test]

@@ -3,16 +3,29 @@
 //! §3.1 analyzes request sequences whose object popularity follows a Zipf
 //! distribution: the object of rank `i` is requested with probability
 //! proportional to `1 / i^α`. [`ZipfSampler`] draws ranks from that
-//! distribution by inverting a precomputed CDF (exact, O(M) setup, O(log M)
-//! per sample, fully deterministic given the RNG stream).
+//! distribution by inverting a precomputed CDF (exact, O(M) setup, fully
+//! deterministic given the RNG stream). A guide table makes a sample O(1)
+//! in expectation: it narrows the search to the ranks whose CDF entries
+//! straddle one of `2^b` equal slices of `[0, 1)`.
 
 use cache_ds::SplitMix64;
+
+/// Widest guide table: `2^20` slices, 4 MB of `u32`.
+const MAX_GUIDE_BITS: u32 = 20;
 
 /// Samples ranks `1..=n` with probability ∝ `1 / rank^alpha`.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     /// Cumulative probabilities; `cdf[i]` = P(rank <= i + 1).
     cdf: Vec<f64>,
+    /// `guide[k]` is the first index whose CDF entry is `>= k / 2^bits`, for
+    /// `k` in `0..=2^bits` (`cdf.len()` where none is). A `u` in slice `k`
+    /// inverts to an index in `guide[k]..=guide[k + 1]`.
+    guide: Vec<u32>,
+    /// `2^bits`, as the factor that takes `u` to its slice: multiplying by
+    /// a power of two is exact, so the slice of `u` is exactly the `k` with
+    /// `k / 2^bits <= u < (k + 1) / 2^bits`.
+    slices: f64,
 }
 
 impl ZipfSampler {
@@ -38,7 +51,23 @@ impl ZipfSampler {
         for c in &mut cdf {
             *c /= total;
         }
-        ZipfSampler { cdf }
+        // About one slice per rank: `2^bits <= n`.
+        let bits = n.ilog2().min(MAX_GUIDE_BITS);
+        let slices = 1u32 << bits;
+        let mut guide = Vec::with_capacity(slices as usize + 1);
+        let mut i = 0usize;
+        for k in 0..=slices {
+            let edge = f64::from(k) / f64::from(slices);
+            while i < cdf.len() && cdf[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        ZipfSampler {
+            cdf,
+            guide,
+            slices: f64::from(slices),
+        }
     }
 
     /// Number of ranks.
@@ -48,10 +77,18 @@ impl ZipfSampler {
 
     /// Draws a rank in `1..=n` (rank 1 is the most popular).
     pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
-        let u = rng.next_f64();
-        // partition_point returns the count of entries < u, which is the
-        // zero-based index of the first cdf entry >= u.
-        let idx = self.cdf.partition_point(|&c| c < u);
+        self.rank_of(rng.next_f64())
+    }
+
+    /// The rank `u` in `[0, 1)` inverts to: one past the index of the first
+    /// CDF entry `>= u`, the last rank where rounding left none.
+    #[inline]
+    fn rank_of(&self, u: f64) -> u64 {
+        let k = (u * self.slices) as usize;
+        let (lo, hi) = (self.guide[k] as usize, self.guide[k + 1] as usize);
+        // The CDF is non-decreasing, so the first entry >= u lies in
+        // `lo..=hi`: partition_point returns the count of entries < u.
+        let idx = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
         (idx.min(self.cdf.len() - 1) + 1) as u64
     }
 
@@ -185,6 +222,43 @@ mod tests {
 mod prop_tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The inversion before the guide table: a search of the whole CDF.
+    fn full_search(z: &ZipfSampler, u: f64) -> u64 {
+        let idx = z.cdf.partition_point(|&c| c < u);
+        (idx.min(z.cdf.len() - 1) + 1) as u64
+    }
+
+    /// The guided search agrees with the full one at every slice edge, one
+    /// ulp either side of it, and at random points, across rank counts that
+    /// straddle the table's width and the skews the corpus draws.
+    #[test]
+    fn guided_rank_equals_the_full_search() {
+        let mut rng = SplitMix64::new(0x2F1B);
+        for n in [1u64, 2, 3, 1000, (1 << 20) + 3] {
+            for alpha in [0.0, 0.6, 1.0, 1.4] {
+                let z = ZipfSampler::new(n, alpha);
+                let slices = z.guide.len() as u32 - 1;
+                let step = (slices / 4096).max(1);
+                let edges = (0..slices).step_by(step as usize).chain([slices - 1]);
+                for k in edges {
+                    let edge = f64::from(k) / f64::from(slices);
+                    let up = f64::from_bits(edge.to_bits() + 1);
+                    let below = (k > 0).then(|| f64::from_bits(edge.to_bits() - 1));
+                    for u in [Some(edge), Some(up), below].into_iter().flatten() {
+                        assert_eq!(z.rank_of(u), full_search(&z, u), "n {n} alpha {alpha} u {u:e}");
+                    }
+                }
+                // The largest `u` `next_f64` can return.
+                let top = 1.0 - f64::EPSILON / 2.0;
+                assert_eq!(z.rank_of(top), full_search(&z, top), "n {n} alpha {alpha}");
+                for _ in 0..20_000 {
+                    let u = rng.next_f64();
+                    assert_eq!(z.rank_of(u), full_search(&z, u), "n {n} alpha {alpha} u {u:e}");
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64 })]
