@@ -335,6 +335,7 @@ pub const FUZZED_ALGORITHMS: &[&str] = &[
     "ARC",
     "LRU-2",
     "B-LRU",
+    "S3-FIFO-D",
 ];
 
 #[cfg(test)]

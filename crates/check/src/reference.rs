@@ -150,6 +150,56 @@ impl RefFilter {
     }
 }
 
+/// S3-FIFO-D's adaptation (§6.2.2), over the S3-FIFO interpreter: two
+/// monitor ghosts of 5 % of the cache remember what `S` and `M` evicted,
+/// and every 100 monitor hits the small queue grows or shrinks by 0.1 % of
+/// the cache when one side has at least twice the other's hits.
+#[derive(Debug)]
+struct RefAdapt {
+    /// The small queue's current size in bytes.
+    small: u64,
+    /// Objects evicted from `S`.
+    mon_small: RefGhost,
+    /// Objects evicted from `M`.
+    mon_main: RefGhost,
+    hits_small: u64,
+    hits_main: u64,
+}
+
+impl RefAdapt {
+    fn new(capacity: u64) -> Self {
+        let fraction = |r: f64| (capacity as f64 * r).round() as u64;
+        RefAdapt {
+            small: fraction(0.1).max(1),
+            mon_small: RefGhost::new(fraction(0.05).max(1)),
+            mon_main: RefGhost::new(fraction(0.05).max(1)),
+            hits_small: 0,
+            hits_main: 0,
+        }
+    }
+
+    /// After 100 monitor hits, moves 0.1 % of the cache toward the queue
+    /// whose evictions were hit at least twice as often, within 0.5 %–50 %
+    /// of the cache, and starts counting afresh.
+    fn decide(&mut self, capacity: u64) {
+        if self.hits_small + self.hits_main < 100 {
+            return;
+        }
+        let fraction = |r: f64| (capacity as f64 * r).round() as u64;
+        let step = fraction(0.001).max(1);
+        let min = fraction(0.005).max(1);
+        let max = fraction(0.5).max(min);
+        let (hs, hm) = (self.hits_small as f64, self.hits_main as f64);
+        if hs >= hm * 2.0 {
+            self.small = (self.small + step).min(max);
+        } else if hm >= hs * 2.0 {
+            self.small = self.small.saturating_sub(step).max(min);
+        }
+        self.hits_small = 0;
+        self.hits_main = 0;
+    }
+}
+
 /// One entry of a reference queue: id, per-policy counter/flag, metadata.
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -290,6 +340,9 @@ pub struct ReferencePolicy {
     /// The hand of a SIEVE queue (`q0`, or S3-FIFO-Sieve's `q1`), stored as
     /// the id it points at (`None` = start at tail).
     hand: Option<ObjId>,
+    /// S3-FIFO-D's monitors and small-queue size; the S3-FIFO interpreter
+    /// underneath reads its `S` size from here.
+    adapt: Option<RefAdapt>,
     stats: PolicyStats,
 }
 
@@ -316,6 +369,7 @@ impl ReferencePolicy {
             p: 0,
             filter: (algo == Algo::BloomLru).then(|| RefFilter::new(capacity)),
             hand: None,
+            adapt: None,
             stats: PolicyStats::default(),
         }
     }
@@ -359,7 +413,10 @@ impl ReferencePolicy {
         let Algo::S3Fifo { ratio, .. } = self.algo else {
             unreachable!("s3 helper on non-S3 reference");
         };
-        ((self.capacity as f64 * ratio).round() as u64).max(1)
+        match &self.adapt {
+            Some(a) => a.small,
+            None => ((self.capacity as f64 * ratio).round() as u64).max(1),
+        }
     }
 
     fn s3_main_capacity(&self) -> u64 {
@@ -431,6 +488,35 @@ impl ReferencePolicy {
         } else {
             self.q0.push(Node::new(req));
         }
+    }
+
+    // ---- S3-FIFO-D (mirrors s3fifo::S3FifoD, §6.2.2) -------------------
+
+    /// A read that misses counts a hit on each monitor that remembers it.
+    fn s3d_before(&mut self, req: &Request) {
+        let resident = self.resident(req.id);
+        if let Some(a) = &mut self.adapt {
+            if req.op == Op::Get && !resident {
+                a.hits_small += u64::from(a.mon_small.remove(req.id));
+                a.hits_main += u64::from(a.mon_main.remove(req.id));
+            }
+        }
+    }
+
+    /// The request's evictions enter the monitor of the queue they left;
+    /// then the split may move, and `G` follows `M`'s new size.
+    fn s3d_after(&mut self, evicted: &[Eviction]) {
+        let Some(a) = &mut self.adapt else { return };
+        for e in evicted {
+            let monitor = if e.from_probationary {
+                &mut a.mon_small
+            } else {
+                &mut a.mon_main
+            };
+            monitor.insert(e.id, e.size);
+        }
+        a.decide(self.capacity);
+        self.ghost.capacity = self.s3_main_capacity();
     }
 
     // ---- 2Q (mirrors cache_policies::TwoQ) -----------------------------
@@ -688,59 +774,9 @@ impl ReferencePolicy {
         }
     }
 
-    fn insert(&mut self, req: &Request, evicted: &mut Vec<Eviction>) {
-        match self.algo {
-            Algo::Fifo
-            | Algo::Lru
-            | Algo::Clock(_)
-            | Algo::Sieve
-            | Algo::LruK
-            | Algo::BloomLru => {
-                self.single_insert(req, evicted);
-            }
-            Algo::Slru => self.slru_insert(req, evicted),
-            Algo::TwoQ => self.twoq_insert(req, evicted),
-            Algo::S3Fifo { .. } => self.s3_insert(req, evicted),
-            Algo::Arc => self.arc_insert(req, evicted),
-        }
-    }
-}
-
-impl Policy for ReferencePolicy {
-    fn name(&self) -> String {
-        match self.algo {
-            Algo::Fifo => "Ref<FIFO>".into(),
-            Algo::Lru => "Ref<LRU>".into(),
-            Algo::Clock(m) => format!("Ref<CLOCK max={m}>"),
-            Algo::Sieve => "Ref<SIEVE>".into(),
-            Algo::Slru => "Ref<SLRU>".into(),
-            Algo::TwoQ => "Ref<2Q>".into(),
-            Algo::S3Fifo { ratio, small, main } => {
-                format!("Ref<S3-FIFO({ratio:.2}) S={small:?} M={main:?}>")
-            }
-            Algo::Arc => "Ref<ARC>".into(),
-            Algo::LruK => "Ref<LRU-2>".into(),
-            Algo::BloomLru => "Ref<B-LRU>".into(),
-        }
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used_bytes()
-    }
-
-    fn len(&self) -> usize {
-        self.count()
-    }
-
-    fn contains(&self, id: ObjId) -> bool {
-        self.resident(id)
-    }
-
-    fn request(&mut self, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    /// One request through the queues (everything but S3-FIFO-D's
+    /// monitors).
+    fn request_queues(&mut self, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         match req.op {
             Op::Get => {
                 if self.resident(req.id) {
@@ -772,6 +808,67 @@ impl Policy for ReferencePolicy {
                 Outcome::NotRead
             }
         }
+    }
+
+    fn insert(&mut self, req: &Request, evicted: &mut Vec<Eviction>) {
+        match self.algo {
+            Algo::Fifo
+            | Algo::Lru
+            | Algo::Clock(_)
+            | Algo::Sieve
+            | Algo::LruK
+            | Algo::BloomLru => {
+                self.single_insert(req, evicted);
+            }
+            Algo::Slru => self.slru_insert(req, evicted),
+            Algo::TwoQ => self.twoq_insert(req, evicted),
+            Algo::S3Fifo { .. } => self.s3_insert(req, evicted),
+            Algo::Arc => self.arc_insert(req, evicted),
+        }
+    }
+}
+
+impl Policy for ReferencePolicy {
+    fn name(&self) -> String {
+        match self.algo {
+            Algo::Fifo => "Ref<FIFO>".into(),
+            Algo::Lru => "Ref<LRU>".into(),
+            Algo::Clock(m) => format!("Ref<CLOCK max={m}>"),
+            Algo::Sieve => "Ref<SIEVE>".into(),
+            Algo::Slru => "Ref<SLRU>".into(),
+            Algo::TwoQ => "Ref<2Q>".into(),
+            Algo::S3Fifo { .. } if self.adapt.is_some() => "Ref<S3-FIFO-D>".into(),
+            Algo::S3Fifo { ratio, small, main } => {
+                format!("Ref<S3-FIFO({ratio:.2}) S={small:?} M={main:?}>")
+            }
+            Algo::Arc => "Ref<ARC>".into(),
+            Algo::LruK => "Ref<LRU-2>".into(),
+            Algo::BloomLru => "Ref<B-LRU>".into(),
+        }
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used_bytes()
+    }
+
+    fn len(&self) -> usize {
+        self.count()
+    }
+
+    fn contains(&self, id: ObjId) -> bool {
+        self.resident(id)
+    }
+
+    fn request(&mut self, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+        self.s3d_before(req);
+        let before = evicted.len();
+        let outcome = self.request_queues(req, evicted);
+        self.s3d_after(&evicted[before..]);
+        outcome
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -819,6 +916,11 @@ pub fn reference_for(name: &str, capacity: u64) -> Option<ReferencePolicy> {
         "ARC" => Algo::Arc,
         "LRU-2" => Algo::LruK,
         "B-LRU" => Algo::BloomLru,
+        "S3-FIFO-D" => {
+            let mut r = ReferencePolicy::new(s3fifo(0.1, Queue::Fifo, Queue::Fifo), capacity);
+            r.adapt = Some(RefAdapt::new(capacity));
+            return Some(r);
+        }
         _ => {
             let ratio = name.strip_prefix("S3-FIFO(")?.strip_suffix(')')?;
             s3fifo(ratio.parse().ok()?, Queue::Fifo, Queue::Fifo)
@@ -968,6 +1070,8 @@ mod tests {
         LruKRanksByLast,
         /// A B-LRU that admits an object on its first sighting.
         BLruAdmitsFirstSighting,
+        /// An S3-FIFO-D that credits a monitor hit to the other queue.
+        S3dCreditsTheOtherQueue,
     }
 
     /// The reference with a [`Plant`] in it, driven as the dense side of a
@@ -1001,6 +1105,14 @@ mod tests {
                         f.record(req.id); // BUG: the first sighting counts as a second
                     }
                 }
+                Plant::S3dCreditsTheOtherQueue => {
+                    let miss = req.op == Op::Get && !r.resident(req.id);
+                    if let Some(a) = r.adapt.as_mut().filter(|_| miss) {
+                        // BUG: each monitor's hit counts for the other queue.
+                        a.hits_main += u64::from(a.mon_small.remove(req.id));
+                        a.hits_small += u64::from(a.mon_main.remove(req.id));
+                    }
+                }
                 Plant::ArcB1HitLeavesP | Plant::LruKRanksByLast => {}
             }
             let out = r.request(req, evicted);
@@ -1026,9 +1138,27 @@ mod tests {
     /// `plant` in `name`'s reference is caught by the differential run
     /// against the correct reference and the registry's keyed policy, and
     /// the reproduction shrinks to at most `max_len` requests (same shape as
-    /// `fuzz::tests::mutant_dense_is_caught_and_shrunk`).
+    /// `fuzz::tests::mutant_dense_is_caught_and_shrunk`). The run starts
+    /// from the fuzzer's unit-size pure-`Get` stream.
     fn plant_is_caught_and_shrunk(name: &str, plant: Plant, capacity: u64, max_len: usize) {
-        use crate::fuzz::{diff_run, generate_trace, shrink_with, FuzzConfig};
+        use crate::fuzz::{generate_trace, FuzzConfig};
+        let requests = generate_trace(&FuzzConfig {
+            max_size: 1,
+            write_percent: 0,
+            ..FuzzConfig::default()
+        });
+        plant_is_caught_on(name, plant, capacity, requests, max_len);
+    }
+
+    /// [`plant_is_caught_and_shrunk`] from the caller's `requests`.
+    fn plant_is_caught_on(
+        name: &str,
+        plant: Plant,
+        capacity: u64,
+        requests: Vec<Request>,
+        max_len: usize,
+    ) {
+        use crate::fuzz::{diff_run, shrink_with};
         let mut fails = |reqs: &[Request]| -> bool {
             let mut reference = reference_for(name, capacity).unwrap();
             let mut keyed = cache_policies::registry::build(name, capacity, None).unwrap();
@@ -1036,11 +1166,6 @@ mod tests {
             let slots = vec![0; reqs.len()]; // the plant ignores them
             diff_run(&mut reference, keyed.as_mut(), Some(&mut planted), &slots, reqs).is_some()
         };
-        let requests = generate_trace(&FuzzConfig {
-            max_size: 1,
-            write_percent: 0,
-            ..FuzzConfig::default()
-        });
         assert!(fails(&requests), "{plant:?}: the plant must diverge somewhere");
         let shrunk = shrink_with(&mut fails, requests);
         assert!(fails(&shrunk), "{plant:?}: the shrunk trace must still reproduce");
@@ -1070,6 +1195,59 @@ mod tests {
     #[test]
     fn blru_admitting_a_first_sighting_is_caught_and_shrunk() {
         plant_is_caught_and_shrunk("B-LRU", Plant::BLruAdmitsFirstSighting, 3, 1);
+    }
+
+    /// §5.2's adversarial pattern, `len` requests long, as S3-FIFO-D at
+    /// `capacity` sees it: every object's second (and last) request comes
+    /// just after it fell out of `S`, so only `S`'s monitor is ever hit. The
+    /// fuzzer's skewed streams move the split at none of its capacities;
+    /// this one moves it every 100 objects.
+    fn s3fifo_d_adversary(capacity: u64, len: usize) -> Vec<Request> {
+        let mut p = reference_for("S3-FIFO-D", capacity).unwrap();
+        let (mut next, mut oldest, mut evs) = (0u64, 0u64, Vec::new());
+        (0..len as u64)
+            .map(|t| {
+                let id = if oldest < next && !p.resident(oldest) {
+                    oldest += 1;
+                    oldest - 1
+                } else {
+                    next += 1;
+                    next - 1
+                };
+                let req = Request::get(id, t);
+                p.request(&req, &mut evs);
+                req
+            })
+            .collect()
+    }
+
+    #[test]
+    fn s3fifo_d_grows_s_when_its_evictions_are_hit() {
+        use crate::fuzz::diff_run;
+        let requests = s3fifo_d_adversary(20, 800);
+        let mut reference = reference_for("S3-FIFO-D", 20).unwrap();
+        let mut keyed = cache_policies::registry::build("S3-FIFO-D", 20, None).unwrap();
+        let (ids, slots) = cache_ds::DenseIds::intern(requests.iter().map(|r| r.id));
+        let mut dense =
+            cache_policies::registry::build_dense_domain("S3-FIFO-D", 20, ids.len()).unwrap();
+        let diverged = diff_run(
+            &mut reference,
+            keyed.as_mut(),
+            dense.as_deref_mut(),
+            &slots,
+            &requests,
+        );
+        assert_eq!(diverged, None);
+        let small = reference.adapt.as_ref().map(|a| a.small);
+        assert!(small > Some(3), "S grew from 2 to {small:?}");
+    }
+
+    #[test]
+    fn s3fifo_d_crediting_the_other_queue_is_caught_and_shrunk() {
+        // A decision needs 100 monitor hits, each an object's second
+        // request: no reproduction is shorter than 200 requests.
+        let requests = s3fifo_d_adversary(20, 300);
+        plant_is_caught_on("S3-FIFO-D", Plant::S3dCreditsTheOtherQueue, 20, requests, 210);
     }
 
     #[test]

@@ -228,8 +228,8 @@ pub fn fuzz_stream(
 /// byte accounting). Each is `(max_size, write_percent, ignore_size)`.
 pub const STREAM_SHAPES: &[(u32, u64, bool)] = &[(1, 0, true), (1, 12, true), (9, 12, false)];
 
-/// The algorithms the streamed differential covers: the slab policies
-/// (including parameterized S3-FIFO) plus keyed-only fallbacks. `Belady` is
+/// The algorithms the streamed differential covers: the slab policies,
+/// including parameterized S3-FIFO. `Belady`, the one keyed-only name, is
 /// deliberately absent — it cannot stream.
 pub const STREAM_ALGORITHMS: &[&str] = &[
     "FIFO",
@@ -246,8 +246,11 @@ pub const STREAM_ALGORITHMS: &[&str] = &[
     "TinyLFU",
     "LRU-2",
     "B-LRU",
+    "LeCaR",
+    "CACHEUS",
     "LHD",
     "FIFO-Merge",
+    "S3-FIFO-D",
 ];
 
 #[cfg(test)]

@@ -25,6 +25,10 @@ pub struct SlotGhost {
     present: Vec<bool>,
     used: u64,
     capacity: u64,
+    /// The bytes charged when a [`SlotGhost::set_capacity`] shrank the
+    /// window below them, 0 otherwise: those entries stay until the next
+    /// insertion trims them, and [`SlotGhost::validate`] allows for that.
+    over: u64,
 }
 
 impl SlotGhost {
@@ -35,6 +39,7 @@ impl SlotGhost {
             present: cache_ds::huge::filled(slots, false),
             used: 0,
             capacity,
+            over: 0,
         }
     }
 
@@ -73,6 +78,7 @@ impl SlotGhost {
             slab.ghost_ref(slot);
         }
         self.trim_to(slab, self.capacity);
+        self.over = 0;
     }
 
     /// Drops oldest entries until at most `cap` bytes are charged (ARC
@@ -111,10 +117,13 @@ impl SlotGhost {
     /// capacity on the next insertion.
     pub fn set_capacity(&mut self, capacity: u64) {
         self.capacity = capacity;
+        self.over = if self.used > capacity { self.used } else { 0 };
     }
 
     /// Structural self-check: the byte charge matches the FIFO entries
-    /// (tombstones included), the window bound holds, every marked slot owns
+    /// (tombstones included), the window bound holds (or, after a shrink
+    /// and before the next insertion, the charge did not grow), every
+    /// marked slot owns
     /// a FIFO entry, and — under a recycling slab — each slot's reference
     /// count is the number of FIFO entries naming it.
     ///
@@ -155,7 +164,7 @@ impl SlotGhost {
 
     /// The byte charge, the window bound and the marks of this ghost alone.
     fn validate_own(&self) -> Result<(), String> {
-        if self.used > self.capacity {
+        if self.used > self.capacity.max(self.over) {
             return Err(format!(
                 "ghost used {} > capacity {}",
                 self.used, self.capacity
@@ -234,6 +243,27 @@ mod tests {
         let mut g = SlotGhost::new(8, 0);
         g.insert(&mut slab, 3, 1);
         assert!(!g.contains(3));
+    }
+
+    #[test]
+    fn a_shrunk_window_is_allowed_its_overshoot_until_the_next_insertion() {
+        let mut slab = DenseSlab::with_domain(8);
+        let mut g = SlotGhost::new(8, 3);
+        for slot in 0..3 {
+            g.insert(&mut slab, slot, 1);
+        }
+        g.set_capacity(1);
+        assert_eq!(g.used(), 3);
+        g.validate(&slab).unwrap();
+        g.insert(&mut slab, 3, 1);
+        assert_eq!(g.used(), 1);
+        g.validate(&slab).unwrap();
+        // A ghost that stopped trimming after that insertion is caught, even
+        // though its window was once 3 bytes wide.
+        g.fifo.push_back((4, 1));
+        g.used += 1;
+        let err = g.validate(&slab).unwrap_err();
+        assert!(err.contains("> capacity 1"), "{err}");
     }
 
     #[test]

@@ -93,10 +93,6 @@ impl<P: SlabPolicy> Keyed<P> {
         self.free.len()
     }
 
-    pub(crate) fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
-
     /// Unmaps and frees every slot the last request left idle.
     fn reclaim(&mut self) {
         let slab = self.inner.slab_mut();

@@ -13,18 +13,19 @@
 //!   a couple of array loads;
 //! - **keyed** — [`Keyed`] interns `ObjId → slot` on the fly, recycles slots
 //!   the policy reports idle, and is the [`cache_types::Policy`] behind the
-//!   public names (`S3Fifo` here; `Fifo`, `Lru`, `Clock`, `Sieve`, `Slru`,
-//!   `TwoQ`, `Arc`, `Lirs`, `TinyLfu`, `LruK`, `BloomLru` in
-//!   `cache-policies`).
+//!   public names (`S3Fifo` and `S3FifoD` here; `Fifo`, `Lru`, `Clock`,
+//!   `Sieve`, `Slru`, `TwoQ`, `Arc`, `Lirs`, `TinyLfu`, `LruK`, `BloomLru`,
+//!   `LeCar`, `Cacheus`, `Lhd`, `FifoMerge` in `cache-policies`).
 //!
 //! There is one implementation of each algorithm; the two doors differ only
 //! in who hands out slots. `cache_check`'s fuzzer drives both against its
 //! reference interpreters.
 //!
 //! The plumbing lives in this crate, not in `cache-ds`, because
-//! [`DenseS3Fifo`](crate::DenseS3Fifo) must sit below `cache-policies` (whose
-//! registry builds `S3FifoD`) and a `cache-ds → cache-types` edge would
-//! rewrite the frozen `benchmark/Cargo.lock`.
+//! [`DenseS3Fifo`](crate::DenseS3Fifo) and
+//! [`DenseS3FifoD`](crate::DenseS3FifoD) are built on it below
+//! `cache-policies` (whose registry builds them) and a `cache-ds →
+//! cache-types` edge would rewrite the frozen `benchmark/Cargo.lock`.
 
 mod ghost;
 mod keyed;
@@ -32,7 +33,7 @@ mod slab;
 
 pub use ghost::SlotGhost;
 pub use keyed::{Keyed, SlabPolicy};
-pub use slab::{validate_packed_queue, DenseSlab, PackedQueue, Slot};
+pub use slab::{validate_queues, DenseSlab, PackedQueue, Slot};
 
 use cache_types::{DensePolicy, Eviction, Request};
 

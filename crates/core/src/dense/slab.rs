@@ -401,58 +401,51 @@ impl PackedQueue {
     }
 }
 
-/// Structural validation shared by the single-queue dense policies: the
-/// intrusive links walk exactly `queue.len()` slots, every walked slot
-/// carries `resident_tag` (and respects `max_freq` when given), byte
-/// accounting matches, no slot outside the queue is tagged resident, and the
-/// capacity bound holds.
-pub fn validate_packed_queue(
+/// Structural validation shared by the slab policies: each `(queue, tag,
+/// bytes, label)` links exactly its `len` slots, every one tagged `tag`,
+/// together charged `bytes`; no slot outside the queues carries a tag; and
+/// the queues fit `capacity`.
+pub fn validate_queues(
     name: &str,
     capacity: u64,
-    used: u64,
     slab: &DenseSlab,
-    queue: &PackedQueue,
-    resident_tag: u8,
-    max_freq: Option<u8>,
+    queues: &[(&PackedQueue, u8, u64, &str)],
 ) -> Result<(), String> {
-    if used > capacity {
-        return Err(format!("{name}: used {used} > capacity {capacity}"));
-    }
-    let mut bytes = 0u64;
-    let mut count = 0u32;
-    for slot in queue.iter(&slab.slots) {
-        let s = &slab.slots[slot as usize];
-        if s.tag != resident_tag {
-            return Err(format!(
-                "{name}: queued slot {slot} tagged {} instead of {resident_tag}",
-                s.tag
-            ));
-        }
-        if let Some(cap) = max_freq {
-            if s.freq > cap {
+    let mut queued = 0usize;
+    let mut total = 0u64;
+    for &(queue, tag, used, label) in queues {
+        let (mut bytes, mut count) = (0u64, 0u32);
+        for slot in queue.iter(&slab.slots) {
+            let s = &slab.slots[slot as usize];
+            if s.tag != tag {
                 return Err(format!(
-                    "{name}: slot {slot} freq {} exceeds cap {cap}",
-                    s.freq
+                    "{name}: slot {slot} sits in {label} but is tagged {}",
+                    s.tag
                 ));
             }
+            bytes += u64::from(s.size);
+            count += 1;
         }
-        bytes += u64::from(s.size);
-        count += 1;
+        if count != queue.len() {
+            return Err(format!(
+                "{name}: {label} links walk {count} slots but len says {}",
+                queue.len()
+            ));
+        }
+        if bytes != used {
+            return Err(format!("{name}: {label} bytes {bytes} != accounted {used}"));
+        }
+        queued += count as usize;
+        total += used;
     }
-    if count != queue.len() {
-        return Err(format!(
-            "{name}: links walk {count} slots but len says {}",
-            queue.len()
-        ));
+    if total > capacity {
+        return Err(format!("{name}: used {total} > capacity {capacity}"));
     }
     let tagged = slab.slots.iter().filter(|s| s.tag != 0).count();
-    if tagged != count as usize {
+    if tagged != queued {
         return Err(format!(
-            "{name}: {tagged} slots carry a residency tag but {count} are queued"
+            "{name}: {tagged} slots carry a residency tag but {queued} are queued"
         ));
-    }
-    if bytes != used {
-        return Err(format!("{name}: queued bytes {bytes} != accounted {used}"));
     }
     Ok(())
 }

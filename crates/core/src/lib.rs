@@ -23,7 +23,8 @@
 //! - [`dense`] — the slab, queues and ghost the FIFO-family policies (here
 //!   and in `cache-policies`) are built from, and the [`Keyed`] adapter that
 //!   turns any of them into a [`cache_types::Policy`];
-//! - [`S3FifoD`] — the adaptive-queue-size variant of §6.2.2;
+//! - [`DenseS3FifoD`] — the adaptive-queue-size variant of §6.2.2, the same
+//!   queues plus two monitor ghosts, and [`S3FifoD`], keyed;
 //! - [`policy::Queues`] — the §6.3 queue-type ablation (LRU vs FIFO for `S`
 //!   and `M`) and §7's SIEVE `M`, as marker types on [`DenseS3Fifo`];
 //! - [`S3FifoCache`] — a standalone `K → V` cache for applications, using
@@ -46,12 +47,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod cache;
 pub mod dense;
 pub mod policy;
 
-pub use adaptive::S3FifoD;
 pub use cache::S3FifoCache;
 pub use dense::Keyed;
-pub use policy::{DenseS3Fifo, S3Fifo, S3FifoConfig};
+pub use policy::{DenseS3Fifo, DenseS3FifoD, S3Fifo, S3FifoConfig, S3FifoD};

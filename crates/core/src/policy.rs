@@ -16,9 +16,9 @@
 //! Slot-state conventions (see [`crate::dense::Slot`]): `tag` is the queue
 //! tag (`ABSENT`/`SMALL`/`MAIN`), `freq` the two-bit access counter.
 
-use crate::dense::{DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
+use crate::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
 use crate::impl_dense_replay;
-use cache_ds::NIL;
+use cache_ds::{GhostFifo, NIL};
 use cache_types::{
     CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request,
 };
@@ -226,7 +226,7 @@ impl<Q: Queues> DenseS3Fifo<Q> {
     /// Rebalances the S/M split to give `s_capacity` bytes to the small
     /// queue (used by the adaptive variant, §6.2.2). The ghost window tracks
     /// the new main capacity. Queues shrink lazily through future evictions.
-    pub(crate) fn set_small_capacity(&mut self, s_capacity: u64) {
+    fn set_small_capacity(&mut self, s_capacity: u64) {
         // Both queues keep a one-byte floor even at capacity 1, exactly like
         // the constructor (`clamp(1, capacity - 1)` would panic there).
         let s = s_capacity.clamp(1, self.capacity.saturating_sub(1).max(1));
@@ -416,11 +416,6 @@ impl Keyed<DenseS3Fifo> {
     pub fn with_config(capacity: u64, cfg: S3FifoConfig) -> Result<Self, CacheError> {
         DenseS3Fifo::with_config_domain(capacity, cfg, 0).map(Self::over)
     }
-
-    /// See [`DenseS3Fifo::set_small_capacity`].
-    pub(crate) fn set_small_capacity(&mut self, s_capacity: u64) {
-        self.inner_mut().set_small_capacity(s_capacity);
-    }
 }
 
 impl<Q: Queues> DensePolicy for DenseS3Fifo<Q> {
@@ -490,61 +485,22 @@ impl<Q: Queues> DensePolicy for DenseS3Fifo<Q> {
     impl_dense_replay!(ghost);
 
     fn validate(&self) -> Result<(), String> {
-        if self.used_total() > self.capacity {
-            return Err(format!(
-                "used {} > capacity {}",
-                self.used_total(),
-                self.capacity
-            ));
-        }
         // No `m_used <= m_capacity` assertion: promotions and ghost-hit
         // inserts trim M by one object, which with sized objects can leave M
         // over budget until the next trim (found by cache-check's
         // differential fuzzer; the reference interpreter agrees).
-        let mut queued = 0usize;
-        for (queue, tag, used, name) in [
+        let queues = [
             (&self.small, SMALL, self.s_used, "small"),
             (&self.main, MAIN, self.m_used, "main"),
-        ] {
-            let mut bytes = 0u64;
-            let mut count = 0u32;
-            for slot in queue.iter(&self.slab.slots) {
-                let s = &self.slab.slots[slot as usize];
-                if s.tag != tag {
-                    return Err(format!(
-                        "slot {slot} sits in {name} but is tagged {}",
-                        s.tag
-                    ));
-                }
-                if s.freq > MAX_FREQ {
-                    return Err(format!("slot {slot} freq {} exceeds 2-bit cap", s.freq));
-                }
-                if self.ghost.contains(slot) {
-                    return Err(format!("slot {slot} is both resident and in the ghost"));
-                }
-                bytes += u64::from(s.size);
-                count += 1;
-                queued += 1;
-            }
-            if count != queue.len() {
-                return Err(format!(
-                    "{name} links walk {count} slots but len says {}",
-                    queue.len()
-                ));
-            }
-            if bytes != used {
-                return Err(format!("{name} bytes {bytes} != accounted {used}"));
-            }
-        }
-        let tagged = self
-            .slab
-            .slots
-            .iter()
-            .filter(|s| s.tag != ABSENT)
-            .count();
-        if tagged != queued {
+        ];
+        validate_queues(&self.name(), self.capacity, &self.slab, &queues)?;
+        let slots = &self.slab.slots;
+        let mut resident = self.small.iter(slots).chain(self.main.iter(slots));
+        if let Some(s) =
+            resident.find(|&s| slots[s as usize].freq > MAX_FREQ || self.ghost.contains(s))
+        {
             return Err(format!(
-                "{tagged} slots carry a residency tag but {queued} are queued"
+                "slot {s} counts past the 2-bit cap or is also a ghost"
             ));
         }
         if self.hand != NIL && self.slab.slots[self.hand as usize].tag != MAIN {
@@ -559,6 +515,174 @@ impl<Q: Queues> DensePolicy for DenseS3Fifo<Q> {
         self.stats
     }
 }
+
+/// §6.2.2: each monitor ghost holds 5 % of the cache.
+pub const MONITOR_RATIO: f64 = 0.05;
+/// §6.2.2: combined monitor hits between two adaptation decisions.
+pub const HITS_PER_DECISION: u64 = 100;
+/// §6.2.2: a decision acts only when one monitor has at least 2× the
+/// other's hits.
+pub const IMBALANCE: f64 = 2.0;
+/// §6.2.2: a decision moves 0.1 % of the cache between `S` and `M`.
+pub const STEP_RATIO: f64 = 0.001;
+/// Clamps on `S`'s share, so that neither queue can be adapted away.
+pub const MIN_SMALL_RATIO: f64 = 0.005;
+/// See [`MIN_SMALL_RATIO`].
+pub const MAX_SMALL_RATIO: f64 = 0.5;
+
+/// S3-FIFO-D: S3-FIFO with dynamically sized queues (§6.2.2), over dense
+/// slots.
+///
+/// The paper's adaptive variant balances *marginal hits* on objects recently
+/// evicted from `S` and from `M`. Two small monitor ghosts (5 % of the cache
+/// each) remember recent evictions from each data queue. Each time the
+/// monitors accumulate [`HITS_PER_DECISION`] hits combined, and one side has
+/// at least [`IMBALANCE`]× the hits of the other, 0.1 % of the cache moves to
+/// the queue whose evicted objects receive more hits.
+///
+/// The queues are a [`DenseS3Fifo`]; the monitors are keyed by object id
+/// (`cache_ds::GhostFifo`), so they pin no slot and read the same on both
+/// doors. §6.2.2 concludes that the static 10 % split beats the adaptive
+/// one on most traces; `repro ablation_adaptive` reproduces that comparison.
+#[derive(Debug)]
+pub struct DenseS3FifoD {
+    inner: DenseS3Fifo,
+    /// Monitor ghost for objects evicted from `S`.
+    mon_small: GhostFifo,
+    /// Monitor ghost for objects evicted from `M`.
+    mon_main: GhostFifo,
+    hits_small: u64,
+    hits_main: u64,
+}
+
+impl DenseS3FifoD {
+    /// Creates an adaptive S3-FIFO starting from the default 10 % split, over
+    /// the dense domain `0..domain`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
+    pub fn with_domain(capacity: u64, domain: usize) -> Result<Self, CacheError> {
+        let inner = DenseS3Fifo::with_domain(capacity, domain)?;
+        let mon_cap = ((capacity as f64 * MONITOR_RATIO).round() as u64).max(1);
+        Ok(DenseS3FifoD {
+            inner,
+            mon_small: GhostFifo::new(mon_cap),
+            mon_main: GhostFifo::new(mon_cap),
+            hits_small: 0,
+            hits_main: 0,
+        })
+    }
+
+    /// Current small-queue size in bytes.
+    pub fn small_target(&self) -> u64 {
+        self.inner.s_capacity
+    }
+
+    fn maybe_adapt(&mut self) {
+        if self.hits_small + self.hits_main < HITS_PER_DECISION {
+            return;
+        }
+        let capacity = self.inner.capacity as f64;
+        let step = ((capacity * STEP_RATIO).round() as u64).max(1);
+        let min_s = ((capacity * MIN_SMALL_RATIO).round() as u64).max(1);
+        let max_s = ((capacity * MAX_SMALL_RATIO).round() as u64).max(min_s);
+        let (hs, hm) = (self.hits_small as f64, self.hits_main as f64);
+        let s = self.inner.s_capacity;
+        if hs >= hm * IMBALANCE {
+            // Objects evicted from S keep getting requested: S is too small.
+            self.inner.set_small_capacity((s + step).min(max_s));
+        } else if hm >= hs * IMBALANCE {
+            // Objects evicted from M are re-requested: M is too small.
+            self.inner
+                .set_small_capacity(s.saturating_sub(step).max(min_s));
+        }
+        self.hits_small = 0;
+        self.hits_main = 0;
+    }
+}
+
+impl DensePolicy for DenseS3FifoD {
+    fn name(&self) -> String {
+        "S3-FIFO-D".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.inner.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.inner.used_total()
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len_total()
+    }
+
+    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+        // Count marginal hits on the monitors before the queues change.
+        if req.is_read() && self.inner.slab.slots[slot as usize].tag == ABSENT {
+            self.hits_small += u64::from(self.mon_small.remove(req.id));
+            self.hits_main += u64::from(self.mon_main.remove(req.id));
+        }
+        let before = evicted.len();
+        let outcome = self.inner.request_dense(slot, req, evicted);
+        // Route fresh evictions into the matching monitor.
+        for ev in &evicted[before..] {
+            let monitor = if ev.from_probationary {
+                &mut self.mon_small
+            } else {
+                &mut self.mon_main
+            };
+            monitor.insert(ev.id, ev.size);
+        }
+        self.maybe_adapt();
+        outcome
+    }
+
+    fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
+        self.inner.grow_domain(domain, reserve)
+    }
+
+    fn prefetch(&self, slot: u32) {
+        self.inner.prefetch(slot);
+    }
+
+    fn replay(
+        &mut self,
+        slots: &[u32],
+        requests: &[Request],
+        ignore_size: bool,
+        on_eviction: &mut dyn FnMut(usize, &Eviction),
+    ) {
+        crate::dense::replay_loop(self, slots, requests, ignore_size, on_eviction);
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        self.inner.validate()
+    }
+
+    fn stats(&self) -> PolicyStats {
+        self.inner.stats
+    }
+}
+
+impl SlabPolicy for DenseS3FifoD {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn slab(&self) -> &DenseSlab {
+        &self.inner.slab
+    }
+
+    fn slab_mut(&mut self) -> &mut DenseSlab {
+        &mut self.inner.slab
+    }
+}
+
+/// S3-FIFO-D keyed by object id.
+pub type S3FifoD = Keyed<DenseS3FifoD>;
 
 #[cfg(test)]
 mod tests {
@@ -590,6 +714,68 @@ mod tests {
     #[test]
     fn rejects_zero_capacity() {
         assert!(S3Fifo::new(0).is_err());
+    }
+
+    #[test]
+    fn s3fifo_d_starts_from_the_default_split() {
+        let mut p = S3FifoD::new(1000).unwrap();
+        assert_eq!(p.small_target(), 100);
+        assert_eq!(p.capacity(), 1000);
+        assert_eq!(p.name(), "S3-FIFO-D");
+        assert_eq!(get(&mut p, 1, 0), Outcome::Miss);
+        assert_eq!(get(&mut p, 1, 1), Outcome::Hit);
+        assert!(S3FifoD::new(0).is_err());
+    }
+
+    #[test]
+    fn s3fifo_d_respects_capacity_under_load() {
+        let mut p = S3FifoD::new(64).unwrap();
+        let mut state = 99u64;
+        for t in 0..20_000u64 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            get(&mut p, (state >> 33) % 1000, t);
+            assert!(p.used() <= 64);
+        }
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn s3fifo_d_grows_s_when_its_evictions_get_hits() {
+        // §5.2's adversarial pattern under §6.2.2's own constants: every
+        // object's second (and last) request arrives just after it fell out
+        // of S, so it hits the S monitor — 5 % of the cache — and nothing
+        // ever hits the M monitor. Each 100 such hits move 0.1 % of the
+        // cache, one object here, from M to S.
+        // The split must only ever move towards S, one step at a time.
+        let mut p = S3FifoD::new(1000).unwrap();
+        let start = p.small_target();
+        let (mut next_id, mut oldest, mut last) = (0u64, 0u64, start);
+        for t in 0..8000u64 {
+            if oldest < next_id && !p.contains(oldest) {
+                get(&mut p, oldest, t);
+                oldest += 1;
+            } else {
+                get(&mut p, next_id, t);
+                next_id += 1;
+            }
+            let now = p.small_target();
+            assert!(
+                now == last || now == last + 1,
+                "S moved from {last} to {now} at request {t}"
+            );
+            last = now;
+        }
+        assert!(last >= start + 10, "S grew only to {last}");
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn s3fifo_d_keeps_its_split_without_evictions() {
+        let mut p = S3FifoD::new(100).unwrap();
+        for t in 0..10_000u64 {
+            get(&mut p, t % 50, t); // everything fits
+        }
+        assert_eq!(p.small_target(), 10, "no evictions -> no adaptation");
     }
 
     #[test]

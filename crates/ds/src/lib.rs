@@ -11,7 +11,7 @@
 //! - [`ghost::GhostTable`] — the paper's bucketed fingerprint ghost queue
 //!   (§4.2): fingerprints plus insertion sequence numbers with lazy expiry;
 //!   [`ghost::GhostFifo`] — the exact byte-bounded ghost FIFO of ids that
-//!   S3-FIFO-D, ARC, LeCaR and CACHEUS share.
+//!   S3-FIFO-D's monitors use.
 //! - [`ring::MpmcRing`] — a bounded lock-free MPMC queue (Vyukov sequence
 //!   counters).
 //! - [`prefetch::prefetch_read`] — bounds-checked software prefetch hint for

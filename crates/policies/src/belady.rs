@@ -7,7 +7,6 @@
 //! Fig. 4 uses Belady to show that even the optimal policy evicts mostly
 //! one-hit wonders.
 
-use crate::util::Meta;
 use cache_ds::IdMap;
 use cache_types::{CacheError, Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
 use std::collections::BTreeSet;
@@ -17,7 +16,10 @@ const INFINITY: u64 = u64::MAX;
 
 struct Entry {
     next_use: u64,
-    meta: Meta,
+    size: u32,
+    insert_time: u64,
+    /// Accesses after insertion.
+    hits: u32,
 }
 
 /// The offline-optimal eviction policy.
@@ -71,17 +73,40 @@ impl Belady {
             self.order.remove(&(next, id));
             // Invariant: the order set and the table index the same ids.
             let entry = self.table.remove(&id).expect("ordered id in table");
-            self.used -= u64::from(entry.meta.size);
+            self.used -= u64::from(entry.size);
             self.stats.evictions += 1;
-            evicted.push(entry.meta.eviction(id, false));
+            evicted.push(Eviction {
+                id,
+                size: entry.size,
+                insert_time: entry.insert_time,
+                freq: entry.hits,
+                from_probationary: false,
+            });
         }
     }
 
     fn delete(&mut self, id: ObjId) {
         if let Some(e) = self.table.remove(&id) {
             self.order.remove(&(e.next_use, id));
-            self.used -= u64::from(e.meta.size);
+            self.used -= u64::from(e.size);
         }
+    }
+
+    /// Admits `req`'s object, whose next request is at `next`, evicting
+    /// what must go to make room.
+    fn insert(&mut self, req: &Request, next: u64, evicted: &mut Vec<Eviction>) {
+        while self.used + u64::from(req.size) > self.capacity && !self.table.is_empty() {
+            self.evict_one(evicted);
+        }
+        let entry = Entry {
+            next_use: next,
+            size: req.size,
+            insert_time: req.time,
+            hits: 0,
+        };
+        self.table.insert(req.id, entry);
+        self.order.insert((next, req.id));
+        self.used += u64::from(req.size);
     }
 }
 
@@ -120,7 +145,7 @@ impl Policy for Belady {
                 if self.table.contains_key(&req.id) {
                     // Invariant: contains_key just succeeded.
                     let e = self.table.get_mut(&req.id).expect("entry exists");
-                    e.meta.touch(req.time);
+                    e.hits += 1;
                     let old = e.next_use;
                     e.next_use = next;
                     self.order.remove(&(old, req.id));
@@ -132,38 +157,14 @@ impl Policy for Belady {
                     Outcome::Uncacheable
                 } else {
                     self.stats.record_get(req.size, true);
-                    while self.used + u64::from(req.size) > self.capacity && !self.table.is_empty()
-                    {
-                        self.evict_one(evicted);
-                    }
-                    self.table.insert(
-                        req.id,
-                        Entry {
-                            next_use: next,
-                            meta: Meta::new(req.size, req.time),
-                        },
-                    );
-                    self.order.insert((next, req.id));
-                    self.used += u64::from(req.size);
+                    self.insert(req, next, evicted);
                     Outcome::Miss
                 }
             }
             Op::Set => {
                 self.delete(req.id);
                 if u64::from(req.size) <= self.capacity {
-                    while self.used + u64::from(req.size) > self.capacity && !self.table.is_empty()
-                    {
-                        self.evict_one(evicted);
-                    }
-                    self.table.insert(
-                        req.id,
-                        Entry {
-                            next_use: next,
-                            meta: Meta::new(req.size, req.time),
-                        },
-                    );
-                    self.order.insert((next, req.id));
-                    self.used += u64::from(req.size);
+                    self.insert(req, next, evicted);
                 }
                 Outcome::NotRead
             }

@@ -15,9 +15,8 @@
 //! are [`SlotGhost`]s, so under [`Keyed`] a ghost's slot is not recycled
 //! while either ghost still names it.
 
-use super::validate_queues;
 use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{DenseSlab, Keyed, PackedQueue, SlotGhost};
+use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlotGhost};
 use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;

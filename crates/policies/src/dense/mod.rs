@@ -1,11 +1,12 @@
 //! The slab policies: every algorithm here written once, over dense slots.
 //!
 //! FIFO, LRU, CLOCK, SIEVE and B-LRU ([`simple`]), 2Q and SLRU ([`multi`]),
-//! ARC, LIRS, W-TinyLFU and LRU-2 keep their per-object state in plain
-//! slots indexed by a `u32` (the intrusive-array layout libCacheSim uses)
-//! rather than in per-key hash-map nodes; S3-FIFO does the same in the
-//! `s3fifo` crate, which also owns the shared plumbing ([`s3fifo::dense`]:
-//! slab, queues, ghost, replay loop). The simulator drives them with
+//! ARC, LIRS, W-TinyLFU, LRU-2, LeCaR, CACHEUS, LHD and FIFO-Merge keep
+//! their per-object state in plain slots indexed by a `u32` (the
+//! intrusive-array layout libCacheSim uses) rather than in per-key hash-map
+//! nodes; S3-FIFO and S3-FIFO-D do the same in the `s3fifo` crate, which
+//! also owns the shared plumbing ([`s3fifo::dense`]: slab, queues, ghost,
+//! replay loop). The simulator drives them with
 //! pre-interned slots, where a request costs a couple of array loads; the
 //! keyed names ([`Fifo`], [`Arc`], …) are the same code behind
 //! [`s3fifo::Keyed`], which interns ids on the fly.
@@ -14,6 +15,10 @@
 //! curve in one trace pass.
 
 mod arc;
+mod cacheus;
+mod fifomerge;
+mod lecar;
+mod lhd;
 mod lirs;
 mod lruk;
 pub mod mrc;
@@ -22,63 +27,82 @@ mod simple;
 mod tinylfu;
 
 pub use arc::{Arc, DenseArc};
+pub use cacheus::{Cacheus, DenseCacheus};
+pub use fifomerge::{DenseFifoMerge, FifoMerge};
+pub use lecar::{DenseLeCar, LeCar};
+pub use lhd::{DenseLhd, Lhd};
 pub use lirs::{DenseLirs, Lirs};
 pub use lruk::{DenseLruK, LruK};
 pub use mrc::{MrcExactFifo, MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve, MultiCapacityPolicy};
 pub use multi::{DenseSlru, DenseTwoQ, Slru, TwoQ};
-pub use s3fifo::DenseS3Fifo;
+pub use s3fifo::{DenseS3Fifo, DenseS3FifoD};
 pub use simple::{
     BloomLru, Clock, DenseBloomLru, DenseClock, DenseFifo, DenseLru, DenseSieve, Fifo, Lru, Sieve,
 };
 pub use tinylfu::{DenseTinyLfu, TinyLfu};
 
-use s3fifo::dense::{DenseSlab, PackedQueue};
+use s3fifo::dense::DenseSlab;
+use std::collections::BTreeSet;
 
-/// Structural validation shared by the multi-queue slab policies: each
-/// `(queue, tag, bytes, label)` links exactly its `len` slots, every one
-/// tagged `tag`, together charged `bytes`; no slot outside the queues
-/// carries a tag; and the queues fit `capacity`.
-pub(crate) fn validate_queues(
-    name: &str,
-    capacity: u64,
-    slab: &DenseSlab,
-    queues: &[(&PackedQueue, u8, u64, &str)],
-) -> Result<(), String> {
-    let mut queued = 0usize;
-    let mut total = 0u64;
-    for &(queue, tag, used, label) in queues {
-        let (mut bytes, mut count) = (0u64, 0u32);
-        for slot in queue.iter(&slab.slots) {
-            let s = &slab.slots[slot as usize];
-            if s.tag != tag {
-                return Err(format!(
-                    "{name}: slot {slot} sits in {label} but is tagged {}",
-                    s.tag
-                ));
-            }
-            bytes += u64::from(s.size);
-            count += 1;
-        }
-        if count != queue.len() {
-            return Err(format!(
-                "{name}: {label} links walk {count} slots but len says {}",
-                queue.len()
-            ));
-        }
-        if bytes != used {
-            return Err(format!("{name}: {label} bytes {bytes} != accounted {used}"));
-        }
-        queued += count as usize;
-        total += used;
+/// LeCaR's and CACHEUS's LFU expert: resident slots ordered by hit count,
+/// then by a sequence number stamped at insertion (and, for CACHEUS, at
+/// every hit), least first. Stamps are unique, so the slot number never
+/// breaks a tie and both doors rank alike. The stamps live in an array
+/// beside the slab, which catches up with its domain on insertion.
+#[derive(Debug, Default)]
+pub(crate) struct LfuOrder {
+    set: BTreeSet<(u32, u64, u32)>,
+    /// Per slot: its current stamp.
+    stamps: Vec<u64>,
+    /// The last stamp handed out.
+    last: u64,
+}
+
+impl LfuOrder {
+    fn key(&self, slab: &DenseSlab, slot: u32) -> (u32, u64, u32) {
+        let stamp = self.stamps[slot as usize];
+        (slab.slots[slot as usize].hits, stamp, slot)
     }
-    if total > capacity {
-        return Err(format!("{name}: used {total} > capacity {capacity}"));
+
+    /// The least frequently used slot, oldest stamp first.
+    pub(crate) fn first(&self) -> Option<u32> {
+        self.set.first().map(|&(_, _, slot)| slot)
     }
-    let tagged = slab.slots.iter().filter(|s| s.tag != 0).count();
-    if tagged != queued {
-        return Err(format!(
-            "{name}: {tagged} slots carry a residency tag but {queued} are queued"
-        ));
+
+    /// Ranks resident `slot` under a fresh stamp.
+    pub(crate) fn insert(&mut self, slab: &DenseSlab, slot: u32) {
+        if self.stamps.len() < slab.domain() {
+            self.stamps.resize(slab.domain(), 0);
+        }
+        self.last += 1;
+        self.stamps[slot as usize] = self.last;
+        self.set.insert(self.key(slab, slot));
     }
-    Ok(())
+
+    /// Drops `slot` from the order.
+    pub(crate) fn remove(&mut self, slab: &DenseSlab, slot: u32) {
+        let key = self.key(slab, slot);
+        self.set.remove(&key);
+    }
+
+    /// Records a hit on `slot` in the slab and re-ranks it, under a fresh
+    /// stamp when `restamp`.
+    pub(crate) fn hit(&mut self, slab: &mut DenseSlab, slot: u32, restamp: bool) {
+        self.remove(slab, slot);
+        slab.slots[slot as usize].touch();
+        if restamp {
+            self.insert(slab, slot);
+        } else {
+            self.set.insert(self.key(slab, slot));
+        }
+    }
+
+    /// True when the order ranks exactly the `resident` tagged slots, each
+    /// under its current count and stamp.
+    pub(crate) fn is_current(&self, slab: &DenseSlab, resident: usize) -> bool {
+        let current = |&(hits, stamp, slot): &(u32, u64, u32)| {
+            slab.slots[slot as usize].tag != 0 && self.key(slab, slot) == (hits, stamp, slot)
+        };
+        self.set.len() == resident && self.set.iter().all(current)
+    }
 }

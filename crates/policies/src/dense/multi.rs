@@ -8,9 +8,8 @@
 //! tag (`ABSENT`/`A1IN`/`AM`) in `tag`; SLRU stores `segment + 1` in `tag`
 //! so that 0 keeps meaning "absent".
 
-use super::validate_queues;
 use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{DenseSlab, Keyed, PackedQueue, SlotGhost};
+use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlotGhost};
 use s3fifo::impl_dense_replay;
 
 /// Where a 2Q slot currently lives.

@@ -10,9 +10,7 @@
 
 use cache_ds::{BloomFilter, NIL};
 use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{
-    replay_loop, validate_packed_queue, DenseSlab, Keyed, PackedQueue, SlabPolicy,
-};
+use s3fifo::dense::{replay_loop, validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy};
 use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;
@@ -134,15 +132,8 @@ impl DensePolicy for DenseFifo {
     }
 
     fn validate(&self) -> Result<(), String> {
-        validate_packed_queue(
-            "FIFO",
-            self.capacity,
-            self.used,
-            &self.slab,
-            &self.queue,
-            RESIDENT,
-            None,
-        )
+        let queue = (&self.queue, RESIDENT, self.used, "queue");
+        validate_queues("FIFO", self.capacity, &self.slab, &[queue])
     }
 
     impl_dense_replay!();
@@ -268,15 +259,8 @@ impl DensePolicy for DenseLru {
     }
 
     fn validate(&self) -> Result<(), String> {
-        validate_packed_queue(
-            "LRU",
-            self.capacity,
-            self.used,
-            &self.slab,
-            &self.queue,
-            RESIDENT,
-            None,
-        )
+        let queue = (&self.queue, RESIDENT, self.used, "queue");
+        validate_queues("LRU", self.capacity, &self.slab, &[queue])
     }
 
     impl_dense_replay!();
@@ -422,15 +406,17 @@ impl DensePolicy for DenseClock {
     }
 
     fn validate(&self) -> Result<(), String> {
-        validate_packed_queue(
-            &DensePolicy::name(self),
-            self.capacity,
-            self.used,
-            &self.slab,
-            &self.queue,
-            RESIDENT,
-            Some(self.max_freq),
-        )
+        let name = DensePolicy::name(self);
+        let queue = (&self.queue, RESIDENT, self.used, "queue");
+        validate_queues(&name, self.capacity, &self.slab, &[queue])?;
+        match self
+            .queue
+            .iter(&self.slab.slots)
+            .find(|&s| self.slab.slots[s as usize].freq > self.max_freq)
+        {
+            Some(slot) => Err(format!("{name}: slot {slot} counts past {}", self.max_freq)),
+            None => Ok(()),
+        }
     }
 
     impl_dense_replay!();
@@ -597,15 +583,15 @@ impl DensePolicy for DenseSieve {
     }
 
     fn validate(&self) -> Result<(), String> {
-        validate_packed_queue(
-            "SIEVE",
-            self.capacity,
-            self.used,
-            &self.slab,
-            &self.queue,
-            RESIDENT,
-            Some(1),
-        )?;
+        let queue = (&self.queue, RESIDENT, self.used, "queue");
+        validate_queues("SIEVE", self.capacity, &self.slab, &[queue])?;
+        if let Some(slot) = self
+            .queue
+            .iter(&self.slab.slots)
+            .find(|&s| self.slab.slots[s as usize].freq > 1)
+        {
+            return Err(format!("SIEVE: slot {slot}'s visited bit is not a bit"));
+        }
         if self.hand != NIL && self.slab.slots[self.hand as usize].tag != RESIDENT {
             return Err(format!("SIEVE: hand points at non-resident slot {}", self.hand));
         }

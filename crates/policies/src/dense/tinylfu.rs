@@ -15,10 +15,9 @@
 //! (`WINDOW`, `PROBATION`, `PROTECTED`; 0 = absent). The sketch counts object
 //! ids, not slots, so both doors see the same estimates.
 
-use super::validate_queues;
 use cache_ds::Doorkeeper;
 use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{DenseSlab, Keyed, PackedQueue};
+use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue};
 use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;

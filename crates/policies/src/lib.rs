@@ -17,18 +17,19 @@
 //! | [`dense`] | W-TinyLFU (1 % and 10 % windows) | "the closest competitor" |
 //! | [`dense`] | LRU-K (K=2) | §2 related work |
 //! | [`dense`] | Bloom-filter LRU | CDN admission baseline |
-//! | [`lecar`] | LeCaR | ML-based expert mixing |
-//! | [`cacheus`] | CACHEUS | LeCaR successor |
-//! | [`lhd`] | LHD | hit-density sampling |
-//! | [`fifomerge`] | FIFO-Merge | Segcache's eviction |
+//! | [`dense`] | LeCaR | ML-based expert mixing |
+//! | [`dense`] | CACHEUS | LeCaR successor |
+//! | [`dense`] | LHD | hit-density sampling |
+//! | [`dense`] | FIFO-Merge | Segcache's eviction |
 //! | [`belady`] | Belady / OPT | offline optimal (Fig. 4) |
 //!
-//! [`registry`] builds policies by name for the sweep engine. The baselines
-//! in [`dense`] (and S3-FIFO in the `s3fifo` crate) exist once, over a
-//! slot-indexed slab: [`registry::build_dense_domain`] hands the simulator
-//! the policy itself, to be driven with pre-interned slots, and
-//! [`registry::build`] the same policy behind the interning
-//! [`s3fifo::Keyed`] adapter. The other modules keep their objects by id.
+//! [`registry`] builds policies by name for the sweep engine. Every online
+//! algorithm in [`dense`] (and S3-FIFO and S3-FIFO-D in the `s3fifo` crate)
+//! exists once, over a slot-indexed slab: [`registry::build_dense_domain`]
+//! hands the simulator the policy itself, to be driven with pre-interned
+//! slots, and [`registry::build`] the same policy behind the interning
+//! [`s3fifo::Keyed`] adapter. Belady alone keeps its objects by id: it is
+//! built from the whole trace, not driven a slot at a time.
 //! [`dense::mrc`] holds the multi-capacity engines that compute a whole
 //! miss-ratio curve in one trace pass ([`MultiCapacityPolicy`]);
 //! [`registry::build_mrc`] selects those.
@@ -37,22 +38,19 @@
 #![warn(missing_docs)]
 
 pub mod belady;
-pub mod cacheus;
 pub mod dense;
-pub mod fifomerge;
-pub mod lecar;
-pub mod lhd;
 pub mod registry;
-pub(crate) mod util;
+#[cfg(test)]
+mod util;
 
 pub use belady::Belady;
-pub use cacheus::Cacheus;
-pub use dense::{Arc, BloomLru, Clock, Fifo, Lirs, Lru, LruK, Sieve, Slru, TinyLfu, TwoQ};
 pub use dense::{
-    DenseArc, DenseBloomLru, DenseClock, DenseFifo, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo,
-    DenseSieve, DenseSlru, DenseTinyLfu, DenseTwoQ,
+    Arc, BloomLru, Cacheus, Clock, Fifo, FifoMerge, LeCar, Lhd, Lirs, Lru, LruK, Sieve, Slru,
+    TinyLfu, TwoQ,
+};
+pub use dense::{
+    DenseArc, DenseBloomLru, DenseCacheus, DenseClock, DenseFifo, DenseFifoMerge, DenseLeCar,
+    DenseLhd, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo, DenseS3FifoD, DenseSieve, DenseSlru,
+    DenseTinyLfu, DenseTwoQ,
 };
 pub use dense::{MrcExactFifo, MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve, MultiCapacityPolicy};
-pub use fifomerge::FifoMerge;
-pub use lecar::LeCar;
-pub use lhd::Lhd;

@@ -2,14 +2,15 @@
 //! binaries use.
 
 use crate::dense::{
-    DenseArc, DenseBloomLru, DenseClock, DenseFifo, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo,
-    DenseSieve, DenseSlru, DenseTinyLfu, DenseTwoQ,
+    DenseArc, DenseBloomLru, DenseCacheus, DenseClock, DenseFifo, DenseFifoMerge, DenseLeCar,
+    DenseLhd, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo, DenseSieve, DenseSlru, DenseTinyLfu,
+    DenseTwoQ,
 };
-use crate::{Belady, Cacheus, FifoMerge, LeCar, Lhd};
+use crate::Belady;
 use cache_types::{CacheError, DensePolicy, Policy, Request};
 use s3fifo::dense::{Keyed, SlabPolicy};
 use s3fifo::policy::{FifoLru, FifoSieve, LruFifo, LruLru};
-use s3fifo::{S3FifoConfig, S3FifoD};
+use s3fifo::{DenseS3FifoD, S3FifoConfig};
 
 /// Names of the algorithms compared in Fig. 6: S3-FIFO and the thirteen
 /// baselines it is measured against. FIFO is not one of them; a sweep adds
@@ -81,6 +82,7 @@ macro_rules! dense_by_name {
                 "SLRU" => Some($wrap(DenseSlru::with_domain($capacity, $domain)?)),
                 "2Q" => Some($wrap(DenseTwoQ::with_domain($capacity, $domain)?)),
                 "S3-FIFO" => Some($wrap(DenseS3Fifo::with_domain($capacity, $domain)?)),
+                "S3-FIFO-D" => Some($wrap(DenseS3FifoD::with_domain($capacity, $domain)?)),
                 // §6.3's queue-type ablation and §7's SIEVE in place of `M`.
                 "QDLP-LRU-LRU" => Some($wrap(DenseS3Fifo::with_queues($capacity, LruLru, $domain)?)),
                 "QDLP-LRU-FIFO" => Some($wrap(DenseS3Fifo::with_queues($capacity, LruFifo, $domain)?)),
@@ -92,6 +94,10 @@ macro_rules! dense_by_name {
                 "TinyLFU-0.1" => Some($wrap(DenseTinyLfu::with_window($capacity, 0.1, $domain)?)),
                 "LRU-2" => Some($wrap(DenseLruK::with_domain($capacity, $domain)?)),
                 "B-LRU" => Some($wrap(DenseBloomLru::with_domain($capacity, $domain)?)),
+                "LeCaR" => Some($wrap(DenseLeCar::with_domain($capacity, $domain)?)),
+                "CACHEUS" => Some($wrap(DenseCacheus::with_domain($capacity, $domain)?)),
+                "LHD" => Some($wrap(DenseLhd::with_domain($capacity, $domain)?)),
+                "FIFO-Merge" => Some($wrap(DenseFifoMerge::with_domain($capacity, $domain)?)),
                 _ => None,
             }
         }
@@ -120,36 +126,28 @@ pub fn build(
     if let Some(policy) = dense_by_name!(name, capacity, 0, keyed) {
         return Ok(policy);
     }
-    Ok(match name {
-        "LeCaR" => Box::new(LeCar::new(capacity)?),
-        "CACHEUS" => Box::new(Cacheus::new(capacity)?),
-        "LHD" => Box::new(Lhd::new(capacity)?),
-        "FIFO-Merge" => Box::new(FifoMerge::new(capacity)?),
-        "S3-FIFO-D" => Box::new(S3FifoD::new(capacity)?),
+    match name {
+        // Belady stays keyed: it reads the whole trace up front.
         "Belady" => {
             let trace = trace
                 .ok_or_else(|| CacheError::InvalidParameter("Belady requires the trace".into()))?;
-            Box::new(Belady::new(capacity, trace)?)
+            Ok(Box::new(Belady::new(capacity, trace)?))
         }
-        other => {
-            return Err(CacheError::InvalidParameter(format!(
-                "unknown algorithm {other:?}"
-            )))
-        }
-    })
+        other => Err(CacheError::InvalidParameter(format!(
+            "unknown algorithm {other:?}"
+        ))),
+    }
 }
 
 /// Builds the named slab policy over the dense domain `0..domain`, to be
 /// driven with pre-interned slots — a trace's footprint, or 0 for a stream
 /// that grows the policy as it names ids ([`DensePolicy::grow_domain`]).
-/// `None` for the six keyed-only algorithms — CACHEUS, LeCaR, LHD,
-/// FIFO-Merge, S3-FIFO-D and Belady — which the simulator replays as
-/// [`build`]'s keyed policy.
+/// `None` only for Belady, which needs the whole trace rather than a slot
+/// per request and which the simulator replays as [`build`]'s keyed policy.
 ///
-/// Dense policies: FIFO, LRU, CLOCK, CLOCK-2bit, SIEVE, SLRU, 2Q, S3-FIFO,
-/// `"S3-FIFO(r)"`, the three QDLP names, S3-FIFO-Sieve, ARC, LIRS, TinyLFU,
-/// TinyLFU-0.1, `"TinyLFU(r)"`, LRU-2 and B-LRU. For these [`build`] returns
-/// the same policy behind [`Keyed`].
+/// Every other name of [`ALL_ALGORITHMS`], plus `"S3-FIFO(r)"` and
+/// `"TinyLFU(r)"`, is a slab policy, and for these [`build`] returns the
+/// same policy behind [`Keyed`].
 ///
 /// # Errors
 ///
@@ -351,6 +349,6 @@ mod tests {
             }
             checked += 1;
         }
-        assert_eq!(checked, 19, "every dense name");
+        assert_eq!(checked, 24, "every name but Belady");
     }
 }

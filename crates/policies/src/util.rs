@@ -1,47 +1,6 @@
-//! Shared helpers for the policy implementations.
-
-use cache_types::{Eviction, ObjId};
-
-/// Per-object bookkeeping common to every policy: size and the timestamp
-/// and counter that eviction records report, plus the last access LHD
-/// decides on.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Meta {
-    pub size: u32,
-    pub insert_time: u64,
-    pub last_access: u64,
-    /// Accesses after insertion.
-    pub hits: u32,
-}
-
-impl Meta {
-    pub(crate) fn new(size: u32, now: u64) -> Self {
-        Meta {
-            size,
-            insert_time: now,
-            last_access: now,
-            hits: 0,
-        }
-    }
-
-    pub(crate) fn touch(&mut self, now: u64) {
-        self.hits += 1;
-        self.last_access = now;
-    }
-
-    pub(crate) fn eviction(&self, id: ObjId, from_probationary: bool) -> Eviction {
-        Eviction {
-            id,
-            size: self.size,
-            insert_time: self.insert_time,
-            freq: self.hits,
-            from_probationary,
-        }
-    }
-}
+//! Shared helpers for the policies' tests.
 
 /// Returns a stable per-test skewed trace for differential tests.
-#[cfg(test)]
 pub(crate) fn test_trace(n: usize, universe: u64, seed: u64) -> Vec<cache_types::Request> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     (0..n)
@@ -57,7 +16,6 @@ pub(crate) fn test_trace(n: usize, universe: u64, seed: u64) -> Vec<cache_types:
 }
 
 /// Drives a policy over a trace and returns its miss ratio.
-#[cfg(test)]
 pub(crate) fn miss_ratio_of(
     policy: &mut dyn cache_types::Policy,
     reqs: &[cache_types::Request],
@@ -66,7 +24,6 @@ pub(crate) fn miss_ratio_of(
 }
 
 /// Checks the baseline invariants every policy must satisfy after a run.
-#[cfg(test)]
 pub(crate) fn check_policy_basics(policy: &mut dyn cache_types::Policy, cap: u64) {
     use cache_types::Request;
     let mut evs = Vec::new();

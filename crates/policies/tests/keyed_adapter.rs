@@ -3,7 +3,8 @@
 //! at, and requests that cannot admit anything leaving nothing behind.
 
 use cache_policies::{
-    DenseArc, DenseBloomLru, DenseFifo, DenseLirs, DenseLruK, DenseS3Fifo, DenseTinyLfu, DenseTwoQ,
+    DenseArc, DenseBloomLru, DenseCacheus, DenseFifo, DenseFifoMerge, DenseLeCar, DenseLhd,
+    DenseLirs, DenseLruK, DenseS3Fifo, DenseS3FifoD, DenseTinyLfu, DenseTwoQ,
 };
 use cache_types::{Op, Outcome, Policy, Request};
 use s3fifo::dense::{Keyed, SlabPolicy};
@@ -42,6 +43,11 @@ fn a_million_distinct_keys_leave_a_bounded_table() {
     table_stays_bounded::<DenseTinyLfu>(0);
     table_stays_bounded::<DenseLruK>(0);
     table_stays_bounded::<DenseBloomLru>(0);
+    table_stays_bounded::<DenseLeCar>(2_000); // two histories: the cache's bytes each
+    table_stays_bounded::<DenseCacheus>(1_000); // two histories: half the cache each
+    table_stays_bounded::<DenseLhd>(0);
+    table_stays_bounded::<DenseFifoMerge>(0); // no delete leaves a segment entry behind
+    table_stays_bounded::<DenseS3FifoD>(900); // as S3-FIFO: no key returns, the split stays
 }
 
 /// A `Delete` of a never-seen id, an uncacheable `Get` and a `Set` larger
@@ -85,4 +91,9 @@ fn requests_that_admit_nothing_leave_nothing_behind() {
     noops_leave_nothing_behind::<DenseTinyLfu>();
     noops_leave_nothing_behind::<DenseLruK>();
     noops_leave_nothing_behind::<DenseBloomLru>();
+    noops_leave_nothing_behind::<DenseLeCar>();
+    noops_leave_nothing_behind::<DenseCacheus>();
+    noops_leave_nothing_behind::<DenseLhd>();
+    noops_leave_nothing_behind::<DenseFifoMerge>();
+    noops_leave_nothing_behind::<DenseS3FifoD>();
 }

@@ -210,8 +210,8 @@ impl<'p> Replay<'p> {
         }
     }
 
-    /// One policy per registry name: the dense policy over `0..domain` where
-    /// the algorithm is written over the slab, the keyed policy otherwise.
+    /// One policy per registry name: the dense policy over `0..domain`, or
+    /// for Belady, which reads the whole trace, the keyed one.
     fn named(
         names: &[&str],
         capacity: u64,
@@ -648,14 +648,15 @@ mod tests {
             .unwrap()
             .observer(&mut a)
             .is_err());
-        assert!(Replay::on_trace(&["LHD", "LeCaR"], &trace, 100)
+        // Belady is the registry's one keyed policy: a gang of two is still
+        // more than one.
+        assert!(Replay::on_trace(&["Belady", "Belady"], &trace, 100)
             .unwrap()
             .observer(&mut b)
             .is_err());
         let mut nop = Nop;
-        let keyed = Replay::on_trace(&["LHD"], &trace, 100)
-            .unwrap()
-            .observer(&mut nop);
+        let lhd = registry::build("LHD", 100, None).unwrap();
+        let keyed = Replay::keyed(lhd).observer(&mut nop);
         assert_eq!(keyed.unwrap().run(&trace)[0].0.requests, 20_000);
     }
 

@@ -124,64 +124,31 @@ fn dense_and_keyed_agree_at_degenerate_capacities() {
     }
 }
 
-/// The auto path must actually *take* the dense route for the core policies
-/// (a fallback-everywhere bug would make the equivalence test vacuous).
+/// The auto path must actually *take* the dense route for every online
+/// policy (a fallback-everywhere bug would make the equivalence test
+/// vacuous); only Belady, which needs the whole trace, stays keyed.
 #[test]
 fn dense_variants_exist_for_core_policies() {
     let trace = WorkloadSpec::zipf("probe", 100, 50, 1.0, 1).generate();
     let domain = trace.dense().ids.len();
-    for name in [
-        "FIFO",
-        "LRU",
-        "CLOCK",
-        "CLOCK-2bit",
-        "SIEVE",
-        "SLRU",
-        "2Q",
-        "S3-FIFO",
-        "S3-FIFO(0.25)",
-        "QDLP-LRU-LRU",
-        "QDLP-LRU-FIFO",
-        "QDLP-FIFO-LRU",
-        "S3-FIFO-Sieve",
-        "ARC",
-        "LIRS",
-        "TinyLFU",
-        "TinyLFU-0.1",
-        "TinyLFU(0.2)",
-        "LRU-2",
-        "B-LRU",
-    ] {
-        assert!(
-            cache_policies::registry::build_dense_domain(name, 16, domain)
-                .unwrap()
-                .is_some(),
-            "{name} must have a dense fast path"
-        );
+    let parameterized = ["S3-FIFO(0.25)", "TinyLFU(0.2)"];
+    for name in ALL_ALGORITHMS.iter().chain(&parameterized) {
+        let dense = cache_policies::registry::build_dense_domain(name, 16, domain).unwrap();
+        assert_eq!(dense.is_some(), *name != "Belady", "{name}");
     }
-    assert!(cache_policies::registry::build_dense_domain("LHD", 16, domain)
-        .unwrap()
-        .is_none());
 }
 
-/// `S3-FIFO-D` wraps a keyed `S3Fifo` and has no reference interpreter, so
-/// when the inner policy became the `Keyed` adapter the wrapper's results
-/// were pinned: `(misses, evictions)` on the three workloads above, captured
-/// at the last commit with hand-written keyed policies (3ab2410). B-LRU's
-/// row, pinned the same way, is part of `slab_ports_are_unchanged`.
-#[test]
-fn wrappers_over_the_keyed_adapter_are_unchanged() {
-    let golden = [("S3-FIFO-D", [(9520, 9254), (17689, 17118), (6583, 6400)])];
-    let workloads = workloads();
-    for (name, want) in golden {
-        for ((trace, cfg), want) in workloads.iter().zip(want) {
-            let r = simulate_named(name, trace, cfg)
-                .unwrap_or_else(|e| panic!("{name} on {}: {e}", trace.name))
-                .expect("no min_objects filter configured");
-            assert_eq!((r.misses, r.evictions), want, "{name} on {}", trace.name);
-        }
-    }
+/// FNV-1a, continued over the ids of `evicted`.
+fn hash_ids(hash: u64, evicted: &[cache_types::Eviction]) -> u64 {
+    evicted
+        .iter()
+        .flat_map(|e| e.id.to_le_bytes())
+        .fold(hash, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// `(misses, evictions, FNV-1a of the evicted-id sequence)` of the registry's
 /// keyed `name` at `capacity` over `requests`.
@@ -194,15 +161,33 @@ fn fingerprint(
     let mut policy = cache_policies::registry::build(name, capacity, Some(requests))
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut evicted = Vec::new();
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for r in requests {
         let size = if ignore_size { 1 } else { r.size };
         evicted.clear();
         policy.request(&cache_types::Request { size, ..*r }, &mut evicted);
-        for byte in evicted.iter().flat_map(|e| e.id.to_le_bytes()) {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        hash = hash_ids(hash, &evicted);
     }
+    let stats = policy.stats();
+    (stats.misses, stats.evictions, hash)
+}
+
+/// [`fingerprint`] through the other door: the registry's dense `name`
+/// replayed over pre-interned slots.
+fn dense_fingerprint(
+    name: &str,
+    capacity: u64,
+    requests: &[cache_types::Request],
+    ignore_size: bool,
+) -> (u64, u64, u64) {
+    let (ids, slots) = cache_ds::DenseIds::intern(requests.iter().map(|r| r.id));
+    let mut policy = cache_policies::registry::build_dense_domain(name, capacity, ids.len())
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .unwrap_or_else(|| panic!("{name} has no dense policy"));
+    let mut hash = FNV_OFFSET;
+    policy.replay(&slots, requests, ignore_size, &mut |_, e| {
+        hash = hash_ids(hash, std::slice::from_ref(e));
+    });
     let stats = policy.stats();
     (stats.misses, stats.evictions, hash)
 }
@@ -250,14 +235,15 @@ fn queue_type_variants_are_unchanged() {
     assert_fingerprints(&golden);
 }
 
-/// ARC, LIRS, W-TinyLFU (both windows), LRU-2 and B-LRU were hand-written
-/// keyed policies until they moved onto the slab, so their decisions were
-/// pinned first: captured at 3d0ea33, the last commit with the keyed
-/// policies, on the three workloads above. (B-LRU's misses and evictions
-/// are the ones pinned at 3ab2410.)
+/// Every online baseline was a hand-written keyed policy until it moved
+/// onto the slab, so its decisions were pinned first, on the three
+/// workloads above: ARC, LIRS, W-TinyLFU (both windows), LRU-2 and B-LRU at
+/// 3d0ea33, CACHEUS, LeCaR, LHD, FIFO-Merge and S3-FIFO-D at 42ef7d2 — each
+/// the last commit with the keyed policies. (B-LRU's and S3-FIFO-D's misses
+/// and evictions are the ones pinned at 3ab2410.)
 #[test]
 fn slab_ports_are_unchanged() {
-    let golden: [(&str, [(u64, u64, u64); 3]); 6] = [
+    let golden: [(&str, [(u64, u64, u64); 3]); 11] = [
         (
             "ARC",
             [
@@ -306,18 +292,67 @@ fn slab_ports_are_unchanged() {
                 (7643, 5696, 11027154481098453909),
             ],
         ),
+        (
+            "CACHEUS",
+            [
+                (10404, 10138, 271571488307491297),
+                (17790, 17219, 7118173789969077135),
+                (7156, 6979, 2128259757492259509),
+            ],
+        ),
+        (
+            "LeCaR",
+            [
+                (11527, 11261, 2858518215729041151),
+                (19206, 18635, 18302089238184554632),
+                (7799, 7627, 6266566113737080485),
+            ],
+        ),
+        (
+            "LHD",
+            [
+                (11749, 11483, 14420328526559637681),
+                (19267, 18696, 4302384091690292794),
+                (9047, 8869, 4610950334511951064),
+            ],
+        ),
+        (
+            "FIFO-Merge",
+            [
+                (12815, 12558, 780049084319939386),
+                (19834, 19323, 9227381444304003559),
+                (8735, 8575, 3049618979844777787),
+            ],
+        ),
+        (
+            "S3-FIFO-D",
+            [
+                (9520, 9254, 10981971727848231288),
+                (17689, 17118, 16266197838143614508),
+                (6583, 6400, 12538417372919075423),
+            ],
+        ),
     ];
     assert_fingerprints(&golden);
 }
 
-/// Each name's [`fingerprint`] on the three workloads equals its golden row.
+/// Each name's [`fingerprint`] and [`dense_fingerprint`] on the three
+/// workloads equal its golden row.
 fn assert_fingerprints(golden: &[(&str, [(u64, u64, u64); 3])]) {
     let workloads = workloads();
     for &(name, want) in golden {
-        let got: Vec<_> = workloads
-            .iter()
-            .map(|(t, cfg)| fingerprint(name, cfg.capacity_for(t), &t.requests, cfg.ignore_size))
-            .collect();
-        assert_eq!(got, want, "{name}");
+        for (door, print) in [
+            (
+                "keyed",
+                fingerprint as fn(&str, u64, &[cache_types::Request], bool) -> _,
+            ),
+            ("dense", dense_fingerprint),
+        ] {
+            let got: Vec<_> = workloads
+                .iter()
+                .map(|(t, cfg)| print(name, cfg.capacity_for(t), &t.requests, cfg.ignore_size))
+                .collect();
+            assert_eq!(got, want, "{name}, {door} door");
+        }
     }
 }

@@ -2,11 +2,13 @@
 //! answer.
 //!
 //! Source {in memory, `.ctr` in chunks of 1 / 4096 / more than the trace}
-//! × engine {dense, the keyed policy of the same name, keyed-only `LHD`}
-//! × window {none, 777, `u64::MAX`} × trace {pure-get unit-size, mixed
-//! get/set/delete with sizes honoured and ignored}. Every cell must equal
-//! the in-memory unwindowed cell of its trace and name bit for bit, and
-//! every cell's series must equal the in-memory series of its window.
+//! × engine {the registry's dense policy, the keyed policy of the same name,
+//! a dense policy the caller built} × window {none, 777, `u64::MAX`} ×
+//! trace {pure-get unit-size, mixed get/set/delete with sizes honoured and
+//! ignored}. Every cell must equal the in-memory unwindowed cell of its
+//! trace and name bit for bit, and every cell's series must equal the
+//! in-memory series of its window. Gangs mix dense policies with Belady,
+//! the one name the registry keeps keyed.
 
 use cache_ds::SplitMix64;
 use cache_policies::registry;
@@ -194,13 +196,11 @@ fn every_cell_equals_the_in_memory_unwindowed_cell() {
                 let series = forced_keyed(name, &f, Source::Memory, window);
                 for source in SOURCES {
                     let ctx = format!("{trace} {source:?} window={window:?}");
-                    let mut cells = vec![
+                    let cells = [
                         ("registry", by_name(&[name], &f, source, window).remove(0)),
                         ("forced keyed", forced_keyed(name, &f, source, window)),
+                        ("own dense", own_dense(name, &f, source, window)),
                     ];
-                    if name != "LHD" {
-                        cells.push(("own dense", own_dense(name, &f, source, window)));
-                    }
                     for (engine, cell) in &cells {
                         assert_same_result(cell, &reference, &format!("{ctx} {engine}"));
                         assert_same(cell, &series, &format!("{ctx} {engine}"));
@@ -253,19 +253,26 @@ fn window_and_chunk_boundaries_never_meet_by_luck() {
 
 /// A gang is its solo runs, in input order, whatever mix of dense and keyed
 /// policies shares the per-request loop. Windowed gangs are legal and
-/// counted the same.
+/// counted the same. Belady is the keyed lane of a mixed gang; it needs the
+/// trace, so its gangs replay in memory only.
 #[test]
 fn a_gang_equals_its_solo_runs() {
     for f in fixtures() {
         for names in [
             &["S3-FIFO", "FIFO", "LHD", "LRU"][..],
             &["LHD", "S3-FIFO", "LeCaR"],
+            &["S3-FIFO", "Belady", "LHD"],
             // The rest of the dense slab policies, which sweeps also gang.
             &["CLOCK", "CLOCK-2bit", "SIEVE", "SLRU", "2Q"],
             &["ARC", "LIRS", "TinyLFU", "LRU-2", "B-LRU"],
+            &["CACHEUS", "FIFO-Merge", "S3-FIFO-D"],
         ] {
+            let streams = !names.contains(&"Belady");
             for window in [None, Some(777)] {
                 for source in [Source::Memory, Source::Ctr(4096)] {
+                    if !streams && matches!(source, Source::Ctr(_)) {
+                        continue;
+                    }
                     let gang = by_name(names, &f, source, window);
                     assert_eq!(gang.len(), names.len());
                     for (name, got) in names.iter().zip(&gang) {
