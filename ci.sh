@@ -102,7 +102,9 @@ step "check_gate: differential fuzz, observers, linearizability-lite, loom-lite"
 # Fixed-seed correctness battery (crates/check): >= 10k generated requests
 # per policy/mode pair through reference vs keyed vs dense on 17 names (the
 # FIFO family, S3-FIFO's four §6.3/§7 queue-type variants, ARC, LRU-2, B-LRU
-# and S3-FIFO-D), an invariant observer sweep over every registry algorithm, logged concurrent
+# and S3-FIFO-D), an invariant observer sweep over every registry algorithm
+# on the pre-interned door (the keyed door's per-request checks are the
+# fuzzer's and crates/sim/tests/equivalence.rs's), logged concurrent
 # torture runs per cache checked for stale/forged reads plus, in per-key
 # monotonic-version mode, cross-get version regressions, and loom-lite:
 # >= 10k bounded-preemption interleavings of the concurrent models must

@@ -146,10 +146,9 @@ fn phase_observer() -> Result<(), String> {
     let mut cells = 0usize;
     for name in registry::ALL_ALGORITHMS {
         for ignore_size in [true, false] {
-            let policy = registry::build(name, 64, Some(&trace.requests))
-                .map_err(|e| format!("build {name}: {e}"))?;
             let mut obs = InvariantObserver::new();
-            Replay::keyed(policy)
+            Replay::on_trace(&[name], &trace, 64)
+                .map_err(|e| format!("build {name}: {e}"))?
                 .ignore_size(ignore_size)
                 .observer(&mut obs)
                 .map_err(|e| format!("observe {name}: {e}"))?

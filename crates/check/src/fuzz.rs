@@ -138,16 +138,15 @@ fn fmt_evictions(evs: &[Eviction]) -> String {
     format!("[{}]", items.join(", "))
 }
 
-/// Replays `requests` through a reference, a keyed implementation, and
-/// optionally a dense implementation, returning the first step at which any
-/// observable disagrees (or any implementation fails its own `validate`).
+/// Replays `requests` through a reference, a keyed implementation, and a
+/// dense implementation, returning the first step at which any observable
+/// disagrees (or any implementation fails its own `validate`).
 ///
-/// `slots[i]` must be the dense slot of `requests[i]` (ignored without a
-/// dense policy).
+/// `slots[i]` must be the dense slot of `requests[i]`.
 pub fn diff_run<D: DensePolicy + ?Sized>(
     reference: &mut dyn Policy,
     keyed: &mut dyn Policy,
-    mut dense: Option<&mut D>,
+    dense: &mut D,
     slots: &[u32],
     requests: &[Request],
 ) -> Option<(usize, String)> {
@@ -198,36 +197,34 @@ pub fn diff_run<D: DensePolicy + ?Sized>(
         if let Err(e) = keyed.validate() {
             return Some((i, format!("keyed invariant violated: {e}")));
         }
-        if let Some(d) = dense.as_mut() {
-            let out_den = d.request_dense(slots[i], req, &mut evs_den);
-            if out_den != out_ref {
-                return Some((i, format!("dense outcome {out_den:?} != reference {out_ref:?}")));
-            }
-            if evs_den != evs_ref {
-                return Some((
-                    i,
-                    format!(
-                        "dense evictions {} != reference {}",
-                        fmt_evictions(&evs_den),
-                        fmt_evictions(&evs_ref)
-                    ),
-                ));
-            }
-            if d.used() != reference.used() || d.len() != reference.len() {
-                return Some((
-                    i,
-                    format!(
-                        "dense used/len {}/{} != reference {}/{}",
-                        d.used(),
-                        d.len(),
-                        reference.used(),
-                        reference.len()
-                    ),
-                ));
-            }
-            if let Err(e) = d.validate() {
-                return Some((i, format!("dense invariant violated: {e}")));
-            }
+        let out_den = dense.request_dense(slots[i], req, &mut evs_den);
+        if out_den != out_ref {
+            return Some((i, format!("dense outcome {out_den:?} != reference {out_ref:?}")));
+        }
+        if evs_den != evs_ref {
+            return Some((
+                i,
+                format!(
+                    "dense evictions {} != reference {}",
+                    fmt_evictions(&evs_den),
+                    fmt_evictions(&evs_ref)
+                ),
+            ));
+        }
+        if dense.used() != reference.used() || dense.len() != reference.len() {
+            return Some((
+                i,
+                format!(
+                    "dense used/len {}/{} != reference {}/{}",
+                    dense.used(),
+                    dense.len(),
+                    reference.used(),
+                    reference.len()
+                ),
+            ));
+        }
+        if let Err(e) = dense.validate() {
+            return Some((i, format!("dense invariant violated: {e}")));
         }
         if let Err(e) = reference.validate() {
             return Some((i, format!("reference invariant violated: {e}")));
@@ -245,12 +242,12 @@ fn run_fresh(name: &str, capacity: u64, requests: &[Request]) -> Option<(usize, 
     let mut keyed = registry::build(name, capacity, Some(requests))
         .unwrap_or_else(|e| panic!("cannot build keyed {name}: {e}"));
     let (ids, slots) = DenseIds::intern(requests.iter().map(|r| r.id));
-    let mut dense = registry::build_dense_domain(name, capacity, ids.len())
+    let mut dense = registry::build_dense_domain(name, capacity, Some(requests), ids.len())
         .unwrap_or_else(|e| panic!("cannot build dense {name}: {e}"));
     diff_run(
         &mut reference,
         keyed.as_mut(),
-        dense.as_deref_mut(),
+        dense.as_mut(),
         &slots,
         requests,
     )
@@ -407,6 +404,9 @@ mod tests {
             }
             self.inner.request_dense(slot, req, evicted)
         }
+        fn resident(&self, slot: u32) -> bool {
+            self.inner.resident(slot)
+        }
         fn validate(&self) -> Result<(), String> {
             self.inner.validate()
         }
@@ -431,16 +431,15 @@ mod tests {
         let mut fails = |reqs: &[Request]| -> bool {
             let mut reference = reference_for("LRU", capacity).expect("LRU reference exists");
             let (ids, slots) = DenseIds::intern(reqs.iter().map(|r| r.id));
-            let inner = registry::build_dense_domain("LRU", capacity, ids.len())
-                .expect("dense LRU builds")
-                .expect("dense LRU exists");
+            let inner = registry::build_dense_domain("LRU", capacity, None, ids.len())
+                .expect("dense LRU builds");
             let mut mutant = MutantDense { inner };
             let mut keyed =
                 registry::build("LRU", capacity, None).expect("keyed LRU builds");
             diff_run(
                 &mut reference,
                 keyed.as_mut(),
-                Some(&mut mutant),
+                &mut mutant,
                 &slots,
                 reqs,
             )

@@ -11,17 +11,20 @@
 //!   afterwards;
 //! - accounting: the policy's `used()` equals the byte-sum of the shadow
 //!   map, `len()` its cardinality, and `used() ≤ capacity()` always;
-//! - the policy's own [`Policy::validate`] structural check.
+//! - the policy's own [`DensePolicy::validate`] structural check.
 //!
-//! Residency is reconciled through [`Policy::contains`] rather than assumed
-//! from outcomes, so admission-filtered policies (B-LRU, TinyLFU) — where a
-//! `Miss` does not imply the object was admitted — are handled uniformly.
+//! Residency is reconciled through [`DensePolicy::resident`] rather than
+//! assumed from outcomes, so admission-filtered policies (B-LRU, TinyLFU) —
+//! where a `Miss` does not imply the object was admitted — are handled
+//! uniformly. The policy answers by slot; every id the observer asks about
+//! was requested earlier (an evicted one was resident first), so it learns
+//! each id's slot from the requests it sees.
 //!
 //! The first violation is recorded (with its request index) and checking
 //! stops; a corrupted shadow map would otherwise cascade into noise.
 
 use cache_sim::RequestObserver;
-use cache_types::{Eviction, ObjId, Op, Outcome, Policy, Request};
+use cache_types::{DensePolicy, Eviction, ObjId, Op, Outcome, Request};
 use std::collections::HashMap;
 
 /// Invariant-checking observer for [`cache_sim::Replay::observer`].
@@ -31,6 +34,8 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct InvariantObserver {
     resident: HashMap<ObjId, u64>,
+    /// The slot of every id requested so far.
+    slots: HashMap<ObjId, u32>,
     bytes: u64,
     violation: Option<(usize, String)>,
     checked: usize,
@@ -71,7 +76,7 @@ impl InvariantObserver {
         index: usize,
         req: &Request,
         evicted: &[Eviction],
-        policy: &dyn Policy,
+        policy: &dyn DensePolicy,
     ) -> bool {
         for e in evicted {
             if e.id == req.id {
@@ -117,7 +122,7 @@ impl InvariantObserver {
             }
             // An eviction may be the object the request itself reinserts
             // (Set of a resident id); only other ids must be gone.
-            if e.id != req.id && policy.contains(e.id) {
+            if e.id != req.id && self.slots.get(&e.id).is_some_and(|&s| policy.resident(s)) {
                 self.fail(
                     index,
                     format!("id {} still resident after being reported evicted", e.id),
@@ -133,13 +138,17 @@ impl RequestObserver for InvariantObserver {
     fn after_request(
         &mut self,
         index: usize,
+        slot: u32,
         req: &Request,
         outcome: Outcome,
         evicted: &[Eviction],
-        policy: &dyn Policy,
+        policy: &dyn DensePolicy,
     ) {
         if self.violation.is_some() {
             return;
+        }
+        if let Some(known) = self.slots.insert(req.id, slot).filter(|&known| known != slot) {
+            return self.fail(index, format!("id {} moved from slot {known}", req.id));
         }
         let was_resident = self.resident.contains_key(&req.id);
 
@@ -181,10 +190,10 @@ impl RequestObserver for InvariantObserver {
             return;
         }
 
-        // 3. Reconcile the requested id via contains(): hits keep the stored
+        // 3. Reconcile the requested id via resident(): hits keep the stored
         //    size (hits never resize), everything else stores the request's
         //    size; admission filters may legitimately not admit.
-        if policy.contains(req.id) {
+        if policy.resident(slot) {
             if req.op != Op::Get || outcome != Outcome::Hit {
                 self.remove_shadow(req.id);
                 self.resident.insert(req.id, u64::from(req.size));
@@ -243,7 +252,7 @@ mod tests {
     use cache_policies::registry;
     use cache_sim::Replay;
     use cache_trace::Trace;
-    use cache_types::PolicyStats;
+    use cache_types::{CacheError, PolicyStats};
 
     fn skewed_trace(n: usize) -> Trace {
         let reqs = crate::fuzz::generate_trace(&crate::fuzz::FuzzConfig {
@@ -262,13 +271,12 @@ mod tests {
         let trace = skewed_trace(5_000);
         for name in registry::ALL_ALGORITHMS {
             for ignore_size in [false, true] {
-                let policy = registry::build(name, 64, Some(&trace.requests))
-                    .unwrap_or_else(|e| panic!("build {name}: {e}"));
                 let mut obs = InvariantObserver::new();
-                Replay::keyed(policy)
+                Replay::on_trace(&[name], &trace, 64)
+                    .unwrap_or_else(|e| panic!("build {name}: {e}"))
                     .ignore_size(ignore_size)
                     .observer(&mut obs)
-                    .expect("one keyed policy")
+                    .expect("one policy")
                     .run(&trace);
                 if let Some((i, msg)) = obs.violation() {
                     panic!("{name} (ignore_size={ignore_size}) violated at request {i}: {msg}");
@@ -280,10 +288,10 @@ mod tests {
 
     /// A policy that lies about `used()` must be flagged immediately.
     struct LyingPolicy {
-        inner: Box<dyn Policy>,
+        inner: Box<dyn DensePolicy>,
     }
 
-    impl Policy for LyingPolicy {
+    impl DensePolicy for LyingPolicy {
         fn name(&self) -> String {
             self.inner.name()
         }
@@ -296,15 +304,19 @@ mod tests {
         fn len(&self) -> usize {
             self.inner.len()
         }
-        fn contains(&self, id: u64) -> bool {
-            self.inner.contains(id)
+        fn resident(&self, slot: u32) -> bool {
+            self.inner.resident(slot)
         }
-        fn request(
+        fn request_dense(
             &mut self,
+            slot: u32,
             req: &Request,
             evicted: &mut Vec<Eviction>,
         ) -> Outcome {
-            self.inner.request(req, evicted)
+            self.inner.request_dense(slot, req, evicted)
+        }
+        fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
+            self.inner.grow_domain(domain, reserve)
         }
         fn stats(&self) -> PolicyStats {
             self.inner.stats()
@@ -314,12 +326,12 @@ mod tests {
     #[test]
     fn accounting_lies_are_caught() {
         let trace = skewed_trace(50);
-        let inner = registry::build("LRU", 16, None).expect("LRU builds");
+        let inner = registry::build_dense_domain("LRU", 16, None, 0).expect("LRU builds");
         let mut obs = InvariantObserver::new();
-        Replay::keyed(Box::new(LyingPolicy { inner }))
+        Replay::dense(Box::new(LyingPolicy { inner }))
             .ignore_size(true)
             .observer(&mut obs)
-            .expect("one keyed policy")
+            .expect("one policy")
             .run(&trace);
         let (i, msg) = obs.violation().expect("phantom byte must be flagged");
         assert_eq!(*i, 0, "flagged on the very first request");

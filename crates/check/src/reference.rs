@@ -1127,6 +1127,9 @@ mod tests {
             }
             out
         }
+        fn resident(&self, _: u32) -> bool {
+            unreachable!("a plant is diffed, never observed")
+        }
         fn validate(&self) -> Result<(), String> {
             Policy::validate(&self.0)
         }
@@ -1164,7 +1167,7 @@ mod tests {
             let mut keyed = cache_policies::registry::build(name, capacity, None).unwrap();
             let mut planted = Planted(reference_for(name, capacity).unwrap(), plant);
             let slots = vec![0; reqs.len()]; // the plant ignores them
-            diff_run(&mut reference, keyed.as_mut(), Some(&mut planted), &slots, reqs).is_some()
+            diff_run(&mut reference, keyed.as_mut(), &mut planted, &slots, reqs).is_some()
         };
         assert!(fails(&requests), "{plant:?}: the plant must diverge somewhere");
         let shrunk = shrink_with(&mut fails, requests);
@@ -1229,11 +1232,11 @@ mod tests {
         let mut keyed = cache_policies::registry::build("S3-FIFO-D", 20, None).unwrap();
         let (ids, slots) = cache_ds::DenseIds::intern(requests.iter().map(|r| r.id));
         let mut dense =
-            cache_policies::registry::build_dense_domain("S3-FIFO-D", 20, ids.len()).unwrap();
+            cache_policies::registry::build_dense_domain("S3-FIFO-D", 20, None, ids.len()).unwrap();
         let diverged = diff_run(
             &mut reference,
             keyed.as_mut(),
-            dense.as_deref_mut(),
+            dense.as_mut(),
             &slots,
             &requests,
         );

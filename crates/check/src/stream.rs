@@ -228,9 +228,9 @@ pub fn fuzz_stream(
 /// byte accounting). Each is `(max_size, write_percent, ignore_size)`.
 pub const STREAM_SHAPES: &[(u32, u64, bool)] = &[(1, 0, true), (1, 12, true), (9, 12, false)];
 
-/// The algorithms the streamed differential covers: the slab policies,
-/// including parameterized S3-FIFO. `Belady`, the one keyed-only name, is
-/// deliberately absent — it cannot stream.
+/// The algorithms the streamed differential covers: every registry name
+/// but Belady, which needs the whole trace and cannot stream, plus
+/// parameterized S3-FIFO.
 pub const STREAM_ALGORITHMS: &[&str] = &[
     "FIFO",
     "LRU",

@@ -139,9 +139,7 @@ impl<P: SlabPolicy + Send> Policy for Keyed<P> {
     }
 
     fn contains(&self, id: ObjId) -> bool {
-        self.map
-            .get(&id)
-            .is_some_and(|&s| self.inner.slab().slots[s as usize].tag != 0)
+        self.map.get(&id).is_some_and(|&s| self.inner.resident(s))
     }
 
     fn request(&mut self, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {

@@ -37,10 +37,11 @@ pub use slab::{validate_queues, DenseSlab, PackedQueue, Slot};
 
 use cache_types::{DensePolicy, Eviction, Request};
 
-/// How many requests ahead the replay loop warms slot state. Far enough to
-/// overlap a DRAM round-trip with useful work, near enough that the warmed
-/// line is still cached when its request executes.
-const LOOKAHEAD: usize = 12;
+/// How many requests ahead a replay loop warms slot state — this one, and
+/// the simulator's per-request loop. Far enough to overlap a DRAM
+/// round-trip with useful work, near enough that the warmed line is still
+/// cached when its request executes.
+pub const LOOKAHEAD: usize = 12;
 
 /// The replay loop every dense policy's [`DensePolicy::replay`] override
 /// delegates to. Because `P` is a concrete type here, `request_dense`
@@ -79,8 +80,9 @@ pub fn replay_loop<P: DensePolicy>(
 }
 
 /// Implements [`DensePolicy::replay`] as a monomorphized [`replay_loop`]
-/// call, [`DensePolicy::prefetch`] as a slot-state warming read and
-/// [`DensePolicy::grow_domain`] as [`DenseSlab::grow_to`]; used inside each
+/// call, [`DensePolicy::prefetch`] as a slot-state warming read,
+/// [`DensePolicy::grow_domain`] as [`DenseSlab::grow_to`] and
+/// [`DensePolicy::resident`] as a nonzero tag; used inside each
 /// dense policy's `impl DensePolicy` block (they all store their per-slot
 /// state in a `slab` field and warm their eviction cursors in an inherent
 /// `prefetch_extra`). Policies with a ghost list name it as the macro
@@ -96,6 +98,10 @@ macro_rules! impl_dense_replay {
         ) -> Result<(), cache_types::CacheError> {
             self.slab.grow_to(domain, reserve);
             Ok(())
+        }
+
+        fn resident(&self, slot: u32) -> bool {
+            self.slab.slots[slot as usize].tag != 0
         }
 
         fn prefetch(&self, slot: u32) {

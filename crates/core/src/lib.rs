@@ -26,9 +26,11 @@
 //! - [`DenseS3FifoD`] — the adaptive-queue-size variant of §6.2.2, the same
 //!   queues plus two monitor ghosts, and [`S3FifoD`], keyed;
 //! - [`policy::Queues`] — the §6.3 queue-type ablation (LRU vs FIFO for `S`
-//!   and `M`) and §7's SIEVE `M`, as marker types on [`DenseS3Fifo`];
-//! - [`S3FifoCache`] — a standalone `K → V` cache for applications, using
-//!   the paper's §4.2 bucketed-fingerprint ghost table.
+//!   and `M`) and §7's SIEVE `M`, as marker types on [`DenseS3Fifo`].
+//!
+//! An application that wants a bounded map rather than a simulated policy
+//! uses `cache_concurrent::s3fifo::ConcurrentS3Fifo`, the thread-safe
+//! S3-FIFO with the paper's §4.2 bucketed-fingerprint ghost table.
 //!
 //! # Examples
 //!
@@ -47,10 +49,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod dense;
 pub mod policy;
 
-pub use cache::S3FifoCache;
 pub use dense::Keyed;
 pub use policy::{DenseS3Fifo, DenseS3FifoD, S3Fifo, S3FifoConfig, S3FifoD};

@@ -640,6 +640,10 @@ impl DensePolicy for DenseS3FifoD {
         outcome
     }
 
+    fn resident(&self, slot: u32) -> bool {
+        self.inner.resident(slot)
+    }
+
     fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
         self.inner.grow_domain(domain, reserve)
     }

@@ -11,8 +11,8 @@
 //! needed (hash collision), exactly as the paper specifies.
 //!
 //! The simulation policies in `s3fifo` use an exact ghost for bit-exact
-//! metrics; this table is the compact production variant and is exercised
-//! by `s3fifo::cache::S3FifoCache` and the concurrent prototype.
+//! metrics; this table is the compact production variant, used by the
+//! concurrent prototype.
 //!
 //! [`GhostFifo`] is that exact ghost keyed by id: S3-FIFO-D's monitors,
 //! which count hits by id so that both of its doors read them alike.

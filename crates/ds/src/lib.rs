@@ -4,7 +4,7 @@
 //! the simulator, and the concurrent cache prototype:
 //!
 //! - [`dlist::DList`] — a slab-backed doubly-linked list with generation-
-//!   checked handles, used by every LRU-family policy.
+//!   checked handles, used by LIRS's `Q` and the strict concurrent LRU.
 //! - [`sketch::CountMinSketch`] and [`sketch::Doorkeeper`] — the frequency
 //!   estimator TinyLFU uses.
 //! - [`bloom::BloomFilter`] — used by the B-LRU baseline and flash admission.

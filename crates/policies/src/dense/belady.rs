@@ -1,0 +1,295 @@
+//! Belady's MIN / OPT — the offline-optimal eviction algorithm — over dense
+//! slots. It evicts the resident object whose next request is furthest in
+//! the future, those never requested again first, so it is built from the
+//! whole trace: [`DenseBelady::new`] computes, for every position, when the
+//! same object is requested next. Fig. 4 uses it to show that even the
+//! optimal policy evicts mostly one-hit wonders. Each resident slot's next
+//! use sits in an array beside the slab, which catches up with the slab's
+//! domain on insertion, so it follows both doors' growth.
+
+use cache_ds::IdMap;
+use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Op, Outcome, PolicyStats, Request};
+use s3fifo::dense::DenseSlab;
+use s3fifo::impl_dense_replay;
+use std::collections::BTreeSet;
+
+const ABSENT: u8 = 0;
+const RESIDENT: u8 = 1;
+
+/// "Never requested again."
+const NEVER: u64 = u64::MAX;
+
+/// The offline-optimal eviction policy over dense slots.
+#[derive(Debug)]
+pub struct DenseBelady {
+    capacity: u64,
+    used: u64,
+    slab: DenseSlab,
+    /// For request position `i`, the position of the next request to the
+    /// same object (or [`NEVER`]).
+    next_occurrence: Vec<u64>,
+    /// Current position in the trace.
+    pos: usize,
+    /// Resident slots by (next use, id, slot); the last is the victim.
+    /// Only objects never requested again tie, and the largest id goes
+    /// first, whichever door numbered the slots.
+    order: BTreeSet<(u64, ObjId, u32)>,
+    /// Per slot: the next use it is ranked under.
+    next_use: Vec<u64>,
+    stats: PolicyStats,
+}
+
+impl DenseBelady {
+    /// Creates an offline-optimal policy of `capacity` bytes for `trace`
+    /// over the dense domain `0..domain`. It must then be driven with
+    /// exactly that trace, in order; requests past its end count as never
+    /// requested again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
+    pub fn new(capacity: u64, trace: &[Request], domain: usize) -> Result<Self, CacheError> {
+        if capacity == 0 {
+            return Err(CacheError::InvalidCapacity("capacity must be > 0".into()));
+        }
+        let mut next_occurrence = vec![NEVER; trace.len()];
+        let mut last_seen: IdMap<u64> = IdMap::default();
+        for (i, r) in trace.iter().enumerate().rev() {
+            if let Some(&later) = last_seen.get(&r.id) {
+                next_occurrence[i] = later;
+            }
+            last_seen.insert(r.id, i as u64);
+        }
+        Ok(DenseBelady {
+            capacity,
+            used: 0,
+            slab: DenseSlab::with_domain(domain),
+            next_occurrence,
+            pos: 0,
+            order: BTreeSet::new(),
+            next_use: vec![NEVER; domain],
+            stats: PolicyStats::default(),
+        })
+    }
+
+    /// Belady keeps no queue whose tail could be warmed.
+    #[inline]
+    fn prefetch_extra(&self) {}
+
+    /// `slot`'s key in the order.
+    fn key(&self, slot: u32) -> (u64, ObjId, u32) {
+        (self.next_use[slot as usize], self.slab.slots[slot as usize].orig, slot)
+    }
+
+    /// Ranks `slot` under its next use `next`, unranking it first.
+    fn rank(&mut self, slot: u32, next: u64) {
+        let old = self.key(slot);
+        self.order.remove(&old);
+        self.next_use[slot as usize] = next;
+        let new = self.key(slot);
+        self.order.insert(new);
+    }
+
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+        if let Some((_, _, slot)) = self.order.pop_last() {
+            self.slab.slots[slot as usize].tag = ABSENT;
+            self.used -= u64::from(self.slab.size(slot));
+            self.stats.evictions += 1;
+            evicted.push(self.slab.eviction(slot, false));
+            self.slab.release(slot);
+        }
+    }
+
+    fn delete(&mut self, slot: u32) {
+        if self.resident(slot) {
+            let key = self.key(slot);
+            self.order.remove(&key);
+            self.slab.slots[slot as usize].tag = ABSENT;
+            self.used -= u64::from(self.slab.size(slot));
+            self.slab.release(slot);
+        }
+    }
+
+    /// Admits `req`'s object at `slot`, next requested at `next`, evicting
+    /// what must go to make room.
+    fn insert(&mut self, slot: u32, req: &Request, next: u64, evicted: &mut Vec<Eviction>) {
+        while self.used + u64::from(req.size) > self.capacity && !self.order.is_empty() {
+            self.evict_one(evicted);
+        }
+        if self.next_use.len() < self.slab.domain() {
+            self.next_use.resize(self.slab.domain(), NEVER);
+        }
+        let s = &mut self.slab.slots[slot as usize];
+        s.tag = RESIDENT;
+        s.on_insert(req);
+        self.used += u64::from(req.size);
+        self.rank(slot, next);
+    }
+}
+
+impl DensePolicy for DenseBelady {
+    fn name(&self) -> String {
+        "Belady".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+        let next = self.next_occurrence.get(self.pos).copied().unwrap_or(NEVER);
+        self.pos += 1;
+        match req.op {
+            Op::Get if self.resident(slot) => {
+                self.slab.slots[slot as usize].touch();
+                self.rank(slot, next);
+                self.stats.record_get(req.size, false);
+                Outcome::Hit
+            }
+            Op::Get if u64::from(req.size) > self.capacity => {
+                self.stats.record_get(req.size, true);
+                Outcome::Uncacheable
+            }
+            Op::Get => {
+                self.stats.record_get(req.size, true);
+                self.insert(slot, req, next, evicted);
+                Outcome::Miss
+            }
+            Op::Set => {
+                self.delete(slot);
+                if u64::from(req.size) <= self.capacity {
+                    self.insert(slot, req, next, evicted);
+                }
+                Outcome::NotRead
+            }
+            Op::Delete => {
+                self.delete(slot);
+                Outcome::NotRead
+            }
+        }
+    }
+
+    impl_dense_replay!();
+
+    fn validate(&self) -> Result<(), String> {
+        let current = |&(next, id, slot): &(u64, ObjId, u32)| {
+            self.resident(slot) && self.key(slot) == (next, id, slot)
+        };
+        let bytes: u64 = self.order.iter().map(|&(.., s)| u64::from(self.slab.size(s))).sum();
+        let tagged = self.slab.slots.iter().filter(|s| s.tag != ABSENT).count();
+        if !self.order.iter().all(current) || tagged != self.order.len() || bytes != self.used {
+            return Err(format!(
+                "Belady: {} ranked ({bytes} bytes) but {tagged} tagged ({} bytes), or a stale rank",
+                self.order.len(),
+                self.used
+            ));
+        }
+        if self.used > self.capacity {
+            return Err(format!("Belady: used {} > capacity {}", self.used, self.capacity));
+        }
+        Ok(())
+    }
+
+    fn stats(&self) -> PolicyStats {
+        self.stats
+    }
+}
+
+// Without a trace every request is "never requested again": the keyed
+// default evicts the largest resident id first (DESIGN.md §5b).
+s3fifo::impl_slab_policy!(DenseBelady, |capacity| DenseBelady::new(capacity, &[], 0));
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::util::test_trace;
+    use cache_types::policy::run_trace;
+    use cache_types::Policy;
+    use s3fifo::Keyed;
+
+    fn keyed(capacity: u64, trace: &[Request]) -> Keyed<DenseBelady> {
+        Keyed::over(DenseBelady::new(capacity, trace, 0).unwrap())
+    }
+
+    #[test]
+    fn textbook_example() {
+        // The textbook OPT example (Silberschatz et al.): 3 frames, the
+        // 20-reference string below incurs exactly 9 page faults.
+        let ids = [
+            7u64, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2, 1, 2, 0, 1, 7, 0, 1,
+        ];
+        let reqs: Vec<Request> = ids
+            .iter()
+            .enumerate()
+            .map(|(t, &id)| Request::get(id, t as u64))
+            .collect();
+        let mut p = keyed(3, &reqs);
+        assert_eq!(run_trace(&mut p, &reqs).misses, 9, "OPT page-fault count");
+        let (ids, slots) = cache_ds::DenseIds::intern(reqs.iter().map(|r| r.id));
+        let mut dense = DenseBelady::new(3, &reqs, ids.len()).unwrap();
+        dense.replay(&slots, &reqs, false, &mut |_, _| {});
+        assert_eq!(dense.stats().misses, 9, "the same on the pre-interned door");
+    }
+
+    #[test]
+    fn optimal_beats_every_online_policy() {
+        let trace = test_trace(20_000, 800, 131);
+        let cap = 64u64;
+        let opt = run_trace(&mut keyed(cap, &trace), &trace).miss_ratio();
+        for name in ["LRU", "FIFO", "ARC"] {
+            let mut p = crate::registry::build(name, cap, None).unwrap();
+            let mr = run_trace(p.as_mut(), &trace).miss_ratio();
+            assert!(opt <= mr + 1e-12, "OPT {opt} vs {name} {mr}");
+        }
+    }
+
+    #[test]
+    fn never_requested_again_goes_first_largest_id_first() {
+        // At capacity 2: 1 and 2 are each requested again, 3 and 4 never.
+        let ids = [1u64, 2, 3, 1, 4, 2];
+        let reqs: Vec<Request> = ids
+            .iter()
+            .enumerate()
+            .map(|(t, &id)| Request::get(id, t as u64))
+            .collect();
+        let mut p = keyed(2, &reqs);
+        let mut evicted = Vec::new();
+        let mut all = Vec::new();
+        for r in &reqs {
+            evicted.clear();
+            p.request(r, &mut evicted);
+            all.extend(evicted.iter().map(|e| e.id));
+        }
+        // 3's insert evicts 2 (next use 5, after 1's at 3). By 4's insert 1
+        // has had its last request too, so 3 goes as the larger of two ids
+        // never requested again, and 2's insert evicts 4 over 1 likewise.
+        assert_eq!(all, [2, 3, 4]);
+        assert_eq!(p.stats().misses, 5);
+    }
+
+    #[test]
+    fn capacity_bounded() {
+        let trace = test_trace(10_000, 500, 137);
+        let mut p = keyed(32, &trace);
+        let mut evs = Vec::new();
+        for r in &trace {
+            evs.clear();
+            p.request(r, &mut evs);
+            assert!(p.used() <= 32);
+            p.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn rejects_zero_capacity() {
+        assert!(DenseBelady::new(0, &[], 0).is_err());
+    }
+}

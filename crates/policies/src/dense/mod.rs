@@ -1,8 +1,8 @@
 //! The slab policies: every algorithm here written once, over dense slots.
 //!
 //! FIFO, LRU, CLOCK, SIEVE and B-LRU ([`simple`]), 2Q and SLRU ([`multi`]),
-//! ARC, LIRS, W-TinyLFU, LRU-2, LeCaR, CACHEUS, LHD and FIFO-Merge keep
-//! their per-object state in plain slots indexed by a `u32` (the
+//! ARC, LIRS, W-TinyLFU, LRU-2, LeCaR, CACHEUS, LHD, FIFO-Merge and Belady
+//! keep their per-object state in plain slots indexed by a `u32` (the
 //! intrusive-array layout libCacheSim uses) rather than in per-key hash-map
 //! nodes; S3-FIFO and S3-FIFO-D do the same in the `s3fifo` crate, which
 //! also owns the shared plumbing ([`s3fifo::dense`]: slab, queues, ghost,
@@ -15,6 +15,7 @@
 //! curve in one trace pass.
 
 mod arc;
+mod belady;
 mod cacheus;
 mod fifomerge;
 mod lecar;
@@ -27,6 +28,7 @@ mod simple;
 mod tinylfu;
 
 pub use arc::{Arc, DenseArc};
+pub use belady::DenseBelady;
 pub use cacheus::{Cacheus, DenseCacheus};
 pub use fifomerge::{DenseFifoMerge, FifoMerge};
 pub use lecar::{DenseLeCar, LeCar};

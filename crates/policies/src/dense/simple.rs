@@ -727,6 +727,10 @@ impl DensePolicy for DenseBloomLru {
         }
     }
 
+    fn resident(&self, slot: u32) -> bool {
+        self.lru.resident(slot)
+    }
+
     fn validate(&self) -> Result<(), String> {
         self.lru.validate()
     }

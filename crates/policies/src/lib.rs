@@ -21,15 +21,15 @@
 //! | [`dense`] | CACHEUS | LeCaR successor |
 //! | [`dense`] | LHD | hit-density sampling |
 //! | [`dense`] | FIFO-Merge | Segcache's eviction |
-//! | [`belady`] | Belady / OPT | offline optimal (Fig. 4) |
+//! | [`dense`] | Belady / OPT | offline optimal (Fig. 4) |
 //!
-//! [`registry`] builds policies by name for the sweep engine. Every online
+//! [`registry`] builds policies by name for the sweep engine. Every
 //! algorithm in [`dense`] (and S3-FIFO and S3-FIFO-D in the `s3fifo` crate)
 //! exists once, over a slot-indexed slab: [`registry::build_dense_domain`]
 //! hands the simulator the policy itself, to be driven with pre-interned
 //! slots, and [`registry::build`] the same policy behind the interning
-//! [`s3fifo::Keyed`] adapter. Belady alone keeps its objects by id: it is
-//! built from the whole trace, not driven a slot at a time.
+//! [`s3fifo::Keyed`] adapter. Belady is one of them; it is built from the
+//! whole trace it will be driven with, so it cannot stream.
 //! [`dense::mrc`] holds the multi-capacity engines that compute a whole
 //! miss-ratio curve in one trace pass ([`MultiCapacityPolicy`]);
 //! [`registry::build_mrc`] selects those.
@@ -37,20 +37,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod belady;
 pub mod dense;
 pub mod registry;
 #[cfg(test)]
 mod util;
 
-pub use belady::Belady;
 pub use dense::{
     Arc, BloomLru, Cacheus, Clock, Fifo, FifoMerge, LeCar, Lhd, Lirs, Lru, LruK, Sieve, Slru,
     TinyLfu, TwoQ,
 };
 pub use dense::{
-    DenseArc, DenseBloomLru, DenseCacheus, DenseClock, DenseFifo, DenseFifoMerge, DenseLeCar,
-    DenseLhd, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo, DenseS3FifoD, DenseSieve, DenseSlru,
-    DenseTinyLfu, DenseTwoQ,
+    DenseArc, DenseBelady, DenseBloomLru, DenseCacheus, DenseClock, DenseFifo, DenseFifoMerge,
+    DenseLeCar, DenseLhd, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo, DenseS3FifoD, DenseSieve,
+    DenseSlru, DenseTinyLfu, DenseTwoQ,
 };
 pub use dense::{MrcExactFifo, MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve, MultiCapacityPolicy};

@@ -2,11 +2,10 @@
 //! binaries use.
 
 use crate::dense::{
-    DenseArc, DenseBloomLru, DenseCacheus, DenseClock, DenseFifo, DenseFifoMerge, DenseLeCar,
-    DenseLhd, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo, DenseSieve, DenseSlru, DenseTinyLfu,
-    DenseTwoQ,
+    DenseArc, DenseBelady, DenseBloomLru, DenseCacheus, DenseClock, DenseFifo, DenseFifoMerge,
+    DenseLeCar, DenseLhd, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo, DenseSieve, DenseSlru,
+    DenseTinyLfu, DenseTwoQ,
 };
-use crate::Belady;
 use cache_types::{CacheError, DensePolicy, Policy, Request};
 use s3fifo::dense::{Keyed, SlabPolicy};
 use s3fifo::policy::{FifoLru, FifoSieve, LruFifo, LruLru};
@@ -63,48 +62,55 @@ pub const ALL_ALGORITHMS: &[&str] = &[
 /// The one name → dense policy table, expanded once per door. `$wrap` is
 /// [`boxed`] (the policy itself, for pre-interned slots) or [`keyed`] (the
 /// policy behind [`Keyed`]); it is a generic function rather than a closure
-/// because each arm hands it a different concrete type. Evaluates to
-/// `Option<_>` and uses `?` on the enclosing function.
+/// because each arm hands it a different concrete type. `$trace` is read
+/// by Belady alone. Evaluates to the wrapped policy and uses `?` on the
+/// enclosing function, which returns an unknown name's error.
 macro_rules! dense_by_name {
-    ($name:expr, $capacity:expr, $domain:expr, $wrap:path) => {
+    ($name:expr, $capacity:expr, $trace:expr, $domain:expr, $wrap:path) => {
         if let Some(ratio) = parse_param($name, "S3-FIFO") {
             let cfg = S3FifoConfig { small_ratio: ratio? };
-            Some($wrap(DenseS3Fifo::with_config_domain($capacity, cfg, $domain)?))
+            $wrap(DenseS3Fifo::with_config_domain($capacity, cfg, $domain)?)
         } else if let Some(ratio) = parse_param($name, "TinyLFU") {
-            Some($wrap(DenseTinyLfu::with_window($capacity, ratio?, $domain)?))
+            $wrap(DenseTinyLfu::with_window($capacity, ratio?, $domain)?)
         } else {
             match $name {
-                "FIFO" => Some($wrap(DenseFifo::with_domain($capacity, $domain)?)),
-                "LRU" => Some($wrap(DenseLru::with_domain($capacity, $domain)?)),
-                "CLOCK" => Some($wrap(DenseClock::with_domain($capacity, 1, $domain)?)),
-                "CLOCK-2bit" => Some($wrap(DenseClock::with_domain($capacity, 2, $domain)?)),
-                "SIEVE" => Some($wrap(DenseSieve::with_domain($capacity, $domain)?)),
-                "SLRU" => Some($wrap(DenseSlru::with_domain($capacity, $domain)?)),
-                "2Q" => Some($wrap(DenseTwoQ::with_domain($capacity, $domain)?)),
-                "S3-FIFO" => Some($wrap(DenseS3Fifo::with_domain($capacity, $domain)?)),
-                "S3-FIFO-D" => Some($wrap(DenseS3FifoD::with_domain($capacity, $domain)?)),
+                "FIFO" => $wrap(DenseFifo::with_domain($capacity, $domain)?),
+                "LRU" => $wrap(DenseLru::with_domain($capacity, $domain)?),
+                "CLOCK" => $wrap(DenseClock::with_domain($capacity, 1, $domain)?),
+                "CLOCK-2bit" => $wrap(DenseClock::with_domain($capacity, 2, $domain)?),
+                "SIEVE" => $wrap(DenseSieve::with_domain($capacity, $domain)?),
+                "SLRU" => $wrap(DenseSlru::with_domain($capacity, $domain)?),
+                "2Q" => $wrap(DenseTwoQ::with_domain($capacity, $domain)?),
+                "S3-FIFO" => $wrap(DenseS3Fifo::with_domain($capacity, $domain)?),
+                "S3-FIFO-D" => $wrap(DenseS3FifoD::with_domain($capacity, $domain)?),
                 // §6.3's queue-type ablation and §7's SIEVE in place of `M`.
-                "QDLP-LRU-LRU" => Some($wrap(DenseS3Fifo::with_queues($capacity, LruLru, $domain)?)),
-                "QDLP-LRU-FIFO" => Some($wrap(DenseS3Fifo::with_queues($capacity, LruFifo, $domain)?)),
-                "QDLP-FIFO-LRU" => Some($wrap(DenseS3Fifo::with_queues($capacity, FifoLru, $domain)?)),
-                "S3-FIFO-Sieve" => Some($wrap(DenseS3Fifo::with_queues($capacity, FifoSieve, $domain)?)),
-                "ARC" => Some($wrap(DenseArc::with_domain($capacity, $domain)?)),
-                "LIRS" => Some($wrap(DenseLirs::with_domain($capacity, $domain)?)),
-                "TinyLFU" => Some($wrap(DenseTinyLfu::with_window($capacity, 0.01, $domain)?)),
-                "TinyLFU-0.1" => Some($wrap(DenseTinyLfu::with_window($capacity, 0.1, $domain)?)),
-                "LRU-2" => Some($wrap(DenseLruK::with_domain($capacity, $domain)?)),
-                "B-LRU" => Some($wrap(DenseBloomLru::with_domain($capacity, $domain)?)),
-                "LeCaR" => Some($wrap(DenseLeCar::with_domain($capacity, $domain)?)),
-                "CACHEUS" => Some($wrap(DenseCacheus::with_domain($capacity, $domain)?)),
-                "LHD" => Some($wrap(DenseLhd::with_domain($capacity, $domain)?)),
-                "FIFO-Merge" => Some($wrap(DenseFifoMerge::with_domain($capacity, $domain)?)),
-                _ => None,
+                "QDLP-LRU-LRU" => $wrap(DenseS3Fifo::with_queues($capacity, LruLru, $domain)?),
+                "QDLP-LRU-FIFO" => $wrap(DenseS3Fifo::with_queues($capacity, LruFifo, $domain)?),
+                "QDLP-FIFO-LRU" => $wrap(DenseS3Fifo::with_queues($capacity, FifoLru, $domain)?),
+                "S3-FIFO-Sieve" => $wrap(DenseS3Fifo::with_queues($capacity, FifoSieve, $domain)?),
+                "ARC" => $wrap(DenseArc::with_domain($capacity, $domain)?),
+                "LIRS" => $wrap(DenseLirs::with_domain($capacity, $domain)?),
+                "TinyLFU" => $wrap(DenseTinyLfu::with_window($capacity, 0.01, $domain)?),
+                "TinyLFU-0.1" => $wrap(DenseTinyLfu::with_window($capacity, 0.1, $domain)?),
+                "LRU-2" => $wrap(DenseLruK::with_domain($capacity, $domain)?),
+                "B-LRU" => $wrap(DenseBloomLru::with_domain($capacity, $domain)?),
+                "LeCaR" => $wrap(DenseLeCar::with_domain($capacity, $domain)?),
+                "CACHEUS" => $wrap(DenseCacheus::with_domain($capacity, $domain)?),
+                "LHD" => $wrap(DenseLhd::with_domain($capacity, $domain)?),
+                "FIFO-Merge" => $wrap(DenseFifoMerge::with_domain($capacity, $domain)?),
+                "Belady" => $wrap(DenseBelady::new($capacity, belady_trace($trace)?, $domain)?),
+                other => {
+                    return Err(CacheError::InvalidParameter(format!(
+                        "unknown algorithm {other:?}"
+                    )))
+                }
             }
         }
     };
 }
 
-/// Builds the named policy at the given byte capacity.
+/// Builds the named policy at the given byte capacity: the slab policy over
+/// the empty domain, behind the interning [`Keyed`] adapter.
 ///
 /// `trace` is required only by `"Belady"` (the offline-optimal policy needs
 /// the future); pass `None` for online algorithms.
@@ -121,45 +127,31 @@ pub fn build(
     capacity: u64,
     trace: Option<&[Request]>,
 ) -> Result<Box<dyn Policy>, CacheError> {
-    // A slab policy exists once: keyed is that policy over the empty domain,
-    // interning as it goes.
-    if let Some(policy) = dense_by_name!(name, capacity, 0, keyed) {
-        return Ok(policy);
-    }
-    match name {
-        // Belady stays keyed: it reads the whole trace up front.
-        "Belady" => {
-            let trace = trace
-                .ok_or_else(|| CacheError::InvalidParameter("Belady requires the trace".into()))?;
-            Ok(Box::new(Belady::new(capacity, trace)?))
-        }
-        other => Err(CacheError::InvalidParameter(format!(
-            "unknown algorithm {other:?}"
-        ))),
-    }
+    Ok(dense_by_name!(name, capacity, trace, 0, keyed))
 }
 
 /// Builds the named slab policy over the dense domain `0..domain`, to be
 /// driven with pre-interned slots — a trace's footprint, or 0 for a stream
 /// that grows the policy as it names ids ([`DensePolicy::grow_domain`]).
-/// `None` only for Belady, which needs the whole trace rather than a slot
-/// per request and which the simulator replays as [`build`]'s keyed policy.
-///
-/// Every other name of [`ALL_ALGORITHMS`], plus `"S3-FIFO(r)"` and
-/// `"TinyLFU(r)"`, is a slab policy, and for these [`build`] returns the
-/// same policy behind [`Keyed`].
+/// Every name [`build`] accepts, with the same `trace` rule: Belady needs
+/// the trace it will be driven with, in order.
 ///
 /// # Errors
 ///
-/// Returns [`CacheError`] for an invalid capacity or embedded parameter.
-/// An *unknown* name is `Ok(None)` here, not an error: [`build`] is the
-/// authority on name validity.
+/// As [`build`].
 pub fn build_dense_domain(
     name: &str,
     capacity: u64,
+    trace: Option<&[Request]>,
     domain: usize,
-) -> Result<Option<Box<dyn DensePolicy>>, CacheError> {
-    Ok(dense_by_name!(name, capacity, domain, boxed))
+) -> Result<Box<dyn DensePolicy>, CacheError> {
+    Ok(dense_by_name!(name, capacity, trace, domain, boxed))
+}
+
+/// The trace Belady reads each request's next use off, which it cannot be
+/// built without.
+fn belady_trace(trace: Option<&[Request]>) -> Result<&[Request], CacheError> {
+    trace.ok_or_else(|| CacheError::InvalidParameter("Belady requires the trace".into()))
 }
 
 fn boxed<P: DensePolicy + 'static>(policy: P) -> Box<dyn DensePolicy> {
@@ -189,7 +181,7 @@ fn keyed<P: SlabPolicy + Send + 'static>(policy: P) -> Box<dyn Policy> {
 /// # Errors
 ///
 /// Returns [`CacheError`] for an invalid grid or embedded parameter. An
-/// *unknown* name is `Ok(None)`, mirroring [`build_dense_domain`].
+/// *unknown* name is `Ok(None)`, like a known one without an engine.
 pub fn build_mrc(
     name: &str,
     capacities: &[u64],
@@ -290,17 +282,19 @@ mod tests {
     #[test]
     fn unknown_name_errors() {
         assert!(build("MRU", 100, None).is_err());
+        assert!(build_dense_domain("MRU", 100, None, 10).is_err());
     }
 
     #[test]
     fn belady_needs_trace() {
         assert!(build("Belady", 100, None).is_err());
         assert!(build("Belady", 100, Some(&[])).is_ok());
+        assert!(build_dense_domain("Belady", 100, None, 10).is_err());
     }
 
     /// A dense policy grown chunk by chunk as a stream names ids — with the
     /// room reserved up front or not — decides exactly as one built over
-    /// the whole footprint, for every dense name.
+    /// the whole footprint, for every name.
     #[test]
     fn a_slab_grown_in_steps_replays_as_a_presized_one() {
         let mut rng = cache_ds::SplitMix64::new(0x6E0C);
@@ -331,24 +325,17 @@ mod tests {
             policy.validate().expect("invariants hold");
             (policy.stats(), policy.used(), policy.len(), evictions)
         };
-        let mut checked = 0;
         for name in ALL_ALGORITHMS.iter().copied().chain(["S3-FIFO(0.25)"]) {
-            let Some(mut presized) = build_dense_domain(name, 60, ids.len()).expect("builds")
-            else {
-                continue;
-            };
+            let mut presized =
+                build_dense_domain(name, 60, Some(&reqs), ids.len()).expect("builds");
             let want = replay(presized.as_mut(), None);
             for reserve in [0, ids.len()] {
-                let mut grown = build_dense_domain(name, 60, 0)
-                    .expect("builds")
-                    .expect("dense");
+                let mut grown = build_dense_domain(name, 60, Some(&reqs), 0).expect("builds");
                 assert!(
                     replay(grown.as_mut(), Some(reserve)) == want,
                     "{name} reserve {reserve}"
                 );
             }
-            checked += 1;
         }
-        assert_eq!(checked, 24, "every name but Belady");
     }
 }

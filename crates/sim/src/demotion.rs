@@ -12,9 +12,8 @@
 
 use crate::engine::{Replay, RequestObserver};
 use crate::oracle::NextAccessOracle;
-use cache_policies::registry;
 use cache_trace::Trace;
-use cache_types::{CacheError, Eviction, Outcome, Policy, Request};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, Request};
 
 /// The Fig. 10 metrics for one (algorithm, trace, size) combination.
 #[derive(Debug, Clone, Copy)]
@@ -48,10 +47,11 @@ impl RequestObserver for DemotionObserver<'_> {
     fn after_request(
         &mut self,
         index: usize,
+        _slot: u32,
         _req: &Request,
         _outcome: Outcome,
         evicted: &[Eviction],
-        _policy: &dyn Policy,
+        _policy: &dyn DensePolicy,
     ) {
         let now = index as u64;
         for e in evicted.iter().filter(|e| e.from_probationary) {
@@ -75,14 +75,13 @@ pub fn demotion_metrics(
     lru_eviction_age: f64,
     oracle: &NextAccessOracle,
 ) -> Result<DemotionMetrics, CacheError> {
-    // The keyed policy reports the original ids the oracle indexes.
-    let policy = registry::build(name, capacity, Some(&trace.requests))?;
     let mut seen = DemotionObserver {
         oracle,
         probation_time_sum: 0,
         reuse: Vec::new(),
     };
-    let replay = Replay::keyed(policy).ignore_size(true);
+    // Evictions carry the original ids the oracle indexes.
+    let replay = Replay::on_trace(&[name], trace, capacity)?.ignore_size(true);
     let (result, _) = replay.observer(&mut seen)?.run(trace).remove(0);
     let (probation_time_sum, reuse) = (seen.probation_time_sum, seen.reuse);
     let demotions = reuse.len() as u64;

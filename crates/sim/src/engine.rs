@@ -7,21 +7,23 @@
 //! chunk per read (`crate::stream`). DESIGN.md, "The replay surface", has
 //! the table of which call serves which combination.
 //!
-//! Two paths exist inside, and only two. A lone dense policy goes through
-//! its own monomorphised [`DensePolicy::replay`] — one virtual call per
-//! chunk, because dispatching per request is what made the keyed engine
-//! slow. Everything else — keyed policies, observed runs, several policies
-//! sharing a pass (a *gang*) — goes through one per-request loop. A gang
-//! pays the dispatch and still wins on one core: while one policy's slot
-//! load stalls on memory the others issue theirs (ROADMAP item 3 has the
-//! measurement). Every policy keeps private state and sees the same
-//! requests, so a gang's results equal the solo runs bit for bit.
+//! Every policy it drives is a [`DensePolicy`] fed pre-interned slots, and
+//! two paths exist inside, and only two. A lone unobserved policy goes
+//! through its own monomorphised [`DensePolicy::replay`] — one virtual call
+//! per chunk, because dispatching per request costs ~2× (DESIGN.md §5c).
+//! Observed runs and several policies sharing a pass (a
+//! *gang*) go through one per-request loop. A gang pays the dispatch and
+//! still wins on one core: while one policy's slot load stalls on memory
+//! the others issue theirs (ROADMAP item 3 has the measurement). Every
+//! policy keeps private state and sees the same requests, so a gang's
+//! results equal the solo runs bit for bit.
 
 use cache_ds::Histogram;
 use cache_obs::MissRatioSeries;
 use cache_policies::registry;
 use cache_trace::Trace;
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, Policy, PolicyStats, Request};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::LOOKAHEAD;
 
 /// How the cache capacity is derived for a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,28 +140,25 @@ pub type Replayed = (SimResult, Option<MissRatioSeries>);
 /// collectors fit the same shape. Observation must not mutate the policy —
 /// the hook only gets a shared reference.
 pub trait RequestObserver {
-    /// Called once per request, after the policy processed it. `req` is the
-    /// request as replayed (size already overridden in ignore-size mode),
-    /// `evicted` the evictions it caused, and `policy` the post-request
-    /// state for structural inspection.
+    /// Called once per request, after the policy processed it. `slot` is
+    /// the request's dense slot, `req` the request as replayed (size
+    /// already overridden in ignore-size mode), `evicted` the evictions it
+    /// caused (carrying original ids), and `policy` the post-request state
+    /// for structural inspection.
     fn after_request(
         &mut self,
         index: usize,
+        slot: u32,
         req: &Request,
         outcome: Outcome,
         evicted: &[Eviction],
-        policy: &dyn Policy,
+        policy: &dyn DensePolicy,
     );
-}
-
-enum Engine<'p> {
-    Keyed(Box<dyn Policy + 'p>),
-    Dense(Box<dyn DensePolicy + 'p>),
 }
 
 /// One policy and what the driver accumulates for it while it replays.
 struct Lane<'p> {
-    engine: Engine<'p>,
+    policy: Box<dyn DensePolicy + 'p>,
     freq_at_eviction: Histogram,
     eviction_age: Histogram,
     series: Option<MissRatioSeries>,
@@ -167,15 +166,11 @@ struct Lane<'p> {
     prev: PolicyStats,
 }
 
-/// How many requests ahead the per-request loop warms each dense policy's
-/// slot state; matches the lookahead of the monomorphised loops.
-const LOOKAHEAD: usize = 12;
-
 /// Incremental replay of one request stream through one or more policies.
 ///
 /// Build it ([`on_trace`](Replay::on_trace), [`on_dense_ids`](Replay::on_dense_ids),
-/// [`keyed`](Replay::keyed), [`dense`](Replay::dense)), apply settings,
-/// [`feed`](Replay::feed) chunks in stream order, [`finish`](Replay::finish).
+/// [`dense`](Replay::dense)), apply settings, [`feed`](Replay::feed) chunks
+/// in stream order, [`finish`](Replay::finish).
 /// Results never depend on how the stream was cut into chunks.
 pub struct Replay<'p> {
     lanes: Vec<Lane<'p>>,
@@ -183,23 +178,23 @@ pub struct Replay<'p> {
     observer: Option<&'p mut dyn RequestObserver>,
     /// Requests fed so far: the stream index of the next chunk's first.
     fed: u64,
-    /// Every dense lane covers slots `0..domain`: the trace's footprint in
+    /// Every lane covers slots `0..domain`: the trace's footprint in
     /// memory, the distinct ids named so far on a stream.
     pub(crate) domain: usize,
     evs: Vec<Eviction>,
 }
 
 impl<'p> Replay<'p> {
-    fn new(engines: Vec<Engine<'p>>, domain: usize) -> Self {
-        let lane = |engine| Lane {
-            engine,
+    fn new(policies: Vec<Box<dyn DensePolicy + 'p>>, domain: usize) -> Self {
+        let lane = |policy| Lane {
+            policy,
             freq_at_eviction: Histogram::new(),
             eviction_age: Histogram::new(),
             series: None,
             prev: PolicyStats::default(),
         };
         Replay {
-            lanes: engines.into_iter().map(lane).collect(),
+            lanes: policies.into_iter().map(lane).collect(),
             ignore_size: false,
             observer: None,
             fed: 0,
@@ -210,27 +205,23 @@ impl<'p> Replay<'p> {
         }
     }
 
-    /// One policy per registry name: the dense policy over `0..domain`, or
-    /// for Belady, which reads the whole trace, the keyed one.
+    /// One policy per registry name, over `0..domain`; `trace` is what
+    /// Belady reads.
     fn named(
         names: &[&str],
         capacity: u64,
         trace: Option<&[Request]>,
         domain: usize,
     ) -> Result<Self, CacheError> {
-        let mut engines = Vec::with_capacity(names.len());
-        for name in names {
-            engines.push(match registry::build_dense_domain(name, capacity, domain)? {
-                Some(policy) => Engine::Dense(policy),
-                None => Engine::Keyed(registry::build(name, capacity, trace)?),
-            });
-        }
-        Ok(Self::new(engines, domain))
+        let policies = names
+            .iter()
+            .map(|name| registry::build_dense_domain(name, capacity, trace, domain))
+            .collect::<Result<_, _>>()?;
+        Ok(Self::new(policies, domain))
     }
 
-    /// A replay of `trace` at `capacity` through the named policies, dense
-    /// where the registry has a dense policy. Results come back in the order
-    /// of `names`.
+    /// A replay of `trace` at `capacity` through the named policies. Results
+    /// come back in the order of `names`.
     ///
     /// # Errors
     ///
@@ -242,7 +233,7 @@ impl<'p> Replay<'p> {
     }
 
     /// [`on_trace`](Self::on_trace) for a stream whose ids all lie below
-    /// `id_space` (a `.ctr` header's): dense policies start over the empty
+    /// `id_space` (a `.ctr` header's): the policies start over the empty
     /// domain with room reserved for `id_space` slots, and grow as the
     /// stream names ids ([`feed_ctr`](Self::feed_ctr) numbers them in
     /// first-appearance order). There is no trace, so `Belady`, which needs
@@ -258,24 +249,17 @@ impl<'p> Replay<'p> {
         Ok(replay)
     }
 
-    /// A replay through the caller's keyed policy, which must be fresh.
-    pub fn keyed(policy: Box<dyn Policy + 'p>) -> Self {
-        Self::new(vec![Engine::Keyed(policy)], 0)
-    }
-
     /// A replay through the caller's dense policy, which must be fresh. It
     /// is grown ([`DensePolicy::grow_domain`]) to cover the slots it is fed.
     pub fn dense(policy: Box<dyn DensePolicy + 'p>) -> Self {
-        Self::new(vec![Engine::Dense(policy)], 0)
+        Self::new(vec![policy], 0)
     }
 
-    /// Grows every dense lane to cover slots `0..domain`, with room for
-    /// `reserve` ([`DensePolicy::grow_domain`]).
+    /// Grows every lane to cover slots `0..domain`, with room for `reserve`
+    /// ([`DensePolicy::grow_domain`]).
     pub(crate) fn grow(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
         for lane in &mut self.lanes {
-            if let Engine::Dense(policy) = &mut lane.engine {
-                policy.grow_domain(domain, reserve)?;
-            }
+            lane.policy.grow_domain(domain, reserve)?;
         }
         self.domain = self.domain.max(domain);
         Ok(())
@@ -302,74 +286,57 @@ impl<'p> Replay<'p> {
     ///
     /// # Errors
     ///
-    /// Observers inspect a `&dyn Policy`, so this is refused unless the
-    /// replay drives exactly one keyed policy.
+    /// An observer watches one policy, so this is refused on a gang.
     pub fn observer(mut self, observer: &'p mut dyn RequestObserver) -> Result<Self, CacheError> {
-        if self.lanes.len() != 1 || self.has_dense() {
+        if self.lanes.len() != 1 {
             return Err(CacheError::InvalidParameter(
-                "an observer needs exactly one keyed policy".into(),
+                "an observer watches exactly one policy".into(),
             ));
         }
         self.observer = Some(observer);
         Ok(self)
     }
 
-    pub(crate) fn has_dense(&self) -> bool {
-        self.lanes
-            .iter()
-            .any(|l| matches!(l.engine, Engine::Dense(_)))
-    }
-
     /// Replays the next chunk of the stream. `slots` is parallel to `reqs`
-    /// and names each request's dense slot; it is read only when a dense
-    /// policy is driven and may be empty otherwise. Dense policies are first
-    /// grown to cover every slot named.
+    /// and names each request's dense slot. The policies are first grown to
+    /// cover every slot named.
     ///
     /// # Errors
     ///
-    /// [`DensePolicy::grow_domain`]'s, when a dense policy cannot grow to
-    /// the chunk's slots; nothing is replayed then.
+    /// [`DensePolicy::grow_domain`]'s, when a policy cannot grow to the
+    /// chunk's slots; nothing is replayed then.
     ///
     /// # Panics
     ///
-    /// Panics when a dense policy is driven and the lengths differ.
+    /// Panics when the lengths differ.
     pub fn feed(&mut self, slots: &[u32], reqs: &[Request]) -> Result<(), CacheError> {
-        if self.has_dense() {
-            let named = slots.iter().max().map_or(0, |&s| s as usize + 1);
-            self.grow(named, 0)?;
-        }
+        let named = slots.iter().max().map_or(0, |&s| s as usize + 1);
+        self.grow(named, 0)?;
         self.feed_covered(slots, reqs);
         Ok(())
     }
 
-    /// [`feed`](Self::feed) for a chunk whose slots every dense lane
-    /// already covers.
+    /// [`feed`](Self::feed) for a chunk whose slots every lane already
+    /// covers.
     pub(crate) fn feed_covered(&mut self, slots: &[u32], reqs: &[Request]) {
-        let dense = self.has_dense();
-        assert!(
-            !dense || slots.len() == reqs.len(),
-            "slots must parallel reqs"
-        );
-        let slots = if dense { slots } else { &[] };
+        assert_eq!(slots.len(), reqs.len(), "slots must parallel reqs");
         if !self.feed_bulk(slots, reqs) {
             self.feed_each(slots, reqs);
         }
         self.fed += reqs.len() as u64;
     }
 
-    /// The bulk path, taken (and `true`) when the replay drives a lone dense
-    /// policy: one `DensePolicy::replay` per chunk, or per series window
-    /// when one is kept. A window's counts are stats deltas, so each call
-    /// must end exactly where the open window's read budget does; finding
-    /// that point scans the chunk, which is skipped when there is no window
-    /// to close before the stream ends.
+    /// The bulk path, taken (and `true`) when the replay drives a lone
+    /// unobserved policy: one `DensePolicy::replay` per chunk, or per series
+    /// window when one is kept. A window's counts are stats deltas, so each
+    /// call must end exactly where the open window's read budget does;
+    /// finding that point scans the chunk, which is skipped when there is no
+    /// window to close before the stream ends.
     fn feed_bulk(&mut self, slots: &[u32], reqs: &[Request]) -> bool {
-        let [lane] = self.lanes.as_mut_slice() else {
+        let ([lane], None) = (self.lanes.as_mut_slice(), &self.observer) else {
             return false;
         };
-        let Engine::Dense(policy) = &mut lane.engine else {
-            return false;
-        };
+        let policy = &mut lane.policy;
         let mut base = 0;
         while base < reqs.len() {
             let end = match &lane.series {
@@ -406,15 +373,13 @@ impl<'p> Replay<'p> {
         true
     }
 
-    /// The per-request loop, for everything else: every policy sees request
-    /// `i` before any sees `i + 1`.
+    /// The per-request loop, for gangs and observed runs: every policy sees
+    /// request `i` before any sees `i + 1`.
     fn feed_each(&mut self, slots: &[u32], reqs: &[Request]) {
         for (i, r) in reqs.iter().enumerate() {
             if let Some(&ahead) = slots.get(i + LOOKAHEAD) {
                 for lane in &self.lanes {
-                    if let Engine::Dense(policy) = &lane.engine {
-                        policy.prefetch(ahead);
-                    }
+                    lane.policy.prefetch(ahead);
                 }
             }
             let req = if self.ignore_size {
@@ -425,10 +390,7 @@ impl<'p> Replay<'p> {
             let now = self.fed + i as u64;
             for lane in &mut self.lanes {
                 self.evs.clear();
-                let outcome = match &mut lane.engine {
-                    Engine::Keyed(policy) => policy.request(&req, &mut self.evs),
-                    Engine::Dense(policy) => policy.request_dense(slots[i], &req, &mut self.evs),
-                };
+                let outcome = lane.policy.request_dense(slots[i], &req, &mut self.evs);
                 for e in &self.evs {
                     lane.freq_at_eviction.record(u64::from(e.freq));
                     lane.eviction_age.record(e.age(now));
@@ -438,9 +400,9 @@ impl<'p> Replay<'p> {
                         series.record(outcome.is_miss());
                     }
                 }
-                if let (Some(observer), Engine::Keyed(policy)) = (&mut self.observer, &lane.engine)
-                {
-                    observer.after_request(now as usize, &req, outcome, &self.evs, &**policy);
+                if let Some(observer) = &mut self.observer {
+                    let (slot, evs) = (slots[i], &self.evs);
+                    observer.after_request(now as usize, slot, &req, outcome, evs, &*lane.policy);
                 }
             }
         }
@@ -450,10 +412,8 @@ impl<'p> Replay<'p> {
     /// order the replay was built over them, labelled with `trace`.
     pub fn finish(self, trace: &str) -> Vec<Replayed> {
         let assemble = |mut lane: Lane<'_>| {
-            let (algorithm, capacity, stats) = match &lane.engine {
-                Engine::Keyed(p) => (p.name(), p.capacity(), p.stats()),
-                Engine::Dense(p) => (p.name(), p.capacity(), p.stats()),
-            };
+            let p = &lane.policy;
+            let (algorithm, capacity, stats) = (p.name(), p.capacity(), p.stats());
             if let Some(series) = &mut lane.series {
                 series.finish();
             }
@@ -479,8 +439,8 @@ impl<'p> Replay<'p> {
     ///
     /// # Panics
     ///
-    /// Panics when a dense policy the caller built cannot grow to the
-    /// trace's footprint; the registry's all can.
+    /// Panics when a policy the caller built cannot grow to the trace's
+    /// footprint; the registry's all can.
     pub fn run(mut self, trace: &Trace) -> Vec<Replayed> {
         let dense = trace.dense();
         if let Err(e) = self.grow(dense.ids.len(), 0) {
@@ -540,8 +500,8 @@ mod tests {
     #[test]
     fn simulate_counts_match_policy_stats() {
         let trace = small_trace();
-        let p = Box::new(cache_policies::Lru::new(100).unwrap());
-        let (r, series) = Replay::keyed(p).ignore_size(true).run(&trace).remove(0);
+        let p = Box::new(cache_policies::DenseLru::with_domain(100, 0).unwrap());
+        let (r, series) = Replay::dense(p).ignore_size(true).run(&trace).remove(0);
         assert!(series.is_none(), "no window asked for, no series kept");
         assert_eq!(r.requests, 20_000);
         assert!(r.miss_ratio > 0.0 && r.miss_ratio < 1.0);
@@ -627,37 +587,36 @@ mod tests {
     }
 
     /// Combinations the driver cannot serve are refused when it is built,
-    /// not mis-counted: an observer needs one keyed policy to look at.
+    /// not mis-counted: an observer watches one lane, of any name.
     #[test]
-    fn observer_is_refused_off_a_single_keyed_policy() {
-        struct Nop;
-        impl RequestObserver for Nop {
+    fn an_observer_is_refused_on_a_gang_and_watches_one_lane() {
+        struct Count(usize);
+        impl RequestObserver for Count {
             fn after_request(
                 &mut self,
                 _: usize,
+                _: u32,
                 _: &Request,
                 _: Outcome,
                 _: &[Eviction],
-                _: &dyn Policy,
+                _: &dyn DensePolicy,
             ) {
+                self.0 += 1;
             }
         }
         let trace = small_trace();
-        let (mut a, mut b) = (Nop, Nop);
-        assert!(Replay::on_trace(&["S3-FIFO"], &trace, 100)
+        let mut gang = Count(0);
+        assert!(Replay::on_trace(&["S3-FIFO", "Belady"], &trace, 100)
             .unwrap()
-            .observer(&mut a)
+            .observer(&mut gang)
             .is_err());
-        // Belady is the registry's one keyed policy: a gang of two is still
-        // more than one.
-        assert!(Replay::on_trace(&["Belady", "Belady"], &trace, 100)
-            .unwrap()
-            .observer(&mut b)
-            .is_err());
-        let mut nop = Nop;
-        let lhd = registry::build("LHD", 100, None).unwrap();
-        let keyed = Replay::keyed(lhd).observer(&mut nop);
-        assert_eq!(keyed.unwrap().run(&trace)[0].0.requests, 20_000);
+        for name in registry::ALL_ALGORITHMS {
+            let mut seen = Count(0);
+            let replay = Replay::on_trace(&[name], &trace, 100).unwrap();
+            let observed = replay.observer(&mut seen).unwrap().run(&trace);
+            assert_eq!(observed[0].0.requests, 20_000, "{name}");
+            assert_eq!(seen.0, 20_000, "{name}");
+        }
     }
 
     /// A chunk of explicit slots grows a dense policy to cover them; a
@@ -693,6 +652,9 @@ mod tests {
             }
             fn request_dense(&mut self, _: u32, _: &Request, _: &mut Vec<Eviction>) -> Outcome {
                 panic!("a policy that cannot grow must not be fed");
+            }
+            fn resident(&self, _: u32) -> bool {
+                false
             }
             fn stats(&self) -> PolicyStats {
                 PolicyStats::default()

@@ -308,6 +308,9 @@ mod tests {
             self.slots.push(slot);
             self.policy.request_dense(slot, req, evicted)
         }
+        fn resident(&self, slot: u32) -> bool {
+            self.policy.resident(slot)
+        }
         fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
             match self.fault {
                 Fault::RefuseGrowthPast(limit) if domain > limit => Err(

@@ -1,17 +1,22 @@
 //! Pre-interned ⇔ keyed equivalence.
 //!
-//! A FIFO-family policy driven with pre-interned slots and the same policy
-//! behind the interning `Keyed` adapter (which recycles slots) must be
-//! *decision identical*: same misses, same evictions, same miss ratios, bit
-//! for bit. Every registry algorithm is replayed through both
-//! `simulate_named` (dense where the registry has one, keyed otherwise) and
-//! a [`Replay`] over the registry's keyed policy (forced keyed) across three
-//! workload shapes.
+//! A slab policy driven with pre-interned slots and the same policy behind
+//! the interning `Keyed` adapter (which recycles slots) must be *decision
+//! identical*: same misses, same evictions, same miss ratios, bit for bit.
+//! Every registry algorithm is replayed through both `simulate_named` (the
+//! pre-interned door) and the registry's keyed policy, driven one request
+//! at a time, across three workload shapes. The keyed policy's invariants
+//! (`Keyed::validate`: the policy's own, then mapped, free and scratch
+//! slots partitioning the slab) are checked after every request at small
+//! capacities and at the end of the larger runs, where checking each
+//! request would cost minutes in a debug build.
 
+use cache_ds::Histogram;
 use cache_policies::registry::ALL_ALGORITHMS;
-use cache_sim::{simulate_named, CacheSizeSpec, Replay, SimConfig};
+use cache_sim::{simulate_named, CacheSizeSpec, SimConfig};
 use cache_trace::gen::{SizeModel, WorkloadSpec};
 use cache_trace::Trace;
+use cache_types::{Op, PolicyStats, Request};
 
 /// The three workload shapes: pure Zipfian, scan-heavy (scan resistance is
 /// where 2Q/S3-FIFO ghost logic earns its keep), and variable object sizes
@@ -42,49 +47,45 @@ fn workloads() -> Vec<(Trace, SimConfig)> {
     ]
 }
 
-/// Replays `trace` under `cfg` through the auto (dense-preferred) and forced
-/// keyed paths and asserts the results are bit-identical.
-fn assert_equivalent(name: &str, trace: &Trace, cfg: &SimConfig) {
+/// Replays `trace` under `cfg` through both doors and asserts the results
+/// are bit-identical.
+fn assert_equivalent(name: &str, trace: &Trace, cfg: &SimConfig, validate: Validate) {
     let fast = simulate_named(name, trace, cfg)
         .unwrap_or_else(|e| panic!("{name} on {}: {e}", trace.name))
         .expect("no min_objects filter configured");
-    let keyed =
-        cache_policies::registry::build(name, cfg.capacity_for(trace), Some(&trace.requests))
-            .unwrap_or_else(|e| panic!("{name} on {}: {e}", trace.name));
-    let (reference, _) = Replay::keyed(keyed)
-        .ignore_size(cfg.ignore_size)
-        .run(trace)
-        .remove(0);
+    let capacity = cfg.capacity_for(trace);
+    let keyed = drive_keyed(name, capacity, &trace.requests, cfg.ignore_size, validate);
+    let stats = keyed.stats;
 
     let ctx = format!(
         "{name} on {} (capacity {:?}, ignore_size={})",
         trace.name, cfg.size, cfg.ignore_size
     );
-    assert_eq!(fast.algorithm, reference.algorithm, "{ctx}: name");
-    assert_eq!(fast.capacity, reference.capacity, "{ctx}: capacity");
-    assert_eq!(fast.requests, reference.requests, "{ctx}: requests");
-    assert_eq!(fast.misses, reference.misses, "{ctx}: misses");
-    assert_eq!(fast.evictions, reference.evictions, "{ctx}: evictions");
+    assert_eq!(fast.algorithm, keyed.name, "{ctx}: name");
+    assert_eq!(fast.capacity, keyed.capacity, "{ctx}: capacity");
+    assert_eq!(fast.requests, stats.gets, "{ctx}: requests");
+    assert_eq!(fast.misses, stats.misses, "{ctx}: misses");
+    assert_eq!(fast.evictions, stats.evictions, "{ctx}: evictions");
     assert_eq!(
         fast.miss_ratio.to_bits(),
-        reference.miss_ratio.to_bits(),
+        stats.miss_ratio().to_bits(),
         "{ctx}: miss_ratio {} vs {}",
         fast.miss_ratio,
-        reference.miss_ratio
+        stats.miss_ratio()
     );
     assert_eq!(
         fast.byte_miss_ratio.to_bits(),
-        reference.byte_miss_ratio.to_bits(),
+        stats.byte_miss_ratio().to_bits(),
         "{ctx}: byte_miss_ratio"
     );
     assert_eq!(
         fast.one_hit_eviction_fraction.to_bits(),
-        reference.one_hit_eviction_fraction.to_bits(),
+        keyed.freq_at_eviction.zero_fraction().to_bits(),
         "{ctx}: one-hit fraction"
     );
     assert_eq!(
         fast.freq_at_eviction.count(),
-        reference.freq_at_eviction.count(),
+        keyed.freq_at_eviction.count(),
         "{ctx}: eviction histogram count"
     );
 }
@@ -93,7 +94,7 @@ fn assert_equivalent(name: &str, trace: &Trace, cfg: &SimConfig) {
 fn dense_and_keyed_paths_are_bit_identical() {
     for (trace, cfg) in workloads() {
         for name in ALL_ALGORITHMS {
-            assert_equivalent(name, &trace, &cfg);
+            assert_equivalent(name, &trace, &cfg, Validate::AtEnd);
         }
     }
 }
@@ -118,23 +119,59 @@ fn dense_and_keyed_agree_at_degenerate_capacities() {
                 floor_objects: 0,
             };
             for name in ALL_ALGORITHMS {
-                assert_equivalent(name, &trace, &cfg);
+                assert_equivalent(name, &trace, &cfg, Validate::EachRequest);
             }
         }
     }
 }
 
-/// The auto path must actually *take* the dense route for every online
-/// policy (a fallback-everywhere bug would make the equivalence test
-/// vacuous); only Belady, which needs the whole trace, stays keyed.
+/// Mixed gets, sets and deletes of sizes 1..=8 over 200 ids: the stream
+/// shape the invariant observer sweeps.
+fn mixed_requests(requests: u64, seed: u64) -> Vec<Request> {
+    let mut rng = cache_ds::SplitMix64::new(seed);
+    (0..requests)
+        .map(|time| {
+            let (id, size) = (rng.next_below(200), 1 + rng.next_below(8) as u32);
+            let op = match rng.next_below(100) {
+                0..=3 => Op::Set,
+                4..=7 => Op::Delete,
+                _ => Op::Get,
+            };
+            Request { id, size, time, op }
+        })
+        .collect()
+}
+
+/// Every name's keyed door holds its invariants after every request at a
+/// capacity where ghosts fill and slots recycle, sizes honoured and
+/// ignored, and decides as its pre-interned door.
+#[test]
+fn keyed_invariants_hold_after_every_request() {
+    let requests = mixed_requests(5_000, 0x0B5E_7EED);
+    for name in ALL_ALGORITHMS {
+        for ignore_size in [false, true] {
+            let keyed = drive_keyed(name, 64, &requests, ignore_size, Validate::EachRequest);
+            assert_eq!(
+                (keyed.stats.misses, keyed.stats.evictions, keyed.hash),
+                dense_fingerprint(name, 64, &requests, ignore_size),
+                "{name} (ignore_size={ignore_size})"
+            );
+        }
+    }
+}
+
+/// Every name, parameterized ones included, has a pre-interned door —
+/// Belady given the trace it will replay — so the equivalence above always
+/// compares two doors.
 #[test]
 fn dense_variants_exist_for_core_policies() {
     let trace = WorkloadSpec::zipf("probe", 100, 50, 1.0, 1).generate();
     let domain = trace.dense().ids.len();
     let parameterized = ["S3-FIFO(0.25)", "TinyLFU(0.2)"];
     for name in ALL_ALGORITHMS.iter().chain(&parameterized) {
-        let dense = cache_policies::registry::build_dense_domain(name, 16, domain).unwrap();
-        assert_eq!(dense.is_some(), *name != "Belady", "{name}");
+        let built =
+            cache_policies::registry::build_dense_domain(name, 16, Some(&trace.requests), domain);
+        assert!(built.is_ok(), "{name}");
     }
 }
 
@@ -150,26 +187,71 @@ fn hash_ids(hash: u64, evicted: &[cache_types::Eviction]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// What the registry's keyed `name` did over a request stream.
+struct KeyedRun {
+    name: String,
+    capacity: u64,
+    stats: PolicyStats,
+    freq_at_eviction: Histogram,
+    /// FNV-1a of the evicted-id sequence.
+    hash: u64,
+}
+
+/// When [`drive_keyed`] calls `Policy::validate`.
+#[derive(Clone, Copy, PartialEq)]
+enum Validate {
+    EachRequest,
+    AtEnd,
+}
+
+/// Drives the registry's keyed `name` at `capacity` over `requests`, one
+/// request at a time, and panics if `Policy::validate` fails when called.
+fn drive_keyed(
+    name: &str,
+    capacity: u64,
+    requests: &[Request],
+    ignore_size: bool,
+    validate: Validate,
+) -> KeyedRun {
+    let mut policy = cache_policies::registry::build(name, capacity, Some(requests))
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let mut evicted = Vec::new();
+    let mut freq_at_eviction = Histogram::new();
+    let mut hash = FNV_OFFSET;
+    for (i, r) in requests.iter().enumerate() {
+        let size = if ignore_size { 1 } else { r.size };
+        evicted.clear();
+        policy.request(&Request { size, ..*r }, &mut evicted);
+        let last = i + 1 == requests.len();
+        if validate == Validate::EachRequest || last {
+            if let Err(e) = policy.validate() {
+                panic!("{name}, keyed door, after request {i}: {e}");
+            }
+        }
+        hash = hash_ids(hash, &evicted);
+        for e in &evicted {
+            freq_at_eviction.record(u64::from(e.freq));
+        }
+    }
+    KeyedRun {
+        name: policy.name(),
+        capacity: policy.capacity(),
+        stats: policy.stats(),
+        freq_at_eviction,
+        hash,
+    }
+}
+
 /// `(misses, evictions, FNV-1a of the evicted-id sequence)` of the registry's
 /// keyed `name` at `capacity` over `requests`.
 fn fingerprint(
     name: &str,
     capacity: u64,
-    requests: &[cache_types::Request],
+    requests: &[Request],
     ignore_size: bool,
 ) -> (u64, u64, u64) {
-    let mut policy = cache_policies::registry::build(name, capacity, Some(requests))
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let mut evicted = Vec::new();
-    let mut hash = FNV_OFFSET;
-    for r in requests {
-        let size = if ignore_size { 1 } else { r.size };
-        evicted.clear();
-        policy.request(&cache_types::Request { size, ..*r }, &mut evicted);
-        hash = hash_ids(hash, &evicted);
-    }
-    let stats = policy.stats();
-    (stats.misses, stats.evictions, hash)
+    let run = drive_keyed(name, capacity, requests, ignore_size, Validate::AtEnd);
+    (run.stats.misses, run.stats.evictions, run.hash)
 }
 
 /// [`fingerprint`] through the other door: the registry's dense `name`
@@ -177,13 +259,13 @@ fn fingerprint(
 fn dense_fingerprint(
     name: &str,
     capacity: u64,
-    requests: &[cache_types::Request],
+    requests: &[Request],
     ignore_size: bool,
 ) -> (u64, u64, u64) {
     let (ids, slots) = cache_ds::DenseIds::intern(requests.iter().map(|r| r.id));
-    let mut policy = cache_policies::registry::build_dense_domain(name, capacity, ids.len())
-        .unwrap_or_else(|e| panic!("{name}: {e}"))
-        .unwrap_or_else(|| panic!("{name} has no dense policy"));
+    let mut policy =
+        cache_policies::registry::build_dense_domain(name, capacity, Some(requests), ids.len())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut hash = FNV_OFFSET;
     policy.replay(&slots, requests, ignore_size, &mut |_, e| {
         hash = hash_ids(hash, std::slice::from_ref(e));
@@ -235,15 +317,15 @@ fn queue_type_variants_are_unchanged() {
     assert_fingerprints(&golden);
 }
 
-/// Every online baseline was a hand-written keyed policy until it moved
-/// onto the slab, so its decisions were pinned first, on the three
-/// workloads above: ARC, LIRS, W-TinyLFU (both windows), LRU-2 and B-LRU at
-/// 3d0ea33, CACHEUS, LeCaR, LHD, FIFO-Merge and S3-FIFO-D at 42ef7d2 — each
-/// the last commit with the keyed policies. (B-LRU's and S3-FIFO-D's misses
-/// and evictions are the ones pinned at 3ab2410.)
+/// Every baseline was a hand-written keyed policy until it moved onto the
+/// slab, so its decisions were pinned first, on the three workloads above:
+/// ARC, LIRS, W-TinyLFU (both windows), LRU-2 and B-LRU at 3d0ea33,
+/// CACHEUS, LeCaR, LHD, FIFO-Merge and S3-FIFO-D at 42ef7d2, Belady at
+/// 127b315 — each the last commit with the keyed policies. (B-LRU's and
+/// S3-FIFO-D's misses and evictions are the ones pinned at 3ab2410.)
 #[test]
 fn slab_ports_are_unchanged() {
-    let golden: [(&str, [(u64, u64, u64); 3]); 11] = [
+    let golden: [(&str, [(u64, u64, u64); 3]); 12] = [
         (
             "ARC",
             [
@@ -332,6 +414,14 @@ fn slab_ports_are_unchanged() {
                 (6583, 6400, 12538417372919075423),
             ],
         ),
+        (
+            "Belady",
+            [
+                (6888, 6622, 6216292443589348239),
+                (13238, 12667, 14194294972123307314),
+                (4742, 4556, 10311971568268628387),
+            ],
+        ),
     ];
     assert_fingerprints(&golden);
 }
@@ -342,10 +432,7 @@ fn assert_fingerprints(golden: &[(&str, [(u64, u64, u64); 3])]) {
     let workloads = workloads();
     for &(name, want) in golden {
         for (door, print) in [
-            (
-                "keyed",
-                fingerprint as fn(&str, u64, &[cache_types::Request], bool) -> _,
-            ),
+            ("keyed", fingerprint as fn(&str, u64, &[Request], bool) -> _),
             ("dense", dense_fingerprint),
         ] {
             let got: Vec<_> = workloads

@@ -2,21 +2,23 @@
 //! answer.
 //!
 //! Source {in memory, `.ctr` in chunks of 1 / 4096 / more than the trace}
-//! × engine {the registry's dense policy, the keyed policy of the same name,
-//! a dense policy the caller built} × window {none, 777, `u64::MAX`} ×
-//! trace {pure-get unit-size, mixed get/set/delete with sizes honoured and
-//! ignored}. Every cell must equal the in-memory unwindowed cell of its
-//! trace and name bit for bit, and every cell's series must equal the
-//! in-memory series of its window. Gangs mix dense policies with Belady,
-//! the one name the registry keeps keyed.
+//! × path {the registry's policy alone (the bulk call), the same policy
+//! observed (the per-request loop), a policy the caller built} × window
+//! {none, 777, `u64::MAX`} × trace {pure-get unit-size, mixed
+//! get/set/delete with sizes honoured and ignored}. Every cell must equal
+//! the in-memory unwindowed cell of its trace and name bit for bit, and
+//! every cell's series must equal the series of its window counted read by
+//! read over the keyed policy of the same name, driven here without
+//! `Replay`. Gangs include Belady, which replays in memory only.
 
-use cache_ds::SplitMix64;
+use cache_ds::{Histogram, SplitMix64};
+use cache_obs::MissRatioSeries;
 use cache_policies::registry;
-use cache_sim::{Replay, Replayed};
+use cache_sim::{Replay, Replayed, RequestObserver, SimResult};
 use cache_trace::ctr::{read_trace, write_trace, CtrReader};
 use cache_trace::gen::WorkloadSpec;
 use cache_trace::Trace;
-use cache_types::{Op, Request};
+use cache_types::{DensePolicy, Eviction, Op, Outcome, Request};
 use std::io::Cursor;
 
 const CAPACITY: u64 = 200;
@@ -111,27 +113,99 @@ fn settings<'p>(replay: Replay<'p>, f: &Fixture, window: Option<u64>) -> Replay<
     }
 }
 
-/// The registry's choice for `names` (dense where it has one).
-fn by_name(names: &[&str], f: &Fixture, source: Source, window: Option<u64>) -> Vec<Replayed> {
-    let replay = match source {
+/// The registry's policies for `names`, unbuilt.
+fn registry_replay<'p>(names: &[&str], f: &Fixture, source: Source) -> Replay<'p> {
+    match source {
         Source::Memory => Replay::on_trace(names, &f.decoded, CAPACITY),
         Source::Ctr(_) => Replay::on_dense_ids(names, f.id_space, CAPACITY),
-    };
-    drive(settings(replay.expect("known names"), f, window), f, source)
+    }
+    .expect("known names")
 }
 
-/// A dense policy the caller built, rather than the registry's choice.
+/// The registry's policies for `names`.
+fn by_name(names: &[&str], f: &Fixture, source: Source, window: Option<u64>) -> Vec<Replayed> {
+    drive(
+        settings(registry_replay(names, f, source), f, window),
+        f,
+        source,
+    )
+}
+
+/// Counts the requests it is shown.
+struct Count(u64);
+
+impl RequestObserver for Count {
+    fn after_request(
+        &mut self,
+        _: usize,
+        _: u32,
+        _: &Request,
+        _: Outcome,
+        _: &[Eviction],
+        _: &dyn DensePolicy,
+    ) {
+        self.0 += 1;
+    }
+}
+
+/// The registry's policy for `name`, observed: the per-request loop rather
+/// than the policy's own bulk replay.
+fn observed(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Replayed {
+    let mut count = Count(0);
+    let replay = settings(registry_replay(&[name], f, source), f, window);
+    let got = drive(replay.observer(&mut count).expect("one policy"), f, source).remove(0);
+    assert_eq!(
+        count.0,
+        f.decoded.requests.len() as u64,
+        "{name}: observed requests"
+    );
+    got
+}
+
+/// A policy the caller built, rather than the registry's choice.
 fn own_dense(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Replayed {
-    let policy = registry::build_dense_domain(name, CAPACITY, f.id_space as usize)
-        .expect("known name")
-        .expect("dense-capable");
+    let policy = registry::build_dense_domain(name, CAPACITY, None, f.id_space as usize)
+        .expect("known name");
     drive(settings(Replay::dense(policy), f, window), f, source).remove(0)
 }
 
-/// The keyed policy of `name`, whether or not a dense twin exists.
-fn forced_keyed(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Replayed {
-    let policy = registry::build(name, CAPACITY, None).expect("known name");
-    drive(settings(Replay::keyed(policy), f, window), f, source).remove(0)
+/// The keyed policy of `name` over the fixture in memory, driven here one
+/// request at a time, with its histograms and series counted read by read.
+fn keyed_by_hand(name: &str, f: &Fixture, window: Option<u64>) -> Replayed {
+    let mut policy = registry::build(name, CAPACITY, None).expect("known name");
+    let (mut freq, mut age) = (Histogram::new(), Histogram::new());
+    let mut series = window.map(MissRatioSeries::new);
+    let mut evicted = Vec::new();
+    for (now, r) in f.decoded.requests.iter().enumerate() {
+        let size = if f.ignore_size { 1 } else { r.size };
+        evicted.clear();
+        let outcome = policy.request(&Request { size, ..*r }, &mut evicted);
+        for e in &evicted {
+            freq.record(u64::from(e.freq));
+            age.record(e.age(now as u64));
+        }
+        if let Some(series) = series.as_mut().filter(|_| outcome != Outcome::NotRead) {
+            series.record(outcome.is_miss());
+        }
+    }
+    if let Some(series) = &mut series {
+        series.finish();
+    }
+    let stats = policy.stats();
+    let result = SimResult {
+        algorithm: policy.name(),
+        trace: f.decoded.name.clone(),
+        capacity: policy.capacity(),
+        requests: stats.gets,
+        misses: stats.misses,
+        miss_ratio: stats.miss_ratio(),
+        byte_miss_ratio: stats.byte_miss_ratio(),
+        evictions: stats.evictions,
+        one_hit_eviction_fraction: freq.zero_fraction(),
+        freq_at_eviction: freq,
+        eviction_age: age,
+    };
+    (result, series)
 }
 
 fn assert_same_result(got: &Replayed, want: &Replayed, ctx: &str) {
@@ -191,14 +265,15 @@ fn every_cell_equals_the_in_memory_unwindowed_cell() {
                 "{trace}: vacuous"
             );
             for window in [None, Some(777), Some(u64::MAX)] {
-                // The series every cell of this window must reproduce: the
-                // keyed policy in memory records it read by read.
-                let series = forced_keyed(name, &f, Source::Memory, window);
+                // The series every cell of this window must reproduce,
+                // counted read by read; its result is the keyed door's.
+                let series = keyed_by_hand(name, &f, window);
+                assert_same_result(&series, &reference, &format!("{trace} keyed"));
                 for source in SOURCES {
                     let ctx = format!("{trace} {source:?} window={window:?}");
                     let cells = [
                         ("registry", by_name(&[name], &f, source, window).remove(0)),
-                        ("forced keyed", forced_keyed(name, &f, source, window)),
+                        ("observed", observed(name, &f, source, window)),
                         ("own dense", own_dense(name, &f, source, window)),
                     ];
                     for (engine, cell) in &cells {
@@ -233,7 +308,7 @@ fn window_and_chunk_boundaries_never_meet_by_luck() {
     for len in [1usize, 99, 100, 101, 1000, 1024] {
         let f = fixture(&mixed_trace(len, 200, len as u64), true);
         for window in [1u64, 7, 100, 128] {
-            let want = forced_keyed("S3-FIFO", &f, Source::Memory, Some(window));
+            let want = keyed_by_hand("S3-FIFO", &f, Some(window));
             for source in [
                 Source::Memory,
                 Source::Ctr(1),
@@ -251,10 +326,9 @@ fn window_and_chunk_boundaries_never_meet_by_luck() {
     }
 }
 
-/// A gang is its solo runs, in input order, whatever mix of dense and keyed
-/// policies shares the per-request loop. Windowed gangs are legal and
-/// counted the same. Belady is the keyed lane of a mixed gang; it needs the
-/// trace, so its gangs replay in memory only.
+/// A gang is its solo runs, in input order, whatever policies share the
+/// per-request loop. Windowed gangs are legal and counted the same. Belady
+/// needs the trace, so its gangs replay in memory only.
 #[test]
 fn a_gang_equals_its_solo_runs() {
     for f in fixtures() {

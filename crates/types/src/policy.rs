@@ -158,8 +158,8 @@ pub trait Policy: Send {
     /// caps, ghost bounds, …), returning a description of the first
     /// violation found.
     ///
-    /// Called between requests by the invariant observer
-    /// (`cache-check`) and the differential fuzzer; implementations may be
+    /// Called between requests by the differential fuzzer (`cache-check`)
+    /// and the tests that drive the keyed door; implementations may be
     /// O(n) in the number of cached objects — this is a verification hook,
     /// not a production path. The default performs no checks.
     ///
@@ -205,10 +205,14 @@ pub trait DensePolicy {
     /// an [`Eviction`] record for every object removed to make room.
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome;
 
+    /// True when the object interned at `slot` is cached (ghost entries do
+    /// not count): [`Policy::contains`] by slot, for observers.
+    fn resident(&self, slot: u32) -> bool;
+
     /// Checks structural invariants, mirroring [`Policy::validate`]; used by
-    /// the differential fuzzer to catch dense-path corruption even when the
-    /// observable decisions still happen to agree. The default performs no
-    /// checks.
+    /// the invariant observer and the differential fuzzer to catch
+    /// dense-path corruption even when the observable decisions still happen
+    /// to agree. The default performs no checks.
     ///
     /// # Errors
     ///

@@ -1,44 +1,46 @@
-//! Quickstart: use `S3FifoCache` as a drop-in bounded map.
+//! Quickstart: use `ConcurrentS3Fifo` as a bounded, thread-safe map.
 //!
 //! Run: `cargo run --example quickstart`
 
-use s3fifo::S3FifoCache;
+use bytes::Bytes;
+use cache_concurrent::s3fifo::ConcurrentS3Fifo;
+use cache_concurrent::ConcurrentCache;
+
+/// Where the hot keys and the scan's one-time keys start.
+const HOT: u64 = 1_000;
+const SCAN: u64 = 1_000_000;
 
 fn main() {
     // A cache holding up to 1000 entries; 10% of the space is the small
-    // probationary queue that filters one-hit wonders.
-    let mut cache: S3FifoCache<String, Vec<u8>> = S3FifoCache::new(1000).expect("capacity > 0");
+    // probationary queue that filters one-hit wonders. It is shared by
+    // reference: every method takes `&self`.
+    let cache = ConcurrentS3Fifo::new(1000);
 
     // Insert and read back.
-    cache.insert("user:42".to_string(), b"alice".to_vec());
-    assert_eq!(
-        cache.get(&"user:42".to_string()),
-        Some(&b"alice"[..].to_vec())
-    );
+    cache.insert(42, Bytes::from_static(b"alice"));
+    assert_eq!(cache.get(42).as_deref(), Some(&b"alice"[..]));
 
     // Establish a small hot set...
     for i in 0..50 {
-        cache.insert(format!("hot:{i}"), vec![1u8; 64]);
+        cache.insert(HOT + i, Bytes::from(vec![1u8; 64]));
     }
     for _ in 0..3 {
         for i in 0..50 {
-            cache.get(&format!("hot:{i}"));
+            cache.get(HOT + i);
         }
     }
 
     // ...then blast the cache with 20x its capacity of one-time keys.
     for i in 0..20_000 {
-        cache.insert(format!("scan:{i}"), vec![0u8; 64]);
+        cache.insert(SCAN + i, Bytes::from(vec![0u8; 64]));
     }
 
-    let survivors = (0..50)
-        .filter(|i| cache.contains(&format!("hot:{i}")))
-        .count();
-    let m = cache.metrics();
+    let survivors = (0..50).filter(|i| cache.get(HOT + i).is_some()).count();
+    let m = cache.aggregate_stats();
     println!("hot keys surviving a 20x scan: {survivors}/50");
     println!(
-        "hits={} misses={} evictions={} ghost admissions={}",
-        m.hits, m.misses, m.evictions, m.ghost_admissions
+        "hits={} misses={} inserts={} evictions={}",
+        m.hits, m.misses, m.inserts, m.evictions
     );
     assert!(
         survivors >= 45,

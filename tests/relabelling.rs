@@ -6,10 +6,7 @@
 //! Every registry name is checked on the pre-interned door, which numbers
 //! ids by first appearance, so the relabelled trace replays over the very
 //! same slot sequence: only a policy that reads the id itself can tell the
-//! two traces apart. The keyed door interns by first appearance too and
-//! recycles slots in an order the policy's own decisions fix, so it would
-//! replay the same slots again; it runs only for Belady, which has no
-//! pre-interned door. A policy that ties by slot number is caught by keyed
+//! two traces apart. A policy that ties by slot number is caught by keyed
 //! ≡ dense in `crates/sim/tests/equivalence.rs`, not here.
 
 use cache_check::fuzz::{generate_trace, FuzzConfig};
@@ -36,25 +33,13 @@ const EXCEPTIONS: &[(&str, &str)] = &[
 /// What one replay leaves behind: final stats and every eviction, in order.
 type Run = (PolicyStats, Vec<Eviction>);
 
-fn keyed(name: &str, capacity: u64, requests: &[Request]) -> Run {
-    let mut policy =
-        registry::build(name, capacity, Some(requests)).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let (mut all, mut evicted) = (Vec::new(), Vec::new());
-    for r in requests {
-        evicted.clear();
-        policy.request(r, &mut evicted);
-        all.extend_from_slice(&evicted);
-    }
-    (policy.stats(), all)
-}
-
-fn dense(name: &str, capacity: u64, requests: &[Request]) -> Option<Run> {
+fn dense(name: &str, capacity: u64, requests: &[Request]) -> Run {
     let (ids, slots) = DenseIds::intern(requests.iter().map(|r| r.id));
-    let mut policy = registry::build_dense_domain(name, capacity, ids.len())
-        .unwrap_or_else(|e| panic!("{name}: {e}"))?;
+    let mut policy = registry::build_dense_domain(name, capacity, Some(requests), ids.len())
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut all = Vec::new();
     policy.replay(&slots, requests, false, &mut |_, e| all.push(*e));
-    Some((policy.stats(), all))
+    (policy.stats(), all)
 }
 
 /// A random bijection of the trace's ids onto a range they do not use.
@@ -83,16 +68,15 @@ fn same_under(map: &HashMap<u64, u64>, original: &Run, relabelled: &Run) -> bool
     original.0 == relabelled.0 && mapped == relabelled.1
 }
 
-/// Every registry name, on its pre-interned door where it has one, over
-/// three fuzzed traces: unit-size reads, mixed ops with sizes, and a longer
-/// one of those on a clock that ticks every 32nd request (so that
-/// timestamps tie, as a real trace's seconds do, and LRU-2 meets equal
-/// penultimate accesses).
+/// Every registry name, on its pre-interned door, over three fuzzed
+/// traces: unit-size reads, mixed ops with sizes, and a longer one of those
+/// on a clock that ticks every 32nd request (so that timestamps tie, as a
+/// real trace's seconds do, and LRU-2 meets equal penultimate accesses).
 /// Only the [`EXCEPTIONS`] may tell a trace from its relabelling, and each
 /// of them must, so that the list stays exact.
 #[test]
 fn decisions_do_not_depend_on_what_ids_are_called() {
-    let mut differ: Vec<(&str, &str, u64)> = Vec::new();
+    let mut differ: Vec<(&str, u64)> = Vec::new();
     for (seed, requests, max_size, write_percent, tick) in [
         (0x7E1A_BE11, 6_000, 1, 0, 1),
         (0x7E1A_BE12, 6_000, 4, 10, 1),
@@ -118,36 +102,27 @@ fn decisions_do_not_depend_on_what_ids_are_called() {
             .collect();
         for &name in ALL_ALGORITHMS {
             for capacity in [7u64, 300] {
-                let (door, original, relabelled) = match dense(name, capacity, &requests) {
-                    Some(original) => {
-                        let relabelled = dense(name, capacity, &renamed).expect("same name");
-                        ("dense", original, relabelled)
-                    }
-                    None => (
-                        "keyed",
-                        keyed(name, capacity, &requests),
-                        keyed(name, capacity, &renamed),
-                    ),
-                };
+                let original = dense(name, capacity, &requests);
+                let relabelled = dense(name, capacity, &renamed);
                 assert!(
                     !original.1.is_empty(),
                     "{name} at {capacity}: nothing evicted"
                 );
                 if !same_under(&map, &original, &relabelled) {
-                    differ.push((name, door, capacity));
+                    differ.push((name, capacity));
                 }
             }
         }
     }
-    for &(name, door, capacity) in &differ {
+    for &(name, capacity) in &differ {
         assert!(
             EXCEPTIONS.iter().any(|&(n, _)| n == name),
-            "{name} ({door} door, capacity {capacity}) decides by id"
+            "{name} (capacity {capacity}) decides by id"
         );
     }
     for &(name, why) in EXCEPTIONS {
         assert!(
-            differ.iter().any(|&(n, _, _)| n == name),
+            differ.iter().any(|&(n, _)| n == name),
             "{name} is listed as deciding by id ({why}) but never did"
         );
     }

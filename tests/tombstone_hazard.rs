@@ -61,15 +61,13 @@ fn lockstep<P: SlabPolicy + Send>(
     let requests = &script.0;
     let mut reference = reference_for(name, capacity).expect("reference exists");
     let (ids, slots) = DenseIds::intern(requests.iter().map(|r| r.id));
-    let mut dense = build_dense_domain(name, capacity, ids.len())
-        .expect("valid capacity")
-        .expect("dense policy exists");
+    let mut dense = build_dense_domain(name, capacity, None, ids.len()).expect("valid capacity");
     let mut from = 0;
     for (i, &to) in checkpoints.iter().chain([requests.len()].iter()).enumerate() {
         let diverged = diff_run(
             &mut reference,
             &mut keyed,
-            Some(dense.as_mut()),
+            dense.as_mut(),
             &slots[from..to],
             &requests[from..to],
         );
