@@ -103,7 +103,9 @@ step "check_gate: differential fuzz, observers, linearizability-lite, loom-lite"
 # per policy/mode pair through reference vs keyed vs dense on 17 names (the
 # FIFO family, S3-FIFO's four §6.3/§7 queue-type variants, ARC, LRU-2, B-LRU
 # and S3-FIFO-D), an invariant observer sweep over every registry algorithm
-# on the pre-interned door (the keyed door's per-request checks are the
+# on the pre-interned door at capacity 64 and at capacity 6, below the
+# trace's largest size, so every name's oversized reads are checked
+# `Uncacheable` (the keyed door's per-request checks are the
 # fuzzer's and crates/sim/tests/equivalence.rs's), logged concurrent
 # torture runs per cache checked for stale/forged reads plus, in per-key
 # monotonic-version mode, cross-get version regressions, and loom-lite:

@@ -134,6 +134,11 @@ fn phase_mrc() -> Result<(), String> {
     Ok(())
 }
 
+/// The observer sweep's `(capacity, ignore_size)` cells: capacity 64 with
+/// sizes ignored and honoured, and a capacity below the trace's largest
+/// size (8), where some reads are `Uncacheable`.
+const OBSERVER_CELLS: [(u64, bool); 3] = [(64, true), (64, false), (6, false)];
+
 fn phase_observer() -> Result<(), String> {
     let requests = cache_check::fuzz::generate_trace(&FuzzConfig {
         seed: 0x0B5E_11E4,
@@ -142,12 +147,16 @@ fn phase_observer() -> Result<(), String> {
         max_size: 8,
         write_percent: 8,
     });
+    let oversized = requests.iter().filter(|r| r.is_read() && r.size > 6).count();
+    if oversized == 0 {
+        return Err("the observer trace has no read too large for capacity 6".into());
+    }
     let trace = Trace::new("check-gate", requests);
     let mut cells = 0usize;
     for name in registry::ALL_ALGORITHMS {
-        for ignore_size in [true, false] {
+        for (capacity, ignore_size) in OBSERVER_CELLS {
             let mut obs = InvariantObserver::new();
-            Replay::on_trace(&[name], &trace, 64)
+            Replay::on_trace(&[name], &trace, capacity)
                 .map_err(|e| format!("build {name}: {e}"))?
                 .ignore_size(ignore_size)
                 .observer(&mut obs)
@@ -155,14 +164,16 @@ fn phase_observer() -> Result<(), String> {
                 .run(&trace);
             if let Some((i, msg)) = obs.violation() {
                 return Err(format!(
-                    "{name} (ignore_size={ignore_size}) violated an invariant at request {i}: {msg}"
+                    "{name} (capacity {capacity}, ignore_size={ignore_size}) violated an \
+                     invariant at request {i}: {msg}"
                 ));
             }
             cells += 1;
         }
     }
     println!(
-        "  {} algorithms x 2 size modes over {} requests: all invariants held ({cells} cells)",
+        "  {} algorithms x {{64 unit-size, 64 sized, 6 sized ({oversized} reads too large)}} \
+         over {} requests: all invariants held ({cells} cells)",
         registry::ALL_ALGORITHMS.len(),
         trace.requests.len()
     );

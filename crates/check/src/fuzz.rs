@@ -8,7 +8,7 @@
 //! slots do get reused) and the same slab policy driven with pre-interned
 //! slots (never recycling), comparing after **every** request:
 //!
-//! - the [`Outcome`],
+//! - the [`Outcome`](cache_types::Outcome),
 //! - the exact sequence of [`Eviction`] records (ids, sizes, timestamps,
 //!   hit counts, probationary flags),
 //! - `used()` and `len()`,

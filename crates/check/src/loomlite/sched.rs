@@ -5,7 +5,7 @@
 //! which hands the single "turn" to the thread chosen by the current
 //! schedule. A schedule is the sequence of choices made at *branch points*
 //! (yield points where more than one thread is runnable); the explorer in
-//! [`super::explore`] replays a chosen prefix and extends it
+//! [`super::Config::explore`] replays a chosen prefix and extends it
 //! depth-first, which makes runs exactly reproducible.
 //!
 //! Failure handling never panics across the scheduler: invariant

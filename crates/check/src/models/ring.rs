@@ -2,7 +2,7 @@
 //!
 //! The model mirrors the real `MpmcRing` operation for operation: the same
 //! sequence-number protocol, the same per-operation memory orderings, and a
-//! [`sync::MCell`] standing in for the `UnsafeCell<MaybeUninit<T>>` payload
+//! [`MCell`] standing in for the `UnsafeCell<MaybeUninit<T>>` payload
 //! slot, so the happens-before race detector checks exactly the obligation
 //! the real code's `SAFETY:` comments claim: payload accesses are ordered
 //! by the seq protocol's Release/Acquire edges, never by luck.

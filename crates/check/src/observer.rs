@@ -5,7 +5,7 @@
 //! and cross-checks it against the policy after each request:
 //!
 //! - outcome consistency: `Hit` only on resident ids, `Miss`/`Uncacheable`
-//!   only on absent ones, `Uncacheable` only when the object cannot fit;
+//!   only on absent ones, `Uncacheable` exactly when the object cannot fit;
 //! - eviction consistency: every reported eviction names a previously
 //!   resident id with the size it was stored at, and the id is gone
 //!   afterwards;
@@ -160,6 +160,17 @@ impl RequestObserver for InvariantObserver {
             (Op::Get, Outcome::Miss) if was_resident => {
                 return self.fail(index, format!("Miss on resident id {}", req.id));
             }
+            (Op::Get, Outcome::Miss) if u64::from(req.size) > policy.capacity() => {
+                return self.fail(
+                    index,
+                    format!(
+                        "Miss for id {} of size {} over capacity {}, not Uncacheable",
+                        req.id,
+                        req.size,
+                        policy.capacity()
+                    ),
+                );
+            }
             (Op::Get, Outcome::Uncacheable) => {
                 if was_resident {
                     return self.fail(index, format!("Uncacheable on resident id {}", req.id));
@@ -286,9 +297,19 @@ mod tests {
         }
     }
 
-    /// A policy that lies about `used()` must be flagged immediately.
+    /// How a [`LyingPolicy`] lies.
+    #[derive(Clone, Copy, Debug)]
+    enum Lie {
+        /// `used()` counts a phantom byte.
+        PhantomByte,
+        /// A read too large to cache is answered `Miss`.
+        MissForUncacheable,
+    }
+
+    /// A policy that lies, to be flagged at its first lie.
     struct LyingPolicy {
         inner: Box<dyn DensePolicy>,
+        lie: Lie,
     }
 
     impl DensePolicy for LyingPolicy {
@@ -299,7 +320,7 @@ mod tests {
             self.inner.capacity()
         }
         fn used(&self) -> u64 {
-            self.inner.used() + 1 // BUG: phantom byte
+            self.inner.used() + u64::from(matches!(self.lie, Lie::PhantomByte))
         }
         fn len(&self) -> usize {
             self.inner.len()
@@ -313,7 +334,10 @@ mod tests {
             req: &Request,
             evicted: &mut Vec<Eviction>,
         ) -> Outcome {
-            self.inner.request_dense(slot, req, evicted)
+            match (self.lie, self.inner.request_dense(slot, req, evicted)) {
+                (Lie::MissForUncacheable, Outcome::Uncacheable) => Outcome::Miss,
+                (_, outcome) => outcome,
+            }
         }
         fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
             self.inner.grow_domain(domain, reserve)
@@ -326,15 +350,21 @@ mod tests {
     #[test]
     fn accounting_lies_are_caught() {
         let trace = skewed_trace(50);
-        let inner = registry::build_dense_domain("LRU", 16, None, 0).expect("LRU builds");
-        let mut obs = InvariantObserver::new();
-        Replay::dense(Box::new(LyingPolicy { inner }))
-            .ignore_size(true)
-            .observer(&mut obs)
-            .expect("one policy")
-            .run(&trace);
-        let (i, msg) = obs.violation().expect("phantom byte must be flagged");
-        assert_eq!(*i, 0, "flagged on the very first request");
-        assert!(msg.contains("used()"), "unexpected message: {msg}");
+        // Sizes are 1..=8: at capacity 4 some reads cannot fit.
+        let oversized = trace.requests.iter().position(|r| r.is_read() && r.size > 4);
+        for (lie, at, says) in [
+            (Lie::PhantomByte, Some(0), "used()"),
+            (Lie::MissForUncacheable, oversized, "not Uncacheable"),
+        ] {
+            let inner = registry::build_dense_domain("LRU", 4, None, 0).expect("LRU builds");
+            let mut obs = InvariantObserver::new();
+            Replay::dense(Box::new(LyingPolicy { inner, lie }))
+                .observer(&mut obs)
+                .expect("one policy")
+                .run(&trace);
+            let (i, msg) = obs.violation().expect("the lie must be flagged");
+            assert_eq!(Some(*i), at, "{lie:?} flagged at its first lie");
+            assert!(msg.contains(says), "{lie:?}: unexpected message: {msg}");
+        }
     }
 }

@@ -19,7 +19,10 @@
 //!
 //! There is one implementation of each algorithm; the two doors differ only
 //! in who hands out slots. `cache_check`'s fuzzer drives both against its
-//! reference interpreters.
+//! reference interpreters. There is one request protocol too: every slab
+//! policy's [`DensePolicy::request_dense`] is a call to [`serve`], the only
+//! code that decides a read's outcome, runs `Set` and `Delete`, and keeps
+//! the counts; the policy supplies its steps through [`Protocol`].
 //!
 //! The plumbing lives in this crate, not in `cache-ds`, because
 //! [`DenseS3Fifo`](crate::DenseS3Fifo) and
@@ -35,7 +38,7 @@ pub use ghost::SlotGhost;
 pub use keyed::{Keyed, SlabPolicy};
 pub use slab::{validate_queues, DenseSlab, PackedQueue, Slot};
 
-use cache_types::{DensePolicy, Eviction, Request};
+use cache_types::{DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
 
 /// How many requests ahead a replay loop warms slot state — this one, and
 /// the simulator's per-request loop. Far enough to overlap a DRAM
@@ -77,6 +80,90 @@ pub fn replay_loop<P: DensePolicy>(
             on_eviction(i, e);
         }
     }
+}
+
+/// The steps of one slab policy that [`serve`] sequences: what a hit
+/// changes, how an object is admitted, how it is removed. Everything the
+/// policies share — the outcome, the counts, `Set` and `Delete` — is
+/// `serve`'s, so these are called by it alone.
+pub trait Protocol: DensePolicy {
+    /// The counters [`serve`] keeps; [`DensePolicy::stats`] reads them.
+    fn stats_mut(&mut self) -> &mut PolicyStats;
+
+    /// A read of resident `slot`.
+    fn hit(&mut self, slot: u32, req: &Request);
+
+    /// Caches `req`'s object at non-resident `slot` (it fits the cache),
+    /// pushing a record for every object evicted to make room.
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>);
+
+    /// A read of non-resident `slot` that fits the cache. Default: admit it.
+    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+        self.admit(slot, req, evicted);
+    }
+
+    /// Drops `slot` from the cache if it is resident.
+    fn remove(&mut self, slot: u32);
+}
+
+/// The request protocol every slab policy serves, written once: a read of a
+/// resident object is a `Hit`; of one larger than the whole cache,
+/// `Uncacheable` (nothing changes); otherwise a `Miss` that the policy
+/// handles. A `Set` removes the object, then admits the new one if it fits;
+/// a `Delete` removes it. Reads are counted by outcome and evictions by the
+/// records pushed. Each policy's [`DensePolicy::request_dense`] is a call
+/// to this, wrapped where it takes a per-request step of its own.
+#[inline]
+pub fn serve<P: Protocol>(
+    policy: &mut P,
+    slot: u32,
+    req: &Request,
+    evicted: &mut Vec<Eviction>,
+) -> Outcome {
+    // A hit, most requests, evicts nothing. It is served here and the rest
+    // out of line, so that the hit path saves no registers for the rest.
+    if req.op == Op::Get && policy.resident(slot) {
+        policy.hit(slot, req);
+        policy.stats_mut().record_get(req.size, false);
+        return Outcome::Hit;
+    }
+    serve_rest(policy, slot, req, evicted)
+}
+
+/// [`serve`] for everything but a hit.
+#[inline(never)]
+fn serve_rest<P: Protocol>(
+    policy: &mut P,
+    slot: u32,
+    req: &Request,
+    evicted: &mut Vec<Eviction>,
+) -> Outcome {
+    let before = evicted.len();
+    let fits = u64::from(req.size) <= policy.capacity();
+    let outcome = match req.op {
+        Op::Get if fits => {
+            policy.miss(slot, req, evicted);
+            Outcome::Miss
+        }
+        Op::Get => Outcome::Uncacheable,
+        Op::Set => {
+            policy.remove(slot);
+            if fits {
+                policy.admit(slot, req, evicted);
+            }
+            Outcome::NotRead
+        }
+        Op::Delete => {
+            policy.remove(slot);
+            Outcome::NotRead
+        }
+    };
+    let stats = policy.stats_mut();
+    if req.is_read() {
+        stats.record_get(req.size, true);
+    }
+    stats.evictions += (evicted.len() - before) as u64;
+    outcome
 }
 
 /// Implements [`DensePolicy::replay`] as a monomorphized [`replay_loop`]

@@ -2,11 +2,13 @@
 //!
 //! [`DenseS3Fifo`] is the one simulation-grade implementation: three queues
 //! threaded through a [`DenseSlab`], with an exact slot-indexed ghost (no
-//! fingerprint collisions) so that miss ratios are bit-reproducible. The
-//! simulator drives it with pre-interned slots; [`S3Fifo`] is the same
-//! policy behind the keyed [`cache_types::Policy`] interface
-//! ([`Keyed`]). The production-style fingerprint ghost lives in
-//! [`crate::cache`].
+//! fingerprint collisions) so that miss ratios are bit-reproducible. It
+//! supplies Algorithm 1's steps — a hit, an insertion, a removal — as a
+//! [`Protocol`], and [`serve`] answers each `Get`, `Set` and `Delete` with
+//! them, as it does for every slab policy. The simulator drives it with
+//! pre-interned slots; [`S3Fifo`] is the same policy behind the keyed
+//! [`cache_types::Policy`] interface ([`Keyed`]). The production-style
+//! fingerprint ghost lives in `cache-concurrent`'s `ConcurrentS3Fifo`.
 //!
 //! The §6.3 ablation ("LRU or FIFO?") and §7's SIEVE-in-`M` are the same
 //! code: a [`Queues`] marker type says how `S` and `M` order and evict, and
@@ -16,12 +18,12 @@
 //! Slot-state conventions (see [`crate::dense::Slot`]): `tag` is the queue
 //! tag (`ABSENT`/`SMALL`/`MAIN`), `freq` the two-bit access counter.
 
-use crate::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
+use crate::dense::{
+    serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlabPolicy, SlotGhost,
+};
 use crate::impl_dense_replay;
 use cache_ds::{GhostFifo, NIL};
-use cache_types::{
-    CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request,
-};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
 use std::marker::PhantomData;
 
 /// Cap of the two-bit access counter (§4.1: "similar to a capped counter
@@ -273,7 +275,6 @@ impl<Q: Queues> DenseS3Fifo<Q> {
                 self.s_used -= u64::from(size);
                 self.slab.slots[t].tag = ABSENT;
                 self.ghost.insert(&mut self.slab, tail, size);
-                self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(tail, true));
                 return;
             }
@@ -314,7 +315,6 @@ impl<Q: Queues> DenseS3Fifo<Q> {
                 self.main.remove(&mut self.slab.slots, slot);
                 self.m_used -= u64::from(self.slab.size(slot));
                 self.slab.slots[t].tag = ABSENT;
-                self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(slot, false));
                 self.slab.release(slot);
                 return;
@@ -337,8 +337,31 @@ impl<Q: Queues> DenseS3Fifo<Q> {
             }
         }
     }
+}
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+impl<Q: Queues> Protocol for DenseS3Fifo<Q> {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
+        // Cache hit: atomically bump the capped counter (§4.1).
+        let s = &mut self.slab.slots[slot as usize];
+        s.freq = (s.freq + 1).min(MAX_FREQ);
+        s.touch();
+        // §6.3: an LRU queue also moves the object to its head.
+        match s.tag {
+            SMALL if Q::SMALL_LRU => {
+                self.small.move_to_front(&mut self.slab.slots, slot);
+            }
+            MAIN if Q::MAIN == MainQueue::Lru => {
+                self.main.move_to_front(&mut self.slab.slots, slot);
+            }
+            _ => {}
+        }
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         // Ghost membership is decided before making room: the eviction loop
         // below inserts into the ghost itself and could otherwise displace
         // exactly the entry being looked up.
@@ -369,7 +392,7 @@ impl<Q: Queues> DenseS3Fifo<Q> {
         }
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         match std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) {
             SMALL => {
                 self.small.remove(&mut self.slab.slots, slot);
@@ -439,47 +462,7 @@ impl<Q: Queues> DensePolicy for DenseS3Fifo<Q> {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag != ABSENT {
-                    // Cache hit: atomically bump the capped counter (§4.1).
-                    let s = &mut self.slab.slots[slot as usize];
-                    s.freq = (s.freq + 1).min(MAX_FREQ);
-                    s.touch();
-                    // §6.3: an LRU queue also moves the object to its head.
-                    match s.tag {
-                        SMALL if Q::SMALL_LRU => {
-                            self.small.move_to_front(&mut self.slab.slots, slot);
-                        }
-                        MAIN if Q::MAIN == MainQueue::Lru => {
-                            self.main.move_to_front(&mut self.slab.slots, slot);
-                        }
-                        _ => {}
-                    }
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                // Overwrite: drop any existing entry, then insert fresh.
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!(ghost);
@@ -621,7 +604,7 @@ impl DensePolicy for DenseS3FifoD {
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         // Count marginal hits on the monitors before the queues change.
-        if req.is_read() && self.inner.slab.slots[slot as usize].tag == ABSENT {
+        if req.is_read() && !self.inner.resident(slot) {
             self.hits_small += u64::from(self.mon_small.remove(req.id));
             self.hits_main += u64::from(self.mon_main.remove(req.id));
         }
@@ -692,7 +675,7 @@ pub type S3FifoD = Keyed<DenseS3FifoD>;
 mod tests {
     use super::*;
     use crate::dense::Slot;
-    use cache_types::{ObjId, Policy};
+    use cache_types::{ObjId, Op, Policy};
     use proptest::prelude::*;
 
     fn get(p: &mut impl Policy, id: ObjId, t: u64) -> Outcome {
@@ -771,6 +754,20 @@ mod tests {
         }
         assert!(last >= start + 10, "S grew only to {last}");
         p.validate().unwrap();
+    }
+
+    #[test]
+    fn s3fifo_d_monitors_count_reads_too_large_to_cache() {
+        // Capacity 20: S holds 2, so the 21st insertion evicts id 0 from S
+        // into the S monitor.
+        let mut p = S3FifoD::new(20).unwrap();
+        for t in 0..21u64 {
+            get(&mut p, t, t);
+        }
+        let mut evs = Vec::new();
+        let out = p.request(&Request::get_sized(0, 21, 21), &mut evs);
+        assert_eq!(out, Outcome::Uncacheable);
+        assert_eq!((p.hits_small, p.hits_main), (1, 0));
     }
 
     #[test]

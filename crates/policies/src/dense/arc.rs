@@ -15,8 +15,8 @@
 //! are [`SlotGhost`]s, so under [`Keyed`] a ghost's slot is not recycled
 //! while either ghost still names it.
 
-use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlotGhost};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlotGhost};
 use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;
@@ -98,12 +98,17 @@ impl DenseArc {
             let size = self.slab.size(s);
             *used -= u64::from(size);
             ghost.insert(&mut self.slab, s, size);
-            self.stats.evictions += 1;
             evicted.push(self.slab.eviction(s, from_t1));
         }
     }
+}
 
-    fn on_hit(&mut self, slot: u32) {
+impl Protocol for DenseArc {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
         self.slab.slots[slot as usize].touch();
         if self.slab.slots[slot as usize].tag == T2 {
             self.t2.move_to_front(&mut self.slab.slots, slot);
@@ -118,7 +123,7 @@ impl DenseArc {
         self.slab.slots[slot as usize].tag = T2;
     }
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         let size = u64::from(req.size);
         let c = self.capacity;
         let in_b1 = self.b1.contains(slot);
@@ -161,7 +166,7 @@ impl DenseArc {
         s.on_insert(req);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         let size = u64::from(self.slab.size(slot));
         match std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) {
             T1 => {
@@ -196,33 +201,7 @@ impl DensePolicy for DenseArc {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag != ABSENT {
-                    self.on_hit(slot);
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!(b1, b2);

@@ -8,8 +8,8 @@
 //! domain on insertion, so it follows both doors' growth.
 
 use cache_ds::IdMap;
-use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::DenseSlab;
+use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, DenseSlab, Protocol};
 use s3fifo::impl_dense_replay;
 use std::collections::BTreeSet;
 
@@ -30,6 +30,8 @@ pub struct DenseBelady {
     next_occurrence: Vec<u64>,
     /// Current position in the trace.
     pos: usize,
+    /// The position of the next request to the current request's object.
+    next: u64,
     /// Resident slots by (next use, id, slot); the last is the victim.
     /// Only objects never requested again tie, and the largest id goes
     /// first, whichever door numbered the slots.
@@ -66,6 +68,7 @@ impl DenseBelady {
             slab: DenseSlab::with_domain(domain),
             next_occurrence,
             pos: 0,
+            next: NEVER,
             order: BTreeSet::new(),
             next_use: vec![NEVER; domain],
             stats: PolicyStats::default(),
@@ -94,13 +97,23 @@ impl DenseBelady {
         if let Some((_, _, slot)) = self.order.pop_last() {
             self.slab.slots[slot as usize].tag = ABSENT;
             self.used -= u64::from(self.slab.size(slot));
-            self.stats.evictions += 1;
             evicted.push(self.slab.eviction(slot, false));
             self.slab.release(slot);
         }
     }
+}
 
-    fn delete(&mut self, slot: u32) {
+impl Protocol for DenseBelady {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
+        self.slab.slots[slot as usize].touch();
+        self.rank(slot, self.next);
+    }
+
+    fn remove(&mut self, slot: u32) {
         if self.resident(slot) {
             let key = self.key(slot);
             self.order.remove(&key);
@@ -110,9 +123,7 @@ impl DenseBelady {
         }
     }
 
-    /// Admits `req`'s object at `slot`, next requested at `next`, evicting
-    /// what must go to make room.
-    fn insert(&mut self, slot: u32, req: &Request, next: u64, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used + u64::from(req.size) > self.capacity && !self.order.is_empty() {
             self.evict_one(evicted);
         }
@@ -123,7 +134,7 @@ impl DenseBelady {
         s.tag = RESIDENT;
         s.on_insert(req);
         self.used += u64::from(req.size);
-        self.rank(slot, next);
+        self.rank(slot, self.next);
     }
 }
 
@@ -145,36 +156,9 @@ impl DensePolicy for DenseBelady {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        let next = self.next_occurrence.get(self.pos).copied().unwrap_or(NEVER);
+        self.next = self.next_occurrence.get(self.pos).copied().unwrap_or(NEVER);
         self.pos += 1;
-        match req.op {
-            Op::Get if self.resident(slot) => {
-                self.slab.slots[slot as usize].touch();
-                self.rank(slot, next);
-                self.stats.record_get(req.size, false);
-                Outcome::Hit
-            }
-            Op::Get if u64::from(req.size) > self.capacity => {
-                self.stats.record_get(req.size, true);
-                Outcome::Uncacheable
-            }
-            Op::Get => {
-                self.stats.record_get(req.size, true);
-                self.insert(slot, req, next, evicted);
-                Outcome::Miss
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, next, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!();

@@ -26,8 +26,8 @@
 
 use super::LfuOrder;
 use cache_ds::SplitMix64;
-use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlotGhost};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlotGhost};
 use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;
@@ -162,7 +162,6 @@ impl DenseCacheus {
         let victim = if use_srlru { sv } else { fv };
         let size = self.slab.size(victim);
         let region = self.remove_entry(victim);
-        self.stats.evictions += 1;
         evicted.push(self.slab.eviction(victim, region == SR));
         if sv == fv {
             self.slab.release(victim);
@@ -190,7 +189,21 @@ impl DenseCacheus {
         }
     }
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn learn_from_ghosts(&mut self, slot: u32) {
+        if self.h_srlru.remove(slot) {
+            self.reward(true);
+        } else if self.h_crlfu.remove(slot) {
+            self.reward(false);
+        }
+    }
+}
+
+impl Protocol for DenseCacheus {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used() + u64::from(req.size) > self.capacity && self.len() > 0 {
             self.evict_one(evicted);
         }
@@ -202,7 +215,7 @@ impl DenseCacheus {
         self.sr_used += u64::from(req.size);
     }
 
-    fn on_hit(&mut self, slot: u32) {
+    fn hit(&mut self, slot: u32, _req: &Request) {
         // CR-LFU bookkeeping: bump frequency, refresh recency.
         self.lfu.hit(&mut self.slab, slot, true);
         // SR-LRU bookkeeping: SR hit promotes to R; R hit refreshes.
@@ -219,15 +232,12 @@ impl DenseCacheus {
         self.rebalance();
     }
 
-    fn learn_from_ghosts(&mut self, slot: u32) {
-        if self.h_srlru.remove(slot) {
-            self.reward(true);
-        } else if self.h_crlfu.remove(slot) {
-            self.reward(false);
-        }
+    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+        self.learn_from_ghosts(slot);
+        self.admit(slot, req, evicted);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         if self.slab.slots[slot as usize].tag != ABSENT {
             self.remove_entry(slot);
             self.slab.release(slot);
@@ -253,38 +263,13 @@ impl DensePolicy for DenseCacheus {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                self.window_reqs += 1;
-                let out = if self.slab.slots[slot as usize].tag != ABSENT {
-                    self.window_hits += 1;
-                    self.on_hit(slot);
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.learn_from_ghosts(slot);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                };
-                self.adapt_learning_rate();
-                out
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
+        let outcome = serve(self, slot, req, evicted);
+        if req.is_read() {
+            self.window_reqs += 1;
+            self.window_hits += u64::from(outcome.is_hit());
+            self.adapt_learning_rate();
         }
+        outcome
     }
 
     impl_dense_replay!(h_srlru, h_crlfu);

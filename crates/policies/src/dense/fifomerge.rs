@@ -16,8 +16,8 @@
 //! The segment holding a slot's live entry is recorded in an array beside
 //! the slab, which catches up with its domain on insertion.
 
-use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{DenseSlab, Keyed};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, DenseSlab, Keyed, Protocol};
 use s3fifo::impl_dense_replay;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -138,7 +138,6 @@ impl DenseFifoMerge {
                 self.slab.slots[slot as usize].tag = ABSENT;
                 self.used -= size;
                 self.len -= 1;
-                self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(slot, false));
                 self.slab.release(slot);
             }
@@ -148,8 +147,20 @@ impl DenseFifoMerge {
             self.segments.push_front(merged);
         }
     }
+}
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+impl Protocol for DenseFifoMerge {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
+        let s = &mut self.slab.slots[slot as usize];
+        s.freq = s.freq.saturating_add(1);
+        s.touch();
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used + u64::from(req.size) > self.capacity && self.len > 0 {
             self.merge_evict(evicted);
         }
@@ -181,7 +192,7 @@ impl DenseFifoMerge {
         self.len += 1;
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         if self.slab.slots[slot as usize].tag == ABSENT {
             return;
         }
@@ -215,35 +226,7 @@ impl DensePolicy for DenseFifoMerge {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag != ABSENT {
-                    let s = &mut self.slab.slots[slot as usize];
-                    s.freq = s.freq.saturating_add(1);
-                    s.touch();
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!();

@@ -17,8 +17,8 @@
 
 use super::LfuOrder;
 use cache_ds::SplitMix64;
-use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlotGhost};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlotGhost};
 use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;
@@ -120,7 +120,6 @@ impl DenseLeCar {
         self.slab.slots[victim as usize].tag = ABSENT;
         let size = self.slab.size(victim);
         self.used -= u64::from(size);
-        self.stats.evictions += 1;
         evicted.push(self.slab.eviction(victim, false));
         if lv == fv {
             self.slab.release(victim);
@@ -135,7 +134,27 @@ impl DenseLeCar {
         self.ghost_time[victim as usize] = self.now;
     }
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    /// A miss found in an expert's history rewards the other expert, more
+    /// the more recent the mistake.
+    fn learn_from_ghosts(&mut self, slot: u32) {
+        let mistaken_lru = if self.h_lru.remove(slot) {
+            true
+        } else if self.h_lfu.remove(slot) {
+            false
+        } else {
+            return;
+        };
+        let dated = std::mem::replace(&mut self.ghost_time[slot as usize], UNDATED);
+        self.reward(self.now.saturating_sub(dated), mistaken_lru);
+    }
+}
+
+impl Protocol for DenseLeCar {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used + u64::from(req.size) > self.capacity && !self.lru.is_empty() {
             self.evict_one(evicted);
         }
@@ -152,26 +171,17 @@ impl DenseLeCar {
         self.used += u64::from(req.size);
     }
 
-    fn on_hit(&mut self, slot: u32) {
+    fn hit(&mut self, slot: u32, _req: &Request) {
         self.lfu.hit(&mut self.slab, slot, false);
         self.lru.move_to_front(&mut self.slab.slots, slot);
     }
 
-    /// A miss found in an expert's history rewards the other expert, more
-    /// the more recent the mistake.
-    fn learn_from_ghosts(&mut self, slot: u32) {
-        let mistaken_lru = if self.h_lru.remove(slot) {
-            true
-        } else if self.h_lfu.remove(slot) {
-            false
-        } else {
-            return;
-        };
-        let dated = std::mem::replace(&mut self.ghost_time[slot as usize], UNDATED);
-        self.reward(self.now.saturating_sub(dated), mistaken_lru);
+    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+        self.learn_from_ghosts(slot);
+        self.admit(slot, req, evicted);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         if self.slab.slots[slot as usize].tag == ABSENT {
             return;
         }
@@ -202,34 +212,7 @@ impl DensePolicy for DenseLeCar {
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         self.now += 1;
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag != ABSENT {
-                    self.on_hit(slot);
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.learn_from_ghosts(slot);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!(h_lru, h_lfu);

@@ -23,8 +23,8 @@
 //! position, so both doors pick the same objects.
 
 use cache_ds::SplitMix64;
-use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{DenseSlab, Keyed};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, DenseSlab, Keyed, Protocol};
 use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;
@@ -166,12 +166,24 @@ impl DenseLhd {
         };
         self.remove_slot(slot);
         self.ends[Self::bucket_of(self.age_of(slot))] += 1.0;
-        self.stats.evictions += 1;
         evicted.push(self.slab.eviction(slot, false));
         self.slab.release(slot);
     }
+}
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+impl Protocol for DenseLhd {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, req: &Request) {
+        let age = self.age_of(slot);
+        self.last_access[slot as usize] = req.time;
+        self.slab.slots[slot as usize].touch();
+        self.hits[Self::bucket_of(age)] += 1.0;
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used + u64::from(req.size) > self.capacity && !self.keys.is_empty() {
             self.evict_one(evicted);
         }
@@ -190,7 +202,7 @@ impl DenseLhd {
         self.used += u64::from(req.size);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         if self.slab.slots[slot as usize].tag != ABSENT {
             self.remove_slot(slot);
             self.slab.release(slot);
@@ -221,36 +233,7 @@ impl DensePolicy for DenseLhd {
         if self.since_reconfigure >= self.reconfigure_every {
             self.reconfigure();
         }
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag != ABSENT {
-                    let age = self.age_of(slot);
-                    self.last_access[slot as usize] = req.time;
-                    self.slab.slots[slot as usize].touch();
-                    self.hits[Self::bucket_of(age)] += 1.0;
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!();

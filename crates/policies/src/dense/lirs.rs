@@ -30,8 +30,8 @@
 //! keeps its slot until `S` lets go of it.
 
 use cache_ds::{DList, Handle};
-use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{DenseSlab, Keyed, PackedQueue};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, DenseSlab, Keyed, PackedQueue, Protocol};
 use s3fifo::impl_dense_replay;
 
 const LIR: u8 = 1;
@@ -201,13 +201,18 @@ impl DenseLirs {
         };
         self.resident_used -= u64::from(self.slab.size(slot));
         self.resident -= 1;
-        self.stats.evictions += 1;
         evicted.push(self.slab.eviction(slot, from_q));
         self.slab.slots[slot as usize].tag = 0;
         self.slab.release(slot);
     }
+}
 
-    fn on_hit(&mut self, slot: u32) {
+impl Protocol for DenseLirs {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
         self.slab.slots[slot as usize].touch();
         if self.slab.slots[slot as usize].tag == LIR {
             let was_bottom = self.s.tail() == Some(slot);
@@ -228,7 +233,7 @@ impl DenseLirs {
         }
     }
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         let size = u64::from(req.size);
         while self.resident_used + size > self.capacity && self.resident_used > 0 {
             self.evict_one(evicted);
@@ -256,7 +261,7 @@ impl DenseLirs {
         self.bound_stack();
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         if self.on_stack(slot) {
             self.pop_stack(slot);
         }
@@ -295,33 +300,7 @@ impl DensePolicy for DenseLirs {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag != 0 {
-                    self.on_hit(slot);
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!();

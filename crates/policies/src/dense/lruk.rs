@@ -12,8 +12,8 @@
 //! an array beside the slab, which catches up with the slab's domain on
 //! insertion, so it follows both doors' growth.
 
-use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{DenseSlab, Keyed, PackedQueue};
+use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, DenseSlab, Keyed, PackedQueue, Protocol};
 use s3fifo::impl_dense_replay;
 use std::collections::BTreeSet;
 
@@ -83,12 +83,17 @@ impl DenseLruK {
         };
         self.slab.slots[slot as usize].tag = ABSENT;
         self.used -= u64::from(self.slab.size(slot));
-        self.stats.evictions += 1;
         evicted.push(self.slab.eviction(slot, cold));
         self.slab.release(slot);
     }
+}
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+impl Protocol for DenseLruK {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used + u64::from(req.size) > self.capacity && self.len() > 0 {
             self.evict_one(evicted);
         }
@@ -105,7 +110,7 @@ impl DenseLruK {
         self.used += u64::from(req.size);
     }
 
-    fn on_hit(&mut self, slot: u32, now: u64) {
+    fn hit(&mut self, slot: u32, req: &Request) {
         self.slab.slots[slot as usize].touch();
         if self.slab.slots[slot as usize].tag == COLD {
             // Second access: the page becomes warm with penultimate = its
@@ -117,12 +122,12 @@ impl DenseLruK {
             self.warm.remove(&key);
         }
         let t = &mut self.times[slot as usize];
-        *t = (now, t.0);
+        *t = (req.time, t.0);
         let key = self.warm_key(slot);
         self.warm.insert(key);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         match self.slab.slots[slot as usize].tag {
             COLD => self.cold.remove(&mut self.slab.slots, slot),
             WARM => {
@@ -155,33 +160,7 @@ impl DensePolicy for DenseLruK {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag != ABSENT {
-                    self.on_hit(slot, req.time);
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!();

@@ -1,14 +1,18 @@
 //! The slab policies: every algorithm here written once, over dense slots.
 //!
-//! FIFO, LRU, CLOCK, SIEVE and B-LRU ([`simple`]), 2Q and SLRU ([`multi`]),
+//! FIFO, LRU, CLOCK, SIEVE and B-LRU (`simple`), 2Q and SLRU (`multi`),
 //! ARC, LIRS, W-TinyLFU, LRU-2, LeCaR, CACHEUS, LHD, FIFO-Merge and Belady
 //! keep their per-object state in plain slots indexed by a `u32` (the
 //! intrusive-array layout libCacheSim uses) rather than in per-key hash-map
 //! nodes; S3-FIFO and S3-FIFO-D do the same in the `s3fifo` crate, which
 //! also owns the shared plumbing ([`s3fifo::dense`]: slab, queues, ghost,
-//! replay loop). The simulator drives them with
-//! pre-interned slots, where a request costs a couple of array loads; the
-//! keyed names ([`Fifo`], [`Arc`], …) are the same code behind
+//! replay loop, request protocol). Each policy here is its algorithm's
+//! steps only — what a hit changes, how an object is admitted and removed,
+//! and, for LeCaR and CACHEUS, what a miss learns first
+//! ([`s3fifo::dense::Protocol`]); [`s3fifo::dense::serve`] answers `Get`,
+//! `Set` and `Delete` with them and keeps the counts. The simulator drives
+//! them with pre-interned slots, where a request costs a couple of array
+//! loads; the keyed names ([`Fifo`], [`Arc`], …) are the same code behind
 //! [`s3fifo::Keyed`], which interns ids on the fly.
 //!
 //! [`mrc`] holds the multi-capacity engines that compute a whole miss-ratio

@@ -8,8 +8,8 @@
 //! tag (`ABSENT`/`A1IN`/`AM`) in `tag`; SLRU stores `segment + 1` in `tag`
 //! so that 0 keeps meaning "absent".
 
-use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlotGhost};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlotGhost};
 use s3fifo::impl_dense_replay;
 
 /// Where a 2Q slot currently lives.
@@ -20,8 +20,8 @@ const AM: u8 = 2;
 /// 2Q (Johnson & Shasha, VLDB '94) over dense slots.
 ///
 /// §5.2: "2Q has the most similar design to S3-FIFO. It uses 25 % cache
-/// space for a FIFO queue [A1in], the rest for an LRU queue [Am], and also
-/// has a ghost queue [A1out]. Besides the difference in queue size and type,
+/// space for a FIFO queue \[A1in\], the rest for an LRU queue \[Am\], and
+/// also has a ghost queue \[A1out\]. Besides the difference in queue size and type,
 /// objects evicted from the small queue are not inserted into the LRU queue"
 /// — only a later request for an A1out (ghost) id promotes into Am.
 #[derive(Debug)]
@@ -83,7 +83,6 @@ impl DenseTwoQ {
                 let size = self.slab.size(s);
                 self.a1in_used -= u64::from(size);
                 self.a1out.insert(&mut self.slab, s, size);
-                self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(s, true));
                 return;
             }
@@ -91,13 +90,26 @@ impl DenseTwoQ {
         if let Some(s) = self.am.pop_back(&mut self.slab.slots) {
             self.slab.slots[s as usize].tag = ABSENT;
             self.am_used -= u64::from(self.slab.size(s));
-            self.stats.evictions += 1;
             evicted.push(self.slab.eviction(s, false));
             self.slab.release(s);
         }
     }
+}
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+impl Protocol for DenseTwoQ {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
+        self.slab.slots[slot as usize].touch();
+        // A1in hits do nothing (FIFO); Am hits promote.
+        if self.slab.slots[slot as usize].tag == AM {
+            self.am.move_to_front(&mut self.slab.slots, slot);
+        }
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         // Decide A1out membership before evicting: eviction inserts into
         // A1out and could displace the entry being looked up.
         let in_a1out = self.a1out.remove(slot);
@@ -119,7 +131,7 @@ impl DenseTwoQ {
         self.slab.slots[slot as usize].on_insert(req);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         match std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) {
             A1IN => {
                 self.a1in.remove(&mut self.slab.slots, slot);
@@ -153,38 +165,7 @@ impl DensePolicy for DenseTwoQ {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                let tag = self.slab.slots[slot as usize].tag;
-                if tag != ABSENT {
-                    self.slab.slots[slot as usize].touch();
-                    // A1in hits do nothing (FIFO); Am hits promote.
-                    if tag == AM {
-                        self.am.move_to_front(&mut self.slab.slots, slot);
-                    }
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!(a1out);
@@ -297,15 +278,20 @@ impl DenseSlru {
             if let Some(slot) = self.segs[s].pop_back(&mut self.slab.slots) {
                 self.slab.slots[slot as usize].tag = 0;
                 self.seg_used[s] -= u64::from(self.slab.size(slot));
-                self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(slot, s == 0));
                 self.slab.release(slot);
                 return;
             }
         }
     }
+}
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+impl Protocol for DenseSlru {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used_total() + u64::from(req.size) > self.capacity && self.len_total() > 0 {
             self.evict_one(evicted);
         }
@@ -316,7 +302,7 @@ impl DenseSlru {
         self.seg_used[0] += u64::from(req.size);
     }
 
-    fn on_hit(&mut self, slot: u32) {
+    fn hit(&mut self, slot: u32, _req: &Request) {
         self.slab.slots[slot as usize].touch();
         // Invariant: a hit slot is owned by exactly one segment.
         let seg = self.seg_of(slot).expect("hit on resident slot");
@@ -334,7 +320,7 @@ impl DenseSlru {
         self.rebalance_from(target);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         let tag = std::mem::replace(&mut self.slab.slots[slot as usize].tag, 0);
         if tag != 0 {
             let seg = tag as usize - 1;
@@ -363,33 +349,7 @@ impl DensePolicy for DenseSlru {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag != 0 {
-                    self.on_hit(slot);
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!();

@@ -9,8 +9,10 @@
 //! reference counter and the SIEVE visited bit.
 
 use cache_ds::{BloomFilter, NIL};
-use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{replay_loop, validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy};
+use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Outcome, PolicyStats, Request};
+use s3fifo::dense::{
+    replay_loop, serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlabPolicy,
+};
 use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;
@@ -58,13 +60,22 @@ impl DenseFifo {
         if let Some(s) = self.queue.pop_back(&mut self.slab.slots) {
             self.slab.slots[s as usize].tag = ABSENT;
             self.used -= u64::from(self.slab.size(s));
-            self.stats.evictions += 1;
             evicted.push(self.slab.eviction(s, false));
             self.slab.release(s);
         }
     }
+}
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+impl Protocol for DenseFifo {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
+        self.slab.slots[slot as usize].touch();
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
             self.evict_one(evicted);
         }
@@ -75,7 +86,7 @@ impl DenseFifo {
         self.used += u64::from(req.size);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
@@ -102,33 +113,7 @@ impl DensePolicy for DenseFifo {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag == RESIDENT {
-                    self.slab.slots[slot as usize].touch();
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -184,13 +169,23 @@ impl DenseLru {
         if let Some(s) = self.queue.pop_back(&mut self.slab.slots) {
             self.slab.slots[s as usize].tag = ABSENT;
             self.used -= u64::from(self.slab.size(s));
-            self.stats.evictions += 1;
             evicted.push(self.slab.eviction(s, false));
             self.slab.release(s);
         }
     }
+}
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+impl Protocol for DenseLru {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
+        self.slab.slots[slot as usize].touch();
+        self.queue.move_to_front(&mut self.slab.slots, slot);
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
             self.evict_one(evicted);
         }
@@ -201,7 +196,7 @@ impl DenseLru {
         self.used += u64::from(req.size);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
@@ -228,34 +223,7 @@ impl DensePolicy for DenseLru {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag == RESIDENT {
-                    self.slab.slots[slot as usize].touch();
-                    self.queue.move_to_front(&mut self.slab.slots, slot);
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -323,15 +291,26 @@ impl DenseClock {
                 self.queue.remove(&mut self.slab.slots, tail);
                 self.slab.slots[t].tag = ABSENT;
                 self.used -= u64::from(self.slab.size(tail));
-                self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(tail, false));
                 self.slab.release(tail);
                 return;
             }
         }
     }
+}
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+impl Protocol for DenseClock {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
+        let s = &mut self.slab.slots[slot as usize];
+        s.freq = (s.freq + 1).min(self.max_freq);
+        s.touch();
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
             self.evict_one(evicted);
         }
@@ -343,7 +322,7 @@ impl DenseClock {
         self.used += u64::from(req.size);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
@@ -374,35 +353,7 @@ impl DensePolicy for DenseClock {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag == RESIDENT {
-                    let s = &mut self.slab.slots[slot as usize];
-                    s.freq = (s.freq + 1).min(self.max_freq);
-                    s.touch();
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -498,15 +449,26 @@ impl DenseSieve {
                 self.queue.remove(&mut self.slab.slots, s);
                 self.slab.slots[s as usize].tag = ABSENT;
                 self.used -= u64::from(self.slab.size(s));
-                self.stats.evictions += 1;
                 evicted.push(self.slab.eviction(s, false));
                 self.slab.release(s);
                 return;
             }
         }
     }
+}
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+impl Protocol for DenseSieve {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
+        let s = &mut self.slab.slots[slot as usize];
+        s.freq = 1;
+        s.touch();
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
             self.evict_one(evicted);
         }
@@ -518,7 +480,7 @@ impl DenseSieve {
         self.used += u64::from(req.size);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
             if self.hand == slot {
                 self.hand = self
@@ -551,35 +513,7 @@ impl DensePolicy for DenseSieve {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                if self.slab.slots[slot as usize].tag == RESIDENT {
-                    let s = &mut self.slab.slots[slot as usize];
-                    s.freq = 1;
-                    s.touch();
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
-        }
+        serve(self, slot, req, evicted)
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -636,7 +570,7 @@ pub type Sieve = Keyed<DenseSieve>;
 /// slots: [`DenseLru`] behind a filter that rejects an object on its first
 /// request, so only ids seen before are admitted. This is the common CDN
 /// trick for one-hit wonders, and the paper's point is its cost: "the second
-/// requests to all objects [are] cache misses, which leads to mediocre
+/// requests to all objects \[are\] cache misses, which leads to mediocre
 /// efficiency."
 ///
 /// Two rotating Bloom filters bound memory: when the active filter fills, it
@@ -650,7 +584,9 @@ pub struct DenseBloomLru {
     previous: BloomFilter,
     /// Insertions after which the filters rotate.
     rotate_at: u64,
-    /// Reads as B-LRU counts them; evictions are the LRU's.
+    /// Whether the request being served reads an id the filters have not
+    /// seen: a first sighting, which `miss` turns away.
+    first_sighting: bool,
     stats: PolicyStats,
 }
 
@@ -670,6 +606,7 @@ impl DenseBloomLru {
             active: BloomFilter::new(expected, 0.01),
             previous: BloomFilter::new(expected, 0.01),
             rotate_at: expected as u64,
+            first_sighting: false,
             stats: PolicyStats::default(),
         })
     }
@@ -684,6 +621,35 @@ impl DenseBloomLru {
             std::mem::swap(&mut self.active, &mut self.previous);
             self.active.clear();
         }
+    }
+}
+
+impl Protocol for DenseBloomLru {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, req: &Request) {
+        self.lru.hit(slot, req);
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+        self.lru.admit(slot, req, evicted);
+    }
+
+    /// Admits only an id the filters have seen.
+    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+        if self.first_sighting {
+            // `Keyed` unmaps a released slot by the id it carries.
+            self.lru.slab.slots[slot as usize].orig = req.id;
+            self.lru.slab.release(slot);
+        } else {
+            self.lru.admit(slot, req, evicted);
+        }
+    }
+
+    fn remove(&mut self, slot: u32) {
+        self.lru.remove(slot);
     }
 }
 
@@ -705,26 +671,14 @@ impl DensePolicy for DenseBloomLru {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        if req.op != Op::Get {
-            return self.lru.request_dense(slot, req, evicted);
+        // Every read of an absent object is a sighting, one too large to
+        // cache included.
+        self.first_sighting = req.is_read() && !self.lru.resident(slot) && !self.seen(req.id);
+        let outcome = serve(self, slot, req, evicted);
+        if self.first_sighting {
+            self.record(req.id);
         }
-        let hit = self.lru.slab.slots[slot as usize].tag == RESIDENT;
-        self.stats.record_get(req.size, !hit);
-        if hit || self.seen(req.id) {
-            // A hit keeps LRU order; a second-or-later request is admitted.
-            return self.lru.request_dense(slot, req, evicted);
-        }
-        // First sighting: reject, remember. A read that can never be
-        // admitted is `Uncacheable`, as everywhere.
-        self.record(req.id);
-        // `Keyed` unmaps a released slot by the id it carries.
-        self.lru.slab.slots[slot as usize].orig = req.id;
-        self.lru.slab.release(slot);
-        if u64::from(req.size) > self.lru.capacity {
-            Outcome::Uncacheable
-        } else {
-            Outcome::Miss
-        }
+        outcome
     }
 
     fn resident(&self, slot: u32) -> bool {
@@ -754,10 +708,7 @@ impl DensePolicy for DenseBloomLru {
     }
 
     fn stats(&self) -> PolicyStats {
-        PolicyStats {
-            evictions: self.lru.stats.evictions,
-            ..self.stats
-        }
+        self.stats
     }
 }
 
@@ -783,7 +734,7 @@ mod tests {
     mod fifo {
         use super::super::*;
         use crate::util::check_policy_basics;
-        use cache_types::Policy;
+        use cache_types::{Op, Policy};
 
         #[test]
         fn evicts_in_insertion_order() {

@@ -16,8 +16,8 @@
 //! ids, not slots, so both doors see the same estimates.
 
 use cache_ds::Doorkeeper;
-use cache_types::{CacheError, DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
-use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue};
+use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol};
 use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;
@@ -111,7 +111,6 @@ impl DenseTinyLfu {
     /// Reports the eviction of detached `slot`; `from_window` marks the
     /// quick demotions Fig. 10 measures.
     fn evict(&mut self, slot: u32, from_window: bool, evicted: &mut Vec<Eviction>) {
-        self.stats.evictions += 1;
         evicted.push(self.slab.eviction(slot, from_window));
         self.slab.release(slot);
     }
@@ -176,8 +175,14 @@ impl DenseTinyLfu {
             self.evict(victim, false, evicted);
         }
     }
+}
 
-    fn on_hit(&mut self, slot: u32) {
+impl Protocol for DenseTinyLfu {
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        &mut self.stats
+    }
+
+    fn hit(&mut self, slot: u32, _req: &Request) {
         self.slab.slots[slot as usize].touch();
         match self.slab.slots[slot as usize].tag {
             PROBATION => {
@@ -190,13 +195,13 @@ impl DenseTinyLfu {
         }
     }
 
-    fn insert(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
         self.slab.slots[slot as usize].on_insert(req);
         self.link(slot, WINDOW);
         self.maintain(evicted);
     }
 
-    fn delete(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u32) {
         if self.slab.slots[slot as usize].tag != ABSENT {
             self.unlink(slot);
             self.slab.release(slot);
@@ -226,34 +231,11 @@ impl DensePolicy for DenseTinyLfu {
     }
 
     fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        match req.op {
-            Op::Get => {
-                self.sketch.record(req.id);
-                if self.slab.slots[slot as usize].tag != ABSENT {
-                    self.on_hit(slot);
-                    self.stats.record_get(req.size, false);
-                    Outcome::Hit
-                } else if u64::from(req.size) > self.capacity {
-                    self.stats.record_get(req.size, true);
-                    Outcome::Uncacheable
-                } else {
-                    self.stats.record_get(req.size, true);
-                    self.insert(slot, req, evicted);
-                    Outcome::Miss
-                }
-            }
-            Op::Set => {
-                self.delete(slot);
-                if u64::from(req.size) <= self.capacity {
-                    self.insert(slot, req, evicted);
-                }
-                Outcome::NotRead
-            }
-            Op::Delete => {
-                self.delete(slot);
-                Outcome::NotRead
-            }
+        // The sketch counts every read, one too large to cache included.
+        if req.is_read() {
+            self.sketch.record(req.id);
         }
+        serve(self, slot, req, evicted)
     }
 
     impl_dense_replay!();

@@ -3,8 +3,9 @@
 //! at, and requests that cannot admit anything leaving nothing behind.
 
 use cache_policies::{
-    DenseArc, DenseBloomLru, DenseCacheus, DenseFifo, DenseFifoMerge, DenseLeCar, DenseLhd,
-    DenseLirs, DenseLruK, DenseS3Fifo, DenseS3FifoD, DenseTinyLfu, DenseTwoQ,
+    DenseArc, DenseBelady, DenseBloomLru, DenseCacheus, DenseClock, DenseFifo, DenseFifoMerge,
+    DenseLeCar, DenseLhd, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo, DenseS3FifoD, DenseSieve,
+    DenseSlru, DenseTinyLfu, DenseTwoQ,
 };
 use cache_types::{Op, Outcome, Policy, Request};
 use s3fifo::dense::{Keyed, SlabPolicy};
@@ -96,4 +97,9 @@ fn requests_that_admit_nothing_leave_nothing_behind() {
     noops_leave_nothing_behind::<DenseLhd>();
     noops_leave_nothing_behind::<DenseFifoMerge>();
     noops_leave_nothing_behind::<DenseS3FifoD>();
+    noops_leave_nothing_behind::<DenseLru>();
+    noops_leave_nothing_behind::<DenseClock>();
+    noops_leave_nothing_behind::<DenseSieve>();
+    noops_leave_nothing_behind::<DenseSlru>();
+    noops_leave_nothing_behind::<DenseBelady>();
 }

@@ -21,7 +21,7 @@
 //!    counter handshake (modeled in loom-lite) drains in-flight requests
 //!    and emits a final observability snapshot.
 //!
-//! The [`chaos`] module (test-only) turns seeded [`cache_faults::FaultPlan`]s
+//! The `chaos` module (test-only) turns seeded [`cache_faults::FaultPlan`]s
 //! into misbehaving clients — slow readers, malformed frames, connection
 //! storms, injected device faults, kill-mid-load — and asserts the ladder
 //! holds: no panics, no lost updates or resurrections (oplog +

@@ -142,19 +142,265 @@ fn mixed_requests(requests: u64, seed: u64) -> Vec<Request> {
         .collect()
 }
 
-/// Every name's keyed door holds its invariants after every request at a
-/// capacity where ghosts fill and slots recycle, sizes honoured and
-/// ignored, and decides as its pre-interned door.
+/// `(misses, evictions, FNV-1a of the evicted ids, FNV-1a of the
+/// per-request outcomes)`: what one run did, down to each request's answer.
+type Print = (u64, u64, u64, u64);
+
+/// The `(capacity, ignore_size)` cells of [`PROTOCOL`]: where ghosts fill and
+/// slots recycle, sizes honoured and ignored; and a capacity below the
+/// largest size (8), where some `Get`s are `Uncacheable` and some `Set`s
+/// admit nothing.
+const PROTOCOL_CELLS: [(u64, bool); 3] = [(64, false), (64, true), (6, false)];
+
+/// Every name's request protocol — hit, miss, `Uncacheable`, `Set` as
+/// remove-then-admit, `Delete`, and the counts they keep — pinned over
+/// `mixed_requests(5_000, 0x0B5E_7EED)` in each of [`PROTOCOL_CELLS`].
+/// Captured at ed35492, where each slab policy still served `Get`, `Set`
+/// and `Delete` in its own copy.
+const PROTOCOL: [(&str, [Print; 3]); 26] = [
+    (
+        "FIFO",
+        [
+            (4240, 4419, 15146647381132198379, 11071733144902554393),
+            (3074, 3092, 18254567356092531287, 10492868150909462147),
+            (4523, 3544, 16832015223813678003, 17652158431326983970),
+        ],
+    ),
+    (
+        "LRU",
+        [
+            (4240, 4420, 15269605637542774578, 10713503425606577555),
+            (3093, 3109, 5156710279244428426, 17297938229777544242),
+            (4523, 3544, 6366275044361040467, 17652158431326983970),
+        ],
+    ),
+    (
+        "CLOCK",
+        [
+            (4240, 4421, 1175826410734129936, 2406265613229404113),
+            (3107, 3121, 243072040449097564, 15747566401966434108),
+            (4523, 3544, 1424579898066971955, 17652158431326983970),
+        ],
+    ),
+    (
+        "CLOCK-2bit",
+        [
+            (4240, 4420, 3483327854277338337, 2406265613229404113),
+            (3086, 3103, 3525732296580177493, 4643985576537907767),
+            (4523, 3544, 1424579898066971955, 17652158431326983970),
+        ],
+    ),
+    (
+        "SIEVE",
+        [
+            (4243, 4413, 5488413815415229807, 3767839977265564880),
+            (3069, 3090, 884886639742851152, 17517833271750638972),
+            (4523, 3544, 1589644668051311923, 17652158431326983970),
+        ],
+    ),
+    (
+        "SLRU",
+        [
+            (4223, 4393, 6279030915621525492, 15271745040768707508),
+            (3073, 3104, 6337540147653438012, 16607464566711206056),
+            (4523, 3544, 5708955918440376755, 17652158431326983970),
+        ],
+    ),
+    (
+        "2Q",
+        [
+            (4239, 4416, 1694170720094681462, 13109984090466534874),
+            (3086, 3106, 806188375073785456, 14000002817607851461),
+            (4523, 3544, 13549107248977054003, 17652158431326983970),
+        ],
+    ),
+    (
+        "ARC",
+        [
+            (4253, 4418, 6390185909850798143, 6619771382382848364),
+            (3076, 3091, 16810570674410995741, 2371363319291757763),
+            (4523, 3544, 6195122940654257715, 17652158431326983970),
+        ],
+    ),
+    (
+        "LIRS",
+        [
+            (4244, 4420, 17678574783550500731, 17170223150542170889),
+            (3097, 3093, 919216555118717103, 15927370482249209510),
+            (4522, 3542, 13967864970802004256, 3272357721896429539),
+        ],
+    ),
+    (
+        "TinyLFU",
+        [
+            (4162, 4329, 3615916816493311532, 11203748527771337651),
+            (3077, 3085, 8180072251859845196, 1101347515632529030),
+            (4511, 3533, 1962298479408121865, 10856678466748322532),
+        ],
+    ),
+    (
+        "TinyLFU-0.1",
+        [
+            (4249, 4424, 3647733473486129212, 17678001481060535834),
+            (3094, 3104, 2526193834624060800, 1848602268710831741),
+            (4511, 3533, 1962298479408121865, 10856678466748322532),
+        ],
+    ),
+    (
+        "LRU-2",
+        [
+            (4206, 4375, 2557923798625771620, 931326183287014037),
+            (3069, 3090, 884886639742851152, 17517833271750638972),
+            (4523, 3544, 13001328252585233043, 17652158431326983970),
+        ],
+    ),
+    (
+        "LeCaR",
+        [
+            (4239, 4419, 14812852759990006163, 14112507879010564864),
+            (3100, 3114, 334994208165573119, 7842601459603115077),
+            (4523, 3544, 13823953416314119763, 17652158431326983970),
+        ],
+    ),
+    (
+        "CACHEUS",
+        [
+            (4252, 4423, 3405674731315242971, 14250769457041360435),
+            (3098, 3116, 706773634684928702, 17461542543591795839),
+            (4523, 3544, 8863694587134934579, 17652158431326983970),
+        ],
+    ),
+    (
+        "LHD",
+        [
+            (3898, 4024, 12931198005980678011, 17979306538261273429),
+            (3098, 3110, 13243566048734537827, 7647269512018965409),
+            (4522, 3542, 8767390825691065187, 13851871038897834709),
+        ],
+    ),
+    (
+        "B-LRU",
+        [
+            (4242, 4220, 1551964018454044580, 3473809999993247521),
+            (3109, 2929, 3540218578323858693, 9348278485601208542),
+            (4525, 3402, 9393581712214405300, 7126720821809997648),
+        ],
+    ),
+    (
+        "FIFO-Merge",
+        [
+            (4279, 4465, 12286918963253894835, 13033861854090966302),
+            (3285, 3320, 7651683163743261779, 15984043964628770888),
+            (4523, 3545, 14585407730463750504, 17652158431326983970),
+        ],
+    ),
+    (
+        "S3-FIFO",
+        [
+            (4263, 4440, 5840156421585933198, 14412085183691458678),
+            (3115, 3134, 5184140691956233158, 15437663069962856314),
+            (4523, 3544, 6645849834989435891, 17652158431326983970),
+        ],
+    ),
+    (
+        "S3-FIFO-D",
+        [
+            (4263, 4440, 5840156421585933198, 14412085183691458678),
+            (3115, 3134, 5184140691956233158, 15437663069962856314),
+            (4523, 3544, 6645849834989435891, 17652158431326983970),
+        ],
+    ),
+    (
+        "QDLP-LRU-LRU",
+        [
+            (4252, 4428, 2040650859924928093, 7258363911067786705),
+            (3115, 3132, 14605319584274141072, 17971681764677182906),
+            (4523, 3544, 8676995955247792211, 17652158431326983970),
+        ],
+    ),
+    (
+        "QDLP-LRU-FIFO",
+        [
+            (4262, 4438, 1527517151566009357, 9543666610910294533),
+            (3113, 3140, 12701478623679404413, 18310230697608249808),
+            (4523, 3544, 8676995955247792211, 17652158431326983970),
+        ],
+    ),
+    (
+        "QDLP-FIFO-LRU",
+        [
+            (4250, 4426, 11830091406692558410, 1586797696469268915),
+            (3118, 3136, 12118420768946328357, 18273052860169622087),
+            (4523, 3544, 6645849834989435891, 17652158431326983970),
+        ],
+    ),
+    (
+        "S3-FIFO-Sieve",
+        [
+            (4245, 4420, 14756136664191522878, 7156964905426531830),
+            (3087, 3110, 8097651524090538533, 13243910177824749570),
+            (4523, 3544, 6645849834989435891, 17652158431326983970),
+        ],
+    ),
+    (
+        "Belady",
+        [
+            (3253, 3325, 7831332707749294856, 14929841619292744228),
+            (1655, 1536, 7876740940006289036, 8538507882549661262),
+            (4501, 3529, 14457696709318509559, 602877892323244918),
+        ],
+    ),
+    (
+        "S3-FIFO(0.25)",
+        [
+            (4276, 4456, 10340101305781131835, 17250298521798364085),
+            (3085, 3109, 13510016999569465333, 10687145964549807734),
+            (4523, 3544, 13549107248977054003, 17652158431326983970),
+        ],
+    ),
+    (
+        "TinyLFU(0.2)",
+        [
+            (4209, 4385, 6105821638780739460, 15355961301990669380),
+            (3093, 3102, 6531283612292943880, 13031086055728628676),
+            (4511, 3533, 1962298479408121865, 10856678466748322532),
+        ],
+    ),
+];
+
+/// Every name's keyed door holds its invariants after every request and
+/// decides as its pre-interned door, request by request, in each of
+/// [`PROTOCOL_CELLS`]; both doors print the name's [`PROTOCOL`] row.
 #[test]
 fn keyed_invariants_hold_after_every_request() {
+    let named: Vec<&str> = PROTOCOL.iter().map(|&(name, _)| name).collect();
+    let parameterized = ["S3-FIFO(0.25)", "TinyLFU(0.2)"];
+    assert!(
+        ALL_ALGORITHMS.iter().chain(&parameterized).eq(&named),
+        "{named:?}"
+    );
     let requests = mixed_requests(5_000, 0x0B5E_7EED);
-    for name in ALL_ALGORITHMS {
-        for ignore_size in [false, true] {
-            let keyed = drive_keyed(name, 64, &requests, ignore_size, Validate::EachRequest);
+    for (name, row) in PROTOCOL {
+        for ((capacity, ignore_size), want) in PROTOCOL_CELLS.into_iter().zip(row) {
+            let keyed = drive_keyed(
+                name,
+                capacity,
+                &requests,
+                ignore_size,
+                Validate::EachRequest,
+            );
+            let print = (
+                keyed.stats.misses,
+                keyed.stats.evictions,
+                keyed.hash,
+                keyed.outcomes,
+            );
+            let ctx = format!("{name} (capacity {capacity}, ignore_size={ignore_size})");
+            assert_eq!(print, want, "{ctx}, keyed door");
             assert_eq!(
-                (keyed.stats.misses, keyed.stats.evictions, keyed.hash),
-                dense_fingerprint(name, 64, &requests, ignore_size),
-                "{name} (ignore_size={ignore_size})"
+                dense_print(name, capacity, &requests, ignore_size),
+                want,
+                "{ctx}, dense door"
             );
         }
     }
@@ -175,14 +421,18 @@ fn dense_variants_exist_for_core_policies() {
     }
 }
 
+/// FNV-1a, continued over `bytes`.
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a, continued over the ids of `evicted`.
 fn hash_ids(hash: u64, evicted: &[cache_types::Eviction]) -> u64 {
     evicted
         .iter()
-        .flat_map(|e| e.id.to_le_bytes())
-        .fold(hash, |h, byte| {
-            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        .fold(hash, |h, e| fnv(h, &e.id.to_le_bytes()))
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -195,6 +445,8 @@ struct KeyedRun {
     freq_at_eviction: Histogram,
     /// FNV-1a of the evicted-id sequence.
     hash: u64,
+    /// FNV-1a of the outcome sequence.
+    outcomes: u64,
 }
 
 /// When [`drive_keyed`] calls `Policy::validate`.
@@ -217,11 +469,12 @@ fn drive_keyed(
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut evicted = Vec::new();
     let mut freq_at_eviction = Histogram::new();
-    let mut hash = FNV_OFFSET;
+    let (mut hash, mut outcomes) = (FNV_OFFSET, FNV_OFFSET);
     for (i, r) in requests.iter().enumerate() {
         let size = if ignore_size { 1 } else { r.size };
         evicted.clear();
-        policy.request(&Request { size, ..*r }, &mut evicted);
+        let outcome = policy.request(&Request { size, ..*r }, &mut evicted);
+        outcomes = fnv(outcomes, &[outcome as u8]);
         let last = i + 1 == requests.len();
         if validate == Validate::EachRequest || last {
             if let Err(e) = policy.validate() {
@@ -239,6 +492,7 @@ fn drive_keyed(
         stats: policy.stats(),
         freq_at_eviction,
         hash,
+        outcomes,
     }
 }
 
@@ -272,6 +526,27 @@ fn dense_fingerprint(
     });
     let stats = policy.stats();
     (stats.misses, stats.evictions, hash)
+}
+
+/// The registry's dense `name` at `capacity`, driven over pre-interned
+/// slots one request at a time so that each outcome is seen: the dense
+/// door's [`Print`].
+fn dense_print(name: &str, capacity: u64, requests: &[Request], ignore_size: bool) -> Print {
+    let (ids, slots) = cache_ds::DenseIds::intern(requests.iter().map(|r| r.id));
+    let mut policy =
+        cache_policies::registry::build_dense_domain(name, capacity, Some(requests), ids.len())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let (mut hash, mut outcomes) = (FNV_OFFSET, FNV_OFFSET);
+    let mut evicted = Vec::new();
+    for (&slot, r) in slots.iter().zip(requests) {
+        let size = if ignore_size { 1 } else { r.size };
+        evicted.clear();
+        let outcome = policy.request_dense(slot, &Request { size, ..*r }, &mut evicted);
+        outcomes = fnv(outcomes, &[outcome as u8]);
+        hash = hash_ids(hash, &evicted);
+    }
+    let stats = policy.stats();
+    (stats.misses, stats.evictions, hash, outcomes)
 }
 
 /// The §6.3 queue-type variants have no second implementation to diff
