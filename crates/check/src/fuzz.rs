@@ -23,7 +23,8 @@
 use crate::reference::reference_for;
 use cache_ds::{DenseIds, SplitMix64};
 use cache_policies::registry;
-use cache_types::{DensePolicy, Eviction, Op, Policy, Request};
+use cache_types::{Eviction, Op, Policy, Request};
+use s3fifo::dense::DensePolicy;
 
 /// Parameters of one generated workload.
 #[derive(Debug, Clone, Copy)]

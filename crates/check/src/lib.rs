@@ -6,7 +6,7 @@
 //! concurrent variant beside it, all required to make *identical
 //! decisions*. This crate holds the machinery that enforces that:
 //!
-//! - [`reference`] — tiny, obviously-correct `Vec`-based interpreters for
+//! - [`mod@reference`] — tiny, obviously-correct `Vec`-based interpreters for
 //!   FIFO, LRU, CLOCK, SIEVE, 2Q, SLRU, S3-FIFO, ARC, LRU-2 and B-LRU,
 //!   written for
 //!   readability, not speed: the one second opinion the production

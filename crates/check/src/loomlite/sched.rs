@@ -1,7 +1,7 @@
 //! The deterministic scheduler.
 //!
 //! Model threads are real OS threads, but at most one runs at a time: every
-//! shared-memory operation funnels through [`Scheduler::yield_point`],
+//! shared-memory operation funnels through `Scheduler::yield_point`,
 //! which hands the single "turn" to the thread chosen by the current
 //! schedule. A schedule is the sequence of choices made at *branch points*
 //! (yield points where more than one thread is runnable); the explorer in

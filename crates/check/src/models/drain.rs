@@ -16,7 +16,7 @@
 //!   a caught failure even when the interleaving happens to produce the
 //!   right final value;
 //! - `await_drained`'s unbounded poll loop becomes a bounded poll
-//!   (≤ [`POLLS`] loads). Schedules where the drainer never observes zero
+//!   (≤ `POLLS` loads). Schedules where the drainer never observes zero
 //!   take the real code's timeout path: no teardown, nothing to assert.
 //!
 //! Two planted mutants mirror the plausible refactor mistakes:

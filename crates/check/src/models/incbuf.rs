@@ -183,7 +183,7 @@ fn check_conserved(b: &ModelIncBuf, expected: [u64; KEYS]) {
 
 /// Scenario A — cross-thread slot handoff:
 /// worker 0 records two increments of key 0 (the second crosses
-/// [`FLUSH_THRESHOLD`] and flushes in-record), worker 1 records one
+/// `FLUSH_THRESHOLD` and flushes in-record), worker 1 records one
 /// increment of key 1 (flushing worker 0's pending pair on key conflict
 /// when it wins the slot in between). Main drains after both join.
 pub fn incbuf_handoff_scenario(variant: IncVariant) -> impl Fn() + Send + Sync + 'static {

@@ -12,7 +12,7 @@
 //! Down-scaling choices (documented so the model stays honest):
 //! - one key in one shard, resident when the run starts, so a `get` that
 //!   runs first hits and goes on to promote;
-//! - both locks are [`spin_lock`]s. The real shard lock is a reader-writer
+//! - both locks are `spin_lock`s. The real shard lock is a reader-writer
 //!   lock, but the `get` in the cycle reads while the writer it meets
 //!   writes, so the two exclude each other as a mutex's holders would;
 //! - the key's value and the list are [`MCell`]s, each touched only under

@@ -4,10 +4,10 @@
 //!
 //! Down-scaling choices (documented so the model stays honest):
 //! - one shard (tag 1; tag 2 stands for "some other shard" where a scenario
-//!   needs a lane that is busy elsewhere), [`LANES`] = 2 lanes and a probe
+//!   needs a lane that is busy elsewhere), `LANES` = 2 lanes and a probe
 //!   window a scenario chooses, against 32 and 4;
 //! - lanes, the writer flag and the high-water mark are [`MAtomic`]s with the
-//!   real orderings; the gate is a [`spin_lock`], whose waiters park in
+//!   real orderings; the gate is a `spin_lock`, whose waiters park in
 //!   [`loomlite::spin_wait`] as the writer's sweep does — a stuck waiter is
 //!   reported as a deadlock, not looped on;
 //! - the protected value is one [`MCell`] counter: a writer reads and writes

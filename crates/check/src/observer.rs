@@ -24,7 +24,8 @@
 //! stops; a corrupted shadow map would otherwise cascade into noise.
 
 use cache_sim::RequestObserver;
-use cache_types::{DensePolicy, Eviction, ObjId, Op, Outcome, Request};
+use cache_types::{Eviction, ObjId, Op, Outcome, Request};
+use s3fifo::dense::DensePolicy;
 use std::collections::HashMap;
 
 /// Invariant-checking observer for [`cache_sim::Replay::observer`].

@@ -23,7 +23,7 @@
 //! - Ghost queues charge every FIFO slot — including tombstones left by
 //!   `remove` — until the slot ages out, exactly like the production
 //!   `SlotGhost` (and the id-keyed `cache_ds::GhostFifo`).
-//! - B-LRU's admission filter is exact ([`RefFilter`]) where production
+//! - B-LRU's admission filter is exact (`RefFilter`) where production
 //!   keeps Bloom filters sized for at least 1 024 ids at 1 % false
 //!   positives; the fuzzer's universes are far too small to meet one.
 
@@ -1078,7 +1078,7 @@ mod tests {
     /// differential run.
     struct Planted(ReferencePolicy, Plant);
 
-    impl cache_types::DensePolicy for Planted {
+    impl s3fifo::dense::DensePolicy for Planted {
         fn name(&self) -> String {
             self.0.name()
         }

@@ -3,11 +3,11 @@
 //! The hit path takes its shard's read side of [`cache_ds::ShardLocks`] —
 //! one compare-exchange and one store on a lane line only this thread
 //! touches, plus a load of a flag only writers write — and defers all
-//! remaining bookkeeping into a thread-sticky slot of [`crate::incbuf`]
+//! remaining bookkeeping into a thread-sticky slot of `crate::incbuf`
 //! instead of writing contended lines directly: the per-shard hit counter
-//! is credited once per [`crate::incbuf::STATS_FLUSH_THRESHOLD`] hits, and
+//! is credited once per `crate::incbuf::STATS_FLUSH_THRESHOLD` hits, and
 //! an unsaturated entry's freq line is written once per
-//! [`crate::incbuf::FLUSH_THRESHOLD`] hits rather than on every hit
+//! `crate::incbuf::FLUSH_THRESHOLD` hits rather than on every hit
 //! (saturated entries skip frequency work entirely). This amortizes the
 //! coherence traffic §5.3 identifies as the residual cost of the otherwise
 //! lock-free hit path. The paper-literal alternative — one relaxed freq

@@ -52,7 +52,7 @@ impl SlotGhost {
     /// Warms the presence mark for `slot` ahead of its request — every miss
     /// consults [`SlotGhost::contains`], and the mark array is large enough
     /// to fall out of cache between touches. Observable-state-free, like
-    /// [`cache_types::DensePolicy::prefetch`].
+    /// [`DensePolicy::prefetch`](super::DensePolicy::prefetch).
     #[inline]
     pub fn warm(&self, slot: u32) {
         cache_ds::prefetch_read(&self.present, slot as usize);

@@ -1,44 +1,25 @@
-//! [`Keyed`]: any dense policy as a keyed [`Policy`], interning ids on the fly.
+//! [`Keyed`]: any slab policy as a keyed [`Policy`], interning ids on the fly.
 
-use super::DenseSlab;
+use super::{DensePolicy, SlabPolicy};
 use cache_ds::IdMap;
+use cache_types::{CacheError, Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
 use std::collections::hash_map::Entry;
-use cache_types::{
-    CacheError, DensePolicy, Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request,
-};
-
-/// A dense policy [`Keyed`] can drive: one that keeps its per-object state
-/// in a [`DenseSlab`] and reports idle slots through [`DenseSlab::release`].
-pub trait SlabPolicy: DensePolicy + Sized {
-    /// The policy at `capacity` with its default parameters over the empty
-    /// dense domain — what [`Keyed::new`] wraps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
-    fn with_capacity(capacity: u64) -> Result<Self, CacheError>;
-
-    /// The slab holding the policy's per-object state.
-    fn slab(&self) -> &DenseSlab;
-
-    /// Mutable access to the slab, for growing it and draining idle slots.
-    fn slab_mut(&mut self) -> &mut DenseSlab;
-}
 
 /// Slot 0 is never mapped to an id: a request that can leave nothing behind
 /// (a delete of, or an oversized request for, an id the policy does not
 /// know) runs against it, so it touches neither the map nor the free list.
 const SCRATCH: u32 = 0;
 
-/// The keyed [`Policy`] over dense policy `P`.
+/// The keyed [`Policy`] over slab policy `P`.
 ///
 /// Interns `ObjId → slot` as ids arrive, growing the slab a slot at a time,
 /// and forwards to [`DensePolicy::request_dense`]. An id keeps its slot for
 /// as long as the policy can still look at it — while resident, and while
 /// any ghost FIFO entry, live or tombstoned, names the slot; the policy says
-/// when that ends ([`DenseSlab::release`]) and the slot goes to the next new
-/// id. The table therefore holds at most the resident objects plus the ghost
-/// FIFO's entries, however many distinct ids pass through.
+/// when that ends ([`DenseSlab::release`](super::DenseSlab::release)) and
+/// the slot goes to the next new id. The table therefore holds at most the
+/// resident objects plus the ghost FIFO's entries, however many distinct
+/// ids pass through.
 ///
 /// Dereferences to `P` for the policy's own read accessors.
 #[derive(Debug)]

@@ -1,16 +1,28 @@
-//! The dense slab: the one place the FIFO-family policies keep their state.
+//! The dense slab: the one place the FIFO-family policies keep their state,
+//! and the two traits every policy here is driven through.
 //!
-//! A dense policy ([`cache_types::DensePolicy`]) stores everything it knows
-//! about an object in one [`Slot`] of a [`DenseSlab`], indexed by a `u32`
-//! slot, and threads its queues through the slots ([`PackedQueue`]); 2Q and
-//! S3-FIFO add a [`SlotGhost`]. This module holds that shared plumbing and
-//! the two ways a request finds its slot:
+//! A slab policy stores everything it knows about an object in one [`Slot`]
+//! of a [`DenseSlab`], indexed by a `u32` slot, and threads its queues
+//! through the slots ([`PackedQueue`]); 2Q and S3-FIFO add a [`SlotGhost`].
+//! Each policy implements one trait, [`SlabPolicy`]: its shape (name,
+//! capacity, bytes and objects held, invariants, counters), its slab, and
+//! its algorithm's steps — what a hit changes, how an object is admitted
+//! and removed, optionally what a miss learns first, what to warm ahead of
+//! a request. Everything else is written once, here:
+//!
+//! - [`serve`] decides each read's outcome, runs `Set` and `Delete` and
+//!   keeps the counts, for every policy;
+//! - [`DensePolicy`], the interface the simulator drives, is derived for
+//!   every [`SlabPolicy`] by one blanket impl: `request_dense` is the
+//!   policy's [`SlabPolicy::step`] (by default `serve`), and residency,
+//!   domain growth, prefetching and the replay loop are the slab's.
+//!
+//! A request finds its slot one of two ways:
 //!
 //! - **pre-interned** — the simulator interns a whole trace once (or a
 //!   `.ctr` stream chunk by chunk, growing the slab with
-//!   [`DensePolicy::grow_domain`]) and drives
-//!   [`DensePolicy::request_dense`] through [`replay_loop`]; a request costs
-//!   a couple of array loads;
+//!   [`DensePolicy::grow_domain`]) and drives [`DensePolicy::replay`]; a
+//!   request costs a couple of array loads;
 //! - **keyed** — [`Keyed`] interns `ObjId → slot` on the fly, recycles slots
 //!   the policy reports idle, and is the [`cache_types::Policy`] behind the
 //!   public names (`S3Fifo` and `S3FifoD` here; `Fifo`, `Lru`, `Clock`,
@@ -19,26 +31,25 @@
 //!
 //! There is one implementation of each algorithm; the two doors differ only
 //! in who hands out slots. `cache_check`'s fuzzer drives both against its
-//! reference interpreters. There is one request protocol too: every slab
-//! policy's [`DensePolicy::request_dense`] is a call to [`serve`], the only
-//! code that decides a read's outcome, runs `Set` and `Delete`, and keeps
-//! the counts; the policy supplies its steps through [`Protocol`].
+//! reference interpreters.
 //!
 //! The plumbing lives in this crate, not in `cache-ds`, because
 //! [`DenseS3Fifo`](crate::DenseS3Fifo) and
 //! [`DenseS3FifoD`](crate::DenseS3FifoD) are built on it below
 //! `cache-policies` (whose registry builds them) and a `cache-ds →
 //! cache-types` edge would rewrite the frozen `benchmark/Cargo.lock`.
+//! [`DensePolicy`] lives here rather than in `cache-types` so that it can be
+//! derived: a blanket impl must sit in the crate of the trait it implements.
 
 mod ghost;
 mod keyed;
 mod slab;
 
 pub use ghost::SlotGhost;
-pub use keyed::{Keyed, SlabPolicy};
+pub use keyed::Keyed;
 pub use slab::{validate_queues, DenseSlab, PackedQueue, Slot};
 
-use cache_types::{DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
+use cache_types::{CacheError, Eviction, Op, Outcome, PolicyStats, Request};
 
 /// How many requests ahead a replay loop warms slot state — this one, and
 /// the simulator's per-request loop. Far enough to overlap a DRAM
@@ -46,49 +57,203 @@ use cache_types::{DensePolicy, Eviction, Op, Outcome, PolicyStats, Request};
 /// cached when its request executes.
 pub const LOOKAHEAD: usize = 12;
 
-/// The replay loop every dense policy's [`DensePolicy::replay`] override
-/// delegates to. Because `P` is a concrete type here, `request_dense`
-/// resolves statically and the whole per-request path inlines into one loop
-/// body — the trait's default `replay` runs the same loop but pays a virtual
-/// call per request.
+/// A cache eviction policy that keeps its state per dense *slot*.
 ///
-/// # Panics
+/// Dense policies receive each request together with a `u32` slot standing
+/// for the object — assigned per trace by the simulator (first-appearance
+/// order), or on the fly by [`Keyed`], which turns any [`SlabPolicy`] into a
+/// keyed [`cache_types::Policy`] — and store all per-object state in `Vec`s
+/// indexed by slot instead of per-key hash-map nodes. The request still
+/// carries the original id, so [`Eviction`] records name real ids whichever
+/// way the slot was found.
 ///
-/// Panics when `slots` and `requests` have different lengths.
-#[inline]
-pub fn replay_loop<P: DensePolicy>(
-    policy: &mut P,
-    slots: &[u32],
-    requests: &[Request],
-    ignore_size: bool,
-    on_eviction: &mut dyn FnMut(usize, &Eviction),
-) {
-    assert_eq!(slots.len(), requests.len(), "slot/request length mismatch");
-    let mut evs: Vec<Eviction> = Vec::with_capacity(16);
-    for (i, (&slot, r)) in slots.iter().zip(requests.iter()).enumerate() {
-        if let Some(&ahead) = slots.get(i + LOOKAHEAD) {
-            policy.prefetch(ahead);
-        }
-        let req = if ignore_size {
-            Request { size: 1, ..(*r) }
-        } else {
-            *r
-        };
-        evs.clear();
-        policy.request_dense(slot, &req, &mut evs);
-        for e in &evs {
-            on_eviction(i, e);
+/// Every [`SlabPolicy`] has this trait derived; test doubles implement it by
+/// hand.
+pub trait DensePolicy {
+    /// Human-readable algorithm name, as the registry spells it.
+    fn name(&self) -> String;
+
+    /// Total capacity in bytes (or objects, when sizes are all 1).
+    fn capacity(&self) -> u64;
+
+    /// Bytes currently used by cached objects.
+    fn used(&self) -> u64;
+
+    /// Number of objects currently cached.
+    fn len(&self) -> usize;
+
+    /// True when no objects are cached.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Processes one request whose object was interned at `slot`, appending
+    /// an [`Eviction`] record for every object removed to make room.
+    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome;
+
+    /// True when the object interned at `slot` is cached (ghost entries do
+    /// not count): [`cache_types::Policy::contains`] by slot, for observers.
+    fn resident(&self, slot: u32) -> bool;
+
+    /// Checks structural invariants, mirroring
+    /// [`cache_types::Policy::validate`]; used by the invariant observer and
+    /// the differential fuzzer to catch dense-path corruption even when the
+    /// observable decisions still happen to agree. The default performs no
+    /// checks.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable description of the violated invariant.
+    fn validate(&self) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Extends the dense domain to at least `0..domain`, so that
+    /// [`DensePolicy::request_dense`] may be handed any slot below it; never
+    /// shrinks. `reserve` is the most slots the caller will ever ask for (0
+    /// when it cannot say): the first growth makes room for that many, so
+    /// later growth never moves the per-slot state.
+    ///
+    /// # Errors
+    ///
+    /// The default has no per-slot state to grow and refuses with
+    /// [`CacheError::InvalidParameter`]; the slab policies grow their slab.
+    fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
+        let _ = (domain, reserve);
+        Err(CacheError::InvalidParameter(format!(
+            "{} cannot grow its dense domain",
+            self.name()
+        )))
+    }
+
+    /// Warms the per-slot state for a request that will arrive shortly.
+    ///
+    /// The replay loop knows the whole slot sequence up front, so it calls
+    /// this [`LOOKAHEAD`] requests ahead; implementations issue a
+    /// non-retiring prefetch hint for the slot's state
+    /// (`cache_ds::prefetch_read`) to pull the cache line in while earlier
+    /// requests execute, turning the cold-tail misses of a skewed trace from
+    /// serial into overlapped. Must not change any observable state.
+    /// Default: no-op.
+    fn prefetch(&self, _slot: u32) {}
+
+    /// Replays a whole interned request stream, invoking `on_eviction` with
+    /// the request index for every eviction, and warming each request's
+    /// state [`LOOKAHEAD`] requests ahead of it.
+    ///
+    /// A default method is compiled once per implementing type, so the
+    /// calls to [`DensePolicy::request_dense`] and
+    /// [`DensePolicy::prefetch`] here are static and the per-request path
+    /// inlines into one loop body; a caller holding a `dyn DensePolicy`
+    /// pays one virtual call per replay. With `ignore_size`, requests are
+    /// replayed at size 1 without materializing a copy of the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slots` and `requests` have different lengths.
+    fn replay(
+        &mut self,
+        slots: &[u32],
+        requests: &[Request],
+        ignore_size: bool,
+        on_eviction: &mut dyn FnMut(usize, &Eviction),
+    ) {
+        assert_eq!(slots.len(), requests.len(), "slot/request length mismatch");
+        let mut evs: Vec<Eviction> = Vec::with_capacity(16);
+        for (i, (&slot, r)) in slots.iter().zip(requests.iter()).enumerate() {
+            if let Some(&ahead) = slots.get(i + LOOKAHEAD) {
+                self.prefetch(ahead);
+            }
+            let req = if ignore_size {
+                Request { size: 1, ..(*r) }
+            } else {
+                *r
+            };
+            evs.clear();
+            self.request_dense(slot, &req, &mut evs);
+            for e in &evs {
+                on_eviction(i, e);
+            }
         }
     }
+
+    /// Returns accumulated statistics.
+    fn stats(&self) -> PolicyStats;
 }
 
-/// The steps of one slab policy that [`serve`] sequences: what a hit
-/// changes, how an object is admitted, how it is removed. Everything the
-/// policies share — the outcome, the counts, `Set` and `Delete` — is
-/// `serve`'s, so these are called by it alone.
-pub trait Protocol: DensePolicy {
-    /// The counters [`serve`] keeps; [`DensePolicy::stats`] reads them.
-    fn stats_mut(&mut self) -> &mut PolicyStats;
+/// One eviction policy over a [`DenseSlab`]: everything a policy writes.
+/// [`DensePolicy`] is derived from it, and [`Keyed`] turns it into a keyed
+/// [`cache_types::Policy`].
+///
+/// The steps — [`hit`](SlabPolicy::hit), [`admit`](SlabPolicy::admit),
+/// [`miss`](SlabPolicy::miss), [`remove`](SlabPolicy::remove) — are called
+/// by [`serve`] alone, which owns everything the policies share: the
+/// outcome, the counts, `Set` and `Delete`. A resident slot carries a
+/// nonzero [`Slot::tag`], and a slot that falls idle is reported through
+/// [`DenseSlab::release`].
+pub trait SlabPolicy: Sized {
+    /// The policy at `capacity` with its default parameters over the empty
+    /// dense domain — what [`Keyed::new`] wraps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError>;
+
+    /// Human-readable algorithm name, as the registry spells it.
+    fn name(&self) -> String;
+
+    /// Total capacity in bytes (or objects, when sizes are all 1).
+    fn capacity(&self) -> u64;
+
+    /// Bytes currently used by cached objects.
+    fn used(&self) -> u64;
+
+    /// Number of objects currently cached.
+    fn len(&self) -> usize;
+
+    /// True when no objects are cached.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The policy's structural invariants ([`DensePolicy::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable description of the violated invariant.
+    fn validate(&self) -> Result<(), String>;
+
+    /// The slab holding the policy's per-object state, and the counters
+    /// [`serve`] keeps.
+    fn state(&self) -> (&DenseSlab, &PolicyStats);
+
+    /// Mutable [`SlabPolicy::state`].
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats);
+
+    /// The slab holding the policy's per-object state.
+    #[inline]
+    fn slab(&self) -> &DenseSlab {
+        self.state().0
+    }
+
+    /// Mutable access to the slab, for growing it and draining idle slots.
+    #[inline]
+    fn slab_mut(&mut self) -> &mut DenseSlab {
+        self.state_mut().0
+    }
+
+    /// The counters [`serve`] keeps.
+    #[inline]
+    fn stats(&self) -> PolicyStats {
+        *self.state().1
+    }
+
+    /// Mutable access to the counters, for [`serve`].
+    #[inline]
+    fn stats_mut(&mut self) -> &mut PolicyStats {
+        self.state_mut().1
+    }
 
     /// A read of resident `slot`.
     fn hit(&mut self, slot: u32, req: &Request);
@@ -104,6 +269,71 @@ pub trait Protocol: DensePolicy {
 
     /// Drops `slot` from the cache if it is resident.
     fn remove(&mut self, slot: u32);
+
+    /// Warms what a request for `slot` will read besides the slot itself —
+    /// eviction candidates, ghost marks — with prefetch hints only
+    /// ([`DensePolicy::prefetch`] warms the slot first). Default: nothing.
+    #[inline]
+    fn warm(&self, _slot: u32) {}
+
+    /// Serves one request: [`serve`], which a policy wraps when it takes a
+    /// per-request step of its own (a clock, a sketch, a filter, an
+    /// adaptation).
+    #[inline]
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+        serve(self, slot, req, evicted)
+    }
+}
+
+impl<P: SlabPolicy> DensePolicy for P {
+    fn name(&self) -> String {
+        SlabPolicy::name(self)
+    }
+
+    fn capacity(&self) -> u64 {
+        SlabPolicy::capacity(self)
+    }
+
+    fn used(&self) -> u64 {
+        SlabPolicy::used(self)
+    }
+
+    fn len(&self) -> usize {
+        SlabPolicy::len(self)
+    }
+
+    #[inline]
+    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+        self.step(slot, req, evicted)
+    }
+
+    #[inline]
+    fn resident(&self, slot: u32) -> bool {
+        self.slab().slots[slot as usize].tag != 0
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        SlabPolicy::validate(self)
+    }
+
+    /// Grows the slab; ghost marks need no growing, since
+    /// [`SlotGhost::insert`] extends them.
+    fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
+        self.slab_mut().grow_to(domain, reserve);
+        Ok(())
+    }
+
+    /// Warms the slot's line, then whatever [`SlabPolicy::warm`] names.
+    /// Non-retiring hardware hints; see `cache_ds::prefetch_read`.
+    #[inline]
+    fn prefetch(&self, slot: u32) {
+        self.slab().warm_slot(slot);
+        self.warm(slot);
+    }
+
+    fn stats(&self) -> PolicyStats {
+        SlabPolicy::stats(self)
+    }
 }
 
 /// The request protocol every slab policy serves, written once: a read of a
@@ -111,10 +341,10 @@ pub trait Protocol: DensePolicy {
 /// `Uncacheable` (nothing changes); otherwise a `Miss` that the policy
 /// handles. A `Set` removes the object, then admits the new one if it fits;
 /// a `Delete` removes it. Reads are counted by outcome and evictions by the
-/// records pushed. Each policy's [`DensePolicy::request_dense`] is a call
-/// to this, wrapped where it takes a per-request step of its own.
+/// records pushed. [`SlabPolicy::step`] is a call to this, wrapped where a
+/// policy takes a per-request step of its own.
 #[inline]
-pub fn serve<P: Protocol>(
+pub fn serve<P: SlabPolicy>(
     policy: &mut P,
     slot: u32,
     req: &Request,
@@ -132,7 +362,7 @@ pub fn serve<P: Protocol>(
 
 /// [`serve`] for everything but a hit.
 #[inline(never)]
-fn serve_rest<P: Protocol>(
+fn serve_rest<P: SlabPolicy>(
     policy: &mut P,
     slot: u32,
     req: &Request,
@@ -164,70 +394,4 @@ fn serve_rest<P: Protocol>(
     }
     stats.evictions += (evicted.len() - before) as u64;
     outcome
-}
-
-/// Implements [`DensePolicy::replay`] as a monomorphized [`replay_loop`]
-/// call, [`DensePolicy::prefetch`] as a slot-state warming read,
-/// [`DensePolicy::grow_domain`] as [`DenseSlab::grow_to`] and
-/// [`DensePolicy::resident`] as a nonzero tag; used inside each
-/// dense policy's `impl DensePolicy` block (they all store their per-slot
-/// state in a `slab` field and warm their eviction cursors in an inherent
-/// `prefetch_extra`). Policies with a ghost list name it as the macro
-/// argument so its presence mark is warmed too; the marks need no growing,
-/// since [`SlotGhost::insert`] extends them.
-#[macro_export]
-macro_rules! impl_dense_replay {
-    ($($ghost:ident),*) => {
-        fn grow_domain(
-            &mut self,
-            domain: usize,
-            reserve: usize,
-        ) -> Result<(), cache_types::CacheError> {
-            self.slab.grow_to(domain, reserve);
-            Ok(())
-        }
-
-        fn resident(&self, slot: u32) -> bool {
-            self.slab.slots[slot as usize].tag != 0
-        }
-
-        fn prefetch(&self, slot: u32) {
-            // Non-retiring hardware hints; see `cache_ds::prefetch_read`.
-            self.slab.warm_slot(slot);
-            self.prefetch_extra();
-            $(self.$ghost.warm(slot);)*
-        }
-
-        fn replay(
-            &mut self,
-            slots: &[u32],
-            requests: &[cache_types::Request],
-            ignore_size: bool,
-            on_eviction: &mut dyn FnMut(usize, &cache_types::Eviction),
-        ) {
-            $crate::dense::replay_loop(self, slots, requests, ignore_size, on_eviction);
-        }
-    };
-}
-
-/// Implements [`SlabPolicy`] for a dense policy that keeps its slab in a
-/// `slab` field; `$with_capacity` is its default-parameter constructor over
-/// the empty domain (`|capacity| Dense…::with_domain(capacity, 0)`).
-#[macro_export]
-macro_rules! impl_slab_policy {
-    ($policy:ty, $with_capacity:expr) => {
-        impl $crate::dense::SlabPolicy for $policy {
-            fn with_capacity(capacity: u64) -> Result<Self, cache_types::CacheError> {
-                $with_capacity(capacity)
-            }
-
-            fn slab(&self) -> &$crate::dense::DenseSlab {
-                &self.slab
-            }
-
-            fn slab_mut(&mut self) -> &mut $crate::dense::DenseSlab {
-                &mut self.slab
-            }
-        }
-    };
 }

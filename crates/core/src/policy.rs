@@ -4,7 +4,7 @@
 //! threaded through a [`DenseSlab`], with an exact slot-indexed ghost (no
 //! fingerprint collisions) so that miss ratios are bit-reproducible. It
 //! supplies Algorithm 1's steps — a hit, an insertion, a removal — as a
-//! [`Protocol`], and [`serve`] answers each `Get`, `Set` and `Delete` with
+//! [`SlabPolicy`], and [`serve`] answers each `Get`, `Set` and `Delete` with
 //! them, as it does for every slab policy. The simulator drives it with
 //! pre-interned slots; [`S3Fifo`] is the same policy behind the keyed
 //! [`cache_types::Policy`] interface ([`Keyed`]). The production-style
@@ -19,11 +19,10 @@
 //! tag (`ABSENT`/`SMALL`/`MAIN`), `freq` the two-bit access counter.
 
 use crate::dense::{
-    serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlabPolicy, SlotGhost,
+    serve, validate_queues, DensePolicy, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost,
 };
-use crate::impl_dense_replay;
 use cache_ds::{GhostFifo, NIL};
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
 use std::marker::PhantomData;
 
 /// Cap of the two-bit access counter (§4.1: "similar to a capped counter
@@ -237,13 +236,6 @@ impl<Q: Queues> DenseS3Fifo<Q> {
         self.ghost.set_capacity(self.m_capacity);
     }
 
-    /// Warms both queues' next eviction candidates (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        self.slab.warm_tail(&self.small);
-        self.slab.warm_tail(&self.main);
-    }
-
     fn used_total(&self) -> u64 {
         self.s_used + self.m_used
     }
@@ -339,9 +331,63 @@ impl<Q: Queues> DenseS3Fifo<Q> {
     }
 }
 
-impl<Q: Queues> Protocol for DenseS3Fifo<Q> {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl<Q: Queues> SlabPolicy for DenseS3Fifo<Q> {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::build(capacity, S3FifoConfig::default(), 0)
+    }
+
+    fn name(&self) -> String {
+        match Q::NAME {
+            Some(name) => name.into(),
+            None => format!("S3-FIFO({:.2})", self.cfg.small_ratio),
+        }
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used_total()
+    }
+
+    fn len(&self) -> usize {
+        self.len_total()
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        // No `m_used <= m_capacity` assertion: promotions and ghost-hit
+        // inserts trim M by one object, which with sized objects can leave M
+        // over budget until the next trim (found by cache-check's
+        // differential fuzzer; the reference interpreter agrees).
+        let queues = [
+            (&self.small, SMALL, self.s_used, "small"),
+            (&self.main, MAIN, self.m_used, "main"),
+        ];
+        validate_queues(&SlabPolicy::name(self), self.capacity, &self.slab, &queues)?;
+        let slots = &self.slab.slots;
+        let mut resident = self.small.iter(slots).chain(self.main.iter(slots));
+        if let Some(s) =
+            resident.find(|&s| slots[s as usize].freq > MAX_FREQ || self.ghost.contains(s))
+        {
+            return Err(format!(
+                "slot {s} counts past the 2-bit cap or is also a ghost"
+            ));
+        }
+        if self.hand != NIL && self.slab.slots[self.hand as usize].tag != MAIN {
+            return Err(format!("hand points at slot {}, which is not in main", self.hand));
+        }
+        self.ghost
+            .validate(&self.slab)
+            .map_err(|e| format!("ghost: {e}"))
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -409,19 +455,13 @@ impl<Q: Queues> Protocol for DenseS3Fifo<Q> {
         }
         self.slab.release(slot);
     }
-}
 
-impl<Q: Queues> SlabPolicy for DenseS3Fifo<Q> {
-    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
-        Self::build(capacity, S3FifoConfig::default(), 0)
-    }
-
-    fn slab(&self) -> &DenseSlab {
-        &self.slab
-    }
-
-    fn slab_mut(&mut self) -> &mut DenseSlab {
-        &mut self.slab
+    /// Warms both queues' next eviction candidates and `slot`'s ghost mark.
+    #[inline]
+    fn warm(&self, slot: u32) {
+        self.slab.warm_tail(&self.small);
+        self.slab.warm_tail(&self.main);
+        self.ghost.warm(slot);
     }
 }
 
@@ -438,64 +478,6 @@ impl Keyed<DenseS3Fifo> {
     /// ratio is outside `(0, 1)`.
     pub fn with_config(capacity: u64, cfg: S3FifoConfig) -> Result<Self, CacheError> {
         DenseS3Fifo::with_config_domain(capacity, cfg, 0).map(Self::over)
-    }
-}
-
-impl<Q: Queues> DensePolicy for DenseS3Fifo<Q> {
-    fn name(&self) -> String {
-        match Q::NAME {
-            Some(name) => name.into(),
-            None => format!("S3-FIFO({:.2})", self.cfg.small_ratio),
-        }
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used_total()
-    }
-
-    fn len(&self) -> usize {
-        self.len_total()
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    impl_dense_replay!(ghost);
-
-    fn validate(&self) -> Result<(), String> {
-        // No `m_used <= m_capacity` assertion: promotions and ghost-hit
-        // inserts trim M by one object, which with sized objects can leave M
-        // over budget until the next trim (found by cache-check's
-        // differential fuzzer; the reference interpreter agrees).
-        let queues = [
-            (&self.small, SMALL, self.s_used, "small"),
-            (&self.main, MAIN, self.m_used, "main"),
-        ];
-        validate_queues(&self.name(), self.capacity, &self.slab, &queues)?;
-        let slots = &self.slab.slots;
-        let mut resident = self.small.iter(slots).chain(self.main.iter(slots));
-        if let Some(s) =
-            resident.find(|&s| slots[s as usize].freq > MAX_FREQ || self.ghost.contains(s))
-        {
-            return Err(format!(
-                "slot {s} counts past the 2-bit cap or is also a ghost"
-            ));
-        }
-        if self.hand != NIL && self.slab.slots[self.hand as usize].tag != MAIN {
-            return Err(format!("hand points at slot {}, which is not in main", self.hand));
-        }
-        self.ghost
-            .validate(&self.slab)
-            .map_err(|e| format!("ghost: {e}"))
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
     }
 }
 
@@ -585,7 +567,11 @@ impl DenseS3FifoD {
     }
 }
 
-impl DensePolicy for DenseS3FifoD {
+impl SlabPolicy for DenseS3FifoD {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
     fn name(&self) -> String {
         "S3-FIFO-D".into()
     }
@@ -602,14 +588,43 @@ impl DensePolicy for DenseS3FifoD {
         self.inner.len_total()
     }
 
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn validate(&self) -> Result<(), String> {
+        SlabPolicy::validate(&self.inner)
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        self.inner.state()
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        self.inner.state_mut()
+    }
+
+    fn hit(&mut self, slot: u32, req: &Request) {
+        self.inner.hit(slot, req);
+    }
+
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+        self.inner.admit(slot, req, evicted);
+    }
+
+    fn remove(&mut self, slot: u32) {
+        self.inner.remove(slot);
+    }
+
+    #[inline]
+    fn warm(&self, slot: u32) {
+        self.inner.warm(slot);
+    }
+
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         // Count marginal hits on the monitors before the queues change.
-        if req.is_read() && !self.inner.resident(slot) {
+        if req.is_read() && !self.resident(slot) {
             self.hits_small += u64::from(self.mon_small.remove(req.id));
             self.hits_main += u64::from(self.mon_main.remove(req.id));
         }
         let before = evicted.len();
-        let outcome = self.inner.request_dense(slot, req, evicted);
+        let outcome = serve(self, slot, req, evicted);
         // Route fresh evictions into the matching monitor.
         for ev in &evicted[before..] {
             let monitor = if ev.from_probationary {
@@ -621,50 +636,6 @@ impl DensePolicy for DenseS3FifoD {
         }
         self.maybe_adapt();
         outcome
-    }
-
-    fn resident(&self, slot: u32) -> bool {
-        self.inner.resident(slot)
-    }
-
-    fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
-        self.inner.grow_domain(domain, reserve)
-    }
-
-    fn prefetch(&self, slot: u32) {
-        self.inner.prefetch(slot);
-    }
-
-    fn replay(
-        &mut self,
-        slots: &[u32],
-        requests: &[Request],
-        ignore_size: bool,
-        on_eviction: &mut dyn FnMut(usize, &Eviction),
-    ) {
-        crate::dense::replay_loop(self, slots, requests, ignore_size, on_eviction);
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        self.inner.validate()
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.inner.stats
-    }
-}
-
-impl SlabPolicy for DenseS3FifoD {
-    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, 0)
-    }
-
-    fn slab(&self) -> &DenseSlab {
-        &self.inner.slab
-    }
-
-    fn slab_mut(&mut self) -> &mut DenseSlab {
-        &mut self.inner.slab
     }
 }
 

@@ -84,7 +84,7 @@ impl DenseIds {
 
     /// Interns the ids of `items` (`id_of` reads one) in order after
     /// everything interned so far, appending one slot per item to `slots`.
-    /// A direct table is warmed [`LOOKAHEAD`] items ahead, which takes
+    /// A direct table is warmed `LOOKAHEAD` items ahead, which takes
     /// about a third off a chunk's interning.
     ///
     /// # Panics

@@ -1019,4 +1019,101 @@ mod tests {
         assert!(saw_degraded, "budget trip must surface Degraded once");
         assert_eq!(c.degradation(), DegradationState::Degraded);
     }
+
+    /// Every [`FlashStats`] field, in declaration order.
+    fn fields(s: &FlashStats) -> [u64; 15] {
+        let FlashStats {
+            requests,
+            misses,
+            dram_hits,
+            flash_hits,
+            flash_write_bytes,
+            request_bytes,
+            miss_bytes,
+            retries,
+            retry_latency_units,
+            device_read_errors,
+            device_write_errors,
+            corruptions,
+            degraded_ops,
+            budget_trips,
+            budget_recoveries,
+        } = *s;
+        [
+            requests,
+            misses,
+            dram_hits,
+            flash_hits,
+            flash_write_bytes,
+            request_bytes,
+            miss_bytes,
+            retries,
+            retry_latency_units,
+            device_read_errors,
+            device_write_errors,
+            corruptions,
+            degraded_ops,
+            budget_trips,
+            budget_recoveries,
+        ]
+    }
+
+    /// [`fields`] of each run of `flash_stats_are_pinned`, captured when the
+    /// flash tier was still a hand-written FIFO.
+    #[rustfmt::skip]
+    const PINNED: [[u64; 15]; 10] = [
+        // write-all, perfect
+        [60000, 38497, 0, 21503, 40439817, 63505763, 40439817, 0, 0, 0, 0, 0, 0, 0, 0],
+        // write-all, faulty
+        [60000, 43650, 0, 16350, 31732888, 63505763, 45994882, 603, 12030, 538, 0, 169, 13113, 42, 42],
+        // probabilistic, perfect
+        [60000, 39150, 240, 20610, 8162055, 63505763, 41076724, 0, 0, 0, 0, 0, 0, 0, 0],
+        // probabilistic, faulty
+        [60000, 43271, 862, 15867, 6898995, 63505763, 45528301, 140, 2937, 473, 1, 173, 4410, 32, 32],
+        // bloom, perfect
+        [60000, 32929, 98, 26973, 9691726, 63505763, 34664451, 0, 0, 0, 0, 0, 0, 0, 0],
+        // bloom, faulty
+        [60000, 40393, 933, 18674, 7179061, 63505763, 42496184, 139, 2642, 573, 1, 185, 10543, 48, 48],
+        // flashield, perfect
+        [60000, 38109, 212, 21679, 11339831, 63505763, 40168007, 0, 0, 0, 0, 0, 0, 0, 0],
+        // flashield, faulty
+        [60000, 42967, 728, 16305, 10459830, 63505763, 45123339, 177, 3309, 508, 2, 183, 9400, 37, 36],
+        // small FIFO, perfect
+        [60000, 32938, 65, 26997, 3587345, 63505763, 34676410, 0, 0, 0, 0, 0, 0, 0, 0],
+        // small FIFO, faulty
+        [60000, 40367, 530, 19103, 2746448, 63505763, 42413079, 51, 1036, 560, 0, 201, 7176, 46, 46],
+    ];
+
+    /// The pipeline's every count, for each admission policy on the perfect
+    /// device and on a seeded faulty one, pinned: a change to how a tier is
+    /// written must not change one decision.
+    #[test]
+    fn flash_stats_are_pinned() {
+        let trace = cdn_trace(10);
+        let plan = FaultPlan::new(29)
+            .with_transient_writes(0.02)
+            .with_read_errors(0.02)
+            .with_corruption(0.01);
+        let mut got = Vec::new();
+        for kind in [
+            AdmissionKind::WriteAll,
+            AdmissionKind::Probabilistic(0.2),
+            AdmissionKind::BloomSecondAccess,
+            AdmissionKind::FlashieldLike,
+            AdmissionKind::SmallFifoTwoAccess,
+        ] {
+            let cfg = FlashCacheConfig {
+                total_bytes: trace.footprint_bytes() / 10,
+                dram_fraction: 0.01,
+                admission: kind,
+            };
+            let mut perfect = FlashCache::new(cfg).unwrap();
+            let mut faulty =
+                FlashCache::faulty(cfg, plan.clone(), ResilienceConfig::default()).unwrap();
+            got.push(fields(&perfect.run(&trace.requests)));
+            got.push(fields(&faulty.run(&trace.requests)));
+            assert!(perfect.verify_accounting() && faulty.verify_accounting());
+        }
+        assert_eq!(got, PINNED);
+    }
 }

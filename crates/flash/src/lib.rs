@@ -9,7 +9,8 @@
 //! one for the other.
 //!
 //! - [`tier::FlashTier`] — the flash device model: FIFO eviction (what
-//!   production flash caches use for sequential writes), write accounting.
+//!   production flash caches use for sequential writes) by
+//!   `cache_policies::Fifo`, and write accounting.
 //! - [`device::FlashDevice`] — the fallible device abstraction;
 //!   [`device::FaultyDevice`] wraps any device in deterministic fault
 //!   injection (`cache-faults`).

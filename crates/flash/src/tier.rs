@@ -4,25 +4,24 @@
 //! §5.4: "most production flash cache systems … use FIFO or
 //! FIFO-reinsertion" because insertion-order eviction turns into sequential
 //! writes. The experiments use plain FIFO for every admission policy so the
-//! admission effect is isolated.
+//! admission effect is isolated. That FIFO is [`cache_policies::Fifo`], the
+//! one every figure measures: a read is a `Get` of a resident object, a
+//! write a `Set` of a non-resident one that fits, and an evicted object's
+//! hits are the FIFO's [`Eviction::freq`].
 
-use cache_ds::{IdMap, IdSet};
-use cache_types::ObjId;
-use std::collections::VecDeque;
+use cache_policies::Fifo;
+use cache_types::{Eviction, ObjId, Op, Policy, Request};
 
 /// A FIFO flash tier.
 #[derive(Debug)]
 pub struct FlashTier {
-    fifo: VecDeque<(ObjId, u32)>,
-    set: IdSet,
-    /// Hits each resident object has received (for admission feedback).
-    hits: IdMap<u32>,
-    used: u64,
-    capacity: u64,
+    fifo: Fifo,
     /// Total bytes ever written.
     write_bytes: u64,
     /// Objects written.
     writes: u64,
+    /// The FIFO's eviction records for the request being served.
+    evicted: Vec<Eviction>,
 }
 
 /// An object evicted from flash, with its hit count while resident.
@@ -43,73 +42,69 @@ impl FlashTier {
     ///
     /// Panics when `capacity == 0`.
     pub fn new(capacity: u64) -> Self {
-        assert!(capacity > 0, "flash capacity must be positive");
+        // Invariant: `Fifo::new` refuses a zero capacity and nothing else.
+        let fifo = Fifo::new(capacity).expect("flash capacity must be positive");
         FlashTier {
-            fifo: VecDeque::new(),
-            set: IdSet::default(),
-            hits: IdMap::default(),
-            used: 0,
-            capacity,
+            fifo,
             write_bytes: 0,
             writes: 0,
+            evicted: Vec::new(),
         }
+    }
+
+    /// Issues `op` on `id` to the FIFO, at the logical time of the writes
+    /// so far.
+    fn issue(&mut self, id: ObjId, size: u32, op: Op) {
+        let req = Request {
+            id,
+            size,
+            time: self.writes,
+            op,
+        };
+        self.evicted.clear();
+        self.fifo.request(&req, &mut self.evicted);
     }
 
     /// True when `id` is resident.
     pub fn contains(&self, id: ObjId) -> bool {
-        self.set.contains(&id)
+        self.fifo.contains(id)
     }
 
     /// Records a read hit on a resident object. Returns false when the
     /// object is not resident.
     pub fn read(&mut self, id: ObjId) -> bool {
-        if self.set.contains(&id) {
-            *self.hits.entry(id).or_insert(0) += 1;
-            true
-        } else {
-            false
+        if !self.contains(id) {
+            return false;
         }
+        self.issue(id, 0, Op::Get);
+        true
     }
 
     /// Writes `id` to flash (a no-op when already resident), evicting in
     /// FIFO order to make room. Evictions are appended to `evicted`.
     pub fn write(&mut self, id: ObjId, size: u32, evicted: &mut Vec<FlashEviction>) {
-        if u64::from(size) > self.capacity || self.set.contains(&id) {
+        if u64::from(size) > self.capacity() || self.contains(id) {
             return;
         }
-        while self.used + u64::from(size) > self.capacity {
-            let Some((old, old_size)) = self.fifo.pop_front() else {
-                break;
-            };
-            if self.set.remove(&old) {
-                self.used -= u64::from(old_size);
-                evicted.push(FlashEviction {
-                    id: old,
-                    size: old_size,
-                    hits: self.hits.remove(&old).unwrap_or(0),
-                });
-            }
-        }
-        self.fifo.push_back((id, size));
-        self.set.insert(id);
-        self.used += u64::from(size);
+        self.issue(id, size, Op::Set);
+        evicted.extend(self.evicted.iter().map(|e| FlashEviction {
+            id: e.id,
+            size: e.size,
+            hits: e.freq,
+        }));
         self.write_bytes += u64::from(size);
         self.writes += 1;
     }
 
     /// Drops `id` from the tier (corruption discard, invalidation).
-    /// Returns the object's size, or `None` when not resident. O(n) in the
-    /// FIFO length; only used on rare corruption/invalidation paths.
+    /// Returns the object's size, or `None` when not resident.
     pub fn remove(&mut self, id: ObjId) -> Option<u32> {
-        if !self.set.remove(&id) {
+        if !self.contains(id) {
             return None;
         }
-        self.hits.remove(&id);
-        // Invariant: every id in `set` has exactly one slot in `fifo`.
-        let pos = self.fifo.iter().position(|&(fid, _)| fid == id)?;
-        let (_, size) = self.fifo.remove(pos)?;
-        self.used -= u64::from(size);
-        Some(size)
+        let before = self.used();
+        self.issue(id, 0, Op::Delete);
+        u32::try_from(before - self.used()).ok()
     }
 
     /// Total bytes written to the device so far.
@@ -124,39 +119,30 @@ impl FlashTier {
 
     /// Resident bytes.
     pub fn used(&self) -> u64 {
-        self.used
+        self.fifo.used()
     }
 
     /// Device capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.capacity
+        self.fifo.capacity()
     }
 
     /// Resident object count.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.fifo.len()
     }
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.fifo.is_empty()
     }
 
-    /// Exhaustive byte-accounting check (O(n)): every FIFO slot is in the
-    /// resident set, slot count matches set size, and `used` equals the sum
-    /// of resident sizes. Used by the torture harnesses.
+    /// Exhaustive accounting check (O(n)): the FIFO's own invariants —
+    /// `used` is the sum of resident sizes and within capacity, every
+    /// queued object is resident once — and its id table's. Used by the
+    /// torture harnesses.
     pub fn verify_accounting(&self) -> bool {
-        if self.fifo.len() != self.set.len() {
-            return false;
-        }
-        let mut sum = 0u64;
-        for &(id, size) in &self.fifo {
-            if !self.set.contains(&id) {
-                return false;
-            }
-            sum += u64::from(size);
-        }
-        sum == self.used && self.used <= self.capacity
+        self.fifo.validate().is_ok()
     }
 }
 

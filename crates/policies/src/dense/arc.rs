@@ -15,9 +15,8 @@
 //! are [`SlotGhost`]s, so under [`Keyed`] a ghost's slot is not recycled
 //! while either ghost still names it.
 
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlotGhost};
-use s3fifo::impl_dense_replay;
+use cache_types::{CacheError, Eviction, PolicyStats, Request};
+use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
 
 const ABSENT: u8 = 0;
 const T1: u8 = 1;
@@ -76,13 +75,6 @@ impl DenseArc {
         self.t1_used + self.t2_used
     }
 
-    /// Warms both lists' next eviction candidates (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        self.slab.warm_tail(&self.t1);
-        self.slab.warm_tail(&self.t2);
-    }
-
     /// The REPLACE subroutine: evict from T1 into B1 if T1 exceeds the target
     /// `p` (or equals it while the request hits in B2), else from T2 into B2.
     fn replace(&mut self, in_b2: bool, evicted: &mut Vec<Eviction>) {
@@ -103,9 +95,46 @@ impl DenseArc {
     }
 }
 
-impl Protocol for DenseArc {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseArc {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "ARC".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used_total()
+    }
+
+    fn len(&self) -> usize {
+        (self.t1.len() + self.t2.len()) as usize
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate_queues(
+            "ARC",
+            self.capacity,
+            &self.slab,
+            &[(&self.t1, T1, self.t1_used, "T1"), (&self.t2, T2, self.t2_used, "T2")],
+        )?;
+        if self.p > self.capacity {
+            return Err(format!("ARC: p {} > capacity {}", self.p, self.capacity));
+        }
+        SlotGhost::validate_all(&self.slab, &[&self.b1, &self.b2]).map_err(|e| format!("ARC: {e}"))
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -181,50 +210,15 @@ impl Protocol for DenseArc {
         }
         self.slab.release(slot);
     }
-}
 
-impl DensePolicy for DenseArc {
-    fn name(&self) -> String {
-        "ARC".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used_total()
-    }
-
-    fn len(&self) -> usize {
-        (self.t1.len() + self.t2.len()) as usize
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    impl_dense_replay!(b1, b2);
-
-    fn validate(&self) -> Result<(), String> {
-        validate_queues(
-            "ARC",
-            self.capacity,
-            &self.slab,
-            &[(&self.t1, T1, self.t1_used, "T1"), (&self.t2, T2, self.t2_used, "T2")],
-        )?;
-        if self.p > self.capacity {
-            return Err(format!("ARC: p {} > capacity {}", self.p, self.capacity));
-        }
-        SlotGhost::validate_all(&self.slab, &[&self.b1, &self.b2]).map_err(|e| format!("ARC: {e}"))
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
+    #[inline]
+    fn warm(&self, slot: u32) {
+        self.slab.warm_tail(&self.t1);
+        self.slab.warm_tail(&self.t2);
+        self.b1.warm(slot);
+        self.b2.warm(slot);
     }
 }
-
-s3fifo::impl_slab_policy!(DenseArc, |capacity| DenseArc::with_domain(capacity, 0));
 
 /// ARC keyed by object id.
 pub type Arc = Keyed<DenseArc>;

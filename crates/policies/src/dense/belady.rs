@@ -8,9 +8,8 @@
 //! domain on insertion, so it follows both doors' growth.
 
 use cache_ds::IdMap;
-use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, DenseSlab, Protocol};
-use s3fifo::impl_dense_replay;
+use cache_types::{CacheError, Eviction, ObjId, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, DensePolicy, DenseSlab, SlabPolicy};
 use std::collections::BTreeSet;
 
 const ABSENT: u8 = 0;
@@ -75,10 +74,6 @@ impl DenseBelady {
         })
     }
 
-    /// Belady keeps no queue whose tail could be warmed.
-    #[inline]
-    fn prefetch_extra(&self) {}
-
     /// `slot`'s key in the order.
     fn key(&self, slot: u32) -> (u64, ObjId, u32) {
         (self.next_use[slot as usize], self.slab.slots[slot as usize].orig, slot)
@@ -103,9 +98,54 @@ impl DenseBelady {
     }
 }
 
-impl Protocol for DenseBelady {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseBelady {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        // Without a trace every request is "never requested again": the
+        // keyed default evicts the largest resident id first (DESIGN.md §5b).
+        Self::new(capacity, &[], 0)
+    }
+
+    fn name(&self) -> String {
+        "Belady".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let current = |&(next, id, slot): &(u64, ObjId, u32)| {
+            self.resident(slot) && self.key(slot) == (next, id, slot)
+        };
+        let bytes: u64 = self.order.iter().map(|&(.., s)| u64::from(self.slab.size(s))).sum();
+        let tagged = self.slab.slots.iter().filter(|s| s.tag != ABSENT).count();
+        if !self.order.iter().all(current) || tagged != self.order.len() || bytes != self.used {
+            return Err(format!(
+                "Belady: {} ranked ({bytes} bytes) but {tagged} tagged ({} bytes), or a stale rank",
+                self.order.len(),
+                self.used
+            ));
+        }
+        if self.used > self.capacity {
+            return Err(format!("Belady: used {} > capacity {}", self.used, self.capacity));
+        }
+        Ok(())
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -136,60 +176,13 @@ impl Protocol for DenseBelady {
         self.used += u64::from(req.size);
         self.rank(slot, self.next);
     }
-}
 
-impl DensePolicy for DenseBelady {
-    fn name(&self) -> String {
-        "Belady".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         self.next = self.next_occurrence.get(self.pos).copied().unwrap_or(NEVER);
         self.pos += 1;
         serve(self, slot, req, evicted)
     }
-
-    impl_dense_replay!();
-
-    fn validate(&self) -> Result<(), String> {
-        let current = |&(next, id, slot): &(u64, ObjId, u32)| {
-            self.resident(slot) && self.key(slot) == (next, id, slot)
-        };
-        let bytes: u64 = self.order.iter().map(|&(.., s)| u64::from(self.slab.size(s))).sum();
-        let tagged = self.slab.slots.iter().filter(|s| s.tag != ABSENT).count();
-        if !self.order.iter().all(current) || tagged != self.order.len() || bytes != self.used {
-            return Err(format!(
-                "Belady: {} ranked ({bytes} bytes) but {tagged} tagged ({} bytes), or a stale rank",
-                self.order.len(),
-                self.used
-            ));
-        }
-        if self.used > self.capacity {
-            return Err(format!("Belady: used {} > capacity {}", self.used, self.capacity));
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
 }
-
-// Without a trace every request is "never requested again": the keyed
-// default evicts the largest resident id first (DESIGN.md §5b).
-s3fifo::impl_slab_policy!(DenseBelady, |capacity| DenseBelady::new(capacity, &[], 0));
 
 #[cfg(test)]
 mod tests {
@@ -220,7 +213,11 @@ mod tests {
         let (ids, slots) = cache_ds::DenseIds::intern(reqs.iter().map(|r| r.id));
         let mut dense = DenseBelady::new(3, &reqs, ids.len()).unwrap();
         dense.replay(&slots, &reqs, false, &mut |_, _| {});
-        assert_eq!(dense.stats().misses, 9, "the same on the pre-interned door");
+        assert_eq!(
+            DensePolicy::stats(&dense).misses,
+            9,
+            "the same on the pre-interned door"
+        );
     }
 
     #[test]

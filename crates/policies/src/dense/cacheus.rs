@@ -26,9 +26,8 @@
 
 use super::LfuOrder;
 use cache_ds::SplitMix64;
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlotGhost};
-use s3fifo::impl_dense_replay;
+use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
 
 const ABSENT: u8 = 0;
 /// Probationary (scan-resistant) region of SR-LRU.
@@ -99,13 +98,6 @@ impl DenseCacheus {
     /// Current (w_srlru, w_crlfu) weights.
     pub fn weights(&self) -> (f64, f64) {
         (self.w_srlru, self.w_crlfu)
-    }
-
-    /// Warms SR-LRU's next victims (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        self.slab.warm_tail(&self.sr);
-        self.slab.warm_tail(&self.r);
     }
 
     fn reward(&mut self, mistaken_srlru: bool) {
@@ -198,9 +190,44 @@ impl DenseCacheus {
     }
 }
 
-impl Protocol for DenseCacheus {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseCacheus {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "CACHEUS".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.sr_used + self.r_used
+    }
+
+    fn len(&self) -> usize {
+        (self.sr.len() + self.r.len()) as usize
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let sr = (&self.sr, SR, self.sr_used, "SR");
+        let r = (&self.r, R, self.r_used, "R");
+        validate_queues("CACHEUS", self.capacity, &self.slab, &[sr, r])?;
+        if !self.lfu.is_current(&self.slab, self.len()) {
+            return Err("CACHEUS: the CR-LFU order is not the resident objects' counts".into());
+        }
+        SlotGhost::validate_all(&self.slab, &[&self.h_srlru, &self.h_crlfu])
+            .map_err(|e| format!("CACHEUS history: {e}"))
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
@@ -243,26 +270,16 @@ impl Protocol for DenseCacheus {
             self.slab.release(slot);
         }
     }
-}
 
-impl DensePolicy for DenseCacheus {
-    fn name(&self) -> String {
-        "CACHEUS".into()
+    #[inline]
+    fn warm(&self, slot: u32) {
+        self.slab.warm_tail(&self.sr);
+        self.slab.warm_tail(&self.r);
+        self.h_srlru.warm(slot);
+        self.h_crlfu.warm(slot);
     }
 
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.sr_used + self.r_used
-    }
-
-    fn len(&self) -> usize {
-        (self.sr.len() + self.r.len()) as usize
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         let outcome = serve(self, slot, req, evicted);
         if req.is_read() {
             self.window_reqs += 1;
@@ -271,28 +288,7 @@ impl DensePolicy for DenseCacheus {
         }
         outcome
     }
-
-    impl_dense_replay!(h_srlru, h_crlfu);
-
-    fn validate(&self) -> Result<(), String> {
-        let sr = (&self.sr, SR, self.sr_used, "SR");
-        let r = (&self.r, R, self.r_used, "R");
-        validate_queues("CACHEUS", self.capacity, &self.slab, &[sr, r])?;
-        if !self.lfu.is_current(&self.slab, self.len()) {
-            return Err("CACHEUS: the CR-LFU order is not the resident objects' counts".into());
-        }
-        SlotGhost::validate_all(&self.slab, &[&self.h_srlru, &self.h_crlfu])
-            .map_err(|e| format!("CACHEUS history: {e}"))
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
 }
-
-s3fifo::impl_slab_policy!(DenseCacheus, |capacity| DenseCacheus::with_domain(
-    capacity, 0
-));
 
 /// CACHEUS keyed by object id.
 pub type Cacheus = Keyed<DenseCacheus>;

@@ -16,9 +16,8 @@
 //! The segment holding a slot's live entry is recorded in an array beside
 //! the slab, which catches up with its domain on insertion.
 
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, DenseSlab, Keyed, Protocol};
-use s3fifo::impl_dense_replay;
+use cache_types::{CacheError, Eviction, PolicyStats, Request};
+use s3fifo::dense::{DenseSlab, Keyed, SlabPolicy};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
@@ -79,10 +78,6 @@ impl DenseFifoMerge {
             stats: PolicyStats::default(),
         })
     }
-
-    /// Nothing to warm: a merge walks whole segments.
-    #[inline]
-    fn prefetch_extra(&self) {}
 
     /// Merges the `MERGE_N` oldest segments, retaining the most frequently
     /// accessed quarter of their live bytes and evicting the rest.
@@ -149,9 +144,64 @@ impl DenseFifoMerge {
     }
 }
 
-impl Protocol for DenseFifoMerge {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseFifoMerge {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "FIFO-Merge".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Byte and object accounting, and every resident slot listed by the
+    /// segment its live entry names.
+    fn validate(&self) -> Result<(), String> {
+        let mut listed = vec![false; self.slab.domain()];
+        for seg in &self.segments {
+            for &slot in &seg.slots {
+                listed[slot as usize] |= self.seg_of[slot as usize] == seg.id;
+            }
+        }
+        let resident = self
+            .slab
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.tag != ABSENT);
+        let (mut bytes, mut count) = (0u64, 0usize);
+        for (slot, s) in resident {
+            if !listed[slot] {
+                return Err(format!("FIFO-Merge: resident slot {slot} is in no segment"));
+            }
+            (bytes, count) = (bytes + u64::from(s.size), count + 1);
+        }
+        if (bytes, count) != (self.used, self.len) || self.used > self.capacity {
+            return Err(format!(
+                "FIFO-Merge: {count} resident slots of {bytes} bytes, accounted {} of {} in {}",
+                self.len, self.used, self.capacity
+            ));
+        }
+        Ok(())
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -207,69 +257,6 @@ impl Protocol for DenseFifoMerge {
         self.slab.release(slot);
     }
 }
-
-impl DensePolicy for DenseFifoMerge {
-    fn name(&self) -> String {
-        "FIFO-Merge".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    impl_dense_replay!();
-
-    /// Byte and object accounting, and every resident slot listed by the
-    /// segment its live entry names.
-    fn validate(&self) -> Result<(), String> {
-        let mut listed = vec![false; self.slab.domain()];
-        for seg in &self.segments {
-            for &slot in &seg.slots {
-                listed[slot as usize] |= self.seg_of[slot as usize] == seg.id;
-            }
-        }
-        let resident = self
-            .slab
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.tag != ABSENT);
-        let (mut bytes, mut count) = (0u64, 0usize);
-        for (slot, s) in resident {
-            if !listed[slot] {
-                return Err(format!("FIFO-Merge: resident slot {slot} is in no segment"));
-            }
-            (bytes, count) = (bytes + u64::from(s.size), count + 1);
-        }
-        if (bytes, count) != (self.used, self.len) || self.used > self.capacity {
-            return Err(format!(
-                "FIFO-Merge: {count} resident slots of {bytes} bytes, accounted {} of {} in {}",
-                self.len, self.used, self.capacity
-            ));
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
-}
-
-s3fifo::impl_slab_policy!(DenseFifoMerge, |capacity| DenseFifoMerge::with_domain(
-    capacity, 0
-));
 
 /// FIFO-Merge keyed by object id.
 pub type FifoMerge = Keyed<DenseFifoMerge>;

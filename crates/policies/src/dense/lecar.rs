@@ -17,9 +17,8 @@
 
 use super::LfuOrder;
 use cache_ds::SplitMix64;
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlotGhost};
-use s3fifo::impl_dense_replay;
+use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
 
 const ABSENT: u8 = 0;
 const RESIDENT: u8 = 1;
@@ -89,12 +88,6 @@ impl DenseLeCar {
         (self.w_lru, self.w_lfu)
     }
 
-    /// Warms the LRU expert's next victim (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        self.slab.warm_tail(&self.lru);
-    }
-
     /// Applies the discounted multiplicative-weights update after a ghost
     /// hit at distance `age` requests in the past, punishing `mistaken_lru`.
     fn reward(&mut self, age: u64, mistaken_lru: bool) {
@@ -149,9 +142,43 @@ impl DenseLeCar {
     }
 }
 
-impl Protocol for DenseLeCar {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseLeCar {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "LeCaR".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.lru.len() as usize
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let lru = (&self.lru, RESIDENT, self.used, "LRU");
+        validate_queues("LeCaR", self.capacity, &self.slab, &[lru])?;
+        if !self.lfu.is_current(&self.slab, self.len()) {
+            return Err("LeCaR: the LFU order is not the resident objects' counts".into());
+        }
+        SlotGhost::validate_all(&self.slab, &[&self.h_lru, &self.h_lfu])
+            .map_err(|e| format!("LeCaR history: {e}"))
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
@@ -191,48 +218,19 @@ impl Protocol for DenseLeCar {
         self.used -= u64::from(self.slab.size(slot));
         self.slab.release(slot);
     }
-}
 
-impl DensePolicy for DenseLeCar {
-    fn name(&self) -> String {
-        "LeCaR".into()
+    #[inline]
+    fn warm(&self, slot: u32) {
+        self.slab.warm_tail(&self.lru);
+        self.h_lru.warm(slot);
+        self.h_lfu.warm(slot);
     }
 
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.lru.len() as usize
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         self.now += 1;
         serve(self, slot, req, evicted)
     }
-
-    impl_dense_replay!(h_lru, h_lfu);
-
-    fn validate(&self) -> Result<(), String> {
-        let lru = (&self.lru, RESIDENT, self.used, "LRU");
-        validate_queues("LeCaR", self.capacity, &self.slab, &[lru])?;
-        if !self.lfu.is_current(&self.slab, self.len()) {
-            return Err("LeCaR: the LFU order is not the resident objects' counts".into());
-        }
-        SlotGhost::validate_all(&self.slab, &[&self.h_lru, &self.h_lfu])
-            .map_err(|e| format!("LeCaR history: {e}"))
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
 }
-
-s3fifo::impl_slab_policy!(DenseLeCar, |capacity| DenseLeCar::with_domain(capacity, 0));
 
 /// LeCaR keyed by object id.
 pub type LeCar = Keyed<DenseLeCar>;

@@ -23,9 +23,8 @@
 //! position, so both doors pick the same objects.
 
 use cache_ds::SplitMix64;
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, DenseSlab, Keyed, Protocol};
-use s3fifo::impl_dense_replay;
+use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, DenseSlab, Keyed, SlabPolicy};
 
 const ABSENT: u8 = 0;
 const RESIDENT: u8 = 1;
@@ -89,10 +88,6 @@ impl DenseLhd {
         lhd.reconfigure();
         Ok(lhd)
     }
-
-    /// Nothing to warm: victims are sampled at random.
-    #[inline]
-    fn prefetch_extra(&self) {}
 
     #[inline]
     fn bucket_of(age: u64) -> usize {
@@ -171,9 +166,61 @@ impl DenseLhd {
     }
 }
 
-impl Protocol for DenseLhd {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseLhd {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "LHD".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The sampling vector is the resident set, each slot where it says it
+    /// is, and accounts for the bytes in use.
+    fn validate(&self) -> Result<(), String> {
+        let misplaced = self.keys.iter().enumerate().find(|&(i, &slot)| {
+            self.slab.slots[slot as usize].tag != RESIDENT || self.pos[slot as usize] as usize != i
+        });
+        if let Some((i, slot)) = misplaced {
+            return Err(format!(
+                "LHD: sampled slot {slot} at {i} is not resident there"
+            ));
+        }
+        let tagged = self.slab.slots.iter().filter(|s| s.tag != ABSENT).count();
+        let bytes: u64 = self
+            .keys
+            .iter()
+            .map(|&slot| u64::from(self.slab.size(slot)))
+            .sum();
+        if (tagged, bytes) != (self.keys.len(), self.used) || self.used > self.capacity {
+            return Err(format!(
+                "LHD: {} sampled slots of {bytes} bytes, but {tagged} resident and {} used of {}",
+                self.keys.len(),
+                self.used,
+                self.capacity
+            ));
+        }
+        Ok(())
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, req: &Request) {
@@ -208,26 +255,8 @@ impl Protocol for DenseLhd {
             self.slab.release(slot);
         }
     }
-}
 
-impl DensePolicy for DenseLhd {
-    fn name(&self) -> String {
-        "LHD".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         self.now += 1;
         self.since_reconfigure += 1;
         if self.since_reconfigure >= self.reconfigure_every {
@@ -235,43 +264,7 @@ impl DensePolicy for DenseLhd {
         }
         serve(self, slot, req, evicted)
     }
-
-    impl_dense_replay!();
-
-    /// The sampling vector is the resident set, each slot where it says it
-    /// is, and accounts for the bytes in use.
-    fn validate(&self) -> Result<(), String> {
-        let misplaced = self.keys.iter().enumerate().find(|&(i, &slot)| {
-            self.slab.slots[slot as usize].tag != RESIDENT || self.pos[slot as usize] as usize != i
-        });
-        if let Some((i, slot)) = misplaced {
-            return Err(format!(
-                "LHD: sampled slot {slot} at {i} is not resident there"
-            ));
-        }
-        let tagged = self.slab.slots.iter().filter(|s| s.tag != ABSENT).count();
-        let bytes: u64 = self
-            .keys
-            .iter()
-            .map(|&slot| u64::from(self.slab.size(slot)))
-            .sum();
-        if (tagged, bytes) != (self.keys.len(), self.used) || self.used > self.capacity {
-            return Err(format!(
-                "LHD: {} sampled slots of {bytes} bytes, but {tagged} resident and {} used of {}",
-                self.keys.len(),
-                self.used,
-                self.capacity
-            ));
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
 }
-
-s3fifo::impl_slab_policy!(DenseLhd, |capacity| DenseLhd::with_domain(capacity, 0));
 
 /// LHD keyed by object id.
 pub type Lhd = Keyed<DenseLhd>;

@@ -30,9 +30,8 @@
 //! keeps its slot until `S` lets go of it.
 
 use cache_ds::{DList, Handle};
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, DenseSlab, Keyed, PackedQueue, Protocol};
-use s3fifo::impl_dense_replay;
+use cache_types::{CacheError, Eviction, PolicyStats, Request};
+use s3fifo::dense::{DenseSlab, Keyed, PackedQueue, SlabPolicy};
 
 const LIR: u8 = 1;
 const HIR: u8 = 2;
@@ -89,12 +88,6 @@ impl DenseLirs {
             max_stack_entries: (capacity as usize).saturating_mul(3).max(16),
             stats: PolicyStats::default(),
         })
-    }
-
-    /// Warms the stack bottom, which pruning reads next (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        self.slab.warm_tail(&self.s);
     }
 
     fn on_stack(&self, slot: u32) -> bool {
@@ -207,9 +200,91 @@ impl DenseLirs {
     }
 }
 
-impl Protocol for DenseLirs {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseLirs {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "LIRS".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.resident_used
+    }
+
+    fn len(&self) -> usize {
+        self.resident
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let (mut resident, mut hir, mut on_stack) = (0usize, 0usize, 0usize);
+        let (mut resident_bytes, mut lir_bytes) = (0u64, 0u64);
+        for (slot, s) in self.slab.slots.iter().enumerate() {
+            let queued = self.q_nodes.get(slot).is_some_and(Option::is_some);
+            if queued != (s.tag == HIR) {
+                return Err(format!("LIRS: slot {slot} tagged {} has a Q node: {queued}", s.tag));
+            }
+            if s.tag == LIR && s.freq != 1 {
+                return Err(format!("LIRS: LIR block in slot {slot} is not on stack S"));
+            }
+            on_stack += usize::from(s.freq == 1);
+            hir += usize::from(s.tag == HIR);
+            if s.tag != 0 {
+                resident += 1;
+                resident_bytes += u64::from(s.size);
+                if s.tag == LIR {
+                    lir_bytes += u64::from(s.size);
+                }
+            }
+        }
+        let walked = self.s.iter(&self.slab.slots).count();
+        if walked != self.s.len() as usize || walked != on_stack {
+            return Err(format!(
+                "LIRS: stack links walk {walked} slots, len says {}, {on_stack} are flagged",
+                self.s.len()
+            ));
+        }
+        if self.q.len() != hir {
+            return Err(format!("LIRS: Q holds {} nodes for {hir} HIR blocks", self.q.len()));
+        }
+        if (resident, resident_bytes, lir_bytes) != (self.resident, self.resident_used, self.lir_used)
+        {
+            return Err(format!(
+                "LIRS: {resident} blocks / {resident_bytes} bytes / {lir_bytes} LIR bytes resident, \
+                 accounted {} / {} / {}",
+                self.resident, self.resident_used, self.lir_used
+            ));
+        }
+        if self.resident_used > self.capacity || self.lir_used > self.lir_capacity {
+            return Err(format!(
+                "LIRS: resident {} > capacity {} or LIR {} > budget {}",
+                self.resident_used, self.capacity, self.lir_used, self.lir_capacity
+            ));
+        }
+        // `bound_stack` runs on misses; hits on off-stack resident HIR blocks
+        // (all of which sit in Q) may each add one stack entry in between.
+        if self.s.len() as usize > self.max_stack_entries + self.q.len() {
+            return Err(format!(
+                "LIRS: stack grew to {} (bound {} + {} queued)",
+                self.s.len(),
+                self.max_stack_entries,
+                self.q.len()
+            ));
+        }
+        Ok(())
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -280,95 +355,12 @@ impl Protocol for DenseLirs {
         self.slab.release(slot);
         self.prune();
     }
-}
 
-impl DensePolicy for DenseLirs {
-    fn name(&self) -> String {
-        "LIRS".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.resident_used
-    }
-
-    fn len(&self) -> usize {
-        self.resident
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    impl_dense_replay!();
-
-    fn validate(&self) -> Result<(), String> {
-        let (mut resident, mut hir, mut on_stack) = (0usize, 0usize, 0usize);
-        let (mut resident_bytes, mut lir_bytes) = (0u64, 0u64);
-        for (slot, s) in self.slab.slots.iter().enumerate() {
-            let queued = self.q_nodes.get(slot).is_some_and(Option::is_some);
-            if queued != (s.tag == HIR) {
-                return Err(format!("LIRS: slot {slot} tagged {} has a Q node: {queued}", s.tag));
-            }
-            if s.tag == LIR && s.freq != 1 {
-                return Err(format!("LIRS: LIR block in slot {slot} is not on stack S"));
-            }
-            on_stack += usize::from(s.freq == 1);
-            hir += usize::from(s.tag == HIR);
-            if s.tag != 0 {
-                resident += 1;
-                resident_bytes += u64::from(s.size);
-                if s.tag == LIR {
-                    lir_bytes += u64::from(s.size);
-                }
-            }
-        }
-        let walked = self.s.iter(&self.slab.slots).count();
-        if walked != self.s.len() as usize || walked != on_stack {
-            return Err(format!(
-                "LIRS: stack links walk {walked} slots, len says {}, {on_stack} are flagged",
-                self.s.len()
-            ));
-        }
-        if self.q.len() != hir {
-            return Err(format!("LIRS: Q holds {} nodes for {hir} HIR blocks", self.q.len()));
-        }
-        if (resident, resident_bytes, lir_bytes) != (self.resident, self.resident_used, self.lir_used)
-        {
-            return Err(format!(
-                "LIRS: {resident} blocks / {resident_bytes} bytes / {lir_bytes} LIR bytes resident, \
-                 accounted {} / {} / {}",
-                self.resident, self.resident_used, self.lir_used
-            ));
-        }
-        if self.resident_used > self.capacity || self.lir_used > self.lir_capacity {
-            return Err(format!(
-                "LIRS: resident {} > capacity {} or LIR {} > budget {}",
-                self.resident_used, self.capacity, self.lir_used, self.lir_capacity
-            ));
-        }
-        // `bound_stack` runs on misses; hits on off-stack resident HIR blocks
-        // (all of which sit in Q) may each add one stack entry in between.
-        if self.s.len() as usize > self.max_stack_entries + self.q.len() {
-            return Err(format!(
-                "LIRS: stack grew to {} (bound {} + {} queued)",
-                self.s.len(),
-                self.max_stack_entries,
-                self.q.len()
-            ));
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
+    #[inline]
+    fn warm(&self, _slot: u32) {
+        self.slab.warm_tail(&self.s);
     }
 }
-
-s3fifo::impl_slab_policy!(DenseLirs, |capacity| DenseLirs::with_domain(capacity, 0));
 
 /// LIRS keyed by object id.
 pub type Lirs = Keyed<DenseLirs>;

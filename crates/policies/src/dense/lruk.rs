@@ -12,9 +12,8 @@
 //! an array beside the slab, which catches up with the slab's domain on
 //! insertion, so it follows both doors' growth.
 
-use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, DenseSlab, Keyed, PackedQueue, Protocol};
-use s3fifo::impl_dense_replay;
+use cache_types::{CacheError, Eviction, ObjId, PolicyStats, Request};
+use s3fifo::dense::{DenseSlab, Keyed, PackedQueue, SlabPolicy};
 use std::collections::BTreeSet;
 
 const ABSENT: u8 = 0;
@@ -60,12 +59,6 @@ impl DenseLruK {
         })
     }
 
-    /// Warms the next cold eviction candidate (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        self.slab.warm_tail(&self.cold);
-    }
-
     /// `slot`'s key in the warm set.
     fn warm_key(&self, slot: u32) -> (u64, ObjId, u32) {
         (self.times[slot as usize].1, self.slab.slots[slot as usize].orig, slot)
@@ -88,9 +81,74 @@ impl DenseLruK {
     }
 }
 
-impl Protocol for DenseLruK {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseLruK {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "LRU-2".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.cold.len() as usize + self.warm.len()
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.used > self.capacity {
+            return Err(format!("LRU-2: used {} > capacity {}", self.used, self.capacity));
+        }
+        let mut bytes = 0u64;
+        let mut cold = 0u32;
+        for slot in self.cold.iter(&self.slab.slots) {
+            let tag = self.slab.slots[slot as usize].tag;
+            if tag != COLD {
+                return Err(format!("LRU-2: cold queue holds slot {slot}, tagged {tag}"));
+            }
+            bytes += u64::from(self.slab.size(slot));
+            cold += 1;
+        }
+        if cold != self.cold.len() {
+            return Err(format!(
+                "LRU-2: cold links walk {cold} slots but len says {}",
+                self.cold.len()
+            ));
+        }
+        for &(penult, id, slot) in &self.warm {
+            if self.slab.slots[slot as usize].tag != WARM
+                || self.warm_key(slot) != (penult, id, slot)
+            {
+                return Err(format!("LRU-2: warm entry ({penult}, {id}) of slot {slot} is stale"));
+            }
+            bytes += u64::from(self.slab.size(slot));
+        }
+        let tagged = self.slab.slots.iter().filter(|s| s.tag != ABSENT).count();
+        if tagged != self.len() {
+            return Err(format!(
+                "LRU-2: {tagged} slots carry a residency tag but {} are ranked",
+                self.len()
+            ));
+        }
+        if bytes != self.used {
+            return Err(format!("LRU-2: ranked bytes {bytes} != accounted {}", self.used));
+        }
+        Ok(())
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
@@ -140,78 +198,12 @@ impl Protocol for DenseLruK {
         self.used -= u64::from(self.slab.size(slot));
         self.slab.release(slot);
     }
-}
 
-impl DensePolicy for DenseLruK {
-    fn name(&self) -> String {
-        "LRU-2".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.cold.len() as usize + self.warm.len()
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    impl_dense_replay!();
-
-    fn validate(&self) -> Result<(), String> {
-        if self.used > self.capacity {
-            return Err(format!("LRU-2: used {} > capacity {}", self.used, self.capacity));
-        }
-        let mut bytes = 0u64;
-        let mut cold = 0u32;
-        for slot in self.cold.iter(&self.slab.slots) {
-            let tag = self.slab.slots[slot as usize].tag;
-            if tag != COLD {
-                return Err(format!("LRU-2: cold queue holds slot {slot}, tagged {tag}"));
-            }
-            bytes += u64::from(self.slab.size(slot));
-            cold += 1;
-        }
-        if cold != self.cold.len() {
-            return Err(format!(
-                "LRU-2: cold links walk {cold} slots but len says {}",
-                self.cold.len()
-            ));
-        }
-        for &(penult, id, slot) in &self.warm {
-            if self.slab.slots[slot as usize].tag != WARM
-                || self.warm_key(slot) != (penult, id, slot)
-            {
-                return Err(format!("LRU-2: warm entry ({penult}, {id}) of slot {slot} is stale"));
-            }
-            bytes += u64::from(self.slab.size(slot));
-        }
-        let tagged = self.slab.slots.iter().filter(|s| s.tag != ABSENT).count();
-        if tagged != self.len() {
-            return Err(format!(
-                "LRU-2: {tagged} slots carry a residency tag but {} are ranked",
-                self.len()
-            ));
-        }
-        if bytes != self.used {
-            return Err(format!("LRU-2: ranked bytes {bytes} != accounted {}", self.used));
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
+    #[inline]
+    fn warm(&self, _slot: u32) {
+        self.slab.warm_tail(&self.cold);
     }
 }
-
-s3fifo::impl_slab_policy!(DenseLruK, |capacity| DenseLruK::with_domain(capacity, 0));
 
 /// LRU-2 keyed by object id.
 pub type LruK = Keyed<DenseLruK>;

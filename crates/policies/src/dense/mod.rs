@@ -6,14 +6,16 @@
 //! intrusive-array layout libCacheSim uses) rather than in per-key hash-map
 //! nodes; S3-FIFO and S3-FIFO-D do the same in the `s3fifo` crate, which
 //! also owns the shared plumbing ([`s3fifo::dense`]: slab, queues, ghost,
-//! replay loop, request protocol). Each policy here is its algorithm's
-//! steps only — what a hit changes, how an object is admitted and removed,
-//! and, for LeCaR and CACHEUS, what a miss learns first
-//! ([`s3fifo::dense::Protocol`]); [`s3fifo::dense::serve`] answers `Get`,
-//! `Set` and `Delete` with them and keeps the counts. The simulator drives
-//! them with pre-interned slots, where a request costs a couple of array
-//! loads; the keyed names ([`Fifo`], [`Arc`], …) are the same code behind
-//! [`s3fifo::Keyed`], which interns ids on the fly.
+//! the request protocol and the traits). Each policy here is one
+//! [`s3fifo::dense::SlabPolicy`] impl: its shape, its slab, and its
+//! algorithm's steps only — what a hit changes, how an object is admitted
+//! and removed, what to warm ahead of a request, and, for LeCaR and
+//! CACHEUS, what a miss learns first. [`s3fifo::dense::serve`] answers
+//! `Get`, `Set` and `Delete` with those steps and keeps the counts, and the
+//! simulator's [`s3fifo::dense::DensePolicy`] is derived from the impl. The
+//! simulator drives them with pre-interned slots, where a request costs a
+//! couple of array loads; the keyed names ([`Fifo`], [`Arc`], …) are the
+//! same code behind [`s3fifo::Keyed`], which interns ids on the fly.
 //!
 //! [`mrc`] holds the multi-capacity engines that compute a whole miss-ratio
 //! curve in one trace pass.

@@ -165,7 +165,8 @@ impl MultiCapacityPolicy for MrcExactFifo {
 mod tests {
     use super::super::super::DenseFifo;
     use super::*;
-    use cache_types::{DensePolicy, Op, Request};
+    use cache_types::{Op, Request};
+    use s3fifo::dense::DensePolicy;
 
     fn get(id: u64, time: u64) -> Request {
         Request {

@@ -916,7 +916,8 @@ impl MultiCapacityPolicy for MrcTurboS3Fifo {
 mod tests {
     use super::super::super::{DenseClock, DenseS3Fifo, DenseSieve};
     use super::*;
-    use cache_types::{DensePolicy, Op, Request};
+    use cache_types::{Op, Request};
+    use s3fifo::dense::DensePolicy;
 
     const GRID: [u64; 8] = [1, 2, 3, 5, 9, 9, 17, 40];
 

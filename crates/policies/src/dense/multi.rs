@@ -8,9 +8,8 @@
 //! tag (`ABSENT`/`A1IN`/`AM`) in `tag`; SLRU stores `segment + 1` in `tag`
 //! so that 0 keeps meaning "absent".
 
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlotGhost};
-use s3fifo::impl_dense_replay;
+use cache_types::{CacheError, Eviction, PolicyStats, Request};
+use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
 
 /// Where a 2Q slot currently lives.
 const ABSENT: u8 = 0;
@@ -66,13 +65,6 @@ impl DenseTwoQ {
         self.a1in_used + self.am_used
     }
 
-    /// Warms both queues' next eviction candidates (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        self.slab.warm_tail(&self.a1in);
-        self.slab.warm_tail(&self.am);
-    }
-
     /// The RECLAIM step of the 2Q paper: when A1in holds at least its share
     /// (or Am is empty) its tail is dropped and remembered in A1out;
     /// otherwise the LRU tail of Am is evicted.
@@ -96,9 +88,52 @@ impl DenseTwoQ {
     }
 }
 
-impl Protocol for DenseTwoQ {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseTwoQ {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "2Q".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used_total()
+    }
+
+    fn len(&self) -> usize {
+        (self.a1in.len() + self.am.len()) as usize
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        validate_queues(
+            "2Q",
+            self.capacity,
+            &self.slab,
+            &[
+                (&self.a1in, A1IN, self.a1in_used, "A1in"),
+                (&self.am, AM, self.am_used, "Am"),
+            ],
+        )?;
+        let mut resident = self.a1in.iter(&self.slab.slots).chain(self.am.iter(&self.slab.slots));
+        if let Some(slot) = resident.find(|&s| self.a1out.contains(s)) {
+            return Err(format!("2Q: slot {slot} is both resident and in A1out"));
+        }
+        self.a1out
+            .validate(&self.slab)
+            .map_err(|e| format!("2Q A1out: {e}"))
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -145,52 +180,12 @@ impl Protocol for DenseTwoQ {
         }
         self.slab.release(slot);
     }
-}
 
-impl DensePolicy for DenseTwoQ {
-    fn name(&self) -> String {
-        "2Q".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used_total()
-    }
-
-    fn len(&self) -> usize {
-        (self.a1in.len() + self.am.len()) as usize
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    impl_dense_replay!(a1out);
-
-    fn validate(&self) -> Result<(), String> {
-        validate_queues(
-            "2Q",
-            self.capacity,
-            &self.slab,
-            &[
-                (&self.a1in, A1IN, self.a1in_used, "A1in"),
-                (&self.am, AM, self.am_used, "Am"),
-            ],
-        )?;
-        let mut resident = self.a1in.iter(&self.slab.slots).chain(self.am.iter(&self.slab.slots));
-        if let Some(slot) = resident.find(|&s| self.a1out.contains(s)) {
-            return Err(format!("2Q: slot {slot} is both resident and in A1out"));
-        }
-        self.a1out
-            .validate(&self.slab)
-            .map_err(|e| format!("2Q A1out: {e}"))
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
+    #[inline]
+    fn warm(&self, slot: u32) {
+        self.slab.warm_tail(&self.a1in);
+        self.slab.warm_tail(&self.am);
+        self.a1out.warm(slot);
     }
 }
 
@@ -228,14 +223,6 @@ impl DenseSlru {
             segs: [PackedQueue::new(); SEGMENTS],
             stats: PolicyStats::default(),
         })
-    }
-
-    /// Warms every segment's next eviction candidate (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        for q in &self.segs {
-            self.slab.warm_tail(q);
-        }
     }
 
     fn seg_of(&self, slot: u32) -> Option<usize> {
@@ -286,9 +273,48 @@ impl DenseSlru {
     }
 }
 
-impl Protocol for DenseSlru {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseSlru {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "SLRU".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used_total()
+    }
+
+    fn len(&self) -> usize {
+        self.len_total()
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        const LABELS: [&str; SEGMENTS] = ["segment 0", "segment 1", "segment 2", "segment 3"];
+        let queues: Vec<_> = (0..SEGMENTS)
+            .map(|seg| (&self.segs[seg], (seg + 1) as u8, self.seg_used[seg], LABELS[seg]))
+            .collect();
+        validate_queues("SLRU", self.capacity, &self.slab, &queues)?;
+        match (1..SEGMENTS).find(|&seg| self.seg_used[seg] > self.seg_capacity) {
+            Some(seg) => Err(format!(
+                "SLRU: segment {seg} holds {} > share {}",
+                self.seg_used[seg], self.seg_capacity
+            )),
+            None => Ok(()),
+        }
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
@@ -329,53 +355,14 @@ impl Protocol for DenseSlru {
             self.slab.release(slot);
         }
     }
-}
 
-impl DensePolicy for DenseSlru {
-    fn name(&self) -> String {
-        "SLRU".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used_total()
-    }
-
-    fn len(&self) -> usize {
-        self.len_total()
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    impl_dense_replay!();
-
-    fn validate(&self) -> Result<(), String> {
-        const LABELS: [&str; SEGMENTS] = ["segment 0", "segment 1", "segment 2", "segment 3"];
-        let queues: Vec<_> = (0..SEGMENTS)
-            .map(|seg| (&self.segs[seg], (seg + 1) as u8, self.seg_used[seg], LABELS[seg]))
-            .collect();
-        validate_queues("SLRU", self.capacity, &self.slab, &queues)?;
-        match (1..SEGMENTS).find(|&seg| self.seg_used[seg] > self.seg_capacity) {
-            Some(seg) => Err(format!(
-                "SLRU: segment {seg} holds {} > share {}",
-                self.seg_used[seg], self.seg_capacity
-            )),
-            None => Ok(()),
+    #[inline]
+    fn warm(&self, _slot: u32) {
+        for q in &self.segs {
+            self.slab.warm_tail(q);
         }
     }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
 }
-
-s3fifo::impl_slab_policy!(DenseTwoQ, |capacity| DenseTwoQ::with_domain(capacity, 0));
-s3fifo::impl_slab_policy!(DenseSlru, |capacity| DenseSlru::with_domain(capacity, 0));
 
 /// 2Q keyed by object id, with the paper's parameters (Kin = 25 % of the
 /// cache, Kout = 50 % of the cache's bytes).

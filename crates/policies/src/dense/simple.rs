@@ -9,11 +9,10 @@
 //! reference counter and the SIEVE visited bit.
 
 use cache_ds::{BloomFilter, NIL};
-use cache_types::{CacheError, DensePolicy, Eviction, ObjId, Outcome, PolicyStats, Request};
+use cache_types::{CacheError, Eviction, ObjId, Outcome, PolicyStats, Request};
 use s3fifo::dense::{
-    replay_loop, serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol, SlabPolicy,
+    serve, validate_queues, DensePolicy, DenseSlab, Keyed, PackedQueue, SlabPolicy,
 };
-use s3fifo::impl_dense_replay;
 
 const ABSENT: u8 = 0;
 const RESIDENT: u8 = 1;
@@ -50,12 +49,6 @@ impl DenseFifo {
         })
     }
 
-    /// Warms the next eviction candidate (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        self.slab.warm_tail(&self.queue);
-    }
-
     fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
         if let Some(s) = self.queue.pop_back(&mut self.slab.slots) {
             self.slab.slots[s as usize].tag = ABSENT;
@@ -66,9 +59,38 @@ impl DenseFifo {
     }
 }
 
-impl Protocol for DenseFifo {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseFifo {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "FIFO".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.queue.len() as usize
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let queue = (&self.queue, RESIDENT, self.used, "queue");
+        validate_queues("FIFO", self.capacity, &self.slab, &[queue])
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -93,38 +115,10 @@ impl Protocol for DenseFifo {
             self.slab.release(slot);
         }
     }
-}
 
-impl DensePolicy for DenseFifo {
-    fn name(&self) -> String {
-        "FIFO".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len() as usize
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        let queue = (&self.queue, RESIDENT, self.used, "queue");
-        validate_queues("FIFO", self.capacity, &self.slab, &[queue])
-    }
-
-    impl_dense_replay!();
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
+    #[inline]
+    fn warm(&self, _slot: u32) {
+        self.slab.warm_tail(&self.queue);
     }
 }
 
@@ -159,12 +153,6 @@ impl DenseLru {
         })
     }
 
-    /// Warms the next eviction candidate (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        self.slab.warm_tail(&self.queue);
-    }
-
     fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
         if let Some(s) = self.queue.pop_back(&mut self.slab.slots) {
             self.slab.slots[s as usize].tag = ABSENT;
@@ -175,9 +163,38 @@ impl DenseLru {
     }
 }
 
-impl Protocol for DenseLru {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseLru {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "LRU".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.queue.len() as usize
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let queue = (&self.queue, RESIDENT, self.used, "queue");
+        validate_queues("LRU", self.capacity, &self.slab, &[queue])
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -203,38 +220,10 @@ impl Protocol for DenseLru {
             self.slab.release(slot);
         }
     }
-}
 
-impl DensePolicy for DenseLru {
-    fn name(&self) -> String {
-        "LRU".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len() as usize
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        let queue = (&self.queue, RESIDENT, self.used, "queue");
-        validate_queues("LRU", self.capacity, &self.slab, &[queue])
-    }
-
-    impl_dense_replay!();
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
+    #[inline]
+    fn warm(&self, _slot: u32) {
+        self.slab.warm_tail(&self.queue);
     }
 }
 
@@ -275,12 +264,6 @@ impl DenseClock {
         })
     }
 
-    /// Warms the next eviction candidate (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        self.slab.warm_tail(&self.queue);
-    }
-
     fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
         while let Some(tail) = self.queue.tail() {
             let t = tail as usize;
@@ -299,9 +282,51 @@ impl DenseClock {
     }
 }
 
-impl Protocol for DenseClock {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseClock {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 1, 0)
+    }
+
+    fn name(&self) -> String {
+        if self.max_freq == 1 {
+            "CLOCK".into()
+        } else {
+            format!("CLOCK-{}bit", (self.max_freq + 1).trailing_zeros())
+        }
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.queue.len() as usize
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let name = SlabPolicy::name(self);
+        let queue = (&self.queue, RESIDENT, self.used, "queue");
+        validate_queues(&name, self.capacity, &self.slab, &[queue])?;
+        match self
+            .queue
+            .iter(&self.slab.slots)
+            .find(|&s| self.slab.slots[s as usize].freq > self.max_freq)
+        {
+            Some(slot) => Err(format!("{name}: slot {slot} counts past {}", self.max_freq)),
+            None => Ok(()),
+        }
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -329,51 +354,10 @@ impl Protocol for DenseClock {
             self.slab.release(slot);
         }
     }
-}
 
-impl DensePolicy for DenseClock {
-    fn name(&self) -> String {
-        if self.max_freq == 1 {
-            "CLOCK".into()
-        } else {
-            format!("CLOCK-{}bit", (self.max_freq + 1).trailing_zeros())
-        }
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len() as usize
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        let name = DensePolicy::name(self);
-        let queue = (&self.queue, RESIDENT, self.used, "queue");
-        validate_queues(&name, self.capacity, &self.slab, &[queue])?;
-        match self
-            .queue
-            .iter(&self.slab.slots)
-            .find(|&s| self.slab.slots[s as usize].freq > self.max_freq)
-        {
-            Some(slot) => Err(format!("{name}: slot {slot} counts past {}", self.max_freq)),
-            None => Ok(()),
-        }
-    }
-
-    impl_dense_replay!();
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
+    #[inline]
+    fn warm(&self, _slot: u32) {
+        self.slab.warm_tail(&self.queue);
     }
 }
 
@@ -414,17 +398,6 @@ impl DenseSieve {
         })
     }
 
-    /// Warms the next eviction candidate: the hand, or the tail when the
-    /// hand is unset (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        if self.hand != NIL {
-            self.slab.warm_slot(self.hand);
-        } else {
-            self.slab.warm_tail(&self.queue);
-        }
-    }
-
     fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
         // Resume from the hand, or from the tail at start / after wrap.
         let mut cur = if self.hand != NIL {
@@ -457,9 +430,49 @@ impl DenseSieve {
     }
 }
 
-impl Protocol for DenseSieve {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseSieve {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "SIEVE".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.queue.len() as usize
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let queue = (&self.queue, RESIDENT, self.used, "queue");
+        validate_queues("SIEVE", self.capacity, &self.slab, &[queue])?;
+        if let Some(slot) = self
+            .queue
+            .iter(&self.slab.slots)
+            .find(|&s| self.slab.slots[s as usize].freq > 1)
+        {
+            return Err(format!("SIEVE: slot {slot}'s visited bit is not a bit"));
+        }
+        if self.hand != NIL && self.slab.slots[self.hand as usize].tag != RESIDENT {
+            return Err(format!("SIEVE: hand points at non-resident slot {}", self.hand));
+        }
+        Ok(())
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -493,56 +506,18 @@ impl Protocol for DenseSieve {
             self.slab.release(slot);
         }
     }
-}
 
-impl DensePolicy for DenseSieve {
-    fn name(&self) -> String {
-        "SIEVE".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len() as usize
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        serve(self, slot, req, evicted)
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        let queue = (&self.queue, RESIDENT, self.used, "queue");
-        validate_queues("SIEVE", self.capacity, &self.slab, &[queue])?;
-        if let Some(slot) = self
-            .queue
-            .iter(&self.slab.slots)
-            .find(|&s| self.slab.slots[s as usize].freq > 1)
-        {
-            return Err(format!("SIEVE: slot {slot}'s visited bit is not a bit"));
+    /// Warms the next eviction candidate: the hand, or the tail when the
+    /// hand is unset.
+    #[inline]
+    fn warm(&self, _slot: u32) {
+        if self.hand != NIL {
+            self.slab.warm_slot(self.hand);
+        } else {
+            self.slab.warm_tail(&self.queue);
         }
-        if self.hand != NIL && self.slab.slots[self.hand as usize].tag != RESIDENT {
-            return Err(format!("SIEVE: hand points at non-resident slot {}", self.hand));
-        }
-        Ok(())
-    }
-
-    impl_dense_replay!();
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
     }
 }
-
-s3fifo::impl_slab_policy!(DenseFifo, |capacity| DenseFifo::with_domain(capacity, 0));
-s3fifo::impl_slab_policy!(DenseLru, |capacity| DenseLru::with_domain(capacity, 0));
-s3fifo::impl_slab_policy!(DenseClock, |capacity| DenseClock::with_domain(capacity, 1, 0));
-s3fifo::impl_slab_policy!(DenseSieve, |capacity| DenseSieve::with_domain(capacity, 0));
 
 /// FIFO eviction keyed by object id: evict in insertion order, no metadata
 /// updates on hits.
@@ -587,7 +562,6 @@ pub struct DenseBloomLru {
     /// Whether the request being served reads an id the filters have not
     /// seen: a first sighting, which `miss` turns away.
     first_sighting: bool,
-    stats: PolicyStats,
 }
 
 impl DenseBloomLru {
@@ -607,7 +581,6 @@ impl DenseBloomLru {
             previous: BloomFilter::new(expected, 0.01),
             rotate_at: expected as u64,
             first_sighting: false,
-            stats: PolicyStats::default(),
         })
     }
 
@@ -624,9 +597,37 @@ impl DenseBloomLru {
     }
 }
 
-impl Protocol for DenseBloomLru {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseBloomLru {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_domain(capacity, 0)
+    }
+
+    fn name(&self) -> String {
+        "B-LRU".into()
+    }
+
+    fn capacity(&self) -> u64 {
+        self.lru.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.lru.used
+    }
+
+    fn len(&self) -> usize {
+        SlabPolicy::len(&self.lru)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        SlabPolicy::validate(&self.lru)
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        self.lru.state()
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        self.lru.state_mut()
     }
 
     fn hit(&mut self, slot: u32, req: &Request) {
@@ -651,78 +652,21 @@ impl Protocol for DenseBloomLru {
     fn remove(&mut self, slot: u32) {
         self.lru.remove(slot);
     }
-}
 
-impl DensePolicy for DenseBloomLru {
-    fn name(&self) -> String {
-        "B-LRU".into()
+    #[inline]
+    fn warm(&self, slot: u32) {
+        self.lru.warm(slot);
     }
 
-    fn capacity(&self) -> u64 {
-        self.lru.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.lru.used
-    }
-
-    fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         // Every read of an absent object is a sighting, one too large to
         // cache included.
-        self.first_sighting = req.is_read() && !self.lru.resident(slot) && !self.seen(req.id);
+        self.first_sighting = req.is_read() && !self.resident(slot) && !self.seen(req.id);
         let outcome = serve(self, slot, req, evicted);
         if self.first_sighting {
             self.record(req.id);
         }
         outcome
-    }
-
-    fn resident(&self, slot: u32) -> bool {
-        self.lru.resident(slot)
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        self.lru.validate()
-    }
-
-    fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
-        self.lru.grow_domain(domain, reserve)
-    }
-
-    fn prefetch(&self, slot: u32) {
-        self.lru.prefetch(slot);
-    }
-
-    fn replay(
-        &mut self,
-        slots: &[u32],
-        requests: &[Request],
-        ignore_size: bool,
-        on_eviction: &mut dyn FnMut(usize, &Eviction),
-    ) {
-        replay_loop(self, slots, requests, ignore_size, on_eviction);
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
-}
-
-impl SlabPolicy for DenseBloomLru {
-    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, 0)
-    }
-
-    fn slab(&self) -> &DenseSlab {
-        &self.lru.slab
-    }
-
-    fn slab_mut(&mut self) -> &mut DenseSlab {
-        &mut self.lru.slab
     }
 }
 

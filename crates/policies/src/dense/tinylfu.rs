@@ -16,9 +16,8 @@
 //! ids, not slots, so both doors see the same estimates.
 
 use cache_ds::Doorkeeper;
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, Protocol};
-use s3fifo::impl_dense_replay;
+use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy};
 
 const ABSENT: u8 = 0;
 const WINDOW: u8 = 1;
@@ -84,14 +83,6 @@ impl DenseTinyLfu {
 
     fn used_total(&self) -> u64 {
         self.used.iter().sum()
-    }
-
-    /// Warms every segment's next eviction candidate (pure prefetch hint).
-    #[inline]
-    fn prefetch_extra(&self) {
-        for q in &self.segs {
-            self.slab.warm_tail(q);
-        }
     }
 
     /// Detaches `slot` from its segment and clears its tag.
@@ -177,9 +168,51 @@ impl DenseTinyLfu {
     }
 }
 
-impl Protocol for DenseTinyLfu {
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.stats
+impl SlabPolicy for DenseTinyLfu {
+    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
+        Self::with_window(capacity, 0.01, 0)
+    }
+
+    fn name(&self) -> String {
+        if (self.window_ratio - 0.01).abs() < 1e-9 {
+            "TinyLFU".into()
+        } else {
+            format!("TinyLFU-{:.1}", self.window_ratio)
+        }
+    }
+
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used(&self) -> u64 {
+        self.used_total()
+    }
+
+    fn len(&self) -> usize {
+        self.segs.iter().map(|q| q.len() as usize).sum()
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let queue = |tag: u8, label| (&self.segs[seg(tag)], tag, self.used[seg(tag)], label);
+        validate_queues(
+            &SlabPolicy::name(self),
+            self.capacity,
+            &self.slab,
+            &[
+                queue(WINDOW, "window"),
+                queue(PROBATION, "probation"),
+                queue(PROTECTED, "protected"),
+            ],
+        )
+    }
+
+    fn state(&self) -> (&DenseSlab, &PolicyStats) {
+        (&self.slab, &self.stats)
+    }
+
+    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
+        (&mut self.slab, &mut self.stats)
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -207,61 +240,22 @@ impl Protocol for DenseTinyLfu {
             self.slab.release(slot);
         }
     }
-}
 
-impl DensePolicy for DenseTinyLfu {
-    fn name(&self) -> String {
-        if (self.window_ratio - 0.01).abs() < 1e-9 {
-            "TinyLFU".into()
-        } else {
-            format!("TinyLFU-{:.1}", self.window_ratio)
+    #[inline]
+    fn warm(&self, _slot: u32) {
+        for q in &self.segs {
+            self.slab.warm_tail(q);
         }
     }
 
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used_total()
-    }
-
-    fn len(&self) -> usize {
-        self.segs.iter().map(|q| q.len() as usize).sum()
-    }
-
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
         // The sketch counts every read, one too large to cache included.
         if req.is_read() {
             self.sketch.record(req.id);
         }
         serve(self, slot, req, evicted)
     }
-
-    impl_dense_replay!();
-
-    fn validate(&self) -> Result<(), String> {
-        let queue = |tag: u8, label| (&self.segs[seg(tag)], tag, self.used[seg(tag)], label);
-        validate_queues(
-            &DensePolicy::name(self),
-            self.capacity,
-            &self.slab,
-            &[
-                queue(WINDOW, "window"),
-                queue(PROBATION, "probation"),
-                queue(PROTECTED, "protected"),
-            ],
-        )
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
 }
-
-s3fifo::impl_slab_policy!(DenseTinyLfu, |capacity| DenseTinyLfu::with_window(
-    capacity, 0.01, 0
-));
 
 /// W-TinyLFU keyed by object id. [`Keyed::new`] builds the 1 % window;
 /// other windows come from [`DenseTinyLfu::with_window`] under

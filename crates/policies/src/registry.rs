@@ -6,8 +6,8 @@ use crate::dense::{
     DenseLeCar, DenseLhd, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo, DenseSieve, DenseSlru,
     DenseTinyLfu, DenseTwoQ,
 };
-use cache_types::{CacheError, DensePolicy, Policy, Request};
-use s3fifo::dense::{Keyed, SlabPolicy};
+use cache_types::{CacheError, Policy, Request};
+use s3fifo::dense::{DensePolicy, Keyed, SlabPolicy};
 use s3fifo::policy::{FifoLru, FifoSieve, LruFifo, LruLru};
 use s3fifo::{DenseS3FifoD, S3FifoConfig};
 

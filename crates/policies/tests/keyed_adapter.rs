@@ -1,6 +1,7 @@
-//! What the `Keyed` adapter owes its long-lived callers (the flash DRAM
-//! tier, `LockedCache`): a table bounded by what the policy can still look
-//! at, and requests that cannot admit anything leaving nothing behind.
+//! What the `Keyed` adapter owes its long-lived callers (the flash cache's
+//! DRAM tier and its FIFO device, `cache_flash::FlashTier`): a table bounded
+//! by what the policy can still look at, and requests that cannot admit
+//! anything leaving nothing behind.
 
 use cache_policies::{
     DenseArc, DenseBelady, DenseBloomLru, DenseCacheus, DenseClock, DenseFifo, DenseFifoMerge,

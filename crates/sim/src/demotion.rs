@@ -13,7 +13,8 @@
 use crate::engine::{Replay, RequestObserver};
 use crate::oracle::NextAccessOracle;
 use cache_trace::Trace;
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, Request};
+use cache_types::{CacheError, Eviction, Outcome, Request};
+use s3fifo::dense::DensePolicy;
 
 /// The Fig. 10 metrics for one (algorithm, trace, size) combination.
 #[derive(Debug, Clone, Copy)]

@@ -22,7 +22,8 @@ use cache_ds::Histogram;
 use cache_obs::MissRatioSeries;
 use cache_policies::registry;
 use cache_trace::Trace;
-use cache_types::{CacheError, DensePolicy, Eviction, Outcome, PolicyStats, Request};
+use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
+use s3fifo::dense::DensePolicy;
 use s3fifo::dense::LOOKAHEAD;
 
 /// How the cache capacity is derived for a trace.

@@ -114,7 +114,7 @@ impl Replay<'_> {
     ///
     /// `.ctr` read errors ([`CacheError::TraceFormat`] / [`CacheError::Io`]),
     /// after every chunk before the bad one has been replayed, and
-    /// [`cache_types::DensePolicy::grow_domain`]'s when a dense policy of
+    /// [`s3fifo::dense::DensePolicy::grow_domain`]'s when a dense policy of
     /// the caller's cannot grow.
     pub fn feed_ctr<R: Read + Seek + Send>(
         &mut self,
@@ -248,7 +248,8 @@ mod tests {
     use super::*;
     use cache_trace::ctr::{read_trace, CTR_HEADER_BYTES};
     use cache_trace::stream_gen::StreamSpec;
-    use cache_types::{DensePolicy, Eviction, Outcome, PolicyStats};
+    use cache_types::{Eviction, Outcome, PolicyStats};
+    use s3fifo::dense::DensePolicy;
     use s3fifo::dense::SlabPolicy;
     use s3fifo::DenseS3Fifo;
     use std::io::Cursor;
@@ -285,16 +286,16 @@ mod tests {
 
     impl DensePolicy for Probe<'_> {
         fn name(&self) -> String {
-            self.policy.name()
+            DensePolicy::name(self.policy)
         }
         fn capacity(&self) -> u64 {
-            self.policy.capacity()
+            DensePolicy::capacity(self.policy)
         }
         fn used(&self) -> u64 {
-            self.policy.used()
+            DensePolicy::used(self.policy)
         }
         fn len(&self) -> usize {
-            self.policy.len()
+            DensePolicy::len(self.policy)
         }
         fn request_dense(
             &mut self,
@@ -320,7 +321,7 @@ mod tests {
             }
         }
         fn stats(&self) -> PolicyStats {
-            self.policy.stats()
+            DensePolicy::stats(self.policy)
         }
     }
 

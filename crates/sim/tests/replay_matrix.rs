@@ -18,7 +18,8 @@ use cache_sim::{Replay, Replayed, RequestObserver, SimResult};
 use cache_trace::ctr::{read_trace, write_trace, CtrReader};
 use cache_trace::gen::WorkloadSpec;
 use cache_trace::Trace;
-use cache_types::{DensePolicy, Eviction, Op, Outcome, Request};
+use cache_types::{Eviction, Op, Outcome, Request};
+use s3fifo::dense::DensePolicy;
 use std::io::Cursor;
 
 const CAPACITY: u64 = 200;

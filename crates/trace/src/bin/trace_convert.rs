@@ -58,8 +58,8 @@ fn to_ctr(csv_path: &str, ctr_path: &str) {
     let (_, info) = write_trace(&trace, w)
         .unwrap_or_else(|e| fail(&format!("writing {ctr_path}: {e}")));
     println!(
-        "wrote {} records, id space {}, lanes ops={} ttls={}",
-        info.records, info.id_space, info.lanes.ops, info.lanes.ttls
+        "wrote {} records, id space {}, op lane {}",
+        info.records, info.id_space, info.lanes.ops
     );
 }
 
@@ -79,7 +79,6 @@ fn info(ctr_path: &str) {
     println!("id space:     {}", i.id_space);
     println!("record bytes: {}", i.record_bytes);
     println!("op lane:      {}", i.lanes.ops);
-    println!("ttl lane:     {}", i.lanes.ttls);
     println!("id table:     {}", i.has_id_table);
 }
 

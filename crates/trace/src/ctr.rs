@@ -14,9 +14,8 @@
 //!   a direct table of `id_space` entries (`cache_ds::DenseIds::bounded`):
 //!   the header bounds that table, so no id is hashed, and the slot slab
 //!   grows only to the ids the trace names.
-//! - **Optional lanes** — a 1-byte op lane (get/set/delete) and a 4-byte TTL
-//!   lane are enabled by header flags; pure-Get unit traces pay 8 bytes per
-//!   request.
+//! - **An optional op lane** — a 1-byte get/set/delete code, enabled by a
+//!   header flag; pure-Get unit traces pay 8 bytes per request.
 //! - **Optional id table** — a footer of `id_space` original 64-bit ids
 //!   (slot → id) so a converted trace can be turned back into CSV with its
 //!   original ids. The replay path never reads it.
@@ -27,11 +26,11 @@
 //! offset  size  field
 //! 0       4     magic "CTR1"
 //! 4       4     version (= 1)
-//! 8       4     flags (bit 0 op lane, bit 1 ttl lane, bit 2 id table)
-//! 12      4     record_bytes (must equal 8 + ops + 4*ttls)
+//! 8       4     flags (bit 0 op lane, bit 2 id table; bit 1 is refused)
+//! 12      4     record_bytes (must equal 8 + ops)
 //! 16      8     record count
 //! 24      8     id_space (max id + 1; every record id < id_space)
-//! 32      …     records: u32 id, u32 size, [u8 op], [u32 ttl]
+//! 32      …     records: u32 id, u32 size, [u8 op]
 //! …       …     id table: id_space × u64 original ids (iff flag bit 2)
 //! ```
 //!
@@ -54,9 +53,8 @@ pub const CTR_VERSION: u32 = 1;
 pub const CTR_HEADER_BYTES: u64 = 32;
 
 const FLAG_OPS: u32 = 1 << 0;
-const FLAG_TTLS: u32 = 1 << 1;
 const FLAG_ID_TABLE: u32 = 1 << 2;
-const KNOWN_FLAGS: u32 = FLAG_OPS | FLAG_TTLS | FLAG_ID_TABLE;
+const KNOWN_FLAGS: u32 = FLAG_OPS | FLAG_ID_TABLE;
 
 fn op_code(op: Op) -> u8 {
     match op {
@@ -80,13 +78,11 @@ fn code_op(code: u8) -> Result<Op, CacheError> {
 pub struct CtrLanes {
     /// 1-byte op lane (get/set/delete). Without it every record is a Get.
     pub ops: bool,
-    /// 4-byte TTL lane.
-    pub ttls: bool,
 }
 
 impl CtrLanes {
     fn record_bytes(self) -> u32 {
-        8 + u32::from(self.ops) + 4 * u32::from(self.ttls)
+        8 + u32::from(self.ops)
     }
 }
 
@@ -114,9 +110,6 @@ fn encode_header(info: &CtrInfo) -> [u8; CTR_HEADER_BYTES as usize] {
     let mut flags = 0u32;
     if info.lanes.ops {
         flags |= FLAG_OPS;
-    }
-    if info.lanes.ttls {
-        flags |= FLAG_TTLS;
     }
     if info.has_id_table {
         flags |= FLAG_ID_TABLE;
@@ -172,33 +165,25 @@ impl<W: Write + Seek> CtrWriter<W> {
         self.records
     }
 
-    /// Appends one record. `ttl` is ignored unless the TTL lane is enabled.
+    /// Appends one record.
     ///
     /// # Errors
     ///
     /// Returns [`CacheError::TraceFormat`] when `op` is not a Get and the op
     /// lane is disabled (the record could not be represented); propagates
     /// I/O errors.
-    pub fn push(&mut self, id: u32, size: u32, op: Op, ttl: u32) -> Result<(), CacheError> {
+    pub fn push(&mut self, id: u32, size: u32, op: Op) -> Result<(), CacheError> {
         if op != Op::Get && !self.lanes.ops {
             return Err(CacheError::TraceFormat(format!(
                 "record {}: op {op:?} needs the op lane (CtrLanes {{ ops: true }})",
                 self.records
             )));
         }
-        let mut rec = [0u8; 13];
+        let mut rec = [0u8; 9];
         rec[0..4].copy_from_slice(&id.to_le_bytes());
         rec[4..8].copy_from_slice(&size.to_le_bytes());
-        let mut len = 8;
-        if self.lanes.ops {
-            rec[len] = op_code(op);
-            len += 1;
-        }
-        if self.lanes.ttls {
-            rec[len..len + 4].copy_from_slice(&ttl.to_le_bytes());
-            len += 4;
-        }
-        self.w.write_all(&rec[..len])?;
+        rec[8] = op_code(op);
+        self.w.write_all(&rec[..self.lanes.record_bytes() as usize])?;
         self.records += 1;
         self.id_space = self.id_space.max(u64::from(id) + 1);
         Ok(())
@@ -218,7 +203,7 @@ impl<W: Write + Seek> CtrWriter<W> {
                 self.records, req.id
             ))
         })?;
-        self.push(id, req.size, req.op, 0)
+        self.push(id, req.size, req.op)
     }
 
     fn patch_header(&mut self, has_id_table: bool) -> Result<(), CacheError> {
@@ -340,7 +325,6 @@ impl<R: Read + Seek> CtrReader<R> {
         }
         let lanes = CtrLanes {
             ops: flags & FLAG_OPS != 0,
-            ttls: flags & FLAG_TTLS != 0,
         };
         let record_bytes = le_u32(&h[12..16]);
         if record_bytes != lanes.record_bytes() {
@@ -447,9 +431,7 @@ impl<R: Read + Seek> CtrReader<R> {
 
     /// Reads up to `max` records into `out` (cleared first), stamping each
     /// request's `time` with its global record index. Returns the number of
-    /// records read; 0 means end of trace. TTL values, if present, are
-    /// validated for length but dropped — use
-    /// [`CtrReader::read_chunk_with_ttls`] to keep them.
+    /// records read; 0 means end of trace.
     ///
     /// # Errors
     ///
@@ -457,34 +439,7 @@ impl<R: Read + Seek> CtrReader<R> {
     /// the header's id space (either means corruption — the file length was
     /// already validated); propagates I/O errors.
     pub fn read_chunk(&mut self, out: &mut Vec<Request>, max: usize) -> Result<usize, CacheError> {
-        self.read_chunk_inner(out, None, max)
-    }
-
-    /// [`CtrReader::read_chunk`] that also collects the TTL lane (0 when the
-    /// file has none) into `ttls`, parallel to `out`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CtrReader::read_chunk`].
-    pub fn read_chunk_with_ttls(
-        &mut self,
-        out: &mut Vec<Request>,
-        ttls: &mut Vec<u32>,
-        max: usize,
-    ) -> Result<usize, CacheError> {
-        self.read_chunk_inner(out, Some(ttls), max)
-    }
-
-    fn read_chunk_inner(
-        &mut self,
-        out: &mut Vec<Request>,
-        mut ttls: Option<&mut Vec<u32>>,
-        max: usize,
-    ) -> Result<usize, CacheError> {
         out.clear();
-        if let Some(t) = ttls.as_deref_mut() {
-            t.clear();
-        }
         let n = (self.info.records - self.next).min(max as u64) as usize;
         if n == 0 {
             return Ok(0);
@@ -504,7 +459,6 @@ impl<R: Read + Seek> CtrReader<R> {
             }
         })?;
         out.reserve(n);
-        let ttl_at = 8 + usize::from(self.info.lanes.ops);
         for (i, rec) in self.buf.chunks_exact(rb).enumerate() {
             let id = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
             if u64::from(id) >= self.info.id_space {
@@ -522,13 +476,6 @@ impl<R: Read + Seek> CtrReader<R> {
             } else {
                 Op::Get
             };
-            if let Some(t) = ttls.as_deref_mut() {
-                t.push(if self.info.lanes.ttls {
-                    u32::from_le_bytes([rec[ttl_at], rec[ttl_at + 1], rec[ttl_at + 2], rec[ttl_at + 3]])
-                } else {
-                    0
-                });
-            }
             out.push(Request {
                 id: u64::from(id),
                 size,
@@ -576,11 +523,10 @@ pub fn write_trace<W: Write + Seek>(trace: &Trace, w: W) -> Result<(W, CtrInfo),
     let dense = trace.dense();
     let lanes = CtrLanes {
         ops: !trace.shape().pure_get,
-        ttls: false,
     };
     let mut writer = CtrWriter::create(w, lanes)?;
     for (slot, req) in dense.slots.iter().zip(trace.requests.iter()) {
-        writer.push(*slot, req.size, req.op, 0)?;
+        writer.push(*slot, req.size, req.op)?;
     }
     let originals: Vec<u64> = (0..dense.ids.len() as u32).map(|s| dense.ids.orig(s)).collect();
     writer.finish_with_id_table(&originals)
@@ -737,39 +683,27 @@ mod tests {
     }
 
     #[test]
-    fn ttl_lane_roundtrips() {
-        let mut w = CtrWriter::create(
-            Cursor::new(Vec::new()),
-            CtrLanes { ops: true, ttls: true },
-        )
-        .expect("create");
-        w.push(0, 10, Op::Get, 300).expect("push");
-        w.push(1, 20, Op::Set, 600).expect("push");
-        w.push(0, 10, Op::Delete, 0).expect("push");
-        let (cur, info) = w.finish().expect("finish");
-        assert_eq!(info.record_bytes, 13);
-        let bytes = cur.into_inner();
-        let mut reader = CtrReader::open(Cursor::new(&bytes)).expect("open");
-        let (mut reqs, mut ttls) = (Vec::new(), Vec::new());
-        assert_eq!(
-            reader.read_chunk_with_ttls(&mut reqs, &mut ttls, 10).expect("chunk"),
-            3
-        );
-        assert_eq!(ttls, vec![300, 600, 0]);
-        assert_eq!(reqs[1].op, Op::Set);
-        assert_eq!(reqs[2].op, Op::Delete);
-        // The plain chunk API drops TTLs but sees the same requests.
-        let mut reader = CtrReader::open(Cursor::new(&bytes)).expect("open");
-        let mut plain = Vec::new();
-        reader.read_chunk(&mut plain, 10).expect("chunk");
-        assert_eq!(plain, reqs);
+    fn ttl_lane_flag_is_refused() {
+        // A file with flag bit 1 set, laid out as the retired TTL lane was
+        // (a u32 after the op byte), so that nothing but the flag is wrong.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(CTR_MAGIC);
+        bytes.extend_from_slice(&CTR_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0b011u32.to_le_bytes());
+        bytes.extend_from_slice(&13u32.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&[0, 0, 0, 0, 10, 0, 0, 0, 0, 44, 1, 0, 0]);
+        let err = CtrReader::open(Cursor::new(&bytes)).expect_err("bit 1 is unknown");
+        assert!(matches!(err, CacheError::TraceFormat(_)), "{err}");
+        assert!(err.to_string().contains("unknown flag bits 0x2"), "{err}");
     }
 
     #[test]
     fn writer_rejects_unrepresentable_records() {
         let mut w = CtrWriter::create(Cursor::new(Vec::new()), CtrLanes::default())
             .expect("create");
-        assert!(w.push(1, 1, Op::Set, 0).is_err(), "Set needs the op lane");
+        assert!(w.push(1, 1, Op::Set).is_err(), "Set needs the op lane");
         let mut w = CtrWriter::create(Cursor::new(Vec::new()), CtrLanes::default())
             .expect("create");
         let big = Request {
@@ -785,7 +719,7 @@ mod tests {
     fn id_table_length_is_checked() {
         let mut w = CtrWriter::create(Cursor::new(Vec::new()), CtrLanes::default())
             .expect("create");
-        w.push(5, 1, Op::Get, 0).expect("push");
+        w.push(5, 1, Op::Get).expect("push");
         // id space is 6 (max id 5), but only 2 originals supplied.
         assert!(w.finish_with_id_table(&[10, 20]).is_err());
     }
@@ -833,7 +767,7 @@ mod tests {
         // Hand-craft a file whose record id exceeds the header id space.
         let mut w = CtrWriter::create(Cursor::new(Vec::new()), CtrLanes::default())
             .expect("create");
-        w.push(7, 1, Op::Get, 0).expect("push");
+        w.push(7, 1, Op::Get).expect("push");
         let (cur, _) = w.finish().expect("finish");
         let mut bytes = cur.into_inner();
         bytes[24..32].copy_from_slice(&3u64.to_le_bytes()); // id space 3 < id 7
@@ -847,10 +781,10 @@ mod tests {
     fn reader_rejects_bad_op_codes() {
         let mut w = CtrWriter::create(
             Cursor::new(Vec::new()),
-            CtrLanes { ops: true, ttls: false },
+            CtrLanes { ops: true },
         )
         .expect("create");
-        w.push(0, 1, Op::Get, 0).expect("push");
+        w.push(0, 1, Op::Get).expect("push");
         let (cur, _) = w.finish().expect("finish");
         let mut bytes = cur.into_inner();
         let op_at = CTR_HEADER_BYTES as usize + 8;

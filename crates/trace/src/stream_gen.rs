@@ -176,7 +176,6 @@ impl StreamSpec {
         self.validate()?;
         let lanes = CtrLanes {
             ops: self.delete_fraction > 0.0,
-            ttls: false,
         };
         let mut writer = CtrWriter::create(w, lanes)?;
         let mut rng = SplitMix64::new(self.seed);
@@ -250,7 +249,7 @@ impl StreamSpec {
                     (id, Op::Get)
                 }
             };
-            writer.push(id, self.size_of(id), op, 0)?;
+            writer.push(id, self.size_of(id), op)?;
         }
         writer.finish()
     }

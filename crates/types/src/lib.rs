@@ -15,5 +15,5 @@ pub mod policy;
 pub mod request;
 
 pub use error::CacheError;
-pub use policy::{DensePolicy, Eviction, Outcome, Policy, PolicyStats};
+pub use policy::{Eviction, Outcome, Policy, PolicyStats};
 pub use request::{ObjId, Op, Request};

@@ -1,12 +1,16 @@
-//! The eviction-policy abstraction used by the simulator.
+//! The keyed eviction-policy abstraction and what every policy reports.
 //!
 //! A [`Policy`] owns the cache metadata for a fixed capacity (in bytes, or in
 //! objects when every request has size 1) and processes one request at a
-//! time. Evicted objects are reported through an out-parameter so the
-//! simulator can compute the paper's eviction-time metrics: frequency of
-//! objects at eviction (Fig. 4) and quick-demotion speed/precision (Fig. 10).
+//! time, found by its object id. Evicted objects are reported through an
+//! out-parameter so the simulator can compute the paper's eviction-time
+//! metrics: frequency of objects at eviction (Fig. 4) and quick-demotion
+//! speed/precision (Fig. 10).
+//!
+//! The simulator itself drives policies by dense slot instead, through
+//! `s3fifo::dense::DensePolicy`: it lives beside the slab it is derived
+//! from, and each slab policy's keyed [`Policy`] is `s3fifo::Keyed` over it.
 
-use crate::error::CacheError;
 use crate::request::{ObjId, Request};
 
 /// The result of processing a read request.
@@ -168,120 +172,6 @@ pub trait Policy: Send {
     /// Returns a human-readable description of the violated invariant.
     fn validate(&self) -> Result<(), String> {
         Ok(())
-    }
-
-    /// Returns accumulated statistics.
-    fn stats(&self) -> PolicyStats;
-}
-
-/// A cache eviction policy that keeps its state per dense *slot*.
-///
-/// Dense policies receive each request together with a `u32` slot standing
-/// for the object — assigned per trace by the simulator (first-appearance
-/// order), or on the fly by `s3fifo::Keyed`, which turns any slab-backed
-/// dense policy into a keyed [`Policy`] — and store all per-object state in
-/// `Vec`s indexed by slot instead of per-key hash-map nodes. The request
-/// still carries the original [`ObjId`], so [`Eviction`] records name real
-/// ids whichever way the slot was found.
-pub trait DensePolicy {
-    /// Human-readable algorithm name, as the registry spells it.
-    fn name(&self) -> String;
-
-    /// Total capacity in bytes (or objects, when sizes are all 1).
-    fn capacity(&self) -> u64;
-
-    /// Bytes currently used by cached objects.
-    fn used(&self) -> u64;
-
-    /// Number of objects currently cached.
-    fn len(&self) -> usize;
-
-    /// True when no objects are cached.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Processes one request whose object was interned at `slot`, appending
-    /// an [`Eviction`] record for every object removed to make room.
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome;
-
-    /// True when the object interned at `slot` is cached (ghost entries do
-    /// not count): [`Policy::contains`] by slot, for observers.
-    fn resident(&self, slot: u32) -> bool;
-
-    /// Checks structural invariants, mirroring [`Policy::validate`]; used by
-    /// the invariant observer and the differential fuzzer to catch
-    /// dense-path corruption even when the observable decisions still happen
-    /// to agree. The default performs no checks.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the violated invariant.
-    fn validate(&self) -> Result<(), String> {
-        Ok(())
-    }
-
-    /// Extends the dense domain to at least `0..domain`, so that
-    /// [`DensePolicy::request_dense`] may be handed any slot below it; never
-    /// shrinks. `reserve` is the most slots the caller will ever ask for (0
-    /// when it cannot say): the first growth makes room for that many, so
-    /// later growth never moves the per-slot state.
-    ///
-    /// # Errors
-    ///
-    /// The default has no per-slot state to grow and refuses with
-    /// [`CacheError::InvalidParameter`]; the slab policies implement it.
-    fn grow_domain(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
-        let _ = (domain, reserve);
-        Err(CacheError::InvalidParameter(format!(
-            "{} cannot grow its dense domain",
-            self.name()
-        )))
-    }
-
-    /// Warms the per-slot state for a request that will arrive shortly.
-    ///
-    /// The replay loop knows the whole slot sequence up front, so it calls
-    /// this a few requests ahead; implementations issue a non-retiring
-    /// prefetch hint for the slot's state (`cache_ds::prefetch_read`) to
-    /// pull the cache line in while earlier requests execute, turning the
-    /// cold-tail misses of a skewed trace from serial into overlapped. Must
-    /// not change any observable state. Default: no-op.
-    fn prefetch(&self, _slot: u32) {}
-
-    /// Replays a whole interned request stream, invoking `on_eviction` with
-    /// the request index for every eviction.
-    ///
-    /// This default loops through [`DensePolicy::request_dense`] behind
-    /// dynamic dispatch; concrete policies override it with a monomorphized
-    /// copy of the same loop (see `s3fifo::dense::replay_loop`) so
-    /// the per-request path inlines. With `ignore_size`, requests are
-    /// replayed at size 1 without materializing a copy of the trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `slots` and `requests` have different lengths.
-    fn replay(
-        &mut self,
-        slots: &[u32],
-        requests: &[Request],
-        ignore_size: bool,
-        on_eviction: &mut dyn FnMut(usize, &Eviction),
-    ) {
-        assert_eq!(slots.len(), requests.len(), "slot/request length mismatch");
-        let mut evs: Vec<Eviction> = Vec::with_capacity(16);
-        for (i, (&slot, r)) in slots.iter().zip(requests.iter()).enumerate() {
-            let req = if ignore_size {
-                Request { size: 1, ..(*r) }
-            } else {
-                *r
-            };
-            evs.clear();
-            self.request_dense(slot, &req, &mut evs);
-            for e in &evs {
-                on_eviction(i, e);
-            }
-        }
     }
 
     /// Returns accumulated statistics.
