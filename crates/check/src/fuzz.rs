@@ -3,10 +3,10 @@
 //! For every policy that has a reference interpreter
 //! ([`crate::reference::reference_for`]) the fuzzer replays a generated
 //! request stream simultaneously through the reference, the registry's
-//! keyed policy (the slab policy behind the interning, slot-recycling
-//! `Keyed` adapter — the universe is far larger than the capacities, so
-//! slots do get reused) and the same slab policy driven with pre-interned
-//! slots (never recycling), comparing after **every** request:
+//! keyed policy (the slab policy behind the interning `Keyed` adapter,
+//! which reuses a ghostless policy's slots — the universe is far larger
+//! than the capacities, so they do get reused) and the same slab policy
+//! driven with pre-interned slots, comparing after **every** request:
 //!
 //! - the [`Outcome`](cache_types::Outcome),
 //! - the exact sequence of [`Eviction`] records (ids, sizes, timestamps,

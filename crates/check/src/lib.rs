@@ -1,8 +1,8 @@
 //! Differential correctness harness for the cache-eviction workspace.
 //!
 //! A FIFO-family policy is written once, over the dense slab, and reached
-//! through two doors — keyed (`Keyed`: ids interned on the fly, slots
-//! recycled) and pre-interned — with single-pass MRC lanes and a
+//! through two doors — keyed (`Keyed`: ids interned on the fly, a ghostless
+//! policy's slots reused) and pre-interned — with single-pass MRC lanes and a
 //! concurrent variant beside it, all required to make *identical
 //! decisions*. This crate holds the machinery that enforces that:
 //!
@@ -16,7 +16,7 @@
 //!   outcomes, eviction records, accounting, and self-validation after
 //!   every request, and shrinking any divergence to a minimal reproduction.
 //!   The reference catches a wrong decision; keyed vs dense catches a slot
-//!   the adapter recycled too early or never;
+//!   the adapter freed under a live object or a ghost entry;
 //! - [`mrc`] — a differential for the single-pass multi-capacity MRC
 //!   engines: every grid point of [`cache_sim::simulate_mrc`] is diffed
 //!   against a per-capacity reference replay, with ddmin shrinking on

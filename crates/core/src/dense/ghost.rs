@@ -8,11 +8,10 @@
 //! slot can be re-inserted (a second FIFO entry appears), and when the stale
 //! entry later pops it clears the mark of the *newer* entry too. The quirk
 //! is deliberate: `cache_check::reference` and the id-keyed
-//! `cache_ds::GhostFifo` (S3-FIFO-D's monitors) do the same, and it is why
-//! a recycling slab counts tombstones as references
-//! ([`DenseSlab::release`]).
+//! `cache_ds::GhostFifo` (S3-FIFO-D's monitors) do the same. It is also why
+//! a policy with a ghost never lets [`Keyed`](super::Keyed) give a slot to
+//! another id: a stale entry popping later would clear the newcomer's mark.
 
-use super::DenseSlab;
 use std::collections::VecDeque;
 
 /// A byte-bounded FIFO ghost over dense slots.
@@ -20,7 +19,7 @@ use std::collections::VecDeque;
 pub struct SlotGhost {
     fifo: VecDeque<(u32, u32)>,
     /// Per-slot presence mark. Sized to the domain up front on the
-    /// pre-interned path; under a recycling slab it grows to the highest
+    /// pre-interned path; over a growing domain it grows to the highest
     /// slot ever inserted, and slots beyond it read as unmarked.
     present: Vec<bool>,
     used: u64,
@@ -59,12 +58,9 @@ impl SlotGhost {
     }
 
     /// Inserts `slot`, whose residency tag the caller has already cleared;
-    /// evicts oldest entries beyond capacity. `slab` learns of every FIFO
-    /// entry pushed and popped so that a recycling slab can tell when a slot
-    /// falls idle.
-    pub fn insert(&mut self, slab: &mut DenseSlab, slot: u32, size: u32) {
+    /// evicts oldest entries beyond capacity.
+    pub fn insert(&mut self, slot: u32, size: u32) {
         if self.capacity == 0 {
-            slab.release(slot);
             return;
         }
         let i = slot as usize;
@@ -75,15 +71,14 @@ impl SlotGhost {
             self.present[i] = true;
             self.fifo.push_back((slot, size));
             self.used += u64::from(size);
-            slab.ghost_ref(slot);
         }
-        self.trim_to(slab, self.capacity);
+        self.trim_to(self.capacity);
         self.over = 0;
     }
 
     /// Drops oldest entries until at most `cap` bytes are charged (ARC
     /// bounds its directory this way below the ghost's own capacity).
-    pub fn trim_to(&mut self, slab: &mut DenseSlab, cap: u64) {
+    pub fn trim_to(&mut self, cap: u64) {
         while self.used > cap {
             let Some((old, sz)) = self.fifo.pop_front() else {
                 break;
@@ -92,7 +87,6 @@ impl SlotGhost {
             // `remove`, so the subtraction is unconditional.
             self.used -= u64::from(sz);
             self.present[old as usize] = false;
-            slab.ghost_unref(old);
         }
     }
 
@@ -122,48 +116,13 @@ impl SlotGhost {
 
     /// Structural self-check: the byte charge matches the FIFO entries
     /// (tombstones included), the window bound holds (or, after a shrink
-    /// and before the next insertion, the charge did not grow), every
-    /// marked slot owns
-    /// a FIFO entry, and — under a recycling slab — each slot's reference
-    /// count is the number of FIFO entries naming it.
+    /// and before the next insertion, the charge did not grow), and every
+    /// marked slot owns a FIFO entry.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn validate(&self, slab: &DenseSlab) -> Result<(), String> {
-        Self::validate_all(slab, &[self])
-    }
-
-    /// [`SlotGhost::validate`] for several ghosts over one slab (ARC's B1
-    /// and B2): each ghost's own invariants, then a recycling slab's
-    /// reference counts against the FIFO entries of all of them together.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate_all(slab: &DenseSlab, ghosts: &[&SlotGhost]) -> Result<(), String> {
-        for ghost in ghosts {
-            ghost.validate_own()?;
-        }
-        if slab.recycles() {
-            let mut entries = vec![0u32; slab.domain()];
-            for &(s, _) in ghosts.iter().flat_map(|g| &g.fifo) {
-                entries[s as usize] += 1;
-            }
-            for (s, &n) in entries.iter().enumerate() {
-                if slab.ghost_refs(s as u32) != n {
-                    return Err(format!(
-                        "slot {s} counts {} ghost references but {n} FIFO entries name it",
-                        slab.ghost_refs(s as u32)
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The byte charge, the window bound and the marks of this ghost alone.
-    fn validate_own(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), String> {
         if self.used > self.capacity.max(self.over) {
             return Err(format!(
                 "ghost used {} > capacity {}",
@@ -198,7 +157,6 @@ mod tests {
     fn matches_keyed_ghost_semantics() {
         // Differential check against the id-keyed GhostFifo on a random-ish
         // op stream: contains/remove results must agree at every step.
-        let mut slab = DenseSlab::with_domain(64);
         let mut dense = SlotGhost::new(64, 10);
         let mut keyed = GhostFifo::new(10);
         let mut state = 0x9E37_79B9u64;
@@ -210,7 +168,7 @@ mod tests {
             let id = u64::from(slot) + 1000; // slot↔id bijection
             match (state >> 20) % 4 {
                 0 => {
-                    dense.insert(&mut slab, slot, 1 + (slot % 3));
+                    dense.insert(slot, 1 + (slot % 3));
                     keyed.insert(id, 1 + (slot % 3));
                 }
                 1 => {
@@ -219,7 +177,7 @@ mod tests {
                 2 if step % 7 == 0 => {
                     // ARC's directory bound.
                     let cap = (state >> 40) % 11;
-                    dense.trim_to(&mut slab, cap);
+                    dense.trim_to(cap);
                     keyed.trim_to(cap);
                     assert_eq!(dense.used(), keyed.used(), "step {step}");
                 }
@@ -239,66 +197,42 @@ mod tests {
 
     #[test]
     fn zero_capacity_never_stores() {
-        let mut slab = DenseSlab::with_domain(8);
         let mut g = SlotGhost::new(8, 0);
-        g.insert(&mut slab, 3, 1);
+        g.insert(3, 1);
         assert!(!g.contains(3));
     }
 
     #[test]
     fn a_shrunk_window_is_allowed_its_overshoot_until_the_next_insertion() {
-        let mut slab = DenseSlab::with_domain(8);
         let mut g = SlotGhost::new(8, 3);
         for slot in 0..3 {
-            g.insert(&mut slab, slot, 1);
+            g.insert(slot, 1);
         }
         g.set_capacity(1);
         assert_eq!(g.used(), 3);
-        g.validate(&slab).unwrap();
-        g.insert(&mut slab, 3, 1);
+        g.validate().unwrap();
+        g.insert(3, 1);
         assert_eq!(g.used(), 1);
-        g.validate(&slab).unwrap();
+        g.validate().unwrap();
         // A ghost that stopped trimming after that insertion is caught, even
         // though its window was once 3 bytes wide.
         g.fifo.push_back((4, 1));
         g.used += 1;
-        let err = g.validate(&slab).unwrap_err();
+        let err = g.validate().unwrap_err();
         assert!(err.contains("> capacity 1"), "{err}");
     }
 
     #[test]
     fn tombstone_stays_charged() {
-        let mut slab = DenseSlab::with_domain(8);
         let mut g = SlotGhost::new(8, 3);
-        g.insert(&mut slab, 0, 1);
-        g.insert(&mut slab, 1, 1);
-        g.insert(&mut slab, 2, 1);
+        g.insert(0, 1);
+        g.insert(1, 1);
+        g.insert(2, 1);
         assert!(g.remove(1));
         // The tombstone still occupies a byte: inserting one more evicts the
         // oldest live entry (slot 0) rather than fitting for free.
-        g.insert(&mut slab, 3, 1);
+        g.insert(3, 1);
         assert!(!g.contains(0));
         assert!(g.contains(2) && g.contains(3));
-    }
-
-    #[test]
-    fn a_recycling_slab_hears_when_the_last_entry_naming_a_slot_pops() {
-        let mut slab = DenseSlab::with_domain(0);
-        slab.start_recycling();
-        for _ in 0..4 {
-            slab.grow();
-        }
-        let mut g = SlotGhost::new(0, 2);
-        g.insert(&mut slab, 0, 1);
-        assert!(g.remove(0)); // ghost hit: slot 0's entry is now a tombstone
-        slab.release(0);
-        assert_eq!(slab.pop_idle(), None, "a tombstone still names slot 0");
-        g.insert(&mut slab, 0, 1); // evicted again: second entry, mark set
-        g.insert(&mut slab, 1, 1); // over capacity: the tombstone pops...
-        assert!(!g.contains(0), "...and clears the newer entry's mark");
-        assert_eq!(slab.pop_idle(), None, "the newer entry still names slot 0");
-        g.insert(&mut slab, 2, 1); // pops slot 0's second entry
-        assert_eq!(slab.pop_idle(), Some(0));
-        g.validate(&slab).unwrap();
     }
 }

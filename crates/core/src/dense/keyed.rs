@@ -1,7 +1,7 @@
 //! [`Keyed`]: any slab policy as a keyed [`Policy`], interning ids on the fly.
 
 use super::{DensePolicy, SlabPolicy};
-use cache_ds::IdMap;
+use cache_ds::{IdMap, NIL};
 use cache_types::{CacheError, Eviction, ObjId, Op, Outcome, Policy, PolicyStats, Request};
 use std::collections::hash_map::Entry;
 
@@ -12,22 +12,26 @@ const SCRATCH: u32 = 0;
 
 /// The keyed [`Policy`] over slab policy `P`.
 ///
-/// Interns `ObjId → slot` as ids arrive, growing the slab a slot at a time,
-/// and forwards to [`DensePolicy::request_dense`]. An id keeps its slot for
-/// as long as the policy can still look at it — while resident, and while
-/// any ghost FIFO entry, live or tombstoned, names the slot; the policy says
-/// when that ends ([`DenseSlab::release`](super::DenseSlab::release)) and
-/// the slot goes to the next new id. The table therefore holds at most the
-/// resident objects plus the ghost FIFO's entries, however many distinct
-/// ids pass through.
+/// Interns `ObjId → slot` in first-appearance order, growing the slab
+/// through [`DenseSlab::grow_to`](super::DenseSlab::grow_to), and forwards
+/// to [`DensePolicy::request_dense`]. A ghost-keeping policy never gives a
+/// slot back: its table holds every id it has seen, as the streamed dense
+/// door's does. A [`SlabPolicy::GHOSTLESS`] policy's slot state ends with
+/// its object, so after each request the adapter unmaps and frees the slot
+/// of every [`Eviction`] the request pushed, and the request's own slot if
+/// its object is not resident (a delete, a refused admission). Its table
+/// then holds at most the resident objects and two slots, however many
+/// distinct ids pass through: the long-lived server's flash tier
+/// (`cache_server --flash-bytes`) keeps a FIFO device and an LRU or FIFO
+/// DRAM tier this way.
 ///
 /// Dereferences to `P` for the policy's own read accessors.
 #[derive(Debug)]
 pub struct Keyed<P> {
     inner: P,
-    /// The slot of every id the policy still remembers.
+    /// The slot of every interned id.
     map: IdMap<u32>,
-    /// Idle slots, reused before the slab grows.
+    /// Freed slots, reused before the slab grows (ghostless policies only).
     free: Vec<u32>,
 }
 
@@ -49,9 +53,8 @@ impl<P: SlabPolicy> Keyed<P> {
     /// Panics when `inner`'s slab already has slots.
     pub fn over(mut inner: P) -> Self {
         let slab = inner.slab_mut();
-        slab.start_recycling();
-        let scratch = slab.grow();
-        debug_assert_eq!(scratch, SCRATCH);
+        assert_eq!(slab.domain(), 0, "the keyed door numbers every slot itself");
+        slab.grow_to(SCRATCH as usize + 1, 0);
         Keyed {
             inner,
             map: IdMap::default(),
@@ -59,38 +62,94 @@ impl<P: SlabPolicy> Keyed<P> {
         }
     }
 
-    /// The slot `id` currently occupies, if the policy still remembers it.
+    /// The slot `id` currently occupies, if it is interned.
     pub fn slot_of(&self, id: ObjId) -> Option<u32> {
         self.map.get(&id).copied()
     }
 
-    /// Ids currently interned: resident objects plus ghost FIFO entries.
+    /// Ids currently interned: for a ghostless policy the resident objects,
+    /// for any other every id seen.
     pub fn interned(&self) -> usize {
         self.map.len()
     }
 
-    /// Idle slots awaiting reuse.
+    /// Freed slots awaiting reuse.
     pub fn free_slots(&self) -> usize {
         self.free.len()
     }
 
-    /// Unmaps and frees every slot the last request left idle.
-    fn reclaim(&mut self) {
-        let slab = self.inner.slab_mut();
-        while let Some(slot) = slab.pop_idle() {
-            // A slot can be reported and then re-admitted (a `Set` deletes,
-            // then inserts) or reported twice within one request, so both
-            // its idleness and its mapping are re-checked here.
-            if !slab.is_idle(slot) {
-                continue;
+    /// [`Policy::request`], served only when `req`'s object is resident
+    /// (`resident`) or only when it is not (`!resident`); otherwise `None`,
+    /// with nothing changed. One probe of the id map decides and serves:
+    /// [`Policy::contains`] and then [`Policy::request`] would be two.
+    pub fn request_if(
+        &mut self,
+        resident: bool,
+        req: &Request,
+        evicted: &mut Vec<Eviction>,
+    ) -> Option<Outcome> {
+        self.serve(Some(resident), req, evicted)
+    }
+
+    /// Serves `req` unless `gate` names a residency its object does not
+    /// have, then frees what a ghostless policy let go of.
+    fn serve(
+        &mut self,
+        gate: Option<bool>,
+        req: &Request,
+        evicted: &mut Vec<Eviction>,
+    ) -> Option<Outcome> {
+        let before = evicted.len();
+        let outcome = match self.map.entry(req.id) {
+            Entry::Occupied(mapped) => {
+                let slot = *mapped.get();
+                if gate.is_some_and(|resident| resident != self.inner.resident(slot)) {
+                    return None;
+                }
+                let outcome = self.inner.request_dense(slot, req, evicted);
+                if P::GHOSTLESS && !self.inner.resident(slot) {
+                    self.free.push(mapped.remove());
+                }
+                outcome
             }
-            if let Entry::Occupied(mapped) = self.map.entry(slab.slots[slot as usize].orig) {
-                if *mapped.get() == slot {
-                    mapped.remove();
+            Entry::Vacant(_) if gate == Some(true) => return None,
+            Entry::Vacant(_)
+                if req.op == Op::Delete || u64::from(req.size) > self.inner.capacity() =>
+            {
+                self.inner.request_dense(SCRATCH, req, evicted)
+            }
+            Entry::Vacant(unmapped) => {
+                let slot = match self.free.pop() {
+                    Some(slot) => slot,
+                    None => {
+                        let slab = self.inner.slab_mut();
+                        let slot = u32::try_from(slab.domain()).unwrap_or(NIL);
+                        assert!(slot < NIL, "dense-id domain exhausted");
+                        slab.grow_to(slot as usize + 1, 0);
+                        slot
+                    }
+                };
+                let outcome = self.inner.request_dense(slot, req, evicted);
+                if P::GHOSTLESS && !self.inner.resident(slot) {
                     self.free.push(slot);
+                } else {
+                    unmapped.insert(slot);
+                }
+                outcome
+            }
+        };
+        if P::GHOSTLESS {
+            for e in &evicted[before..] {
+                if let Entry::Occupied(mapped) = self.map.entry(e.id) {
+                    // Evicted and admitted again within one request, an
+                    // object keeps its slot.
+                    if !self.inner.resident(*mapped.get()) {
+                        self.free.push(mapped.remove());
+                    }
                 }
             }
         }
+        Some(outcome)
     }
 }
 
@@ -124,33 +183,21 @@ impl<P: SlabPolicy + Send> Policy for Keyed<P> {
     }
 
     fn request(&mut self, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
-        let slot = match self.map.entry(req.id) {
-            Entry::Occupied(mapped) => *mapped.get(),
-            Entry::Vacant(_)
-                if req.op == Op::Delete || u64::from(req.size) > self.inner.capacity() =>
-            {
-                SCRATCH
-            }
-            Entry::Vacant(unmapped) => {
-                let slot = match self.free.pop() {
-                    Some(slot) => slot,
-                    None => self.inner.slab_mut().grow(),
-                };
-                *unmapped.insert(slot)
-            }
-        };
-        let outcome = self.inner.request_dense(slot, req, evicted);
-        self.reclaim();
-        outcome
+        // Ungated, `serve` always answers.
+        self.serve(None, req, evicted).unwrap_or(Outcome::NotRead)
     }
 
     /// The dense policy's own invariants, then the adapter's: mapped, free
-    /// and scratch slots partition the slab; a mapped slot carries its id
-    /// and is not idle (else it leaked); a free slot is idle (else it was
-    /// recycled under a live object or a ghost entry).
+    /// and scratch slots partition the slab, and scratch holds nothing. A
+    /// ghostless policy's mapped slots are resident and carry their ids
+    /// (else a slot leaked), and its free slots are not resident (else one
+    /// was freed under a live object); any other policy frees nothing.
     fn validate(&self) -> Result<(), String> {
         self.inner.validate()?;
         let slab = self.inner.slab();
+        if !P::GHOSTLESS && !self.free.is_empty() {
+            return Err(format!("{} ghost-keeping slots were freed", self.free.len()));
+        }
         if self.map.len() + self.free.len() + 1 != slab.domain() {
             return Err(format!(
                 "{} mapped + {} free + scratch != {} slots",
@@ -169,20 +216,23 @@ impl<P: SlabPolicy + Send> Policy for Keyed<P> {
         };
         for (&id, &slot) in &self.map {
             claim(slot, "mapped")?;
+            if !P::GHOSTLESS {
+                continue;
+            }
+            if !self.inner.resident(slot) {
+                return Err(format!("id {id} keeps non-resident slot {slot}"));
+            }
             if slab.slots[slot as usize].orig != id {
                 return Err(format!(
                     "id {id} maps to slot {slot}, which carries id {}",
                     slab.slots[slot as usize].orig
                 ));
             }
-            if slab.is_idle(slot) {
-                return Err(format!("id {id} keeps idle slot {slot}"));
-            }
         }
         for slot in std::iter::once(SCRATCH).chain(self.free.iter().copied()) {
             claim(slot, "unmapped")?;
-            if !slab.is_idle(slot) {
-                return Err(format!("unmapped slot {slot} is resident or named by a ghost"));
+            if self.inner.resident(slot) {
+                return Err(format!("unmapped slot {slot} is resident"));
             }
         }
         Ok(())

@@ -23,11 +23,12 @@
 //!   `.ctr` stream chunk by chunk, growing the slab with
 //!   [`DensePolicy::grow_domain`]) and drives [`DensePolicy::replay`]; a
 //!   request costs a couple of array loads;
-//! - **keyed** — [`Keyed`] interns `ObjId → slot` on the fly, recycles slots
-//!   the policy reports idle, and is the [`cache_types::Policy`] behind the
-//!   public names (`S3Fifo` and `S3FifoD` here; `Fifo`, `Lru`, `Clock`,
-//!   `Sieve`, `Slru`, `TwoQ`, `Arc`, `Lirs`, `TinyLfu`, `LruK`, `BloomLru`,
-//!   `LeCar`, `Cacheus`, `Lhd`, `FifoMerge` in `cache-policies`).
+//! - **keyed** — [`Keyed`] interns `ObjId → slot` on the fly, reuses a
+//!   [`SlabPolicy::GHOSTLESS`] policy's slots once their objects leave, and
+//!   is the [`cache_types::Policy`] behind the public names (`S3Fifo` and
+//!   `S3FifoD` here; `Fifo`, `Lru`, `Clock`, `Sieve`, `Slru`, `TwoQ`, `Arc`,
+//!   `Lirs`, `TinyLfu`, `LruK`, `BloomLru`, `LeCar`, `Cacheus`, `Lhd`,
+//!   `FifoMerge` in `cache-policies`).
 //!
 //! There is one implementation of each algorithm; the two doors differ only
 //! in who hands out slots. `cache_check`'s fuzzer drives both against its
@@ -189,9 +190,15 @@ pub trait DensePolicy {
 /// [`miss`](SlabPolicy::miss), [`remove`](SlabPolicy::remove) — are called
 /// by [`serve`] alone, which owns everything the policies share: the
 /// outcome, the counts, `Set` and `Delete`. A resident slot carries a
-/// nonzero [`Slot::tag`], and a slot that falls idle is reported through
-/// [`DenseSlab::release`].
+/// nonzero [`Slot::tag`], and every eviction pushes an [`Eviction`] record.
 pub trait SlabPolicy: Sized {
+    /// True when a slot's state ends with its object's residency: no ghost
+    /// entry, history or stack entry names a slot whose object has left, so
+    /// [`Keyed`] may give that slot to the next new id. A fact of the
+    /// algorithm; a policy that remembers departed objects by slot keeps the
+    /// default.
+    const GHOSTLESS: bool = false;
+
     /// The policy at `capacity` with its default parameters over the empty
     /// dense domain — what [`Keyed::new`] wraps.
     ///
@@ -237,7 +244,7 @@ pub trait SlabPolicy: Sized {
         self.state().0
     }
 
-    /// Mutable access to the slab, for growing it and draining idle slots.
+    /// Mutable access to the slab, for growing it.
     #[inline]
     fn slab_mut(&mut self) -> &mut DenseSlab {
         self.state_mut().0

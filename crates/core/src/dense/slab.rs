@@ -1,18 +1,16 @@
 //! Packed per-slot storage for the dense policies.
 //!
-//! Everything a request needs lives in a single [`Slot`] (40 bytes, aligned
+//! Everything a request needs lives in a single [`Slot`] (34 bytes, aligned
 //! to a 64-byte line), so the hot path costs one line for the slot plus one
 //! per queue neighbour. [`PackedQueue`] threads intrusive queues through the
 //! `prev`/`next` fields with [`cache_ds::DList`]'s orientation (head =
 //! newest, tail = next eviction); a differential test below holds the two in
 //! lockstep.
 //!
-//! A slab either covers a pre-interned domain (`with_domain`, the replay
-//! path: slots are never given back, and `grow_to` adds the ones a stream
-//! names next) or *recycles* (`start_recycling`, under
-//! [`super::Keyed`]): the policy then reports every slot that falls idle —
-//! not resident and named by no ghost FIFO entry — through
-//! [`DenseSlab::release`], and the adapter reuses it for the next new id.
+//! A slab covers the dense domain `0..domain` and only ever grows
+//! (`grow_to`, as a stream or [`super::Keyed`] names new ids). It hands no
+//! slot back: the keyed door reuses a ghostless policy's slots from the
+//! eviction records the policy already pushes.
 
 use cache_ds::NIL;
 use cache_types::{Eviction, Request};
@@ -43,10 +41,6 @@ pub struct Slot {
     pub tag: u8,
     /// Policy-defined counter or flag.
     pub freq: u8,
-    /// Ghost FIFO entries, live or tombstoned, that name this slot. Kept only
-    /// by a recycling slab (it is what [`DenseSlab::release`] consults); the
-    /// pre-interned path never touches it.
-    ghost_refs: u32,
 }
 
 impl Slot {
@@ -59,7 +53,6 @@ impl Slot {
         orig: 0,
         tag: 0,
         freq: 0,
-        ghost_refs: 0,
     };
 
     /// Resets the bookkeeping fields on (re)insertion.
@@ -76,15 +69,6 @@ impl Slot {
     pub fn touch(&mut self) {
         self.hits += 1;
     }
-
-    /// Not resident, and no ghost FIFO entry — live **or tombstoned** —
-    /// names the slot. A tombstone counts because when it reaches the
-    /// ghost's front it clears whatever mark the slot carries *then*; a slot
-    /// recycled under one would lose its next occupant's ghost entry.
-    #[inline]
-    fn is_idle(&self) -> bool {
-        self.tag == 0 && self.ghost_refs == 0
-    }
 }
 
 /// The slot array every dense policy stores its per-object state in.
@@ -96,38 +80,28 @@ impl Slot {
 pub struct DenseSlab {
     /// One [`Slot`] per interned id.
     pub slots: Vec<Slot>,
-    /// Slots that fell idle since [`Keyed`](super::Keyed) last drained them;
-    /// `None` over a pre-interned domain, where nothing is ever given back.
-    idle: Option<Vec<u32>>,
 }
 
 impl DenseSlab {
     /// A slab over a pre-sized dense domain `0..domain`, with no interning
     /// table behind it: in-memory replay passes the trace's footprint, the
-    /// out-of-core streaming replayer 0 and then [`DenseSlab::grow_to`] as
-    /// the stream names ids. The hot path reads original ids out of the
-    /// slots themselves. The slots sit on huge pages where the host grants
-    /// them (`cache_ds::huge`): a request's slot line is then seldom a TLB
-    /// miss.
+    /// out-of-core streaming replayer and [`Keyed`](super::Keyed) 0 and
+    /// then [`DenseSlab::grow_to`] as ids arrive. The hot path reads
+    /// original ids out of the slots themselves. The slots sit on huge
+    /// pages where the host grants them (`cache_ds::huge`): a request's slot
+    /// line is then seldom a TLB miss.
     pub fn with_domain(domain: usize) -> Self {
         DenseSlab {
             slots: cache_ds::huge::filled(domain, Slot::EMPTY),
-            idle: None,
         }
     }
 
-    /// Extends a pre-interned domain to `0..domain`; never shrinks it. The
-    /// first growth makes room on huge pages for `reserve` slots (or
-    /// `domain`, if more), so growth inside that room never moves the slab,
-    /// and only the slots it adds are written. Past the room the slab at
-    /// least doubles, as a `Vec` does.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a recycling slab, which grows slot by slot under its
-    /// adapter.
+    /// Extends the domain to `0..domain`; never shrinks it. The first growth
+    /// makes room on huge pages for `reserve` slots (or `domain`, if more),
+    /// so growth inside that room never moves the slab, and only the slots
+    /// it adds are written. Past the room the slab at least doubles, as a
+    /// `Vec` does.
     pub fn grow_to(&mut self, domain: usize, reserve: usize) {
-        assert!(!self.recycles(), "a recycling slab grows under its adapter");
         let room = domain.max(reserve);
         if room > self.slots.capacity() {
             let mut slots = cache_ds::huge::with_capacity(room.max(2 * self.slots.capacity()));
@@ -143,78 +117,6 @@ impl DenseSlab {
     #[inline]
     pub fn domain(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Switches an empty slab to recycling: from here on the slab grows a
-    /// slot at a time and collects the slots its policy releases.
-    pub(super) fn start_recycling(&mut self) {
-        assert!(self.slots.is_empty(), "only a slab over the empty domain can recycle");
-        self.idle = Some(Vec::new());
-    }
-
-    /// True under [`Keyed`](super::Keyed).
-    #[inline]
-    pub(super) fn recycles(&self) -> bool {
-        self.idle.is_some()
-    }
-
-    /// Appends one empty slot and returns its index.
-    pub(super) fn grow(&mut self) -> u32 {
-        let slot = u32::try_from(self.slots.len()).unwrap_or(NIL);
-        assert!(slot < NIL, "dense-id domain exhausted");
-        self.slots.push(Slot::EMPTY);
-        slot
-    }
-
-    /// True when `slot` holds nothing its policy could still look at.
-    #[inline]
-    pub(super) fn is_idle(&self, slot: u32) -> bool {
-        self.slots[slot as usize].is_idle()
-    }
-
-    /// Tells the adapter that `slot` may have fallen idle. Every dense policy
-    /// calls this where an object leaves the cache without entering a ghost
-    /// (eviction from a ghostless queue, delete), after clearing its tag;
-    /// [`SlotGhost`](super::SlotGhost) calls it when a FIFO entry pops. Over
-    /// a pre-interned domain it is one never-taken branch.
-    #[inline]
-    pub fn release(&mut self, slot: u32) {
-        if let Some(idle) = &mut self.idle {
-            if self.slots[slot as usize].is_idle() {
-                idle.push(slot);
-            }
-        }
-    }
-
-    /// The next slot reported idle and not yet drained.
-    pub(super) fn pop_idle(&mut self) -> Option<u32> {
-        self.idle.as_mut()?.pop()
-    }
-
-    /// Records a new ghost reference to `slot`: a ghost FIFO entry naming
-    /// it, or a structure that remembers a non-resident object, such as
-    /// LIRS's stack (recycling slabs only). While one remains,
-    /// [`Keyed`](super::Keyed) keeps the slot's id.
-    #[inline]
-    pub fn ghost_ref(&mut self, slot: u32) {
-        if self.recycles() {
-            self.slots[slot as usize].ghost_refs += 1;
-        }
-    }
-
-    /// Drops a ghost reference to `slot`, releasing the slot if that was the
-    /// last thing holding it (recycling slabs only).
-    #[inline]
-    pub fn ghost_unref(&mut self, slot: u32) {
-        if self.recycles() {
-            self.slots[slot as usize].ghost_refs -= 1;
-            self.release(slot);
-        }
-    }
-
-    /// Ghost FIFO entries naming `slot`, for [`SlotGhost::validate`](super::SlotGhost::validate).
-    pub(super) fn ghost_refs(&self, slot: u32) -> u32 {
-        self.slots[slot as usize].ghost_refs
     }
 
     /// Object size recorded at `slot`'s insertion.

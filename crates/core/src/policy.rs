@@ -266,7 +266,7 @@ impl<Q: Queues> DenseS3Fifo<Q> {
                 self.small.remove(&mut self.slab.slots, tail);
                 self.s_used -= u64::from(size);
                 self.slab.slots[t].tag = ABSENT;
-                self.ghost.insert(&mut self.slab, tail, size);
+                self.ghost.insert(tail, size);
                 evicted.push(self.slab.eviction(tail, true));
                 return;
             }
@@ -308,7 +308,6 @@ impl<Q: Queues> DenseS3Fifo<Q> {
                 self.m_used -= u64::from(self.slab.size(slot));
                 self.slab.slots[t].tag = ABSENT;
                 evicted.push(self.slab.eviction(slot, false));
-                self.slab.release(slot);
                 return;
             }
         }
@@ -377,9 +376,7 @@ impl<Q: Queues> SlabPolicy for DenseS3Fifo<Q> {
         if self.hand != NIL && self.slab.slots[self.hand as usize].tag != MAIN {
             return Err(format!("hand points at slot {}, which is not in main", self.hand));
         }
-        self.ghost
-            .validate(&self.slab)
-            .map_err(|e| format!("ghost: {e}"))
+        self.ghost.validate().map_err(|e| format!("ghost: {e}"))
     }
 
     fn state(&self) -> (&DenseSlab, &PolicyStats) {
@@ -451,9 +448,8 @@ impl<Q: Queues> SlabPolicy for DenseS3Fifo<Q> {
                 self.main.remove(&mut self.slab.slots, slot);
                 self.m_used -= u64::from(self.slab.size(slot));
             }
-            _ => return,
+            _ => {}
         }
-        self.slab.release(slot);
     }
 
     /// Warms both queues' next eviction candidates and `slot`'s ghost mark.

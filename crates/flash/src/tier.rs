@@ -52,9 +52,10 @@ impl FlashTier {
         }
     }
 
-    /// Issues `op` on `id` to the FIFO, at the logical time of the writes
-    /// so far.
-    fn issue(&mut self, id: ObjId, size: u32, op: Op) {
+    /// Submits `op` on `id` to the FIFO, at the logical time of the writes
+    /// so far, if `id` is resident (`resident`) or is not (`!resident`).
+    /// Returns whether it was submitted; one id-table probe either way.
+    fn submit_if(&mut self, resident: bool, id: ObjId, size: u32, op: Op) -> bool {
         let req = Request {
             id,
             size,
@@ -62,7 +63,7 @@ impl FlashTier {
             op,
         };
         self.evicted.clear();
-        self.fifo.request(&req, &mut self.evicted);
+        self.fifo.request_if(resident, &req, &mut self.evicted).is_some()
     }
 
     /// True when `id` is resident.
@@ -73,20 +74,15 @@ impl FlashTier {
     /// Records a read hit on a resident object. Returns false when the
     /// object is not resident.
     pub fn read(&mut self, id: ObjId) -> bool {
-        if !self.contains(id) {
-            return false;
-        }
-        self.issue(id, 0, Op::Get);
-        true
+        self.submit_if(true, id, 0, Op::Get)
     }
 
     /// Writes `id` to flash (a no-op when already resident), evicting in
     /// FIFO order to make room. Evictions are appended to `evicted`.
     pub fn write(&mut self, id: ObjId, size: u32, evicted: &mut Vec<FlashEviction>) {
-        if u64::from(size) > self.capacity() || self.contains(id) {
+        if u64::from(size) > self.capacity() || !self.submit_if(false, id, size, Op::Set) {
             return;
         }
-        self.issue(id, size, Op::Set);
         evicted.extend(self.evicted.iter().map(|e| FlashEviction {
             id: e.id,
             size: e.size,
@@ -99,11 +95,10 @@ impl FlashTier {
     /// Drops `id` from the tier (corruption discard, invalidation).
     /// Returns the object's size, or `None` when not resident.
     pub fn remove(&mut self, id: ObjId) -> Option<u32> {
-        if !self.contains(id) {
+        let before = self.used();
+        if !self.submit_if(true, id, 0, Op::Delete) {
             return None;
         }
-        let before = self.used();
-        self.issue(id, 0, Op::Delete);
         u32::try_from(before - self.used()).ok()
     }
 
@@ -208,6 +203,23 @@ mod tests {
         // Re-writing the removed id with a different size stays exact.
         f.write(1, 30, &mut evs);
         assert_eq!(f.used(), 50);
+    }
+
+    /// `cache_server --flash-bytes` writes an unbounded stream of hashed
+    /// keys through this tier for as long as it runs, so its id table must
+    /// stay bounded by what is resident, whatever passes through.
+    #[test]
+    fn a_million_distinct_writes_leave_a_bounded_table() {
+        let mut f = FlashTier::new(4_000);
+        let mut evs = Vec::new();
+        for id in 0..1_000_000u64 {
+            evs.clear();
+            f.write(id, 4, &mut evs);
+        }
+        assert_eq!(f.len(), 1_000);
+        let table = f.fifo.interned() + f.fifo.free_slots() + 1;
+        assert!(table <= f.len() + 2, "{table} slots for {} objects", f.len());
+        assert!(f.verify_accounting());
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! case where every size is 1).
 //!
 //! Slot-state conventions: `tag` is `T1` or `T2` (0 = absent). `B1` and `B2`
-//! are [`SlotGhost`]s, so under [`Keyed`] a ghost's slot is not recycled
-//! while either ghost still names it.
+//! are [`SlotGhost`]s.
 
 use cache_types::{CacheError, Eviction, PolicyStats, Request};
 use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
@@ -89,7 +88,7 @@ impl DenseArc {
             self.slab.slots[s as usize].tag = ABSENT;
             let size = self.slab.size(s);
             *used -= u64::from(size);
-            ghost.insert(&mut self.slab, s, size);
+            ghost.insert(s, size);
             evicted.push(self.slab.eviction(s, from_t1));
         }
     }
@@ -126,7 +125,8 @@ impl SlabPolicy for DenseArc {
         if self.p > self.capacity {
             return Err(format!("ARC: p {} > capacity {}", self.p, self.capacity));
         }
-        SlotGhost::validate_all(&self.slab, &[&self.b1, &self.b2]).map_err(|e| format!("ARC: {e}"))
+        self.b1.validate().map_err(|e| format!("ARC B1: {e}"))?;
+        self.b2.validate().map_err(|e| format!("ARC B2: {e}"))
     }
 
     fn state(&self) -> (&DenseSlab, &PolicyStats) {
@@ -171,11 +171,11 @@ impl SlabPolicy for DenseArc {
             // Case IV of the paper: bound the directory.
             if self.t1_used < c {
                 let keep = c.saturating_sub(self.t1_used + size);
-                self.b1.trim_to(&mut self.slab, keep);
+                self.b1.trim_to(keep);
             }
         } else if self.used_total() + self.b1.used() + self.b2.used() >= 2 * c {
             let keep = (2 * c).saturating_sub(self.used_total() + self.b1.used() + size);
-            self.b2.trim_to(&mut self.slab, keep);
+            self.b2.trim_to(keep);
         }
 
         while self.used_total() + size > c && !(self.t1.is_empty() && self.t2.is_empty()) {
@@ -206,9 +206,8 @@ impl SlabPolicy for DenseArc {
                 self.t2.remove(&mut self.slab.slots, slot);
                 self.t2_used -= size;
             }
-            _ => return,
+            _ => {}
         }
-        self.slab.release(slot);
     }
 
     #[inline]

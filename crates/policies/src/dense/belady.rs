@@ -93,12 +93,13 @@ impl DenseBelady {
             self.slab.slots[slot as usize].tag = ABSENT;
             self.used -= u64::from(self.slab.size(slot));
             evicted.push(self.slab.eviction(slot, false));
-            self.slab.release(slot);
         }
     }
 }
 
 impl SlabPolicy for DenseBelady {
+    const GHOSTLESS: bool = true;
+
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
         // Without a trace every request is "never requested again": the
         // keyed default evicts the largest resident id first (DESIGN.md §5b).
@@ -159,7 +160,6 @@ impl SlabPolicy for DenseBelady {
             self.order.remove(&key);
             self.slab.slots[slot as usize].tag = ABSENT;
             self.used -= u64::from(self.slab.size(slot));
-            self.slab.release(slot);
         }
     }
 

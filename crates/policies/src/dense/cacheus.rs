@@ -21,8 +21,7 @@
 //! Slot-state conventions: `tag` is the region (`SR` or `R`; 0 = absent),
 //! the links thread that region's list, and `hits` is the LFU count less
 //! one; CR-LFU is an [`LfuOrder`] stamped at insertion and at every hit.
-//! The experts' histories are [`SlotGhost`]s, so under [`Keyed`] a slot is
-//! not recycled while either names it.
+//! The experts' histories are [`SlotGhost`]s.
 
 use super::LfuOrder;
 use cache_ds::SplitMix64;
@@ -156,7 +155,6 @@ impl DenseCacheus {
         let region = self.remove_entry(victim);
         evicted.push(self.slab.eviction(victim, region == SR));
         if sv == fv {
-            self.slab.release(victim);
             return;
         }
         let history = if use_srlru {
@@ -164,7 +162,7 @@ impl DenseCacheus {
         } else {
             &mut self.h_crlfu
         };
-        history.insert(&mut self.slab, victim, size);
+        history.insert(victim, size);
     }
 
     /// R-region overflow demotes its LRU tail into SR (scan resistance).
@@ -218,8 +216,8 @@ impl SlabPolicy for DenseCacheus {
         if !self.lfu.is_current(&self.slab, self.len()) {
             return Err("CACHEUS: the CR-LFU order is not the resident objects' counts".into());
         }
-        SlotGhost::validate_all(&self.slab, &[&self.h_srlru, &self.h_crlfu])
-            .map_err(|e| format!("CACHEUS history: {e}"))
+        self.h_srlru.validate().map_err(|e| format!("CACHEUS SR-LRU history: {e}"))?;
+        self.h_crlfu.validate().map_err(|e| format!("CACHEUS CR-LFU history: {e}"))
     }
 
     fn state(&self) -> (&DenseSlab, &PolicyStats) {
@@ -267,7 +265,6 @@ impl SlabPolicy for DenseCacheus {
     fn remove(&mut self, slot: u32) {
         if self.slab.slots[slot as usize].tag != ABSENT {
             self.remove_entry(slot);
-            self.slab.release(slot);
         }
     }
 

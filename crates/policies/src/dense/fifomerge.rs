@@ -11,10 +11,9 @@
 //! Slot-state conventions: `tag` is `RESIDENT` (0 = absent) and `freq` the
 //! access count, capped at 255 and halved by every merge; no queue threads
 //! the links. Segments list slots, and an entry stays behind when its
-//! object is deleted (the log is append-only), so each entry holds a ghost
-//! reference: under [`Keyed`] a slot a segment still lists keeps its id.
-//! The segment holding a slot's live entry is recorded in an array beside
-//! the slab, which catches up with its domain on insertion.
+//! object is deleted (the log is append-only). The segment holding a
+//! slot's live entry is recorded in an array beside the slab, which catches
+//! up with its domain on insertion.
 
 use cache_types::{CacheError, Eviction, PolicyStats, Request};
 use s3fifo::dense::{DenseSlab, Keyed, SlabPolicy};
@@ -97,7 +96,6 @@ impl DenseFifoMerge {
                     candidates.push(slot);
                     merged_bytes += u64::from(self.slab.size(slot));
                 }
-                self.slab.ghost_unref(slot);
             }
         }
         if take == 0 {
@@ -128,13 +126,11 @@ impl DenseFifoMerge {
                 self.slab.slots[slot as usize].freq /= 2;
                 merged.live_bytes += size;
                 merged.slots.push(slot);
-                self.slab.ghost_ref(slot);
             } else {
                 self.slab.slots[slot as usize].tag = ABSENT;
                 self.used -= size;
                 self.len -= 1;
                 evicted.push(self.slab.eviction(slot, false));
-                self.slab.release(slot);
             }
         }
         if !merged.slots.is_empty() {
@@ -233,7 +229,6 @@ impl SlabPolicy for DenseFifoMerge {
             active.live_bytes += u64::from(req.size);
             self.seg_of[slot as usize] = active.id;
         }
-        self.slab.ghost_ref(slot);
         let s = &mut self.slab.slots[slot as usize];
         s.tag = RESIDENT;
         s.freq = 0;
@@ -254,7 +249,6 @@ impl SlabPolicy for DenseFifoMerge {
         if let Some(seg) = self.segments.iter_mut().find(|s| s.id == seg_id) {
             seg.live_bytes = seg.live_bytes.saturating_sub(size);
         }
-        self.slab.release(slot);
     }
 }
 

@@ -11,9 +11,8 @@
 //! Slot-state conventions: `tag` is `RESIDENT` (0 = absent), the links
 //! thread the LRU list, and `hits` is the LFU count less one; the LFU
 //! expert is an [`LfuOrder`] stamped at insertion. The histories are
-//! [`SlotGhost`]s, so under [`Keyed`] a slot is not recycled while either
-//! names it. The time each slot last entered a history lives in an array
-//! beside the slab, which catches up with its domain on insertion.
+//! [`SlotGhost`]s. The time each slot last entered a history lives in an
+//! array beside the slab, which catches up with its domain on insertion.
 
 use super::LfuOrder;
 use cache_ds::SplitMix64;
@@ -115,7 +114,6 @@ impl DenseLeCar {
         self.used -= u64::from(size);
         evicted.push(self.slab.eviction(victim, false));
         if lv == fv {
-            self.slab.release(victim);
             return;
         }
         let history = if use_lru {
@@ -123,7 +121,7 @@ impl DenseLeCar {
         } else {
             &mut self.h_lfu
         };
-        history.insert(&mut self.slab, victim, size);
+        history.insert(victim, size);
         self.ghost_time[victim as usize] = self.now;
     }
 
@@ -169,8 +167,8 @@ impl SlabPolicy for DenseLeCar {
         if !self.lfu.is_current(&self.slab, self.len()) {
             return Err("LeCaR: the LFU order is not the resident objects' counts".into());
         }
-        SlotGhost::validate_all(&self.slab, &[&self.h_lru, &self.h_lfu])
-            .map_err(|e| format!("LeCaR history: {e}"))
+        self.h_lru.validate().map_err(|e| format!("LeCaR LRU history: {e}"))?;
+        self.h_lfu.validate().map_err(|e| format!("LeCaR LFU history: {e}"))
     }
 
     fn state(&self) -> (&DenseSlab, &PolicyStats) {
@@ -216,7 +214,6 @@ impl SlabPolicy for DenseLeCar {
         self.lru.remove(&mut self.slab.slots, slot);
         self.slab.slots[slot as usize].tag = ABSENT;
         self.used -= u64::from(self.slab.size(slot));
-        self.slab.release(slot);
     }
 
     #[inline]

@@ -162,11 +162,12 @@ impl DenseLhd {
         self.remove_slot(slot);
         self.ends[Self::bucket_of(self.age_of(slot))] += 1.0;
         evicted.push(self.slab.eviction(slot, false));
-        self.slab.release(slot);
     }
 }
 
 impl SlabPolicy for DenseLhd {
+    const GHOSTLESS: bool = true;
+
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
         Self::with_domain(capacity, 0)
     }
@@ -252,7 +253,6 @@ impl SlabPolicy for DenseLhd {
     fn remove(&mut self, slot: u32) {
         if self.slab.slots[slot as usize].tag != ABSENT {
             self.remove_slot(slot);
-            self.slab.release(slot);
         }
     }
 

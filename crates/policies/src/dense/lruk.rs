@@ -77,11 +77,12 @@ impl DenseLruK {
         self.slab.slots[slot as usize].tag = ABSENT;
         self.used -= u64::from(self.slab.size(slot));
         evicted.push(self.slab.eviction(slot, cold));
-        self.slab.release(slot);
     }
 }
 
 impl SlabPolicy for DenseLruK {
+    const GHOSTLESS: bool = true;
+
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
         Self::with_domain(capacity, 0)
     }
@@ -196,7 +197,6 @@ impl SlabPolicy for DenseLruK {
         }
         self.slab.slots[slot as usize].tag = ABSENT;
         self.used -= u64::from(self.slab.size(slot));
-        self.slab.release(slot);
     }
 
     #[inline]

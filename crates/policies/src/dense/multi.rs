@@ -74,7 +74,7 @@ impl DenseTwoQ {
                 self.slab.slots[s as usize].tag = ABSENT;
                 let size = self.slab.size(s);
                 self.a1in_used -= u64::from(size);
-                self.a1out.insert(&mut self.slab, s, size);
+                self.a1out.insert(s, size);
                 evicted.push(self.slab.eviction(s, true));
                 return;
             }
@@ -83,7 +83,6 @@ impl DenseTwoQ {
             self.slab.slots[s as usize].tag = ABSENT;
             self.am_used -= u64::from(self.slab.size(s));
             evicted.push(self.slab.eviction(s, false));
-            self.slab.release(s);
         }
     }
 }
@@ -123,9 +122,7 @@ impl SlabPolicy for DenseTwoQ {
         if let Some(slot) = resident.find(|&s| self.a1out.contains(s)) {
             return Err(format!("2Q: slot {slot} is both resident and in A1out"));
         }
-        self.a1out
-            .validate(&self.slab)
-            .map_err(|e| format!("2Q A1out: {e}"))
+        self.a1out.validate().map_err(|e| format!("2Q A1out: {e}"))
     }
 
     fn state(&self) -> (&DenseSlab, &PolicyStats) {
@@ -176,9 +173,8 @@ impl SlabPolicy for DenseTwoQ {
                 self.am.remove(&mut self.slab.slots, slot);
                 self.am_used -= u64::from(self.slab.size(slot));
             }
-            _ => return,
+            _ => {}
         }
-        self.slab.release(slot);
     }
 
     #[inline]
@@ -266,7 +262,6 @@ impl DenseSlru {
                 self.slab.slots[slot as usize].tag = 0;
                 self.seg_used[s] -= u64::from(self.slab.size(slot));
                 evicted.push(self.slab.eviction(slot, s == 0));
-                self.slab.release(slot);
                 return;
             }
         }
@@ -274,6 +269,8 @@ impl DenseSlru {
 }
 
 impl SlabPolicy for DenseSlru {
+    const GHOSTLESS: bool = true;
+
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
         Self::with_domain(capacity, 0)
     }
@@ -352,7 +349,6 @@ impl SlabPolicy for DenseSlru {
             let seg = tag as usize - 1;
             self.segs[seg].remove(&mut self.slab.slots, slot);
             self.seg_used[seg] -= u64::from(self.slab.size(slot));
-            self.slab.release(slot);
         }
     }
 

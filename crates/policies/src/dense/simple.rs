@@ -54,12 +54,13 @@ impl DenseFifo {
             self.slab.slots[s as usize].tag = ABSENT;
             self.used -= u64::from(self.slab.size(s));
             evicted.push(self.slab.eviction(s, false));
-            self.slab.release(s);
         }
     }
 }
 
 impl SlabPolicy for DenseFifo {
+    const GHOSTLESS: bool = true;
+
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
         Self::with_domain(capacity, 0)
     }
@@ -112,7 +113,6 @@ impl SlabPolicy for DenseFifo {
         if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
-            self.slab.release(slot);
         }
     }
 
@@ -158,12 +158,13 @@ impl DenseLru {
             self.slab.slots[s as usize].tag = ABSENT;
             self.used -= u64::from(self.slab.size(s));
             evicted.push(self.slab.eviction(s, false));
-            self.slab.release(s);
         }
     }
 }
 
 impl SlabPolicy for DenseLru {
+    const GHOSTLESS: bool = true;
+
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
         Self::with_domain(capacity, 0)
     }
@@ -217,7 +218,6 @@ impl SlabPolicy for DenseLru {
         if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
-            self.slab.release(slot);
         }
     }
 
@@ -275,7 +275,6 @@ impl DenseClock {
                 self.slab.slots[t].tag = ABSENT;
                 self.used -= u64::from(self.slab.size(tail));
                 evicted.push(self.slab.eviction(tail, false));
-                self.slab.release(tail);
                 return;
             }
         }
@@ -283,6 +282,8 @@ impl DenseClock {
 }
 
 impl SlabPolicy for DenseClock {
+    const GHOSTLESS: bool = true;
+
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
         Self::with_domain(capacity, 1, 0)
     }
@@ -351,7 +352,6 @@ impl SlabPolicy for DenseClock {
         if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
-            self.slab.release(slot);
         }
     }
 
@@ -423,7 +423,6 @@ impl DenseSieve {
                 self.slab.slots[s as usize].tag = ABSENT;
                 self.used -= u64::from(self.slab.size(s));
                 evicted.push(self.slab.eviction(s, false));
-                self.slab.release(s);
                 return;
             }
         }
@@ -431,6 +430,8 @@ impl DenseSieve {
 }
 
 impl SlabPolicy for DenseSieve {
+    const GHOSTLESS: bool = true;
+
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
         Self::with_domain(capacity, 0)
     }
@@ -503,7 +504,6 @@ impl SlabPolicy for DenseSieve {
             }
             self.queue.remove(&mut self.slab.slots, slot);
             self.used -= u64::from(self.slab.size(slot));
-            self.slab.release(slot);
         }
     }
 
@@ -598,6 +598,8 @@ impl DenseBloomLru {
 }
 
 impl SlabPolicy for DenseBloomLru {
+    const GHOSTLESS: bool = true;
+
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
         Self::with_domain(capacity, 0)
     }
@@ -640,11 +642,7 @@ impl SlabPolicy for DenseBloomLru {
 
     /// Admits only an id the filters have seen.
     fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
-        if self.first_sighting {
-            // `Keyed` unmaps a released slot by the id it carries.
-            self.lru.slab.slots[slot as usize].orig = req.id;
-            self.lru.slab.release(slot);
-        } else {
+        if !self.first_sighting {
             self.lru.admit(slot, req, evicted);
         }
     }

@@ -103,7 +103,6 @@ impl DenseTinyLfu {
     /// quick demotions Fig. 10 measures.
     fn evict(&mut self, slot: u32, from_window: bool, evicted: &mut Vec<Eviction>) {
         evicted.push(self.slab.eviction(slot, from_window));
-        self.slab.release(slot);
     }
 
     /// The main region's eviction candidate: probation's tail, or
@@ -169,6 +168,8 @@ impl DenseTinyLfu {
 }
 
 impl SlabPolicy for DenseTinyLfu {
+    const GHOSTLESS: bool = true;
+
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
         Self::with_window(capacity, 0.01, 0)
     }
@@ -237,7 +238,6 @@ impl SlabPolicy for DenseTinyLfu {
     fn remove(&mut self, slot: u32) {
         if self.slab.slots[slot as usize].tag != ABSENT {
             self.unlink(slot);
-            self.slab.release(slot);
         }
     }
 

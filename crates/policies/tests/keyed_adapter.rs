@@ -1,7 +1,8 @@
-//! What the `Keyed` adapter owes its long-lived callers (the flash cache's
-//! DRAM tier and its FIFO device, `cache_flash::FlashTier`): a table bounded
-//! by what the policy can still look at, and requests that cannot admit
-//! anything leaving nothing behind.
+//! What the `Keyed` adapter owes its long-lived callers (the server's flash
+//! cache: its LRU or FIFO DRAM tier and its FIFO device,
+//! `cache_flash::FlashTier`): a ghostless policy's table bounded by what is
+//! resident, and requests that cannot admit anything leaving nothing
+//! behind.
 
 use cache_policies::{
     DenseArc, DenseBelady, DenseBloomLru, DenseCacheus, DenseClock, DenseFifo, DenseFifoMerge,
@@ -16,11 +17,12 @@ fn footprint<P: SlabPolicy>(p: &Keyed<P>) -> (usize, usize, usize) {
     (p.interned(), p.free_slots(), p.slab().domain())
 }
 
-/// A million distinct keys through a cache of 1 000 leave at most
-/// `capacity + ghost` ids interned, plus two slots: the scratch slot and the
-/// one the request in flight holds while it evicts.
-fn table_stays_bounded<P: SlabPolicy + Send>(ghost_entries: usize) {
+/// A million distinct keys through a ghostless cache of 1 000 leave at most
+/// `capacity` ids interned, plus two slots: the scratch slot and the one
+/// the request in flight holds while it evicts.
+fn table_stays_bounded<P: SlabPolicy + Send>() {
     const CAPACITY: usize = 1_000;
+    assert!(P::GHOSTLESS);
     let mut p = Keyed::<P>::new(CAPACITY as u64).expect("capacity > 0");
     let mut evs = Vec::new();
     for id in 0..1_000_000u64 {
@@ -28,28 +30,24 @@ fn table_stays_bounded<P: SlabPolicy + Send>(ghost_entries: usize) {
         p.request(&Request::get(id, id), &mut evs);
     }
     let (interned, free, slots) = footprint(&p);
-    let bound = CAPACITY + ghost_entries;
-    assert!(interned <= bound, "{}: {interned} ids interned", p.name());
-    assert!(slots <= bound + 2, "{}: slab grew to {slots} slots", p.name());
+    assert!(interned <= CAPACITY, "{}: {interned} ids interned", p.name());
+    assert!(slots <= CAPACITY + 2, "{}: slab grew to {slots} slots", p.name());
     assert_eq!(interned + free + 1, slots);
     p.validate().unwrap_or_else(|e| panic!("{}: {e}", p.name()));
 }
 
 #[test]
 fn a_million_distinct_keys_leave_a_bounded_table() {
-    table_stays_bounded::<DenseS3Fifo>(900); // G holds as many entries as M
-    table_stays_bounded::<DenseTwoQ>(500); // A1out: half the cache
-    table_stays_bounded::<DenseFifo>(0);
-    table_stays_bounded::<DenseArc>(2_000); // B1 and B2: the cache's bytes each
-    table_stays_bounded::<DenseLirs>(3_000); // S's non-resident blocks: 3× the cache
-    table_stays_bounded::<DenseTinyLfu>(0);
-    table_stays_bounded::<DenseLruK>(0);
-    table_stays_bounded::<DenseBloomLru>(0);
-    table_stays_bounded::<DenseLeCar>(2_000); // two histories: the cache's bytes each
-    table_stays_bounded::<DenseCacheus>(1_000); // two histories: half the cache each
-    table_stays_bounded::<DenseLhd>(0);
-    table_stays_bounded::<DenseFifoMerge>(0); // no delete leaves a segment entry behind
-    table_stays_bounded::<DenseS3FifoD>(900); // as S3-FIFO: no key returns, the split stays
+    table_stays_bounded::<DenseFifo>();
+    table_stays_bounded::<DenseLru>();
+    table_stays_bounded::<DenseClock>();
+    table_stays_bounded::<DenseSieve>();
+    table_stays_bounded::<DenseSlru>();
+    table_stays_bounded::<DenseTinyLfu>();
+    table_stays_bounded::<DenseLruK>();
+    table_stays_bounded::<DenseBloomLru>();
+    table_stays_bounded::<DenseLhd>();
+    table_stays_bounded::<DenseBelady>();
 }
 
 /// A `Delete` of a never-seen id, an uncacheable `Get` and a `Set` larger

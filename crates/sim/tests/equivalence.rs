@@ -1,8 +1,9 @@
 //! Pre-interned ⇔ keyed equivalence.
 //!
 //! A slab policy driven with pre-interned slots and the same policy behind
-//! the interning `Keyed` adapter (which recycles slots) must be *decision
-//! identical*: same misses, same evictions, same miss ratios, bit for bit.
+//! the interning `Keyed` adapter (which reuses a ghostless policy's slots)
+//! must be *decision identical*: same misses, same evictions, same miss
+//! ratios, bit for bit.
 //! Every registry algorithm is replayed through both `simulate_named` (the
 //! pre-interned door) and the registry's keyed policy, driven one request
 //! at a time, across three workload shapes. The keyed policy's invariants
@@ -147,7 +148,7 @@ fn mixed_requests(requests: u64, seed: u64) -> Vec<Request> {
 type Print = (u64, u64, u64, u64);
 
 /// The `(capacity, ignore_size)` cells of [`PROTOCOL`]: where ghosts fill and
-/// slots recycle, sizes honoured and ignored; and a capacity below the
+/// slots are reused, sizes honoured and ignored; and a capacity below the
 /// largest size (8), where some `Get`s are `Uncacheable` and some `Set`s
 /// admit nothing.
 const PROTOCOL_CELLS: [(u64, bool); 3] = [(64, false), (64, true), (6, false)];

