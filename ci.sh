@@ -117,10 +117,17 @@ step "check_gate: differential fuzz, observers, linearizability-lite, loom-lite"
 step "trace round trip: trace_gen + trace_convert"
 # Generate a small seeded .ctr trace to disk (DESIGN.md §12), take it through
 # CSV and back, and verify the two encodings describe the identical trace.
+# That trace is all unit-size Gets, so it loads with no size or op column;
+# the checked-in mixed_lanes.csv (sets, deletes, sizes, ids past u32) takes
+# both columns through the same round trip.
 ./target/release/trace_gen --smoke --out target/ci_oo.ctr
 ./target/release/trace_convert to-csv target/ci_oo.ctr target/ci_oo.csv
 ./target/release/trace_convert to-ctr target/ci_oo.csv target/ci_oo_rt.ctr
 ./target/release/trace_convert verify target/ci_oo.csv target/ci_oo_rt.ctr
+./target/release/trace_convert to-ctr tests/fixtures/mixed_lanes.csv target/ci_mixed.ctr
+./target/release/trace_convert to-csv target/ci_mixed.ctr target/ci_mixed.csv
+./target/release/trace_convert verify tests/fixtures/mixed_lanes.csv target/ci_mixed.ctr
+./target/release/trace_convert verify target/ci_mixed.csv target/ci_mixed.ctr
 
 step "obs smoke: obs_dump"
 # Exercises the full observability pipeline (windowed simulation, flash

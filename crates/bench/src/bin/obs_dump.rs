@@ -257,7 +257,7 @@ fn main() {
     };
     let mut flash = cache_flash::FlashCache::faulty(fcfg, plan, resilience).expect("flash config");
     flash.attach_obs(&registry.scope("flash.ladder"), tracer.clone());
-    let fstats = flash.run(&ftrace.requests);
+    let fstats = flash.run(ftrace.iter());
     assert!(
         fstats.budget_trips >= 1 && fstats.budget_recoveries >= 1,
         "fault plan must exercise the full ladder (trips={}, recoveries={})",

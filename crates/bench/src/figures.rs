@@ -79,7 +79,7 @@ fn reductions(
 pub fn table1(traces: &[(String, Trace)]) -> Vec<(DatasetSpec, Vec<TraceStats>)> {
     let with_stats = |ds: DatasetSpec| {
         let own = traces.iter().filter(|(d, _)| d == ds.name);
-        let stats = own.map(|(_, t)| trace_stats(&t.requests, 20, 1)).collect();
+        let stats = own.map(|(_, t)| trace_stats(t, 20, 1)).collect();
         (ds, stats)
     };
     datasets().into_iter().map(with_stats).collect()
@@ -101,9 +101,9 @@ pub fn fig2(requests: usize, objects: u64) -> Vec<(String, Vec<f64>)> {
     traces.extend([msr_like(requests, 3), twitter_like(requests, 3)]);
     let ohw = |t: &Trace, window: f64| {
         if window >= 1.0 {
-            one_hit_wonder_ratio(&t.requests)
+            one_hit_wonder_ratio(t)
         } else {
-            sampled_window_ohw(&t.requests, window, 30, 42)
+            sampled_window_ohw(t, window, 30, 42)
         }
     };
     let series = |t: Trace| (t.name.clone(), FIG2_WINDOWS.map(|w| ohw(&t, w)).to_vec());
@@ -116,9 +116,9 @@ pub fn fig2(requests: usize, objects: u64) -> Vec<(String, Vec<f64>)> {
 pub fn fig3(traces: &[(String, Trace)]) -> [Summary; 4] {
     let mut ratios: [Vec<f64>; 4] = Default::default();
     for (_, t) in traces {
-        ratios[0].push(one_hit_wonder_ratio(&t.requests));
+        ratios[0].push(one_hit_wonder_ratio(t));
         for (i, (window, seed)) in [(0.5, 1), (0.1, 2), (0.01, 3)].into_iter().enumerate() {
-            ratios[i + 1].push(sampled_window_ohw(&t.requests, window, 15, seed));
+            ratios[i + 1].push(sampled_window_ohw(t, window, 15, seed));
         }
     }
     ratios.map(|r| summarize(&r))
@@ -193,7 +193,7 @@ pub fn fig9(trace: &Trace) -> Vec<(&'static str, f64, FlashStats)> {
         };
         // Invariant: every DRAM fraction here is in (0, 1).
         let mut c = FlashCache::new(config).expect("a valid config");
-        let stats = c.run(&trace.requests);
+        let stats = c.run(trace.iter());
         (c.admission_name(), dram_fraction, stats)
     };
     let write_all = (AdmissionKind::WriteAll, 0.01);
@@ -219,7 +219,7 @@ pub struct Fig10 {
 /// Fig. 10: quick-demotion speed and precision on `trace` at `config`.
 pub fn fig10(trace: &Trace, config: SimConfig) -> Fig10 {
     let capacity = config.capacity_for(trace);
-    let oracle = NextAccessOracle::new(&trace.requests);
+    let oracle = NextAccessOracle::new(trace.iter());
     let lru_age = lru_mean_eviction_age(trace, capacity);
     let metrics = |name: &str| {
         // Invariant: ARC and the families' `Name(s)` forms are registry names.
@@ -344,10 +344,10 @@ pub fn sampling(requests: usize) -> Vec<(&'static str, f64, Vec<f64>)> {
     let miss_ratio = |algorithm, capacity, trace: &Trace, domain: Option<&[Request]>| {
         // Invariant: registry names at a positive capacity.
         let mut policy = registry::build(algorithm, capacity, domain).expect("a registry name");
-        run_trace(policy.as_mut(), &trace.requests).miss_ratio()
+        run_trace(policy.as_mut(), &trace.to_requests()).miss_ratio()
     };
     let run = |algorithm| {
-        let full = miss_ratio(algorithm, 2000, &zipf, Some(&zipf.requests));
+        let full = miss_ratio(algorithm, 2000, &zipf, Some(&zipf.to_requests()));
         let sampled = [0.5, 0.2, 0.1].map(|rate| spatial_sample(&zipf, rate, 0xAB));
         let mini = |s: &SampledTrace| miss_ratio(algorithm, s.scale_capacity(2000), &s.trace, None);
         (algorithm, full, sampled.iter().map(mini).collect())
@@ -390,13 +390,13 @@ pub fn fault_resilience(trace: &Trace) -> Vec<(f64, FlashStats)> {
     };
     // Invariant: the DRAM fraction above is in (0, 1).
     let mut base = FlashCache::new(config).expect("a valid config");
-    let mut runs = vec![(0.0, base.run(&trace.requests))];
+    let mut runs = vec![(0.0, base.run(trace.iter()))];
     assert!(base.verify_accounting(), "accounting must be exact");
     for rate in [0.001, 0.01, 0.05, 0.2, 0.5] {
         let c = FlashCache::faulty(config, plan_for(rate), ResilienceConfig::default());
         // Invariant: as above.
         let mut c = c.expect("a valid config");
-        runs.push((rate, c.run(&trace.requests)));
+        runs.push((rate, c.run(trace.iter())));
         assert!(c.verify_accounting(), "accounting must survive faults");
     }
     runs

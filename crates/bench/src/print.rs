@@ -394,7 +394,7 @@ pub fn fault_resilience(run: &Run) {
     banner(&format!(
         "Fault resilience: {} ({} requests, S3-FIFO admission, 1% DRAM)",
         trace.name,
-        trace.requests.len()
+        trace.len()
     ));
     let runs = fig::fault_resilience(&trace);
     let writes = |s: &FlashStats| s.normalized_write_bytes(trace.footprint_bytes());

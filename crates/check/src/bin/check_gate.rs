@@ -175,7 +175,7 @@ fn phase_observer() -> Result<(), String> {
         "  {} algorithms x {{64 unit-size, 64 sized, 6 sized ({oversized} reads too large)}} \
          over {} requests: all invariants held ({cells} cells)",
         registry::ALL_ALGORITHMS.len(),
-        trace.requests.len()
+        trace.len()
     );
     Ok(())
 }

@@ -243,7 +243,7 @@ fn run_fresh(name: &str, capacity: u64, requests: &[Request]) -> Option<(usize, 
     let mut keyed = registry::build(name, capacity, Some(requests))
         .unwrap_or_else(|e| panic!("cannot build keyed {name}: {e}"));
     let (ids, slots) = DenseIds::intern(requests.iter().map(|r| r.id));
-    let mut dense = registry::build_dense_domain(name, capacity, Some(requests), ids.len())
+    let mut dense = registry::build_dense_domain(name, capacity, Some(&slots), ids.len())
         .unwrap_or_else(|e| panic!("cannot build dense {name}: {e}"));
     diff_run(
         &mut reference,
@@ -359,6 +359,32 @@ mod tests {
                         panic!("divergence:\n{d}");
                     }
                 }
+            }
+        }
+    }
+
+    /// The generator's rows split into a trace's columns and built back are
+    /// the rows, on mixed Set/Delete streams with sizes up to 4 and on pure
+    /// `Get` unit-size ones; a column exists only where some row needs it,
+    /// and the byte totals equal the row sums.
+    #[test]
+    fn generated_rows_survive_the_columns() {
+        for (write_percent, max_size) in [(10, 4), (0, 1)] {
+            for seed in 0..8 {
+                let cfg = FuzzConfig {
+                    seed,
+                    write_percent,
+                    max_size,
+                    ..FuzzConfig::default()
+                };
+                let rows = generate_trace(&cfg);
+                let trace = cache_trace::Trace::new("fuzz", rows.clone());
+                assert_eq!(trace.to_requests(), rows, "seed {seed}");
+                let shape = trace.shape();
+                assert_eq!(shape.pure_get, write_percent == 0, "seed {seed}");
+                assert_eq!(shape.unit_size, max_size == 1, "seed {seed}");
+                let total: u64 = rows.iter().map(|r| u64::from(r.size)).sum();
+                assert_eq!(trace.total_bytes(), total, "seed {seed}");
             }
         }
     }

@@ -90,11 +90,11 @@ pub fn mrc_diff(
             return Some((grid_idx, format!("no reference model for {name}")));
         };
         let mut evs = Vec::new();
-        for r in &trace.requests {
+        for r in trace.iter() {
             let req = if ignore_size {
-                Request { size: 1, ..(*r) }
+                Request { size: 1, ..r }
             } else {
-                *r
+                r
             };
             evs.clear();
             reference.request(&req, &mut evs);
@@ -290,8 +290,8 @@ mod tests {
             let mut clock = reference_for("CLOCK", 4).expect("CLOCK reference exists");
             // Invariant: CLOCK has a reference interpreter.
             let mut evs = Vec::new();
-            for r in &t.requests {
-                let req = Request { size: 1, ..(*r) };
+            for r in t.iter() {
+                let req = Request { size: 1, ..r };
                 evs.clear();
                 clock.request(&req, &mut evs);
             }

@@ -293,7 +293,7 @@ mod tests {
                 if let Some((i, msg)) = obs.violation() {
                     panic!("{name} (ignore_size={ignore_size}) violated at request {i}: {msg}");
                 }
-                assert_eq!(obs.checked(), trace.requests.len());
+                assert_eq!(obs.checked(), trace.len());
             }
         }
     }
@@ -352,7 +352,7 @@ mod tests {
     fn accounting_lies_are_caught() {
         let trace = skewed_trace(50);
         // Sizes are 1..=8: at capacity 4 some reads cannot fit.
-        let oversized = trace.requests.iter().position(|r| r.is_read() && r.size > 4);
+        let oversized = trace.iter().position(|r| r.is_read() && r.size > 4);
         for (lie, at, says) in [
             (Lie::PhantomByte, Some(0), "used()"),
             (Lie::MissForUncacheable, oversized, "not Uncacheable"),

@@ -124,6 +124,56 @@ impl DenseIds {
         }
     }
 
+    /// Renames every interned id through `table` (`id` becomes
+    /// `table[id]`), each keeping its slot. The lookup is rebuilt over the
+    /// new names: in the direct table when they all fit below its bound,
+    /// hashed otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Returns an id `table` gives two interned ids, which would leave one
+    /// name with two slots; the table is unusable then.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an interned id is not below `table.len()`.
+    pub fn remap(&mut self, table: &[u64]) -> Result<(), u64> {
+        for id in &mut self.orig {
+            *id = table[*id as usize];
+        }
+        let fits = match &self.slot_of {
+            SlotOf::Direct(direct) => self.orig.iter().all(|&id| id < direct.len() as u64),
+            SlotOf::Hashed(_) => false,
+        };
+        if !fits {
+            self.slot_of = SlotOf::Hashed(HashMap::with_capacity_and_hasher(
+                self.orig.len(),
+                FxBuildHasher::default(),
+            ));
+        }
+        match &mut self.slot_of {
+            SlotOf::Direct(direct) => {
+                direct.fill(NIL);
+                for (slot, &id) in self.orig.iter().enumerate() {
+                    let entry = &mut direct[id as usize];
+                    if *entry != NIL {
+                        return Err(id);
+                    }
+                    *entry = slot as u32;
+                }
+            }
+            SlotOf::Hashed(map) => {
+                map.clear();
+                for (slot, &id) in self.orig.iter().enumerate() {
+                    if map.insert(id, slot as u32).is_some() {
+                        return Err(id);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The slot assigned to `id`, if `id` appeared during interning.
     #[inline]
     pub fn slot_of(&self, id: u64) -> Option<u32> {
@@ -207,6 +257,34 @@ mod tests {
                 assert_eq!(got.orig(slot), want.orig(slot));
             }
         }
+    }
+
+    /// A remapped table keeps every slot and looks the new names up, in
+    /// the direct table when they fit and hashed when they do not; a name
+    /// given twice is refused.
+    #[test]
+    fn remap_renames_in_place() {
+        for (bounded, table) in [
+            (true, [3u64, 2, 1, 0]),
+            (true, [40, 30, 20, 10]),
+            (false, [40, 30, 20, 10]),
+        ] {
+            let (mut t, mut slots) = if bounded {
+                (DenseIds::bounded(4), Vec::new())
+            } else {
+                DenseIds::intern(std::iter::empty())
+            };
+            t.extend(&[2u64, 0, 2, 3], |&id| id, &mut slots);
+            t.remap(&table).expect("a bijection");
+            assert_eq!(slots, [0, 1, 0, 2]);
+            for slot in 0..t.len() as u32 {
+                assert_eq!(t.slot_of(t.orig(slot)), Some(slot));
+            }
+            assert_eq!(t.orig(0), table[2]);
+            assert_eq!(t.slot_of(table[1]), None, "id 1 never appeared");
+        }
+        let (mut t, _) = DenseIds::intern([0u64, 1].into_iter());
+        assert_eq!(t.remap(&[7, 7]), Err(7));
     }
 
     #[test]

@@ -580,7 +580,7 @@ impl<D: FlashDevice> FlashCache<D> {
 
     /// Replays a full trace (read requests only), returning the stats.
     /// Device faults are absorbed (counted in the stats), never panics.
-    pub fn run(&mut self, reqs: &[Request]) -> FlashStats {
+    pub fn run(&mut self, reqs: impl IntoIterator<Item = Request>) -> FlashStats {
         for r in reqs {
             if r.op == Op::Get {
                 self.request(r.id, r.size);
@@ -613,7 +613,7 @@ mod tests {
             admission: kind,
         };
         let mut c = FlashCache::new(cfg).unwrap();
-        c.run(&trace.requests)
+        c.run(trace.iter())
     }
 
     #[test]
@@ -726,7 +726,7 @@ mod tests {
             ResilienceConfig::default(),
         )
         .unwrap();
-        let s = c.run(&trace.requests);
+        let s = c.run(trace.iter());
         assert_eq!(s.misses, base.misses);
         assert_eq!(s.flash_write_bytes, base.flash_write_bytes);
         assert_eq!(s.device_errors(), 0);
@@ -743,7 +743,7 @@ mod tests {
             ResilienceConfig::default(),
         )
         .unwrap();
-        let s = c.run(&trace.requests);
+        let s = c.run(trace.iter());
         assert!(s.retries > 0, "1% faults must trigger retries");
         assert_eq!(s.budget_trips, 0, "default budget absorbs 1% transients");
         assert!(
@@ -779,7 +779,7 @@ mod tests {
             },
         };
         let mut c = FlashCache::faulty(faulty_cfg(&trace), plan, resilience).unwrap();
-        let s = c.run(&trace.requests);
+        let s = c.run(trace.iter());
         assert!(s.budget_trips >= 1, "dead device must trip the budget");
         assert!(s.degraded_ops > 0, "degraded mode must have engaged");
         assert!(
@@ -799,7 +799,7 @@ mod tests {
             ResilienceConfig::default(),
         )
         .unwrap();
-        let s = c.run(&trace.requests);
+        let s = c.run(trace.iter());
         assert!(s.corruptions > 0);
         assert_eq!(s.corruptions, c.device_fault_stats().corruptions);
     }
@@ -951,7 +951,7 @@ mod tests {
         let tracer = cache_obs::EventTracer::new(1 << 12);
         let mut c = FlashCache::faulty(faulty_cfg(&trace), plan, resilience).unwrap();
         c.attach_obs(&registry.scope("flash.ladder"), tracer.clone());
-        let s = c.run(&trace.requests);
+        let s = c.run(trace.iter());
 
         assert!(s.budget_trips >= 1 && s.budget_recoveries >= 1);
         let find = |name: &str| {
@@ -1110,8 +1110,8 @@ mod tests {
             let mut perfect = FlashCache::new(cfg).unwrap();
             let mut faulty =
                 FlashCache::faulty(cfg, plan.clone(), ResilienceConfig::default()).unwrap();
-            got.push(fields(&perfect.run(&trace.requests)));
-            got.push(fields(&faulty.run(&trace.requests)));
+            got.push(fields(&perfect.run(trace.iter())));
+            got.push(fields(&faulty.run(trace.iter())));
             assert!(perfect.verify_accounting() && faulty.verify_accounting());
         }
         assert_eq!(got, PINNED);

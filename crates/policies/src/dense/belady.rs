@@ -1,13 +1,12 @@
 //! Belady's MIN / OPT — the offline-optimal eviction algorithm — over dense
 //! slots. It evicts the resident object whose next request is furthest in
 //! the future, those never requested again first, so it is built from the
-//! whole trace: [`DenseBelady::new`] computes, for every position, when the
-//! same object is requested next. Fig. 4 uses it to show that even the
+//! whole trace's slots: [`DenseBelady::new`] computes, for every position,
+//! when the same slot is requested next. Fig. 4 uses it to show that even the
 //! optimal policy evicts mostly one-hit wonders. Each resident slot's next
 //! use sits in an array beside the slab, which catches up with the slab's
 //! domain on insertion, so it follows both doors' growth.
 
-use cache_ds::IdMap;
 use cache_types::{CacheError, Eviction, ObjId, Outcome, PolicyStats, Request};
 use s3fifo::dense::{serve, DensePolicy, DenseSlab, SlabPolicy};
 use std::collections::BTreeSet;
@@ -41,25 +40,26 @@ pub struct DenseBelady {
 }
 
 impl DenseBelady {
-    /// Creates an offline-optimal policy of `capacity` bytes for `trace`
-    /// over the dense domain `0..domain`. It must then be driven with
-    /// exactly that trace, in order; requests past its end count as never
-    /// requested again.
+    /// Creates an offline-optimal policy of `capacity` bytes for the trace
+    /// whose requests name `slots` (any interning that gives each object
+    /// one slot), over the dense domain `0..domain`. It must then be driven
+    /// with exactly that trace, in order; requests past its end count as
+    /// never requested again.
     ///
     /// # Errors
     ///
     /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
-    pub fn new(capacity: u64, trace: &[Request], domain: usize) -> Result<Self, CacheError> {
+    pub fn new(capacity: u64, slots: &[u32], domain: usize) -> Result<Self, CacheError> {
         if capacity == 0 {
             return Err(CacheError::InvalidCapacity("capacity must be > 0".into()));
         }
-        let mut next_occurrence = vec![NEVER; trace.len()];
-        let mut last_seen: IdMap<u64> = IdMap::default();
-        for (i, r) in trace.iter().enumerate().rev() {
-            if let Some(&later) = last_seen.get(&r.id) {
-                next_occurrence[i] = later;
-            }
-            last_seen.insert(r.id, i as u64);
+        let mut next_occurrence = vec![NEVER; slots.len()];
+        let named = slots.iter().max().map_or(0, |&s| s as usize + 1);
+        let mut last_seen = vec![NEVER; named];
+        for (i, &slot) in slots.iter().enumerate().rev() {
+            let last = &mut last_seen[slot as usize];
+            next_occurrence[i] = *last;
+            *last = i as u64;
         }
         Ok(DenseBelady {
             capacity,
@@ -193,7 +193,8 @@ mod tests {
     use s3fifo::Keyed;
 
     fn keyed(capacity: u64, trace: &[Request]) -> Keyed<DenseBelady> {
-        Keyed::over(DenseBelady::new(capacity, trace, 0).unwrap())
+        let (_, slots) = cache_ds::DenseIds::intern(trace.iter().map(|r| r.id));
+        Keyed::over(DenseBelady::new(capacity, &slots, 0).unwrap())
     }
 
     #[test]
@@ -211,7 +212,7 @@ mod tests {
         let mut p = keyed(3, &reqs);
         assert_eq!(run_trace(&mut p, &reqs).misses, 9, "OPT page-fault count");
         let (ids, slots) = cache_ds::DenseIds::intern(reqs.iter().map(|r| r.id));
-        let mut dense = DenseBelady::new(3, &reqs, ids.len()).unwrap();
+        let mut dense = DenseBelady::new(3, &slots, ids.len()).unwrap();
         dense.replay(&slots, &reqs, false, &mut |_, _| {});
         assert_eq!(
             DensePolicy::stats(&dense).misses,

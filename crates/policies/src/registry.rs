@@ -6,6 +6,7 @@ use crate::dense::{
     DenseLeCar, DenseLhd, DenseLirs, DenseLru, DenseLruK, DenseS3Fifo, DenseSieve, DenseSlru,
     DenseTinyLfu, DenseTwoQ,
 };
+use cache_ds::DenseIds;
 use cache_types::{CacheError, Policy, Request};
 use s3fifo::dense::{DensePolicy, Keyed, SlabPolicy};
 use s3fifo::policy::{FifoLru, FifoSieve, LruFifo, LruLru};
@@ -62,8 +63,8 @@ pub const ALL_ALGORITHMS: &[&str] = &[
 /// The one name → dense policy table, expanded once per door. `$wrap` is
 /// [`boxed`] (the policy itself, for pre-interned slots) or [`keyed`] (the
 /// policy behind [`Keyed`]); it is a generic function rather than a closure
-/// because each arm hands it a different concrete type. `$trace` is read
-/// by Belady alone. Evaluates to the wrapped policy and uses `?` on the
+/// because each arm hands it a different concrete type. `$trace`, the
+/// trace as slots, is evaluated by Belady's arm alone. Evaluates to the wrapped policy and uses `?` on the
 /// enclosing function, which returns an unknown name's error.
 macro_rules! dense_by_name {
     ($name:expr, $capacity:expr, $trace:expr, $domain:expr, $wrap:path) => {
@@ -98,7 +99,7 @@ macro_rules! dense_by_name {
                 "CACHEUS" => $wrap(DenseCacheus::with_domain($capacity, $domain)?),
                 "LHD" => $wrap(DenseLhd::with_domain($capacity, $domain)?),
                 "FIFO-Merge" => $wrap(DenseFifoMerge::with_domain($capacity, $domain)?),
-                "Belady" => $wrap(DenseBelady::new($capacity, belady_trace($trace)?, $domain)?),
+                "Belady" => $wrap(DenseBelady::new($capacity, belady_slots($trace)?, $domain)?),
                 other => {
                     return Err(CacheError::InvalidParameter(format!(
                         "unknown algorithm {other:?}"
@@ -127,14 +128,17 @@ pub fn build(
     capacity: u64,
     trace: Option<&[Request]>,
 ) -> Result<Box<dyn Policy>, CacheError> {
-    Ok(dense_by_name!(name, capacity, trace, 0, keyed))
+    // Belady reads only which requests name the same object, so any
+    // interning of the ids serves, whichever slots the adapter assigns.
+    let interned = |t: &[Request]| DenseIds::intern(t.iter().map(|r| r.id)).1;
+    Ok(dense_by_name!(name, capacity, trace.map(interned).as_deref(), 0, keyed))
 }
 
 /// Builds the named slab policy over the dense domain `0..domain`, to be
 /// driven with pre-interned slots — a trace's footprint, or 0 for a stream
 /// that grows the policy as it names ids ([`DensePolicy::grow_domain`]).
-/// Every name [`build`] accepts, with the same `trace` rule: Belady needs
-/// the trace it will be driven with, in order.
+/// Every name [`build`] accepts, with the same `trace` rule, the trace given
+/// as its slots: Belady needs the slots it will be driven with, in order.
 ///
 /// # Errors
 ///
@@ -142,15 +146,15 @@ pub fn build(
 pub fn build_dense_domain(
     name: &str,
     capacity: u64,
-    trace: Option<&[Request]>,
+    trace: Option<&[u32]>,
     domain: usize,
 ) -> Result<Box<dyn DensePolicy>, CacheError> {
     Ok(dense_by_name!(name, capacity, trace, domain, boxed))
 }
 
-/// The trace Belady reads each request's next use off, which it cannot be
+/// The slots Belady reads each request's next use off, which it cannot be
 /// built without.
-fn belady_trace(trace: Option<&[Request]>) -> Result<&[Request], CacheError> {
+fn belady_slots(trace: Option<&[u32]>) -> Result<&[u32], CacheError> {
     trace.ok_or_else(|| CacheError::InvalidParameter("Belady requires the trace".into()))
 }
 
@@ -327,10 +331,10 @@ mod tests {
         };
         for name in ALL_ALGORITHMS.iter().copied().chain(["S3-FIFO(0.25)"]) {
             let mut presized =
-                build_dense_domain(name, 60, Some(&reqs), ids.len()).expect("builds");
+                build_dense_domain(name, 60, Some(&slots), ids.len()).expect("builds");
             let want = replay(presized.as_mut(), None);
             for reserve in [0, ids.len()] {
-                let mut grown = build_dense_domain(name, 60, Some(&reqs), 0).expect("builds");
+                let mut grown = build_dense_domain(name, 60, Some(&slots), 0).expect("builds");
                 assert!(
                     replay(grown.as_mut(), Some(reserve)) == want,
                     "{name} reserve {reserve}"

@@ -446,7 +446,7 @@ fn build_plans(cfg: &LoadgenConfig) -> Vec<Vec<PlannedOp>> {
         .generate();
     let mut plans: Vec<Vec<PlannedOp>> = vec![Vec::with_capacity(cfg.requests_per_client); cfg.clients];
     let mut rng = SplitMix64::new(mix64(cfg.seed ^ 0x010A_D6E4));
-    for (i, req) in trace.requests.iter().take(total).enumerate() {
+    for (i, req) in trace.iter().take(total).enumerate() {
         let draw = rng.next_f64();
         let op = if draw < cfg.delete_fraction {
             PlannedOp::Delete(req.id)

@@ -150,7 +150,7 @@ mod tests {
         );
         let lru = lru_mean_eviction_age(&t, 300);
         assert_eq!(lru.to_bits(), 0x4088_4995_b7c8_0d52);
-        let oracle = NextAccessOracle::new(&t.requests);
+        let oracle = NextAccessOracle::new(t.iter());
         for (name, time, speed, precision, demotions) in [
             (
                 "S3-FIFO",
@@ -186,7 +186,7 @@ mod tests {
     fn s3fifo_demotes_faster_than_lru_evicts() {
         let t = trace();
         let cap = 300u64;
-        let oracle = NextAccessOracle::new(&t.requests);
+        let oracle = NextAccessOracle::new(t.iter());
         let lru_age = lru_mean_eviction_age(&t, cap);
         let m = demotion_metrics("S3-FIFO", &t, cap, lru_age, &oracle).unwrap();
         assert!(m.demotions > 0);
@@ -203,7 +203,7 @@ mod tests {
         // speed."
         let t = trace();
         let cap = 300u64;
-        let oracle = NextAccessOracle::new(&t.requests);
+        let oracle = NextAccessOracle::new(t.iter());
         let lru_age = lru_mean_eviction_age(&t, cap);
         let fast = demotion_metrics("S3-FIFO(0.05)", &t, cap, lru_age, &oracle).unwrap();
         let slow = demotion_metrics("S3-FIFO(0.40)", &t, cap, lru_age, &oracle).unwrap();
@@ -219,7 +219,7 @@ mod tests {
     fn precision_between_zero_and_one() {
         let t = trace();
         let cap = 300u64;
-        let oracle = NextAccessOracle::new(&t.requests);
+        let oracle = NextAccessOracle::new(t.iter());
         let lru_age = lru_mean_eviction_age(&t, cap);
         for name in ["S3-FIFO", "TinyLFU-0.1", "ARC", "2Q"] {
             let m = demotion_metrics(name, &t, cap, lru_age, &oracle).unwrap();
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn no_demotions_without_pressure() {
         let small = WorkloadSpec::zipf("t", 1000, 50, 1.0, 3).generate();
-        let oracle = NextAccessOracle::new(&small.requests);
+        let oracle = NextAccessOracle::new(small.iter());
         let m = demotion_metrics("S3-FIFO", &small, 10_000, 0.0, &oracle).unwrap();
         assert_eq!(m.demotions, 0);
         assert_eq!(m.speed, 0.0);

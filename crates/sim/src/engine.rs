@@ -3,8 +3,9 @@
 //! [`Replay`] is the one place a request reaches a policy. It is built over
 //! registry names or explicit policies, takes its settings (`ignore_size`,
 //! a series window, a [`RequestObserver`]) and is then fed chunks of a
-//! request stream: an in-memory [`Trace`] is one chunk, a `.ctr` file one
-//! chunk per read (`crate::stream`). DESIGN.md, "The replay surface", has
+//! request stream: an in-memory [`Trace`] in chunks built from its columns,
+//! a `.ctr` file one chunk per read (`crate::stream`); both chunks are
+//! [`DEFAULT_CHUNK_RECORDS`] long. DESIGN.md, "The replay surface", has
 //! the table of which call serves which combination.
 //!
 //! Every policy it drives is a [`DensePolicy`] fed pre-interned slots, and
@@ -18,6 +19,7 @@
 //! policy keeps private state and sees the same requests, so a gang's
 //! results equal the solo runs bit for bit.
 
+use crate::stream::DEFAULT_CHUNK_RECORDS;
 use cache_ds::Histogram;
 use cache_obs::MissRatioSeries;
 use cache_policies::registry;
@@ -206,12 +208,12 @@ impl<'p> Replay<'p> {
         }
     }
 
-    /// One policy per registry name, over `0..domain`; `trace` is what
-    /// Belady reads.
+    /// One policy per registry name, over `0..domain`; `trace`'s slots are
+    /// what Belady reads.
     fn named(
         names: &[&str],
         capacity: u64,
-        trace: Option<&[Request]>,
+        trace: Option<&[u32]>,
         domain: usize,
     ) -> Result<Self, CacheError> {
         let policies = names
@@ -229,8 +231,7 @@ impl<'p> Replay<'p> {
     /// Propagates [`CacheError`] from the registry (unknown name, bad
     /// parameter).
     pub fn on_trace(names: &[&str], trace: &Trace, capacity: u64) -> Result<Self, CacheError> {
-        let domain = trace.dense().ids.len();
-        Self::named(names, capacity, Some(&trace.requests), domain)
+        Self::named(names, capacity, Some(trace.slots()), trace.footprint())
     }
 
     /// [`on_trace`](Self::on_trace) for a stream whose ids all lie below
@@ -436,18 +437,23 @@ impl<'p> Replay<'p> {
         self.lanes.into_iter().map(assemble).collect()
     }
 
-    /// Feeds the whole of `trace` as one chunk and finishes.
+    /// Feeds the whole of `trace`, [`DEFAULT_CHUNK_RECORDS`] requests at a
+    /// time built from its columns into one reused buffer, and finishes.
     ///
     /// # Panics
     ///
     /// Panics when a policy the caller built cannot grow to the trace's
     /// footprint; the registry's all can.
     pub fn run(mut self, trace: &Trace) -> Vec<Replayed> {
-        let dense = trace.dense();
-        if let Err(e) = self.grow(dense.ids.len(), 0) {
+        if let Err(e) = self.grow(trace.footprint(), 0) {
             panic!("replaying {}: {e}", trace.name);
         }
-        self.feed_covered(&dense.slots, &trace.requests);
+        let mut chunk = Vec::with_capacity(DEFAULT_CHUNK_RECORDS.min(trace.len()));
+        for start in (0..trace.len()).step_by(DEFAULT_CHUNK_RECORDS) {
+            let end = trace.len().min(start + DEFAULT_CHUNK_RECORDS);
+            trace.fill(start..end, &mut chunk);
+            self.feed_covered(&trace.slots()[start..end], &chunk);
+        }
         self.finish(&trace.name)
     }
 }
@@ -663,6 +669,35 @@ mod tests {
         }
         let mut replay = Replay::dense(Box::new(Fixed));
         assert!(replay.feed(&slots, &reqs).is_err());
+    }
+
+    /// `run` feeds a trace [`DEFAULT_CHUNK_RECORDS`] built requests at a
+    /// time; every name, Belady included, decides as if it were fed the
+    /// rows in one chunk, or in chunks of 1, 7 or 2^14, windows and sizes
+    /// included.
+    #[test]
+    fn run_in_chunks_equals_one_chunk() {
+        let mut spec = WorkloadSpec::zipf("c", DEFAULT_CHUNK_RECORDS + 3_000, 900, 0.9, 21);
+        spec.delete_fraction = 0.05;
+        spec.size_model = cache_trace::gen::SizeModel::Uniform { min: 1, max: 4 };
+        let trace = spec.generate();
+        assert!(trace.sizes().is_some() && trace.ops().is_some());
+        let rows = trace.to_requests();
+        let replay = |name| {
+            let replay = Replay::on_trace(&[name], &trace, 150).unwrap();
+            replay.window(1_000)
+        };
+        for name in registry::ALL_ALGORITHMS {
+            let want = format!("{:?}", replay(name).run(&trace));
+            for chunk in [1, 7, 1 << 14, trace.len()] {
+                let mut fed = replay(name);
+                for (slots, reqs) in trace.slots().chunks(chunk).zip(rows.chunks(chunk)) {
+                    fed.feed(slots, reqs).unwrap();
+                }
+                let got = format!("{:?}", fed.finish(&trace.name));
+                assert!(got == want, "{name}, chunks of {chunk}");
+            }
+        }
     }
 
     #[test]

@@ -309,7 +309,7 @@ fn simulate_mrc_on(
                 .collect()
         })
         .collect();
-    let draw = |share: &[u64]| draw_share(algorithm, trace, dense.as_deref(), share, cfg);
+    let draw = |share: &[u64]| draw_share(algorithm, trace, dense, share, cfg);
     // The calling thread is the first worker, so one worker spawns nothing.
     let drawn: Vec<Result<MrcResult, CacheError>> = std::thread::scope(|scope| {
         let spawned: Vec<_> = shares[1..]

@@ -15,17 +15,19 @@ pub struct NextAccessOracle {
 }
 
 impl NextAccessOracle {
-    /// Builds the oracle from a trace (read requests only).
-    pub fn new(reqs: &[Request]) -> Self {
+    /// Builds the oracle from a trace's requests (read requests only).
+    pub fn new(reqs: impl IntoIterator<Item = Request>) -> Self {
         let mut positions: IdMap<Vec<u64>> = IdMap::default();
-        for (i, r) in reqs.iter().enumerate() {
+        let mut trace_len = 0;
+        for r in reqs {
             if r.is_read() {
-                positions.entry(r.id).or_default().push(i as u64);
+                positions.entry(r.id).or_default().push(trace_len);
             }
+            trace_len += 1;
         }
         NextAccessOracle {
             positions,
-            trace_len: reqs.len() as u64,
+            trace_len,
         }
     }
 
@@ -63,7 +65,7 @@ mod tests {
     #[test]
     fn finds_next_access() {
         let reqs = reqs_of(&[1, 2, 1, 3, 1]);
-        let o = NextAccessOracle::new(&reqs);
+        let o = NextAccessOracle::new(reqs);
         assert_eq!(o.next_access_after(1, 0), Some(2));
         assert_eq!(o.next_access_after(1, 2), Some(4));
         assert_eq!(o.next_access_after(1, 4), None);
@@ -74,7 +76,7 @@ mod tests {
     #[test]
     fn reuse_distance_is_forward() {
         let reqs = reqs_of(&[5, 0, 0, 5]);
-        let o = NextAccessOracle::new(&reqs);
+        let o = NextAccessOracle::new(reqs);
         assert_eq!(o.reuse_distance(5, 0), Some(3));
         assert_eq!(o.reuse_distance(0, 1), Some(1));
     }
@@ -82,14 +84,14 @@ mod tests {
     #[test]
     fn query_before_first_access() {
         let reqs = reqs_of(&[9, 9]);
-        let o = NextAccessOracle::new(&reqs);
+        let o = NextAccessOracle::new(reqs);
         // t earlier than any position: strictly-after semantics.
         assert_eq!(o.next_access_after(9, 0), Some(1));
     }
 
     #[test]
     fn trace_len_reported() {
-        let o = NextAccessOracle::new(&reqs_of(&[1, 2, 3]));
+        let o = NextAccessOracle::new(reqs_of(&[1, 2, 3]));
         assert_eq!(o.trace_len(), 3);
     }
 }

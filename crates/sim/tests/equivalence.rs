@@ -55,7 +55,7 @@ fn assert_equivalent(name: &str, trace: &Trace, cfg: &SimConfig, validate: Valid
         .unwrap_or_else(|e| panic!("{name} on {}: {e}", trace.name))
         .expect("no min_objects filter configured");
     let capacity = cfg.capacity_for(trace);
-    let keyed = drive_keyed(name, capacity, &trace.requests, cfg.ignore_size, validate);
+    let keyed = drive_keyed(name, capacity, &trace.to_requests(), cfg.ignore_size, validate);
     let stats = keyed.stats;
 
     let ctx = format!(
@@ -417,7 +417,7 @@ fn dense_variants_exist_for_core_policies() {
     let parameterized = ["S3-FIFO(0.25)", "TinyLFU(0.2)"];
     for name in ALL_ALGORITHMS.iter().chain(&parameterized) {
         let built =
-            cache_policies::registry::build_dense_domain(name, 16, Some(&trace.requests), domain);
+            cache_policies::registry::build_dense_domain(name, 16, Some(trace.slots()), domain);
         assert!(built.is_ok(), "{name}");
     }
 }
@@ -519,7 +519,7 @@ fn dense_fingerprint(
 ) -> (u64, u64, u64) {
     let (ids, slots) = cache_ds::DenseIds::intern(requests.iter().map(|r| r.id));
     let mut policy =
-        cache_policies::registry::build_dense_domain(name, capacity, Some(requests), ids.len())
+        cache_policies::registry::build_dense_domain(name, capacity, Some(&slots), ids.len())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut hash = FNV_OFFSET;
     policy.replay(&slots, requests, ignore_size, &mut |_, e| {
@@ -535,7 +535,7 @@ fn dense_fingerprint(
 fn dense_print(name: &str, capacity: u64, requests: &[Request], ignore_size: bool) -> Print {
     let (ids, slots) = cache_ds::DenseIds::intern(requests.iter().map(|r| r.id));
     let mut policy =
-        cache_policies::registry::build_dense_domain(name, capacity, Some(requests), ids.len())
+        cache_policies::registry::build_dense_domain(name, capacity, Some(&slots), ids.len())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
     let (mut hash, mut outcomes) = (FNV_OFFSET, FNV_OFFSET);
     let mut evicted = Vec::new();
@@ -713,7 +713,7 @@ fn assert_fingerprints(golden: &[(&str, [(u64, u64, u64); 3])]) {
         ] {
             let got: Vec<_> = workloads
                 .iter()
-                .map(|(t, cfg)| print(name, cfg.capacity_for(t), &t.requests, cfg.ignore_size))
+                .map(|(t, cfg)| print(name, cfg.capacity_for(t), &t.to_requests(), cfg.ignore_size))
                 .collect();
             assert_eq!(got, want, "{name}, {door} door");
         }

@@ -157,7 +157,7 @@ fn observed(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Rep
     let got = drive(replay.observer(&mut count).expect("one policy"), f, source).remove(0);
     assert_eq!(
         count.0,
-        f.decoded.requests.len() as u64,
+        f.decoded.len() as u64,
         "{name}: observed requests"
     );
     got
@@ -177,10 +177,10 @@ fn keyed_by_hand(name: &str, f: &Fixture, window: Option<u64>) -> Replayed {
     let (mut freq, mut age) = (Histogram::new(), Histogram::new());
     let mut series = window.map(MissRatioSeries::new);
     let mut evicted = Vec::new();
-    for (now, r) in f.decoded.requests.iter().enumerate() {
+    for (now, r) in f.decoded.iter().enumerate() {
         let size = if f.ignore_size { 1 } else { r.size };
         evicted.clear();
-        let outcome = policy.request(&Request { size, ..*r }, &mut evicted);
+        let outcome = policy.request(&Request { size, ..r }, &mut evicted);
         for e in &evicted {
             freq.record(u64::from(e.freq));
             age.record(e.age(now as u64));

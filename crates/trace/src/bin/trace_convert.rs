@@ -97,7 +97,7 @@ fn verify(csv_path: &str, ctr_path: &str) {
             ctr.len()
         ));
     }
-    for (i, (a, b)) in csv.requests.iter().zip(&ctr.requests).enumerate() {
+    for (i, (a, b)) in csv.iter().zip(ctr.iter()).enumerate() {
         if a.id != b.id || a.size != b.size || a.op != b.op {
             fail(&format!(
                 "request {i} differs: csv {a:?} vs binary {b:?}"

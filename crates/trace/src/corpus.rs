@@ -157,7 +157,7 @@ impl DatasetSpec {
             // Churn is defined as turnover over the whole trace; rescale it
             // to the probe's shorter length and smaller core.
             p.churn_per_request = self.churn_turnover * objects as f64 / probe_requests as f64;
-            crate::analysis::one_hit_wonder_ratio(&p.generate().requests)
+            crate::analysis::one_hit_wonder_ratio(&p.generate())
         };
         let cap = (0.7 - self.scan_fraction).max(0.0);
         let mut f_prev = spec.one_hit_fraction;
@@ -482,7 +482,7 @@ mod tests {
         let ds = &datasets()[0];
         let a = ds.trace(&cfg, 0);
         let b = ds.trace(&cfg, 0);
-        assert_eq!(a.requests, b.requests);
+        assert_eq!(a.to_requests(), b.to_requests());
     }
 
     #[test]
@@ -491,7 +491,7 @@ mod tests {
         let ds = &datasets()[0];
         let a = ds.trace(&cfg, 0);
         let b = ds.trace(&cfg, 1);
-        assert_ne!(a.requests, b.requests);
+        assert_ne!(a.to_requests(), b.to_requests());
     }
 
     #[test]
@@ -513,8 +513,8 @@ mod tests {
         let ds = datasets();
         let twitter = ds.iter().find(|d| d.name == "twitter").unwrap();
         let msr = ds.iter().find(|d| d.name == "msr").unwrap();
-        let ohw_tw = analysis::one_hit_wonder_ratio(&twitter.trace(&cfg, 0).requests);
-        let ohw_msr = analysis::one_hit_wonder_ratio(&msr.trace(&cfg, 0).requests);
+        let ohw_tw = analysis::one_hit_wonder_ratio(&twitter.trace(&cfg, 0));
+        let ohw_msr = analysis::one_hit_wonder_ratio(&msr.trace(&cfg, 0));
         assert!(
             ohw_tw < ohw_msr,
             "twitter OHW {ohw_tw:.3} should be below msr OHW {ohw_msr:.3}"
@@ -532,8 +532,8 @@ mod tests {
         };
         for ds in datasets() {
             let t = ds.trace(&cfg, 0);
-            let full = analysis::one_hit_wonder_ratio(&t.requests);
-            let w10 = analysis::sampled_window_ohw(&t.requests, 0.10, 10, 3);
+            let full = analysis::one_hit_wonder_ratio(&t);
+            let w10 = analysis::sampled_window_ohw(&t, 0.10, 10, 3);
             assert!(
                 w10 > full,
                 "{}: window OHW {w10:.3} must exceed full-trace OHW {full:.3}",

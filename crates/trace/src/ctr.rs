@@ -40,7 +40,7 @@
 //! corruption surface as [`CacheError::TraceFormat`] — never a panic and
 //! never an out-of-bounds slot downstream.
 
-use crate::Trace;
+use crate::{Lanes, Trace};
 use cache_ds::DenseIds;
 use cache_types::{CacheError, Op, Request};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -511,8 +511,8 @@ impl<R: Read + Seek> CtrReader<R> {
     }
 }
 
-/// Writes an in-memory trace as `.ctr`, interning ids to the dense `u32`
-/// space (first-appearance order, [`Trace::dense`]) and appending the
+/// Writes an in-memory trace as `.ctr`, its ids in the dense `u32` space
+/// (first-appearance order, [`Trace::dense`]), and appends the
 /// original-id table so [`read_trace_original_ids`] can reverse the mapping.
 /// The op lane is included only when the trace has non-Get requests.
 ///
@@ -525,21 +525,41 @@ pub fn write_trace<W: Write + Seek>(trace: &Trace, w: W) -> Result<(W, CtrInfo),
         ops: !trace.shape().pure_get,
     };
     let mut writer = CtrWriter::create(w, lanes)?;
-    for (slot, req) in dense.slots.iter().zip(trace.requests.iter()) {
+    for (slot, req) in dense.slots.iter().zip(trace.iter()) {
         writer.push(*slot, req.size, req.op)?;
     }
     let originals: Vec<u64> = (0..dense.ids.len() as u32).map(|s| dense.ids.orig(s)).collect();
     writer.finish_with_id_table(&originals)
 }
 
-/// Materializes a `.ctr` stream as an in-memory [`Trace`] with its record
-/// ids — request for request what the streaming replayer would consume, so
-/// in-memory and streamed replays of the same file are bit-identical.
-///
-/// The trace's dense view ([`Trace::dense`]) is interned while it loads,
-/// through the direct table the header's id space allows
+/// Reads the rest of `reader` into columns, interning the record ids as it
+/// goes through the direct table the header's id space allows
 /// ([`cache_ds::DenseIds::bounded`]): the slots are the ones the streaming
 /// replayer assigns, and no hash is paid per request.
+fn read_columns<R: Read + Seek>(
+    reader: &mut CtrReader<R>,
+) -> Result<(DenseIds, Vec<u32>, Lanes), CacheError> {
+    let info = *reader.info();
+    let records = info.records.min(1 << 24) as usize;
+    let mut slots = cache_ds::huge::with_capacity(records);
+    let mut lanes = Lanes::with_hint(records);
+    // `open` bounds the id space by 2^32, so this never clamps.
+    let mut ids = DenseIds::bounded(usize::try_from(info.id_space).unwrap_or(usize::MAX));
+    let mut chunk = Vec::new();
+    while reader.read_chunk(&mut chunk, 1 << 16)? > 0 {
+        ids.extend(&chunk, |r| r.id, &mut slots);
+        for r in &chunk {
+            lanes.push(r.size, r.op);
+        }
+    }
+    Ok((ids, slots, lanes))
+}
+
+/// Materializes a `.ctr` stream as an in-memory [`Trace`] with its record
+/// ids — request for request what the streaming replayer would consume, so
+/// in-memory and streamed replays of the same file are bit-identical. The
+/// trace is loaded as columns ([`crate::DenseTrace`]): a slot per record,
+/// and a size or op column only when some record needs one.
 ///
 /// # Errors
 ///
@@ -550,27 +570,19 @@ pub fn read_trace<R: Read + Seek>(
 ) -> Result<(Trace, CtrInfo), CacheError> {
     let mut reader = CtrReader::open(r)?;
     let info = *reader.info();
-    let records = info.records.min(1 << 24) as usize;
-    let mut requests = cache_ds::huge::with_capacity(records);
-    let mut slots = cache_ds::huge::with_capacity(records);
-    // `open` bounds the id space by 2^32, so this never clamps.
-    let mut ids = DenseIds::bounded(usize::try_from(info.id_space).unwrap_or(usize::MAX));
-    let mut chunk = Vec::new();
-    while reader.read_chunk(&mut chunk, 1 << 16)? > 0 {
-        requests.extend_from_slice(&chunk);
-        ids.extend(&chunk, |r| r.id, &mut slots);
-    }
-    Ok((Trace::with_dense(name, requests, ids, slots), info))
+    let (ids, slots, lanes) = read_columns(&mut reader)?;
+    Ok((Trace::from_columns(name, ids, slots, lanes), info))
 }
 
 /// [`read_trace`] with the id-table mapping applied, restoring the original
 /// 64-bit ids of a converted trace. Files without a table come back with
-/// their dense ids (the mapping is the identity).
+/// their dense ids (the mapping is the identity). The mapping renames the
+/// interning table's entries ([`DenseIds::remap`]), not the records.
 ///
 /// # Errors
 ///
-/// Same as [`read_trace`], plus [`CacheError::TraceFormat`] when a record id
-/// has no table entry.
+/// Same as [`read_trace`], plus [`CacheError::TraceFormat`] when the table
+/// names one original id twice.
 pub fn read_trace_original_ids<R: Read + Seek>(
     name: impl Into<String>,
     r: R,
@@ -578,18 +590,14 @@ pub fn read_trace_original_ids<R: Read + Seek>(
     let mut reader = CtrReader::open(r)?;
     let info = *reader.info();
     let table = reader.read_id_table()?;
-    let mut requests = Vec::with_capacity(info.records.min(1 << 24) as usize);
-    let mut chunk = Vec::new();
-    while reader.read_chunk(&mut chunk, 1 << 16)? > 0 {
-        if let Some(table) = &table {
-            for req in &mut chunk {
-                // In range: read_chunk validated id < id_space == table.len().
-                req.id = table[req.id as usize];
-            }
-        }
-        requests.extend_from_slice(&chunk);
+    let (mut ids, slots, lanes) = read_columns(&mut reader)?;
+    if let Some(table) = &table {
+        // In range: read_chunk validated id < id_space == table.len().
+        ids.remap(table).map_err(|id| {
+            CacheError::TraceFormat(format!("id table names original id {id} twice"))
+        })?;
     }
-    Ok((Trace::new(name, requests), info))
+    Ok((Trace::from_columns(name, ids, slots, lanes), info))
 }
 
 #[cfg(test)]
@@ -611,9 +619,13 @@ mod tests {
         assert_eq!(info.records, t.len() as u64);
         assert!(!info.lanes.ops, "pure-Get trace needs no op lane");
         assert_eq!(info.record_bytes, 8);
+        assert!(
+            back.sizes().is_none() && back.ops().is_none(),
+            "no column to hold"
+        );
         // Dense ids: same slot sequence as the source's dense view.
         let dense = t.dense();
-        for (i, (req, src)) in back.requests.iter().zip(t.requests.iter()).enumerate() {
+        for (i, (req, src)) in back.iter().zip(t.iter()).enumerate() {
             assert_eq!(req.id, u64::from(dense.slots[i]));
             assert_eq!(req.size, src.size);
             assert_eq!(req.op, src.op);
@@ -630,7 +642,15 @@ mod tests {
         let (back, info) = read_trace_original_ids("z", Cursor::new(&bytes)).expect("read");
         assert!(info.lanes.ops, "deletes require the op lane");
         assert!(info.has_id_table);
-        assert_eq!(t.requests, back.requests);
+        assert!(
+            back.sizes().is_some() && back.ops().is_some(),
+            "deletes have size 0"
+        );
+        assert_eq!(t.to_requests(), back.to_requests());
+        let ids = &back.dense().ids;
+        for slot in 0..ids.len() as u32 {
+            assert_eq!(ids.slot_of(ids.orig(slot)), Some(slot));
+        }
     }
 
     #[test]
@@ -650,7 +670,7 @@ mod tests {
                 assert!(n <= chunk_size);
                 got.extend_from_slice(&buf);
             }
-            assert_eq!(got, whole.requests, "chunk size {chunk_size}");
+            assert_eq!(got, whole.to_requests(), "chunk size {chunk_size}");
         }
     }
 
@@ -663,7 +683,7 @@ mod tests {
         let mut buf = Vec::new();
         reader.seek_record(123).expect("seek");
         reader.read_chunk(&mut buf, 10).expect("chunk");
-        assert_eq!(buf, whole.requests[123..133]);
+        assert_eq!(buf, whole.to_requests()[123..133]);
         assert_eq!(buf[0].time, 123, "times are global record indices");
         // Seeking to the end is allowed and reads nothing.
         reader.seek_record(500).expect("seek to end");
@@ -722,6 +742,18 @@ mod tests {
         w.push(5, 1, Op::Get).expect("push");
         // id space is 6 (max id 5), but only 2 originals supplied.
         assert!(w.finish_with_id_table(&[10, 20]).is_err());
+    }
+
+    #[test]
+    fn id_table_naming_an_id_twice_is_refused() {
+        let mut w = CtrWriter::create(Cursor::new(Vec::new()), CtrLanes::default())
+            .expect("create");
+        w.push(0, 1, Op::Get).expect("push");
+        w.push(1, 1, Op::Get).expect("push");
+        let (cur, _) = w.finish_with_id_table(&[10, 10]).expect("finish");
+        let err = read_trace_original_ids("d", Cursor::new(cur.into_inner()))
+            .expect_err("two slots for one id");
+        assert!(err.to_string().contains("twice"), "{err}");
     }
 
     #[test]
@@ -865,7 +897,7 @@ mod prop_tests {
             let bytes = w.into_inner();
             let (back, _) = read_trace_original_ids("p", Cursor::new(&bytes))
                 .map_err(|e| TestCaseError::fail(e.to_string()))?;
-            prop_assert_eq!(&t.requests, &back.requests);
+            prop_assert_eq!(t.to_requests(), back.to_requests());
         }
     }
 }

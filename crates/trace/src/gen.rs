@@ -339,14 +339,14 @@ mod tests {
     fn generation_is_deterministic() {
         let a = WorkloadSpec::zipf("z", 5000, 500, 0.8, 42).generate();
         let b = WorkloadSpec::zipf("z", 5000, 500, 0.8, 42).generate();
-        assert_eq!(a.requests, b.requests);
+        assert_eq!(a.to_requests(), b.to_requests());
     }
 
     #[test]
     fn different_seeds_differ() {
         let a = WorkloadSpec::zipf("z", 1000, 500, 0.8, 1).generate();
         let b = WorkloadSpec::zipf("z", 1000, 500, 0.8, 2).generate();
-        assert_ne!(a.requests, b.requests);
+        assert_ne!(a.to_requests(), b.to_requests());
     }
 
     #[test]
@@ -355,8 +355,8 @@ mod tests {
         let mut spec = WorkloadSpec::zipf("z", 50_000, 1000, 1.0, 3);
         spec.one_hit_fraction = 0.3;
         let spiked = spec.generate();
-        let ohw_base = analysis::one_hit_wonder_ratio(&base.requests);
-        let ohw_spiked = analysis::one_hit_wonder_ratio(&spiked.requests);
+        let ohw_base = analysis::one_hit_wonder_ratio(&base);
+        let ohw_spiked = analysis::one_hit_wonder_ratio(&spiked);
         assert!(
             ohw_spiked > ohw_base + 0.2,
             "one-hit stream must raise OHW: {ohw_base} -> {ohw_spiked}"
@@ -372,9 +372,9 @@ mod tests {
         let t = spec.generate();
         // Count adjacent-id pairs (scan signature).
         let sequential = t
-            .requests
-            .windows(2)
-            .filter(|w| w[1].id == w[0].id + 1)
+            .iter()
+            .zip(t.iter().skip(1))
+            .filter(|(a, b)| b.id == a.id + 1)
             .count();
         assert!(
             sequential > 2000,
@@ -387,7 +387,7 @@ mod tests {
         let short_reuse = |t: &Trace| {
             let mut last: cache_ds::IdMap<u64> = cache_ds::IdMap::default();
             let mut near = 0usize;
-            for (i, r) in t.requests.iter().enumerate() {
+            for (i, r) in t.iter().enumerate() {
                 if let Some(&p) = last.get(&r.id) {
                     if (i as u64) - p < 64 {
                         near += 1;
@@ -414,7 +414,7 @@ mod tests {
         };
         let t = spec.generate();
         let mut sizes: cache_ds::IdMap<u32> = cache_ds::IdMap::default();
-        for r in &t.requests {
+        for r in t.iter() {
             let prev = sizes.insert(r.id, r.size);
             if let Some(p) = prev {
                 assert_eq!(p, r.size, "object {} changed size", r.id);
@@ -457,7 +457,7 @@ mod tests {
         let t = scan_trace("s", 1000);
         assert_eq!(t.len(), 1000);
         assert_eq!(t.footprint(), 1000);
-        assert!((analysis::one_hit_wonder_ratio(&t.requests) - 1.0).abs() < 1e-12);
+        assert!((analysis::one_hit_wonder_ratio(&t) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -465,7 +465,7 @@ mod tests {
         let t = loop_trace("l", 100, 5);
         assert_eq!(t.len(), 500);
         assert_eq!(t.footprint(), 100);
-        assert_eq!(t.requests[0].id, t.requests[100].id);
+        assert_eq!(t.request(0).id, t.request(100).id);
     }
 
     #[test]
@@ -474,13 +474,13 @@ mod tests {
         assert_eq!(t.len(), 2000);
         assert_eq!(t.footprint(), 1000);
         let mut counts: cache_ds::IdMap<u32> = cache_ds::IdMap::default();
-        for r in &t.requests {
+        for r in t.iter() {
             *counts.entry(r.id).or_insert(0) += 1;
         }
         assert!(counts.values().all(|&c| c == 2));
         // Verify the gap between the two requests of an object.
-        let first = t.requests.iter().position(|r| r.id == 500).unwrap();
-        let second = t.requests.iter().rposition(|r| r.id == 500).unwrap();
+        let first = t.iter().position(|r| r.id == 500).unwrap();
+        let second = t.iter().rposition(|r| r.id == 500).unwrap();
         let gap = second - first;
         assert!(
             (550..=650).contains(&gap),
@@ -494,7 +494,6 @@ mod tests {
         spec.delete_fraction = 0.1;
         let t = spec.generate();
         let deletes = t
-            .requests
             .iter()
             .filter(|r| r.op == cache_types::Op::Delete)
             .count();
@@ -504,7 +503,7 @@ mod tests {
         );
         // Every deleted id must have been requested before its delete.
         let mut seen = cache_ds::IdSet::default();
-        for r in &t.requests {
+        for r in t.iter() {
             match r.op {
                 cache_types::Op::Delete => {
                     assert!(seen.contains(&r.id), "deleted id {} never issued", r.id)
@@ -521,7 +520,7 @@ mod tests {
         let t = two_request_adversarial_mixed("a", 1000, 200, 10);
         // Two-request objects each appear exactly twice; hot ids many times.
         let mut counts: cache_ds::IdMap<u32> = cache_ds::IdMap::default();
-        for r in &t.requests {
+        for r in t.iter() {
             *counts.entry(r.id).or_insert(0) += 1;
         }
         let two_req: Vec<u32> = (0..1000u64).map(|id| counts[&id]).collect();

@@ -17,7 +17,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 pub fn write_csv<W: Write>(trace: &Trace, w: &mut W) -> Result<(), CacheError> {
     writeln!(w, "# trace: {}", trace.name)?;
     writeln!(w, "# id,size,op")?;
-    for r in &trace.requests {
+    for r in trace.iter() {
         let op = match r.op {
             Op::Get => "get",
             Op::Set => "set",
@@ -214,7 +214,7 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&t, &mut buf).unwrap();
         let back = read_csv("z", &buf[..]).unwrap();
-        assert_eq!(t.requests, back.requests);
+        assert_eq!(t.to_requests(), back.to_requests());
     }
 
     #[test]
@@ -222,10 +222,10 @@ mod tests {
         let csv = "# comment\n1,100,get\n2,50,set\n3,0,del\n4\n";
         let t = read_csv("t", csv.as_bytes()).unwrap();
         assert_eq!(t.len(), 4);
-        assert_eq!(t.requests[0].op, Op::Get);
-        assert_eq!(t.requests[1].op, Op::Set);
-        assert_eq!(t.requests[2].op, Op::Delete);
-        assert_eq!(t.requests[3].size, 1);
+        assert_eq!(t.request(0).op, Op::Get);
+        assert_eq!(t.request(1).op, Op::Set);
+        assert_eq!(t.request(2).op, Op::Delete);
+        assert_eq!(t.request(3).size, 1);
     }
 
     #[test]
@@ -241,8 +241,8 @@ mod tests {
     fn csv_final_line_without_newline() {
         let t = read_csv("t", "1,10,get\n2,20,set".as_bytes()).unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.requests[1].id, 2);
-        assert_eq!(t.requests[1].op, Op::Set);
+        assert_eq!(t.request(1).id, 2);
+        assert_eq!(t.request(1).op, Op::Set);
     }
 
     /// Regression: CRLF line endings must not corrupt the last field.
@@ -250,8 +250,8 @@ mod tests {
     fn csv_crlf_line_endings() {
         let t = read_csv("t", "1,10,get\r\n2,20,set\r\n3,30,del\r\n".as_bytes()).unwrap();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.requests[1].op, Op::Set);
-        assert_eq!(t.requests[2].op, Op::Delete);
+        assert_eq!(t.request(1).op, Op::Set);
+        assert_eq!(t.request(2).op, Op::Delete);
         // CRLF + no final newline together.
         let t = read_csv("t", "1,10,get\r\n2,20,set".as_bytes()).unwrap();
         assert_eq!(t.len(), 2);
@@ -265,7 +265,7 @@ mod tests {
         let csv = "\u{FEFF}1,10,get\n2,20,set\n";
         let t = read_csv("t", csv.as_bytes()).unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.requests[0].id, 1);
+        assert_eq!(t.request(0).id, 1);
         let (t, report) = read_csv_lossy("t", csv.as_bytes()).unwrap();
         assert_eq!(t.len(), 2, "lossy mode must not drop the first record");
         assert_eq!(report.skipped_lines, 0);
@@ -281,10 +281,10 @@ mod tests {
     fn csv_empty_size_defaults_like_missing() {
         let t = read_csv("t", "4,\n5\n6,,set\n".as_bytes()).unwrap();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.requests[0].size, 1);
-        assert_eq!(t.requests[1].size, 1);
-        assert_eq!(t.requests[2].size, 1);
-        assert_eq!(t.requests[2].op, Op::Set);
+        assert_eq!(t.request(0).size, 1);
+        assert_eq!(t.request(1).size, 1);
+        assert_eq!(t.request(2).size, 1);
+        assert_eq!(t.request(2).op, Op::Set);
     }
 
     /// Regression: trailing fields were silently ignored, so a shifted or
@@ -324,8 +324,8 @@ mod tests {
         let csv = "# header\n1,100,get\ngarbage line\n2,oops,set\n3,50,del\n,,,\n";
         let (t, report) = read_csv_lossy("t", csv.as_bytes()).unwrap();
         assert_eq!(t.len(), 2, "two good lines survive");
-        assert_eq!(t.requests[0].id, 1);
-        assert_eq!(t.requests[1].id, 3);
+        assert_eq!(t.request(0).id, 1);
+        assert_eq!(t.request(1).id, 3);
         assert_eq!(report.skipped_lines, 3);
         assert_eq!(report.first_skips.len(), 3);
         // 1-based line numbers of the bad lines.
@@ -340,7 +340,7 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&t, &mut buf).unwrap();
         let (back, report) = read_csv_lossy("z", &buf[..]).unwrap();
-        assert_eq!(t.requests, back.requests);
+        assert_eq!(t.to_requests(), back.to_requests());
         assert_eq!(report.skipped_lines, 0);
         assert!(report.first_skips.is_empty());
     }
@@ -424,7 +424,7 @@ mod prop_tests {
             let mut csv = Vec::new();
             write_csv(&t, &mut csv).map_err(|e| TestCaseError::fail(e.to_string()))?;
             let back = read_csv("p", &csv[..]).map_err(|e| TestCaseError::fail(e.to_string()))?;
-            prop_assert_eq!(&t.requests, &back.requests);
+            prop_assert_eq!(t.to_requests(), back.to_requests());
         }
 
         // Corrupted CSV bytes: strict mode errors or succeeds (never

@@ -57,10 +57,8 @@ pub fn spatial_sample(trace: &Trace, rate: f64, salt: u64) -> SampledTrace {
         (rate * u64::MAX as f64) as u64
     };
     let requests: Vec<Request> = trace
-        .requests
         .iter()
         .filter(|r| mix64(r.id ^ salt) <= threshold)
-        .copied()
         .collect();
     SampledTrace {
         trace: Trace::new(format!("{}@{rate}", trace.name), requests),
@@ -89,13 +87,13 @@ mod tests {
         let t = WorkloadSpec::zipf("s", 50_000, 5000, 1.0, 4).generate();
         let s = spatial_sample(&t, 0.2, 2);
         // Per-object request counts must be identical to the full trace.
-        let count = |reqs: &[cache_types::Request], id| reqs.iter().filter(|r| r.id == id).count();
+        let count = |t: &Trace, id| t.iter().filter(|r| r.id == id).count();
         let sampled_ids: std::collections::HashSet<u64> =
-            s.trace.requests.iter().map(|r| r.id).collect();
+            s.trace.iter().map(|r| r.id).collect();
         for &id in sampled_ids.iter().take(50) {
             assert_eq!(
-                count(&t.requests, id),
-                count(&s.trace.requests, id),
+                count(&t, id),
+                count(&s.trace, id),
                 "object {id} lost requests in sampling"
             );
         }
@@ -124,7 +122,7 @@ mod tests {
         for &salt in &salts {
             let s = spatial_sample(t, rate, salt);
             let mut mini = build(s.scale_capacity(full_cap));
-            acc += run_trace(mini.as_mut(), &s.trace.requests).miss_ratio();
+            acc += run_trace(mini.as_mut(), &s.trace.to_requests()).miss_ratio();
         }
         acc / salts.len() as f64
     }
@@ -137,7 +135,7 @@ mod tests {
         let t = WorkloadSpec::zipf("s", 200_000, 20_000, 0.7, 6).generate();
         let full_cap = 2000u64;
         let mut full = cache_policies::Lru::new(full_cap).unwrap();
-        let full_mr = run_trace(&mut full, &t.requests).miss_ratio();
+        let full_mr = run_trace(&mut full, &t.to_requests()).miss_ratio();
         let mini_mr = mean_mini_mr(&t, full_cap, 0.2, &|cap| {
             Box::new(cache_policies::Lru::new(cap).unwrap())
         });
@@ -153,7 +151,7 @@ mod tests {
         let t = WorkloadSpec::zipf("s", 200_000, 20_000, 0.7, 8).generate();
         let full_cap = 2000u64;
         let mut full = s3fifo::S3Fifo::new(full_cap).unwrap();
-        let full_mr = run_trace(&mut full, &t.requests).miss_ratio();
+        let full_mr = run_trace(&mut full, &t.to_requests()).miss_ratio();
         let mini_mr = mean_mini_mr(&t, full_cap, 0.2, &|cap| {
             Box::new(s3fifo::S3Fifo::new(cap).unwrap())
         });
@@ -185,7 +183,7 @@ mod prop_tests {
         fn rate_one_keeps_everything(seed in 0u64..u64::MAX, salt in 0u64..u64::MAX) {
             let t = WorkloadSpec::zipf("p", 500, 100, 1.0, seed).generate();
             let s = spatial_sample(&t, 1.0, salt);
-            prop_assert_eq!(&s.trace.requests, &t.requests);
+            prop_assert_eq!(s.trace.to_requests(), t.to_requests());
         }
 
         // Same (trace, rate, salt) → same sample, always.
@@ -199,7 +197,7 @@ mod prop_tests {
             let t = WorkloadSpec::zipf("p", 300, 80, 1.0, seed).generate();
             let a = spatial_sample(&t, rate, salt);
             let b = spatial_sample(&t, rate, salt);
-            prop_assert_eq!(&a.trace.requests, &b.trace.requests);
+            prop_assert_eq!(a.trace.to_requests(), b.trace.to_requests());
         }
 
         // Raising the rate only ever *adds* objects (same salt): the lower
@@ -217,8 +215,8 @@ mod prop_tests {
             let small = spatial_sample(&t, lo, salt);
             let big = spatial_sample(&t, hi, salt);
             let big_ids: std::collections::HashSet<u64> =
-                big.trace.requests.iter().map(|r| r.id).collect();
-            for r in &small.trace.requests {
+                big.trace.iter().map(|r| r.id).collect();
+            for r in small.trace.iter() {
                 prop_assert!(big_ids.contains(&r.id), "object {} vanished as rate rose", r.id);
             }
         }

@@ -304,15 +304,15 @@ mod tests {
         assert_eq!(info.records, 30_000);
         assert!(info.id_space <= spec.id_space(), "header space within spec bound");
         let (t, _) = read_trace("s", Cursor::new(&bytes)).expect("read");
-        let max_id = t.requests.iter().map(|r| r.id).max().expect("non-empty");
+        let max_id = t.iter().map(|r| r.id).max().expect("non-empty");
         assert_eq!(info.id_space, max_id + 1, "id space is exactly max id + 1");
         // All three id ranges are exercised.
-        assert!(t.requests.iter().any(|r| r.id < 800), "core ids");
+        assert!(t.iter().any(|r| r.id < 800), "core ids");
         assert!(
-            t.requests.iter().any(|r| (800..1300).contains(&r.id)),
+            t.iter().any(|r| (800..1300).contains(&r.id)),
             "scan ids"
         );
-        assert!(t.requests.iter().any(|r| r.id >= 1300), "fresh ids");
+        assert!(t.iter().any(|r| r.id >= 1300), "fresh ids");
     }
 
     #[test]
@@ -324,12 +324,12 @@ mod tests {
         };
         let (bytes, _) = generate(&spec);
         let (t, _) = read_trace("s", Cursor::new(&bytes)).expect("read");
-        let fresh = t.requests.iter().filter(|r| r.id >= 2000).count() as f64;
+        let fresh = t.iter().filter(|r| r.id >= 2000).count() as f64;
         let frac = fresh / t.len() as f64;
         assert!((frac - 0.25).abs() < 0.02, "one-hit share {frac:.3}");
         // With a large ring and a short trace, every fresh id is seen once.
         let mut seen = std::collections::HashSet::new();
-        for r in t.requests.iter().filter(|r| r.id >= 2000) {
+        for r in t.iter().filter(|r| r.id >= 2000) {
             assert!(seen.insert(r.id), "fresh id {} repeated", r.id);
         }
     }
@@ -344,13 +344,13 @@ mod tests {
         };
         let (bytes, _) = generate(&spec);
         let (t, _) = read_trace("s", Cursor::new(&bytes)).expect("read");
-        let scans = t.requests.iter().filter(|r| r.id >= 500).count() as f64;
+        let scans = t.iter().filter(|r| r.id >= 500).count() as f64;
         let frac = scans / t.len() as f64;
         assert!((frac - 0.3).abs() < 0.1, "scan share {frac:.3}");
         // Consecutive scan-range requests inside a burst increment by one.
         let mut runs = 0u32;
-        for w in t.requests.windows(2) {
-            if w[0].id >= 500 && w[1].id == w[0].id + 1 {
+        for (a, b) in t.iter().zip(t.iter().skip(1)) {
+            if a.id >= 500 && b.id == a.id + 1 {
                 runs += 1;
             }
         }
@@ -366,15 +366,15 @@ mod tests {
         let (bytes, _) = generate(&spec);
         let (t, _) = read_trace("s", Cursor::new(&bytes)).expect("read");
         let half = t.len() / 2;
-        let top = |reqs: &[Request]| -> u64 {
+        let top = |reqs: &mut dyn Iterator<Item = Request>| -> u64 {
             let mut counts = std::collections::HashMap::new();
             for r in reqs {
                 *counts.entry(r.id).or_insert(0u64) += 1;
             }
             counts.into_iter().max_by_key(|&(_, c)| c).map(|(id, _)| id).expect("non-empty")
         };
-        let first = top(&t.requests[..half]);
-        let second = top(&t.requests[half..]);
+        let first = top(&mut t.iter().take(half));
+        let second = top(&mut t.iter().skip(half));
         assert_ne!(first, second, "phase change must move the hottest object");
         assert_eq!((first + 500) % 1000, second, "rotation by objects/phases");
     }
@@ -388,10 +388,10 @@ mod tests {
         let (bytes, info) = generate(&spec);
         assert!(info.lanes.ops);
         let (t, _) = read_trace("s", Cursor::new(&bytes)).expect("read");
-        let dels = t.requests.iter().filter(|r| r.op == Op::Delete).count() as f64;
+        let dels = t.iter().filter(|r| r.op == Op::Delete).count() as f64;
         let frac = dels / t.len() as f64;
         assert!((frac - 0.1).abs() < 0.02, "delete share {frac:.3}");
-        assert!(t.requests.iter().filter(|r| r.op == Op::Delete).all(|r| r.id < 300));
+        assert!(t.iter().filter(|r| r.op == Op::Delete).all(|r| r.id < 300));
     }
 
     #[test]
@@ -403,7 +403,7 @@ mod tests {
         let (bytes, _) = generate(&spec);
         let (t, _) = read_trace("s", Cursor::new(&bytes)).expect("read");
         let mut sizes = std::collections::HashMap::new();
-        for r in &t.requests {
+        for r in t.iter() {
             assert!((1..=64).contains(&r.size));
             assert_eq!(*sizes.entry(r.id).or_insert(r.size), r.size, "id {}", r.id);
         }

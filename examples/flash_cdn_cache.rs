@@ -45,7 +45,7 @@ fn main() {
             admission: kind,
         })
         .expect("valid config");
-        let s = cache.run(&trace.requests);
+        let s = cache.run(trace.iter());
         println!(
             "{:<22} {:>13.2}x {:>12.3}",
             cache.admission_name(),

@@ -16,7 +16,7 @@ fn prototype_miss_ratio_tracks_simulator() {
 
     let mut sim = s3fifo::S3Fifo::new(capacity).expect("capacity > 0");
     let mut evs = Vec::new();
-    for r in &trace.requests {
+    for r in trace.iter() {
         evs.clear();
         sim.request(&Request::get(r.id, r.time), &mut evs);
     }
@@ -24,7 +24,7 @@ fn prototype_miss_ratio_tracks_simulator() {
 
     let proto = ConcurrentS3Fifo::new(capacity as usize);
     let mut hits = 0u64;
-    for r in &trace.requests {
+    for r in trace.iter() {
         if proto.get(r.id).is_some() {
             hits += 1;
         } else {
@@ -48,7 +48,7 @@ fn prototype_hit_ratio_improves_with_capacity() {
     for capacity in [100usize, 1000, 5000] {
         let proto = ConcurrentS3Fifo::new(capacity);
         let mut hits = 0u64;
-        for r in &trace.requests {
+        for r in trace.iter() {
             if proto.get(r.id).is_some() {
                 hits += 1;
             } else {

@@ -47,12 +47,12 @@ fn one_percent_transient_writes_cost_under_two_points() {
     ] {
         let cfg = cfg_for(&trace, admission);
         let mut clean = FlashCache::new(cfg).expect("valid config");
-        let base = clean.run(&trace.requests);
+        let base = clean.run(trace.iter());
 
         let plan = FaultPlan::new(42).with_transient_writes(0.01);
         let mut faulty =
             FlashCache::faulty(cfg, plan, ResilienceConfig::default()).expect("valid config");
-        let s = faulty.run(&trace.requests);
+        let s = faulty.run(trace.iter());
 
         assert!(
             (s.miss_ratio() - base.miss_ratio()).abs() < 0.02,
@@ -84,7 +84,7 @@ fn full_taxonomy_replay_never_panics_and_stays_consistent() {
         .with(FaultKind::DeviceFull, Schedule::Constant(0.05))
         .with(FaultKind::LatencySpike, Schedule::Constant(0.01));
     let mut c = FlashCache::faulty(cfg, plan, ResilienceConfig::default()).expect("valid config");
-    let s = c.run(&trace.requests);
+    let s = c.run(trace.iter());
     assert_eq!(s.requests, 80_000);
     assert!(s.miss_ratio() <= 1.0);
     assert!(s.device_errors() > 0);
@@ -128,7 +128,7 @@ fn degradation_ladder_retry_then_dram_only_then_recovery() {
     let mut saw_device_failure = false;
     let mut saw_degraded_transition = false;
     let mut ops_while_degraded = 0u64;
-    for r in &trace.requests {
+    for r in trace.iter() {
         match c.request_checked(r.id, r.size) {
             Ok(_) => {}
             Err(CacheError::DeviceFailure(_)) => saw_device_failure = true,
@@ -169,7 +169,7 @@ fn faulty_replay_is_fully_deterministic() {
             .with_read_errors(0.02);
         let mut c =
             FlashCache::faulty(cfg, plan, ResilienceConfig::default()).expect("valid config");
-        let s = c.run(&trace.requests);
+        let s = c.run(trace.iter());
         (
             s.misses,
             s.flash_write_bytes,

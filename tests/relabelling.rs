@@ -35,7 +35,7 @@ type Run = (PolicyStats, Vec<Eviction>);
 
 fn dense(name: &str, capacity: u64, requests: &[Request]) -> Run {
     let (ids, slots) = DenseIds::intern(requests.iter().map(|r| r.id));
-    let mut policy = registry::build_dense_domain(name, capacity, Some(requests), ids.len())
+    let mut policy = registry::build_dense_domain(name, capacity, Some(&slots), ids.len())
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut all = Vec::new();
     policy.replay(&slots, requests, false, &mut |_, e| all.push(*e));

@@ -16,7 +16,7 @@ fn csv_file_roundtrip() {
         io::write_csv(&trace, &mut f).expect("write");
     }
     let back = io::read_csv("io-test", std::fs::File::open(&path).expect("open")).expect("read");
-    assert_eq!(trace.requests, back.requests);
+    assert_eq!(trace.to_requests(), back.to_requests());
     std::fs::remove_file(&path).ok();
 }
 
@@ -32,7 +32,7 @@ fn binary_file_roundtrip() {
     .expect("write");
     let file = std::fs::File::open(&path).expect("open");
     let (back, _) = ctr::read_trace_original_ids("io-bin", file).expect("decode");
-    assert_eq!(trace.requests, back.requests);
+    assert_eq!(trace.to_requests(), back.to_requests());
     std::fs::remove_file(&path).ok();
 }
 
