@@ -94,8 +94,11 @@ step "benchmark: frozen surface + smoke ledger"
 # every reply. ~20 s. Nothing under benchmark/ is edited by this gate.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
-step "cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --offline -- -D warnings \
+step "cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets lints test, example and bench code too: a deny-by-default
+# lint there (a tautological assertion, say) fails the gate like one in a
+# library.
+cargo clippy --workspace --all-targets --offline -- -D warnings \
     --force-warn clippy::unwrap-used --force-warn clippy::expect-used
 
 step "check_gate: differential fuzz, observers, linearizability-lite, loom-lite"

@@ -496,7 +496,8 @@ mod tests {
     #[test]
     fn queue_type_variants_are_unchanged_on_mixed_ops() {
         let requests = generate_trace(&FuzzConfig::default());
-        let golden: [(&str, [(u64, u64, u64); 2]); 4] = [
+        type Golden = (&'static str, [(u64, u64, u64); 2]);
+        let golden: [Golden; 4] = [
             (
                 "QDLP-LRU-LRU",
                 [(1764, 1936, 11911349466827973222), (965, 935, 13239709866924516975)],

@@ -344,25 +344,27 @@ mod tests {
     fn torture_s3fifo_under_bursty_insert_faults() {
         // Ramping write faults up to 20%, with bursts: dropped inserts must
         // never corrupt what *is* cached.
-        let mut cfg = TortureConfig::default();
-        cfg.fault_plan = cache_faults::FaultPlan::new(33)
-            .with(
-                cache_faults::FaultKind::TransientWrite,
-                cache_faults::Schedule::Ramp {
-                    start: 0.0,
-                    end: 0.2,
-                    over_ops: 5_000,
-                },
-            )
-            .with(
-                cache_faults::FaultKind::DeviceFull,
-                cache_faults::Schedule::Burst {
-                    period: 1000,
-                    burst_len: 100,
-                    inside: 0.5,
-                    outside: 0.0,
-                },
-            );
+        let cfg = TortureConfig {
+            fault_plan: cache_faults::FaultPlan::new(33)
+                .with(
+                    cache_faults::FaultKind::TransientWrite,
+                    cache_faults::Schedule::Ramp {
+                        start: 0.0,
+                        end: 0.2,
+                        over_ops: 5_000,
+                    },
+                )
+                .with(
+                    cache_faults::FaultKind::DeviceFull,
+                    cache_faults::Schedule::Burst {
+                        period: 1000,
+                        burst_len: 100,
+                        inside: 0.5,
+                        outside: 0.0,
+                    },
+                ),
+            ..TortureConfig::default()
+        };
         let cache: Arc<dyn ConcurrentCache> = Arc::new(ConcurrentS3Fifo::new(1024));
         let r = run_torture(Arc::clone(&cache), &cfg);
         assert_eq!(r.ops, 100_000);
@@ -376,10 +378,12 @@ mod tests {
     fn torture_streams_are_seed_deterministic() {
         // Same seed => same per-thread op streams => identical drop counts
         // (interleaving varies, but injector decisions do not).
-        let mut cfg = TortureConfig::default();
-        cfg.threads = 2;
-        cfg.ops_per_thread = 10_000;
-        cfg.fault_plan = cache_faults::FaultPlan::new(7).with_transient_writes(0.1);
+        let cfg = TortureConfig {
+            threads: 2,
+            ops_per_thread: 10_000,
+            fault_plan: cache_faults::FaultPlan::new(7).with_transient_writes(0.1),
+            ..TortureConfig::default()
+        };
         let run = || {
             let cache: Arc<dyn ConcurrentCache> = Arc::new(ConcurrentS3Fifo::new(256));
             run_torture(cache, &cfg)

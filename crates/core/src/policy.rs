@@ -880,7 +880,7 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let r = state >> 33;
-            let id = if r % 3 == 0 { r % 8 } else { r % 500 };
+            let id = if r.is_multiple_of(3) { r % 8 } else { r % 500 };
             evs.clear();
             p.request(&Request::get(id, t), &mut evs);
             assert!(p.used() <= 64, "{name} over capacity at step {t}");
@@ -1077,7 +1077,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let r = state >> 33;
             // Skewed: 1/2 of requests to 16 hot ids, rest spread over 4096.
-            let id = if r % 2 == 0 { r % 16 } else { r % 4096 };
+            let id = if r.is_multiple_of(2) { r % 16 } else { r % 4096 };
             evs.clear();
             p.request(&Request::get(id, t), &mut evs);
         }

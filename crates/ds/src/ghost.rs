@@ -420,7 +420,7 @@ mod tests {
         assert!(g.contains(5), "re-inserted entry expired early");
         g.insert(109);
         assert!(!g.contains(5));
-        assert!(g.remove(5) == false, "expired entry reported removable");
+        assert!(!g.remove(5), "expired entry reported removable");
     }
 
     /// Counter wraparound: the insertion counter is monotonic modulo 2^64

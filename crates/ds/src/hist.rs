@@ -284,7 +284,7 @@ mod tests {
             h.record(100);
         }
         let q = h.quantile(0.5).unwrap() as f64;
-        assert!(q >= 50.0 && q <= 200.0, "q = {q}");
+        assert!((50.0..=200.0).contains(&q), "q = {q}");
     }
 
     #[test]

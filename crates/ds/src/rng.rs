@@ -193,13 +193,9 @@ mod tests {
 
     #[test]
     fn id_hasher_differs_across_keys() {
-        use std::hash::{BuildHasher, Hash, Hasher};
+        use std::hash::BuildHasher;
         let b = IdHashBuilder::default();
-        let hash = |v: u64| {
-            let mut h = b.build_hasher();
-            v.hash(&mut h);
-            h.finish()
-        };
+        let hash = |v: u64| b.hash_one(v);
         assert_ne!(hash(1), hash(2));
         assert_ne!(hash(0), hash(u64::MAX));
     }

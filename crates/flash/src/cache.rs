@@ -702,8 +702,10 @@ mod tests {
 
     #[test]
     fn stats_normalization() {
-        let mut s = FlashStats::default();
-        s.flash_write_bytes = 500;
+        let s = FlashStats {
+            flash_write_bytes: 500,
+            ..FlashStats::default()
+        };
         assert!((s.normalized_write_bytes(1000) - 0.5).abs() < 1e-12);
         assert_eq!(s.normalized_write_bytes(0), 0.0);
     }

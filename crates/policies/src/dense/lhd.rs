@@ -291,20 +291,18 @@ mod tests {
     fn hot_objects_survive() {
         let mut p = Lhd::new(50).unwrap();
         let mut evs = Vec::new();
-        let mut t = 0u64;
         // Hot set accessed continuously while cold objects stream through.
         let mut state = 1u64;
-        for _ in 0..30_000 {
+        for t in 0..30_000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let r = state >> 33;
-            let id = if r % 2 == 0 {
+            let id = if r.is_multiple_of(2) {
                 (r >> 1) % 10
             } else {
                 1000 + (r % 100_000)
             };
             evs.clear();
             p.request(&Request::get(id, t), &mut evs);
-            t += 1;
         }
         let survivors = (0..10u64).filter(|&id| p.contains(id)).count();
         assert!(survivors >= 8, "hot set not retained: {survivors}/10");

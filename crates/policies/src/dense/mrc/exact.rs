@@ -185,7 +185,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let roll = state >> 33;
             // Half the accesses hit a hot eighth of the universe.
-            let id = if roll % 2 == 0 {
+            let id = if roll.is_multiple_of(2) {
                 roll % (universe / 8).max(1)
             } else {
                 roll % universe

@@ -38,8 +38,6 @@ mod turbo;
 pub use exact::MrcExactFifo;
 pub use turbo::{MrcTurboClock, MrcTurboS3Fifo, MrcTurboSieve};
 
-pub(crate) use turbo::MAX_TURBO_LANES;
-
 use cache_types::{CacheError, PolicyStats};
 
 /// A policy simulated at many capacities simultaneously, over a pure-`Get`

@@ -6,9 +6,11 @@
 //! resident, and a `Get` that hits still pays one state write per lane.
 //! The engines here specialise to the restricted streams `simulate_mrc`
 //! sees in practice (pure `Get`, size 1, fewer than `u32::MAX` requests,
-//! ≤ 32 lanes per engine; `simulate_mrc` deals a grid of up to 64 points to
-//! several engines) and collapse the per-request cost to near the
-//! exact-FIFO engine's:
+//! ≤ 32 lanes per engine) and collapse the per-request cost to near the
+//! exact-FIFO engine's. `simulate_mrc` builds them four lanes wide, one
+//! after another over the same slots (`registry::mrc_engine_lanes`): four
+//! lanes' queues and ghost bitsets stay in a core's caches beside the
+//! headers, where sixteen did not.
 //!
 //! - **Residency is one bitmap word.** `hdr[slot].res` holds one bit per
 //!   lane, so a `Get` answers hit/miss for the *whole grid* from a single
@@ -930,7 +932,7 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let roll = state >> 33;
-            let id = if roll % 2 == 0 {
+            let id = if roll.is_multiple_of(2) {
                 roll % (universe / 8).max(1)
             } else {
                 roll % universe

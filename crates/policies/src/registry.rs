@@ -167,13 +167,13 @@ fn keyed<P: SlabPolicy + Send + 'static>(policy: P) -> Box<dyn Policy> {
 }
 
 /// Builds the single-pass multi-capacity MRC engine for the named policy
-/// over a whole capacity grid (see `cache_policies::dense::mrc`): the exact
+/// over a capacity grid (see `cache_policies::dense::mrc`): the exact
 /// insertion-index engine for FIFO, the turbo lanes — bitmap residency and
 /// timestamp-derived reference state — for CLOCK, CLOCK-2bit, SIEVE, S3-FIFO
 /// and `"S3-FIFO(r)"`. `None` when the algorithm has no such engine or the
 /// grid does not fit it ([`mrc_grid_fits`]); callers then replay once per
-/// capacity. A grid wider than [`mrc_engine_lanes`] that fits is the
-/// caller's to deal to several engines; handed here whole it is an error.
+/// capacity. A caller builds one engine per [`mrc_engine_lanes`] points of
+/// its grid; a turbo grid wider than a residency word is an error here.
 ///
 /// Every lane is decision-identical to the single-capacity dense policy at
 /// that grid point (enforced by `crates/sim/tests/mrc_equivalence.rs` and
@@ -214,26 +214,39 @@ pub fn build_mrc(
 }
 
 /// True when a grid of `points` capacities is narrow enough for `name`'s
-/// single-pass engine, if it has one: any width for FIFO's insertion-index
-/// rows, 64 points (two engines' worth) for the turbo lanes. [`build_mrc`]
-/// answers `None` past it. A caller that deals one grid to several engines
-/// asks about the whole grid first, or whether a 65-point curve is drawn in
-/// one pass would depend on how many ways it was dealt.
+/// single-pass engines, if it has them: any width for FIFO's insertion-index
+/// rows, 64 points for the turbo lanes. [`build_mrc`] answers `None` past it.
+/// The turbo ceiling is not the residency word's (a grid is drawn as
+/// engines of [`mrc_engine_lanes`] points each); it stays because the route
+/// is part of what a caller reads off a curve — a 65-point turbo grid
+/// reports `per-capacity`, and the equivalence tests pin that — so lifting
+/// it is a routing change of its own. A caller that deals one grid to
+/// several workers asks about the whole grid first, or the route of a
+/// 65-point curve would depend on how many ways it was dealt.
 pub fn mrc_grid_fits(name: &str, points: usize) -> bool {
     name == "FIFO" || points <= 64
 }
 
-/// The most grid points one of `name`'s single-pass engines holds: any
-/// number in FIFO's insertion-index rows, 32 in a turbo engine, whose
-/// residency word is a `u32`. A grid that [`mrc_grid_fits`] but is wider
-/// goes to several engines, each built by [`build_mrc`] over its share.
+/// How many grid points one of `name`'s single-pass engines is built over:
+/// all of them in FIFO's insertion-index rows, four in a turbo engine. The
+/// residency word holds 32 lanes, but a worker that drew 16 at once held
+/// sixteen lanes' queues and ghost bitsets beside the shared headers, which
+/// no core's caches kept together. On the ledger's 32-point S3-FIFO curve,
+/// engines of 2 and 4 lanes built one after another over the same slots
+/// were equally fast and held the least memory, 8 was slower and held
+/// more; 4 makes half the passes over the slots that 2 does and drew
+/// CLOCK's curves faster.
 pub fn mrc_engine_lanes(name: &str) -> usize {
     if name == "FIFO" {
         usize::MAX
     } else {
-        crate::dense::mrc::MAX_TURBO_LANES
+        TURBO_ENGINE_LANES
     }
 }
+
+/// Lanes per turbo engine a curve is drawn with ([`mrc_engine_lanes`]); at
+/// most `MAX_TURBO_LANES`, the residency word's width.
+const TURBO_ENGINE_LANES: usize = 4;
 
 /// Parses `"<prefix>(<float>)"`, returning `Some(Ok(float))` on a match,
 /// `Some(Err)` on a malformed parameter, `None` when the name does not have

@@ -9,7 +9,7 @@ pub(crate) fn test_trace(n: usize, universe: u64, seed: u64) -> Vec<cache_types:
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let r = state >> 33;
-            let id = if r % 3 == 0 { r % 10 } else { r % universe };
+            let id = if r.is_multiple_of(3) { r % 10 } else { r % universe };
             cache_types::Request::get(id, t as u64)
         })
         .collect()

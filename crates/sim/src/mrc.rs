@@ -8,11 +8,11 @@
 //! - [`simulate_mrc`]: works for every registry algorithm, two ways. A
 //!   pure-`Get` unit-size stream (every size ignored, or every size
 //!   already 1) goes to the single-pass multi-capacity engines
-//!   (`cache_policies::dense::mrc`) — the whole grid in ~one trace pass,
-//!   bit-identical to the per-capacity sweep: FIFO to the exact
-//!   insertion-index engine ([`MrcEngine::ExactFifo`]), CLOCK / CLOCK-2bit /
-//!   SIEVE / S3-FIFO on grids of ≤ 64 points to the turbo lanes — bitmap
-//!   residency plus timestamp-derived reference state
+//!   (`cache_policies::dense::mrc`), bit-identical to the per-capacity
+//!   sweep: FIFO to the exact insertion-index engine, the whole grid in one
+//!   trace pass ([`MrcEngine::ExactFifo`]); CLOCK / CLOCK-2bit / SIEVE /
+//!   S3-FIFO on grids of ≤ 64 points to the turbo lanes — bitmap residency
+//!   plus timestamp-derived reference state — one pass per four points
 //!   ([`MrcEngine::Ganged`]). Everything else — writes, deletes, honoured
 //!   non-unit sizes, a wider grid, any other algorithm — is one replay per
 //!   grid point ([`MrcEngine::PerCapacity`]).
@@ -25,13 +25,15 @@
 //! them), so once the route is chosen — on the whole grid — its indices are
 //! dealt round-robin to `min(available_parallelism, points)` workers, each
 //! of which draws its share on that route over the shared trace, and the
-//! samples go back in grid order; on the turbo route there are at least
-//! `⌈points / 32⌉`, as one turbo engine holds 32 lanes. Every point is the
-//! one a single worker draws. What a worker owns is the cost of adding one:
-//! a turbo engine's per-slot header array, 8 B × ids (S3-FIFO's lanes add
-//! one ghost bit per id each; the lanes, and exact FIFO's index rows,
-//! otherwise only divide), or one policy slab at a time on the
-//! per-capacity route.
+//! samples go back in grid order. Every point is the one a single worker
+//! draws. A turbo share is drawn as engines of four lanes
+//! (`registry::mrc_engine_lanes`), built and replayed one after another
+//! over the shared slot column: a pass over the slots costs less than
+//! sixteen lanes' queues, ghost bitsets and headers lost in cache misses
+//! when one engine held them all. So a worker owns one engine at a time:
+//! a turbo engine's per-slot header array (8 B × ids) and four lanes'
+//! queues and ghost bitsets, or exact FIFO's index rows for its share (the
+//! rows divide), or one policy slab on the per-capacity route.
 //!
 //! Also provides the convexity check the §6.2.3 argument rests on.
 
@@ -242,7 +244,7 @@ fn pure_get_stream(trace: &Trace, cfg: &MrcConfig) -> bool {
 }
 
 /// Computes the miss-ratio curve of `algorithm` on `trace` at every grid
-/// capacity, in one trace pass where the FIFO-family engines apply (see the
+/// capacity, through the single-pass engines where they apply (see the
 /// module docs for routing), the grid dealt to one worker per core (see
 /// "Workers" there). Results are bit-identical to running
 /// [`crate::engine::simulate_named`] once per capacity.
@@ -265,7 +267,7 @@ pub fn simulate_mrc(
 }
 
 /// [`simulate_mrc`] drawn by `workers` workers (at least one, at most one
-/// per grid point, and at least one per 32 points on the turbo route).
+/// per grid point).
 /// The count is an argument only so that tests can sweep it: no field of
 /// the result depends on it.
 fn simulate_mrc_on(
@@ -292,13 +294,8 @@ fn simulate_mrc_on(
         && registry::mrc_grid_fits(algorithm, capacities.len()))
     .then(|| trace.dense());
     // Round-robin, not contiguous runs: a lane's work is its miss count,
-    // and a sorted grid puts the lanes that miss most at one end. No share
-    // is wider than one engine.
-    let floor = match dense {
-        Some(_) => capacities.len().div_ceil(registry::mrc_engine_lanes(algorithm)),
-        None => 1,
-    };
-    let workers = workers.clamp(1, capacities.len()).max(floor);
+    // and a sorted grid puts the lanes that miss most at one end.
+    let workers = workers.clamp(1, capacities.len());
     let shares: Vec<Vec<u64>> = (0..workers)
         .map(|w| {
             capacities
@@ -341,9 +338,10 @@ fn simulate_mrc_on(
 }
 
 /// The curve at `capacities` — one worker's share of a grid, or all of it —
-/// on the route `simulate_mrc_on` chose: through a single-pass engine of the
-/// worker's own when `dense` is given and the registry has one for the
-/// algorithm, one replay per point otherwise.
+/// on the route `simulate_mrc_on` chose: through single-pass engines of the
+/// worker's own, one per `registry::mrc_engine_lanes` points, when `dense`
+/// is given and the registry has them for the algorithm, one replay per
+/// point otherwise.
 fn draw_share(
     algorithm: &str,
     trace: &Trace,
@@ -352,24 +350,33 @@ fn draw_share(
     cfg: &MrcConfig,
 ) -> Result<MrcResult, CacheError> {
     if let Some(dense) = dense {
-        if let Some(mut engine) = registry::build_mrc(algorithm, capacities, &dense.ids)? {
+        // One engine of `mrc_engine_lanes` points at a time, each over the
+        // whole slot sequence; the chunks are contiguous, so the points come
+        // out in share order. Whether the name has an engine does not
+        // depend on the chunk, so it is the first one that answers.
+        let mut points = Vec::with_capacity(capacities.len());
+        let mut name = None;
+        for lanes in capacities.chunks(registry::mrc_engine_lanes(algorithm)) {
+            let Some(mut engine) = registry::build_mrc(algorithm, lanes, &dense.ids)? else {
+                break;
+            };
             engine.replay(&dense.slots);
             debug_assert_eq!(engine.validate(), Ok(()), "MRC engine invariants");
-            let points = engine
-                .lane_stats()
-                .iter()
-                .zip(capacities.iter())
-                .map(|(st, &cap)| MrcSample {
+            points.extend(engine.lane_stats().iter().zip(lanes).map(|(st, &cap)| {
+                MrcSample {
                     capacity: cap,
                     requests: st.gets,
                     misses: st.misses,
                     evictions: st.evictions,
                     miss_ratio: st.miss_ratio(),
                     byte_miss_ratio: st.byte_miss_ratio(),
-                })
-                .collect();
+                }
+            }));
+            name = Some(engine.name());
+        }
+        if let Some(name) = name {
             return Ok(MrcResult {
-                algorithm: engine.name(),
+                algorithm: name,
                 trace: trace.name.clone(),
                 // `build_mrc` has one engine per name: exact for FIFO, turbo
                 // lanes for the rest.

@@ -147,6 +147,10 @@ fn mixed_requests(requests: u64, seed: u64) -> Vec<Request> {
 /// per-request outcomes)`: what one run did, down to each request's answer.
 type Print = (u64, u64, u64, u64);
 
+/// A name and its pinned `(misses, evictions, FNV-1a of the evicted ids)`
+/// on each of the three workloads.
+type Golden = (&'static str, [(u64, u64, u64); 3]);
+
 /// The `(capacity, ignore_size)` cells of [`PROTOCOL`]: where ghosts fill and
 /// slots are reused, sizes honoured and ignored; and a capacity below the
 /// largest size (8), where some `Get`s are `Uncacheable` and some `Set`s
@@ -556,7 +560,7 @@ fn dense_print(name: &str, capacity: u64, requests: &[Request], ignore_size: boo
 /// hand-written `DList` + `IdMap` policy, on the three workloads above.
 #[test]
 fn queue_type_variants_are_unchanged() {
-    let golden: [(&str, [(u64, u64, u64); 3]); 4] = [
+    let golden: [Golden; 4] = [
         (
             "QDLP-LRU-LRU",
             [
@@ -601,7 +605,7 @@ fn queue_type_variants_are_unchanged() {
 /// S3-FIFO-D's misses and evictions are the ones pinned at 3ab2410.)
 #[test]
 fn slab_ports_are_unchanged() {
-    let golden: [(&str, [(u64, u64, u64); 3]); 12] = [
+    let golden: [Golden; 12] = [
         (
             "ARC",
             [
@@ -704,7 +708,7 @@ fn slab_ports_are_unchanged() {
 
 /// Each name's [`fingerprint`] and [`dense_fingerprint`] on the three
 /// workloads equal its golden row.
-fn assert_fingerprints(golden: &[(&str, [(u64, u64, u64); 3])]) {
+fn assert_fingerprints(golden: &[Golden]) {
     let workloads = workloads();
     for &(name, want) in golden {
         for (door, print) in [

@@ -5,9 +5,8 @@
 //! dense policy at that capacity: same misses, same evictions, same miss
 //! ratios, bit for bit — and `simulate_mrc` must send them only the streams
 //! they can take (pure `Get`, unit sizes, ≤ 64 points for the turbo lanes,
-//! dealt to engines of at most 32 lanes each), replaying everything else
-//! per capacity. The expected route is part of
-//! every case below. The exact-FIFO insertion-index engine is
+//! drawn as engines of four lanes each), replaying everything else per
+//! capacity. The expected route is part of every case below. The exact-FIFO insertion-index engine is
 //! additionally pinned with a property test over seeded Zipf traces (the
 //! ISSUE's eviction-age cross-check: FIFO residency from insertion-index
 //! distances must reproduce every per-capacity curve exactly).
@@ -146,8 +145,8 @@ fn streams_with_deletes_fall_back_and_match() {
     assert_mrc_matches_sweep("SIEVE", &trace, &grid, &cfg, MrcEngine::PerCapacity);
 }
 
-/// A turbo engine holds residency in one 32-bit word per object, and a grid
-/// goes to at most two engines' worth; a 65-point grid leaves them for the
+/// The turbo route takes grids of up to 64 points (`registry::mrc_grid_fits`,
+/// drawn four lanes to an engine); a 65-point grid leaves it for the
 /// per-capacity route, while exact FIFO — one index per (object, point) —
 /// has no such ceiling.
 #[test]

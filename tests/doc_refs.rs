@@ -4,9 +4,12 @@
 //! package, every `--example <name>` a file under `examples/`, every
 //! checked-in `BENCH_*.json` is at the root (a `target/BENCH_*.json` is a
 //! build artifact and exempt), and every `crates/**/*.rs` path is a file.
-//! The same holds for every `crates/**/*.rs` path in a comment of the
-//! workspace's own Rust sources. `benchmark/`, ROADMAP.md and CHANGES.md
-//! are history and are not scanned.
+//! Every `DESIGN.md §N` (the name in backticks or not) and every `§Nb` —
+//! only DESIGN.md numbers a section with a letter; the paper's are `§N.M` —
+//! is a heading of DESIGN.md. The same holds for every `crates/**/*.rs`
+//! path and section reference in a comment of the workspace's own Rust
+//! sources. `benchmark/`, ROADMAP.md and CHANGES.md are history and are not
+//! scanned.
 
 use cache_bench::FIGURES;
 use std::path::{Path, PathBuf};
@@ -77,10 +80,44 @@ fn missing_sources<'a>(root: &'a Path, text: &'a str) -> impl Iterator<Item = St
         .filter(move |file| file.ends_with(".rs") && !root.join(file).is_file())
 }
 
+/// The section numbers of DESIGN.md's `## N. ` and `## Nb. ` headings.
+fn design_sections(root: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md is readable");
+    text.lines()
+        .filter_map(|l| l.strip_prefix("## ")?.split_once(". "))
+        .map(|(number, _)| number.to_string())
+        .filter(|n| n.starts_with(|c: char| c.is_ascii_digit()))
+        .collect()
+}
+
+/// Each DESIGN.md section reference in `text` that is not one of `sections`.
+fn missing_sections<'a>(sections: &'a [String], text: &'a str) -> impl Iterator<Item = String> + 'a {
+    after(text, "§", "").filter_map(move |(before, tail)| {
+        let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap_or(tail.len());
+        let letter = tail[digits..].chars().next().filter(char::is_ascii_lowercase);
+        let number = &tail[..digits + letter.map_or(0, char::len_utf8)];
+        let named = before.ends_with("DESIGN.md ") || before.ends_with("DESIGN.md` ");
+        let design = digits > 0 && (named || letter.is_some());
+        (design && !sections.iter().any(|s| s == number)).then(|| format!("DESIGN.md §{number}"))
+    })
+}
+
+#[test]
+fn section_references_are_checked() {
+    let sections: Vec<String> = ["5b", "12"].map(String::from).to_vec();
+    let found = |text| missing_sections(&sections, text).collect::<Vec<_>>();
+    assert_eq!(found("DESIGN.md §13, and `DESIGN.md` §13."), ["DESIGN.md §13"; 2]);
+    assert_eq!(found("(§5c) and §12b"), ["DESIGN.md §5c", "DESIGN.md §12b"]);
+    assert!(found("DESIGN.md §12's table, (§5b), the paper's §6.2.3 and §13").is_empty());
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert!(design_sections(root).len() >= 12, "{:?}", design_sections(root));
+}
+
 #[test]
 fn docs_name_only_things_that_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let packages = packages(root);
+    let sections = design_sections(root);
     let mut stale = Vec::new();
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).expect("doc is readable");
@@ -118,6 +155,9 @@ fn docs_name_only_things_that_exist() {
             for file in missing_sources(root, line) {
                 stale_here(file);
             }
+            for section in missing_sections(&sections, line) {
+                stale_here(section);
+            }
         }
     }
     assert!(stale.is_empty(), "stale references:\n{}", stale.join("\n"));
@@ -131,6 +171,7 @@ fn source_comments_name_only_files_that_exist() {
         rust_files(&root.join(dir), &mut files);
     }
     assert!(files.len() > 50, "found only {} Rust files", files.len());
+    let sections = design_sections(root);
     let mut stale = Vec::new();
     for file in &files {
         let text = std::fs::read_to_string(file).expect("source file is readable");
@@ -138,11 +179,12 @@ fn source_comments_name_only_files_that_exist() {
             let Some(at) = line.find("//") else {
                 continue;
             };
-            for missing in missing_sources(root, &line[at..]) {
+            let comment = &line[at..];
+            for missing in missing_sources(root, comment).chain(missing_sections(&sections, comment)) {
                 let rel = file.strip_prefix(root).unwrap_or(file);
                 stale.push(format!("{}:{}: {missing}", rel.display(), n + 1));
             }
         }
     }
-    assert!(stale.is_empty(), "stale paths in comments:\n{}", stale.join("\n"));
+    assert!(stale.is_empty(), "stale references in comments:\n{}", stale.join("\n"));
 }
