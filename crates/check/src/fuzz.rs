@@ -143,21 +143,24 @@ fn fmt_evictions(evs: &[Eviction]) -> String {
 /// dense implementation, returning the first step at which any observable
 /// disagrees (or any implementation fails its own `validate`).
 ///
-/// `slots[i]` must be the dense slot of `requests[i]`.
+/// `slots[i]` must be the dense slot of `requests[i]` in `ids`, through
+/// which the dense side's records are named.
 pub fn diff_run<D: DensePolicy + ?Sized>(
     reference: &mut dyn Policy,
     keyed: &mut dyn Policy,
     dense: &mut D,
+    ids: &DenseIds,
     slots: &[u32],
     requests: &[Request],
 ) -> Option<(usize, String)> {
     let mut evs_ref: Vec<Eviction> = Vec::new();
     let mut evs_key: Vec<Eviction> = Vec::new();
+    let mut by_slot: Vec<Eviction<u32>> = Vec::new();
     let mut evs_den: Vec<Eviction> = Vec::new();
     for (i, req) in requests.iter().enumerate() {
         evs_ref.clear();
         evs_key.clear();
-        evs_den.clear();
+        by_slot.clear();
         let out_ref = reference.request(req, &mut evs_ref);
         let out_key = keyed.request(req, &mut evs_key);
         if out_key != out_ref {
@@ -198,7 +201,9 @@ pub fn diff_run<D: DensePolicy + ?Sized>(
         if let Err(e) = keyed.validate() {
             return Some((i, format!("keyed invariant violated: {e}")));
         }
-        let out_den = dense.request_dense(slots[i], req, &mut evs_den);
+        let out_den = dense.request_dense(slots[i], req, &mut by_slot);
+        evs_den.clear();
+        evs_den.extend(by_slot.iter().map(|e| e.named(ids.orig(e.id))));
         if out_den != out_ref {
             return Some((i, format!("dense outcome {out_den:?} != reference {out_ref:?}")));
         }
@@ -249,6 +254,7 @@ fn run_fresh(name: &str, capacity: u64, requests: &[Request]) -> Option<(usize, 
         &mut reference,
         keyed.as_mut(),
         dense.as_mut(),
+        &ids,
         &slots,
         requests,
     )
@@ -424,7 +430,7 @@ mod tests {
             &mut self,
             slot: u32,
             req: &Request,
-            evicted: &mut Vec<Eviction>,
+            evicted: &mut Vec<Eviction<u32>>,
         ) -> Outcome {
             if req.op == Op::Delete {
                 return Outcome::NotRead; // BUG: delete silently dropped
@@ -467,6 +473,7 @@ mod tests {
                 &mut reference,
                 keyed.as_mut(),
                 &mut mutant,
+                &ids,
                 &slots,
                 reqs,
             )

@@ -333,7 +333,7 @@ mod tests {
             &mut self,
             slot: u32,
             req: &Request,
-            evicted: &mut Vec<Eviction>,
+            evicted: &mut Vec<Eviction<u32>>,
         ) -> Outcome {
             match (self.lie, self.inner.request_dense(slot, req, evicted)) {
                 (Lie::MissForUncacheable, Outcome::Uncacheable) => Outcome::Miss,

@@ -1075,10 +1075,10 @@ mod tests {
     }
 
     /// The reference with a [`Plant`] in it, driven as the dense side of a
-    /// differential run.
-    struct Planted(ReferencePolicy, Plant);
+    /// differential run, its records numbered by the run's table.
+    struct Planted<'a>(ReferencePolicy, Plant, &'a cache_ds::DenseIds);
 
-    impl s3fifo::dense::DensePolicy for Planted {
+    impl s3fifo::dense::DensePolicy for Planted<'_> {
         fn name(&self) -> String {
             self.0.name()
         }
@@ -1091,7 +1091,12 @@ mod tests {
         fn len(&self) -> usize {
             self.0.count()
         }
-        fn request_dense(&mut self, _: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+        fn request_dense(
+            &mut self,
+            _: u32,
+            req: &Request,
+            evicted: &mut Vec<Eviction<u32>>,
+        ) -> Outcome {
             let r = &mut self.0;
             let (p, b1_hit) = (r.p, r.ghost.contains(req.id) && !r.resident(req.id));
             match self.1 {
@@ -1115,7 +1120,10 @@ mod tests {
                 }
                 Plant::ArcB1HitLeavesP | Plant::LruKRanksByLast => {}
             }
-            let out = r.request(req, evicted);
+            let mut named = Vec::new();
+            let out = r.request(req, &mut named);
+            let slot = |id| self.2.slot_of(id).expect("the run interned every id");
+            evicted.extend(named.iter().map(|e| e.named(slot(e.id))));
             match self.1 {
                 Plant::ArcB1HitLeavesP if b1_hit => r.p = p, // BUG: the B1 hit's growth is lost
                 Plant::LruKRanksByLast => {
@@ -1165,9 +1173,9 @@ mod tests {
         let mut fails = |reqs: &[Request]| -> bool {
             let mut reference = reference_for(name, capacity).unwrap();
             let mut keyed = cache_policies::registry::build(name, capacity, None).unwrap();
-            let mut planted = Planted(reference_for(name, capacity).unwrap(), plant);
-            let slots = vec![0; reqs.len()]; // the plant ignores them
-            diff_run(&mut reference, keyed.as_mut(), &mut planted, &slots, reqs).is_some()
+            let (ids, slots) = cache_ds::DenseIds::intern(reqs.iter().map(|r| r.id));
+            let mut planted = Planted(reference_for(name, capacity).unwrap(), plant, &ids);
+            diff_run(&mut reference, keyed.as_mut(), &mut planted, &ids, &slots, reqs).is_some()
         };
         assert!(fails(&requests), "{plant:?}: the plant must diverge somewhere");
         let shrunk = shrink_with(&mut fails, requests);
@@ -1237,6 +1245,7 @@ mod tests {
             &mut reference,
             keyed.as_mut(),
             dense.as_mut(),
+            &ids,
             &slots,
             &requests,
         );

@@ -13,17 +13,19 @@ const SCRATCH: u32 = 0;
 /// The keyed [`Policy`] over slab policy `P`.
 ///
 /// Interns `ObjId → slot` in first-appearance order, growing the slab
-/// through [`DenseSlab::grow_to`](super::DenseSlab::grow_to), and forwards
-/// to [`DensePolicy::request_dense`]. A ghost-keeping policy never gives a
-/// slot back: its table holds every id it has seen, as the streamed dense
-/// door's does. A [`SlabPolicy::GHOSTLESS`] policy's slot state ends with
-/// its object, so after each request the adapter unmaps and frees the slot
-/// of every [`Eviction`] the request pushed, and the request's own slot if
-/// its object is not resident (a delete, a refused admission). Its table
-/// then holds at most the resident objects and two slots, however many
-/// distinct ids pass through: the long-lived server's flash tier
-/// (`cache_server --flash-bytes`) keeps a FIFO device and an LRU or FIFO
-/// DRAM tier this way.
+/// through [`DenseSlab::grow_to`](super::DenseSlab::grow_to), forwards
+/// to [`DensePolicy::request_dense`], and names the slot in each
+/// [`Eviction`] record it pushes by the id the slot was given. A
+/// ghost-keeping policy never gives a slot back: its table holds every id
+/// it has seen, as the streamed dense door's does. A
+/// [`SlabPolicy::GHOSTLESS`] policy's slot state ends with its object, so
+/// after each request the adapter unmaps and frees the request's own slot
+/// if its object is not resident (a delete, a refused admission), and the
+/// slot of every record the request pushed. Its table then holds at most
+/// the resident objects and two slots, however many distinct ids pass
+/// through: the long-lived server's flash tier (`cache_server
+/// --flash-bytes`) keeps a FIFO device and an LRU or FIFO DRAM tier this
+/// way.
 ///
 /// Dereferences to `P` for the policy's own read accessors.
 #[derive(Debug)]
@@ -31,8 +33,13 @@ pub struct Keyed<P> {
     inner: P,
     /// The slot of every interned id.
     map: IdMap<u32>,
+    /// The id each slot was last given, over the whole slab: `map` read
+    /// backwards, and the only slot → id table on this door.
+    pub(crate) ids: Vec<ObjId>,
     /// Freed slots, reused before the slab grows (ghostless policies only).
     free: Vec<u32>,
+    /// The records of the request being served, naming slots.
+    evs: Vec<Eviction<u32>>,
 }
 
 impl<P: SlabPolicy> Keyed<P> {
@@ -58,7 +65,9 @@ impl<P: SlabPolicy> Keyed<P> {
         Keyed {
             inner,
             map: IdMap::default(),
+            ids: vec![0; SCRATCH as usize + 1],
             free: Vec::new(),
+            evs: Vec::new(),
         }
     }
 
@@ -92,64 +101,71 @@ impl<P: SlabPolicy> Keyed<P> {
     }
 
     /// Serves `req` unless `gate` names a residency its object does not
-    /// have, then frees what a ghostless policy let go of.
+    /// have, frees what a ghostless policy let go of, and names the records.
     fn serve(
         &mut self,
         gate: Option<bool>,
         req: &Request,
         evicted: &mut Vec<Eviction>,
     ) -> Option<Outcome> {
-        let before = evicted.len();
-        let outcome = match self.map.entry(req.id) {
+        let slot = match self.map.entry(req.id) {
             Entry::Occupied(mapped) => {
                 let slot = *mapped.get();
                 if gate.is_some_and(|resident| resident != self.inner.resident(slot)) {
                     return None;
                 }
-                let outcome = self.inner.request_dense(slot, req, evicted);
-                if P::GHOSTLESS && !self.inner.resident(slot) {
-                    self.free.push(mapped.remove());
-                }
-                outcome
+                slot
             }
             Entry::Vacant(_) if gate == Some(true) => return None,
             Entry::Vacant(_)
                 if req.op == Op::Delete || u64::from(req.size) > self.inner.capacity() =>
             {
-                self.inner.request_dense(SCRATCH, req, evicted)
+                SCRATCH
             }
             Entry::Vacant(unmapped) => {
                 let slot = match self.free.pop() {
-                    Some(slot) => slot,
+                    Some(slot) => {
+                        self.ids[slot as usize] = req.id;
+                        slot
+                    }
                     None => {
                         let slab = self.inner.slab_mut();
                         let slot = u32::try_from(slab.domain()).unwrap_or(NIL);
                         assert!(slot < NIL, "dense-id domain exhausted");
                         slab.grow_to(slot as usize + 1, 0);
+                        self.ids.push(req.id);
                         slot
                     }
                 };
-                let outcome = self.inner.request_dense(slot, req, evicted);
-                if P::GHOSTLESS && !self.inner.resident(slot) {
-                    self.free.push(slot);
-                } else {
-                    unmapped.insert(slot);
-                }
-                outcome
+                *unmapped.insert(slot)
             }
         };
+        self.evs.clear();
+        let outcome = self.inner.request_dense(slot, req, &mut self.evs);
         if P::GHOSTLESS {
-            for e in &evicted[before..] {
-                if let Entry::Occupied(mapped) = self.map.entry(e.id) {
-                    // Evicted and admitted again within one request, an
-                    // object keeps its slot.
-                    if !self.inner.resident(*mapped.get()) {
-                        self.free.push(mapped.remove());
-                    }
-                }
+            // The request's slot may also be a record's: it is freed once.
+            self.release(slot);
+            for i in 0..self.evs.len() {
+                self.release(self.evs[i].id);
             }
         }
+        let ids = &self.ids;
+        evicted.extend(self.evs.iter().map(|e| e.named(ids[e.id as usize])));
         Some(outcome)
+    }
+
+    /// Unmaps and frees `slot` unless its object is resident (an object
+    /// evicted and admitted again within one request keeps its slot). A
+    /// slot no id maps to — scratch, or one freed already — stays as it is.
+    fn release(&mut self, slot: u32) {
+        if self.inner.resident(slot) {
+            return;
+        }
+        if let Entry::Occupied(mapped) = self.map.entry(self.ids[slot as usize]) {
+            if *mapped.get() == slot {
+                self.free.push(mapped.remove());
+            }
+        }
     }
 }
 
@@ -188,15 +204,23 @@ impl<P: SlabPolicy + Send> Policy for Keyed<P> {
     }
 
     /// The dense policy's own invariants, then the adapter's: mapped, free
-    /// and scratch slots partition the slab, and scratch holds nothing. A
-    /// ghostless policy's mapped slots are resident and carry their ids
-    /// (else a slot leaked), and its free slots are not resident (else one
-    /// was freed under a live object); any other policy frees nothing.
+    /// and scratch slots partition the slab, scratch holds nothing, and
+    /// every mapped slot names the id mapped to it. A ghostless policy's
+    /// mapped slots are resident (else a slot leaked), and its free slots
+    /// are not (else one was freed under a live object); any other policy
+    /// frees nothing.
     fn validate(&self) -> Result<(), String> {
         self.inner.validate()?;
         let slab = self.inner.slab();
         if !P::GHOSTLESS && !self.free.is_empty() {
             return Err(format!("{} ghost-keeping slots were freed", self.free.len()));
+        }
+        if self.ids.len() != slab.domain() {
+            return Err(format!(
+                "{} slots name ids, but the slab has {}",
+                self.ids.len(),
+                slab.domain()
+            ));
         }
         if self.map.len() + self.free.len() + 1 != slab.domain() {
             return Err(format!(
@@ -216,17 +240,14 @@ impl<P: SlabPolicy + Send> Policy for Keyed<P> {
         };
         for (&id, &slot) in &self.map {
             claim(slot, "mapped")?;
-            if !P::GHOSTLESS {
-                continue;
-            }
-            if !self.inner.resident(slot) {
-                return Err(format!("id {id} keeps non-resident slot {slot}"));
-            }
-            if slab.slots[slot as usize].orig != id {
+            if self.ids[slot as usize] != id {
                 return Err(format!(
-                    "id {id} maps to slot {slot}, which carries id {}",
-                    slab.slots[slot as usize].orig
+                    "id {id} maps to slot {slot}, which names id {}",
+                    self.ids[slot as usize]
                 ));
+            }
+            if P::GHOSTLESS && !self.inner.resident(slot) {
+                return Err(format!("id {id} keeps non-resident slot {slot}"));
             }
         }
         for slot in std::iter::once(SCRATCH).chain(self.free.iter().copied()) {

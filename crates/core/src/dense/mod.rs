@@ -31,8 +31,8 @@
 //!   `FifoMerge` in `cache-policies`).
 //!
 //! There is one implementation of each algorithm; the two doors differ only
-//! in who hands out slots. `cache_check`'s fuzzer drives both against its
-//! reference interpreters.
+//! in who hands out slots, and so who names the slots records report.
+//! `cache_check`'s fuzzer drives both against its reference interpreters.
 //!
 //! The plumbing lives in this crate, not in `cache-ds`, because
 //! [`DenseS3Fifo`](crate::DenseS3Fifo) and
@@ -64,9 +64,8 @@ pub const LOOKAHEAD: usize = 12;
 /// for the object — assigned per trace by the simulator (first-appearance
 /// order), or on the fly by [`Keyed`], which turns any [`SlabPolicy`] into a
 /// keyed [`cache_types::Policy`] — and store all per-object state in `Vec`s
-/// indexed by slot instead of per-key hash-map nodes. The request still
-/// carries the original id, so [`Eviction`] records name real ids whichever
-/// way the slot was found.
+/// indexed by slot instead of per-key hash-map nodes. [`Eviction`] records
+/// name slots too: only the door that numbered them knows their ids.
 ///
 /// Every [`SlabPolicy`] has this trait derived; test doubles implement it by
 /// hand.
@@ -89,8 +88,14 @@ pub trait DensePolicy {
     }
 
     /// Processes one request whose object was interned at `slot`, appending
-    /// an [`Eviction`] record for every object removed to make room.
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome;
+    /// an [`Eviction`] record, naming its slot, for every object removed to
+    /// make room.
+    fn request_dense(
+        &mut self,
+        slot: u32,
+        req: &Request,
+        evicted: &mut Vec<Eviction<u32>>,
+    ) -> Outcome;
 
     /// True when the object interned at `slot` is cached (ghost entries do
     /// not count): [`cache_types::Policy::contains`] by slot, for observers.
@@ -157,10 +162,10 @@ pub trait DensePolicy {
         slots: &[u32],
         requests: &[Request],
         ignore_size: bool,
-        on_eviction: &mut dyn FnMut(usize, &Eviction),
+        on_eviction: &mut dyn FnMut(usize, &Eviction<u32>),
     ) {
         assert_eq!(slots.len(), requests.len(), "slot/request length mismatch");
-        let mut evs: Vec<Eviction> = Vec::with_capacity(16);
+        let mut evs = Vec::with_capacity(16);
         for (i, (&slot, r)) in slots.iter().zip(requests.iter()).enumerate() {
             if let Some(&ahead) = slots.get(i + LOOKAHEAD) {
                 self.prefetch(ahead);
@@ -267,10 +272,10 @@ pub trait SlabPolicy: Sized {
 
     /// Caches `req`'s object at non-resident `slot` (it fits the cache),
     /// pushing a record for every object evicted to make room.
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>);
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>);
 
     /// A read of non-resident `slot` that fits the cache. Default: admit it.
-    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         self.admit(slot, req, evicted);
     }
 
@@ -287,7 +292,7 @@ pub trait SlabPolicy: Sized {
     /// per-request step of its own (a clock, a sketch, a filter, an
     /// adaptation).
     #[inline]
-    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) -> Outcome {
         serve(self, slot, req, evicted)
     }
 }
@@ -310,7 +315,12 @@ impl<P: SlabPolicy> DensePolicy for P {
     }
 
     #[inline]
-    fn request_dense(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn request_dense(
+        &mut self,
+        slot: u32,
+        req: &Request,
+        evicted: &mut Vec<Eviction<u32>>,
+    ) -> Outcome {
         self.step(slot, req, evicted)
     }
 
@@ -355,7 +365,7 @@ pub fn serve<P: SlabPolicy>(
     policy: &mut P,
     slot: u32,
     req: &Request,
-    evicted: &mut Vec<Eviction>,
+    evicted: &mut Vec<Eviction<u32>>,
 ) -> Outcome {
     // A hit, most requests, evicts nothing. It is served here and the rest
     // out of line, so that the hit path saves no registers for the rest.
@@ -373,7 +383,7 @@ fn serve_rest<P: SlabPolicy>(
     policy: &mut P,
     slot: u32,
     req: &Request,
-    evicted: &mut Vec<Eviction>,
+    evicted: &mut Vec<Eviction<u32>>,
 ) -> Outcome {
     let before = evicted.len();
     let fits = u64::from(req.size) <= policy.capacity();

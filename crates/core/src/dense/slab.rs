@@ -1,9 +1,9 @@
 //! Packed per-slot storage for the dense policies.
 //!
-//! Everything a request needs lives in a single [`Slot`] (34 bytes, aligned
-//! to a 64-byte line), so the hot path costs one line for the slot plus one
-//! per queue neighbour. [`PackedQueue`] threads intrusive queues through the
-//! `prev`/`next` fields with [`cache_ds::DList`]'s orientation (head =
+//! Everything a request needs lives in a single [`Slot`] (26 bytes, aligned
+//! to 32, two to a line), so the hot path costs one line for the slot plus
+//! one per queue neighbour. [`PackedQueue`] threads intrusive queues through
+//! the `prev`/`next` fields with [`cache_ds::DList`]'s orientation (head =
 //! newest, tail = next eviction); a differential test below holds the two in
 //! lockstep.
 //!
@@ -11,17 +11,23 @@
 //! (`grow_to`, as a stream or [`super::Keyed`] names new ids). It hands no
 //! slot back: the keyed door reuses a ghostless policy's slots from the
 //! eviction records the policy already pushes.
+//!
+//! A slot does not know which object it stands for: records name slots, and
+//! only a door that numbers slots names their objects ([`super::Keyed`]'s
+//! slot → id array; the simulator's observed replay loop learns its own
+//! from the requests it feeds).
 
 use cache_ds::NIL;
 use cache_types::{Eviction, Request};
 
-/// All per-object state of a dense policy, one cache line's worth.
+/// All per-object state of a dense policy, half a cache line: aligned to
+/// 32 bytes, a slot never straddles a line.
 ///
 /// `tag` and `freq` are policy-defined: residency flags, queue tags, SLRU
 /// segment indices, CLOCK/S3-FIFO counters, the SIEVE visited bit. The only
 /// shared convention is `tag == 0` ⇒ not resident.
 #[derive(Debug, Clone, Copy)]
-#[repr(align(64))]
+#[repr(align(32))]
 pub struct Slot {
     /// Neighbour toward the tail-to-head direction (`NIL` at the tail).
     pub prev: u32,
@@ -33,10 +39,6 @@ pub struct Slot {
     pub hits: u32,
     /// Logical insertion time.
     pub insert_time: u64,
-    /// Original object id, recorded at insertion so evictions can emit a
-    /// real [`Eviction::id`] without a random read into the interning
-    /// table's slot → id array (a guaranteed cache miss per eviction).
-    pub orig: u64,
     /// Policy-defined residency / queue / segment tag; 0 = absent.
     pub tag: u8,
     /// Policy-defined counter or flag.
@@ -50,7 +52,6 @@ impl Slot {
         size: 0,
         hits: 0,
         insert_time: 0,
-        orig: 0,
         tag: 0,
         freq: 0,
     };
@@ -58,7 +59,6 @@ impl Slot {
     /// Resets the bookkeeping fields on (re)insertion.
     #[inline]
     pub fn on_insert(&mut self, req: &Request) {
-        self.orig = req.id;
         self.size = req.size;
         self.insert_time = req.time;
         self.hits = 0;
@@ -72,10 +72,6 @@ impl Slot {
 }
 
 /// The slot array every dense policy stores its per-object state in.
-///
-/// Original ids travel inside each [`Slot`] (written on insertion, when the
-/// id is already in a register), so no slot → id table is consulted on the
-/// replay path.
 #[derive(Debug)]
 pub struct DenseSlab {
     /// One [`Slot`] per interned id.
@@ -86,8 +82,7 @@ impl DenseSlab {
     /// A slab over a pre-sized dense domain `0..domain`, with no interning
     /// table behind it: in-memory replay passes the trace's footprint, the
     /// out-of-core streaming replayer and [`Keyed`](super::Keyed) 0 and
-    /// then [`DenseSlab::grow_to`] as ids arrive. The hot path reads
-    /// original ids out of the slots themselves. The slots sit on huge
+    /// then [`DenseSlab::grow_to`] as ids arrive. The slots sit on huge
     /// pages where the host grants them (`cache_ds::huge`): a request's slot
     /// line is then seldom a TLB miss.
     pub fn with_domain(domain: usize) -> Self {
@@ -141,12 +136,13 @@ impl DenseSlab {
         }
     }
 
-    /// Builds the [`Eviction`] record for `slot` (cold path).
+    /// Builds the [`Eviction`] record for `slot`, which names the slot
+    /// (cold path).
     #[inline]
-    pub fn eviction(&self, slot: u32, from_probationary: bool) -> Eviction {
+    pub fn eviction(&self, slot: u32, from_probationary: bool) -> Eviction<u32> {
         let s = &self.slots[slot as usize];
         Eviction {
-            id: s.orig,
+            id: slot,
             size: s.size,
             insert_time: s.insert_time,
             freq: s.hits,
@@ -357,9 +353,12 @@ mod tests {
     use super::*;
     use cache_ds::{DList, SplitMix64};
 
+    /// Two slots to a line, neither straddling it: a field added here
+    /// doubles the slab, and must change this first.
     #[test]
-    fn slot_is_at_most_one_cache_line() {
-        assert!(std::mem::size_of::<Slot>() <= 64);
+    fn slot_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+        assert_eq!(std::mem::align_of::<Slot>(), 32);
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl<Q: Queues> DenseS3Fifo<Q> {
     /// Evicts one object from `S`: the tail moves to `M` when its capped
     /// frequency exceeds [`PROMOTE_THRESHOLD`], otherwise it becomes a ghost
     /// (Algorithm 1, `EVICTS`).
-    fn evict_small(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_small(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         while let Some(tail) = self.small.tail() {
             let t = tail as usize;
             let size = self.slab.size(tail);
@@ -279,7 +279,7 @@ impl<Q: Queues> DenseS3Fifo<Q> {
 
     /// Evicts one object from `M`: two-bit FIFO-reinsertion (Algorithm 1,
     /// `EVICTM`), the LRU tail, or wherever a SIEVE hand stops.
-    fn evict_main(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_main(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         let mut candidate = if Q::MAIN == MainQueue::Sieve && self.hand != NIL {
             Some(self.hand)
         } else {
@@ -316,7 +316,7 @@ impl<Q: Queues> DenseS3Fifo<Q> {
     /// Frees space until `need` more bytes fit (Algorithm 1, `INSERT`'s
     /// eviction loop): evict from `S` when it is at or over target (or `M` is
     /// empty), otherwise from `M`.
-    fn make_room(&mut self, need: u32, evicted: &mut Vec<Eviction>) {
+    fn make_room(&mut self, need: u32, evicted: &mut Vec<Eviction<u32>>) {
         while self.used_total() + u64::from(need) > self.capacity {
             if self.s_used >= self.s_capacity || self.main.is_empty() {
                 self.evict_small(evicted);
@@ -404,7 +404,7 @@ impl<Q: Queues> SlabPolicy for DenseS3Fifo<Q> {
         }
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         // Ghost membership is decided before making room: the eviction loop
         // below inserts into the ghost itself and could otherwise displace
         // exactly the entry being looked up.
@@ -501,10 +501,10 @@ pub const MAX_SMALL_RATIO: f64 = 0.5;
 /// at least [`IMBALANCE`]× the hits of the other, 0.1 % of the cache moves to
 /// the queue whose evicted objects receive more hits.
 ///
-/// The queues are a [`DenseS3Fifo`]; the monitors are keyed by object id
-/// (`cache_ds::GhostFifo`), so they pin no slot and read the same on both
-/// doors. §6.2.2 concludes that the static 10 % split beats the adaptive
-/// one on most traces; `repro ablation_adaptive` reproduces that comparison.
+/// The queues are a [`DenseS3Fifo`]; the monitors (`cache_ds::GhostFifo`)
+/// are keyed by slot, which no door reuses, as the policy keeps ghosts.
+/// §6.2.2 concludes that the static 10 % split beats the adaptive one on
+/// most traces; `repro ablation_adaptive` reproduces that comparison.
 #[derive(Debug)]
 pub struct DenseS3FifoD {
     inner: DenseS3Fifo,
@@ -600,7 +600,7 @@ impl SlabPolicy for DenseS3FifoD {
         self.inner.hit(slot, req);
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         self.inner.admit(slot, req, evicted);
     }
 
@@ -613,11 +613,11 @@ impl SlabPolicy for DenseS3FifoD {
         self.inner.warm(slot);
     }
 
-    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) -> Outcome {
         // Count marginal hits on the monitors before the queues change.
         if req.is_read() && !self.resident(slot) {
-            self.hits_small += u64::from(self.mon_small.remove(req.id));
-            self.hits_main += u64::from(self.mon_main.remove(req.id));
+            self.hits_small += u64::from(self.mon_small.remove(u64::from(slot)));
+            self.hits_main += u64::from(self.mon_main.remove(u64::from(slot)));
         }
         let before = evicted.len();
         let outcome = serve(self, slot, req, evicted);
@@ -628,7 +628,7 @@ impl SlabPolicy for DenseS3FifoD {
             } else {
                 &mut self.mon_main
             };
-            monitor.insert(ev.id, ev.size);
+            monitor.insert(u64::from(ev.id), ev.size);
         }
         self.maybe_adapt();
         outcome
@@ -659,7 +659,7 @@ mod tests {
     fn tail_first<Q: Queues>(p: &Keyed<DenseS3Fifo<Q>>, queue: &PackedQueue) -> Vec<ObjId> {
         let mut ids: Vec<ObjId> = queue
             .iter(&p.slab.slots)
-            .map(|s| p.slab.slots[s as usize].orig)
+            .map(|s| p.ids[s as usize])
             .collect();
         ids.reverse();
         ids

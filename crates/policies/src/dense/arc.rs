@@ -76,7 +76,7 @@ impl DenseArc {
 
     /// The REPLACE subroutine: evict from T1 into B1 if T1 exceeds the target
     /// `p` (or equals it while the request hits in B2), else from T2 into B2.
-    fn replace(&mut self, in_b2: bool, evicted: &mut Vec<Eviction>) {
+    fn replace(&mut self, in_b2: bool, evicted: &mut Vec<Eviction<u32>>) {
         let from_t1 = self.t1_used > 0
             && (self.t1_used > self.p || (in_b2 && self.t1_used == self.p) || self.t2.is_empty());
         let (queue, ghost, used) = if from_t1 {
@@ -152,7 +152,7 @@ impl SlabPolicy for DenseArc {
         self.slab.slots[slot as usize].tag = T2;
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         let size = u64::from(req.size);
         let c = self.capacity;
         let in_b1 = self.b1.contains(slot);

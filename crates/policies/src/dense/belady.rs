@@ -4,8 +4,8 @@
 //! whole trace's slots: [`DenseBelady::new`] computes, for every position,
 //! when the same slot is requested next. Fig. 4 uses it to show that even the
 //! optimal policy evicts mostly one-hit wonders. Each resident slot's next
-//! use sits in an array beside the slab, which catches up with the slab's
-//! domain on insertion, so it follows both doors' growth.
+//! use and id sit in arrays beside the slab, which catch up with the slab's
+//! domain on insertion, so they follow both doors' growth.
 
 use cache_types::{CacheError, Eviction, ObjId, Outcome, PolicyStats, Request};
 use s3fifo::dense::{serve, DensePolicy, DenseSlab, SlabPolicy};
@@ -36,6 +36,8 @@ pub struct DenseBelady {
     order: BTreeSet<(u64, ObjId, u32)>,
     /// Per slot: the next use it is ranked under.
     next_use: Vec<u64>,
+    /// Per slot: the id it was admitted under, for the tie-break.
+    ids: Vec<ObjId>,
     stats: PolicyStats,
 }
 
@@ -70,13 +72,14 @@ impl DenseBelady {
             next: NEVER,
             order: BTreeSet::new(),
             next_use: vec![NEVER; domain],
+            ids: vec![0; domain],
             stats: PolicyStats::default(),
         })
     }
 
     /// `slot`'s key in the order.
     fn key(&self, slot: u32) -> (u64, ObjId, u32) {
-        (self.next_use[slot as usize], self.slab.slots[slot as usize].orig, slot)
+        (self.next_use[slot as usize], self.ids[slot as usize], slot)
     }
 
     /// Ranks `slot` under its next use `next`, unranking it first.
@@ -88,7 +91,7 @@ impl DenseBelady {
         self.order.insert(new);
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         if let Some((_, _, slot)) = self.order.pop_last() {
             self.slab.slots[slot as usize].tag = ABSENT;
             self.used -= u64::from(self.slab.size(slot));
@@ -163,13 +166,15 @@ impl SlabPolicy for DenseBelady {
         }
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used + u64::from(req.size) > self.capacity && !self.order.is_empty() {
             self.evict_one(evicted);
         }
         if self.next_use.len() < self.slab.domain() {
             self.next_use.resize(self.slab.domain(), NEVER);
+            self.ids.resize(self.slab.domain(), 0);
         }
+        self.ids[slot as usize] = req.id;
         let s = &mut self.slab.slots[slot as usize];
         s.tag = RESIDENT;
         s.on_insert(req);
@@ -177,7 +182,7 @@ impl SlabPolicy for DenseBelady {
         self.rank(slot, self.next);
     }
 
-    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) -> Outcome {
         self.next = self.next_occurrence.get(self.pos).copied().unwrap_or(NEVER);
         self.pos += 1;
         serve(self, slot, req, evicted)

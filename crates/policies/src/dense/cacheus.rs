@@ -144,7 +144,7 @@ impl DenseCacheus {
         region
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         let srlru_victim = self.sr.tail().or_else(|| self.r.tail());
         let (Some(sv), Some(fv)) = (srlru_victim, self.lfu.first()) else {
             return;
@@ -228,7 +228,7 @@ impl SlabPolicy for DenseCacheus {
         (&mut self.slab, &mut self.stats)
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used() + u64::from(req.size) > self.capacity && self.len() > 0 {
             self.evict_one(evicted);
         }
@@ -257,7 +257,7 @@ impl SlabPolicy for DenseCacheus {
         self.rebalance();
     }
 
-    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         self.learn_from_ghosts(slot);
         self.admit(slot, req, evicted);
     }
@@ -276,7 +276,7 @@ impl SlabPolicy for DenseCacheus {
         self.h_crlfu.warm(slot);
     }
 
-    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) -> Outcome {
         let outcome = serve(self, slot, req, evicted);
         if req.is_read() {
             self.window_reqs += 1;

@@ -80,7 +80,7 @@ impl DenseFifoMerge {
 
     /// Merges the `MERGE_N` oldest segments, retaining the most frequently
     /// accessed quarter of their live bytes and evicting the rest.
-    fn merge_evict(&mut self, evicted: &mut Vec<Eviction>) {
+    fn merge_evict(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         let take = MERGE_N.min(self.segments.len());
         let mut candidates: Vec<u32> = Vec::new();
         let mut merged_bytes = 0u64;
@@ -206,7 +206,7 @@ impl SlabPolicy for DenseFifoMerge {
         s.touch();
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used + u64::from(req.size) > self.capacity && self.len > 0 {
             self.merge_evict(evicted);
         }

@@ -101,7 +101,7 @@ impl DenseLeCar {
         self.w_lfu /= total;
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         let (Some(lv), Some(fv)) = (self.lru.tail(), self.lfu.first()) else {
             return;
         };
@@ -179,7 +179,7 @@ impl SlabPolicy for DenseLeCar {
         (&mut self.slab, &mut self.stats)
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used + u64::from(req.size) > self.capacity && !self.lru.is_empty() {
             self.evict_one(evicted);
         }
@@ -201,7 +201,7 @@ impl SlabPolicy for DenseLeCar {
         self.lru.move_to_front(&mut self.slab.slots, slot);
     }
 
-    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         self.learn_from_ghosts(slot);
         self.admit(slot, req, evicted);
     }
@@ -223,7 +223,7 @@ impl SlabPolicy for DenseLeCar {
         self.h_lfu.warm(slot);
     }
 
-    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) -> Outcome {
         self.now += 1;
         serve(self, slot, req, evicted)
     }

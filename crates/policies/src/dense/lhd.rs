@@ -144,7 +144,7 @@ impl DenseLhd {
         self.used -= u64::from(self.slab.size(slot));
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         // Sample up to SAMPLES distinct-ish candidates; duplicates are
         // harmless (they only reduce effective sample size).
         let mut victim: Option<(f64, u32)> = None;
@@ -231,7 +231,7 @@ impl SlabPolicy for DenseLhd {
         self.hits[Self::bucket_of(age)] += 1.0;
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used + u64::from(req.size) > self.capacity && !self.keys.is_empty() {
             self.evict_one(evicted);
         }
@@ -256,7 +256,7 @@ impl SlabPolicy for DenseLhd {
         }
     }
 
-    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) -> Outcome {
         self.now += 1;
         self.since_reconfigure += 1;
         if self.since_reconfigure >= self.reconfigure_every {

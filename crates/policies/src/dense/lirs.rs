@@ -175,7 +175,7 @@ impl DenseLirs {
 
     /// Evicts the resident HIR block at the tail of Q; it stays on the stack
     /// as a non-resident ghost if it is there.
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         let (slot, from_q) = match self.queue_pop() {
             Some(slot) => (slot, true),
             // Q empty: demote a LIR block and retry once.
@@ -303,7 +303,7 @@ impl SlabPolicy for DenseLirs {
         }
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         let size = u64::from(req.size);
         while self.resident_used + size > self.capacity && self.resident_used > 0 {
             self.evict_one(evicted);

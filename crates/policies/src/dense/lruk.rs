@@ -8,9 +8,9 @@
 //! warm pages are ranked by their penultimate access time.
 //!
 //! Slot-state conventions: `tag` is `COLD` (on the cold queue) or `WARM` (in
-//! the ordered warm set); 0 = absent. A page's last two access times live in
-//! an array beside the slab, which catches up with the slab's domain on
-//! insertion, so it follows both doors' growth.
+//! the ordered warm set); 0 = absent. A page's last two access times and its
+//! id live in arrays beside the slab, which catch up with the slab's domain
+//! on insertion, so they follow both doors' growth.
 
 use cache_types::{CacheError, Eviction, ObjId, PolicyStats, Request};
 use s3fifo::dense::{DenseSlab, Keyed, PackedQueue, SlabPolicy};
@@ -34,6 +34,8 @@ pub struct DenseLruK {
     warm: BTreeSet<(u64, ObjId, u32)>,
     /// Per slot: (last access, penultimate access).
     times: Vec<(u64, u64)>,
+    /// Per slot: the id it was admitted under, for the tie-break.
+    ids: Vec<ObjId>,
     stats: PolicyStats,
 }
 
@@ -55,16 +57,17 @@ impl DenseLruK {
             cold: PackedQueue::new(),
             warm: BTreeSet::new(),
             times: vec![(0, 0); domain],
+            ids: vec![0; domain],
             stats: PolicyStats::default(),
         })
     }
 
     /// `slot`'s key in the warm set.
     fn warm_key(&self, slot: u32) -> (u64, ObjId, u32) {
-        (self.times[slot as usize].1, self.slab.slots[slot as usize].orig, slot)
+        (self.times[slot as usize].1, self.ids[slot as usize], slot)
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         // Cold pages (infinite backward-2-distance) go first, then the warm
         // page with the oldest penultimate access.
         let (slot, cold) = if let Some(s) = self.cold.pop_back(&mut self.slab.slots) {
@@ -152,7 +155,7 @@ impl SlabPolicy for DenseLruK {
         (&mut self.slab, &mut self.stats)
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used + u64::from(req.size) > self.capacity && self.len() > 0 {
             self.evict_one(evicted);
         }
@@ -160,8 +163,10 @@ impl SlabPolicy for DenseLruK {
             // `Keyed` grows the slab a slot at a time, and a stream grows it
             // by chunks: the access times follow.
             self.times.resize(self.slab.domain(), (0, 0));
+            self.ids.resize(self.slab.domain(), 0);
         }
         self.times[slot as usize].0 = req.time;
+        self.ids[slot as usize] = req.id;
         self.cold.push_front(&mut self.slab.slots, slot);
         let s = &mut self.slab.slots[slot as usize];
         s.tag = COLD;

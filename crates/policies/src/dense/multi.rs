@@ -68,7 +68,7 @@ impl DenseTwoQ {
     /// The RECLAIM step of the 2Q paper: when A1in holds at least its share
     /// (or Am is empty) its tail is dropped and remembered in A1out;
     /// otherwise the LRU tail of Am is evicted.
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         if self.a1in_used >= self.a1in_capacity || self.am.is_empty() {
             if let Some(s) = self.a1in.pop_back(&mut self.slab.slots) {
                 self.slab.slots[s as usize].tag = ABSENT;
@@ -141,7 +141,7 @@ impl SlabPolicy for DenseTwoQ {
         }
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         // Decide A1out membership before evicting: eviction inserts into
         // A1out and could displace the entry being looked up.
         let in_a1out = self.a1out.remove(slot);
@@ -256,7 +256,7 @@ impl DenseSlru {
     }
 
     /// Evicts one object from the lowest non-empty segment.
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         for s in 0..SEGMENTS {
             if let Some(slot) = self.segs[s].pop_back(&mut self.slab.slots) {
                 self.slab.slots[slot as usize].tag = 0;
@@ -314,7 +314,7 @@ impl SlabPolicy for DenseSlru {
         (&mut self.slab, &mut self.stats)
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used_total() + u64::from(req.size) > self.capacity && self.len_total() > 0 {
             self.evict_one(evicted);
         }

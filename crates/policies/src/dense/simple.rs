@@ -49,7 +49,7 @@ impl DenseFifo {
         })
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         if let Some(s) = self.queue.pop_back(&mut self.slab.slots) {
             self.slab.slots[s as usize].tag = ABSENT;
             self.used -= u64::from(self.slab.size(s));
@@ -98,7 +98,7 @@ impl SlabPolicy for DenseFifo {
         self.slab.slots[slot as usize].touch();
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
             self.evict_one(evicted);
         }
@@ -153,7 +153,7 @@ impl DenseLru {
         })
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         if let Some(s) = self.queue.pop_back(&mut self.slab.slots) {
             self.slab.slots[s as usize].tag = ABSENT;
             self.used -= u64::from(self.slab.size(s));
@@ -203,7 +203,7 @@ impl SlabPolicy for DenseLru {
         self.queue.move_to_front(&mut self.slab.slots, slot);
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
             self.evict_one(evicted);
         }
@@ -264,7 +264,7 @@ impl DenseClock {
         })
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         while let Some(tail) = self.queue.tail() {
             let t = tail as usize;
             if self.slab.slots[t].freq > 0 {
@@ -336,7 +336,7 @@ impl SlabPolicy for DenseClock {
         s.touch();
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
             self.evict_one(evicted);
         }
@@ -398,7 +398,7 @@ impl DenseSieve {
         })
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction>) {
+    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         // Resume from the hand, or from the tail at start / after wrap.
         let mut cur = if self.hand != NIL {
             Some(self.hand)
@@ -482,7 +482,7 @@ impl SlabPolicy for DenseSieve {
         s.touch();
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
             self.evict_one(evicted);
         }
@@ -636,12 +636,12 @@ impl SlabPolicy for DenseBloomLru {
         self.lru.hit(slot, req);
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         self.lru.admit(slot, req, evicted);
     }
 
     /// Admits only an id the filters have seen.
-    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
         if !self.first_sighting {
             self.lru.admit(slot, req, evicted);
         }
@@ -656,7 +656,7 @@ impl SlabPolicy for DenseBloomLru {
         self.lru.warm(slot);
     }
 
-    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) -> Outcome {
         // Every read of an absent object is a sighting, one too large to
         // cache included.
         self.first_sighting = req.is_read() && !self.resident(slot) && !self.seen(req.id);

@@ -13,10 +13,11 @@
 //!
 //! Slot-state conventions: `tag` names the segment an object sits in
 //! (`WINDOW`, `PROBATION`, `PROTECTED`; 0 = absent). The sketch counts object
-//! ids, not slots, so both doors see the same estimates.
+//! ids, not slots, so both doors see the same estimates: each slot's id sits
+//! in an array beside the slab, written on admission.
 
 use cache_ds::Doorkeeper;
-use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
+use cache_types::{CacheError, Eviction, ObjId, Outcome, PolicyStats, Request};
 use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy};
 
 const ABSENT: u8 = 0;
@@ -41,6 +42,8 @@ pub struct DenseTinyLfu {
     /// Bytes in each segment.
     used: [u64; 3],
     sketch: Doorkeeper,
+    /// Per slot: the id it was admitted under, which the sketch counts.
+    ids: Vec<ObjId>,
     window_ratio: f64,
     stats: PolicyStats,
 }
@@ -76,6 +79,7 @@ impl DenseTinyLfu {
             segs: [PackedQueue::new(); 3],
             used: [0; 3],
             sketch: Doorkeeper::new((capacity as usize).clamp(16, 1 << 22)),
+            ids: vec![0; domain],
             window_ratio,
             stats: PolicyStats::default(),
         })
@@ -101,7 +105,7 @@ impl DenseTinyLfu {
 
     /// Reports the eviction of detached `slot`; `from_window` marks the
     /// quick demotions Fig. 10 measures.
-    fn evict(&mut self, slot: u32, from_window: bool, evicted: &mut Vec<Eviction>) {
+    fn evict(&mut self, slot: u32, from_window: bool, evicted: &mut Vec<Eviction<u32>>) {
         evicted.push(self.slab.eviction(slot, from_window));
     }
 
@@ -127,7 +131,7 @@ impl DenseTinyLfu {
     /// The TinyLFU admission duel: when the window overflows, its tail
     /// candidate fights the main region's eviction candidate on estimated
     /// frequency; the loser is evicted.
-    fn maintain(&mut self, evicted: &mut Vec<Eviction>) {
+    fn maintain(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         while self.used[seg(WINDOW)] > self.window_capacity {
             let Some(candidate) = self.segs[seg(WINDOW)].tail() else {
                 break;
@@ -143,7 +147,7 @@ impl DenseTinyLfu {
                 self.link(candidate, PROBATION);
                 continue;
             };
-            let estimate = |s: u32| self.sketch.estimate(self.slab.slots[s as usize].orig);
+            let estimate = |s: u32| self.sketch.estimate(self.ids[s as usize]);
             if estimate(candidate) > estimate(victim) {
                 // Main-region victims are not window (probationary)
                 // demotions for the Fig. 10 metric.
@@ -229,7 +233,11 @@ impl SlabPolicy for DenseTinyLfu {
         }
     }
 
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) {
+    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
+        if self.ids.len() < self.slab.domain() {
+            self.ids.resize(self.slab.domain(), 0);
+        }
+        self.ids[slot as usize] = req.id;
         self.slab.slots[slot as usize].on_insert(req);
         self.link(slot, WINDOW);
         self.maintain(evicted);
@@ -248,7 +256,7 @@ impl SlabPolicy for DenseTinyLfu {
         }
     }
 
-    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction>) -> Outcome {
+    fn step(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) -> Outcome {
         // The sketch counts every read, one too large to cache included.
         if req.is_read() {
             self.sketch.record(req.id);

@@ -24,7 +24,7 @@ use cache_ds::Histogram;
 use cache_obs::MissRatioSeries;
 use cache_policies::registry;
 use cache_trace::Trace;
-use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
+use cache_types::{CacheError, Eviction, ObjId, Outcome, PolicyStats, Request};
 use s3fifo::dense::DensePolicy;
 use s3fifo::dense::LOOKAHEAD;
 
@@ -146,8 +146,8 @@ pub trait RequestObserver {
     /// Called once per request, after the policy processed it. `slot` is
     /// the request's dense slot, `req` the request as replayed (size
     /// already overridden in ignore-size mode), `evicted` the evictions it
-    /// caused (carrying original ids), and `policy` the post-request state
-    /// for structural inspection.
+    /// caused, each named by the id of the requests fed at its slot, and
+    /// `policy` the post-request state for structural inspection.
     fn after_request(
         &mut self,
         index: usize,
@@ -184,7 +184,11 @@ pub struct Replay<'p> {
     /// Every lane covers slots `0..domain`: the trace's footprint in
     /// memory, the distinct ids named so far on a stream.
     pub(crate) domain: usize,
-    evs: Vec<Eviction>,
+    evs: Vec<Eviction<u32>>,
+    /// Observed only: the id each slot's requests carry, learnt as they are
+    /// fed, and the request's records named by it.
+    ids: Vec<ObjId>,
+    named: Vec<Eviction>,
 }
 
 impl<'p> Replay<'p> {
@@ -205,6 +209,8 @@ impl<'p> Replay<'p> {
             // One request evicts a handful of objects at most; sized once
             // so the loop never grows it.
             evs: Vec::with_capacity(64),
+            ids: Vec::new(),
+            named: Vec::new(),
         }
     }
 
@@ -403,7 +409,16 @@ impl<'p> Replay<'p> {
                     }
                 }
                 if let Some(observer) = &mut self.observer {
-                    let (slot, evs) = (slots[i], &self.evs);
+                    let slot = slots[i];
+                    if self.ids.len() <= slot as usize {
+                        self.ids.resize(self.domain, 0);
+                    }
+                    self.ids[slot as usize] = req.id;
+                    let ids = &self.ids;
+                    let named = self.evs.iter().map(|e| e.named(ids[e.id as usize]));
+                    self.named.clear();
+                    self.named.extend(named);
+                    let evs = &self.named;
                     observer.after_request(now as usize, slot, &req, outcome, evs, &*lane.policy);
                 }
             }
@@ -657,7 +672,12 @@ mod tests {
             fn len(&self) -> usize {
                 0
             }
-            fn request_dense(&mut self, _: u32, _: &Request, _: &mut Vec<Eviction>) -> Outcome {
+            fn request_dense(
+                &mut self,
+                _: u32,
+                _: &Request,
+                _: &mut Vec<Eviction<u32>>,
+            ) -> Outcome {
                 panic!("a policy that cannot grow must not be fed");
             }
             fn resident(&self, _: u32) -> bool {

@@ -301,7 +301,7 @@ mod tests {
             &mut self,
             slot: u32,
             req: &Request,
-            evicted: &mut Vec<Eviction>,
+            evicted: &mut Vec<Eviction<u32>>,
         ) -> Outcome {
             if let Fault::PanicAt(at) = self.fault {
                 assert!(self.slots.len() != at, "planted panic at request {at}");

@@ -527,7 +527,7 @@ fn dense_fingerprint(
             .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut hash = FNV_OFFSET;
     policy.replay(&slots, requests, ignore_size, &mut |_, e| {
-        hash = hash_ids(hash, std::slice::from_ref(e));
+        hash = hash_ids(hash, &[e.named(ids.orig(e.id))]);
     });
     let stats = policy.stats();
     (stats.misses, stats.evictions, hash)
@@ -548,7 +548,8 @@ fn dense_print(name: &str, capacity: u64, requests: &[Request], ignore_size: boo
         evicted.clear();
         let outcome = policy.request_dense(slot, &Request { size, ..*r }, &mut evicted);
         outcomes = fnv(outcomes, &[outcome as u8]);
-        hash = hash_ids(hash, &evicted);
+        let named: Vec<_> = evicted.iter().map(|e| e.named(ids.orig(e.id))).collect();
+        hash = hash_ids(hash, &named);
     }
     let stats = policy.stats();
     (stats.misses, stats.evictions, hash, outcomes)

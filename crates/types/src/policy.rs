@@ -46,10 +46,14 @@ impl Outcome {
 /// Policies emit one `Eviction` per object they remove to make room. The
 /// simulator uses these to reconstruct the paper's Fig. 4 (frequency at
 /// eviction) and Fig. 10 (quick-demotion speed and precision).
+///
+/// `I` is what names the object: an [`ObjId`] for a keyed [`Policy`], the
+/// `u32` slot for a dense policy, whose door alone knows which id a slot
+/// stands for ([`Eviction::named`] translates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Eviction {
+pub struct Eviction<I = ObjId> {
     /// The evicted object.
-    pub id: ObjId,
+    pub id: I,
     /// Its size in bytes.
     pub size: u32,
     /// Logical time at which the object was (last) inserted.
@@ -62,7 +66,19 @@ pub struct Eviction {
     pub from_probationary: bool,
 }
 
-impl Eviction {
+impl<I> Eviction<I> {
+    /// The same record, naming the object `id`.
+    #[inline]
+    pub fn named<J>(self, id: J) -> Eviction<J> {
+        Eviction {
+            id,
+            size: self.size,
+            insert_time: self.insert_time,
+            freq: self.freq,
+            from_probationary: self.from_probationary,
+        }
+    }
+
     /// True when the object received no access between insertion and
     /// eviction — the paper's "one-hit wonder at eviction".
     #[inline]

@@ -38,7 +38,9 @@ fn dense(name: &str, capacity: u64, requests: &[Request]) -> Run {
     let mut policy = registry::build_dense_domain(name, capacity, Some(&slots), ids.len())
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut all = Vec::new();
-    policy.replay(&slots, requests, false, &mut |_, e| all.push(*e));
+    policy.replay(&slots, requests, false, &mut |_, e| {
+        all.push(e.named(ids.orig(e.id)));
+    });
     (policy.stats(), all)
 }
 

@@ -67,6 +67,7 @@ fn lockstep<P: SlabPolicy + Send>(
             &mut reference,
             &mut keyed,
             dense.as_mut(),
+            &ids,
             &slots[from..to],
             &requests[from..to],
         );
