@@ -103,10 +103,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings \
 
 step "check_gate: differential fuzz, observers, linearizability-lite, loom-lite"
 # Fixed-seed correctness battery (crates/check): >= 10k generated requests
-# per policy/mode pair through reference vs keyed vs dense on 17 names (the
-# FIFO family, S3-FIFO's four §6.3/§7 queue-type variants, ARC, LRU-2, B-LRU
-# and S3-FIFO-D), an invariant observer sweep over every registry algorithm
-# on the pre-interned door at capacity 64 and at capacity 6, below the
+# per policy/mode/clock-tick triple (a tick every request, and every 32nd,
+# so LRU-2's penultimate accesses tie) through reference vs keyed vs dense
+# on 17 names (the FIFO family, S3-FIFO's four §6.3/§7 queue-type variants,
+# ARC, LRU-2, B-LRU and S3-FIFO-D), an invariant observer sweep over every
+# registry algorithm on the pre-interned door at capacity 64 and at
+# capacity 6, below the
 # trace's largest size, so every name's oversized reads are checked
 # `Uncacheable` (the keyed door's per-request checks are the
 # fuzzer's and crates/sim/tests/equivalence.rs's), logged concurrent

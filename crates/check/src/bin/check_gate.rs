@@ -4,9 +4,10 @@
 //! each printing its wall time:
 //!
 //! 1. **Differential fuzz** — every reference-covered algorithm ×
-//!    capacities {1, 2, 3, 7, 50} × {unit-size, sized}, ≥ 10 000 generated
-//!    requests per algorithm/mode pair, reference vs keyed vs dense
-//!    compared after every request. Divergences are shrunk before printing.
+//!    capacities {1, 2, 3, 7, 50} × {unit-size, sized} × a clock that ticks
+//!    every request or every 32nd, ≥ 10 000 generated requests per
+//!    algorithm/mode/tick triple, reference vs keyed vs dense compared
+//!    after every request. Divergences are shrunk before printing.
 //! 2. **MRC differential** — `simulate_mrc` for every FIFO-family
 //!    algorithm × degenerate and regular grids × {pure-Get unit (the
 //!    single-pass engines), mixed unit, sized (the per-capacity route)},
@@ -62,33 +63,41 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Requests per clock tick the differential fuzz runs under: every request
+/// its own time, and ties of 32 (which LRU-2's tie-break needs to be seen).
+const TICKS: [u64; 2] = [1, 32];
+
 fn phase_differential() -> Result<(), String> {
     let mut total = 0usize;
     for name in FUZZED_ALGORITHMS {
-        let mut per_pair = [0usize; 2];
-        for capacity in [1u64, 2, 3, 7, 50] {
-            for (mode, max_size) in [(0usize, 1u32), (1, 6)] {
-                let cfg = FuzzConfig {
-                    seed: 0xC1_6A7E ^ (capacity << 8) ^ u64::from(max_size),
-                    requests: 2_500,
-                    max_size,
-                    ..FuzzConfig::default()
-                };
-                match fuzz_policy(name, capacity, &cfg) {
-                    Ok(n) => per_pair[mode] += n,
-                    Err(d) => return Err(format!("{d}")),
+        // Requests per (tick, unit-size or sized) pair.
+        let mut per_pair = [[0usize; 2]; TICKS.len()];
+        for (tick_idx, &requests_per_tick) in TICKS.iter().enumerate() {
+            for capacity in [1u64, 2, 3, 7, 50] {
+                for (mode, max_size) in [(0usize, 1u32), (1, 6)] {
+                    let cfg = FuzzConfig {
+                        seed: 0xC1_6A7E ^ (capacity << 8) ^ u64::from(max_size),
+                        requests: 2_500,
+                        max_size,
+                        requests_per_tick,
+                        ..FuzzConfig::default()
+                    };
+                    match fuzz_policy(name, capacity, &cfg) {
+                        Ok(n) => per_pair[tick_idx][mode] += n,
+                        Err(d) => return Err(format!("(clock tick {requests_per_tick}) {d}")),
+                    }
                 }
             }
         }
+        let [unit, sized] = [0, 1].map(|mode| per_pair.iter().map(|p| p[mode]).sum::<usize>());
         println!(
-            "  {name}: {} unit-size + {} sized requests, zero divergences",
-            per_pair[0], per_pair[1]
+            "  {name}: {unit} unit-size + {sized} sized requests over ticks {TICKS:?}, zero divergences"
         );
         assert!(
-            per_pair.iter().all(|&n| n >= 10_000),
+            per_pair.iter().flatten().all(|&n| n >= 10_000),
             "fuzz budget regressed below 10k requests per pair"
         );
-        total += per_pair[0] + per_pair[1];
+        total += unit + sized;
     }
     println!("  total: {total} differential requests");
     Ok(())
@@ -146,6 +155,7 @@ fn phase_observer() -> Result<(), String> {
         universe: 400,
         max_size: 8,
         write_percent: 8,
+        ..FuzzConfig::default()
     });
     let oversized = requests.iter().filter(|r| r.is_read() && r.size > 6).count();
     if oversized == 0 {

@@ -44,6 +44,10 @@ pub struct FuzzConfig {
     /// Fraction (percent) of requests that are `Set`s; an equal share
     /// becomes `Delete`s. 0 generates a pure `Get` stream.
     pub write_percent: u64,
+    /// Requests per clock tick: request `t` is stamped `t / requests_per_tick`.
+    /// 1 gives every request its own time; 32 makes timestamps tie, as a
+    /// real trace's seconds do, so LRU-2 meets equal penultimate accesses.
+    pub requests_per_tick: u64,
 }
 
 impl Default for FuzzConfig {
@@ -54,6 +58,7 @@ impl Default for FuzzConfig {
             universe: 64,
             max_size: 4,
             write_percent: 10,
+            requests_per_tick: 1,
         }
     }
 }
@@ -100,6 +105,7 @@ pub fn generate_trace(cfg: &FuzzConfig) -> Vec<Request> {
     let mut rng = SplitMix64::new(cfg.seed);
     let universe = cfg.universe.max(1);
     let hot = (universe / 8).max(1);
+    let tick = cfg.requests_per_tick.max(1);
     (0..cfg.requests)
         .map(|t| {
             let id = if rng.next_below(2) == 0 {
@@ -119,7 +125,7 @@ pub fn generate_trace(cfg: &FuzzConfig) -> Vec<Request> {
             Request {
                 id,
                 size,
-                time: t as u64,
+                time: t as u64 / tick,
                 op,
             }
         })

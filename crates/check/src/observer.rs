@@ -273,6 +273,7 @@ mod tests {
             universe: 200,
             max_size: 8,
             write_percent: 8,
+            ..crate::fuzz::FuzzConfig::default()
         });
         Trace::new("observer-fuzz", reqs)
     }

@@ -92,6 +92,7 @@ fn random_concurrent_ops_leave_every_variant_consistent() {
         universe: 600,
         max_size: 1,
         write_percent: 15, // 15% Set, 15% Delete, 70% Get
+        ..FuzzConfig::default()
     });
     for (name, build) in builders() {
         // Three repeats: the op streams are fixed, the interleavings are
@@ -123,6 +124,7 @@ fn ddmin_reduces_concurrent_repro_to_planted_pair() {
         universe: 300,
         max_size: 1,
         write_percent: 10,
+        ..FuzzConfig::default()
     });
     let at = trace.len() / 3;
     trace.insert(

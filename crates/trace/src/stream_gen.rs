@@ -5,12 +5,20 @@
 //! [`crate::gen::WorkloadSpec`] materializes a `Vec<Request>`, which caps it
 //! at a few hundred million requests; the paper's evaluation runs to
 //! hundreds of billions. [`StreamSpec`] emits the same workload *shape*
-//! knobs (Zipf skew, one-hit wonders, scan bursts, deletes) record by record
-//! into a [`crate::ctr::CtrWriter`], so memory stays at the Zipf sampler
-//! (at most 12 bytes per core object) regardless of trace length, and adds phase
-//! changes — the popularity ranking rotates through the id space at fixed
-//! intervals, the workload shift that per-window miss-ratio series exist to
-//! expose.
+//! knobs (Zipf skew, one-hit wonders, scan bursts, deletes) a chunk of 4096
+//! records at a time into a [`crate::ctr::CtrWriter`], so memory stays at the
+//! Zipf sampler (at most 12 bytes per core object) regardless of trace
+//! length, and adds phase changes — the popularity ranking rotates through
+//! the id space at fixed intervals, the workload shift that per-window
+//! miss-ratio series exist to expose.
+//!
+//! A Zipf draw's cost is the latency of its two dependent misses into the
+//! sampler's tables, not arithmetic, so each chunk takes two passes: a
+//! control pass makes every RNG draw in record order and decides each
+//! record's kind, then [`ZipfSampler::ranks_of`] inverts the chunk's Zipf
+//! draws with their misses overlapped, and the records are emitted in
+//! order. The bytes are those of one record at a time
+//! (`tests::chunk_edges_are_pinned`).
 //!
 //! Ids are laid out in disjoint `u32` ranges so the `.ctr` id space (which
 //! sizes a reader's direct id → slot table, 4 B an id) stays proportional
@@ -36,6 +44,20 @@ use cache_ds::rng::mix64;
 use cache_ds::SplitMix64;
 use cache_types::{CacheError, Op};
 use std::io::{Seek, Write};
+
+/// Records [`StreamSpec::write`] generates per pass.
+const CHUNK: usize = 4096;
+
+/// What a record is, as the control pass decides it.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    /// A get of a scan or one-hit-wonder id.
+    Get(u32),
+    /// A delete of `recent[pick]`, read when the record is emitted.
+    Delete(u8),
+    /// A get of the core object the chunk's next Zipf rank names.
+    Zipf,
+}
 
 /// Knobs for a streamed, disk-resident workload.
 #[derive(Debug, Clone)]
@@ -163,10 +185,10 @@ impl StreamSpec {
         }
     }
 
-    /// Streams the trace into `w` as `.ctr`, one record at a time. Memory
+    /// Streams the trace into `w` as `.ctr`, a chunk at a time. Memory
     /// footprint is the Zipf sampler (`8 * objects` bytes of CDF, at most
-    /// `4 * objects` of guide table) plus fixed-size state; nothing scales
-    /// with `requests`. Wrap files in a `BufWriter`.
+    /// `4 * objects` of guide table) plus one chunk's buffers; nothing
+    /// scales with `requests`. Wrap files in a `BufWriter`.
     ///
     /// # Errors
     ///
@@ -211,45 +233,72 @@ impl StreamSpec {
         let mut recent = [0u32; 64];
         let mut recent_len = 0usize;
 
-        for t in 0..self.requests {
-            if t == next_phase_at && phase + 1 < self.phases {
-                phase += 1;
-                next_phase_at += phase_len;
-                rotation += phase_stride;
-            }
-            let (id, op) = if scan_remaining > 0 {
-                scan_remaining -= 1;
-                let id = scan_base + advance(&mut scan_cursor, self.scan_space);
-                (id as u32, Op::Get)
-            } else {
-                let u = rng.next_f64();
-                if u < scan_start_p {
-                    scan_remaining = self.scan_len - 1;
-                    let id = scan_base + advance(&mut scan_cursor, self.scan_space);
-                    (id as u32, Op::Get)
-                } else if u < scan_start_p + self.one_hit_fraction {
-                    let id = fresh_base + advance(&mut fresh_cursor, self.fresh_ring);
-                    (id as u32, Op::Get)
-                } else if u < scan_start_p + self.one_hit_fraction + self.delete_fraction
-                    && recent_len > 0
-                {
-                    let pick = rng.next_below(recent_len as u64) as usize;
-                    (recent[pick], Op::Delete)
+        let mut draws = Vec::with_capacity(CHUNK);
+        let mut us = Vec::with_capacity(CHUNK);
+        let mut ranks = Vec::with_capacity(CHUNK);
+        let mut t = 0u64;
+        while t < self.requests {
+            // Control pass: every RNG draw of the chunk, in record order.
+            // Which draws happen depends only on `u`, the scan state and
+            // how many Zipf draws came before, never on a Zipf rank, so
+            // the ranks can wait for the inversion pass.
+            draws.clear();
+            us.clear();
+            for _ in 0..(self.requests - t).min(CHUNK as u64) {
+                let draw = if scan_remaining > 0 {
+                    scan_remaining -= 1;
+                    Draw::Get((scan_base + advance(&mut scan_cursor, self.scan_space)) as u32)
                 } else {
-                    let rank = zipf.sample(&mut rng);
-                    // Both terms are below `objects`, so one subtraction
-                    // wraps the sum.
-                    let mut id = (rank - 1) + rotation;
-                    if id >= self.objects {
-                        id -= self.objects;
+                    let u = rng.next_f64();
+                    if u < scan_start_p {
+                        scan_remaining = self.scan_len - 1;
+                        Draw::Get((scan_base + advance(&mut scan_cursor, self.scan_space)) as u32)
+                    } else if u < scan_start_p + self.one_hit_fraction {
+                        Draw::Get((fresh_base + advance(&mut fresh_cursor, self.fresh_ring)) as u32)
+                    } else if u < scan_start_p + self.one_hit_fraction + self.delete_fraction
+                        && recent_len > 0
+                    {
+                        Draw::Delete(rng.next_below(recent_len as u64) as u8)
+                    } else {
+                        let u = rng.next_f64();
+                        zipf.prefetch(u);
+                        us.push(u);
+                        recent_len = (recent_len + 1).min(recent.len());
+                        Draw::Zipf
                     }
-                    let id = id as u32;
-                    recent[t as usize % recent.len()] = id;
-                    recent_len = (recent_len + 1).min(recent.len());
-                    (id, Op::Get)
+                };
+                draws.push(draw);
+            }
+            // Inversion pass: the chunk's Zipf ranks, misses overlapped.
+            zipf.ranks_of(&us, &mut ranks);
+            // Emit pass: ids from ranks, deletes from `recent`, in order.
+            let mut zipf_draws = 0;
+            for &draw in &draws {
+                if t == next_phase_at && phase + 1 < self.phases {
+                    phase += 1;
+                    next_phase_at += phase_len;
+                    rotation += phase_stride;
                 }
-            };
-            writer.push(id, self.size_of(id), op)?;
+                let (id, op) = match draw {
+                    Draw::Get(id) => (id, Op::Get),
+                    Draw::Delete(pick) => (recent[usize::from(pick)], Op::Delete),
+                    Draw::Zipf => {
+                        let rank = ranks[zipf_draws];
+                        zipf_draws += 1;
+                        // Both terms are below `objects`, so one subtraction
+                        // wraps the sum.
+                        let mut id = (rank - 1) + rotation;
+                        if id >= self.objects {
+                            id -= self.objects;
+                        }
+                        let id = id as u32;
+                        recent[t as usize % recent.len()] = id;
+                        (id, Op::Get)
+                    }
+                };
+                writer.push(id, self.size_of(id), op)?;
+                t += 1;
+            }
         }
         writer.finish()
     }
@@ -457,6 +506,45 @@ mod tests {
             fnv1a(&generate(&wrapping).0),
         ];
         assert_eq!(got, [0xC06D_B515_84BF_157F, 0x8656_B0B5_2A66_718F]);
+    }
+
+    /// Pins the bytes at the generator's chunk edges (pinned before the
+    /// generator worked in chunks): one record either side of a whole
+    /// chunk, a scan burst longer than a chunk, and deletes, which read
+    /// ids drawn in earlier chunks, on from the first record.
+    #[test]
+    fn chunk_edges_are_pinned() {
+        let edge = |requests| StreamSpec {
+            delete_fraction: 0.05,
+            max_size: 3,
+            ..StreamSpec::paper_mix(requests, 1_000, 3)
+        };
+        let long_scans = StreamSpec {
+            scan_fraction: 0.3,
+            scan_len: 5_000,
+            scan_space: 7_000,
+            ..StreamSpec::zipf(30_011, 2_000, 1.0, 4)
+        };
+        let deletes = StreamSpec {
+            delete_fraction: 0.4,
+            ..StreamSpec::zipf(3 * 4096 + 17, 500, 0.9, 6)
+        };
+        let got = [4095, 4096, 4097]
+            .map(edge)
+            .iter()
+            .chain([&long_scans, &deletes])
+            .map(|spec| fnv1a(&generate(spec).0))
+            .collect::<Vec<_>>();
+        assert_eq!(
+            got,
+            [
+                0x0850_C1E4_CDF5_0F1E,
+                0xC974_EBFA_ED07_33E7,
+                0x4D91_CC72_31DC_3BCF,
+                0x8F51_6261_EC77_3122,
+                0xFF69_0675_94A1_217F,
+            ]
+        );
     }
 
     #[test]

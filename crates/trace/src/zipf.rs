@@ -7,8 +7,14 @@
 //! deterministic given the RNG stream). A guide table makes a sample O(1)
 //! in expectation: it narrows the search to the ranks whose CDF entries
 //! straddle one of `2^b` equal slices of `[0, 1)`.
+//!
+//! At a million ranks the table (2 MB) and the CDF (8 MB) live in DRAM, so
+//! a draw costs two dependent cache misses, not arithmetic.
+//! [`ZipfSampler::ranks_of`] inverts a batch instead: it reads every guide
+//! slice and prefetches the CDF line each search starts at before it
+//! searches any, so the batch's misses overlap rather than queue.
 
-use cache_ds::SplitMix64;
+use cache_ds::{prefetch_read, SplitMix64};
 
 /// Widest guide table: `2^20` slices, 4 MB of `u32`.
 const MAX_GUIDE_BITS: u32 = 20;
@@ -43,8 +49,12 @@ impl ZipfSampler {
         );
         let mut cdf = Vec::with_capacity(n as usize);
         let mut acc = 0.0f64;
+        // `x.powf(1.0)` is exactly `x`, so at α = 1 the bare reciprocal
+        // builds the same bits without a `powf` per rank.
+        let unit = alpha == 1.0;
         for i in 1..=n {
-            acc += 1.0 / (i as f64).powf(alpha);
+            let x = i as f64;
+            acc += if unit { 1.0 / x } else { 1.0 / x.powf(alpha) };
             cdf.push(acc);
         }
         let total = acc;
@@ -80,14 +90,51 @@ impl ZipfSampler {
         self.rank_of(rng.next_f64())
     }
 
-    /// The rank `u` in `[0, 1)` inverts to: one past the index of the first
-    /// CDF entry `>= u`, the last rank where rounding left none.
+    /// Replaces `ranks` with the rank each `u` in `[0, 1)` inverts to, the
+    /// same as one [`ZipfSampler::sample`] per `u` would return. All guide
+    /// slices are read, and the CDF line each search starts at prefetched,
+    /// before the first search.
+    pub fn ranks_of(&self, us: &[f64], ranks: &mut Vec<u64>) {
+        ranks.clear();
+        // `ranks` holds each slice's bounds, packed, until its search.
+        ranks.extend(us.iter().map(|&u| {
+            let (lo, hi) = self.slice_of(u);
+            // A slice's search probes its midpoint first.
+            prefetch_read(&self.cdf, (lo + hi) / 2);
+            (lo as u64) << 32 | hi as u64
+        }));
+        for (r, &u) in ranks.iter_mut().zip(us) {
+            *r = self.search(u, (*r >> 32) as usize, *r as u32 as usize);
+        }
+    }
+
+    /// Prefetches the guide entries of `u`'s slice, for a
+    /// [`ZipfSampler::ranks_of`] to come.
+    #[inline]
+    pub(crate) fn prefetch(&self, u: f64) {
+        prefetch_read(&self.guide, (u * self.slices) as usize);
+    }
+
+    /// The rank `u` in `[0, 1)` inverts to.
     #[inline]
     fn rank_of(&self, u: f64) -> u64 {
+        let (lo, hi) = self.slice_of(u);
+        self.search(u, lo, hi)
+    }
+
+    /// The CDF indices `lo..=hi` that hold the first entry `>= u`.
+    #[inline]
+    fn slice_of(&self, u: f64) -> (usize, usize) {
         let k = (u * self.slices) as usize;
-        let (lo, hi) = (self.guide[k] as usize, self.guide[k + 1] as usize);
-        // The CDF is non-decreasing, so the first entry >= u lies in
-        // `lo..=hi`: partition_point returns the count of entries < u.
+        (self.guide[k] as usize, self.guide[k + 1] as usize)
+    }
+
+    /// One past the index of the first CDF entry `>= u` in `lo..=hi`, the
+    /// last rank where rounding left none.
+    #[inline]
+    fn search(&self, u: f64, lo: usize, hi: usize) -> u64 {
+        // The CDF is non-decreasing, so partition_point returns the count
+        // of entries < u.
         let idx = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
         (idx.min(self.cdf.len() - 1) + 1) as u64
     }
@@ -231,33 +278,67 @@ mod prop_tests {
 
     /// The guided search agrees with the full one at every slice edge, one
     /// ulp either side of it, and at random points, across rank counts that
-    /// straddle the table's width and the skews the corpus draws.
+    /// straddle the table's width and the skews the corpus draws; and the
+    /// batched inversion agrees with both at all those points, in batches
+    /// of 0, 1, 4095, 4096 and 4097.
     #[test]
     fn guided_rank_equals_the_full_search() {
         let mut rng = SplitMix64::new(0x2F1B);
+        let mut ranks = Vec::new();
         for n in [1u64, 2, 3, 1000, (1 << 20) + 3] {
             for alpha in [0.0, 0.6, 1.0, 1.4] {
                 let z = ZipfSampler::new(n, alpha);
                 let slices = z.guide.len() as u32 - 1;
                 let step = (slices / 4096).max(1);
                 let edges = (0..slices).step_by(step as usize).chain([slices - 1]);
+                let mut points = Vec::new();
                 for k in edges {
                     let edge = f64::from(k) / f64::from(slices);
                     let up = f64::from_bits(edge.to_bits() + 1);
                     let below = (k > 0).then(|| f64::from_bits(edge.to_bits() - 1));
-                    for u in [Some(edge), Some(up), below].into_iter().flatten() {
-                        assert_eq!(z.rank_of(u), full_search(&z, u), "n {n} alpha {alpha} u {u:e}");
-                    }
+                    points.extend([Some(edge), Some(up), below].into_iter().flatten());
                 }
                 // The largest `u` `next_f64` can return.
-                let top = 1.0 - f64::EPSILON / 2.0;
-                assert_eq!(z.rank_of(top), full_search(&z, top), "n {n} alpha {alpha}");
-                for _ in 0..20_000 {
-                    let u = rng.next_f64();
-                    assert_eq!(z.rank_of(u), full_search(&z, u), "n {n} alpha {alpha} u {u:e}");
+                points.push(1.0 - f64::EPSILON / 2.0);
+                points.extend((0..20_000).map(|_| rng.next_f64()));
+                let want: Vec<u64> = points.iter().map(|&u| full_search(&z, u)).collect();
+                for (&u, &rank) in points.iter().zip(&want) {
+                    assert_eq!(z.rank_of(u), rank, "n {n} alpha {alpha} u {u:e}");
                 }
+                z.ranks_of(&points, &mut ranks);
+                assert_eq!(ranks, want, "n {n} alpha {alpha}: one batch");
+                for len in [1, 4095, 4096, 4097] {
+                    for (us, want) in points.chunks(len).zip(want.chunks(len)) {
+                        z.ranks_of(us, &mut ranks);
+                        assert_eq!(ranks, want, "n {n} alpha {alpha} batch {len}");
+                    }
+                }
+                z.ranks_of(&[], &mut ranks);
+                assert!(ranks.is_empty(), "n {n} alpha {alpha}: empty batch");
             }
         }
+    }
+
+    /// At α = 1 the CDF is built without `powf`, to the same bits.
+    #[test]
+    fn unit_alpha_cdf_equals_the_powf_form() {
+        let n = (1u64 << 20) + 3;
+        let mut acc = 0.0f64;
+        let mut cdf: Vec<f64> = (1..=n)
+            .map(|i| {
+                acc += 1.0 / (i as f64).powf(1.0);
+                acc
+            })
+            .collect();
+        for c in &mut cdf {
+            *c /= acc;
+        }
+        let z = ZipfSampler::new(n, 1.0);
+        assert!(
+            z.cdf.iter().zip(&cdf).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "α = 1 CDF differs from the powf form"
+        );
+        assert_eq!(z.cdf.len(), cdf.len());
     }
 
     proptest! {

@@ -84,16 +84,14 @@ fn decisions_do_not_depend_on_what_ids_are_called() {
         (0x7E1A_BE12, 6_000, 4, 10, 1),
         (0x7E1A_BE13, 20_000, 4, 10, 32),
     ] {
-        let mut requests = generate_trace(&FuzzConfig {
+        let requests = generate_trace(&FuzzConfig {
             seed,
             requests,
             universe: 3_000,
             max_size,
             write_percent,
+            requests_per_tick: tick,
         });
-        for r in &mut requests {
-            r.time /= tick;
-        }
         let map = relabelling(&requests, seed ^ 0xB17E);
         let renamed: Vec<Request> = requests
             .iter()
