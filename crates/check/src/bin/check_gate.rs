@@ -12,7 +12,10 @@
 //!    algorithm × degenerate and regular grids × {pure-Get unit (the
 //!    single-pass engines), mixed unit, sized (the per-capacity route)},
 //!    each grid point diffed bit-for-bit against a per-capacity reference
-//!    replay, with ddmin shrinking on mismatch.
+//!    replay, with ddmin shrinking on mismatch; on the pure-Get streams the
+//!    single-pass engines are also built alone, replayed, and their
+//!    structural invariants checked (which `simulate_mrc` does only in
+//!    debug builds).
 //! 3. **Invariant observer sweep** — every registry algorithm replayed over
 //!    a skewed 25 000-request trace under [`cache_check::InvariantObserver`].
 //! 4. **Linearizability-lite** — a logged multi-threaded torture run per
@@ -50,10 +53,11 @@ use cache_check::models::shardlock::{
     writers_gated_reader_scenario, LockVariant,
 };
 use cache_check::{
-    check_history, check_monotonic, fuzz_mrc, fuzz_policy, fuzz_stream, FuzzConfig,
-    InvariantObserver, FUZZED_ALGORITHMS, MRC_ALGORITHMS, MRC_GRIDS, STREAM_ALGORITHMS,
-    STREAM_SHAPES,
+    check_history, check_monotonic, fuzz_mrc, fuzz_policy, fuzz_stream, mrc_validate,
+    FuzzConfig, InvariantObserver, FUZZED_ALGORITHMS, MRC_ALGORITHMS, MRC_GRIDS,
+    STREAM_ALGORITHMS, STREAM_SHAPES,
 };
+use cache_check::fuzz::generate_trace;
 use cache_concurrent::oplog::{run_logged_torture, LoggedTortureConfig};
 use cache_concurrent::ConcurrentCache;
 use cache_policies::registry;
@@ -115,8 +119,10 @@ fn phase_mrc() -> Result<(), String> {
         ("mixed-sized", 6, 10, false),
     ];
     let mut total = 0usize;
+    let mut validated = 0usize;
     for name in MRC_ALGORITHMS {
         let mut per_algo = 0usize;
+        let mut engines = 0usize;
         for (grid_idx, grid) in MRC_GRIDS.iter().enumerate() {
             for (label, max_size, write_percent, ignore_size) in modes {
                 let cfg = FuzzConfig {
@@ -134,12 +140,22 @@ fn phase_mrc() -> Result<(), String> {
                     Ok(n) => per_algo += n * grid.len(),
                     Err(d) => return Err(format!("({label} mode) {d}")),
                 }
+                if write_percent == 0 {
+                    engines += mrc_validate(name, &generate_trace(&cfg), grid)
+                        .map_err(|e| format!("({label} mode, seed {:#x}) {e}", cfg.seed))?;
+                }
             }
         }
-        println!("  {name}: {per_algo} point-requests diffed bit-identical");
+        println!(
+            "  {name}: {per_algo} point-requests diffed bit-identical, {engines} engines validated"
+        );
         total += per_algo;
+        validated += engines;
     }
-    println!("  total: {total} MRC point-requests across {} grids", MRC_GRIDS.len());
+    println!(
+        "  total: {total} MRC point-requests across {} grids, {validated} engines validated",
+        MRC_GRIDS.len()
+    );
     Ok(())
 }
 

@@ -52,7 +52,7 @@ pub mod reference;
 pub mod stream;
 
 pub use fuzz::{diff_run, fuzz_policy, Divergence, FuzzConfig, FUZZED_ALGORITHMS};
-pub use mrc::{fuzz_mrc, mrc_diff, MrcDivergence, MRC_ALGORITHMS, MRC_GRIDS};
+pub use mrc::{fuzz_mrc, mrc_diff, mrc_validate, MrcDivergence, MRC_ALGORITHMS, MRC_GRIDS};
 pub use stream::{
     fuzz_stream, stream_diff, StreamDivergence, STREAM_ALGORITHMS, STREAM_SHAPES,
 };

@@ -13,6 +13,7 @@
 
 use crate::fuzz::{generate_trace, shrink_with, FuzzConfig};
 use crate::reference::reference_for;
+use cache_policies::registry;
 use cache_sim::{simulate_mrc, MrcConfig};
 use cache_trace::Trace;
 use cache_types::{Policy, Request};
@@ -185,12 +186,45 @@ pub fn fuzz_mrc(
     }
 }
 
+/// Builds `name`'s single-pass engines over `capacities` the way
+/// `simulate_mrc` draws a curve on one core, one per
+/// [`registry::mrc_engine_lanes`] points, replays `requests` through each,
+/// and runs its `validate`. This is the engines' structural check in a
+/// release build, where `simulate_mrc` skips it. Returns the number of
+/// engines validated (0 when the name has none).
+///
+/// `requests` must be a pure-`Get` stream; sizes are not read (the engines
+/// replay at size 1).
+///
+/// # Errors
+///
+/// Returns the grid chunk and the violated invariant, or the build error.
+pub fn mrc_validate(name: &str, requests: &[Request], capacities: &[u64]) -> Result<usize, String> {
+    let trace = Trace::new("mrc-validate", requests.to_vec());
+    let dense = trace.dense();
+    let mut engines = 0;
+    for lanes in capacities.chunks(registry::mrc_engine_lanes(name)) {
+        let built = registry::build_mrc(name, lanes, &dense.ids)
+            .map_err(|e| format!("{name} engine over {lanes:?}: {e}"))?;
+        let Some(mut engine) = built else {
+            break;
+        };
+        engine.replay(&dense.slots);
+        engine
+            .validate()
+            .map_err(|e| format!("{name} engine over {lanes:?}: {e}"))?;
+        engines += 1;
+    }
+    Ok(engines)
+}
+
 /// The degenerate and regular capacity grids the MRC differential sweeps:
 /// a single point, capacity 1, duplicates, an unsorted multi-point grid,
-/// and two at the turbo engines' 32-lane boundary: 32 points fill one
-/// engine's residency word where one core draws them, and 40 are split
-/// across engines whatever the core count. Shared by the in-tree test and
-/// the `check_gate` CI phase.
+/// two at the turbo engines' 32-lane boundary (32 points fill one engine's
+/// residency word where one core draws them, and 40 are split across
+/// engines whatever the core count), and capacities at and above the
+/// fuzzed universe's 64 ids, where nothing is evicted. Shared by the
+/// in-tree test and the `check_gate` CI phase.
 pub const MRC_GRIDS: &[&[u64]] = &[
     &[1],
     &[7],
@@ -198,6 +232,7 @@ pub const MRC_GRIDS: &[&[u64]] = &[
     &[21, 1, 8, 3, 13, 2, 5],
     &spread::<32>(),
     &spread::<40>(),
+    &[2, 64, 1_000],
 ];
 
 /// `N` capacities from 1 up to the fuzzed universe's 64 ids, in a scrambled
@@ -252,6 +287,10 @@ mod tests {
                     };
                     if let Err(d) = fuzz_mrc(name, grid, ignore_size, &cfg) {
                         panic!("divergence:\n{d}");
+                    }
+                    if write_percent == 0 {
+                        let engines = mrc_validate(name, &generate_trace(&cfg), grid);
+                        assert!(matches!(engines, Ok(n) if n > 0), "{name} {grid:?}: {engines:?}");
                     }
                 }
             }

@@ -16,19 +16,25 @@
 //!   lane, so a `Get` answers hit/miss for the *whole grid* from a single
 //!   load, and a hit writes nothing per lane.
 //! - **Reference state is derived, not stored.** `hdr[slot].acc` counts the
-//!   slot's accesses; each queue entry remembers the counter value `mark`
-//!   (and, where it can be non-zero, a folded base frequency `f0`) from
-//!   when the policy last touched it. Under pure `Get`s an object's
-//!   residency in a lane is one continuous interval, every access inside it
-//!   is a hit, and CLOCK / S3-FIFO frequencies only *increase* between
-//!   policy touch-points — so the capped counter at scan time is exactly
-//!   `min(f0 + (acc - mark), max)`, and SIEVE's visited bit is exactly
-//!   `acc > mark`. Hits never touch per-lane state; scans re-fold.
-//! - **Queues are arrays, not linked lists.** CLOCK's move-to-front cycle
-//!   is a fixed circular buffer with a hand (survivors stay put, the victim
-//!   is replaced in place); SIEVE is a grow-only vector with tombstones, a
-//!   hand index, and amortised compaction; S3-FIFO's queues are
-//!   `VecDeque`s (every operation is a tail pop or head push). Eviction
+//!   slot's accesses; each queue entry remembers a `base`: the counter value
+//!   when the policy last touched it, less the capped count it folded then.
+//!   Under pure `Get`s an object's residency in a lane is one continuous
+//!   interval, every access inside it is a hit, and CLOCK / S3-FIFO
+//!   frequencies only *increase* between policy touch-points — so the
+//!   capped counter at scan time is exactly `min(acc - base, max)`, and
+//!   SIEVE's visited bit is exactly `acc > base`. Hits never touch per-lane
+//!   state; scans re-fold. The fold never underflows: an insert sets
+//!   `base = acc ≥ 1`, and a survivor's `acc - (freq - 1)` is above its old
+//!   base and at most `acc`.
+//! - **Queues are arrays, not linked lists, allocated once.** CLOCK's
+//!   move-to-front cycle is a fixed circular buffer with a hand (survivors
+//!   stay put, the victim is replaced in place); SIEVE is a grow-only vector
+//!   with tombstones, a hand index, and amortised compaction; S3-FIFO's
+//!   queues are `VecDeque`s, ring buffers (every operation is a tail pop or
+//!   head push). Every queue holds one 8 B [`Entry`] and is built at the
+//!   most entries it can ever hold, so none is copied into a doubled buffer
+//!   mid-replay, and the pages a small lane never writes stay unmapped.
+//!   `validate` checks each still has the room it was built with. Eviction
 //!   scans walk sequential memory.
 //!
 //! Per object, an engine keeps one 8 B [`SlotHdr`] shared by all its lanes
@@ -69,14 +75,68 @@ fn lane_mask(k: usize) -> u32 {
     u32::MAX >> (MAX_TURBO_LANES - k)
 }
 
+/// One queue entry, the same 8 B in every turbo queue: the slot, and the
+/// counter value its reference count is measured from (see
+/// [`derived_freq`]).
+#[derive(Clone, Copy)]
+struct Entry {
+    slot: u32,
+    base: u32,
+}
+
 /// The capped reference counter an entry would hold had every access been
-/// applied eagerly: `f0` accesses were folded in at the last policy touch
-/// (insert or scan) when the slot's counter read `mark`; everything since
-/// is a hit, and capping commutes with pure increments.
+/// applied eagerly: the last policy touch (insert or scan) left it at
+/// `acc - base` for the counter value `acc` of that moment; everything
+/// since is a hit, and capping commutes with pure increments.
 #[inline]
-fn derived_freq(f0: u8, acc_now: u32, mark: u32, max_freq: u8) -> u8 {
-    debug_assert!(acc_now >= mark, "access counter moved backwards");
-    (u64::from(f0) + u64::from(acc_now - mark)).min(u64::from(max_freq)) as u8
+fn derived_freq(acc_now: u32, base: u32, max_freq: u8) -> u8 {
+    debug_assert!(acc_now >= base, "access counter moved backwards");
+    (acc_now - base).min(u32::from(max_freq)) as u8
+}
+
+/// The base a survivor of a scan is reinserted with: its count `freq`, one
+/// use spent, folded at counter value `acc`. It is above the entry's old
+/// `base`, or a scan whose survivors all kept their count would not end.
+#[inline]
+fn survivor_base(acc: u32, base: u32, freq: u8) -> u32 {
+    let folded = acc - u32::from(freq - 1);
+    debug_assert!(folded > base, "a survivor's count did not fall");
+    folded
+}
+
+/// The most entries a queue bounded by `n` holds, over `ids` slots: no
+/// queue holds a slot twice except the ghost FIFO, which holds nothing
+/// unless the cache is smaller than the slot count (see [`S3Lane::bounds`]).
+fn bound(n: u64, ids: usize) -> usize {
+    n.min(ids as u64) as usize
+}
+
+/// Checks that a queue still has the room it was built with: a queue that
+/// outgrew its bound was reallocated mid-replay.
+fn check_room(
+    policy: &str,
+    lane: usize,
+    queue: &str,
+    room: usize,
+    built: usize,
+) -> Result<(), String> {
+    if room != built {
+        return Err(format!(
+            "turbo {policy} lane {lane}: {queue} was built for {built} entries and has room for {room}"
+        ));
+    }
+    Ok(())
+}
+
+/// Checks an entry's base against its slot's counter: `1 ≤ base ≤ acc`.
+fn check_base(policy: &str, lane: usize, e: Entry, acc: u32) -> Result<(), String> {
+    if e.base == 0 || e.base > acc {
+        return Err(format!(
+            "turbo {policy} lane {lane}: slot {} has base {} outside 1..={acc}",
+            e.slot, e.base
+        ));
+    }
+    Ok(())
 }
 
 /// Grid + lane-count validation shared by the turbo constructors.
@@ -96,20 +156,12 @@ fn validate_turbo_grid(capacities: &[u64]) -> Result<(), CacheError> {
 // CLOCK
 // ---------------------------------------------------------------------------
 
-/// One CLOCK queue entry; `f0`/`mark` fold the reference counter as of the
-/// last policy touch (see [`derived_freq`]).
-#[derive(Clone, Copy)]
-struct ClockEntry {
-    slot: u32,
-    mark: u32,
-    f0: u8,
-}
-
 struct ClockLane {
     capacity: u64,
     /// Circular buffer once full (`ring.len() == capacity`); before that, a
-    /// plain vector in insertion order with the hand parked at 0.
-    ring: Vec<ClockEntry>,
+    /// plain vector in insertion order with the hand parked at 0. Built for
+    /// `min(capacity, ids)` entries.
+    ring: Vec<Entry>,
     hand: usize,
     misses: u64,
     evictions: u64,
@@ -154,7 +206,7 @@ impl MrcTurboClock {
                 .iter()
                 .map(|&capacity| ClockLane {
                     capacity,
-                    ring: Vec::new(),
+                    ring: Vec::with_capacity(bound(capacity, ids.len())),
                     hand: 0,
                     misses: 0,
                     evictions: 0,
@@ -196,7 +248,7 @@ impl MrcTurboClock {
         let bit = 1u32 << lane;
         l.misses += 1;
         if (l.ring.len() as u64) < l.capacity {
-            l.ring.push(ClockEntry { slot, mark: a, f0: 0 });
+            l.ring.push(Entry { slot, base: a });
             hdr[slot as usize].res |= bit;
             return;
         }
@@ -204,21 +256,17 @@ impl MrcTurboClock {
         loop {
             let e = l.ring[l.hand];
             let ea = hdr[e.slot as usize].acc;
-            let freq = derived_freq(e.f0, ea, e.mark, max_freq);
+            let freq = derived_freq(ea, e.base, max_freq);
             if freq > 0 {
                 // Survivor: fold the decremented count, advance the hand.
-                l.ring[l.hand] = ClockEntry {
-                    slot: e.slot,
-                    mark: ea,
-                    f0: freq - 1,
-                };
+                l.ring[l.hand].base = survivor_base(ea, e.base, freq);
                 l.hand += 1;
                 if l.hand == len {
                     l.hand = 0;
                 }
             } else {
                 hdr[e.slot as usize].res &= !bit;
-                l.ring[l.hand] = ClockEntry { slot, mark: a, f0: 0 };
+                l.ring[l.hand] = Entry { slot, base: a };
                 l.hand += 1;
                 if l.hand == len {
                     l.hand = 0;
@@ -268,6 +316,8 @@ impl MultiCapacityPolicy for MrcTurboClock {
             if !l.ring.is_empty() && l.hand >= l.ring.len() {
                 return Err(format!("turbo CLOCK lane {lane}: hand out of range"));
             }
+            let built = bound(l.capacity, self.hdr.len());
+            check_room("CLOCK", lane, "ring", l.ring.capacity(), built)?;
             let mut seen = vec![false; self.hdr.len()];
             for e in &l.ring {
                 let s = e.slot as usize;
@@ -280,15 +330,7 @@ impl MultiCapacityPolicy for MrcTurboClock {
                         "turbo CLOCK lane {lane}: slot {s} ringed but not marked resident"
                     ));
                 }
-                if e.mark > self.hdr[s].acc {
-                    return Err(format!("turbo CLOCK lane {lane}: mark ahead of counter"));
-                }
-                if e.f0 > self.max_freq {
-                    return Err(format!(
-                        "turbo CLOCK lane {lane}: folded freq {} exceeds cap {}",
-                        e.f0, self.max_freq
-                    ));
-                }
+                check_base("CLOCK", lane, *e, self.hdr[s].acc)?;
             }
             let marked = self.hdr.iter().filter(|h| h.res & bit != 0).count();
             if marked != l.ring.len() {
@@ -311,19 +353,13 @@ impl MultiCapacityPolicy for MrcTurboClock {
 /// Tombstone marker in a SIEVE lane's buffer.
 const TOMB: u32 = u32::MAX;
 
-/// One SIEVE buffer entry; visited ⇔ `hdr[slot].acc > mark`.
-#[derive(Clone, Copy)]
-struct SieveEntry {
-    slot: u32,
-    mark: u32,
-}
-
 struct SieveLane {
     capacity: u64,
     /// Entries in insertion order, tail (oldest) at the lowest live index,
     /// head at the end; evictions leave [`TOMB`] holes that compaction
-    /// squeezes out once they outnumber live entries.
-    buf: Vec<SieveEntry>,
+    /// squeezes out once they outnumber live entries. Visited ⇔
+    /// `hdr[slot].acc > base`. Built for [`SieveLane::bound`] entries.
+    buf: Vec<Entry>,
     live: u64,
     /// Lower bound on the tail's index; advanced lazily over tombstones.
     tail: usize,
@@ -335,6 +371,13 @@ struct SieveLane {
 }
 
 impl SieveLane {
+    /// The longest the buffer gets, which is what it is built with: a push
+    /// that leaves it under 64 entries, or under twice the live ones, does
+    /// not compact, and the live ones are at most `min(capacity, ids)`.
+    fn bound(capacity: u64, ids: usize) -> usize {
+        (2 * bound(capacity, ids)).max(64)
+    }
+
     /// Index of the oldest live entry, advancing the cached lower bound.
     /// Callers guarantee at least one live entry.
     fn tail_idx(&mut self) -> usize {
@@ -383,7 +426,7 @@ impl MrcTurboSieve {
                 .iter()
                 .map(|&capacity| SieveLane {
                     capacity,
-                    buf: Vec::new(),
+                    buf: Vec::with_capacity(SieveLane::bound(capacity, ids.len())),
                     live: 0,
                     tail: 0,
                     hand: None,
@@ -408,10 +451,10 @@ impl MrcTurboSieve {
         loop {
             let e = l.buf[cur];
             let ea = hdr[e.slot as usize].acc;
-            if ea > e.mark {
+            if ea > e.base {
                 // Visited: clear (fold the counter) and move toward the
                 // head, wrapping to the tail like the linked scan.
-                l.buf[cur].mark = ea;
+                l.buf[cur].base = ea;
                 cur = match l.next_live(cur) {
                     Some(n) => n,
                     None => l.tail_idx(),
@@ -461,7 +504,7 @@ impl MrcTurboSieve {
         }
         let l = &mut self.lanes[lane];
         l.misses += 1;
-        l.buf.push(SieveEntry { slot, mark: a });
+        l.buf.push(Entry { slot, base: a });
         l.live += 1;
         self.hdr[slot as usize].res |= 1u32 << lane;
         if l.buf.len() >= 64 && l.buf.len() as u64 >= 2 * l.live {
@@ -512,6 +555,8 @@ impl MultiCapacityPolicy for MrcTurboSieve {
                     l.live, l.capacity
                 ));
             }
+            let built = SieveLane::bound(l.capacity, self.hdr.len());
+            check_room("SIEVE", lane, "buffer", l.buf.capacity(), built)?;
             let mut live = 0u64;
             let mut seen = vec![false; self.hdr.len()];
             for e in &l.buf {
@@ -529,9 +574,7 @@ impl MultiCapacityPolicy for MrcTurboSieve {
                         "turbo SIEVE lane {lane}: slot {s} queued but not marked resident"
                     ));
                 }
-                if e.mark > self.hdr[s].acc {
-                    return Err(format!("turbo SIEVE lane {lane}: mark ahead of counter"));
-                }
+                check_base("SIEVE", lane, *e, self.hdr[s].acc)?;
             }
             if live != l.live {
                 return Err(format!(
@@ -562,24 +605,6 @@ impl MultiCapacityPolicy for MrcTurboSieve {
 // S3-FIFO
 // ---------------------------------------------------------------------------
 
-/// One small-queue entry. Nothing that enters S carries folded frequency
-/// (every insert starts at 0, and S is never scanned in place), so its
-/// frequency is just `min(acc - mark, 3)`.
-#[derive(Clone, Copy)]
-struct SmallEntry {
-    slot: u32,
-    mark: u32,
-}
-
-/// One main-queue entry; frequency derives exactly like CLOCK's, capped at
-/// 3, with `f0` folding what a reinsertion left.
-#[derive(Clone, Copy)]
-struct MainEntry {
-    slot: u32,
-    mark: u32,
-    f0: u8,
-}
-
 struct S3Lane {
     capacity: u64,
     s_capacity: u64,
@@ -587,9 +612,11 @@ struct S3Lane {
     ghost_cap: u64,
     /// Small and main FIFO queues: tail at the front, head at the back, so
     /// every queue operation — including main's lazy-promotion
-    /// move-to-front — is a `pop_front`/`push_back` pair.
-    small: VecDeque<SmallEntry>,
-    main: VecDeque<MainEntry>,
+    /// move-to-front — is a `pop_front`/`push_back` pair. Frequencies
+    /// derive like CLOCK's, capped at 3; an S entry's base is where it
+    /// entered (S is never scanned in place).
+    small: VecDeque<Entry>,
+    main: VecDeque<Entry>,
     /// This lane's ghost marks, one bit per slot: bit `slot % 64` of word
     /// `slot / 64` set ⇔ the slot is ghost-marked here.
     ghost: Vec<u64>,
@@ -604,6 +631,21 @@ struct S3Lane {
 }
 
 impl S3Lane {
+    /// The most entries S, M and the ghost FIFO ever hold at once over
+    /// `ids` slots, which is what each is built with. S: the whole cache (it
+    /// holds every object during warm-up). M: one over its share, between a
+    /// promotion or a ghost-hit insert and the trim that follows. Ghost: one
+    /// over its charge, between a push and its trim; nothing is ghosted
+    /// unless the cache is smaller than the slot count, and then that is
+    /// below the slot count already.
+    fn bounds(capacity: u64, m_capacity: u64, ghost_cap: u64, ids: usize) -> [usize; 3] {
+        [
+            bound(capacity, ids),
+            bound(m_capacity + 1, ids),
+            bound(ghost_cap + 1, ids),
+        ]
+    }
+
     fn ghost_marked(&self, slot: u32) -> bool {
         self.ghost[slot as usize / 64] & (1 << (slot % 64)) != 0
     }
@@ -636,14 +678,13 @@ impl S3Lane {
     fn evict_main(&mut self, hdr: &mut [SlotHdr], bit: u32) {
         while let Some(&e) = self.main.front() {
             let ea = hdr[e.slot as usize].acc;
-            let freq = derived_freq(e.f0, ea, e.mark, MAX_FREQ);
+            let freq = derived_freq(ea, e.base, MAX_FREQ);
             if freq > 0 {
                 // Reinsert at the head with frequency decreased by one.
                 self.main.pop_front();
-                self.main.push_back(MainEntry {
+                self.main.push_back(Entry {
                     slot: e.slot,
-                    mark: ea,
-                    f0: freq - 1,
+                    base: survivor_base(ea, e.base, freq),
                 });
             } else {
                 self.main.pop_front();
@@ -657,14 +698,13 @@ impl S3Lane {
     fn evict_small(&mut self, hdr: &mut [SlotHdr], bit: u32) {
         while let Some(&e) = self.small.front() {
             let ea = hdr[e.slot as usize].acc;
-            let freq = derived_freq(0, ea, e.mark, MAX_FREQ);
+            let freq = derived_freq(ea, e.base, MAX_FREQ);
             if freq > PROMOTE_THRESHOLD {
                 // Promote to M; access counts are cleared during the move.
                 self.small.pop_front();
-                self.main.push_back(MainEntry {
+                self.main.push_back(Entry {
                     slot: e.slot,
-                    mark: ea,
-                    f0: 0,
+                    base: ea,
                 });
                 if self.main.len() as u64 > self.m_capacity {
                     self.evict_main(hdr, bit);
@@ -706,7 +746,7 @@ impl S3Lane {
         if in_ghost {
             self.ghost_unmark(slot);
             self.ghost_hits += 1;
-            self.main.push_back(MainEntry { slot, mark: a, f0: 0 });
+            self.main.push_back(Entry { slot, base: a });
             hdr[slot as usize].res |= bit;
             // A ghost-hit insert into M can overflow M; trim one object now,
             // exactly like `DenseS3Fifo::insert`.
@@ -714,7 +754,7 @@ impl S3Lane {
                 self.evict_main(hdr, bit);
             }
         } else {
-            self.small.push_back(SmallEntry { slot, mark: a });
+            self.small.push_back(Entry { slot, base: a });
             hdr[slot as usize].res |= bit;
         }
         // Warm the likely victim of this lane's next miss.
@@ -774,16 +814,19 @@ impl MrcTurboS3Fifo {
                     let s_capacity =
                         ((capacity as f64 * cfg.small_ratio).round() as u64).max(1);
                     let m_capacity = capacity.saturating_sub(s_capacity).max(1);
+                    // As many ghost entries as M holds (§4.1).
+                    let ghost_cap = m_capacity;
+                    let [small, main, ghost] =
+                        S3Lane::bounds(capacity, m_capacity, ghost_cap, ids.len());
                     S3Lane {
                         capacity,
                         s_capacity,
                         m_capacity,
-                        // As many ghost entries as M holds (§4.1).
-                        ghost_cap: m_capacity,
-                        small: VecDeque::new(),
-                        main: VecDeque::new(),
+                        ghost_cap,
+                        small: VecDeque::with_capacity(small),
+                        main: VecDeque::with_capacity(main),
                         ghost: cache_ds::huge::filled(ids.len().div_ceil(64), 0),
-                        ghost_fifo: VecDeque::new(),
+                        ghost_fifo: VecDeque::with_capacity(ghost),
                         ghost_used: 0,
                         ghost_hits: 0,
                         misses: 0,
@@ -852,11 +895,19 @@ impl MultiCapacityPolicy for MrcTurboS3Fifo {
                     l.capacity
                 ));
             }
+            let built = S3Lane::bounds(l.capacity, l.m_capacity, l.ghost_cap, self.hdr.len());
+            let rooms = [
+                l.small.capacity(),
+                l.main.capacity(),
+                l.ghost_fifo.capacity(),
+            ];
+            for ((queue, room), built) in ["S", "M", "ghost FIFO"].into_iter().zip(rooms).zip(built)
+            {
+                check_room("S3-FIFO", lane, queue, room, built)?;
+            }
             let mut seen = vec![false; self.hdr.len()];
-            let small = l.small.iter().map(|e| (e.slot, e.mark, 0));
-            let main = l.main.iter().map(|e| (e.slot, e.mark, e.f0));
-            for (slot, mark, f0) in small.chain(main) {
-                let s = slot as usize;
+            for &e in l.small.iter().chain(&l.main) {
+                let (slot, s) = (e.slot, e.slot as usize);
                 if seen[s] {
                     return Err(format!("turbo S3-FIFO lane {lane}: slot {s} queued twice"));
                 }
@@ -871,14 +922,7 @@ impl MultiCapacityPolicy for MrcTurboS3Fifo {
                         "turbo S3-FIFO lane {lane}: slot {s} both resident and ghost-marked"
                     ));
                 }
-                if mark > self.hdr[s].acc {
-                    return Err(format!("turbo S3-FIFO lane {lane}: mark ahead of counter"));
-                }
-                if f0 > MAX_FREQ {
-                    return Err(format!(
-                        "turbo S3-FIFO lane {lane}: folded freq {f0} exceeds cap {MAX_FREQ}"
-                    ));
-                }
+                check_base("S3-FIFO", lane, e, self.hdr[s].acc)?;
             }
             let marked = self.hdr.iter().filter(|h| h.res & bit != 0).count();
             if marked != l.small.len() + l.main.len() {
@@ -1101,6 +1145,47 @@ mod tests {
         assert!(
             MrcTurboS3Fifo::with_config(&[4], S3FifoConfig { small_ratio: 1.5 }, &ids).is_err()
         );
+    }
+
+    /// Every queue is built at the most it can hold and never reallocated:
+    /// a stream that warms past capacity and churns S, M and the ghost, at
+    /// capacities below, at and above the slot count.
+    #[test]
+    fn queues_keep_the_room_they_were_built_with() {
+        let (_, slots, ids) = workload(6_000, 120);
+        let grid = [1, 2, 7, 30, 119, ids.len() as u64, 500];
+        // Invariant (all three): the grid is seven positive points.
+        let mut s3 = MrcTurboS3Fifo::new(&grid, &ids).expect("valid grid");
+        let mut clock = MrcTurboClock::new(&grid, 2, &ids).expect("valid grid");
+        let mut sieve = MrcTurboSieve::new(&grid, &ids).expect("valid grid");
+        let s3_rooms = |t: &MrcTurboS3Fifo| -> Vec<[usize; 3]> {
+            let rooms = |l: &S3Lane| {
+                [l.small.capacity(), l.main.capacity(), l.ghost_fifo.capacity()]
+            };
+            t.lanes.iter().map(rooms).collect()
+        };
+        let clock_rooms = |t: &MrcTurboClock| -> Vec<usize> {
+            t.lanes.iter().map(|l| l.ring.capacity()).collect()
+        };
+        let sieve_rooms = |t: &MrcTurboSieve| -> Vec<usize> {
+            t.lanes.iter().map(|l| l.buf.capacity()).collect()
+        };
+        let built = (s3_rooms(&s3), clock_rooms(&clock), sieve_rooms(&sieve));
+        for engine in [&mut s3 as &mut dyn MultiCapacityPolicy, &mut clock, &mut sieve] {
+            engine.replay(&slots);
+            engine.validate().expect("turbo invariants hold");
+            // Invariant: validate only fails on an engine bug.
+        }
+        assert_eq!(built, (s3_rooms(&s3), clock_rooms(&clock), sieve_rooms(&sieve)));
+        for (l, &cap) in s3.lanes.iter().zip(&grid) {
+            if cap < ids.len() as u64 {
+                // Ghost hits enter M, and M ends full: it has been trimmed.
+                assert!(l.evictions > 0 && l.ghost_hits > 0, "capacity {cap} churns");
+                assert!(cap == 1 || l.main.len() as u64 == l.m_capacity, "capacity {cap}");
+            } else {
+                assert_eq!((l.evictions, l.ghost_fifo.len()), (0, 0), "capacity {cap}");
+            }
+        }
     }
 
     /// Duplicate and unsorted grid entries stay independent lanes.

@@ -233,9 +233,11 @@ pub fn mrc_grid_fits(name: &str, points: usize) -> bool {
 /// sixteen lanes' queues and ghost bitsets beside the shared headers, which
 /// no core's caches kept together. On the ledger's 32-point S3-FIFO curve,
 /// engines of 2 and 4 lanes built one after another over the same slots
-/// were equally fast and held the least memory, 8 was slower and held
-/// more; 4 makes half the passes over the slots that 2 does and drew
-/// CLOCK's curves faster.
+/// were equally fast, 8 was slower; 4 makes half the passes over the slots
+/// that 2 does and drew CLOCK's curves faster. With every queue an 8 B
+/// entry allocated once, 2, 4 and 8 drew it equally fast within the host's
+/// spread (2 held ~5 MB less, 8 ~10 MB more), and at 4 the curve pass holds
+/// no more than the streamed replay before it.
 pub fn mrc_engine_lanes(name: &str) -> usize {
     if name == "FIFO" {
         usize::MAX

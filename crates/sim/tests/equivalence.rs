@@ -6,7 +6,8 @@
 //! ratios, bit for bit.
 //! Every registry algorithm is replayed through both `simulate_named` (the
 //! pre-interned door) and the registry's keyed policy, driven one request
-//! at a time, across three workload shapes. The keyed policy's invariants
+//! at a time, across three workload shapes, and the first of them again,
+//! each request twice, on a clock that ticks once per 32 requests. The keyed policy's invariants
 //! (`Keyed::validate`: the policy's own, then mapped, free and scratch
 //! slots partitioning the slab) are checked after every request at small
 //! capacities and at the end of the larger runs, where checking each
@@ -23,7 +24,7 @@ use cache_types::{Op, PolicyStats, Request};
 /// where 2Q/S3-FIFO ghost logic earns its keep), and variable object sizes
 /// replayed with sizes honored.
 fn workloads() -> Vec<(Trace, SimConfig)> {
-    let zipf = WorkloadSpec::zipf("zipf", 30_000, 3_000, 1.0, 42).generate();
+    let zipf = zipf_workload();
 
     let mut scan_spec = WorkloadSpec::zipf("scan-heavy", 30_000, 2_000, 0.9, 7);
     scan_spec.scan_fraction = 0.4;
@@ -46,6 +47,26 @@ fn workloads() -> Vec<(Trace, SimConfig)> {
         (scan, SimConfig::large()),
         (sized, sized_cfg),
     ]
+}
+
+fn zipf_workload() -> Trace {
+    WorkloadSpec::zipf("zipf", 30_000, 3_000, 1.0, 42).generate()
+}
+
+/// The Zipf workload with every request made twice in a row, on a clock
+/// that ticks once per 32 requests (a `Trace` stamps request `i` at time
+/// `i`, so these drive both doors as requests). Every object admitted is
+/// hit at once, so LRU-2 evicts among warm pages by penultimate access, and
+/// sixteen of those share each tick: its tie-break decides, and the keyed
+/// door, which reuses freed slots, calls the tied objects by other slots
+/// than the pre-interned door does.
+fn coarse_clock_requests() -> Vec<Request> {
+    zipf_workload()
+        .iter()
+        .flat_map(|r| [r, r])
+        .zip(0u64..)
+        .map(|(r, t)| Request { time: t / 32, ..r })
+        .collect()
 }
 
 /// Replays `trace` under `cfg` through both doors and asserts the results
@@ -97,6 +118,15 @@ fn dense_and_keyed_paths_are_bit_identical() {
         for name in ALL_ALGORITHMS {
             assert_equivalent(name, &trace, &cfg, Validate::AtEnd);
         }
+    }
+    let requests = coarse_clock_requests();
+    let capacity = SimConfig::large().capacity_for(&zipf_workload());
+    for name in ALL_ALGORITHMS {
+        assert_eq!(
+            fingerprint(name, capacity, &requests, true),
+            dense_fingerprint(name, capacity, &requests, true),
+            "{name} on a coarse clock (misses, evictions, evicted-id hash)"
+        );
     }
 }
 

@@ -123,16 +123,20 @@ fn encode_header(info: &CtrInfo) -> [u8; CTR_HEADER_BYTES as usize] {
 
 /// Streaming writer for the `.ctr` format.
 ///
-/// Records are appended one at a time; the header (record count, id space,
-/// flags) is patched in place by [`CtrWriter::finish`], so multi-GB traces
-/// can be written front to back without buffering. Wrap files in a
-/// `BufWriter` — the writer issues one small write per record.
+/// Records are appended a chunk at a time ([`CtrWriter::push_records`]) or
+/// one at a time ([`CtrWriter::push`], a chunk of one); the header (record
+/// count, id space, flags) is patched in place by [`CtrWriter::finish`], so
+/// multi-GB traces can be written front to back without buffering. Each
+/// push is one write of the encoded chunk; wrap files in a `BufWriter` when
+/// the chunks are small.
 pub struct CtrWriter<W: Write + Seek> {
     w: W,
     lanes: CtrLanes,
     records: u64,
     /// `max id + 1` over everything pushed so far.
     id_space: u64,
+    /// The chunk being encoded, reused from push to push.
+    buf: Vec<u8>,
 }
 
 impl<W: Write + Seek> CtrWriter<W> {
@@ -157,6 +161,7 @@ impl<W: Write + Seek> CtrWriter<W> {
             lanes,
             records: 0,
             id_space: 0,
+            buf: Vec::new(),
         })
     }
 
@@ -169,23 +174,41 @@ impl<W: Write + Seek> CtrWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns [`CacheError::TraceFormat`] when `op` is not a Get and the op
-    /// lane is disabled (the record could not be represented); propagates
-    /// I/O errors.
+    /// Same as [`CtrWriter::push_records`].
     pub fn push(&mut self, id: u32, size: u32, op: Op) -> Result<(), CacheError> {
-        if op != Op::Get && !self.lanes.ops {
-            return Err(CacheError::TraceFormat(format!(
-                "record {}: op {op:?} needs the op lane (CtrLanes {{ ops: true }})",
-                self.records
-            )));
+        self.push_records(&[(id, size, op)])
+    }
+
+    /// Appends `(id, size, op)` records in order: encodes them into one
+    /// buffer, writes it with one call, and raises the id space once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::TraceFormat`] when an `op` is not a Get and the
+    /// op lane is disabled (the record could not be represented), in which
+    /// case nothing of the chunk is written; propagates I/O errors.
+    pub fn push_records(&mut self, records: &[(u32, u32, Op)]) -> Result<(), CacheError> {
+        let ops = self.lanes.ops;
+        self.buf.clear();
+        let mut max_id = None;
+        for (at, &(id, size, op)) in (self.records..).zip(records) {
+            if op != Op::Get && !ops {
+                return Err(CacheError::TraceFormat(format!(
+                    "record {at}: op {op:?} needs the op lane (CtrLanes {{ ops: true }})"
+                )));
+            }
+            self.buf.extend_from_slice(&id.to_le_bytes());
+            self.buf.extend_from_slice(&size.to_le_bytes());
+            if ops {
+                self.buf.push(op_code(op));
+            }
+            max_id = max_id.max(Some(id));
         }
-        let mut rec = [0u8; 9];
-        rec[0..4].copy_from_slice(&id.to_le_bytes());
-        rec[4..8].copy_from_slice(&size.to_le_bytes());
-        rec[8] = op_code(op);
-        self.w.write_all(&rec[..self.lanes.record_bytes() as usize])?;
-        self.records += 1;
-        self.id_space = self.id_space.max(u64::from(id) + 1);
+        self.w.write_all(&self.buf)?;
+        self.records += records.len() as u64;
+        if let Some(id) = max_id {
+            self.id_space = self.id_space.max(u64::from(id) + 1);
+        }
         Ok(())
     }
 
@@ -733,6 +756,32 @@ mod tests {
             op: Op::Get,
         };
         assert!(w.push_request(&big).is_err(), "id over u32 must be interned");
+    }
+
+    /// A chunk writes the bytes its records pushed one at a time would, and
+    /// a chunk with a record it cannot represent writes none of them.
+    #[test]
+    fn a_chunk_is_its_records_pushed_one_at_a_time() {
+        let records = [(3, 1, Op::Get), (9, 70, Op::Set), (0, 2, Op::Delete)];
+        let lanes = CtrLanes { ops: true };
+        let mut one = CtrWriter::create(Cursor::new(Vec::new()), lanes).expect("create");
+        for &(id, size, op) in &records {
+            one.push(id, size, op).expect("push");
+        }
+        let mut chunk = CtrWriter::create(Cursor::new(Vec::new()), lanes).expect("create");
+        chunk.push_records(&records[..1]).expect("push");
+        chunk.push_records(&records[1..]).expect("push");
+        let (one, one_info) = one.finish().expect("finish");
+        let (chunk, chunk_info) = chunk.finish().expect("finish");
+        assert_eq!((one.into_inner(), one_info), (chunk.into_inner(), chunk_info));
+        assert_eq!(chunk_info.id_space, 10);
+
+        let mut gets = CtrWriter::create(Cursor::new(Vec::new()), CtrLanes::default())
+            .expect("create");
+        let err = gets.push_records(&records).expect_err("Set needs the op lane");
+        assert!(err.to_string().contains("record 1"), "{err}");
+        let (cur, info) = gets.finish().expect("finish");
+        assert_eq!((info.records, cur.into_inner().len() as u64), (0, CTR_HEADER_BYTES));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! control pass makes every RNG draw in record order and decides each
 //! record's kind, then [`ZipfSampler::ranks_of`] inverts the chunk's Zipf
 //! draws with their misses overlapped, and the records are emitted in
-//! order. The bytes are those of one record at a time
-//! (`tests::chunk_edges_are_pinned`).
+//! order and written as one chunk ([`CtrWriter::push_records`]). The bytes
+//! are those of one record at a time (`tests::chunk_edges_are_pinned`).
 //!
 //! Ids are laid out in disjoint `u32` ranges so the `.ctr` id space (which
 //! sizes a reader's direct id → slot table, 4 B an id) stays proportional
@@ -236,6 +236,7 @@ impl StreamSpec {
         let mut draws = Vec::with_capacity(CHUNK);
         let mut us = Vec::with_capacity(CHUNK);
         let mut ranks = Vec::with_capacity(CHUNK);
+        let mut records = Vec::with_capacity(CHUNK);
         let mut t = 0u64;
         while t < self.requests {
             // Control pass: every RNG draw of the chunk, in record order.
@@ -271,7 +272,9 @@ impl StreamSpec {
             }
             // Inversion pass: the chunk's Zipf ranks, misses overlapped.
             zipf.ranks_of(&us, &mut ranks);
-            // Emit pass: ids from ranks, deletes from `recent`, in order.
+            // Emit pass: ids from ranks, deletes from `recent`, in order,
+            // written as one chunk.
+            records.clear();
             let mut zipf_draws = 0;
             for &draw in &draws {
                 if t == next_phase_at && phase + 1 < self.phases {
@@ -296,9 +299,10 @@ impl StreamSpec {
                         (id, Op::Get)
                     }
                 };
-                writer.push(id, self.size_of(id), op)?;
+                records.push((id, self.size_of(id), op));
                 t += 1;
             }
+            writer.push_records(&records)?;
         }
         writer.finish()
     }
