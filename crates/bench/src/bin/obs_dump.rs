@@ -60,12 +60,8 @@ fn windowed(
     cfg: &SimConfig,
     window: u64,
 ) -> (SimResult, cache_obs::MissRatioSeries) {
-    let replay = Replay::on_trace(&[name], trace, cfg.capacity_for(trace)).expect("known policy");
-    let (result, series) = replay
-        .ignore_size(cfg.ignore_size)
-        .window(window)
-        .run(trace)
-        .remove(0);
+    let replay = Replay::on_trace(name, trace, cfg.capacity_for(trace)).expect("known policy");
+    let (result, series) = replay.ignore_size(cfg.ignore_size).window(window).run(trace);
     (result, series.expect("windowed replay keeps a series"))
 }
 

@@ -16,8 +16,8 @@
 //!    single-pass engines are also built alone, replayed, and their
 //!    structural invariants checked (which `simulate_mrc` does only in
 //!    debug builds).
-//! 3. **Invariant observer sweep** — every registry algorithm replayed over
-//!    a skewed 25 000-request trace under [`cache_check::InvariantObserver`].
+//! 3. **Invariant sweep** — every registry algorithm replayed over a skewed
+//!    25 000-request trace, wrapped in [`cache_check::Checked`].
 //! 4. **Linearizability-lite** — a logged multi-threaded torture run per
 //!    concurrent cache, history checked for stale/forged/time-travelling
 //!    reads.
@@ -35,8 +35,10 @@
 //!    [`MIN_SCHEDULES`] schedules in all, and every planted mutant must be
 //!    caught, so a green run shows the explorer still has teeth.
 //!
-//! Budget: a few seconds in release mode. Everything is seeded; a failing
-//! run reproduces bit-for-bit (see TESTING.md).
+//! Budget: a few seconds in release mode; a phase with no result after
+//! [`PHASE_LIMIT`] fails the gate, so a planted endless loop cannot hang
+//! it. Everything is seeded; a failing run reproduces bit-for-bit (see
+//! TESTING.md).
 
 use cache_check::loomlite::Config;
 use cache_check::models::drain::{drain_race_scenario, drain_two_workers_scenario, DrainVariant};
@@ -54,7 +56,7 @@ use cache_check::models::shardlock::{
 };
 use cache_check::{
     check_history, check_monotonic, fuzz_mrc, fuzz_policy, fuzz_stream, mrc_validate,
-    FuzzConfig, InvariantObserver, FUZZED_ALGORITHMS, MRC_ALGORITHMS, MRC_GRIDS,
+    CheckReport, Checked, FuzzConfig, FUZZED_ALGORITHMS, MRC_ALGORITHMS, MRC_GRIDS,
     STREAM_ALGORITHMS, STREAM_SHAPES,
 };
 use cache_check::fuzz::generate_trace;
@@ -64,8 +66,9 @@ use cache_policies::registry;
 use cache_sim::Replay;
 use cache_trace::Trace;
 use std::process::ExitCode;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Requests per clock tick the differential fuzz runs under: every request
 /// its own time, and ties of 32 (which LRU-2's tie-break needs to be seen).
@@ -159,12 +162,12 @@ fn phase_mrc() -> Result<(), String> {
     Ok(())
 }
 
-/// The observer sweep's `(capacity, ignore_size)` cells: capacity 64 with
+/// The invariant sweep's `(capacity, ignore_size)` cells: capacity 64 with
 /// sizes ignored and honoured, and a capacity below the trace's largest
 /// size (8), where some reads are `Uncacheable`.
-const OBSERVER_CELLS: [(u64, bool); 3] = [(64, true), (64, false), (6, false)];
+const INVARIANT_CELLS: [(u64, bool); 3] = [(64, true), (64, false), (6, false)];
 
-fn phase_observer() -> Result<(), String> {
+fn phase_invariants() -> Result<(), String> {
     let requests = cache_check::fuzz::generate_trace(&FuzzConfig {
         seed: 0x0B5E_11E4,
         requests: 25_000,
@@ -175,20 +178,20 @@ fn phase_observer() -> Result<(), String> {
     });
     let oversized = requests.iter().filter(|r| r.is_read() && r.size > 6).count();
     if oversized == 0 {
-        return Err("the observer trace has no read too large for capacity 6".into());
+        return Err("the invariant trace has no read too large for capacity 6".into());
     }
     let trace = Trace::new("check-gate", requests);
     let mut cells = 0usize;
     for name in registry::ALL_ALGORITHMS {
-        for (capacity, ignore_size) in OBSERVER_CELLS {
-            let mut obs = InvariantObserver::new();
-            Replay::on_trace(&[name], &trace, capacity)
-                .map_err(|e| format!("build {name}: {e}"))?
+        for (capacity, ignore_size) in INVARIANT_CELLS {
+            let policy =
+                registry::build_dense_domain(name, capacity, Some(trace.slots()), trace.footprint())
+                    .map_err(|e| format!("build {name}: {e}"))?;
+            let mut report = CheckReport::default();
+            Replay::dense(Box::new(Checked::new(policy, &mut report)))
                 .ignore_size(ignore_size)
-                .observer(&mut obs)
-                .map_err(|e| format!("observe {name}: {e}"))?
                 .run(&trace);
-            if let Some((i, msg)) = obs.violation() {
+            if let Some((i, msg)) = &report.violation {
                 return Err(format!(
                     "{name} (capacity {capacity}, ignore_size={ignore_size}) violated an \
                      invariant at request {i}: {msg}"
@@ -455,11 +458,15 @@ fn phase_loom() -> Result<(), String> {
 
 type Phase = fn() -> Result<(), String>;
 
+/// How long a phase may run before the gate gives up on it: the whole gate
+/// takes seconds, so a phase still running after this is stuck.
+const PHASE_LIMIT: Duration = Duration::from_secs(120);
+
 fn main() -> ExitCode {
     let phases: [(&str, Phase); 7] = [
         ("differential fuzz (reference vs keyed vs dense)", phase_differential),
         ("MRC differential (multi-capacity engines vs per-capacity reference)", phase_mrc),
-        ("invariant observer sweep", phase_observer),
+        ("invariant sweep (every policy wrapped in Checked)", phase_invariants),
         ("linearizability-lite on logged torture histories", phase_linearizability),
         ("monotonic-version regression rules on logged histories", phase_monotonic),
         ("streamed .ctr replay differential (out-of-core vs in-memory)", phase_stream),
@@ -468,9 +475,25 @@ fn main() -> ExitCode {
     for (title, run) in phases {
         println!("check_gate: {title}");
         let started = Instant::now();
-        if let Err(msg) = run() {
-            eprintln!("check_gate FAILED in {title}:\n{msg}");
-            return ExitCode::FAILURE;
+        // Each phase on its own thread, so one that never ends is reported
+        // rather than waited on; returning from `main` ends it.
+        let (done, result) = mpsc::channel();
+        std::thread::spawn(move || done.send(run()));
+        match result.recv_timeout(PHASE_LIMIT) {
+            Ok(Ok(())) => {}
+            Ok(Err(msg)) => {
+                eprintln!("check_gate FAILED in {title}:\n{msg}");
+                return ExitCode::FAILURE;
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                let limit = PHASE_LIMIT.as_secs();
+                eprintln!("check_gate FAILED in {title}: no result after {limit} s");
+                return ExitCode::FAILURE;
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                eprintln!("check_gate FAILED in {title}: the phase panicked");
+                return ExitCode::FAILURE;
+            }
         }
         println!("  ({:.2} s)", started.elapsed().as_secs_f64());
     }

@@ -21,10 +21,9 @@
 //!   engines: every grid point of [`cache_sim::simulate_mrc`] is diffed
 //!   against a per-capacity reference replay, with ddmin shrinking on
 //!   mismatch;
-//! - [`observer`] — an invariant observer pluggable into
-//!   [`cache_sim::Replay`] that shadow-checks residency,
-//!   accounting, and structural invariants after every request of any
-//!   simulation;
+//! - [`observer`] — [`Checked`], a policy wrapper driven through
+//!   [`cache_sim::Replay`] that shadow-checks residency, accounting, and
+//!   structural invariants after every request of any simulation;
 //! - [`linear`] — a linearizability-lite checker over the timed operation
 //!   logs produced by [`cache_concurrent::oplog`], plus a brute-force
 //!   sequential-witness search used to validate the checker itself;
@@ -57,5 +56,5 @@ pub use stream::{
     fuzz_stream, stream_diff, StreamDivergence, STREAM_ALGORITHMS, STREAM_SHAPES,
 };
 pub use linear::{check_history, check_monotonic, witness_exists, LinearViolation};
-pub use observer::InvariantObserver;
+pub use observer::{CheckReport, Checked};
 pub use reference::{reference_for, ReferencePolicy};

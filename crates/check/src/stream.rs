@@ -65,8 +65,8 @@ fn in_memory(
     window: u64,
     ignore_size: bool,
 ) -> Result<Replayed, CacheError> {
-    let replay = Replay::on_trace(&[name], decoded, capacity)?;
-    Ok(replay.ignore_size(ignore_size).window(window).run(decoded).remove(0))
+    let replay = Replay::on_trace(name, decoded, capacity)?;
+    Ok(replay.ignore_size(ignore_size).window(window).run(decoded))
 }
 
 /// The `.ctr` bytes through the same engine, `chunk` records at a time.
@@ -79,11 +79,11 @@ fn streamed(
     ignore_size: bool,
 ) -> Result<Replayed, CacheError> {
     let mut reader = CtrReader::open(Cursor::new(bytes))?;
-    let mut replay = Replay::on_dense_ids(&[name], reader.info().id_space, capacity)?
+    let mut replay = Replay::on_dense_ids(name, reader.info().id_space, capacity)?
         .ignore_size(ignore_size)
         .window(window);
     replay.feed_ctr(&mut reader, chunk)?;
-    Ok(replay.finish("stream-diff").remove(0))
+    Ok(replay.finish("stream-diff"))
 }
 
 /// Encodes `requests` as a `.ctr` stream, replays it both ways, and

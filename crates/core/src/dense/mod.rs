@@ -52,8 +52,8 @@ pub use slab::{validate_queues, DenseSlab, PackedQueue, Slot};
 
 use cache_types::{CacheError, Eviction, Op, Outcome, PolicyStats, Request};
 
-/// How many requests ahead a replay loop warms slot state — this one, and
-/// the simulator's per-request loop. Far enough to overlap a DRAM
+/// How many requests ahead [`DensePolicy::replay`], the simulator's one
+/// replay loop, warms slot state. Far enough to overlap a DRAM
 /// round-trip with useful work, near enough that the warmed line is still
 /// cached when its request executes.
 pub const LOOKAHEAD: usize = 12;
@@ -98,11 +98,11 @@ pub trait DensePolicy {
     ) -> Outcome;
 
     /// True when the object interned at `slot` is cached (ghost entries do
-    /// not count): [`cache_types::Policy::contains`] by slot, for observers.
+    /// not count): [`cache_types::Policy::contains`] by slot, for checkers.
     fn resident(&self, slot: u32) -> bool;
 
     /// Checks structural invariants, mirroring
-    /// [`cache_types::Policy::validate`]; used by the invariant observer and
+    /// [`cache_types::Policy::validate`]; used by the invariant checker and
     /// the differential fuzzer to catch dense-path corruption even when the
     /// observable decisions still happen to agree. The default performs no
     /// checks.

@@ -10,11 +10,10 @@
 //! Both are computed from the policies' probationary-eviction records plus
 //! the [`NextAccessOracle`].
 
-use crate::engine::{Replay, RequestObserver};
+use crate::engine::Replay;
 use crate::oracle::NextAccessOracle;
 use cache_trace::Trace;
-use cache_types::{CacheError, Eviction, Outcome, Request};
-use s3fifo::dense::DensePolicy;
+use cache_types::{CacheError, Eviction};
 
 /// The Fig. 10 metrics for one (algorithm, trace, size) combination.
 #[derive(Debug, Clone, Copy)]
@@ -35,33 +34,6 @@ pub struct DemotionMetrics {
     pub miss_ratio: f64,
 }
 
-/// Collects, for every eviction out of a probationary structure, how long
-/// the object stayed there and how far away its next request is (`None`:
-/// never), which is judged after the run when the miss ratio is known.
-struct DemotionObserver<'a> {
-    oracle: &'a NextAccessOracle,
-    probation_time_sum: u64,
-    reuse: Vec<Option<u64>>,
-}
-
-impl RequestObserver for DemotionObserver<'_> {
-    fn after_request(
-        &mut self,
-        index: usize,
-        _slot: u32,
-        _req: &Request,
-        _outcome: Outcome,
-        evicted: &[Eviction],
-        _policy: &dyn DensePolicy,
-    ) {
-        let now = index as u64;
-        for e in evicted.iter().filter(|e| e.from_probationary) {
-            self.probation_time_sum += e.age(now);
-            self.reuse.push(self.oracle.reuse_distance(e.id, now));
-        }
-    }
-}
-
 /// Runs `name` on `trace` at `capacity` (unit sizes) and computes demotion
 /// speed and precision. `lru_eviction_age` is the precomputed LRU baseline
 /// (see [`lru_mean_eviction_age`]).
@@ -76,15 +48,20 @@ pub fn demotion_metrics(
     lru_eviction_age: f64,
     oracle: &NextAccessOracle,
 ) -> Result<DemotionMetrics, CacheError> {
-    let mut seen = DemotionObserver {
-        oracle,
-        probation_time_sum: 0,
-        reuse: Vec::new(),
+    // For every eviction out of a probationary structure: how long the
+    // object stayed there, and how far away its next request is (`None`:
+    // never), judged below once the miss ratio is known. The oracle indexes
+    // original ids; records name slots.
+    let ids = &trace.dense().ids;
+    let (mut probation_time_sum, mut reuse) = (0u64, Vec::new());
+    let mut demoted = |now: u64, e: &Eviction<u32>| {
+        if e.from_probationary {
+            probation_time_sum += e.age(now);
+            reuse.push(oracle.reuse_distance(ids.orig(e.id), now));
+        }
     };
-    // Evictions carry the original ids the oracle indexes.
-    let replay = Replay::on_trace(&[name], trace, capacity)?.ignore_size(true);
-    let (result, _) = replay.observer(&mut seen)?.run(trace).remove(0);
-    let (probation_time_sum, reuse) = (seen.probation_time_sum, seen.reuse);
+    let replay = Replay::on_trace(name, trace, capacity)?.ignore_size(true);
+    let (result, _) = replay.on_eviction(&mut demoted).run(trace);
     let demotions = reuse.len() as u64;
     let threshold = capacity as f64 / result.miss_ratio.max(1e-6);
     let correct = reuse
@@ -125,8 +102,8 @@ pub fn demotion_metrics(
 /// Panics when `capacity` is 0.
 pub fn lru_mean_eviction_age(trace: &Trace, capacity: u64) -> f64 {
     // Invariant: "LRU" is a registry name, so only a zero capacity fails.
-    let replay = Replay::on_trace(&["LRU"], trace, capacity).expect("capacity > 0");
-    let (result, _) = replay.ignore_size(true).run(trace).remove(0);
+    let replay = Replay::on_trace("LRU", trace, capacity).expect("capacity > 0");
+    let (result, _) = replay.ignore_size(true).run(trace);
     result.eviction_age.mean()
 }
 

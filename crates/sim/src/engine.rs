@@ -1,32 +1,25 @@
 //! The replay driver: every way of running requests through a policy.
 //!
 //! [`Replay`] is the one place a request reaches a policy. It is built over
-//! registry names or explicit policies, takes its settings (`ignore_size`,
-//! a series window, a [`RequestObserver`]) and is then fed chunks of a
-//! request stream: an in-memory [`Trace`] in chunks built from its columns,
-//! a `.ctr` file one chunk per read (`crate::stream`); both chunks are
+//! a registry name or an explicit policy, takes its settings (`ignore_size`,
+//! a series window, an eviction hook) and is then fed chunks of a request
+//! stream: an in-memory [`Trace`] in chunks built from its columns, a
+//! `.ctr` file one chunk per read (`crate::stream`); both chunks are
 //! [`DEFAULT_CHUNK_RECORDS`] long. DESIGN.md, "The replay surface", has
 //! the table of which call serves which combination.
 //!
-//! Every policy it drives is a [`DensePolicy`] fed pre-interned slots, and
-//! two paths exist inside, and only two. A lone unobserved policy goes
-//! through its own monomorphised [`DensePolicy::replay`] — one virtual call
-//! per chunk, because dispatching per request costs ~2× (DESIGN.md §5c).
-//! Observed runs and several policies sharing a pass (a
-//! *gang*) go through one per-request loop. A gang pays the dispatch and
-//! still wins on one core: while one policy's slot load stalls on memory
-//! the others issue theirs (ROADMAP item 3 has the measurement). Every
-//! policy keeps private state and sees the same requests, so a gang's
-//! results equal the solo runs bit for bit.
+//! The policy is a [`DensePolicy`] fed pre-interned slots, and there is one
+//! loop: its own monomorphised [`DensePolicy::replay`], one virtual call per
+//! chunk, because dispatching per request costs ~2× (DESIGN.md §5c).
+//! Several policies over one trace are several replays.
 
 use crate::stream::DEFAULT_CHUNK_RECORDS;
 use cache_ds::Histogram;
 use cache_obs::MissRatioSeries;
 use cache_policies::registry;
 use cache_trace::Trace;
-use cache_types::{CacheError, Eviction, ObjId, Outcome, PolicyStats, Request};
+use cache_types::{CacheError, Eviction, PolicyStats, Request};
 use s3fifo::dense::DensePolicy;
-use s3fifo::dense::LOOKAHEAD;
 
 /// How the cache capacity is derived for a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,118 +124,66 @@ pub struct SimResult {
     pub eviction_age: Histogram,
 }
 
-/// What one policy of a [`Replay`] produced: its result, and its
-/// per-window miss-ratio series when [`Replay::window`] was set.
+/// What a [`Replay`] produced: its result, and its per-window miss-ratio
+/// series when [`Replay::window`] was set.
 pub type Replayed = (SimResult, Option<MissRatioSeries>);
 
-/// Per-request hook into the replay loop.
-///
-/// `cache-check`'s invariant observer plugs in here to verify structural
-/// invariants (capacity bounds, duplicate residency, counter caps, ghost
-/// bounds) after every single request; debugging probes and custom metric
-/// collectors fit the same shape. Observation must not mutate the policy —
-/// the hook only gets a shared reference.
-pub trait RequestObserver {
-    /// Called once per request, after the policy processed it. `slot` is
-    /// the request's dense slot, `req` the request as replayed (size
-    /// already overridden in ignore-size mode), `evicted` the evictions it
-    /// caused, each named by the id of the requests fed at its slot, and
-    /// `policy` the post-request state for structural inspection.
-    fn after_request(
-        &mut self,
-        index: usize,
-        slot: u32,
-        req: &Request,
-        outcome: Outcome,
-        evicted: &[Eviction],
-        policy: &dyn DensePolicy,
-    );
-}
+/// What [`Replay::on_eviction`] is handed.
+type EvictionHook<'p> = &'p mut dyn FnMut(u64, &Eviction<u32>);
 
-/// One policy and what the driver accumulates for it while it replays.
-struct Lane<'p> {
-    policy: Box<dyn DensePolicy + 'p>,
-    freq_at_eviction: Histogram,
-    eviction_age: Histogram,
-    series: Option<MissRatioSeries>,
-    /// Stats after the previous bulk call; a window's counts are the delta.
-    prev: PolicyStats,
-}
-
-/// Incremental replay of one request stream through one or more policies.
+/// Incremental replay of one request stream through one policy.
 ///
 /// Build it ([`on_trace`](Replay::on_trace), [`on_dense_ids`](Replay::on_dense_ids),
 /// [`dense`](Replay::dense)), apply settings, [`feed`](Replay::feed) chunks
 /// in stream order, [`finish`](Replay::finish).
 /// Results never depend on how the stream was cut into chunks.
 pub struct Replay<'p> {
-    lanes: Vec<Lane<'p>>,
+    policy: Box<dyn DensePolicy + 'p>,
+    freq_at_eviction: Histogram,
+    eviction_age: Histogram,
+    series: Option<MissRatioSeries>,
+    /// Stats after the previous bulk call; a window's counts are the delta.
+    prev: PolicyStats,
     ignore_size: bool,
-    observer: Option<&'p mut dyn RequestObserver>,
+    hook: Option<EvictionHook<'p>>,
     /// Requests fed so far: the stream index of the next chunk's first.
     fed: u64,
-    /// Every lane covers slots `0..domain`: the trace's footprint in
+    /// The policy covers slots `0..domain`: the trace's footprint in
     /// memory, the distinct ids named so far on a stream.
     pub(crate) domain: usize,
-    evs: Vec<Eviction<u32>>,
-    /// Observed only: the id each slot's requests carry, learnt as they are
-    /// fed, and the request's records named by it.
-    ids: Vec<ObjId>,
-    named: Vec<Eviction>,
 }
 
 impl<'p> Replay<'p> {
-    fn new(policies: Vec<Box<dyn DensePolicy + 'p>>, domain: usize) -> Self {
-        let lane = |policy| Lane {
+    fn new(policy: Box<dyn DensePolicy + 'p>, domain: usize) -> Self {
+        Replay {
             policy,
             freq_at_eviction: Histogram::new(),
             eviction_age: Histogram::new(),
             series: None,
             prev: PolicyStats::default(),
-        };
-        Replay {
-            lanes: policies.into_iter().map(lane).collect(),
             ignore_size: false,
-            observer: None,
+            hook: None,
             fed: 0,
             domain,
-            // One request evicts a handful of objects at most; sized once
-            // so the loop never grows it.
-            evs: Vec::with_capacity(64),
-            ids: Vec::new(),
-            named: Vec::new(),
         }
     }
 
-    /// One policy per registry name, over `0..domain`; `trace`'s slots are
-    /// what Belady reads.
-    fn named(
-        names: &[&str],
-        capacity: u64,
-        trace: Option<&[u32]>,
-        domain: usize,
-    ) -> Result<Self, CacheError> {
-        let policies = names
-            .iter()
-            .map(|name| registry::build_dense_domain(name, capacity, trace, domain))
-            .collect::<Result<_, _>>()?;
-        Ok(Self::new(policies, domain))
-    }
-
-    /// A replay of `trace` at `capacity` through the named policies. Results
-    /// come back in the order of `names`.
+    /// A replay of `trace` at `capacity` through the registry's policy for
+    /// `name`.
     ///
     /// # Errors
     ///
     /// Propagates [`CacheError`] from the registry (unknown name, bad
     /// parameter).
-    pub fn on_trace(names: &[&str], trace: &Trace, capacity: u64) -> Result<Self, CacheError> {
-        Self::named(names, capacity, Some(trace.slots()), trace.footprint())
+    pub fn on_trace(name: &str, trace: &Trace, capacity: u64) -> Result<Self, CacheError> {
+        let domain = trace.footprint();
+        let policy = registry::build_dense_domain(name, capacity, Some(trace.slots()), domain)?;
+        Ok(Self::new(policy, domain))
     }
 
     /// [`on_trace`](Self::on_trace) for a stream whose ids all lie below
-    /// `id_space` (a `.ctr` header's): the policies start over the empty
-    /// domain with room reserved for `id_space` slots, and grow as the
+    /// `id_space` (a `.ctr` header's): the policy starts over the empty
+    /// domain with room reserved for `id_space` slots, and grows as the
     /// stream names ids ([`feed_ctr`](Self::feed_ctr) numbers them in
     /// first-appearance order). There is no trace, so `Belady`, which needs
     /// the whole of it, is refused by the registry.
@@ -250,8 +191,9 @@ impl<'p> Replay<'p> {
     /// # Errors
     ///
     /// As [`on_trace`](Self::on_trace).
-    pub fn on_dense_ids(names: &[&str], id_space: u64, capacity: u64) -> Result<Self, CacheError> {
-        let mut replay = Self::named(names, capacity, None, 0)?;
+    pub fn on_dense_ids(name: &str, id_space: u64, capacity: u64) -> Result<Self, CacheError> {
+        let policy = registry::build_dense_domain(name, capacity, None, 0)?;
+        let mut replay = Self::new(policy, 0);
         // The `.ctr` header bounds id_space by 2^32, so this never clamps.
         replay.grow(0, usize::try_from(id_space).unwrap_or(usize::MAX))?;
         Ok(replay)
@@ -260,15 +202,13 @@ impl<'p> Replay<'p> {
     /// A replay through the caller's dense policy, which must be fresh. It
     /// is grown ([`DensePolicy::grow_domain`]) to cover the slots it is fed.
     pub fn dense(policy: Box<dyn DensePolicy + 'p>) -> Self {
-        Self::new(vec![policy], 0)
+        Self::new(policy, 0)
     }
 
-    /// Grows every lane to cover slots `0..domain`, with room for `reserve`
+    /// Grows the policy to cover slots `0..domain`, with room for `reserve`
     /// ([`DensePolicy::grow_domain`]).
     pub(crate) fn grow(&mut self, domain: usize, reserve: usize) -> Result<(), CacheError> {
-        for lane in &mut self.lanes {
-            lane.policy.grow_domain(domain, reserve)?;
-        }
+        self.policy.grow_domain(domain, reserve)?;
         self.domain = self.domain.max(domain);
         Ok(())
     }
@@ -280,38 +220,28 @@ impl<'p> Replay<'p> {
         self
     }
 
-    /// Keeps a miss-ratio series of `window` reads per window for every
-    /// policy. Windows count reads only, so the totals equal the end-of-run
-    /// stats; `u64::MAX` is one window spanning the run.
+    /// Keeps a miss-ratio series of `window` reads per window. Windows count
+    /// reads only, so the totals equal the end-of-run stats; `u64::MAX` is
+    /// one window spanning the run.
     pub fn window(mut self, window: u64) -> Self {
-        for lane in &mut self.lanes {
-            lane.series = Some(MissRatioSeries::new(window));
-        }
+        self.series = Some(MissRatioSeries::new(window));
         self
     }
 
-    /// Calls `observer` after every request.
-    ///
-    /// # Errors
-    ///
-    /// An observer watches one policy, so this is refused on a gang.
-    pub fn observer(mut self, observer: &'p mut dyn RequestObserver) -> Result<Self, CacheError> {
-        if self.lanes.len() != 1 {
-            return Err(CacheError::InvalidParameter(
-                "an observer watches exactly one policy".into(),
-            ));
-        }
-        self.observer = Some(observer);
-        Ok(self)
+    /// Hands `hook` every eviction, in stream order, with the stream index
+    /// of the request that caused it; the record names its slot.
+    pub fn on_eviction(mut self, hook: &'p mut dyn FnMut(u64, &Eviction<u32>)) -> Self {
+        self.hook = Some(hook);
+        self
     }
 
     /// Replays the next chunk of the stream. `slots` is parallel to `reqs`
-    /// and names each request's dense slot. The policies are first grown to
+    /// and names each request's dense slot. The policy is first grown to
     /// cover every slot named.
     ///
     /// # Errors
     ///
-    /// [`DensePolicy::grow_domain`]'s, when a policy cannot grow to the
+    /// [`DensePolicy::grow_domain`]'s, when the policy cannot grow to the
     /// chunk's slots; nothing is replayed then.
     ///
     /// # Panics
@@ -324,30 +254,17 @@ impl<'p> Replay<'p> {
         Ok(())
     }
 
-    /// [`feed`](Self::feed) for a chunk whose slots every lane already
-    /// covers.
+    /// [`feed`](Self::feed) for a chunk whose slots the policy already
+    /// covers: one `DensePolicy::replay` per chunk, or per series window
+    /// when one is kept. A window's counts are stats deltas, so each call
+    /// must end exactly where the open window's read budget does; finding
+    /// that point scans the chunk, which is skipped when there is no window
+    /// to close before the stream ends.
     pub(crate) fn feed_covered(&mut self, slots: &[u32], reqs: &[Request]) {
         assert_eq!(slots.len(), reqs.len(), "slots must parallel reqs");
-        if !self.feed_bulk(slots, reqs) {
-            self.feed_each(slots, reqs);
-        }
-        self.fed += reqs.len() as u64;
-    }
-
-    /// The bulk path, taken (and `true`) when the replay drives a lone
-    /// unobserved policy: one `DensePolicy::replay` per chunk, or per series
-    /// window when one is kept. A window's counts are stats deltas, so each
-    /// call must end exactly where the open window's read budget does;
-    /// finding that point scans the chunk, which is skipped when there is no
-    /// window to close before the stream ends.
-    fn feed_bulk(&mut self, slots: &[u32], reqs: &[Request]) -> bool {
-        let ([lane], None) = (self.lanes.as_mut_slice(), &self.observer) else {
-            return false;
-        };
-        let policy = &mut lane.policy;
         let mut base = 0;
         while base < reqs.len() {
-            let end = match &lane.series {
+            let end = match &self.series {
                 Some(s) if s.window_size() != u64::MAX => {
                     let mut budget = s.window_size() - s.total_requests() % s.window_size();
                     let cut = reqs[base..].iter().position(|r| {
@@ -361,95 +278,51 @@ impl<'p> Replay<'p> {
             // `replay` reports chunk-relative indices; rebase them so
             // eviction ages do not depend on the chunking.
             let first = self.fed + base as u64;
-            let (freq, age) = (&mut lane.freq_at_eviction, &mut lane.eviction_age);
-            policy.replay(
+            self.policy.replay(
                 &slots[base..end],
                 &reqs[base..end],
                 self.ignore_size,
                 &mut |i, e| {
-                    freq.record(u64::from(e.freq));
-                    age.record(e.age(first + i as u64));
+                    let now = first + i as u64;
+                    self.freq_at_eviction.record(u64::from(e.freq));
+                    self.eviction_age.record(e.age(now));
+                    if let Some(hook) = &mut self.hook {
+                        hook(now, e);
+                    }
                 },
             );
-            if let Some(series) = &mut lane.series {
-                let cur = policy.stats();
-                series.record_window(cur.gets - lane.prev.gets, cur.misses - lane.prev.misses);
-                lane.prev = cur;
+            if let Some(series) = &mut self.series {
+                let cur = self.policy.stats();
+                series.record_window(cur.gets - self.prev.gets, cur.misses - self.prev.misses);
+                self.prev = cur;
             }
             base = end;
         }
-        true
+        self.fed += reqs.len() as u64;
     }
 
-    /// The per-request loop, for gangs and observed runs: every policy sees
-    /// request `i` before any sees `i + 1`.
-    fn feed_each(&mut self, slots: &[u32], reqs: &[Request]) {
-        for (i, r) in reqs.iter().enumerate() {
-            if let Some(&ahead) = slots.get(i + LOOKAHEAD) {
-                for lane in &self.lanes {
-                    lane.policy.prefetch(ahead);
-                }
-            }
-            let req = if self.ignore_size {
-                Request { size: 1, ..*r }
-            } else {
-                *r
-            };
-            let now = self.fed + i as u64;
-            for lane in &mut self.lanes {
-                self.evs.clear();
-                let outcome = lane.policy.request_dense(slots[i], &req, &mut self.evs);
-                for e in &self.evs {
-                    lane.freq_at_eviction.record(u64::from(e.freq));
-                    lane.eviction_age.record(e.age(now));
-                }
-                if let Some(series) = &mut lane.series {
-                    if outcome != Outcome::NotRead {
-                        series.record(outcome.is_miss());
-                    }
-                }
-                if let Some(observer) = &mut self.observer {
-                    let slot = slots[i];
-                    if self.ids.len() <= slot as usize {
-                        self.ids.resize(self.domain, 0);
-                    }
-                    self.ids[slot as usize] = req.id;
-                    let ids = &self.ids;
-                    let named = self.evs.iter().map(|e| e.named(ids[e.id as usize]));
-                    self.named.clear();
-                    self.named.extend(named);
-                    let evs = &self.named;
-                    observer.after_request(now as usize, slot, &req, outcome, evs, &*lane.policy);
-                }
-            }
+    /// Closes the series and returns the [`Replayed`], labelled with
+    /// `trace`.
+    pub fn finish(mut self, trace: &str) -> Replayed {
+        let p = &self.policy;
+        let (algorithm, capacity, stats) = (p.name(), p.capacity(), p.stats());
+        if let Some(series) = &mut self.series {
+            series.finish();
         }
-    }
-
-    /// Closes every series and returns one [`Replayed`] per policy, in the
-    /// order the replay was built over them, labelled with `trace`.
-    pub fn finish(self, trace: &str) -> Vec<Replayed> {
-        let assemble = |mut lane: Lane<'_>| {
-            let p = &lane.policy;
-            let (algorithm, capacity, stats) = (p.name(), p.capacity(), p.stats());
-            if let Some(series) = &mut lane.series {
-                series.finish();
-            }
-            let result = SimResult {
-                algorithm,
-                trace: trace.to_string(),
-                capacity,
-                requests: stats.gets,
-                misses: stats.misses,
-                miss_ratio: stats.miss_ratio(),
-                byte_miss_ratio: stats.byte_miss_ratio(),
-                evictions: stats.evictions,
-                one_hit_eviction_fraction: lane.freq_at_eviction.zero_fraction(),
-                freq_at_eviction: lane.freq_at_eviction,
-                eviction_age: lane.eviction_age,
-            };
-            (result, lane.series)
+        let result = SimResult {
+            algorithm,
+            trace: trace.to_string(),
+            capacity,
+            requests: stats.gets,
+            misses: stats.misses,
+            miss_ratio: stats.miss_ratio(),
+            byte_miss_ratio: stats.byte_miss_ratio(),
+            evictions: stats.evictions,
+            one_hit_eviction_fraction: self.freq_at_eviction.zero_fraction(),
+            freq_at_eviction: self.freq_at_eviction,
+            eviction_age: self.eviction_age,
         };
-        self.lanes.into_iter().map(assemble).collect()
+        (result, self.series)
     }
 
     /// Feeds the whole of `trace`, [`DEFAULT_CHUNK_RECORDS`] requests at a
@@ -459,7 +332,7 @@ impl<'p> Replay<'p> {
     ///
     /// Panics when a policy the caller built cannot grow to the trace's
     /// footprint; the registry's all can.
-    pub fn run(mut self, trace: &Trace) -> Vec<Replayed> {
+    pub fn run(mut self, trace: &Trace) -> Replayed {
         if let Err(e) = self.grow(trace.footprint(), 0) {
             panic!("replaying {}: {e}", trace.name);
         }
@@ -506,14 +379,15 @@ pub fn simulate_named(
     let Some(capacity) = cfg.admitted_capacity(trace) else {
         return Ok(None);
     };
-    let replay = Replay::on_trace(&[name], trace, capacity)?.ignore_size(cfg.ignore_size);
-    Ok(Some(replay.run(trace).remove(0).0))
+    let replay = Replay::on_trace(name, trace, capacity)?.ignore_size(cfg.ignore_size);
+    Ok(Some(replay.run(trace).0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cache_trace::gen::WorkloadSpec;
+    use cache_types::Outcome;
 
     fn small_trace() -> Trace {
         WorkloadSpec::zipf("t", 20_000, 2000, 1.0, 7).generate()
@@ -523,7 +397,7 @@ mod tests {
     fn simulate_counts_match_policy_stats() {
         let trace = small_trace();
         let p = Box::new(cache_policies::DenseLru::with_domain(100, 0).unwrap());
-        let (r, series) = Replay::dense(p).ignore_size(true).run(&trace).remove(0);
+        let (r, series) = Replay::dense(p).ignore_size(true).run(&trace);
         assert!(series.is_none(), "no window asked for, no series kept");
         assert_eq!(r.requests, 20_000);
         assert!(r.miss_ratio > 0.0 && r.miss_ratio < 1.0);
@@ -608,39 +482,6 @@ mod tests {
         }
     }
 
-    /// Combinations the driver cannot serve are refused when it is built,
-    /// not mis-counted: an observer watches one lane, of any name.
-    #[test]
-    fn an_observer_is_refused_on_a_gang_and_watches_one_lane() {
-        struct Count(usize);
-        impl RequestObserver for Count {
-            fn after_request(
-                &mut self,
-                _: usize,
-                _: u32,
-                _: &Request,
-                _: Outcome,
-                _: &[Eviction],
-                _: &dyn DensePolicy,
-            ) {
-                self.0 += 1;
-            }
-        }
-        let trace = small_trace();
-        let mut gang = Count(0);
-        assert!(Replay::on_trace(&["S3-FIFO", "Belady"], &trace, 100)
-            .unwrap()
-            .observer(&mut gang)
-            .is_err());
-        for name in registry::ALL_ALGORITHMS {
-            let mut seen = Count(0);
-            let replay = Replay::on_trace(&[name], &trace, 100).unwrap();
-            let observed = replay.observer(&mut seen).unwrap().run(&trace);
-            assert_eq!(observed[0].0.requests, 20_000, "{name}");
-            assert_eq!(seen.0, 20_000, "{name}");
-        }
-    }
-
     /// A chunk of explicit slots grows a dense policy to cover them; a
     /// policy that cannot grow is refused before anything is replayed.
     #[test]
@@ -655,7 +496,7 @@ mod tests {
         let mut replay = Replay::dense(Box::new(policy));
         replay.feed(&slots, &reqs).expect("a slab policy grows");
         assert_eq!(replay.domain, 6);
-        let (r, _) = replay.finish("t").remove(0);
+        let (r, _) = replay.finish("t");
         assert_eq!((r.requests, r.misses), (4, 3));
 
         struct Fixed;
@@ -704,7 +545,7 @@ mod tests {
         assert!(trace.sizes().is_some() && trace.ops().is_some());
         let rows = trace.to_requests();
         let replay = |name| {
-            let replay = Replay::on_trace(&[name], &trace, 150).unwrap();
+            let replay = Replay::on_trace(name, &trace, 150).unwrap();
             replay.window(1_000)
         };
         for name in registry::ALL_ALGORITHMS {

@@ -2,9 +2,10 @@
 //! substitute).
 //!
 //! - [`engine`] is the replay driver: [`Replay`] feeds a request stream to
-//!   one or more policies and collects the eviction-time metrics the
-//!   paper's figures need (miss ratio, byte miss ratio, frequency at
-//!   eviction for Fig. 4, eviction ages, a per-window miss-ratio series).
+//!   one policy, through its bulk call, and collects the eviction-time
+//!   metrics the paper's figures need (miss ratio, byte miss ratio,
+//!   frequency at eviction for Fig. 4, eviction ages, a per-window
+//!   miss-ratio series).
 //!   Everything else here that runs a policy is a few lines over it:
 //!   [`simulate_named`] (in memory), [`replay_ctr_path`] ([`stream`]: a
 //!   `.ctr` file in bounded memory), [`run_sweep`], and the per-capacity
@@ -30,9 +31,7 @@ pub mod stream;
 pub mod sweep;
 
 pub use demotion::{demotion_metrics, DemotionMetrics};
-pub use engine::{
-    simulate_named, CacheSizeSpec, Replay, Replayed, RequestObserver, SimConfig, SimResult,
-};
+pub use engine::{simulate_named, CacheSizeSpec, Replay, Replayed, SimConfig, SimResult};
 pub use mrc::{
     miss_ratio_curve, simulate_mrc, MissRatioCurve, MrcConfig, MrcEngine, MrcPoint, MrcResult,
     MrcSample,

@@ -393,8 +393,8 @@ fn draw_share(
     let mut points = Vec::with_capacity(capacities.len());
     let mut name = algorithm.to_string();
     for &cap in capacities {
-        let replay = Replay::on_trace(&[algorithm], trace, cap)?.ignore_size(cfg.ignore_size);
-        let (r, _) = replay.run(trace).remove(0);
+        let replay = Replay::on_trace(algorithm, trace, cap)?.ignore_size(cfg.ignore_size);
+        let (r, _) = replay.run(trace);
         name = r.algorithm;
         points.push(MrcSample {
             capacity: cap,

@@ -149,7 +149,7 @@ impl Replay<'_> {
 
     /// This thread's half of [`feed_ctr`](Self::feed_ctr): replays the
     /// chunks `full` delivers, in stream order, each after growing the
-    /// dense lanes to its ids, and hands the emptied sets back on `empty`.
+    /// policy to its ids, and hands the emptied sets back on `empty`.
     /// Returns the bytes of the buffer sets.
     fn replay_chunks(
         &mut self,
@@ -226,15 +226,15 @@ pub fn replay_ctr_path(
 ) -> Result<StreamReplay, CacheError> {
     let mut reader = CtrReader::open(std::fs::File::open(path)?)?;
     let info = *reader.info();
-    let mut replay = Replay::on_dense_ids(&[name], info.id_space, capacity)?
+    let mut replay = Replay::on_dense_ids(name, info.id_space, capacity)?
         .ignore_size(ignore_size)
         .window(window);
     let peak_buffer_bytes = replay.feed_ctr(&mut reader, chunk_records)?;
     let objects = replay.domain as u64;
-    let (result, series) = replay.finish(trace_name).remove(0);
+    let (result, series) = replay.finish(trace_name);
     Ok(StreamReplay {
         result,
-        // Invariant: `window` was set above, so every lane keeps a series.
+        // Invariant: `window` was set above, so the replay keeps a series.
         series: series.expect("windowed replay keeps a series"),
         records: info.records,
         objects,

@@ -27,10 +27,6 @@ pub struct SweepRecord {
     pub byte_miss_ratio: f64,
     /// Fraction of evicted objects that were one-hit wonders.
     pub one_hit_eviction_fraction: f64,
-    /// Wall-clock time this job's simulation took, in microseconds. Jobs
-    /// replayed inside a shared gang report the gang's wall time divided
-    /// evenly across its records.
-    pub sim_micros: u64,
 }
 
 /// A sweep: every algorithm against every (dataset, trace) pair.
@@ -46,19 +42,8 @@ pub struct SweepSpec<'a> {
     pub threads: usize,
 }
 
-/// How many same-trace jobs one worker replays in a single ganged trace pass
-/// (a multi-policy [`Replay`]). Ganging amortizes trace streaming and decode
-/// across policies, but each ganged policy adds an independent random
-/// stream into its own multi-MB slot slab plus its share of prefetch
-/// traffic; measured on the dev box (one core, small L3), throughput peaks
-/// at a gang of 2 and *degrades* past 4 as the line-fill buffers and TLB
-/// saturate. Keep this small.
-const MAX_GANG: usize = 2;
-
-/// Runs the sweep on a scoped worker pool.
-///
-/// Work units are chunks of up to `MAX_GANG` algorithms against one trace;
-/// each chunk replays the trace once through a ganged [`Replay`].
+/// Runs the sweep on a scoped worker pool, one job per (trace, algorithm)
+/// pair.
 ///
 /// The first failing job raises a shared abort flag; every worker checks it
 /// before claiming the next job, so one bad algorithm name cancels the whole
@@ -76,12 +61,8 @@ const MAX_GANG: usize = 2;
 pub fn run_sweep(spec: &SweepSpec<'_>) -> Result<Vec<SweepRecord>, CacheError> {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
-    let jobs: Vec<(usize, &[String])> = (0..spec.traces.len())
-        .flat_map(|t| {
-            spec.algorithms
-                .chunks(MAX_GANG)
-                .map(move |names| (t, names))
-        })
+    let jobs: Vec<(usize, &str)> = (0..spec.traces.len())
+        .flat_map(|t| spec.algorithms.iter().map(move |name| (t, name.as_str())))
         .collect();
     let threads = match spec.threads {
         0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
@@ -96,11 +77,11 @@ pub fn run_sweep(spec: &SweepSpec<'_>) -> Result<Vec<SweepRecord>, CacheError> {
         for _ in 0..threads.min(jobs.len().max(1)) {
             scope.spawn(|| {
                 while !abort.load(Ordering::Relaxed) {
-                    let Some(&(t, names)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                    let Some(&(t, name)) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) else {
                         break;
                     };
                     let (dataset, trace) = &spec.traces[t];
-                    let job = run_job(dataset, trace, names, &spec.config);
+                    let job = run_job(dataset, trace, name, &spec.config);
                     let mut outcome = outcome.lock().unwrap_or_else(|e| e.into_inner());
                     match (&mut *outcome, job) {
                         (Ok(records), Ok(more)) => records.extend(more),
@@ -123,39 +104,31 @@ pub fn run_sweep(spec: &SweepSpec<'_>) -> Result<Vec<SweepRecord>, CacheError> {
     Ok(out)
 }
 
-/// One work unit: `names` ganged over `trace` in a single pass. Empty when
-/// the `min_objects` rule excludes the configuration.
+/// One work unit: `name` over `trace`. `None` when the `min_objects` rule
+/// excludes the configuration.
 fn run_job(
     dataset: &str,
     trace: &Trace,
-    names: &[String],
+    name: &str,
     cfg: &SimConfig,
-) -> Result<Vec<SweepRecord>, CacheError> {
+) -> Result<Option<SweepRecord>, CacheError> {
     let Some(capacity) = cfg.admitted_capacity(trace) else {
-        return Ok(Vec::new());
+        return Ok(None);
     };
-    let names: Vec<&str> = names.iter().map(String::as_str).collect();
-    let start = std::time::Instant::now();
-    let replayed = Replay::on_trace(&names, trace, capacity)?
+    let (r, _) = Replay::on_trace(name, trace, capacity)?
         .ignore_size(cfg.ignore_size)
         .run(trace);
-    let sim_micros = start.elapsed().as_micros() as u64 / replayed.len().max(1) as u64;
     // Records carry the registry name they were requested under, not the
     // policy's display name.
-    Ok(names
-        .iter()
-        .zip(replayed)
-        .map(|(name, (r, _))| SweepRecord {
-            dataset: dataset.to_string(),
-            trace: trace.name.clone(),
-            algorithm: name.to_string(),
-            capacity: r.capacity,
-            miss_ratio: r.miss_ratio,
-            byte_miss_ratio: r.byte_miss_ratio,
-            one_hit_eviction_fraction: r.one_hit_eviction_fraction,
-            sim_micros,
-        })
-        .collect())
+    Ok(Some(SweepRecord {
+        dataset: dataset.to_string(),
+        trace: trace.name.clone(),
+        algorithm: name.to_string(),
+        capacity: r.capacity,
+        miss_ratio: r.miss_ratio,
+        byte_miss_ratio: r.byte_miss_ratio,
+        one_hit_eviction_fraction: r.one_hit_eviction_fraction,
+    }))
 }
 
 /// The paper's bounded miss-ratio-reduction metric (§5.1.2).
@@ -321,20 +294,6 @@ mod tests {
         );
         // Reductions vs FIFO must be positive for S3-FIFO here.
         assert!(sums[pos("S3-FIFO")].1.mean > 0.0);
-    }
-
-    #[test]
-    fn sweep_records_timing() {
-        let t1 = WorkloadSpec::zipf("t1", 5000, 500, 1.0, 1).generate();
-        let spec = SweepSpec {
-            traces: vec![("d1".into(), &t1)],
-            algorithms: vec!["FIFO".into()],
-            config: SimConfig::large(),
-            threads: 1,
-        };
-        let records = run_sweep(&spec).unwrap();
-        // 5000 requests take at least a microsecond; the field must be real.
-        assert!(records[0].sim_micros > 0);
     }
 
     #[test]

@@ -2,24 +2,22 @@
 //! answer.
 //!
 //! Source {in memory, `.ctr` in chunks of 1 / 4096 / more than the trace}
-//! × path {the registry's policy alone (the bulk call), the same policy
-//! observed (the per-request loop), a policy the caller built} × window
-//! {none, 777, `u64::MAX`} × trace {pure-get unit-size, mixed
-//! get/set/delete with sizes honoured and ignored}. Every cell must equal
-//! the in-memory unwindowed cell of its trace and name bit for bit, and
-//! every cell's series must equal the series of its window counted read by
-//! read over the keyed policy of the same name, driven here without
-//! `Replay`. Gangs include Belady, which replays in memory only.
+//! × path {the registry's policy, the same policy with a counting eviction
+//! hook, a policy the caller built} × window {none, 777, `u64::MAX`} ×
+//! trace {pure-get unit-size, mixed get/set/delete with sizes honoured and
+//! ignored}. Every cell must equal the in-memory unwindowed cell of its
+//! trace and name bit for bit, and every cell's series must equal the
+//! series of its window counted read by read over the keyed policy of the
+//! same name, driven here without `Replay`.
 
 use cache_ds::{Histogram, SplitMix64};
 use cache_obs::MissRatioSeries;
 use cache_policies::registry;
-use cache_sim::{Replay, Replayed, RequestObserver, SimResult};
+use cache_sim::{Replay, Replayed, SimResult};
 use cache_trace::ctr::{read_trace, write_trace, CtrReader};
 use cache_trace::gen::WorkloadSpec;
 use cache_trace::Trace;
 use cache_types::{Eviction, Op, Outcome, Request};
-use s3fifo::dense::DensePolicy;
 use std::io::Cursor;
 
 const CAPACITY: u64 = 200;
@@ -95,7 +93,7 @@ const SOURCES: [Source; 4] = [
 ];
 
 /// Runs `replay` over the fixture from `source`.
-fn drive(mut replay: Replay<'_>, f: &Fixture, source: Source) -> Vec<Replayed> {
+fn drive(mut replay: Replay<'_>, f: &Fixture, source: Source) -> Replayed {
     match source {
         Source::Memory => replay.run(&f.decoded),
         Source::Ctr(chunk) => {
@@ -114,51 +112,42 @@ fn settings<'p>(replay: Replay<'p>, f: &Fixture, window: Option<u64>) -> Replay<
     }
 }
 
-/// The registry's policies for `names`, unbuilt.
-fn registry_replay<'p>(names: &[&str], f: &Fixture, source: Source) -> Replay<'p> {
+/// The registry's policy for `name`, unbuilt.
+fn registry_replay<'p>(name: &str, f: &Fixture, source: Source) -> Replay<'p> {
     match source {
-        Source::Memory => Replay::on_trace(names, &f.decoded, CAPACITY),
-        Source::Ctr(_) => Replay::on_dense_ids(names, f.id_space, CAPACITY),
+        Source::Memory => Replay::on_trace(name, &f.decoded, CAPACITY),
+        Source::Ctr(_) => Replay::on_dense_ids(name, f.id_space, CAPACITY),
     }
-    .expect("known names")
+    .expect("known name")
 }
 
-/// The registry's policies for `names`.
-fn by_name(names: &[&str], f: &Fixture, source: Source, window: Option<u64>) -> Vec<Replayed> {
+/// The registry's policy for `name`.
+fn by_name(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Replayed {
     drive(
-        settings(registry_replay(names, f, source), f, window),
+        settings(registry_replay(name, f, source), f, window),
         f,
         source,
     )
 }
 
-/// Counts the requests it is shown.
-struct Count(u64);
-
-impl RequestObserver for Count {
-    fn after_request(
-        &mut self,
-        _: usize,
-        _: u32,
-        _: &Request,
-        _: Outcome,
-        _: &[Eviction],
-        _: &dyn DensePolicy,
-    ) {
-        self.0 += 1;
-    }
-}
-
-/// The registry's policy for `name`, observed: the per-request loop rather
-/// than the policy's own bulk replay.
-fn observed(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Replayed {
-    let mut count = Count(0);
-    let replay = settings(registry_replay(&[name], f, source), f, window);
-    let got = drive(replay.observer(&mut count).expect("one policy"), f, source).remove(0);
+/// The registry's policy for `name` with an eviction hook that counts what
+/// it is handed: exactly the result's evictions, at stream indices that
+/// never decrease, whose ages are the result's eviction-age histogram.
+fn hooked(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Replayed {
+    let (mut seen, mut last, mut ages) = (0u64, 0u64, Histogram::new());
+    let mut count = |index: u64, e: &Eviction<u32>| {
+        assert!(index >= last, "{name} {source:?}: index {index} after {last}");
+        seen += 1;
+        last = index;
+        ages.record(e.age(index));
+    };
+    let replay = settings(registry_replay(name, f, source), f, window);
+    let got = drive(replay.on_eviction(&mut count), f, source);
+    assert_eq!(seen, got.0.evictions, "{name} {source:?}: hooked records");
     assert_eq!(
-        count.0,
-        f.decoded.len() as u64,
-        "{name}: observed requests"
+        format!("{ages:?}"),
+        format!("{:?}", got.0.eviction_age),
+        "{name} {source:?}: hooked ages"
     );
     got
 }
@@ -167,7 +156,7 @@ fn observed(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Rep
 fn own_dense(name: &str, f: &Fixture, source: Source, window: Option<u64>) -> Replayed {
     let policy = registry::build_dense_domain(name, CAPACITY, None, f.id_space as usize)
         .expect("known name");
-    drive(settings(Replay::dense(policy), f, window), f, source).remove(0)
+    drive(settings(Replay::dense(policy), f, window), f, source)
 }
 
 /// The keyed policy of `name` over the fixture in memory, driven here one
@@ -260,7 +249,7 @@ fn every_cell_equals_the_in_memory_unwindowed_cell() {
     for f in fixtures() {
         for name in ["S3-FIFO", "LRU", "ARC", "LHD"] {
             let trace = format!("{} ignore_size={} {name}", f.decoded.name, f.ignore_size);
-            let reference = by_name(&[name], &f, Source::Memory, None).remove(0);
+            let reference = by_name(name, &f, Source::Memory, None);
             assert!(
                 reference.0.evictions > 0 && reference.0.misses > 0,
                 "{trace}: vacuous"
@@ -273,8 +262,8 @@ fn every_cell_equals_the_in_memory_unwindowed_cell() {
                 for source in SOURCES {
                     let ctx = format!("{trace} {source:?} window={window:?}");
                     let cells = [
-                        ("registry", by_name(&[name], &f, source, window).remove(0)),
-                        ("observed", observed(name, &f, source, window)),
+                        ("registry", by_name(name, &f, source, window)),
+                        ("hooked", hooked(name, &f, source, window)),
                         ("own dense", own_dense(name, &f, source, window)),
                     ];
                     for (engine, cell) in &cells {
@@ -316,7 +305,7 @@ fn window_and_chunk_boundaries_never_meet_by_luck() {
                 Source::Ctr(13),
                 Source::Ctr(100),
             ] {
-                let got = by_name(&["S3-FIFO"], &f, source, Some(window)).remove(0);
+                let got = by_name("S3-FIFO", &f, source, Some(window));
                 assert_same(
                     &got,
                     &want,
@@ -327,38 +316,18 @@ fn window_and_chunk_boundaries_never_meet_by_luck() {
     }
 }
 
-/// A gang is its solo runs, in input order, whatever policies share the
-/// per-request loop. Windowed gangs are legal and counted the same. Belady
-/// needs the trace, so its gangs replay in memory only.
+/// Every name's hook sees every eviction once, at its stream index, in
+/// memory and however a `.ctr` stream is chunked. Belady cannot stream.
 #[test]
-fn a_gang_equals_its_solo_runs() {
+fn the_hook_sees_every_eviction_at_its_stream_index() {
     for f in fixtures() {
-        for names in [
-            &["S3-FIFO", "FIFO", "LHD", "LRU"][..],
-            &["LHD", "S3-FIFO", "LeCaR"],
-            &["S3-FIFO", "Belady", "LHD"],
-            // The rest of the dense slab policies, which sweeps also gang.
-            &["CLOCK", "CLOCK-2bit", "SIEVE", "SLRU", "2Q"],
-            &["ARC", "LIRS", "TinyLFU", "LRU-2", "B-LRU"],
-            &["CACHEUS", "FIFO-Merge", "S3-FIFO-D"],
-        ] {
-            let streams = !names.contains(&"Belady");
-            for window in [None, Some(777)] {
-                for source in [Source::Memory, Source::Ctr(4096)] {
-                    if !streams && matches!(source, Source::Ctr(_)) {
-                        continue;
-                    }
-                    let gang = by_name(names, &f, source, window);
-                    assert_eq!(gang.len(), names.len());
-                    for (name, got) in names.iter().zip(&gang) {
-                        let solo = by_name(&[name], &f, Source::Memory, window).remove(0);
-                        let ctx = format!(
-                            "{names:?} {name} {source:?} window={window:?} ignore_size={}",
-                            f.ignore_size
-                        );
-                        assert_same(got, &solo, &ctx);
-                    }
+        for name in registry::ALL_ALGORITHMS {
+            for source in [Source::Memory, Source::Ctr(1), Source::Ctr(4096)] {
+                if *name == "Belady" && matches!(source, Source::Ctr(_)) {
+                    continue;
                 }
+                let got = hooked(name, &f, source, None);
+                assert!(got.0.evictions > 0, "{name} {source:?}: vacuous");
             }
         }
     }
@@ -367,16 +336,16 @@ fn a_gang_equals_its_solo_runs() {
 #[test]
 fn a_partially_consumed_reader_replays_from_record_zero() {
     let f = &fixtures()[1];
-    let want = by_name(&["S3-FIFO"], f, Source::Memory, Some(777)).remove(0);
+    let want = by_name("S3-FIFO", f, Source::Memory, Some(777));
     let mut reader = CtrReader::open(Cursor::new(&f.bytes)).expect("open");
     let mut scratch = Vec::new();
     reader.read_chunk(&mut scratch, 123).expect("read");
-    let mut replay = Replay::on_dense_ids(&["S3-FIFO"], f.id_space, CAPACITY)
+    let mut replay = Replay::on_dense_ids("S3-FIFO", f.id_space, CAPACITY)
         .expect("known name")
         .ignore_size(true)
         .window(777);
     replay.feed_ctr(&mut reader, 1000).expect("stream");
-    assert_same(&replay.finish("mixed").remove(0), &want, "rewound reader");
+    assert_same(&replay.finish("mixed"), &want, "rewound reader");
 }
 
 /// The file front door is the same replay: `replay_ctr_path` over the
@@ -390,7 +359,7 @@ fn the_path_front_door_equals_the_in_memory_cell() {
     std::fs::remove_file(&path).expect("remove");
     let got = got.expect("replay");
     assert_eq!((got.records, got.chunk_records), (9_000, 1000));
-    let want = by_name(&["LRU"], f, Source::Memory, Some(777)).remove(0);
+    let want = by_name("LRU", f, Source::Memory, Some(777));
     assert_same(&(got.result, Some(got.series)), &want, "replay_ctr_path");
 }
 
@@ -405,14 +374,14 @@ fn buffers_stay_bounded_by_chunk_size() {
     let chunk = 256usize;
     let mut reader = CtrReader::open(Cursor::new(&f.bytes)).expect("open");
     let raw = chunk * reader.info().record_bytes as usize;
-    let mut replay = Replay::on_dense_ids(&["S3-FIFO"], f.id_space, 300).expect("known name");
+    let mut replay = Replay::on_dense_ids("S3-FIFO", f.id_space, 300).expect("known name");
     let peak = replay.feed_ctr(&mut reader, chunk).expect("stream");
-    assert_eq!(replay.finish("bounded")[0].0.requests, 30_000);
+    assert_eq!(replay.finish("bounded").0.requests, 30_000);
     let set = chunk * (std::mem::size_of::<Request>() + std::mem::size_of::<u32>());
     assert_eq!(peak, (raw + 2 * set) as u64, "raw {raw} + 2 sets of {set}");
 }
 
 #[test]
 fn belady_cannot_stream() {
-    assert!(Replay::on_dense_ids(&["Belady"], 100, 50).is_err());
+    assert!(Replay::on_dense_ids("Belady", 100, 50).is_err());
 }
