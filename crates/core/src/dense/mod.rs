@@ -3,7 +3,8 @@
 //!
 //! A slab policy stores everything it knows about an object in one [`Slot`]
 //! of a [`DenseSlab`], indexed by a `u32` slot, and threads its queues
-//! through the slots ([`PackedQueue`]); 2Q and S3-FIFO add a [`SlotGhost`].
+//! through the slots: each a [`Queue`] with its tag, its bytes and one
+//! eviction [`Rule`]; 2Q and S3-FIFO add a [`SlotGhost`].
 //! Each policy implements one trait, [`SlabPolicy`]: its shape (name,
 //! capacity, bytes and objects held, invariants, counters), its slab, and
 //! its algorithm's steps — what a hit changes, how an object is admitted
@@ -44,11 +45,13 @@
 
 mod ghost;
 mod keyed;
+mod queue;
 mod slab;
 
 pub use ghost::SlotGhost;
 pub use keyed::Keyed;
-pub use slab::{validate_queues, DenseSlab, PackedQueue, Slot};
+pub use queue::{rule, validate_queues, Members, Queue, Rule};
+pub use slab::{DenseSlab, PackedQueue, Slot};
 
 use cache_types::{CacheError, Eviction, Op, Outcome, PolicyStats, Request};
 

@@ -5,7 +5,8 @@
 //! one per queue neighbour. [`PackedQueue`] threads intrusive queues through
 //! the `prev`/`next` fields with [`cache_ds::DList`]'s orientation (head =
 //! newest, tail = next eviction); a differential test below holds the two in
-//! lockstep.
+//! lockstep. Only this module and [`super::Queue`], which gives a queue its
+//! tag, its bytes and its eviction rule, touch the links.
 //!
 //! A slab covers the dense domain `0..domain` and only ever grows
 //! (`grow_to`, as a stream or [`super::Keyed`] names new ids). It hands no
@@ -14,8 +15,7 @@
 //!
 //! A slot does not know which object it stands for: records name slots, and
 //! only a door that numbers slots names their objects ([`super::Keyed`]'s
-//! slot → id array; the simulator's observed replay loop learns its own
-//! from the requests it feeds).
+//! slot → id array).
 
 use cache_ds::NIL;
 use cache_types::{Eviction, Request};
@@ -30,9 +30,9 @@ use cache_types::{Eviction, Request};
 #[repr(align(32))]
 pub struct Slot {
     /// Neighbour toward the tail-to-head direction (`NIL` at the tail).
-    pub prev: u32,
+    pub(crate) prev: u32,
     /// Neighbour toward the head-to-tail direction (`NIL` at the head).
-    pub next: u32,
+    pub(crate) next: u32,
     /// Object size at insertion.
     pub size: u32,
     /// Accesses after insertion.
@@ -126,16 +126,6 @@ impl DenseSlab {
         cache_ds::prefetch_read(&self.slots, s as usize);
     }
 
-    /// Warms the slot `q` would evict next. Eviction candidates sit at queue
-    /// tails, untouched since insertion and therefore cold; warming them on
-    /// every request keeps the eviction scan off the demand-miss path.
-    #[inline]
-    pub fn warm_tail(&self, q: &PackedQueue) {
-        if let Some(t) = q.tail() {
-            self.warm_slot(t);
-        }
-    }
-
     /// Builds the [`Eviction`] record for `slot`, which names the slot
     /// (cold path).
     #[inline]
@@ -203,7 +193,7 @@ impl PackedQueue {
 
     /// The neighbour of `s` toward the head, or `None` when `s` is the head.
     #[inline]
-    pub fn toward_head(&self, slots: &[Slot], s: u32) -> Option<u32> {
+    pub(super) fn toward_head(&self, slots: &[Slot], s: u32) -> Option<u32> {
         let p = slots[s as usize].prev;
         if p == NIL {
             None
@@ -297,55 +287,6 @@ impl PackedQueue {
             Some(s)
         })
     }
-}
-
-/// Structural validation shared by the slab policies: each `(queue, tag,
-/// bytes, label)` links exactly its `len` slots, every one tagged `tag`,
-/// together charged `bytes`; no slot outside the queues carries a tag; and
-/// the queues fit `capacity`.
-pub fn validate_queues(
-    name: &str,
-    capacity: u64,
-    slab: &DenseSlab,
-    queues: &[(&PackedQueue, u8, u64, &str)],
-) -> Result<(), String> {
-    let mut queued = 0usize;
-    let mut total = 0u64;
-    for &(queue, tag, used, label) in queues {
-        let (mut bytes, mut count) = (0u64, 0u32);
-        for slot in queue.iter(&slab.slots) {
-            let s = &slab.slots[slot as usize];
-            if s.tag != tag {
-                return Err(format!(
-                    "{name}: slot {slot} sits in {label} but is tagged {}",
-                    s.tag
-                ));
-            }
-            bytes += u64::from(s.size);
-            count += 1;
-        }
-        if count != queue.len() {
-            return Err(format!(
-                "{name}: {label} links walk {count} slots but len says {}",
-                queue.len()
-            ));
-        }
-        if bytes != used {
-            return Err(format!("{name}: {label} bytes {bytes} != accounted {used}"));
-        }
-        queued += count as usize;
-        total += used;
-    }
-    if total > capacity {
-        return Err(format!("{name}: used {total} > capacity {capacity}"));
-    }
-    let tagged = slab.slots.iter().filter(|s| s.tag != 0).count();
-    if tagged != queued {
-        return Err(format!(
-            "{name}: {tagged} slots carry a residency tag but {queued} are queued"
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -10,20 +10,21 @@
 //! [`cache_types::Policy`] interface ([`Keyed`]). The production-style
 //! fingerprint ghost lives in `cache-concurrent`'s `ConcurrentS3Fifo`.
 //!
-//! The §6.3 ablation ("LRU or FIFO?") and §7's SIEVE-in-`M` are the same
-//! code: a [`Queues`] marker type says how `S` and `M` order and evict, and
-//! is read at three places — the hit, `evict_main` and `delete`. The
-//! default, [`FifoFifo`], is the paper's design.
+//! `S` and `M` are two [`Queue`]s. `EVICTS` (promote or ghost) is written
+//! here; `EVICTM` is `M`'s own eviction rule. The §6.3 ablation ("LRU or
+//! FIFO?") and §7's SIEVE-in-`M` are the same code: a [`Queues`] marker type
+//! names the rule of `S` and of `M`. The default, [`FifoFifo`], is the
+//! paper's design: a FIFO `S`, and an `M` under [`rule::Clock`], the
+//! FIFO-reinsertion of Algorithm 1.
 //!
 //! Slot-state conventions (see [`crate::dense::Slot`]): `tag` is the queue
-//! tag (`ABSENT`/`SMALL`/`MAIN`), `freq` the two-bit access counter.
+//! tag (`SMALL`/`MAIN`; 0 = absent), `freq` the two-bit access counter.
 
 use crate::dense::{
-    serve, validate_queues, DensePolicy, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost,
+    rule, serve, validate_queues, DensePolicy, DenseSlab, Keyed, Queue, Rule, SlabPolicy, SlotGhost,
 };
-use cache_ds::{GhostFifo, NIL};
+use cache_ds::GhostFifo;
 use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
-use std::marker::PhantomData;
 
 /// Cap of the two-bit access counter (§4.1: "similar to a capped counter
 /// with frequency up to 3").
@@ -48,66 +49,52 @@ impl Default for S3FifoConfig {
     }
 }
 
-/// How `M` orders and evicts its objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MainQueue {
-    /// Insertion order; the tail is reinserted with `freq - 1` while
-    /// `freq > 0` (Algorithm 1, `EVICTM`).
-    Fifo,
-    /// Hits move to the head; the tail is evicted outright.
-    Lru,
-    /// Insertion order; a hand sweeps tail to head, clearing `freq` in place
-    /// and evicting the first unmarked object (§7).
-    Sieve,
-}
-
-/// The queue disciplines of one S3-FIFO instantiation: a zero-sized marker,
-/// so that the paper's instantiation pays nothing for the others.
+/// The queue rules of one S3-FIFO instantiation: a zero-sized marker, so
+/// that the paper's instantiation pays nothing for the others.
 pub trait Queues: std::fmt::Debug + Send + 'static {
-    /// Whether a hit in `S` moves the object to `S`'s head.
-    const SMALL_LRU: bool;
-    /// The discipline of `M`.
-    const MAIN: MainQueue;
+    /// The rule of `S`. Only its hit matters: `EVICTS` takes `S`'s tail.
+    type Small: Rule;
+    /// The rule of `M`, which `EVICTM` follows.
+    type Main: Rule;
     /// Display name; `None` for the paper's own design, which prints its
     /// small-queue ratio instead.
     const NAME: Option<&'static str>;
 }
 
 macro_rules! queues {
-    ($(#[$doc:meta] $marker:ident = ($small_lru:expr, $main:ident, $name:expr);)*) => {$(
+    ($(#[$doc:meta] $marker:ident = ($small:ident, $main:ident, $name:expr);)*) => {$(
         #[$doc]
         #[derive(Debug, Clone, Copy, Default)]
         pub struct $marker;
 
         impl Queues for $marker {
-            const SMALL_LRU: bool = $small_lru;
-            const MAIN: MainQueue = MainQueue::$main;
+            type Small = rule::$small;
+            type Main = rule::$main;
             const NAME: Option<&'static str> = $name;
         }
     )*};
 }
 
 queues! {
-    /// The paper's design: both queues FIFO.
-    FifoFifo = (false, Fifo, None);
+    /// The paper's design: a FIFO `S`, and FIFO-reinsertion in `M`.
+    FifoFifo = (Fifo, Clock, None);
     /// §6.3: `S` is an LRU queue.
-    LruFifo = (true, Fifo, Some("QDLP(S=LRU,M=FIFO)"));
+    LruFifo = (Lru, Clock, Some("QDLP(S=LRU,M=FIFO)"));
     /// §6.3: `M` is an LRU queue.
-    FifoLru = (false, Lru, Some("QDLP(S=FIFO,M=LRU)"));
+    FifoLru = (Fifo, Lru, Some("QDLP(S=FIFO,M=LRU)"));
     /// §6.3: both queues LRU (ARC-like data queues).
-    LruLru = (true, Lru, Some("QDLP(S=LRU,M=LRU)"));
+    LruLru = (Lru, Lru, Some("QDLP(S=LRU,M=LRU)"));
     /// §7: SIEVE replaces the main FIFO queue.
-    FifoSieve = (false, Sieve, Some("QDLP(S=FIFO,M=SIEVE)"));
+    FifoSieve = (Fifo, Sieve, Some("QDLP(S=FIFO,M=SIEVE)"));
 }
 
 /// Which data queue a slot currently lives in.
-const ABSENT: u8 = 0;
 const SMALL: u8 = 1;
 const MAIN: u8 = 2;
 
-/// The S3-FIFO eviction policy over dense slots, with queue disciplines `Q`.
+/// The S3-FIFO eviction policy over dense slots, with queue rules `Q`.
 #[derive(Debug)]
-pub struct DenseS3Fifo<Q = FifoFifo> {
+pub struct DenseS3Fifo<Q: Queues = FifoFifo> {
     capacity: u64,
     s_capacity: u64,
     m_capacity: u64,
@@ -115,20 +102,13 @@ pub struct DenseS3Fifo<Q = FifoFifo> {
 
     slab: DenseSlab,
     /// Small queue; head = most recent insert, tail = next eviction.
-    small: PackedQueue,
+    small: Queue<Q::Small>,
     /// Main queue, same orientation.
-    main: PackedQueue,
-    /// A SIEVE `M`'s next eviction candidate; `NIL` (always, for the other
-    /// disciplines) means "start at the tail". When not `NIL` it points at a
-    /// slot in `M`: eviction and delete both step it off a slot first.
-    hand: u32,
+    main: Queue<Q::Main>,
     ghost: SlotGhost,
 
-    s_used: u64,
-    m_used: u64,
     stats: PolicyStats,
     ghost_hits: u64,
-    queues: PhantomData<Q>,
 }
 
 /// The paper's design. Constructors that do not name a [`Queues`] marker
@@ -193,14 +173,10 @@ impl<Q: Queues> DenseS3Fifo<Q> {
             // "The same number of ghost entries as M" (§4.1), in bytes.
             ghost: SlotGhost::new(domain, m_capacity),
             slab: DenseSlab::with_domain(domain),
-            small: PackedQueue::new(),
-            main: PackedQueue::new(),
-            hand: NIL,
-            s_used: 0,
-            m_used: 0,
+            small: Queue::new(SMALL),
+            main: Queue::new(MAIN),
             stats: PolicyStats::default(),
             ghost_hits: 0,
-            queues: PhantomData,
         })
     }
 
@@ -237,7 +213,7 @@ impl<Q: Queues> DenseS3Fifo<Q> {
     }
 
     fn used_total(&self) -> u64 {
-        self.s_used + self.m_used
+        self.small.bytes() + self.main.bytes()
     }
 
     fn len_total(&self) -> usize {
@@ -248,25 +224,17 @@ impl<Q: Queues> DenseS3Fifo<Q> {
     /// frequency exceeds [`PROMOTE_THRESHOLD`], otherwise it becomes a ghost
     /// (Algorithm 1, `EVICTS`).
     fn evict_small(&mut self, evicted: &mut Vec<Eviction<u32>>) {
-        while let Some(tail) = self.small.tail() {
-            let t = tail as usize;
-            let size = self.slab.size(tail);
-            if self.slab.slots[t].freq > PROMOTE_THRESHOLD {
+        while let Some(tail) = self.small.evict(&mut self.slab) {
+            let t = &mut self.slab.slots[tail as usize];
+            if t.freq > PROMOTE_THRESHOLD {
                 // Move to M; access bits are cleared during the move (§4.1).
-                self.small.remove(&mut self.slab.slots, tail);
-                self.s_used -= u64::from(size);
-                self.main.push_front(&mut self.slab.slots, tail);
-                self.slab.slots[t].tag = MAIN;
-                self.slab.slots[t].freq = 0;
-                self.m_used += u64::from(size);
-                if self.m_used > self.m_capacity {
+                t.freq = 0;
+                self.main.push(&mut self.slab, tail);
+                if self.main.bytes() > self.m_capacity {
                     self.evict_main(evicted);
                 }
             } else {
-                self.small.remove(&mut self.slab.slots, tail);
-                self.s_used -= u64::from(size);
-                self.slab.slots[t].tag = ABSENT;
-                self.ghost.insert(tail, size);
+                self.ghost.insert(tail, t.size);
                 evicted.push(self.slab.eviction(tail, true));
                 return;
             }
@@ -277,39 +245,11 @@ impl<Q: Queues> DenseS3Fifo<Q> {
         }
     }
 
-    /// Evicts one object from `M`: two-bit FIFO-reinsertion (Algorithm 1,
-    /// `EVICTM`), the LRU tail, or wherever a SIEVE hand stops.
+    /// Evicts one object from `M` by its rule (Algorithm 1, `EVICTM`, for
+    /// the paper's design).
     fn evict_main(&mut self, evicted: &mut Vec<Eviction<u32>>) {
-        let mut candidate = if Q::MAIN == MainQueue::Sieve && self.hand != NIL {
-            Some(self.hand)
-        } else {
-            self.main.tail()
-        };
-        while let Some(slot) = candidate {
-            let t = slot as usize;
-            if Q::MAIN != MainQueue::Lru && self.slab.slots[t].freq > 0 {
-                candidate = if Q::MAIN == MainQueue::Sieve {
-                    // Unmark in place and step toward the head, wrapping.
-                    self.slab.slots[t].freq = 0;
-                    self.main
-                        .toward_head(&self.slab.slots, slot)
-                        .or_else(|| self.main.tail())
-                } else {
-                    // Reinsert at the head with frequency decreased by one.
-                    self.main.move_to_front(&mut self.slab.slots, slot);
-                    self.slab.slots[t].freq -= 1;
-                    self.main.tail()
-                };
-            } else {
-                if Q::MAIN == MainQueue::Sieve {
-                    self.hand = self.main.toward_head(&self.slab.slots, slot).unwrap_or(NIL);
-                }
-                self.main.remove(&mut self.slab.slots, slot);
-                self.m_used -= u64::from(self.slab.size(slot));
-                self.slab.slots[t].tag = ABSENT;
-                evicted.push(self.slab.eviction(slot, false));
-                return;
-            }
+        if let Some(slot) = self.main.evict(&mut self.slab) {
+            evicted.push(self.slab.eviction(slot, false));
         }
     }
 
@@ -318,7 +258,7 @@ impl<Q: Queues> DenseS3Fifo<Q> {
     /// empty), otherwise from `M`.
     fn make_room(&mut self, need: u32, evicted: &mut Vec<Eviction<u32>>) {
         while self.used_total() + u64::from(need) > self.capacity {
-            if self.s_used >= self.s_capacity || self.main.is_empty() {
+            if self.small.bytes() >= self.s_capacity || self.main.is_empty() {
                 self.evict_small(evicted);
             } else {
                 self.evict_main(evicted);
@@ -355,26 +295,23 @@ impl<Q: Queues> SlabPolicy for DenseS3Fifo<Q> {
     }
 
     fn validate(&self) -> Result<(), String> {
-        // No `m_used <= m_capacity` assertion: promotions and ghost-hit
+        // No assertion that M's bytes fit `m_capacity`: promotions and ghost-hit
         // inserts trim M by one object, which with sized objects can leave M
         // over budget until the next trim (found by cache-check's
         // differential fuzzer; the reference interpreter agrees).
-        let queues = [
-            (&self.small, SMALL, self.s_used, "small"),
-            (&self.main, MAIN, self.m_used, "main"),
-        ];
-        validate_queues(&SlabPolicy::name(self), self.capacity, &self.slab, &queues)?;
+        let name = SlabPolicy::name(self);
+        validate_queues(&name, self.capacity, &self.slab, &[&self.small, &self.main])?;
         let slots = &self.slab.slots;
-        let mut resident = self.small.iter(slots).chain(self.main.iter(slots));
+        let mut resident = self
+            .small
+            .iter(&self.slab)
+            .chain(self.main.iter(&self.slab));
         if let Some(s) =
             resident.find(|&s| slots[s as usize].freq > MAX_FREQ || self.ghost.contains(s))
         {
             return Err(format!(
-                "slot {s} counts past the 2-bit cap or is also a ghost"
+                "{name}: slot {s} counts past the 2-bit cap or is also a ghost"
             ));
-        }
-        if self.hand != NIL && self.slab.slots[self.hand as usize].tag != MAIN {
-            return Err(format!("hand points at slot {}, which is not in main", self.hand));
         }
         self.ghost.validate().map_err(|e| format!("ghost: {e}"))
     }
@@ -392,15 +329,12 @@ impl<Q: Queues> SlabPolicy for DenseS3Fifo<Q> {
         let s = &mut self.slab.slots[slot as usize];
         s.freq = (s.freq + 1).min(MAX_FREQ);
         s.touch();
-        // §6.3: an LRU queue also moves the object to its head.
-        match s.tag {
-            SMALL if Q::SMALL_LRU => {
-                self.small.move_to_front(&mut self.slab.slots, slot);
-            }
-            MAIN if Q::MAIN == MainQueue::Lru => {
-                self.main.move_to_front(&mut self.slab.slots, slot);
-            }
-            _ => {}
+        // §6.3: an LRU queue also moves the object to its head; the paper's
+        // FIFO queues do nothing here.
+        if s.tag == SMALL {
+            self.small.hit(&mut self.slab, slot);
+        } else {
+            self.main.hit(&mut self.slab, slot);
         }
     }
 
@@ -410,44 +344,31 @@ impl<Q: Queues> SlabPolicy for DenseS3Fifo<Q> {
         // exactly the entry being looked up.
         let in_ghost = self.ghost.contains(slot);
         self.make_room(req.size, evicted);
-        let queue = if in_ghost {
-            self.ghost.remove(slot);
-            self.ghost_hits += 1;
-            self.m_used += u64::from(req.size);
-            self.main.push_front(&mut self.slab.slots, slot);
-            MAIN
-        } else {
-            self.s_used += u64::from(req.size);
-            self.small.push_front(&mut self.slab.slots, slot);
-            SMALL
-        };
         let s = &mut self.slab.slots[slot as usize];
-        s.tag = queue;
         s.freq = 0;
         s.on_insert(req);
+        if !in_ghost {
+            self.small.push(&mut self.slab, slot);
+            return;
+        }
+        self.ghost.remove(slot);
+        self.ghost_hits += 1;
+        self.main.push(&mut self.slab, slot);
         // A ghost-hit insert into M can overflow M; trim one object now.
-        // With unit sizes this restores `m_used <= m_capacity` exactly; with
-        // sized objects a single-object trim can leave M transiently over
-        // budget (still bounded by `used() <= capacity`). The small queue is
-        // allowed to exceed its *target* transiently by design.
-        if queue == MAIN && self.m_used > self.m_capacity {
+        // With unit sizes this restores M's bytes to at most `m_capacity`
+        // exactly; with sized objects a single-object trim can leave M
+        // transiently over budget (still bounded by `used() <= capacity`).
+        // The small queue is allowed to exceed its *target* transiently by
+        // design.
+        if self.main.bytes() > self.m_capacity {
             self.evict_main(evicted);
         }
     }
 
     fn remove(&mut self, slot: u32) {
-        match std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) {
-            SMALL => {
-                self.small.remove(&mut self.slab.slots, slot);
-                self.s_used -= u64::from(self.slab.size(slot));
-            }
-            MAIN => {
-                if Q::MAIN == MainQueue::Sieve && self.hand == slot {
-                    self.hand = self.main.toward_head(&self.slab.slots, slot).unwrap_or(NIL);
-                }
-                self.main.remove(&mut self.slab.slots, slot);
-                self.m_used -= u64::from(self.slab.size(slot));
-            }
+        match self.slab.slots[slot as usize].tag {
+            SMALL => self.small.remove(&mut self.slab, slot),
+            MAIN => self.main.remove(&mut self.slab, slot),
             _ => {}
         }
     }
@@ -455,8 +376,8 @@ impl<Q: Queues> SlabPolicy for DenseS3Fifo<Q> {
     /// Warms both queues' next eviction candidates and `slot`'s ghost mark.
     #[inline]
     fn warm(&self, slot: u32) {
-        self.slab.warm_tail(&self.small);
-        self.slab.warm_tail(&self.main);
+        self.small.warm(&self.slab);
+        self.main.warm(&self.slab);
         self.ghost.warm(slot);
     }
 }
@@ -656,11 +577,8 @@ mod tests {
     }
 
     /// The ids in `queue`, tail (next eviction) first.
-    fn tail_first<Q: Queues>(p: &Keyed<DenseS3Fifo<Q>>, queue: &PackedQueue) -> Vec<ObjId> {
-        let mut ids: Vec<ObjId> = queue
-            .iter(&p.slab.slots)
-            .map(|s| p.ids[s as usize])
-            .collect();
+    fn tail_first<Q: Queues, R: Rule>(p: &Keyed<DenseS3Fifo<Q>>, queue: &Queue<R>) -> Vec<ObjId> {
+        let mut ids: Vec<ObjId> = queue.iter(&p.slab).map(|s| p.ids[s as usize]).collect();
         ids.reverse();
         ids
     }
@@ -857,11 +775,11 @@ mod tests {
         overflow_main(&mut p, 300);
         assert_eq!(tail_first(&p, &p.main)[..3], [1, 2, 4], "3 evicted, 1 and 2 in place");
         assert_eq!((slot(&p, 1).freq, slot(&p, 2).freq), (0, 0));
-        assert_eq!(p.slot_of(4), Some(p.hand), "the hand rests past the victim");
+        assert_eq!(p.slot_of(4), Some(p.main.hand), "the hand rests past the victim");
 
         let mut evs = Vec::new();
         p.request(&Request::delete(4, 301), &mut evs);
-        assert_eq!(p.slot_of(5), Some(p.hand));
+        assert_eq!(p.slot_of(5), Some(p.main.hand));
         p.validate().unwrap();
         overflow_main(&mut p, 400); // only refills the space the delete freed
         overflow_main(&mut p, 401);

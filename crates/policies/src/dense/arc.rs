@@ -15,9 +15,8 @@
 //! are [`SlotGhost`]s.
 
 use cache_types::{CacheError, Eviction, PolicyStats, Request};
-use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
+use s3fifo::dense::{rule, validate_queues, DenseSlab, Keyed, Queue, SlabPolicy, SlotGhost};
 
-const ABSENT: u8 = 0;
 const T1: u8 = 1;
 const T2: u8 = 2;
 
@@ -28,12 +27,10 @@ pub struct DenseArc {
     /// Target size (bytes) of T1, adapted online.
     p: u64,
     slab: DenseSlab,
-    t1: PackedQueue,
-    t2: PackedQueue,
+    t1: Queue<rule::Lru>,
+    t2: Queue<rule::Lru>,
     b1: SlotGhost,
     b2: SlotGhost,
-    t1_used: u64,
-    t2_used: u64,
     stats: PolicyStats,
 }
 
@@ -52,14 +49,12 @@ impl DenseArc {
             capacity,
             p: 0,
             slab: DenseSlab::with_domain(domain),
-            t1: PackedQueue::new(),
-            t2: PackedQueue::new(),
+            t1: Queue::new(T1),
+            t2: Queue::new(T2),
             // Each ghost holds up to c bytes of entries; combined directory
             // is bounded by 2c as in the paper.
             b1: SlotGhost::new(domain, capacity),
             b2: SlotGhost::new(domain, capacity),
-            t1_used: 0,
-            t2_used: 0,
             stats: PolicyStats::default(),
         })
     }
@@ -71,24 +66,21 @@ impl DenseArc {
     }
 
     fn used_total(&self) -> u64 {
-        self.t1_used + self.t2_used
+        self.t1.bytes() + self.t2.bytes()
     }
 
     /// The REPLACE subroutine: evict from T1 into B1 if T1 exceeds the target
     /// `p` (or equals it while the request hits in B2), else from T2 into B2.
     fn replace(&mut self, in_b2: bool, evicted: &mut Vec<Eviction<u32>>) {
-        let from_t1 = self.t1_used > 0
-            && (self.t1_used > self.p || (in_b2 && self.t1_used == self.p) || self.t2.is_empty());
-        let (queue, ghost, used) = if from_t1 {
-            (&mut self.t1, &mut self.b1, &mut self.t1_used)
+        let t1 = self.t1.bytes();
+        let from_t1 = t1 > 0 && (t1 > self.p || (in_b2 && t1 == self.p) || self.t2.is_empty());
+        let (queue, ghost) = if from_t1 {
+            (&mut self.t1, &mut self.b1)
         } else {
-            (&mut self.t2, &mut self.b2, &mut self.t2_used)
+            (&mut self.t2, &mut self.b2)
         };
-        if let Some(s) = queue.pop_back(&mut self.slab.slots) {
-            self.slab.slots[s as usize].tag = ABSENT;
-            let size = self.slab.size(s);
-            *used -= u64::from(size);
-            ghost.insert(s, size);
+        if let Some(s) = queue.evict(&mut self.slab) {
+            ghost.insert(s, self.slab.size(s));
             evicted.push(self.slab.eviction(s, from_t1));
         }
     }
@@ -116,12 +108,7 @@ impl SlabPolicy for DenseArc {
     }
 
     fn validate(&self) -> Result<(), String> {
-        validate_queues(
-            "ARC",
-            self.capacity,
-            &self.slab,
-            &[(&self.t1, T1, self.t1_used, "T1"), (&self.t2, T2, self.t2_used, "T2")],
-        )?;
+        validate_queues("ARC", self.capacity, &self.slab, &[&self.t1, &self.t2])?;
         if self.p > self.capacity {
             return Err(format!("ARC: p {} > capacity {}", self.p, self.capacity));
         }
@@ -140,16 +127,12 @@ impl SlabPolicy for DenseArc {
     fn hit(&mut self, slot: u32, _req: &Request) {
         self.slab.slots[slot as usize].touch();
         if self.slab.slots[slot as usize].tag == T2 {
-            self.t2.move_to_front(&mut self.slab.slots, slot);
+            self.t2.hit(&mut self.slab, slot);
             return;
         }
         // Promote to the frequency list.
-        let size = u64::from(self.slab.size(slot));
-        self.t1.remove(&mut self.slab.slots, slot);
-        self.t1_used -= size;
-        self.t2.push_front(&mut self.slab.slots, slot);
-        self.t2_used += size;
-        self.slab.slots[slot as usize].tag = T2;
+        self.t1.remove(&mut self.slab, slot);
+        self.t2.push(&mut self.slab, slot);
     }
 
     fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
@@ -167,10 +150,10 @@ impl SlabPolicy for DenseArc {
             let delta = (self.b1.used() / self.b2.used().max(1)).max(1) * size;
             self.p = self.p.saturating_sub(delta);
             self.b2.remove(slot);
-        } else if self.t1_used + self.b1.used() >= c {
+        } else if self.t1.bytes() + self.b1.used() >= c {
             // Case IV of the paper: bound the directory.
-            if self.t1_used < c {
-                let keep = c.saturating_sub(self.t1_used + size);
+            if self.t1.bytes() < c {
+                let keep = c.saturating_sub(self.t1.bytes() + size);
                 self.b1.trim_to(keep);
             }
         } else if self.used_total() + self.b1.used() + self.b2.used() >= 2 * c {
@@ -183,37 +166,26 @@ impl SlabPolicy for DenseArc {
         }
 
         // Ghost hits resurrect into T2; brand-new objects go to T1.
-        let (queue, used, tag) = if in_b1 || in_b2 {
-            (&mut self.t2, &mut self.t2_used, T2)
+        self.slab.slots[slot as usize].on_insert(req);
+        if in_b1 || in_b2 {
+            self.t2.push(&mut self.slab, slot);
         } else {
-            (&mut self.t1, &mut self.t1_used, T1)
-        };
-        *used += size;
-        queue.push_front(&mut self.slab.slots, slot);
-        let s = &mut self.slab.slots[slot as usize];
-        s.tag = tag;
-        s.on_insert(req);
+            self.t1.push(&mut self.slab, slot);
+        }
     }
 
     fn remove(&mut self, slot: u32) {
-        let size = u64::from(self.slab.size(slot));
-        match std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) {
-            T1 => {
-                self.t1.remove(&mut self.slab.slots, slot);
-                self.t1_used -= size;
-            }
-            T2 => {
-                self.t2.remove(&mut self.slab.slots, slot);
-                self.t2_used -= size;
-            }
+        match self.slab.slots[slot as usize].tag {
+            T1 => self.t1.remove(&mut self.slab, slot),
+            T2 => self.t2.remove(&mut self.slab, slot),
             _ => {}
         }
     }
 
     #[inline]
     fn warm(&self, slot: u32) {
-        self.slab.warm_tail(&self.t1);
-        self.slab.warm_tail(&self.t2);
+        self.t1.warm(&self.slab);
+        self.t2.warm(&self.slab);
         self.b1.warm(slot);
         self.b2.warm(slot);
     }
@@ -232,7 +204,7 @@ mod tests {
     fn tag_of(p: &Arc, id: u64) -> Option<u8> {
         p.slot_of(id)
             .map(|s| p.slab.slots[s as usize].tag)
-            .filter(|&t| t != ABSENT)
+            .filter(|&t| t != 0)
     }
 
     #[test]

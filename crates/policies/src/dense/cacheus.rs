@@ -26,9 +26,8 @@
 use super::LfuOrder;
 use cache_ds::SplitMix64;
 use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
+use s3fifo::dense::{rule, serve, validate_queues, DenseSlab, Keyed, Queue, SlabPolicy, SlotGhost};
 
-const ABSENT: u8 = 0;
 /// Probationary (scan-resistant) region of SR-LRU.
 const SR: u8 = 1;
 /// Protected region.
@@ -41,11 +40,9 @@ pub struct DenseCacheus {
     /// Target size of the protected region (half the cache, adapted by
     /// demotions).
     r_capacity: u64,
-    sr_used: u64,
-    r_used: u64,
     slab: DenseSlab,
-    sr: PackedQueue,
-    r: PackedQueue,
+    sr: Queue<rule::Lru>,
+    r: Queue<rule::Lru>,
     /// CR-LFU order, least recently used among equal counts first.
     lfu: LfuOrder,
     w_srlru: f64,
@@ -75,11 +72,9 @@ impl DenseCacheus {
         Ok(DenseCacheus {
             capacity,
             r_capacity: (capacity / 2).max(1),
-            sr_used: 0,
-            r_used: 0,
             slab: DenseSlab::with_domain(domain),
-            sr: PackedQueue::new(),
-            r: PackedQueue::new(),
+            sr: Queue::new(SR),
+            r: Queue::new(R),
             lfu: LfuOrder::default(),
             w_srlru: 0.5,
             w_crlfu: 0.5,
@@ -131,14 +126,11 @@ impl DenseCacheus {
     /// Takes resident `slot` out of its region and the CR-LFU order and
     /// returns the region it was in.
     fn remove_entry(&mut self, slot: u32) -> u8 {
-        let size = u64::from(self.slab.size(slot));
-        let region = std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT);
+        let region = self.slab.slots[slot as usize].tag;
         if region == SR {
-            self.sr.remove(&mut self.slab.slots, slot);
-            self.sr_used -= size;
+            self.sr.remove(&mut self.slab, slot);
         } else {
-            self.r.remove(&mut self.slab.slots, slot);
-            self.r_used -= size;
+            self.r.remove(&mut self.slab, slot);
         }
         self.lfu.remove(&self.slab, slot);
         region
@@ -167,15 +159,11 @@ impl DenseCacheus {
 
     /// R-region overflow demotes its LRU tail into SR (scan resistance).
     fn rebalance(&mut self) {
-        while self.r_used > self.r_capacity {
-            let Some(slot) = self.r.pop_back(&mut self.slab.slots) else {
+        while self.r.bytes() > self.r_capacity {
+            let Some(slot) = self.r.evict(&mut self.slab) else {
                 break;
             };
-            let size = u64::from(self.slab.size(slot));
-            self.r_used -= size;
-            self.slab.slots[slot as usize].tag = SR;
-            self.sr.push_front(&mut self.slab.slots, slot);
-            self.sr_used += size;
+            self.sr.push(&mut self.slab, slot);
         }
     }
 
@@ -202,7 +190,7 @@ impl SlabPolicy for DenseCacheus {
     }
 
     fn used(&self) -> u64 {
-        self.sr_used + self.r_used
+        self.sr.bytes() + self.r.bytes()
     }
 
     fn len(&self) -> usize {
@@ -210,9 +198,7 @@ impl SlabPolicy for DenseCacheus {
     }
 
     fn validate(&self) -> Result<(), String> {
-        let sr = (&self.sr, SR, self.sr_used, "SR");
-        let r = (&self.r, R, self.r_used, "R");
-        validate_queues("CACHEUS", self.capacity, &self.slab, &[sr, r])?;
+        validate_queues("CACHEUS", self.capacity, &self.slab, &[&self.sr, &self.r])?;
         if !self.lfu.is_current(&self.slab, self.len()) {
             return Err("CACHEUS: the CR-LFU order is not the resident objects' counts".into());
         }
@@ -232,12 +218,9 @@ impl SlabPolicy for DenseCacheus {
         while self.used() + u64::from(req.size) > self.capacity && self.len() > 0 {
             self.evict_one(evicted);
         }
-        self.sr.push_front(&mut self.slab.slots, slot);
-        let s = &mut self.slab.slots[slot as usize];
-        s.tag = SR;
-        s.on_insert(req);
+        self.slab.slots[slot as usize].on_insert(req);
+        self.sr.push(&mut self.slab, slot);
         self.lfu.insert(&self.slab, slot);
-        self.sr_used += u64::from(req.size);
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
@@ -245,15 +228,11 @@ impl SlabPolicy for DenseCacheus {
         self.lfu.hit(&mut self.slab, slot, true);
         // SR-LRU bookkeeping: SR hit promotes to R; R hit refreshes.
         if self.slab.slots[slot as usize].tag == R {
-            self.r.move_to_front(&mut self.slab.slots, slot);
+            self.r.hit(&mut self.slab, slot);
             return;
         }
-        let size = u64::from(self.slab.size(slot));
-        self.sr.remove(&mut self.slab.slots, slot);
-        self.sr_used -= size;
-        self.r.push_front(&mut self.slab.slots, slot);
-        self.r_used += size;
-        self.slab.slots[slot as usize].tag = R;
+        self.sr.remove(&mut self.slab, slot);
+        self.r.push(&mut self.slab, slot);
         self.rebalance();
     }
 
@@ -263,15 +242,15 @@ impl SlabPolicy for DenseCacheus {
     }
 
     fn remove(&mut self, slot: u32) {
-        if self.slab.slots[slot as usize].tag != ABSENT {
+        if self.slab.slots[slot as usize].tag != 0 {
             self.remove_entry(slot);
         }
     }
 
     #[inline]
     fn warm(&self, slot: u32) {
-        self.slab.warm_tail(&self.sr);
-        self.slab.warm_tail(&self.r);
+        self.sr.warm(&self.slab);
+        self.r.warm(&self.slab);
         self.h_srlru.warm(slot);
         self.h_crlfu.warm(slot);
     }

@@ -17,9 +17,8 @@
 use super::LfuOrder;
 use cache_ds::SplitMix64;
 use cache_types::{CacheError, Eviction, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
+use s3fifo::dense::{rule, serve, validate_queues, DenseSlab, Keyed, Queue, SlabPolicy, SlotGhost};
 
-const ABSENT: u8 = 0;
 const RESIDENT: u8 = 1;
 
 /// The history time of a slot whose history hit has been counted: it ages
@@ -31,10 +30,9 @@ const UNDATED: u64 = u64::MAX;
 #[derive(Debug)]
 pub struct DenseLeCar {
     capacity: u64,
-    used: u64,
     slab: DenseSlab,
     /// LRU order; head = MRU.
-    lru: PackedQueue,
+    lru: Queue<rule::Lru>,
     /// LFU order, FIFO among equal counts; the first is the LFU victim.
     lfu: LfuOrder,
     /// Per slot: the request count when it last entered a history.
@@ -65,9 +63,8 @@ impl DenseLeCar {
         }
         Ok(DenseLeCar {
             capacity,
-            used: 0,
             slab: DenseSlab::with_domain(domain),
-            lru: PackedQueue::new(),
+            lru: Queue::new(RESIDENT),
             lfu: LfuOrder::default(),
             ghost_time: vec![UNDATED; domain],
             w_lru: 0.5,
@@ -108,10 +105,8 @@ impl DenseLeCar {
         let use_lru = lv == fv || self.rng.next_f64() < self.w_lru;
         let victim = if use_lru { lv } else { fv };
         self.lfu.remove(&self.slab, victim);
-        self.lru.remove(&mut self.slab.slots, victim);
-        self.slab.slots[victim as usize].tag = ABSENT;
+        self.lru.remove(&mut self.slab, victim);
         let size = self.slab.size(victim);
-        self.used -= u64::from(size);
         evicted.push(self.slab.eviction(victim, false));
         if lv == fv {
             return;
@@ -154,7 +149,7 @@ impl SlabPolicy for DenseLeCar {
     }
 
     fn used(&self) -> u64 {
-        self.used
+        self.lru.bytes()
     }
 
     fn len(&self) -> usize {
@@ -162,8 +157,7 @@ impl SlabPolicy for DenseLeCar {
     }
 
     fn validate(&self) -> Result<(), String> {
-        let lru = (&self.lru, RESIDENT, self.used, "LRU");
-        validate_queues("LeCaR", self.capacity, &self.slab, &[lru])?;
+        validate_queues("LeCaR", self.capacity, &self.slab, &[&self.lru])?;
         if !self.lfu.is_current(&self.slab, self.len()) {
             return Err("LeCaR: the LFU order is not the resident objects' counts".into());
         }
@@ -180,7 +174,7 @@ impl SlabPolicy for DenseLeCar {
     }
 
     fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
-        while self.used + u64::from(req.size) > self.capacity && !self.lru.is_empty() {
+        while self.lru.bytes() + u64::from(req.size) > self.capacity && !self.lru.is_empty() {
             self.evict_one(evicted);
         }
         if self.ghost_time.len() < self.slab.domain() {
@@ -188,17 +182,14 @@ impl SlabPolicy for DenseLeCar {
             // by chunks: the history times follow.
             self.ghost_time.resize(self.slab.domain(), UNDATED);
         }
-        self.lru.push_front(&mut self.slab.slots, slot);
-        let s = &mut self.slab.slots[slot as usize];
-        s.tag = RESIDENT;
-        s.on_insert(req);
+        self.slab.slots[slot as usize].on_insert(req);
+        self.lru.push(&mut self.slab, slot);
         self.lfu.insert(&self.slab, slot);
-        self.used += u64::from(req.size);
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
         self.lfu.hit(&mut self.slab, slot, false);
-        self.lru.move_to_front(&mut self.slab.slots, slot);
+        self.lru.hit(&mut self.slab, slot);
     }
 
     fn miss(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
@@ -207,18 +198,15 @@ impl SlabPolicy for DenseLeCar {
     }
 
     fn remove(&mut self, slot: u32) {
-        if self.slab.slots[slot as usize].tag == ABSENT {
-            return;
+        if self.slab.slots[slot as usize].tag == RESIDENT {
+            self.lfu.remove(&self.slab, slot);
+            self.lru.remove(&mut self.slab, slot);
         }
-        self.lfu.remove(&self.slab, slot);
-        self.lru.remove(&mut self.slab.slots, slot);
-        self.slab.slots[slot as usize].tag = ABSENT;
-        self.used -= u64::from(self.slab.size(slot));
     }
 
     #[inline]
     fn warm(&self, slot: u32) {
-        self.slab.warm_tail(&self.lru);
+        self.lru.warm(&self.slab);
         self.h_lru.warm(slot);
         self.h_lfu.warm(slot);
     }

@@ -352,7 +352,9 @@ impl SlabPolicy for DenseLirs {
 
     #[inline]
     fn warm(&self, _slot: u32) {
-        self.slab.warm_tail(&self.s);
+        if let Some(tail) = self.s.tail() {
+            self.slab.warm_slot(tail);
+        }
     }
 }
 

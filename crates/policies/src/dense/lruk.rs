@@ -206,7 +206,9 @@ impl SlabPolicy for DenseLruK {
 
     #[inline]
     fn warm(&self, _slot: u32) {
-        self.slab.warm_tail(&self.cold);
+        if let Some(tail) = self.cold.tail() {
+            self.slab.warm_slot(tail);
+        }
     }
 }
 

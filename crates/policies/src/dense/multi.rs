@@ -5,14 +5,15 @@
 //! [`Keyed`].
 //!
 //! Slot-state conventions (see [`s3fifo::dense::Slot`]): 2Q keeps its queue
-//! tag (`ABSENT`/`A1IN`/`AM`) in `tag`; SLRU stores `segment + 1` in `tag`
-//! so that 0 keeps meaning "absent".
+//! tag (`A1IN`/`AM`; 0 = absent) in `tag`; SLRU stores `segment + 1` in
+//! `tag` so that 0 keeps meaning "absent".
 
 use cache_types::{CacheError, Eviction, PolicyStats, Request};
-use s3fifo::dense::{validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy, SlotGhost};
+use s3fifo::dense::{
+    rule, validate_queues, DenseSlab, Keyed, Members, Queue, SlabPolicy, SlotGhost,
+};
 
 /// Where a 2Q slot currently lives.
-const ABSENT: u8 = 0;
 const A1IN: u8 = 1;
 const AM: u8 = 2;
 
@@ -28,11 +29,9 @@ pub struct DenseTwoQ {
     capacity: u64,
     a1in_capacity: u64,
     slab: DenseSlab,
-    a1in: PackedQueue,
-    am: PackedQueue,
+    a1in: Queue<rule::Fifo>,
+    am: Queue<rule::Lru>,
     a1out: SlotGhost,
-    a1in_used: u64,
-    am_used: u64,
     stats: PolicyStats,
 }
 
@@ -53,35 +52,28 @@ impl DenseTwoQ {
             a1in_capacity,
             a1out: SlotGhost::new(domain, (capacity as f64 * 0.5).round() as u64),
             slab: DenseSlab::with_domain(domain),
-            a1in: PackedQueue::new(),
-            am: PackedQueue::new(),
-            a1in_used: 0,
-            am_used: 0,
+            a1in: Queue::new(A1IN),
+            am: Queue::new(AM),
             stats: PolicyStats::default(),
         })
     }
 
     fn used_total(&self) -> u64 {
-        self.a1in_used + self.am_used
+        self.a1in.bytes() + self.am.bytes()
     }
 
     /// The RECLAIM step of the 2Q paper: when A1in holds at least its share
     /// (or Am is empty) its tail is dropped and remembered in A1out;
     /// otherwise the LRU tail of Am is evicted.
     fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
-        if self.a1in_used >= self.a1in_capacity || self.am.is_empty() {
-            if let Some(s) = self.a1in.pop_back(&mut self.slab.slots) {
-                self.slab.slots[s as usize].tag = ABSENT;
-                let size = self.slab.size(s);
-                self.a1in_used -= u64::from(size);
-                self.a1out.insert(s, size);
+        if self.a1in.bytes() >= self.a1in_capacity || self.am.is_empty() {
+            if let Some(s) = self.a1in.evict(&mut self.slab) {
+                self.a1out.insert(s, self.slab.size(s));
                 evicted.push(self.slab.eviction(s, true));
                 return;
             }
         }
-        if let Some(s) = self.am.pop_back(&mut self.slab.slots) {
-            self.slab.slots[s as usize].tag = ABSENT;
-            self.am_used -= u64::from(self.slab.size(s));
+        if let Some(s) = self.am.evict(&mut self.slab) {
             evicted.push(self.slab.eviction(s, false));
         }
     }
@@ -109,16 +101,8 @@ impl SlabPolicy for DenseTwoQ {
     }
 
     fn validate(&self) -> Result<(), String> {
-        validate_queues(
-            "2Q",
-            self.capacity,
-            &self.slab,
-            &[
-                (&self.a1in, A1IN, self.a1in_used, "A1in"),
-                (&self.am, AM, self.am_used, "Am"),
-            ],
-        )?;
-        let mut resident = self.a1in.iter(&self.slab.slots).chain(self.am.iter(&self.slab.slots));
+        validate_queues("2Q", self.capacity, &self.slab, &[&self.a1in, &self.am])?;
+        let mut resident = self.a1in.iter(&self.slab).chain(self.am.iter(&self.slab));
         if let Some(slot) = resident.find(|&s| self.a1out.contains(s)) {
             return Err(format!("2Q: slot {slot} is both resident and in A1out"));
         }
@@ -137,7 +121,7 @@ impl SlabPolicy for DenseTwoQ {
         self.slab.slots[slot as usize].touch();
         // A1in hits do nothing (FIFO); Am hits promote.
         if self.slab.slots[slot as usize].tag == AM {
-            self.am.move_to_front(&mut self.slab.slots, slot);
+            self.am.hit(&mut self.slab, slot);
         }
     }
 
@@ -150,37 +134,27 @@ impl SlabPolicy for DenseTwoQ {
         {
             self.evict_one(evicted);
         }
+        self.slab.slots[slot as usize].on_insert(req);
         if in_a1out {
             // A1out hit: the second chance promotes straight into Am.
-            self.am_used += u64::from(req.size);
-            self.am.push_front(&mut self.slab.slots, slot);
-            self.slab.slots[slot as usize].tag = AM;
+            self.am.push(&mut self.slab, slot);
         } else {
-            self.a1in_used += u64::from(req.size);
-            self.a1in.push_front(&mut self.slab.slots, slot);
-            self.slab.slots[slot as usize].tag = A1IN;
+            self.a1in.push(&mut self.slab, slot);
         }
-        self.slab.slots[slot as usize].on_insert(req);
     }
 
     fn remove(&mut self, slot: u32) {
-        match std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) {
-            A1IN => {
-                self.a1in.remove(&mut self.slab.slots, slot);
-                self.a1in_used -= u64::from(self.slab.size(slot));
-            }
-            AM => {
-                self.am.remove(&mut self.slab.slots, slot);
-                self.am_used -= u64::from(self.slab.size(slot));
-            }
+        match self.slab.slots[slot as usize].tag {
+            A1IN => self.a1in.remove(&mut self.slab, slot),
+            AM => self.am.remove(&mut self.slab, slot),
             _ => {}
         }
     }
 
     #[inline]
     fn warm(&self, slot: u32) {
-        self.slab.warm_tail(&self.a1in);
-        self.slab.warm_tail(&self.am);
+        self.a1in.warm(&self.slab);
+        self.am.warm(&self.slab);
         self.a1out.warm(slot);
     }
 }
@@ -193,10 +167,9 @@ const SEGMENTS: usize = 4;
 pub struct DenseSlru {
     capacity: u64,
     seg_capacity: u64,
-    seg_used: [u64; SEGMENTS],
     slab: DenseSlab,
     /// `segs[0]` is the probationary segment; `segs[3]` the most protected.
-    segs: [PackedQueue; SEGMENTS],
+    segs: [Queue<rule::Lru>; SEGMENTS],
     stats: PolicyStats,
 }
 
@@ -214,9 +187,8 @@ impl DenseSlru {
         Ok(DenseSlru {
             capacity,
             seg_capacity: (capacity / SEGMENTS as u64).max(1),
-            seg_used: [0; SEGMENTS],
             slab: DenseSlab::with_domain(domain),
-            segs: [PackedQueue::new(); SEGMENTS],
+            segs: std::array::from_fn(|seg| Queue::new(seg as u8 + 1)),
             stats: PolicyStats::default(),
         })
     }
@@ -231,7 +203,7 @@ impl DenseSlru {
     }
 
     fn used_total(&self) -> u64 {
-        self.seg_used.iter().sum()
+        self.segs.iter().map(Queue::bytes).sum()
     }
 
     fn len_total(&self) -> usize {
@@ -242,15 +214,11 @@ impl DenseSlru {
     /// segment fits its share; cascades down to segment 0.
     fn rebalance_from(&mut self, seg: usize) {
         for s in (1..=seg).rev() {
-            while self.seg_used[s] > self.seg_capacity {
-                let Some(slot) = self.segs[s].pop_back(&mut self.slab.slots) else {
+            while self.segs[s].bytes() > self.seg_capacity {
+                let Some(slot) = self.segs[s].evict(&mut self.slab) else {
                     break;
                 };
-                let size = u64::from(self.slab.size(slot));
-                self.seg_used[s] -= size;
-                self.slab.slots[slot as usize].tag = s as u8; // (s - 1) + 1
-                self.segs[s - 1].push_front(&mut self.slab.slots, slot);
-                self.seg_used[s - 1] += size;
+                self.segs[s - 1].push(&mut self.slab, slot);
             }
         }
     }
@@ -258,9 +226,7 @@ impl DenseSlru {
     /// Evicts one object from the lowest non-empty segment.
     fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
         for s in 0..SEGMENTS {
-            if let Some(slot) = self.segs[s].pop_back(&mut self.slab.slots) {
-                self.slab.slots[slot as usize].tag = 0;
-                self.seg_used[s] -= u64::from(self.slab.size(slot));
+            if let Some(slot) = self.segs[s].evict(&mut self.slab) {
                 evicted.push(self.slab.eviction(slot, s == 0));
                 return;
             }
@@ -292,15 +258,13 @@ impl SlabPolicy for DenseSlru {
     }
 
     fn validate(&self) -> Result<(), String> {
-        const LABELS: [&str; SEGMENTS] = ["segment 0", "segment 1", "segment 2", "segment 3"];
-        let queues: Vec<_> = (0..SEGMENTS)
-            .map(|seg| (&self.segs[seg], (seg + 1) as u8, self.seg_used[seg], LABELS[seg]))
-            .collect();
+        let queues = self.segs.each_ref().map(|q| q as &dyn Members);
         validate_queues("SLRU", self.capacity, &self.slab, &queues)?;
-        match (1..SEGMENTS).find(|&seg| self.seg_used[seg] > self.seg_capacity) {
+        match (1..SEGMENTS).find(|&seg| self.segs[seg].bytes() > self.seg_capacity) {
             Some(seg) => Err(format!(
                 "SLRU: segment {seg} holds {} > share {}",
-                self.seg_used[seg], self.seg_capacity
+                self.segs[seg].bytes(),
+                self.seg_capacity
             )),
             None => Ok(()),
         }
@@ -318,44 +282,34 @@ impl SlabPolicy for DenseSlru {
         while self.used_total() + u64::from(req.size) > self.capacity && self.len_total() > 0 {
             self.evict_one(evicted);
         }
-        self.segs[0].push_front(&mut self.slab.slots, slot);
-        let s = &mut self.slab.slots[slot as usize];
-        s.tag = 1;
-        s.on_insert(req);
-        self.seg_used[0] += u64::from(req.size);
+        self.slab.slots[slot as usize].on_insert(req);
+        self.segs[0].push(&mut self.slab, slot);
     }
 
     fn hit(&mut self, slot: u32, _req: &Request) {
         self.slab.slots[slot as usize].touch();
         // Invariant: a hit slot is owned by exactly one segment.
         let seg = self.seg_of(slot).expect("hit on resident slot");
-        let size = u64::from(self.slab.size(slot));
         let target = (seg + 1).min(SEGMENTS - 1);
         if target == seg {
-            self.segs[seg].move_to_front(&mut self.slab.slots, slot);
+            self.segs[seg].hit(&mut self.slab, slot);
             return;
         }
-        self.segs[seg].remove(&mut self.slab.slots, slot);
-        self.seg_used[seg] -= size;
-        self.segs[target].push_front(&mut self.slab.slots, slot);
-        self.seg_used[target] += size;
-        self.slab.slots[slot as usize].tag = (target + 1) as u8;
+        self.segs[seg].remove(&mut self.slab, slot);
+        self.segs[target].push(&mut self.slab, slot);
         self.rebalance_from(target);
     }
 
     fn remove(&mut self, slot: u32) {
-        let tag = std::mem::replace(&mut self.slab.slots[slot as usize].tag, 0);
-        if tag != 0 {
-            let seg = tag as usize - 1;
-            self.segs[seg].remove(&mut self.slab.slots, slot);
-            self.seg_used[seg] -= u64::from(self.slab.size(slot));
+        if let Some(seg) = self.seg_of(slot) {
+            self.segs[seg].remove(&mut self.slab, slot);
         }
     }
 
     #[inline]
     fn warm(&self, _slot: u32) {
         for q in &self.segs {
-            self.slab.warm_tail(q);
+            q.warm(&self.slab);
         }
     }
 }
@@ -545,7 +499,7 @@ mod tests {
                 .filter(|&&id| seg_of(&p, id) == 0)
                 .count();
             assert_eq!(seg0_count, 1);
-            assert!(p.seg_used[1] <= p.seg_capacity);
+            assert!(p.segs[1].bytes() <= p.seg_capacity);
         }
 
         #[test]

@@ -1,31 +1,66 @@
 //! The single-queue policies: FIFO, LRU, CLOCK, SIEVE, and B-LRU (LRU behind
 //! an admission filter).
 //!
-//! Each is written once, over dense slots ([`DenseFifo`], …); the keyed
-//! names ([`Fifo`], …) are the same policy behind [`Keyed`].
+//! FIFO, LRU, CLOCK and SIEVE are one policy, [`OneQueue`], over one
+//! [`Queue`] under their [`rule`]; [`DenseFifo`], … name it per rule, and
+//! the keyed names ([`Fifo`], …) are the same policy behind [`Keyed`].
 //!
 //! Slot-state conventions (see [`s3fifo::dense::Slot`]): `tag` is the
-//! residency flag (0 = absent, 1 = resident); `freq` holds the CLOCK
-//! reference counter and the SIEVE visited bit.
+//! residency flag (0 = absent, 1 = resident); `freq` holds the counter hits
+//! raise: CLOCK's reference counter, SIEVE's visited bit.
 
-use cache_ds::{BloomFilter, NIL};
+use cache_ds::BloomFilter;
 use cache_types::{CacheError, Eviction, ObjId, Outcome, PolicyStats, Request};
 use s3fifo::dense::{
-    serve, validate_queues, DensePolicy, DenseSlab, Keyed, PackedQueue, SlabPolicy,
+    rule, serve, validate_queues, DensePolicy, DenseSlab, Keyed, Queue, Rule, SlabPolicy,
 };
 
-const ABSENT: u8 = 0;
 const RESIDENT: u8 = 1;
 
-/// First-in first-out eviction over dense slots.
+/// One [`Queue`] under rule `R`, over dense slots, with a counter that each
+/// hit raises up to a cap and the rule reads. A hit bumps the counter, then
+/// takes the rule's step; an admission evicts by the rule until the object
+/// fits, then pushes it.
 #[derive(Debug)]
-pub struct DenseFifo {
+pub struct OneQueue<R> {
     capacity: u64,
-    used: u64,
+    /// The counter's cap: 1, or `2^bits - 1` for a wider CLOCK.
+    max_freq: u8,
     slab: DenseSlab,
-    /// Head = newest insert, tail = next eviction.
-    queue: PackedQueue,
+    /// Head = newest insert (or most recently used), tail = next eviction.
+    queue: Queue<R>,
     stats: PolicyStats,
+}
+
+/// First-in first-out eviction over dense slots.
+pub type DenseFifo = OneQueue<rule::Fifo>;
+
+/// Least-recently-used eviction over dense slots.
+pub type DenseLru = OneQueue<rule::Lru>;
+
+/// CLOCK with an n-bit reference counter, over dense slots.
+pub type DenseClock = OneQueue<rule::Clock>;
+
+/// The SIEVE eviction algorithm over dense slots. The visited bit is the
+/// counter, capped at 1.
+pub type DenseSieve = OneQueue<rule::Sieve>;
+
+impl<R: Rule> OneQueue<R> {
+    /// The policy over the dense domain `0..domain` (the trace's footprint,
+    /// or 0 for a stream that grows it with [`DensePolicy::grow_domain`]),
+    /// its counter capped at `max_freq`.
+    fn build(capacity: u64, max_freq: u8, domain: usize) -> Result<Self, CacheError> {
+        if capacity == 0 {
+            return Err(CacheError::InvalidCapacity("capacity must be > 0".into()));
+        }
+        Ok(OneQueue {
+            capacity,
+            max_freq,
+            slab: DenseSlab::with_domain(domain),
+            queue: Queue::new(RESIDENT),
+            stats: PolicyStats::default(),
+        })
+    }
 }
 
 impl DenseFifo {
@@ -37,100 +72,8 @@ impl DenseFifo {
     ///
     /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
     pub fn with_domain(capacity: u64, domain: usize) -> Result<Self, CacheError> {
-        if capacity == 0 {
-            return Err(CacheError::InvalidCapacity("capacity must be > 0".into()));
-        }
-        Ok(DenseFifo {
-            capacity,
-            used: 0,
-            slab: DenseSlab::with_domain(domain),
-            queue: PackedQueue::new(),
-            stats: PolicyStats::default(),
-        })
+        Self::build(capacity, 1, domain)
     }
-
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
-        if let Some(s) = self.queue.pop_back(&mut self.slab.slots) {
-            self.slab.slots[s as usize].tag = ABSENT;
-            self.used -= u64::from(self.slab.size(s));
-            evicted.push(self.slab.eviction(s, false));
-        }
-    }
-}
-
-impl SlabPolicy for DenseFifo {
-    const GHOSTLESS: bool = true;
-
-    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, 0)
-    }
-
-    fn name(&self) -> String {
-        "FIFO".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len() as usize
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        let queue = (&self.queue, RESIDENT, self.used, "queue");
-        validate_queues("FIFO", self.capacity, &self.slab, &[queue])
-    }
-
-    fn state(&self) -> (&DenseSlab, &PolicyStats) {
-        (&self.slab, &self.stats)
-    }
-
-    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
-        (&mut self.slab, &mut self.stats)
-    }
-
-    fn hit(&mut self, slot: u32, _req: &Request) {
-        self.slab.slots[slot as usize].touch();
-    }
-
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
-        while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
-            self.evict_one(evicted);
-        }
-        self.queue.push_front(&mut self.slab.slots, slot);
-        let s = &mut self.slab.slots[slot as usize];
-        s.tag = RESIDENT;
-        s.on_insert(req);
-        self.used += u64::from(req.size);
-    }
-
-    fn remove(&mut self, slot: u32) {
-        if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
-            self.queue.remove(&mut self.slab.slots, slot);
-            self.used -= u64::from(self.slab.size(slot));
-        }
-    }
-
-    #[inline]
-    fn warm(&self, _slot: u32) {
-        self.slab.warm_tail(&self.queue);
-    }
-}
-
-/// Least-recently-used eviction over dense slots.
-#[derive(Debug)]
-pub struct DenseLru {
-    capacity: u64,
-    used: u64,
-    slab: DenseSlab,
-    /// Head = most recently used, tail = next eviction.
-    queue: PackedQueue,
-    stats: PolicyStats,
 }
 
 impl DenseLru {
@@ -141,101 +84,8 @@ impl DenseLru {
     ///
     /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
     pub fn with_domain(capacity: u64, domain: usize) -> Result<Self, CacheError> {
-        if capacity == 0 {
-            return Err(CacheError::InvalidCapacity("capacity must be > 0".into()));
-        }
-        Ok(DenseLru {
-            capacity,
-            used: 0,
-            slab: DenseSlab::with_domain(domain),
-            queue: PackedQueue::new(),
-            stats: PolicyStats::default(),
-        })
+        Self::build(capacity, 1, domain)
     }
-
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
-        if let Some(s) = self.queue.pop_back(&mut self.slab.slots) {
-            self.slab.slots[s as usize].tag = ABSENT;
-            self.used -= u64::from(self.slab.size(s));
-            evicted.push(self.slab.eviction(s, false));
-        }
-    }
-}
-
-impl SlabPolicy for DenseLru {
-    const GHOSTLESS: bool = true;
-
-    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, 0)
-    }
-
-    fn name(&self) -> String {
-        "LRU".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len() as usize
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        let queue = (&self.queue, RESIDENT, self.used, "queue");
-        validate_queues("LRU", self.capacity, &self.slab, &[queue])
-    }
-
-    fn state(&self) -> (&DenseSlab, &PolicyStats) {
-        (&self.slab, &self.stats)
-    }
-
-    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
-        (&mut self.slab, &mut self.stats)
-    }
-
-    fn hit(&mut self, slot: u32, _req: &Request) {
-        self.slab.slots[slot as usize].touch();
-        self.queue.move_to_front(&mut self.slab.slots, slot);
-    }
-
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
-        while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
-            self.evict_one(evicted);
-        }
-        self.queue.push_front(&mut self.slab.slots, slot);
-        let s = &mut self.slab.slots[slot as usize];
-        s.tag = RESIDENT;
-        s.on_insert(req);
-        self.used += u64::from(req.size);
-    }
-
-    fn remove(&mut self, slot: u32) {
-        if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
-            self.queue.remove(&mut self.slab.slots, slot);
-            self.used -= u64::from(self.slab.size(slot));
-        }
-    }
-
-    #[inline]
-    fn warm(&self, _slot: u32) {
-        self.slab.warm_tail(&self.queue);
-    }
-}
-
-/// CLOCK with an n-bit reference counter, over dense slots.
-#[derive(Debug)]
-pub struct DenseClock {
-    capacity: u64,
-    used: u64,
-    max_freq: u8,
-    slab: DenseSlab,
-    queue: PackedQueue,
-    stats: PolicyStats,
 }
 
 impl DenseClock {
@@ -246,53 +96,39 @@ impl DenseClock {
     ///
     /// Returns [`CacheError`] when `capacity == 0` or `bits` is 0 or > 7.
     pub fn with_domain(capacity: u64, bits: u8, domain: usize) -> Result<Self, CacheError> {
-        if capacity == 0 {
-            return Err(CacheError::InvalidCapacity("capacity must be > 0".into()));
-        }
         if bits == 0 || bits > 7 {
             return Err(CacheError::InvalidParameter(format!(
                 "bits must be in 1..=7, got {bits}"
             )));
         }
-        Ok(DenseClock {
-            capacity,
-            used: 0,
-            max_freq: (1u8 << bits) - 1,
-            slab: DenseSlab::with_domain(domain),
-            queue: PackedQueue::new(),
-            stats: PolicyStats::default(),
-        })
-    }
-
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
-        while let Some(tail) = self.queue.tail() {
-            let t = tail as usize;
-            if self.slab.slots[t].freq > 0 {
-                self.slab.slots[t].freq -= 1;
-                self.queue.move_to_front(&mut self.slab.slots, tail);
-            } else {
-                self.queue.remove(&mut self.slab.slots, tail);
-                self.slab.slots[t].tag = ABSENT;
-                self.used -= u64::from(self.slab.size(tail));
-                evicted.push(self.slab.eviction(tail, false));
-                return;
-            }
-        }
+        Self::build(capacity, (1u8 << bits) - 1, domain)
     }
 }
 
-impl SlabPolicy for DenseClock {
+impl DenseSieve {
+    /// Creates a SIEVE cache of `capacity` bytes over the dense domain
+    /// `0..domain`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
+    pub fn with_domain(capacity: u64, domain: usize) -> Result<Self, CacheError> {
+        Self::build(capacity, 1, domain)
+    }
+}
+
+impl<R: Rule> SlabPolicy for OneQueue<R> {
     const GHOSTLESS: bool = true;
 
     fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, 1, 0)
+        Self::build(capacity, 1, 0)
     }
 
     fn name(&self) -> String {
-        if self.max_freq == 1 {
-            "CLOCK".into()
+        if self.max_freq > 1 {
+            format!("{}-{}bit", R::NAME, (self.max_freq + 1).trailing_zeros())
         } else {
-            format!("CLOCK-{}bit", (self.max_freq + 1).trailing_zeros())
+            R::NAME.into()
         }
     }
 
@@ -301,7 +137,7 @@ impl SlabPolicy for DenseClock {
     }
 
     fn used(&self) -> u64 {
-        self.used
+        self.queue.bytes()
     }
 
     fn len(&self) -> usize {
@@ -310,11 +146,10 @@ impl SlabPolicy for DenseClock {
 
     fn validate(&self) -> Result<(), String> {
         let name = SlabPolicy::name(self);
-        let queue = (&self.queue, RESIDENT, self.used, "queue");
-        validate_queues(&name, self.capacity, &self.slab, &[queue])?;
+        validate_queues(&name, self.capacity, &self.slab, &[&self.queue])?;
         match self
             .queue
-            .iter(&self.slab.slots)
+            .iter(&self.slab)
             .find(|&s| self.slab.slots[s as usize].freq > self.max_freq)
         {
             Some(slot) => Err(format!("{name}: slot {slot} counts past {}", self.max_freq)),
@@ -334,188 +169,31 @@ impl SlabPolicy for DenseClock {
         let s = &mut self.slab.slots[slot as usize];
         s.freq = (s.freq + 1).min(self.max_freq);
         s.touch();
+        self.queue.hit(&mut self.slab, slot);
     }
 
     fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
-        while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
-            self.evict_one(evicted);
+        while self.queue.bytes() + u64::from(req.size) > self.capacity {
+            let Some(victim) = self.queue.evict(&mut self.slab) else {
+                break;
+            };
+            evicted.push(self.slab.eviction(victim, false));
         }
-        self.queue.push_front(&mut self.slab.slots, slot);
         let s = &mut self.slab.slots[slot as usize];
-        s.tag = RESIDENT;
         s.freq = 0;
         s.on_insert(req);
-        self.used += u64::from(req.size);
+        self.queue.push(&mut self.slab, slot);
     }
 
     fn remove(&mut self, slot: u32) {
-        if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
-            self.queue.remove(&mut self.slab.slots, slot);
-            self.used -= u64::from(self.slab.size(slot));
+        if self.slab.slots[slot as usize].tag == RESIDENT {
+            self.queue.remove(&mut self.slab, slot);
         }
     }
 
     #[inline]
     fn warm(&self, _slot: u32) {
-        self.slab.warm_tail(&self.queue);
-    }
-}
-
-/// The SIEVE eviction algorithm over dense slots. The visited bit lives in
-/// the slot's `freq` field.
-#[derive(Debug)]
-pub struct DenseSieve {
-    capacity: u64,
-    used: u64,
-    slab: DenseSlab,
-    /// Head = newest insert.
-    queue: PackedQueue,
-    /// The hand: next eviction candidate. `NIL` means "start at the tail".
-    /// Invariant: when not `NIL`, points at a slot currently in the queue
-    /// (eviction and delete both step it off a node before removal).
-    hand: u32,
-    stats: PolicyStats,
-}
-
-impl DenseSieve {
-    /// Creates a SIEVE cache of `capacity` bytes over the dense domain
-    /// `0..domain`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::InvalidCapacity`] when `capacity == 0`.
-    pub fn with_domain(capacity: u64, domain: usize) -> Result<Self, CacheError> {
-        if capacity == 0 {
-            return Err(CacheError::InvalidCapacity("capacity must be > 0".into()));
-        }
-        Ok(DenseSieve {
-            capacity,
-            used: 0,
-            slab: DenseSlab::with_domain(domain),
-            queue: PackedQueue::new(),
-            hand: NIL,
-            stats: PolicyStats::default(),
-        })
-    }
-
-    fn evict_one(&mut self, evicted: &mut Vec<Eviction<u32>>) {
-        // Resume from the hand, or from the tail at start / after wrap.
-        let mut cur = if self.hand != NIL {
-            Some(self.hand)
-        } else {
-            self.queue.tail()
-        };
-        while let Some(s) = cur {
-            if self.slab.slots[s as usize].freq != 0 {
-                self.slab.slots[s as usize].freq = 0;
-                // Move toward the head; wrap to the tail at the end.
-                cur = self
-                    .queue
-                    .toward_head(&self.slab.slots, s)
-                    .or_else(|| self.queue.tail());
-            } else {
-                // Evict; the hand moves to the neighbour toward the head.
-                self.hand = self
-                    .queue
-                    .toward_head(&self.slab.slots, s)
-                    .unwrap_or(NIL);
-                self.queue.remove(&mut self.slab.slots, s);
-                self.slab.slots[s as usize].tag = ABSENT;
-                self.used -= u64::from(self.slab.size(s));
-                evicted.push(self.slab.eviction(s, false));
-                return;
-            }
-        }
-    }
-}
-
-impl SlabPolicy for DenseSieve {
-    const GHOSTLESS: bool = true;
-
-    fn with_capacity(capacity: u64) -> Result<Self, CacheError> {
-        Self::with_domain(capacity, 0)
-    }
-
-    fn name(&self) -> String {
-        "SIEVE".into()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len() as usize
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        let queue = (&self.queue, RESIDENT, self.used, "queue");
-        validate_queues("SIEVE", self.capacity, &self.slab, &[queue])?;
-        if let Some(slot) = self
-            .queue
-            .iter(&self.slab.slots)
-            .find(|&s| self.slab.slots[s as usize].freq > 1)
-        {
-            return Err(format!("SIEVE: slot {slot}'s visited bit is not a bit"));
-        }
-        if self.hand != NIL && self.slab.slots[self.hand as usize].tag != RESIDENT {
-            return Err(format!("SIEVE: hand points at non-resident slot {}", self.hand));
-        }
-        Ok(())
-    }
-
-    fn state(&self) -> (&DenseSlab, &PolicyStats) {
-        (&self.slab, &self.stats)
-    }
-
-    fn state_mut(&mut self) -> (&mut DenseSlab, &mut PolicyStats) {
-        (&mut self.slab, &mut self.stats)
-    }
-
-    fn hit(&mut self, slot: u32, _req: &Request) {
-        let s = &mut self.slab.slots[slot as usize];
-        s.freq = 1;
-        s.touch();
-    }
-
-    fn admit(&mut self, slot: u32, req: &Request, evicted: &mut Vec<Eviction<u32>>) {
-        while self.used + u64::from(req.size) > self.capacity && !self.queue.is_empty() {
-            self.evict_one(evicted);
-        }
-        self.queue.push_front(&mut self.slab.slots, slot);
-        let s = &mut self.slab.slots[slot as usize];
-        s.tag = RESIDENT;
-        s.freq = 0;
-        s.on_insert(req);
-        self.used += u64::from(req.size);
-    }
-
-    fn remove(&mut self, slot: u32) {
-        if std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT) == RESIDENT {
-            if self.hand == slot {
-                self.hand = self
-                    .queue
-                    .toward_head(&self.slab.slots, slot)
-                    .unwrap_or(NIL);
-            }
-            self.queue.remove(&mut self.slab.slots, slot);
-            self.used -= u64::from(self.slab.size(slot));
-        }
-    }
-
-    /// Warms the next eviction candidate: the hand, or the tail when the
-    /// hand is unset.
-    #[inline]
-    fn warm(&self, _slot: u32) {
-        if self.hand != NIL {
-            self.slab.warm_slot(self.hand);
-        } else {
-            self.slab.warm_tail(&self.queue);
-        }
+        self.queue.warm(&self.slab);
     }
 }
 
@@ -613,7 +291,7 @@ impl SlabPolicy for DenseBloomLru {
     }
 
     fn used(&self) -> u64 {
-        self.lru.used
+        SlabPolicy::used(&self.lru)
     }
 
     fn len(&self) -> usize {

@@ -18,9 +18,8 @@
 
 use cache_ds::Doorkeeper;
 use cache_types::{CacheError, Eviction, ObjId, Outcome, PolicyStats, Request};
-use s3fifo::dense::{serve, validate_queues, DenseSlab, Keyed, PackedQueue, SlabPolicy};
+use s3fifo::dense::{rule, serve, validate_queues, DenseSlab, Keyed, Queue, SlabPolicy};
 
-const ABSENT: u8 = 0;
 const WINDOW: u8 = 1;
 const PROBATION: u8 = 2;
 const PROTECTED: u8 = 3;
@@ -38,9 +37,7 @@ pub struct DenseTinyLfu {
     protected_capacity: u64,
     slab: DenseSlab,
     /// The window, probation and protected segments, by [`seg`].
-    segs: [PackedQueue; 3],
-    /// Bytes in each segment.
-    used: [u64; 3],
+    segs: [Queue<rule::Lru>; 3],
     sketch: Doorkeeper,
     /// Per slot: the id it was admitted under, which the sketch counts.
     ids: Vec<ObjId>,
@@ -76,8 +73,7 @@ impl DenseTinyLfu {
             window_capacity,
             protected_capacity: (main * 8 / 10).max(1),
             slab: DenseSlab::with_domain(domain),
-            segs: [PackedQueue::new(); 3],
-            used: [0; 3],
+            segs: [WINDOW, PROBATION, PROTECTED].map(Queue::new),
             sketch: Doorkeeper::new((capacity as usize).clamp(16, 1 << 22)),
             ids: vec![0; domain],
             window_ratio,
@@ -86,21 +82,18 @@ impl DenseTinyLfu {
     }
 
     fn used_total(&self) -> u64 {
-        self.used.iter().sum()
+        self.segs.iter().map(Queue::bytes).sum()
     }
 
     /// Detaches `slot` from its segment and clears its tag.
     fn unlink(&mut self, slot: u32) {
-        let tag = std::mem::replace(&mut self.slab.slots[slot as usize].tag, ABSENT);
-        self.segs[seg(tag)].remove(&mut self.slab.slots, slot);
-        self.used[seg(tag)] -= u64::from(self.slab.size(slot));
+        let tag = self.slab.slots[slot as usize].tag;
+        self.segs[seg(tag)].remove(&mut self.slab, slot);
     }
 
     /// Puts detached `slot` at the head of segment `tag`.
     fn link(&mut self, slot: u32, tag: u8) {
-        self.segs[seg(tag)].push_front(&mut self.slab.slots, slot);
-        self.used[seg(tag)] += u64::from(self.slab.size(slot));
-        self.slab.slots[slot as usize].tag = tag;
+        self.segs[seg(tag)].push(&mut self.slab, slot);
     }
 
     /// Reports the eviction of detached `slot`; `from_window` marks the
@@ -119,11 +112,10 @@ impl DenseTinyLfu {
 
     /// Demotes protected-segment overflow into probation.
     fn rebalance_protected(&mut self) {
-        while self.used[seg(PROTECTED)] > self.protected_capacity {
-            let Some(slot) = self.segs[seg(PROTECTED)].tail() else {
+        while self.segs[seg(PROTECTED)].bytes() > self.protected_capacity {
+            let Some(slot) = self.segs[seg(PROTECTED)].evict(&mut self.slab) else {
                 break;
             };
-            self.unlink(slot);
             self.link(slot, PROBATION);
         }
     }
@@ -132,11 +124,10 @@ impl DenseTinyLfu {
     /// candidate fights the main region's eviction candidate on estimated
     /// frequency; the loser is evicted.
     fn maintain(&mut self, evicted: &mut Vec<Eviction<u32>>) {
-        while self.used[seg(WINDOW)] > self.window_capacity {
-            let Some(candidate) = self.segs[seg(WINDOW)].tail() else {
+        while self.segs[seg(WINDOW)].bytes() > self.window_capacity {
+            let Some(candidate) = self.segs[seg(WINDOW)].evict(&mut self.slab) else {
                 break;
             };
-            self.unlink(candidate);
             // While the cache is not yet full, admit without a duel.
             if self.used_total() + u64::from(self.slab.size(candidate)) <= self.capacity {
                 self.link(candidate, PROBATION);
@@ -199,16 +190,12 @@ impl SlabPolicy for DenseTinyLfu {
     }
 
     fn validate(&self) -> Result<(), String> {
-        let queue = |tag: u8, label| (&self.segs[seg(tag)], tag, self.used[seg(tag)], label);
+        let [window, probation, protected] = &self.segs;
         validate_queues(
             &SlabPolicy::name(self),
             self.capacity,
             &self.slab,
-            &[
-                queue(WINDOW, "window"),
-                queue(PROBATION, "probation"),
-                queue(PROTECTED, "protected"),
-            ],
+            &[window, probation, protected],
         )
     }
 
@@ -229,7 +216,7 @@ impl SlabPolicy for DenseTinyLfu {
                 self.link(slot, PROTECTED);
                 self.rebalance_protected();
             }
-            tag => self.segs[seg(tag)].move_to_front(&mut self.slab.slots, slot),
+            tag => self.segs[seg(tag)].hit(&mut self.slab, slot),
         }
     }
 
@@ -244,7 +231,7 @@ impl SlabPolicy for DenseTinyLfu {
     }
 
     fn remove(&mut self, slot: u32) {
-        if self.slab.slots[slot as usize].tag != ABSENT {
+        if self.slab.slots[slot as usize].tag != 0 {
             self.unlink(slot);
         }
     }
@@ -252,7 +239,7 @@ impl SlabPolicy for DenseTinyLfu {
     #[inline]
     fn warm(&self, _slot: u32) {
         for q in &self.segs {
-            self.slab.warm_tail(q);
+            q.warm(&self.slab);
         }
     }
 
@@ -285,7 +272,7 @@ mod tests {
     fn tag_of(p: &TinyLfu, id: u64) -> Option<u8> {
         p.slot_of(id)
             .map(|s| p.slab.slots[s as usize].tag)
-            .filter(|&t| t != ABSENT)
+            .filter(|&t| t != 0)
     }
 
     #[test]
